@@ -29,7 +29,7 @@ from repro.algorithms import minimum_spanning_tree
 from repro.analysis import kruskal_mst
 from repro.bench import print_table, record, run_once
 from repro.congest import make_schedule
-from repro.core import SUM, solve_pa
+from repro.core import SUM, PASolver, solve_pa
 from repro.graphs import (
     bfs_ball_partition,
     grid_2d,
@@ -73,7 +73,9 @@ def test_pa_schedules(benchmark):
             ("synchronous engine", sync.rounds, sync.messages, "-", "-", "-")
         )
         for label, make in SCHEDULES:
-            session = PASession(net, seed=7, schedule=make())
+            session = PASession(
+                net, solver=PASolver(net, seed=7, schedule=make())
+            )
             setup = session.prepare(partition)
             res = session.solve(setup, values, SUM)
             res.ledger.merge(session.tree_ledger, prefix="tree:")
@@ -130,7 +132,9 @@ def test_mst_schedules(benchmark):
         for label, make in SCHEDULES:
             from repro import PASession
 
-            session = PASession(net, seed=3, schedule=make())
+            session = PASession(
+                net, solver=PASolver(net, seed=3, schedule=make())
+            )
             res = minimum_spanning_tree(net, seed=3, session=session)
             assert res.output == oracle
             time_units, control, skew = _overhead_totals(session)

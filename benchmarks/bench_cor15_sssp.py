@@ -8,14 +8,14 @@ max/mean stretch against Dijkstra, plus the Bellman-Ford round cost.
 from repro.algorithms import approx_sssp
 from repro.analysis import dijkstra
 from repro.bench import print_table, record, run_once
-from repro.core import PASolver
 from repro.graphs import grid_2d, with_random_weights
+from repro.runtime import PASession
 
 
 def test_sssp_beta_sweep(benchmark):
     net = with_random_weights(grid_2d(5, 14), max_weight=40, seed=20)
     exact = dijkstra(net, 0)
-    solver = PASolver(net, seed=21)
+    session = PASession(net, seed=21)
     from repro.analysis import kruskal_mst
 
     tree = kruskal_mst(net)  # amortized across the sweep
@@ -25,7 +25,7 @@ def test_sssp_beta_sweep(benchmark):
         curve = {}
         for beta in (0.5, 0.2, 0.1, 0.05):
             run = approx_sssp(
-                net, 0, beta=beta, seed=22, solver=solver, tree_edges=tree
+                net, 0, beta=beta, seed=22, session=session, tree_edges=tree
             )
             stretches = [
                 run.output[v] / exact[v]

@@ -16,14 +16,14 @@ fault-free run's, MST equals Kruskal — asserted every run too).
 from repro.algorithms import minimum_spanning_tree
 from repro.analysis import kruskal_mst
 from repro.bench import print_table, record, run_once
-from repro.congest import FaultPlan
-from repro.core import SUM, solve_pa
+from repro.congest import FaultPlan, SynchronousSchedule
+from repro.core import SUM, PASolver, solve_pa
 from repro.graphs import (
     random_connected,
     random_connected_partition,
     with_distinct_weights,
 )
-from repro.runtime import RecoveryDriver
+from repro.runtime import PASession, RecoveryDriver
 
 #: Crash counts swept per workload (k=0 is the bit-for-bit gate).
 CRASH_COUNTS = (0, 1, 2, 4)
@@ -59,7 +59,10 @@ def test_pa_crash_recovery(benchmark):
     def experiment():
         rows = []
         data = {}
-        ref = solve_pa(net, partition, values, SUM, seed=7, async_mode=True)
+        ref = solve_pa(
+            net, partition, values, SUM, seed=7,
+            solver=PASolver(net, seed=7, schedule=SynchronousSchedule()),
+        )
         for k in CRASH_COUNTS:
             driver = RecoveryDriver(net, faults=_plan(k, net.n), seed=7)
             res = driver.solve_pa(partition, values, SUM)
@@ -115,7 +118,13 @@ def test_mst_crash_recovery(benchmark):
     def experiment():
         rows = []
         data = {}
-        ref = minimum_spanning_tree(net, seed=3, async_mode=True)
+        ref = minimum_spanning_tree(
+            net, seed=3,
+            session=PASession(
+                net,
+                solver=PASolver(net, seed=3, schedule=SynchronousSchedule()),
+            ),
+        )
         assert ref.output == oracle
         for k in CRASH_COUNTS:
             driver = RecoveryDriver(net, faults=_plan(k, net.n), seed=3)

@@ -29,7 +29,8 @@ import os
 import time
 
 from repro.bench import print_table, record, run_once
-from repro.core import SUM, solve_pa
+from repro.congest import SynchronousSchedule
+from repro.core import SUM, PASolver, solve_pa
 from repro.graphs import bfs_ball_partition, grid_2d
 from repro.obs import NULL_TRACER, Tracer, current_tracer, use_tracer
 
@@ -37,11 +38,11 @@ from repro.obs import NULL_TRACER, Tracer, current_tracer, use_tracer
 #: local measurement runs, off in CI and the --jobs pool workers.
 WALL_GATE = os.environ.get("REPRO_SESSION_WALL_GATE", "1") != "0"
 
-#: (label, solve_pa kwargs) — one entry per engine implementation.
+#: (label, PASolver kwargs) — one entry per engine implementation.
 ENGINES = [
     ("scalar", {}),
     ("array", {"engine_impl": "array"}),
-    ("async", {"async_mode": True}),
+    ("async", {"schedule": SynchronousSchedule()}),
 ]
 
 
@@ -73,11 +74,17 @@ def test_tracing_identity_and_replay(benchmark):
             # Explicit scoping (not the ambient default) so this bench
             # stays valid under the runner's own --trace wrapper.
             with use_tracer(NULL_TRACER):
-                off = solve_pa(net, partition, values, SUM, seed=7, **kwargs)
+                off = solve_pa(
+                    net, partition, values, SUM, seed=7,
+                    solver=PASolver(net, seed=7, **kwargs),
+                )
 
             tracer = Tracer()
             with use_tracer(tracer):
-                on = solve_pa(net, partition, values, SUM, seed=7, **kwargs)
+                on = solve_pa(
+                    net, partition, values, SUM, seed=7,
+                    solver=PASolver(net, seed=7, **kwargs),
+                )
 
             # Contract 1: tracing never perturbs the cost model.
             assert on.aggregates == off.aggregates

@@ -40,6 +40,7 @@ from repro.graphs import (
     random_regular,
     row_partition,
 )
+from repro.runtime import PASession
 
 MAX_N = int(os.environ.get("REPRO_SCALING_MAX_N", "50000"))
 
@@ -147,10 +148,10 @@ def test_mst_scaling(benchmark):
                 continue
             net = with_distinct_weights(random_regular(n, 4, seed=31), seed=5)
             start = time.perf_counter()
-            solver = PASolver(
+            session = PASession(
                 net, seed=33, strict_bits=False, strict_edges=False
             )
-            result = minimum_spanning_tree(net, seed=33, solver=solver)
+            result = minimum_spanning_tree(net, seed=33, session=session)
             wall = time.perf_counter() - start
             walls[n] = wall
             rows.append((n, net.m, result.meta["phases"],

@@ -2,4 +2,4 @@
 
 from setuptools import setup
 
-setup()
+setup(install_requires=["numpy"])

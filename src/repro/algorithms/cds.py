@@ -28,11 +28,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..congest.engine import Context, Engine, Inbox, Program
 from ..congest.ledger import CostLedger, RunResult
 from ..congest.network import Network
-from ..congest.schedule import Schedule
 from ..graphs.partitions import partition_from_component_labels
 from ..core.aggregation import MIN, MIN_TUPLE
 from ..core.no_leader import PASuperOps, _CrossProgram
-from ..core.pa import PASolver, RANDOMIZED
+from ..core.pa import RANDOMIZED
 from ..core.star_joining import compute_star_joining
 from ..runtime import PASession, ensure_session
 
@@ -123,12 +122,7 @@ def connected_dominating_set(
     net: Network,
     mode: str = RANDOMIZED,
     seed: int = 0,
-    solver: Optional[PASolver] = None,
     session: Optional[PASession] = None,
-    shortcut_provider: Optional[object] = None,
-    family: Optional[str] = None,
-    schedule: Optional[Schedule] = None,
-    async_mode: bool = False,
 ) -> RunResult:
     """Compute an O(log n)-approximate CDS; returns the node set.
 
@@ -136,11 +130,7 @@ def connected_dominating_set(
     a reusing session coarsens across merge phases, and a batching one
     folds the edge-pick and coin-spread aggregates into one wave pass.
     """
-    session = ensure_session(
-        session, net, mode=mode, seed=seed, solver=solver,
-        shortcut_provider=shortcut_provider, family=family,
-        schedule=schedule, async_mode=async_mode,
-    )
+    session = ensure_session(session, net, mode=mode, seed=seed)
     solver = session.solver
     ledger = CostLedger()
     ledger.merge(solver.tree_ledger, prefix="tree:")

@@ -17,10 +17,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..congest.ledger import CostLedger, RunResult
 from ..congest.network import Network, canonical_edge
-from ..congest.schedule import Schedule
 from ..graphs.partitions import Partition, partition_from_component_labels
 from ..core.aggregation import MIN
-from ..core.pa import PASetup, PASolver, RANDOMIZED
+from ..core.pa import RANDOMIZED
 from ..runtime import PASession, ensure_session
 
 
@@ -59,13 +58,7 @@ def cc_labeling(
     subgraph_edges: Sequence[Tuple[int, int]],
     mode: str = RANDOMIZED,
     seed: int = 0,
-    solver: Optional[PASolver] = None,
     session: Optional[PASession] = None,
-    shortcut_provider: Optional[object] = None,
-    family: Optional[str] = None,
-    schedule: Optional[Schedule] = None,
-    async_mode: bool = False,
-    engine_impl: str = "array",
 ) -> RunResult:
     """Label H-components with their minimum member uid, via one PA solve.
 
@@ -75,11 +68,7 @@ def cc_labeling(
     A reusing session also memoizes the setup on the component partition,
     so repeated labelings of the same subgraph are construction-free.
     """
-    session = ensure_session(
-        session, net, mode=mode, seed=seed, solver=solver,
-        shortcut_provider=shortcut_provider, family=family,
-        schedule=schedule, async_mode=async_mode, engine_impl=engine_impl,
-    )
+    session = ensure_session(session, net, mode=mode, seed=seed)
     solver = session.solver
     partition = components_partition(net, subgraph_edges)
     setup = session.prepare(partition)

@@ -23,11 +23,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..congest.ledger import CostLedger, RunResult
 from ..congest.network import Network
-from ..congest.schedule import Schedule
 from ..graphs.partitions import partition_from_component_labels
 from ..core.aggregation import MIN, MIN_TUPLE, SUM
 from ..core.no_leader import PASuperOps
-from ..core.pa import PASolver, RANDOMIZED
+from ..core.pa import RANDOMIZED
 from ..core.star_joining import SuperEdge, compute_star_joining
 from ..runtime import PASession, ensure_session
 
@@ -37,12 +36,7 @@ def k_dominating_set(
     k: int,
     mode: str = RANDOMIZED,
     seed: int = 0,
-    solver: Optional[PASolver] = None,
     session: Optional[PASession] = None,
-    shortcut_provider: Optional[object] = None,
-    family: Optional[str] = None,
-    schedule: Optional[Schedule] = None,
-    async_mode: bool = False,
 ) -> RunResult:
     """Compute a k-dominating set of size at most ~6n/k, via PA merging.
 
@@ -53,11 +47,7 @@ def k_dominating_set(
     """
     if k < 1:
         raise ValueError("k must be positive")
-    session = ensure_session(
-        session, net, mode=mode, seed=seed, solver=solver,
-        shortcut_provider=shortcut_provider, family=family,
-        schedule=schedule, async_mode=async_mode,
-    )
+    session = ensure_session(session, net, mode=mode, seed=seed)
     solver = session.solver
     ledger = CostLedger()
     ledger.merge(solver.tree_ledger, prefix="tree:")

@@ -33,9 +33,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..congest.engine import Context, Engine, Inbox, Program
 from ..congest.ledger import CostLedger, RunResult
 from ..congest.network import Network, canonical_edge
-from ..congest.schedule import Schedule
 from ..core.aggregation import SUM, Aggregation
-from ..core.pa import PASolver, RANDOMIZED
+from ..core.pa import RANDOMIZED
 from ..core.queued import QueuedProgram
 from ..runtime import PASession, ensure_session
 from ..core.treeops import broadcast as tree_broadcast
@@ -230,13 +229,8 @@ def approx_min_cut(
     epsilon: float = 0.5,
     mode: str = RANDOMIZED,
     seed: int = 0,
-    solver: Optional[PASolver] = None,
     max_trees: Optional[int] = None,
     session: Optional[PASession] = None,
-    shortcut_provider: Optional[object] = None,
-    family: Optional[str] = None,
-    schedule: Optional[Schedule] = None,
-    async_mode: bool = False,
 ) -> RunResult:
     """(1+eps)-approximate min cut; every node learns its side.
 
@@ -254,11 +248,7 @@ def approx_min_cut(
         raise ValueError("min-cut requires a weighted network")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    session = ensure_session(
-        session, net, mode=mode, seed=seed, solver=solver,
-        shortcut_provider=shortcut_provider, family=family,
-        schedule=schedule, async_mode=async_mode,
-    )
+    session = ensure_session(session, net, mode=mode, seed=seed)
     solver = session.solver
     ledger = CostLedger()
     ledger.merge(solver.tree_ledger, prefix="tree:")
@@ -288,14 +278,15 @@ def approx_min_cut(
         if session.reuse or session.batch:
             # Same topology and uid permutation, different weights: the
             # session's tree, engine and memoized setups carry over.
-            mst = minimum_spanning_tree(
-                packed, mode=mode, seed=seed + t, session=session
-            )
+            pack_session = session
         else:
-            mst = minimum_spanning_tree(
-                packed, mode=mode, seed=seed + t, solver=None,
+            pack_session = PASession(
+                packed, mode=mode, seed=seed + t,
                 shortcut_provider=session.shortcut_provider,
             )
+        mst = minimum_spanning_tree(
+            packed, mode=mode, seed=seed + t, session=pack_session
+        )
         ledger.merge(mst.ledger, prefix=f"pack{t}:")
         tree_edges = set(mst.output)
         for e in tree_edges:

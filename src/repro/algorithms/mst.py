@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..congest.engine import Context, Engine, Inbox, Program
 from ..congest.ledger import CostLedger, RunResult
 from ..congest.network import Network, canonical_edge
-from ..congest.schedule import Schedule
 from ..graphs.partitions import Partition, partition_from_component_labels
 from ..core.aggregation import MIN, MIN_TUPLE, OR
 from ..core.no_leader import PASuperOps, _CrossProgram
@@ -86,32 +85,23 @@ def minimum_spanning_tree(
     mode: str = RANDOMIZED,
     seed: int = 0,
     merging: Optional[str] = None,
-    solver: Optional[PASolver] = None,
     max_phases: Optional[int] = None,
     session: Optional[PASession] = None,
-    shortcut_provider: Optional[object] = None,
-    family: Optional[str] = None,
-    schedule: Optional[Schedule] = None,
-    async_mode: bool = False,
-    engine_impl: str = "array",
 ) -> RunResult:
     """Distributed MST; returns the edge set with a fully metered ledger.
 
     The network must be connected and weighted.  ``merging`` defaults to
     coin flips in randomized mode and star joinings in deterministic mode.
     PA is acquired through ``session`` (see :class:`repro.runtime.PASession`
-    for the reuse/batch opt-ins); ``shortcut_provider``/``family`` select a
-    family-aware shortcut construction for every phase's pipeline.
+    for the reuse/batch opt-ins, the family-aware shortcut constructions
+    and the engine every phase's pipeline runs on); the default is
+    ``PASession(net, mode=mode, seed=seed)``.
     """
     if net.weights is None:
         raise ValueError("MST requires a weighted network")
     if merging is None:
         merging = COIN if mode == RANDOMIZED else STAR
-    session = ensure_session(
-        session, net, mode=mode, seed=seed, solver=solver,
-        shortcut_provider=shortcut_provider, family=family,
-        schedule=schedule, async_mode=async_mode, engine_impl=engine_impl,
-    )
+    session = ensure_session(session, net, mode=mode, seed=seed)
     solver = session.solver
     rng = random.Random(seed ^ 0xB0B)
     ledger = CostLedger()

@@ -30,8 +30,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..congest.engine import Context, Engine, Inbox, Program
 from ..congest.ledger import CostLedger, RunResult
 from ..congest.network import Network, canonical_edge
-from ..congest.schedule import Schedule
-from ..core.pa import PASolver, RANDOMIZED
+from ..core.pa import RANDOMIZED
 from ..core.trees import ABSENT, ROOT, RootedForest
 from ..runtime import PASession, ensure_session
 from .mst import minimum_spanning_tree
@@ -119,13 +118,8 @@ def approx_sssp(
     beta: float = 0.1,
     mode: str = RANDOMIZED,
     seed: int = 0,
-    solver: Optional[PASolver] = None,
     tree_edges: Optional[Set[Tuple[int, int]]] = None,
     session: Optional[PASession] = None,
-    shortcut_provider: Optional[object] = None,
-    family: Optional[str] = None,
-    schedule: Optional[Schedule] = None,
-    async_mode: bool = False,
 ) -> RunResult:
     """Approximate SSSP: every node learns ``dv >= d(s, v)``.
 
@@ -139,11 +133,7 @@ def approx_sssp(
         raise ValueError("SSSP requires a weighted network")
     if not 0 < beta <= 1:
         raise ValueError("beta must be in (0, 1]")
-    session = ensure_session(
-        session, net, mode=mode, seed=seed, solver=solver,
-        shortcut_provider=shortcut_provider, family=family,
-        schedule=schedule, async_mode=async_mode,
-    )
+    session = ensure_session(session, net, mode=mode, seed=seed)
     solver = session.solver
     ledger = CostLedger()
     ledger.merge(solver.tree_ledger, prefix="tree:")

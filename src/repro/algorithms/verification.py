@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..congest.engine import Engine
 from ..congest.ledger import CostLedger, RunResult
 from ..congest.network import Network, canonical_edge
-from ..congest.schedule import Schedule
 from ..core.aggregation import OR, SUM
 from ..core.pa import PASolver, RANDOMIZED
 from ..runtime import PASession, ensure_session
@@ -47,11 +46,9 @@ def _global_sum(solver: PASolver, values: List[object], ledger: CostLedger,
     return total
 
 
-def _labels_and_ledger(net, subgraph_edges, mode, seed, solver,
-                       session=None, schedule=None, async_mode=False):
+def _labels_and_ledger(net, subgraph_edges, mode, seed, session):
     run = cc_labeling(
-        net, subgraph_edges, mode=mode, seed=seed, solver=solver,
-        session=session, schedule=schedule, async_mode=async_mode,
+        net, subgraph_edges, mode=mode, seed=seed, session=session
     )
     return run.output, run.ledger, run.meta["solver"]
 
@@ -61,10 +58,7 @@ def verify_connectivity(
     subgraph_edges: Sequence[Tuple[int, int]],
     mode: str = RANDOMIZED,
     seed: int = 0,
-    solver: Optional[PASolver] = None,
     session: Optional[PASession] = None,
-    schedule: Optional[Schedule] = None,
-    async_mode: bool = False,
 ) -> RunResult:
     """Is H connected (as a spanning subgraph over all of V)?
 
@@ -72,8 +66,7 @@ def verify_connectivity(
     global sum: H is connected iff the count is one.
     """
     labels, ledger, solver = _labels_and_ledger(
-        net, subgraph_edges, mode, seed, solver, session=session,
-        schedule=schedule, async_mode=async_mode,
+        net, subgraph_edges, mode, seed, session
     )
     leader_flags = [1 if labels[v] == net.uid[v] else 0 for v in range(net.n)]
     count = _global_sum(solver, leader_flags, ledger, "connectivity_count")
@@ -88,10 +81,7 @@ def verify_st_connectivity(
     t: int,
     mode: str = RANDOMIZED,
     seed: int = 0,
-    solver: Optional[PASolver] = None,
     session: Optional[PASession] = None,
-    schedule: Optional[Schedule] = None,
-    async_mode: bool = False,
 ) -> RunResult:
     """Are s and t in the same H-component?
 
@@ -99,8 +89,7 @@ def verify_st_connectivity(
     the root compares and broadcasts the verdict.
     """
     labels, ledger, solver = _labels_and_ledger(
-        net, subgraph_edges, mode, seed, solver, session=session,
-        schedule=schedule, async_mode=async_mode,
+        net, subgraph_edges, mode, seed, session
     )
     values: List[object] = [None] * net.n
     values[s] = ("s", labels[s])
@@ -154,10 +143,7 @@ def verify_cut(
     cut_edges: Sequence[Tuple[int, int]],
     mode: str = RANDOMIZED,
     seed: int = 0,
-    solver: Optional[PASolver] = None,
     session: Optional[PASession] = None,
-    schedule: Optional[Schedule] = None,
-    async_mode: bool = False,
 ) -> RunResult:
     """Does removing ``cut_edges`` disconnect the network?
 
@@ -166,8 +152,7 @@ def verify_cut(
     removed = {canonical_edge(u, v) for u, v in cut_edges}
     rest = [e for e in net.edges if e not in removed]
     inner = verify_connectivity(
-        net, rest, mode=mode, seed=seed, solver=solver, session=session,
-        schedule=schedule, async_mode=async_mode,
+        net, rest, mode=mode, seed=seed, session=session
     )
     return RunResult(
         output=not inner.output, ledger=inner.ledger, meta=inner.meta
@@ -181,17 +166,13 @@ def verify_st_cut(
     t: int,
     mode: str = RANDOMIZED,
     seed: int = 0,
-    solver: Optional[PASolver] = None,
     session: Optional[PASession] = None,
-    schedule: Optional[Schedule] = None,
-    async_mode: bool = False,
 ) -> RunResult:
     """Does removing ``cut_edges`` separate s from t?"""
     removed = {canonical_edge(u, v) for u, v in cut_edges}
     rest = [e for e in net.edges if e not in removed]
     inner = verify_st_connectivity(
-        net, rest, s, t, mode=mode, seed=seed, solver=solver,
-        session=session, schedule=schedule, async_mode=async_mode,
+        net, rest, s, t, mode=mode, seed=seed, session=session
     )
     return RunResult(
         output=not inner.output, ledger=inner.ledger, meta=inner.meta
@@ -203,20 +184,14 @@ def verify_spanning_tree(
     subgraph_edges: Sequence[Tuple[int, int]],
     mode: str = RANDOMIZED,
     seed: int = 0,
-    solver: Optional[PASolver] = None,
     session: Optional[PASession] = None,
-    schedule: Optional[Schedule] = None,
-    async_mode: bool = False,
 ) -> RunResult:
     """Is H a spanning tree: connected over V with exactly n - 1 edges?
 
     The edge count is a global half-degree sum; connectivity reuses the
     same labeling run.
     """
-    session = ensure_session(
-        session, net, mode=mode, seed=seed, solver=solver,
-        schedule=schedule, async_mode=async_mode,
-    )
+    session = ensure_session(session, net, mode=mode, seed=seed)
     solver = session.solver
     conn = verify_connectivity(
         net, subgraph_edges, mode=mode, seed=seed, session=session
@@ -238,10 +213,7 @@ def verify_cycle_containment(
     subgraph_edges: Sequence[Tuple[int, int]],
     mode: str = RANDOMIZED,
     seed: int = 0,
-    solver: Optional[PASolver] = None,
     session: Optional[PASession] = None,
-    schedule: Optional[Schedule] = None,
-    async_mode: bool = False,
 ) -> RunResult:
     """Does H contain a cycle?  (Some component has >= as many edges as nodes.)
 
@@ -249,10 +221,7 @@ def verify_cycle_containment(
     partition — one shared wave pass when the session batches; each node
     contributes half its H-degree to the edge sum.
     """
-    session = ensure_session(
-        session, net, mode=mode, seed=seed, solver=solver,
-        schedule=schedule, async_mode=async_mode,
-    )
+    session = ensure_session(session, net, mode=mode, seed=seed)
     solver = session.solver
     run = cc_labeling(net, subgraph_edges, mode=mode, seed=seed, session=session)
     setup = run.meta["setup"]
@@ -288,10 +257,7 @@ def verify_bipartiteness(
     subgraph_edges: Sequence[Tuple[int, int]],
     mode: str = RANDOMIZED,
     seed: int = 0,
-    solver: Optional[PASolver] = None,
     session: Optional[PASession] = None,
-    schedule: Optional[Schedule] = None,
-    async_mode: bool = False,
 ) -> RunResult:
     """Is H bipartite?
 
@@ -300,10 +266,7 @@ def verify_bipartiteness(
     cover); every H-edge then checks its endpoints' parities in one round,
     and a global OR reports any conflict.
     """
-    session = ensure_session(
-        session, net, mode=mode, seed=seed, solver=solver,
-        schedule=schedule, async_mode=async_mode,
-    )
+    session = ensure_session(session, net, mode=mode, seed=seed)
     solver = session.solver
     run = cc_labeling(net, subgraph_edges, mode=mode, seed=seed, session=session)
     labels = run.output

@@ -37,9 +37,9 @@ hardware facts, not model facts; the ledger is the correctness contract
 
 Usage::
 
-    PYTHONPATH=src python -m repro.bench.runner --out BENCH_pr1.json
+    PYTHONPATH=src python -m repro.bench.runner --out BENCH_ci.json
     PYTHONPATH=src python -m repro.bench.runner --only theorem12 --no-experiments
-    PYTHONPATH=src python -m repro.bench.runner --jobs auto --check-against BENCH_pr1.json
+    PYTHONPATH=src python -m repro.bench.runner --jobs auto --check-against BENCH_pr10.json
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ nothing about shortcuts or Part-Wise Aggregation; it only provides:
 
 from .async_engine import AsyncEngine, AsyncPhaseOverhead
 from .engine import (
-    BulkProgram,
     Context,
     Engine,
     FastContext,
@@ -64,7 +63,6 @@ __all__ = [
     "AsyncEngine",
     "AsyncPhaseOverhead",
     "BandwidthExceededError",
-    "BulkProgram",
     "ChannelCapacityError",
     "CongestError",
     "Context",

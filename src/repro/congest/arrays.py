@@ -19,8 +19,8 @@ program outputs are bit-for-bit identical.  The rules that make this hold:
   inbox order (stably sender-sorted mailboxes) including the order of
   same-edge messages;
 * per-directed-edge capacity is enforced on the sorted batch before the
-  kernel sees any of it — the same "whole tick is materialized first"
-  semantics as :class:`~repro.congest.engine.BulkProgram`;
+  kernel sees any of it (the whole tick is materialized first, so a
+  violation surfaces before any node of that tick runs);
 * payload bits are charged at emit time from kernel-supplied bit columns
   (:func:`int_bits_array` matches :func:`~repro.congest.message.int_bits`
   exactly, including at int64 extremes), so ``strict_bits`` raises on the

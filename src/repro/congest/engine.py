@@ -34,12 +34,7 @@ EXPERIMENTS.md):
   charged as rounds;
 * per-node mailbox arenas are owned by the :class:`Engine` and reused
   across *phases*, not just across ticks, so a multi-phase pipeline pays
-  the O(n) arena allocation once per engine;
-* programs implementing the :class:`BulkProgram` protocol receive one
-  ``on_bulk`` call per tick carrying the whole activation batch, instead
-  of one ``on_node`` call per active node — the delivery schedule, outbox
-  order and metered costs are identical, only the Python dispatch count
-  changes.
+  the O(n) arena allocation once per engine.
 """
 
 from __future__ import annotations
@@ -287,45 +282,14 @@ class Program:
         raise NotImplementedError
 
 
-class BulkProgram(Program):
-    """A program that processes one tick's whole activation batch at once.
-
-    The engine hands a ``BulkProgram`` a single :meth:`on_bulk` call per
-    tick with the complete activation batch — a list of ``(node, inbox)``
-    pairs in the exact order (sorted node id) and with the exact inboxes
-    the sequential path would have used.  Array-friendly programs override
-    :meth:`on_bulk` to hoist attribute lookups and per-call overhead out of
-    the per-node loop; the default implementation simply loops over
-    :meth:`on_node`, so a ``BulkProgram`` with only ``on_node`` behaves
-    identically to a plain :class:`Program`.
-
-    Contract: the batch list and its inbox tuples are owned by the engine;
-    ``on_bulk`` must not keep references past the call.  Because all
-    inboxes of a tick are materialized before the first node runs, a
-    capacity violation anywhere in the tick surfaces before *any* node of
-    that tick executes (the sequential path would have run the earlier
-    nodes first) — metered costs and delivery schedules are unaffected,
-    since sends and wakes only ever target the next tick.
-    """
-
-    def on_bulk(self, ctx: Context, batch: List[Tuple[int, Inbox]]) -> None:
-        """Process every activation of this tick in one call."""
-        on_node = self.on_node
-        for node, inbox in batch:
-            on_node(ctx, node, inbox)
-
-    def on_node(self, ctx: Context, node: int, inbox: Inbox) -> None:
-        """Single-node fallback (used by code that drives programs manually)."""
-        raise NotImplementedError
-
-
 class ArrayProgram(Program):
     """A program whose whole-tick transition is a numpy kernel.
 
-    Where a :class:`BulkProgram` still receives Python inboxes, an
-    ``ArrayProgram`` receives the tick's entire delivered traffic as flat
-    int64 columns (:class:`~repro.congest.arrays.Delivered`) and emits
-    next-tick batches through an
+    Where a scalar :class:`Program` is stepped node by node over Python
+    inboxes, an ``ArrayProgram`` receives the tick's entire delivered
+    traffic as flat int64 columns
+    (:class:`~repro.congest.arrays.Delivered`) and emits next-tick
+    batches through an
     :class:`~repro.congest.arrays.ArrayContext`.  The engine routes these
     programs through the array run loop
     (:func:`~repro.congest.arrays.run_array_phase`), whose metering,
@@ -530,11 +494,6 @@ class Engine:
         peak_in_flight = 0
         activations = 0
         on_node = program.on_node
-        # Bulk dispatch: a BulkProgram receives the whole activation batch
-        # in one call per tick (same order, same inboxes).
-        is_bulk = isinstance(program, BulkProgram)
-        on_bulk = program.on_bulk if is_bulk else None
-        bulk_batch: List[Tuple[int, Inbox]] = []
         # Recycled per-tick containers (the delivered arena and the drained
         # wakeup set become the next tick's fill targets).
         spare_wakeups: set = set()
@@ -662,13 +621,7 @@ class Engine:
                         mail.sort(key=_sender_of)
                     inbox = tuple(mail)
                     mail.clear()
-                if is_bulk:
-                    bulk_batch.append((node, inbox))
-                else:
-                    on_node(ctx, node, inbox)
-            if is_bulk and bulk_batch:
-                on_bulk(ctx, bulk_batch)
-                bulk_batch.clear()
+                on_node(ctx, node, inbox)
             touched.clear()
             spare_touched = touched
             spare_mail = mailboxes  # fully drained by the inbox builds

@@ -15,7 +15,7 @@ MIN_TUPLE / MAX_TUPLE for lexicographic tuple values such as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,10 @@ class Aggregation:
 
     name: str
     combine: Callable[[Any, Any], Any]
+    #: Component aggregations when this is a componentwise product over
+    #: k-tuples (:func:`repro.core.pa.product_aggregation`); empty for an
+    #: ordinary aggregation.
+    factors: Tuple["Aggregation", ...] = ()
 
     def fold(self, values) -> Any:
         """Combine an iterable of values; ``None`` entries are skipped.

@@ -174,7 +174,6 @@ def solve_pa_without_leaders(
     mode: str = "randomized",
     seed: int = 0,
     solver: Optional[PASolver] = None,
-    engine_impl: str = "array",
 ) -> PAResult:
     """Algorithm 9: PA with no known leaders, via star-joining coarsening.
 
@@ -186,7 +185,7 @@ def solve_pa_without_leaders(
     O(log n) rounds the coarsening equals the input partition, and the
     final PA runs with known leaders.  Lemma B.1: O~(log n) PA-cost total.
     """
-    solver = solver or PASolver(net, mode=mode, seed=seed, engine_impl=engine_impl)
+    solver = solver or PASolver(net, mode=mode, seed=seed)
     total = CostLedger()
     n = net.n
 

@@ -28,7 +28,7 @@ from ..congest.async_engine import AsyncEngine
 from ..congest.engine import Engine
 from ..congest.ledger import CostLedger, RunResult
 from ..congest.network import Network
-from ..congest.schedule import Schedule, SynchronousSchedule
+from ..congest.schedule import Schedule
 from ..graphs.partitions import Partition, validate_partition
 from .aggregation import Aggregation
 from .blocks import BlockAnnotations, annotate_blocks
@@ -108,7 +108,10 @@ def product_aggregation(aggs: Sequence[Aggregation]) -> Aggregation:
     Components may be ``None`` ("no value yet" for that aggregate at that
     node); the product merges each slot with its aggregation's None-aware
     ``merge``.  Commutativity/associativity follow componentwise from the
-    factors'.
+    factors', which the product records (``.factors``) so a consumer can
+    tell a k-fold batch from a single aggregation — the session counts
+    batched solves and the sharded backend ships products by component
+    name from it.
     """
     agg_tuple = tuple(aggs)
 
@@ -118,7 +121,7 @@ def product_aggregation(aggs: Sequence[Aggregation]) -> Aggregation:
         )
 
     name = "batch(" + ",".join(agg.name for agg in agg_tuple) + ")"
-    return Aggregation(name, combine)
+    return Aggregation(name, combine, factors=agg_tuple)
 
 
 class PASolver:
@@ -136,12 +139,12 @@ class PASolver:
     root:
         Optional known root for the BFS tree; if omitted a leader is
         elected distributively (flood-min).
-    schedule / async_mode:
+    schedule:
         Opt into asynchronous execution: every engine phase of the
         pipeline (tree, division, shortcut, waves) runs on an
         :class:`~repro.congest.AsyncEngine` under the given
-        :class:`~repro.congest.Schedule`.  ``async_mode=True`` alone
-        selects the delay-0 :class:`~repro.congest.SynchronousSchedule`.
+        :class:`~repro.congest.Schedule`
+        (:class:`~repro.congest.SynchronousSchedule` is the delay-0 one).
         The ledgers stay those of the synchronous cost model (delay-0 is
         bit-for-bit the default engine — pinned by the fuzz harness);
         the asynchrony's own cost accrues separately on
@@ -155,7 +158,7 @@ class PASolver:
         reference loop.  Asynchronous execution is always scalar.
     engine:
         A pre-built engine to run every phase on (mutually exclusive
-        with ``schedule``/``async_mode``; ``strict_bits``/``strict_edges``
+        with ``schedule``; ``strict_bits``/``strict_edges``
         and ``engine_impl`` are then the engine's own).  This is how the
         recovery runtime shares one fault-injecting
         :class:`~repro.congest.AsyncEngine` — with its global pulse
@@ -177,7 +180,6 @@ class PASolver:
         strict_bits: bool = True,
         strict_edges: bool = True,
         schedule: Optional[Schedule] = None,
-        async_mode: bool = False,
         engine_impl: str = "array",
         engine: Optional[object] = None,
         profile: bool = False,
@@ -186,13 +188,11 @@ class PASolver:
             raise ValueError(f"unknown mode {mode!r}")
         if engine_impl not in ("scalar", "array"):
             raise ValueError(f"unknown engine_impl {engine_impl!r}")
-        if engine is not None and (schedule is not None or async_mode):
+        if engine is not None and schedule is not None:
             raise ValueError(
-                "pass either engine or schedule/async_mode, not both "
+                "pass either engine or schedule, not both "
                 "(the engine already owns its schedule)"
             )
-        if async_mode and schedule is None:
-            schedule = SynchronousSchedule()
         self.net = net
         self.mode = mode
         self.seed = seed
@@ -287,6 +287,18 @@ class PASolver:
             for members in partition.members
         )
 
+    def checked_leaders(
+        self, partition: Partition, leaders: Optional[Sequence[int]]
+    ) -> Tuple[int, ...]:
+        """``leaders`` (default: :meth:`default_leaders`), each in its part."""
+        if leaders is None:
+            return self.default_leaders(partition)
+        leaders = tuple(leaders)
+        for pid, leader in enumerate(leaders):
+            if partition.part_of[leader] != pid:
+                raise ValueError(f"leader {leader} is not in part {pid}")
+        return leaders
+
     def prepare(
         self,
         partition: Partition,
@@ -312,12 +324,7 @@ class PASolver:
         """
         if validate:
             validate_partition(self.net, partition)
-        if leaders is None:
-            leaders = self.default_leaders(partition)
-        leaders = tuple(leaders)
-        for pid, leader in enumerate(leaders):
-            if partition.part_of[leader] != pid:
-                raise ValueError(f"leader {leader} is not in part {pid}")
+        leaders = self.checked_leaders(partition, leaders)
 
         ledger = CostLedger()
         if self.mode == RANDOMIZED:
@@ -407,77 +414,98 @@ class PASolver:
         phase_prefixes: Optional[Sequence[str]] = None,
         batched: bool = True,
     ) -> PABatchResult:
-        """Solve ``k`` aggregations over one setup.
-
-        ``items`` is a sequence of ``(values, agg)`` pairs.  With
-        ``batched=True`` (default) all ``k`` aggregates run in a *single*
-        wave pass: node values are packed into k-tuples, merged
-        componentwise, and unpacked per aggregation — one broadcast, one
-        reversal, one replay, so rounds and messages are those of one
-        solve instead of k.  This models messages of ``k`` O(log n)-bit
-        words, which stays inside the CONGEST license for constant k (see
-        docs/architecture.md, "Runtime sessions", for when that is
-        ledger-legitimate).
-
-        With ``batched=False`` the items are solved sequentially — the
-        exact calls (same order, same phase names via ``phase_prefixes``)
-        a caller would have made by hand, so ledgers are bit-for-bit
-        identical to the unbatched code path.  Setup cost is charged at
-        most once in either case.
-        """
-        if phase_prefixes is not None and len(phase_prefixes) != len(items):
-            raise ValueError("phase_prefixes must match items in length")
-        if not items:
-            raise ValueError("solve_many requires at least one aggregation")
-
-        if not batched or len(items) == 1:
-            ledger = CostLedger()
-            per_agg: List[PAResult] = []
-            for k, (values, agg) in enumerate(items):
-                prefix = (
-                    phase_prefixes[k] if phase_prefixes is not None
-                    else f"{phase_prefix}{k}"
-                )
-                result = self.solve(
-                    setup, values, agg,
-                    charge_setup=charge_setup and k == 0,
-                    phase_prefix=prefix,
-                )
-                ledger.merge(result.ledger)
-                per_agg.append(result)
-            return PABatchResult(
-                per_agg=per_agg, ledger=ledger, setup=setup, batched=False
-            )
-
-        aggs = [agg for _values, agg in items]
-        combined_values = list(zip(*(values for values, _agg in items)))
-        combined = self.solve(
-            setup, combined_values, product_aggregation(aggs),
-            charge_setup=charge_setup, phase_prefix=phase_prefix,
+        """:func:`solve_many_via` over this solver's own :meth:`solve`."""
+        return solve_many_via(
+            self.solve, setup, items, charge_setup=charge_setup,
+            phase_prefix=phase_prefix, phase_prefixes=phase_prefixes,
+            batched=batched,
         )
-        k = len(items)
-        per_agg = []
-        for idx in range(k):
-            aggregates = {
-                pid: (value[idx] if value is not None else None)
-                for pid, value in combined.aggregates.items()
-            }
-            value_at_node = [
-                (value[idx] if value is not None else None)
-                for value in combined.value_at_node
-            ]
-            per_agg.append(
-                PAResult(
-                    aggregates=aggregates,
-                    value_at_node=value_at_node,
-                    ledger=combined.ledger,
-                    setup=setup,
-                )
+
+
+def solve_many_via(
+    solve,
+    setup: PASetup,
+    items: Sequence[Tuple[Sequence[object], Aggregation]],
+    charge_setup: bool = True,
+    phase_prefix: str = "pa_batch",
+    phase_prefixes: Optional[Sequence[str]] = None,
+    batched: bool = True,
+) -> PABatchResult:
+    """Solve ``k`` aggregations over one setup through one ``solve`` primitive.
+
+    ``solve`` is a single-aggregation solve with :meth:`PASolver.solve`'s
+    signature — the solver's own, or a session's (which may route the
+    wave pass to the sharded backend); the pack/loop/unpack logic here is
+    the same either way.
+
+    ``items`` is a sequence of ``(values, agg)`` pairs.  With
+    ``batched=True`` (default) all ``k`` aggregates run in a *single*
+    wave pass: node values are packed into k-tuples, merged
+    componentwise, and unpacked per aggregation — one broadcast, one
+    reversal, one replay, so rounds and messages are those of one
+    solve instead of k.  This models messages of ``k`` O(log n)-bit
+    words, which stays inside the CONGEST license for constant k (see
+    docs/architecture.md, "Runtime sessions", for when that is
+    ledger-legitimate).
+
+    With ``batched=False`` the items are solved sequentially — the
+    exact calls (same order, same phase names via ``phase_prefixes``)
+    a caller would have made by hand, so ledgers are bit-for-bit
+    identical to the unbatched code path.  Setup cost is charged at
+    most once in either case.
+    """
+    if phase_prefixes is not None and len(phase_prefixes) != len(items):
+        raise ValueError("phase_prefixes must match items in length")
+    if not items:
+        raise ValueError("solve_many requires at least one aggregation")
+
+    if not batched or len(items) == 1:
+        ledger = CostLedger()
+        per_agg: List[PAResult] = []
+        for k, (values, agg) in enumerate(items):
+            prefix = (
+                phase_prefixes[k] if phase_prefixes is not None
+                else f"{phase_prefix}{k}"
             )
+            result = solve(
+                setup, values, agg,
+                charge_setup=charge_setup and k == 0,
+                phase_prefix=prefix,
+            )
+            ledger.merge(result.ledger)
+            per_agg.append(result)
         return PABatchResult(
-            per_agg=per_agg, ledger=combined.ledger, setup=setup,
-            batched=True,
+            per_agg=per_agg, ledger=ledger, setup=setup, batched=False
         )
+
+    aggs = [agg for _values, agg in items]
+    combined_values = list(zip(*(values for values, _agg in items)))
+    combined = solve(
+        setup, combined_values, product_aggregation(aggs),
+        charge_setup=charge_setup, phase_prefix=phase_prefix,
+    )
+    per_agg = []
+    for idx in range(len(items)):
+        aggregates = {
+            pid: (value[idx] if value is not None else None)
+            for pid, value in combined.aggregates.items()
+        }
+        value_at_node = [
+            (value[idx] if value is not None else None)
+            for value in combined.value_at_node
+        ]
+        per_agg.append(
+            PAResult(
+                aggregates=aggregates,
+                value_at_node=value_at_node,
+                ledger=combined.ledger,
+                setup=setup,
+            )
+        )
+    return PABatchResult(
+        per_agg=per_agg, ledger=combined.ledger, setup=setup,
+        batched=True,
+    )
 
 
 def solve_pa(
@@ -491,9 +519,6 @@ def solve_pa(
     include_tree_cost: bool = True,
     solver: Optional[PASolver] = None,
     shortcut_provider: Optional[object] = None,
-    schedule: Optional[Schedule] = None,
-    async_mode: bool = False,
-    engine_impl: str = "array",
 ) -> PAResult:
     """One-call Part-Wise Aggregation (builds the whole pipeline).
 
@@ -504,18 +529,11 @@ def solve_pa(
     construction, sub-part division, shortcut construction, verification
     and the PA waves.  ``shortcut_provider`` selects a family-aware
     construction (see :mod:`repro.families`); ``None`` is the general
-    pipeline.  ``schedule``/``async_mode`` run the whole pipeline on the
-    asynchronous engine (see :class:`PASolver`).
+    pipeline.  ``solver`` supplies a pre-built :class:`PASolver` — the
+    one place engine settings (asynchronous schedule, scalar engine,
+    audits) are chosen; the default is ``PASolver(net, mode, seed)``.
     """
-    if solver is not None and (schedule is not None or async_mode):
-        raise ValueError(
-            "pass either solver or schedule/async_mode, not both "
-            "(the solver already owns its engine)"
-        )
-    solver = solver or PASolver(
-        net, mode=mode, seed=seed, schedule=schedule, async_mode=async_mode,
-        engine_impl=engine_impl,
-    )
+    solver = solver or PASolver(net, mode=mode, seed=seed)
     setup = solver.prepare(
         partition, leaders=leaders, shortcut_provider=shortcut_provider
     )

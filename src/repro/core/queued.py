@@ -28,12 +28,9 @@ Two internal representations, chosen per flush:
   faithful Lemma 4.2 discipline.  Selection order is identical in both
   representations; only the bookkeeping cost differs.
 
-:class:`QueuedProgram` is a :class:`~repro.congest.engine.BulkProgram`:
-the engine delivers each tick's whole activation batch in one call, and
-the per-node loop here keeps the handler, queue table and flush logic in
-local variables.  Subclasses that need a hook on *every* activation —
-mail or not — override :meth:`on_activate` (e.g. the PA wave's lazy
-leader start) rather than ``on_node``.
+Subclasses that need a hook on *every* activation — mail or not —
+override :meth:`on_activate` (e.g. the PA wave's lazy leader start)
+rather than ``on_node``.
 """
 
 from __future__ import annotations
@@ -41,12 +38,12 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
-from ..congest.engine import BulkProgram, Context, Inbox
+from ..congest.engine import Context, Inbox, Program
 
 Priority = Tuple  # lexicographically ordered
 
 
-class QueuedProgram(BulkProgram):
+class QueuedProgram(Program):
     """Engine program with per-directed-edge priority queues."""
 
     def __init__(self, capacity: int = 1) -> None:
@@ -70,11 +67,6 @@ class QueuedProgram(BulkProgram):
         )
         self._notify_activate = (
             type(self).on_activate is not QueuedProgram.on_activate
-        )
-        # A subclass that still overrides on_node keeps its semantics:
-        # the bulk path falls back to dispatching through it per node.
-        self._bulk_via_on_node = (
-            type(self).on_node is not QueuedProgram.on_node
         )
 
     # ------------------------------------------------------------------
@@ -127,56 +119,6 @@ class QueuedProgram(BulkProgram):
             self.handle(ctx, node, inbox)
         self._active_node = -1
         self._flush(ctx, node)
-
-    def on_bulk(self, ctx: Context, batch: List[Tuple[int, Inbox]]) -> None:
-        if self._bulk_via_on_node:
-            on_node = self.on_node
-            for node, inbox in batch:
-                on_node(ctx, node, inbox)
-            return
-        handle = self.handle
-        flush = self._flush
-        notify_activate = self._notify_activate
-        notify_dequeue = self._notify_dequeue
-        queues = self._queues
-        my_batch = self._batch
-        send = ctx.send
-        send_batch = ctx.send_batch
-        for node, inbox in batch:
-            self._active_node = node
-            if notify_activate:
-                self.on_activate(ctx, node)
-            if inbox:
-                handle(ctx, node, inbox)
-            self._active_node = -1
-            # Inlined head of _flush: the overwhelmingly common outcomes
-            # of an activation are "nothing to send", "one packet, no
-            # backlog", and "a few packets to distinct destinations, no
-            # backlog" — handle all three without a call.
-            if node not in queues:
-                k = len(my_batch)
-                if k == 0:
-                    continue
-                if k == 1:
-                    dst, _priority, _seq, payload = my_batch[0]
-                    send(node, dst, payload)
-                    if notify_dequeue:
-                        self.on_dequeue(node, dst, payload)
-                    my_batch.clear()
-                    continue
-                if k == 2:
-                    distinct = my_batch[0][0] != my_batch[1][0]
-                else:
-                    distinct = len({entry[0] for entry in my_batch}) == k
-                if distinct:
-                    send_batch(node, my_batch)
-                    if notify_dequeue:
-                        on_dequeue = self.on_dequeue
-                        for dst, _priority, _seq, payload in my_batch:
-                            on_dequeue(node, dst, payload)
-                    my_batch.clear()
-                    continue
-            flush(ctx, node)
 
     def _flush(self, ctx: Context, node: int) -> None:
         """Ship this activation's batch / backlog (up to capacity per edge)."""

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..congest.engine import BulkProgram, Context, Engine, Inbox, Program
+from ..congest.engine import Context, Engine, Inbox, Program
 from ..congest.ledger import CostLedger, PhaseStats
 from ..congest.network import Network
 from .aggregation import Aggregation
 from .trees import ABSENT, ROOT, RootedForest
 
 
-class BroadcastProgram(BulkProgram):
+class BroadcastProgram(Program):
     """Broadcast a value from each tree root down its tree.
 
     ``root_values[r]`` is the value injected at root ``r``; after the phase
@@ -55,19 +55,8 @@ class BroadcastProgram(BulkProgram):
             for child in self.forest.children[node]:
                 ctx.send(node, child, value)
 
-    def on_bulk(self, ctx: Context, batch) -> None:
-        # One call per tick: the whole broadcast frontier at once.
-        received = self.received
-        children = self.forest.children
-        send = ctx.send
-        for node, inbox in batch:
-            for _sender, value in inbox:
-                received[node] = value
-                for child in children[node]:
-                    send(node, child, value)
 
-
-class ConvergecastProgram(BulkProgram):
+class ConvergecastProgram(Program):
     """Aggregate per-node values up to each tree root.
 
     After the phase, ``at_root[r]`` is the aggregate over r's tree and
@@ -112,23 +101,6 @@ class ConvergecastProgram(BulkProgram):
         if self._pending[node] == 0:
             self._pending[node] = -1  # fire exactly once
             self._fire(ctx, node)
-
-    def on_bulk(self, ctx: Context, batch) -> None:
-        partial = self.partial
-        pending = self._pending
-        merge = self.agg.merge
-        fire = self._fire
-        for node, inbox in batch:
-            acc = partial[node]
-            left = pending[node]
-            for _sender, value in inbox:
-                acc = merge(acc, value)
-                left -= 1
-            partial[node] = acc
-            if left == 0:
-                left = -1  # fire exactly once
-                fire(ctx, node)
-            pending[node] = left
 
 
 class ClaimBfsProgram(Program):
@@ -205,7 +177,7 @@ class ClaimBfsProgram(Program):
         return RootedForest(self.net, self.parent_of)
 
 
-class FloodMinProgram(BulkProgram):
+class FloodMinProgram(Program):
     """Flood the minimum token through a (restricted) graph.
 
     Every participating node starts with its own token; whenever a node
@@ -254,31 +226,6 @@ class FloodMinProgram(BulkProgram):
                 improved = True
         if improved:
             self._announce(ctx, node)
-
-    def on_bulk(self, ctx: Context, batch) -> None:
-        best = self.best
-        parent_of = self.parent_of
-        neighbors = self.net.neighbors
-        allowed = self.allowed
-        send = ctx.send
-        missing = object()
-        for node, inbox in batch:
-            mine = best.get(node, missing)
-            improved = False
-            for sender, token in inbox:
-                if mine is missing or token < mine:
-                    mine = token
-                    parent_of[node] = sender
-                    improved = True
-            if improved:
-                best[node] = mine
-                if allowed is None:
-                    for nb in neighbors[node]:
-                        send(node, nb, mine)
-                else:
-                    for nb in neighbors[node]:
-                        if allowed(node, nb):
-                            send(node, nb, mine)
 
 
 def broadcast(

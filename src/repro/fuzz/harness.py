@@ -45,9 +45,14 @@ from ..algorithms.components import cc_labeling
 from ..algorithms.mst import minimum_spanning_tree
 from ..analysis.reference import kruskal_mst
 from ..congest.faults import FaultPlan
-from ..congest.schedule import Schedule, _mix, make_schedule
+from ..congest.schedule import (
+    Schedule,
+    SynchronousSchedule,
+    _mix,
+    make_schedule,
+)
 from ..core.aggregation import SUM
-from ..core.pa import DETERMINISTIC, RANDOMIZED, solve_pa
+from ..core.pa import DETERMINISTIC, RANDOMIZED, PASolver, solve_pa
 from ..graphs.generators import (
     grid_2d,
     preferential_attachment,
@@ -56,6 +61,7 @@ from ..graphs.generators import (
 )
 from ..graphs.partitions import random_connected_partition
 from ..graphs.weights import with_distinct_weights
+from ..runtime import PASession
 
 ALGORITHMS = ("pa", "mst", "components")
 GRAPH_KINDS = ("grid", "random", "regular", "pref-attach")
@@ -219,30 +225,35 @@ def _phase_log(ledger) -> List[Tuple[str, int, int, int]]:
 
 
 def _run_workload(case: FuzzCase, net, partition, values,
-                  schedule: Optional[Schedule], async_mode: bool,
+                  schedule: Optional[Schedule] = None,
                   engine_impl: str = "scalar"):
-    """Run the case's algorithm; return (output, ledger)."""
+    """Run the case's algorithm; return (output, ledger).
+
+    ``schedule`` selects the asynchronous engine (``None`` = the
+    synchronous one), ``engine_impl`` the synchronous loop — both are
+    settings of the one :class:`PASolver` every workload runs on.
+    """
     seed = case.graph_seed % 997
+    solver = PASolver(
+        net, mode=case.mode, seed=seed, schedule=schedule,
+        engine_impl=engine_impl,
+    )
     if case.algorithm == "pa":
         res = solve_pa(
             net, partition, values, SUM, mode=case.mode, seed=seed,
-            schedule=schedule, async_mode=async_mode,
-            engine_impl=engine_impl,
+            solver=solver,
         )
         return (dict(res.aggregates), list(res.value_at_node)), res.ledger
+    session = PASession(net, solver=solver)
     if case.algorithm == "mst":
         res = minimum_spanning_tree(
-            net, mode=case.mode, seed=seed,
-            schedule=schedule, async_mode=async_mode,
-            engine_impl=engine_impl,
+            net, mode=case.mode, seed=seed, session=session
         )
         return res.output, res.ledger
     if case.algorithm == "components":
         subgraph = [e for i, e in enumerate(net.edges) if i % 3 != 0]
         res = cc_labeling(
-            net, subgraph, mode=case.mode, seed=seed,
-            schedule=schedule, async_mode=async_mode,
-            engine_impl=engine_impl,
+            net, subgraph, mode=case.mode, seed=seed, session=session
         )
         return list(res.output), res.ledger
     raise ValueError(f"unknown algorithm {case.algorithm!r}")
@@ -257,9 +268,7 @@ def run_case(case: FuzzCase) -> Optional[str]:
         )
         values = [(v * 7 + 3) % 101 for v in range(net.n)]
 
-        base_out, base_ledger = _run_workload(
-            case, net, partition, values, schedule=None, async_mode=False
-        )
+        base_out, base_ledger = _run_workload(case, net, partition, values)
         if case.algorithm == "mst" and base_out != frozenset(kruskal_mst(net)):
             return "sync MST does not match the Kruskal oracle"
 
@@ -267,8 +276,7 @@ def run_case(case: FuzzCase) -> Optional[str]:
             if impl == "scalar":
                 continue  # the baseline above
             impl_out, impl_ledger = _run_workload(
-                case, net, partition, values, schedule=None,
-                async_mode=False, engine_impl=impl,
+                case, net, partition, values, engine_impl=impl
             )
             if impl_out != base_out:
                 return f"{impl} engine output differs from the scalar engine"
@@ -286,7 +294,7 @@ def run_case(case: FuzzCase) -> Optional[str]:
                 )
 
         zero_out, zero_ledger = _run_workload(
-            case, net, partition, values, schedule=None, async_mode=True
+            case, net, partition, values, schedule=SynchronousSchedule()
         )
         if zero_out != base_out:
             return "delay-0 async output differs from the synchronous engine"
@@ -300,8 +308,7 @@ def run_case(case: FuzzCase) -> Optional[str]:
 
         for schedule in schedules_for(case):
             sched_out, _ = _run_workload(
-                case, net, partition, values, schedule=schedule,
-                async_mode=False,
+                case, net, partition, values, schedule=schedule
             )
             if sched_out != base_out:
                 return f"output diverged under schedule {schedule.name}"

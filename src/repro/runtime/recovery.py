@@ -412,9 +412,7 @@ class RecoveryDriver:
                 solver = PASolver(
                     self.net, mode=self.mode, seed=seed, engine=self.engine
                 )
-                session = PASession(
-                    self.net, mode=self.mode, seed=seed, solver=solver
-                )
+                session = PASession(self.net, solver=solver)
                 result = minimum_spanning_tree(
                     self.net, mode=self.mode, seed=seed, session=session,
                     **mst_kwargs,

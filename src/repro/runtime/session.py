@@ -58,13 +58,13 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..congest.errors import InvalidPartitionError
 from ..congest.ledger import CostLedger
 from ..congest.network import Network, canonical_edge
 from ..obs.tracer import current_tracer
-from ..congest.schedule import Schedule
 from ..core.aggregation import Aggregation
 from ..core.blocks import annotate_blocks
 from ..core.corefast import verify_block_parameters
@@ -74,7 +74,7 @@ from ..core.pa import (
     PASetup,
     PASolver,
     RANDOMIZED,
-    product_aggregation,
+    solve_many_via,
 )
 from ..core.shortcuts import (
     Shortcut,
@@ -204,8 +204,12 @@ class EdgeUpdateReport:
 class PASession:
     """A long-lived PA acquisition point for one network.
 
-    Parameters mirror :class:`~repro.core.pa.PASolver` (``net``, ``mode``,
-    ``seed``, ``root``, ``strict_bits``, ``strict_edges``), plus:
+    ``net``, ``mode``, ``seed``, ``root``, ``strict_bits`` and
+    ``strict_edges`` construct the session's default
+    :class:`~repro.core.pa.PASolver`; every other engine-level setting
+    (asynchronous ``schedule``, ``engine_impl``, ``profile``, a shared
+    ``engine``) is chosen where the engine is built — on a ``PASolver``
+    handed in through ``solver=``.  The session's own settings:
 
     shortcut_provider / family / family_param / claim_small:
         Which shortcut construction ``prepare`` uses.  ``family`` names a
@@ -225,12 +229,6 @@ class PASession:
         that phase loops revisit) survive as long as any unpinned entry
         can be evicted instead, and only fall to LRU among themselves
         once the cache is all pinned.
-    schedule / async_mode:
-        Run every engine phase asynchronously under a
-        :class:`~repro.congest.Schedule` (``async_mode=True`` alone
-        selects the delay-0 schedule); see
-        :class:`~repro.core.pa.PASolver`.  The synchronizer's separate
-        accounting is exposed as :attr:`async_overhead`.
     backend / workers / shard_min_n:
         ``backend="sharded"`` runs eligible wave passes on the
         multiprocess worker pool (:mod:`repro.shard`): the setup is split
@@ -247,9 +245,10 @@ class PASession:
         outside the stock registry, missing ``fork`` — fall back to the
         in-process solver, counted in ``stats.sharded_fallbacks``.
     solver:
-        Adopt an existing solver (its engine, tree and rng state) instead
-        of constructing one — how the ``solver=`` arguments of the
-        algorithm entry points keep working.
+        Adopt an existing solver (its engine, tree, mode and rng state)
+        instead of constructing one; the solver-construction arguments
+        above are then unused.  An asynchronous solver's synchronizer
+        accounting is exposed as :attr:`async_overhead`.
     """
 
     def __init__(
@@ -267,11 +266,7 @@ class PASession:
         reuse: bool = False,
         batch: bool = False,
         max_entries: Optional[int] = None,
-        schedule: Optional[Schedule] = None,
-        async_mode: bool = False,
         solver: Optional[PASolver] = None,
-        engine_impl: str = "array",
-        profile: bool = False,
         backend: str = "local",
         workers: object = "auto",
         shard_min_n: int = 4096,
@@ -292,11 +287,6 @@ class PASession:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1 (or None for unbounded)")
         if solver is not None:
-            if schedule is not None or async_mode:
-                raise ValueError(
-                    "pass either solver or schedule/async_mode, not both "
-                    "(the solver already owns its engine)"
-                )
             if solver.net is not net:
                 theirs, mine = solver.net, net
                 their_csr = theirs.adjacency_csr()
@@ -316,8 +306,6 @@ class PASession:
             self.solver = PASolver(
                 net, mode=mode, seed=seed, root=root,
                 strict_bits=strict_bits, strict_edges=strict_edges,
-                schedule=schedule, async_mode=async_mode,
-                engine_impl=engine_impl, profile=profile,
             )
         self.reuse = reuse
         self.batch = batch
@@ -557,6 +545,27 @@ class PASession:
         log_n = max(1, math.ceil(math.log2(max(2, self.net.n))))
         return max(3, 3 * log_n)
 
+    def _cache_hit(self, key: Fingerprint) -> Optional[PASetup]:
+        """The memoized setup for ``key`` with an empty ledger, counted."""
+        cached = self._cache_lookup(key)
+        if cached is None:
+            return None
+        self.stats.cache_hits += 1
+        tracer = current_tracer()
+        if tracer.enabled:
+            tracer.instant("session.cache_hit", "session")
+        return replace(cached, setup_ledger=CostLedger())
+
+    def _full_prepare(
+        self, partition: Partition, leaders, **options
+    ) -> PASetup:
+        """One full pipeline construction on the solver, counted."""
+        self.stats.prepares += 1
+        return self.solver.prepare(
+            partition, leaders=leaders,
+            shortcut_provider=self.shortcut_provider, **options,
+        )
+
     def prepare(
         self,
         partition: Partition,
@@ -573,36 +582,20 @@ class PASession:
         an *empty* setup ledger (construction was already charged when it
         was first built); a miss builds, memoizes and returns as usual.
         """
-        if not self.reuse:
-            self.stats.prepares += 1
-            return self._traced_build(
-                "full",
-                lambda: self.solver.prepare(
-                    partition, leaders=leaders,
-                    congestion_budget=congestion_budget,
-                    block_target=block_target, validate=validate,
-                    shortcut_provider=self.shortcut_provider,
-                ),
-            )
-        key = partition_fingerprint(partition, leaders)
-        cached = self._cache_lookup(key)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            tracer = current_tracer()
-            if tracer.enabled:
-                tracer.instant("session.cache_hit", "session")
-            return replace(cached, setup_ledger=CostLedger())
-        self.stats.prepares += 1
+        key = partition_fingerprint(partition, leaders) if self.reuse else None
+        if key is not None:
+            cached = self._cache_hit(key)
+            if cached is not None:
+                return cached
         setup = self._traced_build(
             "full",
-            lambda: self.solver.prepare(
-                partition, leaders=leaders,
-                congestion_budget=congestion_budget,
+            lambda: self._full_prepare(
+                partition, leaders, congestion_budget=congestion_budget,
                 block_target=block_target, validate=validate,
-                shortcut_provider=self.shortcut_provider,
             ),
         )
-        self._cache_store(key, setup)
+        if key is not None:
+            self._cache_store(key, setup)
         return setup
 
     def prepare_incremental(
@@ -626,15 +619,18 @@ class PASession:
         if not self.reuse or previous is None:
             return self.prepare(partition, leaders=leaders)
         key = partition_fingerprint(partition, leaders)
-        cached = self._cache_lookup(key)
+        cached = self._cache_hit(key)
         if cached is not None:
-            self.stats.cache_hits += 1
-            tracer = current_tracer()
-            if tracer.enabled:
-                tracer.instant("session.cache_hit", "session")
-            return replace(cached, setup_ledger=CostLedger())
+            return cached
         pid_map = _coarsening_map(previous.partition, partition)
-        if pid_map is None:
+        if pid_map is not None:
+            setup = self._traced_build(
+                "coarsened",
+                lambda: self.coarsen(
+                    previous, partition, pid_map, leaders=leaders
+                ),
+            )
+        else:
             new_to_old = _refinement_map(previous.partition, partition)
             if new_to_old is None:
                 return self.prepare(partition, leaders=leaders)
@@ -644,20 +640,17 @@ class PASession:
                     previous, partition, new_to_old, leaders=leaders
                 ),
             )
-            # Refined entries are unpinned like coarsened ones, but the
-            # previous entry is *not* superseded: unlike a phase loop's
-            # forward-only merges, split partitions can re-merge (a
-            # service tenant re-presenting yesterday's grouping), so the
-            # parent entry stays until the LRU bound says otherwise.
-            self._coarsened_keys.add(key)
-            self._cache_store(key, setup)
-            return setup
-        setup = self._traced_build(
-            "coarsened",
-            lambda: self.coarsen(previous, partition, pid_map, leaders=leaders),
-        )
+        # Projected entries are unpinned (first in line under the LRU
+        # bound), whichever direction they were projected in.
         self._coarsened_keys.add(key)
         self._cache_store(key, setup)
+        if pid_map is None:
+            # A refinement does *not* supersede the previous entry:
+            # unlike a phase loop's forward-only merges, split partitions
+            # can re-merge (a service tenant re-presenting yesterday's
+            # grouping), so the parent entry stays until the LRU bound
+            # says otherwise.
+            return setup
         # The previous link of a coarsening chain is superseded: comp
         # labels only merge forward, so its partition cannot recur (the
         # no-merge retry re-presents the *latest* partition, which is the
@@ -670,6 +663,53 @@ class PASession:
                 self._coarsened_keys.discard(prev_key)
                 self._cache.pop(prev_key, None)
         return setup
+
+    def _finish_projection(
+        self,
+        partition: Partition,
+        leaders: Tuple[int, ...],
+        division: SubPartDivision,
+        shortcut: Shortcut,
+        ledger: CostLedger,
+        verify_prefix: str,
+        congestion_budget: Optional[int] = None,
+    ) -> PASetup:
+        """The shared tail of :meth:`coarsen` and :meth:`refine`.
+
+        Re-annotate blocks distributively (roots and depths change as
+        blocks fuse or forests are cut), then re-verify the block
+        parameter *with PA itself* over the projected machinery
+        (Algorithm 2 / Lemma 4.5).  If the verified count exceeds
+        :meth:`block_budget` — or the shortcut's congestion exceeds
+        ``congestion_budget``, when the caller sets one — the projection
+        is discarded and a fresh full prepare runs instead, charged to the
+        same ledger under the ``rebuild:`` prefix: quality degradation can
+        cost a rebuild, but never rounds-silently compounds.
+        """
+        solver = self.solver
+        annotations = annotate_blocks(solver.engine, shortcut, ledger)
+        counts = verify_block_parameters(
+            solver.engine, solver.net, partition, division, shortcut,
+            annotations, ledger, randomized=(solver.mode == RANDOMIZED),
+            rng=solver.rng, phase_prefix=verify_prefix,
+        )
+        if max(counts, default=0) > self.block_budget() or (
+            congestion_budget is not None
+            and shortcut.congestion() > congestion_budget
+        ):
+            # Keep the verification cost on the ledger (it was paid).
+            self.stats.rebuilds += 1
+            rebuilt = self._full_prepare(partition, leaders)
+            ledger.merge(rebuilt.setup_ledger, prefix="rebuild:")
+            return replace(rebuilt, setup_ledger=ledger)
+        return PASetup(
+            partition=partition,
+            leaders=leaders,
+            division=division,
+            shortcut=shortcut,
+            annotations=annotations,
+            setup_ledger=ledger,
+        )
 
     def coarsen(
         self,
@@ -689,27 +729,14 @@ class PASession:
            parts) and extend the wave boundary lists only at former part
            borders — one round in which nodes of merged parts compare
            part ids with neighbors;
-        3. re-annotate blocks distributively (roots and depths change as
-           blocks fuse);
-        4. re-verify the block parameter *with PA itself* over the
-           coarsened machinery (Algorithm 2 / Lemma 4.5).  If the
-           verified count exceeds :meth:`block_budget`, the projection is
-           discarded and a fresh :meth:`prepare` runs instead (charged to
-           the same ledger) — quality degradation can cost a rebuild, but
-           never rounds-silently compounds.
+        3. re-annotate and re-verify against :meth:`block_budget`
+           (:meth:`_finish_projection`), rebuilding on a miss.
 
         Congestion needs no re-check: relabeling can only dedupe per-edge
         part sets, so ``c`` never grows under coarsening.
         """
-        solver = self.solver
-        net = solver.net
-        if leaders is None:
-            leaders = solver.default_leaders(partition)
-        leaders = tuple(leaders)
-        for pid, leader in enumerate(leaders):
-            if partition.part_of[leader] != pid:
-                raise ValueError(f"leader {leader} is not in part {pid}")
-
+        net = self.solver.net
+        leaders = self.solver.checked_leaders(partition, leaders)
         ledger = CostLedger()
         shortcut = coarsen_shortcut(previous.shortcut, partition, pid_map)
         division = SubPartDivision(
@@ -754,33 +781,9 @@ class PASession:
         ledger.charge_local(
             "coarsen_boundary_exchange", rounds=1, messages=2 * touched
         )
-
-        annotations = annotate_blocks(solver.engine, shortcut, ledger)
-        counts = verify_block_parameters(
-            solver.engine, net, partition, division, shortcut, annotations,
-            ledger, randomized=(solver.mode == RANDOMIZED), rng=solver.rng,
-            phase_prefix="coarsen_verify",
-        )
         self.stats.coarsenings += 1
-        if max(counts, default=0) > self.block_budget():
-            # Verified quality fell out of budget: rebuild from scratch,
-            # keeping the verification cost on the ledger (it was paid).
-            self.stats.rebuilds += 1
-            rebuilt = self.solver.prepare(
-                partition, leaders=leaders,
-                shortcut_provider=self.shortcut_provider,
-            )
-            ledger.merge(rebuilt.setup_ledger, prefix="rebuild:")
-            self.stats.prepares += 1
-            return replace(rebuilt, setup_ledger=ledger)
-
-        return PASetup(
-            partition=partition,
-            leaders=leaders,
-            division=division,
-            shortcut=shortcut,
-            annotations=annotations,
-            setup_ledger=ledger,
+        return self._finish_projection(
+            partition, leaders, division, shortcut, ledger, "coarsen_verify"
         )
 
     def refine(
@@ -805,21 +808,15 @@ class PASession:
         Unlike coarsening, both quality measures can degrade: congestion
         multiplies by the split factor on shared tree edges, and cut
         forests make blocks reachable from fewer representatives.  The
-        projection is therefore re-verified with PA itself (Algorithm 2)
-        *and* its congestion re-checked against
+        projection is therefore re-verified (:meth:`_finish_projection`)
+        *and* its congestion checked against
         ``max(previous c, general-graph envelope)``; exceeding either
         budget discards it for a fresh :meth:`prepare` charged to the
         same ledger under the ``rebuild:`` prefix.
         """
         solver = self.solver
         net = solver.net
-        if leaders is None:
-            leaders = solver.default_leaders(partition)
-        leaders = tuple(leaders)
-        for pid, leader in enumerate(leaders):
-            if partition.part_of[leader] != pid:
-                raise ValueError(f"leader {leader} is not in part {pid}")
-
+        leaders = solver.checked_leaders(partition, leaders)
         ledger = CostLedger()
         shortcut = refine_shortcut(previous.shortcut, partition, new_to_old)
 
@@ -882,42 +879,16 @@ class PASession:
         ledger.charge_local(
             "refine_boundary_exchange", rounds=1, messages=2 * touched
         )
-
-        annotations = annotate_blocks(solver.engine, shortcut, ledger)
-        counts = verify_block_parameters(
-            solver.engine, net, partition, division, shortcut, annotations,
-            ledger, randomized=(solver.mode == RANDOMIZED), rng=solver.rng,
-            phase_prefix="refine_verify",
-        )
         self.stats.refinements += 1
-        diameter = max(1, 2 * solver.tree_result.depth)
+        # Too many blocks, or split fragments piling onto shared tree
+        # edges, sends the projection back for a rebuild.
         congestion_budget = max(
             previous.shortcut.congestion(),
-            shortcut_hint_for_family("general", net.n, diameter)[1],
+            shortcut_hint_for_family("general", net.n, solver.diameter)[1],
         )
-        if (
-            max(counts, default=0) > self.block_budget()
-            or shortcut.congestion() > congestion_budget
-        ):
-            # Quality fell out of budget (too many blocks, or split
-            # fragments piling onto shared tree edges): rebuild from
-            # scratch, keeping the verification cost on the ledger.
-            self.stats.rebuilds += 1
-            rebuilt = self.solver.prepare(
-                partition, leaders=leaders,
-                shortcut_provider=self.shortcut_provider,
-            )
-            ledger.merge(rebuilt.setup_ledger, prefix="rebuild:")
-            self.stats.prepares += 1
-            return replace(rebuilt, setup_ledger=ledger)
-
-        return PASetup(
-            partition=partition,
-            leaders=leaders,
-            division=division,
-            shortcut=shortcut,
-            annotations=annotations,
-            setup_ledger=ledger,
+        return self._finish_projection(
+            partition, leaders, division, shortcut, ledger, "refine_verify",
+            congestion_budget=congestion_budget,
         )
 
     # -- evolving graphs ------------------------------------------------
@@ -1141,13 +1112,18 @@ class PASession:
         charge_setup: bool = True,
         phase_prefix: str = "pa",
     ) -> PAResult:
-        """One aggregation over a prepared setup.
+        """One wave pass over a prepared setup — the session's only route.
 
         ``backend="local"`` delegates verbatim.  ``backend="sharded"``
         runs the wave pass on the worker pool when eligible (same plan,
         same rng advance, rounds/messages bit-for-bit) and falls back
-        in-process otherwise (``stats.sharded_fallbacks``).
+        in-process otherwise (``stats.sharded_fallbacks``).  A product
+        aggregation (:meth:`solve_many`'s batched pass) is one pass like
+        any other; it ships by component names and counts its factors
+        as ``stats.batched_solves``.
         """
+        folded = len(agg.factors)
+        self.stats.batched_solves += folded
         if self.backend == "sharded":
             from ..shard import encode_aggregation
 
@@ -1158,7 +1134,8 @@ class PASession:
                     setup, values, agg, encoded, charge_setup, phase_prefix,
                 )
             self.stats.sharded_fallbacks += 1
-        self.stats.solves += 1
+        if not folded:
+            self.stats.solves += 1
         self._last_solve_sharded = False
         return self.solver.solve(
             setup, values, agg,
@@ -1181,104 +1158,17 @@ class PASession:
         identical to the pre-session code.  Merge the returned
         ``.ledger`` exactly once; never the per-result ledgers.
 
-        ``backend="sharded"`` orchestrates the pass(es) on the worker
-        pool when eligible — the batched path ships the aggregation
-        product by component names, the unbatched path routes each item
-        through :meth:`solve` (sharding each in turn).
+        Every pass — the batched product or each sequential item — goes
+        through :meth:`solve`, so the sharded backend serves it when
+        eligible and the counters read the same either way.
         """
-        if self.backend == "sharded":
-            result = self._solve_many_sharded(
-                setup, items, charge_setup, phase_prefix, phase_prefixes,
-            )
-            if result is not None:
-                return result
-        if self.batch and len(items) > 1:
-            self.stats.batched_solves += len(items)
-        else:
-            self.stats.solves += len(items)
-        self._last_solve_sharded = False
-        return self.solver.solve_many(
-            setup, items, charge_setup=charge_setup,
-            phase_prefix=phase_prefix, phase_prefixes=phase_prefixes,
-            batched=self.batch,
-        )
-
-    def _solve_many_sharded(
-        self,
-        setup: PASetup,
-        items: Sequence[Tuple[Sequence[object], Aggregation]],
-        charge_setup: bool,
-        phase_prefix: str,
-        phase_prefixes: Optional[Sequence[str]],
-    ) -> Optional[PABatchResult]:
-        """Sharded mirror of ``PASolver.solve_many``; None = fall back.
-
-        Argument validation stays with the delegate (it raises the same
-        errors either way), so this only runs on well-formed requests.
-        """
-        if phase_prefixes is not None and len(phase_prefixes) != len(items):
-            return None
-        if not items:
-            return None
-
-        if not self.batch or len(items) == 1:
-            # Sequential items, each routed through solve() (and thus
-            # sharded when eligible) — exact order/prefix/randomness of
-            # the unbatched delegate.
-            ledger = CostLedger()
-            per_agg: List[PAResult] = []
-            for k, (values, agg) in enumerate(items):
-                prefix = (
-                    phase_prefixes[k] if phase_prefixes is not None
-                    else f"{phase_prefix}{k}"
-                )
-                result = self.solve(
-                    setup, values, agg,
-                    charge_setup=charge_setup and k == 0,
-                    phase_prefix=prefix,
-                )
-                ledger.merge(result.ledger)
-                per_agg.append(result)
-            return PABatchResult(
-                per_agg=per_agg, ledger=ledger, setup=setup, batched=False
-            )
-
-        from ..shard import encode_batch
-
-        aggs = [agg for _values, agg in items]
-        encoded = encode_batch(aggs)
-        if encoded is None or not self._shard_eligible():
-            self.stats.sharded_fallbacks += 1
-            return None
-        self.stats.batched_solves += len(items)
-        self.stats.sharded_solves += 1
-        combined_values = list(zip(*(values for values, _agg in items)))
-        combined = self._solve_sharded(
-            setup, combined_values, product_aggregation(aggs), encoded,
-            charge_setup, phase_prefix,
-        )
-        k = len(items)
-        per_agg = []
-        for idx in range(k):
-            aggregates = {
-                pid: (value[idx] if value is not None else None)
-                for pid, value in combined.aggregates.items()
-            }
-            value_at_node = [
-                (value[idx] if value is not None else None)
-                for value in combined.value_at_node
-            ]
-            per_agg.append(
-                PAResult(
-                    aggregates=aggregates,
-                    value_at_node=value_at_node,
-                    ledger=combined.ledger,
-                    setup=setup,
-                )
-            )
-        return PABatchResult(
-            per_agg=per_agg, ledger=combined.ledger, setup=setup,
-            batched=True,
+        return solve_many_via(
+            # PASession.solve, not self.solve: a subclass wrapping both
+            # entry points (the perf harness times them as spans) must
+            # see one call per request, not a nested pair.
+            partial(PASession.solve, self), setup, items,
+            charge_setup=charge_setup, phase_prefix=phase_prefix,
+            phase_prefixes=phase_prefixes, batched=self.batch,
         )
 
 
@@ -1287,40 +1177,21 @@ def ensure_session(
     net: Network,
     mode: str = RANDOMIZED,
     seed: int = 0,
-    solver: Optional[PASolver] = None,
-    shortcut_provider: Optional[object] = None,
-    family: Optional[str] = None,
-    family_param: Optional[int] = None,
-    schedule: Optional[Schedule] = None,
-    async_mode: bool = False,
-    engine_impl: str = "array",
 ) -> PASession:
-    """The algorithms' session acquisition: adopt, wrap, or construct.
+    """The algorithms' session acquisition: adopt one, or construct one.
 
-    * ``session`` given — use it (``solver``/provider/schedule arguments
-      must not contradict it);
-    * ``solver`` given — wrap it in a default session (reuse/batch off),
-      preserving the historical ``solver=`` sharing contract bit for bit;
-    * neither — construct ``PASolver(net, mode, seed)`` exactly as the
-      algorithms always have, behind a default session
-      (``schedule``/``async_mode`` select the asynchronous engine).
+    With no ``session`` this is ``PASession(net, mode=mode, seed=seed)`` —
+    ``PASolver(net, mode, seed)`` behind a default session, exactly the
+    pipeline the algorithms always built.  A given session is used as is;
+    its mode must be the ``mode`` the algorithm was called with, because
+    the algorithm picks its own rules (Boruvka's merging discipline, the
+    reported ``meta``) from that argument while PA runs in the session's.
     """
-    if session is not None:
-        if solver is not None and solver is not session.solver:
-            raise ValueError("pass either session or solver, not both")
-        if shortcut_provider is not None or family is not None:
-            raise ValueError(
-                "a provider/family is configured on the session itself"
-            )
-        if schedule is not None or async_mode:
-            raise ValueError(
-                "a schedule is configured on the session itself; do not "
-                "also pass schedule/async_mode to the algorithm"
-            )
-        return session
-    return PASession(
-        net, mode=mode, seed=seed, solver=solver,
-        shortcut_provider=shortcut_provider, family=family,
-        family_param=family_param, schedule=schedule, async_mode=async_mode,
-        engine_impl=engine_impl,
-    )
+    if session is None:
+        return PASession(net, mode=mode, seed=seed)
+    if session.mode != mode:
+        raise ValueError(
+            f"mode={mode!r} contradicts the session's mode "
+            f"{session.mode!r}; pass the mode the session was built with"
+        )
+    return session

@@ -83,8 +83,7 @@ class PAService:
     net / partition:
         The initial topology and part structure.  The first setup is a
         full prepare, charged to the service ledger under ``prepare:``.
-    mode / seed / engine_impl / backend / workers / shard_min_n /
-    max_entries:
+    mode / seed / backend / workers / shard_min_n / max_entries:
         Forwarded to the owned :class:`~repro.runtime.PASession`
         (constructed with ``reuse=True, batch=True`` — the service *is*
         the session's intended consumer).  ``backend="sharded"`` serves
@@ -107,7 +106,6 @@ class PAService:
         seed: int = 0,
         max_batch: int = 8,
         session: Optional[PASession] = None,
-        engine_impl: str = "array",
         backend: str = "local",
         workers: object = "auto",
         shard_min_n: int = 4096,
@@ -128,7 +126,7 @@ class PAService:
                 raise ValueError("PAService needs a network (or a session)")
             self.session = PASession(
                 net, mode=mode, seed=seed, reuse=True, batch=True,
-                engine_impl=engine_impl, backend=backend, workers=workers,
+                backend=backend, workers=workers,
                 shard_min_n=shard_min_n, max_entries=max_entries,
             )
         self.max_batch = max_batch

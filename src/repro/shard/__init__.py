@@ -29,7 +29,7 @@ profiles are not gated).
 """
 
 from .ledger_merge import merge_shard_phases
-from .orchestrator import ShardOrchestrator, encode_aggregation, encode_batch
+from .orchestrator import ShardOrchestrator, encode_aggregation
 from .plan import ShardPlan, build_shard_plan
 
 __all__ = [
@@ -37,6 +37,5 @@ __all__ = [
     "ShardPlan",
     "build_shard_plan",
     "encode_aggregation",
-    "encode_batch",
     "merge_shard_phases",
 ]

@@ -48,29 +48,22 @@ _BY_IDENTITY = {
 def encode_aggregation(agg: Aggregation) -> Optional[object]:
     """Encode a stock (or stock-product) aggregation for the pipe.
 
-    Returns ``("stock", name)`` / ``("product", [names...])``, or
-    ``None`` when the aggregation is not expressible — the caller then
-    falls back to the in-process solver.
+    Returns ``("stock", name)`` / ``("product", [names...])`` (a product
+    is recognised by its recorded ``factors``), or ``None`` when the
+    aggregation is not expressible — the caller then falls back to the
+    in-process solver.
     """
     name = _BY_IDENTITY.get(id(agg))
     if name is not None:
         return ("stock", name)
+    names = [_BY_IDENTITY.get(id(factor)) for factor in agg.factors]
+    if names and None not in names:
+        return ("product", names)
     return None
 
 
-def encode_batch(aggs: Sequence[Aggregation]) -> Optional[object]:
-    """Encode a product of stock aggregations (the batched solve path)."""
-    names = []
-    for agg in aggs:
-        name = _BY_IDENTITY.get(id(agg))
-        if name is None:
-            return None
-        names.append(name)
-    return ("product", names)
-
-
 def decode_aggregation(encoded: object) -> Aggregation:
-    """Worker-side inverse of :func:`encode_aggregation`/``encode_batch``."""
+    """Worker-side inverse of :func:`encode_aggregation`."""
     kind, arg = encoded
     if kind == "stock":
         return getattr(_aggmod, arg)

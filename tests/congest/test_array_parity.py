@@ -21,6 +21,7 @@ from repro.core import (
     DETERMINISTIC,
     MAX,
     MIN,
+    PASolver,
     RANDOMIZED,
     SUM,
     solve_pa,
@@ -34,6 +35,16 @@ from repro.graphs import (
     random_regular,
     with_distinct_weights,
 )
+from repro.runtime import PASession
+
+
+def _solver(net, impl, mode=RANDOMIZED, seed=0):
+    """The engine implementation is a PASolver setting (and only that)."""
+    return PASolver(net, mode=mode, seed=seed, engine_impl=impl)
+
+
+def _session(net, impl, mode=RANDOMIZED, seed=0):
+    return PASession(net, solver=_solver(net, impl, mode=mode, seed=seed))
 
 
 def _phase_log(ledger):
@@ -61,7 +72,7 @@ def test_pa_bit_for_bit_across_engines(kind, net, mode):
     results = {
         impl: solve_pa(
             net, partition, values, SUM, mode=mode, seed=17,
-            engine_impl=impl,
+            solver=_solver(net, impl, mode=mode, seed=17),
         )
         for impl in ("scalar", "array")
     }
@@ -79,8 +90,10 @@ def test_pa_parity_holds_for_every_identity_aggregation(agg):
     net = grid_2d(6, 6, uid_seed=9)
     partition = bfs_ball_partition(net, 7, seed=4)
     values = [(v * 3 + 1) % 97 for v in range(net.n)]
-    sc = solve_pa(net, partition, values, agg, seed=5, engine_impl="scalar")
-    ar = solve_pa(net, partition, values, agg, seed=5, engine_impl="array")
+    sc = solve_pa(net, partition, values, agg, seed=5,
+                  solver=_solver(net, "scalar", seed=5))
+    ar = solve_pa(net, partition, values, agg, seed=5,
+                  solver=_solver(net, "array", seed=5))
     assert dict(ar.aggregates) == dict(sc.aggregates)
     assert _phase_log(ar.ledger) == _phase_log(sc.ledger)
 
@@ -94,9 +107,9 @@ def test_pa_parity_with_tuple_values_falls_back_identically():
     from repro.core import MIN_TUPLE
 
     sc = solve_pa(net, partition, values, MIN_TUPLE, seed=2,
-                  engine_impl="scalar")
+                  solver=_solver(net, "scalar", seed=2))
     ar = solve_pa(net, partition, values, MIN_TUPLE, seed=2,
-                  engine_impl="array")
+                  solver=_solver(net, "array", seed=2))
     assert dict(ar.aggregates) == dict(sc.aggregates)
     assert _phase_log(ar.ledger) == _phase_log(sc.ledger)
 
@@ -107,8 +120,12 @@ def test_pa_parity_with_tuple_values_falls_back_identically():
 @pytest.mark.parametrize("mode", [RANDOMIZED, DETERMINISTIC])
 def test_mst_bit_for_bit_across_engines(mode):
     net = with_distinct_weights(grid_2d(5, 6, uid_seed=2), seed=19)
-    sc = minimum_spanning_tree(net, mode=mode, seed=3, engine_impl="scalar")
-    ar = minimum_spanning_tree(net, mode=mode, seed=3, engine_impl="array")
+    sc = minimum_spanning_tree(
+        net, mode=mode, seed=3, session=_session(net, "scalar", mode, 3)
+    )
+    ar = minimum_spanning_tree(
+        net, mode=mode, seed=3, session=_session(net, "array", mode, 3)
+    )
     assert ar.output == sc.output == frozenset(kruskal_mst(net))
     assert _phase_log(ar.ledger) == _phase_log(sc.ledger)
 
@@ -116,8 +133,10 @@ def test_mst_bit_for_bit_across_engines(mode):
 def test_components_bit_for_bit_across_engines():
     net = random_connected(42, 0.09, seed=31, uid_seed=31)
     subgraph = [e for i, e in enumerate(net.edges) if i % 3 != 0]
-    sc = cc_labeling(net, subgraph, seed=6, engine_impl="scalar")
-    ar = cc_labeling(net, subgraph, seed=6, engine_impl="array")
+    sc = cc_labeling(net, subgraph, seed=6,
+                     session=_session(net, "scalar", seed=6))
+    ar = cc_labeling(net, subgraph, seed=6,
+                     session=_session(net, "array", seed=6))
     assert list(ar.output) == list(sc.output)
     assert _phase_log(ar.ledger) == _phase_log(sc.ledger)
 
@@ -129,8 +148,10 @@ def test_parity_covers_every_named_phase():
     net = grid_2d(6, 5, uid_seed=1)
     partition = random_connected_partition(net, 4, seed=3)
     values = list(range(net.n))
-    sc = solve_pa(net, partition, values, SUM, seed=9, engine_impl="scalar")
-    ar = solve_pa(net, partition, values, SUM, seed=9, engine_impl="array")
+    sc = solve_pa(net, partition, values, SUM, seed=9,
+                  solver=_solver(net, "scalar", seed=9))
+    ar = solve_pa(net, partition, values, SUM, seed=9,
+                  solver=_solver(net, "array", seed=9))
     sc_log, ar_log = _phase_log(sc.ledger), _phase_log(ar.ledger)
     assert [p[0] for p in sc_log] == [p[0] for p in ar_log]
     # The pipeline's interesting phases all actually ran on both sides.

@@ -78,7 +78,9 @@ def test_pa_delay0_ledger_bit_for_bit(mode):
     base = solve_pa(net, part, values, SUM, mode=mode, seed=2)
     res = solve_pa(
         net, part, values, SUM, mode=mode, seed=2,
-        schedule=SynchronousSchedule(),
+        solver=PASolver(
+            net, mode=mode, seed=2, schedule=SynchronousSchedule()
+        ),
     )
     assert res.aggregates == base.aggregates
     assert res.value_at_node == base.value_at_node
@@ -91,14 +93,20 @@ def test_pa_outputs_identical_under_delayed_schedules(schedule):
     part = random_connected_partition(net, 4, seed=6)
     values = list(range(net.n))
     base = solve_pa(net, part, values, SUM, seed=1)
-    res = solve_pa(net, part, values, SUM, seed=1, schedule=schedule)
+    res = solve_pa(
+        net, part, values, SUM, seed=1,
+        solver=PASolver(net, seed=1, schedule=schedule),
+    )
     assert res.aggregates == base.aggregates
     assert res.value_at_node == base.value_at_node
 
 
 def test_async_mode_flag_selects_delay0_schedule():
+    # The flag is retired: it was exactly schedule=SynchronousSchedule().
     net = path_graph(8)
-    solver = PASolver(net, async_mode=True)
+    with pytest.raises(TypeError):
+        PASolver(net, async_mode=True)
+    solver = PASolver(net, schedule=SynchronousSchedule())
     assert isinstance(solver.engine, AsyncEngine)
     assert isinstance(solver.schedule, SynchronousSchedule)
 
@@ -215,7 +223,9 @@ def test_overhead_ledger_is_separate_and_consistent():
 
 def test_session_exposes_async_overhead():
     net = grid_2d(3, 4)
-    session = PASession(net, schedule=RandomDelaySchedule(2, 3))
+    session = PASession(
+        net, solver=PASolver(net, schedule=RandomDelaySchedule(2, 3))
+    )
     assert session.async_overhead is session.solver.engine.overhead
     assert session.async_overhead.messages > 0  # tree build already ran
     assert PASession(net).async_overhead is None
@@ -343,17 +353,21 @@ def test_make_schedule_registry():
 # ---------------------------------------------------------------------------
 
 def test_solver_and_schedule_are_mutually_exclusive():
+    # Exclusive by construction: the schedule is accepted where the engine
+    # is built (PASolver) and nowhere a solver can also be passed.
     net = path_graph(6)
     solver = PASolver(net)
     part = random_connected_partition(net, 2, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         solve_pa(net, part, [1] * net.n, SUM, solver=solver,
                  schedule=SynchronousSchedule())
-    with pytest.raises(ValueError):
-        PASession(net, solver=solver, async_mode=True)
-    session = PASession(net, schedule=SynchronousSchedule())
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
+        PASession(net, solver=solver, schedule=SynchronousSchedule())
+    session = PASession(net, solver=solver)
+    with pytest.raises(TypeError):
         ensure_session(session, net, schedule=SynchronousSchedule())
+    with pytest.raises(ValueError):
+        PASolver(net, engine=solver.engine, schedule=SynchronousSchedule())
 
 
 def test_single_node_network():

@@ -6,7 +6,6 @@ import pytest
 
 from repro.congest import (
     BandwidthExceededError,
-    BulkProgram,
     ChannelCapacityError,
     Engine,
     EngineProfile,
@@ -410,7 +409,7 @@ def test_send_batch_valid_src_accepts_generators(path10):
 
 
 # ----------------------------------------------------------------------
-# BulkProgram and FastContext: dispatch variants are ledger-identical
+# FastContext: the audit-free send path is ledger-identical
 # ----------------------------------------------------------------------
 class _EchoRing(Program):
     """Token circles a path: every node forwards to the other neighbor."""
@@ -431,21 +430,6 @@ class _EchoRing(Program):
                 nxt = node + 1 if sender < node else node - 1
                 if 0 <= nxt < ctx.network.n:
                     ctx.send(node, nxt, (tag, count + 1))
-
-
-class _BulkEchoRing(_EchoRing, BulkProgram):
-    """Same program dispatched through on_bulk (default loop)."""
-
-    name = "echo_bulk"
-
-
-def test_bulk_program_matches_sequential_program(path10):
-    seq = _EchoRing(7)
-    bulk = _BulkEchoRing(7)
-    a = Engine(path10).run(seq, max_ticks=20)
-    b = Engine(path10).run(bulk, max_ticks=20)
-    assert (a.rounds, a.messages, a.ticks) == (b.rounds, b.messages, b.ticks)
-    assert seq.trace == bulk.trace
 
 
 def test_fast_context_ledger_parity(path10):

@@ -10,6 +10,7 @@ profile is part of the bit-for-bit parity surface, not just the ledger.
 import pytest
 
 from repro import PASession
+from repro.congest import SynchronousSchedule
 from repro.core import SUM
 from repro.core.pa import PASolver
 from repro.graphs import bfs_ball_partition, grid_2d
@@ -17,7 +18,7 @@ from repro.graphs import bfs_ball_partition, grid_2d
 ENGINES = [
     ("scalar", {"engine_impl": "scalar"}),
     ("array", {"engine_impl": "array"}),
-    ("async", {"async_mode": True}),
+    ("async", {"schedule": SynchronousSchedule()}),
 ]
 
 
@@ -87,7 +88,7 @@ def test_profile_never_perturbs_the_ledger(workload):
 
 def test_session_plumbs_profile_to_its_solver(workload):
     net, partition, values = workload
-    session = PASession(net, seed=7, profile=True)
+    session = PASession(net, solver=PASolver(net, seed=7, profile=True))
     setup = session.prepare(partition)
     res = session.solve(setup, values, SUM)
     assert session.solver.engine.profile is True

@@ -14,7 +14,8 @@ them, so a fault-injecting driver's main totals are re-attributions):
 
 import pytest
 
-from repro import PASession
+from repro import PASession, PASolver
+from repro.congest import SynchronousSchedule
 from repro.algorithms import minimum_spanning_tree
 from repro.core import SUM, solve_pa
 from repro.graphs import (
@@ -29,8 +30,17 @@ from repro.obs import Tracer, diff_summaries, summarize, use_tracer
 ENGINES = [
     ("scalar", {"engine_impl": "scalar"}),
     ("array", {"engine_impl": "array"}),
-    ("async", {"async_mode": True}),
+    ("async", {"schedule": SynchronousSchedule()}),
 ]
+
+
+def _solve(workload, kwargs, mode="randomized", seed=7):
+    """solve_pa on a solver built here, so its tree phases are traced."""
+    net, partition, values = workload
+    solver = PASolver(net, mode=mode, seed=seed, **kwargs)
+    return solve_pa(
+        net, partition, values, SUM, mode=mode, seed=seed, solver=solver
+    )
 
 
 def _phase_log(ledger):
@@ -60,12 +70,11 @@ def workload():
 @pytest.mark.parametrize("mode", ["randomized", "deterministic"])
 @pytest.mark.parametrize("seed", [0, 7, 123])
 def test_trace_replays_pa_ledger(workload, label, kwargs, mode, seed):
-    net, partition, values = workload
-    off = solve_pa(net, partition, values, SUM, mode=mode, seed=seed, **kwargs)
+    off = _solve(workload, kwargs, mode=mode, seed=seed)
 
     tracer = Tracer()
     with use_tracer(tracer):
-        on = solve_pa(net, partition, values, SUM, mode=mode, seed=seed, **kwargs)
+        on = _solve(workload, kwargs, mode=mode, seed=seed)
 
     # tracing never perturbs the run
     assert on.aggregates == off.aggregates
@@ -80,12 +89,11 @@ def test_trace_replays_pa_ledger(workload, label, kwargs, mode, seed):
 
 @pytest.mark.parametrize("label,kwargs", ENGINES, ids=[e[0] for e in ENGINES])
 def test_identical_seed_traces_diff_to_zero(workload, label, kwargs):
-    net, partition, values = workload
     tracers = []
     for _ in range(2):
         tracer = Tracer()
         with use_tracer(tracer):
-            solve_pa(net, partition, values, SUM, seed=7, **kwargs)
+            _solve(workload, kwargs)
         tracers.append(tracer)
     drift = diff_summaries(
         summarize(tracers[0].events), summarize(tracers[1].events)

@@ -2,16 +2,27 @@
 
 import pytest
 
-from repro.congest import AsyncEngine, CrashEvent, FaultPlan
-from repro.core import SUM, solve_pa
+from repro.congest import (
+    AsyncEngine,
+    CrashEvent,
+    FaultPlan,
+    SynchronousSchedule,
+)
+from repro.core import PASolver, SUM, solve_pa
 from repro.algorithms.mst import minimum_spanning_tree
 from repro.analysis.reference import kruskal_mst
 from repro.graphs import random_connected, random_connected_partition, with_distinct_weights
 from repro.runtime import (
     HeartbeatConfig,
+    PASession,
     RecoveryDriver,
     RecoveryExhaustedError,
 )
+
+
+def _delay0_solver(net, seed):
+    """A fault-free reference solver on the delay-0 asynchronous engine."""
+    return PASolver(net, seed=seed, schedule=SynchronousSchedule())
 
 
 def _phase_log(ledger):
@@ -41,7 +52,10 @@ def test_heartbeat_config_validation():
 
 def test_no_fault_pa_is_bit_for_bit(workload):
     net, part, values = workload
-    ref = solve_pa(net, part, values, SUM, seed=5, async_mode=True)
+    ref = solve_pa(
+        net, part, values, SUM, seed=5,
+        solver=_delay0_solver(net, 5),
+    )
     driver = RecoveryDriver(net, seed=5)
     res = driver.solve_pa(part, values, SUM)
     assert res.aggregates == ref.aggregates
@@ -56,7 +70,9 @@ def test_no_fault_pa_is_bit_for_bit(workload):
 
 def test_no_fault_mst_is_bit_for_bit(workload):
     net, _part, _values = workload
-    ref = minimum_spanning_tree(net, seed=7, async_mode=True)
+    ref = minimum_spanning_tree(
+        net, seed=7, session=PASession(net, solver=_delay0_solver(net, 7))
+    )
     driver = RecoveryDriver(net, seed=7)
     res = driver.minimum_spanning_tree()
     assert res.output == ref.output
@@ -101,7 +117,10 @@ def test_clean_network_heartbeat_is_clean(workload):
 
 def test_pa_recovers_from_a_crash_with_identical_output(workload):
     net, part, values = workload
-    ref = solve_pa(net, part, values, SUM, seed=5, async_mode=True)
+    ref = solve_pa(
+        net, part, values, SUM, seed=5,
+        solver=_delay0_solver(net, 5),
+    )
     plan = FaultPlan(crashes=(CrashEvent(node=3, at=5, recover_at=60),))
     driver = RecoveryDriver(net, faults=plan, seed=5)
     res = driver.solve_pa(part, values, SUM)
@@ -139,7 +158,10 @@ def test_mst_recovers_from_two_crashes(workload):
 
 def test_seeded_plan_recovery_converges(workload):
     net, part, values = workload
-    ref = solve_pa(net, part, values, SUM, seed=1, async_mode=True)
+    ref = solve_pa(
+        net, part, values, SUM, seed=1,
+        solver=_delay0_solver(net, 1),
+    )
     plan = FaultPlan.seeded(1234, net.n, crashes=2, crash_window=(3, 20),
                             outage=(8, 25))
     driver = RecoveryDriver(net, faults=plan, seed=1)

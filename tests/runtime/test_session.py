@@ -128,19 +128,35 @@ def test_algorithm_ledgers_identical_without_optins(mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_solver_argument_still_shares_pipeline(mode):
-    """The historical solver= sharing contract holds through the session."""
+    """A pre-built solver is shared by adopting it into the session."""
     net = _weighted_net()
     solver = PASolver(net, mode=mode, seed=5)
-    run = verify_connectivity(net, _subgraph(net), mode=mode, seed=5,
-                              solver=solver)
-    assert run.output in (True, False)
-    # ensure_session wraps rather than replaces:
-    sess = ensure_session(None, net, mode=mode, seed=5, solver=solver)
+    sess = PASession(net, solver=solver)
     assert sess.solver is solver
-    with pytest.raises(ValueError):
+    assert sess.mode == mode  # the adopted solver's, not the default
+    run = verify_connectivity(net, _subgraph(net), mode=mode, seed=5,
+                              session=sess)
+    assert run.output in (True, False)
+    assert ensure_session(sess, net, mode=mode, seed=5) is sess
+    # The algorithms take the session only; solver= is gone from them.
+    with pytest.raises(TypeError):
+        verify_connectivity(net, _subgraph(net), mode=mode, seed=5,
+                            solver=solver)
+
+
+def test_session_mode_must_match_the_algorithm_mode():
+    """mode= picks the algorithm's own rules, the session's mode runs PA:
+    a contradiction used to mix the two silently; now it raises."""
+    net = _weighted_net()
+    randomized = PASession(net, mode="randomized", seed=5)
+    with pytest.raises(ValueError, match="contradicts the session's mode"):
+        minimum_spanning_tree(net, mode="deterministic", session=randomized)
+    with pytest.raises(ValueError, match="contradicts the session's mode"):
         ensure_session(
-            PASession(net, mode=mode, seed=5), net, solver=solver
+            PASession(net, mode="deterministic", seed=5), net
         )
+    run = minimum_spanning_tree(net, mode="randomized", session=randomized)
+    assert set(run.output) == kruskal_mst(net)
 
 
 # ----------------------------------------------------------------------
@@ -380,15 +396,44 @@ def test_family_and_provider_are_mutually_exclusive():
 
 def test_ensure_session_rejects_provider_override():
     net = grid_2d(4, 4)
+    # A provider/family lives on the session and nowhere else, so an
+    # override is not expressible at the acquisition point or above it.
     sess = PASession(net, seed=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         ensure_session(sess, net, family="planar")
+    with pytest.raises(TypeError):
+        cc_labeling(net, [], session=sess, family="planar")
 
 
 def test_algorithms_accept_family_argument():
     net = with_distinct_weights(grid_2d(6, 6), seed=5)
-    run = minimum_spanning_tree(net, seed=7, family="planar")
+    run = minimum_spanning_tree(
+        net, seed=7, session=PASession(net, seed=7, family="planar")
+    )
     assert set(run.output) == kruskal_mst(net)
+
+
+def test_entry_points_take_no_execution_kwargs():
+    """Execution is configured on the session/solver, never re-threaded."""
+    import inspect
+
+    import repro.algorithms as algorithms
+    from repro.service import PAService
+
+    retired = {
+        "solver", "shortcut_provider", "family", "schedule", "async_mode",
+        "engine_impl",
+    }
+    entry_points = [
+        obj for obj in (getattr(algorithms, n) for n in algorithms.__all__)
+        if callable(obj)
+    ]
+    assert len(entry_points) >= 13
+    for fn in entry_points + [PAService]:
+        params = set(inspect.signature(fn).parameters)
+        assert not params & retired, (fn.__name__, sorted(params & retired))
+        if fn is not PAService and fn.__name__ != "components_partition":
+            assert {"mode", "seed", "session"} <= params, fn.__name__
 
 
 def test_session_rejects_incompatible_solver_network():

@@ -4,19 +4,23 @@ from __future__ import annotations
 
 import pytest
 
-from repro import PASession
+from repro import PASession, PASolver
+from repro.congest import SynchronousSchedule
 from repro.congest.ledger import EngineProfile, PhaseStats
 from repro.core import SUM
 from repro.core.aggregation import Aggregation
 from repro.graphs import random_connected, random_connected_partition
-from repro.shard import encode_aggregation, encode_batch, merge_shard_phases
+from repro.core.pa import product_aggregation
+from repro.shard import encode_aggregation, merge_shard_phases
 from repro.shard.ledger_merge import phases_to_wire
 from repro.core.aggregation import MAX, MIN
 
 
-def _session(**kw):
+def _session(schedule=None, **kw):
     net = random_connected(48, 0.08, seed=11)
     partition = random_connected_partition(net, 8, seed=5)
+    if schedule is not None:
+        kw["solver"] = PASolver(net, seed=3, schedule=schedule)
     session = PASession(net, seed=3, **kw)
     return session, partition
 
@@ -60,7 +64,8 @@ def test_small_network_falls_back():
 
 def test_async_session_falls_back():
     session, partition = _session(
-        backend="sharded", workers=2, shard_min_n=0, async_mode=True
+        backend="sharded", workers=2, shard_min_n=0,
+        schedule=SynchronousSchedule(),
     )
     try:
         setup = session.prepare(partition)
@@ -75,8 +80,11 @@ def test_encode_aggregation_registry():
     assert encode_aggregation(SUM) == ("stock", "SUM")
     assert encode_aggregation(MIN) == ("stock", "MIN")
     assert encode_aggregation(Aggregation("custom", min)) is None
-    assert encode_batch([MIN, MAX]) == ("product", ["MIN", "MAX"])
-    assert encode_batch([MIN, Aggregation("custom", min)]) is None
+    assert encode_aggregation(product_aggregation([MIN, MAX])) == (
+        "product", ["MIN", "MAX"]
+    )
+    custom_product = product_aggregation([MIN, Aggregation("custom", min)])
+    assert encode_aggregation(custom_product) is None
 
 
 def test_merge_shard_phases_rule():

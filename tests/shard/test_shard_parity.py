@@ -16,6 +16,7 @@ import pytest
 
 from repro import PASession
 from repro.core import MIN, MIN_TUPLE, SUM
+from repro.core.aggregation import Aggregation
 from repro.graphs import (
     grid_2d,
     random_connected,
@@ -109,6 +110,71 @@ def test_batched_solve_many_parity():
             assert got.aggregates == want.aggregates
             assert got.value_at_node == want.value_at_node
         assert _phase_sig(result.ledger) == _phase_sig(expected.ledger)
+    finally:
+        session.close()
+
+
+@pytest.mark.parametrize("backend", ["local", "sharded"])
+def test_solve_is_solve_many_of_one(backend):
+    """One route: solve and a one-item solve_many are the same request."""
+    net, partition = _net_and_partition()
+    values = _values(net.n)
+
+    def fresh():
+        return PASession(
+            net, seed=3, batch=True,
+            backend=backend, workers=2, shard_min_n=0,
+        )
+
+    single, many = fresh(), fresh()
+    try:
+        one = single.solve(single.prepare(partition), values, SUM)
+        batch = many.solve_many(
+            many.prepare(partition), [(values, SUM)], phase_prefixes=["pa"]
+        )
+        got = batch.per_agg[0]
+        assert got.aggregates == one.aggregates
+        assert got.value_at_node == one.value_at_node
+        assert _phase_sig(batch.ledger) == _phase_sig(one.ledger)
+        assert many.stats.as_dict() == single.stats.as_dict()
+        sharded = backend == "sharded"
+        assert single.stats.sharded_solves == (1 if sharded else 0)
+        assert (single.shard_report is not None) == sharded
+        assert (many.shard_report is not None) == sharded
+    finally:
+        single.close()
+        many.close()
+
+
+def test_batched_product_routes_by_its_factors():
+    """A stock product ships sharded; a lambda factor is a counted fallback."""
+    net, partition = _net_and_partition()
+    values = _values(net.n)
+    custom = Aggregation("custom_sum", lambda a, b: a + b)
+
+    serial = PASession(net, seed=3, batch=True)
+    serial_setup = serial.prepare(partition)
+    session = PASession(
+        net, seed=3, batch=True,
+        backend="sharded", workers=2, shard_min_n=0,
+    )
+    try:
+        setup = session.prepare(partition)
+        for items, fallbacks in (
+            ([(values, SUM), (values, MIN)], 0),
+            ([(values, SUM), (values, custom)], 1),
+        ):
+            expected = serial.solve_many(serial_setup, items)
+            result = session.solve_many(setup, items)
+            assert result.batched
+            assert session.stats.sharded_solves == 1
+            assert session.stats.sharded_fallbacks == fallbacks
+            assert (session.shard_report is None) == bool(fallbacks)
+            for got, want in zip(result.per_agg, expected.per_agg):
+                assert got.aggregates == want.aggregates
+            assert _phase_sig(result.ledger) == _phase_sig(expected.ledger)
+        assert session.stats.batched_solves == 4
+        assert session.stats.solves == 0
     finally:
         session.close()
 
