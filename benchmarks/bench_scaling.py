@@ -23,6 +23,15 @@ overhead once the test suite has pinned payload sizes and program sends
 (parity is asserted by ``tests/congest/test_engine_edge.py``).  Ledger
 values are identical either way.
 
+The deterministic column (ROADMAP item 2) sets Algorithm 6 + the
+deterministic shortcut against Algorithm 3 + CoreFast on the expander
+family: ``prepare`` wall and set-up ledger side by side at 5k and 20k
+nodes, and one deterministic MST at the largest size the cap allows.
+The model cost of the deterministic set-up is several times the
+randomized one by design (O(log n) star-joining iterations of O(log* n)
+Cole-Vishkin pushes each); the wall ratio is what the simulator adds on
+top, and is the number the array kernels under Algorithms 5/6 move.
+
 ``REPRO_SCALING_MAX_N`` caps the sweep (default 50000; raise to 100000+
 locally to plot the full regime, lower it to smoke-test quickly).
 """
@@ -48,6 +57,8 @@ MAX_N = int(os.environ.get("REPRO_SCALING_MAX_N", "50000"))
 GRID_SIDES = (50, 100, 223, 316)
 GENERAL_SIZES = (2048, 8192, 50000, 100000)
 MST_SIZES = (512, 1024, 2048)
+DET_PREPARE_SIZES = (5000, 20000)
+DET_MST_SIZES = (2048, 20000)
 
 #: BFS-ball target size for the general families: comfortably above the
 #: expander diameter (so the shortcut machinery engages) but small enough
@@ -185,3 +196,96 @@ def test_mst_scaling(benchmark):
            messages=messages,
            largest_n=largest_n,
            wall_seconds_by_n={str(n): round(w, 4) for n, w in walls.items()})
+
+
+def _prepare_once(net, partition, mode):
+    """One ``prepare`` on a fresh solver (tree excluded); returns metrics."""
+    solver = PASolver(
+        net, mode=mode, seed=23, strict_bits=False, strict_edges=False
+    )
+    start = time.perf_counter()
+    setup = solver.prepare(partition)
+    wall = time.perf_counter() - start
+    ledger = setup.setup_ledger
+    return wall, ledger.rounds, ledger.messages, len(ledger.phases())
+
+
+def test_prepare_scaling_deterministic(benchmark):
+    def experiment():
+        rows = []
+        walls = {}
+        headline = None
+        for n in DET_PREPARE_SIZES:
+            if n > MAX_N:
+                continue
+            net = random_regular(n, 4, seed=21)
+            partition = bfs_ball_partition(net, BALL_SIZE, seed=22)
+            rand = _prepare_once(net, partition, "randomized")
+            det = _prepare_once(net, partition, "deterministic")
+            walls[f"randomized_{n}"] = rand[0]
+            walls[f"deterministic_{n}"] = det[0]
+            for mode, (wall, rounds, messages, phases) in (
+                ("randomized", rand), ("deterministic", det),
+            ):
+                rows.append((n, mode, phases, rounds, messages, f"{wall:.2f}",
+                             f"{wall / rand[0]:.1f}x"))
+            headline = (n, det[1], det[2])
+        print_table(
+            "Deterministic vs randomized prepare (random 4-regular, BFS balls)",
+            ["n", "mode", "phases", "rounds", "messages", "wall (s)",
+             "wall / randomized"],
+            rows,
+        )
+        return walls, headline
+
+    walls, headline = run_once(benchmark, experiment)
+    if headline is None:
+        record(benchmark, largest_n=0)
+        return
+    largest_n, rounds, messages = headline
+    record(benchmark,
+           rounds=rounds,
+           messages=messages,
+           largest_n=largest_n,
+           wall_seconds_by_workload={k: round(v, 4) for k, v in walls.items()})
+
+
+def test_mst_scaling_deterministic(benchmark):
+    from repro.algorithms.mst import minimum_spanning_tree
+    from repro.analysis.reference import kruskal_mst
+    from repro.graphs.weights import with_distinct_weights
+
+    sizes = [n for n in DET_MST_SIZES if n <= MAX_N]
+
+    def experiment():
+        if not sizes:
+            return None
+        n = sizes[-1]
+        net = with_distinct_weights(random_regular(n, 4, seed=31), seed=5)
+        start = time.perf_counter()
+        session = PASession(
+            net, mode="deterministic", seed=33,
+            strict_bits=False, strict_edges=False,
+        )
+        result = minimum_spanning_tree(
+            net, mode="deterministic", seed=33, session=session
+        )
+        wall = time.perf_counter() - start
+        assert set(result.output) == set(kruskal_mst(net)), (
+            "deterministic MST must match the Kruskal oracle"
+        )
+        print_table(
+            "Deterministic MST (star-joining Boruvka over deterministic PA)",
+            ["n", "m", "phases", "rounds", "messages", "wall (s)"],
+            [(n, net.m, result.meta["phases"], result.ledger.rounds,
+              result.ledger.messages, f"{wall:.2f}")],
+        )
+        return n, result.ledger.rounds, result.ledger.messages, wall
+
+    outcome = run_once(benchmark, experiment)
+    if outcome is None:
+        record(benchmark, largest_n=0)
+        return
+    n, rounds, messages, wall = outcome
+    record(benchmark, rounds=rounds, messages=messages, largest_n=n,
+           wall_seconds_by_n={str(n): round(wall, 4)})

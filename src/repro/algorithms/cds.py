@@ -30,7 +30,7 @@ from ..congest.ledger import CostLedger, RunResult
 from ..congest.network import Network
 from ..graphs.partitions import partition_from_component_labels
 from ..core.aggregation import MIN, MIN_TUPLE
-from ..core.no_leader import PASuperOps, _CrossProgram
+from ..core.no_leader import PASuperOps
 from ..core.pa import RANDOMIZED
 from ..core.star_joining import compute_star_joining
 from ..runtime import PASession, ensure_session

@@ -40,11 +40,12 @@ from ..congest.ledger import CostLedger, RunResult
 from ..congest.network import Network, canonical_edge
 from ..graphs.partitions import Partition, partition_from_component_labels
 from ..core.aggregation import MIN, MIN_TUPLE, OR
-from ..core.no_leader import PASuperOps, _CrossProgram
+from ..core.no_leader import PASuperOps
 from ..core.pa import DETERMINISTIC, PASolver, RANDOMIZED
 from ..core.star_joining import SuperEdge, compute_star_joining
 from ..core.treeops import broadcast as tree_broadcast
 from ..core.treeops import convergecast as tree_convergecast
+from ..core.treeops import cross_round
 from ..runtime import PASession, ensure_session
 
 COIN = "coin"
@@ -190,9 +191,7 @@ def minimum_spanning_tree(
             target_rep = comp[partition.members[target_sid][0]]
             relabel_values[u] = (net.uid[new_leader], net.uid[target_rep])
             mst_edges.add(canonical_edge(u, v_nb))
-        mark = _CrossProgram(mark_sends)
-        mark.name = "mst_mark"
-        ledger.charge(solver.engine.run(mark, max_ticks=2))
+        cross_round(solver.engine, mark_sends, ledger, name="mst_mark")
 
         relabel = session.solve(
             setup, relabel_values, MIN, charge_setup=False,
@@ -261,9 +260,9 @@ def _coin_merges(
         sends.setdefault(
             (v_nb, u), (v_nb, u, ("coin", 1 if target_coin else 0))
         )
-    program = _CrossProgram(list(sends.values()))
-    program.name = "mst_coin_exchange"
-    ledger.charge(solver.engine.run(program, max_ticks=2))
+    cross_round(
+        solver.engine, list(sends.values()), ledger, name="mst_coin_exchange"
+    )
 
     merges: Dict[int, int] = {}
     for sid, (u, v_nb, target_sid) in chosen.items():

@@ -24,7 +24,7 @@ from ..congest.ledger import CostLedger, RunResult
 from ..congest.network import Network, canonical_edge
 from ..core.aggregation import MIN_TUPLE
 from ..core.spanning_tree import elect_leader_and_bfs_tree
-from ..core.treeops import BroadcastProgram, ConvergecastProgram
+from ..core.treeops import BroadcastProgram, ConvergecastProgram, cross_round
 from ..core.trees import ABSENT, ROOT, RootedForest
 
 
@@ -133,11 +133,10 @@ def ghs_mst(net: Network, seed: int = 0) -> RunResult:
             sends.setdefault(
                 (v_nb, u), ("coin", 1 if coins[target_root] else 0)
             )
-        from ..core.no_leader import _CrossProgram
-
-        cross = _CrossProgram([(s, d, p) for (s, d), p in sends.items()])
-        cross.name = "ghs_coin_exchange"
-        ledger.charge(engine.run(cross, max_ticks=2))
+        cross_round(
+            engine, [(s, d, p) for (s, d), p in sends.items()], ledger,
+            name="ghs_coin_exchange",
+        )
 
         joins: Dict[int, Tuple[int, int, int]] = {}
         for root, (u, v_nb, target_root) in chosen.items():

@@ -31,6 +31,8 @@ program outputs are bit-for-bit identical.  The rules that make this hold:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -82,6 +84,209 @@ def tuple_bits(*component_bits) -> np.ndarray:
     for bits in component_bits:
         total = total + np.asarray(bits, dtype=np.int64)
     return total
+
+
+class KernelDecline(Exception):
+    """A payload list that no column layout holds: the scalar program runs.
+
+    ``reason`` is one of the codes the ``kernel_fallback`` trace instant
+    carries: ``none_value`` (a ``None`` where the kernel needs a value),
+    ``non_int`` (a component that is not an int or bool), ``overflow`` (a
+    value outside int64, or a fold over magnitudes, a total or a packed
+    key at or beyond 2**62), ``unsupported_agg`` (no ufunc computes the
+    aggregation), ``mixed_shape`` (entries that do not share one tuple
+    shape, tag and component types).
+    """
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
+
+
+def note_kernel_fallback(phase: str, reason: str) -> None:
+    """Record on the trace that ``phase`` runs scalar on an array engine.
+
+    Called once per declined dispatch, so tracing costs one ``enabled``
+    check per such phase and nothing on any ledger.
+    """
+    tracer = current_tracer()
+    if tracer.enabled:
+        tracer.instant(
+            "kernel_fallback", "engine.fallback",
+            {"phase": phase, "reason": reason},
+        )
+
+
+#: Magnitudes a fold keeps below, so that sums, min/max sentinels and
+#: packed lexicographic keys stay exact in int64.
+COLUMN_LIMIT = 1 << 62
+
+
+class PayloadColumns(Sequence):
+    """A homogeneous list of payloads held as int64 columns.
+
+    The layout every multi-column kernel shares.  Each entry is ``None``
+    or has the one shape the list has: a bare int/bool (``bare``, one
+    column), or a tuple of an optional constant ``tag`` string followed by
+    ``k`` int/bool components, one column each.  ``present`` marks the
+    non-``None`` entries (``None`` when every entry is present; the
+    columns hold 0 where it is false).  As a :class:`Sequence` it reads
+    back as the payload list it stands for, so a scalar program can
+    consume what a kernel produced.
+    """
+
+    __slots__ = ("cols", "is_bool", "tag", "bare", "present", "size", "_list")
+
+    def __init__(
+        self,
+        cols: Sequence[np.ndarray],
+        is_bool: Optional[Sequence[bool]] = None,
+        tag: Optional[str] = None,
+        bare: bool = False,
+        present: Optional[np.ndarray] = None,
+        size: Optional[int] = None,
+    ) -> None:
+        self.cols = list(cols)
+        self.is_bool = (
+            tuple(is_bool) if is_bool is not None else (False,) * len(self.cols)
+        )
+        self.tag = tag
+        self.bare = bare
+        self.present = present
+        #: Number of entries (given only for a tag-only layout, ``k == 0``).
+        self.size = self.cols[0].size if self.cols else size
+        self._list: Optional[list] = None
+
+    @classmethod
+    def pack(cls, payloads: Sequence[object]) -> "PayloadColumns":
+        """Columns for ``payloads``, or :class:`KernelDecline`."""
+        if isinstance(payloads, cls):
+            return payloads
+        size = len(payloads)
+        some = [p for p in payloads if p is not None]
+        present = None
+        if len(some) != size:
+            present = np.fromiter(
+                (p is not None for p in payloads), dtype=bool, count=size
+            )
+        if not some:
+            return cls(
+                [np.zeros(size, dtype=np.int64)], bare=True, present=present
+            )
+        kinds = set(map(type, some))
+        tag = None
+        bare = kinds == {int} or kinds == {bool}
+        if bare:
+            columns = [some]
+        elif kinds == {tuple}:
+            if len(set(map(len, some))) != 1:
+                raise KernelDecline("mixed_shape")
+            columns = list(zip(*some))
+            if columns and type(columns[0][0]) is str:
+                tag = columns[0][0]
+                if set(columns.pop(0)) != {tag}:
+                    raise KernelDecline("mixed_shape")
+        elif kinds <= {int, bool, tuple}:
+            raise KernelDecline("mixed_shape")
+        else:
+            raise KernelDecline("non_int")
+        cols, is_bool = [], []
+        for column in columns:
+            kinds = set(map(type, column))
+            if kinds != {int} and kinds != {bool}:
+                if kinds == {int, bool}:
+                    raise KernelDecline("mixed_shape")
+                raise KernelDecline(
+                    "none_value" if type(None) in kinds else "non_int"
+                )
+            try:
+                cols.append(np.array(column, dtype=np.int64))
+            except OverflowError:
+                raise KernelDecline("overflow") from None
+            is_bool.append(kinds == {bool})
+        packed = cls(cols, is_bool, tag, bare, size=len(some))
+        return packed if present is None else packed.scatter(size, present)
+
+    def scatter(self, size: int, at: np.ndarray) -> "PayloadColumns":
+        """``size`` entries: these at ``at`` (indices or a mask), else ``None``."""
+        cols = []
+        for col in self.cols:
+            dense = np.zeros(size, dtype=np.int64)
+            dense[at] = col
+            cols.append(dense)
+        present = np.zeros(size, dtype=bool)
+        present[at] = True if self.present is None else self.present
+        return PayloadColumns(
+            cols, self.is_bool, self.tag, self.bare, present, size
+        )
+
+    def take(self, rows) -> "PayloadColumns":
+        """The entries at ``rows`` (an index array or a slice), in that order."""
+        cols = [col[rows] for col in self.cols]
+        return PayloadColumns(
+            cols, self.is_bool, self.tag, self.bare,
+            None if self.present is None else self.present[rows],
+            None if cols else np.arange(self.size)[rows].size,
+        )
+
+    def bits(self) -> np.ndarray:
+        """Per-entry payload bits, exactly ``payload_bits`` of each entry."""
+        from .message import TAG_BITS
+
+        if self.bare:
+            out = int_bits_array(self.cols[0])
+        else:
+            out = np.broadcast_to(
+                tuple_bits(
+                    0 if self.tag is None else TAG_BITS,
+                    *(int_bits_array(col) for col in self.cols),
+                ),
+                (self.size,),
+            )
+        if self.present is not None:
+            out = np.where(self.present, out, 1)
+        return out
+
+    def tolist(self) -> list:
+        """The payload list, decoded once and kept."""
+        if self._list is None:
+            lists = [
+                col.astype(bool).tolist() if flag else col.tolist()
+                for col, flag in zip(self.cols, self.is_bool)
+            ]
+            if self.bare:
+                out = lists[0]
+            elif self.tag is None:
+                out = list(zip(*lists)) if lists else [()] * self.size
+            else:
+                out = list(zip(repeat(self.tag, self.size), *lists))
+            if self.present is not None:
+                out = [
+                    p if ok else None
+                    for p, ok in zip(out, self.present.tolist())
+                ]
+            self._list = out
+        return self._list
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, index):
+        return self.tolist()[index]
+
+    def __iter__(self):
+        return iter(self.tolist())
+
+
+def tag_payloads(tag: str, values: Sequence[object]) -> Sequence[object]:
+    """``[(tag, v) for v in values]``, kept as columns when ``values`` are."""
+    if (
+        isinstance(values, PayloadColumns)
+        and values.bare
+        and values.present is None
+    ):
+        return PayloadColumns(values.cols, values.is_bool, tag=tag)
+    return [(tag, value) for value in values]
 
 
 class ColumnArena:
@@ -197,6 +402,17 @@ class Delivered:
 
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
+
+
+def _as_column(values, shape) -> np.ndarray:
+    """``values`` as an int64 column of ``shape`` (scalars broadcast)."""
+    if (
+        type(values) is np.ndarray
+        and values.dtype == np.int64
+        and values.shape == shape
+    ):
+        return values
+    return np.broadcast_to(np.asarray(values, dtype=np.int64), shape)
 
 
 class ArrayContext:
@@ -318,10 +534,7 @@ class ArrayContext:
         self._col_parts.append(
             {}
             if cols is None
-            else {
-                k: np.broadcast_to(np.asarray(v, dtype=np.int64), src.shape)
-                for k, v in cols.items()
-            }
+            else {k: _as_column(v, src.shape) for k, v in cols.items()}
         )
         self._sent += count
 

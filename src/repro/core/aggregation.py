@@ -15,7 +15,7 @@ MIN_TUPLE / MAX_TUPLE for lexicographic tuple values such as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,23 @@ XOR = Aggregation("xor", lambda a, b: a ^ b)
 #: outgoing edge represented as (weight, uid_u, uid_v)).
 MIN_TUPLE = Aggregation("min_tuple", min)
 MAX_TUPLE = Aggregation("max_tuple", max)
+
+
+def merge_inboxes(
+    received: Dict[int, List[Tuple[int, Any]]], agg: Aggregation, n: int
+) -> List[Any]:
+    """Per node, the ``agg``-merge of what one cross round brought it.
+
+    ``received`` maps a node to its inbox of ``(sender, (tag, value))``
+    pairs; the result lists, for each of the ``n`` nodes, the merge of the
+    values (``None`` where nothing arrived) — the input of the
+    convergecast or PA solve that carries them on to the leaders.
+    """
+    values: List[Any] = [None] * n
+    for node, inbox in received.items():
+        for _sender, payload in inbox:
+            values[node] = agg.merge(values[node], payload[1])
+    return values
 
 
 def count_aggregation() -> Aggregation:

@@ -21,10 +21,27 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..congest.arrays import ArrayContext, ColumnArena, Delivered, int_bits_array
+from ..congest.arrays import (
+    COLUMN_LIMIT,
+    ArrayContext,
+    ColumnArena,
+    Delivered,
+    KernelDecline,
+    PayloadColumns,
+    int_bits_array,
+)
 from ..congest.engine import ArrayProgram
 from ..congest.message import TAG_BITS, TUPLE_OVERHEAD_BITS
 from ..congest.network import Network
+from .aggregation import (
+    MAX,
+    MAX_TUPLE,
+    MIN,
+    MIN_TUPLE,
+    SUM,
+    Aggregation,
+    merge_inboxes,
+)
 from .trees import ABSENT, ROOT, RootedForest
 
 #: ``best`` sentinel larger than any token the kernels carry (uids < 2n).
@@ -303,95 +320,146 @@ class ClaimBfsArrayKernel(ArrayProgram):
         return RootedForest(self.net, self.parent_of)
 
 
+#: Fold per op: the ufunc and the value a ``None`` stands for.
+_FOLDS = {
+    "sum": (np.add, 0),
+    "min": (np.minimum, COLUMN_LIMIT),
+    "max": (np.maximum, -COLUMN_LIMIT),
+}
+
+
+def fold_op(agg: Aggregation, values: PayloadColumns) -> str:
+    """The ``_FOLDS`` op computing ``agg`` over ``values``, or a decline.
+
+    MIN / MAX and their ``_TUPLE`` spellings are Python's ``min`` / ``max``,
+    which order bare ints, bools and equal-shape tuples alike; SUM adds
+    bare ints.  A fold needs every magnitude (for SUM: their total) below
+    2**62, so that sentinels, sums and packed keys stay exact in int64.
+    """
+    if agg is MIN or agg is MIN_TUPLE:
+        op = "min"
+    elif agg is MAX or agg is MAX_TUPLE:
+        op = "max"
+    elif agg is SUM:
+        op = "sum"
+        if not values.bare or values.is_bool[0]:
+            raise KernelDecline("non_int")
+    else:
+        raise KernelDecline("unsupported_agg")
+    for col in values.cols:
+        if col.size and (col.max() >= COLUMN_LIMIT or col.min() <= -COLUMN_LIMIT):
+            raise KernelDecline("overflow")
+    if op == "sum":
+        mag = np.abs(values.cols[0])
+        low = int((mag & 0x7FFFFFFF).sum())
+        if (int((mag >> 31).sum()) << 31) + low >= COLUMN_LIMIT:
+            raise KernelDecline("overflow")
+    return op
+
+
+class _LexKey:
+    """Order-preserving packing of ``k`` int columns into one int64 key.
+
+    Column ``i`` is shifted to start at 0 and given as many bits as its
+    range needs, most significant first, so that comparing keys is
+    comparing the rows lexicographically and a lexicographic min/max is a
+    plain one.  Declines (``overflow``) when the widths exceed 62 bits.
+    """
+
+    def __init__(self, cols: Sequence[np.ndarray], rows) -> None:
+        self.lows = [int(col[rows].min()) for col in cols]
+        widths = [
+            (int(col[rows].max()) - low).bit_length()
+            for col, low in zip(cols, self.lows)
+        ]
+        if sum(widths) > 62:
+            raise KernelDecline("overflow")
+        self.shifts = [sum(widths[i + 1:]) for i in range(len(widths))]
+        self.masks = [(1 << width) - 1 for width in widths]
+
+    def pack(self, cols: Sequence[np.ndarray]) -> np.ndarray:
+        key = np.zeros(cols[0].shape, dtype=np.int64)
+        for col, low, shift in zip(cols, self.lows, self.shifts):
+            key |= (col - low) << shift
+        return key
+
+    def unpack(self, key: np.ndarray) -> List[np.ndarray]:
+        return [
+            ((key >> shift) & mask) + low
+            for low, shift, mask in zip(self.lows, self.shifts, self.masks)
+        ]
+
+
 class ConvergecastArrayKernel(ArrayProgram):
     """Array twin of :class:`~repro.core.treeops.ConvergecastProgram`.
 
-    Restricted to int values present at *every* forest member, combined by
-    an order-independent ufunc (sum/min/max) — which covers every
-    convergecast on the PA pipeline's hot path.  Multi-column values model
-    tuple payloads (the coverage check's componentwise ``(count, flag)``
-    pair-sum).
+    ``values`` holds one entry per network node (only forest members are
+    read) in the :class:`~repro.congest.arrays.PayloadColumns` layout;
+    ``None`` entries contribute nothing, exactly as in the scalar program.
+    ``op`` is ``"sum"`` (componentwise over the columns — the coverage
+    check's ``(count, flag)`` pair-sum) or ``"min"`` / ``"max"``
+    (lexicographic across the columns: ``MIN_TUPLE`` / ``MAX_TUPLE``).
 
-    The convergecast schedule is data-independent, so the kernel
-    precomputes everything: node ``v`` fires at tick ``s(v)`` = height of
-    its subtree (leaves at tick 0, i.e. inside ``array_start``), carrying
-    the already-folded subtree aggregate.  The resulting wire traffic is
-    message-for-message the scalar program's.
+    The convergecast schedule is data-independent and lives in the
+    forest's :class:`~repro.core.trees.ForestPlan`: node ``v`` fires at
+    tick ``s(v)`` = height of its subtree (leaves at tick 0, i.e. inside
+    ``array_start``), carrying the already-folded subtree aggregate.  The
+    resulting wire traffic is message-for-message the scalar program's.
     """
 
     name = "tree_convergecast"
 
     def __init__(
-        self,
-        forest: RootedForest,
-        value_cols: Sequence[np.ndarray],
-        op: str = "sum",
-        tuple_payload: bool = False,
+        self, forest: RootedForest, values: PayloadColumns, op: str = "sum"
     ) -> None:
         self.forest = forest
-        self.tuple_payload = tuple_payload
-        ufunc = {"sum": np.add, "min": np.minimum, "max": np.maximum}[op]
-        parent = np.asarray(forest.parent, dtype=np.int64)
-        depth = np.asarray(forest.depth, dtype=np.int64)
-        members = np.flatnonzero(parent != ABSENT)
-        # Fold values up the tree level by level (deepest first), and
-        # compute each node's send tick s(v) = its subtree height.
-        acc = [np.array(col, dtype=np.int64, copy=True) for col in value_cols]
-        send_tick = np.zeros(parent.shape, dtype=np.int64)
-        by_depth = members[np.argsort(depth[members], kind="stable")]
-        height = int(depth[members].max()) if members.size else 0
-        level_starts = np.searchsorted(depth[by_depth], np.arange(height + 2))
-        for level in range(height, 0, -1):
-            nodes = by_depth[level_starts[level]:level_starts[level + 1]]
-            if nodes.size == 0:
-                continue
-            p = parent[nodes]
+        plan = self._plan = forest.plan
+        ufunc, identity = _FOLDS[op]
+        has = None if values.present is None else values.present.copy()
+        cols = values.cols
+        key = None
+        if op != "sum" and len(cols) > 1:
+            rows = plan.order if has is None else plan.order[has[plan.order]]
+            if rows.size:
+                key = _LexKey(cols, rows)
+                cols = [key.pack(cols)]
+        acc = [np.array(col, dtype=np.int64, copy=True) for col in cols]
+        if has is not None:
             for col in acc:
-                ufunc.at(col, p, col[nodes])
-            np.maximum.at(send_tick, p, send_tick[nodes] + 1)
-        self._acc = acc
-        self._senders = members[parent[members] >= 0]
-        self._parent = parent
-        # Fire order within a tick is node-ascending; members is ascending
-        # already, so a stable sort by send tick groups it correctly.
-        s = send_tick[self._senders]
-        order = np.argsort(s, kind="stable")
-        self._senders = self._senders[order]
-        self._send_ticks = s[order]
-        self._group_starts = np.searchsorted(
-            self._send_ticks, np.arange(int(s.max()) + 2 if s.size else 1)
+                col[~has] = identity
+        # Fold values up the tree level by level, deepest first.
+        for nodes, parents in reversed(plan.levels):
+            for col in acc:
+                ufunc.at(col, parents, col[nodes])
+            if has is not None:
+                has[parents[has[nodes]]] = True
+        if has is not None:
+            for col in acc:
+                col[~has] = 0
+        self._wire = acc
+        #: Every node's folded subtree aggregate, in the values' layout.
+        self.folded = PayloadColumns(
+            acc if key is None else key.unpack(acc[0]),
+            values.is_bool, values.tag, values.bare, has,
         )
-        roots = np.asarray(forest.roots, dtype=np.int64)
-        root_fire = send_tick[roots]
-        root_order = np.lexsort((roots, root_fire))
-        self.at_root: Dict[int, object] = {
-            int(r): self._value_at(int(r)) for r in roots[root_order]
-        }
-
-    def _value_at(self, v: int):
-        if self.tuple_payload:
-            return tuple(int(col[v]) for col in self._acc)
-        return int(self._acc[0][v])
+        self.at_root: Dict[int, object] = dict(zip(
+            plan.root_fire.tolist(), self.folded.take(plan.root_fire).tolist()
+        ))
 
     def _emit_group(self, actx: ArrayContext, tick: int) -> None:
-        starts = self._group_starts
+        plan = self._plan
+        starts = plan.send_groups
         if tick + 1 >= starts.size:
             return
         lo, hi = starts[tick], starts[tick + 1]
         if lo == hi:
             return
-        src = self._senders[lo:hi]
-        cols = {f"v{i}": col[src] for i, col in enumerate(self._acc)}
-        bits = None
-        if actx.strict_bits:
-            if self.tuple_payload:
-                total = np.full(src.shape, TUPLE_OVERHEAD_BITS, dtype=np.int64)
-                for col in cols.values():
-                    total += int_bits_array(col)
-                bits = total
-            else:
-                bits = int_bits_array(cols["v0"])
-        actx.emit(src, self._parent[src], cols=cols, bits=bits)
+        src = plan.senders[lo:hi]
+        cols = {f"v{i}": col[src] for i, col in enumerate(self._wire)}
+        if self.folded.present is not None:
+            cols["has"] = self.folded.present[src]
+        bits = self.folded.take(src).bits() if actx.strict_bits else None
+        actx.emit(src, plan.sender_parents[lo:hi], cols=cols, bits=bits)
 
     def array_start(self, actx: ArrayContext) -> None:
         self._emit_group(actx, 0)
@@ -402,10 +470,151 @@ class ConvergecastArrayKernel(ArrayProgram):
     @property
     def partial(self) -> Dict[int, object]:
         """Scalar-compatible per-member subtree aggregates."""
-        return {
-            int(v): self._value_at(int(v))
-            for v in np.flatnonzero(self._parent != ABSENT)
-        }
+        return dict(zip(
+            self.forest.order, self.folded.take(self._plan.order).tolist()
+        ))
+
+
+class BroadcastArrayKernel(ArrayProgram):
+    """Array twin of :class:`~repro.core.treeops.BroadcastProgram`.
+
+    ``values`` are ``root_values``' payloads, in its order, as columns.
+    The schedule is data-independent: a node at depth ``d`` of a tree
+    whose root holds a value hears it at tick ``d``, from its parent.
+    """
+
+    name = "tree_broadcast"
+
+    def __init__(
+        self,
+        forest: RootedForest,
+        root_values: Dict[int, object],
+        values: PayloadColumns,
+    ) -> None:
+        plan = forest.plan
+        roots = np.fromiter(root_values, dtype=np.int64, count=len(root_values))
+        if (plan.parent[roots] != ROOT).any():
+            bad = roots[plan.parent[roots] != ROOT][0]
+            raise ValueError(f"{int(bad)} is not a root of the forest")
+        self._root_values = root_values
+        self._columns = values
+        # Row of the value each node hears: its root's position in
+        # ``root_values``, or -1 under a root that broadcasts nothing.
+        row_of_root = np.full(plan.parent.size, -1, dtype=np.int64)
+        row_of_root[roots] = np.arange(roots.size)
+        self._row = row_of_root[plan.root_of]
+        reached, starts = plan.by_level, plan.level_starts
+        if roots.size != plan.root_fire.size:
+            reached = reached[self._row[reached] >= 0]
+            starts = np.searchsorted(
+                plan.depth[reached], np.arange(1, len(plan.levels) + 2)
+            )
+        self._reached = reached
+        self._src = plan.parent[reached]
+        self._starts = starts
+        self._values = values.take(self._row[reached])
+
+    def _emit_level(self, actx: ArrayContext, level: int) -> None:
+        starts = self._starts
+        if level >= starts.size:
+            return
+        lo, hi = starts[level - 1], starts[level]
+        if lo == hi:
+            return
+        rows = slice(lo, hi)
+        values = self._values
+        cols = {f"v{i}": col[rows] for i, col in enumerate(values.cols)}
+        bits = values.take(rows).bits() if actx.strict_bits else None
+        actx.emit(self._src[rows], self._reached[rows], cols=cols, bits=bits)
+
+    def array_start(self, actx: ArrayContext) -> None:
+        self._emit_level(actx, 1)
+
+    def array_tick(self, actx: ArrayContext, d: Delivered) -> None:
+        self._emit_level(actx, actx.tick + 1)
+
+    def received_at(self, nodes: Sequence[int]) -> PayloadColumns:
+        """What each of ``nodes`` received (``None`` if nothing reached it)."""
+        rows = self._row[np.asarray(nodes, dtype=np.int64)]
+        reached = rows >= 0
+        heard = self._columns.take(rows[reached])
+        return heard if reached.all() else heard.scatter(rows.size, reached)
+
+    @property
+    def received(self) -> Dict[int, object]:
+        """Scalar-compatible ``received``: roots first, then tick by tick."""
+        payloads = list(self._root_values.values())
+        rows = self._row[self._reached].tolist()
+        received = dict(self._root_values)
+        received.update(
+            zip(self._reached.tolist(), [payloads[row] for row in rows])
+        )
+        return received
+
+
+class CrossRoundArrayKernel(ArrayProgram):
+    """Array twin of :class:`~repro.core.treeops.CrossRoundProgram`.
+
+    One round: row ``i`` sends ``payloads[i]`` over the directed edge
+    ``(src[i], dst[i])``.  ``delivered`` is the same rows as the engine
+    hands them over: stably sorted by ``(dst, src)``, the scalar inbox
+    order.
+    """
+
+    name = "cross_round"
+
+    def __init__(
+        self, src: np.ndarray, dst: np.ndarray, payloads: PayloadColumns
+    ) -> None:
+        if payloads.present is not None:
+            raise KernelDecline("none_value")
+        self._sends = (src, dst, payloads)
+        empty = np.empty(0, dtype=np.int64)
+        self.delivered: Tuple[np.ndarray, np.ndarray, PayloadColumns] = (
+            empty, empty, payloads.take(empty)
+        )
+
+    def array_start(self, actx: ArrayContext) -> None:
+        src, dst, payloads = self._sends
+        cols = {f"v{i}": col for i, col in enumerate(payloads.cols)}
+        bits = payloads.bits() if actx.strict_bits else None
+        actx.emit(src, dst, cols=cols, bits=bits)
+
+    def array_tick(self, actx: ArrayContext, d: Delivered) -> None:
+        layout = self._sends[2]
+        self.delivered = (d.src, d.dst, PayloadColumns(
+            [d.cols[f"v{i}"] for i in range(len(layout.cols))],
+            layout.is_bool, layout.tag, layout.bare, None, len(d),
+        ))
+
+    @property
+    def received(self) -> Dict[int, List[Tuple[int, object]]]:
+        """Scalar-compatible ``received``: inbox per node, sender-sorted."""
+        src, dst, payloads = self.delivered
+        out: Dict[int, List[Tuple[int, object]]] = {}
+        for sender, node, payload in zip(
+            src.tolist(), dst.tolist(), payloads.tolist()
+        ):
+            out.setdefault(node, []).append((sender, payload))
+        return out
+
+    def merged(self, agg, n: int) -> Sequence[object]:
+        """See :meth:`~repro.core.treeops.CrossRoundProgram.merged`."""
+        _src, dst, payloads = self.delivered
+        ufunc = None
+        if len(payloads.cols) == 1:
+            values = PayloadColumns(payloads.cols, payloads.is_bool, bare=True)
+            try:
+                ufunc = _FOLDS[fold_op(agg, values)][0]
+            except KernelDecline:
+                pass
+        if ufunc is None:
+            return merge_inboxes(self.received, agg, n)
+        # dst is sorted: one reduceat over the runs of equal dst.
+        heads = np.flatnonzero(np.diff(dst, prepend=-1))
+        return PayloadColumns(
+            [ufunc.reduceat(values.cols[0], heads)], values.is_bool, bare=True
+        ).scatter(n, dst[heads])
 
 
 class UncoveredAnnounceArrayKernel(ArrayProgram):

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..congest.arrays import ColumnArena, int_bits_array
+from ..congest.arrays import ColumnArena, int_bits_array, note_kernel_fallback
 from ..congest.engine import ArrayProgram
 from .aggregation import MAX, MIN, SUM, Aggregation
 from .array_queue import (
@@ -891,7 +891,7 @@ class ReplayArrayKernel(ArrayProgram):
 
 def array_wave_supported(
     engine, values: Sequence[object], agg: Aggregation,
-    leader_tokens: Dict[int, object],
+    leader_tokens: Dict[int, object], phase: str = "pa_wave",
 ) -> bool:
     """Whether the array wave path applies (else: scalar programs).
 
@@ -899,20 +899,31 @@ def array_wave_supported(
     (or None) values with int64-safe magnitudes, and int leader tokens —
     the representable subset of the wave's payload space.  Everything else
     (tuple-packed batches, MST composite keys, custom merges) falls back
-    to the scalar programs, which run unchanged under the array engine.
+    to the scalar programs, which run unchanged under the array engine;
+    the trace notes that as a ``kernel_fallback`` of ``phase``.
     """
     if not getattr(engine, "use_arrays", False):
         return False
+    reason = _wave_decline(values, agg, leader_tokens)
+    if reason is not None:
+        note_kernel_fallback(phase, reason)
+    return reason is None
+
+
+def _wave_decline(values, agg, leader_tokens) -> Optional[str]:
+    """Why the array wave cannot carry these payloads (``None``: it can)."""
     if agg is not SUM and agg is not MIN and agg is not MAX:
-        return False
+        return "unsupported_agg"
     for token in leader_tokens.values():
-        if type(token) is not int or abs(token) >= 1 << 62:
-            return False
+        if type(token) is not int:
+            return "non_int"
+        if abs(token) >= 1 << 62:
+            return "overflow"
     total = 0
     for val in values:
         if val is None:
             continue
         if type(val) is not int:
-            return False
+            return "non_int"
         total += abs(val)
-    return total < 1 << 62
+    return None if total < 1 << 62 else "overflow"

@@ -19,30 +19,13 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..congest.engine import Context, Engine, Inbox, Program
 from ..congest.ledger import CostLedger
 from ..congest.network import Network
 from ..graphs.partitions import Partition, partition_from_component_labels
 from .aggregation import MIN, MIN_TUPLE, SUM, Aggregation
 from .pa import PAResult, PASetup, PASolver
 from .star_joining import SuperEdge, SuperOps, compute_star_joining
-
-
-class _CrossProgram(Program):
-    """One round: payloads across explicit directed graph edges."""
-
-    name = "pa_super_cross"
-
-    def __init__(self, sends: List[Tuple[int, int, object]]) -> None:
-        self.sends = sends
-        self.received: Dict[int, List[Tuple[int, object]]] = {}
-
-    def on_start(self, ctx: Context) -> None:
-        for src, dst, payload in self.sends:
-            ctx.send(src, dst, payload)
-
-    def on_node(self, ctx: Context, node: int, inbox: Inbox) -> None:
-        self.received.setdefault(node, []).extend(inbox)
+from .treeops import cross_round
 
 
 class PASuperOps(SuperOps):
@@ -110,17 +93,16 @@ class PASuperOps(SuperOps):
         return {v: result.value_at_node[v] for v in range(self.net.n)}
 
     def _cross(self, sends: List[Tuple[int, int, object]], name: str):
-        program = _CrossProgram(sends)
-        program.name = f"{self.prefix}_{name}"
-        stats = self.solver.engine.run(program, max_ticks=2)
-        self.ledger.charge(stats)
-        return program.received
+        return cross_round(
+            self.solver.engine, sends, self.ledger,
+            name=f"{self.prefix}_{name}",
+        )
 
     def announce_requests(self) -> None:
         sends = [
             (u, v, ("jreq", sid)) for sid, (u, v, _t) in self.chosen.items()
         ]
-        received = self._cross(sends, "announce")
+        received = self._cross(sends, "announce").received
         for v, incoming in received.items():
             for u, payload in incoming:
                 _tag, sid = payload
@@ -135,11 +117,7 @@ class PASuperOps(SuperOps):
         for sid, (u, v, _t) in self.chosen.items():
             if sid in value_of:
                 sends.append((u, v, ("up", at_node.get(u))))
-        received = self._cross(sends, "cross_up")
-        values: List[object] = [None] * self.net.n
-        for v, incoming in received.items():
-            for _u, payload in incoming:
-                values[v] = agg.merge(values[v], payload[1])
+        values = self._cross(sends, "cross_up").merged(agg, self.net.n)
         aggregates = self._pa(values, agg)
         return {sid: val for sid, val in aggregates.items() if val is not None}
 
@@ -153,12 +131,7 @@ class PASuperOps(SuperOps):
                 continue
             for v, u, _src_sid in holders:
                 sends.append((v, u, ("down", at_node.get(v))))
-        received = self._cross(sends, "cross_down")
-        values: List[object] = [None] * self.net.n
-        for u, incoming in received.items():
-            for _v, payload in incoming:
-                value = payload[1]
-                values[u] = value if values[u] is None else min(values[u], value)
+        values = self._cross(sends, "cross_down").merged(MIN, self.net.n)
         aggregates = self._pa(values, MIN)
         return {sid: val for sid, val in aggregates.items() if val is not None}
 

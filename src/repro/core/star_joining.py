@@ -20,13 +20,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..congest.engine import Context, Engine, Inbox, Program
+import numpy as np
+
+from ..congest.arrays import PayloadColumns, tag_payloads
+from ..congest.engine import Engine
 from ..congest.ledger import CostLedger
 from ..congest.network import Network
 from .aggregation import Aggregation, MIN, SUM
 from .cole_vishkin import cv_iterations_needed, cv_step, shift_down_step
-from .treeops import broadcast as tree_broadcast
-from .treeops import convergecast as tree_convergecast
+from .treeops import cross_round, run_broadcast, run_convergecast
 from .trees import RootedForest
 
 #: A chosen super-edge: (u, v) with u in the source super-node, v in the
@@ -95,16 +97,17 @@ def compute_star_joining(
     )
 
     joins: Dict[int, SuperEdge] = {}
+    supernodes = ops.all_supernodes()
 
     def absorb_joiners(residual: Set[int]) -> Set[int]:
         """Participants pointing at a receiver become joiners (line 4/9)."""
-        status = ops.push_down(
-            {sid: (1 if sid in receivers else 0) for sid in ops.all_supernodes()}
-        )
+        status = dict.fromkeys(supernodes, 0)
+        status.update(dict.fromkeys(receivers & status.keys(), 1))
+        target_status = ops.push_down(status)
         new_joiners = {
             sid
             for sid in residual
-            if sid not in receivers and status.get(sid) == 1
+            if sid not in receivers and target_status.get(sid) == 1
         }
         for sid in new_joiners:
             joins[sid] = edges[sid]
@@ -116,42 +119,33 @@ def compute_star_joining(
     # 3-color it with Cole-Vishkin and resolve the color classes in turn.
     if residual:
         colors = {sid: ops.initial_color(sid) for sid in residual}
+        has_successor = {sid: target_of[sid] in residual for sid in residual}
+        # Every super-node publishes each step (-1 outside the residual),
+        # but only the residual's colors ever change.
+        published = dict.fromkeys(supernodes, -1)
 
-        def live_successor(sid: int) -> Optional[int]:
-            target = target_of[sid]
-            return target if target in residual else None
+        def successor_colors() -> Dict[int, object]:
+            published.update(colors)
+            succ = ops.push_down(published)
+            return {
+                sid: succ.get(sid) if live else None
+                for sid, live in has_successor.items()
+            }
 
-        steps = cv_iterations_needed(max(colors.values()))
-        for _ in range(steps):
-            succ_colors = ops.push_down(
-                {sid: colors.get(sid, -1) for sid in ops.all_supernodes()}
-            )
+        for _ in range(cv_iterations_needed(max(colors.values()))):
+            succ_colors = successor_colors()
             colors = {
-                sid: cv_step(
-                    colors[sid],
-                    succ_colors.get(sid)
-                    if live_successor(sid) is not None
-                    else None,
-                )
-                for sid in residual
+                sid: cv_step(color, succ_colors[sid])
+                for sid, color in colors.items()
             }
         for high in (5, 4, 3):
-            succ_colors = ops.push_down(
-                {sid: colors.get(sid, -1) for sid in ops.all_supernodes()}
-            )
-            pred_colors = ops.push_pred(
-                {sid: colors[sid] for sid in residual}, MIN
-            )
+            succ_colors = successor_colors()
+            pred_colors = ops.push_pred(colors, MIN)
             colors = {
                 sid: shift_down_step(
-                    colors[sid],
-                    pred_colors.get(sid),
-                    succ_colors.get(sid)
-                    if live_successor(sid) is not None
-                    else None,
-                    high,
+                    color, pred_colors.get(sid), succ_colors[sid], high
                 )
-                for sid in residual
+                for sid, color in colors.items()
             }
 
         for k in (0, 1, 2):
@@ -163,23 +157,6 @@ def compute_star_joining(
     if residual:
         raise AssertionError("star joining left unresolved super-nodes")
     return receivers, joins
-
-
-class _CrossEdgeProgram(Program):
-    """One round: send a payload across each given directed graph edge."""
-
-    name = "super_cross"
-
-    def __init__(self, sends: List[Tuple[int, int, object]]) -> None:
-        self.sends = sends
-        self.received: Dict[int, List[Tuple[int, object]]] = {}
-
-    def on_start(self, ctx: Context) -> None:
-        for src, dst, payload in self.sends:
-            ctx.send(src, dst, payload)
-
-    def on_node(self, ctx: Context, node: int, inbox: Inbox) -> None:
-        self.received.setdefault(node, []).extend(inbox)
 
 
 class TreeSuperOps(SuperOps):
@@ -207,14 +184,16 @@ class TreeSuperOps(SuperOps):
         self.chosen = chosen
         self.ledger = ledger
         self.prefix = phase_prefix
-        #: (member v, source endpoint u, source sid) per target sid
-        self.in_edges: Dict[int, List[Tuple[int, int, int]]] = {}
-        self._announced = False
+        # The cross edges of a push, as (publishing sid, src, dst) columns:
+        # up along the chosen edges, down along their reversals (known to
+        # the targets once the requests are announced).
+        ends = np.array(
+            [(u, v) for u, v, _t in chosen.values()], dtype=np.int64
+        ).reshape(-1, 2)
+        self._up = (list(chosen), ends[:, 0], ends[:, 1])
+        self._down: Optional[Tuple[List[int], np.ndarray, np.ndarray]] = None
 
     # -- plumbing ------------------------------------------------------
-    def _root_of(self, v: int) -> int:
-        return self.forest.root_of(v)
-
     def edges(self) -> Dict[int, SuperEdge]:
         return self.chosen
 
@@ -226,74 +205,54 @@ class TreeSuperOps(SuperOps):
 
     def announce_requests(self) -> None:
         """Record in-edge knowledge: targets learn who points at them."""
-        sends = [
-            (u, v, ("jreq", sid)) for sid, (u, v, _t) in self.chosen.items()
-        ]
-        program = _CrossEdgeProgram(sends)
-        program.name = f"{self.prefix}_announce"
-        stats = self.engine.run(program, max_ticks=2)
-        self.ledger.charge(stats)
-        for v, incoming in program.received.items():
-            for u, payload in incoming:
-                _tag, sid = payload
-                self.in_edges.setdefault(self._root_of(v), []).append((v, u, sid))
-        self._announced = True
+        sids, src, dst = self._up
+        requests = PayloadColumns([np.asarray(sids, dtype=np.int64)], tag="jreq")
+        u, v, _sid = cross_round(
+            self.engine, (src, dst, requests), self.ledger,
+            name=f"{self.prefix}_announce",
+        ).delivered
+        self._down = (self.forest.plan.root_of[v].tolist(), v, u)
 
     # -- pushes --------------------------------------------------------
-    def _broadcast_values(self, value_of: Dict[int, object]) -> Dict[int, object]:
-        root_values = {
-            sid: value_of[sid] for sid in self.forest.roots if sid in value_of
-        }
-        return tree_broadcast(
-            self.engine, self.forest, root_values, self.ledger,
-            name=f"{self.prefix}_broadcast",
+    def _push(
+        self,
+        value_of: Dict[int, object],
+        edges: Tuple[List[int], np.ndarray, np.ndarray],
+        tag: str,
+        agg: Aggregation,
+    ) -> Dict[int, object]:
+        """Broadcast ``value_of`` down the trees, send what the source of
+        each publishing super-node's edge then holds across it, and
+        convergecast what arrived.
+        """
+        sids, src, dst = edges
+        publishing = np.fromiter(
+            map(value_of.__contains__, sids), dtype=bool, count=len(sids)
         )
-
-    def _convergecast(self, values: List[object], agg: Aggregation) -> Dict[int, object]:
-        at_root, _ = tree_convergecast(
-            self.engine, self.forest, agg, values, self.ledger,
-            name=f"{self.prefix}_convergecast",
+        if not publishing.all():
+            src, dst = src[publishing], dst[publishing]
+        heard = run_broadcast(
+            self.engine, self.forest,
+            {sid: value_of[sid] for sid in self.forest.roots if sid in value_of},
+            self.ledger, name=f"{self.prefix}_broadcast",
+        ).received_at(src)
+        cross = cross_round(
+            self.engine, (src, dst, tag_payloads(tag, heard)),
+            self.ledger, name=f"{self.prefix}_cross_{tag}",
         )
-        return at_root
+        at_root = run_convergecast(
+            self.engine, self.forest, agg, cross.merged(agg, self.net.n),
+            self.ledger, name=f"{self.prefix}_convergecast",
+        ).at_root
+        return {sid: val for sid, val in at_root.items() if val is not None}
 
     def push_up(self, value_of: Dict[int, object], agg: Aggregation) -> Dict[int, object]:
-        received = self._broadcast_values(value_of)
-        sends = []
-        for sid, (u, v, _t) in self.chosen.items():
-            if sid in value_of:
-                sends.append((u, v, ("up", received.get(u, value_of[sid]))))
-        program = _CrossEdgeProgram(sends)
-        program.name = f"{self.prefix}_cross_up"
-        stats = self.engine.run(program, max_ticks=2)
-        self.ledger.charge(stats)
-        values: List[object] = [None] * self.net.n
-        for v, incoming in program.received.items():
-            for _u, payload in incoming:
-                _tag, value = payload
-                values[v] = agg.merge(values[v], value)
-        at_root = self._convergecast(values, agg)
-        return {sid: val for sid, val in at_root.items() if val is not None}
+        return self._push(value_of, self._up, "up", agg)
 
     def push_down(self, value_of: Dict[int, object]) -> Dict[int, object]:
-        if not self._announced:
+        if self._down is None:
             self.announce_requests()
-        received = self._broadcast_values(value_of)
-        sends = []
-        for target_sid, holders in self.in_edges.items():
-            for v, u, _src_sid in holders:
-                if target_sid in value_of:
-                    sends.append((v, u, ("down", received.get(v))))
-        program = _CrossEdgeProgram(sends)
-        program.name = f"{self.prefix}_cross_down"
-        stats = self.engine.run(program, max_ticks=2)
-        self.ledger.charge(stats)
-        values: List[object] = [None] * self.net.n
-        for u, incoming in program.received.items():
-            for _v, payload in incoming:
-                _tag, value = payload
-                values[u] = value if values[u] is None else min(values[u], value)
-        at_root = self._convergecast(values, MIN)
-        return {sid: val for sid, val in at_root.items() if val is not None}
+        return self._push(value_of, self._down, "down", MIN)
 
     def push_pred(self, value_of: Dict[int, object], agg: Aggregation) -> Dict[int, object]:
         return self.push_up(value_of, agg)

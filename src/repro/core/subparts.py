@@ -68,14 +68,14 @@ class SubPartDivision:
     def validate(self, diameter_bound: Optional[int] = None) -> None:
         """Check Definition 4.1: sub-parts nest in parts; trees span them."""
         part_of = self.partition.part_of
-        for v in range(len(part_of)):
-            rep = self.rep_of[v]
+        roots = self.forest.plan.root_of.tolist()
+        for v, rep in enumerate(self.rep_of):
             if part_of[rep] != part_of[v]:
                 raise ValueError(
                     f"node {v} (part {part_of[v]}) has representative {rep}"
                     f" in part {part_of[rep]}"
                 )
-            if self.forest.root_of(v) != rep:
+            if roots[v] != rep:
                 raise ValueError(f"rep_of[{v}] disagrees with the forest")
         if diameter_bound is not None:
             if self.forest.height() > diameter_bound:
@@ -137,6 +137,7 @@ def _coverage_check(
     if same_part_mask is not None and getattr(engine, "use_arrays", False):
         import numpy as np
 
+        from ..congest.arrays import PayloadColumns
         from .array_kernels import (
             ConvergecastArrayKernel,
             UncoveredAnnounceArrayKernel,
@@ -160,7 +161,7 @@ def _coverage_check(
             )
             flag_col[heard[covered_np[heard]]] = 1
         cast = ConvergecastArrayKernel(
-            forest, [count_col, flag_col], op="sum", tuple_payload=True
+            forest, PayloadColumns([count_col, flag_col]), op="sum"
         )
         cast.name = f"{name}_convergecast"
         stats = engine.run(cast, max_ticks=forest.height() + 2)

@@ -32,8 +32,11 @@ fails loudly rather than silently looping.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
+import numpy as np
+
+from ..congest.arrays import PayloadColumns
 from ..congest.engine import Context, Engine, Inbox, Program
 from ..congest.ledger import CostLedger
 from ..congest.network import Network
@@ -43,35 +46,8 @@ from .star_joining import SuperEdge, TreeSuperOps, compute_star_joining
 from .subparts import SubPartDivision
 from .treeops import broadcast as tree_broadcast
 from .treeops import convergecast as tree_convergecast
+from .treeops import cross_round
 from .trees import ABSENT, ROOT, RootedForest
-
-
-class _AnnounceProgram(Program):
-    """One round: every node tells in-part neighbors (subpart uid, complete)."""
-
-    name = "det_announce"
-
-    def __init__(self, net: Network, part_of: Sequence[int],
-                 rep_uid_of: Sequence[int], complete_of: Sequence[bool]) -> None:
-        self.net = net
-        self.part_of = part_of
-        self.rep_uid_of = rep_uid_of
-        self.complete_of = complete_of
-        #: per node: neighbor -> (rep_uid, complete)
-        self.view: Dict[int, Dict[int, Tuple[int, bool]]] = {}
-
-    def on_start(self, ctx: Context) -> None:
-        for v in range(self.net.n):
-            payload = ("nb", self.rep_uid_of[v], self.complete_of[v])
-            for nb in self.net.neighbors[v]:
-                if self.part_of[nb] == self.part_of[v]:
-                    ctx.send(v, nb, payload)
-
-    def on_node(self, ctx: Context, node: int, inbox: Inbox) -> None:
-        view = self.view.setdefault(node, {})
-        for sender, payload in inbox:
-            _tag, rep_uid, complete = payload
-            view[sender] = (rep_uid, complete)
 
 
 class _MergeProgram(Program):
@@ -134,8 +110,15 @@ def build_subpart_division_deterministic(
 ) -> SubPartDivision:
     """Algorithm 6: deterministic sub-part division via star joinings."""
     n = net.n
-    part_of = partition.part_of
     threshold = max(1, diameter)
+    arrays = net.array_views
+    uid = arrays.uid
+    # The announce round's edges: every directed edge inside a part.
+    part_of = np.asarray(partition.part_of, dtype=np.int64)
+    in_part = part_of[arrays.src_of_slot] == part_of[arrays.adj]
+    ann_src, ann_dst = arrays.src_of_slot[in_part], arrays.adj[in_part]
+
+    ones = PayloadColumns([np.ones(n, dtype=np.int64)], bare=True)
 
     parent: List[int] = [ROOT] * n
     rep_of: List[int] = list(range(n))
@@ -158,7 +141,7 @@ def build_subpart_division_deterministic(
         # Completeness by size (line 15) -- convergecast sizes, then
         # broadcast the verdict so every member knows its flag.
         sizes, _ = tree_convergecast(
-            engine, forest, SUM, [1] * n, ledger, name="det_sizes"
+            engine, forest, SUM, ones, ledger, name="det_sizes"
         )
         changed = {}
         for sid, size in sizes.items():
@@ -175,28 +158,34 @@ def build_subpart_division_deterministic(
             break
 
         # 1. Announce (sub-part id, completeness) to in-part neighbors.
-        announce = _AnnounceProgram(
-            net, part_of, [net.uid[rep_of[v]] for v in range(n)], complete
-        )
-        stats = engine.run(announce, max_ticks=2)
-        ledger.charge(stats)
+        rep_uids = uid[np.asarray(rep_of, dtype=np.int64)]
+        done = np.asarray(complete, dtype=bool)
+        nb, me, heard = cross_round(
+            engine,
+            (
+                ann_src, ann_dst,
+                PayloadColumns(
+                    [rep_uids[ann_src], done[ann_src]], (False, True), tag="nb"
+                ),
+            ),
+            ledger, name="det_announce",
+        ).delivered
+        nb_rep_uid, nb_done = heard.cols
 
         # 2. Choose outgoing edges: prefer incomplete targets (lines 6-9).
-        values: List[Optional[Tuple[int, int, int]]] = [None] * n
-        for v in range(n):
-            if complete[v]:
-                continue
-            my_rep_uid = net.uid[rep_of[v]]
-            best = None
-            for nb, (nb_rep_uid, nb_complete) in announce.view.get(v, {}).items():
-                if nb_rep_uid == my_rep_uid:
-                    continue
-                cand = (1 if nb_complete else 0, net.uid[v], net.uid[nb])
-                if best is None or cand < best:
-                    best = cand
-            values[v] = best
+        # Each incomplete node offers the least (target complete?, own
+        # uid, neighbor uid) over its neighbors in other sub-parts: with
+        # the rows sorted that way, the first row of each node.
+        rows = np.flatnonzero(~done[me] & (nb_rep_uid != rep_uids[me]))
+        rows = rows[np.lexsort((uid[nb[rows]], nb_done[rows], me[rows]))]
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = me[rows[1:]] != me[rows[:-1]]
+        rows = rows[first]
+        offers = PayloadColumns(
+            [nb_done[rows], uid[me[rows]], uid[nb[rows]]]
+        ).scatter(n, me[rows])
         chosen_at_rep, _ = tree_convergecast(
-            engine, forest, MIN_TUPLE, values, ledger, name="det_choose"
+            engine, forest, MIN_TUPLE, offers, ledger, name="det_choose"
         )
 
         # Sub-parts with no outgoing in-part edge span their part: complete.
@@ -270,11 +259,10 @@ def build_subpart_division_deterministic(
                 rep_of[v] = v
 
     forest = RootedForest(net, parent)
-    rep_final = [forest.root_of(v) for v in range(n)]
     division = SubPartDivision(
         partition=partition,
         forest=forest,
-        rep_of=tuple(rep_final),
+        rep_of=tuple(forest.plan.root_of.tolist()),
         part_leader=tuple(leaders),
     )
     division.validate()

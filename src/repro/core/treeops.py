@@ -3,7 +3,13 @@
 These are the communication workhorses every higher-level algorithm calls.
 All of them operate on *forests* — many trees in parallel in a single
 phase — because the paper's algorithms always run all parts / sub-parts /
-fragments concurrently, relying on the trees being edge-disjoint.
+fragments concurrently, relying on the trees being edge-disjoint.  The
+one-round exchange over explicit edges that glues two forest phases
+together (:func:`cross_round`) lives here too.
+
+Each function picks the array kernel of :mod:`repro.core.array_kernels`
+or the scalar program below from ``engine.use_arrays`` and the payloads'
+shape alone (:func:`_kernel`); outputs and ledger are the same either way.
 
 Costs (metered, but also the design targets):
 
@@ -14,16 +20,27 @@ Costs (metered, but also the design targets):
 * :func:`claim_bfs` — rounds <= depth limit + 2, messages <= 2m + n
   (each node announces its claim once per incident edge, plus one
   parent-ack).
+* :func:`cross_round` — 1 round, one message per send.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
+from ..congest.arrays import KernelDecline, PayloadColumns, note_kernel_fallback
 from ..congest.engine import Context, Engine, Inbox, Program
 from ..congest.ledger import CostLedger, PhaseStats
 from ..congest.network import Network
-from .aggregation import Aggregation
+from .aggregation import Aggregation, merge_inboxes
+from .array_kernels import (
+    BroadcastArrayKernel,
+    ClaimBfsArrayKernel,
+    ConvergecastArrayKernel,
+    CrossRoundArrayKernel,
+    fold_op,
+)
 from .trees import ABSENT, ROOT, RootedForest
 
 
@@ -54,6 +71,10 @@ class BroadcastProgram(Program):
             self.received[node] = value
             for child in self.forest.children[node]:
                 ctx.send(node, child, value)
+
+    def received_at(self, nodes: Sequence[int]) -> List[object]:
+        """What each of ``nodes`` received (``None`` if nothing reached it)."""
+        return [self.received.get(v) for v in nodes]
 
 
 class ConvergecastProgram(Program):
@@ -228,6 +249,102 @@ class FloodMinProgram(Program):
             self._announce(ctx, node)
 
 
+def _send_columns(sends) -> Tuple[np.ndarray, np.ndarray, PayloadColumns]:
+    """``sends`` as ``(src, dst, payloads)`` columns, or :class:`KernelDecline`."""
+    if not isinstance(sends, tuple):
+        sends = zip(*sends) if sends else ((), (), ())
+    src, dst, payloads = sends
+    return (
+        np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64),
+        PayloadColumns.pack(payloads),
+    )
+
+
+class CrossRoundProgram(Program):
+    """One round: send a payload across each given directed graph edge.
+
+    ``sends`` lists ``(src, dst, payload)`` triples, or holds the same
+    column-wise as ``(src array, dst array, payload sequence)``;
+    ``received[v]`` is v's inbox of ``(sender, payload)`` pairs,
+    sender-sorted.
+    """
+
+    name = "cross_round"
+
+    def __init__(self, sends) -> None:
+        self.sends = sends
+        self.received: Dict[int, List[Tuple[int, object]]] = {}
+
+    def on_start(self, ctx: Context) -> None:
+        sends = self.sends
+        if isinstance(sends, tuple):
+            src, dst, payloads = sends
+            sends = zip(src.tolist(), dst.tolist(), payloads)
+        for src, dst, payload in sends:
+            ctx.send(src, dst, payload)
+
+    def on_node(self, ctx: Context, node: int, inbox: Inbox) -> None:
+        self.received.setdefault(node, []).extend(inbox)
+
+    @property
+    def delivered(self) -> Tuple[np.ndarray, np.ndarray, PayloadColumns]:
+        """``received`` as ``(src, dst, payloads)`` columns, row for row.
+
+        The one round delivers every send, to nodes in ascending order
+        and sender-sorted within an inbox: the sends, stably sorted by
+        ``(dst, src)``.  :class:`KernelDecline` if no layout holds the
+        payloads.
+        """
+        src, dst, payloads = _send_columns(self.sends)
+        order = np.lexsort((src, dst))
+        return src[order], dst[order], payloads.take(order)
+
+    def merged(self, agg: Aggregation, n: int) -> Sequence[object]:
+        """Per node, the ``agg``-merge of the ``(tag, value)`` payloads it
+        received; see :func:`~repro.core.aggregation.merge_inboxes`.
+        """
+        return merge_inboxes(self.received, agg, n)
+
+
+def _kernel(engine: Engine, phase: str, build: Callable[[], Program]):
+    """The array kernel ``build`` makes for ``phase``, or ``None``.
+
+    ``None`` means the scalar program runs: because the engine is not an
+    array engine, or because ``build`` declined the payload — which is
+    noted on the trace, with the reason, as ``kernel_fallback``.
+    """
+    if not getattr(engine, "use_arrays", False):
+        return None
+    try:
+        return build()
+    except KernelDecline as decline:
+        note_kernel_fallback(phase, decline.reason)
+        return None
+
+
+def run_broadcast(
+    engine: Engine,
+    forest: RootedForest,
+    root_values: Dict[int, object],
+    ledger: CostLedger,
+    name: str = "tree_broadcast",
+):
+    """Run a forest broadcast phase; returns the finished program.
+
+    Either a :class:`BroadcastProgram` or its array twin: both offer
+    ``received`` and ``received_at(nodes)``.
+    """
+    program = _kernel(engine, name, lambda: BroadcastArrayKernel(
+        forest, root_values, PayloadColumns.pack(list(root_values.values()))
+    ))
+    if program is None:
+        program = BroadcastProgram(forest, root_values)
+    program.name = name
+    stats = engine.run(program, max_ticks=forest.height() + 2)
+    ledger.charge(stats)
+    return program
+
+
 def broadcast(
     engine: Engine,
     forest: RootedForest,
@@ -236,49 +353,35 @@ def broadcast(
     name: str = "tree_broadcast",
 ) -> Dict[int, object]:
     """Run a forest broadcast phase; returns per-node received values."""
-    program = BroadcastProgram(forest, root_values)
-    program.name = name
-    stats = engine.run(program, max_ticks=forest.height() + 2)
-    ledger.charge(stats)
-    return program.received
+    return run_broadcast(engine, forest, root_values, ledger, name).received
 
 
-def _array_convergecast(
+def run_convergecast(
     engine: Engine,
     forest: RootedForest,
     agg: Aggregation,
     values: Sequence[object],
+    ledger: CostLedger,
+    name: str = "tree_convergecast",
 ):
-    """Build the array kernel for this convergecast, or None if the scalar
-    program must run (non-int values, unsupported combine, overflow risk).
+    """Run a forest convergecast; returns the finished program.
+
+    Either a :class:`ConvergecastProgram` or its array twin: both offer
+    ``at_root`` and ``partial``.  The kernel runs when ``values`` fit a
+    column layout that a ufunc folds (see
+    :func:`~repro.core.array_kernels.fold_op`).
     """
-    if not getattr(engine, "use_arrays", False):
-        return None
-    from .aggregation import MAX, MIN, SUM
+    def build():
+        columns = PayloadColumns.pack(values)
+        return ConvergecastArrayKernel(forest, columns, fold_op(agg, columns))
 
-    if agg is SUM:
-        op = "sum"
-    elif agg is MIN:
-        op = "min"
-    elif agg is MAX:
-        op = "max"
-    else:
-        return None
-    import numpy as np
-
-    col = np.zeros(forest.net.n, dtype=np.int64)
-    total = 0
-    for v in forest.members():
-        value = values[v]
-        if type(value) is not int:
-            return None
-        total += value if value >= 0 else -value
-        col[v] = value
-    if total >= 1 << 62:  # folded sums must stay exact in int64
-        return None
-    from .array_kernels import ConvergecastArrayKernel
-
-    return ConvergecastArrayKernel(forest, [col], op=op)
+    program = _kernel(engine, name, build)
+    if program is None:
+        program = ConvergecastProgram(forest, agg, values)
+    program.name = name
+    stats = engine.run(program, max_ticks=forest.height() + 2)
+    ledger.charge(stats)
+    return program
 
 
 def convergecast(
@@ -290,13 +393,32 @@ def convergecast(
     name: str = "tree_convergecast",
 ) -> Tuple[Dict[int, object], Dict[int, object]]:
     """Run a forest convergecast; returns (aggregate at roots, subtree partials)."""
-    program = _array_convergecast(engine, forest, agg, values)
-    if program is None:
-        program = ConvergecastProgram(forest, agg, values)
-    program.name = name
-    stats = engine.run(program, max_ticks=forest.height() + 2)
-    ledger.charge(stats)
+    program = run_convergecast(engine, forest, agg, values, ledger, name)
     return program.at_root, program.partial
+
+
+def cross_round(
+    engine: Engine,
+    sends,
+    ledger: CostLedger,
+    name: str = "cross_round",
+):
+    """One round over explicit directed edges; returns the finished program.
+
+    ``sends`` is a list of ``(src, dst, payload)`` triples, or the same
+    column-wise: ``(src array, dst array, payload sequence)``, where a
+    :class:`~repro.congest.arrays.PayloadColumns` goes to the kernel as it
+    is.  The program is a :class:`CrossRoundProgram` or its array twin;
+    both offer ``received``, ``delivered`` and ``merged(agg, n)``.
+    """
+    program = _kernel(
+        engine, name, lambda: CrossRoundArrayKernel(*_send_columns(sends))
+    )
+    if program is None:
+        program = CrossRoundProgram(sends)
+    program.name = name
+    ledger.charge(engine.run(program, max_ticks=2))
+    return program
 
 
 def claim_bfs(
@@ -325,10 +447,6 @@ def claim_bfs(
         and all(type(t) is int for t in tokens.values())
     )
     if use_kernel:
-        import numpy as np
-
-        from .array_kernels import ClaimBfsArrayKernel
-
         program = ClaimBfsArrayKernel(
             net,
             np.fromiter(tokens.keys(), dtype=np.int64, count=len(tokens)),

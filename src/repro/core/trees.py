@@ -25,6 +25,85 @@ ROOT = -1
 ABSENT = -2
 
 
+class ForestPlan:
+    """The array form of one :class:`RootedForest`, derived once.
+
+    Everything the schedule-precomputed kernels of
+    :mod:`repro.core.array_kernels` need and that depends only on the
+    (immutable) parent pointers, so that a kernel built per phase costs
+    its own data and nothing of the forest's: the level structure, the
+    convergecast send ticks and fire orders, and each node's root.
+    Read it through :attr:`RootedForest.plan`.
+
+    Attributes
+    ----------
+    parent, depth:
+        The forest's ``parent`` / ``depth`` as int64 arrays.
+    order:
+        ``RootedForest.order`` (BFS from the roots) as an array.
+    by_level, level_starts:
+        Non-root members sorted by ``(depth, node)``; level ``d >= 1`` is
+        ``by_level[level_starts[d - 1]:level_starts[d]]``.  Node-ascending
+        within a level is the scalar engine's activation order.
+    levels:
+        ``(nodes, parents)`` per level ``1..height``, slices of the above.
+    root_of:
+        Root of each member's tree; a non-member maps to itself, as
+        :meth:`RootedForest.root_of` always did.
+    senders, sender_parents, send_groups:
+        Convergecast schedule: non-root members sorted by ``(send tick,
+        node)`` where a node's send tick is its subtree height; tick
+        ``t``'s senders are ``senders[send_groups[t]:send_groups[t + 1]]``.
+    root_fire:
+        Roots in the order their aggregates complete: ``(subtree height,
+        node)`` — the scalar convergecast's ``at_root`` insertion order.
+    """
+
+    __slots__ = (
+        "parent", "depth", "order", "by_level", "level_starts", "levels",
+        "root_of", "senders", "sender_parents", "send_groups", "root_fire",
+    )
+
+    def __init__(
+        self, parent: np.ndarray, depth: np.ndarray, order: np.ndarray
+    ) -> None:
+        self.parent = parent
+        self.depth = depth
+        self.order = order
+        below = np.flatnonzero(parent >= 0)
+        self.by_level = below[np.argsort(depth[below], kind="stable")]
+        height = int(depth[self.by_level[-1]]) if below.size else 0
+        self.level_starts = np.searchsorted(
+            depth[self.by_level], np.arange(1, height + 2)
+        )
+        self.levels: List[Tuple[np.ndarray, np.ndarray]] = []
+        lo = 0
+        for hi in self.level_starts[1:].tolist():
+            nodes = self.by_level[lo:hi]
+            self.levels.append((nodes, parent[nodes]))
+            lo = hi
+
+        root_of = np.arange(parent.size, dtype=np.int64)
+        for nodes, parents in self.levels:
+            root_of[nodes] = root_of[parents]
+        self.root_of = root_of
+
+        send_tick = np.zeros(parent.size, dtype=np.int64)
+        for nodes, parents in reversed(self.levels):
+            np.maximum.at(send_tick, parents, send_tick[nodes] + 1)
+        # ``below`` is node-ascending, so a stable sort by tick leaves each
+        # tick's senders ascending: the order the scalar nodes fire in.
+        ticks = send_tick[below]
+        by_tick = np.argsort(ticks, kind="stable")
+        self.senders = below[by_tick]
+        self.sender_parents = parent[self.senders]
+        self.send_groups = np.searchsorted(
+            ticks[by_tick], np.arange(height + 2)
+        )
+        roots = np.flatnonzero(parent == ROOT)
+        self.root_fire = roots[np.argsort(send_tick[roots], kind="stable")]
+
+
 class RootedForest:
     """A forest of rooted trees whose edges are network edges.
 
@@ -103,6 +182,8 @@ class RootedForest:
         self.depth: Tuple[int, ...] = tuple(depth.tolist())
         #: Topological (BFS) order from the roots: parents precede children.
         self.order: Tuple[int, ...] = tuple(order)
+        self._plan: Optional[ForestPlan] = None
+        self._root_list: Optional[List[int]] = None
         # The forest is immutable, so its height is fixed at construction
         # (the BFS order visits deepest nodes last).
         self._height: int = self.depth[order[-1]] if order else 0
@@ -128,11 +209,25 @@ class RootedForest:
         """Maximum depth over all forest nodes (0 for a single root)."""
         return self._height
 
+    @property
+    def plan(self) -> ForestPlan:
+        """This forest's :class:`ForestPlan`, computed on first use.
+
+        One plan per forest object: the forest is immutable, so the plan
+        is never invalidated, and it is never shared with another forest.
+        """
+        if self._plan is None:
+            self._plan = ForestPlan(*(
+                np.asarray(column, dtype=np.int64)
+                for column in (self.parent, self.depth, self.order)
+            ))
+        return self._plan
+
     def root_of(self, v: int) -> int:
-        """Root of the tree containing ``v`` (walks parent pointers)."""
-        while self.parent[v] >= 0:
-            v = self.parent[v]
-        return v
+        """Root of the tree containing ``v`` (``v`` itself outside the forest)."""
+        if self._root_list is None:
+            self._root_list = self.plan.root_of.tolist()
+        return self._root_list[v]
 
     def path_to_root(self, v: int) -> List[int]:
         """Nodes on the path v -> root, inclusive."""

@@ -571,6 +571,7 @@ def plan_pa_waves(
     randomized: bool = False,
     rng: Optional[random.Random] = None,
     max_ticks: Optional[int] = None,
+    phase_prefix: str = "pa",
 ) -> WavePlan:
     """Compute the :class:`WavePlan` for one wave pass.
 
@@ -618,7 +619,9 @@ def plan_pa_waves(
         delays=delays,
         max_ticks=max_ticks,
         leader_tokens=leader_tokens,
-        use_array=array_wave_supported(engine, values, agg, leader_tokens),
+        use_array=array_wave_supported(
+            engine, values, agg, leader_tokens, phase=f"{phase_prefix}_wave"
+        ),
     )
 
 
@@ -645,6 +648,7 @@ def run_pa_waves(
     plan = plan_pa_waves(
         engine, net, partition, division, shortcut, values, agg,
         randomized=randomized, rng=rng, max_ticks=max_ticks,
+        phase_prefix=phase_prefix,
     )
     return run_planned_waves(
         engine, net, partition, division, shortcut, annotations,

@@ -63,6 +63,9 @@ class TraceSummary:
     async_safes: int = 0
     #: instant-event counts by name (fast-forwards, faults, session ops).
     event_counts: Dict[str, int] = field(default_factory=dict)
+    #: ``kernel_fallback`` instants by reason code: phases an array engine
+    #: ran on the scalar program because the kernel declined the payload.
+    kernel_fallbacks: Dict[str, int] = field(default_factory=dict)
 
     @property
     def main_totals(self) -> Tuple[int, int]:
@@ -116,6 +119,11 @@ def summarize(events: Sequence[Dict]) -> TraceSummary:
                 out.async_safes += args.get("safe_messages", 0)
         elif event.get("ph") == "i" and cat != "ledger":
             out.event_counts[name] = out.event_counts.get(name, 0) + 1
+            if name == "kernel_fallback":
+                reason = args.get("reason", "?")
+                out.kernel_fallbacks[reason] = (
+                    out.kernel_fallbacks.get(reason, 0) + 1
+                )
     out.stream_totals = {k: (v[0], v[1]) for k, v in totals.items()}
     return out
 
@@ -196,6 +204,14 @@ def render_summary(summary: TraceSummary, top: int = 10) -> str:
             f"safe_messages={summary.async_safes} "
             f"(control/payload = {control / payloads:.2f}x)"
         )
+    if summary.kernel_fallbacks:
+        lines.append("")
+        lines.append(
+            f"kernel fallbacks ({sum(summary.kernel_fallbacks.values())}"
+            " phases ran scalar on an array engine), by reason:"
+        )
+        for reason in sorted(summary.kernel_fallbacks):
+            lines.append(f"  {reason}: {summary.kernel_fallbacks[reason]}")
     if summary.event_counts:
         lines.append("")
         lines.append("events:")

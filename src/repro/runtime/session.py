@@ -457,6 +457,7 @@ class PASession:
             solver.engine, solver.net, setup.partition, setup.division,
             setup.shortcut, values, agg,
             randomized=(solver.mode == RANDOMIZED), rng=solver.rng,
+            phase_prefix=phase_prefix,
         )
         try:
             outcome = self._shard_orchestrator().solve(

@@ -17,24 +17,29 @@ import pytest
 
 from repro.algorithms import cc_labeling, minimum_spanning_tree
 from repro.analysis import kruskal_mst
+from repro.congest import CostLedger, Engine, Network
 from repro.core import (
     DETERMINISTIC,
     MAX,
     MIN,
+    MIN_TUPLE,
     PASolver,
     RANDOMIZED,
     SUM,
+    convergecast,
     solve_pa,
 )
 from repro.graphs import (
     bfs_ball_partition,
     grid_2d,
+    path_graph,
     preferential_attachment,
     random_connected,
     random_connected_partition,
     random_regular,
     with_distinct_weights,
 )
+from repro.obs import Tracer, use_tracer
 from repro.runtime import PASession
 
 
@@ -104,8 +109,6 @@ def test_pa_parity_with_tuple_values_falls_back_identically():
     net = random_connected(30, 0.12, seed=21, uid_seed=21)
     partition = random_connected_partition(net, 4, seed=8)
     values = [(net.uid[v] % 7, net.uid[v]) for v in range(net.n)]
-    from repro.core import MIN_TUPLE
-
     sc = solve_pa(net, partition, values, MIN_TUPLE, seed=2,
                   solver=_solver(net, "scalar", seed=2))
     ar = solve_pa(net, partition, values, MIN_TUPLE, seed=2,
@@ -158,3 +161,116 @@ def test_parity_covers_every_named_phase():
     names = {p[0] for p in sc_log}
     assert any("wave" in name for name in names)
     assert len(sc_log) > 3
+
+
+# ----------------------------------------------------------------------
+# The deterministic set-up (Algorithms 5 and 6) on the multi-column
+# broadcast / convergecast / cross-round kernels
+# ----------------------------------------------------------------------
+def _star_of_cliques(cliques=5, size=6, uid_seed=4):
+    """A hub joined to one node of each of ``cliques`` ``size``-cliques."""
+    edges = []
+    for c in range(cliques):
+        base = 1 + c * size
+        edges.append((0, base))
+        edges.extend(
+            (base + i, base + j) for i in range(size) for j in range(i + 1, size)
+        )
+    return Network(edges, uid_seed=uid_seed)
+
+
+def _det_prepare(net, partition, impl):
+    """Strict-bits deterministic prepare: (phase log with bits, division)."""
+    solver = PASolver(
+        net, mode=DETERMINISTIC, seed=5, engine_impl=impl, strict_bits=True
+    )
+    setup = solver.prepare(partition)
+    log = [
+        (p.name, p.rounds, p.messages, p.ticks, p.bits)
+        for p in setup.setup_ledger.phases()
+    ]
+    division = setup.division
+    return log, (division.forest.parent, division.rep_of)
+
+
+def _det_inputs():
+    grid = grid_2d(8, 9, uid_seed=3)
+    regular = random_regular(120, 4, seed=7, uid_seed=7)
+    path = path_graph(48, uid_seed=2)
+    cliques = _star_of_cliques()
+    return [
+        ("grid", grid, bfs_ball_partition(grid, 12, seed=4)),
+        ("regular", regular, bfs_ball_partition(regular, 20, seed=4)),
+        ("path", path, bfs_ball_partition(path, 16, seed=1)),
+        ("star-of-cliques", cliques, random_connected_partition(cliques, 3, seed=2)),
+    ]
+
+
+@pytest.mark.parametrize("kind,net,partition", _det_inputs())
+def test_deterministic_prepare_bit_for_bit_across_engines(kind, net, partition):
+    sc_log, sc_division = _det_prepare(net, partition, "scalar")
+    ar_log, ar_division = _det_prepare(net, partition, "array")
+    assert ar_log == sc_log
+    assert ar_division == sc_division
+    # Sub-part trees more than one level deep actually ran.
+    assert any(name.startswith("det_star_2_") for name, *_ in sc_log)
+
+
+def test_deterministic_prepare_reaches_the_kernels_and_declines_a_huge_uid():
+    net = random_regular(60, 4, seed=3, uid_seed=3)
+    partition = bfs_ball_partition(net, 15, seed=2)
+    families = (
+        "det_announce", "det_choose", "det_edge_bcast", "_cross_down",
+        "_convergecast",
+    )
+
+    def declined(target):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            log, division = _det_prepare(target, partition, "array")
+        reasons = {}
+        for event in tracer.events:
+            if event["name"] == "kernel_fallback":
+                reasons.setdefault(event["args"]["phase"], set()).add(
+                    event["args"]["reason"]
+                )
+        return log, division, reasons
+
+    # Ordinary uids: every Algorithm 5/6 exchange stays on its kernel.
+    log, division, reasons = declined(net)
+    assert (log, division) == _det_prepare(net, partition, "scalar")
+    assert not [
+        phase for phase in reasons
+        if any(family in phase for family in families)
+    ]
+
+    # One uid at 2**62: the fold that would carry it declines (``overflow``)
+    # to the scalar program, and the ledger still matches the scalar engine's.
+    huge = random_regular(60, 4, seed=3, uid_seed=3)
+    uids = list(huge.uid)
+    uids[uids.index(max(uids))] = (1 << 62) + 7
+    huge.__dict__["uid"] = tuple(uids)
+    log, division, reasons = declined(huge)
+    assert (log, division) == _det_prepare(huge, partition, "scalar")
+    assert "overflow" in reasons["det_choose"]
+
+
+def test_mixed_shape_values_decline_to_the_scalar_convergecast():
+    net = grid_2d(5, 5, uid_seed=1)
+    forest = PASolver(net, seed=1).tree
+    # Tuples of two lengths order fine under min(), but share no layout.
+    values = [(v % 3, v) if v % 2 else (v % 3, v, 1) for v in range(net.n)]
+    outcomes = []
+    for use_arrays in (False, True):
+        ledger = CostLedger()
+        tracer = Tracer()
+        with use_tracer(tracer):
+            at_root, partial = convergecast(
+                Engine(net, use_arrays=use_arrays), forest, MIN_TUPLE, values,
+                ledger, name="mixed",
+            )
+        outcomes.append((at_root, partial, _phase_log(ledger)))
+        assert [
+            e["args"] for e in tracer.events if e["name"] == "kernel_fallback"
+        ] == ([{"phase": "mixed", "reason": "mixed_shape"}] if use_arrays else [])
+    assert outcomes[0] == outcomes[1]

@@ -1,7 +1,7 @@
 """Algorithm 5: star joinings over sub-part trees."""
 
 from repro.congest import CostLedger, Engine
-from repro.core import spanning_forest_of_subsets
+from repro.core import MIN, spanning_forest_of_subsets
 from repro.core.star_joining import TreeSuperOps, compute_star_joining
 from repro.graphs import Partition, grid_2d, path_graph
 
@@ -108,3 +108,33 @@ def test_two_cycle_resolves():
     receivers, joins = compute_star_joining(ops, set(chosen))
     assert len(receivers & set(sid)) == 1
     assert len(joins) == 1
+
+
+def test_pushes_agree_across_engines_whatever_the_values():
+    """Int values ride the kernels, anything else the scalar programs."""
+    net, groups, forest = ring_of_subparts(6, 3)
+    chosen = chain_edges(net, groups, forest)
+    for values in (
+        {sid: 3 * sid + 1 for sid in forest.roots},        # columns all the way
+        {sid: sid / 2 for sid in forest.roots},            # floats: no layout
+        {sid: (sid, -sid) for sid in list(chosen)[::2]},   # tuples, some roots
+    ):
+        outcomes = []
+        for use_arrays in (False, True):
+            ledger = CostLedger()
+            ops = TreeSuperOps(
+                Engine(net, use_arrays=use_arrays), net, forest, chosen, ledger
+            )
+            outcomes.append((
+                ops.push_down(values), ops.push_up(values, MIN),
+                [(p.name, p.rounds, p.messages, p.bits) for p in ledger.phases()],
+            ))
+        assert outcomes[0] == outcomes[1]
+        down, up, _log = outcomes[0]
+        # A source hears its target's value; a target the least of its sources'.
+        assert down == {
+            sid: values[t] for sid, (_u, _v, t) in chosen.items() if t in values
+        }
+        assert up == {
+            t: values[sid] for sid, (_u, _v, t) in chosen.items() if sid in values
+        }

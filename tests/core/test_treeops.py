@@ -1,9 +1,33 @@
 """Broadcast, convergecast and claiming BFS programs."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.congest import CostLedger, Engine
-from repro.core import MIN, ROOT, RootedForest, SUM, broadcast, claim_bfs, convergecast
-from repro.core.treeops import FloodMinProgram
-from repro.graphs import grid_2d, path_graph, star_graph
+from repro.core import (
+    ABSENT,
+    MAX,
+    MAX_TUPLE,
+    MIN,
+    MIN_TUPLE,
+    ROOT,
+    RootedForest,
+    SUM,
+    broadcast,
+    claim_bfs,
+    convergecast,
+)
+from repro.core.array_kernels import (
+    BroadcastArrayKernel,
+    ConvergecastArrayKernel,
+    CrossRoundArrayKernel,
+)
+from repro.core.treeops import (
+    FloodMinProgram,
+    cross_round,
+    run_broadcast,
+    run_convergecast,
+)
+from repro.graphs import complete_graph, grid_2d, path_graph, star_graph
 
 
 def line_forest(net):
@@ -108,3 +132,155 @@ def test_flood_min_agrees_on_minimum(grid4x6):
     engine.run(flood, max_ticks=grid4x6.n + 2)
     target = min(grid4x6.uid)
     assert all(flood.best[v] == target for v in range(grid4x6.n))
+
+
+# ----------------------------------------------------------------------
+# Kernel twins of broadcast / convergecast / cross round: same outputs in
+# the same order, same ledger, on random forests and payloads
+# ----------------------------------------------------------------------
+_SMALL = st.integers(-1000, 1000)
+
+
+@st.composite
+def _forests(draw):
+    """A random forest over a complete graph (every parent is an edge)."""
+    n = draw(st.integers(5, 12))  # >= 48 bits a message: three ints fit
+    net = complete_graph(n, uid_seed=draw(st.integers(0, 5)))
+    label = draw(st.permutations(range(n)))
+    parent = [ABSENT] * n
+    for rank, v in enumerate(label):
+        kind = draw(st.sampled_from(["root", "child", "child", "absent"]))
+        earlier = [u for u in label[:rank] if parent[u] != ABSENT]
+        if kind == "child" and earlier:
+            parent[v] = draw(st.sampled_from(earlier))
+        elif kind != "absent" or rank == 0:
+            parent[v] = ROOT
+    return net, RootedForest(net, parent)
+
+
+def _payloads(draw, count):
+    """``count`` payloads of one drawn shape, some of them ``None``."""
+    width = draw(st.integers(0, 3))
+    if width == 0:
+        value = _SMALL
+    else:
+        value = st.tuples(*[_SMALL] * width)
+    return draw(st.lists(st.none() | value, min_size=count, max_size=count))
+
+
+def _both_engines(net, run):
+    """``run`` on a scalar and an array engine: [(outputs, phase log)]."""
+    out = []
+    for use_arrays in (False, True):
+        ledger = CostLedger()
+        outputs = run(Engine(net, use_arrays=use_arrays), ledger)
+        log = [
+            (p.name, p.rounds, p.messages, p.ticks, p.bits)
+            for p in ledger.phases()
+        ]
+        out.append((outputs, log))
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_convergecast_kernel_matches_the_scalar_program_and_fold(data):
+    net, forest = data.draw(_forests())
+    values = _payloads(data.draw, net.n)
+    bare = all(type(v) is int for v in values if v is not None)
+    agg = data.draw(st.sampled_from(
+        [MIN, MAX, MIN_TUPLE, MAX_TUPLE] + ([SUM] if bare else [])
+    ))
+
+    def run(engine, ledger):
+        program = run_convergecast(engine, forest, agg, values, ledger)
+        assert isinstance(program, ConvergecastArrayKernel) == engine.use_arrays
+        return list(program.at_root.items()), list(program.partial.items())
+
+    (scalar, scalar_log), (array, array_log) = _both_engines(net, run)
+    assert array == scalar
+    assert array_log == scalar_log
+    trees = forest.restrict_roots()
+    assert dict(array[0]) == {
+        root: agg.fold(values[v] for v in members)
+        for root, members in trees.items()
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_broadcast_kernel_matches_the_scalar_program(data):
+    net, forest = data.draw(_forests())
+    roots = data.draw(st.lists(
+        st.sampled_from(forest.roots), unique=True, max_size=len(forest.roots)
+    ))
+    tagged = data.draw(st.booleans())
+    root_values = dict(zip(roots, _payloads(data.draw, len(roots))))
+    if tagged:  # ("v", components..., a bool), as Algorithm 6's ("cpl", flag)
+        root_values = {
+            root: None if value is None else (
+                ("v",) + (value if type(value) is tuple else (value,))
+                + (root % 2 == 0,)
+            )
+            for root, value in root_values.items()
+        }
+    asked = data.draw(st.lists(st.integers(0, net.n - 1), max_size=6))
+
+    def run(engine, ledger):
+        program = run_broadcast(engine, forest, root_values, ledger)
+        assert isinstance(program, BroadcastArrayKernel) == engine.use_arrays
+        return list(program.received.items()), list(program.received_at(asked))
+
+    (scalar, scalar_log), (array, array_log) = _both_engines(net, run)
+    assert array == scalar
+    assert array_log == scalar_log
+    root_of = forest.root_of
+    assert dict(array[0]) == {
+        v: root_values[root_of(v)]
+        for v in forest.members() if root_of(v) in root_values
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_cross_round_kernel_matches_the_scalar_program(data):
+    n = data.draw(st.integers(5, 9))
+    net = complete_graph(n)
+    edges = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1]
+        ),
+        unique=True, max_size=20,
+    ))
+    values = data.draw(
+        st.lists(_SMALL, min_size=len(edges), max_size=len(edges))
+    )
+    shape = data.draw(st.sampled_from(["tagged", "tag-only", "bare", "pair"]))
+    wrap = {
+        "tagged": lambda x: ("up", x), "tag-only": lambda x: ("mark",),
+        "bare": lambda x: x, "pair": lambda x: (x, x < 0),
+    }[shape]
+    sends = [(u, v, wrap(value)) for (u, v), value in zip(edges, values)]
+    agg = data.draw(st.sampled_from([SUM, MIN, MAX]))
+
+    def run(engine, ledger):
+        program = cross_round(engine, sends, ledger, name="x")
+        assert isinstance(program, CrossRoundArrayKernel) == engine.use_arrays
+        src, dst, payloads = program.delivered
+        rows = list(zip(src.tolist(), dst.tolist(), payloads))
+        merged = list(program.merged(agg, n)) if shape == "tagged" else None
+        return (
+            [(v, list(inbox)) for v, inbox in program.received.items()],
+            rows, merged,
+        )
+
+    (scalar, scalar_log), (array, array_log) = _both_engines(net, run)
+    assert array == scalar
+    assert array_log == scalar_log
+    received, rows, merged = array
+    assert rows == [(u, v, p) for v, inbox in received for u, p in inbox]
+    if shape == "tagged":
+        assert merged == [
+            agg.fold(value for (u, w), value in zip(edges, values) if w == v)
+            for v in range(n)
+        ]

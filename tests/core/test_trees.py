@@ -76,3 +76,36 @@ def test_spanning_forest_of_subsets(grid4x6):
     assert forest.size() == 24
     with pytest.raises(ValueError):
         spanning_forest_of_subsets(grid4x6, [[0, 23]])  # not connected
+
+
+def test_plan_is_computed_once_per_forest(path10):
+    forest = RootedForest(path10, [ROOT, 0, 1, ROOT, 3, 4, ABSENT, ROOT, 7, 8])
+    plan = forest.plan
+    assert forest.plan is plan
+    assert plan.root_of.tolist() == [0, 0, 0, 3, 3, 3, 6, 7, 7, 7]
+    assert [forest.root_of(v) for v in range(10)] == plan.root_of.tolist()
+    assert forest.plan is plan  # root_of reads the plan, it does not rebuild it
+    assert [(n.tolist(), p.tolist()) for n, p in plan.levels] == [
+        ([1, 4, 8], [0, 3, 7]), ([2, 5, 9], [1, 4, 8]),
+    ]
+    # Convergecast schedule: leaves at tick 0, then their parents.
+    groups = plan.send_groups.tolist()
+    assert [
+        plan.senders[lo:hi].tolist() for lo, hi in zip(groups, groups[1:])
+    ] == [[2, 5, 9], [1, 4, 8], []]
+    assert plan.root_fire.tolist() == [0, 3, 7]
+
+
+def test_plans_are_never_shared_between_forests(path10):
+    chain = [ROOT] + list(range(9))
+    split = [ROOT, 0, 1, 2, 3, ROOT, 5, 6, 7, 8]
+    one, other, twin = (
+        RootedForest(path10, chain), RootedForest(path10, split),
+        RootedForest(path10, chain),
+    )
+    assert one.plan is not other.plan and one.plan is not twin.plan
+    assert one.plan.root_of.tolist() == [0] * 10
+    assert other.plan.root_of.tolist() == [0] * 5 + [5] * 5
+    assert len(one.plan.levels) == 9 and len(other.plan.levels) == 4
+    # An equal forest gets an equal plan of its own.
+    assert twin.plan.senders.tolist() == one.plan.senders.tolist()

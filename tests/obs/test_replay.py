@@ -27,6 +27,10 @@ from repro.graphs import (
 )
 from repro.obs import Tracer, diff_summaries, summarize, use_tracer
 
+FALLBACK_REASONS = {
+    "none_value", "non_int", "overflow", "unsupported_agg", "mixed_shape",
+}
+
 ENGINES = [
     ("scalar", {"engine_impl": "scalar"}),
     ("array", {"engine_impl": "array"}),
@@ -85,6 +89,15 @@ def test_trace_replays_pa_ledger(workload, label, kwargs, mode, seed):
         # the synchronizer tax is on its own stream, never in main
         tax = _event_totals(tracer, "async_overhead")
         assert tax[0] > 0 and tax[1] > 0
+    # a declined kernel dispatch is an instant naming a phase that was
+    # then charged, with a known reason; only array engines dispatch
+    fallbacks = [e for e in tracer.events if e["name"] == "kernel_fallback"]
+    charged = {e["name"] for e in tracer.ledger_events("main")}
+    for event in fallbacks:
+        assert event["args"]["phase"] in charged
+        assert event["args"]["reason"] in FALLBACK_REASONS
+    if label != "array":
+        assert fallbacks == []
 
 
 @pytest.mark.parametrize("label,kwargs", ENGINES, ids=[e[0] for e in ENGINES])
@@ -123,6 +136,11 @@ def test_trace_replays_mst_ledger():
     with use_tracer(tracer):
         res = minimum_spanning_tree(net, seed=3)
     assert _event_totals(tracer) == (res.rounds, res.messages)
+    # the MST's tuple-valued solves and OR convergecast run scalar on the
+    # (default) array engine, and the trace says so without costing a unit
+    reasons = summarize(tracer.events).kernel_fallbacks
+    assert reasons.get("non_int", 0) > 0
+    assert reasons.get("unsupported_agg", 0) > 0
 
 
 def test_trace_replays_random_graph_partitions():

@@ -39,6 +39,11 @@ def _sample_tracer():
     tracer.instant("fast_forward", "engine.ff", {"skipped": 9})
     tracer.instant("fast_forward", "engine.ff", {"skipped": 2})
     tracer.instant("crash", "fault", {"node": 3})
+    for reason in ("non_int", "non_int", "overflow"):
+        tracer.instant(
+            "kernel_fallback", "engine.fallback",
+            {"phase": "wave", "reason": reason},
+        )
     tracer.counter("wave", {"tick": 0, "messages": 4})
     return tracer
 
@@ -67,7 +72,10 @@ def test_summarize_collects_wall_async_and_event_counts():
     assert summary.async_acks == 15
     assert summary.async_safes == 30
     # counters and ledger events are not instant events; spans neither
-    assert summary.event_counts == {"fast_forward": 2, "crash": 1}
+    assert summary.event_counts == {
+        "fast_forward": 2, "crash": 1, "kernel_fallback": 3,
+    }
+    assert summary.kernel_fallbacks == {"non_int": 2, "overflow": 1}
 
 
 def test_top_phases_orders_by_column_then_name():
@@ -101,6 +109,8 @@ def test_render_summary_mentions_all_sections():
     assert "sync-vs-async overhead" in text
     assert "control/payload" in text
     assert "fast_forward: 2" in text
+    assert "kernel fallbacks (3 phases ran scalar" in text
+    assert "  non_int: 2" in text
 
 
 def test_render_summary_empty_trace():
