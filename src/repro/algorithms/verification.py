@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..congest.engine import Engine
 from ..congest.ledger import CostLedger, RunResult
 from ..congest.network import Network, canonical_edge
@@ -271,16 +273,19 @@ def verify_bipartiteness(
     run = cc_labeling(net, subgraph_edges, mode=mode, seed=seed, session=session)
     labels = run.output
 
-    edge_set = {canonical_edge(u, v) for u, v in subgraph_edges}
-
-    def in_h(u: int, v: int) -> bool:
-        return canonical_edge(u, v) in edge_set
+    # H's edges, both directions, as a mask over the network's CSR slots.
+    ends = np.asarray(list(subgraph_edges), dtype=np.int64).reshape(-1, 2)
+    in_h = np.isin(
+        net.array_views.edge_keys,
+        np.concatenate((ends[:, 0] * net.n + ends[:, 1],
+                        ends[:, 1] * net.n + ends[:, 0])),
+    )
 
     leaders = {
         v: net.uid[v] for v in range(net.n) if labels[v] == net.uid[v]
     }
     bfs = claim_bfs(
-        solver.engine, net, leaders, run.ledger, allowed=in_h,
+        solver.engine, net, leaders, run.ledger, edge_mask=in_h,
         name="bip_h_bfs",
     )
     parity = [bfs.depth_of[v] % 2 if bfs.depth_of[v] >= 0 else 0

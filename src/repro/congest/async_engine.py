@@ -139,6 +139,10 @@ class AsyncEngine:
     Parameters mirror the synchronous engine plus ``schedule``.
     """
 
+    #: Programs are stepped one node at a time, out of pulse order: every
+    #: phase runs as its scalar twin (see ``treeops._kernel``).
+    use_arrays = False
+
     def __init__(
         self,
         network: Network,

@@ -9,12 +9,14 @@ The stock aggregations cover every use in the paper: MIN/MAX (leader
 election, minimum outgoing edge), SUM/COUNT (part sizes, block counts,
 cut weights), OR/AND (predicate verification), XOR (sketches), and
 MIN_TUPLE / MAX_TUPLE for lexicographic tuple values such as
-``(weight, uid_u, uid_v)`` in Boruvka's algorithm.
+``(weight, uid_u, uid_v)`` in Boruvka's algorithm, and SUM_TUPLE for
+componentwise tuple sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
@@ -65,6 +67,9 @@ XOR = Aggregation("xor", lambda a, b: a ^ b)
 #: outgoing edge represented as (weight, uid_u, uid_v)).
 MIN_TUPLE = Aggregation("min_tuple", min)
 MAX_TUPLE = Aggregation("max_tuple", max)
+#: Componentwise sum over equal-length int tuples (e.g. the coverage
+#: check's (count, flag) pairs).
+SUM_TUPLE = Aggregation("sum_tuple", lambda a, b: tuple(map(add, a, b)))
 
 
 def merge_inboxes(

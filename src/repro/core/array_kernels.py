@@ -1,10 +1,13 @@
 """Array-native kernels for the tree workhorses of :mod:`repro.core.treeops`.
 
 Each kernel is the :class:`~repro.congest.engine.ArrayProgram` twin of one
-scalar program — same name, same wire traffic, same ledger, same outputs —
-with the per-message Python loop replaced by whole-tick numpy passes.  The
-scalar programs remain the semantic reference; the differential parity
-suite runs both and diffs ledgers and outputs.
+scalar program — same constructor arguments, same result accessors, same
+name, wire traffic and ledger — with the per-message Python loop replaced
+by whole-tick numpy passes; a kernel that cannot hold its payloads raises
+:class:`~repro.congest.arrays.KernelDecline` from its constructor, and
+:func:`repro.core.treeops.run_phase` runs the twin instead.  The scalar
+programs remain the semantic reference; the differential parity suite
+runs both and diffs ledgers and outputs.
 
 A note on emission order: the scalar programs interleave sends per node
 (e.g. a claim-BFS node acks its parent, then spreads).  All programs in
@@ -39,6 +42,7 @@ from .aggregation import (
     MIN,
     MIN_TUPLE,
     SUM,
+    SUM_TUPLE,
     Aggregation,
     merge_inboxes,
 )
@@ -49,13 +53,13 @@ _NO_TOKEN = np.int64(1) << np.int64(62)
 
 
 def expand_neighbors(
-    arrays, nodes: np.ndarray, slot_mask: Optional[np.ndarray] = None
+    arrays, nodes: np.ndarray, edge_mask: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR fan-out: one row per (node, neighbor) pair, node order preserved.
 
     Returns ``(src, dst, slot)`` where ``slot`` indexes the CSR slot of
     each row; rows follow ``nodes`` order with each node's neighbors
-    ascending — exactly the scalar programs' send order.  ``slot_mask``
+    ascending — exactly the scalar programs' send order.  ``edge_mask``
     (a per-CSR-slot bool array) filters rows without reordering.
     """
     counts = arrays.degrees[nodes]
@@ -72,39 +76,76 @@ def expand_neighbors(
     )
     src = np.repeat(nodes, counts)
     dst = arrays.adj[slot]
-    if slot_mask is not None:
-        keep = slot_mask[slot]
+    if edge_mask is not None:
+        keep = edge_mask[slot]
         return src[keep], dst[keep], slot[keep]
     return src, dst, slot
+
+
+def masked_neighbors(arrays, edge_mask: np.ndarray) -> List[Tuple[int, ...]]:
+    """Per node, its neighbors over the CSR slots ``edge_mask`` keeps.
+
+    Ascending within a node, as ``Network.neighbors`` is: what a scalar
+    program iterates where a kernel calls :func:`expand_neighbors`.
+    """
+    kept = arrays.adj[edge_mask].tolist()
+    counts = np.bincount(
+        arrays.src_of_slot[edge_mask], minlength=arrays.degrees.size
+    )
+    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+    return [tuple(kept[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _check_magnitudes(col: np.ndarray) -> None:
+    """Decline (``overflow``) a column reaching ``COLUMN_LIMIT``."""
+    if col.size and (col.max() >= COLUMN_LIMIT or col.min() <= -COLUMN_LIMIT):
+        raise KernelDecline("overflow")
+
+
+def int_column(payloads: Sequence[object]) -> np.ndarray:
+    """``payloads`` as one int64 column, or :class:`KernelDecline`.
+
+    Every entry a plain int of magnitude below 2**62: what the token
+    kernels (flood-min, claim BFS, the PA wave) carry.
+    """
+    columns = PayloadColumns.pack(payloads)
+    if columns.present is not None:
+        raise KernelDecline("none_value")
+    if not columns.bare or columns.is_bool[0]:
+        raise KernelDecline("non_int")
+    _check_magnitudes(columns.cols[0])
+    return columns.cols[0]
+
+
+def _token_columns(tokens: Dict[int, object]) -> Tuple[np.ndarray, np.ndarray]:
+    """A ``{node: token}`` dict as ``(nodes, tokens)`` columns, in its order."""
+    return (
+        np.fromiter(tokens, dtype=np.int64, count=len(tokens)),
+        int_column(list(tokens.values())),
+    )
 
 
 class FloodMinArrayKernel(ArrayProgram):
     """Array twin of :class:`~repro.core.treeops.FloodMinProgram`.
 
-    Tokens must be ints.  Adoption is strict improvement; the parent is
-    the smallest sender among those carrying the tick's minimal token —
-    which is what the scalar inbox scan (sender-ascending, update on
-    strict improvement) converges to.
+    Same arguments, less the edge predicate only the flood-PA baseline
+    passes its scalar program; tokens must be ints (else: a decline).
+    Adoption is strict improvement; the parent is the smallest sender
+    among those carrying the tick's minimal token — which is what the
+    scalar inbox scan (sender-ascending, update on strict improvement)
+    converges to.
     """
 
     name = "flood_min"
 
-    def __init__(
-        self,
-        net: Network,
-        nodes: np.ndarray,
-        tokens: np.ndarray,
-        slot_mask: Optional[np.ndarray] = None,
-    ) -> None:
+    def __init__(self, net: Network, tokens: Dict[int, object]) -> None:
         self.net = net
-        self._nodes = np.asarray(nodes, dtype=np.int64)
-        self._tokens = np.asarray(tokens, dtype=np.int64)
-        self._mask = slot_mask
+        self._nodes, self._tokens = _token_columns(tokens)
         self.best_array = np.full(net.n, _NO_TOKEN, dtype=np.int64)
         self.parent_array = np.full(net.n, ABSENT, dtype=np.int64)
 
     def _announce(self, actx: ArrayContext, nodes: np.ndarray) -> None:
-        src, dst, _ = expand_neighbors(actx.arrays, nodes, self._mask)
+        src, dst, _ = expand_neighbors(actx.arrays, nodes)
         if src.size == 0:
             return
         tok = self.best_array[src]
@@ -139,43 +180,23 @@ class FloodMinArrayKernel(ArrayProgram):
         self._announce(actx, w_dst)
 
     @property
-    def best(self) -> Dict[int, int]:
-        """Scalar-compatible ``best`` dict (nodes that hold a token)."""
-        held = np.flatnonzero(self.best_array != _NO_TOKEN)
-        return dict(zip(held.tolist(), self.best_array[held].tolist()))
+    def best(self) -> List[Optional[int]]:
+        """Scalar-compatible ``best`` list (``None`` where no token came)."""
+        best = self.best_array.tolist()
+        for node in np.flatnonzero(self.best_array == _NO_TOKEN).tolist():
+            best[node] = None
+        return best
 
     @property
-    def parent_of(self) -> Dict[int, int]:
-        held = np.flatnonzero(self.parent_array != ABSENT)
-        return dict(zip(held.tolist(), self.parent_array[held].tolist()))
-
-
-class ChildAckArrayKernel(ArrayProgram):
-    """Array twin of the one-round parent-ack used after leader election."""
-
-    name = "child_ack"
-
-    def __init__(self, parent: np.ndarray) -> None:
-        self._parent = np.asarray(parent, dtype=np.int64)
-
-    def array_start(self, actx: ArrayContext) -> None:
-        src = np.flatnonzero(self._parent >= 0)
-        if src.size == 0:
-            return
-        bits = TUPLE_OVERHEAD_BITS + TAG_BITS if actx.strict_bits else None
-        actx.emit(src, self._parent[src], cols={}, bits=bits)
-
-    def array_tick(self, actx: ArrayContext, d: Delivered) -> None:
-        return  # receipt is the whole point
+    def parent_of(self) -> List[int]:
+        return self.parent_array.tolist()
 
 
 class ClaimBfsArrayKernel(ArrayProgram):
     """Array twin of :class:`~repro.core.treeops.ClaimBfsProgram`.
 
-    ``sources``/``tokens`` are parallel arrays in the scalar program's
-    token-dict insertion order; tokens must be ints.  The edge restriction
-    is a static per-CSR-slot mask (the scalar ``allowed`` callables used
-    by the pipeline — same-part, claimable — are all static predicates).
+    Same arguments: tokens must be ints (else: a decline), and the
+    per-CSR-slot ``edge_mask`` is applied by :func:`expand_neighbors`.
     """
 
     name = "claim_bfs"
@@ -183,15 +204,13 @@ class ClaimBfsArrayKernel(ArrayProgram):
     def __init__(
         self,
         net: Network,
-        sources: np.ndarray,
-        tokens: np.ndarray,
-        slot_mask: Optional[np.ndarray] = None,
+        tokens: Dict[int, object],
+        edge_mask: Optional[np.ndarray] = None,
         max_depth: Optional[int] = None,
     ) -> None:
         self.net = net
-        self._sources = np.asarray(sources, dtype=np.int64)
-        self._tokens = np.asarray(tokens, dtype=np.int64)
-        self._mask = slot_mask
+        self._sources, self._tokens = _token_columns(tokens)
+        self._mask = edge_mask
         self.max_depth = max_depth
         n = net.n
         self.claimed = np.zeros(n, dtype=bool)
@@ -321,40 +340,49 @@ class ClaimBfsArrayKernel(ArrayProgram):
 
 
 #: Fold per op: the ufunc and the value a ``None`` stands for.
-_FOLDS = {
+FOLDS = {
     "sum": (np.add, 0),
     "min": (np.minimum, COLUMN_LIMIT),
     "max": (np.maximum, -COLUMN_LIMIT),
 }
 
 
-def fold_op(agg: Aggregation, values: PayloadColumns) -> str:
-    """The ``_FOLDS`` op computing ``agg`` over ``values``, or a decline.
+def fold_op(
+    agg: Aggregation, payloads: Sequence[object]
+) -> Tuple[str, PayloadColumns]:
+    """The ``FOLDS`` op computing ``agg`` over ``payloads``, and their columns.
 
-    MIN / MAX and their ``_TUPLE`` spellings are Python's ``min`` / ``max``,
-    which order bare ints, bools and equal-shape tuples alike; SUM adds
-    bare ints.  A fold needs every magnitude (for SUM: their total) below
-    2**62, so that sentinels, sums and packed keys stay exact in int64.
+    Declines — an aggregation no ufunc computes before it packs anything —
+    unless: MIN / MAX and their ``_TUPLE`` spellings, which are Python's
+    ``min`` / ``max`` and order bare ints, bools and equal-shape tuples
+    alike; SUM over bare ints; SUM_TUPLE over untagged int tuples,
+    componentwise.  A fold needs every magnitude (for a sum: each
+    column's total) below 2**62, so that sentinels, sums and packed keys
+    stay exact in int64.
     """
     if agg is MIN or agg is MIN_TUPLE:
         op = "min"
     elif agg is MAX or agg is MAX_TUPLE:
         op = "max"
-    elif agg is SUM:
+    elif agg is SUM or agg is SUM_TUPLE:
         op = "sum"
-        if not values.bare or values.is_bool[0]:
-            raise KernelDecline("non_int")
     else:
         raise KernelDecline("unsupported_agg")
-    for col in values.cols:
-        if col.size and (col.max() >= COLUMN_LIMIT or col.min() <= -COLUMN_LIMIT):
-            raise KernelDecline("overflow")
+    values = PayloadColumns.pack(payloads)
     if op == "sum":
-        mag = np.abs(values.cols[0])
-        low = int((mag & 0x7FFFFFFF).sum())
-        if (int((mag >> 31).sum()) << 31) + low >= COLUMN_LIMIT:
-            raise KernelDecline("overflow")
-    return op
+        addable = values.bare if agg is SUM else (
+            not values.bare and values.tag is None
+        )
+        if not addable or any(values.is_bool):
+            raise KernelDecline("non_int")
+    for col in values.cols:
+        _check_magnitudes(col)
+        if op == "sum":
+            mag = np.abs(col)
+            low = int((mag & 0x7FFFFFFF).sum())
+            if (int((mag >> 31).sum()) << 31) + low >= COLUMN_LIMIT:
+                raise KernelDecline("overflow")
+    return op, values
 
 
 class _LexKey:
@@ -393,12 +421,13 @@ class _LexKey:
 class ConvergecastArrayKernel(ArrayProgram):
     """Array twin of :class:`~repro.core.treeops.ConvergecastProgram`.
 
-    ``values`` holds one entry per network node (only forest members are
-    read) in the :class:`~repro.congest.arrays.PayloadColumns` layout;
-    ``None`` entries contribute nothing, exactly as in the scalar program.
-    ``op`` is ``"sum"`` (componentwise over the columns — the coverage
-    check's ``(count, flag)`` pair-sum) or ``"min"`` / ``"max"``
-    (lexicographic across the columns: ``MIN_TUPLE`` / ``MAX_TUPLE``).
+    Same arguments; declines unless ``values`` (one entry per network
+    node, only forest members are read) fit one
+    :class:`~repro.congest.arrays.PayloadColumns` layout that
+    :func:`fold_op` folds: a sum is componentwise over the columns (the
+    coverage check's ``(count, flag)`` pairs), a min / max lexicographic
+    across them.  ``None`` entries contribute nothing, exactly as in the
+    scalar program.
 
     The convergecast schedule is data-independent and lives in the
     forest's :class:`~repro.core.trees.ForestPlan`: node ``v`` fires at
@@ -410,11 +439,12 @@ class ConvergecastArrayKernel(ArrayProgram):
     name = "tree_convergecast"
 
     def __init__(
-        self, forest: RootedForest, values: PayloadColumns, op: str = "sum"
+        self, forest: RootedForest, agg: Aggregation, values: Sequence[object]
     ) -> None:
         self.forest = forest
         plan = self._plan = forest.plan
-        ufunc, identity = _FOLDS[op]
+        op, values = fold_op(agg, values)
+        ufunc, identity = FOLDS[op]
         has = None if values.present is None else values.present.copy()
         cols = values.cols
         key = None
@@ -478,20 +508,19 @@ class ConvergecastArrayKernel(ArrayProgram):
 class BroadcastArrayKernel(ArrayProgram):
     """Array twin of :class:`~repro.core.treeops.BroadcastProgram`.
 
-    ``values`` are ``root_values``' payloads, in its order, as columns.
-    The schedule is data-independent: a node at depth ``d`` of a tree
-    whose root holds a value hears it at tick ``d``, from its parent.
+    Same arguments; declines unless ``root_values``' payloads fit one
+    column layout.  The schedule is data-independent: a node at depth
+    ``d`` of a tree whose root holds a value hears it at tick ``d``, from
+    its parent.
     """
 
     name = "tree_broadcast"
 
     def __init__(
-        self,
-        forest: RootedForest,
-        root_values: Dict[int, object],
-        values: PayloadColumns,
+        self, forest: RootedForest, root_values: Dict[int, object]
     ) -> None:
         plan = forest.plan
+        values = PayloadColumns.pack(list(root_values.values()))
         roots = np.fromiter(root_values, dtype=np.int64, count=len(root_values))
         if (plan.parent[roots] != ROOT).any():
             bad = roots[plan.parent[roots] != ROOT][0]
@@ -552,10 +581,21 @@ class BroadcastArrayKernel(ArrayProgram):
         return received
 
 
+def send_columns(sends) -> Tuple[np.ndarray, np.ndarray, PayloadColumns]:
+    """``sends`` as ``(src, dst, payloads)`` columns, or :class:`KernelDecline`."""
+    if not isinstance(sends, tuple):
+        sends = zip(*sends) if sends else ((), (), ())
+    src, dst, payloads = sends
+    return (
+        np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64),
+        PayloadColumns.pack(payloads),
+    )
+
+
 class CrossRoundArrayKernel(ArrayProgram):
     """Array twin of :class:`~repro.core.treeops.CrossRoundProgram`.
 
-    One round: row ``i`` sends ``payloads[i]`` over the directed edge
+    One round: row ``i`` of ``sends`` goes over the directed edge
     ``(src[i], dst[i])``.  ``delivered`` is the same rows as the engine
     hands them over: stably sorted by ``(dst, src)``, the scalar inbox
     order.
@@ -563,9 +603,8 @@ class CrossRoundArrayKernel(ArrayProgram):
 
     name = "cross_round"
 
-    def __init__(
-        self, src: np.ndarray, dst: np.ndarray, payloads: PayloadColumns
-    ) -> None:
+    def __init__(self, sends) -> None:
+        src, dst, payloads = send_columns(sends)
         if payloads.present is not None:
             raise KernelDecline("none_value")
         self._sends = (src, dst, payloads)
@@ -605,7 +644,7 @@ class CrossRoundArrayKernel(ArrayProgram):
         if len(payloads.cols) == 1:
             values = PayloadColumns(payloads.cols, payloads.is_bool, bare=True)
             try:
-                ufunc = _FOLDS[fold_op(agg, values)][0]
+                ufunc = FOLDS[fold_op(agg, values)[0]][0]
             except KernelDecline:
                 pass
         if ufunc is None:
@@ -615,27 +654,3 @@ class CrossRoundArrayKernel(ArrayProgram):
         return PayloadColumns(
             [ufunc.reduceat(values.cols[0], heads)], values.is_bool, bare=True
         ).scatter(n, dst[heads])
-
-
-class UncoveredAnnounceArrayKernel(ArrayProgram):
-    """Array twin of the one-round uncovered-neighbor announcement."""
-
-    name = "uncovered_announce"
-
-    def __init__(self, net: Network, covered: np.ndarray, same_part_mask: np.ndarray) -> None:
-        self.net = net
-        self._covered = np.asarray(covered, dtype=bool)
-        self._mask = same_part_mask
-        self.heard_uncovered: set = set()
-
-    def array_start(self, actx: ArrayContext) -> None:
-        uncovered = np.flatnonzero(~self._covered)
-        src, dst, _ = expand_neighbors(actx.arrays, uncovered, self._mask)
-        if src.size == 0:
-            return
-        bits = TUPLE_OVERHEAD_BITS + TAG_BITS if actx.strict_bits else None
-        actx.emit(src, dst, cols={}, bits=bits)
-
-    def array_tick(self, actx: ArrayContext, d: Delivered) -> None:
-        if len(d):
-            self.heard_uncovered.update(np.unique(d.dst).tolist())

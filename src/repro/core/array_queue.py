@@ -46,13 +46,27 @@ def first_occurrence_mask(keys: np.ndarray) -> np.ndarray:
     return mask
 
 
-def in_sorted(table: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Membership of ``values`` in the sorted array ``table``."""
+def find_sorted(
+    table: np.ndarray, values: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each of ``values`` sits in the sorted ``table``, and whether.
+
+    Returns ``(pos, hit)``: ``table[pos[hit]] == values[hit]``; a miss's
+    position is clamped into range, so ``pos`` is always safe to index.
+    """
     if table.size == 0:
-        return np.zeros(values.size, dtype=bool)
+        return (
+            np.zeros(values.size, dtype=np.int64),
+            np.zeros(values.size, dtype=bool),
+        )
     pos = np.searchsorted(table, values)
     pos[pos >= table.size] = table.size - 1
-    return table[pos] == values
+    return pos, table[pos] == values
+
+
+def in_sorted(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Membership of ``values`` in the sorted array ``table``."""
+    return find_sorted(table, values)[1]
 
 
 def group_ranks(sorted_keys: np.ndarray) -> np.ndarray:
@@ -276,11 +290,11 @@ class ClaimArrayKernel(ArrayProgram):
         claimants: Sequence[Tuple[int, int]],
         theta: int,
         priority_of: Dict[int, int],
-        num_parts: int,
     ) -> None:
         self.tree = tree
         self.n = tree.net.n
-        self.P = max(1, num_parts)
+        #: Key stride: one more than the largest part id that can climb.
+        self.P = 1 + max((pid for _node, pid in claimants), default=0)
         self.theta = theta
         self.claimants = claimants
         self.parent = np.asarray(tree.parent, dtype=np.int64)
@@ -472,12 +486,7 @@ class AnnotateArrayKernel(ArrayProgram):
         self._ann.append(key=keys, depth=depths, uid=uids)
         self._out = None
 
-        pos = np.searchsorted(self._keys, keys)
-        if self._keys.size:
-            pos[pos >= self._keys.size] = self._keys.size - 1
-            has = self._keys[pos] == keys
-        else:
-            has = np.zeros(keys.size, dtype=bool)
+        pos, has = find_sorted(self._keys, keys)
         terminal = np.flatnonzero(counting.astype(bool) & ~has)
         if terminal.size:
             self._tokens.append(node=nodes[terminal], pid=pids[terminal])

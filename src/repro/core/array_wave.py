@@ -35,25 +35,25 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..congest.arrays import ColumnArena, int_bits_array, note_kernel_fallback
+from ..congest.arrays import ColumnArena, KernelDecline, int_bits_array
 from ..congest.engine import ArrayProgram
-from .aggregation import MAX, MIN, SUM, Aggregation
+from .aggregation import Aggregation
+from .array_kernels import FOLDS, fold_op, int_column
 from .array_queue import (
     EdgePool,
     KeySet,
     csr_expand,
-    csr_from_pairs,
+    find_sorted,
     first_occurrence_mask,
     in_sorted,
 )
-from .wave import WaveRecord, compute_wave_boundary
+from .treeops import _kernel
+from .wave import compute_wave_boundary
 
 _EMPTY = np.empty(0, dtype=np.int64)
-_INT64_MAX = np.iinfo(np.int64).max
-_INT64_MIN = np.iinfo(np.int64).min
 
-#: Wire codes for the five wave tags, and the in-event emission rank.
-TAG_NAMES = ("ru", "su", "bd", "ku", "kd")
+#: Wire codes for the five wave tags (ru, su, bd, ku, kd), and the in-event
+#: emission rank.
 RU, SU, BD, KU, KD = range(5)
 _RANK = {SU: 0, BD: 1, RU: 2, KU: 3, KD: 4}
 
@@ -84,45 +84,9 @@ class _KeyTable:
 
     def get(self, query: np.ndarray) -> np.ndarray:
         out = np.full(query.size, self.default, dtype=np.int64)
-        if self.keys.size and query.size:
-            pos = np.searchsorted(self.keys, query)
-            pos[pos >= self.keys.size] = self.keys.size - 1
-            hit = self.keys[pos] == query
-            out[hit] = self.vals[pos[hit]]
+        pos, hit = find_sorted(self.keys, query)
+        out[hit] = self.vals[pos[hit]]
         return out
-
-
-class _LazyWaveRecord(WaveRecord):
-    """A :class:`WaveRecord` that materializes its dicts on first access.
-
-    Nothing in the fast path reads the record (the array reversal and
-    replay consume the kernel's flat arenas directly), so the per-message
-    Python tuples are only built if a caller actually asks for them.
-    """
-
-    def __init__(self, kernel: "WaveArrayKernel") -> None:
-        # Deliberately no super().__init__: the dataclass fields are
-        # shadowed by the properties below.
-        object.__setattr__(self, "_kernel", kernel)
-
-    def _real(self) -> WaveRecord:
-        return self._kernel.materialize_record()
-
-    @property
-    def out_edges(self):
-        return self._real().out_edges
-
-    @property
-    def in_edges(self):
-        return self._real().in_edges
-
-    @property
-    def parent(self):
-        return self._real().parent
-
-    @property
-    def reached(self):
-        return self._real().reached
 
 
 class WaveArrayKernel(ArrayProgram):
@@ -204,7 +168,6 @@ class WaveArrayKernel(ArrayProgram):
         self.out_arena = ColumnArena(("key", "dst", "tag"))
         #: (global chrono, key) per executed leader start, chronological.
         self.leader_events: List[Tuple[int, int]] = []
-        self._materialized: Optional[WaveRecord] = None
 
     # ------------------------------------------------------------------
     # Engine hooks
@@ -225,7 +188,6 @@ class WaveArrayKernel(ArrayProgram):
             pid = d.cols["pid"]
             key = d.dst * np.int64(P) + pid
             self.in_arena.append(key=key, src=d.src, tag=tag)
-            self._materialized = None
         else:
             tag = pid = key = _EMPTY
 
@@ -462,12 +424,7 @@ class WaveArrayKernel(ArrayProgram):
                     qn[first], qp[first], qpos[first], qkey[first]
                 )
                 self._kdown.add(qkey)
-                pos_tbl = np.searchsorted(self._dkeys, qkey)
-                if self._dkeys.size:
-                    pos_tbl[pos_tbl >= self._dkeys.size] = self._dkeys.size - 1
-                    has = self._dkeys[pos_tbl] == qkey
-                else:
-                    has = np.zeros(qkey.size, dtype=bool)
+                pos_tbl, has = find_sorted(self._dkeys, qkey)
                 gi = np.flatnonzero(has)
                 origin, child, within = csr_expand(
                     self._dstarts, self._dcounts, self._dchildren, pos_tbl[gi]
@@ -519,16 +476,11 @@ class WaveArrayKernel(ArrayProgram):
                 dst=emitted["dst"],
                 tag=emitted["tag"],
             )
-            self._materialized = None
         actx.wake(wake)
 
     # ------------------------------------------------------------------
-    # Record access
+    # Record access (the reversal and replay read the arenas directly)
     # ------------------------------------------------------------------
-    @property
-    def record(self) -> WaveRecord:
-        return _LazyWaveRecord(self)
-
     def parent_entries(self) -> Tuple[np.ndarray, np.ndarray]:
         """The wave-parent dict as (keys in insertion order, values).
 
@@ -550,14 +502,9 @@ class WaveArrayKernel(ArrayProgram):
                 (k for _c, k in self.leader_events), dtype=np.int64,
                 count=len(self.leader_events),
             )
-            pos = np.searchsorted(ukeys, lk)
-            if ukeys.size:
-                posc = np.minimum(pos, ukeys.size - 1)
-                hit = ukeys[posc] == lk
-            else:
-                hit = np.zeros(lk.size, dtype=bool)
+            pos, hit = find_sorted(ukeys, lk)
             if hit.any():
-                hidx = posc[hit]
+                hidx = pos[hit]
                 chrono[hidx] = np.minimum(chrono[hidx], lc[hit])
                 vals[hidx] = -1
             miss = ~hit
@@ -568,42 +515,28 @@ class WaveArrayKernel(ArrayProgram):
         order = np.argsort(chrono, kind="stable")
         return ukeys[order], vals[order]
 
-    def materialize_record(self) -> WaveRecord:
-        if self._materialized is not None:
-            return self._materialized
-        P = self.P
-        out_edges: Dict[Tuple[int, int], List[Tuple[int, str]]] = {}
-        for k, dstv, t in zip(
-            self.out_arena.column("key").tolist(),
-            self.out_arena.column("dst").tolist(),
-            self.out_arena.column("tag").tolist(),
-        ):
-            out_edges.setdefault((k // P, k % P), []).append(
-                (dstv, TAG_NAMES[t])
+
+def _flush_values(actx, pool: EdgePool) -> None:
+    """One tick of a ``("a" | "r", pid, value-or-None)`` packet pool."""
+    emitted, wake = pool.select()
+    if emitted is not None:
+        bits = None
+        if actx.strict_bits:
+            vb = np.where(
+                emitted["has"] == 1, int_bits_array(emitted["val"]), 1
             )
-        in_edges: Dict[Tuple[int, int], List[Tuple[int, str]]] = {}
-        for k, srcv, t in zip(
-            self.in_arena.column("key").tolist(),
-            self.in_arena.column("src").tolist(),
-            self.in_arena.column("tag").tolist(),
-        ):
-            in_edges.setdefault((k // P, k % P), []).append(
-                (srcv, TAG_NAMES[t])
-            )
-        pkeys, pvals = self.parent_entries()
-        parent: Dict[Tuple[int, int], Optional[int]] = {}
-        for k, v in zip(pkeys.tolist(), pvals.tolist()):
-            parent[(k // P, k % P)] = None if v < 0 else v
-        reached = {
-            pid: set() for pid in range(self.partition.num_parts)
-        }
-        for v in np.flatnonzero(self.has_token).tolist():
-            reached[int(self.part_of[v])].add(v)
-        self._materialized = WaveRecord(
-            out_edges=out_edges, in_edges=in_edges, parent=parent,
-            reached=reached,
+            bits = 2 + 8 + int_bits_array(emitted["pid"]) + vb
+        actx.emit(
+            emitted["src"],
+            emitted["dst"],
+            cols={
+                "pid": emitted["pid"],
+                "val": emitted["val"],
+                "has": emitted["has"],
+            },
+            bits=bits,
         )
-        return self._materialized
+    actx.wake(wake)
 
 
 class ReverseArrayKernel(ArrayProgram):
@@ -619,18 +552,11 @@ class ReverseArrayKernel(ArrayProgram):
         capacity: int = 1,
     ) -> None:
         self.wave = wave
-        self.agg = agg
         n = wave.n
         P = wave.P
         self.P = P
-        if agg is SUM:
-            self._op, identity = np.add, 0
-        elif agg is MIN:
-            self._op, identity = np.minimum, _INT64_MAX
-        elif agg is MAX:
-            self._op, identity = np.maximum, _INT64_MIN
-        else:
-            raise ValueError(f"unsupported array aggregation {agg!r}")
+        op, values = fold_op(agg, values)
+        self._op, identity = FOLDS[op]
 
         all_out = wave.out_arena.column("key")
         all_in = wave.in_arena.column("key")
@@ -660,21 +586,15 @@ class ReverseArrayKernel(ArrayProgram):
             np.add.at(self.expected, self._kid(all_out), 1)
 
         # acc as (value, has); the op identity stands in for None.
-        values_np = np.zeros(n, dtype=np.int64)
-        values_has = np.zeros(n, dtype=bool)
-        for v, val in enumerate(values):
-            if type(val) is int:
-                values_np[v] = val
-                values_has[v] = True
-        member = (wave.part_of[self.kv] == self.kp) & wave.has_token[self.kv]
-        self.acc_has = member & values_has[self.kv]
+        self.acc_has = (wave.part_of[self.kv] == self.kp) & wave.has_token[self.kv]
+        if values.present is not None:
+            self.acc_has &= values.present[self.kv]
         self.acc_val = np.full(self.num_keys, identity, dtype=np.int64)
-        self.acc_val[self.acc_has] = values_np[self.kv[self.acc_has]]
+        self.acc_val[self.acc_has] = values.cols[0][self.kv[self.acc_has]]
 
         self._pool = EdgePool(n, ("pid", "val", "has"), capacity=capacity)
-        #: results in scalar dict chronological order.
-        self.res_pids: List[int] = []
-        self.res_vals: List[Optional[int]] = []
+        #: Part aggregates, in the scalar dict's chronological order.
+        self.results: Dict[int, Optional[int]] = {}
 
     def _kid(self, keys: np.ndarray) -> np.ndarray:
         return np.searchsorted(self._sorted_keys, keys)
@@ -683,8 +603,7 @@ class ReverseArrayKernel(ArrayProgram):
         pv = self.par_val[kids]
         root = pv < 0
         for kid in kids[root].tolist():
-            self.res_pids.append(int(self.kp[kid]))
-            self.res_vals.append(
+            self.results[int(self.kp[kid])] = (
                 int(self.acc_val[kid]) if self.acc_has[kid] else None
             )
         up = kids[~root]
@@ -696,12 +615,6 @@ class ReverseArrayKernel(ArrayProgram):
                 val=np.where(has, self.acc_val[up], 0),
                 has=has.astype(np.int64),
             )
-
-    def results_dict(self) -> Dict[int, Optional[int]]:
-        out: Dict[int, Optional[int]] = {}
-        for pid, val in zip(self.res_pids, self.res_vals):
-            out[pid] = val
-        return out
 
     def array_start(self, actx) -> None:
         # None answers for every non-parent recorded in-edge, in keys-set
@@ -753,25 +666,7 @@ class ReverseArrayKernel(ArrayProgram):
             if fk.size:
                 order = np.argsort(last[zero])
                 self._fire(fk[order])
-        emitted, wake = self._pool.select()
-        if emitted is not None:
-            bits = None
-            if actx.strict_bits:
-                vb = np.where(
-                    emitted["has"] == 1, int_bits_array(emitted["val"]), 1
-                )
-                bits = 2 + 8 + int_bits_array(emitted["pid"]) + vb
-            actx.emit(
-                emitted["src"],
-                emitted["dst"],
-                cols={
-                    "pid": emitted["pid"],
-                    "val": emitted["val"],
-                    "has": emitted["has"],
-                },
-                bits=bits,
-            )
-        actx.wake(wake)
+        _flush_values(actx, self._pool)
 
 
 class ReplayArrayKernel(ArrayProgram):
@@ -782,7 +677,7 @@ class ReplayArrayKernel(ArrayProgram):
     def __init__(
         self,
         wave: WaveArrayKernel,
-        reverse: ReverseArrayKernel,
+        results: Dict[int, Optional[int]],
         capacity: int = 1,
     ) -> None:
         self.wave = wave
@@ -800,14 +695,13 @@ class ReplayArrayKernel(ArrayProgram):
         self.del_seen = np.zeros(n, dtype=bool)
         self.del_has = np.zeros(n, dtype=bool)
         self.del_val = np.zeros(n, dtype=np.int64)
-        self.res_pids = np.asarray(reverse.res_pids, dtype=np.int64).reshape(-1)
-        self.res_has = np.asarray(
-            [v is not None for v in reverse.res_vals], dtype=bool
-        ).reshape(-1)
-        self.res_val = np.asarray(
-            [v if v is not None else 0 for v in reverse.res_vals],
-            dtype=np.int64,
-        ).reshape(-1)
+        self.res_pids = np.fromiter(results, dtype=np.int64, count=len(results))
+        self.res_has = np.array(
+            [v is not None for v in results.values()], dtype=np.int64
+        )
+        self.res_val = np.array(
+            [v or 0 for v in results.values()], dtype=np.int64
+        )
         self._pool = EdgePool(n, ("pid", "val", "has"), capacity=capacity)
 
     def _forward(
@@ -830,12 +724,7 @@ class ReplayArrayKernel(ArrayProgram):
         self.del_seen[nodes[member]] = True
         self.del_has[nodes[member]] = has[member] != 0
         self.del_val[nodes[member]] = vals[member]
-        pos = np.searchsorted(self._okeys, keys)
-        if self._okeys.size:
-            pos[pos >= self._okeys.size] = self._okeys.size - 1
-            hit = self._okeys[pos] == keys
-        else:
-            hit = np.zeros(keys.size, dtype=bool)
+        pos, hit = find_sorted(self._okeys, keys)
         gi = np.flatnonzero(hit)
         if gi.size == 0:
             return
@@ -861,32 +750,18 @@ class ReplayArrayKernel(ArrayProgram):
                 self.wave.leaders[self.res_pids],
                 self.res_pids,
                 self.res_val,
-                self.res_has.astype(np.int64),
+                self.res_has,
             )
         actx.wake(self._pool.pending_sources())
 
     def array_tick(self, actx, d) -> None:
         if len(d):
             self._forward(d.dst, d.cols["pid"], d.cols["val"], d.cols["has"])
-        emitted, wake = self._pool.select()
-        if emitted is not None:
-            bits = None
-            if actx.strict_bits:
-                vb = np.where(
-                    emitted["has"] == 1, int_bits_array(emitted["val"]), 1
-                )
-                bits = 2 + 8 + int_bits_array(emitted["pid"]) + vb
-            actx.emit(
-                emitted["src"],
-                emitted["dst"],
-                cols={
-                    "pid": emitted["pid"],
-                    "val": emitted["val"],
-                    "has": emitted["has"],
-                },
-                bits=bits,
-            )
-        actx.wake(wake)
+        _flush_values(actx, self._pool)
+
+
+#: The (broadcast, reversal, replay) kernels, in the order a solve runs them.
+WAVE_KERNELS = (WaveArrayKernel, ReverseArrayKernel, ReplayArrayKernel)
 
 
 def array_wave_supported(
@@ -895,35 +770,19 @@ def array_wave_supported(
 ) -> bool:
     """Whether the array wave path applies (else: scalar programs).
 
-    Requires the array engine, a SUM/MIN/MAX aggregation over plain-int
-    (or None) values with int64-safe magnitudes, and int leader tokens —
-    the representable subset of the wave's payload space.  Everything else
-    (tuple-packed batches, MST composite keys, custom merges) falls back
-    to the scalar programs, which run unchanged under the array engine;
-    the trace notes that as a ``kernel_fallback`` of ``phase``.
+    Requires the array engine, an aggregation a ufunc folds over one bare
+    int (or None) column with int64-safe magnitudes, and int leader
+    tokens — the representable subset of the wave's payload space.
+    Everything else (tuple-packed batches, MST composite keys, custom
+    merges) falls back to the scalar programs, which run unchanged under
+    the array engine; the trace notes that as a ``kernel_fallback`` of
+    ``phase``.
     """
-    if not getattr(engine, "use_arrays", False):
-        return False
-    reason = _wave_decline(values, agg, leader_tokens)
-    if reason is not None:
-        note_kernel_fallback(phase, reason)
-    return reason is None
+    def check() -> bool:
+        _op, columns = fold_op(agg, values)
+        if not columns.bare or columns.is_bool[0]:
+            raise KernelDecline("non_int")
+        int_column(list(leader_tokens.values()))
+        return True
 
-
-def _wave_decline(values, agg, leader_tokens) -> Optional[str]:
-    """Why the array wave cannot carry these payloads (``None``: it can)."""
-    if agg is not SUM and agg is not MIN and agg is not MAX:
-        return "unsupported_agg"
-    for token in leader_tokens.values():
-        if type(token) is not int:
-            return "non_int"
-        if abs(token) >= 1 << 62:
-            return "overflow"
-    total = 0
-    for val in values:
-        if val is None:
-            continue
-        if type(val) is not int:
-            return "non_int"
-        total += abs(val)
-    return None if total < 1 << 62 else "overflow"
+    return _kernel(engine, phase, check) is not None

@@ -33,6 +33,7 @@ from ..congest.engine import Context, Engine, Inbox
 from ..congest.ledger import CostLedger
 from .queued import QueuedProgram
 from .shortcuts import Shortcut
+from .treeops import run_phase
 
 
 @dataclass
@@ -128,20 +129,12 @@ def annotate_blocks(
     Must be re-run whenever the shortcut changes (each CoreFast repetition,
     each Algorithm 8 outer iteration).
     """
-    if getattr(engine, "use_arrays", False):
-        from .array_queue import AnnotateArrayKernel
+    from .array_queue import AnnotateArrayKernel
 
-        program = AnnotateArrayKernel(shortcut, capacity=capacity)
-    else:
-        program = _AnnotateProgram(shortcut, capacity=capacity)
     depth = shortcut.tree.height()
     congestion = shortcut.congestion()
-    budget = 16 + 4 * (depth + congestion)
-    stats = engine.run(
-        program,
-        max_ticks=budget,
-        capacity=capacity,
-        rounds_per_tick=rounds_per_tick,
-    )
-    ledger.charge(stats)
-    return program.out
+    return run_phase(
+        engine, ledger, _AnnotateProgram.name, AnnotateArrayKernel,
+        _AnnotateProgram, (shortcut, capacity), 16 + 4 * (depth + congestion),
+        capacity=capacity, rounds_per_tick=rounds_per_tick,
+    ).out

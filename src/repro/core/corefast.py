@@ -32,10 +32,12 @@ from ..congest.engine import Context, Engine, Inbox
 from ..congest.ledger import CostLedger
 from ..congest.network import Network
 from ..graphs.partitions import Partition
+from .array_queue import ClaimArrayKernel
 from .blocks import BlockAnnotations, annotate_blocks
 from .queued import QueuedProgram
 from .shortcuts import Shortcut
 from .subparts import SubPartDivision
+from .treeops import run_phase
 from .trees import ROOT, RootedForest
 
 
@@ -212,19 +214,11 @@ def build_shortcut_randomized(
         ]
         priorities = {pid: rng.randrange(1 << 30) for pid in active}
         theta = max(2, 2 * budget)
-        if getattr(engine, "use_arrays", False):
-            from .array_queue import ClaimArrayKernel
-
-            claim = ClaimArrayKernel(
-                tree, claimants, theta, priorities, partition.num_parts
-            )
-        else:
-            claim = ClaimProgram(tree, claimants, theta, priorities)
-        claim.name = f"corefast_claim_{iterations}"
-        stats = engine.run(
-            claim, max_ticks=32 + 4 * (tree.height() + theta)
+        claim = run_phase(
+            engine, ledger, f"corefast_claim_{iterations}", ClaimArrayKernel,
+            ClaimProgram, (tree, claimants, theta, priorities),
+            32 + 4 * (tree.height() + theta),
         )
-        ledger.charge(stats)
 
         candidate_up = _merge_up_parts(n, frozen_up, claim.claimed_up, active)
         candidate = Shortcut(tree, partition, candidate_up)

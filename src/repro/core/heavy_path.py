@@ -27,10 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..congest.arrays import PayloadColumns
 from ..congest.engine import Context, Engine, Inbox, Program
 from ..congest.ledger import CostLedger
 from ..congest.network import Network
-from .trees import ROOT, RootedForest
+from .treeops import cross_round
+from .trees import RootedForest
 
 
 @dataclass
@@ -126,26 +130,6 @@ class _PerChildConvergecast(Program):
             self._fire(ctx, node)
 
 
-class _HeavyNotifyProgram(Program):
-    """One round: every parent tells each child whether its edge is heavy."""
-
-    name = "heavy_notify"
-
-    def __init__(self, tree: RootedForest, heavy_child: Sequence[int]) -> None:
-        self.tree = tree
-        self.heavy_child = heavy_child
-        self.is_heavy: List[bool] = [False] * tree.net.n
-
-    def on_start(self, ctx: Context) -> None:
-        for v in self.tree.members():
-            for c in self.tree.children[v]:
-                ctx.send(v, c, ("hv", c == self.heavy_child[v]))
-
-    def on_node(self, ctx: Context, node: int, inbox: Inbox) -> None:
-        for _sender, payload in inbox:
-            self.is_heavy[node] = payload[1]
-
-
 class _ChainScanProgram(Program):
     """Pipelined scans along heavy chains (positions up, ids down).
 
@@ -238,9 +222,21 @@ def build_heavy_path_decomposition(
         if best is not None:
             heavy_child[v] = best[1]
 
-    notify = _HeavyNotifyProgram(tree, heavy_child)
-    ledger.charge(engine.run(notify, max_ticks=3))
-    is_heavy = notify.is_heavy
+    # One round: every parent tells each child whether its edge is heavy.
+    # (BFS order lists the children parent by parent, each group ascending.)
+    parent = np.asarray(tree.parent, dtype=np.int64)
+    child = np.asarray(tree.order, dtype=np.int64)
+    child = child[parent[child] >= 0]
+    flags = np.asarray(heavy_child, dtype=np.int64)[parent[child]] == child
+    _src, heard_by, heard = cross_round(
+        engine,
+        (parent[child], child,
+         PayloadColumns([flags.astype(np.int64)], (True,), tag="hv")),
+        ledger, name="heavy_notify",
+    ).delivered
+    heavy = np.zeros(n, dtype=bool)
+    heavy[heard_by] = heard.cols[0]
+    is_heavy = heavy.tolist()
 
     light_edge = [
         tree.parent[v] >= 0 and not is_heavy[v] for v in range(n)

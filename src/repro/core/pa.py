@@ -200,9 +200,7 @@ class PASolver:
         if engine is not None:
             self.engine = engine
             self.schedule = getattr(engine, "schedule", None)
-            self.engine_impl = (
-                "array" if getattr(engine, "use_arrays", False) else "scalar"
-            )
+            self.engine_impl = "array" if engine.use_arrays else "scalar"
         elif schedule is not None:
             self.schedule = schedule
             self.engine_impl = engine_impl
@@ -276,7 +274,7 @@ class PASolver:
             net,
             strict_bits=old.strict_bits,
             strict_edges=old.strict_edges,
-            use_arrays=getattr(old, "use_arrays", False),
+            use_arrays=old.use_arrays,
             profile=getattr(old, "profile", False),
         )
 

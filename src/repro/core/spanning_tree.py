@@ -19,13 +19,15 @@ Two entry points:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
 
-from ..congest.engine import Context, Engine, Inbox, Program
+import numpy as np
+
+from ..congest.arrays import PayloadColumns
+from ..congest.engine import Engine
 from ..congest.ledger import CostLedger
 from ..congest.network import Network
-from .treeops import ClaimBfsProgram, FloodMinProgram, claim_bfs
-from .trees import ABSENT, ROOT, RootedForest
+from .treeops import claim_bfs, cross_round, flood_min
+from .trees import ABSENT, RootedForest
 
 
 @dataclass
@@ -58,25 +60,6 @@ def bfs_tree(
     return SpanningTreeResult(tree=tree, root=root, depth=tree.height())
 
 
-class _ChildAckProgram(Program):
-    """One round in which every non-root node acks its chosen parent."""
-
-    name = "child_ack"
-
-    def __init__(self, parent_of: Dict[int, int]) -> None:
-        self.parent_of = parent_of
-
-    def on_start(self, ctx: Context) -> None:
-        for node, parent in self.parent_of.items():
-            if parent >= 0:
-                ctx.send(node, parent, ("child",))
-
-    def on_node(self, ctx: Context, node: int, inbox: Inbox) -> None:
-        # Receipt is the whole point; parents learn their children from the
-        # engine's delivery, recorded by the orchestrator via parent_of.
-        return
-
-
 def elect_leader_and_bfs_tree(
     engine: Engine,
     net: Network,
@@ -90,51 +73,21 @@ def elect_leader_and_bfs_tree(
     A final one-round ack phase informs each parent of its children, after
     which the tree is full node-local knowledge.
     """
-    if getattr(engine, "use_arrays", False):
-        import numpy as np
-
-        from .array_kernels import ChildAckArrayKernel, FloodMinArrayKernel
-
-        arrays = net.array_views
-        flood_k = FloodMinArrayKernel(
-            net, np.arange(net.n, dtype=np.int64), arrays.uid
-        )
-        flood_k.name = name
-        stats = engine.run(flood_k, max_ticks=net.n + 2)
-        ledger.charge(stats)
-
-        leader_uid = min(net.uid)
-        leader = net.node_of_uid(leader_uid)
-        if not (flood_k.best_array == leader_uid).all():
-            raise ValueError("network is disconnected; election did not span it")
-        parent = flood_k.parent_array.tolist()
-
-        ack_k = ChildAckArrayKernel(flood_k.parent_array)
-        stats = engine.run(ack_k, max_ticks=2)
-        ledger.charge(stats)
-
-        tree = RootedForest(net, parent)
-        return SpanningTreeResult(tree=tree, root=leader, depth=tree.height())
-
-    flood = FloodMinProgram(net, tokens={v: net.uid[v] for v in range(net.n)})
-    flood.name = name
-    stats = engine.run(flood, max_ticks=net.n + 2)
-    ledger.charge(stats)
-
+    flood = flood_min(engine, net, dict(enumerate(net.uid)), ledger, name=name)
     leader_uid = min(net.uid)
-    leader = net.node_of_uid(leader_uid)
-    parent = [ABSENT] * net.n
-    for v in range(net.n):
-        if flood.best.get(v) != leader_uid:
-            raise ValueError("network is disconnected; election did not span it")
-        parent[v] = flood.parent_of[v]
+    if set(flood.best) != {leader_uid}:
+        raise ValueError("network is disconnected; election did not span it")
+    parent_of = flood.parent_of
 
-    ack = _ChildAckProgram({v: parent[v] for v in range(net.n)})
-    stats = engine.run(ack, max_ticks=2)
-    ledger.charge(stats)
+    parent = np.asarray(parent_of, dtype=np.int64)
+    child = np.flatnonzero(parent >= 0)
+    acks = PayloadColumns([], tag="child", size=child.size)
+    cross_round(engine, (child, parent[child], acks), ledger, name="child_ack")
 
-    tree = RootedForest(net, parent)
-    return SpanningTreeResult(tree=tree, root=leader, depth=tree.height())
+    tree = RootedForest(net, parent_of)
+    return SpanningTreeResult(
+        tree=tree, root=net.node_of_uid(leader_uid), depth=tree.height()
+    )
 
 
 def diameter_upper_bound(tree: SpanningTreeResult) -> int:

@@ -20,13 +20,17 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..congest.engine import Context, Engine, Inbox, Program
+import numpy as np
+
+from ..congest.arrays import PayloadColumns
+from ..congest.engine import Engine
 from ..congest.ledger import CostLedger
 from ..congest.network import Network
 from ..graphs.partitions import Partition
-from .aggregation import SUM
-from .treeops import claim_bfs, convergecast
-from .trees import ABSENT, ROOT, RootedForest
+from .aggregation import SUM_TUPLE
+from .array_kernels import expand_neighbors
+from .treeops import claim_bfs, cross_round, run_convergecast
+from .trees import ABSENT, RootedForest
 
 
 @dataclass
@@ -85,108 +89,38 @@ class SubPartDivision:
                 )
 
 
-class _UncoveredAnnounceProgram(Program):
-    """One round: nodes not claimed by the BFS tell their in-part neighbors.
-
-    The coverage check of Algorithm 3 / the small-part test: a leader can
-    only be sure its BFS spanned the part if no claimed node is adjacent to
-    an unclaimed in-part node.
-    """
-
-    name = "uncovered_announce"
-
-    def __init__(
-        self,
-        net: Network,
-        part_of: Sequence[int],
-        covered: Sequence[bool],
-    ) -> None:
-        self.net = net
-        self.part_of = part_of
-        self.covered = covered
-        self.heard_uncovered: Set[int] = set()
-
-    def on_start(self, ctx: Context) -> None:
-        for v in range(self.net.n):
-            if not self.covered[v]:
-                for nb in self.net.neighbors[v]:
-                    if self.part_of[nb] == self.part_of[v]:
-                        ctx.send(v, nb, ("uncov",))
-
-    def on_node(self, ctx: Context, node: int, inbox: Inbox) -> None:
-        if inbox:
-            self.heard_uncovered.add(node)
-
-
 def _coverage_check(
     engine: Engine,
     net: Network,
-    part_of: Sequence[int],
+    same_part: np.ndarray,
     forest: RootedForest,
     covered: Sequence[bool],
     ledger: CostLedger,
     name: str,
-    same_part_mask=None,
 ) -> Dict[int, object]:
     """Convergecast (count, any-uncovered-neighbor) to each claim root.
 
-    ``same_part_mask`` (per-CSR-slot, from the array engine's views) makes
-    both the announcement and the pair convergecast run array-natively;
-    wire traffic and ledger are identical to the scalar programs.
+    The coverage check of Algorithm 3 / the small-part test: first one
+    round in which nodes not claimed by the BFS tell their in-part
+    neighbors (``same_part`` is that restriction, per CSR slot) — a leader
+    can only be sure its BFS spanned the part if no claimed node is
+    adjacent to an unclaimed in-part node — then the pair sum.
     """
-    if same_part_mask is not None and getattr(engine, "use_arrays", False):
-        import numpy as np
-
-        from ..congest.arrays import PayloadColumns
-        from .array_kernels import (
-            ConvergecastArrayKernel,
-            UncoveredAnnounceArrayKernel,
-        )
-
-        covered_np = np.asarray(covered, dtype=bool)
-        announce_k = UncoveredAnnounceArrayKernel(
-            net, covered_np, same_part_mask
-        )
-        announce_k.name = f"{name}_announce"
-        stats = engine.run(announce_k, max_ticks=2)
-        ledger.charge(stats)
-
-        count_col = covered_np.astype(np.int64)
-        flag_col = np.zeros(net.n, dtype=np.int64)
-        if announce_k.heard_uncovered:
-            heard = np.fromiter(
-                announce_k.heard_uncovered,
-                dtype=np.int64,
-                count=len(announce_k.heard_uncovered),
-            )
-            flag_col[heard[covered_np[heard]]] = 1
-        cast = ConvergecastArrayKernel(
-            forest, PayloadColumns([count_col, flag_col]), op="sum"
-        )
-        cast.name = f"{name}_convergecast"
-        stats = engine.run(cast, max_ticks=forest.height() + 2)
-        ledger.charge(stats)
-        return cast.at_root
-
-    announce = _UncoveredAnnounceProgram(net, part_of, covered)
-    announce.name = f"{name}_announce"
-    stats = engine.run(announce, max_ticks=2)
-    ledger.charge(stats)
-
-    values: List[Optional[Tuple[int, int]]] = [None] * net.n
-    for v in range(net.n):
-        if covered[v]:
-            flag = 1 if v in announce.heard_uncovered else 0
-            values[v] = (1, flag)
-
-    # Tuple-wise sum aggregation: (count, flags) + (count, flags).
-    from .aggregation import Aggregation
-
-    tup_sum = Aggregation("pair_sum", lambda a, b: (a[0] + b[0], a[1] + b[1]))
-    at_root, _ = convergecast(
-        engine, forest, tup_sum, values, ledger, name=f"{name}_convergecast"
+    covered = np.asarray(covered, dtype=bool)
+    src, dst, _ = expand_neighbors(
+        net.array_views, np.flatnonzero(~covered), same_part
     )
-    return at_root
+    announce = cross_round(
+        engine, (src, dst, PayloadColumns([], tag="uncov", size=src.size)),
+        ledger, name=f"{name}_announce",
+    )
+    # (count, flag) per node; only the covered ones are in ``forest``.
+    flag = np.zeros(net.n, dtype=np.int64)
+    flag[announce.delivered[1]] = 1
+    values = PayloadColumns([covered.astype(np.int64), flag])
+    return run_convergecast(
+        engine, forest, SUM_TUPLE, values, ledger, name=f"{name}_convergecast"
+    ).at_root
 
 
 def build_subpart_division_randomized(
@@ -219,36 +153,21 @@ def build_subpart_division_randomized(
     depth_limit = max(1, diameter)
     part_of = partition.part_of
 
-    def same_part(u: int, v: int) -> bool:
-        return part_of[u] == part_of[v]
-
-    # On an array engine the edge restrictions run as static CSR slot
-    # masks instead of per-send Python predicates.
-    same_part_mask = None
-    part_np = None
-    if getattr(engine, "use_arrays", False):
-        import numpy as np
-
-        arrays = net.array_views
-        part_np = np.asarray(part_of, dtype=np.int64)
-        same_part_mask = part_np[arrays.src_of_slot] == part_np[arrays.adj]
+    # The edge restrictions, stated once per CSR slot for either engine.
+    arrays = net.array_views
+    part_np = np.asarray(part_of, dtype=np.int64)
+    same_part = part_np[arrays.src_of_slot] == part_np[arrays.adj]
 
     # Phase 1: leaders probe their parts to depth D.
     leader_tokens = {leader: net.uid[leader] for leader in leaders}
     probe = claim_bfs(
-        engine,
-        net,
-        leader_tokens,
-        ledger,
-        allowed=same_part,
-        max_depth=depth_limit,
-        name="subpart_probe",
-        slot_mask=same_part_mask,
+        engine, net, leader_tokens, ledger, edge_mask=same_part,
+        max_depth=depth_limit, name="subpart_probe",
     )
-    covered = [probe.token_of[v] is not None for v in range(n)]
+    covered = [token is not None for token in probe.token_of]
     at_root = _coverage_check(
-        engine, net, part_of, probe.forest(), covered, ledger, "subpart_probe",
-        same_part_mask=same_part_mask,
+        engine, net, same_part, probe.forest(), covered, ledger,
+        "subpart_probe",
     )
 
     small_parts: Set[int] = set()
@@ -288,30 +207,12 @@ def build_subpart_division_randomized(
             forced = min(unclaimed, key=lambda v: net.uid[v])
             tokens[forced] = net.uid[forced]
 
-        def claimable(u: int, v: int) -> bool:
-            return same_part(u, v) and rep_of[v] == -1 and rep_of[u] == -1
-
-        claim_mask = None
-        if same_part_mask is not None:
-            import numpy as np
-
-            arrays = net.array_views
-            rep_np = np.asarray(rep_of, dtype=np.int64)
-            claim_mask = (
-                same_part_mask
-                & (rep_np[arrays.src_of_slot] == -1)
-                & (rep_np[arrays.adj] == -1)
-            )
-
+        # Claimable edges: in-part, both endpoints still unclaimed.
+        free = np.asarray(rep_of, dtype=np.int64) == -1
         claim = claim_bfs(
-            engine,
-            net,
-            tokens,
-            ledger,
-            allowed=claimable,
-            max_depth=2 * depth_limit,
-            name=f"subpart_claim_{sweep}",
-            slot_mask=claim_mask,
+            engine, net, tokens, ledger,
+            edge_mask=same_part & free[arrays.src_of_slot] & free[arrays.adj],
+            max_depth=2 * depth_limit, name=f"subpart_claim_{sweep}",
         )
         for v in unclaimed:
             token = claim.token_of[v]

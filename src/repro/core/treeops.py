@@ -7,9 +7,13 @@ fragments concurrently, relying on the trees being edge-disjoint.  The
 one-round exchange over explicit edges that glues two forest phases
 together (:func:`cross_round`) lives here too.
 
-Each function picks the array kernel of :mod:`repro.core.array_kernels`
-or the scalar program below from ``engine.use_arrays`` and the payloads'
-shape alone (:func:`_kernel`); outputs and ledger are the same either way.
+Every phase of the pipeline — these and the queued programs of the
+shortcut and wave layers — runs through :func:`run_phase`, which takes the
+array kernel or its scalar twin from :func:`_kernel`: the one place that
+chooses, from ``engine.use_arrays`` and the kernel's own
+:class:`~repro.congest.arrays.KernelDecline` alone.  Twins share
+constructor arguments and result accessors, so outputs and ledger are the
+same either way.
 
 Costs (metered, but also the design targets):
 
@@ -21,17 +25,18 @@ Costs (metered, but also the design targets):
   (each node announces its claim once per incident edge, plus one
   parent-ack).
 * :func:`cross_round` — 1 round, one message per send.
+* :func:`flood_min` — O(D) rounds to quiescence; messages metered.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..congest.arrays import KernelDecline, PayloadColumns, note_kernel_fallback
 from ..congest.engine import Context, Engine, Inbox, Program
-from ..congest.ledger import CostLedger, PhaseStats
+from ..congest.ledger import CostLedger
 from ..congest.network import Network
 from .aggregation import Aggregation, merge_inboxes
 from .array_kernels import (
@@ -39,7 +44,9 @@ from .array_kernels import (
     ClaimBfsArrayKernel,
     ConvergecastArrayKernel,
     CrossRoundArrayKernel,
-    fold_op,
+    FloodMinArrayKernel,
+    masked_neighbors,
+    send_columns,
 )
 from .trees import ABSENT, ROOT, RootedForest
 
@@ -130,8 +137,9 @@ class ClaimBfsProgram(Program):
     Each source ``s`` starts with token ``tokens[s]``; tokens propagate one
     hop per round and every unclaimed node adopts the smallest token it
     hears first (ties by token order, which callers arrange to be uid
-    order).  ``allowed(u, v)`` restricts which edges the BFS may cross —
-    e.g. "stay inside part P_i".  ``max_depth`` bounds the claim radius.
+    order).  ``edge_mask``, a bool per CSR slot of the network's array
+    views (``None``: every edge), restricts which edges the BFS may cross
+    — e.g. "stay inside part P_i".  ``max_depth`` bounds the claim radius.
 
     Outputs: ``token_of[v]`` (claim token or None), ``parent_of[v]``,
     ``depth_of[v]``, and ``children_of[v]`` (filled by explicit acks).
@@ -143,12 +151,15 @@ class ClaimBfsProgram(Program):
         self,
         net: Network,
         tokens: Dict[int, object],
-        allowed: Optional[Callable[[int, int], bool]] = None,
+        edge_mask: Optional[np.ndarray] = None,
         max_depth: Optional[int] = None,
     ) -> None:
         self.net = net
         self.tokens = tokens
-        self.allowed = allowed
+        self._neighbors = (
+            net.neighbors if edge_mask is None
+            else masked_neighbors(net.array_views, edge_mask)
+        )
         self.max_depth = max_depth
         self.token_of: List[Optional[object]] = [None] * net.n
         self.parent_of: List[int] = [ABSENT] * net.n
@@ -158,12 +169,10 @@ class ClaimBfsProgram(Program):
     def _spread(self, ctx: Context, node: int, depth: int, exclude: int = -1) -> None:
         if self.max_depth is not None and depth >= self.max_depth:
             return
-        token = self.token_of[node]
-        for nb in self.net.neighbors[node]:
-            if nb == exclude:
-                continue  # the parent gets the token inside the child ack
-            if self.allowed is None or self.allowed(node, nb):
-                ctx.send(node, nb, ("claim", token, depth + 1))
+        payload = ("claim", self.token_of[node], depth + 1)
+        for nb in self._neighbors[node]:
+            if nb != exclude:  # the parent gets the token inside the child ack
+                ctx.send(node, nb, payload)
 
     def on_start(self, ctx: Context) -> None:
         for source, token in self.tokens.items():
@@ -222,8 +231,9 @@ class FloodMinProgram(Program):
         self.net = net
         self.initial = tokens
         self.allowed = allowed
-        self.best: Dict[int, object] = {}
-        self.parent_of: Dict[int, int] = {}
+        #: Per node: the least token heard (``None``: none) and who sent it.
+        self.best: List[Optional[object]] = [None] * net.n
+        self.parent_of: List[int] = [ABSENT] * net.n
 
     def _announce(self, ctx: Context, node: int) -> None:
         token = self.best[node]
@@ -241,23 +251,12 @@ class FloodMinProgram(Program):
     def on_node(self, ctx: Context, node: int, inbox: Inbox) -> None:
         improved = False
         for sender, token in inbox:
-            if node not in self.best or token < self.best[node]:
+            if self.best[node] is None or token < self.best[node]:
                 self.best[node] = token
                 self.parent_of[node] = sender
                 improved = True
         if improved:
             self._announce(ctx, node)
-
-
-def _send_columns(sends) -> Tuple[np.ndarray, np.ndarray, PayloadColumns]:
-    """``sends`` as ``(src, dst, payloads)`` columns, or :class:`KernelDecline`."""
-    if not isinstance(sends, tuple):
-        sends = zip(*sends) if sends else ((), (), ())
-    src, dst, payloads = sends
-    return (
-        np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64),
-        PayloadColumns.pack(payloads),
-    )
 
 
 class CrossRoundProgram(Program):
@@ -295,7 +294,7 @@ class CrossRoundProgram(Program):
         ``(dst, src)``.  :class:`KernelDecline` if no layout holds the
         payloads.
         """
-        src, dst, payloads = _send_columns(self.sends)
+        src, dst, payloads = send_columns(self.sends)
         order = np.lexsort((src, dst))
         return src[order], dst[order], payloads.take(order)
 
@@ -306,20 +305,46 @@ class CrossRoundProgram(Program):
         return merge_inboxes(self.received, agg, n)
 
 
-def _kernel(engine: Engine, phase: str, build: Callable[[], Program]):
-    """The array kernel ``build`` makes for ``phase``, or ``None``.
+def _kernel(engine: Engine, phase: str, build: Callable[[], object]):
+    """What ``build`` makes for ``phase`` on an array engine, or ``None``.
 
-    ``None`` means the scalar program runs: because the engine is not an
+    ``None`` means the scalar twin runs: because the engine is not an
     array engine, or because ``build`` declined the payload — which is
-    noted on the trace, with the reason, as ``kernel_fallback``.
+    noted on the trace, with the reason, as ``kernel_fallback``.  No other
+    function reads ``engine.use_arrays`` to choose an implementation.
     """
-    if not getattr(engine, "use_arrays", False):
+    if not engine.use_arrays:
         return None
     try:
         return build()
     except KernelDecline as decline:
         note_kernel_fallback(phase, decline.reason)
         return None
+
+
+def run_phase(
+    engine: Engine,
+    ledger: CostLedger,
+    name: str,
+    kernel: Callable[..., Program],
+    twin: Callable[..., Program],
+    args: tuple,
+    max_ticks: int,
+    **budget: int,
+):
+    """Run and charge phase ``name``; returns the finished program.
+
+    The program is ``kernel(*args)`` or, off an array engine or when the
+    kernel declines ``args``, ``twin(*args)`` — the two share constructor
+    arguments and result accessors.  ``budget`` is ``Engine.run``'s
+    ``capacity`` / ``rounds_per_tick``.
+    """
+    program = _kernel(engine, name, lambda: kernel(*args))
+    if program is None:
+        program = twin(*args)
+    program.name = name
+    ledger.charge(engine.run(program, max_ticks=max_ticks, **budget))
+    return program
 
 
 def run_broadcast(
@@ -334,15 +359,10 @@ def run_broadcast(
     Either a :class:`BroadcastProgram` or its array twin: both offer
     ``received`` and ``received_at(nodes)``.
     """
-    program = _kernel(engine, name, lambda: BroadcastArrayKernel(
-        forest, root_values, PayloadColumns.pack(list(root_values.values()))
-    ))
-    if program is None:
-        program = BroadcastProgram(forest, root_values)
-    program.name = name
-    stats = engine.run(program, max_ticks=forest.height() + 2)
-    ledger.charge(stats)
-    return program
+    return run_phase(
+        engine, ledger, name, BroadcastArrayKernel, BroadcastProgram,
+        (forest, root_values), forest.height() + 2,
+    )
 
 
 def broadcast(
@@ -371,17 +391,10 @@ def run_convergecast(
     column layout that a ufunc folds (see
     :func:`~repro.core.array_kernels.fold_op`).
     """
-    def build():
-        columns = PayloadColumns.pack(values)
-        return ConvergecastArrayKernel(forest, columns, fold_op(agg, columns))
-
-    program = _kernel(engine, name, build)
-    if program is None:
-        program = ConvergecastProgram(forest, agg, values)
-    program.name = name
-    stats = engine.run(program, max_ticks=forest.height() + 2)
-    ledger.charge(stats)
-    return program
+    return run_phase(
+        engine, ledger, name, ConvergecastArrayKernel, ConvergecastProgram,
+        (forest, agg, values), forest.height() + 2,
+    )
 
 
 def convergecast(
@@ -411,14 +424,28 @@ def cross_round(
     is.  The program is a :class:`CrossRoundProgram` or its array twin;
     both offer ``received``, ``delivered`` and ``merged(agg, n)``.
     """
-    program = _kernel(
-        engine, name, lambda: CrossRoundArrayKernel(*_send_columns(sends))
+    return run_phase(
+        engine, ledger, name, CrossRoundArrayKernel, CrossRoundProgram,
+        (sends,), 2,
     )
-    if program is None:
-        program = CrossRoundProgram(sends)
-    program.name = name
-    ledger.charge(engine.run(program, max_ticks=2))
-    return program
+
+
+def flood_min(
+    engine: Engine,
+    net: Network,
+    tokens: Dict[int, object],
+    ledger: CostLedger,
+    name: str = "flood_min",
+):
+    """Flood the minimum token over every edge; returns the finished program.
+
+    A :class:`FloodMinProgram` or its array twin: both offer ``best`` and
+    ``parent_of``.
+    """
+    return run_phase(
+        engine, ledger, name, FloodMinArrayKernel, FloodMinProgram,
+        (net, tokens), net.n + 2,
+    )
 
 
 def claim_bfs(
@@ -426,40 +453,18 @@ def claim_bfs(
     net: Network,
     tokens: Dict[int, object],
     ledger: CostLedger,
-    allowed: Optional[Callable[[int, int], bool]] = None,
+    edge_mask: Optional[np.ndarray] = None,
     max_depth: Optional[int] = None,
     name: str = "claim_bfs",
-    slot_mask=None,
-) -> ClaimBfsProgram:
+):
     """Run a parallel claiming BFS; returns the finished program object.
 
-    On an array engine the BFS runs as
-    :class:`~repro.core.array_kernels.ClaimBfsArrayKernel` when the edge
-    restriction is expressible as a static mask: ``slot_mask`` is the
-    per-CSR-slot bool array equivalent to ``allowed`` (callers that pass
-    an ``allowed`` callable must supply the matching mask to opt in; with
-    ``allowed=None`` no mask is needed).  Outputs and ledger are identical
-    either way.
+    ``edge_mask`` states the edge restriction once, for both twins: a
+    bool per CSR slot of ``net.array_views`` (``None``: all edges).  A
+    :class:`ClaimBfsProgram` or its array twin: both offer ``token_of``,
+    ``parent_of``, ``depth_of``, ``children_of`` and ``forest()``.
     """
-    use_kernel = (
-        getattr(engine, "use_arrays", False)
-        and (allowed is None or slot_mask is not None)
-        and all(type(t) is int for t in tokens.values())
+    return run_phase(
+        engine, ledger, name, ClaimBfsArrayKernel, ClaimBfsProgram,
+        (net, tokens, edge_mask, max_depth), (max_depth or net.n) + 3,
     )
-    if use_kernel:
-        program = ClaimBfsArrayKernel(
-            net,
-            np.fromiter(tokens.keys(), dtype=np.int64, count=len(tokens)),
-            np.fromiter(tokens.values(), dtype=np.int64, count=len(tokens)),
-            slot_mask=slot_mask,
-            max_depth=max_depth,
-        )
-    else:
-        program = ClaimBfsProgram(
-            net, tokens, allowed=allowed, max_depth=max_depth
-        )
-    program.name = name
-    limit = (max_depth or net.n) + 3
-    stats = engine.run(program, max_ticks=limit)
-    ledger.charge(stats)
-    return program

@@ -59,6 +59,7 @@ from ..congest.ledger import CostLedger
 from ..congest.network import Network
 from ..graphs.partitions import Partition
 from .aggregation import Aggregation
+from .array_kernels import masked_neighbors
 from .blocks import BlockAnnotations
 from .queued import QueuedProgram
 from .shortcuts import Shortcut
@@ -95,15 +96,7 @@ def compute_wave_boundary(
     keep = (part_np[src] == part_np[adj]) & (fparent[src] != adj) & (
         fparent[adj] != src
     )
-    kept_adj = adj[keep].tolist()
-    counts = np.bincount(src[keep], minlength=net.n)
-    starts = np.zeros(net.n, dtype=np.int64)
-    if net.n > 1:
-        starts[1:] = np.cumsum(counts)[:-1]
-    boundary = [
-        tuple(kept_adj[s:s + c])
-        for s, c in zip(starts.tolist(), counts.tolist())
-    ]
+    boundary = masked_neighbors(arrays, keep)
     division._wave_boundary_cache = boundary
     return boundary
 
@@ -385,17 +378,14 @@ class ReverseProgram(QueuedProgram):
 
     def __init__(
         self,
-        net: Network,
-        partition: Partition,
-        record: WaveRecord,
+        wave: WaveProgram,
         agg: Aggregation,
         values: Sequence[object],
         capacity: int = 1,
     ) -> None:
         super().__init__(capacity=capacity)
-        self.net = net
-        self.partition = partition
-        self.record = record
+        self.partition = wave.partition
+        self.record = wave.record
         self.agg = agg
         self.values = values
         self.expected: Dict[Tuple[int, int], int] = {}
@@ -480,18 +470,15 @@ class ReplayProgram(QueuedProgram):
 
     def __init__(
         self,
-        net: Network,
-        partition: Partition,
-        division: SubPartDivision,
-        record: WaveRecord,
+        wave: WaveProgram,
         results: Dict[int, object],
         capacity: int = 1,
     ) -> None:
         super().__init__(capacity=capacity)
-        self.net = net
-        self.partition = partition
-        self.division = division
-        self.record = record
+        self.net = wave.net
+        self.partition = wave.partition
+        self.division = wave.division
+        self.record = wave.record
         self.results = results
         self.delivered: Dict[int, object] = {}
         self._done: Set[Tuple[int, int]] = set()
@@ -524,6 +511,10 @@ class ReplayProgram(QueuedProgram):
             _tag, pid, value = payload
             self._forward(ctx, node, pid, value)
 
+    def value_at_node(self) -> List[object]:
+        """Per node, the aggregate its part's replay delivered to it."""
+        return [self.delivered.get(v) for v in range(self.net.n)]
+
 
 @dataclass
 class PAWaveResult:
@@ -531,9 +522,6 @@ class PAWaveResult:
 
     aggregates: Dict[int, object]
     value_at_node: List[object]
-    record: WaveRecord
-    wave_rounds: int
-    wave_messages: int
 
 
 @dataclass
@@ -676,139 +664,40 @@ def run_planned_waves(
     plan computed once on the orchestrator from the global structures and
     restricted per shard.
     """
-    capacity = plan.capacity
-    rounds_per_tick = plan.rounds_per_tick
-    delays = plan.delays
-    max_ticks = plan.max_ticks
-    leader_tokens = plan.leader_tokens
+    from .array_wave import WAVE_KERNELS
 
-    if plan.use_array:
-        return _run_pa_waves_array(
-            engine, net, partition, division, shortcut, annotations,
-            values, agg, ledger, leader_tokens, delays, capacity,
-            rounds_per_tick, max_ticks, phase_prefix,
-        )
-
-    wave = WaveProgram(
-        net, partition, division, shortcut, annotations, leader_tokens,
-        delays=delays, capacity=capacity,
+    broadcast, reversal, replay = (
+        WAVE_KERNELS if plan.use_array
+        else (WaveProgram, ReverseProgram, ReplayProgram)
     )
-    wave.name = f"{phase_prefix}_wave"
-    stats = engine.run(
-        wave, max_ticks=max_ticks, capacity=capacity,
-        rounds_per_tick=rounds_per_tick,
-    )
-    ledger.charge(stats)
-    wave_rounds, wave_messages = stats.rounds, stats.messages
 
-    for pid in range(partition.num_parts):
-        missing = set(partition.members[pid]) - wave.record.reached[pid]
+    def run(program, name: str, max_ticks: int):
+        program.name = f"{phase_prefix}_{name}"
+        ledger.charge(engine.run(
+            program, max_ticks=max_ticks, capacity=plan.capacity,
+            rounds_per_tick=plan.rounds_per_tick,
+        ))
+        return program
+
+    wave = run(broadcast(
+        net, partition, division, shortcut, annotations, plan.leader_tokens,
+        delays=plan.delays, capacity=plan.capacity,
+    ), "wave", plan.max_ticks)
+    for pid, members in enumerate(partition.members):
+        missing = [v for v in members if not wave.has_token[v]]
         if missing:
             raise RuntimeError(
-                f"wave failed to cover part {pid}: missing {sorted(missing)[:5]}"
+                f"wave failed to cover part {pid}: missing {missing[:5]}"
             )
-
-    reverse = ReverseProgram(
-        net, partition, wave.record, agg, values, capacity=capacity
+    reverse = run(
+        reversal(wave, agg, values, capacity=plan.capacity),
+        "reverse", 4 * plan.max_ticks,
     )
-    reverse.name = f"{phase_prefix}_reverse"
-    stats = engine.run(
-        reverse, max_ticks=4 * max_ticks, capacity=capacity,
-        rounds_per_tick=rounds_per_tick,
+    replayed = run(
+        replay(wave, reverse.results, capacity=plan.capacity),
+        "replay", 4 * plan.max_ticks,
     )
-    ledger.charge(stats)
-
-    replay = ReplayProgram(
-        net, partition, division, wave.record, reverse.results,
-        capacity=capacity,
-    )
-    replay.name = f"{phase_prefix}_replay"
-    stats = engine.run(
-        replay, max_ticks=4 * max_ticks, capacity=capacity,
-        rounds_per_tick=rounds_per_tick,
-    )
-    ledger.charge(stats)
-
-    value_at_node: List[object] = [None] * net.n
-    for v in range(net.n):
-        value_at_node[v] = replay.delivered.get(v)
-
     return PAWaveResult(
         aggregates=dict(reverse.results),
-        value_at_node=value_at_node,
-        record=wave.record,
-        wave_rounds=wave_rounds,
-        wave_messages=wave_messages,
-    )
-
-
-def _run_pa_waves_array(
-    engine: Engine,
-    net: Network,
-    partition: Partition,
-    division: SubPartDivision,
-    shortcut: Shortcut,
-    annotations: BlockAnnotations,
-    values: Sequence[object],
-    agg: Aggregation,
-    ledger: CostLedger,
-    leader_tokens: Dict[int, int],
-    delays: Dict[int, int],
-    capacity: int,
-    rounds_per_tick: int,
-    max_ticks: int,
-    phase_prefix: str,
-) -> PAWaveResult:
-    """Array-native PA: same three phases, flat-column kernels."""
-    from .array_wave import (
-        ReplayArrayKernel,
-        ReverseArrayKernel,
-        WaveArrayKernel,
-    )
-
-    wave = WaveArrayKernel(
-        net, partition, division, shortcut, annotations, leader_tokens,
-        delays=delays, capacity=capacity,
-    )
-    wave.name = f"{phase_prefix}_wave"
-    stats = engine.run(
-        wave, max_ticks=max_ticks, capacity=capacity,
-        rounds_per_tick=rounds_per_tick,
-    )
-    ledger.charge(stats)
-    wave_rounds, wave_messages = stats.rounds, stats.messages
-
-    part_of = partition.part_of
-    for pid in range(partition.num_parts):
-        missing = {
-            v for v in partition.members[pid]
-            if not wave.has_token[v] or part_of[v] != pid
-        }
-        if missing:
-            raise RuntimeError(
-                f"wave failed to cover part {pid}: missing {sorted(missing)[:5]}"
-            )
-
-    reverse = ReverseArrayKernel(wave, agg, values, capacity=capacity)
-    reverse.name = f"{phase_prefix}_reverse"
-    stats = engine.run(
-        reverse, max_ticks=4 * max_ticks, capacity=capacity,
-        rounds_per_tick=rounds_per_tick,
-    )
-    ledger.charge(stats)
-
-    replay = ReplayArrayKernel(wave, reverse, capacity=capacity)
-    replay.name = f"{phase_prefix}_replay"
-    stats = engine.run(
-        replay, max_ticks=4 * max_ticks, capacity=capacity,
-        rounds_per_tick=rounds_per_tick,
-    )
-    ledger.charge(stats)
-
-    return PAWaveResult(
-        aggregates=reverse.results_dict(),
-        value_at_node=replay.value_at_node(),
-        record=wave.record,
-        wave_rounds=wave_rounds,
-        wave_messages=wave_messages,
+        value_at_node=replayed.value_at_node(),
     )

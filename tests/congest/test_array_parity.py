@@ -17,7 +17,7 @@ import pytest
 
 from repro.algorithms import cc_labeling, minimum_spanning_tree
 from repro.analysis import kruskal_mst
-from repro.congest import CostLedger, Engine, Network
+from repro.congest import CostLedger, Engine, Network, SynchronousSchedule
 from repro.core import (
     DETERMINISTIC,
     MAX,
@@ -214,6 +214,39 @@ def test_deterministic_prepare_bit_for_bit_across_engines(kind, net, partition):
     assert ar_division == sc_division
     # Sub-part trees more than one level deep actually ran.
     assert any(name.startswith("det_star_2_") for name, *_ in sc_log)
+
+
+def _pipeline(net, partition, mode, **engine):
+    """Strict-bits tree + prepare + one solve: (phase log with bits, outputs)."""
+    solver = PASolver(net, mode=mode, seed=5, strict_bits=True, **engine)
+    session = PASession(net, solver=solver)
+    setup = session.prepare(partition)
+    result = session.solve(setup, [(v * 7 + 3) % 101 for v in range(net.n)], SUM)
+    log = [
+        (p.name, p.rounds, p.messages, p.ticks, p.bits)
+        for ledger in (solver.tree_ledger, setup.setup_ledger, result.ledger)
+        for p in ledger.phases()
+    ]
+    return log, (dict(result.aggregates), list(result.value_at_node))
+
+
+@pytest.mark.parametrize("kind,net,partition", _det_inputs()[:3])
+@pytest.mark.parametrize("mode", [RANDOMIZED, DETERMINISTIC])
+def test_whole_pipeline_bit_for_bit_on_three_engines(kind, net, partition, mode):
+    """Every phase has one driver body: scalar, array and delay-0 async
+    engines charge the same (name, rounds, messages, ticks, bits), in the
+    same order — the one-round phases that run as ``cross_round`` included.
+    """
+    scalar = _pipeline(net, partition, mode, engine_impl="scalar")
+    assert _pipeline(net, partition, mode, engine_impl="array") == scalar
+    assert _pipeline(
+        net, partition, mode, schedule=SynchronousSchedule()
+    ) == scalar
+    charged = {name: cost for name, *cost in scalar[0]}
+    assert any(name.endswith("_announce") for name in charged)
+    for name in ["child_ack"] + ["heavy_notify"] * (mode == DETERMINISTIC):
+        rounds, messages, ticks, bits = charged[name]
+        assert (rounds, ticks) == (1, 1) and 0 < messages < bits
 
 
 def test_deterministic_prepare_reaches_the_kernels_and_declines_a_huge_uid():

@@ -1,6 +1,12 @@
 """Broadcast, convergecast and claiming BFS programs."""
 
+import ast
+from pathlib import Path
+
+import numpy as np
 from hypothesis import given, settings, strategies as st
+
+import repro
 
 from repro.congest import CostLedger, Engine
 from repro.core import (
@@ -18,6 +24,7 @@ from repro.core import (
 )
 from repro.core.array_kernels import (
     BroadcastArrayKernel,
+    ClaimBfsArrayKernel,
     ConvergecastArrayKernel,
     CrossRoundArrayKernel,
 )
@@ -118,7 +125,7 @@ def test_claim_bfs_restricted(path10, ledger):
     engine = Engine(path10)
     program = claim_bfs(
         engine, path10, {0: 0}, ledger,
-        allowed=lambda u, v: v != 5,
+        edge_mask=path10.array_views.adj != 5,
     )
     assert program.token_of[4] == 0
     assert program.token_of[5] is None
@@ -284,3 +291,79 @@ def test_cross_round_kernel_matches_the_scalar_program(data):
             agg.fold(value for (u, w), value in zip(edges, values) if w == v)
             for v in range(n)
         ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_masked_claim_bfs_kernel_matches_the_scalar_program(data):
+    n = data.draw(st.integers(5, 12))
+    net = complete_graph(n, uid_seed=data.draw(st.integers(0, 5)))
+    arrays = net.array_views
+    # A random symmetric restriction, or a lopsided one: a mask is per
+    # directed slot, so u -> v may be allowed where v -> u is not.
+    edge_mask = np.array(
+        data.draw(st.lists(
+            st.booleans(), min_size=arrays.adj.size, max_size=arrays.adj.size
+        )),
+        dtype=bool,
+    )
+    if data.draw(st.booleans()):
+        edge_mask &= edge_mask[np.searchsorted(
+            arrays.edge_keys, arrays.adj * n + arrays.src_of_slot
+        )]
+    sources = data.draw(st.lists(
+        st.integers(0, n - 1), unique=True, min_size=1, max_size=4
+    ))
+    tokens = {v: net.uid[v] for v in sources}
+    max_depth = data.draw(st.none() | st.integers(1, 4))
+
+    def run(engine, ledger):
+        program = claim_bfs(
+            engine, net, tokens, ledger, edge_mask=edge_mask,
+            max_depth=max_depth, name="masked",
+        )
+        assert isinstance(program, ClaimBfsArrayKernel) == engine.use_arrays
+        return (
+            list(program.token_of), list(program.parent_of),
+            list(program.depth_of), [list(c) for c in program.children_of],
+        )
+
+    (scalar, scalar_log), (array, array_log) = _both_engines(net, run)
+    assert array == scalar
+    assert array_log == scalar_log
+    token_of, parent_of, depth_of, _children = array
+    slot_of = dict(zip(arrays.edge_keys.tolist(), range(arrays.adj.size)))
+    for v in range(n):
+        if parent_of[v] >= 0:  # claimed over an allowed edge, one hop deeper
+            assert edge_mask[slot_of[parent_of[v] * n + v]]
+            assert depth_of[v] == depth_of[parent_of[v]] + 1
+            assert token_of[v] == token_of[parent_of[v]]
+
+
+def test_one_dispatch_seam():
+    """Kernel or scalar twin is chosen in one function.
+
+    ``use_arrays`` is read only by ``treeops._kernel``; every other
+    mention under ``src/repro`` is the constructor plumbing that carries
+    the setting from ``PASolver`` to an ``Engine`` (and to shard workers).
+    """
+    root = Path(repro.__file__).parent
+    plumbing = ("congest/engine.py", "core/pa.py", "runtime/session.py", "shard/")
+    readers = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel.startswith(plumbing):
+            continue
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(func):
+                attribute = (
+                    isinstance(node, ast.Attribute) and node.attr == "use_arrays"
+                    and isinstance(node.ctx, ast.Load)
+                )
+                spelled = isinstance(node, ast.Constant) and node.value == "use_arrays"
+                if attribute or spelled:
+                    readers.append((rel, getattr(func, "name", "<lambda>")))
+    assert readers == [("core/treeops.py", "_kernel")]

@@ -14,6 +14,7 @@ from repro.core import (
     run_pa_waves,
     star_shortcut_for_parts,
 )
+from repro.core.wave import WaveProgram
 from repro.graphs import (
     Partition,
     grid_2d,
@@ -71,10 +72,16 @@ def test_wave_uses_blocks_when_present():
         [1] * net.n, SUM, ledger,
     )
     assert outcome.aggregates == {0: 8, 1: 8, 2: 8, 3: 8}
-    # Block traffic appears in the record: some node relays ku/kd.
+    # Block traffic appears in the record the reversal consumes: some
+    # node relays ku/kd.
+    wave = WaveProgram(
+        net, partition, division, shortcut, ann,
+        {pid: net.uid[leader] for pid, leader in enumerate(division.part_leader)},
+    )
+    engine.run(wave, max_ticks=200)
     tags = {
         tag
-        for edges in outcome.record.out_edges.values()
+        for edges in wave.record.out_edges.values()
         for (_dst, tag) in edges
     }
     assert "ku" in tags or "kd" in tags

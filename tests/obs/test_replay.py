@@ -16,8 +16,8 @@ import pytest
 
 from repro import PASession, PASolver
 from repro.congest import SynchronousSchedule
-from repro.algorithms import minimum_spanning_tree
-from repro.core import SUM, solve_pa
+from repro.algorithms import minimum_spanning_tree, verify_bipartiteness
+from repro.core import SUM, claim_bfs, solve_pa
 from repro.graphs import (
     bfs_ball_partition,
     grid_2d,
@@ -89,15 +89,48 @@ def test_trace_replays_pa_ledger(workload, label, kwargs, mode, seed):
         # the synchronizer tax is on its own stream, never in main
         tax = _event_totals(tracer, "async_overhead")
         assert tax[0] > 0 and tax[1] > 0
-    # a declined kernel dispatch is an instant naming a phase that was
-    # then charged, with a known reason; only array engines dispatch
-    fallbacks = [e for e in tracer.events if e["name"] == "kernel_fallback"]
+    _check_fallbacks(tracer, label)
+
+
+def _check_fallbacks(tracer, label):
+    """A declined kernel dispatch is an instant naming a phase that was
+    then charged, with a known reason; only array engines dispatch."""
+    fallbacks = [
+        e["args"] for e in tracer.events if e["name"] == "kernel_fallback"
+    ]
     charged = {e["name"] for e in tracer.ledger_events("main")}
-    for event in fallbacks:
-        assert event["args"]["phase"] in charged
-        assert event["args"]["reason"] in FALLBACK_REASONS
+    for args in fallbacks:
+        assert args["phase"] in charged
+        assert args["reason"] in FALLBACK_REASONS
     if label != "array":
         assert fallbacks == []
+    return fallbacks
+
+
+@pytest.mark.parametrize("label,kwargs", ENGINES, ids=[e[0] for e in ENGINES])
+def test_every_dispatch_declines_on_the_trace(workload, label, kwargs):
+    """Claim BFS, flood-min, CoreFast claim, annotation and the waves go
+    through the same seam as broadcast / convergecast: a verification run
+    on top of PA replays, and whatever it declines is on its trace."""
+    net = workload[0]
+    subgraph = [edge for i, edge in enumerate(net.edges) if i % 4]
+    tracer = Tracer()
+    with use_tracer(tracer):
+        solver = PASolver(net, seed=3, **kwargs)
+        res = verify_bipartiteness(
+            net, subgraph, seed=3, session=PASession(net, solver=solver)
+        )
+        # a claim token that is no int: the BFS declines to its scalar twin
+        bfs = claim_bfs(
+            solver.engine, net, {0: ("tok", 7)}, res.ledger, name="odd_bfs"
+        )
+    assert res.output is True and bfs.token_of[net.n - 1] == ("tok", 7)
+    assert _event_totals(tracer) == (res.rounds, res.messages)
+    fallbacks = _check_fallbacks(tracer, label)
+    # the H-restricted BFS states its edges as a mask: it runs on the kernel
+    assert "bip_h_bfs" not in {args["phase"] for args in fallbacks}
+    if label == "array":
+        assert {"phase": "odd_bfs", "reason": "non_int"} in fallbacks
 
 
 @pytest.mark.parametrize("label,kwargs", ENGINES, ids=[e[0] for e in ENGINES])
