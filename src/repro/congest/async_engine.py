@@ -54,6 +54,14 @@ safe waves — in one jump, leaving every ledger and overhead record
 bit-for-bit identical to the pulse-by-pulse walk (pinned by
 ``tests/congest/test_async_fast_forward.py``).
 
+Event queue and delay draws (docs/architecture.md has the argument): the
+virtual clock is an integer, so pending events sit in a calendar — one
+append-only bucket per timestamp plus a heap of the distinct timestamps —
+which pops in exactly ``(time, push order)``; and delays are drawn a *row*
+at a time, ``Schedule.delays`` over the network's directed edges in CSR
+slot order, once per ``(pulse, kind)`` and validated whole, instead of
+one ``Schedule.delay`` call per message.
+
 Fault injection: pass a :class:`~repro.congest.faults.FaultPlan` and the
 engine drops crashed nodes' activations, their in-flight and addressed
 payloads, and everything crossing a partitioned cut, all as pure
@@ -72,11 +80,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..obs.tracer import current_tracer
 from .engine import Context, FastContext, Program
-from .errors import (
-    ChannelCapacityError,
-    RoundLimitExceededError,
-    ScheduleValidationError,
-)
+from .errors import ChannelCapacityError, RoundLimitExceededError
 from .faults import FaultPlan, FaultReport
 from .ledger import CostLedger, EngineProfile, PhaseStats
 from .network import Network
@@ -86,10 +90,11 @@ from .schedule import (
     SAFE,
     Schedule,
     SynchronousSchedule,
+    check_delay,
     validate_schedule,
 )
 
-# Event codes (first tuple slot after (time, seq)).
+# Event codes (first slot of every event tuple).
 _EV_PAYLOAD = 0
 _EV_ACK = 1
 _EV_SAFE = 2
@@ -169,6 +174,7 @@ class AsyncEngine:
         #: engine, with zero extra branches taken.
         self.faults = faults if faults is not None and not faults.empty else None
         self.fast_forward = fast_forward
+        self._edge_slots = _EdgeSlots(network)
         #: Idle-gap jumps taken (diagnostic; the jump is cost-exact so
         #: this never shows in any ledger).
         self.fast_forward_jumps = 0
@@ -209,7 +215,8 @@ class AsyncEngine:
         )
         ctx = ctx_cls(self.network, self.strict_bits)
         run = _AsyncPhase(
-            self.network, self.schedule, program, ctx, max_ticks, capacity,
+            self.network, self.schedule, self._edge_slots, program, ctx,
+            max_ticks, capacity,
             phase_name, faults=self.faults, pulse_base=self.global_pulse,
             fast_forward=self.fast_forward,
         )
@@ -263,6 +270,31 @@ class AsyncEngine:
         return stats
 
 
+class _EdgeSlots:
+    """The network's directed edges in CSR order, one *slot* each.
+
+    Node ``u``'s out-edges occupy slots ``off[u] : off[u + 1]`` in the
+    order of ``net.neighbors[u]``; ``src`` / ``dst`` list every slot's
+    endpoints (the edge list handed to ``Schedule.delays``) and
+    ``of[(src, dst)]`` finds a slot.  Built once per engine: the tuples'
+    identity is what lets a schedule keep its per-edge state across the
+    rows of every phase.
+    """
+
+    __slots__ = ("off", "src", "dst", "of")
+
+    def __init__(self, net: Network) -> None:
+        offsets, adjacency = net.adjacency_csr()
+        self.off: List[int] = list(offsets)
+        self.dst: Tuple[int, ...] = tuple(adjacency)
+        self.src: Tuple[int, ...] = tuple(
+            u for u in range(net.n) for _ in range(offsets[u], offsets[u + 1])
+        )
+        self.of: Dict[Tuple[int, int], int] = {
+            edge: slot for slot, edge in enumerate(zip(self.src, self.dst))
+        }
+
+
 class _AsyncPhase:
     """One phase's event-driven execution state (private to the engine)."""
 
@@ -270,6 +302,7 @@ class _AsyncPhase:
         self,
         net: Network,
         schedule: Schedule,
+        slots: _EdgeSlots,
         program: Program,
         ctx: Context,
         max_ticks: int,
@@ -281,6 +314,11 @@ class _AsyncPhase:
     ) -> None:
         self.net = net
         self.schedule = schedule
+        self.slots = slots
+        #: pulse -> the delay rows drawn for it, indexed by message kind
+        #: (``None`` until first use).  A row holds one delay per edge
+        #: slot; rows behind ``min_pulse`` are dropped.
+        self.rows: Dict[int, List[Optional[List[int]]]] = {}
         self.program = program
         self.ctx = ctx
         self.max_ticks = max_ticks
@@ -328,16 +366,19 @@ class _AsyncPhase:
         #: pulse -> nodes that became safe while the run looked finished
         #: (their safe wave is released if the horizon later extends).
         self.stalled_safe: Dict[int, List[int]] = {}
-        #: FIFO clamp: directed edge -> last payload arrival time.
-        self.fifo_last: Dict[Tuple[int, int], int] = {}
+        #: FIFO clamp: edge slot (or the ``(src, dst)`` pair of a send
+        #: along a non-edge) -> last payload arrival time.
+        self.fifo_last: Dict[object, int] = {}
         #: Undelivered-work counters (fast-forward preconditions): total
         #: buffered mailbox entries and distinct pending wake pulses.
         self.mail_total = 0
         self.wake_total = 0
         self.two_m = sum(self.deg)
 
-        self.heap: List[tuple] = []
-        self.event_seq = 0
+        #: The event queue, as a calendar: timestamp -> its events in
+        #: push order, plus a heap of the distinct pending timestamps.
+        self.calendar: Dict[int, List[tuple]] = {}
+        self.times: List[int] = []
         self.emit_seq = 0
         #: target pulse -> payloads delivered into it (peak_in_flight).
         self.in_flight: Dict[int, int] = {}
@@ -359,9 +400,73 @@ class _AsyncPhase:
         self.ready_set: Set[int] = set()
 
     # -- event helpers --------------------------------------------------
-    def _push(self, time: int, payload: tuple) -> None:
-        self.event_seq += 1
-        heappush(self.heap, (time, self.event_seq) + payload)
+    def _push(self, time: int, event: tuple) -> None:
+        """Schedule ``event`` at virtual time ``time``.
+
+        The clock is an integer, so the queue is a calendar: one bucket
+        per pending timestamp, appended to in push order, and a heap of
+        the distinct timestamps.  Popping the smallest timestamp and
+        walking its bucket is exactly ``(time, push order)`` order.
+
+        Guarantee the queue rests on: every push lands strictly after
+        the timestamp being processed — each caller adds the one-unit
+        hop (or the two-unit idle frame) to ``now``, and every delay a
+        row or ``_off_edge_delay`` hands out has been checked to be a
+        non-negative int.  So a bucket is never appended to while it is
+        walked, and no event is ever scheduled in the past.
+        """
+        bucket = self.calendar.get(time)
+        if bucket is None:
+            self.calendar[time] = [event]
+            heappush(self.times, time)
+        else:
+            bucket.append(event)
+
+    # -- delay draws ------------------------------------------------------
+    def _row(self, pulse: int, kind: int) -> List[int]:
+        """The schedule's delays for ``(pulse, kind)``, one per edge slot.
+
+        Drawn on first use and validated whole: whatever the kind, an
+        edge that is actually used cannot carry a negative or non-int
+        delay into the queue.
+        """
+        rows = self.rows.get(pulse)
+        if rows is None:
+            rows = self.rows[pulse] = [None, None, None]
+        row = rows[kind]
+        if row is None:
+            slots = self.slots
+            row = self.schedule.delays(slots.src, slots.dst, pulse, kind)
+            if len(row) != len(slots.src):
+                raise ValueError(
+                    f"schedule {self.schedule.name!r}: delays() returned "
+                    f"{len(row)} entries for {len(slots.src)} edges"
+                )
+            try:
+                # Two C-speed passes decide the common case: a sum of
+                # ints is an int (one float or numpy entry changes its
+                # type), and the minimum bounds every entry.
+                ok = not slots.src or (type(sum(row)) is int and min(row) >= 0)
+            except TypeError:
+                ok = False
+            if not ok:
+                for d, src, dst in zip(row, slots.src, slots.dst):
+                    check_delay(self.schedule, d, src, dst, pulse, kind)
+            rows[kind] = row
+        return row
+
+    def _off_edge_delay(self, src: int, dst: int, pulse: int, kind: int) -> int:
+        """One checked scalar draw, for a send along a non-edge (legal
+        only under ``strict_edges=False``), which has no slot in a row."""
+        d = self.schedule.delay(src, dst, pulse, kind)
+        check_delay(self.schedule, d, src, dst, pulse, kind)
+        return d
+
+    def _ack_delay(self, src: int, dst: int, pulse: int) -> int:
+        slot = self.slots.of.get((src, dst))
+        if slot is None:
+            return self._off_edge_delay(src, dst, pulse, ACK)
+        return self._row(pulse, ACK)[slot]
 
     def _raise_horizon(self, target_pulse: int, now: int) -> None:
         """Extend the last interesting pulse; release stalled machinery."""
@@ -380,9 +485,11 @@ class _AsyncPhase:
 
     # -- the synchronizer protocol --------------------------------------
     def _fan_out_safe(self, u: int, t: int, now: int) -> None:
-        schedule_delay = self.schedule.delay
+        off = self.slots.off
+        delays = self._row(t, SAFE)[off[u]:off[u + 1]]
+        base = now + 1
         faults = self.faults
-        for nb in self.neighbors[u]:
+        for nb, d in zip(self.neighbors[u], delays):
             if faults is not None and faults.edge_down(
                 u, nb, self.pulse_base + t + 1
             ):
@@ -397,7 +504,7 @@ class _AsyncPhase:
                         {"src": u, "dst": nb, "pulse": self.pulse_base + t + 1},
                     )
                 continue
-            self._push(now + 1 + schedule_delay(u, nb, t, SAFE), (_EV_SAFE, nb, t))
+            self._push(base + d, (_EV_SAFE, nb, t))
         self.safe_msgs += len(self.neighbors[u])
 
     def _become_safe(self, u: int, t: int, now: int) -> None:
@@ -432,24 +539,23 @@ class _AsyncPhase:
         sent = ctx._sent
         target = sender_pulse + 1
         if sent:
-            schedule_delay = self.schedule.delay
+            row = self._row(sender_pulse, PAYLOAD)
+            slot_of = self.slots.of
             fifo = self.schedule.fifo
             fifo_last = self.fifo_last
             for dst in ctx._touched:
                 box = ctx._mail[dst]
                 for src, payload in box:
                     self.emit_seq += 1
-                    arrival = now + 1 + schedule_delay(src, dst, sender_pulse, PAYLOAD)
-                    if arrival < now + 1:
-                        # Runtime backstop behind validate_schedule's
-                        # construction probe: an event in the past would
-                        # silently corrupt the queue.
-                        raise ScheduleValidationError(
-                            self.schedule, src, dst, sender_pulse, PAYLOAD,
-                            f"returned negative delay {arrival - now - 1}",
+                    slot = slot_of.get((src, dst))
+                    if slot is None:
+                        arrival = now + 1 + self._off_edge_delay(
+                            src, dst, sender_pulse, PAYLOAD
                         )
+                    else:
+                        arrival = now + 1 + row[slot]
                     if fifo:
-                        key = (src, dst)
+                        key = (src, dst) if slot is None else slot
                         prev = fifo_last.get(key, 0)
                         if arrival < prev:
                             arrival = prev
@@ -546,7 +652,11 @@ class _AsyncPhase:
         else:
             del pop[prev]
             if prev == self.min_pulse:
-                self.min_pulse = min(pop)
+                self.min_pulse = low = min(pop)
+                # No node will draw for a pulse every node has left.
+                rows = self.rows
+                for p in [p for p in rows if p < low]:
+                    del rows[p]
         if t > self.max_pulse:
             self.max_pulse = t
 
@@ -602,9 +712,9 @@ class _AsyncPhase:
     def _maybe_fast_forward(self) -> None:
         """Jump over an all-idle pulse gap to the next timer, cost-exactly.
 
-        Preconditions (checked here; the caller guarantees the heap is
-        empty): every node is gate-open for the same next pulse ``t``,
-        nothing is buffered or pending anywhere (no mail, no wakes, no
+        Preconditions (checked here; the caller guarantees there is no
+        pending timestamp): every node is gate-open for the same next
+        pulse ``t``, nothing is buffered or pending anywhere (no mail, no wakes, no
         stalled safes, no horizon waiters), the only future work is a
         ``wake_at`` timer at ``T > t``, and the schedule promises one
         uniform delay ``d``.  Walking that gap would execute ``T - t``
@@ -653,6 +763,7 @@ class _AsyncPhase:
         self.pulse_pop = {at: n}
         self.min_pulse = at
         self.max_pulse = at
+        self.rows.clear()
         self.ready = [(next_timer, v) for v in range(n)]
         self.ready_set = set(range(n))
         self.jumps += 1
@@ -683,14 +794,15 @@ class _AsyncPhase:
         for u in range(n):
             self._try_queue(u)
 
-        heap = self.heap
-        while heap or self.ready:
+        times = self.times
+        calendar = self.calendar
+        while times or self.ready:
             # Execute every gate-open entry at the current timestamp in
             # deterministic (pulse, node) order before advancing the
             # clock; executing may open further gates at the same
             # timestamp (horizon raises, banked safes), so drain fully.
             if self.ready:
-                if self.fast_forward and not heap:
+                if self.fast_forward and not times:
                     self._maybe_fast_forward()
                 batch = self.ready
                 self.ready = []
@@ -699,16 +811,15 @@ class _AsyncPhase:
                     self.ready_set.discard(v)
                     self._enter(v, t, self.clock)
                 continue
-            now = heap[0][0]
+            now = heappop(times)
             self.clock = now
             skew = self.max_pulse - self.min_pulse
             if skew > self.max_skew:
                 self.max_skew = skew
-            while heap and heap[0][0] == now:
-                event = heappop(heap)
-                code = event[2]
+            for event in calendar.pop(now):
+                code = event[0]
                 if code == _EV_PAYLOAD:
-                    _t, _s, _c, dst, tpulse, src, eseq, payload = event
+                    _, dst, tpulse, src, eseq, payload = event
                     faults = self.faults
                     if faults is not None:
                         gp = self.pulse_base + tpulse
@@ -734,8 +845,7 @@ class _AsyncPhase:
                                     {"src": src, "dst": dst, "pulse": gp},
                                 )
                             self._push(
-                                now + 1
-                                + self.schedule.delay(dst, src, tpulse - 1, ACK),
+                                now + 1 + self._ack_delay(dst, src, tpulse - 1),
                                 (_EV_ACK, src, tpulse - 1),
                             )
                             continue
@@ -746,11 +856,11 @@ class _AsyncPhase:
                     self.in_flight[tpulse] = self.in_flight.get(tpulse, 0) + 1
                     self.ack_msgs += 1
                     self._push(
-                        now + 1 + self.schedule.delay(dst, src, tpulse - 1, ACK),
+                        now + 1 + self._ack_delay(dst, src, tpulse - 1),
                         (_EV_ACK, src, tpulse - 1),
                     )
                 elif code == _EV_ACK:
-                    _t, _s, _c, u, p = event
+                    _, u, p = event
                     bucket = self.unacked[u]
                     left = bucket[p] - 1
                     if left:
@@ -759,13 +869,13 @@ class _AsyncPhase:
                         del bucket[p]
                         self._become_safe(u, p, now)
                 elif code == _EV_SAFE:
-                    _t, _s, _c, dst, p = event
+                    _, dst, p = event
                     cnt = self.safe_cnt[dst]
                     cnt[p] = cnt.get(p, 0) + 1
                     if cnt[p] == self.deg[dst] and self.pulse[dst] == p:
                         self._try_queue(dst)
                 else:  # _EV_SELF_SAFE
-                    _t, _s, _c, u, p = event
+                    _, u, p = event
                     if not self.unacked[u].get(p):
                         self._become_safe(u, p, now)
 

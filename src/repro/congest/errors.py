@@ -99,8 +99,8 @@ class ScheduleValidationError(CongestError):
     orderings).  Raised by
     :func:`repro.congest.schedule.validate_schedule` — called at
     :class:`~repro.congest.AsyncEngine` construction — or by the
-    engine's per-message runtime guard on a coordinate the construction
-    probe missed.
+    engine when a delay row it draws (any message kind, any edge) holds
+    a negative or non-int entry the construction probe missed.
     """
 
     def __init__(

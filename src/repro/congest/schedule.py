@@ -2,16 +2,26 @@
 
 A :class:`Schedule` assigns every message of an asynchronous execution an
 *extra* delivery delay in virtual time units, on top of the one-unit hop
-latency every edge always charges.  The async engine
-(:mod:`repro.congest.async_engine`) queries the schedule per message —
-payloads, and the ack/safe control traffic of its synchronizer layer —
-so a schedule can slow an edge for everything that crosses it.
+latency every edge always charges.  The delay covers payloads and the
+ack/safe control traffic of the synchronizer layer alike, so a schedule
+can slow an edge for everything that crosses it.
 
 Schedules are *pure functions* of their construction parameters and the
 message coordinates ``(src, dst, pulse, kind)``: the same schedule object
 (or an equal-seeded copy) always assigns the same delays regardless of
 the order the engine asks in.  That purity is what makes every fuzz
 failure replayable from a ``(graph_seed, schedule_seed)`` pair alone.
+
+:meth:`Schedule.delay` is the single definition of a schedule.
+:meth:`Schedule.delays` is the same function asked for a whole edge list
+at once — the async engine (:mod:`repro.congest.async_engine`) draws one
+*row* per ``(pulse, kind)`` over the network's directed edges instead of
+one hash per message.  The base class derives it from ``delay``, so a
+schedule that overrides only ``delay`` keeps working; the built-in
+schedules compute the row with numpy (the splitmix rounds of
+:func:`_mix` over a ``uint64`` array, where the wrapping multiply *is*
+the ``& _MASK``), and ``delays == [delay ...]`` is pinned by a property
+test (``tests/congest/test_schedule_rows.py``).
 
 Legitimacy note (see docs/architecture.md, "Asynchronous execution"):
 schedules shape *timing*, never the cost model.  The rounds/messages a
@@ -22,6 +32,10 @@ the synchronizer overhead, which are accounted separately.
 
 from __future__ import annotations
 
+from typing import List, Optional, Sequence
+
+import numpy as np
+
 #: Message kinds a schedule may distinguish.
 PAYLOAD = 0
 ACK = 1
@@ -31,6 +45,11 @@ _KIND_NAMES = {PAYLOAD: "payload", ACK: "ack", SAFE: "safe"}
 
 _MASK = (1 << 64) - 1
 
+#: The splitmix constants, shared by the scalar mixer and its numpy round.
+_MIX_INIT = 0x9E3779B97F4A7C15
+_MIX_MUL_A = 0xBF58476D1CE4E5B9
+_MIX_MUL_B = 0x94D049BB133111EB
+
 
 def _mix(*parts: int) -> int:
     """Deterministic 64-bit hash of integer coordinates (splitmix-style).
@@ -39,12 +58,71 @@ def _mix(*parts: int) -> int:
     identity for small ints; this mixer gives well-spread, process-stable
     values so schedule draws are reproducible across runs and machines.
     """
-    h = 0x9E3779B97F4A7C15
+    h = _MIX_INIT
     for p in parts:
-        h = (h ^ (p & _MASK)) * 0xBF58476D1CE4E5B9 & _MASK
-        h = (h ^ (h >> 27)) * 0x94D049BB133111EB & _MASK
+        h = (h ^ (p & _MASK)) * _MIX_MUL_A & _MASK
+        h = (h ^ (h >> 27)) * _MIX_MUL_B & _MASK
         h ^= h >> 31
     return h
+
+
+_U64_MUL_A = np.uint64(_MIX_MUL_A)
+_U64_MUL_B = np.uint64(_MIX_MUL_B)
+_U64_27 = np.uint64(27)
+_U64_31 = np.uint64(31)
+
+
+def _u64(value: int) -> np.uint64:
+    """``value & _MASK`` as the numpy scalar the array round mixes in."""
+    return np.uint64(value & _MASK)
+
+
+def _mix_round(h: np.ndarray, part) -> np.ndarray:
+    """One :func:`_mix` round over a ``uint64`` array of hash states.
+
+    ``part`` is a ``uint64`` scalar or array.  Array multiplication wraps
+    modulo 2**64, which is exactly the scalar round's ``& _MASK``.
+    """
+    h = (h ^ part) * _U64_MUL_A
+    h = (h ^ (h >> _U64_27)) * _U64_MUL_B
+    return h ^ (h >> _U64_31)
+
+
+def _mix_pairs(
+    seed: int, firsts: Sequence[int], seconds: Sequence[int]
+) -> np.ndarray:
+    """``_mix(seed, a, b)`` for every ``(a, b)`` pair, as a ``uint64`` array."""
+    a = np.asarray(firsts, dtype=np.int64).astype(np.uint64)
+    b = np.asarray(seconds, dtype=np.int64).astype(np.uint64)
+    h = np.full(a.shape, _MIX_INIT, dtype=np.uint64)
+    return _mix_round(_mix_round(_mix_round(h, _u64(seed)), a), b)
+
+
+class _EdgeListCache:
+    """One value derived from an edge list, kept while the list repeats.
+
+    The engine asks for a row per ``(pulse, kind)`` over the *same* pair
+    of slot tuples, so whatever depends only on ``(seed, src, dst)`` is
+    computed once.  Only tuples are cached, and they are matched by
+    identity while the cache holds them alive: an immutable sequence that
+    is the same object is the same edge list, so a second network, a
+    second phase layout or a mutated list can never read a stale value.
+    """
+
+    __slots__ = ("_srcs", "_dsts", "_value")
+
+    def __init__(self) -> None:
+        self._srcs: Optional[tuple] = None
+        self._dsts: Optional[tuple] = None
+        self._value = None
+
+    def get(self, srcs, dsts, build):
+        if srcs is self._srcs and dsts is self._dsts:
+            return self._value
+        value = build(srcs, dsts)
+        if type(srcs) is tuple and type(dsts) is tuple:
+            self._srcs, self._dsts, self._value = srcs, dsts, value
+        return value
 
 
 class Schedule:
@@ -64,6 +142,20 @@ class Schedule:
     def delay(self, src: int, dst: int, pulse: int, kind: int) -> int:
         """Extra delay (>= 0 time units) for one message."""
         raise NotImplementedError
+
+    def delays(
+        self, srcs: Sequence[int], dsts: Sequence[int], pulse: int, kind: int
+    ) -> List[int]:
+        """``delay`` for every directed edge ``(srcs[i], dsts[i])`` at once.
+
+        A batch of the same pure function, never a second definition: the
+        result must equal ``[self.delay(s, d, pulse, kind) ...]``, which
+        is what this default body computes.  Subclasses override it only
+        to compute that list faster.  The returned list belongs to the
+        caller.
+        """
+        delay = self.delay
+        return [delay(s, d, pulse, kind) for s, d in zip(srcs, dsts)]
 
     def uniform_delay(self) -> "int | None":
         """The single constant this schedule assigns to *every* message,
@@ -101,6 +193,9 @@ class SynchronousSchedule(Schedule):
     def delay(self, src: int, dst: int, pulse: int, kind: int) -> int:
         return 0
 
+    def delays(self, srcs, dsts, pulse: int, kind: int) -> List[int]:
+        return [0] * len(srcs)
+
     def uniform_delay(self) -> int:
         return 0
 
@@ -120,11 +215,24 @@ class RandomDelaySchedule(Schedule):
         self.seed = seed
         self.max_delay = max_delay
         self.name = f"random(d<={max_delay},seed={seed})"
+        self._states = _EdgeListCache()
 
     def delay(self, src: int, dst: int, pulse: int, kind: int) -> int:
         if self.max_delay == 0:
             return 0
         return _mix(self.seed, src, dst, pulse, kind) % (self.max_delay + 1)
+
+    def delays(self, srcs, dsts, pulse: int, kind: int) -> List[int]:
+        if self.max_delay == 0:
+            return [0] * len(srcs)
+        # The (seed, src, dst) rounds are per edge list; a row is the two
+        # remaining rounds.
+        h = self._states.get(srcs, dsts, self._edge_states)
+        h = _mix_round(_mix_round(h, _u64(pulse)), _u64(kind))
+        return (h % np.uint64(self.max_delay + 1)).tolist()
+
+    def _edge_states(self, srcs, dsts) -> np.ndarray:
+        return _mix_pairs(self.seed, srcs, dsts)
 
     def uniform_delay(self) -> "int | None":
         return 0 if self.max_delay == 0 else None
@@ -155,6 +263,7 @@ class SlowEdgeSchedule(Schedule):
         self.slow_delay = slow_delay
         self._threshold = int(slow_fraction * (1 << 32))
         self.name = f"slow-edge(f={slow_fraction},d={slow_delay},seed={seed})"
+        self._rows = _EdgeListCache()
 
     def is_slow(self, u: int, v: int) -> bool:
         a, b = (u, v) if u < v else (v, u)
@@ -162,6 +271,16 @@ class SlowEdgeSchedule(Schedule):
 
     def delay(self, src: int, dst: int, pulse: int, kind: int) -> int:
         return self.slow_delay if self.is_slow(src, dst) else 0
+
+    def delays(self, srcs, dsts, pulse: int, kind: int) -> List[int]:
+        # Constant per edge: one row per edge list serves every
+        # (pulse, kind); callers get their own copy.
+        return list(self._rows.get(srcs, dsts, self._edge_row))
+
+    def _edge_row(self, srcs, dsts) -> List[int]:
+        h = _mix_pairs(self.seed, np.minimum(srcs, dsts), np.maximum(srcs, dsts))
+        slow = (h >> np.uint64(16)) % np.uint64(1 << 32) < np.uint64(self._threshold)
+        return np.where(slow, self.slow_delay, 0).tolist()
 
     def uniform_delay(self) -> "int | None":
         if self.slow_delay == 0 or self.slow_fraction == 0.0:
@@ -214,6 +333,26 @@ def make_schedule(
     )
 
 
+def check_delay(
+    schedule: Schedule, d, src: int, dst: int, pulse: int, kind: int
+) -> None:
+    """Raise :class:`~repro.congest.errors.ScheduleValidationError` unless
+    ``d`` is a non-negative int (the contract of one ``delay`` value)."""
+    from .errors import ScheduleValidationError
+
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise ScheduleValidationError(
+            schedule, src, dst, pulse, kind,
+            f"returned {d!r} ({type(d).__name__}); delays must "
+            "be non-negative ints",
+        )
+    if d < 0:
+        raise ScheduleValidationError(
+            schedule, src, dst, pulse, kind,
+            f"returned negative delay {d}",
+        )
+
+
 def validate_schedule(
     schedule: Schedule,
     network,
@@ -227,10 +366,11 @@ def validate_schedule(
 
     The probe samples real directed edges of ``network`` across a few
     pulses and all message kinds, calling ``delay`` twice per coordinate.
-    It cannot prove a schedule correct — the per-message runtime guard in
-    the async engine backstops coordinates the probe missed — but it
-    catches the common bugs at construction, with a clear error instead
-    of a corrupted heap.  Raises
+    It cannot prove a schedule correct — the async engine checks every
+    delay row it draws (all kinds, every edge) for negative and non-int
+    entries, which backstops the coordinates the probe missed — but it
+    catches the common bugs at construction, and it is the only check
+    for non-determinism.  Raises
     :class:`~repro.congest.errors.ScheduleValidationError`.
     """
     from .errors import ScheduleValidationError
@@ -245,17 +385,7 @@ def validate_schedule(
         for pulse in pulses:
             for kind in (PAYLOAD, ACK, SAFE):
                 d = schedule.delay(src, dst, pulse, kind)
-                if not isinstance(d, int) or isinstance(d, bool):
-                    raise ScheduleValidationError(
-                        schedule, src, dst, pulse, kind,
-                        f"returned {d!r} ({type(d).__name__}); delays must "
-                        "be non-negative ints",
-                    )
-                if d < 0:
-                    raise ScheduleValidationError(
-                        schedule, src, dst, pulse, kind,
-                        f"returned negative delay {d}",
-                    )
+                check_delay(schedule, d, src, dst, pulse, kind)
                 again = schedule.delay(src, dst, pulse, kind)
                 if again != d:
                     raise ScheduleValidationError(

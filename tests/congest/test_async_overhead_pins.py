@@ -1,0 +1,173 @@
+"""Overhead records under non-uniform schedules, held to literals.
+
+``time_units`` / ``max_skew`` / safe and ack counts are a function of
+every event's time *and* order, so they are the witness that a change to
+how the async engine draws delays or orders its queue moved nothing.
+The uniform-delay case is pinned by ``test_async_fast_forward.py``; this
+file pins random, FIFO and slow-edge delays, with and without a fault
+plan.  Every literal below was captured on the per-message, binary-heap
+engine (the commit before delay rows and the calendar queue); the
+schedule table repeats ``bench_async::test_pa_schedules`` as committed
+in ``BENCH_pr10.json``.
+"""
+
+import hashlib
+
+import pytest
+
+from repro import PASession
+from repro.congest import (
+    CrashEvent,
+    FaultPlan,
+    MessageLoss,
+    PartitionEvent,
+    make_schedule,
+)
+from repro.core import SUM, PASolver
+from repro.graphs import bfs_ball_partition, grid_2d
+from repro.runtime import RecoveryDriver
+
+
+def _tuples(log):
+    return [
+        (o.time_units, o.max_skew, o.safe_messages, o.ack_messages) for o in log
+    ]
+
+
+# ---------------------------------------------------------------------------
+# The bench_async PA table: 8x8 grid, BFS-ball parts, seed 7
+# ---------------------------------------------------------------------------
+#: label -> (schedule, time-units, control messages, max skew).
+BENCH_ASYNC_ROWS = {
+    "sync": (lambda: make_schedule("sync"), 162, 12206, 0),
+    "random d<=4": (
+        lambda: make_schedule("random", seed=5, max_delay=4), 575, 12206, 2),
+    "slow-edge 25%/d8": (
+        lambda: make_schedule(
+            "slow-edge", seed=9, slow_fraction=0.25, slow_delay=8),
+        1034, 12206, 4),
+    "fifo d<=4": (
+        lambda: make_schedule("fifo", seed=5, max_delay=4), 575, 12206, 2),
+}
+
+
+@pytest.mark.parametrize("label", BENCH_ASYNC_ROWS)
+def test_bench_async_pa_table(label):
+    make, time_units, control, skew = BENCH_ASYNC_ROWS[label]
+    net = grid_2d(8, 8)
+    partition = bfs_ball_partition(net, target_size=12, seed=3)
+    values = [(v * 5 + 1) % 31 for v in range(net.n)]
+    session = PASession(net, solver=PASolver(net, seed=7, schedule=make()))
+    res = session.solve(session.prepare(partition), values, SUM)
+    res.ledger.merge(session.tree_ledger, prefix="tree:")
+    assert (res.rounds, res.messages) == (48, 1454)
+    phases = session.async_overhead.phases()
+    assert sum(p.rounds for p in phases) == time_units
+    assert sum(p.messages for p in phases) == control
+    assert max(o.max_skew for o in session.solver.engine.overhead_log) == skew
+
+
+# ---------------------------------------------------------------------------
+# Per-phase records: 5x5 grid, ``make_schedule("random", 5)``
+# ---------------------------------------------------------------------------
+def _instance():
+    net = grid_2d(5, 5)
+    partition = bfs_ball_partition(net, target_size=6, seed=3)
+    values = [(v * 5 + 1) % 31 for v in range(net.n)]
+    return net, partition, values
+
+
+#: ``(time_units, max_skew, safe_messages, ack_messages)`` per phase.
+AGGREGATES = {0: 63, 1: 98, 2: 105, 3: 82, 4: 30}
+RANDOMIZED = [(70, 2, 560, 262), (14, 1, 80, 24), (46, 2, 400, 48), (2, 0, 0, 0),
+ (38, 1, 320, 20), (2, 0, 0, 0), (45, 2, 400, 28), (42, 2, 400, 28),
+ (45, 2, 400, 28)]
+DETERMINISTIC = [(70, 2, 560, 262), (14, 1, 80, 24), (2, 0, 0, 0), (2, 0, 0, 0),
+ (14, 1, 80, 48), (2, 0, 0, 0), (2, 0, 0, 0), (2, 0, 0, 0), (14, 1, 80, 24),
+ (2, 0, 0, 0), (14, 1, 80, 24), (2, 0, 0, 0), (2, 0, 0, 0), (13, 1, 80, 24),
+ (2, 0, 0, 0), (2, 0, 0, 0), (13, 1, 80, 24), (2, 0, 0, 0), (2, 0, 0, 0),
+ (13, 1, 80, 24), (2, 0, 0, 0), (2, 0, 0, 0), (13, 1, 80, 24), (2, 0, 0, 0),
+ (2, 0, 0, 0), (13, 1, 80, 24), (2, 0, 0, 0), (2, 0, 0, 0), (13, 1, 80, 24),
+ (2, 0, 0, 0), (2, 0, 0, 0), (13, 1, 80, 24), (2, 0, 0, 0), (2, 0, 0, 0),
+ (12, 1, 80, 7), (2, 0, 0, 0), (2, 0, 0, 0), (13, 1, 80, 24), (2, 0, 0, 0),
+ (2, 0, 0, 0), (12, 1, 80, 7), (2, 0, 0, 0), (2, 0, 0, 0), (13, 1, 80, 24),
+ (2, 0, 0, 0), (2, 0, 0, 0), (12, 1, 80, 7), (2, 0, 0, 0), (2, 0, 0, 0),
+ (13, 1, 80, 24), (2, 0, 0, 0), (14, 1, 80, 14), (14, 1, 80, 14),
+ (13, 1, 80, 14), (14, 1, 80, 48), (14, 1, 80, 14), (13, 1, 80, 14),
+ (13, 1, 80, 10), (13, 1, 80, 14), (13, 1, 80, 10), (14, 1, 80, 14),
+ (13, 1, 80, 14), (13, 1, 80, 10), (14, 1, 80, 14), (13, 1, 80, 14),
+ (13, 1, 80, 10), (14, 1, 80, 14), (13, 1, 80, 14), (13, 1, 80, 10),
+ (14, 1, 80, 14), (13, 1, 80, 14), (13, 1, 80, 10), (14, 1, 80, 14),
+ (13, 1, 80, 14), (13, 1, 80, 10), (14, 1, 80, 14), (13, 1, 80, 14),
+ (13, 1, 80, 10), (14, 1, 80, 14), (13, 1, 80, 14), (13, 1, 80, 10),
+ (14, 1, 80, 14), (13, 1, 80, 8), (12, 1, 80, 4), (14, 1, 80, 14),
+ (13, 1, 80, 14), (13, 1, 80, 10), (14, 1, 80, 14), (13, 1, 80, 8),
+ (12, 1, 80, 4), (14, 1, 80, 14), (13, 1, 80, 14), (13, 1, 80, 10),
+ (14, 1, 80, 14), (13, 1, 80, 8), (12, 1, 80, 4), (14, 1, 80, 14),
+ (13, 1, 80, 14), (13, 1, 80, 10), (14, 1, 80, 14), (18, 1, 160, 13),
+ (27, 1, 240, 20), (29, 1, 240, 20), (14, 1, 80, 48), (27, 1, 240, 20),
+ (29, 1, 240, 20), (27, 1, 240, 20), (29, 1, 240, 20), (56, 2, 480, 24),
+ (13, 1, 80, 24), (56, 2, 480, 24), (102, 2, 960, 40), (2, 0, 0, 0),
+ (68, 2, 640, 36), (51, 2, 480, 36), (44, 2, 400, 36)]
+FAULTY_HEAD = [(72, 2, 536, 243), (55, 5, 200, 99), (84, 1, 640, 429), (86, 1, 640, 503)]
+FAULTY_HEAD_REPORTS = [(33, 33, 8, 0, 0, 0), (17, 17, 8, 1, 1, 0), (115, 115, 0, 4, 1, 3),
+ (57, 57, 0, 0, 0, 0)]
+FAULTY_PHASES = 247
+FAULTY_TOTALS = (3396, 5, 26496, 4243)
+FAULTY_SHA256 = (
+    "4a97f64d13e567d6043f04f4f8b6c74fa4ec7166c58b677f28c88cb991ef36fa"
+)
+
+
+@pytest.mark.parametrize(
+    "mode, expected",
+    [("randomized", RANDOMIZED), ("deterministic", DETERMINISTIC)],
+    ids=("randomized", "deterministic"),
+)
+def test_prepare_and_solve_per_phase_overhead(mode, expected):
+    net, partition, values = _instance()
+    solver = PASolver(
+        net, mode=mode, seed=7, schedule=make_schedule("random", 5)
+    )
+    session = PASession(net, solver=solver)
+    res = session.solve(session.prepare(partition), values, SUM)
+    assert res.aggregates == AGGREGATES
+    assert _tuples(solver.engine.overhead_log) == expected
+
+
+def test_per_phase_overhead_under_a_fault_plan():
+    """Crash + loss + a partition window, healed by the recovery driver:
+    dropped safes, delivery timeouts in the acks' place, suppressed
+    activations and the stalled-safe release all feed these records."""
+    net, partition, values = _instance()
+    plan = FaultPlan(
+        crashes=(CrashEvent(node=12, at=3, recover_at=20),),
+        losses=(MessageLoss(rate=0.15, seed=3, start=2, end=30),),
+        partitions=(
+            PartitionEvent(at=6, heal_at=14, side=frozenset({0, 1, 5, 6})),
+        ),
+    )
+    driver = RecoveryDriver(
+        net, faults=plan, schedule=make_schedule("random", 5), seed=7
+    )
+    res = driver.solve_pa(partition, values, SUM)
+    assert res.aggregates == AGGREGATES
+    assert driver.stats.attempts == 2
+    log = _tuples(driver.engine.overhead_log)
+    reports = [
+        (r.dropped_payloads, r.delivery_timeouts, r.dropped_control,
+         r.suppressed_activations, r.dropped_wakeups, r.dropped_timers)
+        for r in driver.engine.fault_log
+    ]
+    # The phases the plan touched, in full; everything after is clean.
+    head = len(FAULTY_HEAD)
+    assert log[:head] == FAULTY_HEAD
+    assert reports[:head] == FAULTY_HEAD_REPORTS
+    assert not any(any(r) for r in reports[head:])
+    # The whole log (the re-election attempt included), by digest.
+    assert len(log) == FAULTY_PHASES
+    assert (
+        sum(t[0] for t in log), max(t[1] for t in log),
+        sum(t[2] for t in log), sum(t[3] for t in log),
+    ) == FAULTY_TOTALS
+    assert hashlib.sha256(repr(log).encode()).hexdigest() == FAULTY_SHA256
