@@ -19,13 +19,11 @@ ledger-is-ground-truth rule:
 The wall-clock table quantifies the off-path tax two ways: the per-phase
 hook cost in isolation (a tight ``current_tracer()`` + ``enabled`` loop)
 and end-to-end solve walls with tracing off vs on.  Per the repo-wide
-rule, wall numbers are reported, never gated against the baseline; the
-coarse sanity assertion (hook fetch under 5 µs/op) sits behind
-``REPRO_SESSION_WALL_GATE`` like the session-reuse speedup gate, and the
-deterministic identity/replay assertions always run.
+rule, wall numbers are reported, never asserted (``benchmarks/perf``
+measures ``obs.trace_overhead_ratio``); the deterministic
+identity/replay assertions always run.
 """
 
-import os
 import time
 
 from repro.bench import print_table, record, run_once
@@ -33,10 +31,6 @@ from repro.congest import SynchronousSchedule
 from repro.core import SUM, PASolver, solve_pa
 from repro.graphs import bfs_ball_partition, grid_2d
 from repro.obs import NULL_TRACER, Tracer, current_tracer, use_tracer
-
-#: Wall-clock assertion switch (see module docstring): on by default for
-#: local measurement runs, off in CI and the --jobs pool workers.
-WALL_GATE = os.environ.get("REPRO_SESSION_WALL_GATE", "1") != "0"
 
 #: (label, PASolver kwargs) — one entry per engine implementation.
 ENGINES = [
@@ -167,10 +161,6 @@ def test_null_tracer_overhead(benchmark):
             ("on/off ratio", f"{wall_on / wall_off:.2f}"),
         ],
     )
-    if WALL_GATE:
-        # Near-zero means the whole disabled hook is pointer-fetch cheap;
-        # 5 µs/op would already be two orders of magnitude off.
-        assert hook_ns < 5000, f"disabled hook costs {hook_ns:.0f} ns/op"
     res = solve_pa(net, partition, values, SUM, seed=7)
     record(
         benchmark,

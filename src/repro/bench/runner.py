@@ -60,7 +60,7 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..procpool import lift_wall_gate, resolve_workers
+from ..procpool import resolve_workers
 from .harness import Table, drain_tables
 
 
@@ -296,11 +296,6 @@ def _run_file_worker(
     )
 
 
-def _init_parallel_worker() -> None:
-    """Pool initializer: lift wall-clock assertions inside workers."""
-    lift_wall_gate()
-
-
 def resolve_jobs(jobs: str) -> int:
     """Turn a ``--jobs`` argument into a worker count.
 
@@ -334,10 +329,7 @@ def run_all(
         from concurrent.futures import ProcessPoolExecutor
 
         results: List[ExperimentResult] = []
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(paths)),
-            initializer=_init_parallel_worker,
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(paths))) as pool:
             # executor.map preserves submission order: the merged list is
             # deterministic even though workers finish out of order.
             tasks = [

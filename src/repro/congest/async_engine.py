@@ -192,6 +192,20 @@ class AsyncEngine:
         #: plan is installed), in run order.
         self.fault_log: List[FaultReport] = []
 
+    @property
+    def flags(self) -> Dict[str, object]:
+        """Construction flags a rebuilt engine keeps (cf. ``Engine.flags``).
+
+        The fault plan and the pulse clock are not among them: they belong
+        to one run's timeline, not to the configuration.
+        """
+        return {
+            "schedule": self.schedule,
+            "strict_bits": self.strict_bits,
+            "strict_edges": self.strict_edges,
+            "profile": self.profile,
+        }
+
     def run(
         self,
         program: Program,

@@ -380,6 +380,21 @@ class Engine:
         ]] = None
         self._arena_in_use = False
 
+    @property
+    def flags(self) -> Dict[str, bool]:
+        """This engine's construction flags, network aside.
+
+        ``Engine(net, **engine.flags)`` is the same engine on another
+        network — how a solver rebinds after an edge update and how shard
+        workers build theirs — so the flag list is spelled here only.
+        """
+        return {
+            "strict_bits": self.strict_bits,
+            "strict_edges": self.strict_edges,
+            "profile": self.profile,
+            "use_arrays": self.use_arrays,
+        }
+
     def run(
         self,
         program: Program,

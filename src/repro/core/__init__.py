@@ -38,10 +38,8 @@ from .pa import (
 )
 from .shortcuts import (
     Shortcut,
-    coarsen_shortcut,
     empty_shortcut,
     full_tree_shortcut,
-    refine_shortcut,
     shortcut_hint_for_family,
     star_shortcut_for_parts,
     validate_shortcut,
@@ -65,7 +63,7 @@ from .trees import (
     forest_from_parent_map,
     spanning_forest_of_subsets,
 )
-from .wave import PAWaveResult, compute_wave_boundary, run_pa_waves
+from .wave import PAWaveResult, run_pa_waves
 
 __all__ = [
     "ABSENT",
@@ -99,8 +97,6 @@ __all__ = [
     "build_shortcut_randomized",
     "build_subpart_division_randomized",
     "claim_bfs",
-    "coarsen_shortcut",
-    "compute_wave_boundary",
     "convergecast",
     "diameter_upper_bound",
     "division_from_groups",
@@ -109,7 +105,6 @@ __all__ = [
     "forest_from_parent_map",
     "full_tree_shortcut",
     "product_aggregation",
-    "refine_shortcut",
     "run_pa_waves",
     "shortcut_hint_for_family",
     "solve_pa",

@@ -48,7 +48,6 @@ from .array_queue import (
     in_sorted,
 )
 from .treeops import _kernel
-from .wave import compute_wave_boundary
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -118,7 +117,7 @@ class WaveArrayKernel(ArrayProgram):
         self.fparent = np.asarray(division.forest.parent, dtype=np.int64)
         self.tparent = np.asarray(shortcut.tree.parent, dtype=np.int64)
         self._fch = _node_csr(division.forest.children)
-        self._bd = _node_csr(compute_wave_boundary(net, partition, division))
+        self._bd = division.wave_boundary_csr
 
         self._dkeys, self._dstarts, self._dcounts, self._dchildren = (
             shortcut.down_csr()

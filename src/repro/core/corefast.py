@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..congest.engine import Context, Engine, Inbox
 from ..congest.ledger import CostLedger
@@ -162,7 +162,7 @@ def verify_block_parameters(
     return counts
 
 
-def build_shortcut_randomized(
+def build_shortcut_by_doubling(
     engine: Engine,
     net: Network,
     partition: Partition,
@@ -170,20 +170,31 @@ def build_shortcut_randomized(
     tree: RootedForest,
     diameter: int,
     ledger: CostLedger,
-    rng: random.Random,
-    congestion_budget: Optional[int] = None,
-    block_target: Optional[int] = None,
-    max_iterations: Optional[int] = None,
-    grow_budget: bool = True,
+    claim: Callable[..., Sequence[Set[int]]],
+    verify_prefix: str,
+    randomized: bool,
+    rng: Optional[random.Random],
+    congestion_budget: Optional[int],
+    block_target: Optional[int],
+    max_iterations: Optional[int],
+    grow_budget: bool,
 ) -> ShortcutBuildResult:
-    """Algorithm 4 with the doubling trick of Section 1.3.
+    """The claim / verify / freeze loop both constructions share.
 
     Parts of at most ``diameter`` nodes never claim (their waves stay
-    intra-part).  Remaining parts claim via their representatives under a
-    per-edge budget ``theta = 2 * congestion_budget``; parts whose verified
-    block parameter is at most ``block_target`` freeze their claims, the
-    others retry with fresh random priorities and (if ``grow_budget``) a
-    doubled budget.
+    intra-part).  Each iteration the remaining parts claim via their
+    representatives: ``claim(iteration, active, claimants, budget)`` — the
+    one step Algorithms 4 and 8 differ in — runs the claiming phases for
+    the ``(representative, part)`` pairs of the still-active parts under
+    the current congestion budget and returns, per node, the parts
+    admitted onto its parent edge.  Block parameters are then verified
+    with the PA machinery itself (Lemma 4.5, phases
+    ``{verify_prefix}_{iteration}_*``); parts whose verified block
+    parameter is at most ``block_target`` freeze their claims, and the
+    others retry under (if ``grow_budget``) a doubled budget — the
+    doubling trick of Section 1.3.  The iteration cap force-freezes
+    whatever is still active, so construction always terminates with
+    measured, not assumed, quality.
     """
     n = net.n
     log_n = max(1, math.ceil(math.log2(max(2, n))))
@@ -212,21 +223,15 @@ def build_shortcut_randomized(
             for pid in sorted(active)
             for rep in reps_by_part.get(pid, ())
         ]
-        priorities = {pid: rng.randrange(1 << 30) for pid in active}
-        theta = max(2, 2 * budget)
-        claim = run_phase(
-            engine, ledger, f"corefast_claim_{iterations}", ClaimArrayKernel,
-            ClaimProgram, (tree, claimants, theta, priorities),
-            32 + 4 * (tree.height() + theta),
-        )
+        fresh = claim(iterations, active, claimants, budget)
 
-        candidate_up = _merge_up_parts(n, frozen_up, claim.claimed_up, active)
+        candidate_up = _merge_up_parts(n, frozen_up, fresh, active)
         candidate = Shortcut(tree, partition, candidate_up)
         annotations = annotate_blocks(engine, candidate, ledger)
         counts = verify_block_parameters(
             engine, net, partition, division, candidate, annotations,
-            ledger, randomized=True, rng=rng,
-            phase_prefix=f"verify_{iterations}",
+            ledger, randomized=randomized, rng=rng,
+            phase_prefix=f"{verify_prefix}_{iterations}",
         )
 
         newly_frozen = {
@@ -235,7 +240,7 @@ def build_shortcut_randomized(
         if iterations == max_iterations:
             newly_frozen = set(active)
         for v in range(n):
-            for pid in claim.claimed_up[v]:
+            for pid in fresh[v]:
                 if pid in newly_frozen:
                     frozen_up[v].add(pid)
         active -= newly_frozen
@@ -250,4 +255,42 @@ def build_shortcut_randomized(
         annotations=annotations,
         block_counts=counts,
         iterations=iterations,
+    )
+
+
+def build_shortcut_randomized(
+    engine: Engine,
+    net: Network,
+    partition: Partition,
+    division: SubPartDivision,
+    tree: RootedForest,
+    diameter: int,
+    ledger: CostLedger,
+    rng: random.Random,
+    congestion_budget: Optional[int] = None,
+    block_target: Optional[int] = None,
+    max_iterations: Optional[int] = None,
+    grow_budget: bool = True,
+) -> ShortcutBuildResult:
+    """Algorithm 4 with the doubling trick of Section 1.3.
+
+    :func:`build_shortcut_by_doubling` with CoreFast claiming as the claim
+    step: representatives flood their part id up ``T`` under a per-edge
+    budget ``theta = 2 * congestion_budget`` and fresh random priorities
+    per iteration; verification runs the randomized PA variant.
+    """
+
+    def claim(iteration, active, claimants, budget):
+        priorities = {pid: rng.randrange(1 << 30) for pid in active}
+        theta = max(2, 2 * budget)
+        return run_phase(
+            engine, ledger, f"corefast_claim_{iteration}", ClaimArrayKernel,
+            ClaimProgram, (tree, claimants, theta, priorities),
+            32 + 4 * (tree.height() + theta),
+        ).claimed_up
+
+    return build_shortcut_by_doubling(
+        engine, net, partition, division, tree, diameter, ledger, claim,
+        "verify", True, rng, congestion_budget, block_target,
+        max_iterations, grow_budget,
     )

@@ -18,18 +18,15 @@ assumed, quality).
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..congest.engine import Engine
 from ..congest.ledger import CostLedger
 from ..congest.network import Network
 from ..graphs.partitions import Partition
-from .blocks import annotate_blocks
-from .corefast import ShortcutBuildResult, _merge_up_parts
+from .corefast import ShortcutBuildResult, build_shortcut_by_doubling
 from .heavy_path import HeavyPathDecomposition, build_heavy_path_decomposition
 from .path_shortcut import run_path_doubling_wave
-from .shortcuts import Shortcut
 from .subparts import SubPartDivision
 from .trees import RootedForest
 
@@ -74,74 +71,26 @@ def build_shortcut_deterministic(
 ) -> ShortcutBuildResult:
     """Algorithm 8 end to end, returning a verified shortcut.
 
-    Mirrors :func:`repro.core.corefast.build_shortcut_randomized` exactly in
-    interface; the only differences are the construction mechanics (heavy
-    path doubling instead of claim flooding) and that verification runs the
+    :func:`~repro.core.corefast.build_shortcut_by_doubling` — the same
+    driver as :func:`~repro.core.corefast.build_shortcut_randomized`, so
+    the two cannot drift — with a bottom-up heavy-path sweep as the claim
+    step (threshold ``max(1, budget)``) and verification on the
     deterministic PA variant.
     """
-    from .corefast import verify_block_parameters
-
-    n = net.n
-    log_n = max(1, math.ceil(math.log2(max(2, n))))
-    if block_target is None:
-        block_target = max(3, 3 * log_n)
-    if max_iterations is None:
-        max_iterations = log_n + 3
-    budget = congestion_budget if congestion_budget is not None else 2
-
     if hpd is None:
         hpd = build_heavy_path_decomposition(engine, tree, ledger)
 
-    part_sizes = [partition.size_of(pid) for pid in range(partition.num_parts)]
-    active: Set[int] = {
-        pid for pid in range(partition.num_parts) if part_sizes[pid] > diameter
-    }
-    frozen_up: List[Set[int]] = [set() for _ in range(n)]
-
-    reps_by_part: Dict[int, List[int]] = {}
-    for rep in division.forest.roots:
-        pid = partition.part_of[rep]
-        reps_by_part.setdefault(pid, []).append(rep)
-
-    iterations = 0
-    while active and iterations < max_iterations:
-        iterations += 1
+    def claim(iteration, active, claimants, budget):
         seeds: Dict[int, Set[int]] = {}
-        for pid in sorted(active):
-            for rep in reps_by_part.get(pid, ()):
-                seeds.setdefault(rep, set()).add(pid)
-
-        fresh = _bottom_up_sweep(
+        for rep, pid in claimants:
+            seeds.setdefault(rep, set()).add(pid)
+        return _bottom_up_sweep(
             engine, tree, hpd, seeds, max(1, budget), ledger,
-            sweep_name=f"alg8_{iterations}",
+            sweep_name=f"alg8_{iteration}",
         )
 
-        candidate_up = _merge_up_parts(n, frozen_up, fresh, active)
-        candidate = Shortcut(tree, partition, candidate_up)
-        annotations = annotate_blocks(engine, candidate, ledger)
-        counts = verify_block_parameters(
-            engine, net, partition, division, candidate, annotations,
-            ledger, randomized=False, rng=None,
-            phase_prefix=f"det_verify_{iterations}",
-        )
-
-        newly_frozen = {pid for pid in active if counts[pid] <= block_target}
-        if iterations == max_iterations:
-            newly_frozen = set(active)
-        for v in range(n):
-            for pid in fresh[v]:
-                if pid in newly_frozen:
-                    frozen_up[v].add(pid)
-        active -= newly_frozen
-        if grow_budget:
-            budget *= 2
-
-    final = Shortcut(tree, partition, frozen_up)
-    annotations = annotate_blocks(engine, final, ledger)
-    counts = annotations.block_counts(partition.num_parts)
-    return ShortcutBuildResult(
-        shortcut=final,
-        annotations=annotations,
-        block_counts=counts,
-        iterations=iterations,
+    return build_shortcut_by_doubling(
+        engine, net, partition, division, tree, diameter, ledger, claim,
+        "det_verify", False, None, congestion_budget, block_target,
+        max_iterations, grow_budget,
     )

@@ -37,7 +37,7 @@ from .shortcuts import Shortcut
 from .spanning_tree import SpanningTreeResult, bfs_tree, elect_leader_and_bfs_tree
 from .subparts import SubPartDivision, build_subpart_division_randomized
 from .trees import RootedForest
-from .wave import PAWaveResult, run_pa_waves
+from .wave import plan_pa_waves, run_planned_waves
 
 RANDOMIZED = "randomized"
 DETERMINISTIC = "deterministic"
@@ -262,7 +262,6 @@ class PASolver:
         # RootedForest validates every parent edge against the new net —
         # a removed tree edge fails loudly here, not mid-wave.
         tree = RootedForest(net, self.tree.parent)
-        old = self.engine
         self.net = net
         self.tree = tree
         self.tree_result = SpanningTreeResult(
@@ -270,13 +269,7 @@ class PASolver:
             root=self.tree_result.root,
             depth=self.tree_result.depth,
         )
-        self.engine = Engine(
-            net,
-            strict_bits=old.strict_bits,
-            strict_edges=old.strict_edges,
-            use_arrays=old.use_arrays,
-            profile=getattr(old, "profile", False),
-        )
+        self.engine = Engine(net, **self.engine.flags)
 
     def default_leaders(self, partition: Partition) -> Tuple[int, ...]:
         """Minimum-uid member of each part (the Section 4 assumption)."""
@@ -379,23 +372,47 @@ class PASolver:
         phase_prefix: str = "pa",
     ) -> PAResult:
         """Aggregate ``values`` part-wise with ``agg`` (Algorithm 1)."""
+        return self.solve_via(
+            self._run_waves, setup, values, agg,
+            charge_setup=charge_setup, phase_prefix=phase_prefix,
+        )
+
+    def _run_waves(self, setup, plan, values, agg, ledger, phase_prefix):
+        """The in-process run step: the three wave phases on this engine."""
+        return run_planned_waves(
+            self.engine, self.net, setup.partition, setup.division,
+            setup.shortcut, setup.annotations, values, agg, ledger, plan,
+            phase_prefix=phase_prefix,
+        )
+
+    def solve_via(
+        self,
+        run,
+        setup: PASetup,
+        values: Sequence[object],
+        agg: Aggregation,
+        charge_setup: bool = True,
+        phase_prefix: str = "pa",
+    ) -> PAResult:
+        """The one solve body, with the planned-wave run step as argument.
+
+        The plan is computed here from the *global* structures — advancing
+        ``self.rng`` exactly once per solve — and ``run(setup, plan,
+        values, agg, ledger, phase_prefix)`` executes the three wave
+        phases under it, charging ``ledger`` and returning a
+        :class:`~repro.core.wave.PAWaveResult`: in-process for
+        :meth:`solve`, the shard orchestrator's for a sharded session.
+        """
         ledger = CostLedger()
         if charge_setup:
             ledger.merge(setup.setup_ledger, prefix="setup:")
-        outcome = run_pa_waves(
-            self.engine,
-            self.net,
-            setup.partition,
-            setup.division,
-            setup.shortcut,
-            setup.annotations,
-            values,
-            agg,
-            ledger,
-            randomized=(self.mode == RANDOMIZED),
-            rng=self.rng,
+        plan = plan_pa_waves(
+            self.engine, self.net, setup.partition, setup.division,
+            setup.shortcut, values, agg,
+            randomized=(self.mode == RANDOMIZED), rng=self.rng,
             phase_prefix=phase_prefix,
         )
+        outcome = run(setup, plan, values, agg, ledger, phase_prefix)
         return PAResult(
             aggregates=outcome.aggregates,
             value_at_node=outcome.value_at_node,

@@ -319,65 +319,33 @@ def star_shortcut_for_parts(
     return Shortcut(tree, partition, up)
 
 
-def coarsen_shortcut(
+def relabel_shortcut(
     shortcut: Shortcut,
     new_partition: Partition,
-    pid_map: Sequence[int],
+    image: Sequence[Sequence[int]],
 ) -> Shortcut:
-    """Project a shortcut onto a coarsening of its partition.
+    """Project a shortcut onto a coarsening or refinement of its partition.
 
-    ``pid_map[old_pid] = new_pid`` must describe a merge-only coarsening
-    (every old part maps into exactly one new part).  The coarsened
-    shortcut is ``H'_j = union of H_i over old parts i mapping to j`` —
-    node-locally this is just relabeling each ``up_parts`` entry, which is
-    how the distributed counterpart works too: a node relabels the part
-    ids on its parent edge when its part learns its new identity, at no
-    extra communication (the relabel broadcast carries the id anyway).
+    ``image[old_pid]`` lists the new parts old part ``old_pid``'s members
+    land in: one shared id when parts merged, the fragment ids when a part
+    split.  Every new part inherits the whole edge set of each old part it
+    draws members from — ``H'_j = union of H_i over old i with j in
+    image[i]`` — which node-locally is a relabeling of each ``up_parts``
+    entry, as in the distributed counterpart: a node substitutes the new
+    ids on its parent edge when its part learns them, at no extra
+    communication (the merge / split broadcast carries the ids anyway).
 
-    Congestion can only shrink (relabeled sets dedupe); the block
-    parameter of a merged part can grow up to the sum of its
-    constituents', which is why the runtime session *re-verifies* the
-    coarsened quality with PA itself before adopting it (Algorithm 2, the
-    paper's own device) and falls back to a fresh construction when the
-    verified block count exceeds the budget.
+    Under merges congestion can only shrink (relabeled sets dedupe) while
+    a merged part's block parameter can grow up to the sum of its
+    constituents'; under splits a tree edge carried by a part that broke
+    into ``f`` fragments is carried by all ``f`` (congestion multiplies)
+    and a fragment keeps blocks its members never touch.  The runtime
+    session therefore re-verifies the block parameter with PA itself
+    (Algorithm 2) and re-checks congestion before adopting a projection,
+    falling back to a fresh construction when either exceeds its budget.
     """
     up = [
-        frozenset(pid_map[pid] for pid in parts) if parts else frozenset()
-        for parts in shortcut.up_parts
-    ]
-    return Shortcut(shortcut.tree, new_partition, up)
-
-
-def refine_shortcut(
-    shortcut: Shortcut,
-    new_partition: Partition,
-    new_to_old: Sequence[int],
-) -> Shortcut:
-    """Project a shortcut onto a split-only refinement of its partition.
-
-    ``new_to_old[new_pid] = old_pid`` must describe a refinement (every
-    new part's members lie inside exactly one old part).  Each fragment
-    inherits its ancestor's whole edge set: ``H'_j = H_i`` for every new
-    part ``j`` refining old part ``i``.  Node-locally this is again a
-    relabeling — when a part learns it split, the split broadcast carries
-    the fragment ids, and every node holding ``i`` in an ``up_parts``
-    entry substitutes the fragment id list; no extra communication.
-
-    Unlike coarsening, *both* quality measures can degrade: a tree edge
-    carried by a part that split into ``f`` fragments is now carried by
-    all ``f`` (congestion multiplies by the split factor), and a fragment
-    keeps blocks its members never touch (the block parameter can only
-    shrink per part, but the verified count is what matters).  The
-    runtime session therefore re-verifies the block parameter with PA
-    itself *and* re-checks congestion against the general envelope,
-    falling back to a fresh construction when either exceeds its budget
-    (:meth:`repro.runtime.PASession.refine`).
-    """
-    fragments: List[List[int]] = [[] for _ in range(shortcut.partition.num_parts)]
-    for new_pid, old_pid in enumerate(new_to_old):
-        fragments[old_pid].append(new_pid)
-    up = [
-        frozenset(f for pid in parts for f in fragments[pid])
+        frozenset(new for pid in parts for new in image[pid])
         if parts
         else frozenset()
         for parts in shortcut.up_parts

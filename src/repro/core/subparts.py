@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -54,6 +55,36 @@ class SubPartDivision:
     forest: RootedForest
     rep_of: Tuple[int, ...]
     part_leader: Tuple[int, ...]
+
+    @cached_property
+    def wave_boundary_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per node, in-part neighbors that are not sub-part tree neighbors.
+
+        The candidate boundary edges of Algorithm 1 line 15, as a per-node
+        CSR ``(starts, counts, neighbors)`` with each node's neighbors
+        ascending.  A function of the division's own partition and forest
+        (on the forest's network), so it is computed on first use and every
+        wave over the division — verification, any number of solves —
+        shares it; a projected or rebound division is a new object and
+        computes its own.
+        """
+        arrays = self.forest.net.array_views
+        src, adj = arrays.src_of_slot, arrays.adj
+        part = np.asarray(self.partition.part_of, dtype=np.int64)
+        fparent = np.asarray(self.forest.parent, dtype=np.int64)
+        # A slot is a tree edge iff one endpoint is the other's forest
+        # parent (ROOT/ABSENT are negative, never equal to a node id).
+        keep = (part[src] == part[adj]) & (fparent[src] != adj) & (
+            fparent[adj] != src
+        )
+        counts = np.bincount(src[keep], minlength=part.size)
+        return np.cumsum(counts) - counts, counts, adj[keep]
+
+    @cached_property
+    def wave_boundary(self) -> List[Tuple[int, ...]]:
+        """:attr:`wave_boundary_csr` as per-node tuples (scalar programs)."""
+        starts, counts, flat = (col.tolist() for col in self.wave_boundary_csr)
+        return [tuple(flat[lo:lo + k]) for lo, k in zip(starts, counts)]
 
     def subparts_of_part(self, pid: int) -> List[int]:
         """Representatives of the sub-parts refining part ``pid``."""

@@ -59,46 +59,11 @@ from ..congest.ledger import CostLedger
 from ..congest.network import Network
 from ..graphs.partitions import Partition
 from .aggregation import Aggregation
-from .array_kernels import masked_neighbors
 from .blocks import BlockAnnotations
 from .queued import QueuedProgram
 from .shortcuts import Shortcut
 from .subparts import SubPartDivision
 from .trees import ROOT
-
-
-def compute_wave_boundary(
-    net: Network, partition: Partition, division: SubPartDivision
-) -> List[Tuple[int, ...]]:
-    """Per node: in-part neighbors that are not sub-part tree neighbors.
-
-    These are the candidate boundary edges of Algorithm 1 line 15.  The
-    structure depends only on (network, partition, division), so it is
-    computed once per division and cached on it
-    (``division._wave_boundary_cache``); every wave over the division —
-    the verify and solve waves, and any number of session-level solves —
-    shares the one list.  The runtime session's coarsening path
-    (:mod:`repro.runtime`) updates the cache *incrementally* when parts
-    merge instead of re-running this O(n + m) pass.
-    """
-    cached = getattr(division, "_wave_boundary_cache", None)
-    if cached is not None:
-        return cached
-    import numpy as np
-
-    arrays = net.array_views
-    src = arrays.src_of_slot
-    adj = arrays.adj
-    part_np = np.asarray(partition.part_of, dtype=np.int64)
-    fparent = np.asarray(division.forest.parent, dtype=np.int64)
-    # A slot is a tree edge iff one endpoint is the other's forest parent
-    # (ROOT/ABSENT are negative, never equal to a node id).
-    keep = (part_np[src] == part_np[adj]) & (fparent[src] != adj) & (
-        fparent[adj] != src
-    )
-    boundary = masked_neighbors(arrays, keep)
-    division._wave_boundary_cache = boundary
-    return boundary
 
 
 @dataclass
@@ -167,11 +132,8 @@ class WaveProgram(QueuedProgram):
         # identity-keyed bit-budget cache hit on every hop.
         self._payload_memo: Dict[Tuple[str, int], Tuple[str, int, object]] = {}
         self._prio_memo: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        # The candidate boundary edges of line 15, cached per division
-        # (see compute_wave_boundary).
-        self._boundary: List[Tuple[int, ...]] = compute_wave_boundary(
-            net, partition, division
-        )
+        # The candidate boundary edges of line 15.
+        self._boundary: List[Tuple[int, ...]] = division.wave_boundary
 
     # ------------------------------------------------------------------
     # Recording helpers

@@ -6,11 +6,6 @@ Two subsystems fan work out over worker processes: the bench runner
 Both size their pools identically — this module is the single
 implementation, so ``"auto"`` means the same thing everywhere and the
 validation rules cannot drift apart.
-
-Wall-clock discipline travels with the pool: work that shares cores
-cannot be held to wall-ratio assertions, so pool initializers call
-:func:`lift_wall_gate` (deterministic ledger assertions always run; an
-explicit ``REPRO_SESSION_WALL_GATE`` from the caller still wins).
 """
 
 from __future__ import annotations
@@ -64,14 +59,3 @@ def resolve_workers(
     if count < 1:
         raise error(f"error: worker count must be >= 1, got {count}")
     return count
-
-
-def lift_wall_gate() -> None:
-    """Disable wall-ratio assertions in a pool worker (pool initializer).
-
-    Parallel workers contend for cores, so wall times measured in them are
-    as untrustworthy as CI's — the same rule applies: deterministic ledger
-    assertions always run, wall-ratio gates do not.  An explicit
-    ``REPRO_SESSION_WALL_GATE`` from the caller still wins.
-    """
-    os.environ.setdefault("REPRO_SESSION_WALL_GATE", "0")

@@ -6,7 +6,7 @@ treats each ``prepare`` as a one-shot: Boruvka's O(log n) phases rebuild
 the sub-part division and the shortcut from scratch every time the
 partition changes.  :class:`PASession` owns a solver (network, mode, seed,
 ledger conventions, optional family-aware shortcut provider) and adds
-three opt-in capabilities on top:
+four opt-in capabilities on top:
 
 * **Setup caching** (``reuse=True``): ``prepare`` memoizes on a partition
   fingerprint ``(part_of, leaders)``.  Re-preparing an already-seen
@@ -15,26 +15,18 @@ three opt-in capabilities on top:
   partition) returns the cached setup with an empty setup ledger —
   amortization made explicit rather than re-charged.
 
-* **Incremental coarsening** (``reuse=True``): when a partition is a
-  merge-only coarsening of a prepared one, ``prepare_incremental``
-  *projects* the previous phase's machinery instead of rebuilding — the
-  sub-part forest is kept (old sub-parts still refine the merged parts),
-  shortcut edge sets are unioned by part relabeling
-  (:func:`~repro.core.shortcuts.coarsen_shortcut`), the wave boundary
-  lists grow only at former part borders, and blocks are re-annotated
-  distributively.  Quality is then *re-verified with PA itself*
-  (Algorithm 2 — the paper's own trick for checking block parameters);
-  a coarsened shortcut whose verified block count exceeds the budget is
-  discarded for a fresh construction, so reuse can cost rounds but never
-  correctness.
-
-* **Incremental refinement** (``reuse=True``): the dual direction —
-  when a partition split-only refines a prepared one (a part breaking
-  into fragments, the service layer's regrouping updates),
-  ``prepare_incremental`` cuts the sub-part forest at the new borders,
-  relabels the shortcut (:func:`~repro.core.shortcuts.refine_shortcut`)
-  and re-verifies under the same budget rule, with congestion re-checked
-  too (splits can multiply it).  See :meth:`PASession.refine`.
+* **Incremental projection** (``reuse=True``): when a partition is a
+  merge-only coarsening or a split-only refinement of a prepared one
+  (Boruvka phases merging fragments; the service layer's regrouping
+  updates), ``prepare_incremental`` *projects* the previous machinery
+  instead of rebuilding — the shortcut is relabeled
+  (:func:`~repro.core.shortcuts.relabel_shortcut`), the sub-part forest
+  is cut at the new part borders (a no-op under merges: old sub-parts
+  still refine merged parts) and blocks are re-annotated distributively.
+  Quality is then *re-verified with PA itself* (Algorithm 2 — the
+  paper's own trick for checking block parameters) and congestion
+  re-checked; a projection over either budget is discarded for a fresh
+  construction, so reuse can cost rounds but never correctness.
 
 * **Edge updates** (:meth:`PASession.apply_edge_updates`): insert/delete
   batches over the (immutable) network are absorbed by a tree-preserving
@@ -56,10 +48,12 @@ bit for bit — pinned by tests/runtime/test_session.py.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..congest.errors import InvalidPartitionError
 from ..congest.ledger import CostLedger
@@ -78,13 +72,11 @@ from ..core.pa import (
 )
 from ..core.shortcuts import (
     Shortcut,
-    coarsen_shortcut,
-    refine_shortcut,
+    relabel_shortcut,
     shortcut_hint_for_family,
 )
 from ..core.subparts import SubPartDivision
 from ..core.trees import ROOT, RootedForest
-from ..core.wave import compute_wave_boundary, plan_pa_waves
 from ..graphs.partitions import Partition, validate_partition
 
 Fingerprint = Tuple[Tuple[int, ...], Optional[Tuple[int, ...]]]
@@ -129,57 +121,33 @@ def partition_fingerprint(
     )
 
 
-def _coarsening_map(
+def _partition_image(
     old: Partition, new: Partition
-) -> Optional[List[int]]:
-    """``pid_map[old_pid] = new_pid`` if ``new`` merge-only coarsens ``old``.
+) -> Optional[List[List[int]]]:
+    """``image[old_pid]`` = the new parts ``old_pid``'s members land in.
 
-    Returns ``None`` when it does not (an old part's members land in more
-    than one new part, or the node sets differ) — the caller then falls
-    back to a full prepare.
+    The one relation a projection needs, ascending per old part.  Two
+    shapes are accepted: *merge-only* (every old part lands in exactly
+    one new part) and *split-only* (every new part draws from exactly one
+    old part; an old part may break into several fragments).  Anything
+    else — parts crossing, or different node sets — returns ``None`` and
+    the caller falls back to a full prepare.
     """
     if len(old.part_of) != len(new.part_of):
         return None
-    pid_map: List[int] = [-1] * old.num_parts
-    for node, old_pid in enumerate(old.part_of):
-        new_pid = new.part_of[node]
-        if pid_map[old_pid] == -1:
-            pid_map[old_pid] = new_pid
-        elif pid_map[old_pid] != new_pid:
-            return None
-    return pid_map
-
-
-def _refinement_map(
-    old: Partition, new: Partition
-) -> Optional[List[int]]:
-    """``new_to_old[new_pid] = old_pid`` if ``new`` split-only refines ``old``.
-
-    The mirror of :func:`_coarsening_map`: valid when every new part's
-    members lie inside exactly one old part (an old part may split into
-    several fragments).  Returns ``None`` otherwise — the caller then
-    falls back to a full prepare.
-    """
-    if len(old.part_of) != len(new.part_of):
+    width = new.num_parts
+    pairs = np.unique(
+        np.asarray(old.part_of, dtype=np.int64) * width
+        + np.asarray(new.part_of, dtype=np.int64)
+    )
+    if pairs.size not in (old.num_parts, new.num_parts):
         return None
-    new_to_old: List[int] = [-1] * new.num_parts
-    for node, new_pid in enumerate(new.part_of):
-        old_pid = old.part_of[node]
-        if new_to_old[new_pid] == -1:
-            new_to_old[new_pid] = old_pid
-        elif new_to_old[new_pid] != old_pid:
-            return None
-    return new_to_old
-
-
-def _fragment_counts(
-    new_to_old: Sequence[int], num_old: int
-) -> Dict[int, int]:
-    """How many fragments each old part split into."""
-    counts: Dict[int, int] = {pid: 0 for pid in range(num_old)}
-    for old_pid in new_to_old:
-        counts[old_pid] += 1
-    return counts
+    image: List[List[int]] = [[] for _ in range(old.num_parts)]
+    for old_pid, new_pid in zip(
+        (pairs // width).tolist(), (pairs % width).tolist()
+    ):
+        image[old_pid].append(new_pid)
+    return image
 
 
 @dataclass
@@ -218,7 +186,7 @@ class PASession:
         a provider and a family is an error.  ``None`` (default) is the
         general mode-selected pipeline, bit for bit.
     reuse:
-        Enable setup caching and incremental coarsening.
+        Enable setup caching and incremental projection.
     batch:
         Enable single-wave multi-aggregate solves in :meth:`solve_many`.
     max_entries:
@@ -319,7 +287,7 @@ class PASession:
         else:
             self.workers = None
         self._orchestrator = None
-        self._last_solve_sharded = False
+        self._last_ran_sharded = False
         self._closed = False
         self.stats = SessionStats()
         # Recency-ordered memo (oldest first); bounded by ``max_entries``.
@@ -404,7 +372,7 @@ class PASession:
         (local backend, or a sharded request that fell back) — a stale
         report from an earlier sharded solve is never returned.
         """
-        if self._orchestrator is None or not self._last_solve_sharded:
+        if self._orchestrator is None or not self._last_ran_sharded:
             return None
         return self._orchestrator.last_report
 
@@ -413,13 +381,8 @@ class PASession:
         if self._orchestrator is None:
             from ..shard import ShardOrchestrator
 
-            engine = self.solver.engine
             self._orchestrator = ShardOrchestrator(
-                self.workers,
-                strict_bits=engine.strict_bits,
-                strict_edges=engine.strict_edges,
-                use_arrays=engine.use_arrays,
-                profile=engine.profile,
+                self.workers, self.solver.engine.flags
             )
         return self._orchestrator
 
@@ -434,35 +397,15 @@ class PASession:
             and "fork" in multiprocessing.get_all_start_methods()
         )
 
-    def _solve_sharded(
-        self,
-        setup: PASetup,
-        values: Sequence[object],
-        agg: Aggregation,
-        agg_encoded: object,
-        charge_setup: bool,
-        phase_prefix: str,
-    ) -> PAResult:
-        """Mirror of ``PASolver.solve`` with the wave pass orchestrated.
+    def _run_sharded(self, setup, plan, values, agg, ledger, phase_prefix):
+        """The sharded run step of ``PASolver.solve_via``.
 
-        The plan is computed rank-0 from the *global* structures —
-        advancing ``solver.rng`` exactly as the in-process path would —
-        and only the three wave phases run on the workers.
+        The plan was computed rank-0 from the *global* structures; only
+        the three wave phases run on the workers.
         """
-        solver = self.solver
-        ledger = CostLedger()
-        if charge_setup:
-            ledger.merge(setup.setup_ledger, prefix="setup:")
-        plan = plan_pa_waves(
-            solver.engine, solver.net, setup.partition, setup.division,
-            setup.shortcut, values, agg,
-            randomized=(solver.mode == RANDOMIZED), rng=solver.rng,
-            phase_prefix=phase_prefix,
-        )
         try:
             outcome = self._shard_orchestrator().solve(
-                setup, plan, values, agg_encoded, ledger,
-                phase_prefix=phase_prefix,
+                setup, plan, values, agg, ledger, phase_prefix=phase_prefix,
             )
         except BaseException:
             # A worker died or pickling blew up mid-wave: the pool's state
@@ -471,13 +414,8 @@ class PASession:
             # lazily rebuilt if the caller retries).
             self.close()
             raise
-        self._last_solve_sharded = True
-        return PAResult(
-            aggregates=outcome.aggregates,
-            value_at_node=outcome.value_at_node,
-            ledger=ledger,
-            setup=setup,
-        )
+        self._last_ran_sharded = True
+        return outcome
 
     # -- cache mechanics (LRU bound + loop-entry pinning) ---------------
     def _cache_lookup(self, key: Fingerprint) -> Optional[PASetup]:
@@ -516,8 +454,8 @@ class PASession:
     def _traced_build(self, outcome: str, build):
         """Run ``build`` under a ``session.prepare`` span (traced only).
 
-        ``outcome`` is what the caller expects ("full" or "coarsened");
-        a coarsening that fell out of budget mid-build reports itself as
+        ``outcome`` is what the caller expects ("full", "coarsened" or
+        "refined"); a projection that fell out of budget reports itself as
         "rebuild" (detected via the stats counter).  The span carries
         the built setup's ledger totals so a trace shows what each
         construction cost without walking ledger events.
@@ -537,10 +475,10 @@ class PASession:
 
     # ------------------------------------------------------------------
     def block_budget(self) -> int:
-        """Max verified block parameter a coarsened shortcut may keep.
+        """Max verified block parameter a projected shortcut may keep.
 
         The same default target the randomized construction freezes parts
-        at (``max(3, 3 ceil(log2 n))``), so coarsening is held to the
+        at (``max(3, 3 ceil(log2 n))``), so a projection is held to the
         standard the from-scratch pipeline holds itself to.
         """
         log_n = max(1, math.ceil(math.log2(max(2, self.net.n))))
@@ -609,13 +547,12 @@ class PASession:
 
         The contract phase loops rely on: with ``reuse`` off (or no usable
         ``previous``) this is exactly :meth:`prepare`; with ``reuse`` on
-        and ``partition`` a merge-only coarsening of ``previous``'s, the
-        previous machinery is projected and re-verified (see
-        :meth:`coarsen`); a split-only *refinement* (parts breaking
-        apart — the service layer's regrouping updates) is likewise
-        projected and re-verified (see :meth:`refine`).  Either way the
-        returned setup is correct for PA over ``partition`` — only its
-        construction cost differs.
+        and ``partition`` a merge-only coarsening of ``previous``'s
+        (Boruvka fragments merging) or a split-only refinement of it
+        (parts breaking apart — the service layer's regrouping updates),
+        the previous machinery is projected and re-verified (see
+        :meth:`_project`).  Either way the returned setup is correct for
+        PA over ``partition`` — only its construction cost differs.
         """
         if not self.reuse or previous is None:
             return self.prepare(partition, leaders=leaders)
@@ -623,29 +560,22 @@ class PASession:
         cached = self._cache_hit(key)
         if cached is not None:
             return cached
-        pid_map = _coarsening_map(previous.partition, partition)
-        if pid_map is not None:
-            setup = self._traced_build(
-                "coarsened",
-                lambda: self.coarsen(
-                    previous, partition, pid_map, leaders=leaders
-                ),
-            )
-        else:
-            new_to_old = _refinement_map(previous.partition, partition)
-            if new_to_old is None:
-                return self.prepare(partition, leaders=leaders)
-            setup = self._traced_build(
-                "refined",
-                lambda: self.refine(
-                    previous, partition, new_to_old, leaders=leaders
-                ),
-            )
+        image = _partition_image(previous.partition, partition)
+        if image is None:
+            return self.prepare(partition, leaders=leaders)
+        merging = all(len(new_pids) == 1 for new_pids in image)
+        kind, outcome = (
+            ("coarsen", "coarsened") if merging else ("refine", "refined")
+        )
+        setup = self._traced_build(
+            outcome,
+            lambda: self._project(previous, partition, image, kind, leaders),
+        )
         # Projected entries are unpinned (first in line under the LRU
         # bound), whichever direction they were projected in.
         self._coarsened_keys.add(key)
         self._cache_store(key, setup)
-        if pid_map is None:
+        if not merging:
             # A refinement does *not* supersede the previous entry:
             # unlike a phase loop's forward-only merges, split partitions
             # can re-merge (a service tenant re-presenting yesterday's
@@ -665,40 +595,94 @@ class PASession:
                 self._cache.pop(prev_key, None)
         return setup
 
-    def _finish_projection(
+    def _project(
         self,
+        previous: PASetup,
         partition: Partition,
-        leaders: Tuple[int, ...],
-        division: SubPartDivision,
-        shortcut: Shortcut,
-        ledger: CostLedger,
-        verify_prefix: str,
-        congestion_budget: Optional[int] = None,
+        image: Sequence[Sequence[int]],
+        kind: str,
+        leaders: Optional[Sequence[int]],
     ) -> PASetup:
-        """The shared tail of :meth:`coarsen` and :meth:`refine`.
+        """Project ``previous``'s machinery onto a merged or split partition.
 
-        Re-annotate blocks distributively (roots and depths change as
-        blocks fuse or forests are cut), then re-verify the block
-        parameter *with PA itself* over the projected machinery
-        (Algorithm 2 / Lemma 4.5).  If the verified count exceeds
-        :meth:`block_budget` — or the shortcut's congestion exceeds
-        ``congestion_budget``, when the caller sets one — the projection
-        is discarded and a fresh full prepare runs instead, charged to the
-        same ledger under the ``rebuild:`` prefix: quality degradation can
-        cost a rebuild, but never rounds-silently compounds.
+        ``image`` is :func:`_partition_image` of the two partitions and
+        ``kind`` (``"coarsen"`` / ``"refine"``) names its shape in the
+        phase log.  Steps, each metered into the returned setup's ledger:
+
+        1. relabel the shortcut (:func:`relabel_shortcut`: a merged part
+           takes the union of its constituents' edge sets, every fragment
+           its ancestor's) — free of communication, the merge / split
+           broadcast already carried the new ids;
+        2. cut the sub-part forest at the new part borders: a parent edge
+           whose endpoints landed in different parts is severed, the
+           orphaned child becoming the representative of its subtree.
+           Under merges nothing is severed (old sub-parts still refine the
+           merged parts) and forest and ``rep_of`` are reused;
+        3. one round (``{kind}_boundary_exchange``) in which the members
+           of merged or split parts exchange new part ids with their
+           neighbors, so each learns which incident edges joined or left
+           its part — what the division's wave boundary is read from;
+        4. re-annotate blocks distributively (roots and depths change as
+           blocks fuse or forests are cut) and re-verify the block
+           parameter *with PA itself* (Algorithm 2 / Lemma 4.5, phases
+           ``{kind}_verify_*``).
+
+        One budget rule: the verified block count must stay within
+        :meth:`block_budget` and the congestion within ``max(previous c,
+        general-graph envelope)`` — the latter can only bind under splits
+        (fragments pile onto shared tree edges; relabeling merged parts
+        only dedupes).  A projection over budget is discarded for a fresh
+        full prepare charged to the same ledger under ``rebuild:``, the
+        verification it paid for included: quality degradation can cost a
+        rebuild, but never silently compounds.
         """
         solver = self.solver
+        net = solver.net
+        leaders = solver.checked_leaders(partition, leaders)
+        ledger = CostLedger()
+        shortcut = relabel_shortcut(previous.shortcut, partition, image)
+
+        forest, rep_of = previous.division.forest, previous.division.rep_of
+        part = np.asarray(partition.part_of, dtype=np.int64)
+        fparent = np.asarray(forest.parent, dtype=np.int64)
+        severed = (fparent >= 0) & (part[fparent] != part)
+        if severed.any():
+            fparent[severed] = ROOT
+            forest = RootedForest(net, fparent.tolist())
+            rep_of = tuple(forest.plan.root_of.tolist())
+        division = SubPartDivision(
+            partition=partition,
+            forest=forest,
+            rep_of=rep_of,
+            part_leader=leaders,
+        )
+
+        fan_in = Counter(new_pid for new_pids in image for new_pid in new_pids)
+        touched = sum(
+            previous.partition.size_of(old_pid)
+            for old_pid, new_pids in enumerate(image)
+            if len(new_pids) > 1 or fan_in[new_pids[0]] > 1
+        )
+        ledger.charge_local(
+            f"{kind}_boundary_exchange", rounds=1, messages=2 * touched
+        )
+        if kind == "coarsen":
+            self.stats.coarsenings += 1
+        else:
+            self.stats.refinements += 1
+
         annotations = annotate_blocks(solver.engine, shortcut, ledger)
         counts = verify_block_parameters(
-            solver.engine, solver.net, partition, division, shortcut,
+            solver.engine, net, partition, division, shortcut,
             annotations, ledger, randomized=(solver.mode == RANDOMIZED),
-            rng=solver.rng, phase_prefix=verify_prefix,
+            rng=solver.rng, phase_prefix=f"{kind}_verify",
         )
         if max(counts, default=0) > self.block_budget() or (
-            congestion_budget is not None
-            and shortcut.congestion() > congestion_budget
+            shortcut.congestion() > max(
+                previous.shortcut.congestion(),
+                shortcut_hint_for_family("general", net.n, solver.diameter)[1],
+            )
         ):
-            # Keep the verification cost on the ledger (it was paid).
             self.stats.rebuilds += 1
             rebuilt = self._full_prepare(partition, leaders)
             ledger.merge(rebuilt.setup_ledger, prefix="rebuild:")
@@ -710,186 +694,6 @@ class PASession:
             shortcut=shortcut,
             annotations=annotations,
             setup_ledger=ledger,
-        )
-
-    def coarsen(
-        self,
-        previous: PASetup,
-        partition: Partition,
-        pid_map: Sequence[int],
-        leaders: Optional[Sequence[int]] = None,
-    ) -> PASetup:
-        """Project ``previous``'s machinery onto a merged partition.
-
-        Steps, each metered into the returned setup's ledger:
-
-        1. relabel/union the shortcut (:func:`coarsen_shortcut`) — free of
-           communication (the relabel broadcast that merged the parts
-           already carried the new ids);
-        2. keep the sub-part forest (old sub-parts still refine merged
-           parts) and extend the wave boundary lists only at former part
-           borders — one round in which nodes of merged parts compare
-           part ids with neighbors;
-        3. re-annotate and re-verify against :meth:`block_budget`
-           (:meth:`_finish_projection`), rebuilding on a miss.
-
-        Congestion needs no re-check: relabeling can only dedupe per-edge
-        part sets, so ``c`` never grows under coarsening.
-        """
-        net = self.solver.net
-        leaders = self.solver.checked_leaders(partition, leaders)
-        ledger = CostLedger()
-        shortcut = coarsen_shortcut(previous.shortcut, partition, pid_map)
-        division = SubPartDivision(
-            partition=partition,
-            forest=previous.division.forest,
-            rep_of=previous.division.rep_of,
-            part_leader=leaders,
-        )
-
-        # Incremental wave boundary: every old boundary edge stays (its
-        # endpoints' parts merged together or not at all); the only new
-        # candidates are edges between formerly-distinct parts that now
-        # share one — found by scanning just the members of merged parts.
-        old_boundary = compute_wave_boundary(
-            net, previous.partition, previous.division
-        )
-        merged_new_pids = set()
-        seen_new: set = set()
-        for new_pid in pid_map:
-            if new_pid in seen_new:
-                merged_new_pids.add(new_pid)
-            seen_new.add(new_pid)
-        boundary: List[Tuple[int, ...]] = list(old_boundary)
-        old_part_of = previous.partition.part_of
-        new_part_of = partition.part_of
-        touched = 0
-        for new_pid in merged_new_pids:
-            for v in partition.members[new_pid]:
-                gains = tuple(
-                    nb
-                    for nb in net.neighbors[v]
-                    if new_part_of[nb] == new_pid
-                    and old_part_of[nb] != old_part_of[v]
-                )
-                if gains:
-                    boundary[v] = old_boundary[v] + gains
-                touched += 1
-        division._wave_boundary_cache = boundary
-        # One round: members of merged parts exchange new part ids with
-        # neighbors to discover the fresh boundary edges (the relabel
-        # broadcast told them their own id; this is the neighbor side).
-        ledger.charge_local(
-            "coarsen_boundary_exchange", rounds=1, messages=2 * touched
-        )
-        self.stats.coarsenings += 1
-        return self._finish_projection(
-            partition, leaders, division, shortcut, ledger, "coarsen_verify"
-        )
-
-    def refine(
-        self,
-        previous: PASetup,
-        partition: Partition,
-        new_to_old: Sequence[int],
-        leaders: Optional[Sequence[int]] = None,
-    ) -> PASetup:
-        """Project ``previous``'s machinery onto a split partition.
-
-        The dual of :meth:`coarsen`, with one structural difference: a
-        split can invalidate sub-part trees (a sub-part straddling the
-        new border is no longer inside one part), so besides relabeling
-        the shortcut (:func:`refine_shortcut`, every fragment inherits
-        its ancestor's edge set) the sub-part forest is *cut* at the new
-        part borders — each severed subtree becomes its own sub-part,
-        rooted where the cut left it.  Wave boundary lists only shrink
-        (an intra-part edge of a fragment was intra-part before), so the
-        repair filters the members of split parts.
-
-        Unlike coarsening, both quality measures can degrade: congestion
-        multiplies by the split factor on shared tree edges, and cut
-        forests make blocks reachable from fewer representatives.  The
-        projection is therefore re-verified (:meth:`_finish_projection`)
-        *and* its congestion checked against
-        ``max(previous c, general-graph envelope)``; exceeding either
-        budget discards it for a fresh :meth:`prepare` charged to the
-        same ledger under the ``rebuild:`` prefix.
-        """
-        solver = self.solver
-        net = solver.net
-        leaders = solver.checked_leaders(partition, leaders)
-        ledger = CostLedger()
-        shortcut = refine_shortcut(previous.shortcut, partition, new_to_old)
-
-        # Cut the sub-part forest at the new part borders: a parent edge
-        # whose endpoints landed in different fragments is severed, the
-        # orphaned child becoming the representative of its subtree.
-        new_part_of = partition.part_of
-        parent = list(previous.division.forest.parent)
-        cut = 0
-        for v, p in enumerate(parent):
-            if p >= 0 and new_part_of[p] != new_part_of[v]:
-                parent[v] = ROOT
-                cut += 1
-        forest = (
-            RootedForest(net, parent) if cut else previous.division.forest
-        )
-        rep_of: List[int] = [-1] * net.n
-        for v in forest.order:
-            p = forest.parent[v]
-            rep_of[v] = v if p < 0 else rep_of[p]
-        division = SubPartDivision(
-            partition=partition,
-            forest=forest,
-            rep_of=tuple(rep_of),
-            part_leader=leaders,
-        )
-
-        # Incremental wave boundary: no edge *gains* boundary status under
-        # a split (same-fragment neighbors were same-part before, and cut
-        # tree edges now cross parts), so members of split parts just
-        # filter their lists down to same-fragment neighbors.
-        old_boundary = compute_wave_boundary(
-            net, previous.partition, previous.division
-        )
-        split_old_pids = {
-            old_pid
-            for old_pid, count in _fragment_counts(
-                new_to_old, previous.partition.num_parts
-            ).items()
-            if count > 1
-        }
-        boundary: List[Tuple[int, ...]] = list(old_boundary)
-        fparent = forest.parent
-        touched = 0
-        for old_pid in split_old_pids:
-            for v in previous.partition.members[old_pid]:
-                boundary[v] = tuple(
-                    nb
-                    for nb in net.neighbors[v]
-                    if new_part_of[nb] == new_part_of[v]
-                    and fparent[v] != nb
-                    and fparent[nb] != v
-                )
-                touched += 1
-        division._wave_boundary_cache = boundary
-        # One round: members of split parts exchange fragment ids with
-        # neighbors to drop the edges that now cross parts (the split
-        # broadcast told them their own fragment; this is the neighbor
-        # side) — the mirror of the coarsening exchange.
-        ledger.charge_local(
-            "refine_boundary_exchange", rounds=1, messages=2 * touched
-        )
-        self.stats.refinements += 1
-        # Too many blocks, or split fragments piling onto shared tree
-        # edges, sends the projection back for a rebuild.
-        congestion_budget = max(
-            previous.shortcut.congestion(),
-            shortcut_hint_for_family("general", net.n, solver.diameter)[1],
-        )
-        return self._finish_projection(
-            partition, leaders, division, shortcut, ledger, "refine_verify",
-            congestion_budget=congestion_budget,
         )
 
     # -- evolving graphs ------------------------------------------------
@@ -912,9 +716,8 @@ class PASession:
           update cannot touch them).  The solver is rebound
           (:meth:`~repro.core.pa.PASolver.rebind`), and every cached
           setup whose partition stays connected and whose sub-part
-          forest lost no edge is rebound too, its wave boundary repaired
-          only at the endpoints of changed intra-part edges.  Setups the
-          update invalidated are evicted, never served stale.
+          forest lost no edge is rebound too.  Setups the update
+          invalidated are evicted, never served stale.
         * **rebuild** — a removed tree edge (or an engine that cannot be
           rebound, e.g. asynchronous) forces a fresh solver: new leader
           election + BFS tree with the same mode/seed, charged to the
@@ -996,19 +799,17 @@ class PASession:
                 repaired = False  # e.g. an async engine owns edge state
         if repaired:
             self.stats.repairs += 1
-            evicted = self._repair_cached_setups(
-                new_net, changed, remove_set
-            )
+            evicted = self._repair_cached_setups(new_net, remove_set)
         else:
             self.stats.graph_rebuilds += 1
-            engine = solver.engine
+            old = solver.engine
+            engine = type(old)(new_net, **old.flags)
+            if self.async_overhead is not None:
+                # The synchronizer tax already paid stays on the books.
+                engine.overhead = old.overhead
+                engine.overhead_log = old.overhead_log
             self.solver = PASolver(
-                new_net, mode=solver.mode, seed=solver.seed,
-                strict_bits=engine.strict_bits,
-                strict_edges=engine.strict_edges,
-                schedule=solver.schedule,
-                engine_impl=solver.engine_impl,
-                profile=getattr(engine, "profile", False),
+                new_net, mode=solver.mode, seed=solver.seed, engine=engine
             )
             ledger.merge(self.solver.tree_ledger, prefix="rebuild:")
             evicted = len(self._cache)
@@ -1033,10 +834,7 @@ class PASession:
         )
 
     def _repair_cached_setups(
-        self,
-        new_net: Network,
-        changed: Sequence[Tuple[int, int]],
-        removed: set,
+        self, new_net: Network, removed: set
     ) -> int:
         """Rebind surviving cached setups to the updated network.
 
@@ -1044,9 +842,9 @@ class PASession:
         connected parts and its sub-part forest lost no spanning edge;
         its structures are then rebuilt *structure-identically* on the
         new network (same parent arrays, same ``up_parts``, same block
-        annotations) and its wave boundary repaired only at the touched
-        endpoints.  Everything else is evicted; returns the eviction
-        count.
+        annotations; the rebound division reads its wave boundary off
+        the new adjacency on first use).  Everything else is evicted;
+        returns the eviction count.
         """
         evicted = 0
         for key in list(self._cache):
@@ -1078,24 +876,6 @@ class PASession:
                 rep_of=setup.division.rep_of,
                 part_leader=setup.division.part_leader,
             )
-            old_boundary = getattr(
-                setup.division, "_wave_boundary_cache", None
-            )
-            if old_boundary is not None:
-                part_of = setup.partition.part_of
-                boundary = list(old_boundary)
-                for u, v in changed:
-                    if part_of[u] != part_of[v]:
-                        continue
-                    for x in (u, v):
-                        boundary[x] = tuple(
-                            nb
-                            for nb in new_net.neighbors[x]
-                            if part_of[nb] == part_of[x]
-                            and forest.parent[x] != nb
-                            and forest.parent[nb] != x
-                        )
-                division._wave_boundary_cache = boundary
             shortcut = Shortcut(
                 self.solver.tree, setup.partition, setup.shortcut.up_parts
             )
@@ -1128,16 +908,16 @@ class PASession:
         if self.backend == "sharded":
             from ..shard import encode_aggregation
 
-            encoded = encode_aggregation(agg)
-            if encoded is not None and self._shard_eligible():
+            if encode_aggregation(agg) is not None and self._shard_eligible():
                 self.stats.sharded_solves += 1
-                return self._solve_sharded(
-                    setup, values, agg, encoded, charge_setup, phase_prefix,
+                return self.solver.solve_via(
+                    self._run_sharded, setup, values, agg,
+                    charge_setup=charge_setup, phase_prefix=phase_prefix,
                 )
             self.stats.sharded_fallbacks += 1
         if not folded:
             self.stats.solves += 1
-        self._last_solve_sharded = False
+        self._last_ran_sharded = False
         return self.solver.solve(
             setup, values, agg,
             charge_setup=charge_setup, phase_prefix=phase_prefix,

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..congest.ledger import CostLedger
 from ..congest.network import Network
-from ..core.pa import PASetup, RANDOMIZED
+from ..core.pa import PASetup
 from ..graphs.partitions import Partition
 from ..obs.tracer import current_tracer
 from ..runtime.session import EdgeUpdateReport, PASession
@@ -83,15 +83,14 @@ class PAService:
     net / partition:
         The initial topology and part structure.  The first setup is a
         full prepare, charged to the service ledger under ``prepare:``.
-    mode / seed / backend / workers / shard_min_n / max_entries:
-        Forwarded to the owned :class:`~repro.runtime.PASession`
-        (constructed with ``reuse=True, batch=True`` — the service *is*
-        the session's intended consumer).  ``backend="sharded"`` serves
-        eligible waves on the multiprocess worker pool unchanged.
+    seed:
+        Seed of the owned :class:`~repro.runtime.PASession` (constructed
+        with ``reuse=True, batch=True`` — the service *is* the session's
+        intended consumer).
     session:
         Adopt an existing session instead (must have ``reuse`` and
-        ``batch`` enabled); the remaining session parameters are then
-        rejected at their defaults only.
+        ``batch`` enabled) — the one place to choose anything else about
+        execution: mode, ``backend="sharded"``, ``max_entries``, engine.
     max_batch:
         Admission-queue depth that triggers an automatic flush.  1
         disables micro-batching (every submit solves immediately);
@@ -102,14 +101,9 @@ class PAService:
         self,
         net: Optional[Network] = None,
         partition: Optional[Partition] = None,
-        mode: str = RANDOMIZED,
         seed: int = 0,
         max_batch: int = 8,
         session: Optional[PASession] = None,
-        backend: str = "local",
-        workers: object = "auto",
-        shard_min_n: int = 4096,
-        max_entries: Optional[int] = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -124,11 +118,7 @@ class PAService:
         else:
             if net is None:
                 raise ValueError("PAService needs a network (or a session)")
-            self.session = PASession(
-                net, mode=mode, seed=seed, reuse=True, batch=True,
-                backend=backend, workers=workers,
-                shard_min_n=shard_min_n, max_entries=max_entries,
-            )
+            self.session = PASession(net, seed=seed, reuse=True, batch=True)
         self.max_batch = max_batch
         self.stats = ServiceStats()
         #: Ground-truth service ledger (every wave, prepare and repair).

@@ -31,7 +31,7 @@ from ..congest.ledger import CostLedger
 from ..core import aggregation as _aggmod
 from ..core.aggregation import Aggregation
 from ..core.pa import PASetup, product_aggregation
-from ..core.wave import WavePlan
+from ..core.wave import PAWaveResult, WavePlan
 from ..obs.tracer import current_tracer
 from .ledger_merge import merge_shard_phases
 from .plan import ShardPlan, build_shard_plan
@@ -43,6 +43,10 @@ _STOCK = ("SUM", "MIN", "MAX", "OR", "AND", "XOR", "MIN_TUPLE", "MAX_TUPLE")
 _BY_IDENTITY = {
     id(getattr(_aggmod, name)): name for name in _STOCK
 }
+
+#: How many shipped setups stay resident (rank-0 memo and workers alike:
+#: workers hold exactly what this memo holds, until ``unload``).
+_MAX_SHIPPED = 16
 
 
 def encode_aggregation(agg: Aggregation) -> Optional[object]:
@@ -72,16 +76,6 @@ def decode_aggregation(encoded: object) -> Aggregation:
     raise RuntimeError(f"unknown aggregation encoding {encoded!r}")
 
 
-class ShardSolveOutcome:
-    """What one orchestrated wave pass produced (PAResult ingredients)."""
-
-    __slots__ = ("aggregates", "value_at_node")
-
-    def __init__(self, aggregates, value_at_node) -> None:
-        self.aggregates = aggregates
-        self.value_at_node = value_at_node
-
-
 class _ShardHandle:
     """Orchestrator-side record of one shipped shard."""
 
@@ -95,25 +89,17 @@ class _ShardHandle:
 
 
 class ShardOrchestrator:
-    """Rank-0 driver of the sharded backend for one engine configuration."""
+    """Rank-0 driver of the sharded backend for one engine configuration.
 
-    def __init__(
-        self,
-        workers: int,
-        strict_bits: bool = True,
-        strict_edges: bool = True,
-        use_arrays: bool = True,
-        profile: bool = False,
-    ) -> None:
+    ``engine_flags`` is the session engine's ``Engine.flags``, shipped
+    verbatim so every worker builds the same engine on its shard.
+    """
+
+    def __init__(self, workers: int, engine_flags: Dict[str, bool]) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self._engine_flags = {
-            "strict_bits": strict_bits,
-            "strict_edges": strict_edges,
-            "use_arrays": use_arrays,
-            "profile": profile,
-        }
+        self._engine_flags = engine_flags
         self._procs: List[multiprocessing.Process] = []
         self._pipes: List = []
         #: id(setup) -> (setup ref, setup_id, [_ShardHandle, ...]).  The
@@ -163,14 +149,14 @@ class ShardOrchestrator:
             if tracer.enabled:
                 with tracer.span("shard.ship", "shard") as args:
                     payload = build_shard_payload(setup, pids)
-                    payload.update(self._engine_flags)
+                    payload["engine_flags"] = self._engine_flags
                     self._pipes[s].send(("load", setup_id, payload))
                     args["shard"] = s
                     args["parts"] = len(pids)
                     args["nodes"] = int(payload["nodes"].size)
             else:
                 payload = build_shard_payload(setup, pids)
-                payload.update(self._engine_flags)
+                payload["engine_flags"] = self._engine_flags
                 self._pipes[s].send(("load", setup_id, payload))
             handles.append(
                 _ShardHandle(
@@ -184,9 +170,10 @@ class ShardOrchestrator:
             self._recv(handle.worker_index)
         self._ship_seconds = time.perf_counter() - ship_start
         self._shipped[id(setup)] = (setup, setup_id, handles)
-        # Retire records whose setup object has been replaced at that id.
-        if len(self._shipped) > 16:
-            self._shipped.pop(next(iter(self._shipped)))
+        if len(self._shipped) > _MAX_SHIPPED:
+            # Retire the oldest ship through ``release`` so the workers
+            # drop it too; a later solve on it simply ships again.
+            self.release(next(iter(self._shipped.values()))[0])
         return handles
 
     def solve(
@@ -194,11 +181,16 @@ class ShardOrchestrator:
         setup: PASetup,
         plan: WavePlan,
         values: Sequence[object],
-        agg_encoded: object,
+        agg: Aggregation,
         ledger: CostLedger,
         phase_prefix: str = "pa",
-    ) -> ShardSolveOutcome:
-        """One orchestrated wave pass; charges merged phases to ``ledger``."""
+    ) -> PAWaveResult:
+        """One orchestrated wave pass; charges merged phases to ``ledger``.
+
+        The run step of ``PASolver.solve_via`` for a sharded session;
+        ``agg`` must be expressible by :func:`encode_aggregation`.
+        """
+        agg_encoded = encode_aggregation(agg)
         handles = self.ship(setup)
         setup_id = self._shipped[id(setup)][1]
         tracer = current_tracer()
@@ -259,7 +251,7 @@ class ShardOrchestrator:
         replies: List[Dict[str, object]],
         ledger: CostLedger,
         n: int,
-    ) -> ShardSolveOutcome:
+    ) -> PAWaveResult:
         """Merge shard replies in shard-index order (the handles' order)."""
         for stats in merge_shard_phases([r["phases"] for r in replies]):
             ledger.charge(stats)
@@ -271,9 +263,7 @@ class ShardOrchestrator:
             members = handle.nodes[handle.is_member]
             for g, value in zip(members.tolist(), reply["member_values"]):
                 value_at_node[g] = value
-        return ShardSolveOutcome(
-            aggregates=aggregates, value_at_node=value_at_node
-        )
+        return PAWaveResult(aggregates=aggregates, value_at_node=value_at_node)
 
     # ------------------------------------------------------------------
     def release(self, setup: PASetup) -> None:
@@ -281,9 +271,9 @@ class ShardOrchestrator:
 
         Called by the session when its setup cache evicts an entry or an
         edge update invalidates it: without this the strong reference in
-        :attr:`_shipped` — and the rebuilt shard in every worker's LRU —
-        would keep the whole setup resident until enough further ships
-        aged it out.  Unknown (never-shipped or already-released) setups
+        :attr:`_shipped` — and the rebuilt shard in every worker — would
+        keep the whole setup resident until enough further ships aged it
+        out.  Unknown (never-shipped or already-released) setups
         are a no-op.
         """
         cached = self._shipped.get(id(setup))

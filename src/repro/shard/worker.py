@@ -4,12 +4,13 @@ Each worker owns one end of a pipe and loops over three requests:
 
 * ``("load", setup_id, payload)`` — rebuild the shard structures
   (:func:`~repro.shard.views.rebuild_shard`) and construct the engine;
-  cached by ``setup_id`` (small LRU — phase loops retire old setups);
+  kept under ``setup_id`` until ``unload`` — the orchestrator's memo is
+  the one bound on resident setups, so the two sides never disagree;
 * ``("solve", setup_id, solve)`` — run the planned wave phases on the
   cached shard and reply with the phase log, local aggregates, member
   values and per-phase wall seconds;
-* ``("unload", setup_id)`` — drop a cached shard (the session evicted
-  the setup; don't keep its memory until the LRU ages it out);
+* ``("unload", setup_id)`` — drop a loaded shard (the session evicted
+  the setup, or the orchestrator's memo retired it);
 * ``("close",)`` — exit.
 
 Workers are forked, so they inherit the parent's loaded modules and
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import time
 import traceback
-from collections import OrderedDict
 from typing import Dict, Tuple
 
 from ..congest.engine import Engine
@@ -31,10 +31,6 @@ from ..congest.ledger import CostLedger
 from ..core.wave import run_planned_waves
 from .ledger_merge import phases_to_wire
 from .views import ShardSetup, rebuild_shard
-
-#: How many rebuilt setups a worker keeps (phase loops use one at a time;
-#: a small window covers interleaved setups without unbounded growth).
-_SETUP_CACHE = 8
 
 
 class _LoadedShard:
@@ -47,14 +43,7 @@ class _LoadedShard:
 
 def _load(payload: Dict[str, object]) -> _LoadedShard:
     setup = rebuild_shard(payload)
-    engine = Engine(
-        setup.net,
-        strict_bits=payload["strict_bits"],
-        strict_edges=payload["strict_edges"],
-        use_arrays=payload["use_arrays"],
-        profile=payload["profile"],
-    )
-    return _LoadedShard(setup, engine)
+    return _LoadedShard(setup, Engine(setup.net, **payload["engine_flags"]))
 
 
 def _solve(shard: _LoadedShard, solve: Dict[str, object]) -> Dict[str, object]:
@@ -91,7 +80,7 @@ def _solve(shard: _LoadedShard, solve: Dict[str, object]) -> Dict[str, object]:
 
 def worker_main(conn) -> None:
     """Run the worker loop on ``conn`` until ``close`` or EOF."""
-    shards: "OrderedDict[object, _LoadedShard]" = OrderedDict()
+    shards: Dict[object, _LoadedShard] = {}
     while True:
         try:
             msg = conn.recv()
@@ -102,16 +91,12 @@ def worker_main(conn) -> None:
             if kind == "load":
                 _kind, setup_id, payload = msg
                 shards[setup_id] = _load(payload)
-                shards.move_to_end(setup_id)
-                while len(shards) > _SETUP_CACHE:
-                    shards.popitem(last=False)
                 conn.send(("ok", setup_id))
             elif kind == "solve":
                 _kind, setup_id, solve = msg
                 shard = shards.get(setup_id)
                 if shard is None:
                     raise RuntimeError(f"setup {setup_id!r} not loaded")
-                shards.move_to_end(setup_id)
                 conn.send(("result", _solve(shard, solve)))
             elif kind == "unload":
                 _kind, setup_id = msg

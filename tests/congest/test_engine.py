@@ -201,3 +201,19 @@ def test_phase_stats_round_scaling(path10):
     assert stats.ticks == 9
     assert stats.rounds == 27
     assert stats.messages == 9
+
+
+def test_flags_rebuild_the_same_engine_on_another_network(path10):
+    """``flags`` is the one spelling of the construction flags: rebinds
+    and shard workers build engines from it, so it must cover every
+    constructor flag, values intact."""
+    import inspect
+
+    flags = {
+        "strict_bits": False, "strict_edges": False,
+        "profile": True, "use_arrays": True,
+    }
+    engine = Engine(path10, **flags)
+    assert engine.flags == flags
+    assert set(flags) == set(inspect.signature(Engine).parameters) - {"network"}
+    assert Engine(star_graph(5), **engine.flags).flags == flags

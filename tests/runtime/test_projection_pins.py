@@ -1,0 +1,200 @@
+"""Per-phase pins of one fixed merge / split / edge-update sequence.
+
+Every setup, report and solve ledger of the sequence, phase by phase as
+``(name, rounds, messages)``, against literals captured on the commit
+before the coarsen / refine twins became one projection (PR 16) — phase
+order included, in both modes.  The two full prepares are pinned by
+``(phase count, rounds, messages)``; their phases are the solver's.
+"""
+
+import pytest
+
+from repro import MIN, SUM, PASession
+from repro.graphs import grid_2d
+from repro.graphs.partitions import Partition
+
+MODES = ("randomized", "deterministic")
+
+
+def _phases(ledger):
+    return [(p.name, p.rounds, p.messages) for p in ledger.phases()]
+
+
+def _run_sequence(mode):
+    """6x6 grid, rows: merge two rows, split the merged part left / right
+    (severing both row paths of the sub-part forest), add a chord (repair),
+    merge again from the rebound setup, remove a tree edge (rebuild)."""
+    net = grid_2d(6, 6)
+    rows = Partition([v // 6 for v in range(net.n)])
+    merged = Partition([max(0, v // 6 - 1) for v in range(net.n)])
+    halves = Partition([
+        (0 if v % 6 < 3 else 5) if v < 12 else v // 6 - 1
+        for v in range(net.n)
+    ])
+    remerged = Partition([p - (p > 3) for p in halves.part_of])  # rows 4, 5
+    values = [(v * 7) % 11 for v in range(net.n)]
+    session = PASession(net, mode=mode, seed=3, reuse=True, batch=True)
+    log = {}
+
+    def solve(tag, setup):
+        batch = session.solve_many(
+            setup, [(values, MIN), (values, SUM)], charge_setup=False
+        )
+        log[tag + ":batch"] = _phases(batch.ledger)
+        single = session.solve(setup, values, SUM, charge_setup=False)
+        log[tag + ":int"] = _phases(single.ledger)
+
+    def total(ledger):
+        return (len(ledger.phases()), ledger.rounds, ledger.messages)
+
+    setup = session.prepare(rows)
+    log["prepare"] = total(setup.setup_ledger)
+    setup = session.prepare_incremental(setup, merged)
+    log["merge"] = _phases(setup.setup_ledger)
+    solve("merge", setup)
+    setup = session.prepare_incremental(setup, halves)
+    log["split"] = _phases(setup.setup_ledger)
+    solve("split", setup)
+    log["add"] = _phases(session.apply_edge_updates(add=[(0, 7)]).ledger)
+    setup = session.prepare_incremental(None, halves)
+    log["add:hit"] = _phases(setup.setup_ledger)
+    solve("add", setup)
+    setup = session.prepare_incremental(setup, remerged)
+    log["remerge"] = _phases(setup.setup_ledger)
+    solve("remerge", setup)
+    tree_edge = next(
+        (v, p) for v, p in enumerate(session.tree.parent)
+        if p >= 0 and remerged.part_of[v] != remerged.part_of[p]
+    )
+    log["remove"] = _phases(
+        session.apply_edge_updates(remove=[tree_edge]).ledger
+    )
+    setup = session.prepare_incremental(None, remerged)
+    log["remove:prepare"] = total(setup.setup_ledger)
+    solve("remove", setup)
+    log["stats"] = {k: v for k, v in session.stats.as_dict().items() if v}
+    return log
+
+
+EXPECTED = {'randomized': {'prepare': (4, 11, 90),
+                'merge': [('coarsen_boundary_exchange', 1, 24),
+                          ('annotate_blocks', 0, 0),
+                          ('coarsen_verify_wave', 10, 47),
+                          ('coarsen_verify_reverse', 7, 47),
+                          ('coarsen_verify_replay', 7, 47)],
+                'merge:batch': [('pa_batch_wave', 10, 47),
+                                ('pa_batch_reverse', 7, 47),
+                                ('pa_batch_replay', 7, 47)],
+                'merge:int': [('pa_wave', 10, 47), ('pa_reverse', 7, 47),
+                              ('pa_replay', 7, 47)],
+                'split': [('refine_boundary_exchange', 1, 24),
+                          ('annotate_blocks', 0, 0),
+                          ('refine_verify_wave', 6, 44),
+                          ('refine_verify_reverse', 6, 44),
+                          ('refine_verify_replay', 6, 44)],
+                'split:batch': [('pa_batch_wave', 6, 44),
+                                ('pa_batch_reverse', 6, 44),
+                                ('pa_batch_replay', 6, 44)],
+                'split:int': [('pa_wave', 6, 44), ('pa_reverse', 6, 44),
+                              ('pa_replay', 6, 44)],
+                'add': [('edge_update_notify', 1, 2)],
+                'add:hit': [],
+                'add:batch': [('pa_batch_wave', 6, 46),
+                              ('pa_batch_reverse', 6, 46),
+                              ('pa_batch_replay', 6, 46)],
+                'add:int': [('pa_wave', 6, 46), ('pa_reverse', 6, 46),
+                            ('pa_replay', 6, 46)],
+                'remerge': [('coarsen_boundary_exchange', 1, 24),
+                            ('annotate_blocks', 0, 0),
+                            ('coarsen_verify_wave', 13, 63),
+                            ('coarsen_verify_reverse', 8, 63),
+                            ('coarsen_verify_replay', 8, 63)],
+                'remerge:batch': [('pa_batch_wave', 13, 63),
+                                  ('pa_batch_reverse', 8, 63),
+                                  ('pa_batch_replay', 8, 63)],
+                'remerge:int': [('pa_wave', 13, 63), ('pa_reverse', 8, 63),
+                                ('pa_replay', 8, 63)],
+                'remove': [('edge_update_notify', 1, 2),
+                           ('rebuild:leader_election', 9, 393),
+                           ('rebuild:child_ack', 1, 35)],
+                'remove:prepare': (4, 13, 113),
+                'remove:batch': [('pa_batch_wave', 8, 51),
+                                 ('pa_batch_reverse', 8, 51),
+                                 ('pa_batch_replay', 8, 51)],
+                'remove:int': [('pa_wave', 8, 51), ('pa_reverse', 8, 51),
+                               ('pa_replay', 8, 51)],
+                'stats': {'prepares': 2,
+                          'cache_hits': 1,
+                          'coarsenings': 2,
+                          'refinements': 1,
+                          'solves': 5,
+                          'batched_solves': 10,
+                          'edge_updates': 2,
+                          'repairs': 1,
+                          'graph_rebuilds': 1,
+                          'repair_evictions': 3}},
+ 'deterministic': {'prepare': (166, 267, 2779),
+                   'merge': [('coarsen_boundary_exchange', 1, 24),
+                             ('annotate_blocks', 0, 0),
+                             ('coarsen_verify_wave', 9, 59),
+                             ('coarsen_verify_reverse', 7, 59),
+                             ('coarsen_verify_replay', 7, 59)],
+                   'merge:batch': [('pa_batch_wave', 9, 59),
+                                   ('pa_batch_reverse', 7, 59),
+                                   ('pa_batch_replay', 7, 59)],
+                   'merge:int': [('pa_wave', 9, 59), ('pa_reverse', 7, 59),
+                                 ('pa_replay', 7, 59)],
+                   'split': [('refine_boundary_exchange', 1, 24),
+                             ('annotate_blocks', 0, 0),
+                             ('refine_verify_wave', 9, 55),
+                             ('refine_verify_reverse', 6, 55),
+                             ('refine_verify_replay', 6, 55)],
+                   'split:batch': [('pa_batch_wave', 9, 55),
+                                   ('pa_batch_reverse', 6, 55),
+                                   ('pa_batch_replay', 6, 55)],
+                   'split:int': [('pa_wave', 9, 55), ('pa_reverse', 6, 55),
+                                 ('pa_replay', 6, 55)],
+                   'add': [('edge_update_notify', 1, 2)],
+                   'add:hit': [],
+                   'add:batch': [('pa_batch_wave', 9, 58),
+                                 ('pa_batch_reverse', 6, 58),
+                                 ('pa_batch_replay', 6, 58)],
+                   'add:int': [('pa_wave', 9, 58), ('pa_reverse', 6, 58),
+                               ('pa_replay', 6, 58)],
+                   'remerge': [('coarsen_boundary_exchange', 1, 24),
+                               ('annotate_blocks', 0, 0),
+                               ('coarsen_verify_wave', 12, 72),
+                               ('coarsen_verify_reverse', 8, 72),
+                               ('coarsen_verify_replay', 8, 72)],
+                   'remerge:batch': [('pa_batch_wave', 12, 72),
+                                     ('pa_batch_reverse', 8, 72),
+                                     ('pa_batch_replay', 8, 72)],
+                   'remerge:int': [('pa_wave', 12, 72), ('pa_reverse', 8, 72),
+                                   ('pa_replay', 8, 72)],
+                   'remove': [('edge_update_notify', 1, 2),
+                              ('rebuild:leader_election', 9, 393),
+                              ('rebuild:child_ack', 1, 35)],
+                   'remove:prepare': (166, 265, 2968),
+                   'remove:batch': [('pa_batch_wave', 15, 68),
+                                    ('pa_batch_reverse', 10, 68),
+                                    ('pa_batch_replay', 9, 68)],
+                   'remove:int': [('pa_wave', 15, 68), ('pa_reverse', 10, 68),
+                                  ('pa_replay', 9, 68)],
+                   'stats': {'prepares': 2,
+                             'cache_hits': 1,
+                             'coarsenings': 2,
+                             'refinements': 1,
+                             'solves': 5,
+                             'batched_solves': 10,
+                             'edge_updates': 2,
+                             'repairs': 1,
+                             'graph_rebuilds': 1,
+                             'repair_evictions': 3}}}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sequence_ledgers_match_the_pinned_literals(mode):
+    log = _run_sequence(mode)
+    assert list(log) == list(EXPECTED[mode])
+    for step, want in EXPECTED[mode].items():
+        assert log[step] == want, step

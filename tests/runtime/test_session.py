@@ -278,7 +278,8 @@ def test_coarsen_rejects_foreign_leader():
     sess = PASession(net, seed=5, reuse=True)
     setup0 = sess.prepare(rows)
     with pytest.raises(ValueError):
-        sess.coarsen(setup0, merged, [0, 0, 1, 1], leaders=[0, 0, 32, 48])
+        sess.prepare_incremental(setup0, merged, leaders=[0, 0, 32, 48])
+    assert sess.stats.coarsenings == 0  # rejected before any projection
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from repro import PASession
 from repro.core import MIN, SUM
 from repro.graphs import random_connected, random_connected_partition
 from repro.graphs.partitions import Partition
-from repro.runtime.session import _coarsening_map, _refinement_map
+from repro.runtime.session import _partition_image
 
 
 def _net_and_parts(n=44, seed=13):
@@ -59,22 +59,33 @@ def _split_every_part(net, partition):
     return fine
 
 
-# -- the refinement map ------------------------------------------------
+# -- the one relation ---------------------------------------------------
 
 def test_refinement_map_inverts_coarsening_map():
     net, coarse, fine = _net_and_parts()
-    new_to_old = _refinement_map(coarse, fine)
-    assert new_to_old is not None
+    split = _partition_image(coarse, fine)
+    merge = _partition_image(fine, coarse)
+    assert split is not None and merge is not None
+    # Split-only: every fragment sits in exactly one old part's image ...
     for node, new_pid in enumerate(fine.part_of):
-        assert new_to_old[new_pid] == coarse.part_of[node]
-    # And the directions do not cross: fine does not coarsen coarse.
-    assert _coarsening_map(coarse, fine) is None
+        assert new_pid in split[coarse.part_of[node]]
+    assert sorted(f for frags in split for f in frags) == list(
+        range(fine.num_parts)
+    )
+    assert max(map(len, split)) > 1
+    # ... and the merge direction is its inverse, one new part per old.
+    assert merge == [
+        [old_pid for old_pid, frags in enumerate(split) if new_pid in frags]
+        for new_pid in range(fine.num_parts)
+    ]
 
 
 def test_refinement_map_rejects_crossing_partitions():
     net, coarse, _fine = _net_and_parts()
     crossing = random_connected_partition(net, 6, seed=99)
-    assert _refinement_map(coarse, crossing) is None
+    assert _partition_image(coarse, crossing) is None
+    assert _partition_image(crossing, coarse) is None
+    assert _partition_image(coarse, Partition([0] * (net.n + 1))) is None
 
 
 # -- refine vs full prepare --------------------------------------------
@@ -253,6 +264,52 @@ def test_tree_edge_removal_forces_counted_rebuild():
         session.prepare(coarse), values, SUM, charge_setup=False
     )
     assert set(result.aggregates) == set(range(coarse.num_parts))
+
+
+def test_async_overhead_survives_an_edge_update():
+    """An async engine cannot be rebound, so an edge update rebuilds it:
+    the synchronizer tax already paid must stay on ``async_overhead``
+    (same ledger, totals monotone, equal to old + what the rebuilt engine
+    charges — which is what a fresh solver on the new graph charges)."""
+    from repro import PASolver, make_schedule
+    from repro.graphs import grid_2d
+
+    def schedule():
+        return make_schedule("random", 5)
+
+    def serve(session):
+        setup = session.prepare(partition)
+        session.solve(setup, values, MIN, charge_setup=False)
+
+    net = grid_2d(8, 8)
+    partition = Partition([v // 16 for v in range(net.n)])
+    values = list(range(net.n))
+    session = PASession(
+        net, solver=PASolver(net, seed=3, schedule=schedule()), reuse=True
+    )
+    serve(session)
+    overhead = session.async_overhead
+    paid = (overhead.rounds, overhead.messages, len(overhead.phases()))
+    assert paid[0] > 0 and paid[1] > 0
+
+    report = session.apply_edge_updates(add=[(0, 9)])
+    assert not report.repaired and session.stats.graph_rebuilds == 1
+    assert session.async_overhead is overhead
+    assert (overhead.rounds, overhead.messages) >= paid[:2]
+    serve(session)
+
+    twin = PASession(
+        session.net,
+        solver=PASolver(session.net, seed=3, schedule=schedule()),
+        reuse=True,
+    )
+    serve(twin)
+    fresh = twin.async_overhead
+    assert overhead.rounds == paid[0] + fresh.rounds
+    assert overhead.messages == paid[1] + fresh.messages
+    assert len(overhead.phases()) == paid[2] + len(fresh.phases())
+    # The per-phase records travel with the ledger they itemise.
+    assert len(session.engine.overhead_log) == len(overhead.phases())
 
 
 def test_deletion_that_disconnects_a_part_evicts_its_setup():

@@ -286,6 +286,9 @@ def test_constructor_validation():
         PAService(net, None)
     with pytest.raises(ValueError):
         PAService(partition=partition)  # no net, no session
+    # Execution is configured on the session, nowhere else.
+    with pytest.raises(TypeError):
+        PAService(net, partition, backend="sharded")
 
 
 # -- the session pool ---------------------------------------------------

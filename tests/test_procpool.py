@@ -7,7 +7,7 @@ import os
 import pytest
 
 import repro.procpool as procpool
-from repro.procpool import available_cpus, lift_wall_gate, resolve_workers
+from repro.procpool import available_cpus, resolve_workers
 
 
 def test_auto_resolves_to_available_cpus():
@@ -61,12 +61,3 @@ def test_error_class_is_configurable():
         resolve_workers("nope", error=SystemExit)
     with pytest.raises(SystemExit):
         resolve_workers(0, error=SystemExit)
-
-
-def test_lift_wall_gate_defaults_but_never_overrides(monkeypatch):
-    monkeypatch.delenv("REPRO_SESSION_WALL_GATE", raising=False)
-    lift_wall_gate()
-    assert os.environ["REPRO_SESSION_WALL_GATE"] == "0"
-    monkeypatch.setenv("REPRO_SESSION_WALL_GATE", "1")
-    lift_wall_gate()
-    assert os.environ["REPRO_SESSION_WALL_GATE"] == "1"
