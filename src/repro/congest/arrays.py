@@ -14,10 +14,10 @@ kernel) the phase ledger — name, rounds, messages, ticks — and all
 program outputs are bit-for-bit identical.  The rules that make this hold:
 
 * a kernel emits messages in exactly the order the scalar program would
-  have called ``ctx.send``; the engine's delivery sort is a *stable*
-  ``np.lexsort`` by ``(dst, src)``, which therefore reproduces the scalar
-  inbox order (stably sender-sorted mailboxes) including the order of
-  same-edge messages;
+  have called ``ctx.send``; the engine's delivery sort is *stable* by
+  ``(dst, src)`` (and skipped for a batch that arrives in that order),
+  which therefore reproduces the scalar inbox order (stably sender-sorted
+  mailboxes) including the order of same-edge messages;
 * per-directed-edge capacity is enforced on the sorted batch before the
   kernel sees any of it (the whole tick is materialized first, so a
   violation surfaces before any node of that tick runs);
@@ -87,7 +87,8 @@ def tuple_bits(*component_bits) -> np.ndarray:
 
 
 class KernelDecline(Exception):
-    """A payload list that no column layout holds: the scalar program runs.
+    """A payload list that no column layout holds: the scalar program runs
+    (or, for a wave reversal, the same kernel folds a list).
 
     ``reason`` is one of the codes the ``kernel_fallback`` trace instant
     carries: ``none_value`` (a ``None`` where the kernel needs a value),
@@ -104,7 +105,8 @@ class KernelDecline(Exception):
 
 
 def note_kernel_fallback(phase: str, reason: str) -> None:
-    """Record on the trace that ``phase`` runs scalar on an array engine.
+    """Record on the trace that ``phase`` left the column path of an
+    array engine (for its scalar twin, or a reversal's list fold).
 
     Called once per declined dispatch, so tracing costs one ``enabled``
     check per such phase and nothing on any ledger.
@@ -405,14 +407,17 @@ _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
 def _as_column(values, shape) -> np.ndarray:
-    """``values`` as an int64 column of ``shape`` (scalars broadcast)."""
+    """``values`` as an int64 column of ``shape`` (scalars fill it)."""
     if (
         type(values) is np.ndarray
         and values.dtype == np.int64
         and values.shape == shape
     ):
         return values
-    return np.broadcast_to(np.asarray(values, dtype=np.int64), shape)
+    values = np.asarray(values, dtype=np.int64)
+    if values.ndim == 0:
+        return np.full(shape, values, dtype=np.int64)
+    return np.broadcast_to(values, shape)
 
 
 class ArrayContext:
@@ -498,9 +503,9 @@ class ArrayContext:
             src = src.reshape(1)
             dst = dst.reshape(1)
         elif src.ndim == 0:
-            src = np.broadcast_to(src, dst.shape)
+            src = np.full(dst.shape, src, dtype=np.int64)
         elif dst.ndim == 0:
-            dst = np.broadcast_to(dst, src.shape)
+            dst = np.full(src.shape, dst, dtype=np.int64)
         count = src.size
         if count == 0:
             return
@@ -509,10 +514,14 @@ class ArrayContext:
             if table.size == 0:
                 raise NotAnEdgeError(int(src[0]), int(dst[0]))
             keys = src * self.n + dst
-            pos = np.searchsorted(table, keys)
-            pos[pos >= table.size] = table.size - 1
-            ok = (src >= 0) & (src < self.n) & (table[pos] == keys)
-            if not ok.all():
+            pos = table.searchsorted(keys)
+            np.minimum(pos, table.size - 1, out=pos)
+            # One unsigned maximum range-checks src from both sides.
+            if (
+                not (table[pos] == keys).all()
+                or int(src.view(np.uint64).max()) >= self.n
+            ):
+                ok = (src >= 0) & (src < self.n) & (table[pos] == keys)
                 i = int(np.argmax(~ok))
                 raise NotAnEdgeError(int(src[i]), int(dst[i]))
         if self.strict_bits:
@@ -521,10 +530,9 @@ class ArrayContext:
                     "strict_bits engines require per-message bit counts; "
                     "the kernel must pass bits= to emit()"
                 )
-            bits = np.broadcast_to(np.asarray(bits, dtype=np.int64), src.shape)
-            over = bits > self.bit_limit
-            if over.any():
-                i = int(np.argmax(over))
+            bits = _as_column(bits, src.shape)
+            if bits.max() > self.bit_limit:
+                i = int(np.argmax(bits > self.bit_limit))
                 raise BandwidthExceededError(
                     int(src[i]), int(dst[i]), int(bits[i]), self.bit_limit
                 )
@@ -658,22 +666,23 @@ def run_array_phase(
             peak_in_flight = in_flight
 
         if src.size:
-            # Stable sort by (dst, src): same-edge messages keep emission
+            # Stable order by (dst, src): same-edge messages keep emission
             # order, reproducing the scalar engine's sender-sorted inbox.
-            order = np.lexsort((src, dst))
-            src = src[order]
-            dst = dst[order]
-            cols = {name: col[order] for name, col in cols.items()}
-            if capacity < src.size:
-                # Per-directed-edge load = run length of equal (dst, src)
-                # keys in the sorted batch.
-                key = dst * n + src
-                step = np.flatnonzero(np.diff(key)) + 1
-                starts = np.concatenate((np.zeros(1, dtype=np.int64), step))
-                ends = np.concatenate((step, np.asarray([key.size])))
-                over = (ends - starts) > capacity
+            # Sorted only when the batch arrives out of order.
+            key = dst * n + src
+            if (key[1:] < key[:-1]).any():
+                order = np.argsort(key, kind="stable")
+                key = key[order]
+                src = src[order]
+                dst = dst[order]
+                cols = {name: col[order] for name, col in cols.items()}
+            if capacity < key.size:
+                # Per-directed-edge load = run length of equal keys in the
+                # sorted batch: a run longer than ``capacity`` has a row
+                # equal to the one ``capacity`` places before it.
+                over = key[capacity:] == key[:-capacity]
                 if over.any():
-                    i = int(starts[np.argmax(over)])
+                    i = int(np.argmax(over))
                     raise ChannelCapacityError(
                         int(src[i]), int(dst[i]), capacity + 1, capacity
                     )

@@ -503,10 +503,11 @@ class _AsyncPhase:
         delays = self._row(t, SAFE)[off[u]:off[u + 1]]
         base = now + 1
         faults = self.faults
+        # Only a partition can drop a safe: read once per fan-out, so a
+        # plan without one pays no call per neighbour.
+        cuts = faults is not None and faults.partitions
         for nb, d in zip(self.neighbors[u], delays):
-            if faults is not None and faults.edge_down(
-                u, nb, self.pulse_base + t + 1
-            ):
+            if cuts and faults.edge_down(u, nb, self.pulse_base + t + 1):
                 # The safe wave crossing a partitioned cut is lost; the
                 # far side's pulse gate stays shut until the cut heals or
                 # the phase quiesces early (both tainting the run).
@@ -840,7 +841,10 @@ class _AsyncPhase:
                         if (
                             not faults.alive(dst, gp)
                             or not faults.alive(src, gp)
-                            or faults.edge_down(src, dst, gp)
+                            or (
+                                faults.partitions
+                                and faults.edge_down(src, dst, gp)
+                            )
                             or faults.lost(src, dst, gp)
                         ):
                             # Dropped delivery — dead receiver, sender

@@ -60,6 +60,20 @@ def payload_bits(payload: Any) -> int:
     (``ndim > 0``) remain unsupported — shipping a whole vector in one
     message is exactly the bug the bit audit exists to catch.
     """
+    # The two shapes nearly every payload is made of, by exact type, ahead
+    # of the general chain (which gives the same answers for them).
+    kind = type(payload)
+    if kind is int:
+        return (payload.bit_length() or 1) + (payload < 0)
+    if kind is tuple:
+        total = TUPLE_OVERHEAD_BITS
+        for item in payload:
+            # ints inline: a call per component is most of the cost
+            if type(item) is int:
+                total += (item.bit_length() or 1) + (item < 0)
+            else:
+                total += payload_bits(item)
+        return total
     if _np is not None and isinstance(payload, _np.generic):
         payload = payload.item()
     if payload is None:

@@ -10,12 +10,16 @@ one rule: per tick, per source, edges drain in ascending *birth* order
 (the seq of the packet that created the edge's backlog entry), and within
 an edge packets drain in ``(priority, seq)`` order.  The scalar fast path
 (fresh distinct-destination batch) is the special case where every edge
-holds one packet and births coincide with seqs; the slow path's dict
-iteration *is* birth order, because ``dict`` preserves insertion and a
-drained destination's key is deleted (so a later re-add gets a fresh,
-larger birth).  Births must be tracked explicitly: the minimum *remaining*
-seq of an edge can reorder arbitrarily relative to insertion once older
-packets drain.
+holds one packet and births coincide with seqs — and the pool has the
+same fast path, taken on the same observation (no backlog, no duplicate
+edge in the tick): rows stably sorted by source, nothing else.  The slow
+path's dict iteration *is* birth order, because ``dict`` preserves
+insertion and a drained destination's key is deleted (so a later re-add
+gets a fresh, larger birth).  Births must be tracked explicitly there:
+the minimum *remaining* seq of an edge can reorder arbitrarily relative
+to insertion once older packets drain.  Either way only the order of a
+*source's own* packets matters — no rule compares seqs across sources —
+so a kernel may push a tick's rows source by source.
 
 On top of the pool live the array kernels for the queued programs of the
 shortcut pipeline — CoreFast claiming (:class:`ClaimArrayKernel`) and
@@ -37,13 +41,33 @@ from .blocks import BlockAnnotations
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
+def _run_heads(grouped: np.ndarray) -> np.ndarray:
+    """Mask of the first row of each run of equal values in ``grouped``."""
+    heads = np.ones(grouped.size, dtype=bool)
+    if grouped.size > 1:
+        np.not_equal(grouped[1:], grouped[:-1], out=heads[1:])
+    return heads
+
+
 def first_occurrence_mask(keys: np.ndarray) -> np.ndarray:
     """Boolean mask selecting the first row of each distinct key value."""
+    if keys.size < 2 or (keys[1:] >= keys[:-1]).all():
+        return _run_heads(keys)  # already grouped
+    order = np.argsort(keys, kind="stable")
+    heads = _run_heads(keys[order])
+    if heads.all():
+        return heads
     mask = np.zeros(keys.size, dtype=bool)
-    if keys.size:
-        _, idx = np.unique(keys, return_index=True)
-        mask[idx] = True
+    mask[order[heads]] = True
     return mask
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: ``np.unique`` as one sort and a
+    run-boundary mask (an order of magnitude under its hash table on the
+    few-thousand-row columns the kernels dedup every tick)."""
+    ordered = np.sort(values)
+    return ordered[_run_heads(ordered)]
 
 
 def find_sorted(
@@ -74,9 +98,7 @@ def group_ranks(sorted_keys: np.ndarray) -> np.ndarray:
     m = sorted_keys.size
     if m == 0:
         return _EMPTY
-    starts = np.ones(m, dtype=bool)
-    starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    start_idx = np.flatnonzero(starts)
+    start_idx = np.flatnonzero(_run_heads(sorted_keys))
     counts = np.diff(np.append(start_idx, m))
     return np.arange(m, dtype=np.int64) - np.repeat(start_idx, counts)
 
@@ -118,8 +140,10 @@ class KeySet:
 class EdgePool:
     """Per-directed-edge priority queues over flat columns.
 
-    Packets are pushed in the scalar program's enqueue order (the pool's
-    running ``seq`` counter mirrors ``QueuedProgram._seq``); ``select``
+    Packets are pushed in the scalar program's enqueue order, at least
+    source by source (the pool's running ``seq`` counter mirrors
+    ``QueuedProgram._seq``, whose values are only ever compared between
+    packets of one source); ``select``
     then performs one tick's flush for *every* backlogged source at once —
     sound because a scalar node with backlog is always re-woken, hence
     always flushes every tick.  Priorities are two int64 columns
@@ -146,7 +170,7 @@ class EdgePool:
         return total
 
     def push(self, src, dst, p0, p1, **payload) -> None:
-        """Stage a batch of packets (rows in scalar enqueue order)."""
+        """Stage a batch of packets (each source's rows in enqueue order)."""
         values = {"src": src, "dst": dst, "p0": p0, "p1": p1}
         values.update(payload)
         arrays = {k: np.asarray(v, dtype=np.int64) for k, v in values.items()}
@@ -154,7 +178,7 @@ class EdgePool:
         if count == 0:
             return
         row = {
-            k: (np.broadcast_to(a, (count,)) if a.ndim == 0 else a)
+            k: (a if a.ndim else np.full(count, a, dtype=np.int64))
             for k, a in arrays.items()
         }
         row["seq"] = np.arange(
@@ -169,18 +193,17 @@ class EdgePool:
         parts.extend(part["src"] for part in self._staged)
         if not parts:
             return _EMPTY
-        return np.unique(np.concatenate(parts))
+        return sorted_unique(np.concatenate(parts))
 
     def select(self) -> Tuple[Optional[Dict[str, np.ndarray]], np.ndarray]:
         """One tick's flush: (emitted columns in wire order, re-wake set)."""
-        parts = [] if self._pending is None else [self._pending]
-        staged = self._staged
-        if staged:
-            parts = parts + staged
-            self._staged = []
-        self._pending = None
+        backlog = self._pending
+        parts = self._staged
+        if backlog is not None:
+            parts = [backlog] + parts
         if not parts:
             return None, _EMPTY
+        self._staged = []
         if len(parts) == 1:
             rows = parts[0]
         else:
@@ -193,15 +216,27 @@ class EdgePool:
         seq = rows["seq"]
         key = src * np.int64(self.n) + dst
 
+        if backlog is None:
+            # The batch fast path of ``QueuedProgram._flush``: with no
+            # backlog and one packet per edge, every packet heads its own
+            # queue, birth == seq, and the wire order is (src, seq) — the
+            # rows, which are seq-ascending, stably sorted by source.
+            edges = np.sort(key)
+            if not (edges[1:] == edges[:-1]).any():
+                if (src[1:] < src[:-1]).any():
+                    order = np.argsort(src, kind="stable")
+                    rows = {name: col[order] for name, col in rows.items()}
+                return rows, _EMPTY
+        self._pending = None
+
         # Register births for edges backlogged for the first time.  New
         # keys can only come from this tick's staged rows, which are
-        # seq-ascending, so np.unique's first index is the creating packet.
-        fresh = ~in_sorted(self._edge_keys, key)
-        if fresh.any():
-            new_keys, first = np.unique(key[fresh], return_index=True)
-            new_birth = seq[fresh][first]
-            keys2 = np.concatenate([self._edge_keys, new_keys])
-            birth2 = np.concatenate([self._edge_birth, new_birth])
+        # seq-ascending, so a key's first row is the creating packet.
+        fresh = np.flatnonzero(~in_sorted(self._edge_keys, key))
+        if fresh.size:
+            born = fresh[first_occurrence_mask(key[fresh])]
+            keys2 = np.concatenate([self._edge_keys, key[born]])
+            birth2 = np.concatenate([self._edge_birth, seq[born]])
             order = np.argsort(keys2)
             self._edge_keys = keys2[order]
             self._edge_birth = birth2[order]
@@ -222,8 +257,8 @@ class EdgePool:
         keep = ~send
         if keep.any():
             self._pending = {name: col[keep] for name, col in rows.items()}
-            remaining_keys = np.unique(key[keep])
-            wake = np.unique(self._pending["src"])
+            remaining_keys = sorted_unique(key[keep])
+            wake = sorted_unique(self._pending["src"])
         else:
             remaining_keys = _EMPTY
             wake = _EMPTY
@@ -252,25 +287,33 @@ def csr_from_pairs(
     return ukeys, starts, counts, svals
 
 
-def csr_expand(
-    starts: np.ndarray, counts: np.ndarray, flat: np.ndarray, idx: np.ndarray
+def csr_slots(
+    starts: np.ndarray, counts: np.ndarray, idx: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fan group ``idx`` out to its member rows.
+    """Fan group ``idx`` out to the flat slots of its members.
 
-    Returns ``(origin, members, within)``: ``origin[j]`` is the position in
-    ``idx`` whose group produced ``members[j]``, ``within[j]`` its rank
-    inside the group; groups appear in ``idx`` order, members in flat
-    order — the scalar nested-loop order.
+    Returns ``(origin, slots, within)``: ``origin[j]`` is the position in
+    ``idx`` whose group owns flat slot ``slots[j]``, ``within[j]`` the
+    slot's rank inside the group; groups appear in ``idx`` order, slots
+    ascending — the scalar nested-loop order.
     """
     cc = counts[idx]
     total = int(cc.sum())
     if total == 0:
         return _EMPTY, _EMPTY, _EMPTY
     origin = np.repeat(np.arange(idx.size, dtype=np.int64), cc)
-    offsets = np.concatenate(([0], np.cumsum(cc)[:-1]))
-    within = np.arange(total, dtype=np.int64) - np.repeat(offsets, cc)
-    members = flat[np.repeat(starts[idx], cc) + within]
-    return origin, members, within
+    within = np.arange(total, dtype=np.int64) - np.repeat(
+        np.cumsum(cc) - cc, cc
+    )
+    return origin, np.repeat(starts[idx], cc) + within, within
+
+
+def csr_expand(
+    starts: np.ndarray, counts: np.ndarray, flat: np.ndarray, idx: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`csr_slots` with the slots read out: ``(origin, members, within)``."""
+    origin, slots, within = csr_slots(starts, counts, idx)
+    return origin, flat[slots], within
 
 
 class ClaimArrayKernel(ArrayProgram):

@@ -15,10 +15,27 @@ Event positions interleave the two scalar activation hooks: a leader start
 ``2 * i`` where ``i`` is the node's first inbox row, an arrival row ``i``
 gets ``2 * i + 1``.  Within one event, sends are ordered by a fixed rank —
 ``su`` before ``bd`` before ``ru`` before ``ku`` before ``kd`` — which is
-the order the scalar handlers emit them; sorting all emission rows by
-``(position, node, rank, fan-out index)`` therefore reproduces the scalar
+the order the scalar handlers emit them; sorting a node's emission rows by
+``(position, rank, fan-out index)`` therefore reproduces the node's scalar
 enqueue sequence, and the shared :class:`~repro.core.array_queue.EdgePool`
-turns that sequence into the same wire schedule.
+turns those sequences into the same wire schedule.
+
+**The schedule does not depend on the values.**  Who sends to whom at
+which tick is fixed by partition, shortcut and delay draw: the reversal
+answers every recorded wave edge exactly once and the replay retraces
+them (Lemma 4.4's "symmetrically").  So no packet carries a value.  A
+reversal answer carries its sender's dense key id (-1 for ``None``) and
+the receiver folds the *sender's accumulator* into its own; the
+accumulator it reads is final, because a key fires once, after the last
+answer it expects, and nothing is folded into a fired key again.  A
+replay packet carries the part id; the value is the part's entry in the
+results table.  Values live beside the schedule in one of two stores,
+chosen once per solve where the plan is made (:func:`reverse_fold`): an
+int64 column folded with ``ufunc.at``, or a Python list folded with the
+aggregation's own ``merge`` in delivered-row order — the scalar fold
+order, so even an order-sensitive merge returns the scalar result.  The
+list costs one Python merge per value-carrying answer (one per key with a
+wave parent), never one per message.
 
 The reversal iterates its recorded ``(node, part)`` keys in canonical
 sorted order — the same order the scalar ``ReverseProgram`` uses.  Sorted
@@ -31,43 +48,42 @@ on the serial wire schedule bit-for-bit.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..congest.arrays import ColumnArena, KernelDecline, int_bits_array
+from ..congest.arrays import (
+    ColumnArena,
+    KernelDecline,
+    PayloadColumns,
+    int_bits_array,
+)
 from ..congest.engine import ArrayProgram
+from ..congest.message import TAG_BITS, TUPLE_OVERHEAD_BITS, payload_bits
 from .aggregation import Aggregation
 from .array_kernels import FOLDS, fold_op, int_column
 from .array_queue import (
     EdgePool,
     KeySet,
     csr_expand,
+    csr_slots,
     find_sorted,
     first_occurrence_mask,
     in_sorted,
+    sorted_unique,
 )
 from .treeops import _kernel
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
 #: Wire codes for the five wave tags (ru, su, bd, ku, kd), and the in-event
-#: emission rank.
+#: emission rank.  The token fan-out relies on ``BD == SU + 1`` and on su /
+#: bd holding ranks 0 / 1: a fan-out row's tag and rank are its ``crosses``
+#: bit plus ``SU`` / plus 0.
 RU, SU, BD, KU, KD = range(5)
 _RANK = {SU: 0, BD: 1, RU: 2, KU: 3, KD: 4}
-
-
-def _node_csr(lists: Sequence[Sequence[int]]) -> Tuple[np.ndarray, ...]:
-    """Dense per-node CSR from per-node neighbor lists (order preserved)."""
-    counts = np.fromiter((len(x) for x in lists), dtype=np.int64,
-                         count=len(lists))
-    flat = np.fromiter(
-        (c for x in lists for c in x), dtype=np.int64, count=int(counts.sum())
-    )
-    starts = np.zeros(len(lists), dtype=np.int64)
-    if len(lists) > 1:
-        starts[1:] = np.cumsum(counts)[:-1]
-    return starts, counts, flat
+_NO_KINDS = (0,) * 5
 
 
 class _KeyTable:
@@ -88,6 +104,69 @@ class _KeyTable:
         return out
 
 
+class WaveIndex:
+    """What the broadcast recorded, over dense ``(node, part)`` key ids.
+
+    The array form of :class:`~repro.core.wave.WaveRecord`, shared by the
+    reversal and the replay.  Key id ``k`` is the rank of ``keys[k] ==
+    node[k] * P + part[k]`` among every key that sent, received or led —
+    the canonical sorted order.  ``parent[k]`` is the key's wave parent
+    node (-1: a leader key, the root of its part's wave tree);
+    ``out_dst[out_starts[k]:][:out_counts[k]]`` are the destinations of the
+    messages key ``k`` physically sent, in send order.
+    """
+
+    __slots__ = (
+        "keys", "node", "part", "parent", "out_starts", "out_counts", "out_dst",
+    )
+
+    def __init__(self, wave: "WaveArrayKernel") -> None:
+        P = wave.stride
+        out_key = wave.out_arena.column("key")
+        in_key = wave.in_arena.column("key")
+        leader_key = (
+            wave.leaders * P + np.arange(wave.num_parts, dtype=np.int64)
+        )[wave.started]
+        self.keys = sorted_unique(
+            np.concatenate((out_key, in_key, leader_key))
+        )
+        self.node = self.keys // P
+        self.part = self.keys % P
+        # The wave parent is the sender of a key's first arrival; a leader
+        # key has none, whatever reached it before its delayed start.
+        self.parent = np.full(self.keys.size, -1, dtype=np.int64)
+        first = first_occurrence_mask(in_key)
+        self.parent[self.ids(in_key[first])] = wave.in_arena.column("src")[first]
+        self.parent[self.ids(leader_key)] = -1
+        sender = self.ids(out_key)
+        self.out_counts = np.bincount(sender, minlength=self.keys.size)
+        self.out_starts = np.cumsum(self.out_counts) - self.out_counts
+        self.out_dst = wave.out_arena.column("dst")[
+            np.argsort(sender, kind="stable")
+        ]
+
+    def ids(self, keys: np.ndarray) -> np.ndarray:
+        """Key ids of recorded ``keys``."""
+        return np.searchsorted(self.keys, keys)
+
+
+def _sends(src, dst, pos, tagc, pids, p0=None, p1=None) -> Tuple[np.ndarray, ...]:
+    """An emission group of one ``tagc`` message per row."""
+    zero = np.zeros(src.size, dtype=np.int64)
+    return (
+        src, dst, pos, np.full(src.size, _RANK[tagc], dtype=np.int64), zero,
+        np.full(src.size, tagc, dtype=np.int64), pids,
+        zero if p0 is None else p0, zero if p1 is None else p1,
+    )
+
+
+def _gather(parts: List[Tuple[np.ndarray, ...]]) -> Tuple[np.ndarray, ...]:
+    """Row-wise concatenation of equal-width column tuples."""
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
+
+
 class WaveArrayKernel(ArrayProgram):
     """Array twin of :class:`~repro.core.wave.WaveProgram`."""
 
@@ -105,35 +184,36 @@ class WaveArrayKernel(ArrayProgram):
         capacity: int = 1,
     ) -> None:
         delays = delays or {}
-        n = net.n
+        n = self.n = net.n
         P = max(1, partition.num_parts)
-        self.net = net
-        self.partition = partition
-        self.division = division
-        self.n = n
-        self.P = P
+        #: Key stride: ``(node, part)`` packs to ``node * stride + part``.
+        self.stride = np.int64(P)
         self.part_of = np.asarray(partition.part_of, dtype=np.int64)
         self.rep_of = np.asarray(division.rep_of, dtype=np.int64)
-        self.fparent = np.asarray(division.forest.parent, dtype=np.int64)
-        self.tparent = np.asarray(shortcut.tree.parent, dtype=np.int64)
-        self._fch = _node_csr(division.forest.children)
-        self._bd = division.wave_boundary_csr
+        self.fparent = division.forest.plan.parent
+        self.tparent = shortcut.tree.plan.parent
+        self._fan = division.wave_fanout_csr
 
         self._dkeys, self._dstarts, self._dcounts, self._dchildren = (
             shortcut.down_csr()
         )
         self._up_keys = shortcut.up_key_array()
-
-        entries = getattr(annotations, "priority_entries", None)
-        if entries is not None:
-            pk, pv = entries()
-        else:
-            rd = annotations.root_depth
-            pk = np.fromiter(
-                (v * P + pid for (v, pid) in rd), dtype=np.int64, count=len(rd)
-            )
-            pv = np.fromiter(rd.values(), dtype=np.int64, count=len(rd))
-        self._prio = _KeyTable(pk, pv, 1 << 30)
+        #: Whether any part has a block edge at all.  Without one every
+        #: part lies inside its sub-part trees, an inject finds nothing to
+        #: climb and nothing to flood, and block routing is skipped whole.
+        self._blocks = bool(self._dkeys.size or self._up_keys.size)
+        if self._blocks:
+            entries = getattr(annotations, "priority_entries", None)
+            if entries is not None:
+                pk, pv = entries()
+            else:
+                rd = annotations.root_depth
+                pk = np.fromiter(
+                    (v * P + pid for (v, pid) in rd), dtype=np.int64,
+                    count=len(rd),
+                )
+                pv = np.fromiter(rd.values(), dtype=np.int64, count=len(rd))
+            self._prio = _KeyTable(pk, pv, 1 << 30)
 
         self.num_parts = partition.num_parts
         self.leaders = np.asarray(
@@ -148,25 +228,28 @@ class WaveArrayKernel(ArrayProgram):
             [leader_tokens[pid] for pid in range(self.num_parts)],
             dtype=np.int64,
         ).reshape(-1)
-        if self.num_parts:
-            pid_bits = int_bits_array(np.arange(self.num_parts, dtype=np.int64))
-            self.pbits = 2 + 8 + pid_bits + int_bits_array(self.token)
-        else:
-            self.pbits = _EMPTY
+        #: Per part, the bits of a ``(tag, pid, ...)`` packet before its
+        #: last component, and of the whole token packet.
+        self.pid_bits = (
+            TUPLE_OVERHEAD_BITS + TAG_BITS
+            + int_bits_array(np.arange(self.num_parts, dtype=np.int64))
+        )
+        self.pbits = self.pid_bits + int_bits_array(self.token)
 
         self.has_token = np.zeros(n, dtype=bool)
-        self.sent_su = np.zeros(n, dtype=bool)
-        self.sent_bd = np.zeros(n, dtype=bool)
+        #: ``sent_su`` and ``sent_bd`` in one: the scalar program sets the
+        #: two together, wherever it sets either.
+        self.sent_down = np.zeros(n, dtype=bool)
         self.sent_ru = np.zeros(n, dtype=bool)
         self.injected = np.zeros(n, dtype=bool)
-        self.started = np.zeros(max(1, self.num_parts), dtype=bool)
+        self.started = np.zeros(self.num_parts, dtype=bool)
+        self._unstarted = self.num_parts
         self._kup = KeySet()
         self._kdown = KeySet()
         self._pool = EdgePool(n, ("tag", "pid"), capacity=capacity)
-        self.in_arena = ColumnArena(("key", "src", "tag"))
-        self.out_arena = ColumnArena(("key", "dst", "tag"))
-        #: (global chrono, key) per executed leader start, chronological.
-        self.leader_events: List[Tuple[int, int]] = []
+        self.in_arena = ColumnArena(("key", "src"))
+        self.out_arena = ColumnArena(("key", "dst"))
+        self._index: Optional[WaveIndex] = None
 
     # ------------------------------------------------------------------
     # Engine hooks
@@ -177,287 +260,156 @@ class WaveArrayKernel(ArrayProgram):
             actx.wake_at(self.leaders[timed & (self.delay == tick)], tick)
         actx.wake(self.leaders[~timed])
 
-    def array_tick(self, actx, d) -> None:
-        n = self.n
-        P = self.P
-        base = len(self.in_arena)
-        m = len(d)
-        if m:
-            tag = d.cols["tag"]
-            pid = d.cols["pid"]
-            key = d.dst * np.int64(P) + pid
-            self.in_arena.append(key=key, src=d.src, tag=tag)
-        else:
-            tag = pid = key = _EMPTY
-
-        # Emission requests: parallel lists of row arrays, assembled and
-        # position-sorted once at the end of the tick.
-        em: List[Tuple[np.ndarray, ...]] = []
-
-        def emit_single(src, dst, pos, tagc, pids, p0, p1):
-            if src.size:
-                zero = np.zeros(src.size, dtype=np.int64)
-                rank = np.full(src.size, _RANK[tagc], dtype=np.int64)
-                tcol = np.full(src.size, tagc, dtype=np.int64)
-                em.append((src, dst, pos, rank, zero, tcol, pids, p0, p1))
-
-        # -- leader starts (on_activate runs before the inbox) ----------
-        pend = np.flatnonzero(~self.started[: self.num_parts])
-        su_req: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        bd_req: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        inj_nodes: List[np.ndarray] = []
-        inj_pids: List[np.ndarray] = []
-        inj_pos: List[np.ndarray] = []
-        if pend.size:
-            lead = self.leaders[pend]
-            act = in_sorted(d.active, lead)
-            pend = pend[act]
-            lead = lead[act]
+    def _start_leaders(self, actx, d, em, down, inject) -> None:
+        """``on_activate``: a leader whose delay has run out starts its part."""
+        pend = np.flatnonzero(~self.started)
+        lead = self.leaders[pend]
+        act = in_sorted(d.active, lead)
+        pend, lead = pend[act], lead[act]
         if pend.size:
             early = actx.tick < self.delay[pend]
             if early.any():
                 actx.wake(lead[early])
-            s_pids = pend[~early]
-            s_nodes = lead[~early]
-            if s_pids.size:
-                self.started[s_pids] = True
-                lpos = 2 * np.searchsorted(d.dst, s_nodes)
-                for node, p, lp in zip(
-                    s_nodes.tolist(), s_pids.tolist(), lpos.tolist()
-                ):
-                    self.leader_events.append((2 * base + lp, node * P + p))
-                self.has_token[s_nodes] = True
-                is_rep = self.rep_of[s_nodes] == s_nodes
-                nr = ~is_rep
-                if nr.any():
-                    # A non-rep leader sends ru unconditionally (no flag
-                    # check in the scalar _leader_start) and sets the flag.
-                    self.sent_ru[s_nodes[nr]] = True
-                    emit_single(
-                        s_nodes[nr], self.fparent[s_nodes[nr]], lpos[nr],
-                        RU, s_pids[nr], 0, 0,
-                    )
-                if is_rep.any():
-                    rn = s_nodes[is_rep]
-                    rp = s_pids[is_rep]
-                    rpos = lpos[is_rep]
-                    su_req.append((rn, rp, rpos))
-                    bd_req.append((rn, rp, rpos))
-                    fresh_inj = ~self.injected[rn]
-                    self.injected[rn[fresh_inj]] = True
-                    # via_block is False at a leader start: inject.
-                    inj_nodes.append(rn[fresh_inj])
-                    inj_pids.append(rp[fresh_inj])
-                    inj_pos.append(rpos[fresh_inj])
+                pend, lead = pend[~early], lead[~early]
+        if not pend.size:
+            return
+        self.started[pend] = True
+        self._unstarted -= pend.size
+        # on_activate runs before the inbox: position 2 * (first inbox row).
+        pos = 2 * np.searchsorted(d.dst, lead)
+        self.has_token[lead] = True
+        is_rep = self.rep_of[lead] == lead
+        if not is_rep.all():
+            # A non-rep leader sends ru unconditionally (no flag check in
+            # the scalar _leader_start) and sets the flag.
+            nr = ~is_rep
+            self.sent_ru[lead[nr]] = True
+            em.append(_sends(
+                lead[nr], self.fparent[lead[nr]], pos[nr], RU, pend[nr]
+            ))
+            pend, lead, pos = pend[is_rep], lead[is_rep], pos[is_rep]
+        if pend.size:
+            down.append((lead, pend, pos))
+            if self._blocks:
+                # via_block is False at a leader start: inject.
+                fresh = ~self.injected[lead]
+                self.injected[lead[fresh]] = True
+                inject.append((lead[fresh], pend[fresh], pos[fresh]))
 
-        # -- arrival classification and the token grant ----------------
-        kd_req_nodes: List[np.ndarray] = []
-        kd_req_pids: List[np.ndarray] = []
-        kd_req_pos: List[np.ndarray] = []
+    def array_tick(self, actx, d) -> None:
+        P = self.stride
+        dst = d.dst
+        m = dst.size
         if m:
-            apos = 2 * np.arange(m, dtype=np.int64) + 1
-            part_ok = self.part_of[d.dst] == pid
-            is_ru = tag == RU
-            is_su = tag == SU
-            is_bd = tag == BD
-            is_ku = tag == KU
-            is_kd = tag == KD
-
-            fresh_ku = np.zeros(m, dtype=bool)
-            ku_rows = np.flatnonzero(is_ku)
-            if ku_rows.size:
-                kk = key[ku_rows]
-                f = first_occurrence_mask(kk) & ~self._kup.contains(kk)
-                fresh_ku[ku_rows[f]] = True
-
-            # Token grant: the first grant-capable arrival per node wins.
-            # A fresh ku that will lose its kup claim to an inject this
-            # tick is never reachable here: the inject's trigger already
-            # set has_token at an earlier position.
-            cand = is_ru | is_su | is_bd | ((is_kd | fresh_ku) & part_ok)
-            cand &= ~self.has_token[d.dst]
-            ci = np.flatnonzero(cand)
-            w = ci[first_occurrence_mask(d.dst[ci])]
-            wn = d.dst[w]
-            wp = pid[w]
-            wt = tag[w]
-            wpos = apos[w]
-            self.has_token[wn] = True
-
-            wrep = self.rep_of[wn] == wn
-            ra = wrep & (wt != SU)
-            if ra.any():
-                su_req.append((wn[ra], wp[ra], wpos[ra]))
-                bd_req.append((wn[ra], wp[ra], wpos[ra]))
-                inj = ra & ~self.injected[wn]
-                self.injected[wn[inj]] = True
-                ireq = inj & ((wt == RU) | (wt == BD))
-                inj_nodes.append(wn[ireq])
-                inj_pids.append(wp[ireq])
-                inj_pos.append(wpos[ireq])
-            # Non-rep winners of ru/bd/ku/kd route the token up (gated).
-            rr = ~wrep & (wt != SU)
-
-            # su arrivals always forward su+bd, gated on the flags.
-            si = np.flatnonzero(is_su)
-            if si.size:
-                su_req.append((d.dst[si], pid[si], apos[si]))
-                bd_req.append((d.dst[si], pid[si], apos[si]))
+            tag = d.cols["tag"]
+            pid = d.cols["pid"]
+            key = dst * P + pid
+            self.in_arena.append(key=key, src=d.src)
+            # Which kinds arrived at all: absent ones cost nothing below.
+            kinds = np.bincount(tag, minlength=5).tolist()
         else:
-            w = wn = wp = wt = wpos = _EMPTY
-            rr = np.zeros(0, dtype=bool)
-            fresh_ku = np.zeros(0, dtype=bool)
-            apos = _EMPTY
+            kinds = _NO_KINDS
 
-        # -- sent_su / sent_bd resolution -------------------------------
-        for reqs, flag, tagc, csr in (
-            (su_req, self.sent_su, SU, self._fch),
-            (bd_req, self.sent_bd, BD, self._bd),
-        ):
-            if not reqs:
-                continue
-            rn = np.concatenate([r[0] for r in reqs])
-            rp = np.concatenate([r[1] for r in reqs])
-            rpos = np.concatenate([r[2] for r in reqs])
-            keep = ~flag[rn]
-            rn, rp, rpos = rn[keep], rp[keep], rpos[keep]
-            if rn.size == 0:
-                continue
-            order = np.lexsort((rpos, rn))
-            first = order[first_occurrence_mask(rn[order])]
-            rn, rp, rpos = rn[first], rp[first], rpos[first]
-            flag[rn] = True
-            starts, counts, flat = csr
-            origin, member, within = csr_expand(starts, counts, flat, rn)
-            if member.size:
-                rank = np.full(member.size, _RANK[tagc], dtype=np.int64)
-                tcol = np.full(member.size, tagc, dtype=np.int64)
+        # Emission groups, (src, dst, pos, rank, idx, tag, pid, p0, p1)
+        # columns each, and the requests that raise them: to hand a token
+        # on down the sub-part tree and across boundary edges, and to
+        # enter a block — (node, pid, pos) columns each.
+        em: List[Tuple[np.ndarray, ...]] = []
+        down: List[Tuple[np.ndarray, ...]] = []
+        inject: List[Tuple[np.ndarray, ...]] = []
+        ku_rows = kd_rows = _EMPTY
+
+        if self._unstarted:
+            self._start_leaders(actx, d, em, down, inject)
+
+        if m:
+            # Token grant: the first grant-capable arrival per node wins.
+            cand = ~self.has_token[dst]
+            if kinds[KU] or kinds[KD]:
+                # ru / su / bd always carry the grant; a kd, and a ku that
+                # is fresh for its (node, part), only to a part member.  A
+                # fresh ku that will lose its kup claim to an inject this
+                # tick is never reachable here: the inject's trigger
+                # already set has_token at an earlier position.
+                ku_rows = np.flatnonzero(tag == KU)
+                kk = key[ku_rows]
+                ku_rows = ku_rows[
+                    first_occurrence_mask(kk) & ~self._kup.contains(kk)
+                ]
+                kd_rows = np.flatnonzero(tag == KD)
+                capable = tag < KU
+                block = np.concatenate((ku_rows, kd_rows))
+                capable[block[self.part_of[dst[block]] == pid[block]]] = True
+                cand &= capable
+            ci = np.flatnonzero(cand)
+            w = ci[first_occurrence_mask(dst[ci])]
+            if w.size:
+                wn = dst[w]
+                wp = pid[w]
+                wt = tag[w]
+                wpos = 2 * w + 1
+                self.has_token[wn] = True
+                wrep = self.rep_of[wn] == wn
+                not_su = wt != SU
+                ra = np.flatnonzero(wrep & not_su)
+                if ra.size:
+                    rn = wn[ra]
+                    down.append((rn, wp[ra], wpos[ra]))
+                    if self._blocks:
+                        # Inject unless the token came through the block.
+                        fresh = ~self.injected[rn]
+                        self.injected[rn[fresh]] = True
+                        ra = ra[fresh & (wt[ra] < KU)]
+                        inject.append((wn[ra], wp[ra], wpos[ra]))
+                # Non-rep winners of ru/bd/ku/kd route the token up.
+                rr = np.flatnonzero(~wrep & not_su)
+                if rr.size:
+                    rn = wn[rr]
+                    keep = ~self.sent_ru[rn]
+                    if not keep.all():
+                        rr, rn = rr[keep], rn[keep]
+                    self.sent_ru[rn] = True
+                    em.append(_sends(
+                        rn, self.fparent[rn], wpos[rr], RU, wp[rr]
+                    ))
+            if kinds[SU]:
+                # su arrivals always hand on, gated on the flag alone.
+                si = np.flatnonzero(tag == SU)
+                down.append((dst[si], pid[si], 2 * si + 1))
+
+        # -- su to the children, then bd across the boundary ------------
+        # No two requests of a tick name one node: a node hears su once in
+        # a wave (from its tree parent, which sends it once), a rep never
+        # does, and a leader that started this tick holds the token before
+        # any arrival could win it.  So only the flag gates a request.
+        if down:
+            rn, rp, rpos = _gather(down)
+            keep = ~self.sent_down[rn]
+            if not keep.all():
+                rn, rp, rpos = rn[keep], rp[keep], rpos[keep]
+            self.sent_down[rn] = True
+            starts, counts, flat, crosses = self._fan
+            origin, slots, within = csr_slots(starts, counts, rn)
+            if slots.size:
+                crosses = crosses[slots]
+                zero = np.zeros(slots.size, dtype=np.int64)
                 em.append((
-                    rn[origin], member, rpos[origin], rank, within, tcol,
-                    rp[origin], np.zeros(member.size, dtype=np.int64),
-                    np.zeros(member.size, dtype=np.int64),
+                    rn[origin], flat[slots], rpos[origin], crosses, within,
+                    crosses + SU, rp[origin], zero, zero,
                 ))
 
-        # -- gated ru from non-rep token winners ------------------------
-        if rr.size and rr.any():
-            rn = wn[rr]
-            keep = ~self.sent_ru[rn]
-            rn = rn[keep]
-            if rn.size:
-                self.sent_ru[rn] = True
-                emit_single(
-                    rn, self.fparent[rn], wpos[rr][keep], RU, wp[rr][keep],
-                    0, 0,
-                )
-
-        # -- kup resolution: fresh ku arrivals vs injects ---------------
-        cparts: List[Tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
-        fki = np.flatnonzero(fresh_ku)
-        if fki.size:
-            cparts.append((d.dst[fki], pid[fki], apos[fki], 0))
-        if inj_nodes:
-            inode = np.concatenate(inj_nodes)
-            ipid = np.concatenate(inj_pids)
-            ipos = np.concatenate(inj_pos)
-            ikey = inode * np.int64(P) + ipid
-            iup = in_sorted(self._up_keys, ikey)
-            idone = self._kup.contains(ikey)
-            # pid not in up_parts, or already claimed: block_down instead.
-            side = ~iup | (iup & idone)
-            kd_req_nodes.append(inode[side])
-            kd_req_pids.append(ipid[side])
-            kd_req_pos.append(ipos[side])
-            live = iup & ~idone
-            cparts.append((inode[live], ipid[live], ipos[live], 1))
-        if cparts:
-            cn = np.concatenate([c[0] for c in cparts])
-            cp = np.concatenate([c[1] for c in cparts])
-            cpos = np.concatenate([c[2] for c in cparts])
-            cinj = np.concatenate([
-                np.full(c[0].size, c[3], dtype=np.int64) for c in cparts
-            ])
-            ckey = cn * np.int64(P) + cp
-            order = np.lexsort((cpos, ckey))
-            first = order[first_occurrence_mask(ckey[order])]
-            win = np.zeros(cn.size, dtype=bool)
-            win[first] = True
-            self._kup.add(ckey[win])
-            # Losing injects fall through to block_down; losing ku
-            # arrivals are skipped entirely (the whole handler branch is
-            # guarded by the kup_done test).
-            lose_inj = ~win & (cinj == 1)
-            kd_req_nodes.append(cn[lose_inj])
-            kd_req_pids.append(cp[lose_inj])
-            kd_req_pos.append(cpos[lose_inj])
-            # Winners: climb if the part still goes up, else turn around.
-            wk = np.flatnonzero(win)
-            up = in_sorted(self._up_keys, ckey[wk])
-            climb = wk[up]
-            emit_single(
-                cn[climb], self.tparent[cn[climb]], cpos[climb], KU,
-                cp[climb], self._prio.get(ckey[climb]), cp[climb],
-            )
-            root = wk[~up]
-            kd_req_nodes.append(cn[root])
-            kd_req_pids.append(cp[root])
-            kd_req_pos.append(cpos[root])
-
-        # -- kdown resolution ------------------------------------------
-        if m:
-            ki = np.flatnonzero(is_kd)
-            if ki.size:
-                kd_req_nodes.append(d.dst[ki])
-                kd_req_pids.append(pid[ki])
-                kd_req_pos.append(apos[ki])
-        if kd_req_nodes:
-            qn = np.concatenate(kd_req_nodes)
-            qp = np.concatenate(kd_req_pids)
-            qpos = np.concatenate(kd_req_pos)
-            qkey = qn * np.int64(P) + qp
-            keep = ~self._kdown.contains(qkey)
-            qn, qp, qpos, qkey = qn[keep], qp[keep], qpos[keep], qkey[keep]
-            if qn.size:
-                order = np.lexsort((qpos, qkey))
-                first = order[first_occurrence_mask(qkey[order])]
-                qn, qp, qpos, qkey = (
-                    qn[first], qp[first], qpos[first], qkey[first]
-                )
-                self._kdown.add(qkey)
-                pos_tbl, has = find_sorted(self._dkeys, qkey)
-                gi = np.flatnonzero(has)
-                origin, child, within = csr_expand(
-                    self._dstarts, self._dcounts, self._dchildren, pos_tbl[gi]
-                )
-                if child.size:
-                    src = qn[gi][origin]
-                    pp = qp[gi][origin]
-                    rank = np.full(child.size, _RANK[KD], dtype=np.int64)
-                    tcol = np.full(child.size, KD, dtype=np.int64)
-                    em.append((
-                        src, child, qpos[gi][origin], rank, within, tcol,
-                        pp, self._prio.get(src * np.int64(P) + pp), pp,
-                    ))
+        if self._blocks:
+            self._route_blocks(dst, pid if m else _EMPTY, ku_rows, kd_rows,
+                               inject, em)
 
         # -- assemble, order, and flush --------------------------------
         if em:
-            src = np.concatenate([e[0] for e in em])
-            dst = np.concatenate([e[1] for e in em])
-            pos = np.concatenate([e[2] for e in em])
-            rank = np.concatenate([e[3] for e in em])
-            idx = np.concatenate([e[4] for e in em])
-            tcol = np.concatenate([e[5] for e in em])
-            pcol = np.concatenate([e[6] for e in em])
-            p0 = np.concatenate([
-                np.broadcast_to(np.asarray(e[7], dtype=np.int64), e[0].shape)
-                for e in em
-            ])
-            p1 = np.concatenate([
-                np.broadcast_to(np.asarray(e[8], dtype=np.int64), e[0].shape)
-                for e in em
-            ])
-            order = np.lexsort((idx, rank, src, pos))
+            src, to, pos, rank, idx, tcol, pcol, p0, p1 = _gather(em)
+            # The pool reads enqueue order source by source, so ordering
+            # the rows by source first spares it a sort of its own.
+            order = np.lexsort((idx, rank, pos, src))
             self._pool.push(
-                src[order], dst[order], p0[order], p1[order],
+                src[order], to[order], p0[order], p1[order],
                 tag=tcol[order], pid=pcol[order],
             )
 
@@ -471,75 +423,125 @@ class WaveArrayKernel(ArrayProgram):
                 bits=bits,
             )
             self.out_arena.append(
-                key=emitted["src"] * np.int64(P) + emitted["pid"],
-                dst=emitted["dst"],
-                tag=emitted["tag"],
+                key=emitted["src"] * P + emitted["pid"], dst=emitted["dst"]
             )
         actx.wake(wake)
 
-    # ------------------------------------------------------------------
-    # Record access (the reversal and replay read the arenas directly)
-    # ------------------------------------------------------------------
-    def parent_entries(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The wave-parent dict as (keys in insertion order, values).
+    def _route_blocks(self, dst, pid, ku_rows, kd_rows, inject, em) -> None:
+        """BlockRoute: resolve this tick's kup and kdown claims.
 
-        A value of -1 encodes ``None`` (leader keys: the scalar leader
-        start overwrites any earlier arrival's value in place, so the
-        *position* is the first touch but the value is always ``None``).
+        ``ku_rows`` are the fresh ku arrivals, ``kd_rows`` the kd
+        arrivals, ``inject`` the representatives entering their block.
         """
-        ik = self.in_arena.column("key")
-        isrc = self.in_arena.column("src")
-        ukeys, idx = np.unique(ik, return_index=True)
-        chrono = 2 * idx.astype(np.int64) + 1
-        vals = isrc[idx].astype(np.int64)
-        if self.leader_events:
-            lc = np.fromiter(
-                (c for c, _k in self.leader_events), dtype=np.int64,
-                count=len(self.leader_events),
-            )
-            lk = np.fromiter(
-                (k for _c, k in self.leader_events), dtype=np.int64,
-                count=len(self.leader_events),
-            )
-            pos, hit = find_sorted(ukeys, lk)
-            if hit.any():
-                hidx = pos[hit]
-                chrono[hidx] = np.minimum(chrono[hidx], lc[hit])
-                vals[hidx] = -1
-            miss = ~hit
-            ukeys = np.concatenate([ukeys, lk[miss]])
-            chrono = np.concatenate([chrono, lc[miss]])
-            vals = np.concatenate([vals, np.full(int(miss.sum()), -1,
-                                                 dtype=np.int64)])
-        order = np.argsort(chrono, kind="stable")
-        return ukeys[order], vals[order]
+        P = self.stride
+        kd_req: List[Tuple[np.ndarray, ...]] = []
+        # -- kup resolution: fresh ku arrivals vs injects ---------------
+        cparts: List[Tuple[np.ndarray, ...]] = []
+        if ku_rows.size:
+            cparts.append((
+                dst[ku_rows], pid[ku_rows], 2 * ku_rows + 1,
+                np.zeros(ku_rows.size, dtype=bool),
+            ))
+        if inject:
+            inode, ipid, ipos = _gather(inject)
+            ikey = inode * P + ipid
+            # pid not in up_parts, or already claimed: block_down instead.
+            live = in_sorted(self._up_keys, ikey) & ~self._kup.contains(ikey)
+            kd_req.append((inode[~live], ipid[~live], ipos[~live]))
+            cparts.append((
+                inode[live], ipid[live], ipos[live],
+                np.ones(int(live.sum()), dtype=bool),
+            ))
+        if cparts:
+            cn, cp, cpos, cinj = _gather(cparts)
+            ckey = cn * P + cp
+            order = np.lexsort((cpos, ckey))
+            win = np.zeros(cn.size, dtype=bool)
+            win[order[first_occurrence_mask(ckey[order])]] = True
+            self._kup.add(ckey[win])
+            # Losing injects fall through to block_down; losing ku
+            # arrivals are skipped entirely (the whole handler branch is
+            # guarded by the kup_done test).
+            lose = ~win & cinj
+            kd_req.append((cn[lose], cp[lose], cpos[lose]))
+            # Winners: climb if the part still goes up, else turn around.
+            wk = np.flatnonzero(win)
+            up = in_sorted(self._up_keys, ckey[wk])
+            climb = wk[up]
+            if climb.size:
+                em.append(_sends(
+                    cn[climb], self.tparent[cn[climb]], cpos[climb], KU,
+                    cp[climb], self._prio.get(ckey[climb]), cp[climb],
+                ))
+            root = wk[~up]
+            kd_req.append((cn[root], cp[root], cpos[root]))
+
+        # -- kdown resolution ------------------------------------------
+        if kd_rows.size:
+            kd_req.append((dst[kd_rows], pid[kd_rows], 2 * kd_rows + 1))
+        if not kd_req:
+            return
+        qn, qp, qpos = _gather(kd_req)
+        qkey = qn * P + qp
+        keep = ~self._kdown.contains(qkey)
+        qn, qp, qpos, qkey = qn[keep], qp[keep], qpos[keep], qkey[keep]
+        if not qn.size:
+            return
+        order = np.lexsort((qpos, qkey))
+        first = order[first_occurrence_mask(qkey[order])]
+        qn, qp, qpos, qkey = qn[first], qp[first], qpos[first], qkey[first]
+        self._kdown.add(qkey)
+        pos_tbl, has = find_sorted(self._dkeys, qkey)
+        gi = np.flatnonzero(has)
+        origin, child, within = csr_expand(
+            self._dstarts, self._dcounts, self._dchildren, pos_tbl[gi]
+        )
+        if child.size:
+            src = qn[gi][origin]
+            pp = qp[gi][origin]
+            em.append((
+                src, child, qpos[gi][origin],
+                np.full(child.size, _RANK[KD], dtype=np.int64), within,
+                np.full(child.size, KD, dtype=np.int64), pp,
+                self._prio.get(src * P + pp), pp,
+            ))
+
+    # ------------------------------------------------------------------
+    # Record access
+    # ------------------------------------------------------------------
+    def key_index(self) -> WaveIndex:
+        """The finished broadcast's :class:`WaveIndex` (computed once)."""
+        if self._index is None:
+            self._index = WaveIndex(self)
+        return self._index
 
 
-def _flush_values(actx, pool: EdgePool) -> None:
-    """One tick of a ``("a" | "r", pid, value-or-None)`` packet pool."""
+def _flush(actx, pool: EdgePool, names: Tuple[str, ...], bits_of) -> None:
+    """One tick of a value-free packet pool: emit its ``names`` columns.
+
+    ``bits_of(emitted)`` prices the emitted rows; it runs under
+    ``strict_bits`` only.
+    """
     emitted, wake = pool.select()
     if emitted is not None:
-        bits = None
-        if actx.strict_bits:
-            vb = np.where(
-                emitted["has"] == 1, int_bits_array(emitted["val"]), 1
-            )
-            bits = 2 + 8 + int_bits_array(emitted["pid"]) + vb
         actx.emit(
             emitted["src"],
             emitted["dst"],
-            cols={
-                "pid": emitted["pid"],
-                "val": emitted["val"],
-                "has": emitted["has"],
-            },
-            bits=bits,
+            cols={name: emitted[name] for name in names},
+            bits=bits_of(emitted) if actx.strict_bits else None,
         )
     actx.wake(wake)
 
 
 class ReverseArrayKernel(ArrayProgram):
-    """Array twin of :class:`~repro.core.wave.ReverseProgram`."""
+    """Array twin of :class:`~repro.core.wave.ReverseProgram`.
+
+    ``fold`` names the :data:`~repro.core.array_kernels.FOLDS` op that
+    folds the values as one int64 column (:func:`reverse_fold` chose it);
+    ``None`` keeps them in a list under ``agg.merge``.  Either way an
+    answer is ``("a", pid, value)`` on the ledger and ``(pid, sender key
+    id or -1, value bits)`` in the pool: see the module docstring.
+    """
 
     name = "pa_reverse"
 
@@ -549,239 +551,245 @@ class ReverseArrayKernel(ArrayProgram):
         agg: Aggregation,
         values: Sequence[object],
         capacity: int = 1,
+        fold: Optional[str] = None,
     ) -> None:
         self.wave = wave
-        n = wave.n
-        P = wave.P
-        self.P = P
-        op, values = fold_op(agg, values)
-        self._op, identity = FOLDS[op]
-
-        all_out = wave.out_arena.column("key")
-        all_in = wave.in_arena.column("key")
-        pkeys, pvals = wave.parent_entries()
-
-        # Canonical iteration order: sorted packed keys v * P + pid, which
-        # is sorted (v, pid) — the order the scalar ReverseProgram iterates
-        # (restriction-stable; see the module docstring).
-        key_parts = [a for a in (all_out, all_in, pkeys) if a.size]
-        if key_parts:
-            key64 = np.unique(np.concatenate(key_parts))
+        index = self.index = wave.key_index()
+        #: Answers a key still waits for: one per message it sent.
+        self.expected = index.out_counts.copy()
+        # A key starts from its node's value if the node is a member the
+        # token reached; the rest (relays) start from None.
+        live = (wave.part_of[index.node] == index.part) & wave.has_token[
+            index.node
+        ]
+        if fold is None:
+            self._ufunc = None
+            self._merge = agg.merge
+            self.acc = [
+                values[v] if ok else None
+                for v, ok in zip(index.node.tolist(), live.tolist())
+            ]
+            self.acc_has = np.fromiter(
+                (a is not None for a in self.acc), dtype=bool,
+                count=len(self.acc),
+            )
         else:
-            key64 = _EMPTY
-        self.num_keys = key64.size
-        self.kv = key64 // P
-        self.kp = key64 % P
-        self._sorted_keys = key64
-
-        # parent value per iter key (-1 = None / absent).
-        self.par_val = np.full(self.num_keys, -1, dtype=np.int64)
-        if pkeys.size:
-            self.par_val[self._kid(pkeys)] = pvals
-
-        # expected = number of recorded out-edges per key.
-        self.expected = np.zeros(self.num_keys, dtype=np.int64)
-        if all_out.size:
-            np.add.at(self.expected, self._kid(all_out), 1)
-
-        # acc as (value, has); the op identity stands in for None.
-        self.acc_has = (wave.part_of[self.kv] == self.kp) & wave.has_token[self.kv]
-        if values.present is not None:
-            self.acc_has &= values.present[self.kv]
-        self.acc_val = np.full(self.num_keys, identity, dtype=np.int64)
-        self.acc_val[self.acc_has] = values.cols[0][self.kv[self.acc_has]]
-
-        self._pool = EdgePool(n, ("pid", "val", "has"), capacity=capacity)
+            self._ufunc, identity = FOLDS[fold]
+            columns = PayloadColumns.pack(values)
+            if columns.present is not None:
+                live &= columns.present[index.node]
+            self.acc_has = live
+            self.acc = np.full(index.keys.size, identity, dtype=np.int64)
+            self.acc[live] = columns.cols[0][index.node[live]]
+        self._pool = EdgePool(
+            wave.n, ("pid", "kid", "bits"), capacity=capacity
+        )
         #: Part aggregates, in the scalar dict's chronological order.
-        self.results: Dict[int, Optional[int]] = {}
+        self.results: Dict[int, object] = {}
 
-    def _kid(self, keys: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self._sorted_keys, keys)
+    def _absorb(self, into: np.ndarray, sender: np.ndarray) -> None:
+        """Fold the ``sender`` keys' accumulators into ``into``, row by row.
 
-    def _fire(self, kids: np.ndarray) -> None:
-        pv = self.par_val[kids]
-        root = pv < 0
-        for kid in kids[root].tolist():
-            self.results[int(self.kp[kid])] = (
-                int(self.acc_val[kid]) if self.acc_has[kid] else None
-            )
-        up = kids[~root]
-        if up.size:
-            has = self.acc_has[up]
-            self._pool.push(
-                self.kv[up], pv[~root], 0, 0,
-                pid=self.kp[up],
-                val=np.where(has, self.acc_val[up], 0),
-                has=has.astype(np.int64),
-            )
+        A sender has fired, so its accumulator is final; a receiver has
+        not, so no row's sender is another row's receiver.
+        """
+        if self._ufunc is not None:
+            self._ufunc.at(self.acc, into, self.acc[sender])
+        else:
+            acc, merge = self.acc, self._merge
+            for k, j in zip(into.tolist(), sender.tolist()):
+                acc[k] = merge(acc[k], acc[j])
+        self.acc_has[into] = True
+
+    def _value_bits(self, kids: np.ndarray) -> np.ndarray:
+        """``payload_bits`` of the (present) accumulators of ``kids``."""
+        if self._ufunc is not None:
+            return int_bits_array(self.acc[kids])
+        acc = self.acc
+        return np.fromiter(
+            (payload_bits(acc[k]) for k in kids.tolist()), dtype=np.int64,
+            count=kids.size,
+        )
+
+    def _fire(self, kids: np.ndarray, strict_bits: bool) -> None:
+        """Keys with every answer in: report to the wave parent, in order."""
+        index = self.index
+        parent = index.parent[kids]
+        root = parent < 0
+        if root.any():
+            done = kids[root]
+            if self._ufunc is not None:
+                values = [
+                    value if ok else None for value, ok in zip(
+                        self.acc[done].tolist(), self.acc_has[done].tolist()
+                    )
+                ]
+            else:
+                values = [self.acc[k] for k in done.tolist()]
+            self.results.update(zip(index.part[done].tolist(), values))
+            kids, parent = kids[~root], parent[~root]
+        if not kids.size:
+            return
+        has = self.acc_has[kids]
+        bits = 1
+        if strict_bits:
+            bits = np.ones(kids.size, dtype=np.int64)
+            bits[has] = self._value_bits(kids[has])
+        self._pool.push(
+            index.node[kids], parent, 0, 0,
+            pid=index.part[kids], kid=np.where(has, kids, -1), bits=bits,
+        )
+
+    def _answer_bits(self, emitted) -> np.ndarray:
+        return self.wave.pid_bits[emitted["pid"]] + emitted["bits"]
 
     def array_start(self, actx) -> None:
-        # None answers for every non-parent recorded in-edge, in keys-set
-        # iteration order, preserving per-key arrival order.
-        ik = self.wave.in_arena.column("key")
-        isrc = self.wave.in_arena.column("src")
-        if ik.size:
-            kid = self._kid(ik)
+        # None answers for every non-parent recorded in-edge, in key order,
+        # preserving per-key arrival order.  A key's parent edge — its
+        # first arrival, unless it is a leader key — waits for the value.
+        index = self.index
+        in_key = self.wave.in_arena.column("key")
+        if in_key.size:
+            kid = index.ids(in_key)
             order = np.argsort(kid, kind="stable")
-            kid_s = kid[order]
-            src_s = isrc[order]
-            par_s = self.par_val[kid_s]
-            match = src_s == par_s
-            csum = np.cumsum(match.astype(np.int64))
-            starts = np.ones(kid_s.size, dtype=bool)
-            starts[1:] = kid_s[1:] != kid_s[:-1]
-            start_idx = np.flatnonzero(starts)
-            counts = np.diff(np.append(start_idx, kid_s.size))
-            bases = csum[start_idx] - match[start_idx]
-            within = csum - np.repeat(bases, counts)
-            keep = ~(match & (within == 1))
-            kk = kid_s[keep]
+            kid = kid[order]
+            reserved = first_occurrence_mask(kid) & (index.parent[kid] >= 0)
+            kid = kid[~reserved]
             self._pool.push(
-                self.kv[kk], src_s[keep], 0, 0,
-                pid=self.kp[kk],
-                val=0,
-                has=0,
+                index.node[kid],
+                self.wave.in_arena.column("src")[order[~reserved]], 0, 0,
+                pid=index.part[kid], kid=-1, bits=1,
             )
-        fires = np.flatnonzero(self.expected == 0)
-        self._fire(fires)
+        self._fire(np.flatnonzero(self.expected == 0), actx.strict_bits)
         actx.wake(self._pool.pending_sources())
 
     def array_tick(self, actx, d) -> None:
-        m = len(d)
-        if m:
-            key = d.dst * np.int64(self.P) + d.cols["pid"]
-            kid = self._kid(key)
-            has = d.cols["has"].astype(bool)
-            hv = np.flatnonzero(has)
-            if hv.size:
-                self._op.at(self.acc_val, kid[hv], d.cols["val"][hv])
-                self.acc_has[kid[hv]] = True
-            np.add.at(self.expected, kid, -1)
-            rev = kid[::-1]
-            u, ridx = np.unique(rev, return_index=True)
-            last = m - 1 - ridx
-            zero = self.expected[u] == 0
-            fk = u[zero]
-            if fk.size:
-                order = np.argsort(last[zero])
-                self._fire(fk[order])
-        _flush_values(actx, self._pool)
+        if len(d):
+            into = self.index.ids(d.dst * self.wave.stride + d.cols["pid"])
+            sender = d.cols["kid"]
+            carried = np.flatnonzero(sender >= 0)
+            if carried.size:
+                self._absorb(into[carried], sender[carried])
+            np.subtract.at(self.expected, into, 1)
+            # A key fires at its last answer: in the order of those rows.
+            done = np.flatnonzero(self.expected[into] == 0)
+            if done.size:
+                done = done[first_occurrence_mask(into[done][::-1])[::-1]]
+                self._fire(into[done], actx.strict_bits)
+        _flush(actx, self._pool, ("pid", "kid"), self._answer_bits)
 
 
 class ReplayArrayKernel(ArrayProgram):
-    """Array twin of :class:`~repro.core.wave.ReplayProgram`."""
+    """Array twin of :class:`~repro.core.wave.ReplayProgram`.
+
+    A packet is ``("r", pid, results[pid])`` on the ledger and the part id
+    alone in the pool; a member's value is its part's entry in ``results``.
+    """
 
     name = "pa_replay"
 
     def __init__(
         self,
         wave: WaveArrayKernel,
-        results: Dict[int, Optional[int]],
+        results: Dict[int, object],
         capacity: int = 1,
     ) -> None:
         self.wave = wave
-        n = wave.n
-        self.P = wave.P
-        ok = wave.out_arena.column("key")
-        od = wave.out_arena.column("dst")
-        order = np.argsort(ok, kind="stable")
-        sk = ok[order]
-        self._okeys, starts = np.unique(sk, return_index=True)
-        self._ostarts = starts
-        self._ocounts = np.diff(np.append(starts, sk.size))
-        self._oflat = od[order]
-        self._done = KeySet()
-        self.del_seen = np.zeros(n, dtype=bool)
-        self.del_has = np.zeros(n, dtype=bool)
-        self.del_val = np.zeros(n, dtype=np.int64)
-        self.res_pids = np.fromiter(results, dtype=np.int64, count=len(results))
-        self.res_has = np.array(
-            [v is not None for v in results.values()], dtype=np.int64
-        )
-        self.res_val = np.array(
-            [v or 0 for v in results.values()], dtype=np.int64
-        )
-        self._pool = EdgePool(n, ("pid", "val", "has"), capacity=capacity)
+        self.index = wave.key_index()
+        self.results = results
+        self._done = np.zeros(self.index.keys.size, dtype=bool)
+        #: Members the replay reached.
+        self.delivered = np.zeros(wave.n, dtype=bool)
+        self._bits = _EMPTY
+        self._pool = EdgePool(wave.n, ("pid",), capacity=capacity)
 
-    def _forward(
-        self,
-        nodes: np.ndarray,
-        pids: np.ndarray,
-        vals: np.ndarray,
-        has: np.ndarray,
-    ) -> None:
-        keys = nodes * np.int64(self.P) + pids
-        fresh = first_occurrence_mask(keys) & ~self._done.contains(keys)
-        self._done.add(keys)
-        fi = np.flatnonzero(fresh)
-        if fi.size == 0:
-            return
-        nodes, pids, vals, has, keys = (
-            nodes[fi], pids[fi], vals[fi], has[fi], keys[fi]
-        )
-        member = self.wave.part_of[nodes] == pids
-        self.del_seen[nodes[member]] = True
-        self.del_has[nodes[member]] = has[member] != 0
-        self.del_val[nodes[member]] = vals[member]
-        pos, hit = find_sorted(self._okeys, keys)
-        gi = np.flatnonzero(hit)
-        if gi.size == 0:
-            return
+    def _forward(self, nodes: np.ndarray, pids: np.ndarray) -> None:
+        index = self.index
+        kid = index.ids(nodes * self.wave.stride + pids)
+        fresh = first_occurrence_mask(kid) & ~self._done[kid]
+        self._done[kid] = True
+        if not fresh.all():
+            nodes, pids, kid = nodes[fresh], pids[fresh], kid[fresh]
+        self.delivered[nodes[self.wave.part_of[nodes] == pids]] = True
         origin, dsts, _within = csr_expand(
-            self._ostarts, self._ocounts, self._oflat, pos[gi]
+            index.out_starts, index.out_counts, index.out_dst, kid
         )
-        self._pool.push(
-            nodes[gi][origin], dsts, 0, 0,
-            pid=pids[gi][origin],
-            val=vals[gi][origin],
-            has=has[gi][origin],
-        )
+        if dsts.size:
+            self._pool.push(nodes[origin], dsts, 0, 0, pid=pids[origin])
 
-    def value_at_node(self) -> List[Optional[int]]:
-        out: List[Optional[int]] = [None] * self.wave.n
-        for v in np.flatnonzero(self.del_seen & self.del_has).tolist():
-            out[v] = int(self.del_val[v])
+    def _packet_bits(self, emitted) -> np.ndarray:
+        return self._bits[emitted["pid"]]
+
+    def value_at_node(self) -> List[object]:
+        out: List[object] = [None] * self.wave.n
+        results = self.results
+        reached = np.flatnonzero(self.delivered)
+        for v, pid in zip(reached.tolist(), self.wave.part_of[reached].tolist()):
+            out[v] = results[pid]
         return out
 
     def array_start(self, actx) -> None:
-        if self.res_pids.size:
-            self._forward(
-                self.wave.leaders[self.res_pids],
-                self.res_pids,
-                self.res_val,
-                self.res_has,
+        pids = np.fromiter(
+            self.results, dtype=np.int64, count=len(self.results)
+        )
+        if actx.strict_bits:
+            self._bits = self.wave.pid_bits.copy()
+            self._bits[pids] += np.fromiter(
+                map(payload_bits, self.results.values()), dtype=np.int64,
+                count=pids.size,
             )
+        if pids.size:
+            self._forward(self.wave.leaders[pids], pids)
         actx.wake(self._pool.pending_sources())
 
     def array_tick(self, actx, d) -> None:
         if len(d):
-            self._forward(d.dst, d.cols["pid"], d.cols["val"], d.cols["has"])
-        _flush_values(actx, self._pool)
+            self._forward(d.dst, d.cols["pid"])
+        _flush(actx, self._pool, ("pid",), self._packet_bits)
 
 
-#: The (broadcast, reversal, replay) kernels, in the order a solve runs them.
-WAVE_KERNELS = (WaveArrayKernel, ReverseArrayKernel, ReplayArrayKernel)
+def wave_kernels(fold: Optional[str]):
+    """The (broadcast, reversal, replay) kernels, in the order a solve runs
+    them; ``fold`` is the plan's :func:`reverse_fold` choice."""
+    return (
+        WaveArrayKernel, partial(ReverseArrayKernel, fold=fold),
+        ReplayArrayKernel,
+    )
 
 
 def array_wave_supported(
-    engine, values: Sequence[object], agg: Aggregation,
-    leader_tokens: Dict[int, object], phase: str = "pa_wave",
+    engine, leader_tokens: Dict[int, object], phase: str = "pa_wave"
 ) -> bool:
-    """Whether the array wave path applies (else: scalar programs).
+    """Whether the array wave kernels run this solve (else: scalar programs).
 
-    Requires the array engine, an aggregation a ufunc folds over one bare
-    int (or None) column with int64-safe magnitudes, and int leader
-    tokens — the representable subset of the wave's payload space.
-    Everything else (tuple-packed batches, MST composite keys, custom
-    merges) falls back to the scalar programs, which run unchanged under
-    the array engine; the trace notes that as a ``kernel_fallback`` of
-    ``phase``.
+    Requires the array engine and int leader tokens below 2**62 — the
+    token is all a wave packet carries.  The values are not looked at:
+    they ride beside the wire schedule, in whichever store
+    :func:`reverse_fold` picks.  A decline is a ``kernel_fallback`` of
+    ``phase`` on the trace, and the scalar programs run unchanged under
+    the array engine.
     """
-    def check() -> bool:
-        _op, columns = fold_op(agg, values)
+    return _kernel(
+        engine, phase, lambda: int_column(list(leader_tokens.values()))
+    ) is not None
+
+
+def reverse_fold(
+    engine, values: Sequence[object], agg: Aggregation,
+    phase: str = "pa_reverse",
+) -> Optional[str]:
+    """How an array reversal folds ``values``: a ``FOLDS`` op, or ``None``.
+
+    An op when a ufunc folds ``agg`` over one bare int (or ``None``)
+    column with int64-safe magnitudes; ``None`` — the same kernel folding
+    a list with ``agg.merge`` — for everything else (tuple-packed batches,
+    MST composite keys, floats, custom merges), which the trace notes as a
+    ``kernel_fallback`` of ``phase`` with the column layout's reason.
+    """
+    def column() -> str:
+        op, columns = fold_op(agg, values)
         if not columns.bare or columns.is_bool[0]:
             raise KernelDecline("non_int")
-        int_column(list(leader_tokens.values()))
-        return True
+        return op
 
-    return _kernel(engine, phase, check) is not None
+    return _kernel(engine, phase, column)

@@ -308,10 +308,12 @@ class CrossRoundProgram(Program):
 def _kernel(engine: Engine, phase: str, build: Callable[[], object]):
     """What ``build`` makes for ``phase`` on an array engine, or ``None``.
 
-    ``None`` means the scalar twin runs: because the engine is not an
-    array engine, or because ``build`` declined the payload — which is
-    noted on the trace, with the reason, as ``kernel_fallback``.  No other
-    function reads ``engine.use_arrays`` to choose an implementation.
+    ``None`` means the caller's other implementation runs (the scalar
+    twin; for a wave reversal's value store, the list fold): because the
+    engine is not an array engine, or because ``build`` declined the
+    payload — which is noted on the trace, with the reason, as
+    ``kernel_fallback``.  No other function reads ``engine.use_arrays``
+    to choose an implementation.
     """
     if not engine.use_arrays:
         return None

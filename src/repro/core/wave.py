@@ -494,12 +494,14 @@ class WavePlan:
     *before* the first tick: capacity/meta-round accounting, the random
     per-part delays (drawn from the solver rng in pid order, so planning
     advances the rng exactly as running used to), the round budget
-    (computed from the *global* n/b/c/depth), the leader tokens, and the
-    array-vs-scalar dispatch decision (evaluated on the global values —
-    a restriction of the values could pass the int64-overflow check where
-    the full set does not).  The sharded backend ships one plan to every
-    worker, restricted per shard, so all shards run under the exact
-    parameters the serial pass would have used.
+    (computed from the *global* n/b/c/depth), the leader tokens, the
+    array-vs-scalar dispatch decision, and for an array reversal the
+    ``FOLDS`` op that folds the values as one int64 column (``fold``;
+    ``None``: the aggregation's own merge over a list) — evaluated on the
+    *global* values, because a restriction of the values could pass the
+    int64-overflow check where the full set does not.  The sharded
+    backend ships one plan to every worker, restricted per shard, so all
+    shards run under the exact parameters the serial pass would have used.
     """
 
     capacity: int
@@ -508,6 +510,7 @@ class WavePlan:
     max_ticks: int
     leader_tokens: Dict[int, object]
     use_array: bool
+    fold: Optional[str]
 
 
 def plan_pa_waves(
@@ -561,17 +564,21 @@ def plan_pa_waves(
         for pid in range(partition.num_parts)
     }
 
-    from .array_wave import array_wave_supported
+    from .array_wave import array_wave_supported, reverse_fold
 
+    use_array = array_wave_supported(
+        engine, leader_tokens, phase=f"{phase_prefix}_wave"
+    )
     return WavePlan(
         capacity=capacity,
         rounds_per_tick=rounds_per_tick,
         delays=delays,
         max_ticks=max_ticks,
         leader_tokens=leader_tokens,
-        use_array=array_wave_supported(
-            engine, values, agg, leader_tokens, phase=f"{phase_prefix}_wave"
-        ),
+        use_array=use_array,
+        fold=reverse_fold(
+            engine, values, agg, phase=f"{phase_prefix}_reverse"
+        ) if use_array else None,
     )
 
 
@@ -626,10 +633,10 @@ def run_planned_waves(
     plan computed once on the orchestrator from the global structures and
     restricted per shard.
     """
-    from .array_wave import WAVE_KERNELS
+    from .array_wave import wave_kernels
 
     broadcast, reversal, replay = (
-        WAVE_KERNELS if plan.use_array
+        wave_kernels(plan.fold) if plan.use_array
         else (WaveProgram, ReverseProgram, ReplayProgram)
     )
 

@@ -4,8 +4,8 @@ Exit status 0 when every case passes, 1 when any fails (after
 shrinking); ``--out`` writes the failing replay seed triples as JSON —
 the CI fuzz step uploads that file as an artifact.  ``--replay
 graph_seed:schedule_seed[:fault_seed]`` re-runs one case exactly
-(combine with ``--n/--algorithm/--mode/--graph/--faults`` as printed in
-the failure's replay line).
+(combine with ``--n/--algorithm/--mode/--graph/--faults/--pa-agg/
+--reuse/--batch`` as printed in the failure's replay line).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .harness import (
     ENGINE_IMPLS,
     FAULT_KINDS,
     GRAPH_KINDS,
+    PA_AGGS,
     FuzzCase,
     FuzzFailure,
     fuzz,
@@ -65,6 +66,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--faults", default="",
                         help="comma-separated fault kinds for --replay "
                              "(empty = no fault axis)")
+    parser.add_argument("--pa-agg", choices=PA_AGGS, default="sum",
+                        help="what a PA case aggregates, for --replay")
+    parser.add_argument("--reuse", action="store_true",
+                        help="MST session opt-in for --replay")
+    parser.add_argument("--batch", action="store_true",
+                        help="MST session opt-in for --replay")
     args = parser.parse_args(argv)
 
     schedule_kinds = tuple(k for k in args.schedules.split(",") if k)
@@ -98,6 +105,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             graph_kind=args.graph, schedule_kinds=schedule_kinds,
             engine_impls=engine_impls,
             fault_seed=int(fault_seed or 0), fault_kinds=fault_kinds,
+            pa_agg=args.pa_agg, reuse=args.reuse, batch=args.batch,
         )
         message = run_case(case)
         if message is None:

@@ -14,10 +14,20 @@ slow-edge and FIFO schedules — and demands:
 * **delay-0 ledger parity**: the async engine under
   :class:`~repro.congest.schedule.SynchronousSchedule` must reproduce
   the scalar synchronous engine's phase log bit for bit — names,
-  rounds, messages and ticks per phase;
+  rounds, messages, ticks and payload bits per phase;
 * **scalar/array ledger parity**: the array engine must reproduce the
   scalar engine's phase log bit for bit too — the vectorized core is a
   pure implementation change, never a cost-model change.
+
+A phase log is ``(name, rounds, messages, ticks, bits)`` per phase.  So
+that the engine axis sees what the array reversal's two folds see, a PA
+case draws its aggregation (:data:`PA_AGGS`): ``SUM`` over ints (the
+column fold); ``MIN_TUPLE`` over ``(value, uid)`` pairs with every fifth
+node ``None``; a three-way ``solve_many`` product; and a deliberately
+*order-sensitive* tuple concatenation, audits off, which only an engine
+that folds in the scalar order — not merely an equivalent one — gets
+right.  An MST case draws the session's ``reuse`` / ``batch`` opt-ins,
+so projections and product waves reach the same axes.
 
 A third axis injects **faults**: every other PA/MST case derives a
 seeded, recoverable :class:`~repro.congest.FaultPlan` (crash/recover
@@ -30,10 +40,12 @@ is then the ``(graph_seed, schedule_seed, fault_seed)`` triple.
 Failures shrink before being reported: the graph is re-drawn at smaller
 sizes (same seeds) while the failure persists, then the failing axis is
 isolated — the fault axis is dropped if the failure survives without
-it (or the other axes are stripped if it does not), then either a
-single schedule kind or the scalar-vs-array engine pair with no delayed
-schedules at all — so the replay line names the smallest configuration
-the harness could still break.
+it (or the other axes are stripped if it does not), the drawn
+aggregation and session opt-ins fall back to ``SUM`` on a plain session
+if the failure survives that, then either a single schedule kind or the
+scalar-vs-array engine pair with no delayed schedules at all — so the
+replay line names the smallest configuration the harness could still
+break.
 """
 
 from __future__ import annotations
@@ -51,8 +63,14 @@ from ..congest.schedule import (
     _mix,
     make_schedule,
 )
-from ..core.aggregation import SUM
-from ..core.pa import DETERMINISTIC, RANDOMIZED, PASolver, solve_pa
+from ..core.aggregation import MIN, MIN_TUPLE, SUM, Aggregation
+from ..core.pa import (
+    DETERMINISTIC,
+    RANDOMIZED,
+    PASolver,
+    product_aggregation,
+    solve_pa,
+)
 from ..graphs.generators import (
     grid_2d,
     preferential_attachment,
@@ -71,6 +89,14 @@ DELAYED_KINDS = ("random", "slow-edge", "fifo")
 ENGINE_IMPLS = ("scalar", "array")
 #: Recoverable fault mixes a case may inject (shrinking may drop them).
 FAULT_KINDS = ("crash", "loss", "crash-loss")
+#: What a PA case aggregates (see the module docstring); "sum" is the
+#: plain case shrinking falls back to.
+PA_AGGS = ("sum", "min-tuple", "product", "concat")
+
+#: Tuple concatenation: associative, *not* commutative.  Every engine
+#: delivers a node's round in one canonical order, so all of them must
+#: agree on it; values grow with the part, so its cases run audits off.
+CONCAT = Aggregation("concat", lambda a, b: a + b)
 
 
 @dataclass(frozen=True)
@@ -92,6 +118,11 @@ class FuzzCase:
     #: and the seed the FaultPlan is derived from.
     fault_seed: int = 0
     fault_kinds: Tuple[str, ...] = ()
+    #: What a PA case aggregates: one of :data:`PA_AGGS`.
+    pa_agg: str = "sum"
+    #: The ``PASession`` opt-ins an MST case runs with.
+    reuse: bool = False
+    batch: bool = False
 
     def replay_command(self) -> str:
         cmd = (
@@ -105,6 +136,12 @@ class FuzzCase:
         )
         if self.fault_kinds:
             cmd += f" --faults {','.join(self.fault_kinds)}"
+        if self.pa_agg != "sum":
+            cmd += f" --pa-agg {self.pa_agg}"
+        if self.reuse:
+            cmd += " --reuse"
+        if self.batch:
+            cmd += " --batch"
         return cmd
 
 
@@ -127,6 +164,9 @@ class FuzzFailure:
             "engine_impls": list(self.case.engine_impls),
             "fault_seed": self.case.fault_seed,
             "fault_kinds": list(self.case.fault_kinds),
+            "pa_agg": self.case.pa_agg,
+            "reuse": self.case.reuse,
+            "batch": self.case.batch,
             "message": self.message,
             "replay": self.case.replay_command(),
         }
@@ -153,10 +193,19 @@ def case_for_index(base_seed: int, index: int, max_n: int = 36) -> FuzzCase:
     fault_kinds: Tuple[str, ...] = ()
     if algorithm in ("pa", "mst") and _mix(base_seed, index, 6) % 2 == 0:
         fault_kinds = (FAULT_KINDS[_mix(base_seed, index, 8) % len(FAULT_KINDS)],)
+    pa_agg = "sum"
+    if algorithm == "pa":
+        pa_agg = PA_AGGS[_mix(base_seed, index, 9) % len(PA_AGGS)]
+        if pa_agg == "concat":
+            # Recovery re-elects leaders, which re-roots the wave trees:
+            # an order-sensitive merge has no fault-free answer to match.
+            fault_kinds = ()
+    opt_ins = _mix(base_seed, index, 10) % 4 if algorithm == "mst" else 0
     return FuzzCase(
         graph_seed=graph_seed, schedule_seed=schedule_seed, n=n,
         algorithm=algorithm, mode=mode, graph_kind=graph_kind,
         fault_seed=fault_seed, fault_kinds=fault_kinds,
+        pa_agg=pa_agg, reuse=bool(opt_ins & 1), batch=bool(opt_ins & 2),
     )
 
 
@@ -220,8 +269,26 @@ def schedules_for(case: FuzzCase) -> List[Schedule]:
     return out
 
 
-def _phase_log(ledger) -> List[Tuple[str, int, int, int]]:
-    return [(p.name, p.rounds, p.messages, p.ticks) for p in ledger.phases()]
+def _phase_log(ledger) -> List[Tuple[str, int, int, int, int]]:
+    return [
+        (p.name, p.rounds, p.messages, p.ticks, p.bits)
+        for p in ledger.phases()
+    ]
+
+
+def pa_items(case: FuzzCase, net, values):
+    """The ``(values, aggregation)`` pairs a PA case solves: one, or a
+    batch of three for ``pa_agg == "product"``."""
+    pairs = [
+        None if v % 5 == 4 else (value, net.uid[v])
+        for v, value in enumerate(values)
+    ]
+    return {
+        "sum": [(values, SUM)],
+        "min-tuple": [(pairs, MIN_TUPLE)],
+        "product": [(values, SUM), (values, MIN), (pairs, MIN_TUPLE)],
+        "concat": [([(value,) for value in values], CONCAT)],
+    }[case.pa_agg]
 
 
 def _run_workload(case: FuzzCase, net, partition, values,
@@ -234,17 +301,27 @@ def _run_workload(case: FuzzCase, net, partition, values,
     settings of the one :class:`PASolver` every workload runs on.
     """
     seed = case.graph_seed % 997
+    audits = not (case.algorithm == "pa" and case.pa_agg == "concat")
     solver = PASolver(
         net, mode=case.mode, seed=seed, schedule=schedule,
-        engine_impl=engine_impl,
+        engine_impl=engine_impl, strict_bits=audits, strict_edges=audits,
     )
     if case.algorithm == "pa":
-        res = solve_pa(
-            net, partition, values, SUM, mode=case.mode, seed=seed,
-            solver=solver,
-        )
-        return (dict(res.aggregates), list(res.value_at_node)), res.ledger
-    session = PASession(net, solver=solver)
+        items = pa_items(case, net, values)
+        if len(items) == 1:
+            res = solve_pa(
+                net, partition, *items[0], mode=case.mode, seed=seed,
+                solver=solver,
+            )
+            return (dict(res.aggregates), list(res.value_at_node)), res.ledger
+        batch = solver.solve_many(solver.prepare(partition), items)
+        return [
+            (dict(res.aggregates), list(res.value_at_node))
+            for res in batch.per_agg
+        ], batch.ledger
+    session = PASession(
+        net, solver=solver, reuse=case.reuse, batch=case.batch
+    )
     if case.algorithm == "mst":
         res = minimum_spanning_tree(
             net, mode=case.mode, seed=seed, session=session
@@ -323,8 +400,23 @@ def run_case(case: FuzzCase) -> Optional[str]:
                 max_attempts=12, max_wait_windows=160,
             )
             if case.algorithm == "pa":
-                res = driver.solve_pa(partition, values, SUM)
-                fault_out = (dict(res.aggregates), list(res.value_at_node))
+                # One recovered solve: a batch as its product, unpacked.
+                columns, aggs = zip(*pa_items(case, net, values))
+                if len(aggs) == 1:
+                    res = driver.solve_pa(partition, columns[0], aggs[0])
+                    fault_out = (dict(res.aggregates), list(res.value_at_node))
+                else:
+                    res = driver.solve_pa(
+                        partition, list(zip(*columns)),
+                        product_aggregation(aggs),
+                    )
+                    fault_out = [
+                        (
+                            {pid: agg[k] for pid, agg in res.aggregates.items()},
+                            [value[k] for value in res.value_at_node],
+                        )
+                        for k in range(len(aggs))
+                    ]
             else:
                 res = driver.minimum_spanning_tree()
                 fault_out = res.output
@@ -344,10 +436,12 @@ def shrink_case(
 ) -> Tuple[FuzzCase, str]:
     """Minimize a failing case; returns (smallest failing case, message).
 
-    Four shrink axes, all preserving the replay seeds: the graph size
+    Five shrink axes, all preserving the replay seeds: the graph size
     is walked down while the failure persists; the fault axis is
     dropped if the failure reproduces without it, else the other
-    optional axes are stripped so only the seed triple remains; then —
+    optional axes are stripped so only the seed triple remains; the
+    drawn aggregation and session opt-ins are dropped if the failure
+    reproduces on SUM over a plain session; then —
     if the case still fails with the engine axis dropped (scalar only)
     the engine comparison was not at fault and a single failing
     schedule kind is sought; otherwise the divergence is the
@@ -391,6 +485,13 @@ def shrink_case(
             failed = check(candidate)
             if failed is not None:
                 current, message = candidate, failed
+    # Axis 1.75: the workload's drawn shape.  If the failure survives
+    # SUM over ints on a plain session, that is the simpler replay line.
+    plain = replace(current, pa_agg="sum", reuse=False, batch=False)
+    if plain != current:
+        failed = check(plain)
+        if failed is not None:
+            current, message = plain, failed
     # Axis 2: which engine diverged?  If the failure survives without the
     # array engine, the engine axis is innocent; otherwise keep the
     # engine pair and try dropping the delayed schedules entirely.
@@ -441,8 +542,13 @@ def fuzz(
         if message is None:
             if log:
                 faults = ",".join(case.fault_kinds) or "none"
+                shape = {
+                    "pa": case.pa_agg,
+                    "mst": f"reuse={int(case.reuse)},batch={int(case.batch)}",
+                }.get(case.algorithm)
                 log(
-                    f"[fuzz] ok   #{index} {case.algorithm}/{case.mode} "
+                    f"[fuzz] ok   #{index} {case.algorithm}"
+                    f"{f'[{shape}]' if shape else ''}/{case.mode} "
                     f"{case.graph_kind} n={case.n} faults={faults} "
                     f"seeds={case.graph_seed}:{case.schedule_seed}:"
                     f"{case.fault_seed}"

@@ -63,8 +63,9 @@ class TraceSummary:
     async_safes: int = 0
     #: instant-event counts by name (fast-forwards, faults, session ops).
     event_counts: Dict[str, int] = field(default_factory=dict)
-    #: ``kernel_fallback`` instants by reason code: phases an array engine
-    #: ran on the scalar program because the kernel declined the payload.
+    #: ``kernel_fallback`` instants by reason code: phases that left the
+    #: column path on an array engine because the kernel declined the
+    #: payload (the scalar program ran; a ``*_reverse`` folded a list).
     kernel_fallbacks: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -208,7 +209,7 @@ def render_summary(summary: TraceSummary, top: int = 10) -> str:
         lines.append("")
         lines.append(
             f"kernel fallbacks ({sum(summary.kernel_fallbacks.values())}"
-            " phases ran scalar on an array engine), by reason:"
+            " phases left the column path on an array engine), by reason:"
         )
         for reason in sorted(summary.kernel_fallbacks):
             lines.append(f"  {reason}: {summary.kernel_fallbacks[reason]}")

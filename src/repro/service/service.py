@@ -33,6 +33,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..congest.errors import BandwidthExceededError
 from ..congest.ledger import CostLedger
 from ..congest.network import Network
 from ..core.pa import PASetup
@@ -47,7 +48,8 @@ class ServiceStats:
     """Counters describing how the service served its tenants."""
 
     queries: int = 0            # queries admitted
-    waves: int = 0              # wave passes run (flushes with >= 1 query)
+    waves: int = 0              # wave passes served
+    split_waves: int = 0        # packed waves too wide for a message, halved
     batched_queries: int = 0    # queries served in shared multi-query waves
     solo_queries: int = 0       # queries served in single-query waves
     partition_updates: int = 0  # update_partition epochs
@@ -125,7 +127,9 @@ class PAService:
         self.ledger = CostLedger(stream="service")
         self._tenants: Dict[str, CostLedger] = {}
         self._queue: List[Tuple[int, str, AggregateQuery]] = []
-        self._results: Dict[int, QueryResult] = {}
+        #: Per answered query id, its result — or, for a query too wide
+        #: for a message even alone, the error :meth:`result` raises.
+        self._results: Dict[int, object] = {}
         self._ids = itertools.count()
         self._waves = 0
         self.partition = partition
@@ -178,21 +182,52 @@ class PAService:
         return qid
 
     def flush(self) -> List[QueryResult]:
-        """Serve every queued query in one wave; empty queue is a no-op.
+        """Serve every queued query; an empty queue is a no-op.
 
         A single queued query runs as a plain solve; two or more pack
         into one batched ``solve_many`` pass across tenants.  Results are
         returned in submission order and also retrievable once by id via
         :meth:`result`.
-        """
-        if not self._queue:
-            return []
-        queue, self._queue = self._queue, []
-        wave = self._waves
-        self._waves += 1
-        self.stats.waves += 1
-        tracer = current_tracer()
 
+        Nothing dequeued is ever dropped.  A packed wave whose k-tuples
+        outgrow the message budget (``BandwidthExceededError``) is served
+        as two narrower waves instead, halving until a wave fits
+        (``stats.split_waves`` counts the waves that had to be halved); a
+        query too wide *alone* gets that error from its own
+        :meth:`result` (and no entry in the returned list) while the rest
+        are answered.  On any other exception the unserved queries go
+        back to the head of the queue, and the failed attempt's wave
+        number is released, before it propagates.
+        """
+        batches, self._queue = [self._queue], []
+        results: List[QueryResult] = []
+        while batches:
+            batch = batches.pop(0)
+            if not batch:
+                continue
+            wave = self._waves
+            self._waves += 1  # an attempt that fails leaves a gap: unique
+            try:
+                results.extend(self._serve(wave, batch))
+            except BandwidthExceededError as error:
+                if len(batch) == 1:
+                    self._results[batch[0][0]] = error
+                else:
+                    self.stats.split_waves += 1
+                    half = len(batch) // 2
+                    batches[:0] = [batch[:half], batch[half:]]
+            except BaseException:
+                self._waves = wave
+                self._queue = (
+                    [entry for rest in [batch] + batches for entry in rest]
+                    + self._queue
+                )
+                raise
+        return results
+
+    def _serve(self, wave: int, queue) -> List[QueryResult]:
+        """One wave over ``queue``: solve, charge, attribute, record."""
+        tracer = current_tracer()
         items = [
             (query.wave_values(), query.aggregation())
             for _qid, _tenant, query in queue
@@ -208,6 +243,7 @@ class PAService:
         else:
             per, ledger = self._run_wave(wave, items)
 
+        self.stats.waves += 1
         if len(queue) > 1:
             self.stats.batched_queries += len(queue)
         else:
@@ -267,9 +303,14 @@ class PAService:
         """Retrieve (and forget) an answered query's result.
 
         Raises ``KeyError`` while the query is still queued — flush
-        first, or let an update/auto-flush serve it.
+        first, or let an update/auto-flush serve it — and, for a query
+        whose values no message holds even in a wave of its own, the
+        ``BandwidthExceededError`` its wave met.
         """
-        return self._results.pop(query_id)
+        outcome = self._results.pop(query_id)
+        if isinstance(outcome, BandwidthExceededError):
+            raise outcome
+        return outcome
 
     # -- the evolving graph ---------------------------------------------
     def update_partition(self, partition: Partition) -> PASetup:

@@ -232,6 +232,7 @@ def restrict_plan(plan: WavePlan, shard_pids: Sequence[int]) -> WavePlan:
             lp: plan.leader_tokens[gpid] for gpid, lp in mapping.items()
         },
         use_array=plan.use_array,
+        fold=plan.fold,
     )
 
 

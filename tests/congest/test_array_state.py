@@ -18,6 +18,8 @@ Three families of invariants, per the contract in
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,6 +278,96 @@ def test_edge_pool_matches_scalar_flush_reference(seed, capacity):
         want = [(p[0], p[1], p[2], p[3], p[5]) for p in sent]
         assert got == want
         assert wake.tolist() == ref_wake
+
+
+class _HeapModel:
+    """``QueuedProgram``'s per-edge heaps, verbatim: ``{src: {dst: heap of
+    (priority, seq, payload)}}``, a drained destination's key deleted, a
+    flush per backlogged source in node order and per destination in dict
+    (insertion) order, up to ``capacity`` pops each."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.queues = {}
+        self.seq = 0
+
+    def push(self, src, dst, priority, payload):
+        self.seq += 1
+        heappush(
+            self.queues.setdefault(src, {}).setdefault(dst, []),
+            (priority, self.seq, payload),
+        )
+
+    def flush(self):
+        sent, wake = [], []
+        for src in sorted(self.queues):
+            by_dst = self.queues[src]
+            for dst in list(by_dst):
+                for _ in range(min(self.capacity, len(by_dst[dst]))):
+                    priority, _seq, payload = heappop(by_dst[dst])
+                    sent.append((src, dst, *priority, payload))
+                if not by_dst[dst]:
+                    del by_dst[dst]
+            if by_dst:
+                wake.append(src)
+            else:
+                del self.queues[src]
+        return sent, wake
+
+
+@pytest.mark.parametrize("by_source", [False, True])
+@pytest.mark.parametrize("duplicates", [False, True])
+@given(seed=st.integers(0, 2**32 - 1), capacity=st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_edge_pool_matches_queued_program_heaps(
+    duplicates, by_source, seed, capacity
+):
+    """Both pool paths against the scalar representation they mirror.
+
+    Without duplicate edges nothing ever backlogs, so every tick takes
+    the no-backlog path (one packet per edge: birth == seq); with them,
+    ticks take the general path, and a tick after a drained backlog goes
+    back to the fast one.  Sources arrive out of order either way — or,
+    ``by_source``, the pool gets each batch regrouped source by source
+    while the model keeps the scalar enqueue order: only the order of a
+    source's own packets may matter.
+    """
+    rng = np.random.default_rng(seed)
+    n = 7
+    pool = EdgePool(n, ("tok",), capacity=capacity)
+    model = _HeapModel(capacity)
+    for _tick in range(6):
+        taken = set()
+        for _ in range(int(rng.integers(0, 4))):  # staged batches
+            src, dst = [], []
+            for _ in range(int(rng.integers(1, 6))):
+                u = int(rng.integers(0, n))
+                v = int((u + 1 + rng.integers(0, n - 1)) % n)
+                if duplicates or (u, v) not in taken:
+                    taken.add((u, v))
+                    src.append(u)
+                    dst.append(v)
+            p0 = rng.integers(0, 3, size=len(src))
+            p1 = rng.integers(0, 2, size=len(src))
+            tok = rng.integers(0, 100, size=len(src))
+            for u, v, a, b, t in zip(src, dst, p0, p1, tok):
+                model.push(u, v, (int(a), int(b)), int(t))
+            src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+            if by_source:
+                order = np.argsort(src, kind="stable")
+                src, dst, p0, p1, tok = (
+                    col[order] for col in (src, dst, p0, p1, tok)
+                )
+            pool.push(src, dst, p0, p1, tok=tok)
+        emitted, wake = pool.select()
+        sent, model_wake = model.flush()
+        got = [] if emitted is None else list(zip(*(
+            emitted[name].tolist() for name in ("src", "dst", "p0", "p1", "tok")
+        )))
+        assert got == sent
+        assert wake.tolist() == model_wake
+        if not duplicates:
+            assert wake.size == 0 and len(pool) == 0
 
 
 def test_edge_pool_len_and_empty_select():

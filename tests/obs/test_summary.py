@@ -109,7 +109,7 @@ def test_render_summary_mentions_all_sections():
     assert "sync-vs-async overhead" in text
     assert "control/payload" in text
     assert "fast_forward: 2" in text
-    assert "kernel fallbacks (3 phases ran scalar" in text
+    assert "kernel fallbacks (3 phases left the column path" in text
     assert "  non_int: 2" in text
 
 

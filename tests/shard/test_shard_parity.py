@@ -24,6 +24,7 @@ from repro.graphs import (
     with_distinct_weights,
 )
 from repro.algorithms import minimum_spanning_tree
+from repro.obs import Tracer, use_tracer
 
 MODES = ["randomized", "deterministic"]
 WORKER_COUNTS = [1, 2, 4]
@@ -70,7 +71,7 @@ def test_solve_parity(mode, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_scalar_path_parity(workers):
-    """Tuple values force the scalar wave programs inside the workers."""
+    """Tuple values: the workers' array reversals fold them as a list."""
     net, partition = _net_and_partition()
     values = [(v, i) for i, v in enumerate(_values(net.n, seed=9))]
 
@@ -110,6 +111,56 @@ def test_batched_solve_many_parity():
             assert got.aggregates == want.aggregates
             assert got.value_at_node == want.value_at_node
         assert _phase_sig(result.ledger) == _phase_sig(expected.ledger)
+    finally:
+        session.close()
+
+
+def test_product_batch_runs_under_the_shipped_fold_decision():
+    """A (SUM, MIN) product on two workers equals the local session's
+    aggregates and ledger; how its reversal folds is decided once, rank-0
+    side, on the global values, and shipped in the plan."""
+    net, partition = _net_and_partition()
+    values = _values(net.n)
+    items = [(values, SUM), (values, MIN)]
+
+    serial = PASession(net, seed=3, batch=True)
+    expected = serial.solve_many(serial.prepare(partition), items)
+
+    session = PASession(
+        net, seed=3, batch=True,
+        backend="sharded", workers=2, shard_min_n=1,
+    )
+    try:
+        setup = session.prepare(partition)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = session.solve_many(setup, items)
+        assert session.stats.sharded_solves == 1
+        assert session.stats.sharded_fallbacks == 0
+        for got, want in zip(result.per_agg, expected.per_agg):
+            assert got.aggregates == want.aggregates
+            assert got.value_at_node == want.value_at_node
+        assert _phase_sig(result.ledger) == _phase_sig(expected.ledger)
+        # One decline of the column fold for the whole solve — not one per
+        # shard — and none of the waves themselves.
+        assert [
+            e["args"] for e in tracer.events if e["name"] == "kernel_fallback"
+        ] == [{"phase": "pa_batch_reverse", "reason": "unsupported_agg"}]
+
+        # The decision is global: one value past 2**62 makes every shard
+        # fold a list, also those whose own values would fit a column.
+        wide = list(values)
+        wide[0] = 1 << 62
+        want = serial.solve(serial.prepare(partition), wide, SUM)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            got = session.solve(setup, wide, SUM)
+        assert got.aggregates == want.aggregates
+        assert got.value_at_node == want.value_at_node
+        assert _phase_sig(got.ledger) == _phase_sig(want.ledger)
+        assert [
+            e["args"] for e in tracer.events if e["name"] == "kernel_fallback"
+        ] == [{"phase": "pa_reverse", "reason": "overflow"}]
     finally:
         session.close()
 
