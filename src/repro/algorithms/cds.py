@@ -23,16 +23,15 @@ O~(D + sqrt n) rounds / O~(m) messages dominate, as in the corollary.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..congest.engine import Context, Engine, Inbox, Program
 from ..congest.ledger import CostLedger, RunResult
 from ..congest.network import Network
 from ..graphs.partitions import partition_from_component_labels
 from ..core.aggregation import MIN, MIN_TUPLE
-from ..core.no_leader import PASuperOps
 from ..core.pa import RANDOMIZED
-from ..core.star_joining import compute_star_joining
+from ..core.star_joining import chosen_edges, outgoing_picks
 from ..runtime import PASession, ensure_session
 
 
@@ -168,14 +167,6 @@ def connected_dominating_set(
         ledger.merge(setup.setup_ledger, prefix="cds_setup:")
         prev_setup = setup
 
-        values: List[object] = [None] * n
-        for v in range(n):
-            for nb in net.neighbors[v]:
-                if comp[nb] == comp[v]:
-                    continue
-                cand = (net.uid[v], net.uid[nb])
-                if values[v] is None or cand < values[v]:
-                    values[v] = cand
         # Coins depend only on the part ids, so they are drawn up front
         # (same independent-rng draw order as before) and their spread
         # shares the pick's wave pass when the session batches.
@@ -189,7 +180,7 @@ def connected_dominating_set(
         ]
         batch = session.solve_many(
             setup,
-            [(values, MIN_TUPLE), (coin_values, MIN)],
+            [(outgoing_picks(net, comp), MIN_TUPLE), (coin_values, MIN)],
             charge_setup=False,
             phase_prefix="cds_pickcoins",
             phase_prefixes=["cds_pick", "cds_coins"],
@@ -197,29 +188,19 @@ def connected_dominating_set(
         ledger.merge(batch.ledger)
         picked = batch.per_agg[0]
 
-        merged_any = False
-        for sid in range(partition.num_parts):
-            choice = picked.aggregates.get(sid)
-            if choice is None or coins[sid]:
-                continue
-            uid_u, uid_nb = choice
-            u = net.node_of_uid(uid_u)
-            v_nb = net.node_of_uid(uid_nb)
-            target_sid = partition.part_of[v_nb]
-            if not coins[target_sid]:
+        chosen = chosen_edges(net, partition.part_of, picked.aggregates)
+        for sid, (u, v_nb, target_sid) in chosen.items():
+            if coins[sid] or not coins[target_sid]:
                 continue
             cds.add(u)
             cds.add(v_nb)
             target_rep = comp[partition.members[target_sid][0]]
             for v in partition.members[sid]:
                 comp[v] = target_rep
-            merged_any = True
         # Coin exchange accounting (one round over chosen edges; the coin
         # spread itself ran with the pick above).
         ledger.charge_local("cds_coin_exchange", rounds=2,
                             messages=2 * partition.num_parts)
-        if not merged_any:
-            continue
     else:
         raise RuntimeError("CDS connection phase did not converge")
 

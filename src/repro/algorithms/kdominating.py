@@ -19,15 +19,19 @@ benchmark measures the realized radius and size against the ``<= k`` and
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set
 
 from ..congest.ledger import CostLedger, RunResult
 from ..congest.network import Network
 from ..graphs.partitions import partition_from_component_labels
-from ..core.aggregation import MIN, MIN_TUPLE, SUM
+from ..core.aggregation import MIN_TUPLE, SUM
 from ..core.no_leader import PASuperOps
 from ..core.pa import RANDOMIZED
-from ..core.star_joining import SuperEdge, compute_star_joining
+from ..core.star_joining import (
+    chosen_edges,
+    compute_star_joining,
+    outgoing_picks,
+)
 from ..runtime import PASession, ensure_session
 
 
@@ -79,49 +83,31 @@ def k_dominating_set(
             if sizes.aggregates[sid] >= threshold:
                 complete.add(coarse[partition.members[sid][0]])
 
-        incomplete = [
-            sid
-            for sid in range(partition.num_parts)
-            if coarse[partition.members[sid][0]] not in complete
-        ]
-        if not incomplete:
+        growing = [rep not in complete for rep in coarse]
+        if not any(growing):
             break
 
         # Each incomplete cluster picks an edge to any other cluster.
-        pick_values: List[object] = [None] * n
-        incomplete_set = {
-            coarse[partition.members[sid][0]] for sid in incomplete
-        }
-        for v in range(n):
-            if coarse[v] not in incomplete_set:
-                continue
-            for nb in net.neighbors[v]:
-                if coarse[nb] == coarse[v]:
-                    continue
-                cand = (net.uid[v], net.uid[nb])
-                if pick_values[v] is None or cand < pick_values[v]:
-                    pick_values[v] = cand
         picked = session.solve(
-            setup, pick_values, MIN_TUPLE, charge_setup=False,
-            phase_prefix="kdom_pick",
+            setup, outgoing_picks(net, coarse, sources=growing), MIN_TUPLE,
+            charge_setup=False, phase_prefix="kdom_pick",
         )
         ledger.merge(picked.ledger)
 
-        chosen: Dict[int, SuperEdge] = {}
-        for sid in incomplete:
-            choice = picked.aggregates.get(sid)
-            if choice is None:
-                # No out-edge: the cluster spans the whole network.
-                complete.add(coarse[partition.members[sid][0]])
-                continue
-            uid_u, uid_nb = choice
-            u = net.node_of_uid(uid_u)
-            v_nb = net.node_of_uid(uid_nb)
-            chosen[sid] = (u, v_nb, partition.part_of[v_nb])
+        chosen = chosen_edges(net, partition.part_of, picked.aggregates)
+        # No out-edge: the cluster spans the whole network (or is complete).
+        complete.update(
+            coarse[members[0]]
+            for sid, members in enumerate(partition.members)
+            if sid not in chosen
+        )
         if not chosen:
             continue
 
-        ops = PASuperOps(solver, setup, chosen, ledger, phase_prefix="kdom_star")
+        ops = PASuperOps(
+            solver.engine, session.solve, setup, chosen, ledger,
+            phase_prefix="kdom_star",
+        )
         ops.announce_requests()
         _receivers, joins = compute_star_joining(ops, set(chosen))
 

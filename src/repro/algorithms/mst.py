@@ -33,52 +33,26 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..congest.engine import Context, Engine, Inbox, Program
 from ..congest.ledger import CostLedger, RunResult
 from ..congest.network import Network, canonical_edge
-from ..graphs.partitions import Partition, partition_from_component_labels
+from ..graphs.partitions import partition_from_component_labels
 from ..core.aggregation import MIN, MIN_TUPLE, OR
 from ..core.no_leader import PASuperOps
-from ..core.pa import DETERMINISTIC, PASolver, RANDOMIZED
-from ..core.star_joining import SuperEdge, compute_star_joining
-from ..core.treeops import broadcast as tree_broadcast
+from ..core.pa import PASolver, RANDOMIZED
+from ..core.star_joining import (
+    SuperEdge,
+    chosen_edges,
+    compute_star_joining,
+    outgoing_picks,
+)
 from ..core.treeops import convergecast as tree_convergecast
 from ..core.treeops import cross_round
 from ..runtime import PASession, ensure_session
 
 COIN = "coin"
 STAR = "star"
-
-
-def _moe_values(
-    net: Network, comp: Sequence[int]
-) -> List[Optional[Tuple[int, int, int]]]:
-    """Per-node candidate MOE: min (weight, uid_v, uid_nb) over out-edges.
-
-    Walks the raw CSR arrays — this runs once per Boruvka phase over every
-    edge, and the flat slices skip the lazily materialized ``neighbors``
-    view (the adjacency order is the same, so the chosen tuples are
-    identical).
-    """
-    offsets, adj = net.adjacency_csr()
-    uid = net.uid
-    weight = net.weight
-    values: List[Optional[Tuple[int, int, int]]] = [None] * net.n
-    for v in range(net.n):
-        best = None
-        my_comp = comp[v]
-        my_uid = uid[v]
-        for i in range(offsets[v], offsets[v + 1]):
-            nb = adj[i]
-            if comp[nb] == my_comp:
-                continue
-            cand = (weight(v, nb), my_uid, uid[nb])
-            if best is None or cand < best:
-                best = cand
-        values[v] = best
-    return values
 
 
 def minimum_spanning_tree(
@@ -131,6 +105,7 @@ def minimum_spanning_tree(
         ledger.merge(setup.setup_ledger, prefix=f"phase{phase}_setup:")
         prev_setup = setup
 
+        moe_values = outgoing_picks(net, comp, weighted=True)
         if merging == COIN:
             # Coins depend only on the fragment ids, so they are drawn
             # before the solves and their broadcast shares the MOE's wave
@@ -144,7 +119,7 @@ def minimum_spanning_tree(
                 coin_values[setup.leaders[sid]] = 1 if coins[sid] else 0
             batch = session.solve_many(
                 setup,
-                [(_moe_values(net, comp), MIN_TUPLE), (coin_values, MIN)],
+                [(moe_values, MIN_TUPLE), (coin_values, MIN)],
                 charge_setup=False,
                 phase_prefix=f"phase{phase}_moecoins",
                 phase_prefixes=[f"phase{phase}_moe", f"phase{phase}_coins"],
@@ -152,30 +127,28 @@ def minimum_spanning_tree(
             ledger.merge(batch.ledger)
             moe = batch.per_agg[0]
         else:
-            coins = None
             moe = session.solve(
-                setup, _moe_values(net, comp), MIN_TUPLE, charge_setup=False,
+                setup, moe_values, MIN_TUPLE, charge_setup=False,
                 phase_prefix=f"phase{phase}_moe",
             )
             ledger.merge(moe.ledger)
 
-        chosen: Dict[int, SuperEdge] = {}
-        for sid, choice in moe.aggregates.items():
-            if choice is None:
-                continue
-            _w, uid_u, uid_nb = choice
-            u = net.node_of_uid(uid_u)
-            v_nb = net.node_of_uid(uid_nb)
-            chosen[sid] = (u, v_nb, partition.part_of[v_nb])
+        chosen = chosen_edges(net, partition.part_of, moe.aggregates)
         if not chosen:
             break
 
         if merging == COIN:
-            merges = _coin_merges(
-                solver, setup, partition, chosen, coins, ledger
-            )
+            merges = _coin_merges(solver, chosen, coins, ledger)
         else:
-            merges = _star_merges(solver, setup, partition, chosen, ledger)
+            # Deterministic merging: Algorithm 5 over the MOE digraph, its
+            # pushes PA solves of the session like the MOE's own.
+            ops = PASuperOps(
+                solver.engine, session.solve, setup, chosen, ledger,
+                phase_prefix="mst_star",
+            )
+            ops.announce_requests()
+            _receivers, joins = compute_star_joining(ops, set(chosen))
+            merges = {sid: edge[2] for sid, edge in joins.items()}
 
         if not merges and merging == COIN:
             continue  # unlucky coins; retry next phase
@@ -234,8 +207,6 @@ def minimum_spanning_tree(
 
 def _coin_merges(
     solver: PASolver,
-    setup,
-    partition: Partition,
     chosen: Dict[int, SuperEdge],
     coins: Dict[int, bool],
     ledger: CostLedger,
@@ -247,18 +218,15 @@ def _coin_merges(
     two-round exchange over MOE edges telling each tail endpoint its
     target's coin.  Returns {merging sid: target sid}.
     """
-    net = solver.net
-
     # MOE endpoints exchange coins across the chosen edges (both endpoints
     # already know their own fragment's coin from the broadcast).  Mutual
     # MOE pairs schedule the same directed edge twice with identical
     # payloads; dedupe keeps the per-edge capacity honest.
     sends: Dict[Tuple[int, int], Tuple[int, int, object]] = {}
-    for sid, (u, v_nb, _t) in chosen.items():
+    for sid, (u, v_nb, target_sid) in chosen.items():
         sends[(u, v_nb)] = (u, v_nb, ("coin", 1 if coins[sid] else 0))
-        target_coin = coins[partition.part_of[v_nb]]
         sends.setdefault(
-            (v_nb, u), (v_nb, u, ("coin", 1 if target_coin else 0))
+            (v_nb, u), (v_nb, u, ("coin", 1 if coins[target_sid] else 0))
         )
     cross_round(
         solver.engine, list(sends.values()), ledger, name="mst_coin_exchange"
@@ -270,16 +238,3 @@ def _coin_merges(
             merges[sid] = target_sid
     return merges
 
-
-def _star_merges(
-    solver: PASolver,
-    setup,
-    partition: Partition,
-    chosen: Dict[int, SuperEdge],
-    ledger: CostLedger,
-) -> Dict[int, int]:
-    """Deterministic merging: Algorithm 5 over the MOE digraph."""
-    ops = PASuperOps(solver, setup, chosen, ledger, phase_prefix="mst_star")
-    ops.announce_requests()
-    _receivers, joins = compute_star_joining(ops, set(chosen))
-    return {sid: edge[2] for sid, edge in joins.items()}

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from array import array
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .message import message_bit_limit
 
@@ -231,6 +231,18 @@ class Network:
             edge_keys=edge_keys,
             uid=uid,
         )
+
+    @cached_property
+    def slot_weights(self):
+        """Edge weight of every CSR slot of :attr:`array_views` (int64).
+
+        All ones when the network is unweighted, like :meth:`weight`.
+        """
+        import numpy as np
+
+        views = self.array_views
+        ends = zip(views.src_of_slot.tolist(), views.adj.tolist())
+        return np.array([self.weight(u, v) for u, v in ends], dtype=np.int64)
 
     @cached_property
     def uid(self) -> Tuple[int, ...]:

@@ -89,11 +89,6 @@ def merge_inboxes(
     return values
 
 
-def count_aggregation() -> Aggregation:
-    """SUM specialised for counting: combine adds, callers feed 1s."""
-    return SUM
-
-
 def validate_aggregation(agg: Aggregation, samples) -> None:
     """Spot-check commutativity and associativity on sample values.
 

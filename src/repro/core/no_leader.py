@@ -7,136 +7,79 @@ coarsening matches the input partition, at which point ordinary PA runs.
 
 The star-joining machinery (Algorithm 5) is shared with the deterministic
 sub-part division; here super-nodes are *coarsening parts* whose internal
-communication is itself Part-Wise Aggregation.  :class:`PASuperOps`
-implements the :class:`~repro.core.star_joining.SuperOps` interface with
-PA solves: a push is PA-broadcast inside the source, one round across the
-chosen edges, and PA-aggregation inside the target.  Boruvka's
-deterministic merging (Corollary 1.3) reuses the same ops.
+communication is itself Part-Wise Aggregation.  :func:`PASuperOps`
+carries :class:`~repro.core.star_joining.SuperOps`' pushes by PA solves: a
+push is PA-broadcast inside the source, one round across the chosen
+edges, and PA-aggregation inside the target.  Boruvka's deterministic
+merging (Corollary 1.3) and k-dominating sets reuse the same transport.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
+import numpy as np
+
+from ..congest.engine import Engine
 from ..congest.ledger import CostLedger
 from ..congest.network import Network
 from ..graphs.partitions import Partition, partition_from_component_labels
-from .aggregation import MIN, MIN_TUPLE, SUM, Aggregation
+from .aggregation import MIN, MIN_TUPLE, Aggregation
 from .pa import PAResult, PASetup, PASolver
-from .star_joining import SuperEdge, SuperOps, compute_star_joining
-from .treeops import cross_round
+from .star_joining import (
+    SuperEdge,
+    SuperOps,
+    chosen_edges,
+    compute_star_joining,
+    outgoing_picks,
+)
 
 
-class PASuperOps(SuperOps):
-    """Super-node pushes implemented with Part-Wise Aggregation.
+def PASuperOps(
+    engine: Engine,
+    solve: Callable[..., PAResult],
+    setup: PASetup,
+    chosen: Dict[int, SuperEdge],
+    ledger: CostLedger,
+    phase_prefix: str = "alg9",
+) -> SuperOps:
+    """:class:`SuperOps` whose pushes are PA solves (Algorithm 9).
 
-    Super-node ids are part ids of ``setup.partition``; each push costs two
-    PA solves (broadcast within sources, aggregate within targets) plus one
-    cross round — the Lemma B.1 accounting of O~(R) rounds and O~(M)
-    messages per operation.
+    Super-nodes are the parts of ``setup.partition``, led by its leaders;
+    a spread and a gather are one solve each through ``solve`` — a
+    :class:`~repro.core.pa.PASolver`'s or, wherever an algorithm runs on a
+    session, the :class:`~repro.runtime.PASession`'s, so the solve is
+    counted and routed like any other — merged into ``ledger``.  With the
+    cross round on ``engine`` between them, the Lemma B.1 accounting of
+    O~(R) rounds and O~(M) messages per push.
     """
+    solves = itertools.count(1)
 
-    def __init__(
-        self,
-        solver: PASolver,
-        setup: PASetup,
-        chosen: Dict[int, SuperEdge],
-        ledger: CostLedger,
-        phase_prefix: str = "alg9",
-    ) -> None:
-        self.solver = solver
-        self.setup = setup
-        self.chosen = chosen
-        self.ledger = ledger
-        self.prefix = phase_prefix
-        self.partition = setup.partition
-        self.net = solver.net
-        self.in_edges: Dict[int, List[Tuple[int, int, int]]] = {}
-        self._announced = False
-        self._push_count = 0
-
-    def edges(self) -> Dict[int, SuperEdge]:
-        return self.chosen
-
-    def all_supernodes(self) -> Sequence[int]:
-        return range(self.partition.num_parts)
-
-    def initial_color(self, sid: int) -> int:
-        return self.net.uid[self.setup.leaders[sid]]
-
-    # ------------------------------------------------------------------
-    def _pa(self, values: List[object], agg: Aggregation) -> Dict[int, object]:
-        self._push_count += 1
-        result = self.solver.solve(
-            self.setup, values, agg, charge_setup=False,
-            phase_prefix=f"{self.prefix}_pa{self._push_count}",
+    def pa(kind: str, values: Sequence[object], agg: Aggregation) -> PAResult:
+        result = solve(
+            setup, values, agg, charge_setup=False,
+            phase_prefix=f"{phase_prefix}_{kind}{next(solves)}",
         )
-        self.ledger.merge(result.ledger)
-        return result.aggregates
+        ledger.merge(result.ledger)
+        return result
 
-    def _broadcast(self, value_of: Dict[int, object]) -> Dict[int, object]:
-        """PA-broadcast each super-node's value to all its members.
-
-        Encoded as an aggregation in which only the leader holds a value.
-        Returns per-node received values.
-        """
-        values: List[object] = [None] * self.net.n
+    def spread(value_of: Dict[int, object], at: np.ndarray) -> List[object]:
+        # PA-broadcast: an aggregation in which only the leaders hold values.
+        values: List[object] = [None] * engine.network.n
         for sid, value in value_of.items():
-            values[self.setup.leaders[sid]] = value
-        self._push_count += 1
-        result = self.solver.solve(
-            self.setup, values, MIN, charge_setup=False,
-            phase_prefix=f"{self.prefix}_bc{self._push_count}",
-        )
-        self.ledger.merge(result.ledger)
-        return {v: result.value_at_node[v] for v in range(self.net.n)}
+            values[setup.leaders[sid]] = value
+        heard = pa("bc", values, MIN).value_at_node
+        return [heard[v] for v in at.tolist()]
 
-    def _cross(self, sends: List[Tuple[int, int, object]], name: str):
-        return cross_round(
-            self.solver.engine, sends, self.ledger,
-            name=f"{self.prefix}_{name}",
-        )
+    def gather(values: Sequence[object], agg: Aggregation) -> Dict[int, object]:
+        return pa("pa", values, agg).aggregates
 
-    def announce_requests(self) -> None:
-        sends = [
-            (u, v, ("jreq", sid)) for sid, (u, v, _t) in self.chosen.items()
-        ]
-        received = self._cross(sends, "announce").received
-        for v, incoming in received.items():
-            for u, payload in incoming:
-                _tag, sid = payload
-                self.in_edges.setdefault(
-                    self.partition.part_of[v], []
-                ).append((v, u, sid))
-        self._announced = True
-
-    def push_up(self, value_of: Dict[int, object], agg: Aggregation) -> Dict[int, object]:
-        at_node = self._broadcast(value_of)
-        sends = []
-        for sid, (u, v, _t) in self.chosen.items():
-            if sid in value_of:
-                sends.append((u, v, ("up", at_node.get(u))))
-        values = self._cross(sends, "cross_up").merged(agg, self.net.n)
-        aggregates = self._pa(values, agg)
-        return {sid: val for sid, val in aggregates.items() if val is not None}
-
-    def push_down(self, value_of: Dict[int, object]) -> Dict[int, object]:
-        if not self._announced:
-            self.announce_requests()
-        at_node = self._broadcast(value_of)
-        sends = []
-        for target_sid, holders in self.in_edges.items():
-            if target_sid not in value_of:
-                continue
-            for v, u, _src_sid in holders:
-                sends.append((v, u, ("down", at_node.get(v))))
-        values = self._cross(sends, "cross_down").merged(MIN, self.net.n)
-        aggregates = self._pa(values, MIN)
-        return {sid: val for sid, val in aggregates.items() if val is not None}
-
-    def push_pred(self, value_of: Dict[int, object], agg: Aggregation) -> Dict[int, object]:
-        return self.push_up(value_of, agg)
+    return SuperOps(
+        engine, engine.network, dict(enumerate(setup.leaders)),
+        spread, gather, chosen, ledger, phase_prefix,
+    )
 
 
 def solve_pa_without_leaders(
@@ -175,44 +118,25 @@ def solve_pa_without_leaders(
         total.merge(setup.setup_ledger, prefix="alg9_setup:")
 
         # Pick an exit edge into a sibling coarsening part (same target part).
-        pick_values: List[object] = [None] * n
-        for v in range(n):
-            for nb in net.neighbors[v]:
-                if partition.part_of[nb] != partition.part_of[v]:
-                    continue
-                if coarse[nb] == coarse[v]:
-                    continue
-                cand = (net.uid[v], net.uid[nb])
-                if pick_values[v] is None or cand < pick_values[v]:
-                    pick_values[v] = cand
         picked = solver.solve(
-            setup, pick_values, MIN_TUPLE, charge_setup=False,
-            phase_prefix="alg9_pick",
+            setup, outgoing_picks(net, coarse, within=partition.part_of),
+            MIN_TUPLE, charge_setup=False, phase_prefix="alg9_pick",
         )
         total.merge(picked.ledger)
 
-        chosen: Dict[int, SuperEdge] = {}
-        for sid, choice in picked.aggregates.items():
-            if choice is None:
-                continue  # coarsening part already spans its input part
-            uid_u, uid_nb = choice
-            u = net.node_of_uid(uid_u)
-            v_nb = net.node_of_uid(uid_nb)
-            chosen[sid] = (u, v_nb, coarse_partition.part_of[v_nb])
+        # A coarsening part with no pick already spans its input part.
+        chosen = chosen_edges(net, coarse_partition.part_of, picked.aggregates)
         if not chosen:
             break
 
-        ops = PASuperOps(solver, setup, chosen, total)
+        ops = PASuperOps(solver.engine, solver.solve, setup, chosen, total)
         ops.announce_requests()
         receivers, joins = compute_star_joining(ops, set(chosen))
 
         # Joiners adopt their receiver's leader (learned via push_down of
         # leader uids, then PA-broadcast inside the joiner).
         leader_uid_of_target = ops.push_down(
-            {
-                sid: net.uid[leaders[sid]]
-                for sid in range(coarse_partition.num_parts)
-            }
+            {sid: net.uid[leader] for sid, leader in ops.leaders.items()}
         )
         for sid, (_u, _v, target_sid) in joins.items():
             new_leader = net.node_of_uid(leader_uid_of_target[sid])

@@ -1,7 +1,11 @@
-"""Star joinings (Definition 6.1, Algorithm 5).
+"""The merge step above PA: pick, decode, star-join (Definition 6.1, Algorithm 5).
 
-A star joining designates a constant fraction of participating super-nodes
-as *receivers* and the rest (those whose chosen edge points at a receiver)
+The paper's corollaries repeat one move: every cluster picks an outgoing
+edge with a ``MIN`` aggregation (:func:`outgoing_picks` is the per-node
+input, :func:`chosen_edges` decodes the per-cluster answer), symmetry is
+broken, clusters merge.  One symmetry breaker is the star joining: it
+designates a constant fraction of participating super-nodes as
+*receivers* and the rest (those whose chosen edge points at a receiver)
 as *joiners*, so that joiners can merge into receivers in a star pattern —
 bounding the diameter growth of merged structures.  Algorithm 5 computes
 one deterministically: super-nodes with in-degree >= 2 become receivers
@@ -11,14 +15,15 @@ with Cole-Vishkin, and the three color classes are resolved in turn.
 The algorithm is generic over *how* super-nodes communicate: in
 Algorithm 6 a super-node is a sub-part (communication via its O(D)-depth
 spanning tree), in Algorithm 9 a super-node is a coarsening part
-(communication via full PA).  :class:`SuperOps` is that interface; the
-tree-based implementation lives here, the PA-based one in
-:mod:`repro.core.no_leader`.
+(communication via full PA).  :class:`SuperOps` is the one implementation
+of the pushes over either transport: :func:`TreeSuperOps` here,
+:func:`~repro.core.no_leader.PASuperOps` for PA.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -36,10 +41,74 @@ from .trees import RootedForest
 SuperEdge = Tuple[int, int, int]
 
 
-class SuperOps:
-    """Communication primitives over a super-graph of node groups.
+def outgoing_picks(
+    net: Network,
+    comp: Sequence[int],
+    weighted: bool = False,
+    sources: Optional[Sequence[bool]] = None,
+    within: Optional[Sequence[int]] = None,
+) -> List[Optional[Tuple[int, ...]]]:
+    """Per node, its least edge out of its cluster (``None``: no such edge).
 
-    Implementations must provide, for the super-nodes with chosen edges:
+    ``comp`` labels the clusters.  Node ``v`` offers the minimum over its
+    neighbours ``nb`` in another cluster of ``(uid_v, uid_nb)`` — of
+    ``(weight, uid_v, uid_nb)`` when ``weighted``, Boruvka's minimum-weight
+    outgoing edge — so a PA ``MIN_TUPLE`` over the result hands every
+    cluster one outgoing edge (:func:`chosen_edges` decodes it).
+    ``sources`` masks the nodes that offer anything (k-dominating's
+    still-growing clusters); ``within`` keeps an edge only if its ends
+    share a label (Algorithm 9 stays inside the input part).
+
+    One lexsort over the network's CSR slots, by node and then by the
+    candidate tuple itself: the head of each node's run wins.
+    """
+    views = net.array_views
+    labels = np.asarray(comp, dtype=np.int64)
+    keep = labels[views.src_of_slot] != labels[views.adj]
+    if within is not None:
+        inside = np.asarray(within, dtype=np.int64)
+        keep &= inside[views.src_of_slot] == inside[views.adj]
+    if sources is not None:
+        keep &= np.asarray(sources, dtype=bool)[views.src_of_slot]
+    slots = np.flatnonzero(keep)
+    src = views.src_of_slot[slots]
+    # A slot's candidate, as columns in tuple order.
+    columns = [views.uid[src], views.uid[views.adj[slots]]]
+    if weighted:
+        columns.insert(0, net.slot_weights[slots])
+    order = np.lexsort((*columns[::-1], src))
+    best = order[np.flatnonzero(np.diff(src[order], prepend=-1))]
+    picks: List[Optional[Tuple[int, ...]]] = [None] * net.n
+    for v, pick in zip(
+        src[best].tolist(), zip(*(col[best].tolist() for col in columns))
+    ):
+        picks[v] = pick
+    return picks
+
+
+def chosen_edges(
+    net: Network, part_of: Sequence[int], aggregates: Dict[int, object]
+) -> Dict[int, SuperEdge]:
+    """Decode the clusters' picks: ``{sid: (u, v, target sid)}``.
+
+    ``aggregates`` is the per-cluster minimum of :func:`outgoing_picks`
+    (its last two entries are ``(uid_u, uid_v)``); a cluster whose
+    aggregate is ``None`` has no outgoing edge and gets no entry.
+    ``part_of`` maps a node to its cluster's super-node id.
+    """
+    chosen: Dict[int, SuperEdge] = {}
+    for sid, pick in aggregates.items():
+        if pick is not None:
+            u, v = net.node_of_uid(pick[-2]), net.node_of_uid(pick[-1])
+            chosen[sid] = (u, v, part_of[v])
+    return chosen
+
+
+@dataclass
+class SuperOps:
+    """Pushes over a super-graph of node groups with one chosen edge each.
+
+    For the super-nodes with chosen edges:
 
     * :meth:`push_up` — each source sends a value over its chosen edge; the
       *target* super-node's leader receives the aggregate of incoming
@@ -50,27 +119,90 @@ class SuperOps:
     * :meth:`push_pred` — symmetric to push_down: each source publishes,
       each target's leader learns the aggregate of its predecessors'
       values (used for predecessor colors in the shift-down steps).
+
+    Whatever a super-node is, a push is the same three metered steps: the
+    leaders' values *spread* to the members, one round across the chosen
+    edges (or their reversals), and what arrived is *gathered* at the
+    leaders.  The transport supplies the first and the last:
+    ``spread(value_of, at)`` is what each node of the array ``at`` heard
+    from its super-node's leader, given ``{sid: value}``, and
+    ``gather(values, agg)`` the ``{sid: aggregate}`` of per-node values —
+    over sub-part trees (:func:`TreeSuperOps`) or by PA solves
+    (:func:`~repro.core.no_leader.PASuperOps`).  ``leaders`` maps every
+    super-node id to its leader node.
     """
 
-    def edges(self) -> Dict[int, SuperEdge]:
-        """Chosen edge per participating super-node id."""
-        raise NotImplementedError
+    engine: Engine
+    net: Network
+    leaders: Dict[int, int]
+    spread: Callable[[Dict[int, object], np.ndarray], Sequence[object]]
+    gather: Callable[[Sequence[object], Aggregation], Dict[int, object]]
+    chosen: Dict[int, SuperEdge]
+    ledger: CostLedger
+    prefix: str
 
-    def all_supernodes(self) -> Sequence[int]:
-        raise NotImplementedError
-
-    def push_up(self, value_of: Dict[int, object], agg: Aggregation) -> Dict[int, object]:
-        raise NotImplementedError
-
-    def push_down(self, value_of: Dict[int, object]) -> Dict[int, object]:
-        raise NotImplementedError
-
-    def push_pred(self, value_of: Dict[int, object], agg: Aggregation) -> Dict[int, object]:
-        raise NotImplementedError
+    def __post_init__(self) -> None:
+        # The cross edges of a push, as (publishing sid, src, dst) columns:
+        # up along the chosen edges, down along their reversals (known to
+        # the targets once the requests are announced).
+        ends = np.array(
+            [(u, v) for u, v, _t in self.chosen.values()], dtype=np.int64
+        ).reshape(-1, 2)
+        self._up = (list(self.chosen), ends[:, 0], ends[:, 1])
+        self._down: Optional[Tuple[List[int], np.ndarray, np.ndarray]] = None
 
     def initial_color(self, sid: int) -> int:
         """Distinct O(log n)-bit starting color (the leader's uid)."""
-        raise NotImplementedError
+        return self.net.uid[self.leaders[sid]]
+
+    def announce_requests(self) -> None:
+        """Record in-edge knowledge: targets learn who points at them."""
+        sids, src, dst = self._up
+        requests = PayloadColumns([np.asarray(sids, dtype=np.int64)], tag="jreq")
+        u, v, delivered = cross_round(
+            self.engine, (src, dst, requests), self.ledger,
+            name=f"{self.prefix}_announce",
+        ).delivered
+        # A request names its source, whose target is the super-node it reached.
+        targets = [self.chosen[sid][2] for sid in delivered.cols[0].tolist()]
+        self._down = (targets, v, u)
+
+    # -- pushes --------------------------------------------------------
+    def _push(
+        self,
+        value_of: Dict[int, object],
+        edges: Tuple[List[int], np.ndarray, np.ndarray],
+        tag: str,
+        agg: Aggregation,
+    ) -> Dict[int, object]:
+        """Spread ``value_of`` inside the super-nodes, send what the source
+        of each publishing super-node's edge then holds across it, and
+        gather what arrived.
+        """
+        sids, src, dst = edges
+        publishing = np.fromiter(
+            map(value_of.__contains__, sids), dtype=bool, count=len(sids)
+        )
+        if not publishing.all():
+            src, dst = src[publishing], dst[publishing]
+        heard = self.spread(value_of, src)
+        cross = cross_round(
+            self.engine, (src, dst, tag_payloads(tag, heard)),
+            self.ledger, name=f"{self.prefix}_cross_{tag}",
+        )
+        at_leader = self.gather(cross.merged(agg, self.net.n), agg)
+        return {sid: val for sid, val in at_leader.items() if val is not None}
+
+    def push_up(self, value_of: Dict[int, object], agg: Aggregation) -> Dict[int, object]:
+        return self._push(value_of, self._up, "up", agg)
+
+    def push_down(self, value_of: Dict[int, object]) -> Dict[int, object]:
+        if self._down is None:
+            self.announce_requests()
+        return self._push(value_of, self._down, "down", MIN)
+
+    def push_pred(self, value_of: Dict[int, object], agg: Aggregation) -> Dict[int, object]:
+        return self.push_up(value_of, agg)
 
 
 def compute_star_joining(
@@ -79,11 +211,11 @@ def compute_star_joining(
     """Algorithm 5: returns (receivers, join edge per joiner).
 
     ``participants`` are the super-nodes that want to merge; each must have
-    a chosen edge in ``ops.edges()``.  Targets outside ``participants``
+    a chosen edge in ``ops.chosen``.  Targets outside ``participants``
     (e.g. already-complete sub-parts) are receivers by default.  Every
     participant ends up either a receiver or a joiner.
     """
-    edges = ops.edges()
+    edges = ops.chosen
     target_of = {sid: edges[sid][2] for sid in participants}
 
     # Line 3: in-degree >= 2 (among participants) makes a receiver; any
@@ -97,7 +229,7 @@ def compute_star_joining(
     )
 
     joins: Dict[int, SuperEdge] = {}
-    supernodes = ops.all_supernodes()
+    supernodes = ops.leaders.keys()
 
     def absorb_joiners(residual: Set[int]) -> Set[int]:
         """Participants pointing at a receiver become joiners (line 4/9)."""
@@ -159,100 +291,34 @@ def compute_star_joining(
     return receivers, joins
 
 
-class TreeSuperOps(SuperOps):
-    """Super-node communication over sub-part spanning trees (Algorithm 6).
+def TreeSuperOps(
+    engine: Engine,
+    net: Network,
+    forest: RootedForest,
+    chosen: Dict[int, SuperEdge],
+    ledger: CostLedger,
+    phase_prefix: str = "star",
+) -> SuperOps:
+    """:class:`SuperOps` over sub-part spanning trees (Algorithm 6).
 
-    Super-nodes are tree roots of ``forest``; every push is implemented as
-    broadcast-down / one cross round / convergecast-up, all metered.  The
-    in-edge knowledge required by push_down/push_pred (which member holds
-    an edge from a predecessor) is recorded when the caller runs
-    :meth:`announce_requests`.
+    Super-nodes are the trees of ``forest``, led by their roots: a spread
+    is a tree broadcast, a gather a convergecast.
     """
 
-    def __init__(
-        self,
-        engine: Engine,
-        net: Network,
-        forest: RootedForest,
-        chosen: Dict[int, SuperEdge],
-        ledger: CostLedger,
-        phase_prefix: str = "star",
-    ) -> None:
-        self.engine = engine
-        self.net = net
-        self.forest = forest
-        self.chosen = chosen
-        self.ledger = ledger
-        self.prefix = phase_prefix
-        # The cross edges of a push, as (publishing sid, src, dst) columns:
-        # up along the chosen edges, down along their reversals (known to
-        # the targets once the requests are announced).
-        ends = np.array(
-            [(u, v) for u, v, _t in chosen.values()], dtype=np.int64
-        ).reshape(-1, 2)
-        self._up = (list(chosen), ends[:, 0], ends[:, 1])
-        self._down: Optional[Tuple[List[int], np.ndarray, np.ndarray]] = None
+    def spread(value_of: Dict[int, object], at: np.ndarray) -> Sequence[object]:
+        return run_broadcast(
+            engine, forest,
+            {sid: value_of[sid] for sid in forest.roots if sid in value_of},
+            ledger, name=f"{phase_prefix}_broadcast",
+        ).received_at(at)
 
-    # -- plumbing ------------------------------------------------------
-    def edges(self) -> Dict[int, SuperEdge]:
-        return self.chosen
-
-    def all_supernodes(self) -> Sequence[int]:
-        return self.forest.roots
-
-    def initial_color(self, sid: int) -> int:
-        return self.net.uid[sid]
-
-    def announce_requests(self) -> None:
-        """Record in-edge knowledge: targets learn who points at them."""
-        sids, src, dst = self._up
-        requests = PayloadColumns([np.asarray(sids, dtype=np.int64)], tag="jreq")
-        u, v, _sid = cross_round(
-            self.engine, (src, dst, requests), self.ledger,
-            name=f"{self.prefix}_announce",
-        ).delivered
-        self._down = (self.forest.plan.root_of[v].tolist(), v, u)
-
-    # -- pushes --------------------------------------------------------
-    def _push(
-        self,
-        value_of: Dict[int, object],
-        edges: Tuple[List[int], np.ndarray, np.ndarray],
-        tag: str,
-        agg: Aggregation,
-    ) -> Dict[int, object]:
-        """Broadcast ``value_of`` down the trees, send what the source of
-        each publishing super-node's edge then holds across it, and
-        convergecast what arrived.
-        """
-        sids, src, dst = edges
-        publishing = np.fromiter(
-            map(value_of.__contains__, sids), dtype=bool, count=len(sids)
-        )
-        if not publishing.all():
-            src, dst = src[publishing], dst[publishing]
-        heard = run_broadcast(
-            self.engine, self.forest,
-            {sid: value_of[sid] for sid in self.forest.roots if sid in value_of},
-            self.ledger, name=f"{self.prefix}_broadcast",
-        ).received_at(src)
-        cross = cross_round(
-            self.engine, (src, dst, tag_payloads(tag, heard)),
-            self.ledger, name=f"{self.prefix}_cross_{tag}",
-        )
-        at_root = run_convergecast(
-            self.engine, self.forest, agg, cross.merged(agg, self.net.n),
-            self.ledger, name=f"{self.prefix}_convergecast",
+    def gather(values: Sequence[object], agg: Aggregation) -> Dict[int, object]:
+        return run_convergecast(
+            engine, forest, agg, values,
+            ledger, name=f"{phase_prefix}_convergecast",
         ).at_root
-        return {sid: val for sid, val in at_root.items() if val is not None}
 
-    def push_up(self, value_of: Dict[int, object], agg: Aggregation) -> Dict[int, object]:
-        return self._push(value_of, self._up, "up", agg)
-
-    def push_down(self, value_of: Dict[int, object]) -> Dict[int, object]:
-        if self._down is None:
-            self.announce_requests()
-        return self._push(value_of, self._down, "down", MIN)
-
-    def push_pred(self, value_of: Dict[int, object], agg: Aggregation) -> Dict[int, object]:
-        return self.push_up(value_of, agg)
+    leaders = dict(zip(forest.roots, forest.roots))
+    return SuperOps(
+        engine, net, leaders, spread, gather, chosen, ledger, phase_prefix
+    )

@@ -47,7 +47,7 @@ running the workload directly on the same engine (pinned by
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..congest.async_engine import AsyncEngine
 from ..congest.engine import Program
@@ -273,13 +273,11 @@ class RecoveryDriver:
                 rounds=rec.pulses, messages=rec.payload_messages,
             )
 
-    def _split_reelection(
-        self, ledger: CostLedger, solver: PASolver, attempt: int
-    ) -> CostLedger:
-        """Split a successful Algorithm 9 retry's ledger: re-election
-        phases (``alg9_*`` except the final setup) to the recovery
-        ledger, everything the fault-free path would also pay — tree,
-        final setup, waves — to the returned main ledger.
+    def _split_reelection(self, ledger: CostLedger, attempt: int) -> CostLedger:
+        """Split a clean retry's ledger: re-election phases (``alg9_*``
+        except the final setup) to the recovery ledger, everything the
+        fault-free path would also pay — tree, final setup, waves — to the
+        returned main ledger.
 
         A pure re-attribution of already-charged phases, so it uses
         ``record`` throughout: every phase was traced when the retry
@@ -294,8 +292,65 @@ class RecoveryDriver:
                 )
             else:
                 main.record(p)
-        main.merge(solver.tree_ledger, prefix="tree:")
         return main
+
+    def _attempts(self, workload: str, run: Callable[[int, PASolver], object]):
+        """The attempt / taint / await loop, once for every workload.
+
+        ``run(attempt, solver)`` runs the workload on a solver built for
+        the attempt — a fresh BFS tree and flood-min leader on the shared
+        engine, seed ``self.seed + attempt`` — and returns a result whose
+        ``ledger`` carries that solver's tree ledger under ``tree:``, so a
+        tainted attempt's whole cost is one merge under ``attempt{k}:``.
+        Every attempt after the first is a re-election, counted and traced
+        where it starts.  Returns the first trusted result.
+        """
+        detail = "no attempts made"
+        tracer = current_tracer()
+        for attempt in range(self.max_attempts):
+            self.stats.attempts += 1
+            fault_mark = len(self.engine.fault_log)
+            overhead_mark = len(self.engine.overhead_log)
+            attempt_us = tracer.now_us()
+            if attempt:
+                self.stats.reelections += 1
+                tracer.instant("reelection", "recovery", {"attempt": attempt})
+            try:
+                solver = PASolver(
+                    self.net, mode=self.mode, seed=self.seed + attempt,
+                    engine=self.engine,
+                )
+                result = run(attempt, solver)
+            except Exception as exc:
+                if not self._faults_since(fault_mark):
+                    raise  # a real bug, not fault fallout
+                outcome = "died"
+                detail = f"attempt {attempt} died: {type(exc).__name__}: {exc}"
+                self._charge_aborted(attempt, overhead_mark)
+            else:
+                if self._faults_since(fault_mark):
+                    # Completed, but the transport saw injections: the
+                    # output cannot be trusted, recompute after stabilizing.
+                    outcome = "tainted"
+                    detail = f"attempt {attempt} completed under observed faults"
+                    self.recovery_overhead.merge(
+                        result.ledger, prefix=f"attempt{attempt}:"
+                    )
+                else:
+                    outcome = "clean"
+                    if attempt:
+                        result.ledger = self._split_reelection(
+                            result.ledger, attempt
+                        )
+            tracer.complete(
+                "recovery.attempt", "recovery", attempt_us,
+                {"attempt": attempt, "workload": workload, "outcome": outcome},
+            )
+            if outcome == "clean":
+                return result
+            self.stats.tainted_attempts += 1
+            self._await_stability(detail)
+        raise RecoveryExhaustedError(self.stats, detail)
 
     # -- workloads -------------------------------------------------------
     def solve_pa(
@@ -311,82 +366,19 @@ class RecoveryDriver:
         leaders via Algorithm 9.  Returns the first trusted result, its
         ledger holding only the fault-free-equivalent cost.
         """
-        detail = "no attempts made"
-        tracer = current_tracer()
-        for attempt in range(self.max_attempts):
-            self.stats.attempts += 1
-            fault_mark = len(self.engine.fault_log)
-            overhead_mark = len(self.engine.overhead_log)
-            attempt_us = tracer.now_us() if tracer.enabled else 0
-            seed = self.seed + attempt
-            solver: Optional[PASolver] = None
-            try:
-                solver = PASolver(
-                    self.net, mode=self.mode, seed=seed, engine=self.engine
+        def run(attempt: int, solver: PASolver) -> PAResult:
+            if attempt == 0:
+                return solve_pa(
+                    self.net, partition, values, agg, solver=solver
                 )
-                if attempt == 0:
-                    result = solve_pa(
-                        self.net, partition, values, agg,
-                        mode=self.mode, seed=seed, solver=solver,
-                    )
-                else:
-                    self.stats.reelections += 1
-                    if tracer.enabled:
-                        tracer.instant(
-                            "reelection", "recovery", {"attempt": attempt}
-                        )
-                    result = solve_pa_without_leaders(
-                        self.net, partition, values, agg,
-                        mode=self.mode, seed=seed, solver=solver,
-                    )
-            except Exception as exc:
-                if not self._faults_since(fault_mark):
-                    raise  # a real bug, not fault fallout
-                self.stats.tainted_attempts += 1
-                self._charge_aborted(attempt, overhead_mark)
-                if tracer.enabled:
-                    tracer.complete(
-                        "recovery.attempt", "recovery", attempt_us,
-                        {"attempt": attempt, "workload": "pa",
-                         "outcome": "died"},
-                    )
-                detail = f"attempt {attempt} died: {type(exc).__name__}: {exc}"
-                self._await_stability(detail)
-                continue
-            if self._faults_since(fault_mark):
-                # Completed, but the transport saw injections: the output
-                # cannot be trusted, recompute after stabilizing.
-                self.stats.tainted_attempts += 1
-                self.recovery_overhead.merge(
-                    result.ledger, prefix=f"attempt{attempt}:"
-                )
-                if attempt > 0:
-                    # solve_pa merged the tree ledger already; the
-                    # Algorithm 9 path does not.
-                    self.recovery_overhead.merge(
-                        solver.tree_ledger, prefix=f"attempt{attempt}:tree:"
-                    )
-                if tracer.enabled:
-                    tracer.complete(
-                        "recovery.attempt", "recovery", attempt_us,
-                        {"attempt": attempt, "workload": "pa",
-                         "outcome": "tainted"},
-                    )
-                detail = f"attempt {attempt} completed under observed faults"
-                self._await_stability(detail)
-                continue
-            if attempt > 0:
-                result.ledger = self._split_reelection(
-                    result.ledger, solver, attempt
-                )
-            if tracer.enabled:
-                tracer.complete(
-                    "recovery.attempt", "recovery", attempt_us,
-                    {"attempt": attempt, "workload": "pa",
-                     "outcome": "clean"},
-                )
+            result = solve_pa_without_leaders(
+                self.net, partition, values, agg, solver=solver
+            )
+            # solve_pa folds the tree ledger in; Algorithm 9 does not.
+            result.ledger.merge(solver.tree_ledger, prefix="tree:")
             return result
-        raise RecoveryExhaustedError(self.stats, detail)
+
+        return self._attempts("pa", run)
 
     def minimum_spanning_tree(self, **mst_kwargs) -> RunResult:
         """MST that survives the engine's fault plan.
@@ -400,68 +392,10 @@ class RecoveryDriver:
         from ..algorithms.mst import minimum_spanning_tree
         from .session import PASession
 
-        detail = "no attempts made"
-        tracer = current_tracer()
-        for attempt in range(self.max_attempts):
-            self.stats.attempts += 1
-            fault_mark = len(self.engine.fault_log)
-            overhead_mark = len(self.engine.overhead_log)
-            attempt_us = tracer.now_us() if tracer.enabled else 0
-            seed = self.seed + attempt
-            try:
-                solver = PASolver(
-                    self.net, mode=self.mode, seed=seed, engine=self.engine
-                )
-                session = PASession(self.net, solver=solver)
-                result = minimum_spanning_tree(
-                    self.net, mode=self.mode, seed=seed, session=session,
-                    **mst_kwargs,
-                )
-            except Exception as exc:
-                if not self._faults_since(fault_mark):
-                    raise
-                self.stats.tainted_attempts += 1
-                if attempt > 0:
-                    self.stats.reelections += 1
-                self._charge_aborted(attempt, overhead_mark)
-                if tracer.enabled:
-                    tracer.complete(
-                        "recovery.attempt", "recovery", attempt_us,
-                        {"attempt": attempt, "workload": "mst",
-                         "outcome": "died"},
-                    )
-                detail = f"attempt {attempt} died: {type(exc).__name__}: {exc}"
-                self._await_stability(detail)
-                continue
-            if self._faults_since(fault_mark):
-                self.stats.tainted_attempts += 1
-                if attempt > 0:
-                    self.stats.reelections += 1
-                self.recovery_overhead.merge(
-                    result.ledger, prefix=f"attempt{attempt}:"
-                )
-                # MST results do not fold the tree ledger in (callers
-                # merge it when they want it); the tainted attempt's
-                # tree build is recovery cost like everything else.
-                self.recovery_overhead.merge(
-                    solver.tree_ledger, prefix=f"attempt{attempt}:tree:"
-                )
-                if tracer.enabled:
-                    tracer.complete(
-                        "recovery.attempt", "recovery", attempt_us,
-                        {"attempt": attempt, "workload": "mst",
-                         "outcome": "tainted"},
-                    )
-                detail = f"attempt {attempt} completed under observed faults"
-                self._await_stability(detail)
-                continue
-            if attempt > 0:
-                self.stats.reelections += 1
-            if tracer.enabled:
-                tracer.complete(
-                    "recovery.attempt", "recovery", attempt_us,
-                    {"attempt": attempt, "workload": "mst",
-                     "outcome": "clean"},
-                )
-            return result
-        raise RecoveryExhaustedError(self.stats, detail)
+        def run(_attempt: int, solver: PASolver) -> RunResult:
+            return minimum_spanning_tree(
+                self.net, mode=self.mode, seed=solver.seed,
+                session=PASession(self.net, solver=solver), **mst_kwargs,
+            )
+
+        return self._attempts("mst", run)

@@ -179,7 +179,7 @@ class PASession:
     ``engine``) is chosen where the engine is built — on a ``PASolver``
     handed in through ``solver=``.  The session's own settings:
 
-    shortcut_provider / family / family_param / claim_small:
+    shortcut_provider / family:
         Which shortcut construction ``prepare`` uses.  ``family`` names a
         registry row (``"planar"``, ``"treewidth"``, ...) and resolves to
         a provider via :func:`repro.families.provider_for`; passing both
@@ -229,8 +229,6 @@ class PASession:
         strict_edges: bool = True,
         shortcut_provider: Optional[object] = None,
         family: Optional[str] = None,
-        family_param: Optional[int] = None,
-        claim_small: bool = False,
         reuse: bool = False,
         batch: bool = False,
         max_entries: Optional[int] = None,
@@ -248,9 +246,7 @@ class PASession:
                 )
             from ..families.registry import provider_for
 
-            shortcut_provider = provider_for(
-                family, param=family_param, claim_small=claim_small
-            )
+            shortcut_provider = provider_for(family)
         self.shortcut_provider = shortcut_provider
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1 (or None for unbounded)")

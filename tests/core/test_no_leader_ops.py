@@ -1,4 +1,4 @@
-"""PASuperOps: PA-backed super-node pushes (Algorithm 9 / MST merging)."""
+"""SuperOps over the PA transport (Algorithm 9 / MST and k-dominating merging)."""
 
 from repro.congest import CostLedger
 from repro.core import SUM, PASolver
@@ -20,7 +20,7 @@ def make_ops(chosen_pairs):
         u = max(part.members[src]) if dst > src else min(part.members[src])
         v = u + 1 if dst > src else u - 1
         chosen[src] = (u, v, dst)
-    ops = PASuperOps(solver, setup, chosen, ledger)
+    ops = PASuperOps(solver.engine, solver.solve, setup, chosen, ledger)
     ops.announce_requests()
     return net, part, ops
 
@@ -46,4 +46,4 @@ def test_push_pred_delivers_source_values():
 
 def test_initial_colors_are_leader_uids():
     net, part, ops = make_ops([(0, 1)])
-    assert ops.initial_color(0) == net.uid[ops.setup.leaders[0]]
+    assert ops.initial_color(0) == net.uid[ops.leaders[0]]

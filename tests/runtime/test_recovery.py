@@ -12,6 +12,7 @@ from repro.core import PASolver, SUM, solve_pa
 from repro.algorithms.mst import minimum_spanning_tree
 from repro.analysis.reference import kruskal_mst
 from repro.graphs import random_connected, random_connected_partition, with_distinct_weights
+from repro.obs import Tracer, use_tracer
 from repro.runtime import (
     HeartbeatConfig,
     PASession,
@@ -154,6 +155,72 @@ def test_mst_recovers_from_two_crashes(workload):
     assert driver.stats.tainted_attempts >= 1
     assert driver.stats.reelections >= 1
     assert sum(p.messages for p in driver.recovery_overhead.phases()) > 0
+
+
+def _died_tainted_clean():
+    """A network and plan under which attempt 0 dies, attempt 1 completes
+    tainted and attempt 2 is clean — for MST (randomized) and for PA
+    (deterministic) alike."""
+    net = with_distinct_weights(random_connected(20, 0.15, seed=1), seed=6)
+    plan = FaultPlan.seeded(
+        1000, 20, crashes=1, recover=True, crash_window=(1, 400),
+        outage=(2, 6), partition=True, partition_window=(3, 9),
+    )
+    return net, plan
+
+
+def test_tainted_mst_attempt_charges_its_tree_election_once():
+    """An MST result's ledger already carries the tree ledger under
+    ``tree:``; the driver used to merge it into ``recovery_overhead`` a
+    second time (588 rounds / 8 656 messages for a 583 / 8 401 cost)."""
+    net, plan = _died_tainted_clean()
+    driver = RecoveryDriver(net, faults=plan, seed=7)
+    res = driver.minimum_spanning_tree()
+    assert res.output == frozenset(kruskal_mst(net))
+    assert (driver.stats.attempts, driver.stats.tainted_attempts) == (3, 2)
+    recovery = driver.recovery_overhead
+    tree = [
+        (p.name, p.rounds, p.messages)
+        for p in recovery.phases() if ":tree:" in p.name
+    ]
+    assert tree == [
+        ("attempt1:tree:leader_election", 4, 236),
+        ("attempt1:tree:child_ack", 1, 19),
+    ]
+    assert (recovery.rounds, recovery.messages) == (583, 8401)
+    main = res.ledger
+    assert (len(main.phases()), main.rounds, main.messages) == (205, 779, 9696)
+
+
+def test_both_workloads_trace_their_attempts_alike():
+    """One attempt loop: a died, a tainted and a clean attempt emit the
+    same ``recovery.attempt`` span arguments whatever the workload, and
+    every attempt after the first starts with a ``reelection`` instant."""
+    net, plan = _died_tainted_clean()
+    part = random_connected_partition(net, 4, seed=9)
+    values = [(v * 7 + 3) % 101 for v in range(net.n)]
+    runs = {
+        "mst": ("randomized", lambda d: d.minimum_spanning_tree()),
+        "pa": ("deterministic", lambda d: d.solve_pa(part, values, SUM)),
+    }
+    for workload, (mode, run) in runs.items():
+        driver = RecoveryDriver(net, faults=plan, seed=7, mode=mode)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            run(driver)
+        events = [
+            (e["name"], e["args"]) for e in tracer.events
+            if e["name"] in ("recovery.attempt", "reelection")
+        ]
+        span = lambda k, outcome: ("recovery.attempt", {
+            "attempt": k, "workload": workload, "outcome": outcome,
+        })
+        assert events == [
+            span(0, "died"),
+            ("reelection", {"attempt": 1}), span(1, "tainted"),
+            ("reelection", {"attempt": 2}), span(2, "clean"),
+        ]
+        assert driver.stats.reelections == 2
 
 
 def test_seeded_plan_recovery_converges(workload):

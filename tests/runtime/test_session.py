@@ -214,6 +214,32 @@ def test_reuse_reduces_mst_ledger_rounds(mode):
 # ----------------------------------------------------------------------
 # The cache and the coarsening path
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("workload", ["mst-star", "kdom"])
+@pytest.mark.parametrize("mode", ["randomized", "deterministic"])
+def test_every_pa_solve_of_an_algorithm_is_a_session_solve(mode, workload):
+    """The seam, as an invariant: a solve is exactly one ``*_wave`` phase
+    outside a ``setup:`` prefix, and the session counted each of them —
+    the star joining's pushes (two PA solves a push) included."""
+    net = with_distinct_weights(grid_2d(7, 8), seed=3)
+    session = PASession(net, mode=mode, seed=5)
+    if workload == "mst-star":
+        result = minimum_spanning_tree(
+            net, mode=mode, seed=5, merging="star", session=session
+        )
+    else:
+        result = k_dominating_set(net, 12, mode=mode, seed=5, session=session)
+    solves = sum(
+        p.name.endswith("_wave") and "setup:" not in p.name
+        for p in result.ledger.phases()
+    )
+    star_pushes = sum(
+        p.name.endswith("_wave") and "_star_" in p.name
+        for p in result.ledger.phases()
+    )
+    assert session.stats.solves == solves
+    assert 0 < star_pushes < solves
+
+
 def test_prepare_cache_hit_is_construction_free():
     net = grid_2d(6, 8)
     part = random_connected_partition(net, 6, seed=3)

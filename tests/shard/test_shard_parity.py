@@ -265,7 +265,15 @@ def test_mst_end_to_end_parity(mode, workers):
         result = minimum_spanning_tree(
             net, mode=mode, seed=5, session=session
         )
-        assert session.stats.sharded_solves > 0
+        # The seam: a solve is exactly one ``*_wave`` phase outside a
+        # ``setup:`` prefix, and every one of them — the star joining's
+        # pushes included — went through the session, hence to the shards.
+        solves = sum(
+            p.name.endswith("_wave") and "setup:" not in p.name
+            for p in result.ledger.phases()
+        )
+        assert session.stats.sharded_solves == solves > 0
+        assert session.stats.sharded_fallbacks == 0
         assert sorted(result.output) == sorted(expected.output)
         assert _phase_sig(result.ledger) == _phase_sig(expected.ledger)
     finally:
