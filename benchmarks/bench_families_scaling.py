@@ -27,13 +27,11 @@ Two demonstrations:
   certificate, at n up to 50k.
 
 Like the other scaling sweeps everything runs with ``strict_bits=False``
-and ``strict_edges=False`` (ledger parity is pinned by the engine tests);
-``REPRO_FAMILIES_MAX_N`` caps the sweep (default 50000).
+and ``strict_edges=False`` (ledger parity is pinned by the engine tests).
+The sizes are module constants: ``--check-against`` pins their ledgers.
 """
 
 import math
-import os
-import time
 
 from repro.bench import print_table, record, run_once
 from repro.core import SUM, PASolver, full_tree_shortcut
@@ -52,8 +50,6 @@ from repro.graphs import (
     row_partition,
     series_parallel,
 )
-
-MAX_N = int(os.environ.get("REPRO_FAMILIES_MAX_N", "50000"))
 
 #: Tall grids (rows x 8): one part per row; D ~ rows while sqrt n ~ sqrt(8 rows).
 TALL_ROWS = (32, 64, 128, 256)
@@ -78,17 +74,15 @@ def _fresh_solver(net, seed):
 
 def _full_pa(net, partition, provider, seed):
     """Full pipeline (tree + prepare + solve); returns quality + ledger."""
-    start = time.perf_counter()
     solver = _fresh_solver(net, seed)
     setup = solver.prepare(partition, shortcut_provider=provider)
     result = solver.solve(setup, [1] * net.n, SUM, charge_setup=True)
-    wall = time.perf_counter() - start
     assert all(
         result.aggregates[pid] == len(partition.members[pid])
         for pid in range(partition.num_parts)
     ), "PA sum must count each part's members"
     b, c = setup.quality()
-    return b, c, result.rounds, result.messages, wall
+    return b, c, result.rounds, result.messages
 
 
 def test_planar_congestion_tracks_diameter(benchmark):
@@ -98,8 +92,6 @@ def test_planar_congestion_tracks_diameter(benchmark):
         tall_data = []
         for rows in TALL_ROWS:
             n = rows * TALL_COLS
-            if n > MAX_N:
-                continue
             net = grid_2d(rows, TALL_COLS)
             part = row_partition(rows, TALL_COLS)
             # Root pinned at the corner: every row's Steiner subtree then
@@ -143,48 +135,39 @@ def test_planar_congestion_tracks_diameter(benchmark):
         # --- Square grids + random planar: full pipelines side by side -
         square_rows_out = []
         square_data = []
-        walls = {}
         for kind, side in [("grid", s) for s in SQUARE_SIDES] + [
             ("random_planar", 141), ("random_planar", 223),
         ]:
             n = side * side
-            if n > MAX_N:
-                continue
             if kind == "grid":
                 net = grid_2d(side, side)
             else:
                 net = random_planar(n, seed=13)
             d = net.diameter_estimate()
             part = bfs_ball_partition(net, 2 * (d + 1), seed=12)
-            b_t, c_t, rounds_t, msgs_t, wall_t = _full_pa(
+            b_t, c_t, rounds_t, msgs_t = _full_pa(
                 net, part, TreeRestrictedProvider(), seed=11
             )
-            b_g, c_g, rounds_g, msgs_g, wall_g = _full_pa(
-                net, part, None, seed=11
-            )
+            b_g, c_g, rounds_g, msgs_g = _full_pa(net, part, None, seed=11)
             envelope = d * _log2(n)
-            walls[f"{kind}_{n}_tree"] = wall_t
-            walls[f"{kind}_{n}_general"] = wall_g
             square_data.append(
                 (kind, n, d, b_t, c_t, envelope, rounds_t, msgs_t,
                  b_g, c_g, rounds_g, msgs_g)
             )
             square_rows_out.append(
                 (kind, n, d, part.num_parts, f"{b_t}/{c_t}", envelope,
-                 rounds_t, f"{b_g}/{c_g}", rounds_g,
-                 f"{wall_t:.2f}/{wall_g:.2f}")
+                 rounds_t, f"{b_g}/{c_g}", rounds_g)
             )
         print_table(
             "Planar full pipelines (BFS-ball parts > D): family provider "
             "vs general",
             ["family", "n", "D", "parts", "tree b/c", "envelope",
-             "tree rounds", "general b/c", "general rounds",
-             "wall t/g (s)"],
+             "tree rounds", "general b/c", "general rounds"],
             square_rows_out,
         )
-        return tall_data, square_data, walls
+        return tall_data, square_data
 
-    tall_data, square_data, walls = run_once(benchmark, experiment)
+    tall_data, square_data = run_once(benchmark, experiment)
 
     # Tall grids: c grows with D (within the Table 1 envelope) and is NOT
     # sqrt(n)-driven — on the largest instance it exceeds sqrt n severalfold.
@@ -192,13 +175,10 @@ def test_planar_congestion_tracks_diameter(benchmark):
         assert c_t <= envelope, (rows, c_t, envelope)
         assert c_t >= d // 4, (rows, c_t, d)
         assert b_t <= max(3, 2 * _log2(d)), (rows, b_t)
-    if tall_data and tall_data[-1][0] == TALL_ROWS[-1]:
-        # Only meaningful when the sweep reached the largest tall grid;
-        # a lowered REPRO_FAMILIES_MAX_N smoke run skips the growth check.
-        largest = tall_data[-1]
-        assert largest[5] > 2 * largest[3], (
-            "tree-restricted congestion should track D, not sqrt n"
-        )
+    largest = tall_data[-1]
+    assert largest[5] > 2 * largest[3], (
+        "tree-restricted congestion should track D, not sqrt n"
+    )
 
     # Square grids: the family construction stays inside the O~(D)
     # envelope with single-block parts while running the full pipeline.
@@ -206,53 +186,41 @@ def test_planar_congestion_tracks_diameter(benchmark):
         assert c_t <= envelope, (kind, n, c_t, envelope)
         assert b_t <= max(3, 2 * _log2(d)), (kind, n, b_t)
 
-    metrics = {
-        "tall_c_by_rows": {str(r[0]): r[5] for r in tall_data},
-        "wall_seconds_by_workload": {
-            k: round(v, 4) for k, v in walls.items()
-        },
-    }
-    if square_data:
-        headline = square_data[-1]
-        metrics.update(
-            rounds=headline[6], messages=headline[7],
-            largest_planar_n=headline[1],
-        )
-    record(benchmark, **metrics)
+    headline = square_data[-1]
+    record(
+        benchmark,
+        rounds=headline[6], messages=headline[7],
+        largest_planar_n=headline[1],
+        tall_c_by_rows={str(r[0]): r[5] for r in tall_data},
+    )
 
 
 def test_width_families_scaling(benchmark):
     def experiment():
         rows_out = []
         data = []
-        walls = {}
         headline = None
 
         def measure(family, net, part, provider, envelope, solve, seed=21):
             nonlocal headline
             if solve:
-                b, c, rounds, msgs, wall = _full_pa(net, part, provider, seed)
+                b, c, rounds, msgs = _full_pa(net, part, provider, seed)
             else:
-                start = time.perf_counter()
                 solver = _fresh_solver(net, seed)
                 setup = solver.prepare(part, shortcut_provider=provider)
                 b, c = setup.quality()
                 rounds = setup.setup_ledger.rounds
                 msgs = setup.setup_ledger.messages
-                wall = time.perf_counter() - start
             d = net.diameter_estimate()
-            walls[f"{family}_{net.n}"] = wall
             data.append((family, net.n, d, b, c, envelope))
             rows_out.append(
                 (family, net.n, d, part.num_parts, b, c, envelope,
-                 rounds, msgs, f"{wall:.2f}")
+                 rounds, msgs)
             )
             if solve:
                 headline = (rounds, msgs, net.n)
 
         for n in TREEWIDTH_SIZES:
-            if n > MAX_N:
-                continue
             net = k_tree(n, 3, seed=19)
             part = bfs_ball_partition(net, 55, seed=20)
             measure(
@@ -260,8 +228,6 @@ def test_width_families_scaling(benchmark):
                 envelope=2 * 3 * _log2(n), solve=(n <= 8192),
             )
         for n in SP_SIZES:
-            if n > MAX_N:
-                continue
             net = series_parallel(n, seed=19)
             part = bfs_ball_partition(net, 55, seed=20)
             measure(
@@ -269,8 +235,6 @@ def test_width_families_scaling(benchmark):
                 envelope=2 * 2 * _log2(n), solve=(n <= 8192),
             )
         for n in PATHWIDTH_SIZES:
-            if n > MAX_N:
-                continue
             length = n // 2
             net = ladder(length)
             # contiguous rung segments, forced to claim (segments < D)
@@ -280,33 +244,29 @@ def test_width_families_scaling(benchmark):
                 PathwidthProvider(width=2, claim_small=True),
                 envelope=2 * (3 + 1), solve=(n <= 8192),
             )
-        n_cat = 24000
-        if n_cat <= MAX_N:
-            net = caterpillar(8000, 2)
-            part = bfs_ball_partition(net, 250, seed=20)
-            measure(
-                "caterpillar", net, part,
-                PathwidthProvider(width=1, claim_small=True),
-                envelope=2 * (2 + 1), solve=False,
-            )
+        net = caterpillar(8000, 2)
+        part = bfs_ball_partition(net, 250, seed=20)
+        measure(
+            "caterpillar", net, part,
+            PathwidthProvider(width=1, claim_small=True),
+            envelope=2 * (2 + 1), solve=False,
+        )
 
         print_table(
             "Width families at scale: measured (b, c) vs the Table 1 "
             "envelopes",
             ["family", "n", "D", "parts", "b", "c", "c envelope",
-             "rounds", "messages", "wall (s)"],
+             "rounds", "messages"],
             rows_out,
         )
-        return data, walls, headline
+        return data, headline
 
-    data, walls, headline = run_once(benchmark, experiment)
+    data, headline = run_once(benchmark, experiment)
     for family, n, d, b, c, envelope in data:
         assert c <= envelope, (family, n, c, envelope)
         assert b <= max(4, 3 * _log2(n)), (family, n, b)
-    if headline is not None:
-        record(benchmark, rounds=headline[0], messages=headline[1])
     record(
         benchmark,
+        rounds=headline[0], messages=headline[1],
         families={f"{fam}_{n}": (b, c) for fam, n, _d, b, c, _e in data},
-        wall_seconds_by_workload={k: round(v, 4) for k, v in walls.items()},
     )

@@ -16,21 +16,16 @@ ledger-is-ground-truth rule:
    what makes ``python -m repro.obs diff`` a per-phase regression gate
    rather than a sampling profiler.
 
-The wall-clock table quantifies the off-path tax two ways: the per-phase
-hook cost in isolation (a tight ``current_tracer()`` + ``enabled`` loop)
-and end-to-end solve walls with tracing off vs on.  Per the repo-wide
-rule, wall numbers are reported, never asserted (``benchmarks/perf``
-measures ``obs.trace_overhead_ratio``); the deterministic
-identity/replay assertions always run.
+What tracing costs in wall time is ``obs.trace_overhead_ratio`` in
+``benchmarks/perf`` (every workload, ``--trace 1``), not a number
+recorded here.
 """
-
-import time
 
 from repro.bench import print_table, record, run_once
 from repro.congest import SynchronousSchedule
 from repro.core import SUM, PASolver, solve_pa
 from repro.graphs import bfs_ball_partition, grid_2d
-from repro.obs import NULL_TRACER, Tracer, current_tracer, use_tracer
+from repro.obs import NULL_TRACER, Tracer, use_tracer
 
 #: (label, PASolver kwargs) — one entry per engine implementation.
 ENGINES = [
@@ -114,59 +109,3 @@ def test_tracing_identity_and_replay(benchmark):
         trace_events_async=data["events_async"],
     )
 
-
-def test_null_tracer_overhead(benchmark):
-    """The disabled hook path costs one fetch + one flag check per phase."""
-    net = grid_2d(8, 8)
-    partition = bfs_ball_partition(net, target_size=12, seed=3)
-    values = [(v * 5 + 1) % 31 for v in range(net.n)]
-    reps = 3
-
-    def experiment():
-        # Isolated hook cost: the entire per-phase work when disabled.
-        # NULL_TRACER is scoped explicitly so the measurement (and the
-        # "off" walls below) stay valid under the runner's --trace.
-        loops = 200_000
-        enabled_hits = 0
-        with use_tracer(NULL_TRACER):
-            t0 = time.perf_counter()
-            for _ in range(loops):
-                tracer = current_tracer()
-                if tracer.enabled:
-                    enabled_hits += 1
-            hook_ns = (time.perf_counter() - t0) / loops * 1e9
-        assert enabled_hits == 0
-
-        def median_wall(tracer):
-            walls = []
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                with use_tracer(tracer):
-                    solve_pa(net, partition, values, SUM, seed=7)
-                walls.append(time.perf_counter() - t0)
-            return sorted(walls)[reps // 2]
-
-        wall_off = median_wall(NULL_TRACER)
-        wall_on = median_wall(Tracer())
-        return hook_ns, wall_off, wall_on
-
-    hook_ns, wall_off, wall_on = run_once(benchmark, experiment)
-    print_table(
-        "E-obs: NullTracer overhead (walls reported, never gated)",
-        ["metric", "value"],
-        [
-            ("hook fetch+check (ns/op)", f"{hook_ns:.0f}"),
-            ("solve wall, tracing off (ms)", f"{wall_off * 1e3:.2f}"),
-            ("solve wall, tracing on (ms)", f"{wall_on * 1e3:.2f}"),
-            ("on/off ratio", f"{wall_on / wall_off:.2f}"),
-        ],
-    )
-    res = solve_pa(net, partition, values, SUM, seed=7)
-    record(
-        benchmark,
-        hook_ns_per_op=round(hook_ns),
-        wall_off_seconds=round(wall_off, 4),
-        wall_on_seconds=round(wall_on, 4),
-        rounds=res.rounds,
-        messages=res.messages,
-    )

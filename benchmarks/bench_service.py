@@ -7,11 +7,13 @@ Three claims about the :mod:`repro.service` layer:
    fewer metered rounds AND messages than ``max_batch=1`` (sequential
    per-query waves), with bit-identical answers.
 
-2. **Throughput degrades gracefully with churn.**  Queries/sec is
-   measured against the graph-update rate (0 / 0.25 / 0.5 updates per
-   wave); the session absorbs the churn incrementally — the
-   ``SessionStats`` hit rates show coarsen/refine/repair doing the work
-   instead of full prepares.  Walls are reported, never gated.
+2. **Throughput degrades gracefully with churn.**  The model's
+   throughput — metered rounds per query — is measured against the
+   graph-update rate (0 / 0.25 / 0.5 updates per wave); the session
+   absorbs the churn incrementally — the ``SessionStats`` hit rates show
+   coarsen/refine/repair doing the work instead of full prepares.
+   (Queries per second is ``service_churn``'s ``queries_per_s`` in
+   ``benchmarks/perf``.)
 
 3. **Repairs reproduce full prepares.**  An edge-delete repair (tree
    preserved, so the verified budget is trivially intact) serves the
@@ -24,13 +26,12 @@ The scenario is the sensor-fleet one from examples/: a 2D sensor grid in
 geographic clusters, three tenants (ops / billing / science) streaming
 min/sum/top-k queries while chords appear and disappear and clusters
 merge and re-split.  Headline rounds/messages are deterministic and
-regression-gated; queries/sec is a hardware fact.
+regression-gated.
 """
 
 from __future__ import annotations
 
 import random
-import time
 
 from repro import PASession
 from repro.bench import print_table, record, run_once
@@ -99,13 +100,12 @@ def _chord(net, rng, present):
 
 
 def _serve(update_rate, max_batch, seed=7):
-    """Run the fixed stream; returns (service, wall_seconds, queries)."""
+    """Run the fixed stream; returns (service, queries)."""
     net, partition = _scenario()
     rng = random.Random(seed)
     svc = PAService(net, partition, seed=17, max_batch=max_batch)
     chords = []
     queries = 0
-    t0 = time.perf_counter()
     for wave in range(WAVES):
         for tenant, query in _query_stream(svc.net, rng):
             svc.submit(tenant, query)
@@ -138,37 +138,37 @@ def _serve(update_rate, max_batch, seed=7):
                 # cached (or refined) return to the base clustering.
                 svc.update_partition(Partition([0] * svc.net.n))
                 svc.update_partition(partition)
-    wall = time.perf_counter() - t0
     svc.close()
-    return svc, wall, queries
+    return svc, queries
 
 
 def test_service_throughput_vs_update_rate(benchmark):
-    """Queries/sec against churn; batching beats sequential serving."""
+    """Rounds per query against churn; batching beats sequential serving."""
 
     def experiment():
         rows = []
         data = {}
         for rate in UPDATE_RATES:
-            svc, wall, queries = _serve(rate, BATCH)
+            svc, queries = _serve(rate, BATCH)
             stats = svc.session_stats()
             incremental = (
                 stats["cache_hits"] + stats["coarsenings"]
                 + stats["refinements"] + stats["repairs"]
             )
             rows.append((
-                f"{rate:.2f}", queries, f"{queries / wall:.0f}",
+                f"{rate:.2f}", queries,
+                f"{svc.ledger.rounds / queries:.1f}",
                 svc.ledger.rounds, svc.ledger.messages,
                 stats["prepares"], stats["cache_hits"],
                 stats["coarsenings"], stats["refinements"],
                 stats["repairs"], stats["graph_rebuilds"],
             ))
-            data[rate] = (svc, wall, queries, incremental, stats)
+            data[rate] = (svc, queries, incremental, stats)
         print_table(
             "PR10: PAService throughput vs graph-update rate "
             f"(grid {ROWS}x{COLS}, {len(TENANTS)} tenants, "
             f"max_batch={BATCH})",
-            ["update rate", "queries", "q/sec", "rounds", "messages",
+            ["update rate", "queries", "rounds/query", "rounds", "messages",
              "prepares", "cache hits", "coarsen", "refine", "repairs",
              "rebuilds"],
             rows,
@@ -179,8 +179,8 @@ def test_service_throughput_vs_update_rate(benchmark):
 
     # Claim 1: the same stream, batched vs sequential.  Both pay the
     # identical ``prepare:`` phases, so total ledgers compare directly.
-    batched, _, _, _, _ = data[0.0]
-    sequential, _, seq_queries = _serve(0.0, 1)
+    batched, queries0, _, _ = data[0.0]
+    sequential, seq_queries = _serve(0.0, 1)
     assert batched.stats.batched_queries == WAVES * BATCH
     assert sequential.stats.solo_queries == seq_queries
     assert batched.ledger.rounds < sequential.ledger.rounds
@@ -188,29 +188,29 @@ def test_service_throughput_vs_update_rate(benchmark):
 
     # Claim 2: under churn the session serves incrementally — full
     # prepares stay at 1 (the initial one) plus any counted fallbacks.
-    churn_svc, churn_wall, churn_queries, incremental, stats = data[0.5]
+    churn_svc, churn_queries, incremental, stats = data[0.5]
     assert incremental > 0
     assert stats["prepares"] <= 1 + stats["rebuilds"] + stats["graph_rebuilds"]
 
-    svc0, wall0, queries0, _, _ = data[0.0]
     record(
         benchmark,
-        # Headline (deterministic, gated): the no-churn stream's cost.
-        rounds=svc0.ledger.rounds,
-        messages=svc0.ledger.messages,
+        # Headline (gated): the no-churn stream's cost.
+        rounds=batched.ledger.rounds,
+        messages=batched.ledger.messages,
         churn_rounds=churn_svc.ledger.rounds,
         churn_messages=churn_svc.ledger.messages,
         sequential_rounds=sequential.ledger.rounds,
         sequential_messages=sequential.ledger.messages,
-        batched_queries=svc0.stats.batched_queries,
-        waves=svc0.stats.waves,
+        batched_queries=batched.stats.batched_queries,
+        waves=batched.stats.waves,
         cache_hits=stats["cache_hits"],
         coarsenings=stats["coarsenings"],
         refinements=stats["refinements"],
         repairs=stats["repairs"],
-        # Walls (hardware facts, never gated).
-        qps_rate0=round(queries0 / wall0, 1),
-        qps_rate50=round(churn_queries / churn_wall, 1),
+        rounds_per_query_rate0=round(batched.ledger.rounds / queries0, 1),
+        rounds_per_query_rate50=round(
+            churn_svc.ledger.rounds / churn_queries, 1
+        ),
     )
 
 

@@ -13,16 +13,10 @@ Two claims about the :class:`repro.runtime.PASession` layer:
    wave pass instead of k; the ledger shows the round/message saving and
    the aggregates are unchanged.
 
-``REPRO_SESSION_MAX_N`` caps the sweep (default 20000; the issue's range
-runs to 50000 — raise the env var to measure it).  Wall times are
-reported, never asserted: they are hardware facts, and ledger
-rounds/messages are the headline metrics and the regression-gate
-contract.
+Ledger rounds/messages are the headline metrics and the regression-gate
+contract; the MST runs on one 32x64 grid (``mst_reuse`` sweeps the sizes
+on the wall side).
 """
-
-import math
-import os
-import time
 
 from repro import PASession
 from repro.algorithms import minimum_spanning_tree
@@ -31,63 +25,35 @@ from repro.bench import print_table, record, run_once
 from repro.core import MIN, MIN_TUPLE, SUM
 from repro.graphs import bfs_ball_partition, grid_2d, with_distinct_weights
 
-MAX_N = int(os.environ.get("REPRO_SESSION_MAX_N", "20000"))
-
-#: (rows, cols) MST sweep; the largest obeys MAX_N.
-_SIZES = [(32, 64), (100, 200), (200, 250)]
-
-
-def _mst_workloads():
-    out = []
-    for rows, cols in _SIZES:
-        if rows * cols <= max(2048, MAX_N):
-            out.append((rows, cols))
-    return out
+#: (rows, cols) of the MST grid.
+MST_GRID = (32, 64)
 
 
 def test_mst_session_reuse(benchmark):
     """Full Boruvka MST, bare pipeline vs reusing+batching session."""
 
     def experiment():
-        rows_out = []
-        data = {}
-        for rows, cols in _mst_workloads():
-            net = with_distinct_weights(grid_2d(rows, cols), seed=rows)
-            t0 = time.perf_counter()
-            off = minimum_spanning_tree(net, seed=17)
-            wall_off = time.perf_counter() - t0
+        rows, cols = MST_GRID
+        net = with_distinct_weights(grid_2d(rows, cols), seed=rows)
+        off = minimum_spanning_tree(net, seed=17)
+        sess = PASession(net, seed=17, reuse=True, batch=True)
+        on = minimum_spanning_tree(net, seed=17, session=sess)
 
-            sess = PASession(net, seed=17, reuse=True, batch=True)
-            t0 = time.perf_counter()
-            on = minimum_spanning_tree(net, seed=17, session=sess)
-            wall_on = time.perf_counter() - t0
+        assert set(on.output) == set(off.output), "reuse changed the MST"
+        assert set(off.output) == kruskal_mst(net)
 
-            assert set(on.output) == set(off.output), "reuse changed the MST"
-            if net.n <= 4096:
-                assert set(off.output) == kruskal_mst(net)
-
-            stats = sess.stats
-            rows_out.append(
-                (f"grid {rows}x{cols}", net.n,
-                 f"{wall_off:.2f}", f"{wall_on:.2f}",
-                 f"{wall_off / wall_on:.2f}",
-                 off.rounds, on.rounds,
-                 off.messages, on.messages,
-                 stats.coarsenings, stats.cache_hits, stats.rebuilds)
-            )
-            data[net.n] = (off, on, wall_off, wall_on, stats)
+        stats = sess.stats
         print_table(
             "PR4: MST end-to-end, bare pipeline vs PASession(reuse, batch)",
-            ["graph", "n", "wall off (s)", "wall on (s)", "speedup",
-             "rounds off", "rounds on", "msgs off", "msgs on",
+            ["graph", "n", "rounds off", "rounds on", "msgs off", "msgs on",
              "coarsenings", "cache hits", "rebuilds"],
-            rows_out,
+            [(f"grid {rows}x{cols}", net.n, off.rounds, on.rounds,
+              off.messages, on.messages,
+              stats.coarsenings, stats.cache_hits, stats.rebuilds)],
         )
-        return data
+        return net.n, off, on, stats
 
-    data = run_once(benchmark, experiment)
-    largest_n = max(data)
-    off, on, wall_off, wall_on, stats = data[largest_n]
+    n, off, on, stats = run_once(benchmark, experiment)
 
     # Reuse must never inflate the metered cost model.
     assert on.rounds < off.rounds
@@ -97,10 +63,7 @@ def test_mst_session_reuse(benchmark):
     assert stats.coarsenings >= 4 * stats.rebuilds
     record(
         benchmark,
-        largest_n=largest_n,
-        wall_off_seconds=round(wall_off, 3),
-        wall_on_seconds=round(wall_on, 3),
-        speedup=round(wall_off / wall_on, 3),
+        n=n,
         rounds_off=off.rounds,
         rounds_on=on.rounds,
         prepares=stats.prepares,

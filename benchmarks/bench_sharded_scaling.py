@@ -4,30 +4,17 @@ The claim under test: ``PASession(backend="sharded")`` keeps the ledger
 **bit-for-bit** identical to the serial array engine — same phase names,
 same rounds, same messages, for every worker count — while spreading the
 wave-phase work over forked workers.  Both experiments assert that
-parity in-bench for workers in {1, 2, 4, 8} before recording any
-timing, so a drift can never hide behind a speedup.
+parity in-bench for workers in {1, 2, 4, 8}: the worker count is not a
+model fact, and the tables show it.
 
-Scaling knobs:
-
-* ``REPRO_SHARD_BENCH_N`` — target node count for the PA sweep (default
-  4096; the issue's million-node measurement runs with
-  ``REPRO_SHARD_BENCH_N=1000000``).  The grid is sized to the nearest
-  square.
-* ``REPRO_SHARD_BENCH_MST_N`` — node count for the MST sweep (default
-  1024; end-to-end Boruvka is heavier per node than one PA pass).
-* ``REPRO_SHARD_WORKERS`` — comma-separated worker counts (default
-  ``1,2,4,8``).
-
-Wall times are hardware facts: they are recorded (per worker count,
-with per-shard walls and ship/merge overhead from
-``session.shard_report``) but never gated — speedup depends on the
-machine's core count, and a single-core runner legitimately measures a
-flat curve.  The deterministic ledger assertions always run.
+Whether sharding *pays* is a wall question and is not asked here: the
+``pa_sharded`` workload of ``benchmarks/perf`` records ``shard.ship_s`` /
+``shard.barrier_s`` / ``shard.merge_s`` / ``shard.speedup_vs_local`` from
+``session.shard_report``.  The sizes and worker counts are module
+constants; ``--check-against`` pins their ledgers.
 """
 
 import math
-import os
-import time
 
 from repro import PASession
 from repro.algorithms import minimum_spanning_tree
@@ -35,15 +22,13 @@ from repro.bench import print_table, record, run_once
 from repro.core import SUM
 from repro.graphs import bfs_ball_partition, grid_2d, with_distinct_weights
 
-PA_N = int(os.environ.get("REPRO_SHARD_BENCH_N", "4096"))
-MST_N = int(os.environ.get("REPRO_SHARD_BENCH_MST_N", "1024"))
-WORKER_COUNTS = [
-    int(w) for w in os.environ.get("REPRO_SHARD_WORKERS", "1,2,4,8").split(",")
-]
+PA_N = 4096
+MST_N = 1024
+WORKER_COUNTS = (1, 2, 4, 8)
 
 
 def _grid_for(n):
-    side = max(2, int(math.isqrt(n)))
+    side = math.isqrt(n)
     return grid_2d(side, side)
 
 
@@ -56,31 +41,21 @@ def test_pa_sharded_scaling(benchmark):
 
     def experiment():
         net = _grid_for(PA_N)
-        partition = bfs_ball_partition(
-            net, max(8, int(math.isqrt(net.n))), seed=5
-        )
+        partition = bfs_ball_partition(net, math.isqrt(net.n), seed=5)
         values = [(v * 2654435761) % 1000 for v in range(net.n)]
 
         serial = PASession(net, seed=3)
-        setup = serial.prepare(partition)
-        t0 = time.perf_counter()
-        expected = serial.solve(setup, values, SUM)
-        serial_wall = time.perf_counter() - t0
+        expected = serial.solve(serial.prepare(partition), values, SUM)
         sig = _phase_sig(expected.ledger)
 
         rows = []
-        curve = {}
-        last_report = None
         for workers in WORKER_COUNTS:
             session = PASession(
                 net, seed=3, backend="sharded",
                 workers=workers, shard_min_n=0,
             )
             try:
-                sh_setup = session.prepare(partition)
-                t0 = time.perf_counter()
-                result = session.solve(sh_setup, values, SUM)
-                wall = time.perf_counter() - t0
+                result = session.solve(session.prepare(partition), values, SUM)
                 assert session.stats.sharded_solves == 1
                 assert result.aggregates == expected.aggregates, (
                     f"sharded aggregates drift at workers={workers}"
@@ -88,41 +63,22 @@ def test_pa_sharded_scaling(benchmark):
                 assert _phase_sig(result.ledger) == sig, (
                     f"sharded ledger drift at workers={workers}"
                 )
-                report = session.shard_report
+                shards = session.shard_report["shards"]
             finally:
                 session.close()
-            last_report = (workers, wall, report)
-            curve[workers] = wall
-            rows.append((
-                workers, report["shards"], f"{wall:.3f}",
-                f"{max(report['shard_wall_seconds']):.3f}",
-                f"{report['ship_seconds']:.3f}",
-                f"{report['merge_seconds']:.4f}",
-            ))
+            rows.append((workers, shards,
+                         result.ledger.rounds, result.ledger.messages))
 
         print_table(
-            f"sharded PA scaling (n={net.n}, parts={partition.num_parts}, "
-            f"serial {serial_wall:.3f}s)",
-            ["workers", "shards", "wall (s)", "max shard (s)",
-             "ship (s)", "merge (s)"],
+            f"sharded PA scaling (n={net.n}, parts={partition.num_parts})",
+            ["workers", "shards", "rounds", "messages"],
             rows,
         )
-        return expected.ledger, last_report, curve, serial_wall, net.n
+        return expected.ledger, net.n
 
-    ledger, (workers, wall, report), curve, serial_wall, n = run_once(
-        benchmark, experiment
-    )
-    record(
-        benchmark,
-        rounds=ledger.rounds,
-        messages=ledger.messages,
-        n=n,
-        serial_wall_seconds=serial_wall,
-        scaling_curve={str(w): t for w, t in curve.items()},
-        workers=workers,
-        shard_wall_seconds=report["shard_wall_seconds"],
-        shard_merge_seconds=report["merge_seconds"],
-    )
+    ledger, n = run_once(benchmark, experiment)
+    record(benchmark, rounds=ledger.rounds, messages=ledger.messages, n=n,
+           worker_counts=list(WORKER_COUNTS))
 
 
 def test_mst_sharded_scaling(benchmark):
@@ -130,24 +86,18 @@ def test_mst_sharded_scaling(benchmark):
 
     def experiment():
         net = with_distinct_weights(_grid_for(MST_N), seed=9)
-        t0 = time.perf_counter()
         expected = minimum_spanning_tree(net, seed=5)
-        serial_wall = time.perf_counter() - t0
         sig = _phase_sig(expected.ledger)
         mst_edges = sorted(expected.output)
 
         rows = []
-        curve = {}
-        last_report = None
         for workers in WORKER_COUNTS:
             session = PASession(
                 net, seed=5, backend="sharded",
                 workers=workers, shard_min_n=0,
             )
             try:
-                t0 = time.perf_counter()
                 result = minimum_spanning_tree(net, seed=5, session=session)
-                wall = time.perf_counter() - t0
                 assert session.stats.sharded_solves > 0
                 assert sorted(result.output) == mst_edges, (
                     f"sharded MST drift at workers={workers}"
@@ -155,34 +105,18 @@ def test_mst_sharded_scaling(benchmark):
                 assert _phase_sig(result.ledger) == sig, (
                     f"sharded ledger drift at workers={workers}"
                 )
-                report = session.shard_report
             finally:
                 session.close()
-            last_report = (workers, report)
-            curve[workers] = wall
-            rows.append((
-                workers, f"{wall:.3f}",
-                f"{report['merge_seconds']:.4f}" if report else "-",
-            ))
+            rows.append((workers, session.stats.sharded_solves,
+                         result.ledger.rounds, result.ledger.messages))
 
         print_table(
-            f"sharded MST scaling (n={net.n}, serial {serial_wall:.3f}s)",
-            ["workers", "wall (s)", "last merge (s)"],
+            f"sharded MST scaling (n={net.n})",
+            ["workers", "sharded solves", "rounds", "messages"],
             rows,
         )
-        return expected.ledger, last_report, curve, serial_wall, net.n
+        return expected.ledger, net.n
 
-    ledger, (workers, report), curve, serial_wall, n = run_once(
-        benchmark, experiment
-    )
-    record(
-        benchmark,
-        rounds=ledger.rounds,
-        messages=ledger.messages,
-        n=n,
-        serial_wall_seconds=serial_wall,
-        scaling_curve={str(w): t for w, t in curve.items()},
-        workers=workers,
-        shard_wall_seconds=report["shard_wall_seconds"] if report else [],
-        shard_merge_seconds=report["merge_seconds"] if report else 0.0,
-    )
+    ledger, n = run_once(benchmark, experiment)
+    record(benchmark, rounds=ledger.rounds, messages=ledger.messages, n=n,
+           worker_counts=list(WORKER_COUNTS))

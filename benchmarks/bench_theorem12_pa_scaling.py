@@ -13,7 +13,6 @@ overhead here.  The ledger numbers are identical either way.
 """
 
 import math
-import time
 
 from repro.bench import print_table, record, run_once
 from repro.core import SUM, PASolver
@@ -26,10 +25,8 @@ def test_theorem12_scaling(benchmark):
     def experiment():
         rows = []
         ratios = []
-        walls = {}
         headline = {}
         for n in SIZES:
-            start = time.perf_counter()
             net = random_regular_ish(n, 4, seed=11)
             part = random_connected_partition(net, max(2, n // 10), seed=12)
             solver = PASolver(
@@ -37,7 +34,6 @@ def test_theorem12_scaling(benchmark):
             )
             setup = solver.prepare(part)
             result = solver.solve(setup, [1] * n, SUM, charge_setup=False)
-            walls[n] = time.perf_counter() - start
             d = net.diameter_estimate()
             round_ratio = result.rounds / (d + math.sqrt(n))
             # Total messages include the one-time setup (construction is
@@ -56,9 +52,9 @@ def test_theorem12_scaling(benchmark):
              "total msgs", "msgs/m"],
             rows,
         )
-        return ratios, walls, headline
+        return ratios, headline
 
-    ratios, walls, headline = run_once(benchmark, experiment)
+    ratios, headline = run_once(benchmark, experiment)
     # Polylog envelope: the normalized ratios must not grow like a
     # polynomial in n (factor-of-4 n growth allows only polylog ratio drift).
     first_round, first_msg = ratios[0]
@@ -72,6 +68,4 @@ def test_theorem12_scaling(benchmark):
            messages=headline[largest][1],
            round_ratios=[r for r, _ in ratios],
            msg_ratios=[m for _, m in ratios],
-           wall_seconds_by_n={str(n): walls[n] for n in SIZES},
-           largest_n=largest,
-           largest_n_wall_seconds=walls[largest])
+           largest_n=largest)

@@ -33,12 +33,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..congest.engine import Context, Engine, Inbox, Program
 from ..congest.ledger import CostLedger, RunResult
 from ..congest.network import Network, canonical_edge
-from ..core.aggregation import SUM, Aggregation
+from ..core.aggregation import SUM_TUPLE
 from ..core.pa import RANDOMIZED
 from ..core.queued import QueuedProgram
 from ..runtime import PASession, ensure_session
-from ..core.treeops import broadcast as tree_broadcast
-from ..core.trees import ABSENT, ROOT, RootedForest
+from ..core.treeops import run_convergecast
+from ..core.trees import RootedForest
 from .mst import minimum_spanning_tree
 from .sssp import _root_tree_at
 
@@ -133,47 +133,6 @@ class _LcaRouteProgram(QueuedProgram):
             self._route(ctx, node, other, weight)
 
 
-class _CutConvergecast(Program):
-    """Convergecast (wdeg sum, lca-weight sum) and record each subtree's cut."""
-
-    name = "mincut_cut_values"
-
-    def __init__(self, tree: RootedForest, wdeg: Sequence[int],
-                 lca_weight: Sequence[int]) -> None:
-        self.tree = tree
-        self.wdeg = wdeg
-        self.lca_weight = lca_weight
-        n = tree.net.n
-        self._pending = [len(tree.children[v]) for v in range(n)]
-        self._acc: List[Tuple[int, int]] = [
-            (wdeg[v], lca_weight[v]) for v in range(n)
-        ]
-        #: cut value of each node's subtree (meaningless at the root)
-        self.cut_value: List[Optional[int]] = [None] * n
-
-    def _fire(self, ctx: Context, v: int) -> None:
-        a, b = self._acc[v]
-        self.cut_value[v] = a - 2 * b
-        parent = self.tree.parent[v]
-        if parent >= 0:
-            ctx.send(v, parent, (a, b))
-
-    def on_start(self, ctx: Context) -> None:
-        for v in range(self.tree.net.n):
-            if self._pending[v] == 0:
-                self._fire(ctx, v)
-
-    def on_node(self, ctx: Context, node: int, inbox: Inbox) -> None:
-        for _sender, payload in inbox:
-            a, b = payload
-            pa, pb = self._acc[node]
-            self._acc[node] = (pa + a, pb + b)
-            self._pending[node] -= 1
-        if self._pending[node] == 0:
-            self._pending[node] = -1
-            self._fire(ctx, node)
-
-
 def _one_respecting_min_cut(
     net: Network,
     tree_edges: Set[Tuple[int, int]],
@@ -209,15 +168,18 @@ def _one_respecting_min_cut(
     wdeg = [
         sum(net.weight(v, nb) for nb in net.neighbors[v]) for v in range(net.n)
     ]
-    cuts = _CutConvergecast(tree, wdeg, lca_weight)
-    ledger.charge(engine.run(cuts, max_ticks=tree.height() + 4))
+    # cut(sub(v)) = wdeg(sub(v)) - 2 * w_lca(sub(v)), off one convergecast.
+    sums = run_convergecast(
+        engine, tree, SUM_TUPLE, list(zip(wdeg, lca_weight)), ledger,
+        name="mincut_cut_values",
+    ).partial
 
     best_value: Optional[int] = None
     best_node = -1
     for v in range(net.n):
         if tree.parent[v] < 0:
             continue
-        value = cuts.cut_value[v]
+        value = sums[v][0] - 2 * sums[v][1]
         if best_value is None or value < best_value:
             best_value = value
             best_node = v

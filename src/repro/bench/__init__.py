@@ -3,8 +3,9 @@
 ``repro.bench.harness`` provides the table/metric helpers the benchmark
 files use; ``repro.bench.runner`` (also a CLI: ``python -m
 repro.bench.runner``) executes every ``benchmarks/bench_*.py`` without
-pytest, writes a machine-readable ``BENCH_<date>.json`` and regenerates
-``EXPERIMENTS.md`` from the structured ledger-derived tables.
+pytest, writes a machine-readable ``BENCH.json`` and regenerates
+``EXPERIMENTS.md`` from the structured ledger-derived tables — model
+facts only, so both regenerate byte for byte.
 """
 
 from .harness import Table, drain_tables, fmt_ratio, print_table, record, run_once

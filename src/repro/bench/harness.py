@@ -1,11 +1,11 @@
 """Benchmark harness helpers.
 
 Wall time is a property of the simulator, not of the algorithms; the
-quantities the paper is about are *rounds* and *messages*.  Each benchmark
-therefore runs its workload once through ``run_once`` (so the runner — or
-pytest-benchmark — has a timing), stores the distributed metrics in
-``benchmark.extra_info``, and emits the table/series rows the experiment
-reproduces via :func:`print_table`.
+quantities the paper is about are *rounds* and *messages*, and they are
+all this layer carries (``benchmarks/perf`` owns the clock).  Each
+benchmark runs its workload once through ``run_once``, stores the
+distributed metrics in ``benchmark.extra_info``, and emits the
+table/series rows the experiment reproduces via :func:`print_table`.
 
 ``print_table`` both prints (so ``pytest -s`` still shows the tables) and
 registers a structured :class:`Table` in a module-level registry.  The
@@ -18,7 +18,7 @@ step in between.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 
 @dataclass
@@ -84,21 +84,15 @@ def record(benchmark, **metrics) -> None:
 
     By convention every benchmark records at least ``rounds`` and
     ``messages`` for its headline workload — the runner lifts those two
-    into the top level of BENCH_<date>.json.
+    into the top level of the BENCH json record.
     """
     for key, value in metrics.items():
         benchmark.extra_info[key] = value
 
 
 def run_once(benchmark, fn: Callable[[], object]) -> object:
-    """Run ``fn`` exactly once under the benchmark timer; return its result."""
-    box: Dict[str, object] = {}
-
-    def wrapper():
-        box["result"] = fn()
-
-    benchmark.pedantic(wrapper, rounds=1, iterations=1)
-    return box["result"]
+    """Run ``fn`` exactly once through the fixture; return its result."""
+    return benchmark.pedantic(fn, rounds=1, iterations=1)
 
 
 def fmt_ratio(value: float) -> str:

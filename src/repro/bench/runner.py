@@ -7,23 +7,29 @@ use is ``benchmark.pedantic(fn, rounds, iterations)`` and
 that, so the runner can import each bench module and call its ``test_*``
 functions directly — no test session, no capture plugins, no report files.
 
+This sweep is the *model-cost* record — rounds and messages read from
+the ``CostLedger`` — and carries nothing else: no clock is read here or in
+any bench file (wall time is ``benchmarks/perf``'s contract), so both
+outputs are a pure function of the code and regenerate byte for byte.
+
 Outputs:
 
-* ``BENCH_<date>.json`` — machine-readable per-experiment results: wall
-  time, the ledger-derived ``rounds`` / ``messages`` headline metrics, all
-  recorded extra metrics, and the structured experiment tables.  This file
-  is the perf baseline PRs are compared against.
+* ``BENCH.json`` (``--out``) — machine-readable per-experiment results:
+  the ledger-derived ``rounds`` / ``messages`` headline metrics, all
+  recorded extra metrics, and the structured experiment tables.  The
+  committed ``BENCH_pr19.json`` is the baseline the gate compares against.
 * ``EXPERIMENTS.md`` — regenerated from the structured tables registered
   through :func:`repro.bench.harness.print_table` (ledger data, not
-  captured stdout).
+  captured stdout).  Only a full sweep writes it: ``--only`` implies
+  ``--no-experiments``, so a partial run cannot clobber the committed
+  document.
 
 Parallel sweeps: ``--jobs N`` (or ``--jobs auto``) fans the bench *files*
 out over a process pool — each worker imports one file and runs its
 experiments in isolation, so module-level state cannot leak between
 files.  The merged report is deterministic regardless of completion
 order: experiments are always emitted sorted by file name, in definition
-order within a file (identical to the serial sweep).  Wall times remain
-per-experiment measurements inside the worker; only scheduling changes.
+order within a file — byte-identical to the serial sweep.
 
 ``--only`` filters the sweep to matching bench files: shell-glob
 matching when the value contains a metacharacter (``--only
@@ -31,15 +37,14 @@ matching when the value contains a metacharacter (``--only
 
 Regression gate: ``--check-against BASELINE.json`` compares every
 experiment's ledger ``rounds`` / ``messages`` against the baseline and
-exits non-zero on any difference.  Wall times are never gated — they are
-hardware facts, not model facts; the ledger is the correctness contract
+exits non-zero on any difference; the ledger is the correctness contract
 (docs/architecture.md).
 
 Usage::
 
     PYTHONPATH=src python -m repro.bench.runner --out BENCH_ci.json
-    PYTHONPATH=src python -m repro.bench.runner --only theorem12 --no-experiments
-    PYTHONPATH=src python -m repro.bench.runner --jobs auto --check-against BENCH_pr10.json
+    PYTHONPATH=src python -m repro.bench.runner --only theorem12 --verbose
+    PYTHONPATH=src python -m repro.bench.runner --jobs auto --check-against BENCH_pr19.json
 """
 
 from __future__ import annotations
@@ -50,13 +55,10 @@ import importlib.util
 import inspect
 import io
 import json
-import os
 import sys
-import time
 import traceback
-from contextlib import redirect_stdout
-from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
+from contextlib import ExitStack, redirect_stdout
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -67,36 +69,25 @@ from .harness import Table, drain_tables
 class HeadlessBenchmark:
     """Duck-typed stand-in for the pytest-benchmark fixture.
 
-    Supports the two entry points the harness uses (``pedantic`` and the
-    callable protocol) and records wall time of the measured function.
+    Holds ``extra_info``; the two entry points the harness uses
+    (``pedantic`` and the callable protocol) run the function once — a
+    ledger does not change on a second run, and nothing is timed.
     """
 
     def __init__(self) -> None:
         self.extra_info: Dict[str, object] = {}
-        self.wall_seconds: Optional[float] = None
 
     def pedantic(
         self,
         fn: Callable[..., object],
         args: Sequence = (),
         kwargs: Optional[Dict] = None,
-        rounds: int = 1,
-        iterations: int = 1,
         **_ignored,
     ) -> object:
-        kwargs = kwargs or {}
-        result = None
-        start = time.perf_counter()
-        for _ in range(max(1, rounds) * max(1, iterations)):
-            result = fn(*args, **kwargs)
-        self.wall_seconds = time.perf_counter() - start
-        return result
+        return fn(*args, **(kwargs or {}))
 
     def __call__(self, fn: Callable[..., object], *args, **kwargs) -> object:
-        start = time.perf_counter()
-        result = fn(*args, **kwargs)
-        self.wall_seconds = time.perf_counter() - start
-        return result
+        return fn(*args, **kwargs)
 
 
 @dataclass
@@ -106,30 +97,19 @@ class ExperimentResult:
     file: str
     name: str
     status: str  # "ok" | "error"
-    wall_seconds: Optional[float]
     rounds: Optional[int]
     messages: Optional[int]
     metrics: Dict[str, object]
     tables: List[Table]
     error: Optional[str] = None
 
-    #: Sharded-backend scaling fields promoted to the record's top level
-    #: (schema repro-bench/2) when the experiment reports them.
-    _SHARD_FIELDS = ("workers", "shard_wall_seconds", "shard_merge_seconds")
-
     def to_json(self) -> Dict[str, object]:
         return {
             "file": self.file,
             "name": self.name,
             "status": self.status,
-            "wall_seconds": self.wall_seconds,
             "rounds": self.rounds,
             "messages": self.messages,
-            **{
-                key: self.metrics[key]
-                for key in self._SHARD_FIELDS
-                if key in self.metrics
-            },
             "metrics": self.metrics,
             "tables": [
                 {"title": t.title, "headers": list(t.headers),
@@ -189,6 +169,14 @@ def _coerce_count(value: object) -> Optional[int]:
     return None
 
 
+def _failed(path: Path, name: str, error: str) -> ExperimentResult:
+    """The record of an experiment (or a whole file) that could not run."""
+    return ExperimentResult(
+        file=path.name, name=name, status="error", rounds=None,
+        messages=None, metrics={}, tables=[], error=error,
+    )
+
+
 def run_experiment(
     path: Path,
     fn: Callable,
@@ -210,37 +198,24 @@ def run_experiment(
     if "benchmark" not in parameters:
         # Report instead of raising so one odd test_ function cannot kill
         # the whole sweep (mirrors the import-error path).
-        return ExperimentResult(
-            file=path.name, name=fn.__name__, status="error",
-            wall_seconds=None, rounds=None, messages=None, metrics={},
-            tables=[],
-            error=f"{path.name}::{fn.__name__} does not take a "
-                  f"'benchmark' fixture",
+        return _failed(
+            path, fn.__name__,
+            f"{path.name}::{fn.__name__} does not take a 'benchmark' fixture",
         )
     drain_tables()  # drop anything a previous failure left behind
     error = None
-    status = "ok"
-    sink = io.StringIO()
     tracer = None
-    if trace_dir is not None:
-        from ..obs import Tracer, use_tracer
-
-        tracer = Tracer()
     try:
-        if tracer is not None:
-            with use_tracer(tracer):
-                if quiet:
-                    with redirect_stdout(sink):
-                        fn(benchmark=benchmark)
-                else:
-                    fn(benchmark=benchmark)
-        elif quiet:
-            with redirect_stdout(sink):
-                fn(benchmark=benchmark)
-        else:
+        with ExitStack() as stack:
+            if trace_dir is not None:
+                from ..obs import Tracer, use_tracer
+
+                tracer = Tracer()
+                stack.enter_context(use_tracer(tracer))
+            if quiet:
+                stack.enter_context(redirect_stdout(io.StringIO()))
             fn(benchmark=benchmark)
     except Exception:  # noqa: BLE001 - report, don't crash the sweep
-        status = "error"
         error = traceback.format_exc()
     if tracer is not None:
         trace_dir.mkdir(parents=True, exist_ok=True)
@@ -250,8 +225,7 @@ def run_experiment(
     return ExperimentResult(
         file=path.name,
         name=fn.__name__,
-        status=status,
-        wall_seconds=benchmark.wall_seconds,
+        status="error" if error else "ok",
         rounds=_coerce_count(metrics.get("rounds")),
         messages=_coerce_count(metrics.get("messages")),
         metrics=metrics,
@@ -270,13 +244,7 @@ def run_file(
     try:
         module = load_bench_module(path)
     except Exception:  # noqa: BLE001
-        return [
-            ExperimentResult(
-                file=path.name, name="<import>", status="error",
-                wall_seconds=None, rounds=None, messages=None,
-                metrics={}, tables=[], error=traceback.format_exc(),
-            )
-        ]
+        return [_failed(path, "<import>", traceback.format_exc())]
     results = []
     for fn in bench_functions(module):
         if progress:
@@ -359,19 +327,16 @@ def run_all(
 def results_to_json(results: Sequence[ExperimentResult]) -> Dict[str, object]:
     ok = [r for r in results if r.status == "ok"]
     return {
-        # /2 adds the promoted sharded-scaling fields (workers,
-        # shard_wall_seconds, shard_merge_seconds) on experiment records;
-        # /1 baselines still load — the drift gate reads only
+        # /3 is a pure function of the code: no timestamp, interpreter
+        # version or wall field (and no promoted shard-wall fields).
+        # /1 and /2 baselines still load — the drift gate reads only
         # rounds/messages.
-        "schema": "repro-bench/2",
-        "generated": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "python": sys.version.split()[0],
+        "schema": "repro-bench/3",
         "experiments": [r.to_json() for r in results],
         "totals": {
             "experiments": len(results),
             "ok": len(ok),
             "errors": len(results) - len(ok),
-            "wall_seconds": sum(r.wall_seconds or 0.0 for r in results),
         },
     }
 
@@ -386,15 +351,12 @@ def render_experiments_md(results: Sequence[ExperimentResult]) -> str:
         "ledger is the ground truth for every number here, never captured",
         "stdout and never closed-form formulas).",
         "",
-        f"Last run: {datetime.now(timezone.utc).isoformat(timespec='seconds')}",
-        "",
-        "| experiment | status | wall (s) | rounds | messages |",
-        "|---|---|---|---|---|",
+        "| experiment | status | rounds | messages |",
+        "|---|---|---|---|",
     ]
     for r in results:
-        wall = f"{r.wall_seconds:.3f}" if r.wall_seconds is not None else "-"
         lines.append(
-            f"| `{r.file}::{r.name}` | {r.status} | {wall} "
+            f"| `{r.file}::{r.name}` | {r.status} "
             f"| {r.rounds if r.rounds is not None else '-'} "
             f"| {r.messages if r.messages is not None else '-'} |"
         )
@@ -418,46 +380,6 @@ def render_experiments_md(results: Sequence[ExperimentResult]) -> str:
     return "\n".join(lines)
 
 
-def render_hot_phase_md(trace_dir: Path, top: int = 12) -> str:
-    """Markdown "hot phases" section aggregated from a sweep's traces.
-
-    Reads every ``*.trace.json`` a ``--trace`` sweep wrote and ranks the
-    main-stream phases by ledger rounds, with messages/bits/wall beside
-    them — the cross-experiment answer to "where do the rounds go?".
-    Returns "" when the directory holds no traces.
-    """
-    from ..obs.summary import load_trace, summarize, top_phases
-
-    paths = sorted(trace_dir.glob("*.trace.json"))
-    events: List[Dict] = []
-    for path in paths:
-        events.extend(load_trace(path))
-    if not events:
-        return ""
-    summary = summarize(events)
-    rows = top_phases(summary, "rounds", top)
-    if not rows:
-        return ""
-    lines = [
-        "## Trace-derived hot phases",
-        "",
-        f"Top {len(rows)} phases by ledger rounds, aggregated over "
-        f"{len(paths)} trace file(s) from this sweep (`--trace`; profile "
-        "individual traces with `python -m repro.obs summarize`).",
-        "",
-        "| phase | charges | rounds | messages | bits | wall (ms) |",
-        "|---|---|---|---|---|---|",
-    ]
-    for name, tot in rows:
-        wall_ms = summary.wall_us.get(name, 0) / 1000
-        lines.append(
-            f"| `{name}` | {tot.count} | {tot.rounds} | {tot.messages} "
-            f"| {tot.bits} | {wall_ms:.3f} |"
-        )
-    lines.append("")
-    return "\n".join(lines)
-
-
 def check_against_baseline(
     results: Sequence[ExperimentResult],
     baseline_path: Path,
@@ -466,8 +388,7 @@ def check_against_baseline(
 ) -> List[str]:
     """Compare ledger rounds/messages against a baseline BENCH json.
 
-    Returns a list of human-readable problems (empty = parity).  Only the
-    ledger quantities are compared — wall times are reported, never gated.
+    Returns a list of human-readable problems (empty = parity).
     Experiments absent from the baseline (newly added benchmarks) are
     noted and skipped; experiments present in the baseline but missing
     from this run are failures (a silently dropped benchmark would
@@ -524,12 +445,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="directory holding bench_*.py (default: autodetected)",
     )
     parser.add_argument(
-        "--out", type=Path, default=None,
-        help="output JSON path (default: BENCH_<YYYYMMDD>.json in cwd)",
+        "--out", type=Path, default=Path("BENCH.json"),
+        help="output JSON path (default: BENCH.json in cwd)",
     )
     parser.add_argument(
-        "--experiments-md", type=Path, default=Path("EXPERIMENTS.md"),
-        help="path of the regenerated EXPERIMENTS.md",
+        "--experiments-md", type=Path, default=None,
+        help="path of the regenerated EXPERIMENTS.md (default: "
+        "EXPERIMENTS.md in cwd)",
     )
     parser.add_argument(
         "--no-experiments", action="store_true",
@@ -538,7 +460,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--only", default=None,
         help="run only matching bench files: a shell glob when the value "
-        "contains *?[ (e.g. 'bench_cor1*'), else a name substring",
+        "contains *?[ (e.g. 'bench_cor1*'), else a name substring; "
+        "implies --no-experiments (the document is a full sweep's)",
     )
     parser.add_argument(
         "--verbose", action="store_true",
@@ -551,13 +474,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--check-against", type=Path, default=None, metavar="BASELINE",
         help="compare ledger rounds/messages against a baseline BENCH json "
-        "and exit non-zero on any drift (wall times are never gated)",
+        "and exit non-zero on any drift",
     )
     parser.add_argument(
         "--trace", type=Path, default=None, metavar="DIR",
         help="record one Chrome/Perfetto trace per experiment into DIR "
-        "(profile with 'python -m repro.obs summarize'); EXPERIMENTS.md "
-        "gains a trace-derived hot-phase table",
+        "(profile with 'python -m repro.obs summarize'); the reports are "
+        "the same with or without it",
     )
     args = parser.parse_args(argv)
 
@@ -565,7 +488,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not bench_dir.is_dir():
         print(f"error: benchmark directory not found: {bench_dir}", file=sys.stderr)
         return 2
-    out_path = args.out or Path(f"BENCH_{date.today().strftime('%Y%m%d')}.json")
+    if args.only and args.experiments_md is not None:
+        print("note: --only implies --no-experiments; not writing "
+              f"{args.experiments_md}", file=sys.stderr)
+    experiments_md = (
+        None if args.no_experiments or args.only
+        else args.experiments_md or Path("EXPERIMENTS.md")
+    )
 
     jobs = resolve_jobs(args.jobs)
     if args.trace is not None:
@@ -585,23 +514,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
     report = results_to_json(results)
-    out_path.write_text(json.dumps(report, indent=1, default=str) + "\n")
-    print(f"[bench] wrote {out_path} "
-          f"({report['totals']['ok']}/{report['totals']['experiments']} ok, "
-          f"{report['totals']['wall_seconds']:.2f}s measured)")
+    args.out.write_text(json.dumps(report, indent=1, default=str) + "\n")
+    print(f"[bench] wrote {args.out} "
+          f"({report['totals']['ok']}/{report['totals']['experiments']} ok)")
 
     if args.trace is not None:
         traces = sorted(args.trace.glob("*.trace.json"))
         print(f"[bench] wrote {len(traces)} trace(s) to {args.trace}")
 
-    if not args.no_experiments:
-        md = render_experiments_md(results)
-        if args.trace is not None:
-            hot = render_hot_phase_md(args.trace)
-            if hot:
-                md += "\n" + hot
-        args.experiments_md.write_text(md + "\n")
-        print(f"[bench] wrote {args.experiments_md}")
+    if experiments_md is not None:
+        experiments_md.write_text(render_experiments_md(results) + "\n")
+        print(f"[bench] wrote {experiments_md}")
 
     if args.check_against is not None:
         if not args.check_against.is_file():

@@ -124,6 +124,40 @@ def product_aggregation(aggs: Sequence[Aggregation]) -> Aggregation:
     return Aggregation(name, combine, factors=agg_tuple)
 
 
+def build_general_shortcut(
+    engine: Engine,
+    net: Network,
+    partition: Partition,
+    division: SubPartDivision,
+    tree: RootedForest,
+    diameter: int,
+    ledger: CostLedger,
+    rng: Optional[random.Random] = None,
+    congestion_budget: Optional[int] = None,
+    block_target: Optional[int] = None,
+) -> ShortcutBuildResult:
+    """The general-graph shortcut construction (Table 1 row 1).
+
+    Randomized CoreFast (Algorithm 4) on the pipeline's random source
+    ``rng``; Algorithms 7-8 (heavy-path doubling) when there is none —
+    which is what a deterministic :meth:`PASolver.prepare` hands out.  The
+    one place the general construction follows the mode: ``prepare``'s
+    default and :class:`repro.families.GeneralProvider` are both this
+    function.
+    """
+    if rng is not None:
+        return build_shortcut_randomized(
+            engine, net, partition, division, tree, diameter, ledger, rng,
+            congestion_budget=congestion_budget, block_target=block_target,
+        )
+    from .det_shortcut import build_shortcut_deterministic
+
+    return build_shortcut_deterministic(
+        engine, net, partition, division, tree, diameter, ledger,
+        congestion_budget=congestion_budget, block_target=block_target,
+    )
+
+
 class PASolver:
     """Round- and message-optimal Part-Wise Aggregation (Theorem 1.2).
 
@@ -310,8 +344,9 @@ class PASolver:
         ``shortcut_provider`` swaps the shortcut-construction strategy: any
         :class:`repro.families.ShortcutProvider` (e.g. the family-aware
         constructions realizing the Tables 1-2 O~(D) bounds).  The default
-        ``None`` runs today's mode-selected pipeline unchanged — same code
-        path, same randomness, same ledger, bit for bit.
+        ``None`` is the general construction,
+        :func:`build_general_shortcut`.  Either is handed ``self.rng`` in
+        randomized mode and no random source in deterministic mode.
         """
         if validate:
             validate_partition(self.net, partition)
@@ -330,29 +365,17 @@ class PASolver:
                 self.engine, self.net, partition, leaders, self.diameter,
                 ledger,
             )
-        if shortcut_provider is not None:
-            build = shortcut_provider.build(
-                self.engine, self.net, partition, division, self.tree,
-                self.diameter, ledger, rng=self.rng,
-                congestion_budget=congestion_budget,
-                block_target=block_target,
-            )
-        elif self.mode == RANDOMIZED:
-            build = build_shortcut_randomized(
-                self.engine, self.net, partition, division, self.tree,
-                self.diameter, ledger, self.rng,
-                congestion_budget=congestion_budget,
-                block_target=block_target,
-            )
-        else:
-            from .det_shortcut import build_shortcut_deterministic
-
-            build = build_shortcut_deterministic(
-                self.engine, self.net, partition, division, self.tree,
-                self.diameter, ledger,
-                congestion_budget=congestion_budget,
-                block_target=block_target,
-            )
+        build_shortcut = (
+            build_general_shortcut if shortcut_provider is None
+            else shortcut_provider.build
+        )
+        build = build_shortcut(
+            self.engine, self.net, partition, division, self.tree,
+            self.diameter, ledger,
+            rng=self.rng if self.mode == RANDOMIZED else None,
+            congestion_budget=congestion_budget,
+            block_target=block_target,
+        )
 
         return PASetup(
             partition=partition,

@@ -11,10 +11,10 @@ bit-for-bit.
 Concrete providers, matching the paper's Tables 1-2 rows:
 
 * :class:`GeneralProvider` — the existing general-graph pipeline
-  (randomized CoreFast / Algorithm 4, or the deterministic Algorithms 7-8),
-  wrapped behind the strategy API.  With the same solver state it consumes
-  the same randomness and produces the same ledger entries as the default
-  path, so it exists purely to make "general" a citizen of the registry.
+  (randomized CoreFast / Algorithm 4, or the deterministic Algorithms 7-8,
+  following the mode ``prepare`` runs in) behind the strategy API: the
+  default path's own function, so it exists purely to make "general" a
+  citizen of the registry.
 * :class:`TreeRestrictedProvider` — planar / bounded-genus graphs: Steiner
   climbs on the BFS tree, congestion-capped at the Table 1 envelope
   ``sqrt(g) * D * log n`` derived from a validated BFS layering.
@@ -43,7 +43,8 @@ from typing import Optional
 from ..congest.engine import Engine
 from ..congest.ledger import CostLedger
 from ..congest.network import Network
-from ..core.corefast import ShortcutBuildResult, build_shortcut_randomized
+from ..core.corefast import ShortcutBuildResult
+from ..core.pa import build_general_shortcut
 from ..core.subparts import SubPartDivision
 from ..core.trees import RootedForest
 from ..graphs.partitions import Partition
@@ -62,6 +63,8 @@ class ShortcutProvider:
     via ``ledger.charge``, oracle-side structural steps via
     ``ledger.charge_local`` — and return a fully annotated
     :class:`ShortcutBuildResult` (the PA waves route on the annotations).
+    ``rng`` is the pipeline's random source, ``None`` in a deterministic
+    pipeline: there a construction has no randomness to take.
     """
 
     name: str = "abstract"
@@ -88,45 +91,16 @@ class ShortcutProvider:
 class GeneralProvider(ShortcutProvider):
     """The general-graph pipeline behind the strategy API (Table 1 row 1).
 
-    ``deterministic=True`` selects Algorithms 7-8 (heavy-path doubling)
-    instead of randomized CoreFast.  In either mode the build is the exact
-    code path :class:`~repro.core.pa.PASolver` runs by default, so a solver
-    handed this provider produces bit-for-bit identical ledgers and
-    shortcuts to one handed no provider at all (pinned by tests).
+    :func:`repro.core.pa.build_general_shortcut` itself — the function
+    :meth:`~repro.core.pa.PASolver.prepare` runs when handed no provider —
+    so it follows the mode ``prepare`` runs in (CoreFast on the solver's
+    random source, Algorithms 7-8 in a deterministic pipeline) and the two
+    ledgers are equal phase for phase (pinned by tests).  It exists to
+    make "general" a citizen of the registry.
     """
 
     name = "general"
-
-    def __init__(self, deterministic: bool = False) -> None:
-        self.deterministic = deterministic
-
-    def build(
-        self,
-        engine: Engine,
-        net: Network,
-        partition: Partition,
-        division: SubPartDivision,
-        tree: RootedForest,
-        diameter: int,
-        ledger: CostLedger,
-        rng: Optional[random.Random] = None,
-        congestion_budget: Optional[int] = None,
-        block_target: Optional[int] = None,
-    ) -> ShortcutBuildResult:
-        if self.deterministic:
-            from ..core.det_shortcut import build_shortcut_deterministic
-
-            return build_shortcut_deterministic(
-                engine, net, partition, division, tree, diameter, ledger,
-                congestion_budget=congestion_budget,
-                block_target=block_target,
-            )
-        return build_shortcut_randomized(
-            engine, net, partition, division, tree, diameter, ledger,
-            rng if rng is not None else random.Random(0),
-            congestion_budget=congestion_budget,
-            block_target=block_target,
-        )
+    build = staticmethod(build_general_shortcut)
 
 
 class TreeRestrictedProvider(ShortcutProvider):

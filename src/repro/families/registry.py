@@ -84,8 +84,8 @@ FAMILIES: Dict[str, Family] = {
         # claim_small is ignored: Algorithm 4 exempts parts below D
         # structurally (the "active" rule), not as an option.
         make_provider=lambda param, claim_small=False: GeneralProvider(),
-        description="arbitrary connected graphs: the randomized CoreFast "
-        "pipeline (b=1, c=sqrt n)",
+        description="arbitrary connected graphs: the mode-selected default "
+        "pipeline, CoreFast or Algorithms 7-8 (b=1, c=sqrt n)",
     ),
     "planar": Family(
         name="planar",

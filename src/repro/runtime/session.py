@@ -361,8 +361,8 @@ class PASession:
         """Scaling diagnostics of the last solve *iff it ran sharded*.
 
         Keys: ``workers``, ``shards``, ``shard_wall_seconds`` (per shard),
-        ``barrier_seconds``, ``merge_seconds``, ``ship_seconds`` — the
-        fields the bench runner promotes into BENCH json records.
+        ``barrier_seconds``, ``merge_seconds``, ``ship_seconds`` — what
+        the ``shard.*`` layer metrics of ``benchmarks/perf`` are read from.
 
         ``None`` whenever the most recent solve was served in-process
         (local backend, or a sharded request that fell back) — a stale

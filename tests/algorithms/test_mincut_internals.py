@@ -1,9 +1,14 @@
 """Min-cut building blocks: intervals, LCA routing, cut convergecast."""
 
+import hashlib
+
+import pytest
+
+from repro import PASession
+from repro.algorithms import approx_min_cut
 from repro.congest import CostLedger, Engine
-from repro.core import ABSENT, ROOT, RootedForest
+from repro.core import ABSENT, ROOT, PASolver, RootedForest
 from repro.algorithms.mincut import (
-    _CutConvergecast,
     _IntervalProgram,
     _LcaRouteProgram,
     _one_respecting_min_cut,
@@ -13,6 +18,7 @@ from repro.graphs import (
     cut_weight,
     grid_2d,
     path_graph,
+    random_regular,
     with_distinct_weights,
     with_planted_cut,
 )
@@ -86,3 +92,42 @@ def test_one_respecting_cut_value_is_real_cut(weighted_random):
     side = set(tree.subtree_nodes(node))
     assert cut_weight(weighted_random, side) == value
     assert value >= stoer_wagner_min_cut(weighted_random)
+
+
+#: graph -> (cut value, phases, rounds, messages, SHA-256 of the phase log),
+#: captured on the commit before the cut-value convergecast became a
+#: ``treeops.run_convergecast`` over SUM_TUPLE (PR 19); one literal for
+#: both engines — on the array engine that phase is now a kernel.
+MINCUT_PINS = {
+    "grid6x7": (
+        lambda: with_distinct_weights(grid_2d(6, 7), seed=4),
+        (32, 774, 4832, 51276,
+         "3f2cb550926dcb2e6647bbe1b26e198b7e1e49bc33d6930ba4e4cb31d18ae6a7"),
+    ),
+    "reg48": (
+        lambda: with_distinct_weights(random_regular(48, 4, seed=7), seed=4),
+        (75, 693, 4481, 65013,
+         "63f849db45613292742e5798232aba4ef041371e4110d5e3437ff3219318ed54"),
+    ),
+}
+
+
+@pytest.mark.parametrize("engine_impl", ["scalar", "array"])
+@pytest.mark.parametrize("graph", MINCUT_PINS)
+def test_approx_min_cut_ledger_is_the_parents(graph, engine_impl):
+    make, expected = MINCUT_PINS[graph]
+    net = make()
+    session = PASession(
+        net, solver=PASolver(net, seed=3, engine_impl=engine_impl)
+    )
+    result = approx_min_cut(
+        net, epsilon=1.0, seed=3, max_trees=3, session=session
+    )
+    phases = [
+        (p.name, p.rounds, p.messages, p.ticks, p.bits)
+        for p in result.ledger.phases()
+    ]
+    assert (
+        result.output[0], len(phases), result.rounds, result.messages,
+        hashlib.sha256(repr(phases).encode()).hexdigest(),
+    ) == expected

@@ -8,7 +8,7 @@ file pins random, FIFO and slow-edge delays, with and without a fault
 plan.  Every literal below was captured on the per-message, binary-heap
 engine (the commit before delay rows and the calendar queue); the
 schedule table repeats ``bench_async::test_pa_schedules`` as committed
-in ``BENCH_pr10.json``.
+in ``BENCH_pr19.json``.
 """
 
 import hashlib

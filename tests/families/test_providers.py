@@ -11,6 +11,7 @@ from repro.families import (
     TreeRestrictedProvider,
     TreewidthProvider,
     build_steiner_shortcut,
+    provider_for,
     steiner_edges_of_part,
     steiner_up_parts,
 )
@@ -21,8 +22,10 @@ from repro.graphs import (
     ladder,
     random_connected_partition,
     random_planar,
+    random_regular,
     torus_2d,
 )
+from repro.runtime import PASession
 
 
 def _oracle_sums(partition):
@@ -40,29 +43,51 @@ def _assert_pa_correct(result, partition):
 # ----------------------------------------------------------------------
 # GeneralProvider == default pipeline, bit for bit
 # ----------------------------------------------------------------------
+def _phase_log(ledger):
+    return [
+        (p.name, p.rounds, p.messages, p.ticks, p.bits)
+        for p in ledger.phases()
+    ]
+
+
 @pytest.mark.parametrize("mode", ["randomized", "deterministic"])
 def test_general_provider_bitwise_parity(mode):
-    net = grid_2d(5, 8)
-    part = random_connected_partition(net, 5, seed=9)
-    default = PASolver(net, mode=mode, seed=6)
+    """The general row follows the mode ``prepare`` runs in — handed over
+    directly, through the registry, or as a session's ``family`` (the
+    registry paths used to build randomized CoreFast in either mode)."""
+    # BFS balls well above an expander's diameter: the shortcut
+    # construction engages (on parts below D both modes build nothing).
+    net = random_regular(400, 4, seed=5)
+    part = bfs_ball_partition(net, 60, seed=3)
+    default = PASolver(net, mode=mode, seed=1)
     setup_d = default.prepare(part)
     result_d = default.solve(setup_d, [1] * net.n, SUM)
+    wanted = "heavy_" if mode == "deterministic" else "corefast_"
+    assert any(p.name.startswith(wanted) for p in setup_d.setup_ledger.phases())
 
-    provided = PASolver(net, mode=mode, seed=6)
-    setup_p = provided.prepare(
-        part, shortcut_provider=GeneralProvider(deterministic=(mode == "deterministic"))
-    )
-    result_p = provided.solve(setup_p, [1] * net.n, SUM)
+    def via_provider(provider):
+        solver = PASolver(net, mode=mode, seed=1)
+        setup = solver.prepare(part, shortcut_provider=provider)
+        return setup, solver.solve(setup, [1] * net.n, SUM)
 
-    assert setup_p.shortcut.up_parts == setup_d.shortcut.up_parts
-    assert setup_p.quality() == setup_d.quality()
-    assert (setup_p.setup_ledger.rounds, setup_p.setup_ledger.messages) == (
-        setup_d.setup_ledger.rounds, setup_d.setup_ledger.messages,
-    )
-    assert (result_p.rounds, result_p.messages) == (
-        result_d.rounds, result_d.messages,
-    )
-    assert result_p.aggregates == result_d.aggregates
+    def via_session():
+        session = PASession(net, mode=mode, seed=1, family="general")
+        setup = session.prepare(part)
+        return setup, session.solve(setup, [1] * net.n, SUM)
+
+    for path in (
+        lambda: via_provider(GeneralProvider()),
+        lambda: via_provider(provider_for("general")),
+        via_session,
+    ):
+        setup_p, result_p = path()
+        assert setup_p.shortcut.up_parts == setup_d.shortcut.up_parts
+        assert setup_p.quality() == setup_d.quality()
+        assert _phase_log(setup_p.setup_ledger) == _phase_log(
+            setup_d.setup_ledger
+        )
+        assert _phase_log(result_p.ledger) == _phase_log(result_d.ledger)
+        assert result_p.aggregates == result_d.aggregates
 
 
 def test_solve_pa_accepts_provider():
