@@ -91,15 +91,23 @@ def minimum_spanning_tree(
         max_phases = 4 * max(1, math.ceil(math.log2(max(2, n)))) + 8
 
     prev_setup = None
+    announce = 2 * net.m  # messages of the next phase's neighbor exchange
     for phase in range(1, max_phases + 1):
         partition = partition_from_component_labels(comp)
         if partition.num_parts == 1:
             break
         leaders = [leader_of[members[0]] for members in partition.members]
 
-        # Every node refreshes which neighbors are outside its fragment
-        # (one announce round; the PA input knowledge of Definition 1.1).
-        ledger.charge_local("mst_neighbor_exchange", rounds=1, messages=2 * net.m)
+        # Every node knows which neighbors are outside its fragment (the
+        # PA input knowledge of Definition 1.1): one announce round on
+        # every edge to begin with, and after that a node tells its
+        # neighbors its fragment id again only when the id has changed —
+        # nothing at all after a phase that merged nobody.
+        if announce:
+            ledger.charge_local(
+                "mst_neighbor_exchange", rounds=1, messages=announce
+            )
+        announce = 0
 
         setup = session.prepare_incremental(prev_setup, partition, leaders=leaders)
         ledger.merge(setup.setup_ledger, prefix=f"phase{phase}_setup:")
@@ -180,6 +188,7 @@ def minimum_spanning_tree(
             for v in partition.members[sid]:
                 comp[v] = new_rep
                 leader_of[v] = new_leader
+                announce += len(net.neighbors[v])
 
         # Termination detection: convergecast "any fragment still active"
         # over the global BFS tree (O(D) rounds, O(n) messages).

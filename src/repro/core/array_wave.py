@@ -37,6 +37,21 @@ order, so even an order-sensitive merge returns the scalar result.  The
 list costs one Python merge per value-carrying answer (one per key with a
 wave parent), never one per message.
 
+**So a setup learns its route once** (the cost rule of
+:mod:`repro.core.wave`): the first solve on a setup runs broadcast,
+reversal and replay over the wire record — three wire passes; what a node
+remembers of it is its wave parent and which of its wave edges were
+answered under the child tag, i.e. the wave forest (:meth:`WaveIndex.forest`,
+``#keys - #parts`` edges); every later solve on that setup runs reversal
+and replay on the forest — two forest passes, no broadcast.  Both passes
+take a :class:`WaveIndex`, wire or forest, and run the same body on
+either: on a forest a key expects one answer per wave child and there is
+no non-parent in-edge to answer ``None`` at the start.  The answer tag
+suffices to learn the forest because a key answers exactly one in-edge —
+its parent's — under the child tag, whatever value it carries.  (The
+kernels read the same fact off the ``parent`` column directly: no answer
+packet carries its tag, as none carries its value.)
+
 The reversal iterates its recorded ``(node, part)`` keys in canonical
 sorted order — the same order the scalar ``ReverseProgram`` uses.  Sorted
 order is *restriction-stable*: a conflict-closed subset of parts (a
@@ -48,6 +63,7 @@ on the serial wire schedule bit-for-bit.
 
 from __future__ import annotations
 
+import copy
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -105,23 +121,38 @@ class _KeyTable:
 
 
 class WaveIndex:
-    """What the broadcast recorded, over dense ``(node, part)`` key ids.
+    """A setup's route over dense ``(node, part)`` key ids.
 
-    The array form of :class:`~repro.core.wave.WaveRecord`, shared by the
-    reversal and the replay.  Key id ``k`` is the rank of ``keys[k] ==
-    node[k] * P + part[k]`` among every key that sent, received or led —
-    the canonical sorted order.  ``parent[k]`` is the key's wave parent
-    node (-1: a leader key, the root of its part's wave tree);
+    The array form of :class:`~repro.core.wave.WaveRecord`, all reversal
+    and replay read.  Key id ``k`` is the rank of ``keys[k] == node[k] *
+    stride + part[k]`` among every key that sent, received or led — the
+    canonical sorted order.  ``parent[k]`` is the key's wave parent node
+    (-1: a leader key, the root of its part's wave tree);
     ``out_dst[out_starts[k]:][:out_counts[k]]`` are the destinations of the
-    messages key ``k`` physically sent, in send order.
+    messages key ``k`` sends, in send order; ``fan_kid`` / ``fan_src`` are
+    the non-parent in-edges reversal answers ``None`` at once (receiving
+    key id and sender node, in key order, arrival order within a key).
+    Beside the edges, the few columns the two passes need of the setup:
+    ``part_of``, the ``reached`` mask, ``leaders``, ``pid_bits``.
+
+    Built from a finished broadcast it is the *wire* record;
+    :meth:`forest` filters it to the wave forest — the same object with
+    fewer edges, and the passes run unchanged on either.
     """
 
     __slots__ = (
-        "keys", "node", "part", "parent", "out_starts", "out_counts", "out_dst",
+        "n", "stride", "part_of", "reached", "leaders", "pid_bits",
+        "keys", "node", "part", "parent", "out_starts", "out_counts",
+        "out_dst", "fan_kid", "fan_src",
     )
 
     def __init__(self, wave: "WaveArrayKernel") -> None:
-        P = wave.stride
+        self.n = wave.n
+        P = self.stride = wave.stride
+        self.part_of = wave.part_of
+        self.reached = wave.has_token
+        self.leaders = wave.leaders
+        self.pid_bits = wave.pid_bits
         out_key = wave.out_arena.column("key")
         in_key = wave.in_arena.column("key")
         leader_key = (
@@ -138,16 +169,49 @@ class WaveIndex:
         first = first_occurrence_mask(in_key)
         self.parent[self.ids(in_key[first])] = wave.in_arena.column("src")[first]
         self.parent[self.ids(leader_key)] = -1
-        sender = self.ids(out_key)
+        self._set_out(self.ids(out_key), wave.out_arena.column("dst"))
+        # Every in-edge but a key's parent edge — its first arrival,
+        # unless it is a leader key.
+        kid = self.ids(in_key)
+        order = np.argsort(kid, kind="stable")
+        kid = kid[order]
+        fan = ~(first_occurrence_mask(kid) & (self.parent[kid] >= 0))
+        self.fan_kid = kid[fan]
+        self.fan_src = wave.in_arena.column("src")[order[fan]]
+
+    def _set_out(self, sender: np.ndarray, dst: np.ndarray) -> None:
+        """The out-edge CSR of ``(sender key id, destination)`` rows."""
         self.out_counts = np.bincount(sender, minlength=self.keys.size)
         self.out_starts = np.cumsum(self.out_counts) - self.out_counts
-        self.out_dst = wave.out_arena.column("dst")[
-            np.argsort(sender, kind="stable")
-        ]
+        self.out_dst = dst[np.argsort(sender, kind="stable")]
 
     def ids(self, keys: np.ndarray) -> np.ndarray:
         """Key ids of recorded ``keys``."""
         return np.searchsorted(self.keys, keys)
+
+    @property
+    def edges(self) -> int:
+        """Messages one pass over this route sends."""
+        return int(self.out_dst.size)
+
+    def forest(self) -> "WaveIndex":
+        """The route filtered to the wave forest.
+
+        Of the messages a key sent, the first per destination whose
+        ``(destination, part)`` key has the sender as its wave parent
+        stays, in send order — one in-edge per non-leader key — and no
+        in-edge is left to answer ``None``.
+        """
+        kept = copy.copy(self)
+        sender = np.repeat(
+            np.arange(self.keys.size, dtype=np.int64), self.out_counts
+        )
+        child = self.ids(self.out_dst * self.stride + self.part[sender])
+        own = self.parent[child] == self.node[sender]
+        own[own] = first_occurrence_mask(child[own])
+        kept._set_out(sender[own], self.out_dst[own])
+        kept.fan_kid = kept.fan_src = _EMPTY
+        return kept
 
 
 def _sends(src, dst, pos, tagc, pids, p0=None, p1=None) -> Tuple[np.ndarray, ...]:
@@ -249,7 +313,6 @@ class WaveArrayKernel(ArrayProgram):
         self._pool = EdgePool(n, ("tag", "pid"), capacity=capacity)
         self.in_arena = ColumnArena(("key", "src"))
         self.out_arena = ColumnArena(("key", "dst"))
-        self._index: Optional[WaveIndex] = None
 
     # ------------------------------------------------------------------
     # Engine hooks
@@ -509,11 +572,9 @@ class WaveArrayKernel(ArrayProgram):
     # ------------------------------------------------------------------
     # Record access
     # ------------------------------------------------------------------
-    def key_index(self) -> WaveIndex:
-        """The finished broadcast's :class:`WaveIndex` (computed once)."""
-        if self._index is None:
-            self._index = WaveIndex(self)
-        return self._index
+    def route(self) -> WaveIndex:
+        """The finished broadcast's wire record."""
+        return WaveIndex(self)
 
 
 def _flush(actx, pool: EdgePool, names: Tuple[str, ...], bits_of) -> None:
@@ -547,19 +608,18 @@ class ReverseArrayKernel(ArrayProgram):
 
     def __init__(
         self,
-        wave: WaveArrayKernel,
+        route: WaveIndex,
         agg: Aggregation,
         values: Sequence[object],
         capacity: int = 1,
         fold: Optional[str] = None,
     ) -> None:
-        self.wave = wave
-        index = self.index = wave.key_index()
+        index = self.index = route
         #: Answers a key still waits for: one per message it sent.
         self.expected = index.out_counts.copy()
         # A key starts from its node's value if the node is a member the
         # token reached; the rest (relays) start from None.
-        live = (wave.part_of[index.node] == index.part) & wave.has_token[
+        live = (index.part_of[index.node] == index.part) & index.reached[
             index.node
         ]
         if fold is None:
@@ -582,7 +642,7 @@ class ReverseArrayKernel(ArrayProgram):
             self.acc = np.full(index.keys.size, identity, dtype=np.int64)
             self.acc[live] = columns.cols[0][index.node[live]]
         self._pool = EdgePool(
-            wave.n, ("pid", "kid", "bits"), capacity=capacity
+            index.n, ("pid", "kid", "bits"), capacity=capacity
         )
         #: Part aggregates, in the scalar dict's chronological order.
         self.results: Dict[int, object] = {}
@@ -641,31 +701,24 @@ class ReverseArrayKernel(ArrayProgram):
         )
 
     def _answer_bits(self, emitted) -> np.ndarray:
-        return self.wave.pid_bits[emitted["pid"]] + emitted["bits"]
+        return self.index.pid_bits[emitted["pid"]] + emitted["bits"]
 
     def array_start(self, actx) -> None:
-        # None answers for every non-parent recorded in-edge, in key order,
-        # preserving per-key arrival order.  A key's parent edge — its
-        # first arrival, unless it is a leader key — waits for the value.
+        # None answers for every non-parent in-edge of the route, in key
+        # order, preserving per-key arrival order; a key's parent edge
+        # waits for the value.
         index = self.index
-        in_key = self.wave.in_arena.column("key")
-        if in_key.size:
-            kid = index.ids(in_key)
-            order = np.argsort(kid, kind="stable")
-            kid = kid[order]
-            reserved = first_occurrence_mask(kid) & (index.parent[kid] >= 0)
-            kid = kid[~reserved]
+        if index.fan_kid.size:
             self._pool.push(
-                index.node[kid],
-                self.wave.in_arena.column("src")[order[~reserved]], 0, 0,
-                pid=index.part[kid], kid=-1, bits=1,
+                index.node[index.fan_kid], index.fan_src, 0, 0,
+                pid=index.part[index.fan_kid], kid=-1, bits=1,
             )
         self._fire(np.flatnonzero(self.expected == 0), actx.strict_bits)
         actx.wake(self._pool.pending_sources())
 
     def array_tick(self, actx, d) -> None:
         if len(d):
-            into = self.index.ids(d.dst * self.wave.stride + d.cols["pid"])
+            into = self.index.ids(d.dst * self.index.stride + d.cols["pid"])
             sender = d.cols["kid"]
             carried = np.flatnonzero(sender >= 0)
             if carried.size:
@@ -690,27 +743,26 @@ class ReplayArrayKernel(ArrayProgram):
 
     def __init__(
         self,
-        wave: WaveArrayKernel,
+        route: WaveIndex,
         results: Dict[int, object],
         capacity: int = 1,
     ) -> None:
-        self.wave = wave
-        self.index = wave.key_index()
+        self.index = route
         self.results = results
-        self._done = np.zeros(self.index.keys.size, dtype=bool)
+        self._done = np.zeros(route.keys.size, dtype=bool)
         #: Members the replay reached.
-        self.delivered = np.zeros(wave.n, dtype=bool)
+        self.delivered = np.zeros(route.n, dtype=bool)
         self._bits = _EMPTY
-        self._pool = EdgePool(wave.n, ("pid",), capacity=capacity)
+        self._pool = EdgePool(route.n, ("pid",), capacity=capacity)
 
     def _forward(self, nodes: np.ndarray, pids: np.ndarray) -> None:
         index = self.index
-        kid = index.ids(nodes * self.wave.stride + pids)
+        kid = index.ids(nodes * index.stride + pids)
         fresh = first_occurrence_mask(kid) & ~self._done[kid]
         self._done[kid] = True
         if not fresh.all():
             nodes, pids, kid = nodes[fresh], pids[fresh], kid[fresh]
-        self.delivered[nodes[self.wave.part_of[nodes] == pids]] = True
+        self.delivered[nodes[index.part_of[nodes] == pids]] = True
         origin, dsts, _within = csr_expand(
             index.out_starts, index.out_counts, index.out_dst, kid
         )
@@ -721,10 +773,10 @@ class ReplayArrayKernel(ArrayProgram):
         return self._bits[emitted["pid"]]
 
     def value_at_node(self) -> List[object]:
-        out: List[object] = [None] * self.wave.n
+        out: List[object] = [None] * self.index.n
         results = self.results
         reached = np.flatnonzero(self.delivered)
-        for v, pid in zip(reached.tolist(), self.wave.part_of[reached].tolist()):
+        for v, pid in zip(reached.tolist(), self.index.part_of[reached].tolist()):
             out[v] = results[pid]
         return out
 
@@ -733,13 +785,13 @@ class ReplayArrayKernel(ArrayProgram):
             self.results, dtype=np.int64, count=len(self.results)
         )
         if actx.strict_bits:
-            self._bits = self.wave.pid_bits.copy()
+            self._bits = self.index.pid_bits.copy()
             self._bits[pids] += np.fromiter(
                 map(payload_bits, self.results.values()), dtype=np.int64,
                 count=pids.size,
             )
         if pids.size:
-            self._forward(self.wave.leaders[pids], pids)
+            self._forward(self.index.leaders[pids], pids)
         actx.wake(self._pool.pending_sources())
 
     def array_tick(self, actx, d) -> None:

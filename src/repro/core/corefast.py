@@ -135,13 +135,18 @@ def verify_block_parameters(
     randomized: bool,
     rng: Optional[random.Random],
     phase_prefix: str = "verify",
+    route: Optional[object] = None,
 ) -> List[int]:
     """Algorithm 2: every part learns its block parameter, via PA itself.
 
     Each nontrivial block delivered exactly one counting token to a part
     member during annotation; summing the tokens part-wise with the PA
     waves gives every leader (and then every node) its part's block count.
-    Costs the full PA price, as Lemma 4.5 charges.
+    Costs the full PA price, as Lemma 4.5 charges.  ``route`` is the
+    :class:`~repro.core.wave.RouteMemo` of the setup being verified, when
+    the structures already are one (a session's projection): the
+    verification is then that setup's first solve, the one that learns
+    its route.
     """
     from ..core.aggregation import SUM
     from .wave import run_pa_waves
@@ -154,7 +159,7 @@ def verify_block_parameters(
     outcome = run_pa_waves(
         engine, net, partition, division, shortcut, annotations,
         values, SUM, ledger, randomized=randomized, rng=rng,
-        phase_prefix=phase_prefix,
+        phase_prefix=phase_prefix, route=route,
     )
     counts = [0] * partition.num_parts
     for pid, total in outcome.aggregates.items():

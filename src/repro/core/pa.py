@@ -37,7 +37,7 @@ from .shortcuts import Shortcut
 from .spanning_tree import SpanningTreeResult, bfs_tree, elect_leader_and_bfs_tree
 from .subparts import SubPartDivision, build_subpart_division_randomized
 from .trees import RootedForest
-from .wave import plan_pa_waves, run_planned_waves
+from .wave import RouteMemo, plan_pa_waves, run_planned_waves
 
 RANDOMIZED = "randomized"
 DETERMINISTIC = "deterministic"
@@ -45,7 +45,13 @@ DETERMINISTIC = "deterministic"
 
 @dataclass
 class PASetup:
-    """Partition-specific machinery, reusable across many aggregations."""
+    """Partition-specific machinery, reusable across many aggregations.
+
+    ``route`` is what the setup's first solve learned
+    (:class:`~repro.core.wave.RouteMemo`): a function of ``division`` and
+    ``shortcut``, so a copy that keeps both shares it and a copy that
+    replaces either must start a fresh one.
+    """
 
     partition: Partition
     leaders: Tuple[int, ...]
@@ -53,6 +59,7 @@ class PASetup:
     shortcut: Shortcut
     annotations: BlockAnnotations
     setup_ledger: CostLedger
+    route: RouteMemo = field(default_factory=RouteMemo, repr=False)
 
     def quality(self) -> Tuple[int, int]:
         """(block parameter, congestion) of the constructed shortcut."""
@@ -401,11 +408,11 @@ class PASolver:
         )
 
     def _run_waves(self, setup, plan, values, agg, ledger, phase_prefix):
-        """The in-process run step: the three wave phases on this engine."""
+        """The in-process run step: the wave phases on this engine."""
         return run_planned_waves(
             self.engine, self.net, setup.partition, setup.division,
             setup.shortcut, setup.annotations, values, agg, ledger, plan,
-            phase_prefix=phase_prefix,
+            phase_prefix=phase_prefix, route=setup.route,
         )
 
     def solve_via(
@@ -421,9 +428,10 @@ class PASolver:
 
         The plan is computed here from the *global* structures — advancing
         ``self.rng`` exactly once per solve — and ``run(setup, plan,
-        values, agg, ledger, phase_prefix)`` executes the three wave
-        phases under it, charging ``ledger`` and returning a
-        :class:`~repro.core.wave.PAWaveResult`: in-process for
+        values, agg, ledger, phase_prefix)`` executes the wave phases
+        under it on ``setup.route`` (three wire passes on a setup's first
+        solve, two forest passes after), charging ``ledger`` and returning
+        a :class:`~repro.core.wave.PAWaveResult`: in-process for
         :meth:`solve`, the shard orchestrator's for a sharded session.
         """
         ledger = CostLedger()

@@ -31,33 +31,50 @@ phases, each a single engine program over *all parts concurrently*:
 2. :class:`ReverseProgram` — the aggregation.  The broadcast recorded, per
    (node, part), every wave message sent and received and the *wave
    parent* (first token source).  Reversal answers every recorded wave
-   edge with exactly one value-or-None message: non-parent edges are
-   answered ``None`` immediately; the parent edge is answered with the
-   node's contribution merged with all received answers, once every
-   outgoing wave edge has been answered.  Because wave parents form a
-   forest rooted at the leaders, this convergecast is deadlock-free and
-   costs exactly one message per wave message.  The recorded keys are
-   iterated in canonical sorted ``(node, part)`` order — a *restriction-
-   stable* order: any conflict-closed subset of parts sees the same
-   relative key order it would inside the full run, which is what lets
-   the sharded backend replay shard-local reversals bit-for-bit.
+   edge with exactly one message: non-parent edges are answered ``None``
+   immediately, under their own tag; the parent edge is answered with the
+   node's contribution merged with all received answers (value or
+   ``None``), once every outgoing wave edge has been answered.  Because
+   wave parents form a forest rooted at the leaders, this convergecast is
+   deadlock-free and costs exactly one message per wave message.  The
+   recorded keys are iterated in canonical sorted ``(node, part)`` order —
+   a *restriction-stable* order: any conflict-closed subset of parts sees
+   the same relative key order it would inside the full run, which is
+   what lets the sharded backend replay shard-local reversals
+   bit-for-bit.
 
 3. :class:`ReplayProgram` — the result broadcast: the leader's aggregate
    retraces the recorded wave edges.
 
-Together: 3x the wave's rounds and messages, matching Lemma 4.4.
+**The cost rule: a setup learns its route once.**  Who sends to whom in a
+wave is a function of the setup and the delay draw, not of the values
+(Lemma 4.4's "symmetrically"), and a CONGEST node keeps what it learned.
+What a node remembers of the first solve on a setup, per part it served:
+its wave parent, and which of the wave edges it sent on were answered
+under the child tag — those are the edges on which it *is* the wave
+parent, and the answer's tag is all it takes to tell them from the rest
+(a non-parent answer is ``None`` under the other tag; same
+``TAG_BITS``).  Those edges are the *wave forest*: one in-edge per
+non-leader key, ``#keys - #parts`` edges in all.  So the first solve on a
+setup runs the three phases over the wire record (3x the wave's rounds
+and messages, Lemma 4.4), and when it has returned the setup keeps the
+forest (:class:`RouteMemo`); every later solve on that setup runs no token
+wave — reversal and replay run unchanged on the forest, two passes of
+``#keys - #parts`` messages each.  The one place that decides is
+:func:`run_planned_waves`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..congest.engine import Context, Engine, Inbox
 from ..congest.ledger import CostLedger
 from ..congest.network import Network
 from ..graphs.partitions import Partition
+from ..obs.tracer import current_tracer
 from .aggregation import Aggregation
 from .blocks import BlockAnnotations
 from .queued import QueuedProgram
@@ -68,18 +85,69 @@ from .trees import ROOT
 
 @dataclass
 class WaveRecord:
-    """What the broadcast learned, for reversal and replay.
+    """A setup's route: what the broadcast learned, for reversal and replay.
 
     ``out_edges[(v, pid)]`` — (dst, tag) wave messages v physically sent
     for part pid; ``in_edges[(v, pid)]`` — (src, tag) received;
     ``parent[(v, pid)]`` — the first token source (None for the leader);
-    ``reached[pid]`` — part members that received the token.
+    ``reached[pid]`` — part members that received the token;
+    ``part_of`` / ``leaders`` — the partition and its part leaders.
+
+    The broadcast fills in the *wire* record (every message);
+    :meth:`forest` filters it to the wave forest, the same object with
+    fewer edges — reversal and replay run on either.
     """
 
+    part_of: Sequence[int]
+    leaders: Sequence[int]
     out_edges: Dict[Tuple[int, int], List[Tuple[int, str]]]
     in_edges: Dict[Tuple[int, int], List[Tuple[int, str]]]
     parent: Dict[Tuple[int, int], Optional[int]]
     reached: Dict[int, Set[int]]
+
+    @property
+    def edges(self) -> int:
+        """Messages one pass over this route sends."""
+        return sum(len(out) for out in self.out_edges.values())
+
+    def forest(self) -> "WaveRecord":
+        """The route filtered to the wave forest.
+
+        Of the messages a key sent, the first per destination whose
+        ``(destination, part)`` key has the sender as its wave parent
+        stays, in send order; the one in-edge a non-leader key keeps is
+        its ``parent``, so nothing is left for reversal to answer
+        ``None``.
+        """
+        parent = self.parent
+        out_edges: Dict[Tuple[int, int], List[Tuple[int, str]]] = {}
+        for (v, pid), sent in self.out_edges.items():
+            kept = {}
+            for dst, tag in sent:
+                if dst not in kept and parent.get((dst, pid)) == v:
+                    kept[dst] = tag
+            if kept:
+                out_edges[(v, pid)] = list(kept.items())
+        return replace(self, out_edges=out_edges, in_edges={})
+
+
+@dataclass
+class RouteMemo:
+    """What a setup's nodes remember of its first solve (one per setup).
+
+    ``delays`` is the fact the ledger knows: the delay draw under which
+    the setup's token wave was paid for, ``None`` until a solve that ran
+    it has *returned* (a solve that raised after its wave commits
+    nothing, so its retry pays the wave again).  ``forests`` is this
+    process's cache of that wave's forest, per wave twin (``True``: the
+    array kernels' :class:`~repro.core.array_wave.WaveIndex`, ``False``:
+    a :class:`WaveRecord`): whoever lacks it — a shard worker after a
+    local learn or a re-ship, rank 0 after a sharded learn — re-derives
+    it from the setup and ``delays`` off the ledger.
+    """
+
+    delays: Optional[Dict[int, int]] = None
+    forests: Dict[bool, object] = field(default_factory=dict)
 
 
 class WaveProgram(QueuedProgram):
@@ -123,6 +191,7 @@ class WaveProgram(QueuedProgram):
         self.kdown_done: Set[Tuple[int, int]] = set()
 
         self.record = WaveRecord(
+            part_of=partition.part_of, leaders=division.part_leader,
             out_edges={}, in_edges={}, parent={},
             reached={pid: set() for pid in range(partition.num_parts)},
         )
@@ -332,22 +401,25 @@ class WaveProgram(QueuedProgram):
             # flush at the end of this activation ships them this tick).
             self._leader_start(ctx, node)
 
+    def route(self) -> WaveRecord:
+        """The finished broadcast's wire record."""
+        return self.record
+
 
 class ReverseProgram(QueuedProgram):
-    """Aggregation by exact time-reversal of a recorded wave."""
+    """Aggregation by exact time-reversal of a route (wire or forest)."""
 
     name = "pa_reverse"
 
     def __init__(
         self,
-        wave: WaveProgram,
+        route: WaveRecord,
         agg: Aggregation,
         values: Sequence[object],
         capacity: int = 1,
     ) -> None:
         super().__init__(capacity=capacity)
-        self.partition = wave.partition
-        self.record = wave.record
+        self.record = route
         self.agg = agg
         self.values = values
         self.expected: Dict[Tuple[int, int], int] = {}
@@ -367,7 +439,7 @@ class ReverseProgram(QueuedProgram):
             )
 
     def on_start(self, ctx: Context) -> None:
-        part_of = self.partition.part_of
+        part_of = self.record.part_of
         out_edges = self.record.out_edges
         in_edges = self.record.in_edges
         parent_of = self.record.parent
@@ -392,7 +464,9 @@ class ReverseProgram(QueuedProgram):
                 acc[key] = values[v]
             else:
                 acc[key] = None
-        # Answer every non-parent in-edge immediately with None.
+        # Answer every non-parent in-edge immediately with None, under a
+        # tag of its own: the tag is how a sender learns which of its
+        # wave edges are forest edges (answered "a") and which are not.
         none_answer = self._none_answer
         enqueue = self.enqueue
         for key in keys:
@@ -404,7 +478,7 @@ class ReverseProgram(QueuedProgram):
             answered_parent = False
             payload = none_answer.get(pid)
             if payload is None:
-                payload = none_answer[pid] = ("a", pid, None)
+                payload = none_answer[pid] = ("n", pid, None)
             for src, _tag in edges:
                 if src == parent and not answered_parent:
                     answered_parent = True  # reserved for the value answer
@@ -426,21 +500,18 @@ class ReverseProgram(QueuedProgram):
 
 
 class ReplayProgram(QueuedProgram):
-    """Broadcast each part's aggregate along the recorded wave edges."""
+    """Broadcast each part's aggregate along a route's edges."""
 
     name = "pa_replay"
 
     def __init__(
         self,
-        wave: WaveProgram,
+        route: WaveRecord,
         results: Dict[int, object],
         capacity: int = 1,
     ) -> None:
         super().__init__(capacity=capacity)
-        self.net = wave.net
-        self.partition = wave.partition
-        self.division = wave.division
-        self.record = wave.record
+        self.record = route
         self.results = results
         self.delivered: Dict[int, object] = {}
         self._done: Set[Tuple[int, int]] = set()
@@ -452,7 +523,7 @@ class ReplayProgram(QueuedProgram):
         if key in self._done:
             return
         self._done.add(key)
-        if self.partition.part_of[v] == pid:
+        if self.record.part_of[v] == pid:
             self.delivered[v] = value
         out = self.record.out_edges.get(key)
         if not out:
@@ -465,8 +536,7 @@ class ReplayProgram(QueuedProgram):
 
     def on_start(self, ctx: Context) -> None:
         for pid, value in self.results.items():
-            leader = self.division.part_leader[pid]
-            self._forward(ctx, leader, pid, value)
+            self._forward(ctx, self.record.leaders[pid], pid, value)
 
     def handle(self, ctx: Context, node: int, inbox: Inbox) -> None:
         for _sender, payload in inbox:
@@ -475,15 +545,22 @@ class ReplayProgram(QueuedProgram):
 
     def value_at_node(self) -> List[object]:
         """Per node, the aggregate its part's replay delivered to it."""
-        return [self.delivered.get(v) for v in range(self.net.n)]
+        return [self.delivered.get(v) for v in range(len(self.record.part_of))]
 
 
 @dataclass
 class PAWaveResult:
-    """Outcome of one full PA solve over a given shortcut and division."""
+    """Outcome of one full PA solve over a given shortcut and division.
+
+    ``forest_edges`` is the size of the setup's wave forest;
+    ``wire_edges`` the token wave's messages when this solve paid for it,
+    ``None`` when it ran on a route learned earlier.
+    """
 
     aggregates: Dict[int, object]
     value_at_node: List[object]
+    wire_edges: Optional[int] = None
+    forest_edges: int = 0
 
 
 @dataclass
@@ -596,11 +673,11 @@ def run_pa_waves(
     rng: Optional[random.Random] = None,
     max_ticks: Optional[int] = None,
     phase_prefix: str = "pa",
+    route: Optional[RouteMemo] = None,
 ) -> PAWaveResult:
-    """Run broadcast + reversal + replay; returns per-part aggregates.
+    """Plan and run one solve; returns per-part aggregates.
 
-    Exactly ``plan_pa_waves`` followed by ``run_planned_waves`` — the
-    historical one-call form, bit-for-bit unchanged.
+    Exactly ``plan_pa_waves`` followed by ``run_planned_waves``.
     """
     plan = plan_pa_waves(
         engine, net, partition, division, shortcut, values, agg,
@@ -609,8 +686,20 @@ def run_pa_waves(
     )
     return run_planned_waves(
         engine, net, partition, division, shortcut, annotations,
-        values, agg, ledger, plan, phase_prefix=phase_prefix,
+        values, agg, ledger, plan, phase_prefix=phase_prefix, route=route,
     )
+
+
+def note_route(phase_prefix: str, outcome: PAWaveResult) -> None:
+    """The ``pa.route`` trace instant of one solve (free when tracing is off)."""
+    tracer = current_tracer()
+    if tracer.enabled:
+        args = {"phase": phase_prefix, "forest": outcome.forest_edges}
+        if outcome.wire_edges is None:
+            args["outcome"] = "reused"
+        else:
+            args.update(outcome="learned", wire=outcome.wire_edges)
+        tracer.instant("pa.route", "pa", args)
 
 
 def run_planned_waves(
@@ -625,8 +714,20 @@ def run_planned_waves(
     ledger: CostLedger,
     plan: WavePlan,
     phase_prefix: str = "pa",
+    route: Optional[RouteMemo] = None,
 ) -> PAWaveResult:
-    """Run broadcast + reversal + replay under a precomputed plan.
+    """Run one solve under a precomputed plan, on the setup's route.
+
+    ``route`` is the setup's :class:`RouteMemo` (``None``: a one-off
+    solve on structures nobody will solve on again, which learns and
+    keeps nothing).  The first solve on it runs broadcast + reversal +
+    replay over the wire record, under ``plan.delays``, and commits the
+    route once all three have returned; a later solve runs no token wave
+    and no coverage scan
+    — reversal and replay on the remembered forest (re-derived off the
+    ledger, under the paid delay draw, where this process does not hold
+    it).  ``plan.delays`` goes unused then; it was still drawn, so every
+    later draw on the solver's rng is the one it always was.
 
     The plan's parameters (including the array-dispatch decision) are
     honored as given: this is the entry point sharded workers use, with a
@@ -640,33 +741,63 @@ def run_planned_waves(
         else (WaveProgram, ReverseProgram, ReplayProgram)
     )
 
-    def run(program, name: str, max_ticks: int):
+    def run(program, name: str, max_ticks: int, charge: bool = True):
         program.name = f"{phase_prefix}_{name}"
-        ledger.charge(engine.run(
+        stats = engine.run(
             program, max_ticks=max_ticks, capacity=plan.capacity,
             rounds_per_tick=plan.rounds_per_tick,
-        ))
+        )
+        if charge:
+            ledger.charge(stats)
         return program
 
-    wave = run(broadcast(
-        net, partition, division, shortcut, annotations, plan.leader_tokens,
-        delays=plan.delays, capacity=plan.capacity,
-    ), "wave", plan.max_ticks)
-    for pid, members in enumerate(partition.members):
-        missing = [v for v in members if not wave.has_token[v]]
-        if missing:
-            raise RuntimeError(
-                f"wave failed to cover part {pid}: missing {missing[:5]}"
-            )
+    def token_wave(delays: Dict[int, int], charge: bool):
+        wave = run(broadcast(
+            net, partition, division, shortcut, annotations,
+            plan.leader_tokens, delays=delays, capacity=plan.capacity,
+        ), "wave", plan.max_ticks, charge)
+        for pid, members in enumerate(partition.members):
+            missing = [v for v in members if not wave.has_token[v]]
+            if missing:
+                raise RuntimeError(
+                    f"wave failed to cover part {pid}: missing {missing[:5]}"
+                )
+        return wave.route()
+
+    learning = route is None or route.delays is None
+    if learning:
+        path = token_wave(plan.delays, charge=True)
+    else:
+        path = route.forests.get(plan.use_array)
+        if path is None:
+            path = route.forests[plan.use_array] = token_wave(
+                route.delays, charge=False
+            ).forest()
     reverse = run(
-        reversal(wave, agg, values, capacity=plan.capacity),
+        reversal(path, agg, values, capacity=plan.capacity),
         "reverse", 4 * plan.max_ticks,
     )
+    unanswered = [
+        pid for pid in range(partition.num_parts)
+        if pid not in reverse.results
+    ]
+    if unanswered:
+        raise RuntimeError(
+            f"reversal left parts without a result: {unanswered[:5]}"
+        )
     replayed = run(
-        replay(wave, reverse.results, capacity=plan.capacity),
+        replay(path, reverse.results, capacity=plan.capacity),
         "replay", 4 * plan.max_ticks,
     )
-    return PAWaveResult(
+    if learning and route is not None:
+        route.delays = plan.delays
+        route.forests = {plan.use_array: path.forest()}
+    outcome = PAWaveResult(
         aggregates=dict(reverse.results),
         value_at_node=replayed.value_at_node(),
+        wire_edges=path.edges if learning else None,
+        # One in-edge per non-leader key, filtered or not yet.
+        forest_edges=len(path.parent) - partition.num_parts,
     )
+    note_route(phase_prefix, outcome)
+    return outcome

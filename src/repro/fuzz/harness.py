@@ -27,7 +27,9 @@ node ``None``; a three-way ``solve_many`` product; and a deliberately
 *order-sensitive* tuple concatenation, audits off, which only an engine
 that folds in the scalar order — not merely an equivalent one — gets
 right.  An MST case draws the session's ``reuse`` / ``batch`` opt-ins,
-so projections and product waves reach the same axes.
+so projections and product waves reach the same axes — the fault axis
+included, where most solves run on a route their setup learned earlier
+and a crash between two of them has no token wave to be caught by.
 
 A third axis injects **faults**: every other PA/MST case derives a
 seeded, recoverable :class:`~repro.congest.FaultPlan` (crash/recover
@@ -418,7 +420,9 @@ def run_case(case: FuzzCase) -> Optional[str]:
                         for k in range(len(aggs))
                     ]
             else:
-                res = driver.minimum_spanning_tree()
+                res = driver.minimum_spanning_tree(
+                    reuse=case.reuse, batch=case.batch
+                )
                 fault_out = res.output
             if fault_out != base_out:
                 return (

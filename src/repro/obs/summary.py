@@ -67,6 +67,13 @@ class TraceSummary:
     #: column path on an array engine because the kernel declined the
     #: payload (the scalar program ran; a ``*_reverse`` folded a list).
     kernel_fallbacks: Dict[str, int] = field(default_factory=dict)
+    #: ``pa.route`` instants: solves that learned their setup's route
+    #: (with the wire and forest edge counts they learned, summed) and
+    #: solves that reused one.
+    routes_learned: int = 0
+    route_wire_edges: int = 0
+    route_forest_edges: int = 0
+    routes_reused: int = 0
 
     @property
     def main_totals(self) -> Tuple[int, int]:
@@ -125,6 +132,13 @@ def summarize(events: Sequence[Dict]) -> TraceSummary:
                 out.kernel_fallbacks[reason] = (
                     out.kernel_fallbacks.get(reason, 0) + 1
                 )
+            elif name == "pa.route":
+                if args.get("outcome") == "learned":
+                    out.routes_learned += 1
+                    out.route_wire_edges += args.get("wire", 0)
+                    out.route_forest_edges += args.get("forest", 0)
+                else:
+                    out.routes_reused += 1
     out.stream_totals = {k: (v[0], v[1]) for k, v in totals.items()}
     return out
 
@@ -213,6 +227,14 @@ def render_summary(summary: TraceSummary, top: int = 10) -> str:
         )
         for reason in sorted(summary.kernel_fallbacks):
             lines.append(f"  {reason}: {summary.kernel_fallbacks[reason]}")
+    if summary.routes_learned or summary.routes_reused:
+        lines.append("")
+        lines.append(
+            f"routes: {summary.routes_learned} learned, wire "
+            f"{summary.route_wire_edges} -> forest "
+            f"{summary.route_forest_edges} edges; "
+            f"{summary.routes_reused} solves reused one"
+        )
     if summary.event_counts:
         lines.append("")
         lines.append("events:")

@@ -380,22 +380,29 @@ class RecoveryDriver:
 
         return self._attempts("pa", run)
 
-    def minimum_spanning_tree(self, **mst_kwargs) -> RunResult:
+    def minimum_spanning_tree(
+        self, reuse: bool = False, batch: bool = False, **mst_kwargs
+    ) -> RunResult:
         """MST that survives the engine's fault plan.
 
         Every attempt rebuilds the BFS tree and its flood-min leader
         election from scratch (that is MST's re-election: Boruvka starts
-        from singleton parts whose leaders are the nodes themselves).
-        Extra keyword arguments pass through to
+        from singleton parts whose leaders are the nodes themselves) on a
+        fresh session with the given ``reuse`` / ``batch`` opt-ins — no
+        setup, hence no learned route, outlives its attempt.  Extra
+        keyword arguments pass through to
         :func:`repro.algorithms.mst.minimum_spanning_tree`.
         """
         from ..algorithms.mst import minimum_spanning_tree
         from .session import PASession
 
         def run(_attempt: int, solver: PASolver) -> RunResult:
+            session = PASession(
+                self.net, solver=solver, reuse=reuse, batch=batch
+            )
             return minimum_spanning_tree(
                 self.net, mode=self.mode, seed=solver.seed,
-                session=PASession(self.net, solver=solver), **mst_kwargs,
+                session=session, **mst_kwargs,
             )
 
         return self._attempts("mst", run)

@@ -77,6 +77,7 @@ from ..core.shortcuts import (
 )
 from ..core.subparts import SubPartDivision
 from ..core.trees import ROOT, RootedForest
+from ..core.wave import RouteMemo
 from ..graphs.partitions import Partition, validate_partition
 
 Fingerprint = Tuple[Tuple[int, ...], Optional[Tuple[int, ...]]]
@@ -92,6 +93,7 @@ class SessionStats:
     refinements: int = 0       # setups served by split-only refinement
     rebuilds: int = 0          # coarsenings/refinements rejected by re-verify
     solves: int = 0            # single-aggregate solves
+    routed_solves: int = 0     # wave passes that reused their setup's route
     batched_solves: int = 0    # aggregations folded into shared wave passes
     evictions: int = 0         # cache entries dropped by the LRU bound
     sharded_solves: int = 0    # wave passes run on the multiprocess backend
@@ -621,7 +623,9 @@ class PASession:
         4. re-annotate blocks distributively (roots and depths change as
            blocks fuse or forests are cut) and re-verify the block
            parameter *with PA itself* (Algorithm 2 / Lemma 4.5, phases
-           ``{kind}_verify_*``).
+           ``{kind}_verify_*``) — as the projected setup's first solve,
+           so its three wire passes are the ones that learn the setup's
+           route and every query after it runs two forest passes.
 
         One budget rule: the verified block count must stay within
         :meth:`block_budget` and the congestion within ``max(previous c,
@@ -668,10 +672,21 @@ class PASession:
             self.stats.refinements += 1
 
         annotations = annotate_blocks(solver.engine, shortcut, ledger)
+        # The setup exists before it is verified: verification is its
+        # first solve, so it — not the caller's first query — learns the
+        # setup's route.
+        setup = PASetup(
+            partition=partition,
+            leaders=leaders,
+            division=division,
+            shortcut=shortcut,
+            annotations=annotations,
+            setup_ledger=ledger,
+        )
         counts = verify_block_parameters(
             solver.engine, net, partition, division, shortcut,
             annotations, ledger, randomized=(solver.mode == RANDOMIZED),
-            rng=solver.rng, phase_prefix=f"{kind}_verify",
+            rng=solver.rng, phase_prefix=f"{kind}_verify", route=setup.route,
         )
         if max(counts, default=0) > self.block_budget() or (
             shortcut.congestion() > max(
@@ -683,14 +698,7 @@ class PASession:
             rebuilt = self._full_prepare(partition, leaders)
             ledger.merge(rebuilt.setup_ledger, prefix="rebuild:")
             return replace(rebuilt, setup_ledger=ledger)
-        return PASetup(
-            partition=partition,
-            leaders=leaders,
-            division=division,
-            shortcut=shortcut,
-            annotations=annotations,
-            setup_ledger=ledger,
-        )
+        return setup
 
     # -- evolving graphs ------------------------------------------------
     def apply_edge_updates(
@@ -839,8 +847,8 @@ class PASession:
         its structures are then rebuilt *structure-identically* on the
         new network (same parent arrays, same ``up_parts``, same block
         annotations; the rebound division reads its wave boundary off
-        the new adjacency on first use).  Everything else is evicted;
-        returns the eviction count.
+        the new adjacency on first use) and start without a route.
+        Everything else is evicted; returns the eviction count.
         """
         evicted = 0
         for key in list(self._cache):
@@ -875,8 +883,11 @@ class PASession:
             shortcut = Shortcut(
                 self.solver.tree, setup.partition, setup.shortcut.up_parts
             )
+            # A removed chord may have been a route edge and an added one
+            # changes the wave: the rebound copy learns its route afresh.
             self._cache[key] = replace(
-                setup, division=division, shortcut=shortcut
+                setup, division=division, shortcut=shortcut,
+                route=RouteMemo(),
             )
         return evicted
 
@@ -891,6 +902,8 @@ class PASession:
     ) -> PAResult:
         """One wave pass over a prepared setup — the session's only route.
 
+        The first solve on a setup learns its wave route, every later one
+        reuses it (``stats.routed_solves``; see :mod:`repro.core.wave`).
         ``backend="local"`` delegates verbatim.  ``backend="sharded"``
         runs the wave pass on the worker pool when eligible (same plan,
         same rng advance, rounds/messages bit-for-bit) and falls back
@@ -901,6 +914,8 @@ class PASession:
         """
         folded = len(agg.factors)
         self.stats.batched_solves += folded
+        if setup.route.delays is not None:
+            self.stats.routed_solves += 1
         if self.backend == "sharded":
             from ..shard import encode_aggregation
 

@@ -31,11 +31,16 @@ from ..congest.ledger import CostLedger
 from ..core import aggregation as _aggmod
 from ..core.aggregation import Aggregation
 from ..core.pa import PASetup, product_aggregation
-from ..core.wave import PAWaveResult, WavePlan
+from ..core.wave import PAWaveResult, WavePlan, note_route
 from ..obs.tracer import current_tracer
 from .ledger_merge import merge_shard_phases
 from .plan import ShardPlan, build_shard_plan
-from .views import build_shard_payload, restrict_plan, restrict_values
+from .views import (
+    build_shard_payload,
+    restrict_delays,
+    restrict_plan,
+    restrict_values,
+)
 
 #: The picklable-by-name aggregation registry (stock aggregations only;
 #: SUM/OR/AND/XOR close over lambdas and cannot pickle directly).
@@ -189,12 +194,21 @@ class ShardOrchestrator:
 
         The run step of ``PASolver.solve_via`` for a sharded session;
         ``agg`` must be expressible by :func:`encode_aggregation`.
+
+        Rank 0 holds the one fact about ``setup.route`` the ledger knows
+        — the delay draw its token wave was paid under, or that none was
+        yet — and sends it with every solve; each worker runs
+        :func:`~repro.core.wave.run_planned_waves` on a memo of its own
+        brought in line with it (a worker that holds no forest for a paid
+        route re-derives it off the ledger).  The fact is committed here
+        only once every shard has replied.
         """
         agg_encoded = encode_aggregation(agg)
         handles = self.ship(setup)
         setup_id = self._shipped[id(setup)][1]
         tracer = current_tracer()
         n = len(setup.partition.part_of)
+        paid = setup.route.delays
 
         solve_start = time.perf_counter()
         for handle in handles:
@@ -207,6 +221,8 @@ class ShardOrchestrator:
                 setup_id,
                 {
                     "plan": restrict_plan(plan, handle.pids),
+                    "paid": None if paid is None
+                    else restrict_delays(paid, handle.pids),
                     "values": restrict_values(
                         values, handle.nodes, handle.is_member
                     ),
@@ -234,6 +250,9 @@ class ShardOrchestrator:
         else:
             outcome = self._merge(handles, replies, ledger, n)
         merge_seconds = time.perf_counter() - merge_start
+        if paid is None:
+            setup.route.delays = plan.delays
+        note_route(phase_prefix, outcome)
 
         self.last_report = {
             "workers": self.workers,
@@ -263,7 +282,12 @@ class ShardOrchestrator:
             members = handle.nodes[handle.is_member]
             for g, value in zip(members.tolist(), reply["member_values"]):
                 value_at_node[g] = value
-        return PAWaveResult(aggregates=aggregates, value_at_node=value_at_node)
+        wire = [r["wire_edges"] for r in replies]
+        return PAWaveResult(
+            aggregates=aggregates, value_at_node=value_at_node,
+            wire_edges=None if None in wire else sum(wire),
+            forest_edges=sum(r["forest_edges"] for r in replies),
+        )
 
     # ------------------------------------------------------------------
     def release(self, setup: PASetup) -> None:

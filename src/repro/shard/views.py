@@ -34,6 +34,7 @@ aggregate and never appear in results.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -216,24 +217,24 @@ def restrict_plan(plan: WavePlan, shard_pids: Sequence[int]) -> WavePlan:
     (they were computed from the global n/b/c/depth and must not be
     recomputed from the restriction); only the per-part dicts relabel.
     """
-    mapping = {
-        int(gpid): lp for lp, gpid in enumerate(sorted(shard_pids))
-    }
-    return WavePlan(
-        capacity=plan.capacity,
-        rounds_per_tick=plan.rounds_per_tick,
-        delays={
-            lp: plan.delays[gpid]
-            for gpid, lp in mapping.items()
-            if gpid in plan.delays
-        },
-        max_ticks=plan.max_ticks,
+    return replace(
+        plan,
+        delays=restrict_delays(plan.delays, shard_pids),
         leader_tokens={
-            lp: plan.leader_tokens[gpid] for gpid, lp in mapping.items()
+            lp: plan.leader_tokens[gpid]
+            for lp, gpid in enumerate(sorted(shard_pids))
         },
-        use_array=plan.use_array,
-        fold=plan.fold,
     )
+
+
+def restrict_delays(
+    delays: Dict[int, int], shard_pids: Sequence[int]
+) -> Dict[int, int]:
+    """A delay draw's entries for a shard's parts, under local part ids."""
+    return {
+        lp: delays[gpid]
+        for lp, gpid in enumerate(sorted(shard_pids)) if gpid in delays
+    }
 
 
 def restrict_values(

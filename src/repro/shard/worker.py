@@ -7,8 +7,9 @@ Each worker owns one end of a pipe and loops over three requests:
   kept under ``setup_id`` until ``unload`` — the orchestrator's memo is
   the one bound on resident setups, so the two sides never disagree;
 * ``("solve", setup_id, solve)`` — run the planned wave phases on the
-  cached shard and reply with the phase log, local aggregates, member
-  values and per-phase wall seconds;
+  cached shard, on its route (learned here, or re-derived off the ledger
+  from the delay draw rank 0 says was paid for), and reply with the phase
+  log, local aggregates, member values and per-phase wall seconds;
 * ``("unload", setup_id)`` — drop a loaded shard (the session evicted
   the setup, or the orchestrator's memo retired it);
 * ``("close",)`` — exit.
@@ -28,17 +29,20 @@ from typing import Dict, Tuple
 
 from ..congest.engine import Engine
 from ..congest.ledger import CostLedger
-from ..core.wave import run_planned_waves
+from ..core.wave import RouteMemo, run_planned_waves
 from .ledger_merge import phases_to_wire
 from .views import ShardSetup, rebuild_shard
 
 
 class _LoadedShard:
-    __slots__ = ("setup", "engine")
+    __slots__ = ("setup", "engine", "route")
 
     def __init__(self, setup: ShardSetup, engine: Engine) -> None:
         self.setup = setup
         self.engine = engine
+        #: This process's memo of the shard's route; rank 0 says with
+        #: every solve under which delay draw it was paid for, if at all.
+        self.route = RouteMemo()
 
 
 def _load(payload: Dict[str, object]) -> _LoadedShard:
@@ -52,6 +56,10 @@ def _solve(shard: _LoadedShard, solve: Dict[str, object]) -> Dict[str, object]:
     setup = shard.setup
     agg = decode_aggregation(solve["agg"])
     ledger = CostLedger()
+    if shard.route.delays != solve["paid"]:
+        # Learned here but never committed rank-0 side, or paid for where
+        # this worker was not (locally, or before a re-ship).
+        shard.route = RouteMemo(delays=solve["paid"])
     start = time.perf_counter()
     outcome = run_planned_waves(
         shard.engine,
@@ -65,6 +73,7 @@ def _solve(shard: _LoadedShard, solve: Dict[str, object]) -> Dict[str, object]:
         ledger,
         solve["plan"],
         phase_prefix=solve["phase_prefix"],
+        route=shard.route,
     )
     wall = time.perf_counter() - start
     member_values = [
@@ -74,6 +83,8 @@ def _solve(shard: _LoadedShard, solve: Dict[str, object]) -> Dict[str, object]:
         "phases": phases_to_wire(ledger.phases()),
         "aggregates": dict(outcome.aggregates),
         "member_values": member_values,
+        "wire_edges": outcome.wire_edges,
+        "forest_edges": outcome.forest_edges,
         "wall_seconds": wall,
     }
 

@@ -5,10 +5,16 @@ sets (Corollary A.3, k = 12), the CDS connection phase (Corollary A.2)
 and leaderless PA (Algorithm 9) on a 7x8 grid and a 60-node 4-regular
 graph, on a plain and on a reuse+batch session.  Each case is pinned by
 ``(phase count, rounds, messages)`` and one SHA-256 over every phase's
-``(name, rounds, messages, ticks, bits)`` in order, captured on the commit
-before the loops shared one ``SuperOps`` push, one outgoing-edge pick and
-one decode (PR 18): the witness that the shared step charges what each
-hand-written one did.
+``(name, rounds, messages, ticks, bits)`` in order.  First captured on the
+commit before the loops shared one ``SuperOps`` push, one outgoing-edge
+pick and one decode (PR 18): the witness that the shared step charges
+what each hand-written one did.  Recaptured once, when a setup began to
+learn its route (PR 20): every one of these loops makes many solves per
+setup, and each literal moved by exactly the audited rule — the
+``*_wave`` phases of non-first solves on a setup gone, their ``*_reverse``
+/ ``*_replay`` at the setup's forest size, ``mst_neighbor_exchange``
+charging only relabelled nodes, every other phase equal with ticks and
+bits (CHANGES, PR 20, lists old -> new).
 """
 
 import hashlib
@@ -65,45 +71,45 @@ def _alg9(net, session):
 #: (algorithm, mode, graph, session) -> (phases, rounds, messages, digest).
 EXPECTED = {
     ('mst-star', 'deterministic', 'grid7x8', 'plain'):
-        (733, 1705, 25979, '2c4942e0fb68e153'),
+        (661, 1377, 19248, '7b7d5e625d850bd3'),
     ('mst-star', 'deterministic', 'grid7x8', 'reuse+batch'):
-        (307, 1008, 19457, 'd05bf8c310f28763'),
+        (232, 631, 8160, '18765ec2a09d5ac3'),
     ('mst-star', 'deterministic', 'reg60', 'plain'):
-        (1163, 4287, 66366, 'a6c7262c76353676'),
+        (1016, 3183, 34334, 'ce0112302a88773d'),
     ('mst-star', 'deterministic', 'reg60', 'reuse+batch'):
-        (581, 2500, 57146, '5cdba17057e31704'),
+        (430, 1479, 17782, '3d4dc8975ab48791'),
     ('kdom', 'randomized', 'grid7x8', 'plain'):
-        (150, 120, 2518, '8c6c914bc3a434b2'),
+        (114, 79, 2353, '036253e1e2128acf'),
     ('kdom', 'randomized', 'grid7x8', 'reuse+batch'):
-        (152, 153, 3611, 'e813d4eeaf8a48af'),
+        (114, 86, 2649, '0e1d1702d4c29764'),
     ('kdom', 'randomized', 'reg60', 'plain'):
-        (259, 422, 7040, 'c588c4b4e6e01e8b'),
+        (194, 231, 5150, '2927d85ebfa76458'),
     ('kdom', 'randomized', 'reg60', 'reuse+batch'):
-        (262, 463, 11788, '7291a35b746c70a3'),
+        (194, 240, 5524, '89921c30cc7279bf'),
     ('kdom', 'deterministic', 'grid7x8', 'plain'):
-        (326, 370, 6496, '8d33039286091dc9'),
+        (290, 314, 6301, 'e18d0a0a28129af6'),
     ('kdom', 'deterministic', 'grid7x8', 'reuse+batch'):
-        (160, 198, 3872, '14a88a0489da5e77'),
+        (122, 131, 2910, '0f46307baa878612'),
     ('kdom', 'deterministic', 'reg60', 'plain'):
-        (546, 726, 13941, 'ff2d8ccb2d5013f7'),
+        (481, 510, 11889, '0c82c245759aee67'),
     ('kdom', 'deterministic', 'reg60', 'reuse+batch'):
-        (270, 484, 12027, '329b16474948da10'),
+        (202, 261, 5763, 'bfbba51ff658e8b7'),
     ('cds', 'randomized', 'grid7x8', 'plain'):
-        (212, 1752, 26206, '8f61e91796d2f839'),
+        (199, 1568, 21554, '3d08588ce671f1ed'),
     ('cds', 'randomized', 'grid7x8', 'reuse+batch'):
-        (107, 669, 11558, 'dcf3fe7ef6826951'),
+        (95, 500, 8397, 'ee73cd96e94f6fbd'),
     ('cds', 'randomized', 'reg60', 'plain'):
-        (134, 1085, 20036, 'ab4ae824575f6dcb'),
+        (127, 956, 17001, 'c961383ef4cfc842'),
     ('cds', 'randomized', 'reg60', 'reuse+batch'):
-        (83, 336, 10561, 'efc11ca66c7760e1'),
+        (77, 277, 9123, '0c3e5bf68c0b3204'),
     ('alg9', 'randomized', 'grid7x8', 'plain'):
-        (492, 1471, 18772, '4d6e2350e4f9636c'),
+        (368, 1075, 12054, '3640a6341e3bab28'),
     ('alg9', 'randomized', 'reg60', 'plain'):
-        (379, 1226, 15057, '277c0fd4c3367c72'),
+        (285, 884, 11141, '53bbe44933cc2c2c'),
     ('alg9', 'deterministic', 'grid7x8', 'plain'):
-        (1266, 3427, 40973, '69f256cfb16f8776'),
+        (1142, 2695, 32443, '934049a171a5d971'),
     ('alg9', 'deterministic', 'reg60', 'plain'):
-        (908, 1997, 27292, '0d975632c5f5fd5a'),
+        (814, 1565, 22830, '6f298e03565f0fbc'),
 }
 
 RUNS = {"mst-star": _mst_star, "kdom": _kdom, "cds": _cds, "alg9": _alg9}

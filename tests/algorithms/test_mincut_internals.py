@@ -98,16 +98,20 @@ def test_one_respecting_cut_value_is_real_cut(weighted_random):
 #: captured on the commit before the cut-value convergecast became a
 #: ``treeops.run_convergecast`` over SUM_TUPLE (PR 19); one literal for
 #: both engines — on the array engine that phase is now a kernel.
+#: Recaptured when a setup began to learn its route (PR 20: the packing's
+#: Boruvka phases make three solves a setup, two of them routed now, and
+#: ``mst_neighbor_exchange`` charges relabelled nodes only); cut values
+#: equal, CHANGES lists old -> new.
 MINCUT_PINS = {
     "grid6x7": (
         lambda: with_distinct_weights(grid_2d(6, 7), seed=4),
-        (32, 774, 4832, 51276,
-         "3f2cb550926dcb2e6647bbe1b26e198b7e1e49bc33d6930ba4e4cb31d18ae6a7"),
+        (32, 694, 4063, 35033,
+         "a502e14c60d547d379421f959bb949fbfd185045829331ef9ce9da1665d7f714"),
     ),
     "reg48": (
         lambda: with_distinct_weights(random_regular(48, 4, seed=7), seed=4),
-        (75, 693, 4481, 65013,
-         "63f849db45613292742e5798232aba4ef041371e4110d5e3437ff3219318ed54"),
+        (75, 625, 3713, 44322,
+         "85e3ab266cc663eb52bc96f5c2a54bbabd6218b5c042871b06505fca1c286cba"),
     ),
 }
 

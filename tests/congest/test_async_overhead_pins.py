@@ -8,7 +8,7 @@ file pins random, FIFO and slow-edge delays, with and without a fault
 plan.  Every literal below was captured on the per-message, binary-heap
 engine (the commit before delay rows and the calendar queue); the
 schedule table repeats ``bench_async::test_pa_schedules`` as committed
-in ``BENCH_pr19.json``.
+in ``BENCH_pr20.json``.
 """
 
 import hashlib
@@ -112,10 +112,13 @@ DETERMINISTIC = [(70, 2, 560, 262), (14, 1, 80, 24), (2, 0, 0, 0), (2, 0, 0, 0),
 FAULTY_HEAD = [(72, 2, 536, 243), (55, 5, 200, 99), (84, 1, 640, 429), (86, 1, 640, 503)]
 FAULTY_HEAD_REPORTS = [(33, 33, 8, 0, 0, 0), (17, 17, 8, 1, 1, 0), (115, 115, 0, 4, 1, 3),
  (57, 57, 0, 0, 0, 0)]
-FAULTY_PHASES = 247
-FAULTY_TOTALS = (3396, 5, 26496, 4243)
+#: The tail is the Algorithm 9 re-election: many solves a setup, routed
+#: after each setup's first since PR 20 (247 phases / (3396, 5, 26496,
+#: 4243) before; the faulty head above did not move).
+FAULTY_PHASES = 187
+FAULTY_TOTALS = (2586, 5, 19296, 3823)
 FAULTY_SHA256 = (
-    "4a97f64d13e567d6043f04f4f8b6c74fa4ec7166c58b677f28c88cb991ef36fa"
+    "28b235c1bdb6427a27385329fe04d480daf1ccc85429bfbe7b20147e51bbe7b6"
 )
 
 

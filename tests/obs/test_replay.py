@@ -171,9 +171,27 @@ def test_trace_replays_mst_ledger():
     assert _event_totals(tracer) == (res.rounds, res.messages)
     # the MST's tuple-valued solves and OR convergecast run scalar on the
     # (default) array engine, and the trace says so without costing a unit
-    reasons = summarize(tracer.events).kernel_fallbacks
+    summary = summarize(tracer.events)
+    reasons = summary.kernel_fallbacks
     assert reasons.get("non_int", 0) > 0
     assert reasons.get("unsupported_agg", 0) > 0
+    # one ``pa.route`` instant a solve: a learned one is a charged token
+    # wave (its wire count the wave's messages), a reused one is a solve
+    # without — and two passes of the forest's size
+    charged = tracer.ledger_events("main")
+    waves = [e for e in charged if e["name"].endswith("_wave")]
+    passes = [e for e in charged if e["name"].endswith(("_reverse", "_replay"))]
+    assert summary.routes_learned == len(waves) > 0
+    assert summary.route_wire_edges == sum(e["args"]["messages"] for e in waves)
+    assert summary.routes_learned + summary.routes_reused == len(passes) // 2
+    assert summary.routes_reused > 0
+    reused_forest = sum(
+        e["args"]["forest"] for e in tracer.events
+        if e["name"] == "pa.route" and e["args"]["outcome"] == "reused"
+    )
+    assert 2 * (summary.route_wire_edges + reused_forest) == sum(
+        e["args"]["messages"] for e in passes
+    )
 
 
 def test_trace_replays_random_graph_partitions():

@@ -44,6 +44,14 @@ def _sample_tracer():
             "kernel_fallback", "engine.fallback",
             {"phase": "wave", "reason": reason},
         )
+    tracer.instant(
+        "pa.route", "pa",
+        {"phase": "pa", "outcome": "learned", "wire": 40, "forest": 17},
+    )
+    for _ in range(2):
+        tracer.instant(
+            "pa.route", "pa", {"phase": "pa", "outcome": "reused", "forest": 17}
+        )
     tracer.counter("wave", {"tick": 0, "messages": 4})
     return tracer
 
@@ -73,9 +81,13 @@ def test_summarize_collects_wall_async_and_event_counts():
     assert summary.async_safes == 30
     # counters and ledger events are not instant events; spans neither
     assert summary.event_counts == {
-        "fast_forward": 2, "crash": 1, "kernel_fallback": 3,
+        "fast_forward": 2, "crash": 1, "kernel_fallback": 3, "pa.route": 3,
     }
     assert summary.kernel_fallbacks == {"non_int": 2, "overflow": 1}
+    assert (
+        summary.routes_learned, summary.route_wire_edges,
+        summary.route_forest_edges, summary.routes_reused,
+    ) == (1, 40, 17, 2)
 
 
 def test_top_phases_orders_by_column_then_name():
@@ -111,6 +123,10 @@ def test_render_summary_mentions_all_sections():
     assert "fast_forward: 2" in text
     assert "kernel fallbacks (3 phases left the column path" in text
     assert "  non_int: 2" in text
+    assert (
+        "routes: 1 learned, wire 40 -> forest 17 edges; "
+        "2 solves reused one"
+    ) in text
 
 
 def test_render_summary_empty_trace():

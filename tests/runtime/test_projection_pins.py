@@ -82,38 +82,31 @@ EXPECTED = {'randomized': {'prepare': (4, 11, 90),
                           ('coarsen_verify_wave', 10, 47),
                           ('coarsen_verify_reverse', 7, 47),
                           ('coarsen_verify_replay', 7, 47)],
-                'merge:batch': [('pa_batch_wave', 10, 47),
-                                ('pa_batch_reverse', 7, 47),
-                                ('pa_batch_replay', 7, 47)],
-                'merge:int': [('pa_wave', 10, 47), ('pa_reverse', 7, 47),
-                              ('pa_replay', 7, 47)],
+                'merge:batch': [('pa_batch_reverse', 6, 31),
+                                ('pa_batch_replay', 6, 31)],
+                'merge:int': [('pa_reverse', 6, 31), ('pa_replay', 6, 31)],
                 'split': [('refine_boundary_exchange', 1, 24),
                           ('annotate_blocks', 0, 0),
                           ('refine_verify_wave', 6, 44),
                           ('refine_verify_reverse', 6, 44),
                           ('refine_verify_replay', 6, 44)],
-                'split:batch': [('pa_batch_wave', 6, 44),
-                                ('pa_batch_reverse', 6, 44),
-                                ('pa_batch_replay', 6, 44)],
-                'split:int': [('pa_wave', 6, 44), ('pa_reverse', 6, 44),
-                              ('pa_replay', 6, 44)],
+                'split:batch': [('pa_batch_reverse', 6, 30),
+                                ('pa_batch_replay', 6, 30)],
+                'split:int': [('pa_reverse', 6, 30), ('pa_replay', 6, 30)],
                 'add': [('edge_update_notify', 1, 2)],
                 'add:hit': [],
                 'add:batch': [('pa_batch_wave', 6, 46),
                               ('pa_batch_reverse', 6, 46),
                               ('pa_batch_replay', 6, 46)],
-                'add:int': [('pa_wave', 6, 46), ('pa_reverse', 6, 46),
-                            ('pa_replay', 6, 46)],
+                'add:int': [('pa_reverse', 6, 30), ('pa_replay', 6, 30)],
                 'remerge': [('coarsen_boundary_exchange', 1, 24),
                             ('annotate_blocks', 0, 0),
                             ('coarsen_verify_wave', 13, 63),
                             ('coarsen_verify_reverse', 8, 63),
                             ('coarsen_verify_replay', 8, 63)],
-                'remerge:batch': [('pa_batch_wave', 13, 63),
-                                  ('pa_batch_reverse', 8, 63),
-                                  ('pa_batch_replay', 8, 63)],
-                'remerge:int': [('pa_wave', 13, 63), ('pa_reverse', 8, 63),
-                                ('pa_replay', 8, 63)],
+                'remerge:batch': [('pa_batch_reverse', 7, 31),
+                                  ('pa_batch_replay', 7, 31)],
+                'remerge:int': [('pa_reverse', 7, 31), ('pa_replay', 7, 31)],
                 'remove': [('edge_update_notify', 1, 2),
                            ('rebuild:leader_election', 9, 393),
                            ('rebuild:child_ack', 1, 35)],
@@ -121,13 +114,13 @@ EXPECTED = {'randomized': {'prepare': (4, 11, 90),
                 'remove:batch': [('pa_batch_wave', 8, 51),
                                  ('pa_batch_reverse', 8, 51),
                                  ('pa_batch_replay', 8, 51)],
-                'remove:int': [('pa_wave', 8, 51), ('pa_reverse', 8, 51),
-                               ('pa_replay', 8, 51)],
+                'remove:int': [('pa_reverse', 7, 31), ('pa_replay', 7, 31)],
                 'stats': {'prepares': 2,
                           'cache_hits': 1,
                           'coarsenings': 2,
                           'refinements': 1,
                           'solves': 5,
+                          'routed_solves': 8,
                           'batched_solves': 10,
                           'edge_updates': 2,
                           'repairs': 1,
@@ -139,38 +132,32 @@ EXPECTED = {'randomized': {'prepare': (4, 11, 90),
                              ('coarsen_verify_wave', 9, 59),
                              ('coarsen_verify_reverse', 7, 59),
                              ('coarsen_verify_replay', 7, 59)],
-                   'merge:batch': [('pa_batch_wave', 9, 59),
-                                   ('pa_batch_reverse', 7, 59),
-                                   ('pa_batch_replay', 7, 59)],
-                   'merge:int': [('pa_wave', 9, 59), ('pa_reverse', 7, 59),
-                                 ('pa_replay', 7, 59)],
+                   'merge:batch': [('pa_batch_reverse', 6, 31),
+                                   ('pa_batch_replay', 6, 31)],
+                   'merge:int': [('pa_reverse', 6, 31), ('pa_replay', 6, 31)],
                    'split': [('refine_boundary_exchange', 1, 24),
                              ('annotate_blocks', 0, 0),
                              ('refine_verify_wave', 9, 55),
                              ('refine_verify_reverse', 6, 55),
                              ('refine_verify_replay', 6, 55)],
-                   'split:batch': [('pa_batch_wave', 9, 55),
-                                   ('pa_batch_reverse', 6, 55),
-                                   ('pa_batch_replay', 6, 55)],
-                   'split:int': [('pa_wave', 9, 55), ('pa_reverse', 6, 55),
-                                 ('pa_replay', 6, 55)],
+                   'split:batch': [('pa_batch_reverse', 6, 30),
+                                   ('pa_batch_replay', 6, 30)],
+                   'split:int': [('pa_reverse', 6, 30), ('pa_replay', 6, 30)],
                    'add': [('edge_update_notify', 1, 2)],
                    'add:hit': [],
                    'add:batch': [('pa_batch_wave', 9, 58),
                                  ('pa_batch_reverse', 6, 58),
                                  ('pa_batch_replay', 6, 58)],
-                   'add:int': [('pa_wave', 9, 58), ('pa_reverse', 6, 58),
-                               ('pa_replay', 6, 58)],
+                   'add:int': [('pa_reverse', 6, 30), ('pa_replay', 6, 30)],
                    'remerge': [('coarsen_boundary_exchange', 1, 24),
                                ('annotate_blocks', 0, 0),
                                ('coarsen_verify_wave', 12, 72),
                                ('coarsen_verify_reverse', 8, 72),
                                ('coarsen_verify_replay', 8, 72)],
-                   'remerge:batch': [('pa_batch_wave', 12, 72),
-                                     ('pa_batch_reverse', 8, 72),
-                                     ('pa_batch_replay', 8, 72)],
-                   'remerge:int': [('pa_wave', 12, 72), ('pa_reverse', 8, 72),
-                                   ('pa_replay', 8, 72)],
+                   'remerge:batch': [('pa_batch_reverse', 7, 31),
+                                     ('pa_batch_replay', 7, 31)],
+                   'remerge:int': [('pa_reverse', 7, 31),
+                                   ('pa_replay', 7, 31)],
                    'remove': [('edge_update_notify', 1, 2),
                               ('rebuild:leader_election', 9, 393),
                               ('rebuild:child_ack', 1, 35)],
@@ -178,13 +165,13 @@ EXPECTED = {'randomized': {'prepare': (4, 11, 90),
                    'remove:batch': [('pa_batch_wave', 15, 68),
                                     ('pa_batch_reverse', 10, 68),
                                     ('pa_batch_replay', 9, 68)],
-                   'remove:int': [('pa_wave', 15, 68), ('pa_reverse', 10, 68),
-                                  ('pa_replay', 9, 68)],
+                   'remove:int': [('pa_reverse', 9, 31), ('pa_replay', 9, 31)],
                    'stats': {'prepares': 2,
                              'cache_hits': 1,
                              'coarsenings': 2,
                              'refinements': 1,
                              'solves': 5,
+                             'routed_solves': 8,
                              'batched_solves': 10,
                              'edge_updates': 2,
                              'repairs': 1,

@@ -4,7 +4,8 @@ Merge two adjacent parts / split the last merge back / peel a node off a
 part (a split that severs sub-part tree edges) / add a chord / remove an
 added chord / re-present an old partition, in both modes, with and
 without an LRU bound.  After every step the setup the session serves
-must answer a tuple-batched and an int solve exactly as a from-scratch
+must answer a tuple-batched and an int solve — the second always on the
+setup's learned route, no token wave — exactly as a from-scratch
 ``solve_pa`` on the *current* graph and partition does, and its
 division's wave boundary must be the one a freshly built
 ``SubPartDivision`` over the current network computes — the invariant
@@ -12,6 +13,8 @@ three hand-written incremental repairs used to maintain, now true by
 construction (the division owns its boundary) and pinned here.
 """
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,7 +75,15 @@ def _check(session, setup, mode, values, other):
     for got, want in zip(batch.per_agg, (want_min, want_sum)):
         assert got.aggregates == want.aggregates
         assert got.value_at_node == want.value_at_node
+    # The second solve of a step always runs on the setup's route — the
+    # one its verification or the batch above learned, and which an edge
+    # update must have dropped (a removed chord may have carried it).
+    routed = session.stats.routed_solves
     single = session.solve(setup, other, SUM, charge_setup=False)
+    assert session.stats.routed_solves == routed + 1
+    assert [p.name for p in single.ledger.phases()] == [
+        "pa_reverse", "pa_replay",
+    ]
     assert single.aggregates == want_sum.aggregates
     assert single.value_at_node == want_sum.value_at_node
 
@@ -165,3 +176,42 @@ def test_every_step_matches_a_from_scratch_solve(mode, max_entries, steps):
             assert report.repaired  # chords are never tree edges
             setup = session.prepare(partition)
         _check(session, setup, mode, values, other)
+
+
+def _forest_edges(setup):
+    """The directed (parent, child) node pairs of a setup's learned route."""
+    (forest,) = setup.route.forests.values()
+    senders = np.repeat(forest.node, forest.out_counts).tolist()
+    return set(zip(senders, forest.out_dst.tolist()))
+
+
+@pytest.mark.parametrize("mode", ["randomized", "deterministic"])
+def test_a_removed_chord_that_carried_the_route_is_not_routed_over(mode):
+    """The directed case the random sequences rarely draw: an in-part chord
+    that became a wave-forest edge is removed again.  The rebound setup
+    must start without a route — its next solve runs a token wave on the
+    current graph, and the routed one after it is right."""
+    base = grid_2d(5, 5)
+    rows = partition_from_component_labels([v // 5 for v in range(base.n)])
+    values = [(v * 5) % 13 for v in range(base.n)]
+    for row in range(5):
+        for chord in ((5 * row, 5 * row + 4), (5 * row, 5 * row + 3)):
+            session = PASession(base, mode=mode, seed=3, reuse=True)
+            session.prepare(rows)  # the division predates the chord
+            session.apply_edge_updates(add=[chord])
+            setup = session.prepare(rows)
+            session.solve(setup, values, SUM, charge_setup=False)
+            carried = {chord, chord[::-1]} & _forest_edges(setup)
+            if not carried:
+                continue
+            assert session.apply_edge_updates(remove=[chord]).repaired
+            setup = session.prepare(rows)
+            want = solve_pa(session.net, rows, values, SUM, mode=mode, seed=1)
+            for expected_phases in (3, 2):  # learns afresh, then routed
+                got = session.solve(setup, values, SUM, charge_setup=False)
+                assert len(got.ledger.phases()) == expected_phases
+                assert got.aggregates == want.aggregates
+                assert got.value_at_node == want.value_at_node
+            assert not {chord, chord[::-1]} & _forest_edges(setup)
+            return
+    pytest.fail("no chord carried the route on this instance")

@@ -163,7 +163,7 @@ def _died_tainted_clean():
     (deterministic) alike."""
     net = with_distinct_weights(random_connected(20, 0.15, seed=1), seed=6)
     plan = FaultPlan.seeded(
-        1000, 20, crashes=1, recover=True, crash_window=(1, 400),
+        1001, 20, crashes=1, recover=True, crash_window=(1, 400),
         outage=(2, 6), partition=True, partition_window=(3, 9),
     )
     return net, plan
@@ -172,7 +172,7 @@ def _died_tainted_clean():
 def test_tainted_mst_attempt_charges_its_tree_election_once():
     """An MST result's ledger already carries the tree ledger under
     ``tree:``; the driver used to merge it into ``recovery_overhead`` a
-    second time (588 rounds / 8 656 messages for a 583 / 8 401 cost)."""
+    second time (5 rounds / 255 messages over the attempt's cost)."""
     net, plan = _died_tainted_clean()
     driver = RecoveryDriver(net, faults=plan, seed=7)
     res = driver.minimum_spanning_tree()
@@ -187,9 +187,51 @@ def test_tainted_mst_attempt_charges_its_tree_election_once():
         ("attempt1:tree:leader_election", 4, 236),
         ("attempt1:tree:child_ack", 1, 19),
     ]
-    assert (recovery.rounds, recovery.messages) == (583, 8401)
+    assert (recovery.rounds, recovery.messages) == (465, 6046)
     main = res.ledger
-    assert (len(main.phases()), main.rounds, main.messages) == (205, 779, 9696)
+    assert (len(main.phases()), main.rounds, main.messages) == (185, 647, 6460)
+
+
+@pytest.mark.parametrize("opt_ins", [{}, {"reuse": True, "batch": True}])
+@pytest.mark.parametrize("victim", [0, 2, 12])
+def test_crash_between_two_solves_on_one_setup(victim, opt_ins):
+    """Only a setup's first solve runs a token wave, so no coverage scan
+    meets a node that went down after the route was learned: the routed
+    reversal itself has to notice.  Crash a node at the first pulse of a
+    phase's second solve — the attempt dies on "a part without a result"
+    (or, where the victim had nothing to send, completes tainted), never
+    returns short aggregates, and the retry is Kruskal's tree."""
+    net, _plan = _died_tainted_clean()
+    # The second solve of phase 3: fragments of several nodes by then.
+    routed = "phase3_relabel_reverse" if opt_ins else "phase3_coins_reverse"
+    clean = RecoveryDriver(net, faults=FaultPlan(), seed=7)
+    clean.minimum_spanning_tree(**opt_ins)
+    log = clean.engine.overhead_log
+    names = [rec.name for rec in log]
+    assert not any(
+        name.startswith(routed[: -len("reverse")]) and name.endswith("_wave")
+        for name in names
+    )
+    base = sum(rec.pulses for rec in log[: names.index(routed)])
+
+    plan = FaultPlan(crashes=(
+        CrashEvent(node=victim, at=base + 1, recover_at=base + 12),
+    ))
+    driver = RecoveryDriver(net, faults=plan, seed=7)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        res = driver.minimum_spanning_tree(**opt_ins)
+    assert res.output == frozenset(kruskal_mst(net))
+    outcomes = [
+        e["args"]["outcome"] for e in tracer.events
+        if e["name"] == "recovery.attempt"
+    ]
+    assert outcomes[0] in ("died", "tainted") and outcomes[-1] == "clean"
+    reports = driver.engine.fault_log
+    hit = next(k for k, report in enumerate(reports) if report.affected)
+    # Everything up to the routed solve ran as in the fault-free attempt.
+    assert [r.phase for r in reports[:hit]] == names[:hit]
+    assert hit >= names.index(routed)
 
 
 def test_both_workloads_trace_their_attempts_alike():

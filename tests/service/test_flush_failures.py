@@ -130,3 +130,38 @@ def test_any_other_failure_puts_queue_and_counters_back(monkeypatch):
         assert [r.query_id for r in answered] == queued
         assert {r.wave for r in answered} == {svc.result(first).wave + 1}
         assert answered[1].aggregates == _oracle(partition, values, sum)
+
+
+def test_a_wave_that_failed_commits_no_route():
+    """The over-wide wave above is the first solve on a fresh setup, and it
+    raises in its reversal — after its token wave ran.  Its ledger is
+    discarded, so its route must be too: the retried halves pay for
+    exactly one ``_wave`` between them (the first half learns, every wave
+    after it runs on the route), never for none."""
+    net = grid_2d(8, 8)
+    partition = bfs_ball_partition(net, 9, seed=3)
+    svc = PAService(net, partition, seed=1, max_batch=12)
+    for i in range(12):
+        values = [(v * 977 + 13 * i) % 100000 for v in range(net.n)]
+        svc.submit("ops", sum_query(values))
+    assert svc.stats.split_waves >= 1
+    served = [
+        p.name for p in svc.ledger.phases() if p.name.startswith("serve")
+    ]
+    prefixes = sorted(
+        {name.rsplit("_", 1)[0] for name in served},
+        key=lambda prefix: int(prefix[len("serve"):-1]),
+    )
+    assert len(prefixes) == svc.stats.waves >= 2
+    first, *rest = prefixes
+    assert served[:3] == [f"{first}_wave", f"{first}_reverse", f"{first}_replay"]
+    assert served[3:] == [
+        f"{prefix}_{phase}" for prefix in rest
+        for phase in ("reverse", "replay")
+    ]
+    # Every attempt after the one that learned — served, or halved once
+    # more — ran on the route; none before it did.
+    numbers = [int(prefix[len("serve"):-1]) for prefix in prefixes]
+    assert numbers[0] >= 1  # wave 0 is the twelve-wide one that failed
+    assert svc.session.stats.routed_solves == numbers[-1] - numbers[0]
+    svc.close()

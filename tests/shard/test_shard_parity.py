@@ -124,7 +124,8 @@ def test_product_batch_runs_under_the_shipped_fold_decision():
     items = [(values, SUM), (values, MIN)]
 
     serial = PASession(net, seed=3, batch=True)
-    expected = serial.solve_many(serial.prepare(partition), items)
+    serial_setup = serial.prepare(partition)
+    expected = serial.solve_many(serial_setup, items)
 
     session = PASession(
         net, seed=3, batch=True,
@@ -151,7 +152,7 @@ def test_product_batch_runs_under_the_shipped_fold_decision():
         # fold a list, also those whose own values would fit a column.
         wide = list(values)
         wide[0] = 1 << 62
-        want = serial.solve(serial.prepare(partition), wide, SUM)
+        want = serial.solve(serial_setup, wide, SUM)  # routed, both sides
         tracer = Tracer()
         with use_tracer(tracer):
             got = session.solve(setup, wide, SUM)
@@ -230,6 +231,45 @@ def test_batched_product_routes_by_its_factors():
         session.close()
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("first", ["local", "sharded"])
+def test_a_route_learned_on_one_side_serves_the_other(mode, first):
+    """One sharded session, solves alternating between the workers (SUM)
+    and the in-process fallback (a lambda aggregation), against a local
+    session making the same solves: whichever side ran the setup's first
+    solve, the other holds no forest for the route rank 0 says is paid —
+    it re-derives it off the ledger, and every phase log stays the local
+    one (one ``*_wave`` in all, then two forest passes a solve)."""
+    net, partition = _net_and_partition()
+    values = _values(net.n)
+    custom = Aggregation("custom_sum", lambda a, b: a + b)
+    order = [custom, SUM] if first == "local" else [SUM, custom]
+    order += order[::-1]
+
+    serial = PASession(net, mode=mode, seed=3)
+    serial_setup = serial.prepare(partition)
+    session = PASession(
+        net, mode=mode, seed=3, backend="sharded", workers=2, shard_min_n=0,
+    )
+    try:
+        setup = session.prepare(partition)
+        waves = 0
+        for agg in order:
+            want = serial.solve(serial_setup, values, agg, charge_setup=False)
+            got = session.solve(setup, values, agg, charge_setup=False)
+            assert (session.shard_report is None) == (agg is custom)
+            assert got.aggregates == want.aggregates
+            assert got.value_at_node == want.value_at_node
+            assert _phase_sig(got.ledger) == _phase_sig(want.ledger)
+            waves += sum(p.name.endswith("_wave") for p in got.ledger.phases())
+        assert waves == 1
+        assert session.stats.sharded_solves == 2
+        assert session.stats.sharded_fallbacks == 2
+        assert session.stats.routed_solves == serial.stats.routed_solves == 3
+    finally:
+        session.close()
+
+
 def test_unbatched_solve_many_routes_each_item_sharded():
     net, partition = _net_and_partition()
     values = _values(net.n)
@@ -265,11 +305,11 @@ def test_mst_end_to_end_parity(mode, workers):
         result = minimum_spanning_tree(
             net, mode=mode, seed=5, session=session
         )
-        # The seam: a solve is exactly one ``*_wave`` phase outside a
+        # The seam: a solve is exactly one ``*_reverse`` phase outside a
         # ``setup:`` prefix, and every one of them — the star joining's
         # pushes included — went through the session, hence to the shards.
         solves = sum(
-            p.name.endswith("_wave") and "setup:" not in p.name
+            p.name.endswith("_reverse") and "setup:" not in p.name
             for p in result.ledger.phases()
         )
         assert session.stats.sharded_solves == solves > 0
