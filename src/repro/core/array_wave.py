@@ -38,15 +38,16 @@ list costs one Python merge per value-carrying answer (one per key with a
 wave parent), never one per message.
 
 **So a setup learns its route once** (the cost rule of
-:mod:`repro.core.wave`): the first solve on a setup runs broadcast,
-reversal and replay over the wire record — three wire passes; what a node
-remembers of it is its wave parent and which of its wave edges were
-answered under the child tag, i.e. the wave forest (:meth:`WaveIndex.forest`,
-``#keys - #parts`` edges); every later solve on that setup runs reversal
-and replay on the forest — two forest passes, no broadcast.  Both passes
-take a :class:`WaveIndex`, wire or forest, and run the same body on
-either: on a forest a key expects one answer per wave child and there is
-no non-parent in-edge to answer ``None`` at the start.  The answer tag
+:mod:`repro.core.wave`): the first solve on a setup runs broadcast and
+reversal over the wire record — two wire passes; what a node remembers of
+them is its wave parent and which of its wave edges were answered under
+the child tag, i.e. the wave forest (:meth:`WaveIndex.forest`, ``#keys -
+#parts`` edges), and the replay of that same solve already runs on it —
+one forest pass; every later solve on that setup runs reversal and replay
+on the forest — two forest passes, no broadcast.  Both passes take a
+:class:`WaveIndex`, wire or forest, and run the same body on either: on a
+forest a key expects one answer per wave child and there is no
+non-parent in-edge to answer ``None`` at the start.  The answer tag
 suffices to learn the forest because a key answers exactly one in-edge —
 its parent's — under the child tag, whatever value it carries.  (The
 kernels read the same fact off the ``parent`` column directly: no answer
@@ -771,6 +772,10 @@ class ReplayArrayKernel(ArrayProgram):
 
     def _packet_bits(self, emitted) -> np.ndarray:
         return self._bits[emitted["pid"]]
+
+    def reached(self) -> int:
+        """How many part members the replay delivered an aggregate to."""
+        return int(np.count_nonzero(self.delivered))
 
     def value_at_node(self) -> List[object]:
         out: List[object] = [None] * self.index.n

@@ -199,7 +199,10 @@ def build_shortcut_by_doubling(
     others retry under (if ``grow_budget``) a doubled budget — the
     doubling trick of Section 1.3.  The iteration cap force-freezes
     whatever is still active, so construction always terminates with
-    measured, not assumed, quality.
+    measured, not assumed, quality.  Either way the loop ends with every
+    still-active part frozen, so the last candidate *is* the shortcut,
+    edge for edge: it is returned with the annotations its verification
+    ran on, not rebuilt and annotated a second time.
     """
     n = net.n
     log_n = max(1, math.ceil(math.log2(max(2, n))))
@@ -221,6 +224,7 @@ def build_shortcut_by_doubling(
         reps_by_part.setdefault(pid, []).append(rep)
 
     iterations = 0
+    candidate = annotations = None
     while active and iterations < max_iterations:
         iterations += 1
         claimants = [
@@ -252,13 +256,13 @@ def build_shortcut_by_doubling(
         if grow_budget:
             budget *= 2
 
-    final = Shortcut(tree, partition, frozen_up)
-    annotations = annotate_blocks(engine, final, ledger)
-    counts = annotations.block_counts(partition.num_parts)
+    if candidate is None:  # no part ever claimed: the empty shortcut
+        candidate = Shortcut(tree, partition, frozen_up)
+        annotations = annotate_blocks(engine, candidate, ledger)
     return ShortcutBuildResult(
-        shortcut=final,
+        shortcut=candidate,
         annotations=annotations,
-        block_counts=counts,
+        block_counts=annotations.block_counts(partition.num_parts),
         iterations=iterations,
     )
 

@@ -30,6 +30,7 @@ from ..congest.ledger import CostLedger, RunResult
 from ..congest.network import Network
 from ..congest.schedule import Schedule
 from ..graphs.partitions import Partition, validate_partition
+from ..obs.tracer import current_tracer
 from .aggregation import Aggregation
 from .blocks import BlockAnnotations, annotate_blocks
 from .corefast import ShortcutBuildResult, build_shortcut_randomized
@@ -51,6 +52,13 @@ class PASetup:
     (:class:`~repro.core.wave.RouteMemo`): a function of ``division`` and
     ``shortcut``, so a copy that keeps both shares it and a copy that
     replaces either must start a fresh one.
+
+    ``block_bound`` is, per part, an upper bound on its number of
+    nontrivial blocks that the part already holds.  Left out, it is the
+    annotations' own count — right for every setup whose counts PA has
+    summed (a build's last verification, a projection's); a projection
+    that skipped its verification carries what its parent's bound
+    implies instead (:meth:`repro.runtime.PASession._project`).
     """
 
     partition: Partition
@@ -60,6 +68,13 @@ class PASetup:
     annotations: BlockAnnotations
     setup_ledger: CostLedger
     route: RouteMemo = field(default_factory=RouteMemo, repr=False)
+    block_bound: Optional[Tuple[int, ...]] = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.block_bound is None:
+            self.block_bound = tuple(
+                self.annotations.block_counts(self.partition.num_parts)
+            )
 
     def quality(self) -> Tuple[int, int]:
         """(block parameter, congestion) of the constructed shortcut."""
@@ -269,6 +284,12 @@ class PASolver:
         self.tree: RootedForest = self.tree_result.tree
         #: The globally-known diameter estimate (2-approximation via BFS).
         self.diameter: int = max(1, 2 * self.tree_result.depth)
+        tracer = current_tracer()
+        if tracer.enabled:
+            # What ``python -m repro.obs explain`` holds the ledger against.
+            tracer.instant("pa.net", "pa", {
+                "n": net.n, "m": net.m, "depth": self.tree_result.depth,
+            })
 
     # ------------------------------------------------------------------
     def rebind(self, net: Network) -> None:
@@ -391,6 +412,7 @@ class PASolver:
             shortcut=build.shortcut,
             annotations=build.annotations,
             setup_ledger=ledger,
+            block_bound=tuple(build.block_counts),
         )
 
     def solve(
@@ -429,9 +451,10 @@ class PASolver:
         The plan is computed here from the *global* structures — advancing
         ``self.rng`` exactly once per solve — and ``run(setup, plan,
         values, agg, ledger, phase_prefix)`` executes the wave phases
-        under it on ``setup.route`` (three wire passes on a setup's first
-        solve, two forest passes after), charging ``ledger`` and returning
-        a :class:`~repro.core.wave.PAWaveResult`: in-process for
+        under it on ``setup.route`` (two wire passes and a forest pass on
+        a setup's first solve, two forest passes after), charging
+        ``ledger`` and returning a
+        :class:`~repro.core.wave.PAWaveResult`: in-process for
         :meth:`solve`, the shard orchestrator's for a sharded session.
         """
         ledger = CostLedger()

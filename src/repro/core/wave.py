@@ -44,7 +44,7 @@ phases, each a single engine program over *all parts concurrently*:
    bit-for-bit.
 
 3. :class:`ReplayProgram` — the result broadcast: the leader's aggregate
-   retraces the recorded wave edges.
+   retraces the wave forest (below), one message per non-leader key.
 
 **The cost rule: a setup learns its route once.**  Who sends to whom in a
 wave is a function of the setup and the delay draw, not of the values
@@ -55,13 +55,25 @@ under the child tag — those are the edges on which it *is* the wave
 parent, and the answer's tag is all it takes to tell them from the rest
 (a non-parent answer is ``None`` under the other tag; same
 ``TAG_BITS``).  Those edges are the *wave forest*: one in-edge per
-non-leader key, ``#keys - #parts`` edges in all.  So the first solve on a
-setup runs the three phases over the wire record (3x the wave's rounds
-and messages, Lemma 4.4), and when it has returned the setup keeps the
-forest (:class:`RouteMemo`); every later solve on that setup runs no token
-wave — reversal and replay run unchanged on the forest, two passes of
-``#keys - #parts`` messages each.  The one place that decides is
-:func:`run_planned_waves`.
+non-leader key, ``#keys - #parts`` edges in all.  A node holds that fact
+as soon as the reversal's answers are in, so nothing after the reversal
+pays for the wire again: the first solve on a setup runs broadcast and
+reversal over the wire record and the replay on the forest — two wire
+passes and one forest pass (one wire broadcast and one wire reversal is
+what a setup's first solve must keep paying; Lemma 4.4's third pass only
+ever needed the tree the first two built) — and when it has returned the
+setup keeps the forest (:class:`RouteMemo`); every later solve on that
+setup runs no token wave — reversal and replay on the forest, two passes
+of ``#keys - #parts`` messages each.  A one-off solve (a candidate
+verification inside a build) is a first solve that keeps nothing.  The
+one place that decides is :func:`run_planned_waves`.
+
+Each pass has its completeness check there: the broadcast its coverage
+scan (every member holds the token), the reversal its unanswered parts,
+the replay — which runs on an edge set the scan never validated — the
+count of members it delivered to against the members there are.  All
+three raise ``RuntimeError``; under the recovery driver that is an
+attempt that died.
 """
 
 from __future__ import annotations
@@ -543,6 +555,10 @@ class ReplayProgram(QueuedProgram):
             _tag, pid, value = payload
             self._forward(ctx, node, pid, value)
 
+    def reached(self) -> int:
+        """How many part members the replay delivered an aggregate to."""
+        return len(self.delivered)
+
     def value_at_node(self) -> List[object]:
         """Per node, the aggregate its part's replay delivered to it."""
         return [self.delivered.get(v) for v in range(len(self.record.part_of))]
@@ -719,15 +735,16 @@ def run_planned_waves(
     """Run one solve under a precomputed plan, on the setup's route.
 
     ``route`` is the setup's :class:`RouteMemo` (``None``: a one-off
-    solve on structures nobody will solve on again, which learns and
-    keeps nothing).  The first solve on it runs broadcast + reversal +
-    replay over the wire record, under ``plan.delays``, and commits the
-    route once all three have returned; a later solve runs no token wave
-    and no coverage scan
-    — reversal and replay on the remembered forest (re-derived off the
+    solve on structures nobody will solve on again, which keeps
+    nothing).  The first solve on it runs broadcast + coverage scan +
+    reversal over the wire record, under ``plan.delays``, then the replay
+    on the record's forest — the object it commits once all three have
+    returned; a later solve runs no token wave and no coverage scan —
+    reversal and replay on the remembered forest (re-derived off the
     ledger, under the paid delay draw, where this process does not hold
     it).  ``plan.delays`` goes unused then; it was still drawn, so every
-    later draw on the solver's rng is the one it always was.
+    later draw on the solver's rng is the one it always was.  Either way
+    the replay must reach every part member, or the solve raises.
 
     The plan's parameters (including the array-dispatch decision) are
     honored as given: this is the entry point sharded workers use, with a
@@ -766,15 +783,17 @@ def run_planned_waves(
 
     learning = route is None or route.delays is None
     if learning:
-        path = token_wave(plan.delays, charge=True)
+        wire = token_wave(plan.delays, charge=True)
+        forest = wire.forest()
     else:
-        path = route.forests.get(plan.use_array)
-        if path is None:
-            path = route.forests[plan.use_array] = token_wave(
+        forest = route.forests.get(plan.use_array)
+        if forest is None:
+            forest = route.forests[plan.use_array] = token_wave(
                 route.delays, charge=False
             ).forest()
+        wire = forest
     reverse = run(
-        reversal(path, agg, values, capacity=plan.capacity),
+        reversal(wire, agg, values, capacity=plan.capacity),
         "reverse", 4 * plan.max_ticks,
     )
     unanswered = [
@@ -786,18 +805,22 @@ def run_planned_waves(
             f"reversal left parts without a result: {unanswered[:5]}"
         )
     replayed = run(
-        replay(path, reverse.results, capacity=plan.capacity),
+        replay(forest, reverse.results, capacity=plan.capacity),
         "replay", 4 * plan.max_ticks,
     )
+    reached, members = replayed.reached(), sum(map(len, partition.members))
+    if reached != members:
+        raise RuntimeError(
+            f"replay reached {reached} of {members} part members"
+        )
     if learning and route is not None:
         route.delays = plan.delays
-        route.forests = {plan.use_array: path.forest()}
+        route.forests = {plan.use_array: forest}
     outcome = PAWaveResult(
         aggregates=dict(reverse.results),
         value_at_node=replayed.value_at_node(),
-        wire_edges=path.edges if learning else None,
-        # One in-edge per non-leader key, filtered or not yet.
-        forest_edges=len(path.parent) - partition.num_parts,
+        wire_edges=wire.edges if learning else None,
+        forest_edges=forest.edges,
     )
     note_route(phase_prefix, outcome)
     return outcome

@@ -14,12 +14,16 @@ The observability substrate every engine and runtime layer emits into:
   experiment;
 * :mod:`repro.obs.summary` profiles and diffs recorded traces —
   ``python -m repro.obs summarize TRACE`` / ``python -m repro.obs diff
-  A B`` (the per-phase version of the bench runner's ledger gate).
+  A B`` (the per-phase version of the bench runner's ledger gate);
+* :mod:`repro.obs.explain` folds a trace's phases into families and
+  holds them against the paper's envelopes — ``python -m repro.obs
+  explain TRACE`` names the family that owns each slack.
 
 See docs/architecture.md, "Observability", for the trace schema and the
 hook-point inventory.
 """
 
+from .explain import Explanation, explain, phase_family, render_explanation
 from .summary import (
     PhaseTotals,
     TraceSummary,
@@ -41,6 +45,7 @@ from .tracer import (
 )
 
 __all__ = [
+    "Explanation",
     "NULL_TRACER",
     "NullTracer",
     "PhaseTotals",
@@ -48,9 +53,12 @@ __all__ = [
     "Tracer",
     "current_tracer",
     "diff_summaries",
+    "explain",
     "install_tracer",
     "load_trace",
+    "phase_family",
     "render_diff",
+    "render_explanation",
     "render_summary",
     "summarize",
     "top_phases",

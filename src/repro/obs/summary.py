@@ -74,6 +74,10 @@ class TraceSummary:
     route_wire_edges: int = 0
     route_forest_edges: int = 0
     routes_reused: int = 0
+    #: ``session.prepare`` spans of projections, by whether the block
+    #: verification ran or was implied by the parent setup's counts.
+    projections_verified: int = 0
+    projections_implied: int = 0
 
     @property
     def main_totals(self) -> Tuple[int, int]:
@@ -125,6 +129,11 @@ def summarize(events: Sequence[Dict]) -> TraceSummary:
                 out.async_payloads += args.get("payload_messages", 0)
                 out.async_acks += args.get("ack_messages", 0)
                 out.async_safes += args.get("safe_messages", 0)
+        elif name == "session.prepare" and event.get("ph") == "X":
+            if args.get("verified") == "ran":
+                out.projections_verified += 1
+            elif args.get("verified") == "implied":
+                out.projections_implied += 1
         elif event.get("ph") == "i" and cat != "ledger":
             out.event_counts[name] = out.event_counts.get(name, 0) + 1
             if name == "kernel_fallback":
@@ -234,6 +243,12 @@ def render_summary(summary: TraceSummary, top: int = 10) -> str:
             f"{summary.route_wire_edges} -> forest "
             f"{summary.route_forest_edges} edges; "
             f"{summary.routes_reused} solves reused one"
+        )
+    if summary.projections_verified or summary.projections_implied:
+        lines.append("")
+        lines.append(
+            f"projections: {summary.projections_verified} verified, "
+            f"{summary.projections_implied} implied"
         )
     if summary.event_counts:
         lines.append("")

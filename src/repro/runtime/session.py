@@ -24,9 +24,11 @@ four opt-in capabilities on top:
   is cut at the new part borders (a no-op under merges: old sub-parts
   still refine merged parts) and blocks are re-annotated distributively.
   Quality is then *re-verified with PA itself* (Algorithm 2 — the
-  paper's own trick for checking block parameters) and congestion
-  re-checked; a projection over either budget is discarded for a fresh
-  construction, so reuse can cost rounds but never correctness.
+  paper's own trick for checking block parameters) unless the parent's
+  block counts already imply the budget (a union of edge sets has no
+  more components than its terms), and congestion re-checked; a
+  projection over either budget is discarded for a fresh construction,
+  so reuse can cost rounds but never correctness.
 
 * **Edge updates** (:meth:`PASession.apply_edge_updates`): insert/delete
   batches over the (immutable) network are absorbed by a tree-preserving
@@ -92,6 +94,7 @@ class SessionStats:
     coarsenings: int = 0       # setups served by incremental coarsening
     refinements: int = 0       # setups served by split-only refinement
     rebuilds: int = 0          # coarsenings/refinements rejected by re-verify
+    implied: int = 0           # projections whose parent's counts implied b
     solves: int = 0            # single-aggregate solves
     routed_solves: int = 0     # wave passes that reused their setup's route
     batched_solves: int = 0    # aggregations folded into shared wave passes
@@ -454,21 +457,32 @@ class PASession:
 
         ``outcome`` is what the caller expects ("full", "coarsened" or
         "refined"); a projection that fell out of budget reports itself as
-        "rebuild" (detected via the stats counter).  The span carries
-        the built setup's ledger totals so a trace shows what each
-        construction cost without walking ledger events.
+        "rebuild", and every projection says whether its verification
+        "ran" or was "implied" by its parent's block counts (both detected
+        via the stats counters).  The span carries the built setup's
+        ledger totals, the largest per-part block bound it holds, its
+        achieved (b, c) and its sub-part count, so a trace shows what each
+        construction cost and what it built without walking ledger events.
         """
         tracer = current_tracer()
         if not tracer.enabled:
             return build()
         rebuilds_before = self.stats.rebuilds
+        implied_before = self.stats.implied
         with tracer.span("session.prepare", "session") as args:
             setup = build()
             args["outcome"] = (
                 "rebuild" if self.stats.rebuilds > rebuilds_before else outcome
             )
+            if outcome != "full":
+                args["verified"] = (
+                    "implied" if self.stats.implied > implied_before else "ran"
+                )
             args["rounds"] = setup.setup_ledger.rounds
             args["messages"] = setup.setup_ledger.messages
+            args["bound"] = max(setup.block_bound)
+            args["b"], args["c"] = setup.quality()
+            args["subparts"] = setup.division.num_subparts()
         return setup
 
     # ------------------------------------------------------------------
@@ -548,7 +562,8 @@ class PASession:
         and ``partition`` a merge-only coarsening of ``previous``'s
         (Boruvka fragments merging) or a split-only refinement of it
         (parts breaking apart — the service layer's regrouping updates),
-        the previous machinery is projected and re-verified (see
+        the previous machinery is projected and, where its parent's
+        block counts do not already imply the budget, re-verified (see
         :meth:`_project`).  Either way the returned setup is correct for
         PA over ``partition`` — only its construction cost differs.
         """
@@ -621,20 +636,34 @@ class PASession:
            neighbors, so each learns which incident edges joined or left
            its part — what the division's wave boundary is read from;
         4. re-annotate blocks distributively (roots and depths change as
-           blocks fuse or forests are cut) and re-verify the block
+           blocks fuse or forests are cut), and re-verify the block
            parameter *with PA itself* (Algorithm 2 / Lemma 4.5, phases
-           ``{kind}_verify_*``) — as the projected setup's first solve,
-           so its three wire passes are the ones that learn the setup's
-           route and every query after it runs two forest passes.
+           ``{kind}_verify_*``) — unless what the parts already hold
+           certifies the budget.  The lemma: a merged part's ``H`` is the
+           union of its constituents' edge sets, and a union of edge sets
+           has at most as many connected components as its terms have in
+           total, so ``#blocks(merged) <= sum #blocks(constituent)``; a
+           fragment inherits its ancestor's ``H`` whole, so
+           ``#blocks(fragment) <= #blocks(ancestor)``.  Every setup
+           carries a per-part bound (:attr:`PASetup.block_bound`: the
+           counts PA last summed, or what the parent's bound implies by
+           the lemma), and when the largest implied bound is within
+           :meth:`block_budget` no verification runs and no delay is
+           drawn: the caller's first query is then the solve that learns
+           the setup's route.  Otherwise the verification runs as the
+           projected setup's first solve — its two wire passes are the
+           ones that learn the route — and the setup's bound is the count
+           it paid for.
 
-        One budget rule: the verified block count must stay within
-        :meth:`block_budget` and the congestion within ``max(previous c,
-        general-graph envelope)`` — the latter can only bind under splits
-        (fragments pile onto shared tree edges; relabeling merged parts
-        only dedupes).  A projection over budget is discarded for a fresh
-        full prepare charged to the same ledger under ``rebuild:``, the
-        verification it paid for included: quality degradation can cost a
-        rebuild, but never silently compounds.
+        One budget rule: the block count — bounded by the lemma, or
+        verified — must stay within :meth:`block_budget` and the
+        congestion within ``max(previous c, general-graph envelope)`` —
+        the latter can only bind under splits (fragments pile onto shared
+        tree edges; relabeling merged parts only dedupes).  A projection
+        over budget is discarded for a fresh full prepare charged to the
+        same ledger under ``rebuild:``, the verification it paid for
+        included: quality degradation can cost a rebuild, but never
+        silently compounds.
         """
         solver = self.solver
         net = solver.net
@@ -672,9 +701,16 @@ class PASession:
             self.stats.refinements += 1
 
         annotations = annotate_blocks(solver.engine, shortcut, ledger)
-        # The setup exists before it is verified: verification is its
+        # What the parent's bound implies: a sum over the constituents of
+        # a merged part, the ancestor's own for a fragment.
+        bound = [0] * partition.num_parts
+        for old_pid, new_pids in enumerate(image):
+            for new_pid in new_pids:
+                bound[new_pid] += previous.block_bound[old_pid]
+        implied = max(bound) <= self.block_budget()
+        # The setup exists before it is verified: a verification is its
         # first solve, so it — not the caller's first query — learns the
-        # setup's route.
+        # setup's route, and its bound is the count it summed.
         setup = PASetup(
             partition=partition,
             leaders=leaders,
@@ -682,13 +718,20 @@ class PASession:
             shortcut=shortcut,
             annotations=annotations,
             setup_ledger=ledger,
+            block_bound=tuple(bound) if implied else None,
         )
-        counts = verify_block_parameters(
-            solver.engine, net, partition, division, shortcut,
-            annotations, ledger, randomized=(solver.mode == RANDOMIZED),
-            rng=solver.rng, phase_prefix=f"{kind}_verify", route=setup.route,
-        )
-        if max(counts, default=0) > self.block_budget() or (
+        if implied:
+            self.stats.implied += 1
+            over = False
+        else:
+            counts = verify_block_parameters(
+                solver.engine, net, partition, division, shortcut,
+                annotations, ledger, randomized=(solver.mode == RANDOMIZED),
+                rng=solver.rng, phase_prefix=f"{kind}_verify",
+                route=setup.route,
+            )
+            over = max(counts) > self.block_budget()
+        if over or (
             shortcut.congestion() > max(
                 previous.shortcut.congestion(),
                 shortcut_hint_for_family("general", net.n, solver.diameter)[1],

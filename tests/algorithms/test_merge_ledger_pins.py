@@ -14,7 +14,13 @@ setup, and each literal moved by exactly the audited rule — the
 ``*_wave`` phases of non-first solves on a setup gone, their ``*_reverse``
 / ``*_replay`` at the setup's forest size, ``mst_neighbor_exchange``
 charging only relabelled nodes, every other phase equal with ticks and
-bits (CHANGES, PR 20, lists old -> new).
+bits (CHANGES, PR 20, lists old -> new).  Recaptured again when what the
+wave layer already knows stopped being paid for twice (PR 21), by that
+PR's audited rule: a learning solve's ``*_replay`` at its forest size,
+the ``coarsen_verify_*`` of a projection whose parent's block counts
+imply the budget gone (the next solve on that setup carries their
+``_wave`` and wire ``_reverse``), one ``annotate_blocks`` fewer per
+build that iterated, every other phase equal (CHANGES, PR 21).
 """
 
 import hashlib
@@ -71,45 +77,45 @@ def _alg9(net, session):
 #: (algorithm, mode, graph, session) -> (phases, rounds, messages, digest).
 EXPECTED = {
     ('mst-star', 'deterministic', 'grid7x8', 'plain'):
-        (661, 1377, 19248, '7b7d5e625d850bd3'),
+        (661, 1377, 19140, 'b21d2b25266f936b'),
     ('mst-star', 'deterministic', 'grid7x8', 'reuse+batch'):
-        (232, 631, 8160, '18765ec2a09d5ac3'),
+        (226, 600, 7694, '0d5b83ce92356952'),
     ('mst-star', 'deterministic', 'reg60', 'plain'):
-        (1016, 3183, 34334, 'ce0112302a88773d'),
+        (1014, 3185, 33756, '61866c064be41ce7'),
     ('mst-star', 'deterministic', 'reg60', 'reuse+batch'):
-        (430, 1479, 17782, '3d4dc8975ab48791'),
+        (422, 1433, 17017, 'd265f7ccd625ce22'),
     ('kdom', 'randomized', 'grid7x8', 'plain'):
-        (114, 79, 2353, '036253e1e2128acf'),
+        (114, 78, 2351, 'eb3fb8e62ec410b6'),
     ('kdom', 'randomized', 'grid7x8', 'reuse+batch'):
-        (114, 86, 2649, '0e1d1702d4c29764'),
+        (110, 74, 2425, 'ff67f8e779eba567'),
     ('kdom', 'randomized', 'reg60', 'plain'):
-        (194, 231, 5150, '2927d85ebfa76458'),
+        (194, 229, 5130, 'ce52f5cbd1405577'),
     ('kdom', 'randomized', 'reg60', 'reuse+batch'):
-        (194, 240, 5524, '89921c30cc7279bf'),
+        (188, 221, 5144, '950881f19daee19f'),
     ('kdom', 'deterministic', 'grid7x8', 'plain'):
-        (290, 314, 6301, 'e18d0a0a28129af6'),
+        (290, 312, 6294, 'b61dbcf7ef369e15'),
     ('kdom', 'deterministic', 'grid7x8', 'reuse+batch'):
-        (122, 131, 2910, '0f46307baa878612'),
+        (118, 119, 2686, '64d9459c0878dee0'),
     ('kdom', 'deterministic', 'reg60', 'plain'):
-        (481, 510, 11889, '0c82c245759aee67'),
+        (481, 508, 11858, '0434951b8efc6319'),
     ('kdom', 'deterministic', 'reg60', 'reuse+batch'):
-        (202, 261, 5763, 'bfbba51ff658e8b7'),
+        (196, 242, 5383, 'e0550861aeba5793'),
     ('cds', 'randomized', 'grid7x8', 'plain'):
-        (199, 1568, 21554, '3d08588ce671f1ed'),
+        (191, 1462, 18670, 'd096c158dafc05d9'),
     ('cds', 'randomized', 'grid7x8', 'reuse+batch'):
-        (95, 500, 8397, 'ee73cd96e94f6fbd'),
+        (83, 393, 7486, 'ce94aa453e154184'),
     ('cds', 'randomized', 'reg60', 'plain'):
-        (127, 956, 17001, 'c961383ef4cfc842'),
+        (121, 913, 15001, '319b6f859721a3bd'),
     ('cds', 'randomized', 'reg60', 'reuse+batch'):
-        (77, 277, 9123, '0c3e5bf68c0b3204'),
+        (65, 197, 8105, '5093d154799dfb12'),
     ('alg9', 'randomized', 'grid7x8', 'plain'):
-        (368, 1075, 12054, '3640a6341e3bab28'),
+        (366, 1053, 11596, '384947912cd1217b'),
     ('alg9', 'randomized', 'reg60', 'plain'):
-        (285, 884, 11141, '53bbe44933cc2c2c'),
+        (283, 861, 10333, '80ac2c1c7ee6a373'),
     ('alg9', 'deterministic', 'grid7x8', 'plain'):
-        (1142, 2695, 32443, '934049a171a5d971'),
+        (1140, 2674, 32059, '33e9438586fe37bc'),
     ('alg9', 'deterministic', 'reg60', 'plain'):
-        (814, 1565, 22830, '6f298e03565f0fbc'),
+        (812, 1548, 22640, '2a59dff3aa51a24c'),
 }
 
 RUNS = {"mst-star": _mst_star, "kdom": _kdom, "cds": _cds, "alg9": _alg9}

@@ -100,18 +100,21 @@ def test_one_respecting_cut_value_is_real_cut(weighted_random):
 #: both engines — on the array engine that phase is now a kernel.
 #: Recaptured when a setup began to learn its route (PR 20: the packing's
 #: Boruvka phases make three solves a setup, two of them routed now, and
-#: ``mst_neighbor_exchange`` charges relabelled nodes only); cut values
-#: equal, CHANGES lists old -> new.
+#: ``mst_neighbor_exchange`` charges relabelled nodes only) and when a
+#: learning solve began to replay on its forest and a build to return its
+#: last verified candidate (PR 21: every phase's fresh prepare loses one
+#: ``annotate_blocks``, every first solve's ``_replay`` runs at the forest
+#: size); cut values equal, CHANGES lists old -> new.
 MINCUT_PINS = {
     "grid6x7": (
         lambda: with_distinct_weights(grid_2d(6, 7), seed=4),
-        (32, 694, 4063, 35033,
-         "a502e14c60d547d379421f959bb949fbfd185045829331ef9ce9da1665d7f714"),
+        (32, 676, 3870, 30901,
+         "07b4fe2393c2a1c935729cad96c66a57d85efbb5717f443668cdb2ba390b2a86"),
     ),
     "reg48": (
         lambda: with_distinct_weights(random_regular(48, 4, seed=7), seed=4),
-        (75, 625, 3713, 44322,
-         "85e3ab266cc663eb52bc96f5c2a54bbabd6218b5c042871b06505fca1c286cba"),
+        (75, 606, 3552, 38375,
+         "d1507528a4aa8f8a401b1227e97ce2d6226d93303c92cc303bac7553bacc96a7"),
     ),
 }
 

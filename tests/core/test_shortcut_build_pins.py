@@ -5,7 +5,12 @@
 freeze loop and differ in the claim step; their per-phase ledgers
 ``(name, rounds, messages)`` and every ``ShortcutBuildResult`` field are
 held to literals captured on the commit before the loop was shared
-(PR 16), on a grid and a 4-regular graph.
+(PR 16), on a grid and a 4-regular graph.  Recaptured once (PR 21): a
+build that iterated returns its last verified candidate instead of
+annotating a copy of it — one trailing ``annotate_blocks`` fewer — and
+each one-off verification replays on the forest it just learned
+(``*_replay`` at ``#keys - #parts`` messages); every other phase and
+every result field equal, CHANGES lists old -> new.
 """
 
 import hashlib
@@ -14,6 +19,7 @@ import pytest
 
 from repro import PASolver
 from repro.congest import CostLedger
+from repro.core import corefast
 from repro.core.corefast import build_shortcut_randomized
 from repro.core.det_shortcut import build_shortcut_deterministic
 from repro.core.subparts import build_subpart_division_randomized
@@ -36,7 +42,8 @@ RUNS = {
 }
 
 
-def _build(graph, mode, run):
+def _construct(graph, mode, run):
+    """``(build result, its ledger, the partition)`` of one construction."""
     net, ball = GRAPHS[graph]()
     partition = bfs_ball_partition(net, ball, seed=3)
     solver = PASolver(net, mode=mode, seed=6)
@@ -60,6 +67,11 @@ def _build(graph, mode, run):
             solver.engine, net, partition, division, solver.tree,
             solver.diameter, ledger, **RUNS[run],
         )
+    return build, ledger, partition
+
+
+def _build(graph, mode, run):
+    build, ledger, partition = _construct(graph, mode, run)
     return {
         "phases": [(p.name, p.rounds, p.messages) for p in ledger.phases()],
         "iterations": build.iterations,
@@ -79,8 +91,7 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                 ('annotate_blocks', 14, 102),
                                                 ('verify_1_wave', 57, 468),
                                                 ('verify_1_reverse', 45, 468),
-                                                ('verify_1_replay', 45, 468),
-                                                ('annotate_blocks', 14, 102)],
+                                                ('verify_1_replay', 42, 129)],
                                      'iterations': 1,
                                      'block_counts': [1, 1, 1, 0],
                                      'quality': (1, 3),
@@ -90,13 +101,12 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                  ('annotate_blocks', 11, 98),
                                                  ('verify_1_wave', 50, 460),
                                                  ('verify_1_reverse', 38, 460),
-                                                 ('verify_1_replay', 38, 460),
+                                                 ('verify_1_replay', 36, 127),
                                                  ('corefast_claim_2', 9, 45),
                                                  ('annotate_blocks', 14, 102),
                                                  ('verify_2_wave', 57, 468),
                                                  ('verify_2_reverse', 45, 468),
-                                                 ('verify_2_replay', 45, 468),
-                                                 ('annotate_blocks', 14, 102)],
+                                                 ('verify_2_replay', 42, 129)],
                                       'iterations': 2,
                                       'block_counts': [1, 1, 1, 0],
                                       'quality': (1, 3),
@@ -106,13 +116,12 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                ('annotate_blocks', 11, 98),
                                                ('verify_1_wave', 50, 460),
                                                ('verify_1_reverse', 38, 460),
-                                               ('verify_1_replay', 38, 460),
+                                               ('verify_1_replay', 36, 127),
                                                ('corefast_claim_2', 9, 102),
                                                ('annotate_blocks', 14, 102),
                                                ('verify_2_wave', 57, 468),
                                                ('verify_2_reverse', 45, 468),
-                                               ('verify_2_replay', 45, 468),
-                                               ('annotate_blocks', 14, 102)],
+                                               ('verify_2_replay', 42, 129)],
                                     'iterations': 2,
                                     'block_counts': [1, 1, 1, 0],
                                     'quality': (1, 3),
@@ -141,8 +150,7 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                    ('det_verify_1_reverse', 14,
                                                     261),
                                                    ('det_verify_1_replay', 13,
-                                                    261),
-                                                   ('annotate_blocks', 8, 11)],
+                                                    103)],
                                         'iterations': 1,
                                         'block_counts': [1, 1, 1, 0],
                                         'quality': (1, 2),
@@ -171,9 +179,7 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                     ('det_verify_1_reverse',
                                                      14, 261),
                                                     ('det_verify_1_replay', 13,
-                                                     261),
-                                                    ('annotate_blocks', 8,
-                                                     11)],
+                                                     103)],
                                          'iterations': 1,
                                          'block_counts': [1, 1, 1, 0],
                                          'quality': (1, 2),
@@ -199,7 +205,7 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                   ('det_verify_1_reverse', 14,
                                                    261),
                                                   ('det_verify_1_replay', 13,
-                                                   261),
+                                                   103),
                                                   ('alg8_2_rank0_doubling', 24,
                                                    0),
                                                   ('alg8_2_rank0_cross', 2, 2),
@@ -215,8 +221,7 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                   ('det_verify_2_reverse', 14,
                                                    261),
                                                   ('det_verify_2_replay', 13,
-                                                   261),
-                                                  ('annotate_blocks', 8, 11)],
+                                                   103)],
                                        'iterations': 2,
                                        'block_counts': [1, 1, 1, 0],
                                        'quality': (1, 2),
@@ -228,10 +233,8 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                    ('verify_1_wave', 44, 465),
                                                    ('verify_1_reverse', 32,
                                                     465),
-                                                   ('verify_1_replay', 32,
-                                                    465),
-                                                   ('annotate_blocks', 9,
-                                                    135)],
+                                                   ('verify_1_replay', 28,
+                                                    139)],
                                         'iterations': 1,
                                         'block_counts': [1, 1, 1, 1, 0],
                                         'quality': (1, 4),
@@ -244,8 +247,8 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                     ('verify_1_wave', 24, 445),
                                                     ('verify_1_reverse', 18,
                                                      445),
-                                                    ('verify_1_replay', 18,
-                                                     445),
+                                                    ('verify_1_replay', 16,
+                                                     137),
                                                     ('corefast_claim_2', 7,
                                                      135),
                                                     ('annotate_blocks', 9,
@@ -253,10 +256,8 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                     ('verify_2_wave', 44, 465),
                                                     ('verify_2_reverse', 32,
                                                      465),
-                                                    ('verify_2_replay', 32,
-                                                     465),
-                                                    ('annotate_blocks', 9,
-                                                     135)],
+                                                    ('verify_2_replay', 28,
+                                                     139)],
                                          'iterations': 2,
                                          'block_counts': [1, 1, 1, 1, 0],
                                          'quality': (1, 4),
@@ -267,14 +268,14 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                   ('verify_1_wave', 24, 445),
                                                   ('verify_1_reverse', 18,
                                                    445),
-                                                  ('verify_1_replay', 18, 445),
+                                                  ('verify_1_replay', 16, 137),
                                                   ('corefast_claim_2', 7, 135),
                                                   ('annotate_blocks', 9, 135),
                                                   ('verify_2_wave', 44, 465),
                                                   ('verify_2_reverse', 32,
                                                    465),
-                                                  ('verify_2_replay', 32, 465),
-                                                  ('annotate_blocks', 9, 135)],
+                                                  ('verify_2_replay', 28,
+                                                   139)],
                                        'iterations': 2,
                                        'block_counts': [1, 1, 1, 1, 0],
                                        'quality': (1, 4),
@@ -308,9 +309,7 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                       ('det_verify_1_reverse',
                                                        11, 193),
                                                       ('det_verify_1_replay',
-                                                       10, 193),
-                                                      ('annotate_blocks', 7,
-                                                       23)],
+                                                       11, 100)],
                                            'iterations': 1,
                                            'block_counts': [1, 1, 1, 1, 0],
                                            'quality': (1, 2),
@@ -344,7 +343,7 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                        ('det_verify_1_reverse',
                                                         11, 189),
                                                        ('det_verify_1_replay',
-                                                        10, 189),
+                                                        11, 99),
                                                        ('alg8_2_rank0_doubling',
                                                         15, 0),
                                                        ('alg8_2_rank0_cross',
@@ -368,9 +367,7 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                        ('det_verify_2_reverse',
                                                         11, 191),
                                                        ('det_verify_2_replay',
-                                                        10, 191),
-                                                       ('annotate_blocks', 6,
-                                                        22)],
+                                                        11, 99)],
                                             'iterations': 2,
                                             'block_counts': [1, 1, 1, 1, 0],
                                             'quality': (1, 2),
@@ -404,7 +401,7 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                      ('det_verify_1_reverse',
                                                       11, 189),
                                                      ('det_verify_1_replay',
-                                                      10, 189),
+                                                      11, 99),
                                                      ('alg8_2_rank0_doubling',
                                                       15, 1),
                                                      ('alg8_2_rank0_cross', 2,
@@ -428,9 +425,7 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                      ('det_verify_2_reverse',
                                                       11, 193),
                                                      ('det_verify_2_replay',
-                                                      10, 193),
-                                                     ('annotate_blocks', 7,
-                                                      23)],
+                                                      11, 100)],
                                           'iterations': 2,
                                           'block_counts': [1, 1, 1, 1, 0],
                                           'quality': (1, 2),
@@ -450,3 +445,42 @@ def test_capped_runs_end_at_the_iteration_cap():
     for (graph, mode, run), want in EXPECTED.items():
         if run == "capped":
             assert want["iterations"] == RUNS[run]["max_iterations"]
+
+
+@pytest.mark.parametrize("graph,mode,run", list(EXPECTED))
+def test_the_last_verified_candidate_is_the_shortcut(
+    graph, mode, run, monkeypatch
+):
+    """One ``annotate_blocks`` per iteration and none after: the loop ends
+    with every active part frozen (by its count or by the cap), so what it
+    returns is the very candidate — and the very annotations — its last
+    iteration verified."""
+    annotated = []
+    real = corefast.annotate_blocks
+
+    def spy(engine, shortcut, ledger):
+        annotations = real(engine, shortcut, ledger)
+        annotated.append((shortcut, annotations))
+        return annotations
+
+    monkeypatch.setattr(corefast, "annotate_blocks", spy)
+    build, ledger, _partition = _construct(graph, mode, run)
+    assert build.iterations == len(annotated) >= 1
+    assert build.shortcut is annotated[-1][0]
+    assert build.annotations is annotated[-1][1]
+    assert ledger.phases()[-1].name.endswith("_replay")
+
+
+def test_a_build_that_never_iterates_still_annotates_its_empty_shortcut():
+    """Parts no larger than the diameter never claim: no iteration ran, so
+    there is no candidate to return — the empty shortcut is built and
+    annotated as before."""
+    net, _ball = GRAPHS["grid"]()
+    partition = bfs_ball_partition(net, 5, seed=3)
+    solver = PASolver(net, seed=6)
+    setup = solver.prepare(partition)
+    names = [p.name for p in setup.setup_ledger.phases()]
+    assert names.count("annotate_blocks") == 1
+    assert not any("verify" in name for name in names)
+    assert setup.shortcut.total_shortcut_edges() == 0
+    assert setup.block_bound == (0,) * partition.num_parts

@@ -1,24 +1,29 @@
 """A setup learns its route once.
 
-The first solve on a ``PASetup`` runs broadcast, reversal and replay over
-the wire record — bit for bit what a solve on a fresh ``prepare`` runs —
-and when it has returned the setup keeps the wave forest; every later
-solve on that setup runs no ``*_wave`` phase, and its ``*_reverse`` and
-``*_replay`` send ``#keys - #parts`` messages each.  The answers are those
-of a per-part fold either way, and the sync-scalar engine, the sync-array
-engine and the async engine at delay 0 agree on every phase's ``(name,
-rounds, messages, ticks, bits)``, learned or routed.
+The first solve on a ``PASetup`` runs broadcast and reversal over the wire
+record and replays on the forest the reversal's answer tags just taught
+it — bit for bit what a solve on a fresh ``prepare`` runs — and when it
+has returned the setup keeps that forest; every later solve on that setup
+runs no ``*_wave`` phase, and its ``*_reverse`` and ``*_replay`` send
+``#keys - #parts`` messages each.  The answers are those of a per-part
+fold either way, and the sync-scalar engine, the sync-array engine and the
+async engine at delay 0 agree on every phase's ``(name, rounds, messages,
+ticks, bits)``, learned or routed.  Every pass has its completeness check:
+the wave its coverage scan, the reversal its unanswered parts, the replay
+its count of members reached.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import PASolver, SUM
 from repro.core import wave as wave_module
+from repro.core.array_wave import WaveIndex
 from repro.core.pa import DETERMINISTIC, RANDOMIZED
 from repro.graphs import grid_2d, random_connected, random_connected_partition
 
@@ -99,6 +104,10 @@ def test_three_solves_on_one_setup_against_three_fresh_prepares(
         # Solves 2 and 3 run two passes over the forest, nothing else.
         keys = _keys(forest)
         assert forest.edges == keys - partition.num_parts
+        # Solve 1: two wire passes, then the replay on that same forest.
+        sent = [messages for _n, _r, messages, *_ in logs[0]]
+        for wave, reverse, replay in zip(sent[0::3], sent[1::3], sent[2::3]):
+            assert wave == reverse >= replay == forest.edges
         for log in logs[1:]:
             assert [name.rsplit("_", 1)[1] for name, *_ in log] == [
                 "reverse", "replay",
@@ -179,3 +188,46 @@ def test_a_reversal_that_leaves_a_part_without_a_result_raises(impl):
         forest.out_counts[key] += 1
     with pytest.raises(RuntimeError, match=r"without a result: \[1\]"):
         solver.solve(setup, values, SUM, charge_setup=False)
+
+
+@pytest.mark.parametrize("impl", ["scalar", "array"])
+@pytest.mark.parametrize("solve", ["learning", "routed"])
+def test_a_replay_that_reaches_fewer_members_than_the_part_has_raises(
+    impl, solve, monkeypatch
+):
+    """The replay runs on the forest, an edge set no coverage scan ever
+    validated: a forest that has lost an edge strands a subtree, and the
+    solve raises on the count instead of returning ``None`` for the
+    stranded members — the learning solve (which then commits no route)
+    and the routed one alike."""
+    net = grid_2d(5, 5)
+    partition = random_connected_partition(net, 3, seed=4)
+    solver = PASolver(net, seed=2, engine_impl=impl)
+    setup = solver.prepare(partition)
+    values = list(range(net.n))
+
+    def cut(forest):
+        if impl == "scalar":
+            key = max(forest.out_edges)
+            forest.out_edges[key] = forest.out_edges[key][:-1]
+        else:
+            forest.out_counts = forest.out_counts.copy()
+            forest.out_counts[np.flatnonzero(forest.out_counts)[-1]] -= 1
+        return forest
+
+    if solve == "routed":
+        solver.solve(setup, values, SUM, charge_setup=False)
+        (forest,) = setup.route.forests.values()
+        cut(forest)
+    else:
+        route_type = (
+            wave_module.WaveRecord if impl == "scalar" else WaveIndex
+        )
+        derive = route_type.forest
+        monkeypatch.setattr(
+            route_type, "forest", lambda self: cut(derive(self))
+        )
+    with pytest.raises(RuntimeError, match=r"replay reached \d+ of 25 part"):
+        solver.solve(setup, values, SUM, charge_setup=False)
+    if solve == "learning":
+        assert setup.route.delays is None

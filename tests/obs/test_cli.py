@@ -38,6 +38,28 @@ def test_summarize_missing_file_exits_two(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_explain_exits_zero_and_names_the_owners(tmp_path, capsys):
+    trace = _write_trace(tmp_path / "a.trace.json")
+    assert main(["explain", str(trace)]) == 0
+    out = capsys.readouterr().out
+    assert "no pa.net instant" in out
+    assert "round slack: owned by bfs (70.0% of rounds)" in out
+    assert "message slack: owned by bfs (90.9% of messages)" in out
+
+
+def test_explain_without_ledger_events_exits_one(tmp_path, capsys):
+    tracer = Tracer()
+    tracer.instant("pa.net", "pa", {"n": 4, "m": 3, "depth": 2})
+    tracer.write_chrome(tmp_path / "empty.trace.json")
+    assert main(["explain", str(tmp_path / "empty.trace.json")]) == 1
+    assert "no main-stream ledger events" in capsys.readouterr().out
+
+
+def test_explain_missing_file_exits_two(tmp_path, capsys):
+    assert main(["explain", str(tmp_path / "nope.json")]) == 2
+    assert "not found" in capsys.readouterr().err
+
+
 def test_diff_identical_traces_exits_zero(tmp_path, capsys):
     a = _write_trace(tmp_path / "a.trace.json")
     b = _write_trace(tmp_path / "b.trace.json")

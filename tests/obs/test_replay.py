@@ -176,8 +176,9 @@ def test_trace_replays_mst_ledger():
     assert reasons.get("non_int", 0) > 0
     assert reasons.get("unsupported_agg", 0) > 0
     # one ``pa.route`` instant a solve: a learned one is a charged token
-    # wave (its wire count the wave's messages), a reused one is a solve
-    # without — and two passes of the forest's size
+    # wave (its wire count the wave's messages) with a wire reversal and a
+    # forest replay — 2 wire + forest; a reused one is a solve without a
+    # wave — two passes of the forest's size
     charged = tracer.ledger_events("main")
     waves = [e for e in charged if e["name"].endswith("_wave")]
     passes = [e for e in charged if e["name"].endswith(("_reverse", "_replay"))]
@@ -189,9 +190,11 @@ def test_trace_replays_mst_ledger():
         e["args"]["forest"] for e in tracer.events
         if e["name"] == "pa.route" and e["args"]["outcome"] == "reused"
     )
-    assert 2 * (summary.route_wire_edges + reused_forest) == sum(
-        e["args"]["messages"] for e in passes
-    )
+    assert summary.route_forest_edges < summary.route_wire_edges
+    assert (
+        2 * summary.route_wire_edges + summary.route_forest_edges
+        + 2 * reused_forest
+    ) == sum(e["args"]["messages"] for e in waves + passes)
 
 
 def test_trace_replays_random_graph_partitions():

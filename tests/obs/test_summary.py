@@ -52,6 +52,14 @@ def _sample_tracer():
         tracer.instant(
             "pa.route", "pa", {"phase": "pa", "outcome": "reused", "forest": 17}
         )
+    for verified in ("implied", "implied", "ran"):
+        tracer.complete(
+            "session.prepare", "session", tracer.now_us(),
+            {"outcome": "coarsened", "verified": verified},
+        )
+    tracer.complete(
+        "session.prepare", "session", tracer.now_us(), {"outcome": "full"}
+    )
     tracer.counter("wave", {"tick": 0, "messages": 4})
     return tracer
 
@@ -127,6 +135,7 @@ def test_render_summary_mentions_all_sections():
         "routes: 1 learned, wire 40 -> forest 17 edges; "
         "2 solves reused one"
     ) in text
+    assert "projections: 1 verified, 2 implied" in text
 
 
 def test_render_summary_empty_trace():

@@ -5,6 +5,11 @@ Every setup, report and solve ledger of the sequence, phase by phase as
 before the coarsen / refine twins became one projection (PR 16) — phase
 order included, in both modes.  The two full prepares are pinned by
 ``(phase count, rounds, messages)``; their phases are the solver's.
+Since PR 21 all three projections of the sequence are *implied* (every
+part's carried block bound is 0): their ``{kind}_verify_*`` phases are
+gone from the setup ledgers and the batch solve after each is the one
+that learns the route — it carries exactly the ``_wave`` and wire
+``_reverse`` the verification used to, and replays on the forest.
 """
 
 import pytest
@@ -78,33 +83,27 @@ def _run_sequence(mode):
 
 EXPECTED = {'randomized': {'prepare': (4, 11, 90),
                 'merge': [('coarsen_boundary_exchange', 1, 24),
-                          ('annotate_blocks', 0, 0),
-                          ('coarsen_verify_wave', 10, 47),
-                          ('coarsen_verify_reverse', 7, 47),
-                          ('coarsen_verify_replay', 7, 47)],
-                'merge:batch': [('pa_batch_reverse', 6, 31),
+                          ('annotate_blocks', 0, 0)],
+                'merge:batch': [('pa_batch_wave', 10, 47),
+                                ('pa_batch_reverse', 7, 47),
                                 ('pa_batch_replay', 6, 31)],
                 'merge:int': [('pa_reverse', 6, 31), ('pa_replay', 6, 31)],
                 'split': [('refine_boundary_exchange', 1, 24),
-                          ('annotate_blocks', 0, 0),
-                          ('refine_verify_wave', 6, 44),
-                          ('refine_verify_reverse', 6, 44),
-                          ('refine_verify_replay', 6, 44)],
-                'split:batch': [('pa_batch_reverse', 6, 30),
+                          ('annotate_blocks', 0, 0)],
+                'split:batch': [('pa_batch_wave', 6, 44),
+                                ('pa_batch_reverse', 6, 44),
                                 ('pa_batch_replay', 6, 30)],
                 'split:int': [('pa_reverse', 6, 30), ('pa_replay', 6, 30)],
                 'add': [('edge_update_notify', 1, 2)],
                 'add:hit': [],
                 'add:batch': [('pa_batch_wave', 6, 46),
                               ('pa_batch_reverse', 6, 46),
-                              ('pa_batch_replay', 6, 46)],
+                              ('pa_batch_replay', 6, 30)],
                 'add:int': [('pa_reverse', 6, 30), ('pa_replay', 6, 30)],
                 'remerge': [('coarsen_boundary_exchange', 1, 24),
-                            ('annotate_blocks', 0, 0),
-                            ('coarsen_verify_wave', 13, 63),
-                            ('coarsen_verify_reverse', 8, 63),
-                            ('coarsen_verify_replay', 8, 63)],
-                'remerge:batch': [('pa_batch_reverse', 7, 31),
+                            ('annotate_blocks', 0, 0)],
+                'remerge:batch': [('pa_batch_wave', 13, 63),
+                                  ('pa_batch_reverse', 8, 63),
                                   ('pa_batch_replay', 7, 31)],
                 'remerge:int': [('pa_reverse', 7, 31), ('pa_replay', 7, 31)],
                 'remove': [('edge_update_notify', 1, 2),
@@ -113,14 +112,15 @@ EXPECTED = {'randomized': {'prepare': (4, 11, 90),
                 'remove:prepare': (4, 13, 113),
                 'remove:batch': [('pa_batch_wave', 8, 51),
                                  ('pa_batch_reverse', 8, 51),
-                                 ('pa_batch_replay', 8, 51)],
+                                 ('pa_batch_replay', 7, 31)],
                 'remove:int': [('pa_reverse', 7, 31), ('pa_replay', 7, 31)],
                 'stats': {'prepares': 2,
                           'cache_hits': 1,
                           'coarsenings': 2,
                           'refinements': 1,
+                          'implied': 3,
                           'solves': 5,
-                          'routed_solves': 8,
+                          'routed_solves': 5,
                           'batched_solves': 10,
                           'edge_updates': 2,
                           'repairs': 1,
@@ -128,33 +128,27 @@ EXPECTED = {'randomized': {'prepare': (4, 11, 90),
                           'repair_evictions': 3}},
  'deterministic': {'prepare': (166, 267, 2779),
                    'merge': [('coarsen_boundary_exchange', 1, 24),
-                             ('annotate_blocks', 0, 0),
-                             ('coarsen_verify_wave', 9, 59),
-                             ('coarsen_verify_reverse', 7, 59),
-                             ('coarsen_verify_replay', 7, 59)],
-                   'merge:batch': [('pa_batch_reverse', 6, 31),
+                             ('annotate_blocks', 0, 0)],
+                   'merge:batch': [('pa_batch_wave', 9, 59),
+                                   ('pa_batch_reverse', 7, 59),
                                    ('pa_batch_replay', 6, 31)],
                    'merge:int': [('pa_reverse', 6, 31), ('pa_replay', 6, 31)],
                    'split': [('refine_boundary_exchange', 1, 24),
-                             ('annotate_blocks', 0, 0),
-                             ('refine_verify_wave', 9, 55),
-                             ('refine_verify_reverse', 6, 55),
-                             ('refine_verify_replay', 6, 55)],
-                   'split:batch': [('pa_batch_reverse', 6, 30),
+                             ('annotate_blocks', 0, 0)],
+                   'split:batch': [('pa_batch_wave', 9, 55),
+                                   ('pa_batch_reverse', 6, 55),
                                    ('pa_batch_replay', 6, 30)],
                    'split:int': [('pa_reverse', 6, 30), ('pa_replay', 6, 30)],
                    'add': [('edge_update_notify', 1, 2)],
                    'add:hit': [],
                    'add:batch': [('pa_batch_wave', 9, 58),
                                  ('pa_batch_reverse', 6, 58),
-                                 ('pa_batch_replay', 6, 58)],
+                                 ('pa_batch_replay', 6, 30)],
                    'add:int': [('pa_reverse', 6, 30), ('pa_replay', 6, 30)],
                    'remerge': [('coarsen_boundary_exchange', 1, 24),
-                               ('annotate_blocks', 0, 0),
-                               ('coarsen_verify_wave', 12, 72),
-                               ('coarsen_verify_reverse', 8, 72),
-                               ('coarsen_verify_replay', 8, 72)],
-                   'remerge:batch': [('pa_batch_reverse', 7, 31),
+                               ('annotate_blocks', 0, 0)],
+                   'remerge:batch': [('pa_batch_wave', 12, 72),
+                                     ('pa_batch_reverse', 8, 72),
                                      ('pa_batch_replay', 7, 31)],
                    'remerge:int': [('pa_reverse', 7, 31),
                                    ('pa_replay', 7, 31)],
@@ -164,14 +158,15 @@ EXPECTED = {'randomized': {'prepare': (4, 11, 90),
                    'remove:prepare': (166, 265, 2968),
                    'remove:batch': [('pa_batch_wave', 15, 68),
                                     ('pa_batch_reverse', 10, 68),
-                                    ('pa_batch_replay', 9, 68)],
+                                    ('pa_batch_replay', 9, 31)],
                    'remove:int': [('pa_reverse', 9, 31), ('pa_replay', 9, 31)],
                    'stats': {'prepares': 2,
                              'cache_hits': 1,
                              'coarsenings': 2,
                              'refinements': 1,
+                             'implied': 3,
                              'solves': 5,
-                             'routed_solves': 8,
+                             'routed_solves': 5,
                              'batched_solves': 10,
                              'edge_updates': 2,
                              'repairs': 1,

@@ -11,7 +11,19 @@ division's wave boundary must be the one a freshly built
 ``SubPartDivision`` over the current network computes — the invariant
 three hand-written incremental repairs used to maintain, now true by
 construction (the division owns its boundary) and pinned here.
+
+A projection verifies its block parameter only when the bound its parent
+implies does not already certify the budget, so every step also checks
+the chain the skipped verification rests on: the carried per-part bound
+>= the setup's own block count (``annotations.block_counts``) >= what a
+from-scratch ``verify_block_parameters`` measures on a scratch ledger.
+A second family of sequences, on parts large enough to claim shortcut
+edges and under budgets small enough to be crossed, keeps both branches
+alive: implied (no ``*_verify_*`` phase, the first query learns the
+route) and verified (today's path, rebuild included).
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -19,9 +31,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import MIN, SUM, PASession, solve_pa
+from repro.congest import CostLedger
+from repro.core.corefast import verify_block_parameters
 from repro.core.subparts import SubPartDivision
 from repro.core.trees import RootedForest
-from repro.graphs import grid_2d, random_connected_partition
+from repro.graphs import (
+    bfs_ball_partition,
+    grid_2d,
+    random_connected_partition,
+)
 from repro.graphs.partitions import (
     boundary_edges,
     partition_from_component_labels,
@@ -65,8 +83,26 @@ def _reference_boundary(net, partition, forest):
     ]
 
 
+def _check_bound_chain(session, setup):
+    """Carried bound >= the setup's own block counts >= a from-scratch
+    verification (scratch ledger, scratch rng, no route: nothing of the
+    session moves)."""
+    partition = setup.partition
+    counts = setup.annotations.block_counts(partition.num_parts)
+    measured = verify_block_parameters(
+        session.engine, session.net, partition, setup.division,
+        setup.shortcut, setup.annotations, CostLedger(),
+        randomized=(session.mode == "randomized"), rng=random.Random(0),
+    )
+    assert len(setup.block_bound) == partition.num_parts
+    for bound, count, seen in zip(setup.block_bound, counts, measured):
+        assert bound >= count >= seen
+    return counts
+
+
 def _check(session, setup, mode, values, other):
     net, partition = session.net, setup.partition
+    _check_bound_chain(session, setup)
     want_min = solve_pa(net, partition, values, MIN, mode=mode, seed=1)
     want_sum = solve_pa(net, partition, other, SUM, mode=mode, seed=1)
     batch = session.solve_many(
@@ -176,6 +212,150 @@ def test_every_step_matches_a_from_scratch_solve(mode, max_entries, steps):
             assert report.repaired  # chords are never tree edges
             setup = session.prepare(partition)
         _check(session, setup, mode, values, other)
+
+
+class _Budget(PASession):
+    """A session whose block budget the test sets (``None``: the real one)."""
+
+    budget = None
+
+    def block_budget(self) -> int:
+        return super().block_budget() if self.budget is None else self.budget
+
+
+def _lemma_bound(previous, partition):
+    """What ``previous``'s bound implies for ``partition``: a merged part
+    has at most the sum of its constituents' blocks, a fragment at most its
+    ancestor's — written from the member lists, not from the session's
+    ``image``."""
+    old = previous.partition
+    bound = []
+    for members in partition.members:
+        drawn_from = sorted({old.part_of[v] for v in members})
+        whole = all(
+            set(old.members[pid]) <= set(members) for pid in drawn_from
+        )
+        assert whole or len(drawn_from) == 1  # merge-only or split-only
+        bound.append(sum(previous.block_bound[pid] for pid in drawn_from))
+    return tuple(bound)
+
+
+def _project_and_check_branch(session, setup, partition):
+    """One ``prepare_incremental`` held to the rule: implied exactly when
+    the parent's bound certifies the budget, otherwise today's path."""
+    lemma = _lemma_bound(setup, partition)
+    stats = session.stats
+    before = (stats.implied, stats.rebuilds, stats.cache_hits)
+    projected = session.prepare_incremental(setup, partition)
+    if stats.cache_hits > before[2]:
+        return projected, "hit"
+    names = [p.name for p in projected.setup_ledger.phases()]
+    verified = [name for name in names if "_verify_" in name]
+    rebuilt = stats.rebuilds > before[1]
+    assert rebuilt == any(name.startswith("rebuild:") for name in names)
+    if max(lemma) <= session.block_budget():
+        assert stats.implied == before[0] + 1
+        assert not verified
+        if not rebuilt:  # (a rebuild here is the congestion half's)
+            assert projected.block_bound == lemma
+            assert projected.route.delays is None  # the first query learns
+        return projected, "implied"
+    assert stats.implied == before[0]
+    assert [name.rsplit("_", 1)[1] for name in verified[:3]] == [
+        "wave", "reverse", "replay",
+    ]
+    counts = tuple(
+        projected.annotations.block_counts(partition.num_parts)
+    )
+    assert projected.block_bound == counts
+    if not rebuilt:
+        assert max(counts) <= session.block_budget()
+        assert projected.route.delays is not None  # verification learned
+    return projected, "rebuilt" if rebuilt else "verified"
+
+
+def _shortcut_instance():
+    """10x10 grid in four BFS balls: three of them larger than the
+    2-approximate diameter, so they claim — one block each."""
+    net = grid_2d(10, 10)
+    return net, bfs_ball_partition(net, 34, seed=3)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    mode=st.sampled_from(("randomized", "deterministic")),
+    budget=st.sampled_from((0, 1, 2, None)),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(("merge", "split_back", "peel", "merge")),
+            st.integers(0, 1 << 16),
+        ),
+        min_size=3, max_size=6,
+    ),
+)
+def test_a_bound_that_crosses_the_budget_takes_the_verifying_branch(
+    mode, budget, steps
+):
+    net, start = _shortcut_instance()
+    values = [(v * 7) % 11 for v in range(net.n)]
+    other = [(v * 5) % 13 for v in range(net.n)]
+    session = _Budget(net, mode=mode, seed=3, reuse=True, batch=True)
+    session.budget = budget
+    setup = session.prepare(start)
+    assert setup.block_bound == (1, 1, 1, 0)
+    merges = [start]
+    for op, pick in steps:
+        partition = setup.partition
+        if op == "merge":
+            borders = boundary_edges(net, partition)
+            if not borders:
+                continue
+            u, v = borders[pick % len(borders)]
+            keep, gone = partition.part_of[u], partition.part_of[v]
+            target = partition_from_component_labels(
+                [keep if p == gone else p for p in partition.part_of]
+            )
+            merges.append(target)
+        elif op == "split_back":
+            if len(merges) < 2 or merges[-1].part_of != partition.part_of:
+                continue
+            merges.pop()
+            target = merges[-1]
+        else:
+            target = _peel(net, partition, pick)
+            if target is None:
+                continue
+            merges = [target]
+        setup, _branch = _project_and_check_branch(session, setup, target)
+        _check(session, setup, mode, values, other)
+
+
+@pytest.mark.parametrize("mode", ["randomized", "deterministic"])
+def test_one_merge_under_three_budgets(mode):
+    """The directed case: merging two one-block parts carries a bound of
+    two.  The real budget certifies it (implied: no verification, the
+    first query learns the route); a budget of one does not — the
+    verification runs, finds the two blocks fused into one, keeps the
+    projection and replaces the bound with what it counted; a budget of
+    zero verifies and rebuilds."""
+    net, start = _shortcut_instance()
+    merged = partition_from_component_labels(
+        [0 if p == 1 else p for p in start.part_of]
+    )
+    branches = {}
+    for budget in (None, 1, 0):
+        session = _Budget(net, mode=mode, seed=3, reuse=True, batch=True)
+        session.budget = budget
+        setup = session.prepare(start)
+        projected, branches[budget] = _project_and_check_branch(
+            session, setup, merged
+        )
+        _check_bound_chain(session, projected)
+        if budget is None:
+            assert sorted(projected.block_bound) == [0, 1, 2]
+        elif budget == 1:
+            assert sorted(projected.block_bound) == [0, 1, 1]
+    assert branches == {None: "implied", 1: "verified", 0: "rebuilt"}
 
 
 def _forest_edges(setup):

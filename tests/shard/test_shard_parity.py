@@ -239,7 +239,9 @@ def test_a_route_learned_on_one_side_serves_the_other(mode, first):
     session making the same solves: whichever side ran the setup's first
     solve, the other holds no forest for the route rank 0 says is paid —
     it re-derives it off the ledger, and every phase log stays the local
-    one (one ``*_wave`` in all, then two forest passes a solve)."""
+    one: one ``*_wave`` in all, in a learning solve of two wire passes and
+    a replay on the forest its shards just learned, then two forest passes
+    a solve."""
     net, partition = _net_and_partition()
     values = _values(net.n)
     custom = Aggregation("custom_sum", lambda a, b: a + b)
@@ -261,7 +263,13 @@ def test_a_route_learned_on_one_side_serves_the_other(mode, first):
             assert got.aggregates == want.aggregates
             assert got.value_at_node == want.value_at_node
             assert _phase_sig(got.ledger) == _phase_sig(want.ledger)
-            waves += sum(p.name.endswith("_wave") for p in got.ledger.phases())
+            sent = [p.messages for p in got.ledger.phases()]
+            if len(sent) == 3:  # wave, wire reversal, forest replay
+                waves += 1
+                assert sent[0] == sent[1] > sent[2]
+                forest = sent[2]
+            else:
+                assert sent == [forest, forest]
         assert waves == 1
         assert session.stats.sharded_solves == 2
         assert session.stats.sharded_fallbacks == 2
