@@ -35,11 +35,7 @@ import math
 
 from repro.bench import print_table, record, run_once
 from repro.core import SUM, PASolver, full_tree_shortcut
-from repro.families import (
-    PathwidthProvider,
-    TreeRestrictedProvider,
-    TreewidthProvider,
-)
+from repro.families import provider_for
 from repro.graphs import (
     bfs_ball_partition,
     caterpillar,
@@ -107,7 +103,7 @@ def test_planar_congestion_tracks_diameter(benchmark):
             # them; claim_small exhibits the construction's envelope.
             setup = solver.prepare(
                 part,
-                shortcut_provider=TreeRestrictedProvider(claim_small=True),
+                shortcut_provider=provider_for("planar", claim_small=True),
             )
             b_t, c_t = setup.quality()
             # General pipeline on the same instance (exemption applies:
@@ -146,7 +142,7 @@ def test_planar_congestion_tracks_diameter(benchmark):
             d = net.diameter_estimate()
             part = bfs_ball_partition(net, 2 * (d + 1), seed=12)
             b_t, c_t, rounds_t, msgs_t = _full_pa(
-                net, part, TreeRestrictedProvider(), seed=11
+                net, part, provider_for("planar"), seed=11
             )
             b_g, c_g, rounds_g, msgs_g = _full_pa(net, part, None, seed=11)
             envelope = d * _log2(n)
@@ -224,14 +220,15 @@ def test_width_families_scaling(benchmark):
             net = k_tree(n, 3, seed=19)
             part = bfs_ball_partition(net, 55, seed=20)
             measure(
-                "k_tree(t=3)", net, part, TreewidthProvider(width=3),
+                "k_tree(t=3)", net, part, provider_for("treewidth", param=3),
                 envelope=2 * 3 * _log2(n), solve=(n <= 8192),
             )
         for n in SP_SIZES:
             net = series_parallel(n, seed=19)
             part = bfs_ball_partition(net, 55, seed=20)
             measure(
-                "series_parallel", net, part, TreewidthProvider(width=2),
+                "series_parallel", net, part,
+                provider_for("treewidth", param=2),
                 envelope=2 * 2 * _log2(n), solve=(n <= 8192),
             )
         for n in PATHWIDTH_SIZES:
@@ -241,14 +238,14 @@ def test_width_families_scaling(benchmark):
             part = bfs_ball_partition(net, max(16, length // 32), seed=20)
             measure(
                 "ladder", net, part,
-                PathwidthProvider(width=2, claim_small=True),
+                provider_for("pathwidth", param=2, claim_small=True),
                 envelope=2 * (3 + 1), solve=(n <= 8192),
             )
         net = caterpillar(8000, 2)
         part = bfs_ball_partition(net, 250, seed=20)
         measure(
             "caterpillar", net, part,
-            PathwidthProvider(width=1, claim_small=True),
+            provider_for("pathwidth", param=1, claim_small=True),
             envelope=2 * (2 + 1), solve=False,
         )
 

@@ -17,9 +17,10 @@ Public API tour:
 * ``repro.analysis`` — sequential reference oracles and the paper's
   Table 1/2 bounds.
 * ``repro.families`` — family-aware shortcut construction: the
-  ``ShortcutProvider`` strategy API, decomposition oracles with validity
-  certificates, and the registry realizing the Tables 1-2 O~(D) bounds
-  (pluggable via ``PASolver.prepare(..., shortcut_provider=...)``).
+  ``ShortcutProvider`` strategy API with its one concrete class,
+  decomposition oracles with validity certificates, and the registry
+  whose rows realize the Tables 1-2 O~(D) bounds
+  (``PASolver.prepare(..., shortcut_provider=provider_for("planar"))``).
 * ``repro.runtime`` — :class:`PASession`: the long-lived PA acquisition
   point every algorithm routes through, with opt-in setup caching,
   incremental coarsening across merge phases, and batched

@@ -2,8 +2,8 @@
 
 Ghaffari [14] computes an O(log n)-approximate MCDS whose communication
 bottleneck is Thurimella-style connected-component labeling — i.e. PA.
-Per DESIGN.md substitution 7 we implement the classic unweighted variant
-with the same bottleneck structure:
+We implement the classic unweighted variant with the same bottleneck
+structure (docs/architecture.md, "Deviations from the paper"):
 
 1. **Dominating set** by distributed greedy: O(log n) rounds of "join if
    your (span, uid) is maximal within two hops", where span counts the
@@ -22,11 +22,11 @@ O~(D + sqrt n) rounds / O~(m) messages dominate, as in the corollary.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence, Set, Tuple
 
 from ..congest.engine import Context, Engine, Inbox, Program
 from ..congest.ledger import CostLedger, RunResult
+from ..congest.message import ceil_log2
 from ..congest.network import Network
 from ..graphs.partitions import partition_from_component_labels
 from ..core.aggregation import MIN, MIN_TUPLE
@@ -80,7 +80,7 @@ def _greedy_dominating_set(
     """Distributed greedy dominating set with 2-hop symmetry breaking."""
     dominated = [False] * net.n
     dominators: Set[int] = set()
-    cap = 4 * max(1, math.ceil(math.log2(max(2, net.n)))) + net.n
+    cap = 4 * ceil_log2(net.n) + net.n
     iteration = 0
     while not all(dominated):
         iteration += 1
@@ -157,7 +157,7 @@ def connected_dominating_set(
 
     rng = _random.Random(seed ^ 0xCD5)
     comp = list(cluster)
-    cap = 4 * max(1, math.ceil(math.log2(max(2, n)))) + 8
+    cap = 4 * ceil_log2(n) + 8
     prev_setup = None
     for _phase in range(cap):
         partition = partition_from_component_labels(comp)

@@ -22,6 +22,7 @@ import math
 from typing import List, Optional, Set
 
 from ..congest.ledger import CostLedger, RunResult
+from ..congest.message import ceil_log2
 from ..congest.network import Network
 from ..graphs.partitions import partition_from_component_labels
 from ..core.aggregation import MIN_TUPLE, SUM
@@ -64,7 +65,7 @@ def k_dominating_set(
     leader_of: List[int] = list(range(n))    # cluster leader (the center)
     complete: Set[int] = set()               # cluster rep nodes done growing
 
-    cap = 3 * max(1, math.ceil(math.log2(max(2, n)))) + 8
+    cap = 3 * ceil_log2(n) + 8
     prev_setup = None
     for _iteration in range(cap):
         partition = partition_from_component_labels(coarse)

@@ -5,7 +5,7 @@ pack O(log n) * poly(1/eps) spanning trees (Thorup), and find the single
 tree edge whose removal 1-respects an approximately minimum cut; the
 communication bottlenecks are the MST computations and PA.
 
-Our rendition (DESIGN.md substitution 5):
+Our rendition (docs/architecture.md, "Deviations from the paper"):
 
 * **Tree packing**: ``k = O(log n / eps^2)`` spanning trees computed with
   the PA-based MST of Corollary 1.3, under load-based weights (each tree
@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..congest.engine import Context, Engine, Inbox, Program
 from ..congest.ledger import CostLedger, RunResult
+from ..congest.message import ceil_log2
 from ..congest.network import Network, canonical_edge
 from ..core.aggregation import SUM_TUPLE
 from ..core.pa import RANDOMIZED
@@ -215,7 +216,7 @@ def approx_min_cut(
     ledger = CostLedger()
     ledger.merge(solver.tree_ledger, prefix="tree:")
 
-    log_n = max(1, math.ceil(math.log2(max(2, net.n))))
+    log_n = ceil_log2(net.n)
     k = max(2, math.ceil(log_n / (epsilon * epsilon)))
     if max_trees is not None:
         k = min(k, max_trees)

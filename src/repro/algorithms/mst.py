@@ -31,11 +31,11 @@ wave pass per phase.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..congest.ledger import CostLedger, RunResult
+from ..congest.message import ceil_log2
 from ..congest.network import Network, canonical_edge
 from ..graphs.partitions import partition_from_component_labels
 from ..core.aggregation import MIN, MIN_TUPLE, OR
@@ -60,7 +60,6 @@ def minimum_spanning_tree(
     mode: str = RANDOMIZED,
     seed: int = 0,
     merging: Optional[str] = None,
-    max_phases: Optional[int] = None,
     session: Optional[PASession] = None,
 ) -> RunResult:
     """Distributed MST; returns the edge set with a fully metered ledger.
@@ -87,8 +86,7 @@ def minimum_spanning_tree(
     leader_of: List[int] = list(range(n))   # fragment leader node
     mst_edges: Set[Tuple[int, int]] = set()
 
-    if max_phases is None:
-        max_phases = 4 * max(1, math.ceil(math.log2(max(2, n)))) + 8
+    max_phases = 4 * ceil_log2(n) + 8
 
     prev_setup = None
     announce = 2 * net.m  # messages of the next phase's neighbor exchange

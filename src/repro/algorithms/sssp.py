@@ -4,8 +4,9 @@ Corollary 1.5 (via Haeupler-Li [18]) trades approximation quality against
 cost through a parameter ``beta``: O~((1/beta) * (bD + c)) rounds and
 O~(m / beta) messages buy an L^{O(log log n)/log(1/beta)} approximation.
 The full Haeupler-Li construction (hierarchical low-diameter decomposition
-with PA-traversed zero-weight components) is replaced here — DESIGN.md
-substitution 6 — by a hybrid with the same cost/quality tradeoff shape:
+with PA-traversed zero-weight components) is replaced here
+(docs/architecture.md, "Deviations from the paper") by a hybrid with the
+same cost/quality tradeoff shape:
 
 1. **Hop-limited Bellman-Ford**: ``h = ceil(1/beta)`` synchronous
    relaxation rounds give exact distances to every node within ``h`` hops

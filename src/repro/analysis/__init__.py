@@ -2,7 +2,6 @@
 
 from .reference import (
     dijkstra,
-    exact_min_dominating_set_size,
     greedy_dominating_set_size,
     kruskal_mst,
     mst_weight,
@@ -14,7 +13,6 @@ from .theory import (
     TABLE2_RANDOMIZED,
     FamilyBounds,
     general_round_envelope,
-    polylog,
 )
 
 __all__ = [
@@ -23,11 +21,9 @@ __all__ = [
     "TABLE2_DETERMINISTIC",
     "TABLE2_RANDOMIZED",
     "dijkstra",
-    "exact_min_dominating_set_size",
     "general_round_envelope",
     "greedy_dominating_set_size",
     "kruskal_mst",
     "mst_weight",
-    "polylog",
     "stoer_wagner_min_cut",
 ]

@@ -8,7 +8,7 @@ and are deliberately straightforward.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..congest.network import Network, canonical_edge
 
@@ -130,20 +130,3 @@ def greedy_dominating_set_size(net: Network) -> int:
         for nb in net.neighbors[best_v]:
             dominated[nb] = True
     return chosen
-
-
-def exact_min_dominating_set_size(net: Network, limit: int = 20) -> Optional[int]:
-    """Brute-force minimum dominating set size for tiny graphs (tests)."""
-    if net.n > limit:
-        return None
-    from itertools import combinations
-
-    universe = set(range(net.n))
-    for size in range(1, net.n + 1):
-        for combo in combinations(range(net.n), size):
-            covered = set(combo)
-            for v in combo:
-                covered.update(net.neighbors[v])
-            if covered == universe:
-                return size
-    return net.n

@@ -92,8 +92,3 @@ TABLE2_RANDOMIZED: Dict[str, str] = {
 def general_round_envelope(n: int, diameter: int) -> float:
     """The worst-case optimal O~(D + sqrt n) envelope (no polylog)."""
     return diameter + math.sqrt(n)
-
-
-def polylog(n: int, power: int = 2) -> float:
-    """A concrete polylog factor for envelope assertions in tests."""
-    return _log(n) ** power

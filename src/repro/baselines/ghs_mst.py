@@ -15,12 +15,12 @@ fragment trees vs. via Part-Wise Aggregation.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..congest.engine import Context, Engine, Inbox, Program
 from ..congest.ledger import CostLedger, RunResult
+from ..congest.message import ceil_log2
 from ..congest.network import Network, canonical_edge
 from ..core.aggregation import MIN_TUPLE
 from ..core.spanning_tree import elect_leader_and_bfs_tree
@@ -82,7 +82,7 @@ def ghs_mst(net: Network, seed: int = 0) -> RunResult:
     parent: List[int] = [ROOT] * n            # fragment tree parents
     mst_edges: Set[Tuple[int, int]] = set()
 
-    max_phases = 4 * max(1, math.ceil(math.log2(max(2, n)))) + 8
+    max_phases = 4 * ceil_log2(n) + 8
     for phase in range(1, max_phases + 1):
         if len(set(comp)) == 1:
             break

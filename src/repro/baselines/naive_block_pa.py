@@ -13,8 +13,9 @@ representative — there are no sub-part divisions here) injects its value
 into the BFS tree; each node forwards one (part, value) packet per round
 per edge, merging same-part packets that meet in its buffer; the root's
 per-part aggregates retrace the recorded traffic downward.  Benchmarks
-compare its message count against the paper's sub-part PA (experiment E1 /
-E14 in DESIGN.md).
+compare its message count against the paper's sub-part PA ("Figure 2 /
+Section 3.1" in EXPERIMENTS.md; the other substitutions this repo makes
+are tabulated in docs/architecture.md, "Deviations from the paper").
 """
 
 from __future__ import annotations

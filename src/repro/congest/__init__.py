@@ -43,6 +43,7 @@ from .ledger import (
     merge_max_rounds,
 )
 from .message import (
+    ceil_log2,
     int_bits,
     message_bit_limit,
     payload_bits,
@@ -92,6 +93,7 @@ __all__ = [
     "SlowEdgeSchedule",
     "SynchronousSchedule",
     "canonical_edge",
+    "ceil_log2",
     "int_bits",
     "make_schedule",
     "merge_max_rounds",

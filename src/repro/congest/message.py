@@ -160,10 +160,20 @@ def payload_bits_cached(payload: Any) -> int:
     return bits
 
 
+def ceil_log2(n: int) -> int:
+    """``max(1, ceil(log2 n))`` in integer arithmetic — the repo's "log n".
+
+    The one spelling of the factor every iteration cap, block budget and
+    bit limit is stated in; equal to the floating-point
+    ``math.ceil(math.log2(max(2, n)))`` wherever that is exact (pinned by
+    ``tests/congest/test_message.py``).
+    """
+    return max(1, (max(2, n) - 1).bit_length())
+
+
 def message_bit_limit(n: int) -> int:
     """The per-message bit budget for an n-node network.
 
     This is the concrete instantiation of the model's O(log n) bits.
     """
-    log_n = max(1, (max(2, n) - 1).bit_length())
-    return BITS_PER_WORD_FACTOR * log_n
+    return BITS_PER_WORD_FACTOR * ceil_log2(n)

@@ -357,15 +357,15 @@ def validate_schedule(
     schedule: Schedule,
     network,
     pulses: "tuple[int, ...]" = (0, 1, 7, 64),
-    max_edges: int = 8,
 ) -> None:
     """Probe a schedule for the two contract violations that silently
     corrupt the event queue: negative delays (events in the past) and
     non-determinism (the same message coordinate answering differently
     across calls, which breaks replayability and the FIFO clamp).
 
-    The probe samples real directed edges of ``network`` across a few
-    pulses and all message kinds, calling ``delay`` twice per coordinate.
+    The probe samples real directed edges of ``network`` (its first
+    eight, both directions) across a few pulses and all message kinds,
+    calling ``delay`` twice per coordinate.
     It cannot prove a schedule correct — the async engine checks every
     delay row it draws (all kinds, every edge) for negative and non-int
     entries, which backstops the coordinates the probe missed — but it
@@ -376,7 +376,7 @@ def validate_schedule(
     from .errors import ScheduleValidationError
 
     edges = []
-    for u, v in network.edges[:max_edges]:
+    for u, v in network.edges[:8]:
         edges.append((u, v))
         edges.append((v, u))
     if not edges:

@@ -40,7 +40,6 @@ from .shortcuts import (
     Shortcut,
     empty_shortcut,
     full_tree_shortcut,
-    shortcut_hint_for_family,
     star_shortcut_for_parts,
     validate_shortcut,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "full_tree_shortcut",
     "product_aggregation",
     "run_pa_waves",
-    "shortcut_hint_for_family",
     "solve_pa",
     "spanning_forest_of_subsets",
     "star_shortcut_for_parts",

@@ -18,18 +18,18 @@ Compared to [19]'s original CoreFast we admit the first ``theta`` parts per
 edge (in randomized priority order) instead of deleting over-subscribed
 edges outright; both cap per-run congestion at ``theta``, ours additionally
 preserves the "H_i is a union of climb prefixes" invariant the counting
-relies on.  DESIGN.md, substitution 4.
+relies on (docs/architecture.md, "Deviations from the paper").
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..congest.engine import Context, Engine, Inbox
 from ..congest.ledger import CostLedger
+from ..congest.message import ceil_log2
 from ..congest.network import Network
 from ..graphs.partitions import Partition
 from .array_queue import ClaimArrayKernel
@@ -167,6 +167,16 @@ def verify_block_parameters(
     return counts
 
 
+def block_target_for(n: int) -> int:
+    """``max(3, 3 ceil(log2 n))``: the block parameter a part may keep.
+
+    The target the constructions freeze parts at, and the budget a
+    session's projection is held to (:meth:`PASession.block_budget`) —
+    one standard for the from-scratch pipeline and for reuse.
+    """
+    return max(3, 3 * ceil_log2(n))
+
+
 def build_shortcut_by_doubling(
     engine: Engine,
     net: Network,
@@ -205,11 +215,10 @@ def build_shortcut_by_doubling(
     ran on, not rebuilt and annotated a second time.
     """
     n = net.n
-    log_n = max(1, math.ceil(math.log2(max(2, n))))
     if block_target is None:
-        block_target = max(3, 3 * log_n)
+        block_target = block_target_for(n)
     if max_iterations is None:
-        max_iterations = log_n + 3
+        max_iterations = ceil_log2(n) + 3
     budget = congestion_budget if congestion_budget is not None else 2
 
     part_sizes = [partition.size_of(pid) for pid in range(partition.num_parts)]

@@ -66,7 +66,6 @@ def build_shortcut_deterministic(
     congestion_budget: Optional[int] = None,
     block_target: Optional[int] = None,
     max_iterations: Optional[int] = None,
-    hpd: Optional[HeavyPathDecomposition] = None,
     grow_budget: bool = True,
 ) -> ShortcutBuildResult:
     """Algorithm 8 end to end, returning a verified shortcut.
@@ -77,8 +76,7 @@ def build_shortcut_deterministic(
     step (threshold ``max(1, budget)``) and verification on the
     deterministic PA variant.
     """
-    if hpd is None:
-        hpd = build_heavy_path_decomposition(engine, tree, ledger)
+    hpd = build_heavy_path_decomposition(engine, tree, ledger)
 
     def claim(iteration, active, claimants, budget):
         seeds: Dict[int, Set[int]] = {}

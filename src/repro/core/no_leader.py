@@ -17,13 +17,13 @@ merging (Corollary 1.3) and k-dominating sets reuse the same transport.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..congest.engine import Engine
 from ..congest.ledger import CostLedger
+from ..congest.message import ceil_log2
 from ..congest.network import Network
 from ..graphs.partitions import Partition, partition_from_component_labels
 from .aggregation import MIN, MIN_TUPLE, Aggregation
@@ -108,7 +108,7 @@ def solve_pa_without_leaders(
     leader_of: List[int] = list(range(n))  # coarsening leaders, per node
     coarse: List[int] = list(range(n))     # coarsening part representative
 
-    cap = 2 * max(1, math.ceil(math.log2(max(2, n)))) + 6
+    cap = 2 * ceil_log2(n) + 6
     for _round in range(cap):
         coarse_partition = partition_from_component_labels(coarse)
         leaders = [

@@ -155,8 +155,6 @@ def build_general_shortcut(
     diameter: int,
     ledger: CostLedger,
     rng: Optional[random.Random] = None,
-    congestion_budget: Optional[int] = None,
-    block_target: Optional[int] = None,
 ) -> ShortcutBuildResult:
     """The general-graph shortcut construction (Table 1 row 1).
 
@@ -164,19 +162,17 @@ def build_general_shortcut(
     ``rng``; Algorithms 7-8 (heavy-path doubling) when there is none —
     which is what a deterministic :meth:`PASolver.prepare` hands out.  The
     one place the general construction follows the mode: ``prepare``'s
-    default and :class:`repro.families.GeneralProvider` are both this
-    function.
+    default and ``repro.families.provider_for("general").build`` are both
+    this function.
     """
     if rng is not None:
         return build_shortcut_randomized(
-            engine, net, partition, division, tree, diameter, ledger, rng,
-            congestion_budget=congestion_budget, block_target=block_target,
+            engine, net, partition, division, tree, diameter, ledger, rng
         )
     from .det_shortcut import build_shortcut_deterministic
 
     return build_shortcut_deterministic(
-        engine, net, partition, division, tree, diameter, ledger,
-        congestion_budget=congestion_budget, block_target=block_target,
+        engine, net, partition, division, tree, diameter, ledger
     )
 
 
@@ -356,9 +352,6 @@ class PASolver:
         self,
         partition: Partition,
         leaders: Optional[Sequence[int]] = None,
-        congestion_budget: Optional[int] = None,
-        block_target: Optional[int] = None,
-        validate: bool = True,
         shortcut_provider: Optional[object] = None,
     ) -> PASetup:
         """Build division + shortcut + annotations for a partition.
@@ -376,8 +369,7 @@ class PASolver:
         :func:`build_general_shortcut`.  Either is handed ``self.rng`` in
         randomized mode and no random source in deterministic mode.
         """
-        if validate:
-            validate_partition(self.net, partition)
+        validate_partition(self.net, partition)
         leaders = self.checked_leaders(partition, leaders)
 
         ledger = CostLedger()
@@ -401,8 +393,6 @@ class PASolver:
             self.engine, self.net, partition, division, self.tree,
             self.diameter, ledger,
             rng=self.rng if self.mode == RANDOMIZED else None,
-            congestion_budget=congestion_budget,
-            block_target=block_target,
         )
 
         return PASetup(
@@ -585,7 +575,6 @@ def solve_pa(
     mode: str = RANDOMIZED,
     seed: int = 0,
     leaders: Optional[Sequence[int]] = None,
-    include_tree_cost: bool = True,
     solver: Optional[PASolver] = None,
     shortcut_provider: Optional[object] = None,
 ) -> PAResult:
@@ -607,6 +596,5 @@ def solve_pa(
         partition, leaders=leaders, shortcut_provider=shortcut_provider
     )
     result = solver.solve(setup, values, agg)
-    if include_tree_cost:
-        result.ledger.merge(solver.tree_ledger, prefix="tree:")
+    result.ledger.merge(solver.tree_ledger, prefix="tree:")
     return result

@@ -14,7 +14,7 @@ Every part id that crosses an edge *claims* it: the edge joins that part's
 ``H_i``.  A convoy that runs into a broken edge is absorbed there (the
 paper skips such transmissions entirely; absorbing keeps strictly fewer
 claims in flight and preserves the union-of-upward-prefixes invariant —
-see DESIGN.md).  Convoys that reach the path top are absorbed into the
+see docs/architecture.md, "Deviations from the paper").  Convoys that reach the path top are absorbed into the
 top's set ``Sf(top)``, which Algorithm 8 later ships across the top's
 light parent edge (:class:`LightCrossProgram`).
 """

@@ -31,7 +31,7 @@ a distributed annotation phase in :mod:`repro.core.blocks`.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -372,25 +372,3 @@ def validate_shortcut(shortcut: Shortcut) -> None:
                 raise ShortcutValidationError(
                     f"part {pid} has a block with {len(roots_in_block)} roots"
                 )
-
-
-def shortcut_hint_for_family(
-    family: str, n: int, diameter: int, param: Optional[int] = None
-) -> Tuple[int, int]:
-    """Paper Table 1: the (b, c) a family is known to admit.
-
-    Used as construction targets by benchmarks; the construction verifies
-    and adapts via doubling regardless, so a wrong hint costs rounds, not
-    correctness.
-
-    Delegates to the family registry (:mod:`repro.families.registry`),
-    which evaluates the one set of Table 1 formulas kept in
-    :mod:`repro.analysis.theory` — the envelopes have a single source of
-    truth.  ``param`` is the family parameter (genus g, treewidth t,
-    pathwidth p); omitted, each family's canonical workload parameter is
-    used.  Raises ``KeyError`` listing the known families for an unknown
-    name.
-    """
-    from ..families.registry import family_hint
-
-    return family_hint(family, n, diameter, param=param)

@@ -3,9 +3,10 @@
 The paper's pipeline needs a rooted BFS spanning tree ``T`` of the whole
 network (Definition 2.2 restricts shortcuts to ``T``'s edges) and a leader.
 The paper invokes the deterministic leader election of Kutten et al. [27]
-(O~(D) rounds, O~(m) messages); per DESIGN.md substitution 3 we implement
-flood-min-ID election, which has the same round complexity and whose
-message cost we meter honestly rather than assume.
+(O~(D) rounds, O~(m) messages); we implement flood-min-ID election
+(docs/architecture.md, "Deviations from the paper"), which has the same
+round complexity and whose message cost we meter honestly rather than
+assume.
 
 Two entry points:
 

@@ -26,6 +26,7 @@ import numpy as np
 from ..congest.arrays import PayloadColumns
 from ..congest.engine import Engine
 from ..congest.ledger import CostLedger
+from ..congest.message import ceil_log2
 from ..congest.network import Network
 from ..graphs.partitions import Partition
 from .aggregation import SUM_TUPLE
@@ -278,7 +279,7 @@ def build_subpart_division_randomized(
                 parent[v] = claim.parent_of[v]
                 rep_of[v] = net.node_of_uid(token)
         unclaimed = [v for v in unclaimed if rep_of[v] == -1]
-        if sweep > 2 * math.ceil(math.log2(max(2, n))) + 4:
+        if sweep > 2 * ceil_log2(n) + 4:
             raise RuntimeError("sub-part sweep failed to converge")
 
     forest = RootedForest(net, parent)
@@ -297,7 +298,6 @@ def division_from_groups(
     partition: Partition,
     leaders: Sequence[int],
     groups: Sequence[Sequence[int]],
-    reps: Optional[Sequence[int]] = None,
 ) -> SubPartDivision:
     """Oracle-side division from explicit sub-part member lists (tests)."""
     from .trees import spanning_forest_of_subsets

@@ -31,7 +31,6 @@ fails loudly rather than silently looping.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -39,6 +38,7 @@ import numpy as np
 from ..congest.arrays import PayloadColumns
 from ..congest.engine import Context, Engine, Inbox, Program
 from ..congest.ledger import CostLedger
+from ..congest.message import ceil_log2
 from ..congest.network import Network
 from ..graphs.partitions import Partition
 from .aggregation import MIN_TUPLE, SUM
@@ -128,7 +128,7 @@ def build_subpart_division_deterministic(
     #: because spanning sub-parts never join anyone).
     spans_part: Set[int] = set()
 
-    max_iterations = 3 * max(1, math.ceil(math.log2(max(2, n)))) + 8
+    max_iterations = 3 * ceil_log2(n) + 8
     iteration = 0
     while True:
         iteration += 1

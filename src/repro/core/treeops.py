@@ -217,7 +217,8 @@ class FloodMinProgram(Program):
     the minimum's holder.
 
     This is the substitute for Kutten et al.'s leader election (see
-    DESIGN.md, substitution 3): same O(D) rounds; messages are metered.
+    docs/architecture.md, "Deviations from the paper"): same O(D) rounds;
+    messages are metered.
     """
 
     name = "flood_min"

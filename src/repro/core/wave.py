@@ -84,6 +84,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..congest.engine import Context, Engine, Inbox
 from ..congest.ledger import CostLedger
+from ..congest.message import ceil_log2
 from ..congest.network import Network
 from ..graphs.partitions import Partition
 from ..obs.tracer import current_tracer
@@ -634,7 +635,7 @@ def plan_pa_waves(
     delays: Dict[int, int] = {}
     if randomized:
         rng = rng or random.Random(0)
-        log_n = max(1, (max(2, n) - 1).bit_length())
+        log_n = ceil_log2(n)
         # Meta-rounds carry Theta(log n) messages per edge (Section 4.2),
         # but per-edge load never exceeds the shortcut congestion c, so a
         # smaller capacity suffices when c is small — same guarantees,

@@ -7,15 +7,14 @@ pipeline.  This package realizes those constructions behind a strategy
 API:
 
 * :mod:`~repro.families.provider` — the :class:`ShortcutProvider` API and
-  the concrete providers (general, tree-restricted planar/genus,
-  treewidth, pathwidth), pluggable into
+  its one concrete class, :class:`FamilyProvider`, pluggable into
   ``PASolver.prepare(..., shortcut_provider=...)``;
 * :mod:`~repro.families.decompose` — the decomposition oracles (BFS
   layerings, tree/path decompositions) with validity certificates;
 * :mod:`~repro.families.steiner` — the shared capped Steiner-climb core;
-* :mod:`~repro.families.registry` — one row per family: Table 1/2
-  envelopes (single-sourced from :mod:`repro.analysis.theory`), canonical
-  parameters and provider factories.
+* :mod:`~repro.families.registry` — one row per family (oracle, cap,
+  phase names, canonical parameter; the Table 1/2 envelopes stay in
+  :mod:`repro.analysis.theory`) and :func:`provider_for`, the one factory.
 """
 
 from .decompose import (
@@ -28,13 +27,7 @@ from .decompose import (
     path_decomposition,
     tree_decomposition,
 )
-from .provider import (
-    GeneralProvider,
-    PathwidthProvider,
-    ShortcutProvider,
-    TreeRestrictedProvider,
-    TreewidthProvider,
-)
+from .provider import FamilyProvider, ShortcutProvider
 from .registry import FAMILIES, Family, family_hint, get_family, provider_for
 from .steiner import (
     build_steiner_shortcut,
@@ -47,13 +40,10 @@ __all__ = [
     "DecompositionError",
     "FAMILIES",
     "Family",
-    "GeneralProvider",
+    "FamilyProvider",
     "PathDecomposition",
-    "PathwidthProvider",
     "ShortcutProvider",
     "TreeDecomposition",
-    "TreeRestrictedProvider",
-    "TreewidthProvider",
     "bfs_layering",
     "build_steiner_shortcut",
     "euler_planar_bound",

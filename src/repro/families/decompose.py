@@ -29,7 +29,6 @@ certificate guarantees it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 

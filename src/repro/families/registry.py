@@ -1,141 +1,148 @@
 """The family registry: one row per Table 1/2 graph family.
 
-Single source of truth for everything per-family: the Table 1 (b, c)
-envelope (reusing :data:`repro.analysis.theory.TABLE1` — the formulas live
-there and only there), the Table 2 runtime strings, the canonical family
-parameter used by the repo's workloads (genus of the torus, treewidth of
-the k-tree benchmarks, pathwidth of the ladder) and the provider factory
-realizing the construction.
-
-``repro.core.shortcuts.shortcut_hint_for_family`` — historically a second
-copy of the Table 1 formulas — now delegates to :func:`family_hint` here,
-so envelope changes happen in exactly one place
-(:mod:`repro.analysis.theory`) and construction changes in exactly one
-place (this registry).
+Everything that differs between the family constructions is data on a
+:class:`Family` row — the decomposition oracle, the congestion cap, the
+ledger names of the phases it charges, the canonical parameter of the
+repo's workloads (genus of the torus, treewidth of the k-tree benchmarks,
+pathwidth of the ladder) — and :func:`provider_for` is the one factory
+that turns a row into a provider.  The Table 1 (b, c) envelopes and the
+Table 2 runtime strings are *not* copied here: they live in
+:mod:`repro.analysis.theory`, keyed by the same family names, and
+:func:`family_hint` reads them from there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Dict, Optional, Tuple
 
-from ..analysis.theory import (
-    TABLE1,
-    TABLE2_DETERMINISTIC,
-    TABLE2_RANDOMIZED,
-    FamilyBounds,
-)
-from .provider import (
-    GeneralProvider,
-    PathwidthProvider,
-    ShortcutProvider,
-    TreeRestrictedProvider,
-    TreewidthProvider,
-)
+from ..analysis.theory import TABLE1
+from ..congest.message import ceil_log2
+from ..congest.network import Network
+from ..core.pa import build_general_shortcut
+from ..core.trees import RootedForest
+from .decompose import bfs_layering, path_decomposition, tree_decomposition
+from .provider import FamilyProvider, ShortcutProvider
+
+
+# ----------------------------------------------------------------------
+# Certificate oracles: ``(net, tree, param)`` -> the validated certificate,
+# the width it achieved (the structural phase is charged ``height(T) +
+# width`` rounds) and that phase's message count.
+# ----------------------------------------------------------------------
+def _layering(net: Network, tree: RootedForest, genus: int):
+    layering = bfs_layering(net, tree.roots[0])
+    layering.validate(net)
+    # Distributed form of the layering: the BFS wave that built the tree
+    # already delivered every node its depth; broadcasting the layer
+    # count back down costs one sweep.
+    return layering, 1, net.n
+
+
+def _tree_decomposition(net: Network, tree: RootedForest, width: int):
+    if width < 1:
+        raise ValueError("width must be positive")
+    decomposition = tree_decomposition(net)
+    decomposition.validate(net)
+    if decomposition.width > width:
+        raise ValueError(
+            f"tree-decomposition oracle achieved width "
+            f"{decomposition.width}, above the declared {width}"
+        )
+    # One elimination sweep exchanging each node's bag with neighbors.
+    return (
+        decomposition, decomposition.width,
+        sum(len(bag) for bag in decomposition.bags),
+    )
+
+
+def _path_decomposition(net: Network, tree: RootedForest, width: int):
+    if width < 1:
+        raise ValueError("width must be positive")
+    # Bag-size guard handed to the oracle: a graph whose double-BFS order
+    # produces bags beyond this is not a pathwidth workload.
+    decomposition = path_decomposition(net, width_guard=max(64, 4 * width))
+    decomposition.validate(net)
+    if decomposition.width > 2 * width + 1:
+        raise ValueError(
+            f"path-decomposition oracle achieved width "
+            f"{decomposition.width}, far above the declared {width}"
+        )
+    return decomposition, decomposition.width, net.n
+
+
+def _layering_cap(genus: int, n: int, diameter: int) -> int:
+    """``sqrt(max(1, g)) * D * ceil(log2 n)``, the planar / genus envelope."""
+    return max(
+        2,
+        math.ceil(math.sqrt(max(1, genus)) * max(1, diameter)) * ceil_log2(n),
+    )
 
 
 @dataclass(frozen=True)
 class Family:
-    """One graph family: its envelopes, parameter and construction."""
+    """One graph family: its canonical parameter and its construction.
 
-    name: str
-    #: Table 1 envelope — the exact object from ``analysis.theory.TABLE1``.
-    bounds: FamilyBounds
-    #: Table 2 runtime strings (deterministic / randomized).
-    det_rounds: str
-    rand_rounds: str
+    The construction fields are what :meth:`FamilyProvider.build` reads;
+    the ``general`` row has none (its provider is the general pipeline's
+    own function, see :func:`provider_for`).
+    """
+
     #: Canonical parameter of the repo's workloads for this family
     #: (genus g, treewidth t, pathwidth p; 1 where unused).
     default_param: int
-    #: Provider factory: ``make_provider(param, claim_small)`` builds the
-    #: construction.  ``claim_small`` drops the parts-below-D exemption on
-    #: the family constructions (benchmarks use it to exhibit envelopes on
-    #: small instances); the general pipeline's exemption is intrinsic to
-    #: Algorithm 4, so its factory documents and ignores the flag.
-    make_provider: Callable[[int, bool], ShortcutProvider]
-    description: str
-
-    def provider(
-        self, param: Optional[int] = None, claim_small: bool = False
-    ) -> ShortcutProvider:
-        """A fresh provider for this family (``param`` defaults canonical)."""
-        return self.make_provider(
-            self.default_param if param is None else param, claim_small
-        )
-
-    def hint(
-        self, n: int, diameter: int, param: Optional[int] = None
-    ) -> Tuple[int, int]:
-        """The Table 1 (b, c) envelope as integers (ceil of the bounds)."""
-        p = self.default_param if param is None else param
-        b = max(1, math.ceil(self.bounds.block_parameter(n, diameter, p)))
-        c = max(1, math.ceil(self.bounds.congestion(n, diameter, p)))
-        return b, c
+    #: ``.name`` of the row's provider, as EXPERIMENTS.md prints it.
+    provider_name: str
+    #: Certificate oracle (see above): ``certify(net, tree, param)``.
+    certify: Optional[Callable] = None
+    #: Ledger name of the structural phase charged for the certificate.
+    phase: str = ""
+    #: ``cap(n, diameter, param, width)``: the per-edge congestion cap of
+    #: the Steiner climbs — the Table 1 envelope at the *achieved* width,
+    #: never below 2 (a climb can always share an edge once).
+    cap: Optional[Callable[[int, int, int, int], int]] = None
+    #: ``claims(param)``: the climbs are charged as ``{claims}_claims``.
+    claims: Optional[Callable[[int], str]] = None
 
 
 FAMILIES: Dict[str, Family] = {
-    "general": Family(
-        name="general",
-        bounds=TABLE1["general"],
-        det_rounds=TABLE2_DETERMINISTIC["general"],
-        rand_rounds=TABLE2_RANDOMIZED["general"],
-        default_param=1,
-        # claim_small is ignored: Algorithm 4 exempts parts below D
-        # structurally (the "active" rule), not as an option.
-        make_provider=lambda param, claim_small=False: GeneralProvider(),
-        description="arbitrary connected graphs: the mode-selected default "
-        "pipeline, CoreFast or Algorithms 7-8 (b=1, c=sqrt n)",
-    ),
+    # Arbitrary connected graphs: the mode-selected default pipeline,
+    # CoreFast or Algorithms 7-8 (b=1, c=sqrt n).
+    "general": Family(default_param=1, provider_name="general"),
+    # Planar graphs (grids, triangulated grids): BFS-layer Steiner climbs
+    # capped at the O~(D) envelope; the parameter is unused.
     "planar": Family(
-        name="planar",
-        bounds=TABLE1["planar"],
-        det_rounds=TABLE2_DETERMINISTIC["planar"],
-        rand_rounds=TABLE2_RANDOMIZED["planar"],
-        default_param=1,
-        make_provider=lambda param, claim_small=False: (
-            TreeRestrictedProvider(genus=0, claim_small=claim_small)
-        ),
-        description="planar graphs (grids, triangulated grids): BFS-layer "
-        "Steiner climbs capped at the O~(D) envelope",
+        default_param=1, provider_name="tree_restricted",
+        certify=_layering, phase="family_layering",
+        cap=lambda n, d, g, width: _layering_cap(0, n, d),
+        claims=lambda g: "planar",
     ),
+    # Bounded-genus graphs (tori): the planar construction with a
+    # sqrt(g)-widened cap — and, up to genus 1, under the planar name.
     "genus": Family(
-        name="genus",
-        bounds=TABLE1["genus"],
-        det_rounds=TABLE2_DETERMINISTIC["genus"],
-        rand_rounds=TABLE2_RANDOMIZED["genus"],
-        default_param=1,
-        make_provider=lambda param, claim_small=False: (
-            TreeRestrictedProvider(
-                genus=max(1, param), claim_small=claim_small
-            )
-        ),
-        description="bounded-genus graphs (tori): the planar construction "
-        "with a sqrt(g)-widened congestion cap",
+        default_param=1, provider_name="tree_restricted",
+        certify=_layering, phase="family_layering",
+        cap=lambda n, d, g, width: _layering_cap(g, n, d),
+        claims=lambda g: "planar" if g <= 1 else "genus",
     ),
+    # Treewidth-t families (k-trees, series-parallel): tree-decomposition
+    # certificate, cap 2 t log n with t the width the oracle achieved.
     "treewidth": Family(
-        name="treewidth",
-        bounds=TABLE1["treewidth"],
-        det_rounds=TABLE2_DETERMINISTIC["treewidth"],
-        rand_rounds=TABLE2_RANDOMIZED["treewidth"],
-        default_param=3,
-        make_provider=lambda param, claim_small=False: (
-            TreewidthProvider(width=param, claim_small=claim_small)
-        ),
-        description="treewidth-t families (k-trees, series-parallel): "
-        "tree-decomposition certificate, cap O(t log n)",
+        default_param=3, provider_name="treewidth",
+        certify=_tree_decomposition, phase="family_tree_decomposition",
+        cap=lambda n, d, t, width: max(2, 2 * max(1, width) * ceil_log2(n)),
+        claims=lambda t: "treewidth",
     ),
+    # Pathwidth-p families (ladders, caterpillars): path-decomposition
+    # certificate (double-BFS linear order), cap 2 (p + 1) — the only
+    # envelope without a log factor.
     "pathwidth": Family(
-        name="pathwidth",
-        bounds=TABLE1["pathwidth"],
-        det_rounds=TABLE2_DETERMINISTIC["pathwidth"],
-        rand_rounds=TABLE2_RANDOMIZED["pathwidth"],
-        default_param=2,
-        make_provider=lambda param, claim_small=False: (
-            PathwidthProvider(width=param, claim_small=claim_small)
-        ),
-        description="pathwidth-p families (ladders, caterpillars): "
-        "path-decomposition certificate, cap O(p)",
+        default_param=2, provider_name="pathwidth",
+        certify=_path_decomposition, phase="family_path_decomposition",
+        cap=lambda n, d, p, width: max(2, 2 * (width + 1)),
+        claims=lambda p: "pathwidth",
     ),
 }
 
@@ -153,21 +160,37 @@ def get_family(name: str) -> Family:
 def family_hint(
     name: str, n: int, diameter: int, param: Optional[int] = None
 ) -> Tuple[int, int]:
-    """Table 1's (b, c) envelope for a family, as integers.
+    """Table 1's (b, c) envelope for a family, as integers (ceil).
 
-    The construction-target hint formerly duplicated in
-    ``repro.core.shortcuts.shortcut_hint_for_family``; both entry points
-    now evaluate the one ``analysis.theory.TABLE1`` formula set.
+    Evaluates the one formula set in ``analysis.theory.TABLE1``; used as
+    construction targets by benchmarks.  ``param`` is the family
+    parameter (genus g, treewidth t, pathwidth p), each family's
+    canonical workload parameter when omitted.
     """
-    return get_family(name).hint(n, diameter, param=param)
+    family = get_family(name)
+    p = family.default_param if param is None else param
+    bounds = TABLE1[name]
+    return (
+        max(1, math.ceil(bounds.block_parameter(n, diameter, p))),
+        max(1, math.ceil(bounds.congestion(n, diameter, p))),
+    )
 
 
 def provider_for(
     name: str, param: Optional[int] = None, claim_small: bool = False
 ) -> ShortcutProvider:
-    """A fresh provider realizing ``name``'s Table 1 construction.
+    """The provider realizing ``name``'s Table 1 construction.
 
     ``claim_small=True`` drops the parts-below-D exemption on the family
-    constructions (no-op for ``general``, whose exemption is structural).
+    constructions; it is a no-op for ``general``, where Algorithm 4
+    exempts parts below D structurally (the "active" rule).
     """
-    return get_family(name).provider(param=param, claim_small=claim_small)
+    family = get_family(name)
+    if family.certify is None:
+        # No class for the general row: ``build`` is the function
+        # ``prepare`` runs when handed no provider, so the two ledgers are
+        # equal phase for phase in either mode (pinned by tests).
+        return SimpleNamespace(name=name, build=build_general_shortcut)
+    return FamilyProvider(
+        family, family.default_param if param is None else param, claim_small
+    )

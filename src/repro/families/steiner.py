@@ -1,11 +1,11 @@
-"""Capped Steiner-climb shortcuts: the shared core of the family providers.
+"""Capped Steiner-climb shortcuts: the shared core of every family row.
 
 Every family-specific construction in this package builds the same kind of
 object: for each part, the **Steiner subtree** of its members inside the
 spanning tree ``T`` (the union of member-to-LCA climbs — the minimal
 connected H_i, giving block parameter 1), subject to a per-edge
 **congestion cap**.  The families differ only in the cap, which each
-provider derives from its decomposition certificate: ``O~(D)`` per BFS
+registry row derives from its decomposition certificate: ``O~(D)`` per BFS
 layering for planar/genus graphs, ``O~(t)`` per tree decomposition for
 treewidth-t families, ``O(p)`` per path decomposition for pathwidth-p
 families.
@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..congest.engine import Engine
 from ..congest.ledger import CostLedger
 from ..congest.network import Network
-from ..core.blocks import BlockAnnotations, annotate_blocks
+from ..core.blocks import annotate_blocks
 from ..core.corefast import ShortcutBuildResult
 from ..core.shortcuts import Shortcut
 from ..core.trees import RootedForest
@@ -100,9 +100,7 @@ def steiner_up_parts(
     """
     n = tree.net.n
     up: List[Set[int]] = [set() for _ in range(n)]
-    load = [0] * n
-    congestion = 0
-    admitted = 0
+    load = [0] * n  # parts admitted onto each node's parent edge
     truncated = 0
     for pid in range(partition.num_parts):
         members = partition.members[pid]
@@ -113,11 +111,8 @@ def steiner_up_parts(
                 truncated += 1
                 continue
             load[v] += 1
-            if load[v] > congestion:
-                congestion = load[v]
             up[v].add(pid)
-            admitted += 1
-    return up, congestion, admitted, truncated
+    return up, max(load), sum(load), truncated
 
 
 def build_steiner_shortcut(
@@ -129,16 +124,10 @@ def build_steiner_shortcut(
     ledger: CostLedger,
     cap: Optional[int] = None,
     skip_small: bool = True,
-    annotate: bool = True,
     name: str = "family_steiner",
     certificate: Optional[object] = None,
 ) -> ShortcutBuildResult:
-    """Build a capped Steiner shortcut and (optionally) annotate its blocks.
-
-    With ``annotate=False`` the result carries empty annotations — enough
-    to measure (b, c) quality, not enough to run PA waves over it; the
-    providers always annotate.
-    """
+    """Build a capped Steiner shortcut and annotate its blocks."""
     up, congestion, admitted, truncated = steiner_up_parts(
         tree, partition, diameter, cap=cap, skip_small=skip_small
     )
@@ -151,19 +140,11 @@ def build_steiner_shortcut(
         rounds=tree.height() + congestion,
         messages=admitted + truncated,
     )
-    if annotate:
-        annotations = annotate_blocks(engine, shortcut, ledger)
-        block_counts = annotations.block_counts(partition.num_parts)
-    else:
-        annotations = BlockAnnotations()
-        block_counts = [
-            len(shortcut.blocks_of_part(pid))
-            for pid in range(partition.num_parts)
-        ]
+    annotations = annotate_blocks(engine, shortcut, ledger)
     return ShortcutBuildResult(
         shortcut=shortcut,
         annotations=annotations,
-        block_counts=block_counts,
+        block_counts=annotations.block_counts(partition.num_parts),
         iterations=1,
         certificate=certificate,
     )

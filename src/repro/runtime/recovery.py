@@ -182,7 +182,6 @@ class RecoveryDriver:
         schedule: Optional[Schedule] = None,
         mode: str = RANDOMIZED,
         seed: int = 0,
-        heartbeat: Optional[HeartbeatConfig] = None,
         max_attempts: int = 8,
         max_wait_windows: int = 64,
         strict_bits: bool = True,
@@ -193,7 +192,7 @@ class RecoveryDriver:
         self.net = net
         self.mode = mode
         self.seed = seed
-        self.heartbeat = heartbeat if heartbeat is not None else HeartbeatConfig()
+        self.heartbeat = HeartbeatConfig()
         self.max_attempts = max_attempts
         self.max_wait_windows = max_wait_windows
         self.engine = AsyncEngine(

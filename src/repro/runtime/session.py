@@ -57,13 +57,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..analysis.theory import TABLE1
 from ..congest.errors import InvalidPartitionError
 from ..congest.ledger import CostLedger
 from ..congest.network import Network, canonical_edge
 from ..obs.tracer import current_tracer
 from ..core.aggregation import Aggregation
 from ..core.blocks import annotate_blocks
-from ..core.corefast import verify_block_parameters
+from ..core.corefast import block_target_for, verify_block_parameters
 from ..core.pa import (
     PABatchResult,
     PAResult,
@@ -72,11 +73,7 @@ from ..core.pa import (
     RANDOMIZED,
     solve_many_via,
 )
-from ..core.shortcuts import (
-    Shortcut,
-    relabel_shortcut,
-    shortcut_hint_for_family,
-)
+from ..core.shortcuts import Shortcut, relabel_shortcut
 from ..core.subparts import SubPartDivision
 from ..core.trees import ROOT, RootedForest
 from ..core.wave import RouteMemo
@@ -184,12 +181,11 @@ class PASession:
     ``engine``) is chosen where the engine is built — on a ``PASolver``
     handed in through ``solver=``.  The session's own settings:
 
-    shortcut_provider / family:
-        Which shortcut construction ``prepare`` uses.  ``family`` names a
-        registry row (``"planar"``, ``"treewidth"``, ...) and resolves to
-        a provider via :func:`repro.families.provider_for`; passing both
-        a provider and a family is an error.  ``None`` (default) is the
-        general mode-selected pipeline, bit for bit.
+    shortcut_provider:
+        Which shortcut construction ``prepare`` uses: a
+        :class:`repro.families.ShortcutProvider`, e.g.
+        ``provider_for("planar")``.  ``None`` (default) is the general
+        mode-selected pipeline, bit for bit.
     reuse:
         Enable setup caching and incremental projection.
     batch:
@@ -233,7 +229,6 @@ class PASession:
         strict_bits: bool = True,
         strict_edges: bool = True,
         shortcut_provider: Optional[object] = None,
-        family: Optional[str] = None,
         reuse: bool = False,
         batch: bool = False,
         max_entries: Optional[int] = None,
@@ -244,14 +239,6 @@ class PASession:
     ) -> None:
         if backend not in ("local", "sharded"):
             raise ValueError(f"unknown backend {backend!r}")
-        if family is not None:
-            if shortcut_provider is not None:
-                raise ValueError(
-                    "pass either shortcut_provider or family, not both"
-                )
-            from ..families.registry import provider_for
-
-            shortcut_provider = provider_for(family)
         self.shortcut_provider = shortcut_provider
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1 (or None for unbounded)")
@@ -489,12 +476,11 @@ class PASession:
     def block_budget(self) -> int:
         """Max verified block parameter a projected shortcut may keep.
 
-        The same default target the randomized construction freezes parts
-        at (``max(3, 3 ceil(log2 n))``), so a projection is held to the
-        standard the from-scratch pipeline holds itself to.
+        The target the constructions freeze parts at
+        (:func:`~repro.core.corefast.block_target_for`), so a projection
+        is held to the standard the from-scratch pipeline holds itself to.
         """
-        log_n = max(1, math.ceil(math.log2(max(2, self.net.n))))
-        return max(3, 3 * log_n)
+        return block_target_for(self.net.n)
 
     def _cache_hit(self, key: Fingerprint) -> Optional[PASetup]:
         """The memoized setup for ``key`` with an empty ledger, counted."""
@@ -507,23 +493,18 @@ class PASession:
             tracer.instant("session.cache_hit", "session")
         return replace(cached, setup_ledger=CostLedger())
 
-    def _full_prepare(
-        self, partition: Partition, leaders, **options
-    ) -> PASetup:
+    def _full_prepare(self, partition: Partition, leaders) -> PASetup:
         """One full pipeline construction on the solver, counted."""
         self.stats.prepares += 1
         return self.solver.prepare(
             partition, leaders=leaders,
-            shortcut_provider=self.shortcut_provider, **options,
+            shortcut_provider=self.shortcut_provider,
         )
 
     def prepare(
         self,
         partition: Partition,
         leaders: Optional[Sequence[int]] = None,
-        congestion_budget: Optional[int] = None,
-        block_target: Optional[int] = None,
-        validate: bool = True,
     ) -> PASetup:
         """Build (or fetch) the PA machinery for a partition.
 
@@ -539,11 +520,7 @@ class PASession:
             if cached is not None:
                 return cached
         setup = self._traced_build(
-            "full",
-            lambda: self._full_prepare(
-                partition, leaders, congestion_budget=congestion_budget,
-                block_target=block_target, validate=validate,
-            ),
+            "full", lambda: self._full_prepare(partition, leaders)
         )
         if key is not None:
             self._cache_store(key, setup)
@@ -731,11 +708,9 @@ class PASession:
                 route=setup.route,
             )
             over = max(counts) > self.block_budget()
-        if over or (
-            shortcut.congestion() > max(
-                previous.shortcut.congestion(),
-                shortcut_hint_for_family("general", net.n, solver.diameter)[1],
-            )
+        envelope = TABLE1["general"].congestion(net.n, solver.diameter, 1)
+        if over or shortcut.congestion() > max(
+            previous.shortcut.congestion(), math.ceil(envelope)
         ):
             self.stats.rebuilds += 1
             rebuilt = self._full_prepare(partition, leaders)

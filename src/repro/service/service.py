@@ -232,16 +232,13 @@ class PAService:
             (query.wave_values(), query.aggregation())
             for _qid, _tenant, query in queue
         ]
-        if tracer.enabled:
-            with tracer.span("service.flush", "service") as args:
-                per, ledger = self._run_wave(wave, items)
-                args["wave"] = wave
-                args["queries"] = len(queue)
-                args["tenants"] = len({t for _q, t, _query in queue})
-                args["rounds"] = ledger.rounds
-                args["messages"] = ledger.messages
-        else:
+        with tracer.span("service.flush", "service") as args:
             per, ledger = self._run_wave(wave, items)
+            args["wave"] = wave
+            args["queries"] = len(queue)
+            args["tenants"] = len({t for _q, t, _query in queue})
+            args["rounds"] = ledger.rounds
+            args["messages"] = ledger.messages
 
         self.stats.waves += 1
         if len(queue) > 1:
@@ -324,17 +321,11 @@ class PAService:
         service ledger under ``update:``.
         """
         self.flush()
-        tracer = current_tracer()
-        if tracer.enabled:
-            with tracer.span("service.update", "service") as args:
-                setup = self.session.prepare_incremental(
-                    self.setup, partition
-                )
-                args["parts"] = partition.num_parts
-                args["rounds"] = setup.setup_ledger.rounds
-                args["messages"] = setup.setup_ledger.messages
-        else:
+        with current_tracer().span("service.update", "service") as args:
             setup = self.session.prepare_incremental(self.setup, partition)
+            args["parts"] = partition.num_parts
+            args["rounds"] = setup.setup_ledger.rounds
+            args["messages"] = setup.setup_ledger.messages
         self.partition = partition
         self.setup = setup
         self.ledger.merge(setup.setup_ledger, prefix="update:")

@@ -151,18 +151,13 @@ class ShardOrchestrator:
         handles: List[_ShardHandle] = []
         ship_start = time.perf_counter()
         for s, pids in enumerate(plan.shard_parts):
-            if tracer.enabled:
-                with tracer.span("shard.ship", "shard") as args:
-                    payload = build_shard_payload(setup, pids)
-                    payload["engine_flags"] = self._engine_flags
-                    self._pipes[s].send(("load", setup_id, payload))
-                    args["shard"] = s
-                    args["parts"] = len(pids)
-                    args["nodes"] = int(payload["nodes"].size)
-            else:
+            with tracer.span("shard.ship", "shard") as args:
                 payload = build_shard_payload(setup, pids)
                 payload["engine_flags"] = self._engine_flags
                 self._pipes[s].send(("load", setup_id, payload))
+                args["shard"] = s
+                args["parts"] = len(pids)
+                args["nodes"] = int(payload["nodes"].size)
             handles.append(
                 _ShardHandle(
                     worker_index=s,
@@ -232,23 +227,16 @@ class ShardOrchestrator:
             ))
 
         replies = []
-        if tracer.enabled:
-            with tracer.span("shard.barrier", "shard") as args:
-                for handle in handles:
-                    replies.append(self._recv(handle.worker_index)[1])
-                args["shards"] = len(handles)
-        else:
+        with tracer.span("shard.barrier", "shard") as args:
             for handle in handles:
                 replies.append(self._recv(handle.worker_index)[1])
+            args["shards"] = len(handles)
         barrier_seconds = time.perf_counter() - solve_start
 
         merge_start = time.perf_counter()
-        if tracer.enabled:
-            with tracer.span("shard.merge", "shard") as args:
-                outcome = self._merge(handles, replies, ledger, n)
-                args["shards"] = len(handles)
-        else:
+        with tracer.span("shard.merge", "shard") as args:
             outcome = self._merge(handles, replies, ledger, n)
+            args["shards"] = len(handles)
         merge_seconds = time.perf_counter() - merge_start
         if paid is None:
             setup.route.delays = plan.delays

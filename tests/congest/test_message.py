@@ -1,8 +1,10 @@
 """Payload bit accounting and the O(log n) budget."""
 
+import math
+
 import pytest
 
-from repro.congest import int_bits, message_bit_limit, payload_bits
+from repro.congest import ceil_log2, int_bits, message_bit_limit, payload_bits
 
 
 def test_int_bits_basics():
@@ -48,3 +50,17 @@ def test_message_bit_limit_grows_with_n():
 
 def test_message_bit_limit_small_n():
     assert message_bit_limit(1) >= 8
+
+
+def test_ceil_log2_is_the_floating_point_spelling_it_replaced():
+    # Eleven call sites wrote max(1, ceil(log2(max(2, n)))) in floats; the
+    # helper is the integer form.  They agree wherever a ledger can look.
+    def spelled_out(n):
+        return max(1, math.ceil(math.log2(max(2, n))))
+
+    assert [ceil_log2(n) for n in (0, 1, 2, 3, 4, 5)] == [1, 1, 1, 2, 2, 3]
+    for n in range(1, (1 << 20) + 1):
+        assert ceil_log2(n) == spelled_out(n), n
+    for k in range(1, 41):
+        for n in ((1 << k) - 1, 1 << k, (1 << k) + 1):
+            assert ceil_log2(n) == spelled_out(n), n

@@ -9,10 +9,10 @@ from repro.core import (
     Shortcut,
     empty_shortcut,
     full_tree_shortcut,
-    shortcut_hint_for_family,
     star_shortcut_for_parts,
     validate_shortcut,
 )
+from repro.families import family_hint
 from repro.graphs import Partition, grid_2d, path_graph
 
 
@@ -133,7 +133,7 @@ def test_down_parts_mirrors_up(path10):
 
 
 def test_family_hints():
-    b, c = shortcut_hint_for_family("general", 100, 10)
+    b, c = family_hint("general", 100, 10)
     assert b == 1 and c == 10
     with pytest.raises(KeyError):
-        shortcut_hint_for_family("hyperbolic", 100, 10)
+        family_hint("hyperbolic", 100, 10)

@@ -1,16 +1,14 @@
 """Shortcut providers: parity with the general pipeline, caps, correctness."""
 
+import hashlib
 import math
 
 import pytest
 
 from repro.core import SUM, PASolver, solve_pa, validate_shortcut
 from repro.families import (
-    GeneralProvider,
-    PathwidthProvider,
-    TreeRestrictedProvider,
-    TreewidthProvider,
     build_steiner_shortcut,
+    get_family,
     provider_for,
     steiner_edges_of_part,
     steiner_up_parts,
@@ -41,7 +39,7 @@ def _assert_pa_correct(result, partition):
 
 
 # ----------------------------------------------------------------------
-# GeneralProvider == default pipeline, bit for bit
+# provider_for("general") == default pipeline, bit for bit
 # ----------------------------------------------------------------------
 def _phase_log(ledger):
     return [
@@ -52,9 +50,9 @@ def _phase_log(ledger):
 
 @pytest.mark.parametrize("mode", ["randomized", "deterministic"])
 def test_general_provider_bitwise_parity(mode):
-    """The general row follows the mode ``prepare`` runs in — handed over
-    directly, through the registry, or as a session's ``family`` (the
-    registry paths used to build randomized CoreFast in either mode)."""
+    """The general row follows the mode ``prepare`` runs in — handed to
+    the solver or to a session (the registry used to build randomized
+    CoreFast in either mode)."""
     # BFS balls well above an expander's diameter: the shortcut
     # construction engages (on parts below D both modes build nothing).
     net = random_regular(400, 4, seed=5)
@@ -71,12 +69,13 @@ def test_general_provider_bitwise_parity(mode):
         return setup, solver.solve(setup, [1] * net.n, SUM)
 
     def via_session():
-        session = PASession(net, mode=mode, seed=1, family="general")
+        session = PASession(
+            net, mode=mode, seed=1, shortcut_provider=provider_for("general")
+        )
         setup = session.prepare(part)
         return setup, session.solve(setup, [1] * net.n, SUM)
 
     for path in (
-        lambda: via_provider(GeneralProvider()),
         lambda: via_provider(provider_for("general")),
         via_session,
     ):
@@ -95,7 +94,7 @@ def test_solve_pa_accepts_provider():
     part = random_connected_partition(net, 4, seed=3)
     result = solve_pa(
         net, part, [1] * net.n, SUM, seed=5,
-        shortcut_provider=TreeRestrictedProvider(),
+        shortcut_provider=provider_for("planar"),
     )
     _assert_pa_correct(result, part)
 
@@ -177,11 +176,10 @@ def test_tree_restricted_provider_planar():
     d = net.diameter_estimate()
     part = bfs_ball_partition(net, 2 * (d + 1), seed=3)
     solver = PASolver(net, seed=6)
-    provider = TreeRestrictedProvider()
-    setup = solver.prepare(part, shortcut_provider=provider)
+    setup = solver.prepare(part, shortcut_provider=provider_for("planar"))
     b, c = setup.quality()
     log_n = max(1, math.ceil(math.log2(net.n)))
-    assert c <= provider.congestion_cap(net.n, solver.diameter)
+    assert c <= get_family("planar").cap(net.n, solver.diameter, 1, 1)
     assert c <= solver.diameter * log_n
     assert b <= max(3, 2 * math.ceil(math.log2(max(2, solver.diameter))))
     validate_shortcut(setup.shortcut)
@@ -190,13 +188,13 @@ def test_tree_restricted_provider_planar():
 
 
 def test_tree_restricted_provider_random_planar_and_torus():
-    for net, genus in ((random_planar(256, seed=8), 0), (torus_2d(9, 9), 1)):
+    for net, family in (
+        (random_planar(256, seed=8), "planar"), (torus_2d(9, 9), "genus"),
+    ):
         d = net.diameter_estimate()
         part = bfs_ball_partition(net, 2 * (d + 1), seed=3)
         solver = PASolver(net, seed=6)
-        setup = solver.prepare(
-            part, shortcut_provider=TreeRestrictedProvider(genus=genus)
-        )
+        setup = solver.prepare(part, shortcut_provider=provider_for(family))
         validate_shortcut(setup.shortcut)
         result = solver.solve(setup, [1] * net.n, SUM)
         _assert_pa_correct(result, part)
@@ -206,7 +204,9 @@ def test_treewidth_provider_k_tree():
     net = k_tree(80, 3, seed=4)
     part = bfs_ball_partition(net, 20, seed=3)
     solver = PASolver(net, seed=6)
-    setup = solver.prepare(part, shortcut_provider=TreewidthProvider(width=3))
+    setup = solver.prepare(
+        part, shortcut_provider=provider_for("treewidth", param=3)
+    )
     b, c = setup.quality()
     log_n = max(1, math.ceil(math.log2(net.n)))
     assert c <= 2 * 3 * log_n
@@ -220,15 +220,18 @@ def test_treewidth_provider_rejects_wider_graph():
     part = bfs_ball_partition(net, 12, seed=3)
     solver = PASolver(net, seed=6)
     with pytest.raises(ValueError, match="width"):
-        solver.prepare(part, shortcut_provider=TreewidthProvider(width=2))
+        solver.prepare(
+            part, shortcut_provider=provider_for("treewidth", param=2)
+        )
 
 
 def test_pathwidth_provider_ladder():
     net = ladder(30)
     part = bfs_ball_partition(net, 12, seed=3)
     solver = PASolver(net, seed=6)
-    provider = PathwidthProvider(width=2)
-    setup = solver.prepare(part, shortcut_provider=provider)
+    setup = solver.prepare(
+        part, shortcut_provider=provider_for("pathwidth", param=2)
+    )
     b, c = setup.quality()
     assert c <= 2 * (3 + 1)  # gamma * (p + 1) with achieved p <= 3
     validate_shortcut(setup.shortcut)
@@ -251,7 +254,7 @@ def test_provider_certificates_attached():
         solver.engine, net, part, solver.default_leaders(part),
         solver.diameter, ledger, _random.Random(1),
     )
-    build = TreeRestrictedProvider().build(
+    build = provider_for("planar").build(
         solver.engine, net, part, division, solver.tree, solver.diameter,
         ledger,
     )
@@ -259,3 +262,76 @@ def test_provider_certificates_attached():
 
     assert isinstance(build.certificate, BFSLayering)
     build.certificate.validate(net)
+
+
+# ----------------------------------------------------------------------
+# Phase logs, not only totals: pinned on the commit before the provider
+# classes became rows of one table (PR 22's parent), unchanged by it.
+# ----------------------------------------------------------------------
+#: case -> (family, param, claim_small values, graph, BFS-ball radius or
+#: None for the planar tests' 2 (D + 1)) — the fixtures used above.
+_PIN_CASES = {
+    "planar": ("planar", None, (False, True), lambda: grid_2d(12, 12), None),
+    "genus1": ("genus", 1, (False,), lambda: torus_2d(9, 9), None),
+    "genus4": ("genus", 4, (False,), lambda: torus_2d(9, 9), None),
+    "treewidth3": (
+        "treewidth", 3, (False,), lambda: k_tree(80, 3, seed=4), 20,
+    ),
+    "pathwidth2": ("pathwidth", 2, (False,), lambda: ladder(30), 12),
+    "general": (
+        "general", None, (False,), lambda: random_regular(400, 4, seed=5), 60,
+    ),
+}
+
+_PARENT_PHASE_LOGS = {
+    ("planar", "randomized"):
+        "a35de6b7d81cef28c585fb2c6297323db94d3f5c1a32a99bc1f94b47cb8ac56f",
+    ("planar", "deterministic"):
+        "f88aa48d3151476b62cf283273d77082ca329c4d01d34b51ae1bf16539fa9bfb",
+    ("genus1", "randomized"):
+        "2b49557c305bcb289f8a5bad0cbc5b7f87627cd10f49eddc22ed4fcbc25bd6f7",
+    ("genus1", "deterministic"):
+        "2b57869d416a56fa3f3c3a2a93f8dfd235b5764d6c42739cf8d7658da0d02708",
+    ("genus4", "randomized"):
+        "79b317c5e055a0cc81812914329db4ed61cc5e4460414eefe567918f61584dfa",
+    ("genus4", "deterministic"):
+        "30035de848cfbc020e4514fdb5afae3708136aec4e97e843c7344d76cf146cf7",
+    ("treewidth3", "randomized"):
+        "13f90df5c7fce495c517a6648743fe7cf929317161fbea79be90853b1715dd78",
+    ("treewidth3", "deterministic"):
+        "70c97f1b91c3037eb76d1ddc29ea39a1d1b17947522544b7fbaa4ba04a596263",
+    ("pathwidth2", "randomized"):
+        "9bf144a4508574c0d904daf13e992a3e00b514d48a94628a12cbccd99f3d1ed8",
+    ("pathwidth2", "deterministic"):
+        "5f9b6e6f3cca1c15f153f321abe9d40e968aca214d96d9d7464d19b7716d7a6b",
+    ("general", "randomized"):
+        "b68aba72157ac9178b6554138884edbc5ffc2c384e01947606a4684edb434a90",
+    ("general", "deterministic"):
+        "cd41a92fa892d2ad32f854b0399cc04d5dfebfbf107e74b790035ec9877637a0",
+}
+
+
+@pytest.mark.parametrize("mode", ["randomized", "deterministic"])
+@pytest.mark.parametrize("case", list(_PIN_CASES))
+def test_family_phase_logs_are_the_parents(case, mode):
+    family, param, claim_smalls, make, radius = _PIN_CASES[case]
+    net = make()
+    if radius is None:
+        radius = 2 * (net.diameter_estimate() + 1)
+    part = bfs_ball_partition(net, radius, seed=3)
+    logs = []
+    for claim_small in claim_smalls:
+        solver = PASolver(net, mode=mode, seed=6)
+        setup = solver.prepare(
+            part,
+            shortcut_provider=provider_for(
+                family, param=param, claim_small=claim_small
+            ),
+        )
+        result = solver.solve(setup, [1] * net.n, SUM, charge_setup=False)
+        _assert_pa_correct(result, part)
+        logs.append(
+            (_phase_log(setup.setup_ledger), _phase_log(result.ledger))
+        )
+    digest = hashlib.sha256(repr(logs).encode()).hexdigest()
+    assert digest == _PARENT_PHASE_LOGS[case, mode]

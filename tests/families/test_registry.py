@@ -1,17 +1,14 @@
-"""Family registry: single-sourced envelopes, hint delegation, factories."""
+"""Family registry: single-sourced envelopes, hints, the one factory."""
 
 import math
 
 import pytest
 
 from repro.analysis import TABLE1, TABLE2_DETERMINISTIC, TABLE2_RANDOMIZED
-from repro.core import shortcut_hint_for_family
+from repro.core.pa import build_general_shortcut
 from repro.families import (
     FAMILIES,
-    GeneralProvider,
-    PathwidthProvider,
-    TreeRestrictedProvider,
-    TreewidthProvider,
+    FamilyProvider,
     family_hint,
     get_family,
     provider_for,
@@ -23,12 +20,12 @@ def test_registry_covers_table1():
 
 
 def test_registry_reuses_theory_objects():
-    # The envelopes have a single source of truth: the registry holds the
-    # very objects from analysis.theory, not copies of the formulas.
+    # The envelopes have a single source of truth: a row copies nothing
+    # from analysis.theory — Tables 1 and 2 are read by the row's name.
     for name, family in FAMILIES.items():
-        assert family.bounds is TABLE1[name]
-        assert family.det_rounds == TABLE2_DETERMINISTIC[name]
-        assert family.rand_rounds == TABLE2_RANDOMIZED[name]
+        assert name in TABLE2_DETERMINISTIC and name in TABLE2_RANDOMIZED
+        for copied in ("bounds", "det_rounds", "rand_rounds"):
+            assert not hasattr(family, copied)
 
 
 def test_hint_is_ceil_of_table1():
@@ -45,18 +42,6 @@ def test_hint_param_override():
     assert b4 == 4 and b2 == 2 and c4 == 2 * c2
 
 
-def test_core_hint_delegates_to_registry():
-    assert shortcut_hint_for_family("general", 100, 10) == family_hint(
-        "general", 100, 10
-    )
-    assert shortcut_hint_for_family("planar", 400, 12) == family_hint(
-        "planar", 400, 12
-    )
-    assert shortcut_hint_for_family("treewidth", 400, 12, param=5) == (
-        family_hint("treewidth", 400, 12, param=5)
-    )
-
-
 def test_unknown_family_raises_with_known_list():
     with pytest.raises(KeyError, match="hyperbolic"):
         family_hint("hyperbolic", 100, 10)
@@ -65,15 +50,20 @@ def test_unknown_family_raises_with_known_list():
 
 
 def test_provider_factories():
-    assert isinstance(provider_for("general"), GeneralProvider)
-    planar = provider_for("planar")
-    assert isinstance(planar, TreeRestrictedProvider) and planar.genus == 0
-    genus = provider_for("genus", param=3)
-    assert isinstance(genus, TreeRestrictedProvider) and genus.genus == 3
-    tw = provider_for("treewidth")
-    assert isinstance(tw, TreewidthProvider) and tw.width == 3
-    pw = provider_for("pathwidth")
-    assert isinstance(pw, PathwidthProvider) and pw.width == 2
+    # The general row's provider *is* the default pipeline's function.
+    assert provider_for("general").build is build_general_shortcut
+    assert provider_for("general").name == "general"
+    for name, param, provider_name in (
+        ("planar", 1, "tree_restricted"),
+        ("genus", 1, "tree_restricted"),
+        ("treewidth", 3, "treewidth"),
+        ("pathwidth", 2, "pathwidth"),
+    ):
+        provider = provider_for(name)
+        assert isinstance(provider, FamilyProvider)
+        assert provider.family is FAMILIES[name]
+        assert (provider.param, provider.name) == (param, provider_name)
+    assert provider_for("genus", param=3).param == 3
 
 
 def test_provider_for_plumbs_claim_small():
@@ -87,6 +77,9 @@ def test_provider_for_plumbs_claim_small():
 
 
 def test_genus_param_widens_cap():
-    flat = provider_for("genus", param=1)
-    bumpy = provider_for("genus", param=9)
-    assert bumpy.congestion_cap(1000, 20) >= 3 * flat.congestion_cap(1000, 20) - 3
+    cap = get_family("genus").cap
+    assert cap(1000, 20, 9, 1) >= 3 * cap(1000, 20, 1, 1) - 3
+    # genus <= 1 is the planar construction: same cap, same phase name
+    assert cap(1000, 20, 1, 1) == get_family("planar").cap(1000, 20, 1, 1)
+    assert get_family("genus").claims(1) == "planar"
+    assert get_family("genus").claims(2) == "genus"

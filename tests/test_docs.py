@@ -57,3 +57,37 @@ def test_readme_module_map_functions_exist():
     readme = (REPO_ROOT / "README.md").read_text()
     assert "verify_block_parameters" in readme
     from repro.core.corefast import verify_block_parameters  # noqa: F401
+
+
+def test_docstrings_name_only_existing_markdown():
+    # A docstring that cites DESIGN.md must not outlive DESIGN.md.
+    import ast
+
+    missing = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(
+                node,
+                (ast.Module, ast.ClassDef, ast.FunctionDef,
+                 ast.AsyncFunctionDef),
+            ):
+                continue
+            docstring = ast.get_docstring(node) or ""
+            for name in re.findall(r"[\w./-]+\.md\b", docstring):
+                if not (REPO_ROOT / name).exists():
+                    missing.append(f"{path.relative_to(REPO_ROOT)}: {name}")
+    assert not missing, f"docstrings cite missing documents: {missing}"
+
+
+@pytest.mark.parametrize(
+    "example", sorted(p.stem for p in (REPO_ROOT / "examples").glob("*.py"))
+)
+def test_every_example_runs(example):
+    # Examples are narratives with their own asserts; a renamed keyword
+    # must break a test, not a reader.
+    import runpy
+
+    module = runpy.run_path(
+        str(REPO_ROOT / "examples" / f"{example}.py"), run_name=example
+    )
+    module["main"]()
