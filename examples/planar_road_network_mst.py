@@ -4,9 +4,10 @@ A municipality wants a minimum-cost backbone (MST) over a planar road
 grid, computed *by the network itself* (Corollary 1.3), and compares the
 paper's PA-based Boruvka — a fresh pipeline per phase, and one
 ``PASession(reuse=True, batch=True)`` carried across the phases — against
-a GHS-style baseline.  The baseline pays rounds proportional to fragment
-diameters, which on elongated road networks is the whole map; at this
-size it still wins both currencies, and the table says so.
+a GHS-style baseline that merges by the same rule.  The baseline pays
+rounds proportional to fragment diameters, which on elongated road
+networks is the whole map; who wins which currency at this size is read
+off the three ledgers, not assumed.
 
 Run:  python examples/planar_road_network_mst.py
 """
@@ -37,18 +38,24 @@ def main() -> None:
         assert mst_weight(net, set(run.output)) == reference
     print(f"backbone cost: {reference} (all three verified against Kruskal)")
 
-    print("\n                          rounds    messages")
-    for label, run in (
+    runs = (
         ("PA-based MST (per phase)", ours),
         ("PA-based MST (session)", reused),
         ("GHS-style baseline", baseline),
-    ):
+    )
+    print("\n                          rounds    messages")
+    for label, run in runs:
         print(f"{label:24s} {run.rounds:8d} {run.messages:10d}")
-    print("\nAt n = 105 the baseline wins both currencies: its fragments are")
-    print("map-length chains, but the map is short.  Its rounds track n and")
-    print("PA's are meant to track D + sqrt n, so the crossover is expected")
-    print("on larger, lower-diameter instances — ROADMAP.md item 1 says where")
-    print("it has and has not been measured yet.")
+    fewest = {
+        currency: min(runs, key=lambda row: getattr(row[1], currency))[0]
+        for currency in ("rounds", "messages")
+    }
+    print(f"\nAt n = {net.n}: fewest rounds — {fewest['rounds']}; fewest "
+          f"messages — {fewest['messages']}.")
+    print("The baseline's fragments are map-length chains, so its rounds")
+    print("track n where PA's are meant to track D + sqrt n: the crossover")
+    print("is expected on larger, lower-diameter instances — EXPERIMENTS.md")
+    print("(bench_cor13_mst) has the curve, ROADMAP.md item 1 the reading.")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ from .cds import connected_dominating_set
 from .components import cc_labeling, components_partition
 from .kdominating import k_dominating_set
 from .mincut import approx_min_cut
-from .mst import COIN, STAR, minimum_spanning_tree
+from .mst import RANK, STAR, minimum_spanning_tree
 from .sssp import approx_sssp
 from .verification import (
     verify_bipartiteness,
@@ -17,7 +17,7 @@ from .verification import (
 )
 
 __all__ = [
-    "COIN",
+    "RANK",
     "STAR",
     "approx_min_cut",
     "approx_sssp",

@@ -29,9 +29,15 @@ from ..congest.ledger import CostLedger, RunResult
 from ..congest.message import ceil_log2
 from ..congest.network import Network
 from ..graphs.partitions import partition_from_component_labels
-from ..core.aggregation import MIN, MIN_TUPLE
+from ..core.aggregation import MIN_TUPLE
 from ..core.pa import RANDOMIZED
-from ..core.star_joining import chosen_edges, outgoing_picks
+from ..core.star_joining import (
+    chosen_edges,
+    note_merge_round,
+    outgoing_picks,
+    rank_joins,
+    spread_seed,
+)
 from ..runtime import PASession, ensure_session
 
 
@@ -126,8 +132,7 @@ def connected_dominating_set(
     """Compute an O(log n)-approximate CDS; returns the node set.
 
     The Boruvka-over-PA connection phase acquires PA through ``session``:
-    a reusing session coarsens across merge phases, and a batching one
-    folds the edge-pick and coin-spread aggregates into one wave pass.
+    a reusing session coarsens across merge phases.
     """
     session = ensure_session(session, net, mode=mode, seed=seed)
     solver = session.solver
@@ -152,14 +157,13 @@ def connected_dominating_set(
     ledger.charge_local("cds_cluster_assign", rounds=1, messages=2 * net.m)
 
     # Boruvka-over-PA on clusters: each phase every cluster component picks
-    # one outgoing edge; both endpoints become connectors; coin merging.
-    import random as _random
-
-    rng = _random.Random(seed ^ 0xCD5)
+    # one outgoing edge, a star joining by rank under one public seed merges
+    # (MST's rule and exchange); both endpoints of a join become connectors.
+    seed_at = spread_seed(engine, solver.tree, ledger, "cds", seed ^ 0xCD5)
     comp = list(cluster)
     cap = 4 * ceil_log2(n) + 8
     prev_setup = None
-    for _phase in range(cap):
+    for phase in range(1, cap + 1):
         partition = partition_from_component_labels(comp)
         if partition.num_parts == 1:
             break
@@ -167,40 +171,30 @@ def connected_dominating_set(
         ledger.merge(setup.setup_ledger, prefix="cds_setup:")
         prev_setup = setup
 
-        # Coins depend only on the part ids, so they are drawn up front
-        # (same independent-rng draw order as before) and their spread
-        # shares the pick's wave pass when the session batches.
-        coins = {
-            sid: rng.random() < 0.5 for sid in range(partition.num_parts)
-        }
-        coin_values: List[object] = [
-            coins[partition.part_of[v]] * 1
-            if v == setup.leaders[partition.part_of[v]] else None
-            for v in range(n)
-        ]
-        batch = session.solve_many(
-            setup,
-            [(outgoing_picks(net, comp), MIN_TUPLE), (coin_values, MIN)],
-            charge_setup=False,
-            phase_prefix="cds_pickcoins",
-            phase_prefixes=["cds_pick", "cds_coins"],
+        # A component's id is the uid of the dominator that labels it.
+        announced = [net.uid[rep] for rep in comp]
+        picked = session.solve(
+            setup, outgoing_picks(net, comp, announced=announced), MIN_TUPLE,
+            charge_setup=False, phase_prefix="cds_pick",
         )
-        ledger.merge(batch.ledger)
-        picked = batch.per_agg[0]
+        ledger.merge(picked.ledger)
 
-        chosen = chosen_edges(net, partition.part_of, picked.aggregates)
-        for sid, (u, v_nb, target_sid) in chosen.items():
-            if coins[sid] or not coins[target_sid]:
-                continue
+        chosen = chosen_edges(
+            net, partition.part_of, picked.aggregates, announced=True
+        )
+        joins = rank_joins(
+            engine, ledger, "cds", phase,
+            seed_at, announced, picked.value_at_node, chosen,
+        )
+        note_merge_round(
+            "cds", phase, partition.num_parts, len(chosen), len(joins)
+        )
+        for sid, (u, v_nb, target_sid) in joins.items():
             cds.add(u)
             cds.add(v_nb)
             target_rep = comp[partition.members[target_sid][0]]
             for v in partition.members[sid]:
                 comp[v] = target_rep
-        # Coin exchange accounting (one round over chosen edges; the coin
-        # spread itself ran with the pick above).
-        ledger.charge_local("cds_coin_exchange", rounds=2,
-                            messages=2 * partition.num_parts)
     else:
         raise RuntimeError("CDS connection phase did not converge")
 

@@ -7,12 +7,15 @@ fragments along chosen MOEs, and relabels — O(log n) phases, each costing
 O~(PA) (Theorem 1.2's pipeline is rebuilt per phase because the partition
 changes; the BFS tree ``T`` is built once).
 
-Two merging disciplines, both controlling fragment-chain formation:
+Two merging disciplines, both star joinings — no joiner is the target of
+a joiner, so merged fragments never chain:
 
-* ``"coin"`` (default for randomized mode): each fragment flips a fair
-  coin; tails fragments whose MOE points at a heads fragment merge into
-  it.  A quarter of fragments merge in expectation — the classic
-  randomized symmetry breaking.
+* ``"rank"`` (default for randomized mode): under one public seed,
+  broadcast once over ``T``, a fragment joins its MOE's target exactly
+  when the target outranks both the fragment and its own target
+  (:func:`~repro.core.star_joining.rank_joins`).  Every fragment joins
+  with probability at least 1/3 and one of every mutual pair always:
+  O(log n) phases w.h.p.
 * ``"star"`` (default for deterministic mode): Algorithm 5's star joining
   over the MOE digraph, with Cole-Vishkin color exchanges routed through
   PA (the same machinery as Algorithm 9).
@@ -22,17 +25,14 @@ the output has exactly n-1 edges and equals the (unique, under distinct
 weights) MST — verified against Kruskal in the tests.
 
 PA is acquired through a :class:`~repro.runtime.PASession`: with its
-opt-ins off (the default) every phase prepares and solves exactly as the
-historical code did, bit for bit; with ``reuse`` on, each Boruvka merge
-*coarsens* the previous phase's division and shortcut instead of
-rebuilding, and with ``batch`` on, the MOE and coin aggregates share one
-wave pass per phase.
+opt-ins off (the default) every phase prepares afresh; with ``reuse`` on,
+each Boruvka merge *coarsens* the previous phase's division and shortcut
+instead of rebuilding.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..congest.ledger import CostLedger, RunResult
 from ..congest.message import ceil_log2
@@ -40,18 +40,20 @@ from ..congest.network import Network, canonical_edge
 from ..graphs.partitions import partition_from_component_labels
 from ..core.aggregation import MIN, MIN_TUPLE, OR
 from ..core.no_leader import PASuperOps
-from ..core.pa import PASolver, RANDOMIZED
+from ..core.pa import RANDOMIZED
 from ..core.star_joining import (
-    SuperEdge,
     chosen_edges,
     compute_star_joining,
+    note_merge_round,
     outgoing_picks,
+    rank_joins,
+    spread_seed,
 )
 from ..core.treeops import convergecast as tree_convergecast
 from ..core.treeops import cross_round
 from ..runtime import PASession, ensure_session
 
-COIN = "coin"
+RANK = "rank"
 STAR = "star"
 
 
@@ -65,21 +67,26 @@ def minimum_spanning_tree(
     """Distributed MST; returns the edge set with a fully metered ledger.
 
     The network must be connected and weighted.  ``merging`` defaults to
-    coin flips in randomized mode and star joinings in deterministic mode.
-    PA is acquired through ``session`` (see :class:`repro.runtime.PASession`
-    for the reuse/batch opt-ins, the family-aware shortcut constructions
-    and the engine every phase's pipeline runs on); the default is
-    ``PASession(net, mode=mode, seed=seed)``.
+    joining by rank in randomized mode and Algorithm 5 in deterministic
+    mode.  PA is acquired through ``session`` (see
+    :class:`repro.runtime.PASession` for the reuse opt-in, the family-aware
+    shortcut constructions and the engine every phase's pipeline runs on);
+    the default is ``PASession(net, mode=mode, seed=seed)``.
     """
     if net.weights is None:
         raise ValueError("MST requires a weighted network")
     if merging is None:
-        merging = COIN if mode == RANDOMIZED else STAR
+        merging = RANK if mode == RANDOMIZED else STAR
+    if merging not in (RANK, STAR):
+        raise ValueError(f"merging must be {RANK!r} or {STAR!r}, not {merging!r}")
     session = ensure_session(session, net, mode=mode, seed=seed)
     solver = session.solver
-    rng = random.Random(seed ^ 0xB0B)
     ledger = CostLedger()
     ledger.merge(solver.tree_ledger, prefix="tree:")
+    if merging == RANK:
+        seed_at = spread_seed(
+            solver.engine, solver.tree, ledger, "mst", seed ^ 0xB0B
+        )
 
     n = net.n
     comp: List[int] = list(range(n))        # fragment representative node
@@ -111,40 +118,31 @@ def minimum_spanning_tree(
         ledger.merge(setup.setup_ledger, prefix=f"phase{phase}_setup:")
         prev_setup = setup
 
-        moe_values = outgoing_picks(net, comp, weighted=True)
-        if merging == COIN:
-            # Coins depend only on the fragment ids, so they are drawn
-            # before the solves and their broadcast shares the MOE's wave
-            # pass when the session batches (drawn from an independent
-            # rng, so the draw order matches the historical code).
-            coins = {
-                sid: rng.random() < 0.5 for sid in range(partition.num_parts)
-            }
-            coin_values: List[object] = [None] * n
-            for sid in range(partition.num_parts):
-                coin_values[setup.leaders[sid]] = 1 if coins[sid] else 0
-            batch = session.solve_many(
-                setup,
-                [(moe_values, MIN_TUPLE), (coin_values, MIN)],
-                charge_setup=False,
-                phase_prefix=f"phase{phase}_moecoins",
-                phase_prefixes=[f"phase{phase}_moe", f"phase{phase}_coins"],
-            )
-            ledger.merge(batch.ledger)
-            moe = batch.per_agg[0]
-        else:
-            moe = session.solve(
-                setup, moe_values, MIN_TUPLE, charge_setup=False,
-                phase_prefix=f"phase{phase}_moe",
-            )
-            ledger.merge(moe.ledger)
+        # Every member hears its fragment's MOE; joining by rank also needs
+        # *whose* fragment it points at, so there the pick carries the id
+        # (the leader's uid) the far endpoint announced.
+        announced = (
+            [net.uid[leader] for leader in leader_of]
+            if merging == RANK else None
+        )
+        moe = session.solve(
+            setup, outgoing_picks(net, comp, weighted=True, announced=announced),
+            MIN_TUPLE, charge_setup=False, phase_prefix=f"phase{phase}_moe",
+        )
+        ledger.merge(moe.ledger)
 
-        chosen = chosen_edges(net, partition.part_of, moe.aggregates)
+        chosen = chosen_edges(
+            net, partition.part_of, moe.aggregates,
+            announced=announced is not None,
+        )
         if not chosen:
             break
 
-        if merging == COIN:
-            merges = _coin_merges(solver, chosen, coins, ledger)
+        if merging == RANK:
+            joins = rank_joins(
+                solver.engine, ledger, "mst", phase,
+                seed_at, announced, moe.value_at_node, chosen,
+            )
         else:
             # Deterministic merging: Algorithm 5 over the MOE digraph, its
             # pushes PA solves of the session like the MOE's own.
@@ -154,17 +152,15 @@ def minimum_spanning_tree(
             )
             ops.announce_requests()
             _receivers, joins = compute_star_joining(ops, set(chosen))
-            merges = {sid: edge[2] for sid, edge in joins.items()}
-
-        if not merges and merging == COIN:
-            continue  # unlucky coins; retry next phase
+        note_merge_round(
+            "mst", phase, partition.num_parts, len(chosen), len(joins)
+        )
 
         # Merging fragments mark their MOE (one round over those edges) and
         # relabel via a PA broadcast of the new identity.
         mark_sends = []
         relabel_values: List[object] = [None] * n
-        for sid, target_sid in merges.items():
-            u, v_nb, _t = chosen[sid]
+        for u, v_nb, target_sid in joins.values():
             mark_sends.append((u, v_nb, ("mark",)))
             new_leader = leaders[target_sid]
             target_rep = comp[partition.members[target_sid][0]]
@@ -178,7 +174,7 @@ def minimum_spanning_tree(
         )
         ledger.merge(relabel.ledger)
         for sid, update in relabel.aggregates.items():
-            if update is None or sid not in merges:
+            if update is None or sid not in joins:
                 continue
             new_leader_uid, new_rep_uid = update
             new_leader = net.node_of_uid(new_leader_uid)
@@ -210,38 +206,3 @@ def minimum_spanning_tree(
         ledger=ledger,
         meta={"phases": phase, "mode": mode, "merging": merging},
     )
-
-
-def _coin_merges(
-    solver: PASolver,
-    chosen: Dict[int, SuperEdge],
-    coins: Dict[int, bool],
-    ledger: CostLedger,
-) -> Dict[int, int]:
-    """Coin-flip symmetry breaking: tails merge into heads they point at.
-
-    The coins were already drawn and PA-broadcast alongside the MOE solve
-    (sharing its wave pass when the session batches); what remains is the
-    two-round exchange over MOE edges telling each tail endpoint its
-    target's coin.  Returns {merging sid: target sid}.
-    """
-    # MOE endpoints exchange coins across the chosen edges (both endpoints
-    # already know their own fragment's coin from the broadcast).  Mutual
-    # MOE pairs schedule the same directed edge twice with identical
-    # payloads; dedupe keeps the per-edge capacity honest.
-    sends: Dict[Tuple[int, int], Tuple[int, int, object]] = {}
-    for sid, (u, v_nb, target_sid) in chosen.items():
-        sends[(u, v_nb)] = (u, v_nb, ("coin", 1 if coins[sid] else 0))
-        sends.setdefault(
-            (v_nb, u), (v_nb, u, ("coin", 1 if coins[target_sid] else 0))
-        )
-    cross_round(
-        solver.engine, list(sends.values()), ledger, name="mst_coin_exchange"
-    )
-
-    merges: Dict[int, int] = {}
-    for sid, (u, v_nb, target_sid) in chosen.items():
-        if not coins[sid] and coins[target_sid]:
-            merges[sid] = target_sid
-    return merges
-

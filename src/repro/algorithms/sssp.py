@@ -127,7 +127,7 @@ def approx_sssp(
     ``beta`` controls the tradeoff: the Bellman-Ford horizon is
     ``ceil(1/beta)`` hops.  ``tree_edges`` lets callers amortize one MST
     across many sources; otherwise the MST is built (and charged) here —
-    through ``session``, so its Boruvka phases coarsen/batch when the
+    through ``session``, so its Boruvka phases coarsen when the
     session opts in.
     """
     if net.weights is None:

@@ -8,14 +8,15 @@ Theta(n), so rounds degrade to Theta(n log n) on high-diameter fragments.
 This is the classic message-frugal point in the tradeoff space that
 Corollary 1.3's algorithm dominates (experiment E5).
 
-Merging uses the same coin-flip discipline as our PA-based MST so the
-comparison isolates exactly one variable: fragment communication via
-fragment trees vs. via Part-Wise Aggregation.
+Merging is the PA-based MST's own rule and function — a star joining by
+rank under one public seed (:func:`~repro.core.star_joining.rank_joins`),
+which costs the baseline what it costs us: one leader election and one
+broadcast per run — so the comparison isolates exactly one variable:
+fragment communication via fragment trees vs. via Part-Wise Aggregation.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..congest.engine import Context, Engine, Inbox, Program
@@ -24,8 +25,9 @@ from ..congest.message import ceil_log2
 from ..congest.network import Network, canonical_edge
 from ..core.aggregation import MIN_TUPLE
 from ..core.spanning_tree import elect_leader_and_bfs_tree
-from ..core.treeops import BroadcastProgram, ConvergecastProgram, cross_round
-from ..core.trees import ABSENT, ROOT, RootedForest
+from ..core.star_joining import SuperEdge, note_merge_round, rank_joins, spread_seed
+from ..core.treeops import BroadcastProgram, ConvergecastProgram
+from ..core.trees import ROOT, RootedForest
 
 
 class _FragmentMergeProgram(Program):
@@ -73,10 +75,15 @@ def ghs_mst(net: Network, seed: int = 0) -> RunResult:
     """Synchronous GHS-style MST; returns the edge set, fully metered."""
     if net.weights is None:
         raise ValueError("MST requires a weighted network")
-    rng = random.Random(seed ^ 0x6E5)
     ledger = CostLedger()
     engine = Engine(net)
     n = net.n
+    # The public seed needs a root to draw it: the one global structure
+    # the baseline builds, and only for this.
+    seed_at = spread_seed(
+        engine, elect_leader_and_bfs_tree(engine, net, ledger).tree,
+        ledger, "ghs", seed ^ 0x6E5,
+    )
 
     comp: List[int] = list(range(n))         # fragment id = root node
     parent: List[int] = [ROOT] * n            # fragment tree parents
@@ -91,14 +98,16 @@ def ghs_mst(net: Network, seed: int = 0) -> RunResult:
         # Node-local neighbor knowledge refresh.
         ledger.charge_local("ghs_neighbor_exchange", rounds=1, messages=2 * net.m)
 
-        # MOE search by convergecast over each fragment tree.
-        values: List[Optional[Tuple[int, int, int]]] = [None] * n
+        # MOE search by convergecast over each fragment tree; a candidate
+        # names the fragment (its root's uid) the far endpoint announced.
+        announced = [net.uid[root] for root in comp]
+        values: List[Optional[Tuple[int, int, int, int]]] = [None] * n
         for v in range(n):
             best = None
             for nb in net.neighbors[v]:
                 if comp[nb] == comp[v]:
                     continue
-                cand = (net.weight(v, nb), net.uid[v], net.uid[nb])
+                cand = (net.weight(v, nb), net.uid[v], net.uid[nb], announced[nb])
                 if best is None or cand < best:
                     best = cand
             values[v] = best
@@ -106,45 +115,29 @@ def ghs_mst(net: Network, seed: int = 0) -> RunResult:
         up.name = "ghs_moe_convergecast"
         ledger.charge(engine.run(up, max_ticks=forest.height() + 3))
 
-        # Coin + MOE broadcast down each fragment tree.
-        coins = {root: rng.random() < 0.5 for root in forest.roots}
-        down_values = {}
-        for root in forest.roots:
-            moe = up.at_root.get(root)
-            down_values[root] = ("ctl", 1 if coins[root] else 0, moe)
-        down = BroadcastProgram(forest, down_values)
+        # MOE broadcast down each fragment tree.
+        down = BroadcastProgram(
+            forest, {root: ("ctl", up.at_root.get(root)) for root in forest.roots}
+        )
         down.name = "ghs_control_broadcast"
         ledger.charge(engine.run(down, max_ticks=forest.height() + 3))
 
-        # Coin exchange across MOE edges; tails pointing at heads merge.
-        chosen: Dict[int, Tuple[int, int, int]] = {}
+        # Star joining by rank over the MOE edges, on what the members heard.
+        chosen: Dict[int, SuperEdge] = {}
         for root in forest.roots:
             moe = up.at_root.get(root)
-            if moe is None:
-                continue
-            _w, uid_u, uid_nb = moe
-            u = net.node_of_uid(uid_u)
-            v_nb = net.node_of_uid(uid_nb)
-            chosen[root] = (u, v_nb, comp[v_nb])
-        sends = {}
-        for root, (u, v_nb, _t) in chosen.items():
-            sends[(u, v_nb)] = ("coin", 1 if coins[root] else 0)
-            target_root = comp[v_nb]
-            sends.setdefault(
-                (v_nb, u), ("coin", 1 if coins[target_root] else 0)
-            )
-        cross_round(
-            engine, [(s, d, p) for (s, d), p in sends.items()], ledger,
-            name="ghs_coin_exchange",
-        )
-
-        joins: Dict[int, Tuple[int, int, int]] = {}
-        for root, (u, v_nb, target_root) in chosen.items():
-            if not coins[root] and coins.get(target_root, False):
-                joins[root] = (u, v_nb, net.uid[target_root])
-                mst_edges.add(canonical_edge(u, v_nb))
-        if not joins:
-            continue
+            if moe is not None:
+                v_nb = net.node_of_uid(moe[2])
+                chosen[root] = (net.node_of_uid(moe[1]), v_nb, comp[v_nb])
+        heard = [down.received[v][1] for v in range(n)]
+        joins = {
+            root: (u, v_nb, net.uid[target_root])
+            for root, (u, v_nb, target_root) in rank_joins(
+                engine, ledger, "ghs", phase, seed_at, announced, heard, chosen
+            ).items()
+        }
+        note_merge_round("ghs", phase, len(forest.roots), len(chosen), len(joins))
+        mst_edges.update(canonical_edge(u, v_nb) for u, v_nb, _ in joins.values())
 
         tree_neighbors: List[List[int]] = [
             list(forest.children[v]) for v in range(n)

@@ -17,7 +17,7 @@ Outputs:
 * ``BENCH.json`` (``--out``) — machine-readable per-experiment results:
   the ledger-derived ``rounds`` / ``messages`` headline metrics, all
   recorded extra metrics, and the structured experiment tables.  The
-  committed ``BENCH_pr21.json`` is the baseline the gate compares against.
+  committed ``BENCH_pr23.json`` is the baseline the gate compares against.
 * ``EXPERIMENTS.md`` — regenerated from the structured tables registered
   through :func:`repro.bench.harness.print_table` (ledger data, not
   captured stdout).  Only a full sweep writes it: ``--only`` implies
@@ -44,7 +44,7 @@ Usage::
 
     PYTHONPATH=src python -m repro.bench.runner --out BENCH_ci.json
     PYTHONPATH=src python -m repro.bench.runner --only theorem12 --verbose
-    PYTHONPATH=src python -m repro.bench.runner --jobs auto --check-against BENCH_pr21.json
+    PYTHONPATH=src python -m repro.bench.runner --jobs auto --check-against BENCH_pr23.json
 """
 
 from __future__ import annotations

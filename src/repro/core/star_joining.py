@@ -3,14 +3,24 @@
 The paper's corollaries repeat one move: every cluster picks an outgoing
 edge with a ``MIN`` aggregation (:func:`outgoing_picks` is the per-node
 input, :func:`chosen_edges` decodes the per-cluster answer), symmetry is
-broken, clusters merge.  One symmetry breaker is the star joining: it
-designates a constant fraction of participating super-nodes as
-*receivers* and the rest (those whose chosen edge points at a receiver)
-as *joiners*, so that joiners can merge into receivers in a star pattern —
-bounding the diameter growth of merged structures.  Algorithm 5 computes
-one deterministically: super-nodes with in-degree >= 2 become receivers
-immediately; the residual functional graph (paths and cycles) is 3-colored
-with Cole-Vishkin, and the three color classes are resolved in turn.
+broken, clusters merge.  The symmetry breaker is a star joining: it
+designates some participating super-nodes as *receivers* and others
+(whose chosen edge points at a receiver) as *joiners*, so that joiners
+merge into receivers in a star pattern — no joiner is the target of a
+joiner, which bounds the diameter growth of merged structures.
+
+Two ways to find one.  :func:`rank_joins` is the randomized one every
+Boruvka-style loop shares (MST, CDS, the GHS comparator): under one public
+seed a cluster's rank is a keyed hash of ``(seed, round, cluster uid)``,
+and a cluster joins its target exactly when the target is a local maximum
+— above the cluster itself and above the target's own target — which one
+round over the chosen edges tells it.  Every cluster joins with
+probability >= 1/3 and one of every mutual pair with certainty, so
+O(log n) rounds suffice w.h.p.  Algorithm 5 (:func:`compute_star_joining`)
+computes one deterministically: super-nodes with in-degree >= 2 become
+receivers immediately; the residual functional graph (paths and cycles)
+is 3-colored with Cole-Vishkin, and the three color classes are resolved
+in turn.
 
 The algorithm is generic over *how* super-nodes communicate: in
 Algorithm 6 a super-node is a sub-part (communication via its O(D)-depth
@@ -22,6 +32,7 @@ of the pushes over either transport: :func:`TreeSuperOps` here,
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -30,7 +41,10 @@ import numpy as np
 from ..congest.arrays import PayloadColumns, tag_payloads
 from ..congest.engine import Engine
 from ..congest.ledger import CostLedger
+from ..congest.message import ceil_log2
 from ..congest.network import Network
+from ..congest.schedule import _mix
+from ..obs.tracer import current_tracer
 from .aggregation import Aggregation, MIN, SUM
 from .cole_vishkin import cv_iterations_needed, cv_step, shift_down_step
 from .treeops import cross_round, run_broadcast, run_convergecast
@@ -47,6 +61,7 @@ def outgoing_picks(
     weighted: bool = False,
     sources: Optional[Sequence[bool]] = None,
     within: Optional[Sequence[int]] = None,
+    announced: Optional[Sequence[int]] = None,
 ) -> List[Optional[Tuple[int, ...]]]:
     """Per node, its least edge out of its cluster (``None``: no such edge).
 
@@ -57,7 +72,12 @@ def outgoing_picks(
     cluster one outgoing edge (:func:`chosen_edges` decodes it).
     ``sources`` masks the nodes that offer anything (k-dominating's
     still-growing clusters); ``within`` keeps an edge only if its ends
-    share a label (Algorithm 9 stays inside the input part).
+    share a label (Algorithm 9 stays inside the input part).  With
+    ``announced`` — per node, the cluster id it told its neighbours — a
+    candidate gains a last column, ``announced[nb]``: it never decides the
+    minimum (the uid pair before it names the edge), and it is how every
+    member of a cluster learns *which* cluster its pick points at
+    (:func:`rank_joins`).
 
     One lexsort over the network's CSR slots, by node and then by the
     candidate tuple itself: the head of each node's run wins.
@@ -76,6 +96,8 @@ def outgoing_picks(
     columns = [views.uid[src], views.uid[views.adj[slots]]]
     if weighted:
         columns.insert(0, net.slot_weights[slots])
+    if announced is not None:
+        columns.append(np.asarray(announced, dtype=np.int64)[views.adj[slots]])
     order = np.lexsort((*columns[::-1], src))
     best = order[np.flatnonzero(np.diff(src[order], prepend=-1))]
     picks: List[Optional[Tuple[int, ...]]] = [None] * net.n
@@ -87,21 +109,140 @@ def outgoing_picks(
 
 
 def chosen_edges(
-    net: Network, part_of: Sequence[int], aggregates: Dict[int, object]
+    net: Network,
+    part_of: Sequence[int],
+    aggregates: Dict[int, object],
+    announced: bool = False,
 ) -> Dict[int, SuperEdge]:
     """Decode the clusters' picks: ``{sid: (u, v, target sid)}``.
 
     ``aggregates`` is the per-cluster minimum of :func:`outgoing_picks`
-    (its last two entries are ``(uid_u, uid_v)``); a cluster whose
+    (its last two entries are ``(uid_u, uid_v)``, ahead of the target's
+    id when the picks were made with ``announced``); a cluster whose
     aggregate is ``None`` has no outgoing edge and gets no entry.
     ``part_of`` maps a node to its cluster's super-node id.
     """
+    at = -3 if announced else -2
     chosen: Dict[int, SuperEdge] = {}
     for sid, pick in aggregates.items():
         if pick is not None:
-            u, v = net.node_of_uid(pick[-2]), net.node_of_uid(pick[-1])
+            u, v = net.node_of_uid(pick[at]), net.node_of_uid(pick[at + 1])
             chosen[sid] = (u, v, part_of[v])
     return chosen
+
+
+#: On the wire of a target exchange: "my cluster picked no edge" (cluster
+#: ids are uids, which are never negative).
+NO_PICK = -1
+
+
+def rank_join(seed: int, round_no: int, own: int, target: int, beyond: int) -> bool:
+    """Does cluster ``own``, whose pick runs ``own -> target -> beyond``, join?
+
+    The three are cluster ids (uids; ``beyond`` is :data:`NO_PICK` when the
+    target picked nothing).  A cluster's rank is ``_mix(seed, round_no,
+    id)``, ties to the id, and ``own`` joins exactly when ``target``
+    outranks both its neighbours on the path — a receiver is a local
+    maximum against its own target, hence never a joiner, whatever cycles
+    the pick graph has; on a mutual pair ``beyond == own`` and exactly one
+    of the two joins.  A target that picked nothing has nothing to outrank
+    there.
+    """
+    def rank(cluster: int) -> Tuple[int, int]:
+        return _mix(seed, round_no, cluster), cluster
+
+    return rank(own) < rank(target) and (
+        beyond == NO_PICK or rank(beyond) < rank(target)
+    )
+
+
+def spread_seed(
+    engine: Engine, tree: RootedForest, ledger: CostLedger, loop: str, seed: int
+) -> Dict[int, int]:
+    """The public seed of a run's star joinings, as each node heard it.
+
+    The root of the spanning tree ``tree`` draws O(log n) bits from
+    ``seed`` and broadcasts them once (``{loop}_seed``: depth rounds, n - 1
+    messages); every :func:`rank_joins` round of the run reads the result.
+    A node the broadcast did not reach (a lost hop) has no entry.
+    """
+    bits = 4 * ceil_log2(engine.network.n)
+    drawn = random.Random(seed).getrandbits(bits)
+    return run_broadcast(
+        engine, tree, {tree.roots[0]: drawn}, ledger, name=f"{loop}_seed"
+    ).received
+
+
+def note_merge_round(
+    loop: str, round_no: int, clusters: int, picks: int, joins: int
+) -> None:
+    """One ``merge.round`` trace instant: what a merging loop's round did."""
+    tracer = current_tracer()
+    if tracer.enabled:
+        tracer.instant("merge.round", "merge", {
+            "loop": loop, "round": round_no, "clusters": clusters,
+            "picks": picks, "joins": joins,
+        })
+
+
+def rank_joins(
+    engine: Engine,
+    ledger: CostLedger,
+    loop: str,
+    round_no: int,
+    seed_at: Dict[int, int],
+    announced: Sequence[int],
+    heard_pick: Sequence[Optional[Tuple[int, ...]]],
+    chosen: Dict[int, SuperEdge],
+) -> Dict[int, SuperEdge]:
+    """One star-joining round by rank: the join edge of every joiner.
+
+    Everything the decision reads is node-local and was delivered: node
+    ``v`` holds the public seed ``seed_at[v]`` (:func:`spread_seed`; no
+    entry: the broadcast never reached it), its own cluster's id
+    ``announced[v]`` and the pick its cluster's aggregation handed it,
+    ``heard_pick[v]`` (made with ``outgoing_picks(announced=...)``, so its
+    last column is the target's id; ``None``: the cluster picked nothing).  One cross round over the
+    chosen edges, both ways (``{loop}_target_exchange`` — like the coin
+    exchange it replaces, request and answer share the round), tells the
+    source ``u`` of each chosen edge ``(u, v)`` the id ``v``'s cluster
+    points at, and ``u`` applies :func:`rank_join` to what it *received*.
+    A source that holds no seed, or whose answer was lost, does not join
+    this round: staying put is always safe, since nobody joins a cluster
+    that its own rule lets join.
+    """
+    def target_heard_at(node: int) -> int:
+        pick = heard_pick[node]
+        return NO_PICK if pick is None else pick[-1]
+
+    sends = {
+        (a, b): (a, b, ("tgt", target_heard_at(a)))
+        for u, v, _t in chosen.values()
+        for a, b in ((u, v), (v, u))
+    }
+    received = cross_round(
+        engine, list(sends.values()), ledger, name=f"{loop}_target_exchange"
+    ).received
+
+    joins: Dict[int, SuperEdge] = {}
+    # Where every cluster picked, the pick graph has a cycle in each
+    # component, and the top-ranked cluster of a cycle receives its
+    # predecessor: only a lost message then leaves a round without a join.
+    certain = bool(chosen)
+    for sid, edge in chosen.items():
+        u, v, _t = edge
+        answer = dict(received.get(u, ())).get(v)
+        if answer is None or u not in seed_at:
+            certain = False
+            continue
+        beyond = answer[1]
+        certain &= beyond != NO_PICK
+        if rank_join(
+            seed_at[u], round_no, announced[u], target_heard_at(u), beyond
+        ):
+            joins[sid] = edge
+    assert joins or not certain, "a star-joining round joined nobody"
+    return joins
 
 
 @dataclass

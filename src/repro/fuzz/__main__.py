@@ -5,7 +5,7 @@ shrinking); ``--out`` writes the failing replay seed triples as JSON —
 the CI fuzz step uploads that file as an artifact.  ``--replay
 graph_seed:schedule_seed[:fault_seed]`` re-runs one case exactly
 (combine with ``--n/--algorithm/--mode/--graph/--faults/--pa-agg/
---reuse/--batch`` as printed in the failure's replay line).
+--reuse/--merging`` as printed in the failure's replay line).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from ..algorithms.mst import RANK, STAR
 from .harness import (
     ALGORITHMS,
     DELAYED_KINDS,
@@ -70,8 +71,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="what a PA case aggregates, for --replay")
     parser.add_argument("--reuse", action="store_true",
                         help="MST session opt-in for --replay")
-    parser.add_argument("--batch", action="store_true",
-                        help="MST session opt-in for --replay")
+    parser.add_argument("--merging", choices=[RANK, STAR], default=None,
+                        help="MST merging rule for --replay (default: "
+                             "the mode's own)")
     args = parser.parse_args(argv)
 
     schedule_kinds = tuple(k for k in args.schedules.split(",") if k)
@@ -105,7 +107,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             graph_kind=args.graph, schedule_kinds=schedule_kinds,
             engine_impls=engine_impls,
             fault_seed=int(fault_seed or 0), fault_kinds=fault_kinds,
-            pa_agg=args.pa_agg, reuse=args.reuse, batch=args.batch,
+            pa_agg=args.pa_agg, reuse=args.reuse, merging=args.merging,
         )
         message = run_case(case)
         if message is None:

@@ -26,10 +26,12 @@ column fold); ``MIN_TUPLE`` over ``(value, uid)`` pairs with every fifth
 node ``None``; a three-way ``solve_many`` product; and a deliberately
 *order-sensitive* tuple concatenation, audits off, which only an engine
 that folds in the scalar order — not merely an equivalent one — gets
-right.  An MST case draws the session's ``reuse`` / ``batch`` opt-ins,
-so projections and product waves reach the same axes — the fault axis
-included, where most solves run on a route their setup learned earlier
-and a crash between two of them has no token wave to be caught by.
+right.  An MST case draws the session's ``reuse`` opt-in and the merging
+rule (``rank`` / ``star``, whatever the mode), so projections and both
+star joinings reach the same axes — the fault axis included, where most
+solves run on a route their setup learned earlier and a crash between two
+of them has no token wave to be caught by, and where a lost seed hop or
+target answer must leave a fragment where it is.
 
 A third axis injects **faults**: every other PA/MST case derives a
 seeded, recoverable :class:`~repro.congest.FaultPlan` (crash/recover
@@ -43,8 +45,8 @@ Failures shrink before being reported: the graph is re-drawn at smaller
 sizes (same seeds) while the failure persists, then the failing axis is
 isolated — the fault axis is dropped if the failure survives without
 it (or the other axes are stripped if it does not), the drawn
-aggregation and session opt-ins fall back to ``SUM`` on a plain session
-if the failure survives that, then either a single schedule kind or the
+aggregation, session opt-in and merging rule fall back to ``SUM`` on a
+plain session under the mode's own rule if the failure survives that, then either a single schedule kind or the
 scalar-vs-array engine pair with no delayed schedules at all — so the
 replay line names the smallest configuration the harness could still
 break.
@@ -56,7 +58,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..algorithms.components import cc_labeling
-from ..algorithms.mst import minimum_spanning_tree
+from ..algorithms.mst import RANK, STAR, minimum_spanning_tree
 from ..analysis.reference import kruskal_mst
 from ..congest.faults import FaultPlan
 from ..congest.schedule import (
@@ -122,9 +124,10 @@ class FuzzCase:
     fault_kinds: Tuple[str, ...] = ()
     #: What a PA case aggregates: one of :data:`PA_AGGS`.
     pa_agg: str = "sum"
-    #: The ``PASession`` opt-ins an MST case runs with.
+    #: The ``PASession`` opt-in and the merging rule (``None``: the
+    #: mode's default) an MST case runs with.
     reuse: bool = False
-    batch: bool = False
+    merging: Optional[str] = None
 
     def replay_command(self) -> str:
         cmd = (
@@ -142,8 +145,8 @@ class FuzzCase:
             cmd += f" --pa-agg {self.pa_agg}"
         if self.reuse:
             cmd += " --reuse"
-        if self.batch:
-            cmd += " --batch"
+        if self.merging:
+            cmd += f" --merging {self.merging}"
         return cmd
 
 
@@ -168,7 +171,7 @@ class FuzzFailure:
             "fault_kinds": list(self.case.fault_kinds),
             "pa_agg": self.case.pa_agg,
             "reuse": self.case.reuse,
-            "batch": self.case.batch,
+            "merging": self.case.merging,
             "message": self.message,
             "replay": self.case.replay_command(),
         }
@@ -203,11 +206,12 @@ def case_for_index(base_seed: int, index: int, max_n: int = 36) -> FuzzCase:
             # an order-sensitive merge has no fault-free answer to match.
             fault_kinds = ()
     opt_ins = _mix(base_seed, index, 10) % 4 if algorithm == "mst" else 0
+    merging = (RANK, STAR)[opt_ins >> 1] if algorithm == "mst" else None
     return FuzzCase(
         graph_seed=graph_seed, schedule_seed=schedule_seed, n=n,
         algorithm=algorithm, mode=mode, graph_kind=graph_kind,
         fault_seed=fault_seed, fault_kinds=fault_kinds,
-        pa_agg=pa_agg, reuse=bool(opt_ins & 1), batch=bool(opt_ins & 2),
+        pa_agg=pa_agg, reuse=bool(opt_ins & 1), merging=merging,
     )
 
 
@@ -321,12 +325,11 @@ def _run_workload(case: FuzzCase, net, partition, values,
             (dict(res.aggregates), list(res.value_at_node))
             for res in batch.per_agg
         ], batch.ledger
-    session = PASession(
-        net, solver=solver, reuse=case.reuse, batch=case.batch
-    )
+    session = PASession(net, solver=solver, reuse=case.reuse)
     if case.algorithm == "mst":
         res = minimum_spanning_tree(
-            net, mode=case.mode, seed=seed, session=session
+            net, mode=case.mode, seed=seed, merging=case.merging,
+            session=session,
         )
         return res.output, res.ledger
     if case.algorithm == "components":
@@ -421,7 +424,7 @@ def run_case(case: FuzzCase) -> Optional[str]:
                     ]
             else:
                 res = driver.minimum_spanning_tree(
-                    reuse=case.reuse, batch=case.batch
+                    reuse=case.reuse, merging=case.merging
                 )
                 fault_out = res.output
             if fault_out != base_out:
@@ -444,8 +447,8 @@ def shrink_case(
     is walked down while the failure persists; the fault axis is
     dropped if the failure reproduces without it, else the other
     optional axes are stripped so only the seed triple remains; the
-    drawn aggregation and session opt-ins are dropped if the failure
-    reproduces on SUM over a plain session; then —
+    drawn aggregation, session opt-in and merging rule are dropped if the
+    failure reproduces on SUM over a plain session; then —
     if the case still fails with the engine axis dropped (scalar only)
     the engine comparison was not at fault and a single failing
     schedule kind is sought; otherwise the divergence is the
@@ -491,7 +494,7 @@ def shrink_case(
                 current, message = candidate, failed
     # Axis 1.75: the workload's drawn shape.  If the failure survives
     # SUM over ints on a plain session, that is the simpler replay line.
-    plain = replace(current, pa_agg="sum", reuse=False, batch=False)
+    plain = replace(current, pa_agg="sum", reuse=False, merging=None)
     if plain != current:
         failed = check(plain)
         if failed is not None:
@@ -548,7 +551,7 @@ def fuzz(
                 faults = ",".join(case.fault_kinds) or "none"
                 shape = {
                     "pa": case.pa_agg,
-                    "mst": f"reuse={int(case.reuse)},batch={int(case.batch)}",
+                    "mst": f"reuse={int(case.reuse)},{case.merging}",
                 }.get(case.algorithm)
                 log(
                     f"[fuzz] ok   #{index} {case.algorithm}"

@@ -50,6 +50,25 @@ def with_distinct_weights(net: Network, seed: int = 7) -> Network:
     return Network(net.edges, n=net.n, weights=weights, uid_seed=_uid_seed(net))
 
 
+def with_light_edges(
+    net: Network, light: Iterable[Edge], seed: int = 7
+) -> Network:
+    """:func:`with_distinct_weights` re-ranked so ``light`` comes first.
+
+    Weights stay a permutation of 1..m; every edge of ``light`` is lighter
+    than every other edge, the order inside each class is the seeded one.
+    With the rows of :func:`~repro.graphs.generators.grid_with_apex` as
+    ``light`` every Boruvka fragment is a long path in a low-diameter
+    graph — the instance where fragment-tree MSTs pay Theta(n) rounds and
+    Corollary 1.3 claims O~(D + sqrt n).
+    """
+    drawn = with_distinct_weights(net, seed=seed).weights
+    first = {canonical_edge(u, v) for u, v in light}
+    order = sorted(net.edges, key=lambda e: (e not in first, drawn[e]))
+    weights = {e: rank for rank, e in enumerate(order, start=1)}
+    return Network(net.edges, n=net.n, weights=weights, uid_seed=_uid_seed(net))
+
+
 def with_planted_cut(
     net: Network,
     side: Set[int],

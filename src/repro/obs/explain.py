@@ -5,7 +5,7 @@ against ``m``.  A trace holds everything needed to place a run against
 both: its main-stream ledger events, and the ``pa.net`` instant a
 :class:`~repro.core.pa.PASolver` emits where it builds its tree (``n``,
 ``m``, tree depth).  :func:`explain` folds the ledger phases into
-*families* — ``phase7_moecoins_reverse`` and ``phase9_moecoins_reverse``
+*families* — ``phase7_moe_reverse`` and ``phase9_moe_reverse``
 are one family, as are the ``verify_k_*`` of a build's iterations and
 the ``attempt{k}:`` copies of a recovery — and reports, per family and
 in total, rounds, messages, their share of the run, and both as
@@ -14,7 +14,9 @@ family with the largest share of each currency *owns* that slack.  The
 ``session.prepare`` spans say what the solves ran on: how many setups
 were built in full, projected or rebuilt, whether each projection's
 verification ran or was implied by its parent's block counts, and the
-(b, c) and sub-part counts they achieved.
+(b, c) and sub-part counts they achieved; the ``merge.round`` instants of
+a Boruvka-style loop say how many rounds it took against ``log2 n`` and
+what share of the picking clusters joined in each.
 
 First cut: one trace.  The log-power a slack grows with across several
 ``n`` is a fit over several traces and is left for the next one.
@@ -68,6 +70,8 @@ class Explanation:
     depth: Optional[int] = None
     #: ``session.prepare`` span args, in order.
     prepares: List[Dict] = field(default_factory=list)
+    #: ``merge.round`` instant args, in order.
+    merge_rounds: List[Dict] = field(default_factory=list)
 
     @property
     def round_envelope(self) -> Optional[int]:
@@ -104,6 +108,8 @@ def explain(events: Sequence[Dict]) -> Explanation:
             out.n, out.m, out.depth = args["n"], args["m"], args["depth"]
         elif name == "session.prepare" and event.get("ph") == "X":
             out.prepares.append(args)
+        elif name == "merge.round":
+            out.merge_rounds.append(args)
     return out
 
 
@@ -164,6 +170,21 @@ def render_explanation(exp: Explanation) -> str:
         lines.append(
             f"{label} slack{slack}: owned by {name} "
             f"({_share(getattr(tot, by), total).strip()} of {by})"
+        )
+
+    shares = [
+        args["joins"] / args["picks"]
+        for args in exp.merge_rounds if args["picks"]
+    ]
+    if shares:
+        log_n = (
+            f" for ceil(log2 n) = {max(1, (exp.n - 1).bit_length())}"
+            if exp.n else ""
+        )
+        lines.append("")
+        lines.append(
+            f"merge rounds: {len(exp.merge_rounds)}{log_n}; joined share "
+            f"min {min(shares):.2f} / mean {sum(shares) / len(shares):.2f}"
         )
 
     if exp.prepares:

@@ -10,9 +10,9 @@ four opt-in capabilities on top:
 
 * **Setup caching** (``reuse=True``): ``prepare`` memoizes on a partition
   fingerprint ``(part_of, leaders)``.  Re-preparing an already-seen
-  partition (e.g. a Boruvka phase whose coins produced no merges, or the
-  k-th tree packing of min-cut starting from the same singleton
-  partition) returns the cached setup with an empty setup ledger —
+  partition (e.g. the k-th tree packing of min-cut starting from the same
+  singleton partition, or a Boruvka phase that merged nobody because its
+  exchange was lost) returns the cached setup with an empty setup ledger —
   amortization made explicit rather than re-charged.
 
 * **Incremental projection** (``reuse=True``): when a partition is a

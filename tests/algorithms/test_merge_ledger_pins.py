@@ -20,7 +20,12 @@ PR's audited rule: a learning solve's ``*_replay`` at its forest size,
 the ``coarsen_verify_*`` of a projection whose parent's block counts
 imply the budget gone (the next solve on that setup carries their
 ``_wave`` and wire ``_reverse``), one ``annotate_blocks`` fewer per
-build that iterated, every other phase equal (CHANGES, PR 21).
+build that iterated, every other phase equal (CHANGES, PR 21).  The four
+CDS literals were recaptured when its connection loop began to join by
+rank under a public seed (PR 23: ``cds_seed`` once, ``cds_pick`` alone
+where ``cds_pickcoins`` / ``cds_pick`` + ``cds_coins`` ran, the exchange
+on the wire as ``cds_target_exchange``, fewer rounds of all of it); the
+star-joining loops did not move.
 """
 
 import hashlib
@@ -101,13 +106,13 @@ EXPECTED = {
     ('kdom', 'deterministic', 'reg60', 'reuse+batch'):
         (196, 242, 5383, 'e0550861aeba5793'),
     ('cds', 'randomized', 'grid7x8', 'plain'):
-        (191, 1462, 18670, 'd096c158dafc05d9'),
+        (64, 408, 7841, '0b3dadf1f2dde2c8'),
     ('cds', 'randomized', 'grid7x8', 'reuse+batch'):
-        (83, 393, 7486, 'ce94aa453e154184'),
+        (48, 180, 6008, '4c6e9d079c248935'),
     ('cds', 'randomized', 'reg60', 'plain'):
-        (121, 913, 15001, '319b6f859721a3bd'),
+        (95, 532, 13933, '88ae0418cd92f62b'),
     ('cds', 'randomized', 'reg60', 'reuse+batch'):
-        (65, 197, 8105, '5093d154799dfb12'),
+        (60, 179, 8189, '090c32e3a65e35b8'),
     ('alg9', 'randomized', 'grid7x8', 'plain'):
         (366, 1053, 11596, '384947912cd1217b'),
     ('alg9', 'randomized', 'reg60', 'plain'):

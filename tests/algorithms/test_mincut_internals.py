@@ -104,17 +104,19 @@ def test_one_respecting_cut_value_is_real_cut(weighted_random):
 #: learning solve began to replay on its forest and a build to return its
 #: last verified candidate (PR 21: every phase's fresh prepare loses one
 #: ``annotate_blocks``, every first solve's ``_replay`` runs at the forest
-#: size); cut values equal, CHANGES lists old -> new.
+#: size) and when the packing's Boruvka phases began to join by rank
+#: (PR 23: about half the phases, one solve fewer in each); cut values
+#: equal, CHANGES lists old -> new.
 MINCUT_PINS = {
     "grid6x7": (
         lambda: with_distinct_weights(grid_2d(6, 7), seed=4),
-        (32, 676, 3870, 30901,
-         "07b4fe2393c2a1c935729cad96c66a57d85efbb5717f443668cdb2ba390b2a86"),
+        (32, 319, 1680, 15809,
+         "bfe330577c6e5a3998440ed75af0a893f5f88a151be5ae6b476f6f80d0eae4ed"),
     ),
     "reg48": (
         lambda: with_distinct_weights(random_regular(48, 4, seed=7), seed=4),
-        (75, 606, 3552, 38375,
-         "d1507528a4aa8f8a401b1227e97ce2d6226d93303c92cc303bac7553bacc96a7"),
+        (75, 285, 1451, 18935,
+         "c3b017384b2cd6bc7b60d40c3e052ddc9b2e19842a91227cf13d522bc027456b"),
     ),
 }
 

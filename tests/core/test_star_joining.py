@@ -1,23 +1,34 @@
-"""Algorithm 5: star joinings over sub-part trees; the merge step's pick,
-decode and push, whatever carries them."""
+"""Star joinings — by rank under a public seed, and Algorithm 5 over
+sub-part trees; the merge step's pick, decode and push, whatever carries
+them."""
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.congest import CostLedger, Engine
-from repro.core import MIN, PASolver, spanning_forest_of_subsets
+from repro.algorithms import minimum_spanning_tree
+from repro.analysis import kruskal_mst
+from repro.congest import CostLedger, Engine, Network
+from repro.core import MIN, MIN_TUPLE, PASolver, spanning_forest_of_subsets
 from repro.core.no_leader import PASuperOps
 from repro.core.star_joining import (
+    NO_PICK,
     TreeSuperOps,
     chosen_edges,
     compute_star_joining,
     outgoing_picks,
+    rank_join,
+    rank_joins,
 )
 from repro.graphs import (
     Partition,
+    grid_2d,
     path_graph,
     random_connected,
+    random_connected_partition,
+    random_regular,
+    with_distinct_weights,
     with_random_weights,
 )
 
@@ -243,3 +254,164 @@ def test_outgoing_picks_match_the_nested_loop(n, density, clusters, seed):
     assert chosen_edges(net, comp, aggregates) == {
         c: edge for c, (_key, edge) in brute.items()
     }
+
+
+# ---------------------------------------------------------------------------
+# Joining by rank
+# ---------------------------------------------------------------------------
+
+@st.composite
+def pick_graphs(draw):
+    """An arbitrary functional pick graph: per cluster its target (another
+    cluster; once in a while ``None``, which no connected loop produces)
+    and a distinct id — cycles of any length, as CDS's unweighted picks can
+    make them."""
+    k = draw(st.integers(2, 24))
+    targets = [
+        draw(st.one_of(
+            st.none() if draw(st.integers(0, 3)) == 0 else st.nothing(),
+            st.integers(0, k - 2).map(lambda t, c=c: t + (t >= c)),
+        ))
+        for c in range(k)
+    ]
+    # O(log k)-bit ids, like uids: the exchange runs under the bit audit
+    ids = draw(st.lists(st.integers(0, 4 * k - 1), min_size=k, max_size=k,
+                        unique=True))
+    return targets, ids
+
+
+def _joiners(seed, round_no, targets, ids):
+    """The rule, cluster by cluster, on ids alone."""
+    out = set()
+    for c, t in enumerate(targets):
+        if t is None:
+            continue
+        beyond = NO_PICK if targets[t] is None else ids[targets[t]]
+        if rank_join(seed, round_no, ids[c], ids[t], beyond):
+            out.add(c)
+    return out
+
+
+def _joiners_on_the_wire(seed, round_no, targets, ids, lose=()):
+    """The same round run by :func:`rank_joins`: clusters are the nodes of
+    a network whose edges are the picks, every node holding what its
+    cluster's aggregation would have handed it."""
+    k = len(targets)
+    edges = {tuple(sorted((c, t))) for c, t in enumerate(targets) if t is not None}
+    net = Network(sorted(edges), n=k)
+    chosen = {c: (c, t, t) for c, t in enumerate(targets) if t is not None}
+    heard = [None if t is None else (ids[c], ids[t], ids[t])
+             for c, t in enumerate(targets)]
+    seed_at = {c: seed for c in range(k) if c not in lose}
+    ledger = CostLedger()
+    joins = rank_joins(
+        Engine(net), ledger, "t", round_no, seed_at, ids, heard, chosen
+    )
+    assert all(joins[c] == chosen[c] for c in joins)
+    (phase,) = ledger.phases()
+    assert (phase.name, phase.rounds, phase.messages) == (
+        "t_target_exchange", int(bool(edges)), 2 * len(edges)
+    )
+    return set(joins)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=pick_graphs(), seed=st.integers(0, 2 ** 40),
+       round_no=st.integers(1, 60))
+def test_rank_joining_is_a_star_joining(graph, seed, round_no):
+    targets, ids = graph
+    k = len(targets)
+    joiners = _joiners(seed, round_no, targets, ids)
+    # a star: no joiner is the target of a joiner
+    assert not {targets[c] for c in joiners} & joiners
+    # every component of the pick graph in which every cluster picked — it
+    # has an edge, hence a cycle — yields a join
+    root = list(range(k))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for c, t in enumerate(targets):
+        if t is not None:
+            root[find(c)] = find(t)
+    open_ended = {find(c) for c, t in enumerate(targets) if t is None}
+    cyclic = {find(c) for c in range(k)} - open_ended
+    assert cyclic <= {find(c) for c in joiners}
+    # the engine-run round decides what the rule says, on delivered data
+    assert _joiners_on_the_wire(seed, round_no, targets, ids) == joiners
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=pick_graphs(), seed=st.integers(0, 2 ** 40),
+       round_no=st.integers(1, 60), shuffle=st.randoms(use_true_random=False))
+def test_rank_joining_depends_on_seed_round_and_ids_only(
+    graph, seed, round_no, shuffle
+):
+    targets, ids = graph
+    k = len(targets)
+    # renumber the clusters (sids), ids travelling with them
+    new = list(range(k))
+    shuffle.shuffle(new)
+    moved_targets, moved_ids = [None] * k, [None] * k
+    for c, t in enumerate(targets):
+        moved_targets[new[c]] = None if t is None else new[t]
+        moved_ids[new[c]] = ids[c]
+    want = {ids[c] for c in _joiners_on_the_wire(seed, round_no, targets, ids)}
+    got = _joiners_on_the_wire(seed, round_no, moved_targets, moved_ids)
+    assert {moved_ids[c] for c in got} == want
+    # another round is another draw: over many rounds every cluster that
+    # has a pick joins at some point
+    ever = set()
+    for r in range(1, 200):
+        ever |= _joiners(seed, r, targets, ids)
+    assert ever == {c for c, t in enumerate(targets) if t is not None}
+
+
+def test_rank_joining_joins_a_third_of_a_long_path():
+    # 0 -> 1 -> ... -> 9999 <-> 9998: every interior cluster joins with
+    # probability 1/3, the mutual pair at the end with 1/2.
+    k = 10_000
+    targets = [c + 1 for c in range(k - 1)] + [k - 2]
+    ids = [k + (c * 7919) % k for c in range(k)]
+    for seed, round_no in ((17, 1), (17, 2), (0xB0B, 5)):
+        joiners = _joiners(seed, round_no, targets, ids)
+        assert len(joiners) >= 0.30 * k
+        assert (k - 1 in joiners) != (k - 2 in joiners)
+
+
+def test_a_lost_seed_or_answer_means_no_join():
+    # 0 <-> 1 and 2 -> 1: whoever does not hold the seed stays put, the
+    # others decide as before; with everyone deaf the round joins nobody.
+    targets, ids = [1, 0, 1], [40, 41, 42]
+    for seed in range(20):
+        full = _joiners_on_the_wire(seed, 3, targets, ids)
+        assert len(full & {0, 1}) == 1
+        for deaf in (0, 1, 2):
+            assert _joiners_on_the_wire(
+                seed, 3, targets, ids, lose={deaf}
+            ) == full - {deaf}
+        assert _joiners_on_the_wire(seed, 3, targets, ids, lose={0, 1, 2}) == set()
+
+
+@pytest.mark.parametrize("n, make", [
+    (4, lambda: grid_2d(2, 2)),
+    (16, lambda: grid_2d(4, 4)),
+    (512, lambda: random_regular(512, 4, seed=3)),
+])
+def test_four_column_pick_fits_the_bit_budget(n, make):
+    """Strict bits, the widest pick there is: the largest weight
+    ``with_distinct_weights`` produces, beside three largest uids."""
+    net = with_distinct_weights(make(), seed=4)
+    widest = (net.m, 2 * n - 1, 2 * n - 1, 2 * n - 1)
+    solver = PASolver(net, seed=5)  # strict_bits is the default
+    halves = random_connected_partition(net, 2, seed=6)
+    result = solver.solve(solver.prepare(halves), [widest] * n, MIN_TUPLE)
+    assert set(result.aggregates.values()) == {widest}
+    # ... and a whole run under the audit, exchange and seed included
+    mst = minimum_spanning_tree(net, seed=5, merging="rank")
+    assert set(mst.output) == kruskal_mst(net)
+    names = {p.name for p in mst.ledger.phases()}
+    assert {"mst_seed", "mst_target_exchange"} <= names

@@ -26,7 +26,8 @@ from repro.obs import (
 
 
 @pytest.mark.parametrize("name, family", [
-    ("phase21_moecoins_reverse", "moecoins_reverse"),
+    ("phase21_moecoins_reverse", "moecoins_reverse"),  # a pre-PR 23 trace
+    ("phase21_moe_reverse", "moe_reverse"),
     ("verify_2_wave", "verify_wave"),
     ("det_verify_1_replay", "det_verify_replay"),
     ("corefast_claim_3", "corefast_claim"),
@@ -66,7 +67,9 @@ def test_families_replay_the_ledger_exactly(mst_trace):
     )
     # every merging-loop phase number folded away
     assert not any("phase" in name for name in exp.families)
-    assert exp.families["moecoins_reverse"].count > 1
+    assert exp.families["moe_reverse"].count > 1
+    assert exp.families["mst_seed"].count == 1
+    assert exp.families["mst_target_exchange"].count == result.meta["phases"]
 
 
 def test_envelopes_come_from_the_pa_net_instant(mst_trace):
@@ -107,6 +110,29 @@ def test_setups_and_projections_come_from_the_prepare_spans(mst_trace):
     assert (summary.projections_verified, summary.projections_implied) == (
         0, stats.coarsenings,
     )
+
+
+def test_merge_rounds_come_from_the_merge_round_instants(mst_trace):
+    net, _session, result, tracer = mst_trace
+    exp = explain(tracer.events)
+    rounds = exp.merge_rounds
+    assert [args["round"] for args in rounds] == list(
+        range(1, result.meta["phases"] + 1)
+    )
+    assert {args["loop"] for args in rounds} == {"mst"}
+    # a connected graph: every fragment picks, the fragments left are the
+    # ones that did not join, and the last round joins all but one
+    assert rounds[0]["clusters"] == rounds[0]["picks"] == net.n
+    for before, after in zip(rounds, rounds[1:]):
+        assert after["clusters"] == before["clusters"] - before["joins"]
+        assert before["picks"] == before["clusters"]
+    assert rounds[-1]["clusters"] - rounds[-1]["joins"] == 1
+    shares = [args["joins"] / args["picks"] for args in rounds]
+    assert len(rounds) <= 2 * math.ceil(math.log2(net.n))
+    assert (
+        f"merge rounds: {len(rounds)} for ceil(log2 n) = 6; joined share "
+        f"min {min(shares):.2f} / mean {sum(shares) / len(shares):.2f}"
+    ) in render_explanation(exp)
 
 
 def test_a_trace_without_a_solver_has_no_envelopes():

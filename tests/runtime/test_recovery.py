@@ -164,7 +164,7 @@ def _died_tainted_clean():
     (deterministic) alike."""
     net = with_distinct_weights(random_connected(20, 0.15, seed=1), seed=6)
     plan = FaultPlan.seeded(
-        1024, 20, crashes=1, recover=True, crash_window=(1, 400),
+        1009, 20, crashes=1, recover=True, crash_window=(1, 400),
         outage=(2, 6), partition=True, partition_window=(3, 9),
     )
     return net, plan
@@ -188,9 +188,9 @@ def test_tainted_mst_attempt_charges_its_tree_election_once():
         ("attempt1:tree:leader_election", 4, 236),
         ("attempt1:tree:child_ack", 1, 19),
     ]
-    assert (recovery.rounds, recovery.messages) == (432, 5350)
+    assert (recovery.rounds, recovery.messages) == (317, 4475)
     main = res.ledger
-    assert (len(main.phases()), main.rounds, main.messages) == (177, 599, 5319)
+    assert (len(main.phases()), main.rounds, main.messages) == (132, 387, 3612)
 
 
 @pytest.mark.parametrize("opt_ins", [{}, {"reuse": True, "batch": True}])
@@ -204,7 +204,7 @@ def test_crash_between_two_solves_on_one_setup(victim, opt_ins):
     returns short aggregates, and the retry is Kruskal's tree."""
     net, _plan = _died_tainted_clean()
     # The second solve of phase 3: fragments of several nodes by then.
-    routed = "phase3_relabel_reverse" if opt_ins else "phase3_coins_reverse"
+    routed = "phase3_relabel_reverse"
     clean = RecoveryDriver(net, faults=FaultPlan(), seed=7)
     clean.minimum_spanning_tree(**opt_ins)
     log = clean.engine.overhead_log
@@ -270,6 +270,99 @@ def test_a_dropped_replay_message_is_a_died_attempt(workload):
         p.name for p in driver.recovery_overhead.phases()
         if p.name.startswith("attempt0:")
     ] == ["attempt0:" + name for name in names]
+
+
+def _pulse_of(net, phase, occurrence=0):
+    """Global pulse at which the ``occurrence``-th run of ``phase`` starts
+    in a fault-free MST under the driver (seed 7)."""
+    clean = RecoveryDriver(net, faults=FaultPlan(), seed=7)
+    clean.minimum_spanning_tree()
+    log = clean.engine.overhead_log
+    at = [k for k, rec in enumerate(log) if rec.name == phase][occurrence]
+    return sum(rec.pulses for rec in log[:at])
+
+
+def _mst_under(net, plan):
+    """One MST attempt on a faulty engine, no driver: what an attempt that
+    "completes tainted" would have handed back, and its merge rounds."""
+    engine = AsyncEngine(net, faults=plan)
+    session = PASession(net, solver=PASolver(net, seed=7, engine=engine))
+    tracer = Tracer()
+    with use_tracer(tracer):
+        result = minimum_spanning_tree(net, seed=7, session=session)
+    rounds = [e["args"] for e in tracer.events if e["name"] == "merge.round"]
+    return result, rounds, engine
+
+
+@pytest.mark.parametrize("rate", [1.0, 0.5])
+def test_a_lost_target_answer_is_a_fragment_that_stays_put(workload, rate):
+    """A fragment joins on what its endpoint *received*: lose the answers
+    of the second phase's ``mst_target_exchange`` and the fragments that
+    did not hear stay where they are for a round — the tree is still
+    Kruskal's, never a wrong join — and under the driver the attempt is
+    tainted and recomputed."""
+    net, _part, _values = workload
+    reference = frozenset(kruskal_mst(net))
+    _clean, clean_rounds, _engine = _mst_under(net, FaultPlan())
+    base = _pulse_of(net, "mst_target_exchange", occurrence=1)
+    plan = FaultPlan(losses=(
+        MessageLoss(rate=rate, seed=3, start=base + 1, end=base + 2),
+    ))
+
+    result, rounds, engine = _mst_under(net, plan)
+    assert result.output == reference
+    hit = [r for r in engine.fault_log if r.affected]
+    assert [r.phase for r in hit] == ["mst_target_exchange"]
+    assert rounds[0] == clean_rounds[0]
+    assert rounds[1]["picks"] == clean_rounds[1]["picks"]
+    assert rounds[1]["joins"] < clean_rounds[1]["joins"]
+    if rate == 1.0:
+        assert rounds[1]["joins"] == 0
+        assert rounds[2]["clusters"] == rounds[1]["clusters"]
+
+    driver = RecoveryDriver(net, faults=plan, seed=7)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        res = driver.minimum_spanning_tree()
+    assert res.output == reference
+    assert [
+        e["args"]["outcome"] for e in tracer.events
+        if e["name"] == "recovery.attempt"
+    ] == ["tainted", "clean"]
+
+
+@pytest.mark.parametrize("hop", [1, 2, 3])
+def test_a_lost_seed_hop_is_a_subtree_that_never_joins(workload, hop):
+    """The public seed is delivered, not assumed: a node under a lost
+    ``mst_seed`` hop holds no seed, so a fragment whose MOE leaves from it
+    never joins — it is joined, or the run gives up on its phase budget;
+    it never guesses.  Under the driver that is a tainted or a died
+    attempt and Kruskal's tree from the retry."""
+    net, _part, _values = workload
+    reference = frozenset(kruskal_mst(net))
+    base = _pulse_of(net, "mst_seed")
+    plan = FaultPlan(losses=(
+        MessageLoss(rate=1.0, start=base + hop, end=base + hop + 1),
+    ))
+    try:
+        result, rounds, engine = _mst_under(net, plan)
+    except RuntimeError as exc:
+        assert "did not converge" in str(exc)
+    else:
+        assert result.output == reference
+        assert [r.phase for r in engine.fault_log if r.affected] == ["mst_seed"]
+
+    driver = RecoveryDriver(net, faults=plan, seed=7)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        res = driver.minimum_spanning_tree()
+    assert res.output == reference
+    outcomes = [
+        e["args"]["outcome"] for e in tracer.events
+        if e["name"] == "recovery.attempt"
+    ]
+    assert outcomes[0] in ("died", "tainted") and outcomes[-1] == "clean"
+    assert [r.phase for r in driver.engine.fault_log if r.affected] == ["mst_seed"]
 
 
 def test_both_workloads_trace_their_attempts_alike():
