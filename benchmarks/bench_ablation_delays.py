@@ -7,12 +7,12 @@ both modes and report solve rounds; the deterministic variant pays the
 congestion term per wave, the randomized one amortizes it.
 """
 
-from repro.bench import print_table, record, run_once
+from repro.bench import print_table, record
 from repro.core import DETERMINISTIC, RANDOMIZED, SUM, PASolver
 from repro.graphs import grid_2d, Partition
 
 
-def test_delay_ablation(benchmark):
+def test_delay_ablation():
     rows_, cols = 6, 20
     net = grid_2d(rows_, cols)
     part = Partition([r for r in range(rows_) for _ in range(cols)])
@@ -32,10 +32,10 @@ def test_delay_ablation(benchmark):
         )
         return out
 
-    out = run_once(benchmark, experiment)
+    out = experiment()
     assert out[DETERMINISTIC][0] > 0 and out[RANDOMIZED][0] > 0
     # Both must be correct and within a small factor of each other here;
     # the structural point is that both terminate with the same aggregates
     # while charging their respective round disciplines.
-    record(benchmark, det=out[DETERMINISTIC][0], rand=out[RANDOMIZED][0],
+    record(det=out[DETERMINISTIC][0], rand=out[RANDOMIZED][0],
            rounds=out[RANDOMIZED][0], messages=out[RANDOMIZED][1])

@@ -7,7 +7,7 @@ congestion budget and compare measured rounds against the envelope.
 
 import math
 
-from repro.bench import print_table, record, run_once
+from repro.bench import print_table, record
 from repro.congest import CostLedger, Engine
 from repro.core import bfs_tree
 from repro.core.heavy_path import build_heavy_path_decomposition
@@ -15,7 +15,7 @@ from repro.core.path_shortcut import run_path_doubling_wave
 from repro.graphs import path_graph
 
 
-def test_alg7_round_envelope(benchmark):
+def test_alg7_round_envelope():
     def experiment():
         rows = []
         data = []
@@ -44,8 +44,8 @@ def test_alg7_round_envelope(benchmark):
         )
         return data
 
-    data = run_once(benchmark, experiment)
+    data = experiment()
     for rounds, envelope, _messages in data:
         assert rounds <= envelope
-    record(benchmark, pairs=[(r, e) for r, e, _m in data],
+    record(pairs=[(r, e) for r, e, _m in data],
            rounds=data[-1][0], messages=data[-1][2])

@@ -27,7 +27,7 @@ waves, and the *model* numbers these tables pin do not change with n.
 
 from repro.algorithms import minimum_spanning_tree
 from repro.analysis import kruskal_mst
-from repro.bench import print_table, record, run_once
+from repro.bench import print_table, record
 from repro.congest import make_schedule
 from repro.core import SUM, PASolver, solve_pa
 from repro.graphs import (
@@ -57,7 +57,7 @@ def _overhead_totals(session):
     return time_units, control, max_skew
 
 
-def test_pa_schedules(benchmark):
+def test_pa_schedules():
     """One PA solve under every schedule: invariant model, measured tax."""
     from repro import PASession
 
@@ -100,7 +100,7 @@ def test_pa_schedules(benchmark):
         data["rows"] = rows
         return data
 
-    data = run_once(benchmark, experiment)
+    data = experiment()
     print_table(
         "E-async/PA: 8x8 grid, BFS-ball parts, one SUM per schedule",
         ["schedule", "rounds", "messages", "time-units", "ctrl msgs",
@@ -108,7 +108,7 @@ def test_pa_schedules(benchmark):
         data["rows"],
     )
     record(
-        benchmark, rounds=data["rounds"], messages=data["messages"],
+        rounds=data["rounds"], messages=data["messages"],
         time_units_delay0=data["time_units_delay0"],
         control_messages_delay0=data["control_messages_delay0"],
         max_skew=data["max_skew"],
@@ -116,7 +116,7 @@ def test_pa_schedules(benchmark):
     )
 
 
-def test_mst_schedules(benchmark):
+def test_mst_schedules():
     """Full Boruvka MST under every schedule: same tree, same ledger."""
     net = with_distinct_weights(random_connected(48, 0.07, seed=12), seed=4)
     oracle = frozenset(kruskal_mst(net))
@@ -156,7 +156,7 @@ def test_mst_schedules(benchmark):
         data["rows"] = rows
         return data
 
-    data = run_once(benchmark, experiment)
+    data = experiment()
     print_table(
         "E-async/MST: n=48 random graph, Boruvka over PA per schedule",
         ["schedule", "rounds", "messages", "time-units", "ctrl msgs",
@@ -164,7 +164,7 @@ def test_mst_schedules(benchmark):
         data["rows"],
     )
     record(
-        benchmark, rounds=data["rounds"], messages=data["messages"],
+        rounds=data["rounds"], messages=data["messages"],
         time_units_delay0=data["time_units_delay0"],
         control_messages_delay0=data["control_messages_delay0"],
         max_skew=data["max_skew"],

@@ -18,7 +18,7 @@ from repro import PASession
 from repro.algorithms import minimum_spanning_tree
 from repro.analysis import kruskal_mst
 from repro.baselines import ghs_mst
-from repro.bench import print_table, record, run_once
+from repro.bench import print_table, record
 from repro.congest import ceil_log2
 from repro.graphs import (
     grid_2d,
@@ -55,7 +55,7 @@ INSTANCES = [
 ]
 
 
-def test_mst_tradeoff(benchmark):
+def test_mst_tradeoff():
     def experiment():
         rows = []
         data = {}
@@ -91,7 +91,7 @@ def test_mst_tradeoff(benchmark):
         )
         return data
 
-    data = run_once(benchmark, experiment)
+    data = experiment()
     for label, (net, bare, ours, ghs) in data.items():
         # One rule, three loops: O(log n) star-joining rounds each.
         for run in (bare, ours, ghs):
@@ -108,6 +108,6 @@ def test_mst_tradeoff(benchmark):
     assert ghs.rounds > 2 * net.exact_diameter()
     _net, dagger_bare, dagger_ours, dagger_ghs = data["apex 4x256 †"]
     assert dagger_ghs.rounds < dagger_bare.rounds < dagger_ours.rounds
-    record(benchmark, ours_rounds=bare.rounds, ghs_rounds=ghs.rounds,
+    record(ours_rounds=bare.rounds, ghs_rounds=ghs.rounds,
            ours_msgs=bare.messages, ghs_msgs=ghs.messages,
            rounds=bare.rounds, messages=bare.messages)

@@ -7,11 +7,11 @@ ratio and the packed-tree count (the poly(1/eps) driver).
 
 from repro.algorithms import approx_min_cut
 from repro.analysis import stoer_wagner_min_cut
-from repro.bench import print_table, record, run_once
+from repro.bench import print_table, record
 from repro.graphs import cut_weight, grid_2d, with_planted_cut
 
 
-def test_mincut_eps_sweep(benchmark):
+def test_mincut_eps_sweep():
     base = grid_2d(3, 10)
     side = {r * 10 + c for r in range(3) for c in range(5)}
     net = with_planted_cut(base, side, cut_weight_each=1, bulk_weight=200)
@@ -41,11 +41,11 @@ def test_mincut_eps_sweep(benchmark):
         )
         return ratios
 
-    ratios = run_once(benchmark, experiment)
+    ratios = experiment()
     for eps, (ratio, trees, _r, _m) in ratios.items():
         assert ratio <= 1.0 + eps + 1e-9
     # Cost grows as eps shrinks (the poly(1/eps) shape).
     assert ratios[0.35][1] >= ratios[1.0][1]
     assert ratios[0.35][3] >= ratios[1.0][3]
-    record(benchmark, ratios={str(k): v[0] for k, v in ratios.items()},
+    record(ratios={str(k): v[0] for k, v in ratios.items()},
            rounds=ratios[0.35][2], messages=ratios[0.35][3])

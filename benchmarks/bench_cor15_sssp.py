@@ -7,12 +7,12 @@ max/mean stretch against Dijkstra, plus the Bellman-Ford round cost.
 
 from repro.algorithms import approx_sssp
 from repro.analysis import dijkstra
-from repro.bench import print_table, record, run_once
+from repro.bench import print_table, record
 from repro.graphs import grid_2d, with_random_weights
 from repro.runtime import PASession
 
 
-def test_sssp_beta_sweep(benchmark):
+def test_sssp_beta_sweep():
     net = with_random_weights(grid_2d(5, 14), max_weight=40, seed=20)
     exact = dijkstra(net, 0)
     session = PASession(net, seed=21)
@@ -48,9 +48,9 @@ def test_sssp_beta_sweep(benchmark):
         )
         return curve
 
-    curve = run_once(benchmark, experiment)
+    curve = experiment()
     assert curve[0.05][0] <= curve[0.5][0] + 1e-9  # stretch improves
     assert curve[0.05][1] > curve[0.5][1]          # rounds grow ~1/beta
     assert all(v >= 1.0 - 1e-9 for v, _r, _m in curve.values())
-    record(benchmark, stretches={str(k): v[0] for k, v in curve.items()},
+    record(stretches={str(k): v[0] for k, v in curve.items()},
            rounds=curve[0.05][1], messages=curve[0.05][2])

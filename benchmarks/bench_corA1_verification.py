@@ -17,11 +17,11 @@ from repro.algorithms import (
     verify_st_connectivity,
 )
 from repro.analysis import kruskal_mst
-from repro.bench import print_table, record, run_once
+from repro.bench import print_table, record
 from repro.graphs import random_connected, with_distinct_weights
 
 
-def test_verification_suite(benchmark):
+def test_verification_suite():
     net = with_distinct_weights(random_connected(60, 0.06, seed=23), seed=24)
     tree = list(kruskal_mst(net))
     half = tree[: len(tree) // 2]
@@ -49,7 +49,7 @@ def test_verification_suite(benchmark):
         )
         return runs
 
-    runs = run_once(benchmark, experiment)
+    runs = experiment()
     assert runs["connectivity(T)"].output is True
     assert runs["connectivity(half)"].output is False
     assert runs["spanning tree"].output is True
@@ -59,7 +59,6 @@ def test_verification_suite(benchmark):
     for name, run in runs.items():
         if "bipartite" not in name:  # documented deviation: H-diameter term
             assert run.rounds <= 60 * envelope, name
-    record(benchmark,
-           rounds_by_problem={k: v.rounds for k, v in runs.items()},
+    record(rounds_by_problem={k: v.rounds for k, v in runs.items()},
            rounds=runs["connectivity(T)"].rounds,
            messages=runs["connectivity(T)"].messages)

@@ -7,7 +7,7 @@ O(log n)-approximation anchor) across workloads.
 
 from repro.algorithms import connected_dominating_set
 from repro.analysis import greedy_dominating_set_size
-from repro.bench import print_table, record, run_once
+from repro.bench import print_table, record
 from repro.graphs import (
     grid_2d,
     induces_connected_subgraph,
@@ -16,7 +16,7 @@ from repro.graphs import (
 )
 
 
-def test_cds_quality(benchmark):
+def test_cds_quality():
     workloads = {
         "grid 4x10": grid_2d(4, 10),
         "sparse random": random_connected(48, 0.05, seed=32),
@@ -47,8 +47,8 @@ def test_cds_quality(benchmark):
         )
         return sizes, costs
 
-    sizes, costs = run_once(benchmark, experiment)
+    sizes, costs = experiment()
     for label, (cds_size, greedy) in sizes.items():
         assert cds_size <= 3 * greedy + 2, label
-    record(benchmark, sizes={k: v[0] for k, v in sizes.items()},
+    record(sizes={k: v[0] for k, v in sizes.items()},
            rounds=costs["grid 4x10"][0], messages=costs["grid 4x10"][1])

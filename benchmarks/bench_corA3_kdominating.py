@@ -6,11 +6,11 @@ realized radius.
 """
 
 from repro.algorithms import k_dominating_set
-from repro.bench import print_table, record, run_once
+from repro.bench import print_table, record
 from repro.graphs import grid_2d, is_k_dominating_set
 
 
-def test_kdominating_sweep(benchmark):
+def test_kdominating_sweep():
     net = grid_2d(5, 16)
 
     def experiment():
@@ -30,10 +30,10 @@ def test_kdominating_sweep(benchmark):
         )
         return sizes
 
-    sizes = run_once(benchmark, experiment)
+    sizes = experiment()
     for k, (size, bound, _rounds, _messages) in sizes.items():
         assert size <= bound, k
     # Size falls as k grows (the O(n/k) shape).
     assert sizes[32][0] < sizes[4][0]
-    record(benchmark, sizes={str(k): v[0] for k, v in sizes.items()},
+    record(sizes={str(k): v[0] for k, v in sizes.items()},
            rounds=sizes[32][2], messages=sizes[32][3])

@@ -33,7 +33,7 @@ The sizes are module constants: ``--check-against`` pins their ledgers.
 
 import math
 
-from repro.bench import print_table, record, run_once
+from repro.bench import print_table, record
 from repro.core import SUM, PASolver, full_tree_shortcut
 from repro.families import provider_for
 from repro.graphs import (
@@ -81,7 +81,7 @@ def _full_pa(net, partition, provider, seed):
     return b, c, result.rounds, result.messages
 
 
-def test_planar_congestion_tracks_diameter(benchmark):
+def test_planar_congestion_tracks_diameter():
     def experiment():
         # --- Tall grids: congestion must track D, not sqrt n -----------
         tall_rows_out = []
@@ -163,7 +163,7 @@ def test_planar_congestion_tracks_diameter(benchmark):
         )
         return tall_data, square_data
 
-    tall_data, square_data = run_once(benchmark, experiment)
+    tall_data, square_data = experiment()
 
     # Tall grids: c grows with D (within the Table 1 envelope) and is NOT
     # sqrt(n)-driven — on the largest instance it exceeds sqrt n severalfold.
@@ -184,14 +184,13 @@ def test_planar_congestion_tracks_diameter(benchmark):
 
     headline = square_data[-1]
     record(
-        benchmark,
         rounds=headline[6], messages=headline[7],
         largest_planar_n=headline[1],
         tall_c_by_rows={str(r[0]): r[5] for r in tall_data},
     )
 
 
-def test_width_families_scaling(benchmark):
+def test_width_families_scaling():
     def experiment():
         rows_out = []
         data = []
@@ -258,12 +257,11 @@ def test_width_families_scaling(benchmark):
         )
         return data, headline
 
-    data, headline = run_once(benchmark, experiment)
+    data, headline = experiment()
     for family, n, d, b, c, envelope in data:
         assert c <= envelope, (family, n, c, envelope)
         assert b <= max(4, 3 * _log2(n)), (family, n, b)
     record(
-        benchmark,
         rounds=headline[0], messages=headline[1],
         families={f"{fam}_{n}": (b, c) for fam, n, _d, b, c, _e in data},
     )

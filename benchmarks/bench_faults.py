@@ -15,7 +15,7 @@ fault-free run's, MST equals Kruskal — asserted every run too).
 
 from repro.algorithms import minimum_spanning_tree
 from repro.analysis import kruskal_mst
-from repro.bench import print_table, record, run_once
+from repro.bench import print_table, record
 from repro.congest import FaultPlan, SynchronousSchedule
 from repro.core import SUM, PASolver, solve_pa
 from repro.graphs import (
@@ -50,7 +50,7 @@ def _phase_log(ledger):
     return [(p.name, p.rounds, p.messages, p.ticks) for p in ledger.phases()]
 
 
-def test_pa_crash_recovery(benchmark):
+def test_pa_crash_recovery():
     """PA with k crash-recover faults: exact output, segregated tax."""
     net = random_connected(40, 0.1, seed=17)
     partition = random_connected_partition(net, 6, seed=17)
@@ -92,7 +92,7 @@ def test_pa_crash_recovery(benchmark):
         data["rows"] = rows
         return data
 
-    data = run_once(benchmark, experiment)
+    data = experiment()
     print_table(
         "E-faults/PA: n=40 random graph, k seeded crash-recover faults",
         ["crashes", "attempts", "hb windows", "re-elections",
@@ -100,7 +100,7 @@ def test_pa_crash_recovery(benchmark):
         data["rows"],
     )
     record(
-        benchmark, rounds=data["rounds"], messages=data["messages"],
+        rounds=data["rounds"], messages=data["messages"],
         attempts=data["attempts"],
         heartbeat_windows=data["heartbeat_windows"],
         reelections=data["reelections"],
@@ -110,7 +110,7 @@ def test_pa_crash_recovery(benchmark):
     )
 
 
-def test_mst_crash_recovery(benchmark):
+def test_mst_crash_recovery():
     """MST with k crash-recover faults: exact tree, segregated tax."""
     net = with_distinct_weights(random_connected(36, 0.1, seed=23), seed=6)
     oracle = frozenset(kruskal_mst(net))
@@ -153,7 +153,7 @@ def test_mst_crash_recovery(benchmark):
         data["rows"] = rows
         return data
 
-    data = run_once(benchmark, experiment)
+    data = experiment()
     print_table(
         "E-faults/MST: n=36 random graph, k seeded crash-recover faults",
         ["crashes", "attempts", "hb windows", "re-elections",
@@ -161,7 +161,7 @@ def test_mst_crash_recovery(benchmark):
         data["rows"],
     )
     record(
-        benchmark, rounds=data["rounds"], messages=data["messages"],
+        rounds=data["rounds"], messages=data["messages"],
         attempts=data["attempts"],
         heartbeat_windows=data["heartbeat_windows"],
         reelections=data["reelections"],

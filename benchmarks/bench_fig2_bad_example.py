@@ -8,7 +8,7 @@ aggregation on the *same* topology and parts).
 """
 
 from repro.baselines import block_aggregation_pa
-from repro.bench import print_table, record, run_once
+from repro.bench import print_table, record
 from repro.core import SUM, solve_pa
 from repro.graphs import grid_with_apex, row_partition
 
@@ -29,7 +29,7 @@ def _one_depth(rows):
     return net, naive, ours, wave_msgs
 
 
-def test_fig2_message_blowup(benchmark):
+def test_fig2_message_blowup():
     def experiment():
         rows_out = []
         series = {}
@@ -57,12 +57,12 @@ def test_fig2_message_blowup(benchmark):
         )
         return series
 
-    series = run_once(benchmark, experiment)
+    series = experiment()
     small, large = series[DEPTHS[0]], series[DEPTHS[-1]]
     # The paper's shape: naive per-node cost grows ~linearly in D while the
     # wave cost stays flat; the naive/wave gap widens with D.
     gap_small = small[0] / max(1, small[1])
     gap_large = large[0] / max(1, large[1])
     assert gap_large > gap_small
-    record(benchmark, naive_gap_small=gap_small, naive_gap_large=gap_large,
+    record(naive_gap_small=gap_small, naive_gap_large=gap_large,
            rounds=large[3], messages=large[2])

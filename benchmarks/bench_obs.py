@@ -21,7 +21,7 @@ What tracing costs in wall time is ``obs.trace_overhead_ratio`` in
 recorded here.
 """
 
-from repro.bench import print_table, record, run_once
+from repro.bench import print_table, record
 from repro.congest import SynchronousSchedule
 from repro.core import SUM, PASolver, solve_pa
 from repro.graphs import bfs_ball_partition, grid_2d
@@ -50,7 +50,7 @@ def _ledger_event_totals(tracer):
     )
 
 
-def test_tracing_identity_and_replay(benchmark):
+def test_tracing_identity_and_replay():
     """Off = bit-for-bit ledger; on = trace replays the ledger exactly."""
     net = grid_2d(8, 8)
     partition = bfs_ball_partition(net, target_size=12, seed=3)
@@ -95,7 +95,7 @@ def test_tracing_identity_and_replay(benchmark):
         data["rows"] = rows
         return data
 
-    data = run_once(benchmark, experiment)
+    data = experiment()
     print_table(
         "E-obs: 8x8 grid PA per engine, tracing off vs on",
         ["engine", "rounds", "messages", "replayed rounds",
@@ -103,7 +103,7 @@ def test_tracing_identity_and_replay(benchmark):
         data["rows"],
     )
     record(
-        benchmark, rounds=data["rounds"], messages=data["messages"],
+        rounds=data["rounds"], messages=data["messages"],
         trace_events_scalar=data["events_scalar"],
         trace_events_array=data["events_array"],
         trace_events_async=data["events_async"],

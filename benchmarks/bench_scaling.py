@@ -39,7 +39,7 @@ of the grid and general families).
 
 import math
 
-from repro.bench import print_table, record, run_once
+from repro.bench import print_table, record
 from repro.core import SUM, PASolver
 from repro.graphs import (
     bfs_ball_partition,
@@ -74,7 +74,7 @@ def _pa_once(net, partition, seed):
     return result.rounds, result.messages
 
 
-def test_pa_scaling_families(benchmark):
+def test_pa_scaling_families():
     def experiment():
         rows = []
         for side in GRID_SIDES:
@@ -103,16 +103,16 @@ def test_pa_scaling_families(benchmark):
         )
         return headline
 
-    largest_n, rounds, messages = run_once(benchmark, experiment)
+    largest_n, rounds, messages = experiment()
     # Sanity envelope, not a tuned bound: the paper's message guarantee is
     # O~(m); at 50k nodes / 100k edges a polylog factor is ~17^2, far
     # above the ~12x we observe, so this only catches gross regressions.
     m = 2 * largest_n
     assert messages <= m * max(1, math.log2(largest_n)) ** 2
-    record(benchmark, rounds=rounds, messages=messages, largest_n=largest_n)
+    record(rounds=rounds, messages=messages, largest_n=largest_n)
 
 
-def test_mst_scaling(benchmark):
+def test_mst_scaling():
     from repro.algorithms.mst import minimum_spanning_tree
     from repro.analysis.reference import kruskal_mst
     from repro.graphs.weights import with_distinct_weights
@@ -138,8 +138,8 @@ def test_mst_scaling(benchmark):
         )
         return n, result.ledger.rounds, result.ledger.messages
 
-    largest_n, rounds, messages = run_once(benchmark, experiment)
-    record(benchmark, rounds=rounds, messages=messages, largest_n=largest_n)
+    largest_n, rounds, messages = experiment()
+    record(rounds=rounds, messages=messages, largest_n=largest_n)
 
 
 def _prepare_once(net, partition, mode):
@@ -151,7 +151,7 @@ def _prepare_once(net, partition, mode):
     return ledger.rounds, ledger.messages, len(ledger.phases())
 
 
-def test_prepare_scaling_deterministic(benchmark):
+def test_prepare_scaling_deterministic():
     def experiment():
         rows = []
         for n in DET_PREPARE_SIZES:
@@ -168,11 +168,11 @@ def test_prepare_scaling_deterministic(benchmark):
         # Headline: the deterministic set-up at the largest size.
         return n, rounds, messages
 
-    largest_n, rounds, messages = run_once(benchmark, experiment)
-    record(benchmark, rounds=rounds, messages=messages, largest_n=largest_n)
+    largest_n, rounds, messages = experiment()
+    record(rounds=rounds, messages=messages, largest_n=largest_n)
 
 
-def test_mst_scaling_deterministic(benchmark):
+def test_mst_scaling_deterministic():
     from repro.algorithms.mst import minimum_spanning_tree
     from repro.analysis.reference import kruskal_mst
     from repro.graphs.weights import with_distinct_weights
@@ -198,5 +198,5 @@ def test_mst_scaling_deterministic(benchmark):
         )
         return result.ledger.rounds, result.ledger.messages
 
-    rounds, messages = run_once(benchmark, experiment)
-    record(benchmark, rounds=rounds, messages=messages, largest_n=DET_MST_N)
+    rounds, messages = experiment()
+    record(rounds=rounds, messages=messages, largest_n=DET_MST_N)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 
 from repro import PASession
-from repro.bench import print_table, record, run_once
+from repro.bench import print_table, record
 from repro.core import MIN
 from repro.graphs import bfs_ball_partition, grid_2d
 from repro.graphs.partitions import Partition
@@ -142,7 +142,7 @@ def _serve(update_rate, max_batch, seed=7):
     return svc, queries
 
 
-def test_service_throughput_vs_update_rate(benchmark):
+def test_service_throughput_vs_update_rate():
     """Rounds per query against churn; batching beats sequential serving."""
 
     def experiment():
@@ -175,7 +175,7 @@ def test_service_throughput_vs_update_rate(benchmark):
         )
         return data
 
-    data = run_once(benchmark, experiment)
+    data = experiment()
 
     # Claim 1: the same stream, batched vs sequential.  Both pay the
     # identical ``prepare:`` phases, so total ledgers compare directly.
@@ -193,7 +193,6 @@ def test_service_throughput_vs_update_rate(benchmark):
     assert stats["prepares"] <= 1 + stats["rebuilds"] + stats["graph_rebuilds"]
 
     record(
-        benchmark,
         # Headline (gated): the no-churn stream's cost.
         rounds=batched.ledger.rounds,
         messages=batched.ledger.messages,
@@ -214,7 +213,7 @@ def test_service_throughput_vs_update_rate(benchmark):
     )
 
 
-def test_repair_ledger_parity(benchmark):
+def test_repair_ledger_parity():
     """Repairs and counted fallbacks reproduce full prepares bit-for-bit."""
 
     def experiment():
@@ -295,5 +294,5 @@ def test_repair_ledger_parity(benchmark):
             "fallback_messages": sum(m for _n, _r, m in rebuild_phases),
         }
 
-    out = run_once(benchmark, experiment)
-    record(benchmark, **out)
+    out = experiment()
+    record(**out)

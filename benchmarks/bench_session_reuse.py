@@ -21,7 +21,7 @@ on the wall side).
 from repro import PASession
 from repro.algorithms import minimum_spanning_tree
 from repro.analysis import kruskal_mst
-from repro.bench import print_table, record, run_once
+from repro.bench import print_table, record
 from repro.core import MIN, MIN_TUPLE, SUM
 from repro.graphs import bfs_ball_partition, grid_2d, with_distinct_weights
 
@@ -29,7 +29,7 @@ from repro.graphs import bfs_ball_partition, grid_2d, with_distinct_weights
 MST_GRID = (32, 64)
 
 
-def test_mst_session_reuse(benchmark):
+def test_mst_session_reuse():
     """Full Boruvka MST, bare pipeline vs reusing+batching session."""
 
     def experiment():
@@ -53,7 +53,7 @@ def test_mst_session_reuse(benchmark):
         )
         return net.n, off, on, stats
 
-    n, off, on, stats = run_once(benchmark, experiment)
+    n, off, on, stats = experiment()
 
     # Reuse must never inflate the metered cost model.
     assert on.rounds < off.rounds
@@ -62,7 +62,6 @@ def test_mst_session_reuse(benchmark):
     assert stats.coarsenings > 0
     assert stats.coarsenings >= 4 * stats.rebuilds
     record(
-        benchmark,
         n=n,
         rounds_off=off.rounds,
         rounds_on=on.rounds,
@@ -76,7 +75,7 @@ def test_mst_session_reuse(benchmark):
     )
 
 
-def test_batched_vs_sequential_solves(benchmark):
+def test_batched_vs_sequential_solves():
     """k aggregates over one setup: one wave pass vs k sequential solves."""
 
     def experiment():
@@ -110,11 +109,10 @@ def test_batched_vs_sequential_solves(benchmark):
         )
         return seq, bat, part
 
-    seq, bat, part = run_once(benchmark, experiment)
+    seq, bat, part = experiment()
     assert bat.ledger.rounds < seq.ledger.rounds
     assert bat.ledger.messages < seq.ledger.messages
     record(
-        benchmark,
         parts=part.num_parts,
         sequential_rounds=seq.ledger.rounds,
         batched_rounds=bat.ledger.rounds,
@@ -125,7 +123,7 @@ def test_batched_vs_sequential_solves(benchmark):
     )
 
 
-def test_mincut_session_sharing(benchmark):
+def test_mincut_session_sharing():
     """Tree packing through one reusing session: shared tree + setups."""
 
     from repro.algorithms import approx_min_cut
@@ -148,13 +146,12 @@ def test_mincut_session_sharing(benchmark):
         )
         return off, on, sess
 
-    off, on, sess = run_once(benchmark, experiment)
+    off, on, sess = experiment()
     assert on.rounds < off.rounds
     # The singleton phase-1 partition must be served from cache for every
     # packing tree after the first.
     assert sess.stats.cache_hits > 0
     record(
-        benchmark,
         rounds_off=off.rounds,
         prepares=sess.stats.prepares,
         cache_hits=sess.stats.cache_hits,

@@ -18,7 +18,7 @@ import math
 
 from repro import PASession
 from repro.algorithms import minimum_spanning_tree
-from repro.bench import print_table, record, run_once
+from repro.bench import print_table, record
 from repro.core import SUM
 from repro.graphs import bfs_ball_partition, grid_2d, with_distinct_weights
 
@@ -36,7 +36,7 @@ def _phase_sig(ledger):
     return [(p.name, p.rounds, p.messages) for p in ledger.phases()]
 
 
-def test_pa_sharded_scaling(benchmark):
+def test_pa_sharded_scaling():
     """One PA pass per worker count vs the serial array engine."""
 
     def experiment():
@@ -76,12 +76,12 @@ def test_pa_sharded_scaling(benchmark):
         )
         return expected.ledger, net.n
 
-    ledger, n = run_once(benchmark, experiment)
-    record(benchmark, rounds=ledger.rounds, messages=ledger.messages, n=n,
+    ledger, n = experiment()
+    record(rounds=ledger.rounds, messages=ledger.messages, n=n,
            worker_counts=list(WORKER_COUNTS))
 
 
-def test_mst_sharded_scaling(benchmark):
+def test_mst_sharded_scaling():
     """Full Boruvka MST per worker count vs the serial pipeline."""
 
     def experiment():
@@ -117,6 +117,6 @@ def test_mst_sharded_scaling(benchmark):
         )
         return expected.ledger, net.n
 
-    ledger, n = run_once(benchmark, experiment)
-    record(benchmark, rounds=ledger.rounds, messages=ledger.messages, n=n,
+    ledger, n = experiment()
+    record(rounds=ledger.rounds, messages=ledger.messages, n=n,
            worker_counts=list(WORKER_COUNTS))

@@ -9,7 +9,7 @@ each block/sub-part once (message counts stay linear-ish).
 import math
 import random
 
-from repro.bench import print_table, record, run_once
+from repro.bench import print_table, record
 from repro.congest import CostLedger, Engine
 from repro.core import (
     PASolver,
@@ -19,7 +19,7 @@ from repro.core import (
 from repro.graphs import Partition, grid_2d
 
 
-def test_figure1_quantities(benchmark):
+def test_figure1_quantities():
     from repro.core import ROOT, RootedForest, Shortcut
     from repro.graphs import path_graph
 
@@ -41,12 +41,12 @@ def test_figure1_quantities(benchmark):
         )
         return sc.quality()
 
-    b, c = run_once(benchmark, experiment)
+    b, c = experiment()
     assert (b, c) == (2, 3)
-    record(benchmark, b=b, c=c)
+    record(b=b, c=c)
 
 
-def test_figure34_division_structure(benchmark):
+def test_figure34_division_structure():
     rows, cols = 4, 30
     net = grid_2d(rows, cols)
     part = Partition([r for r in range(rows) for _ in range(cols)])
@@ -74,9 +74,9 @@ def test_figure34_division_structure(benchmark):
         )
         return division, out, cost
 
-    division, out, cost = run_once(benchmark, experiment)
+    division, out, cost = experiment()
     assert division.max_subpart_depth() <= 2 * diameter
     for _pid, _size, count, bound in out:
         assert count <= bound
-    record(benchmark, max_depth=division.max_subpart_depth(),
+    record(max_depth=division.max_subpart_depth(),
            rounds=cost[0], messages=cost[1])

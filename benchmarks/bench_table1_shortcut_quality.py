@@ -9,7 +9,7 @@ the randomized pipeline and report measured (b, c) next to the targets.
 import math
 
 from repro.analysis import TABLE1
-from repro.bench import print_table, record, run_once
+from repro.bench import print_table, record
 from repro.core import PASolver
 from repro.families import family_hint, provider_for
 from repro.graphs import (
@@ -30,7 +30,7 @@ FAMILIES = {
 }
 
 
-def test_table1_shortcut_quality(benchmark):
+def test_table1_shortcut_quality():
     def experiment():
         out_rows = []
         measured = {}
@@ -86,17 +86,17 @@ def test_table1_shortcut_quality(benchmark):
         )
         return measured, setup_cost, provider_measured
 
-    measured, setup_cost, provider_measured = run_once(benchmark, experiment)
+    measured, setup_cost, provider_measured = experiment()
     for family, (b, c, tb, tc) in measured.items():
         n = 128
         polylog = math.log2(n) ** 2
         assert b <= max(3, tb * polylog), family
         assert c <= max(3, tc * polylog), family
-        record(benchmark, **{f"{family}_b": b, f"{family}_c": c})
+        record(**{f"{family}_b": b, f"{family}_c": c})
     for family, (b, c, hb, hc) in provider_measured.items():
         polylog = math.log2(128) ** 2
         assert b <= max(3, hb * polylog), family
         assert c <= max(3, hc * polylog), family
-        record(benchmark, **{f"{family}_provider_b": b,
+        record(**{f"{family}_provider_b": b,
                              f"{family}_provider_c": c})
-    record(benchmark, rounds=setup_cost[0], messages=setup_cost[1])
+    record(rounds=setup_cost[0], messages=setup_cost[1])

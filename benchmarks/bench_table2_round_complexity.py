@@ -6,7 +6,7 @@ deterministic O~(b(D + c)).
 """
 
 from repro.analysis import TABLE2_DETERMINISTIC, TABLE2_RANDOMIZED
-from repro.bench import print_table, record, run_once
+from repro.bench import print_table, record
 from repro.core import DETERMINISTIC, RANDOMIZED, SUM, PASolver
 from repro.families import provider_for
 from repro.graphs import (
@@ -36,7 +36,7 @@ def _solve(net, part, mode, provider=None):
     return result
 
 
-def test_table2_round_complexity(benchmark):
+def test_table2_round_complexity():
     def experiment():
         rows = []
         data = {}
@@ -77,7 +77,7 @@ def test_table2_round_complexity(benchmark):
         )
         return data
 
-    data = run_once(benchmark, experiment)
+    data = experiment()
     import math
 
     for family, (det_rounds, rand_rounds, d, n, _msgs, fam_rounds) in data.items():
@@ -85,7 +85,7 @@ def test_table2_round_complexity(benchmark):
         assert det_rounds <= 40 * envelope, family
         assert rand_rounds <= 40 * envelope, family
         assert fam_rounds <= 40 * envelope, family
-        record(benchmark, **{f"{family}_det": det_rounds,
+        record(**{f"{family}_det": det_rounds,
                              f"{family}_rand": rand_rounds,
                              f"{family}_provider": fam_rounds})
-    record(benchmark, rounds=data["general"][0], messages=data["general"][4])
+    record(rounds=data["general"][0], messages=data["general"][4])

@@ -14,14 +14,14 @@ overhead here.  The ledger numbers are identical either way.
 
 import math
 
-from repro.bench import print_table, record, run_once
+from repro.bench import print_table, record
 from repro.core import SUM, PASolver
 from repro.graphs import random_connected_partition, random_regular_ish
 
 SIZES = (36, 64, 100, 144)
 
 
-def test_theorem12_scaling(benchmark):
+def test_theorem12_scaling():
     def experiment():
         rows = []
         ratios = []
@@ -54,7 +54,7 @@ def test_theorem12_scaling(benchmark):
         )
         return ratios, headline
 
-    ratios, headline = run_once(benchmark, experiment)
+    ratios, headline = experiment()
     # Polylog envelope: the normalized ratios must not grow like a
     # polynomial in n (factor-of-4 n growth allows only polylog ratio drift).
     first_round, first_msg = ratios[0]
@@ -63,8 +63,7 @@ def test_theorem12_scaling(benchmark):
     assert last_round <= max(first_round, 1.0) * 8 * growth
     assert last_msg <= max(first_msg, 1.0) * 8 * growth
     largest = SIZES[-1]
-    record(benchmark,
-           rounds=headline[largest][0],
+    record(rounds=headline[largest][0],
            messages=headline[largest][1],
            round_ratios=[r for r, _ in ratios],
            msg_ratios=[m for _, m in ratios],

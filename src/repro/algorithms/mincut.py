@@ -28,6 +28,7 @@ O~(D + sqrt n) — flagged in EXPERIMENTS.md.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..congest.engine import Context, Engine, Inbox, Program
@@ -201,11 +202,11 @@ def approx_min_cut(
     per node (1 = inside the cut-defining subtree).
 
     The tree-packing loop is k full MST builds over reweighted copies of
-    the same topology; with a *reusing* session all k share one BFS tree,
-    one singleton-partition setup (a fingerprint cache hit from the
-    second tree on), and per-phase coarsening inside each Boruvka run.
-    Without one, each packing constructs its own pipeline — the
-    historical behavior, bit for bit.
+    the same topology, all on the one session (given, or made here): they
+    share its BFS tree and engine, charged once under ``tree:``, and —
+    when the session reuses — one singleton-partition setup (a
+    fingerprint cache hit from the second tree on) and per-phase
+    coarsening inside each Boruvka run.
     """
     if net.weights is None:
         raise ValueError("min-cut requires a weighted network")
@@ -238,19 +239,15 @@ def approx_min_cut(
         packed = Network(
             net.edges, n=net.n, weights=packed_weights,
         )
-        if session.reuse or session.batch:
-            # Same topology and uid permutation, different weights: the
-            # session's tree, engine and memoized setups carry over.
-            pack_session = session
-        else:
-            pack_session = PASession(
-                packed, mode=mode, seed=seed + t,
-                shortcut_provider=session.shortcut_provider,
-            )
+        # Same topology and uid permutation, different weights: the
+        # session's tree, engine and memoized setups carry over.
         mst = minimum_spanning_tree(
-            packed, mode=mode, seed=seed + t, session=pack_session
+            packed, mode=mode, seed=seed + t, session=session
         )
-        ledger.merge(mst.ledger, prefix=f"pack{t}:")
+        # The packing's ledger opens with the shared tree, charged above.
+        for stats in mst.ledger.phases():
+            if not stats.name.startswith("tree:"):
+                ledger.record(replace(stats, name=f"pack{t}:{stats.name}"))
         tree_edges = set(mst.output)
         for e in tree_edges:
             loads[e] += 1

@@ -12,7 +12,6 @@ from .theory import (
     TABLE2_DETERMINISTIC,
     TABLE2_RANDOMIZED,
     FamilyBounds,
-    general_round_envelope,
 )
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "TABLE2_DETERMINISTIC",
     "TABLE2_RANDOMIZED",
     "dijkstra",
-    "general_round_envelope",
     "greedy_dominating_set_size",
     "kruskal_mst",
     "mst_weight",

@@ -23,16 +23,6 @@ class FamilyBounds:
     block_parameter: Callable[[int, int, int], float]
     congestion: Callable[[int, int, int], float]
 
-    def deterministic_rounds(self, n: int, diameter: int, param: int = 1) -> float:
-        b = self.block_parameter(n, diameter, param)
-        c = self.congestion(n, diameter, param)
-        return b * (diameter + c)
-
-    def randomized_rounds(self, n: int, diameter: int, param: int = 1) -> float:
-        b = self.block_parameter(n, diameter, param)
-        c = self.congestion(n, diameter, param)
-        return b * diameter + c
-
 
 def _log(n: int) -> float:
     return max(1.0, math.log2(max(2, n)))
@@ -88,7 +78,3 @@ TABLE2_RANDOMIZED: Dict[str, str] = {
     "minor_free": "O~(D^2)",
 }
 
-
-def general_round_envelope(n: int, diameter: int) -> float:
-    """The worst-case optimal O~(D + sqrt n) envelope (no polylog)."""
-    return diameter + math.sqrt(n)

@@ -2,23 +2,23 @@
 
 Wall time is a property of the simulator, not of the algorithms; the
 quantities the paper is about are *rounds* and *messages*, and they are
-all this layer carries (``benchmarks/perf`` owns the clock).  Each
-benchmark runs its workload once through ``run_once``, stores the
-distributed metrics in ``benchmark.extra_info``, and emits the
-table/series rows the experiment reproduces via :func:`print_table`.
+all this layer carries (``benchmarks/perf`` owns the clock).  An
+experiment is a plain function: it runs its workload, hands the
+distributed metrics to :func:`record`, and emits the table/series rows
+it reproduces via :func:`print_table`.
 
-``print_table`` both prints (so ``pytest -s`` still shows the tables) and
-registers a structured :class:`Table` in a module-level registry.  The
-headless runner (:mod:`repro.bench.runner`) drains that registry after each
-experiment and regenerates ``EXPERIMENTS.md`` from the structured rows —
-the numbers flow from the ledgers to the document without a stdout-capture
-step in between.
+Both register into this module: ``print_table`` prints (``--verbose``
+shows the tables) and keeps a structured :class:`Table`, ``record`` keeps
+the metrics.  The runner (:mod:`repro.bench.runner`) drains both after
+each experiment and regenerates ``EXPERIMENTS.md`` from the structured
+rows — the numbers flow from the ledgers to the document without a
+stdout-capture step in between.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 @dataclass
@@ -30,7 +30,7 @@ class Table:
     rows: List[Tuple[str, ...]] = field(default_factory=list)
 
     def render(self) -> str:
-        """Aligned plain-text rendering (what ``pytest -s`` shows)."""
+        """Aligned plain-text rendering (what ``--verbose`` shows)."""
         widths = [len(h) for h in self.headers]
         for row in self.rows:
             for i, cell in enumerate(row):
@@ -55,6 +55,9 @@ class Table:
 #: Tables registered by :func:`print_table` since the last drain.
 _TABLES: List[Table] = []
 
+#: Metrics registered by :func:`record` since the last drain.
+_METRICS: Dict[str, object] = {}
+
 
 def drain_tables() -> List[Table]:
     """Return and clear the tables registered since the last drain."""
@@ -63,11 +66,17 @@ def drain_tables() -> List[Table]:
     return drained
 
 
+def drain_metrics() -> Dict[str, object]:
+    """Return and clear the metrics registered since the last drain."""
+    global _METRICS
+    drained, _METRICS = _METRICS, {}
+    return drained
+
+
 def print_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Print an aligned table under a title banner and register it.
 
-    The printout keeps ``pytest -s`` output readable; the registered
-    :class:`Table` is what the headless runner uses to regenerate
+    The registered :class:`Table` is what the runner uses to regenerate
     EXPERIMENTS.md.
     """
     table = Table(
@@ -79,21 +88,11 @@ def print_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) ->
     print(table.render())
 
 
-def record(benchmark, **metrics) -> None:
-    """Stash distributed metrics in the benchmark report.
+def record(**metrics) -> None:
+    """Register distributed metrics for the experiment's report.
 
-    By convention every benchmark records at least ``rounds`` and
+    By convention every experiment records at least ``rounds`` and
     ``messages`` for its headline workload — the runner lifts those two
     into the top level of the BENCH json record.
     """
-    for key, value in metrics.items():
-        benchmark.extra_info[key] = value
-
-
-def run_once(benchmark, fn: Callable[[], object]) -> object:
-    """Run ``fn`` exactly once through the fixture; return its result."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
-
-
-def fmt_ratio(value: float) -> str:
-    return f"{value:.2f}"
+    _METRICS.update(metrics)

@@ -1,11 +1,10 @@
-"""Headless benchmark runner: every ``benchmarks/bench_*.py`` without pytest.
+"""Headless benchmark runner: every ``benchmarks/bench_*.py``, by import.
 
-The benchmark files are written as pytest tests taking a ``benchmark``
-fixture, but nothing they need is pytest-specific: the fixture surface they
-use is ``benchmark.pedantic(fn, rounds, iterations)`` and
-``benchmark.extra_info``.  :class:`HeadlessBenchmark` provides exactly
-that, so the runner can import each bench module and call its ``test_*``
-functions directly — no test session, no capture plugins, no report files.
+An experiment is a parameterless ``test_*`` function of a bench file
+that hands its metrics to :func:`repro.bench.harness.record` and its
+tables to :func:`~repro.bench.harness.print_table`; the runner imports
+each file, calls its experiments in definition order and drains both
+registries after each one.
 
 This sweep is the *model-cost* record — rounds and messages read from
 the ``CostLedger`` — and carries nothing else: no clock is read here or in
@@ -17,7 +16,7 @@ Outputs:
 * ``BENCH.json`` (``--out``) — machine-readable per-experiment results:
   the ledger-derived ``rounds`` / ``messages`` headline metrics, all
   recorded extra metrics, and the structured experiment tables.  The
-  committed ``BENCH_pr23.json`` is the baseline the gate compares against.
+  committed ``BENCH_baseline.json`` is the baseline the gate compares against.
 * ``EXPERIMENTS.md`` — regenerated from the structured tables registered
   through :func:`repro.bench.harness.print_table` (ledger data, not
   captured stdout).  Only a full sweep writes it: ``--only`` implies
@@ -44,7 +43,7 @@ Usage::
 
     PYTHONPATH=src python -m repro.bench.runner --out BENCH_ci.json
     PYTHONPATH=src python -m repro.bench.runner --only theorem12 --verbose
-    PYTHONPATH=src python -m repro.bench.runner --jobs auto --check-against BENCH_pr23.json
+    PYTHONPATH=src python -m repro.bench.runner --jobs auto --check-against BENCH_baseline.json
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import importlib.util
-import inspect
 import io
 import json
 import sys
@@ -63,31 +61,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..procpool import resolve_workers
-from .harness import Table, drain_tables
-
-
-class HeadlessBenchmark:
-    """Duck-typed stand-in for the pytest-benchmark fixture.
-
-    Holds ``extra_info``; the two entry points the harness uses
-    (``pedantic`` and the callable protocol) run the function once — a
-    ledger does not change on a second run, and nothing is timed.
-    """
-
-    def __init__(self) -> None:
-        self.extra_info: Dict[str, object] = {}
-
-    def pedantic(
-        self,
-        fn: Callable[..., object],
-        args: Sequence = (),
-        kwargs: Optional[Dict] = None,
-        **_ignored,
-    ) -> object:
-        return fn(*args, **(kwargs or {}))
-
-    def __call__(self, fn: Callable[..., object], *args, **kwargs) -> object:
-        return fn(*args, **kwargs)
+from .harness import Table, drain_metrics, drain_tables
 
 
 @dataclass
@@ -193,16 +167,9 @@ def run_experiment(
     the other way too: hooks only *observe*), so traced sweeps stay
     baseline-comparable.
     """
-    benchmark = HeadlessBenchmark()
-    parameters = inspect.signature(fn).parameters
-    if "benchmark" not in parameters:
-        # Report instead of raising so one odd test_ function cannot kill
-        # the whole sweep (mirrors the import-error path).
-        return _failed(
-            path, fn.__name__,
-            f"{path.name}::{fn.__name__} does not take a 'benchmark' fixture",
-        )
-    drain_tables()  # drop anything a previous failure left behind
+    # Drop anything registered outside an experiment (at import, say).
+    drain_tables()
+    drain_metrics()
     error = None
     tracer = None
     try:
@@ -214,14 +181,14 @@ def run_experiment(
                 stack.enter_context(use_tracer(tracer))
             if quiet:
                 stack.enter_context(redirect_stdout(io.StringIO()))
-            fn(benchmark=benchmark)
+            fn()
     except Exception:  # noqa: BLE001 - report, don't crash the sweep
         error = traceback.format_exc()
     if tracer is not None:
         trace_dir.mkdir(parents=True, exist_ok=True)
         tracer.write_chrome(trace_dir / f"{path.stem}__{fn.__name__}.trace.json")
     tables = drain_tables()
-    metrics = dict(benchmark.extra_info)
+    metrics = drain_metrics()
     return ExperimentResult(
         file=path.name,
         name=fn.__name__,

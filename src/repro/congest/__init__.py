@@ -37,10 +37,8 @@ from .faults import (
 )
 from .ledger import (
     CostLedger,
-    EngineProfile,
     PhaseStats,
     RunResult,
-    merge_max_rounds,
 )
 from .message import (
     ceil_log2,
@@ -70,7 +68,6 @@ __all__ = [
     "CostLedger",
     "CrashEvent",
     "Engine",
-    "EngineProfile",
     "FIFORandomSchedule",
     "FastContext",
     "FaultPlan",
@@ -96,7 +93,6 @@ __all__ = [
     "ceil_log2",
     "int_bits",
     "make_schedule",
-    "merge_max_rounds",
     "message_bit_limit",
     "network_from_networkx",
     "payload_bits",

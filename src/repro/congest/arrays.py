@@ -44,7 +44,7 @@ from .errors import (
     NotAnEdgeError,
     RoundLimitExceededError,
 )
-from .ledger import EngineProfile, PhaseStats
+from .ledger import PhaseStats
 
 _INT64_MIN = np.iinfo(np.int64).min
 
@@ -599,7 +599,6 @@ def run_array_phase(
     capacity: int,
     rounds_per_tick: int,
     phase_name: str,
-    want_profile: bool,
 ) -> PhaseStats:
     """Execute an ``ArrayProgram`` to quiescence; the array twin of
     ``Engine._run_loop`` with identical accounting.
@@ -615,10 +614,6 @@ def run_array_phase(
     timers = actx._timers
     total_messages = 0
     ticks = 0
-    live_ticks = 0
-    idle_ticks = 0
-    peak_in_flight = 0
-    activations = 0
     # Observability: one fetch + one ``enabled`` check per phase; with
     # tracing off ``tracer`` is None and the loop does no per-tick work.
     _t = current_tracer()
@@ -644,12 +639,10 @@ def run_array_phase(
                         "skipped": next_tick - 1 - ticks,
                     },
                 )
-            idle_ticks += next_tick - 1 - ticks
             ticks = next_tick - 1
         if ticks >= max_ticks:
             raise RoundLimitExceededError(phase_name, max_ticks)
         ticks += 1
-        live_ticks += 1
         actx.tick = ticks
 
         src, dst, cols = actx._drain()
@@ -662,8 +655,6 @@ def run_array_phase(
             wake_parts = wake_parts + due
 
         total_messages += in_flight
-        if in_flight > peak_in_flight:
-            peak_in_flight = in_flight
 
         if src.size:
             # Stable order by (dst, src): same-edge messages keep emission
@@ -705,7 +696,6 @@ def run_array_phase(
                 active = active[keep]
         else:
             active = touched
-        activations += active.size
         if tracer is not None:
             delivered_bits = actx._bits - bits_mark
             bits_mark = actx._bits
@@ -721,21 +711,12 @@ def run_array_phase(
 
         program.array_tick(actx, Delivered(src, dst, cols, active))
 
-    prof = None
-    if want_profile:
-        prof = EngineProfile(
-            ticks=live_ticks,
-            peak_in_flight=peak_in_flight,
-            activations=activations,
-            idle_ticks=idle_ticks,
-        )
     stats = PhaseStats(
         name=phase_name,
         rounds=ticks * rounds_per_tick,
         messages=total_messages,
         ticks=ticks,
         bits=actx._bits,
-        profile=prof,
     )
     if tracer is not None:
         tracer.complete(

@@ -82,7 +82,7 @@ from ..obs.tracer import current_tracer
 from .engine import Context, FastContext, Program
 from .errors import ChannelCapacityError, RoundLimitExceededError
 from .faults import FaultPlan, FaultReport
-from .ledger import CostLedger, EngineProfile, PhaseStats
+from .ledger import CostLedger, PhaseStats
 from .network import Network
 from .schedule import (
     ACK,
@@ -153,7 +153,6 @@ class AsyncEngine:
         network: Network,
         schedule: Optional[Schedule] = None,
         strict_bits: bool = True,
-        profile: bool = False,
         strict_edges: bool = True,
         faults: Optional[FaultPlan] = None,
         fast_forward: bool = True,
@@ -168,7 +167,6 @@ class AsyncEngine:
         validate_schedule(self.schedule, network)
         self.strict_bits = strict_bits
         self.strict_edges = strict_edges
-        self.profile = profile
         #: The fault plan, normalized so an *empty* plan is no plan at
         #: all — the no-fault path must be bit-for-bit the fault-free
         #: engine, with zero extra branches taken.
@@ -203,7 +201,6 @@ class AsyncEngine:
             "schedule": self.schedule,
             "strict_bits": self.strict_bits,
             "strict_edges": self.strict_edges,
-            "profile": self.profile,
         }
 
     def run(
@@ -213,7 +210,6 @@ class AsyncEngine:
         capacity: int = 1,
         rounds_per_tick: int = 1,
         name: Optional[str] = None,
-        profile: Optional[bool] = None,
     ) -> PhaseStats:
         """Execute ``program`` to quiescence under the engine's schedule.
 
@@ -223,7 +219,6 @@ class AsyncEngine:
         :attr:`overhead` / :attr:`overhead_log` as a side effect.
         """
         phase_name = name or program.name
-        want_profile = self.profile if profile is None else profile
         ctx_cls = (
             Context if (self.strict_bits or self.strict_edges) else FastContext
         )
@@ -243,7 +238,7 @@ class AsyncEngine:
         run.tracer = tracer
         start_us = tracer.now_us() if tracer is not None else 0
         try:
-            stats, overhead = run.execute(rounds_per_tick, want_profile)
+            stats, overhead = run.execute(rounds_per_tick)
         finally:
             self.fast_forward_jumps += run.jumps
             # Advance global time even when the phase dies mid-flight (a
@@ -394,13 +389,12 @@ class _AsyncPhase:
         self.calendar: Dict[int, List[tuple]] = {}
         self.times: List[int] = []
         self.emit_seq = 0
-        #: target pulse -> payloads delivered into it (peak_in_flight).
+        #: target pulse -> payloads delivered into it (the per-pulse
+        #: counter series of a traced phase).
         self.in_flight: Dict[int, int] = {}
-        self.live_pulses: Set[int] = set()
         self.payload_msgs = 0
         self.ack_msgs = 0
         self.safe_msgs = 0
-        self.activations = 0
         self.clock = 0
         #: Skew tracking: population count per pulse + running min.
         self.pulse_pop: Dict[int, int] = {0: n}
@@ -711,8 +705,6 @@ class _AsyncPhase:
             if timer_hit:
                 report.dropped_timers += 1
         elif inbox or woken or timer_hit:
-            self.activations += 1
-            self.live_pulses.add(t)
             ctx = self.ctx
             ctx.tick = t
             self.program.on_node(ctx, v, inbox)
@@ -796,7 +788,7 @@ class _AsyncPhase:
 
     # -- main loop -------------------------------------------------------
     def execute(
-        self, rounds_per_tick: int, want_profile: bool
+        self, rounds_per_tick: int
     ) -> Tuple[PhaseStats, AsyncPhaseOverhead]:
         ctx = self.ctx
         ctx.tick = 0
@@ -913,16 +905,6 @@ class _AsyncPhase:
             messages=self.payload_msgs,
             ticks=ticks,
             bits=ctx._bits,
-            profile=(
-                EngineProfile(
-                    ticks=len(self.live_pulses),
-                    peak_in_flight=max(self.in_flight.values(), default=0),
-                    activations=self.activations,
-                    idle_ticks=ticks - len(self.live_pulses),
-                )
-                if want_profile
-                else None
-            ),
         )
         overhead = AsyncPhaseOverhead(
             name=self.phase_name,

@@ -48,7 +48,7 @@ from .errors import (
     RoundLimitExceededError,
 )
 from ..obs.tracer import current_tracer
-from .ledger import EngineProfile, PhaseStats
+from .ledger import PhaseStats
 from .message import _ID_CACHE, payload_bits_cached
 from .network import Network
 
@@ -336,11 +336,6 @@ class Engine:
         way — pinned by tests).  The audits come off together:
         ``strict_edges=False`` with ``strict_bits=True`` is rejected
         rather than silently keeping the edge audit.
-    profile:
-        Attach an :class:`~repro.congest.ledger.EngineProfile` (ticks, peak
-        in-flight messages, activation counts) to every returned
-        :class:`~repro.congest.ledger.PhaseStats`.  Off by default; the
-        cost-model numbers are identical either way.
     use_arrays:
         Advertise that phases on this engine should prefer array-native
         kernels.  The flag does not change how any given program runs —
@@ -355,7 +350,6 @@ class Engine:
         self,
         network: Network,
         strict_bits: bool = True,
-        profile: bool = False,
         strict_edges: bool = True,
         use_arrays: bool = False,
     ) -> None:
@@ -367,7 +361,6 @@ class Engine:
         self.network = network
         self.strict_bits = strict_bits
         self.strict_edges = strict_edges
-        self.profile = profile
         self.use_arrays = use_arrays
         #: Double-buffered per-node mailbox arenas, allocated lazily and
         #: reused across phases (every tick leaves all mailboxes empty, so
@@ -391,7 +384,6 @@ class Engine:
         return {
             "strict_bits": self.strict_bits,
             "strict_edges": self.strict_edges,
-            "profile": self.profile,
             "use_arrays": self.use_arrays,
         }
 
@@ -402,7 +394,6 @@ class Engine:
         capacity: int = 1,
         rounds_per_tick: int = 1,
         name: Optional[str] = None,
-        profile: Optional[bool] = None,
     ) -> PhaseStats:
         """Execute ``program`` to quiescence and return its metered cost.
 
@@ -411,14 +402,10 @@ class Engine:
         engine tick represents; the randomized meta-round mode uses
         ``capacity == rounds_per_tick == Theta(log n)``.
 
-        ``profile`` overrides the engine-wide profiling default for this
-        phase only.
-
         Raises :class:`RoundLimitExceededError` if the program does not
         quiesce within ``max_ticks`` ticks.
         """
         phase_name = name or program.name
-        want_profile = self.profile if profile is None else profile
         if isinstance(program, ArrayProgram):
             # Array-native phases own their (numpy) state; the scalar
             # mailbox arenas are neither needed nor touched.
@@ -426,7 +413,7 @@ class Engine:
 
             return run_array_phase(
                 self, program, max_ticks, capacity,
-                rounds_per_tick, phase_name, want_profile,
+                rounds_per_tick, phase_name,
             )
         n = self.network.n
         # Double-buffered mailbox arenas: programs (via the Context) fill
@@ -456,12 +443,12 @@ class Engine:
             if active_tracer is None:
                 return self._run_loop(
                     program, ctx, arena[1], max_ticks, capacity,
-                    rounds_per_tick, phase_name, want_profile,
+                    rounds_per_tick, phase_name,
                 )
             start_us = active_tracer.now_us()
             stats = self._run_loop(
                 program, ctx, arena[1], max_ticks, capacity,
-                rounds_per_tick, phase_name, want_profile,
+                rounds_per_tick, phase_name,
                 tracer=active_tracer,
             )
             active_tracer.complete(
@@ -493,7 +480,6 @@ class Engine:
         capacity: int,
         rounds_per_tick: int,
         phase_name: str,
-        want_profile: bool,
         tracer=None,
     ) -> PhaseStats:
         spare_touched: List[int] = []
@@ -504,10 +490,6 @@ class Engine:
         timers = ctx._timers
         total_messages = 0
         ticks = 0
-        live_ticks = 0
-        idle_ticks = 0
-        peak_in_flight = 0
-        activations = 0
         on_node = program.on_node
         # Recycled per-tick containers (the delivered arena and the drained
         # wakeup set become the next tick's fill targets).
@@ -530,12 +512,10 @@ class Engine:
                             "skipped": next_tick - 1 - ticks,
                         },
                     )
-                idle_ticks += next_tick - 1 - ticks
                 ticks = next_tick - 1
             if ticks >= max_ticks:
                 raise RoundLimitExceededError(phase_name, max_ticks)
             ticks += 1
-            live_ticks += 1
             ctx.tick = ticks
 
             # Swap arenas: what the programs filled is delivered this
@@ -560,8 +540,6 @@ class Engine:
                     wakeups |= due
 
             total_messages += in_flight
-            if in_flight > peak_in_flight:
-                peak_in_flight = in_flight
 
             # Deterministic activation order: sorted node ids; inboxes
             # sorted by sender.  Programs must not rely on this for
@@ -572,7 +550,6 @@ class Engine:
             else:
                 touched.sort()
                 active = touched
-            activations += len(active)
             if tracer is not None:
                 delivered_bits = ctx._bits - bits_mark
                 bits_mark = ctx._bits
@@ -643,21 +620,12 @@ class Engine:
             wakeups.clear()
             spare_wakeups = wakeups
 
-        prof = None
-        if want_profile:
-            prof = EngineProfile(
-                ticks=live_ticks,
-                peak_in_flight=peak_in_flight,
-                activations=activations,
-                idle_ticks=idle_ticks,
-            )
         return PhaseStats(
             name=phase_name,
             rounds=ticks * rounds_per_tick,
             messages=total_messages,
             ticks=ticks,
             bits=ctx._bits,
-            profile=prof,
         )
 
 

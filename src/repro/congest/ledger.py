@@ -15,44 +15,9 @@ parts of the graph are implemented as a single engine phase, so no special
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from ..obs.tracer import current_tracer
-
-
-@dataclass(frozen=True)
-class EngineProfile:
-    """Opt-in execution profile of one engine phase.
-
-    Distinct from the rounds/messages *cost model* numbers: these are
-    simulator-side quantities (how the engine spent its time), useful for
-    finding hot phases and validating congestion claims.
-
-    ``ticks``
-        Engine ticks actually executed (idle ticks skipped by the timer
-        wheel are counted in ``idle_ticks`` instead, though they *are*
-        charged as rounds).
-    ``peak_in_flight``
-        Maximum number of messages in flight in any single tick.
-    ``activations``
-        Total ``on_node`` invocations across the phase.
-    ``idle_ticks``
-        Ticks the timer wheel fast-forwarded over (no mail, no wakeups,
-        only a future timer pending).
-    """
-
-    ticks: int
-    peak_in_flight: int
-    activations: int
-    idle_ticks: int = 0
-
-    def __add__(self, other: "EngineProfile") -> "EngineProfile":
-        return EngineProfile(
-            ticks=self.ticks + other.ticks,
-            peak_in_flight=max(self.peak_in_flight, other.peak_in_flight),
-            activations=self.activations + other.activations,
-            idle_ticks=self.idle_ticks + other.idle_ticks,
-        )
 
 
 @dataclass(frozen=True)
@@ -68,10 +33,6 @@ class PhaseStats:
     whenever the engine runs with ``strict_bits`` (the audit computes the
     per-message cost anyway) and is 0 when the audit is off (untracked,
     not free).  It is never part of the rounds/messages gate.
-
-    ``profile`` is populated only when the engine ran with profiling
-    enabled (see :class:`~repro.congest.engine.Engine`); it never affects
-    the cost-model numbers.
     """
 
     name: str
@@ -79,19 +40,14 @@ class PhaseStats:
     messages: int
     ticks: int = 0
     bits: int = 0
-    profile: Optional[EngineProfile] = None
 
     def __add__(self, other: "PhaseStats") -> "PhaseStats":
-        profile = None
-        if self.profile is not None and other.profile is not None:
-            profile = self.profile + other.profile
         return PhaseStats(
             name=self.name,
             rounds=self.rounds + other.rounds,
             messages=self.messages + other.messages,
             ticks=self.ticks + other.ticks,
             bits=self.bits + other.bits,
-            profile=profile,
         )
 
 
@@ -159,7 +115,6 @@ class CostLedger:
                     messages=stats.messages,
                     ticks=stats.ticks,
                     bits=stats.bits,
-                    profile=stats.profile,
                 )
             )
 
@@ -231,14 +186,3 @@ class RunResult:
     def messages(self) -> int:
         return self.ledger.messages
 
-
-def merge_max_rounds(parallel: List[CostLedger], name: str) -> PhaseStats:
-    """Combine ledgers of phases that ran concurrently on disjoint regions.
-
-    Rounds compose as the maximum, messages as the sum.  Only used by
-    baselines that are *defined* per part (our algorithms run all parts in
-    one engine phase instead).
-    """
-    rounds = max((led.rounds for led in parallel), default=0)
-    messages = sum(led.messages for led in parallel)
-    return PhaseStats(name=name, rounds=rounds, messages=messages)

@@ -72,12 +72,6 @@ class HeavyPathDecomposition:
             (self.rank[v] for v, t in enumerate(self.path_top) if t), default=0
         )
 
-    def path_parent(self, tree: RootedForest, v: int) -> int:
-        """v's upward neighbor on its path, or -1 at the top."""
-        if self.path_top[v]:
-            return -1
-        return tree.parent[v]
-
 
 class _PerChildConvergecast(Program):
     """Convergecast where each parent records every child's reported value.

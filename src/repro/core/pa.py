@@ -216,11 +216,6 @@ class PASolver:
         :class:`~repro.congest.AsyncEngine` — with its global pulse
         clock, overhead ledger and fault log — across the fresh solvers
         of successive recovery attempts.
-    profile:
-        Attach an :class:`~repro.congest.ledger.EngineProfile` to every
-        phase's stats (all three engines fill the same fields; parity is
-        pinned by ``tests/obs/test_profile_parity.py``).  Ignored when a
-        pre-built ``engine`` is passed — the engine's own setting wins.
     """
 
     def __init__(
@@ -234,7 +229,6 @@ class PASolver:
         schedule: Optional[Schedule] = None,
         engine_impl: str = "array",
         engine: Optional[object] = None,
-        profile: bool = False,
     ) -> None:
         if mode not in (RANDOMIZED, DETERMINISTIC):
             raise ValueError(f"unknown mode {mode!r}")
@@ -259,7 +253,6 @@ class PASolver:
             self.engine = AsyncEngine(
                 net, schedule=schedule,
                 strict_bits=strict_bits, strict_edges=strict_edges,
-                profile=profile,
             )
         else:
             self.schedule = schedule
@@ -267,7 +260,6 @@ class PASolver:
             self.engine = Engine(
                 net, strict_bits=strict_bits, strict_edges=strict_edges,
                 use_arrays=(engine_impl == "array"),
-                profile=profile,
             )
 
         self.tree_ledger = CostLedger()

@@ -3,15 +3,14 @@
 The observability substrate every engine and runtime layer emits into:
 
 * :class:`Tracer` records spans, instant events and counters in the
-  Chrome trace event format (open the files in Perfetto) and as JSONL;
+  Chrome trace event format (open the files in Perfetto);
 * the default :data:`NULL_TRACER` is installed process-wide, and every
   hook point checks its ``enabled`` flag before building any event —
   the zero-cost-when-off rule (ledgers are bit-for-bit identical with
   tracing on or off; gated by ``benchmarks/bench_obs.py`` and the CI
   baseline check);
-* :func:`use_tracer` / :func:`install_tracer` scope a recording tracer
-  over a workload; the bench runner's ``--trace DIR`` does this per
-  experiment;
+* :func:`use_tracer` scopes a recording tracer over a workload; the
+  bench runner's ``--trace DIR`` does this per experiment;
 * :mod:`repro.obs.summary` profiles and diffs recorded traces —
   ``python -m repro.obs summarize TRACE`` / ``python -m repro.obs diff
   A B`` (the per-phase version of the bench runner's ledger gate);
@@ -40,7 +39,6 @@ from .tracer import (
     NullTracer,
     Tracer,
     current_tracer,
-    install_tracer,
     use_tracer,
 )
 
@@ -54,7 +52,6 @@ __all__ = [
     "current_tracer",
     "diff_summaries",
     "explain",
-    "install_tracer",
     "load_trace",
     "phase_family",
     "render_diff",

@@ -1,9 +1,9 @@
 """Trace-driven profiling: load, summarize and diff recorded traces.
 
-A trace is the event list a :class:`repro.obs.Tracer` wrote — either the
-Chrome-trace JSON object (``{"traceEvents": [...]}``) or a JSONL event
-log.  Everything here works on the *deterministic* fields (the ledger
-events' rounds/messages/ticks/bits and event counts); wall times are
+A trace is the event list a :class:`repro.obs.Tracer` wrote — the
+Chrome-trace JSON object (``{"traceEvents": [...]}``).  Everything here
+works on the *deterministic* fields (the ledger events'
+rounds/messages/ticks/bits and event counts); wall times are
 summarized but never diffed — the same hardware-facts-are-not-model-facts
 rule the bench runner's ``--check-against`` gate follows.
 
@@ -85,26 +85,18 @@ class TraceSummary:
 
 
 def load_trace(path) -> List[Dict]:
-    """Read a trace written by ``Tracer.write_chrome`` or ``write_jsonl``.
+    """Read a trace written by ``Tracer.write_chrome``.
 
-    Both formats open with ``{``, so the discriminator is whether the
-    whole file parses as one JSON document (chrome trace: one object,
-    or a bare event list) — a multi-line JSONL log does not, and falls
-    through to line-by-line parsing.
+    One JSON document: the ``{"traceEvents": [...]}`` object, or the
+    Chrome format's bare event list.
     """
-    text = Path(path).read_text()
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError:
-        return [json.loads(line) for line in text.splitlines() if line.strip()]
+    payload = json.loads(Path(path).read_text())
     if isinstance(payload, list):
         return payload
     events = payload.get("traceEvents")
-    if events is not None:
-        return events
-    if "ph" in payload:  # a single-event JSONL file parses as one dict
-        return [payload]
-    raise ValueError(f"{path}: JSON object without 'traceEvents'")
+    if events is None:
+        raise ValueError(f"{path}: JSON object without 'traceEvents'")
+    return events
 
 
 def summarize(events: Sequence[Dict]) -> TraceSummary:

@@ -1,9 +1,8 @@
 """The tracing API: spans, instant events and counters, off by default.
 
 Every hook point in the engines and the runtime goes through the tracer
-installed with :func:`use_tracer` (or :func:`install_tracer`).  The
-default is the module-level :data:`NULL_TRACER`, whose ``enabled`` flag
-is ``False`` — hook points check that one attribute and skip all event
+installed with :func:`use_tracer`.  The default is the module-level
+:data:`NULL_TRACER`, whose ``enabled`` flag is ``False`` — hook points check that one attribute and skip all event
 construction, so the disabled path costs a handful of branches per
 *phase* (never per message) and the ledgers are bit-for-bit identical
 with tracing on, off, or absent (``benchmarks/bench_obs.py`` gates the
@@ -94,8 +93,7 @@ class Tracer(NullTracer):
 
     Events accumulate as Chrome-trace dicts in :attr:`events`; export
     with :meth:`write_chrome` (one ``{"traceEvents": [...]}`` JSON file,
-    loadable in Perfetto) or :meth:`write_jsonl` (one event per line —
-    streamable, greppable).  ``clock`` is injectable so tests can pin
+    loadable in Perfetto).  ``clock`` is injectable so tests can pin
     timestamps; model-side quantities never come from the clock.
     """
 
@@ -203,12 +201,6 @@ class Tracer(NullTracer):
             json.dump(self.to_chrome(), fh, indent=None, separators=(",", ":"))
             fh.write("\n")
 
-    def write_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
-            for event in self.events:
-                fh.write(json.dumps(event, separators=(",", ":")))
-                fh.write("\n")
-
 
 #: The process-wide default tracer (disabled).  Hook points must check
 #: ``.enabled`` before doing any per-event work.
@@ -222,23 +214,12 @@ def current_tracer() -> NullTracer:
     return _CURRENT
 
 
-def install_tracer(tracer: Optional[NullTracer]) -> NullTracer:
-    """Install ``tracer`` process-wide; returns the previous one.
-
-    ``None`` restores the disabled default.  Prefer :func:`use_tracer`
-    for scoped installation.
-    """
-    global _CURRENT
-    previous = _CURRENT
-    _CURRENT = tracer if tracer is not None else NULL_TRACER
-    return previous
-
-
 @contextmanager
 def use_tracer(tracer: NullTracer) -> Iterator[NullTracer]:
     """Scoped installation: hooks report to ``tracer`` inside the block."""
-    previous = install_tracer(tracer)
+    global _CURRENT
+    previous, _CURRENT = _CURRENT, tracer
     try:
         yield tracer
     finally:
-        install_tracer(previous)
+        _CURRENT = previous

@@ -177,8 +177,8 @@ class PASession:
     ``net``, ``mode``, ``seed``, ``root``, ``strict_bits`` and
     ``strict_edges`` construct the session's default
     :class:`~repro.core.pa.PASolver`; every other engine-level setting
-    (asynchronous ``schedule``, ``engine_impl``, ``profile``, a shared
-    ``engine``) is chosen where the engine is built — on a ``PASolver``
+    (asynchronous ``schedule``, ``engine_impl``, a shared ``engine``) is
+    chosen where the engine is built — on a ``PASolver``
     handed in through ``solver=``.  The session's own settings:
 
     shortcut_provider:

@@ -20,12 +20,11 @@ The backend splits into three layers:
   rank-0 driver that ships shards to persistent forked workers, runs
   the wave phases between barriers, and merges the per-shard ledgers
   deterministically in shard-index order (rounds/ticks max, messages/
-  bits sum — the parallel-composition rule the ledger module already
-  states).
+  bits sum).
 
 See docs/architecture.md, "Sharded backend", for the parity argument
-and its exact boundary (rounds/messages are bit-for-bit; ``bits`` and
-profiles are not gated).
+and its exact boundary (rounds/messages are bit-for-bit; ``bits`` is
+not gated).
 """
 
 from .ledger_merge import merge_shard_phases

@@ -13,9 +13,6 @@ the serial engine.  The serial phase therefore decomposes exactly:
   ids relabel to a smaller local range, so per-message pid widths can
   shrink.  Bits are a diagnostic and are never part of the drift gate
   (see :class:`~repro.congest.ledger.PhaseStats`).
-* ``profile`` — best-effort: ticks/idle max (wall-clock-like),
-  peak-in-flight/activations summed (work-like).  Populated only when
-  every shard profiled.
 
 Shards are merged in shard-index order; since max and sum are
 order-insensitive this only fixes the (deterministic) trace order.
@@ -23,27 +20,18 @@ order-insensitive this only fixes the (deterministic) trace order.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from ..congest.ledger import EngineProfile, PhaseStats
+from ..congest.ledger import PhaseStats
 
 #: The picklable wire form of one phase: (name, rounds, messages, ticks,
-#: bits, profile-or-None) with profile as (ticks, peak, activations, idle).
-WirePhase = Tuple[str, int, int, int, int, Optional[Tuple[int, int, int, int]]]
+#: bits).
+WirePhase = Tuple[str, int, int, int, int]
 
 
 def phases_to_wire(phases: Sequence[PhaseStats]) -> List[WirePhase]:
     """Flatten a worker ledger's phase log for the pipe."""
-    out: List[WirePhase] = []
-    for s in phases:
-        profile = None
-        if s.profile is not None:
-            profile = (
-                s.profile.ticks, s.profile.peak_in_flight,
-                s.profile.activations, s.profile.idle_ticks,
-            )
-        out.append((s.name, s.rounds, s.messages, s.ticks, s.bits, profile))
-    return out
+    return [(s.name, s.rounds, s.messages, s.ticks, s.bits) for s in phases]
 
 
 def merge_shard_phases(
@@ -67,15 +55,6 @@ def merge_shard_phases(
     merged: List[PhaseStats] = []
     for k, name in enumerate(reference):
         rows = [log[k] for log in shard_phases]
-        profiles = [r[5] for r in rows]
-        profile = None
-        if all(p is not None for p in profiles):
-            profile = EngineProfile(
-                ticks=max(p[0] for p in profiles),
-                peak_in_flight=sum(p[1] for p in profiles),
-                activations=sum(p[2] for p in profiles),
-                idle_ticks=max(p[3] for p in profiles),
-            )
         merged.append(
             PhaseStats(
                 name=name,
@@ -83,7 +62,6 @@ def merge_shard_phases(
                 messages=sum(r[2] for r in rows),
                 ticks=max(r[3] for r in rows),
                 bits=sum(r[4] for r in rows),
-                profile=profile,
             )
         )
     return merged

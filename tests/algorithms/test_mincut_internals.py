@@ -105,18 +105,21 @@ def test_one_respecting_cut_value_is_real_cut(weighted_random):
 #: last verified candidate (PR 21: every phase's fresh prepare loses one
 #: ``annotate_blocks``, every first solve's ``_replay`` runs at the forest
 #: size) and when the packing's Boruvka phases began to join by rank
-#: (PR 23: about half the phases, one solve fewer in each); cut values
-#: equal, CHANGES lists old -> new.
+#: (PR 23: about half the phases, one solve fewer in each) and when every
+#: packing began to run on the session min-cut holds, its BFS tree charged
+#: once under ``tree:`` (PR 24: a bare session used to build a private
+#: session, tree and leader election per packing); cut values equal,
+#: CHANGES lists old -> new.
 MINCUT_PINS = {
     "grid6x7": (
         lambda: with_distinct_weights(grid_2d(6, 7), seed=4),
-        (32, 319, 1680, 15809,
-         "bfe330577c6e5a3998440ed75af0a893f5f88a151be5ae6b476f6f80d0eae4ed"),
+        (32, 313, 1632, 14387,
+         "8eed4be3c2231e0c707016c25e7b414b04f4686c83bda33149397372700512ed"),
     ),
     "reg48": (
         lambda: with_distinct_weights(random_regular(48, 4, seed=7), seed=4),
-        (75, 285, 1451, 18935,
-         "c3b017384b2cd6bc7b60d40c3e052ddc9b2e19842a91227cf13d522bc027456b"),
+        (75, 279, 1362, 17172,
+         "01f03ed2e4e19135396ced99aac866efc9e14be62979484336899b0231346b68"),
     ),
 }
 
@@ -140,3 +143,24 @@ def test_approx_min_cut_ledger_is_the_parents(graph, engine_impl):
         result.output[0], len(phases), result.rounds, result.messages,
         hashlib.sha256(repr(phases).encode()).hexdigest(),
     ) == expected
+
+
+@pytest.mark.parametrize("flags", [{}, {"reuse": True, "batch": True}],
+                         ids=["bare", "reuse+batch"])
+def test_approx_min_cut_charges_its_tree_once(flags):
+    """Every packing runs on the one session: its BFS tree is in the
+    ledger once, not once more per packed tree."""
+    net = MINCUT_PINS["grid6x7"][0]()
+    session = PASession(net, seed=3, **flags)
+    result = approx_min_cut(
+        net, epsilon=1.0, seed=3, max_trees=3, session=session
+    )
+    assert result.meta["trees_packed"] == 3
+    assert [
+        (p.name, p.rounds, p.messages) for p in result.ledger.phases()
+        if "tree:" in p.name
+    ] == [
+        (f"tree:{p.name}", p.rounds, p.messages)
+        for p in session.tree_ledger.phases()
+    ]
+    assert session.stats.prepares > 0  # the packings ran on this session

@@ -7,7 +7,6 @@ import textwrap
 
 from repro.bench import Table, drain_tables, print_table
 from repro.bench.runner import (
-    HeadlessBenchmark,
     bench_functions,
     discover_bench_files,
     load_bench_module,
@@ -18,28 +17,17 @@ from repro.bench.runner import (
 )
 
 GOOD_BENCH = '''
-from repro.bench import print_table, record, run_once
+from repro.bench import print_table, record
 
 
-def test_tiny(benchmark):
-    def experiment():
-        print_table("tiny table", ["k", "v"], [(1, 2), (3, 4)])
-        return 5
-
-    value = run_once(benchmark, experiment)
-    assert value == 5
-    record(benchmark, rounds=7, messages=value, extra="note")
+def test_tiny():
+    print_table("tiny table", ["k", "v"], [(1, 2), (3, 4)])
+    record(rounds=7, messages=5, extra="note")
 '''
 
 BAD_BENCH = '''
-from repro.bench import record, run_once
-
-
-def test_broken(benchmark):
-    def experiment():
-        raise RuntimeError("intentional failure")
-
-    run_once(benchmark, experiment)
+def test_broken():
+    raise RuntimeError("intentional failure")
 '''
 
 
@@ -49,23 +37,6 @@ def _write_bench_dir(tmp_path, files):
     for name, body in files.items():
         (bench_dir / name).write_text(textwrap.dedent(body))
     return bench_dir
-
-
-def test_headless_benchmark_runs_once_and_returns():
-    calls = []
-
-    def fn(x=0):
-        calls.append(x)
-        return 42 + x
-
-    benchmark = HeadlessBenchmark()
-    # pytest-benchmark's repeat knobs are accepted and ignored: a ledger
-    # does not change on a second run, and nothing here is timed.
-    assert benchmark.pedantic(fn, rounds=3, iterations=2) == 42
-    assert benchmark.pedantic(fn, kwargs={"x": 1}) == 43
-    assert benchmark(fn, 2) == 44
-    assert calls == [0, 1, 2]
-    assert vars(benchmark) == {"extra_info": {}}
 
 
 def test_print_table_registers_structured_table(capsys):
@@ -153,34 +124,43 @@ def test_main_nonzero_exit_on_error(tmp_path):
     )
 
 
-def test_test_function_without_benchmark_param_is_reported_not_fatal(tmp_path):
+def test_an_experiment_reports_what_it_recorded_and_nothing_else(tmp_path):
     bench_dir = _write_bench_dir(tmp_path, {"bench_mixed.py": '''
-from repro.bench import record, run_once
+from repro.bench import print_table, record
 
 
-def test_helper_without_fixture():
+def test_raises_after_recording():
+    print_table("half a table", ["k"], [(1,)])
+    record(rounds=1, messages=2)
+    raise RuntimeError("late failure")
+
+
+def test_records_no_rounds():
+    record(note="structural")
+
+
+def test_still_takes_a_parameter(benchmark):
     pass
-
-
-def test_real(benchmark):
-    run_once(benchmark, lambda: None)
-    record(benchmark, rounds=1, messages=2)
 '''})
-    results = run_all(bench_dir)
-    by_name = {r.name: r for r in results}
-    assert by_name["test_helper_without_fixture"].status == "error"
-    assert "benchmark" in by_name["test_helper_without_fixture"].error
-    assert by_name["test_real"].status == "ok"
+    first, second, third = run_all(bench_dir)
+    assert first.status == "error" and "late failure" in first.error
+    assert (first.rounds, first.messages) == (1, 2)
+    # the registries are drained per experiment: nothing carries over
+    assert second.status == "ok"
+    assert second.metrics == {"note": "structural"} and second.tables == []
+    assert (second.rounds, second.messages) == (None, None)
+    # an experiment is called with no arguments; one that wants any is an
+    # error on its own record, not a crashed sweep
+    assert third.status == "error" and "benchmark" in third.error
 
 
 def test_results_json_headline_ignores_non_int_rounds(tmp_path):
     bench_dir = _write_bench_dir(tmp_path, {"bench_dictround.py": '''
-from repro.bench import record, run_once
+from repro.bench import record
 
 
-def test_dict_rounds(benchmark):
-    run_once(benchmark, lambda: None)
-    record(benchmark, rounds={"a": 1}, messages=True)
+def test_dict_rounds():
+    record(rounds={"a": 1}, messages=True)
 '''})
     results = run_all(bench_dir)
     payload = results_to_json(results)
@@ -191,12 +171,11 @@ def test_dict_rounds(benchmark):
 
 
 GOOD_BENCH_B = '''
-from repro.bench import record, run_once
+from repro.bench import record
 
 
-def test_other(benchmark):
-    value = run_once(benchmark, lambda: 11)
-    record(benchmark, rounds=3, messages=value)
+def test_other():
+    record(rounds=3, messages=11)
 '''
 
 

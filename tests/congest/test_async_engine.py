@@ -111,13 +111,6 @@ def test_async_mode_flag_selects_delay0_schedule():
     assert isinstance(solver.schedule, SynchronousSchedule)
 
 
-def test_profile_parity_at_delay0():
-    net = grid_2d(3, 4)
-    s_stats, _ = _flood(net, Engine(net, profile=True))
-    a_stats, _ = _flood(net, AsyncEngine(net, SynchronousSchedule(), profile=True))
-    assert a_stats.profile == s_stats.profile
-
-
 def test_empty_program_runs_zero_rounds():
     net = path_graph(4)
 

@@ -12,7 +12,7 @@ learned (PR 21), so the last record of each log — the one solve's
 ``pa_replay`` — carries fewer payloads and acks (CHANGES lists old ->
 new); every other record is the captured one.  The schedule table
 repeats ``bench_async::test_pa_schedules`` as committed in
-``BENCH_pr23.json``.
+``BENCH_baseline.json``.
 """
 
 import hashlib

@@ -210,8 +210,7 @@ def test_flags_rebuild_the_same_engine_on_another_network(path10):
     import inspect
 
     flags = {
-        "strict_bits": False, "strict_edges": False,
-        "profile": True, "use_arrays": True,
+        "strict_bits": False, "strict_edges": False, "use_arrays": True,
     }
     engine = Engine(path10, **flags)
     assert engine.flags == flags

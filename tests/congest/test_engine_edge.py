@@ -8,7 +8,6 @@ from repro.congest import (
     BandwidthExceededError,
     ChannelCapacityError,
     Engine,
-    EngineProfile,
     FunctionProgram,
     Network,
     Program,
@@ -17,6 +16,7 @@ from repro.congest import (
     payload_bits_cached,
 )
 from repro.graphs import path_graph, star_graph
+from repro.obs import Tracer, use_tracer
 
 
 # ----------------------------------------------------------------------
@@ -495,43 +495,37 @@ def test_pa_pipeline_parity_between_strict_and_fast_engines():
 
 
 # ----------------------------------------------------------------------
-# Opt-in profile
+# How a phase ran, on its trace
 # ----------------------------------------------------------------------
-def test_profile_off_by_default(path10):
-    stats = Engine(path10).run(PingPong(3), max_ticks=10)
-    assert stats.profile is None
+def _traced(engine, program, max_ticks):
+    tracer = Tracer()
+    with use_tracer(tracer):
+        stats = engine.run(program, max_ticks=max_ticks)
+    counters = [e["args"] for e in tracer.events if e["ph"] == "C"]
+    jumps = [e["args"] for e in tracer.events if e["cat"] == "engine.ff"]
+    return stats, counters, jumps
 
 
-def test_profile_collects_engine_quantities(path10):
-    stats = Engine(path10, profile=True).run(PingPong(3), max_ticks=10)
-    prof = stats.profile
-    assert isinstance(prof, EngineProfile)
-    assert prof.ticks == stats.ticks == 4
-    assert prof.peak_in_flight == 1
-    assert prof.activations == 4
-    assert prof.idle_ticks == 0
+def test_trace_collects_engine_quantities(path10):
+    stats, counters, jumps = _traced(Engine(path10), PingPong(3), 10)
+    assert [c["tick"] for c in counters] == [1, 2, 3, 4]
+    assert stats.ticks == 4
+    assert [c["messages"] for c in counters] == [1, 1, 1, 1]
+    assert [c["activations"] for c in counters] == [1, 1, 1, 1]
+    assert sum(c["bits"] for c in counters) == stats.bits > 0
+    assert jumps == []
 
 
-def test_profile_counts_idle_ticks_under_timer_wheel(path10):
+def test_trace_counts_idle_ticks_under_timer_wheel(path10):
     def start(ctx):
         ctx.wake_at(0, 9)
 
-    stats = Engine(path10, profile=True).run(
-        FunctionProgram("idle", start, lambda c, n, i: None), max_ticks=20
+    stats, counters, jumps = _traced(
+        Engine(path10),
+        FunctionProgram("idle", start, lambda c, n, i: None), 20,
     )
     assert stats.rounds == 9
-    assert stats.profile.idle_ticks == 8
-    assert stats.profile.ticks == 1  # only the firing tick did work
-
-
-def test_profile_merges_across_phase_addition(path10):
-    engine = Engine(path10, profile=True)
-    a = engine.run(PingPong(3), max_ticks=10)
-    b = engine.run(PingPong(5), max_ticks=10)
-    merged = a + b
-    assert merged.profile.activations == (
-        a.profile.activations + b.profile.activations
-    )
-    assert merged.profile.peak_in_flight == max(
-        a.profile.peak_in_flight, b.profile.peak_in_flight
-    )
+    assert jumps == [
+        {"phase": "idle", "from_tick": 0, "to_tick": 9, "skipped": 8}
+    ]
+    assert [c["tick"] for c in counters] == [9]  # only the firing tick ran

@@ -9,6 +9,10 @@ them, so a fault-injecting driver's main totals are re-attributions):
   run's total rounds and messages exactly — for every engine, mode and
   seed, including runs that re-attribute costs via ``merge`` (the
   trace-once rule: ``charge`` emits, ``record``/``merge`` never do);
+* tracing on: how the run went is the same on every engine — the scalar
+  and array loops emit one per-phase (tick, messages, bits, activations)
+  counter series and the same ``fast_forward`` instants, the delay-0
+  async engine the same per-pulse message series;
 * two identical-seed runs' traces diff to zero drift.
 """
 
@@ -54,6 +58,27 @@ def _phase_log(ledger):
     ]
 
 
+def _tick_series(tracer):
+    """The synchronous loops' per-tick counters, in emission order."""
+    return [
+        (e["name"], e["args"]["tick"], e["args"]["messages"],
+         e["args"]["bits"], e["args"]["activations"])
+        for e in tracer.events if e["ph"] == "C" and "tick" in e["args"]
+    ]
+
+
+def _pulse_series(tracer):
+    """The async engine's per-pulse delivered-payload counters."""
+    return [
+        (e["name"], e["args"]["pulse"], e["args"]["messages"])
+        for e in tracer.events if e["ph"] == "C" and "pulse" in e["args"]
+    ]
+
+
+def _fast_forwards(tracer):
+    return [e["args"] for e in tracer.events if e["cat"] == "engine.ff"]
+
+
 def _event_totals(tracer, stream="main"):
     events = tracer.ledger_events(stream)
     return (
@@ -85,10 +110,25 @@ def test_trace_replays_pa_ledger(workload, label, kwargs, mode, seed):
     assert _phase_log(on.ledger) == _phase_log(off.ledger)
     # the trace replays the ledger exactly
     assert _event_totals(tracer) == (on.rounds, on.messages)
+    # ... and tells the same run as the scalar loop's trace does
+    scalar = tracer
+    if label != "scalar":
+        scalar = Tracer()
+        with use_tracer(scalar):
+            _solve(workload, ENGINES[0][1], mode=mode, seed=seed)
+    ticks = _tick_series(scalar)
+    assert len({name for name, *_ in ticks}) > 5
     if label == "async":
+        # a pulse nothing was delivered into has no sample
+        assert _pulse_series(tracer) == [
+            (name, tick, msgs) for name, tick, msgs, _b, _a in ticks if msgs
+        ]
         # the synchronizer tax is on its own stream, never in main
         tax = _event_totals(tracer, "async_overhead")
         assert tax[0] > 0 and tax[1] > 0
+    else:
+        assert _tick_series(tracer) == ticks
+        assert _fast_forwards(tracer) == _fast_forwards(scalar)
     _check_fallbacks(tracer, label)
 
 

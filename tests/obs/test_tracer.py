@@ -10,7 +10,6 @@ from repro.obs import (
     NullTracer,
     Tracer,
     current_tracer,
-    install_tracer,
     load_trace,
     use_tracer,
 )
@@ -69,17 +68,6 @@ def test_use_tracer_nests():
         with use_tracer(inner):
             assert current_tracer() is inner
         assert current_tracer() is outer
-    assert current_tracer() is NULL_TRACER
-
-
-def test_install_tracer_returns_previous_and_none_resets():
-    tracer = Tracer()
-    previous = install_tracer(tracer)
-    try:
-        assert previous is NULL_TRACER
-        assert current_tracer() is tracer
-    finally:
-        assert install_tracer(None) is tracer
     assert current_tracer() is NULL_TRACER
 
 
@@ -165,15 +153,6 @@ def test_chrome_export_round_trips_through_load_trace(tmp_path):
 
     payload = json.loads(path.read_text())
     assert payload["otherData"]["schema"] == "repro-obs/1"
-    assert load_trace(path) == tracer.events
-
-
-def test_jsonl_export_round_trips_through_load_trace(tmp_path):
-    tracer = Tracer(clock=FakeClock())
-    tracer.counter("phase", {"tick": 0, "messages": 2})
-    tracer.ledger("async_overhead", PhaseStats("sync", rounds=9, messages=40))
-    path = tmp_path / "run.jsonl"
-    tracer.write_jsonl(path)
     assert load_trace(path) == tracer.events
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro import PASession, PASolver
 from repro.congest import SynchronousSchedule
-from repro.congest.ledger import EngineProfile, PhaseStats
+from repro.congest.ledger import PhaseStats
 from repro.core import SUM
 from repro.core.aggregation import Aggregation
 from repro.graphs import random_connected, random_connected_partition
@@ -101,26 +101,6 @@ def test_merge_shard_phases_rule():
         ("pa_wave", 7, 30, 7, 250),
         ("pa_reverse", 3, 10, 3, 100),
     ]
-
-
-def test_merge_profiles_only_when_all_present():
-    profiled = PhaseStats(
-        name="pa_wave", rounds=5, messages=10, ticks=5, bits=0,
-        profile=EngineProfile(
-            ticks=5, peak_in_flight=3, activations=9, idle_ticks=1
-        ),
-    )
-    bare = PhaseStats(name="pa_wave", rounds=4, messages=8, ticks=4, bits=0)
-    both = merge_shard_phases(
-        [phases_to_wire([profiled]), phases_to_wire([profiled])]
-    )
-    assert both[0].profile == EngineProfile(
-        ticks=5, peak_in_flight=6, activations=18, idle_ticks=1
-    )
-    mixed = merge_shard_phases(
-        [phases_to_wire([profiled]), phases_to_wire([bare])]
-    )
-    assert mixed[0].profile is None
 
 
 def test_merge_rejects_divergent_logs():
