@@ -49,8 +49,7 @@ from ..core.star_joining import (
     rank_joins,
     spread_seed,
 )
-from ..core.treeops import convergecast as tree_convergecast
-from ..core.treeops import cross_round
+from ..core.treeops import cross_round, run_convergecast
 from ..runtime import PASession, ensure_session
 
 RANK = "rank"
@@ -187,10 +186,10 @@ def minimum_spanning_tree(
         # Termination detection: convergecast "any fragment still active"
         # over the global BFS tree (O(D) rounds, O(n) messages).
         det_values = [1 if comp[v] != comp[0] else 0 for v in range(n)]
-        at_root, _ = tree_convergecast(
+        at_root = run_convergecast(
             solver.engine, solver.tree, OR, det_values, ledger,
             name="mst_termination",
-        )
+        ).at_root
         if not at_root.get(solver.tree.roots[0], 0):
             break
 

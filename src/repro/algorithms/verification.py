@@ -28,20 +28,18 @@ from ..congest.network import Network, canonical_edge
 from ..core.aggregation import OR, SUM
 from ..core.pa import PASolver, RANDOMIZED
 from ..runtime import PASession, ensure_session
-from ..core.treeops import broadcast as tree_broadcast
-from ..core.treeops import claim_bfs
-from ..core.treeops import convergecast as tree_convergecast
+from ..core.treeops import claim_bfs, run_broadcast, run_convergecast
 from .components import cc_labeling, components_partition
 
 
 def _global_sum(solver: PASolver, values: List[object], ledger: CostLedger,
                 name: str) -> int:
     """Convergecast a sum over the global BFS tree, then broadcast it."""
-    at_root, _ = tree_convergecast(
+    at_root = run_convergecast(
         solver.engine, solver.tree, SUM, values, ledger, name=f"{name}_up"
-    )
+    ).at_root
     total = at_root.get(solver.tree.roots[0]) or 0
-    tree_broadcast(
+    run_broadcast(
         solver.engine, solver.tree, {solver.tree.roots[0]: total}, ledger,
         name=f"{name}_down",
     )
@@ -96,18 +94,18 @@ def verify_st_connectivity(
     values: List[object] = [None] * net.n
     values[s] = ("s", labels[s])
     values[t] = ("t", labels[t]) if t != s else None
-    at_root, _ = tree_convergecast(
+    at_root = run_convergecast(
         solver.engine, solver.tree,
         # Pair-collecting merge: keep up to two tagged labels.
         _PairCollect, values, ledger, name="st_up",
-    )
+    ).at_root
     gathered = at_root.get(solver.tree.roots[0])
     verdict = s == t or (
         gathered is not None
         and _extract(gathered, "s") == _extract(gathered, "t")
         and _extract(gathered, "s") is not None
     )
-    tree_broadcast(
+    run_broadcast(
         solver.engine, solver.tree, {solver.tree.roots[0]: verdict},
         ledger, name="st_down",
     )

@@ -162,7 +162,7 @@ def run_experiment(
     With ``trace_dir`` set, the experiment runs under a recording
     :class:`repro.obs.Tracer` and its events are written to
     ``<trace_dir>/<file-stem>__<fn>.trace.json`` (Chrome trace format —
-    open in Perfetto, or profile with ``python -m repro.obs summarize``).
+    open in Perfetto, or read with ``python -m repro.obs explain``).
     Tracing never changes ledgers (the zero-cost-when-off contract runs
     the other way too: hooks only *observe*), so traced sweeps stay
     baseline-comparable.
@@ -446,7 +446,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--trace", type=Path, default=None, metavar="DIR",
         help="record one Chrome/Perfetto trace per experiment into DIR "
-        "(profile with 'python -m repro.obs summarize'); the reports are "
+        "(read one with 'python -m repro.obs explain'); the reports are "
         "the same with or without it",
     )
     args = parser.parse_args(argv)

@@ -54,7 +54,7 @@ from .subparts import (
     build_subpart_division_randomized,
     division_from_groups,
 )
-from .treeops import broadcast, claim_bfs, convergecast
+from .treeops import claim_bfs
 from .trees import (
     ABSENT,
     ROOT,
@@ -92,11 +92,9 @@ __all__ = [
     "XOR",
     "annotate_blocks",
     "bfs_tree",
-    "broadcast",
     "build_shortcut_randomized",
     "build_subpart_division_randomized",
     "claim_bfs",
-    "convergecast",
     "diameter_upper_bound",
     "division_from_groups",
     "elect_leader_and_bfs_tree",

@@ -463,13 +463,12 @@ class PASolver:
         charge_setup: bool = True,
         phase_prefix: str = "pa_batch",
         phase_prefixes: Optional[Sequence[str]] = None,
-        batched: bool = True,
     ) -> PABatchResult:
-        """:func:`solve_many_via` over this solver's own :meth:`solve`."""
+        """:func:`solve_many_via` over this solver's own :meth:`solve`,
+        batched."""
         return solve_many_via(
             self.solve, setup, items, charge_setup=charge_setup,
             phase_prefix=phase_prefix, phase_prefixes=phase_prefixes,
-            batched=batched,
         )
 
 

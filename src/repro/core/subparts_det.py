@@ -44,9 +44,7 @@ from ..graphs.partitions import Partition
 from .aggregation import MIN_TUPLE, SUM
 from .star_joining import SuperEdge, TreeSuperOps, compute_star_joining
 from .subparts import SubPartDivision
-from .treeops import broadcast as tree_broadcast
-from .treeops import convergecast as tree_convergecast
-from .treeops import cross_round
+from .treeops import cross_round, run_broadcast, run_convergecast
 from .trees import ABSENT, ROOT, RootedForest
 
 
@@ -140,17 +138,17 @@ def build_subpart_division_deterministic(
 
         # Completeness by size (line 15) -- convergecast sizes, then
         # broadcast the verdict so every member knows its flag.
-        sizes, _ = tree_convergecast(
+        sizes = run_convergecast(
             engine, forest, SUM, ones, ledger, name="det_sizes"
-        )
+        ).at_root
         changed = {}
         for sid, size in sizes.items():
             verdict = bool(size >= threshold) or sid in spans_part
             changed[sid] = verdict
-        flags = tree_broadcast(
+        flags = run_broadcast(
             engine, forest, {sid: ("cpl", flag) for sid, flag in changed.items()},
             ledger, name="det_complete_flags",
-        )
+        ).received
         for v, payload in flags.items():
             complete[v] = payload[1]
 
@@ -184,9 +182,9 @@ def build_subpart_division_deterministic(
         offers = PayloadColumns(
             [nb_done[rows], uid[me[rows]], uid[nb[rows]]]
         ).scatter(n, me[rows])
-        chosen_at_rep, _ = tree_convergecast(
+        chosen_at_rep = run_convergecast(
             engine, forest, MIN_TUPLE, offers, ledger, name="det_choose"
-        )
+        ).at_root
 
         # Sub-parts with no outgoing in-part edge span their part: complete.
         isolated = {
@@ -195,10 +193,10 @@ def build_subpart_division_deterministic(
         }
         if isolated:
             spans_part.update(isolated)
-            flags = tree_broadcast(
+            flags = run_broadcast(
                 engine, forest, {sid: ("cpl", True) for sid in isolated},
                 ledger, name="det_isolated_complete",
-            )
+            ).received
             for v in flags:
                 complete[v] = True
 
@@ -220,7 +218,7 @@ def build_subpart_division_deterministic(
 
         # 3. Deliver the chosen edge to its endpoint (the broadcast also
         # realizes "all v in P_i know some common edge" of Definition 6.1).
-        tree_broadcast(
+        run_broadcast(
             engine, forest, bcast_values, ledger, name="det_edge_bcast"
         )
 

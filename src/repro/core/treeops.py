@@ -17,9 +17,9 @@ same either way.
 
 Costs (metered, but also the design targets):
 
-* :func:`broadcast` — rounds = max tree height, messages = #non-root nodes
-  reached.
-* :func:`convergecast` — rounds = max tree height + 1, messages =
+* :func:`run_broadcast` — rounds = max tree height, messages = #non-root
+  nodes reached.
+* :func:`run_convergecast` — rounds = max tree height + 1, messages =
   #non-root nodes.
 * :func:`claim_bfs` — rounds <= depth limit + 2, messages <= 2m + n
   (each node announces its claim once per incident edge, plus one
@@ -368,17 +368,6 @@ def run_broadcast(
     )
 
 
-def broadcast(
-    engine: Engine,
-    forest: RootedForest,
-    root_values: Dict[int, object],
-    ledger: CostLedger,
-    name: str = "tree_broadcast",
-) -> Dict[int, object]:
-    """Run a forest broadcast phase; returns per-node received values."""
-    return run_broadcast(engine, forest, root_values, ledger, name).received
-
-
 def run_convergecast(
     engine: Engine,
     forest: RootedForest,
@@ -398,19 +387,6 @@ def run_convergecast(
         engine, ledger, name, ConvergecastArrayKernel, ConvergecastProgram,
         (forest, agg, values), forest.height() + 2,
     )
-
-
-def convergecast(
-    engine: Engine,
-    forest: RootedForest,
-    agg: Aggregation,
-    values: Sequence[object],
-    ledger: CostLedger,
-    name: str = "tree_convergecast",
-) -> Tuple[Dict[int, object], Dict[int, object]]:
-    """Run a forest convergecast; returns (aggregate at roots, subtree partials)."""
-    program = run_convergecast(engine, forest, agg, values, ledger, name)
-    return program.at_root, program.partial
 
 
 def cross_round(

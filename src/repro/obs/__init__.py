@@ -1,4 +1,4 @@
-"""repro.obs — engine-wide tracing, metrics, and trace-driven profiling.
+"""repro.obs — engine-wide tracing and the one report of a trace.
 
 The observability substrate every engine and runtime layer emits into:
 
@@ -11,54 +11,30 @@ The observability substrate every engine and runtime layer emits into:
   baseline check);
 * :func:`use_tracer` scopes a recording tracer over a workload; the
   bench runner's ``--trace DIR`` does this per experiment;
-* :mod:`repro.obs.summary` profiles and diffs recorded traces —
-  ``python -m repro.obs summarize TRACE`` / ``python -m repro.obs diff
-  A B`` (the per-phase version of the bench runner's ledger gate);
-* :mod:`repro.obs.explain` folds a trace's phases into families and
-  holds them against the paper's envelopes — ``python -m repro.obs
-  explain TRACE`` names the family that owns each slack.
+* :mod:`repro.obs.report` folds a recorded trace once into a
+  :class:`Report` — ``python -m repro.obs explain TRACE`` prints it (the
+  phase families against the paper's envelopes, where the wall went,
+  the degraded paths taken) and ``python -m repro.obs diff A B``
+  compares two per phase (the per-phase version of the bench runner's
+  ledger gate).
 
 See docs/architecture.md, "Observability", for the trace schema and the
 hook-point inventory.
 """
 
-from .explain import Explanation, explain, phase_family, render_explanation
-from .summary import (
-    PhaseTotals,
-    TraceSummary,
-    diff_summaries,
-    load_trace,
-    render_diff,
-    render_summary,
-    summarize,
-    top_phases,
-    top_wall,
-)
-from .tracer import (
-    NULL_TRACER,
-    NullTracer,
-    Tracer,
-    current_tracer,
-    use_tracer,
-)
+from .report import Report, diff, explain, load_trace, render, render_diff
+from .tracer import NULL_TRACER, NullTracer, Tracer, current_tracer, use_tracer
 
 __all__ = [
-    "Explanation",
     "NULL_TRACER",
     "NullTracer",
-    "PhaseTotals",
-    "TraceSummary",
+    "Report",
     "Tracer",
     "current_tracer",
-    "diff_summaries",
+    "diff",
     "explain",
     "load_trace",
-    "phase_family",
+    "render",
     "render_diff",
-    "render_explanation",
-    "render_summary",
-    "summarize",
-    "top_phases",
-    "top_wall",
     "use_tracer",
 ]

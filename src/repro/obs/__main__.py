@@ -1,21 +1,9 @@
-"""``python -m repro.obs`` — summarize, explain or diff recorded traces.
+"""``python -m repro.obs explain TRACE`` / ``python -m repro.obs diff A B``.
 
-Usage::
-
-    python -m repro.obs summarize TRACE [--top K]
-    python -m repro.obs explain TRACE
-    python -m repro.obs diff A B
-
-``summarize`` prints per-stream totals, the top-k phases by rounds /
-messages / wall time, the sync-vs-async overhead breakdown and instant
-event counts.  ``explain`` folds the main-stream phases into families
-and holds each, and the run, against the paper's envelopes (rounds
-against tree depth + sqrt n, messages against m), naming the family that
-owns each slack (:mod:`repro.obs.explain`); it exits 1 on a trace
-without a main-stream ledger event.  ``diff`` compares the deterministic
-per-phase quantities of two traces and exits 3 on any drift (mirroring
-the bench runner's ``--check-against`` exit code) — the per-phase
-version of that gate.
+``explain`` prints a trace's report (:mod:`repro.obs.report`) and exits 1
+on a trace without a main-stream ledger event; ``diff`` compares two
+traces' deterministic per-phase quantities and exits 3 on any drift, as
+the bench runner's ``--check-against`` does.  A missing trace is exit 2.
 """
 
 from __future__ import annotations
@@ -25,62 +13,33 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .explain import explain, render_explanation
-from .summary import (
-    diff_summaries,
-    load_trace,
-    render_diff,
-    render_summary,
-    summarize,
-)
+from .report import diff, explain, load_trace, render, render_diff
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description=(
-            "Summarize, explain or diff traces recorded by repro.obs.Tracer."
-        ),
+        description="Explain or diff traces recorded by repro.obs.Tracer.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sum = sub.add_parser("summarize", help="profile one trace")
-    p_sum.add_argument("trace", type=Path)
-    p_sum.add_argument("--top", type=int, default=10, metavar="K",
-                       help="rows per top-k table (default 10)")
-
-    p_exp = sub.add_parser(
-        "explain", help="phase families against the paper's envelopes"
-    )
-    p_exp.add_argument("trace", type=Path)
-
-    p_diff = sub.add_parser("diff", help="per-phase drift between two traces")
-    p_diff.add_argument("trace_a", type=Path)
-    p_diff.add_argument("trace_b", type=Path)
-
+    sub.add_parser(
+        "explain", help="the run against the paper's envelopes, phase by phase"
+    ).add_argument("traces", nargs=1, type=Path, metavar="TRACE")
+    sub.add_parser(
+        "diff", help="per-phase drift between two traces"
+    ).add_argument("traces", nargs=2, type=Path, metavar=("A", "B"))
     args = parser.parse_args(argv)
 
-    if args.command in ("summarize", "explain"):
-        if not args.trace.is_file():
-            print(f"error: trace not found: {args.trace}", file=sys.stderr)
-            return 2
-        events = load_trace(args.trace)
-        if args.command == "summarize":
-            print(render_summary(summarize(events), top=args.top))
-            return 0
-        explanation = explain(events)
-        print(render_explanation(explanation))
-        return 0 if explanation.families else 1
-
-    for path in (args.trace_a, args.trace_b):
+    for path in args.traces:
         if not path.is_file():
             print(f"error: trace not found: {path}", file=sys.stderr)
             return 2
-    drift = diff_summaries(
-        summarize(load_trace(args.trace_a)),
-        summarize(load_trace(args.trace_b)),
-    )
-    print(render_diff(drift, label_a=str(args.trace_a), label_b=str(args.trace_b)))
+    reports = [explain(load_trace(path)) for path in args.traces]
+    if args.command == "explain":
+        print(render(reports[0]))
+        return 0 if reports[0].families else 1
+    drift = diff(*reports)
+    print(render_diff(drift, *map(str, args.traces)))
     return 3 if drift else 0
 
 

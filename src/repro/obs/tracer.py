@@ -41,7 +41,7 @@ docs/architecture.md, "Observability"):
 * ``"fault"`` — fault-plan injections observed by the async engine.
 * ``"session"`` / ``"recovery"`` — runtime-layer spans and instants.
 
-Wall timestamps are hardware facts: :mod:`repro.obs.summary` diffs only
+Wall timestamps are hardware facts: :mod:`repro.obs.report` diffs only
 the deterministic model-side quantities, never ``ts``/``dur``.
 """
 

@@ -380,25 +380,22 @@ class RecoveryDriver:
         return self._attempts("pa", run)
 
     def minimum_spanning_tree(
-        self, reuse: bool = False, batch: bool = False, **mst_kwargs
+        self, reuse: bool = False, **mst_kwargs
     ) -> RunResult:
         """MST that survives the engine's fault plan.
 
         Every attempt rebuilds the BFS tree and its flood-min leader
         election from scratch (that is MST's re-election: Boruvka starts
         from singleton parts whose leaders are the nodes themselves) on a
-        fresh session with the given ``reuse`` / ``batch`` opt-ins — no
-        setup, hence no learned route, outlives its attempt.  Extra
-        keyword arguments pass through to
-        :func:`repro.algorithms.mst.minimum_spanning_tree`.
+        fresh session with the given ``reuse`` opt-in — no setup, hence
+        no learned route, outlives its attempt.  Extra keyword arguments
+        pass through to :func:`repro.algorithms.mst.minimum_spanning_tree`.
         """
         from ..algorithms.mst import minimum_spanning_tree
         from .session import PASession
 
         def run(_attempt: int, solver: PASolver) -> RunResult:
-            session = PASession(
-                self.net, solver=solver, reuse=reuse, batch=batch
-            )
+            session = PASession(self.net, solver=solver, reuse=reuse)
             return minimum_spanning_tree(
                 self.net, mode=self.mode, seed=solver.seed,
                 session=session, **mst_kwargs,

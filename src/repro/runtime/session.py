@@ -925,7 +925,9 @@ class PASession:
         ``backend="local"`` delegates verbatim.  ``backend="sharded"``
         runs the wave pass on the worker pool when eligible (same plan,
         same rng advance, rounds/messages bit-for-bit) and falls back
-        in-process otherwise (``stats.sharded_fallbacks``).  A product
+        in-process otherwise (``stats.sharded_fallbacks``; traced as a
+        ``session.sharded_fallback`` instant whose ``reason`` is
+        ``"aggregation"`` or ``"ineligible"``).  A product
         aggregation (:meth:`solve_many`'s batched pass) is one pass like
         any other; it ships by component names and counts its factors
         as ``stats.batched_solves``.
@@ -937,13 +939,23 @@ class PASession:
         if self.backend == "sharded":
             from ..shard import encode_aggregation
 
-            if encode_aggregation(agg) is not None and self._shard_eligible():
+            if encode_aggregation(agg) is None:
+                reason = "aggregation"
+            elif not self._shard_eligible():
+                reason = "ineligible"
+            else:
                 self.stats.sharded_solves += 1
                 return self.solver.solve_via(
                     self._run_sharded, setup, values, agg,
                     charge_setup=charge_setup, phase_prefix=phase_prefix,
                 )
             self.stats.sharded_fallbacks += 1
+            tracer = current_tracer()
+            if tracer.enabled:
+                tracer.instant(
+                    "session.sharded_fallback", "session",
+                    {"phase": phase_prefix, "reason": reason},
+                )
         if not folded:
             self.stats.solves += 1
         self._last_ran_sharded = False

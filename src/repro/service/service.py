@@ -192,7 +192,8 @@ class PAService:
         Nothing dequeued is ever dropped.  A packed wave whose k-tuples
         outgrow the message budget (``BandwidthExceededError``) is served
         as two narrower waves instead, halving until a wave fits
-        (``stats.split_waves`` counts the waves that had to be halved); a
+        (``stats.split_waves`` counts the waves that had to be halved, a
+        ``service.split_wave`` trace instant marks each); a
         query too wide *alone* gets that error from its own
         :meth:`result` (and no entry in the returned list) while the rest
         are answered.  On any other exception the unserved queries go
@@ -214,6 +215,12 @@ class PAService:
                     self._results[batch[0][0]] = error
                 else:
                     self.stats.split_waves += 1
+                    tracer = current_tracer()
+                    if tracer.enabled:
+                        tracer.instant(
+                            "service.split_wave", "service",
+                            {"wave": wave, "queries": len(batch)},
+                        )
                     half = len(batch) // 2
                     batches[:0] = [batch[:half], batch[half:]]
             except BaseException:

@@ -26,9 +26,9 @@ from repro.core import (
     PASolver,
     RANDOMIZED,
     SUM,
-    convergecast,
     solve_pa,
 )
+from repro.core.treeops import run_convergecast
 from repro.graphs import (
     bfs_ball_partition,
     grid_2d,
@@ -298,11 +298,11 @@ def test_mixed_shape_values_decline_to_the_scalar_convergecast():
         ledger = CostLedger()
         tracer = Tracer()
         with use_tracer(tracer):
-            at_root, partial = convergecast(
+            program = run_convergecast(
                 Engine(net, use_arrays=use_arrays), forest, MIN_TUPLE, values,
                 ledger, name="mixed",
             )
-        outcomes.append((at_root, partial, _phase_log(ledger)))
+        outcomes.append((program.at_root, program.partial, _phase_log(ledger)))
         assert [
             e["args"] for e in tracer.events if e["name"] == "kernel_fallback"
         ] == ([{"phase": "mixed", "reason": "mixed_shape"}] if use_arrays else [])

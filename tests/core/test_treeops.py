@@ -18,9 +18,7 @@ from repro.core import (
     ROOT,
     RootedForest,
     SUM,
-    broadcast,
     claim_bfs,
-    convergecast,
 )
 from repro.core.array_kernels import (
     BroadcastArrayKernel,
@@ -44,7 +42,7 @@ def line_forest(net):
 def test_broadcast_reaches_everyone(path10, ledger):
     engine = Engine(path10)
     forest = line_forest(path10)
-    received = broadcast(engine, forest, {0: "hello"}, ledger)
+    received = run_broadcast(engine, forest, {0: "hello"}, ledger).received
     assert all(received[v] == "hello" for v in range(10))
     stats = ledger.phases()[0]
     assert stats.rounds == forest.height()
@@ -55,16 +53,18 @@ def test_broadcast_multiple_trees(path10, ledger):
     engine = Engine(path10)
     parent = [ROOT, 0, 1, ROOT, 3, 4, ROOT, 6, 7, 8]
     forest = RootedForest(path10, parent)
-    received = broadcast(engine, forest, {0: "a", 3: "b", 6: "c"}, ledger)
+    received = run_broadcast(
+        engine, forest, {0: "a", 3: "b", 6: "c"}, ledger
+    ).received
     assert received[2] == "a" and received[5] == "b" and received[9] == "c"
 
 
 def test_convergecast_sum(path10, ledger):
     engine = Engine(path10)
     forest = line_forest(path10)
-    at_root, partial = convergecast(engine, forest, SUM, [1] * 10, ledger)
-    assert at_root[0] == 10
-    assert partial[5] == 5  # subtree 5..9
+    program = run_convergecast(engine, forest, SUM, [1] * 10, ledger)
+    assert program.at_root[0] == 10
+    assert program.partial[5] == 5  # subtree 5..9
     stats = ledger.phases()[0]
     assert stats.messages == 9
 
@@ -74,7 +74,7 @@ def test_convergecast_skips_none(path10, ledger):
     forest = line_forest(path10)
     values = [None] * 10
     values[7] = 42
-    at_root, _ = convergecast(engine, forest, MIN, values, ledger)
+    at_root = run_convergecast(engine, forest, MIN, values, ledger).at_root
     assert at_root[0] == 42
 
 
@@ -82,7 +82,9 @@ def test_convergecast_star(ledger):
     net = star_graph(8)
     engine = Engine(net)
     forest = RootedForest(net, [ROOT] + [0] * 7)
-    at_root, _ = convergecast(engine, forest, SUM, list(range(8)), ledger)
+    at_root = run_convergecast(
+        engine, forest, SUM, list(range(8)), ledger
+    ).at_root
     assert at_root[0] == sum(range(8))
     assert ledger.phases()[0].rounds <= 2
 

@@ -1,9 +1,11 @@
-"""``python -m repro.obs``: summarize/diff subcommands and exit codes."""
+"""``python -m repro.obs``: the explain and diff commands and their exit codes."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from repro.congest import PhaseStats
 from repro.obs import Tracer
@@ -18,30 +20,25 @@ def _write_trace(path, rounds=3):
     return path
 
 
-def test_summarize_exits_zero_and_prints_totals(tmp_path, capsys):
+def test_summarize_is_gone(tmp_path, capsys):
     trace = _write_trace(tmp_path / "a.trace.json")
-    assert main(["summarize", str(trace)]) == 0
-    out = capsys.readouterr().out
-    assert "stream main: rounds=10 messages=110" in out
-    assert "wave" in out and "bfs" in out
+    with pytest.raises(SystemExit) as exit_:
+        main(["summarize", str(trace)])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'summarize'" in capsys.readouterr().err
 
 
-def test_summarize_top_k_limits_tables(tmp_path, capsys):
-    trace = _write_trace(tmp_path / "a.trace.json")
-    assert main(["summarize", str(trace), "--top", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "top 1 phases by rounds" in out
-
-
-def test_summarize_missing_file_exits_two(tmp_path, capsys):
-    assert main(["summarize", str(tmp_path / "nope.json")]) == 2
-    assert "not found" in capsys.readouterr().err
+def test_help_lists_explain_and_diff_only(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "{explain,diff}" in capsys.readouterr().out
 
 
 def test_explain_exits_zero_and_names_the_owners(tmp_path, capsys):
     trace = _write_trace(tmp_path / "a.trace.json")
     assert main(["explain", str(trace)]) == 0
     out = capsys.readouterr().out
+    assert "stream main: rounds=10 messages=110" in out
     assert "no pa.net instant" in out
     assert "round slack: owned by bfs (70.0% of rounds)" in out
     assert "message slack: owned by bfs (90.9% of messages)" in out
@@ -88,7 +85,7 @@ def test_module_entry_point_runs_as_subprocess(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.obs", "summarize", str(trace)],
+        [sys.executable, "-m", "repro.obs", "explain", str(trace)],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0

@@ -29,7 +29,7 @@ from repro.graphs import (
     random_connected_partition,
     with_distinct_weights,
 )
-from repro.obs import Tracer, diff_summaries, summarize, use_tracer
+from repro.obs import Tracer, diff, explain, use_tracer
 
 FALLBACK_REASONS = {
     "none_value", "non_int", "overflow", "unsupported_agg", "mixed_shape",
@@ -181,10 +181,7 @@ def test_identical_seed_traces_diff_to_zero(workload, label, kwargs):
         with use_tracer(tracer):
             _solve(workload, kwargs)
         tracers.append(tracer)
-    drift = diff_summaries(
-        summarize(tracers[0].events), summarize(tracers[1].events)
-    )
-    assert drift == []
+    assert diff(explain(tracers[0].events), explain(tracers[1].events)) == []
 
 
 def test_trace_replays_through_merge_without_double_counting():
@@ -211,10 +208,9 @@ def test_trace_replays_mst_ledger():
     assert _event_totals(tracer) == (res.rounds, res.messages)
     # the MST's tuple-valued solves and OR convergecast run scalar on the
     # (default) array engine, and the trace says so without costing a unit
-    summary = summarize(tracer.events)
-    reasons = summary.kernel_fallbacks
-    assert reasons.get("non_int", 0) > 0
-    assert reasons.get("unsupported_agg", 0) > 0
+    report = explain(tracer.events)
+    assert report.degraded["kernel fallback, non_int"] > 0
+    assert report.degraded["kernel fallback, unsupported_agg"] > 0
     # one ``pa.route`` instant a solve: a learned one is a charged token
     # wave (its wire count the wave's messages) with a wire reversal and a
     # forest replay — 2 wire + forest; a reused one is a solve without a
@@ -222,19 +218,19 @@ def test_trace_replays_mst_ledger():
     charged = tracer.ledger_events("main")
     waves = [e for e in charged if e["name"].endswith("_wave")]
     passes = [e for e in charged if e["name"].endswith(("_reverse", "_replay"))]
-    assert summary.routes_learned == len(waves) > 0
-    assert summary.route_wire_edges == sum(e["args"]["messages"] for e in waves)
-    assert summary.routes_learned + summary.routes_reused == len(passes) // 2
-    assert summary.routes_reused > 0
+    learned, wire, forest, reused = report.routes
+    assert learned == len(waves) > 0
+    assert wire == sum(e["args"]["messages"] for e in waves)
+    assert learned + reused == len(passes) // 2
+    assert reused > 0
     reused_forest = sum(
         e["args"]["forest"] for e in tracer.events
         if e["name"] == "pa.route" and e["args"]["outcome"] == "reused"
     )
-    assert summary.route_forest_edges < summary.route_wire_edges
-    assert (
-        2 * summary.route_wire_edges + summary.route_forest_edges
-        + 2 * reused_forest
-    ) == sum(e["args"]["messages"] for e in waves + passes)
+    assert forest < wire
+    assert 2 * wire + forest + 2 * reused_forest == sum(
+        e["args"]["messages"] for e in waves + passes
+    )
 
 
 def test_trace_replays_random_graph_partitions():

@@ -193,7 +193,7 @@ def test_tainted_mst_attempt_charges_its_tree_election_once():
     assert (len(main.phases()), main.rounds, main.messages) == (132, 387, 3612)
 
 
-@pytest.mark.parametrize("opt_ins", [{}, {"reuse": True, "batch": True}])
+@pytest.mark.parametrize("opt_ins", [{}, {"reuse": True}])
 @pytest.mark.parametrize("victim", [0, 2, 12])
 def test_crash_between_two_solves_on_one_setup(victim, opt_ins):
     """Only a setup's first solve runs a token wave, so no coverage scan
