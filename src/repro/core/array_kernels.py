@@ -37,10 +37,12 @@ from ..congest.engine import ArrayProgram
 from ..congest.message import TAG_BITS, TUPLE_OVERHEAD_BITS
 from ..congest.network import Network
 from .aggregation import (
+    AND,
     MAX,
     MAX_TUPLE,
     MIN,
     MIN_TUPLE,
+    OR,
     SUM,
     SUM_TUPLE,
     Aggregation,
@@ -356,19 +358,24 @@ def fold_op(
     unless: MIN / MAX and their ``_TUPLE`` spellings, which are Python's
     ``min`` / ``max`` and order bare ints, bools and equal-shape tuples
     alike; SUM over bare ints; SUM_TUPLE over untagged int tuples,
-    componentwise.  A fold needs every magnitude (for a sum: each
-    column's total) below 2**62, so that sentinels, sums and packed keys
-    stay exact in int64.
+    componentwise; OR / AND over bare ints that are all 0 or 1, where they
+    are ``max`` / ``min`` (any other value, a bool included, is left to
+    the combine that normalises it: ``non_int``).  A fold needs every
+    magnitude (for a sum: each column's total) below 2**62, so that
+    sentinels, sums and packed keys stay exact in int64.
     """
-    if agg is MIN or agg is MIN_TUPLE:
+    if agg is MIN or agg is MIN_TUPLE or agg is AND:
         op = "min"
-    elif agg is MAX or agg is MAX_TUPLE:
+    elif agg is MAX or agg is MAX_TUPLE or agg is OR:
         op = "max"
     elif agg is SUM or agg is SUM_TUPLE:
         op = "sum"
     else:
         raise KernelDecline("unsupported_agg")
     values = PayloadColumns.pack(payloads)
+    if agg is OR or agg is AND:
+        if not values.bare or values.is_bool[0] or (values.cols[0] >> 1).any():
+            raise KernelDecline("non_int")
     if op == "sum":
         addable = values.bare if agg is SUM else (
             not values.bare and values.tag is None

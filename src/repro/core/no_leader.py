@@ -73,7 +73,10 @@ def PASuperOps(
         heard = pa("bc", values, MIN).value_at_node
         return [heard[v] for v in at.tolist()]
 
-    def gather(values: Sequence[object], agg: Aggregation) -> Dict[int, object]:
+    def gather(
+        values: Sequence[object], agg: Aggregation, _listeners
+    ) -> Dict[int, object]:
+        # One solve covers every part, whoever listens.
         return pa("pa", values, agg).aggregates
 
     return SuperOps(

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -262,13 +262,14 @@ class SuperOps:
       values (used for predecessor colors in the shift-down steps).
 
     Whatever a super-node is, a push is the same three metered steps: the
-    leaders' values *spread* to the members, one round across the chosen
-    edges (or their reversals), and what arrived is *gathered* at the
-    leaders.  The transport supplies the first and the last:
-    ``spread(value_of, at)`` is what each node of the array ``at`` heard
-    from its super-node's leader, given ``{sid: value}``, and
-    ``gather(values, agg)`` the ``{sid: aggregate}`` of per-node values —
-    over sub-part trees (:func:`TreeSuperOps`) or by PA solves
+    publishing leaders' values *spread* to their members, one round across
+    the publishers' chosen edges (or their reversals), and what arrived is
+    *gathered* at the leaders.  The transport supplies the first and the
+    last: ``spread(value_of, at)`` is what each node of the array ``at``
+    heard from its super-node's leader, given ``{sid: value}``, and
+    ``gather(values, agg, listeners)`` the ``{sid: aggregate}`` of per-node
+    values at the super-nodes ``listeners`` (``None``: every one) — over
+    sub-part trees (:func:`TreeSuperOps`) or by PA solves
     (:func:`~repro.core.no_leader.PASuperOps`).  ``leaders`` maps every
     super-node id to its leader node.
     """
@@ -277,7 +278,9 @@ class SuperOps:
     net: Network
     leaders: Dict[int, int]
     spread: Callable[[Dict[int, object], np.ndarray], Sequence[object]]
-    gather: Callable[[Sequence[object], Aggregation], Dict[int, object]]
+    gather: Callable[
+        [Sequence[object], Aggregation, Optional[Set[int]]], Dict[int, object]
+    ]
     chosen: Dict[int, SuperEdge]
     ledger: CostLedger
     prefix: str
@@ -312,15 +315,18 @@ class SuperOps:
     def _push(
         self,
         value_of: Dict[int, object],
-        edges: Tuple[List[int], np.ndarray, np.ndarray],
         tag: str,
         agg: Aggregation,
+        listeners: Optional[Set[int]] = None,
     ) -> Dict[int, object]:
-        """Spread ``value_of`` inside the super-nodes, send what the source
-        of each publishing super-node's edge then holds across it, and
-        gather what arrived.
+        """Spread ``value_of`` inside its super-nodes, send what the source
+        of each publishing super-node's edge (``tag`` "up") or reversed
+        edge ("down") then holds across it, and gather what arrived at the
+        super-nodes ``listeners`` (``None``: every one).
         """
-        sids, src, dst = edges
+        if tag == "down" and self._down is None:
+            self.announce_requests()
+        sids, src, dst = self._up if tag == "up" else self._down
         publishing = np.fromiter(
             map(value_of.__contains__, sids), dtype=bool, count=len(sids)
         )
@@ -331,16 +337,14 @@ class SuperOps:
             self.engine, (src, dst, tag_payloads(tag, heard)),
             self.ledger, name=f"{self.prefix}_cross_{tag}",
         )
-        at_leader = self.gather(cross.merged(agg, self.net.n), agg)
+        at_leader = self.gather(cross.merged(agg, self.net.n), agg, listeners)
         return {sid: val for sid, val in at_leader.items() if val is not None}
 
     def push_up(self, value_of: Dict[int, object], agg: Aggregation) -> Dict[int, object]:
-        return self._push(value_of, self._up, "up", agg)
+        return self._push(value_of, "up", agg)
 
     def push_down(self, value_of: Dict[int, object]) -> Dict[int, object]:
-        if self._down is None:
-            self.announce_requests()
-        return self._push(value_of, self._down, "down", MIN)
+        return self._push(value_of, "down", MIN)
 
     def push_pred(self, value_of: Dict[int, object], agg: Aggregation) -> Dict[int, object]:
         return self.push_up(value_of, agg)
@@ -355,75 +359,66 @@ def compute_star_joining(
     a chosen edge in ``ops.chosen``.  Targets outside ``participants``
     (e.g. already-complete sub-parts) are receivers by default.  Every
     participant ends up either a receiver or a joiner.
+
+    A super-node speaks only when a listener lacks what it says: only a
+    fresh receiver publishes its status, only an undecided super-node its
+    color, and after the in-degree count (which every super-node hears,
+    picked or not) a push gathers only at the super-nodes still undecided.
+    Every decision reads what arrived: a super-node has a successor in the
+    residual chains exactly when a color came down its chosen edge.
     """
     edges = ops.chosen
-    target_of = {sid: edges[sid][2] for sid in participants}
 
-    # Line 3: in-degree >= 2 (among participants) makes a receiver; any
-    # non-participant target is a receiver outright.
-    indeg = ops.push_up({sid: 1 for sid in participants}, SUM)
+    # Line 3: in-degree >= 2 (among participants) makes a receiver, and so
+    # does being picked at all by a participant when not one yourself.
+    indeg = ops.push_up(dict.fromkeys(participants, 1), SUM)
     receivers: Set[int] = {
-        sid for sid, count in indeg.items() if count is not None and count >= 2
+        sid for sid, count in indeg.items()
+        if count >= 2 or sid not in participants
     }
-    receivers.update(
-        target for target in target_of.values() if target not in participants
-    )
-
     joins: Dict[int, SuperEdge] = {}
-    supernodes = ops.leaders.keys()
 
-    def absorb_joiners(residual: Set[int]) -> Set[int]:
-        """Participants pointing at a receiver become joiners (line 4/9)."""
-        status = dict.fromkeys(supernodes, 0)
-        status.update(dict.fromkeys(receivers & status.keys(), 1))
-        target_status = ops.push_down(status)
-        new_joiners = {
-            sid
-            for sid in residual
-            if sid not in receivers and target_status.get(sid) == 1
-        }
-        for sid in new_joiners:
-            joins[sid] = edges[sid]
-        return residual - new_joiners - receivers
+    def absorb(undecided: Set[int], fresh: Set[int]) -> Set[int]:
+        """Undecided super-nodes pointing at a fresh receiver join it (lines
+        4 and 9); the rest of ``undecided`` is returned.  A fresh receiver's
+        members hear its status in the spread, so the others gather.
+        """
+        listeners = undecided - fresh
+        heard = ops._push(dict.fromkeys(fresh, 1), "down", MIN, listeners)
+        joiners = {sid for sid in listeners if sid in heard}
+        joins.update((sid, edges[sid]) for sid in joiners)
+        return listeners - joiners
 
-    residual = absorb_joiners(set(participants))
+    residual = absorb(set(participants), receivers)
 
     # Lines 6-9: the residual functional graph has in/out degree <= 1;
     # 3-color it with Cole-Vishkin and resolve the color classes in turn.
     if residual:
         colors = {sid: ops.initial_color(sid) for sid in residual}
-        has_successor = {sid: target_of[sid] in residual for sid in residual}
-        # Every super-node publishes each step (-1 outside the residual),
-        # but only the residual's colors ever change.
-        published = dict.fromkeys(supernodes, -1)
 
-        def successor_colors() -> Dict[int, object]:
-            published.update(colors)
-            succ = ops.push_down(published)
-            return {
-                sid: succ.get(sid) if live else None
-                for sid, live in has_successor.items()
-            }
+        def neighbor_colors(tag: str) -> Dict[int, object]:
+            return ops._push(colors, tag, MIN, residual)
 
         for _ in range(cv_iterations_needed(max(colors.values()))):
-            succ_colors = successor_colors()
+            succ_colors = neighbor_colors("down")
             colors = {
-                sid: cv_step(color, succ_colors[sid])
+                sid: cv_step(color, succ_colors.get(sid))
                 for sid, color in colors.items()
             }
         for high in (5, 4, 3):
-            succ_colors = successor_colors()
-            pred_colors = ops.push_pred(colors, MIN)
+            succ_colors = neighbor_colors("down")
+            pred_colors = neighbor_colors("up")
             colors = {
                 sid: shift_down_step(
-                    color, pred_colors.get(sid), succ_colors[sid], high
+                    color, pred_colors.get(sid), succ_colors.get(sid), high
                 )
                 for sid, color in colors.items()
             }
 
         for k in (0, 1, 2):
-            receivers.update(sid for sid in residual if colors[sid] == k)
-            residual = absorb_joiners(residual)
+            fresh = {sid for sid in residual if colors[sid] == k}
+            receivers |= fresh
+            residual = absorb(residual, fresh)
             if not residual:
                 break
 
@@ -443,19 +438,25 @@ def TreeSuperOps(
     """:class:`SuperOps` over sub-part spanning trees (Algorithm 6).
 
     Super-nodes are the trees of ``forest``, led by their roots: a spread
-    is a tree broadcast, a gather a convergecast.
+    is a broadcast in the publishers' trees, a gather a convergecast in the
+    listeners' (:meth:`~repro.core.trees.RootedForest.restrict`).
     """
+    trees: Dict[Optional[FrozenSet[int]], RootedForest] = {None: forest}
 
     def spread(value_of: Dict[int, object], at: np.ndarray) -> Sequence[object]:
         return run_broadcast(
-            engine, forest,
-            {sid: value_of[sid] for sid in forest.roots if sid in value_of},
-            ledger, name=f"{phase_prefix}_broadcast",
+            engine, forest, value_of, ledger, name=f"{phase_prefix}_broadcast",
         ).received_at(at)
 
-    def gather(values: Sequence[object], agg: Aggregation) -> Dict[int, object]:
+    def gather(
+        values: Sequence[object], agg: Aggregation,
+        listeners: Optional[Set[int]],
+    ) -> Dict[int, object]:
+        key = None if listeners is None else frozenset(listeners)
+        if key not in trees:
+            trees[key] = forest.restrict(key)
         return run_convergecast(
-            engine, forest, agg, values,
+            engine, trees[key], agg, values,
             ledger, name=f"{phase_prefix}_convergecast",
         ).at_root
 

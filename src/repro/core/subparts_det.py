@@ -9,7 +9,7 @@ completed trees stay O~(D) deep (Lemma 6.4's diameter argument).
 
 Each iteration runs, all on the engine:
 
-1. a neighbor announce round (every node tells in-part neighbors its
+1. a neighbor announce round (a node tells its in-part neighbors its
    sub-part id and completeness — the node-local knowledge lines 6-9 of
    Algorithm 6 presuppose);
 2. a convergecast per incomplete sub-part choosing an outgoing edge,
@@ -23,6 +23,13 @@ Each iteration runs, all on the engine:
    re-orienting along the flood, attaches under the receiver, and adopts
    the receiver's identity and completeness;
 6. a size convergecast + completeness broadcast (line 15).
+
+A node speaks only on news.  After the first announce it re-announces
+only a pair that changed, and its neighbors keep what they last heard.
+The sweeps of steps 2 and 6 run only in incomplete sub-parts: completeness
+never reverts, and every member of a complete sub-part heard so (in step
+6, in step 2's isolation broadcast, or in the merge flood that brought it
+in).
 
 O(log n) iterations suffice (a constant fraction of incomplete sub-parts
 merge per iteration, Lemma 6.3); the loop enforces a 3 log2 n + 8 cap and
@@ -115,16 +122,21 @@ def build_subpart_division_deterministic(
     part_of = np.asarray(partition.part_of, dtype=np.int64)
     in_part = part_of[arrays.src_of_slot] == part_of[arrays.adj]
     ann_src, ann_dst = arrays.src_of_slot[in_part], arrays.adj[in_part]
+    # What each node last announced, and what it last heard from each
+    # in-part neighbor: one row per edge, receiver-major (``me`` hears
+    # ``nb``), as the round delivers them.  A row never heard offers nothing.
+    said = None
+    heard_key = np.sort(ann_dst * n + ann_src)
+    me, nb = heard_key // n, heard_key % n
+    nb_heard = np.zeros(heard_key.size, dtype=bool)
+    nb_rep_uid = np.zeros(heard_key.size, dtype=np.int64)
+    nb_done = np.zeros(heard_key.size, dtype=bool)
 
     ones = PayloadColumns([np.ones(n, dtype=np.int64)], bare=True)
 
     parent: List[int] = [ROOT] * n
     rep_of: List[int] = list(range(n))
     complete: List[bool] = [False] * n
-    #: roots of sub-parts that span their entire part: complete regardless
-    #: of size, and permanently (their root survives all later merges
-    #: because spanning sub-parts never join anyone).
-    spans_part: Set[int] = set()
 
     max_iterations = 3 * ceil_log2(n) + 8
     iteration = 0
@@ -137,44 +149,53 @@ def build_subpart_division_deterministic(
         forest = RootedForest(net, parent)
 
         # Completeness by size (line 15) -- convergecast sizes, then
-        # broadcast the verdict so every member knows its flag.
+        # broadcast the verdict so every member knows its flag; in the
+        # incomplete sub-parts only.
+        sizing = forest.restrict(r for r in forest.roots if not complete[r])
         sizes = run_convergecast(
-            engine, forest, SUM, ones, ledger, name="det_sizes"
+            engine, sizing, SUM, ones, ledger, name="det_sizes"
         ).at_root
-        changed = {}
-        for sid, size in sizes.items():
-            verdict = bool(size >= threshold) or sid in spans_part
-            changed[sid] = verdict
         flags = run_broadcast(
-            engine, forest, {sid: ("cpl", flag) for sid, flag in changed.items()},
+            engine, sizing,
+            {sid: ("cpl", size >= threshold) for sid, size in sizes.items()},
             ledger, name="det_complete_flags",
         ).received
         for v, payload in flags.items():
             complete[v] = payload[1]
 
-        if all(complete[v] for v in range(n)):
+        if all(complete):
             break
 
-        # 1. Announce (sub-part id, completeness) to in-part neighbors.
+        # 1. Announce (sub-part id, completeness) to in-part neighbors: all
+        # of it the first time, afterwards only the pairs that changed.
         rep_uids = uid[np.asarray(rep_of, dtype=np.int64)]
         done = np.asarray(complete, dtype=bool)
-        nb, me, heard = cross_round(
+        src, dst = ann_src, ann_dst
+        if said is not None:
+            news = ((rep_uids != said[0]) | (done != said[1]))[src]
+            src, dst = src[news], dst[news]
+        said = rep_uids, done
+        sender, receiver, heard = cross_round(
             engine,
             (
-                ann_src, ann_dst,
+                src, dst,
                 PayloadColumns(
-                    [rep_uids[ann_src], done[ann_src]], (False, True), tag="nb"
+                    [rep_uids[src], done[src]], (False, True), tag="nb"
                 ),
             ),
             ledger, name="det_announce",
         ).delivered
-        nb_rep_uid, nb_done = heard.cols
+        rows = np.searchsorted(heard_key, receiver * n + sender)
+        nb_rep_uid[rows], nb_done[rows] = heard.cols
+        nb_heard[rows] = True
 
         # 2. Choose outgoing edges: prefer incomplete targets (lines 6-9).
         # Each incomplete node offers the least (target complete?, own
         # uid, neighbor uid) over its neighbors in other sub-parts: with
         # the rows sorted that way, the first row of each node.
-        rows = np.flatnonzero(~done[me] & (nb_rep_uid != rep_uids[me]))
+        rows = np.flatnonzero(
+            nb_heard & ~done[me] & (nb_rep_uid != rep_uids[me])
+        )
         rows = rows[np.lexsort((uid[nb[rows]], nb_done[rows], me[rows]))]
         first = np.ones(rows.size, dtype=bool)
         first[1:] = me[rows[1:]] != me[rows[:-1]]
@@ -182,17 +203,16 @@ def build_subpart_division_deterministic(
         offers = PayloadColumns(
             [nb_done[rows], uid[me[rows]], uid[nb[rows]]]
         ).scatter(n, me[rows])
+        choosing = sizing.restrict(r for r in sizing.roots if not complete[r])
         chosen_at_rep = run_convergecast(
-            engine, forest, MIN_TUPLE, offers, ledger, name="det_choose"
+            engine, choosing, MIN_TUPLE, offers, ledger, name="det_choose"
         ).at_root
 
         # Sub-parts with no outgoing in-part edge span their part: complete.
         isolated = {
-            sid for sid in forest.roots
-            if not complete[sid] and chosen_at_rep.get(sid) is None
+            sid for sid in choosing.roots if chosen_at_rep.get(sid) is None
         }
         if isolated:
-            spans_part.update(isolated)
             flags = run_broadcast(
                 engine, forest, {sid: ("cpl", True) for sid in isolated},
                 ledger, name="det_isolated_complete",
@@ -202,9 +222,7 @@ def build_subpart_division_deterministic(
 
         participants_edges: Dict[int, SuperEdge] = {}
         bcast_values = {}
-        for sid in forest.roots:
-            if complete[sid] or sid in isolated:
-                continue
+        for sid in choosing.roots:
             choice = chosen_at_rep.get(sid)
             if choice is None:
                 continue

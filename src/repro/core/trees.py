@@ -13,6 +13,7 @@ establish — so engine programs may read ``forest.parent[v]`` inside
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -62,46 +63,92 @@ class ForestPlan:
     __slots__ = (
         "parent", "depth", "order", "by_level", "level_starts", "levels",
         "root_of", "senders", "sender_parents", "send_groups", "root_fire",
+        "_send_tick",
     )
 
     def __init__(
         self, parent: np.ndarray, depth: np.ndarray, order: np.ndarray
     ) -> None:
-        self.parent = parent
-        self.depth = depth
-        self.order = order
         below = np.flatnonzero(parent >= 0)
-        self.by_level = below[np.argsort(depth[below], kind="stable")]
-        height = int(depth[self.by_level[-1]]) if below.size else 0
-        self.level_starts = np.searchsorted(
-            depth[self.by_level], np.arange(1, height + 2)
+        self._index(
+            parent, depth, order,
+            below[np.argsort(depth[below], kind="stable")],
         )
-        self.levels: List[Tuple[np.ndarray, np.ndarray]] = []
-        lo = 0
-        for hi in self.level_starts[1:].tolist():
-            nodes = self.by_level[lo:hi]
-            self.levels.append((nodes, parent[nodes]))
-            lo = hi
-
         root_of = np.arange(parent.size, dtype=np.int64)
         for nodes, parents in self.levels:
             root_of[nodes] = root_of[parents]
-        self.root_of = root_of
-
         send_tick = np.zeros(parent.size, dtype=np.int64)
         for nodes, parents in reversed(self.levels):
             np.maximum.at(send_tick, parents, send_tick[nodes] + 1)
         # ``below`` is node-ascending, so a stable sort by tick leaves each
         # tick's senders ascending: the order the scalar nodes fire in.
-        ticks = send_tick[below]
-        by_tick = np.argsort(ticks, kind="stable")
-        self.senders = below[by_tick]
-        self.sender_parents = parent[self.senders]
-        self.send_groups = np.searchsorted(
-            ticks[by_tick], np.arange(height + 2)
-        )
         roots = np.flatnonzero(parent == ROOT)
-        self.root_fire = roots[np.argsort(send_tick[roots], kind="stable")]
+        self._schedule(
+            root_of, send_tick,
+            below[np.argsort(send_tick[below], kind="stable")],
+            roots[np.argsort(send_tick[roots], kind="stable")],
+        )
+
+    def _index(self, parent, depth, order, by_level) -> None:
+        self.parent = parent
+        self.depth = depth
+        self.order = order
+        self.by_level = by_level
+        height = int(depth[by_level[-1]]) if by_level.size else 0
+        self.level_starts = np.searchsorted(
+            depth[by_level], np.arange(1, height + 2)
+        )
+        self.levels: List[Tuple[np.ndarray, np.ndarray]] = []
+        lo = 0
+        for hi in self.level_starts[1:].tolist():
+            nodes = by_level[lo:hi]
+            self.levels.append((nodes, parent[nodes]))
+            lo = hi
+
+    def _schedule(self, root_of, send_tick, senders, root_fire) -> None:
+        self.root_of = root_of
+        self._send_tick = send_tick
+        self.senders = senders
+        self.sender_parents = self.parent[senders]
+        self.send_groups = np.searchsorted(
+            send_tick[senders], np.arange(len(self.levels) + 2)
+        )
+        self.root_fire = root_fire
+
+    def restrict(self, keep: np.ndarray) -> "ForestPlan":
+        """The plan of the trees whose members ``keep`` marks.
+
+        Every tree is kept or dropped whole, so depths, subtree heights
+        and every order above survive as they are: each array is this
+        plan's, filtered — nothing is sorted or folded again.
+        """
+        plan = ForestPlan.__new__(ForestPlan)
+        plan._index(
+            np.where(keep, self.parent, ABSENT),
+            np.where(keep, self.depth, -1),
+            self.order[keep[self.order]],
+            self.by_level[keep[self.by_level]],
+        )
+        plan._schedule(
+            np.where(keep, self.root_of, np.arange(keep.size)),
+            self._send_tick,
+            self.senders[keep[self.senders]],
+            self.root_fire[keep[self.root_fire]],
+        )
+        return plan
+
+
+def _group_children(parent: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """``(grouped, starts, counts)``: every non-root member, grouped by its
+    parent — node ``p``'s children are ``grouped[starts[p]:][:counts[p]]``,
+    ascending (the members are, and the sort by parent is stable).
+    """
+    children = np.flatnonzero(parent >= 0)
+    grouped = children[np.argsort(parent[children], kind="stable")]
+    counts = np.bincount(parent[children], minlength=parent.size)
+    starts = np.zeros(parent.size, dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    return grouped, starts, counts
 
 
 class RootedForest:
@@ -113,8 +160,8 @@ class RootedForest:
         ``parent[v]`` is v's parent node, :data:`ROOT` for roots, and
         :data:`ABSENT` for nodes outside the forest.
     children:
-        ``children[v]`` is the tuple of v's children (empty for absent
-        nodes).
+        ``children[v]`` is the tuple of v's children, ascending (empty for
+        leaves and absent nodes); built on first read.
     depth:
         Hop distance to the tree root (0 for roots, -1 for absent nodes).
     roots:
@@ -130,32 +177,22 @@ class RootedForest:
         n = net.n
         parr = np.asarray(self.parent, dtype=np.int64)
         child_nodes = np.flatnonzero(parr >= 0)
-        for v in child_nodes.tolist():
-            p = self.parent[v]
-            if not net.has_edge(v, p):
-                raise ValueError(
-                    f"forest parent edge ({v}, {p}) is not a network edge"
-                )
+        cparents = parr[child_nodes]
+        # Every parent edge is a network edge: one lookup of the directed
+        # keys in the network's sorted key table.
+        table = net.array_views.edge_keys
+        keys = child_nodes * n + cparents
+        pos = table.searchsorted(keys)
+        edge = (cparents < n) & (pos < table.size)
+        edge[edge] = table[pos[edge]] == keys[edge]
+        if not edge.all():
+            v = int(child_nodes[np.argmin(edge)])
+            raise ValueError(
+                f"forest parent edge ({v}, {self.parent[v]}) is not a network edge"
+            )
         self.roots: Tuple[int, ...] = tuple(np.flatnonzero(parr == ROOT).tolist())
 
-        # Children grouped by parent: child_nodes is ascending, so a stable
-        # sort by parent keeps each group ascending — the per-node sorted()
-        # of the scalar construction.
-        cparents = parr[child_nodes]
-        grouped = child_nodes[np.argsort(cparents, kind="stable")]
-        counts = (
-            np.bincount(cparents, minlength=n)
-            if child_nodes.size
-            else np.zeros(n, dtype=np.int64)
-        )
-        starts = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            starts[1:] = np.cumsum(counts)[:-1]
-        grouped_list = grouped.tolist()
-        self.children: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(grouped_list[s:s + c])
-            for s, c in zip(starts.tolist(), counts.tolist())
-        )
+        self._grouped = grouped, starts, counts = _group_children(parr)
 
         # Level-synchronous BFS from the roots; each level expands in parent
         # order with children ascending, matching the scalar FIFO order.
@@ -177,20 +214,67 @@ class RootedForest:
             cur = grouped[np.repeat(starts[cur], cc) + within]
             level += 1
         order = (
-            np.concatenate(order_parts).tolist() if order_parts else []
+            np.concatenate(order_parts) if order_parts
+            else np.empty(0, dtype=np.int64)
         )
-        self.depth: Tuple[int, ...] = tuple(depth.tolist())
-        #: Topological (BFS) order from the roots: parents precede children.
-        self.order: Tuple[int, ...] = tuple(order)
+        if order.size != int((parr != ABSENT).sum()):
+            raise ValueError("parent pointers contain a cycle")
+        self._columns = (parr, depth, order)
         self._plan: Optional[ForestPlan] = None
         self._root_list: Optional[List[int]] = None
         # The forest is immutable, so its height is fixed at construction
         # (the BFS order visits deepest nodes last).
-        self._height: int = self.depth[order[-1]] if order else 0
+        self._height: int = level if order.size else 0
 
-        in_forest = int((parr != ABSENT).sum())
-        if len(order) != in_forest:
-            raise ValueError("parent pointers contain a cycle")
+    # The tuple views of the columns and the child lists, built on first
+    # read (a forest made by :meth:`restrict` is often only ever run on
+    # the array path).
+    @cached_property
+    def depth(self) -> Tuple[int, ...]:
+        return tuple(self._columns[1].tolist())
+
+    @cached_property
+    def order(self) -> Tuple[int, ...]:
+        """Topological (BFS) order from the roots: parents precede children."""
+        return tuple(self._columns[2].tolist())
+
+    @cached_property
+    def parent(self) -> Tuple[int, ...]:
+        return tuple(self._columns[0].tolist())
+
+    @cached_property
+    def children(self) -> Tuple[Tuple[int, ...], ...]:
+        grouped, starts, counts = (
+            self._grouped or _group_children(self._columns[0])
+        )
+        grouped_list = grouped.tolist()
+        return tuple(
+            tuple(grouped_list[s:s + c])
+            for s, c in zip(starts.tolist(), counts.tolist())
+        )
+
+    def restrict(self, roots: Iterable[int]) -> "RootedForest":
+        """The trees of this forest rooted at ``roots``; every other node
+        is absent.
+
+        Its plan is this forest's, filtered (:meth:`ForestPlan.restrict`):
+        a phase run over some of the trees costs no search, sort or check
+        that running it over all of them did not.
+        """
+        plan = self.plan
+        keep = np.zeros(self.net.n, dtype=bool)
+        keep[np.fromiter(roots, dtype=np.int64)] = True
+        keep = keep[plan.root_of] & (plan.parent != ABSENT)
+        sub = plan.restrict(keep)
+        forest = RootedForest.__new__(RootedForest)
+        forest.net = self.net
+        forest.roots = tuple(np.flatnonzero(sub.parent == ROOT).tolist())
+        forest._grouped = None
+        forest._columns = (sub.parent, sub.depth, sub.order)
+        forest._plan = sub
+        forest._root_list = None
+        forest._height = len(sub.levels)
+        return forest
 
     # ------------------------------------------------------------------
     def member(self, v: int) -> bool:
@@ -217,10 +301,7 @@ class RootedForest:
         is never invalidated, and it is never shared with another forest.
         """
         if self._plan is None:
-            self._plan = ForestPlan(*(
-                np.asarray(column, dtype=np.int64)
-                for column in (self.parent, self.depth, self.order)
-            ))
+            self._plan = ForestPlan(*self._columns)
         return self._plan
 
     def root_of(self, v: int) -> int:

@@ -25,7 +25,15 @@ CDS literals were recaptured when its connection loop began to join by
 rank under a public seed (PR 23: ``cds_seed`` once, ``cds_pick`` alone
 where ``cds_pickcoins`` / ``cds_pick`` + ``cds_coins`` ran, the exchange
 on the wire as ``cds_target_exchange``, fewer rounds of all of it); the
-star-joining loops did not move.
+star-joining loops did not move.  The sixteen star-joining literals were
+recaptured when Algorithms 5 and 6 began to speak only on news (a fresh
+receiver publishes its status and an undecided super-node its color; a
+node re-announces a changed label only; the division's sweeps skip its
+complete sub-parts): phase for phase the same names, and only
+``*_cross_down``, the division's ``det_*`` phases inside a setup and the
+``*_replay`` / ``*_reverse`` of the solves behind a push fell — no phase
+rose, every other one is equal with ticks and bits (CHANGES lists old ->
+new).
 """
 
 import hashlib
@@ -82,29 +90,29 @@ def _alg9(net, session):
 #: (algorithm, mode, graph, session) -> (phases, rounds, messages, digest).
 EXPECTED = {
     ('mst-star', 'deterministic', 'grid7x8', 'plain'):
-        (661, 1377, 19140, 'b21d2b25266f936b'),
+        (661, 1312, 12385, '385a93e4a5904425'),
     ('mst-star', 'deterministic', 'grid7x8', 'reuse+batch'):
-        (226, 600, 7694, '0d5b83ce92356952'),
+        (226, 589, 7121, 'bc814b875a3f1d5e'),
     ('mst-star', 'deterministic', 'reg60', 'plain'):
-        (1014, 3185, 33756, '61866c064be41ce7'),
+        (1014, 3065, 24488, 'f6bd71e02e3ef9ad'),
     ('mst-star', 'deterministic', 'reg60', 'reuse+batch'):
-        (422, 1433, 17017, 'd265f7ccd625ce22'),
+        (422, 1413, 16104, '535fd72e6dbb8456'),
     ('kdom', 'randomized', 'grid7x8', 'plain'):
-        (114, 78, 2351, 'eb3fb8e62ec410b6'),
+        (114, 77, 1795, '7646f944de92a78a'),
     ('kdom', 'randomized', 'grid7x8', 'reuse+batch'):
-        (110, 74, 2425, 'ff67f8e779eba567'),
+        (110, 73, 1869, '04d52b66fb7db982'),
     ('kdom', 'randomized', 'reg60', 'plain'):
-        (194, 229, 5130, 'ce52f5cbd1405577'),
+        (194, 220, 4492, 'ef21f26ad15e1ab8'),
     ('kdom', 'randomized', 'reg60', 'reuse+batch'):
-        (188, 221, 5144, '950881f19daee19f'),
+        (188, 212, 4506, '480ab1c8368dc45d'),
     ('kdom', 'deterministic', 'grid7x8', 'plain'):
-        (290, 312, 6294, 'b61dbcf7ef369e15'),
+        (290, 304, 3785, 'edb2d6d9902eb647'),
     ('kdom', 'deterministic', 'grid7x8', 'reuse+batch'):
-        (118, 119, 2686, '64d9459c0878dee0'),
+        (118, 118, 2130, 'c56d8d60c19eaaea'),
     ('kdom', 'deterministic', 'reg60', 'plain'):
-        (481, 508, 11858, '0434951b8efc6319'),
+        (481, 481, 7599, '843a29071f9faac6'),
     ('kdom', 'deterministic', 'reg60', 'reuse+batch'):
-        (196, 242, 5383, 'e0550861aeba5793'),
+        (196, 233, 4745, 'ce9f2ff7402f7d82'),
     ('cds', 'randomized', 'grid7x8', 'plain'):
         (64, 408, 7841, '0b3dadf1f2dde2c8'),
     ('cds', 'randomized', 'grid7x8', 'reuse+batch'):
@@ -114,13 +122,13 @@ EXPECTED = {
     ('cds', 'randomized', 'reg60', 'reuse+batch'):
         (60, 179, 8189, '090c32e3a65e35b8'),
     ('alg9', 'randomized', 'grid7x8', 'plain'):
-        (366, 1053, 11596, '384947912cd1217b'),
+        (366, 1051, 10714, '507f9c23f42f491f'),
     ('alg9', 'randomized', 'reg60', 'plain'):
-        (283, 861, 10333, '80ac2c1c7ee6a373'),
+        (283, 861, 9496, 'b84244bd24d69e80'),
     ('alg9', 'deterministic', 'grid7x8', 'plain'):
-        (1140, 2674, 32059, '33e9438586fe37bc'),
+        (1140, 2526, 21295, '6edbdf7f80883b94'),
     ('alg9', 'deterministic', 'reg60', 'plain'):
-        (812, 1548, 22640, '2a59dff3aa51a24c'),
+        (812, 1481, 13862, 'd3ac860cdc052bd0'),
 }
 
 RUNS = {"mst-star": _mst_star, "kdom": _kdom, "cds": _cds, "alg9": _alg9}

@@ -19,10 +19,12 @@ from repro.algorithms import cc_labeling, minimum_spanning_tree
 from repro.analysis import kruskal_mst
 from repro.congest import CostLedger, Engine, Network, SynchronousSchedule
 from repro.core import (
+    AND,
     DETERMINISTIC,
     MAX,
     MIN,
     MIN_TUPLE,
+    OR,
     PASolver,
     RANDOMIZED,
     SUM,
@@ -307,3 +309,42 @@ def test_mixed_shape_values_decline_to_the_scalar_convergecast():
             e["args"] for e in tracer.events if e["name"] == "kernel_fallback"
         ] == ([{"phase": "mixed", "reason": "mixed_shape"}] if use_arrays else [])
     assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("agg", [OR, AND], ids=["or", "and"])
+def test_or_and_fold_zero_one_ints_on_the_kernel(agg):
+    """OR / AND over 0 / 1 ints are max / min on the convergecast kernel,
+    to the bit of the scalar program under the strict audit; any other
+    value (a bool, a 2) declines to it as ``non_int``."""
+    net = grid_2d(5, 6, uid_seed=2)
+    forest = PASolver(net, seed=2).tree
+    n = net.n
+    cases = (
+        ([v % 2 for v in range(n)], None),
+        ([None if v % 3 == 0 else int(v % 5 == 1) for v in range(n)], None),
+        ([int(agg is AND)] * n, None),
+        ([bool(v % 2) for v in range(n)], "non_int"),
+        ([v % 3 for v in range(n)], "non_int"),
+    )
+    for values, reason in cases:
+        outcomes = []
+        for use_arrays in (False, True):
+            ledger = CostLedger()
+            tracer = Tracer()
+            with use_tracer(tracer):
+                program = run_convergecast(
+                    Engine(net, use_arrays=use_arrays), forest, agg, values,
+                    ledger, name="flag",
+                )
+            partial = program.partial
+            outcomes.append((
+                program.at_root, partial, [type(v) for v in partial.values()],
+                [(p.name, p.rounds, p.messages, p.ticks, p.bits)
+                 for p in ledger.phases()],
+            ))
+            assert [
+                e["args"]["reason"] for e in tracer.events
+                if e["name"] == "kernel_fallback"
+            ] == ([reason] if use_arrays and reason else [])
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][3][0][4] > 0  # the audit counted the bits

@@ -10,7 +10,9 @@ engine (the commit before delay rows and the calendar queue), and moved
 once since, on purpose: a learning solve replays on the forest it just
 learned (PR 21), so the last record of each log — the one solve's
 ``pa_replay`` — carries fewer payloads and acks (CHANGES lists old ->
-new); every other record is the captured one.  The schedule table
+new); every other record is the captured one.  The deterministic log
+moved once more when Algorithms 5 and 6 began to speak only on news: its
+division records carry fewer acks and time units, and none rose.  The schedule table
 repeats ``bench_async::test_pa_schedules`` as committed in
 ``BENCH_baseline.json``.
 """
@@ -86,31 +88,31 @@ AGGREGATES = {0: 63, 1: 98, 2: 105, 3: 82, 4: 30}
 RANDOMIZED = [(70, 2, 560, 262), (14, 1, 80, 24), (46, 2, 400, 48), (2, 0, 0, 0),
  (38, 1, 320, 20), (2, 0, 0, 0), (45, 2, 400, 28), (42, 2, 400, 28),
  (43, 2, 400, 20)]
-DETERMINISTIC = [(70, 2, 560, 262), (14, 1, 80, 24), (2, 0, 0, 0), (2, 0, 0, 0),
- (14, 1, 80, 48), (2, 0, 0, 0), (2, 0, 0, 0), (2, 0, 0, 0), (14, 1, 80, 24),
- (2, 0, 0, 0), (14, 1, 80, 24), (2, 0, 0, 0), (2, 0, 0, 0), (13, 1, 80, 24),
- (2, 0, 0, 0), (2, 0, 0, 0), (13, 1, 80, 24), (2, 0, 0, 0), (2, 0, 0, 0),
- (13, 1, 80, 24), (2, 0, 0, 0), (2, 0, 0, 0), (13, 1, 80, 24), (2, 0, 0, 0),
- (2, 0, 0, 0), (13, 1, 80, 24), (2, 0, 0, 0), (2, 0, 0, 0), (13, 1, 80, 24),
- (2, 0, 0, 0), (2, 0, 0, 0), (13, 1, 80, 24), (2, 0, 0, 0), (2, 0, 0, 0),
- (12, 1, 80, 7), (2, 0, 0, 0), (2, 0, 0, 0), (13, 1, 80, 24), (2, 0, 0, 0),
- (2, 0, 0, 0), (12, 1, 80, 7), (2, 0, 0, 0), (2, 0, 0, 0), (13, 1, 80, 24),
+DETERMINISTIC = [(70, 2, 560, 262), (14, 1, 80, 24), (2, 0, 0, 0),
+ (2, 0, 0, 0), (14, 1, 80, 48), (2, 0, 0, 0), (2, 0, 0, 0), (2, 0, 0, 0),
+ (14, 1, 80, 24), (2, 0, 0, 0), (14, 1, 80, 24), (2, 0, 0, 0), (2, 0, 0, 0),
+ (13, 1, 80, 15), (2, 0, 0, 0), (2, 0, 0, 0), (12, 1, 80, 5), (2, 0, 0, 0),
+ (2, 0, 0, 0), (12, 1, 80, 5), (2, 0, 0, 0), (2, 0, 0, 0), (12, 1, 80, 5),
+ (2, 0, 0, 0), (2, 0, 0, 0), (12, 1, 80, 5), (2, 0, 0, 0), (2, 0, 0, 0),
+ (12, 1, 80, 5), (2, 0, 0, 0), (2, 0, 0, 0), (12, 1, 80, 5), (2, 0, 0, 0),
+ (2, 0, 0, 0), (12, 1, 80, 7), (2, 0, 0, 0), (2, 0, 0, 0), (12, 1, 80, 5),
  (2, 0, 0, 0), (2, 0, 0, 0), (12, 1, 80, 7), (2, 0, 0, 0), (2, 0, 0, 0),
- (13, 1, 80, 24), (2, 0, 0, 0), (14, 1, 80, 14), (14, 1, 80, 14),
- (13, 1, 80, 14), (14, 1, 80, 48), (14, 1, 80, 14), (13, 1, 80, 14),
+ (12, 1, 80, 5), (2, 0, 0, 0), (2, 0, 0, 0), (12, 1, 80, 7), (2, 0, 0, 0),
+ (2, 0, 0, 0), (12, 1, 80, 3), (2, 0, 0, 0), (14, 1, 80, 14), (14, 1, 80, 14),
+ (13, 1, 80, 14), (14, 1, 80, 20), (14, 1, 80, 14), (13, 1, 80, 14),
  (13, 1, 80, 10), (13, 1, 80, 14), (13, 1, 80, 10), (14, 1, 80, 14),
- (13, 1, 80, 14), (13, 1, 80, 10), (14, 1, 80, 14), (13, 1, 80, 14),
- (13, 1, 80, 10), (14, 1, 80, 14), (13, 1, 80, 14), (13, 1, 80, 10),
- (14, 1, 80, 14), (13, 1, 80, 14), (13, 1, 80, 10), (14, 1, 80, 14),
- (13, 1, 80, 14), (13, 1, 80, 10), (14, 1, 80, 14), (13, 1, 80, 14),
- (13, 1, 80, 10), (14, 1, 80, 14), (13, 1, 80, 14), (13, 1, 80, 10),
- (14, 1, 80, 14), (13, 1, 80, 8), (12, 1, 80, 4), (14, 1, 80, 14),
- (13, 1, 80, 14), (13, 1, 80, 10), (14, 1, 80, 14), (13, 1, 80, 8),
- (12, 1, 80, 4), (14, 1, 80, 14), (13, 1, 80, 14), (13, 1, 80, 10),
- (14, 1, 80, 14), (13, 1, 80, 8), (12, 1, 80, 4), (14, 1, 80, 14),
- (13, 1, 80, 14), (13, 1, 80, 10), (14, 1, 80, 14), (18, 1, 160, 13),
- (27, 1, 240, 20), (29, 1, 240, 20), (14, 1, 80, 48), (27, 1, 240, 20),
- (29, 1, 240, 20), (27, 1, 240, 20), (29, 1, 240, 20), (56, 2, 480, 24),
+ (11, 1, 80, 2), (12, 1, 80, 4), (14, 1, 80, 12), (13, 1, 80, 8),
+ (12, 1, 80, 4), (14, 1, 80, 8), (13, 1, 80, 8), (12, 1, 80, 4),
+ (14, 1, 80, 8), (13, 1, 80, 8), (12, 1, 80, 4), (14, 1, 80, 8),
+ (13, 1, 80, 8), (12, 1, 80, 4), (14, 1, 80, 8), (13, 1, 80, 8),
+ (12, 1, 80, 4), (14, 1, 80, 8), (13, 1, 80, 8), (12, 1, 80, 4),
+ (14, 1, 80, 8), (13, 1, 80, 8), (12, 1, 80, 4), (14, 1, 80, 8),
+ (13, 1, 80, 8), (12, 1, 80, 4), (14, 1, 80, 8), (13, 1, 80, 8),
+ (12, 1, 80, 4), (14, 1, 80, 8), (13, 1, 80, 8), (12, 1, 80, 4),
+ (14, 1, 80, 8), (13, 1, 80, 8), (12, 1, 80, 4), (14, 1, 80, 8),
+ (11, 1, 80, 5), (12, 1, 80, 2), (11, 1, 80, 3), (18, 1, 160, 13),
+ (27, 1, 240, 20), (29, 1, 240, 20), (13, 1, 80, 26), (27, 1, 240, 20),
+ (29, 1, 240, 20), (2, 0, 0, 0), (2, 0, 0, 0), (56, 2, 480, 24),
  (13, 1, 80, 24), (56, 2, 480, 24), (102, 2, 960, 40), (2, 0, 0, 0),
  (68, 2, 640, 36), (51, 2, 480, 36), (44, 2, 400, 20)]
 FAULTY_HEAD = [(72, 2, 536, 243), (55, 5, 200, 99), (84, 1, 640, 429), (86, 1, 640, 503)]
@@ -121,11 +123,13 @@ FAULTY_HEAD_REPORTS = [(33, 33, 8, 0, 0, 0), (17, 17, 8, 1, 1, 0), (115, 115, 0,
 #: 4243) before), and each first solve's replay on the forest it just
 #: learned since PR 21 (acks 3823 -> 3807: the plan has cleared by then,
 #: so the pulses and safes are equal and only the replays' payload acks
-#: fall; the faulty head above did not move either time).
+#: fall; the faulty head above did not move either time).  Its star
+#: joinings publish only news since: (2586, 5, 19296, 3807) -> (2567, 5,
+#: 19296, 3563), the head again unmoved.
 FAULTY_PHASES = 187
-FAULTY_TOTALS = (2586, 5, 19296, 3807)
+FAULTY_TOTALS = (2567, 5, 19296, 3563)
 FAULTY_SHA256 = (
-    "b030de4603ff2eaa99ab8c9ac38fe5b4771c06082d943e33efde19b008824316"
+    "6c72f547ce86974fd25af62fa24afc3a7dff296e835a4e52592332d419517575"
 )
 
 

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from repro.algorithms import minimum_spanning_tree
 from repro.analysis import kruskal_mst
 from repro.congest import CostLedger, Engine, Network
-from repro.core import MIN, MIN_TUPLE, PASolver, spanning_forest_of_subsets
+from repro.core import MIN, MIN_TUPLE, SUM, PASolver, spanning_forest_of_subsets
+from repro.core.cole_vishkin import cv_iterations_needed, cv_step, shift_down_step
 from repro.core.no_leader import PASuperOps
 from repro.core.star_joining import (
     NO_PICK,
@@ -415,3 +416,118 @@ def test_four_column_pick_fits_the_bit_budget(n, make):
     assert set(mst.output) == kruskal_mst(net)
     names = {p.name for p in mst.ledger.phases()}
     assert {"mst_seed", "mst_target_exchange"} <= names
+
+
+# ---------------------------------------------------------------------------
+# Algorithm 5 speaks only on news
+# ---------------------------------------------------------------------------
+
+def _placeholder_star_joining(ops, participants):
+    """Algorithm 5 as it ran before a super-node spoke only on news: every
+    super-node publishes a status (0 / 1) and a color (-1 outside the
+    residual), every push gathers everywhere, and a residual super-node's
+    successor is read off the pick graph itself.  The oracle for
+    :func:`compute_star_joining`."""
+    edges, supernodes = ops.chosen, list(ops.leaders)
+    target_of = {sid: edges[sid][2] for sid in participants}
+    indeg = ops.push_up(dict.fromkeys(participants, 1), SUM)
+    receivers = {sid for sid, count in indeg.items() if count >= 2}
+    receivers |= set(target_of.values()) - set(participants)
+    joins = {}
+
+    def absorb(residual):
+        heard = ops.push_down({s: int(s in receivers) for s in supernodes})
+        new = {s for s in residual - receivers if heard.get(s) == 1}
+        joins.update((s, edges[s]) for s in new)
+        return residual - new - receivers
+
+    residual = absorb(set(participants))
+    if residual:
+        colors = {s: ops.initial_color(s) for s in residual}
+        live = {s: target_of[s] in residual for s in residual}
+
+        def succ():
+            got = ops.push_down({**dict.fromkeys(supernodes, -1), **colors})
+            return {s: got.get(s) if live[s] else None for s in residual}
+
+        for _ in range(cv_iterations_needed(max(colors.values()))):
+            after = succ()
+            colors = {s: cv_step(c, after[s]) for s, c in colors.items()}
+        for high in (5, 4, 3):
+            after, before = succ(), ops.push_pred(colors, MIN)
+            colors = {
+                s: shift_down_step(c, before.get(s), after[s], high)
+                for s, c in colors.items()
+            }
+        for k in (0, 1, 2):
+            receivers |= {s for s in residual if colors[s] == k}
+            residual = absorb(residual)
+            if not residual:
+                break
+    assert not residual
+    return receivers, joins
+
+
+def _super_graph(targets, sizes):
+    """Groups of ``sizes[g]`` nodes (each a path) whose picks are network
+    edges, with a backbone between consecutive groups so that the network
+    is connected; returns the network, the groups and per group its pick
+    edge ``(u, v, target group)``."""
+    first = [sum(sizes[:g]) for g in range(len(sizes))]
+    groups = [list(range(f, f + size)) for f, size in zip(first, sizes)]
+    picks = {
+        g: (first[g] + t % sizes[g], first[t] + g % sizes[t], t)
+        for g, t in enumerate(targets) if t is not None
+    }
+    edges = {(a, a + 1) for group in groups for a in group[:-1]}
+    edges |= {tuple(sorted(pick[:2])) for pick in picks.values()}
+    edges |= {(a, b) for a, b in zip(first, first[1:])}
+    return Network(sorted(edges), n=sum(sizes)), groups, picks
+
+
+def _both_rules(make_ops, participants):
+    out = []
+    for rule in (compute_star_joining, _placeholder_star_joining):
+        ledger = CostLedger()
+        ops = make_ops(ledger)
+        ops.announce_requests()
+        out.append((rule(ops, set(participants)), ledger))
+    (got, spoke), (want, placeheld) = out
+    return got, want, spoke, placeheld
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=pick_graphs(), sizes=st.lists(st.integers(1, 3), min_size=24,
+                                           max_size=24))
+def test_news_only_star_joining_is_the_placeholder_rule(graph, sizes):
+    """Receivers and joins are those of the rule that published
+    placeholders, over sub-part trees and over PA parts alike; and
+    speaking only on news never costs more, in either currency."""
+    targets, _ids = graph
+    k = len(targets)
+    net, groups, picks = _super_graph(targets, sizes[:k])
+    forest = spanning_forest_of_subsets(net, groups)
+    root = [group[0] for group in groups]
+    chosen = {root[g]: (u, v, root[t]) for g, (u, v, t) in picks.items()}
+    got, want, spoke, placeheld = _both_rules(
+        lambda ledger: TreeSuperOps(Engine(net), net, forest, chosen, ledger),
+        chosen,
+    )
+    assert got == want
+    assert spoke.messages <= placeheld.messages
+    assert spoke.rounds <= placeheld.rounds
+
+    if k > 12:
+        return  # the PA transport: smaller pick graphs, same rule
+    solver = PASolver(net, seed=k)
+    parts = Partition([g for g, group in enumerate(groups) for _v in group])
+    got, want, spoke, placeheld = _both_rules(
+        # a setup each: the first solve on a setup learns its route
+        lambda ledger: PASuperOps(
+            solver.engine, solver.solve, solver.prepare(parts), picks, ledger
+        ),
+        picks,
+    )
+    assert got == want
+    assert spoke.messages <= placeheld.messages
+    assert spoke.rounds <= placeheld.rounds

@@ -1,9 +1,12 @@
 """RootedForest invariants and helpers."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import ABSENT, ROOT, RootedForest, forest_from_parent_map, spanning_forest_of_subsets
-from repro.graphs import grid_2d, path_graph
+from repro.graphs import grid_2d, path_graph, random_connected
 
 
 def test_single_tree_structure(path10):
@@ -109,3 +112,76 @@ def test_plans_are_never_shared_between_forests(path10):
     assert len(one.plan.levels) == 9 and len(other.plan.levels) == 4
     # An equal forest gets an equal plan of its own.
     assert twin.plan.senders.tolist() == one.plan.senders.tolist()
+
+
+def _random_forest(net, rng):
+    """A BFS tree of ``net`` cut into pieces: some nodes become roots and
+    a few of the roots leave, taking their descendants with them."""
+    tree = spanning_forest_of_subsets(net, [range(net.n)])
+    parent = list(tree.parent)
+    for v in tree.order:
+        p = parent[v]
+        if p >= 0 and (parent[p] == ABSENT or rng.random() < 0.3):
+            parent[v] = ABSENT if parent[p] == ABSENT else ROOT
+        elif p == ROOT and rng.random() < 0.2:
+            parent[v] = ABSENT
+    for v in tree.order:  # the descendants of a dropped node go with it
+        if parent[v] >= 0 and parent[parent[v]] == ABSENT:
+            parent[v] = ABSENT
+    return parent
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), density=st.floats(0.05, 0.4),
+       seed=st.integers(0, 10_000))
+def test_forest_columns_match_the_per_node_construction(n, density, seed):
+    rng = random.Random(seed)
+    net = random_connected(n, density, seed=seed)
+    parent = _random_forest(net, rng)
+    forest = RootedForest(net, parent)
+    assert forest.children == tuple(
+        tuple(c for c in range(n) if parent[c] == v) for v in range(n)
+    )
+    assert forest.roots == tuple(v for v in range(n) if parent[v] == ROOT)
+    # A restriction is the forest its parent pointers would build.
+    keep = {r for r in forest.roots if rng.random() < 0.5}
+    sub = forest.restrict(keep)
+    fresh = RootedForest(net, [
+        p if forest.member(v) and forest.root_of(v) in keep else ABSENT
+        for v, p in enumerate(parent)
+    ])
+    for attr in ("parent", "depth", "order", "roots", "children"):
+        assert getattr(sub, attr) == getattr(fresh, attr), attr
+    assert sub.height() == fresh.height()
+    for attr in ("by_level", "level_starts", "root_of", "senders",
+                 "sender_parents", "send_groups", "root_fire"):
+        assert getattr(sub.plan, attr).tolist() == getattr(
+            fresh.plan, attr
+        ).tolist(), attr
+
+    # The first offending (child, parent) in node order is named.
+    bad = [
+        (v, p) for v in range(n) for p in range(n + 2)
+        if not net.has_edge(v, p)
+    ]
+    if bad:
+        v, p = bad[rng.randrange(len(bad))]
+        broken = list(parent)
+        broken[v] = p
+        first = min(
+            u for u in range(n)
+            if broken[u] >= 0 and not net.has_edge(u, broken[u])
+        )
+        with pytest.raises(ValueError, match=(
+            rf"forest parent edge \({first}, {broken[first]}\) is not a "
+            "network edge"
+        )):
+            RootedForest(net, broken)
+
+
+def test_rejects_a_parent_outside_the_network_and_a_cycle_of_edges(path10):
+    # (0, 10) packs to the key of the edge (1, 0): still not an edge
+    with pytest.raises(ValueError, match=r"\(0, 10\) is not a network edge"):
+        RootedForest(path10, [10] + [ROOT] * 9)
+    with pytest.raises(ValueError, match="cycle"):
+        RootedForest(path10, [1, 0] + [ROOT] * 8)

@@ -206,11 +206,12 @@ def test_trace_replays_mst_ledger():
     with use_tracer(tracer):
         res = minimum_spanning_tree(net, seed=3)
     assert _event_totals(tracer) == (res.rounds, res.messages)
-    # the MST's tuple-valued solves and OR convergecast run scalar on the
-    # (default) array engine, and the trace says so without costing a unit
+    # the MST's tuple-valued solves run scalar on the (default) array
+    # engine, and the trace says so without costing a unit; its OR
+    # termination convergecast folds 0 / 1 ints on the kernel
     report = explain(tracer.events)
     assert report.degraded["kernel fallback, non_int"] > 0
-    assert report.degraded["kernel fallback, unsupported_agg"] > 0
+    assert "kernel fallback, unsupported_agg" not in report.degraded
     # one ``pa.route`` instant a solve: a learned one is a charged token
     # wave (its wire count the wave's messages) with a wire reversal and a
     # forest replay — 2 wire + forest; a reused one is a solve without a
