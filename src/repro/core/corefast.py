@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..congest.engine import Context, Engine, Inbox
 from ..congest.ledger import CostLedger
@@ -187,12 +189,12 @@ def build_shortcut_by_doubling(
     ledger: CostLedger,
     claim: Callable[..., Sequence[Set[int]]],
     verify_prefix: str,
-    randomized: bool,
     rng: Optional[random.Random],
     congestion_budget: Optional[int],
     block_target: Optional[int],
     max_iterations: Optional[int],
     grow_budget: bool,
+    carried: Optional[Tuple[Shortcut, Collection[int]]],
 ) -> ShortcutBuildResult:
     """The claim / verify / freeze loop both constructions share.
 
@@ -204,7 +206,8 @@ def build_shortcut_by_doubling(
     the current congestion budget and returns, per node, the parts
     admitted onto its parent edge.  Block parameters are then verified
     with the PA machinery itself (Lemma 4.5, phases
-    ``{verify_prefix}_{iteration}_*``); parts whose verified block
+    ``{verify_prefix}_{iteration}_*``, randomized iff there is an
+    ``rng``); parts whose verified block
     parameter is at most ``block_target`` freeze their claims, and the
     others retry under (if ``grow_budget``) a doubled budget — the
     doubling trick of Section 1.3.  The iteration cap force-freezes
@@ -213,6 +216,9 @@ def build_shortcut_by_doubling(
     still-active part frozen, so the last candidate *is* the shortcut,
     edge for edge: it is returned with the annotations its verification
     ran on, not rebuilt and annotated a second time.
+
+    ``carried = (shortcut, dirty)`` builds only the ``dirty`` parts: the
+    others' edges in ``shortcut`` start out frozen.
     """
     n = net.n
     if block_target is None:
@@ -221,11 +227,14 @@ def build_shortcut_by_doubling(
         max_iterations = ceil_log2(n) + 3
     budget = congestion_budget if congestion_budget is not None else 2
 
-    part_sizes = [partition.size_of(pid) for pid in range(partition.num_parts)]
+    kept, dirty = carried or (None, range(partition.num_parts))
+    frozen_up: List[Set[int]] = [
+        {pid for pid in parts if pid not in dirty}
+        for parts in (kept.up_parts if kept else [()] * n)
+    ]
     active: Set[int] = {
-        pid for pid in range(partition.num_parts) if part_sizes[pid] > diameter
+        pid for pid in dirty if partition.size_of(pid) > diameter
     }
-    frozen_up: List[Set[int]] = [set() for _ in range(n)]
 
     reps_by_part: Dict[int, List[int]] = {}
     for rep in division.forest.roots:
@@ -248,7 +257,7 @@ def build_shortcut_by_doubling(
         annotations = annotate_blocks(engine, candidate, ledger)
         counts = verify_block_parameters(
             engine, net, partition, division, candidate, annotations,
-            ledger, randomized=randomized, rng=rng,
+            ledger, randomized=rng is not None, rng=rng,
             phase_prefix=f"{verify_prefix}_{iterations}",
         )
 
@@ -293,10 +302,22 @@ def build_shortcut_randomized(
     """Algorithm 4 with the doubling trick of Section 1.3.
 
     :func:`build_shortcut_by_doubling` with CoreFast claiming as the claim
-    step: representatives flood their part id up ``T`` under a per-edge
-    budget ``theta = 2 * congestion_budget`` and fresh random priorities
-    per iteration; verification runs the randomized PA variant.
+    step (:func:`_corefast_claim`); verification runs the randomized PA
+    variant.
     """
+    return build_shortcut_by_doubling(
+        engine, net, partition, division, tree, diameter, ledger,
+        _corefast_claim(engine, tree, ledger, rng), "verify", rng,
+        congestion_budget, block_target, max_iterations, grow_budget, None,
+    )
+
+
+def _corefast_claim(
+    engine: Engine, tree: RootedForest, ledger: CostLedger, rng: random.Random
+) -> Callable[..., Sequence[Set[int]]]:
+    """Algorithm 4's claim step: representatives flood their part id up
+    ``T`` under a per-edge budget ``theta = 2 * budget`` and fresh random
+    priorities per iteration."""
 
     def claim(iteration, active, claimants, budget):
         priorities = {pid: rng.randrange(1 << 30) for pid in active}
@@ -307,8 +328,4 @@ def build_shortcut_randomized(
             32 + 4 * (tree.height() + theta),
         ).claimed_up
 
-    return build_shortcut_by_doubling(
-        engine, net, partition, division, tree, diameter, ledger, claim,
-        "verify", True, rng, congestion_budget, block_target,
-        max_iterations, grow_budget,
-    )
+    return claim

@@ -18,7 +18,7 @@ assumed, quality).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from ..congest.engine import Engine
 from ..congest.ledger import CostLedger
@@ -76,6 +76,18 @@ def build_shortcut_deterministic(
     step (threshold ``max(1, budget)``) and verification on the
     deterministic PA variant.
     """
+    return build_shortcut_by_doubling(
+        engine, net, partition, division, tree, diameter, ledger,
+        _heavy_path_claim(engine, tree, ledger), "det_verify", None,
+        congestion_budget, block_target, max_iterations, grow_budget, None,
+    )
+
+
+def _heavy_path_claim(
+    engine: Engine, tree: RootedForest, ledger: CostLedger
+) -> Callable[..., List[Set[int]]]:
+    """Algorithm 8's claim step, its heavy-path decomposition charged up
+    front: a bottom-up sweep seeded at the representatives."""
     hpd = build_heavy_path_decomposition(engine, tree, ledger)
 
     def claim(iteration, active, claimants, budget):
@@ -87,8 +99,4 @@ def build_shortcut_deterministic(
             sweep_name=f"alg8_{iteration}",
         )
 
-    return build_shortcut_by_doubling(
-        engine, net, partition, division, tree, diameter, ledger, claim,
-        "det_verify", False, None, congestion_budget, block_target,
-        max_iterations, grow_budget,
-    )
+    return claim

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..congest.async_engine import AsyncEngine
 from ..congest.engine import Engine
@@ -33,10 +33,12 @@ from ..graphs.partitions import Partition, validate_partition
 from ..obs.tracer import current_tracer
 from .aggregation import Aggregation
 from .blocks import BlockAnnotations, annotate_blocks
-from .corefast import ShortcutBuildResult, build_shortcut_randomized
+from .corefast import (
+    ShortcutBuildResult, _corefast_claim, build_shortcut_by_doubling,
+)
 from .shortcuts import Shortcut
 from .spanning_tree import SpanningTreeResult, bfs_tree, elect_leader_and_bfs_tree
-from .subparts import SubPartDivision, build_subpart_division_randomized
+from .subparts import SubPartDivision, _divide_randomized
 from .trees import RootedForest
 from .wave import RouteMemo, plan_pa_waves, run_planned_waves
 
@@ -56,9 +58,10 @@ class PASetup:
     ``block_bound`` is, per part, an upper bound on its number of
     nontrivial blocks that the part already holds.  Left out, it is the
     annotations' own count — right for every setup whose counts PA has
-    summed (a build's last verification, a projection's); a projection
-    that skipped its verification carries what its parent's bound
-    implies instead (:meth:`repro.runtime.PASession._project`).
+    summed (a build's last verification, a projection's); a part a
+    session carried over from a previous setup without verifying it
+    holds what the previous bound implies instead (docs/architecture.md,
+    "One prepare body").
     """
 
     partition: Partition
@@ -165,14 +168,26 @@ def build_general_shortcut(
     default and ``repro.families.provider_for("general").build`` are both
     this function.
     """
-    if rng is not None:
-        return build_shortcut_randomized(
-            engine, net, partition, division, tree, diameter, ledger, rng
-        )
-    from .det_shortcut import build_shortcut_deterministic
+    return _general_shortcut(
+        engine, net, partition, division, tree, diameter, ledger, rng, None
+    )
 
-    return build_shortcut_deterministic(
-        engine, net, partition, division, tree, diameter, ledger
+
+def _general_shortcut(
+    engine, net, partition, division, tree, diameter, ledger, rng, carried
+) -> ShortcutBuildResult:
+    """:func:`build_general_shortcut`, claiming only for the dirty parts
+    when ``carried = (shortcut, dirty)`` (see
+    :func:`~repro.core.corefast.build_shortcut_by_doubling`)."""
+    if rng is not None:
+        claim, prefix = _corefast_claim(engine, tree, ledger, rng), "verify"
+    else:
+        from .det_shortcut import _heavy_path_claim
+
+        claim, prefix = _heavy_path_claim(engine, tree, ledger), "det_verify"
+    return build_shortcut_by_doubling(
+        engine, net, partition, division, tree, diameter, ledger, claim,
+        prefix, rng, None, None, None, True, carried,
     )
 
 
@@ -283,20 +298,14 @@ class PASolver:
     def rebind(self, net: Network) -> None:
         """Adopt an updated edge set that preserves the spanning tree.
 
-        The session layer's edge-insert/delete repair
-        (:meth:`repro.runtime.PASession.apply_edge_updates`): when no
-        removed edge is a tree edge, the BFS tree — and with it every
-        tree-restricted shortcut — survives the update verbatim, so the
-        solver only swaps its network and engine.  ``net`` must have the
-        same node count and uid seed (uids are a pure function of both,
-        so the identity of every node is preserved) and must contain
-        every current tree edge; the tree keeps its depth, so the
-        ``2 * depth`` diameter estimate remains a valid upper bound even
-        when deletions lengthen non-tree distances.
-
-        Only synchronous self-owned engines can be rebound: an
-        asynchronous schedule or an adopted engine owns state (virtual
-        clocks, fault plans) that a fresh engine would silently drop.
+        The session's edge repair
+        (:meth:`repro.runtime.PASession.apply_edge_updates`): ``net`` has
+        the same node count and uid seed (so every node keeps its uid) and
+        every current tree edge, so the tree — its depth, hence the
+        ``2 * depth`` diameter estimate, included — and every
+        tree-restricted shortcut survive; only network and engine change.
+        An asynchronous schedule or adopted engine owns state (virtual
+        clocks, fault plans) a fresh engine would drop: it cannot rebind.
         """
         if self.schedule is not None or isinstance(self.engine, AsyncEngine):
             raise ValueError(
@@ -361,40 +370,69 @@ class PASolver:
         :func:`build_general_shortcut`.  Either is handed ``self.rng`` in
         randomized mode and no random source in deterministic mode.
         """
-        validate_partition(self.net, partition)
-        leaders = self.checked_leaders(partition, leaders)
+        return self._build(partition, leaders, shortcut_provider)
 
-        ledger = CostLedger()
-        if self.mode == RANDOMIZED:
-            division = build_subpart_division_randomized(
-                self.engine, self.net, partition, leaders, self.diameter,
-                ledger, self.rng,
-            )
+    def _build(
+        self,
+        partition: Partition,
+        leaders: Optional[Sequence[int]],
+        shortcut_provider: Optional[object],
+        base: Optional[PASetup] = None,
+        dirty: Collection[int] = (),
+    ) -> PASetup:
+        """The one construction: divide, claim and annotate the dirty parts.
+
+        With no ``base`` every part is dirty: a fresh :meth:`prepare`.
+        Otherwise ``base`` is a session's carry onto ``partition``
+        (``annotations`` ``None`` when an edge set changed) and only the
+        ``dirty`` parts are divided (Algorithm 3 / 6) and claimed for by
+        the general construction; the others keep their carried sub-part
+        trees, edge sets and bound.  With no part dirty no builder runs:
+        the carried shortcut is annotated, unless that was carried too.
+        """
+        rng = self.rng if self.mode == RANDOMIZED else None
+        if base is None:
+            validate_partition(self.net, partition)
+            leaders = self.checked_leaders(partition, leaders)
+            ledger, dirty = CostLedger(), range(partition.num_parts)
+            division = shortcut = annotations = None
+            bound = [0] * partition.num_parts
         else:
-            from .subparts_det import build_subpart_division_deterministic
+            leaders, ledger = base.leaders, base.setup_ledger
+            division, shortcut = base.division, base.shortcut
+            annotations, bound = base.annotations, list(base.block_bound)
+        if dirty:
+            on = (self.engine, self.net, partition)
+            if rng is not None:
+                division = _divide_randomized(
+                    *on, leaders, self.diameter, ledger, rng, division, dirty
+                )
+            else:
+                from .subparts_det import _divide_deterministic
 
-            division = build_subpart_division_deterministic(
-                self.engine, self.net, partition, leaders, self.diameter,
-                ledger,
-            )
-        build_shortcut = (
-            build_general_shortcut if shortcut_provider is None
-            else shortcut_provider.build
-        )
-        build = build_shortcut(
-            self.engine, self.net, partition, division, self.tree,
-            self.diameter, ledger,
-            rng=self.rng if self.mode == RANDOMIZED else None,
-        )
-
+                division = _divide_deterministic(
+                    *on, leaders, self.diameter, ledger, division, dirty
+                )
+            on = (*on, division, self.tree, self.diameter, ledger)
+            if base is None and shortcut_provider is not None:
+                build = shortcut_provider.build(*on, rng=rng)
+            else:
+                build = _general_shortcut(
+                    *on, rng, None if base is None else (shortcut, dirty)
+                )
+            shortcut, annotations = build.shortcut, build.annotations
+            for pid in dirty:
+                bound[pid] = build.block_counts[pid]
+        elif annotations is None:
+            annotations = annotate_blocks(self.engine, shortcut, ledger)
         return PASetup(
             partition=partition,
             leaders=leaders,
             division=division,
-            shortcut=build.shortcut,
-            annotations=build.annotations,
+            shortcut=shortcut,
+            annotations=annotations,
             setup_ledger=ledger,
-            block_bound=tuple(build.block_counts),
+            block_bound=tuple(bound),
         )
 
     def solve(

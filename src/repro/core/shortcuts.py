@@ -320,11 +320,13 @@ def star_shortcut_for_parts(
 
 
 def relabel_shortcut(
+    tree: RootedForest,
     shortcut: Shortcut,
     new_partition: Partition,
     image: Sequence[Sequence[int]],
 ) -> Shortcut:
-    """Project a shortcut onto a coarsening or refinement of its partition.
+    """Project a shortcut onto a coarsening or refinement of its partition,
+    on ``tree`` (its own, or its parent array on an updated network).
 
     ``image[old_pid]`` lists the new parts old part ``old_pid``'s members
     land in: one shared id when parts merged, the fragment ids when a part
@@ -340,17 +342,19 @@ def relabel_shortcut(
     constituents'; under splits a tree edge carried by a part that broke
     into ``f`` fragments is carried by all ``f`` (congestion multiplies)
     and a fragment keeps blocks its members never touch.  The runtime
-    session therefore re-verifies the block parameter with PA itself
-    (Algorithm 2) and re-checks congestion before adopting a projection,
-    falling back to a fresh construction when either exceeds its budget.
+    session therefore holds the block count to a budget (verified with PA
+    itself, Algorithm 2, unless the previous counts imply it) and
+    re-checks congestion, building afresh when either is over.
     """
-    up = [
-        frozenset(new for pid in parts for new in image[pid])
-        if parts
-        else frozenset()
-        for parts in shortcut.up_parts
-    ]
-    return Shortcut(shortcut.tree, new_partition, up)
+    # One relabeled set per distinct value, shared by the nodes that hold
+    # it: a carried setup allocates per distinct edge load, not per node.
+    relabeled = {
+        parts: frozenset(new for pid in parts for new in image[pid])
+        for parts in set(shortcut.up_parts)
+    }
+    return Shortcut(
+        tree, new_partition, [relabeled[parts] for parts in shortcut.up_parts]
+    )
 
 
 def validate_shortcut(shortcut: Shortcut) -> None:

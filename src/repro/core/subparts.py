@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -208,6 +208,25 @@ def build_subpart_division_randomized(
 
     Returns a validated :class:`SubPartDivision`.
     """
+    return _divide_randomized(
+        engine, net, partition, leaders, diameter, ledger, rng, None,
+        range(partition.num_parts),
+    )
+
+
+def _divide_randomized(
+    engine: Engine,
+    net: Network,
+    partition: Partition,
+    leaders: Sequence[int],
+    diameter: int,
+    ledger: CostLedger,
+    rng: random.Random,
+    kept: Optional[SubPartDivision],
+    dirty: Collection[int],
+) -> SubPartDivision:
+    """Algorithm 3 on the ``dirty`` parts; every other node keeps its
+    sub-part tree in ``kept`` (nothing of theirs runs or draws)."""
     n = net.n
     depth_limit = max(1, diameter)
     part_of = partition.part_of
@@ -215,10 +234,15 @@ def build_subpart_division_randomized(
     # The edge restrictions, stated once per CSR slot for either engine.
     arrays = net.array_views
     part_np = np.asarray(part_of, dtype=np.int64)
-    same_part = part_np[arrays.src_of_slot] == part_np[arrays.adj]
+    in_play = np.isin(part_np, list(dirty))
+    same_part = (part_np[arrays.src_of_slot] == part_np[arrays.adj]) & (
+        in_play[arrays.src_of_slot]
+    )
 
     # Phase 1: leaders probe their parts to depth D.
-    leader_tokens = {leader: net.uid[leader] for leader in leaders}
+    leader_tokens = {
+        leaders[pid]: net.uid[leaders[pid]] for pid in sorted(dirty)
+    }
     probe = claim_bfs(
         engine, net, leader_tokens, ledger, edge_mask=same_part,
         max_depth=depth_limit, name="subpart_probe",
@@ -239,6 +263,10 @@ def build_subpart_division_randomized(
 
     parent: List[int] = [ABSENT] * n
     rep_of: List[int] = [-1] * n
+    if kept is not None:
+        kept_parent = kept.forest.parent
+        for v in np.flatnonzero(~in_play).tolist():
+            parent[v], rep_of[v] = int(kept_parent[v]), kept.rep_of[v]
     for v in range(n):
         pid = part_of[v]
         if pid in small_parts:
@@ -252,7 +280,8 @@ def build_subpart_division_randomized(
     # the fallback sweep below makes coverage certain regardless.
     prob = min(1.0, 2.0 * math.log(max(2, n)) / depth_limit)
     unclaimed = [
-        v for v in range(n) if part_of[v] not in small_parts
+        v for v in np.flatnonzero(in_play).tolist()
+        if part_of[v] not in small_parts
     ]
     sweep = 0
     while unclaimed:

@@ -38,7 +38,7 @@ fails loudly rather than silently looping.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -114,13 +114,35 @@ def build_subpart_division_deterministic(
     ledger: CostLedger,
 ) -> SubPartDivision:
     """Algorithm 6: deterministic sub-part division via star joinings."""
+    return _divide_deterministic(
+        engine, net, partition, leaders, diameter, ledger, None,
+        range(partition.num_parts),
+    )
+
+
+def _divide_deterministic(
+    engine: Engine,
+    net: Network,
+    partition: Partition,
+    leaders: Sequence[int],
+    diameter: int,
+    ledger: CostLedger,
+    kept: Optional[SubPartDivision],
+    dirty: Collection[int],
+) -> SubPartDivision:
+    """Algorithm 6 on the ``dirty`` parts.  Every other node starts out of
+    play (complete, in no forest the loop sweeps, on no announce edge) and
+    ends in its sub-part tree in ``kept``."""
     n = net.n
     threshold = max(1, diameter)
     arrays = net.array_views
     uid = arrays.uid
-    # The announce round's edges: every directed edge inside a part.
+    # The announce round's edges: every directed edge inside a dirty part.
     part_of = np.asarray(partition.part_of, dtype=np.int64)
-    in_part = part_of[arrays.src_of_slot] == part_of[arrays.adj]
+    in_play = np.isin(part_of, list(dirty))
+    in_part = (part_of[arrays.src_of_slot] == part_of[arrays.adj]) & (
+        in_play[arrays.src_of_slot]
+    )
     ann_src, ann_dst = arrays.src_of_slot[in_part], arrays.adj[in_part]
     # What each node last announced, and what it last heard from each
     # in-part neighbor: one row per edge, receiver-major (``me`` hears
@@ -134,9 +156,9 @@ def build_subpart_division_deterministic(
 
     ones = PayloadColumns([np.ones(n, dtype=np.int64)], bare=True)
 
-    parent: List[int] = [ROOT] * n
+    parent: List[int] = np.where(in_play, ROOT, ABSENT).tolist()
     rep_of: List[int] = list(range(n))
-    complete: List[bool] = [False] * n
+    complete: List[bool] = (~in_play).tolist()
 
     max_iterations = 3 * ceil_log2(n) + 8
     iteration = 0
@@ -274,6 +296,10 @@ def build_subpart_division_deterministic(
             if parent[v] == ROOT:
                 rep_of[v] = v
 
+    if kept is not None:
+        kept_parent = kept.forest.parent
+        for v in np.flatnonzero(~in_play).tolist():
+            parent[v] = int(kept_parent[v])
     forest = RootedForest(net, parent)
     division = SubPartDivision(
         partition=partition,

@@ -2,46 +2,33 @@
 
 Every application in the paper (Corollaries 1.3-1.5, A.1-A.3) is a loop of
 Part-Wise Aggregation solves, yet a bare :class:`~repro.core.pa.PASolver`
-treats each ``prepare`` as a one-shot: Boruvka's O(log n) phases rebuild
-the sub-part division and the shortcut from scratch every time the
-partition changes.  :class:`PASession` owns a solver (network, mode, seed,
-ledger conventions, optional family-aware shortcut provider) and adds
-four opt-in capabilities on top:
+treats each ``prepare`` as a one-shot.  :class:`PASession` owns a solver
+(network, mode, seed, ledger conventions, optional family-aware shortcut
+provider) and adds four opt-in capabilities on top:
 
 * **Setup caching** (``reuse=True``): ``prepare`` memoizes on a partition
-  fingerprint ``(part_of, leaders)``.  Re-preparing an already-seen
-  partition (e.g. the k-th tree packing of min-cut starting from the same
-  singleton partition, or a Boruvka phase that merged nobody because its
-  exchange was lost) returns the cached setup with an empty setup ledger —
-  amortization made explicit rather than re-charged.
+  fingerprint ``(part_of, leaders)``; a hit (the k-th min-cut packing
+  tree's singleton partition, a Boruvka phase that merged nobody) returns
+  the cached setup with an empty setup ledger.
+* **Projection** (``reuse=True``): for a merge-only coarsening or a
+  split-only refinement of a prepared partition, ``prepare_incremental``
+  carries the previous machinery over (relabeled shortcut, sub-part
+  forest cut at the new borders) and builds no part anew; the block
+  count is verified with PA itself (Algorithm 2) only when the parent's
+  counts do not imply the budget, and a setup over budget is built
+  afresh — reuse can cost rounds, never correctness.
+* **Edge updates** (:meth:`PASession.apply_edge_updates`): when no
+  spanning-tree edge is removed, every cached setup is carried onto the
+  new network verbatim (shortcuts are ``T``-restricted); otherwise a
+  counted full rebuild.
+* **Batched multi-aggregate solves** (``batch=True``): :meth:`solve_many`
+  runs k aggregations over one setup in a single wave pass (see
+  docs/architecture.md, "Runtime sessions", for when that is
+  ledger-legitimate).
 
-* **Incremental projection** (``reuse=True``): when a partition is a
-  merge-only coarsening or a split-only refinement of a prepared one
-  (Boruvka phases merging fragments; the service layer's regrouping
-  updates), ``prepare_incremental`` *projects* the previous machinery
-  instead of rebuilding — the shortcut is relabeled
-  (:func:`~repro.core.shortcuts.relabel_shortcut`), the sub-part forest
-  is cut at the new part borders (a no-op under merges: old sub-parts
-  still refine merged parts) and blocks are re-annotated distributively.
-  Quality is then *re-verified with PA itself* (Algorithm 2 — the
-  paper's own trick for checking block parameters) unless the parent's
-  block counts already imply the budget (a union of edge sets has no
-  more components than its terms), and congestion re-checked; a
-  projection over either budget is discarded for a fresh construction,
-  so reuse can cost rounds but never correctness.
-
-* **Edge updates** (:meth:`PASession.apply_edge_updates`): insert/delete
-  batches over the (immutable) network are absorbed by a tree-preserving
-  *rebind* whenever no spanning-tree edge was removed — shortcuts are
-  ``T``-restricted, so the whole cached machinery survives verbatim —
-  and by a counted full rebuild otherwise.
-
-* **Batched multi-aggregate solves** (``batch=True``):
-  :meth:`solve_many` runs k aggregations over one setup in a single wave
-  pass (k-tuple values, componentwise merge) — one broadcast/reversal/
-  replay instead of k.  See docs/architecture.md ("Runtime sessions")
-  for when that is ledger-legitimate.
-
+A fresh prepare, a projection, its rebuild and an edge repair are one
+construction, ``PASolver._build``, over a carried base and a set of dirty
+parts the session computes (docs/architecture.md, "One prepare body").
 With both flags off (the default) every call delegates verbatim to the
 underlying solver: same code path, same randomness, same ledger entries,
 bit for bit — pinned by tests/runtime/test_session.py.
@@ -51,9 +38,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,20 +50,13 @@ from ..congest.ledger import CostLedger
 from ..congest.network import Network, canonical_edge
 from ..obs.tracer import current_tracer
 from ..core.aggregation import Aggregation
-from ..core.blocks import annotate_blocks
 from ..core.corefast import block_target_for, verify_block_parameters
 from ..core.pa import (
-    PABatchResult,
-    PAResult,
-    PASetup,
-    PASolver,
-    RANDOMIZED,
-    solve_many_via,
+    PABatchResult, PAResult, PASetup, PASolver, RANDOMIZED, solve_many_via,
 )
-from ..core.shortcuts import Shortcut, relabel_shortcut
+from ..core.shortcuts import relabel_shortcut
 from ..core.subparts import SubPartDivision
 from ..core.trees import ROOT, RootedForest
-from ..core.wave import RouteMemo
 from ..graphs.partitions import Partition, validate_partition
 
 Fingerprint = Tuple[Tuple[int, ...], Optional[Tuple[int, ...]]]
@@ -128,12 +108,10 @@ def _partition_image(
 ) -> Optional[List[List[int]]]:
     """``image[old_pid]`` = the new parts ``old_pid``'s members land in.
 
-    The one relation a projection needs, ascending per old part.  Two
-    shapes are accepted: *merge-only* (every old part lands in exactly
-    one new part) and *split-only* (every new part draws from exactly one
-    old part; an old part may break into several fragments).  Anything
-    else — parts crossing, or different node sets — returns ``None`` and
-    the caller falls back to a full prepare.
+    Ascending per old part.  Only *merge-only* (every old part lands in
+    one new part) and *split-only* (every new part draws from one old
+    part) relations are returned; parts crossing, or different node sets,
+    give ``None`` — the caller then prepares afresh.
     """
     if len(old.part_of) != len(new.part_of):
         return None
@@ -152,16 +130,94 @@ def _partition_image(
     return image
 
 
+#: What ``session.prepare`` reports for a construction of each kind.
+_OUTCOMES = {None: "full", "coarsen": "coarsened", "refine": "refined"}
+
+
+def _kind(image: Sequence[Sequence[int]]) -> str:
+    """``"coarsen"`` for a merge-only image, ``"refine"`` for a split."""
+    return "coarsen" if all(len(new) == 1 for new in image) else "refine"
+
+
+def _carry(
+    solver: PASolver,
+    previous: PASetup,
+    partition: Partition,
+    image: Sequence[Sequence[int]],
+    leaders: Tuple[int, ...],
+) -> PASetup:
+    """What ``previous`` hands a setup for ``partition`` through
+    ``image`` (:func:`_partition_image`), on the solver's current network
+    and tree: the base ``PASolver._build`` starts from.
+
+    1. The shortcut is relabeled (:func:`relabel_shortcut`: a merged part
+       takes the union of its constituents' edge sets, a fragment its
+       ancestor's) — no message, the merge / split broadcast carried the
+       new ids.
+    2. The sub-part forest is cut where a parent edge now crosses parts,
+       the orphaned child representing its subtree (nothing is cut under
+       merges).
+    3. If some part merged or split, its members spend one round
+       (``{coarsen,refine}_boundary_exchange``) telling their neighbors
+       their new part id — what the division's wave boundary is read from.
+
+    Each part's bound is what the previous ones imply: a union of edge
+    sets has at most as many components as its terms in total, and a
+    fragment keeps its ancestor's edge set whole.  Under the identity
+    image (an edge repair) the annotations are carried too; any other
+    carry leaves them ``None``, to be annotated anew.
+    """
+    net = solver.net
+    forest, rep_of = previous.division.forest, previous.division.rep_of
+    part = np.asarray(partition.part_of, dtype=np.int64)
+    fparent = np.asarray(forest.parent, dtype=np.int64)
+    severed = (fparent >= 0) & (part[fparent] != part)
+    if severed.any() or forest.net is not net:
+        fparent[severed] = ROOT
+        forest = RootedForest(net, fparent.tolist())
+        rep_of = tuple(forest.plan.root_of.tolist())
+
+    ledger = CostLedger()
+    fan_in = Counter(new_pid for new_pids in image for new_pid in new_pids)
+    touched = sum(
+        previous.partition.size_of(old_pid)
+        for old_pid, new_pids in enumerate(image)
+        if len(new_pids) > 1 or fan_in[new_pids[0]] > 1
+    )
+    if touched:
+        ledger.charge_local(
+            f"{_kind(image)}_boundary_exchange", rounds=1,
+            messages=2 * touched,
+        )
+    bound = [0] * partition.num_parts
+    for old_pid, new_pids in enumerate(image):
+        for new_pid in new_pids:
+            bound[new_pid] += previous.block_bound[old_pid]
+    identity = all(new == [old] for old, new in enumerate(image))
+    return PASetup(
+        partition=partition,
+        leaders=leaders,
+        division=SubPartDivision(
+            partition=partition, forest=forest, rep_of=rep_of,
+            part_leader=leaders,
+        ),
+        shortcut=relabel_shortcut(
+            solver.tree, previous.shortcut, partition, image
+        ),
+        annotations=previous.annotations if identity else None,
+        setup_ledger=ledger,
+        block_bound=tuple(bound),
+    )
+
+
 @dataclass
 class EdgeUpdateReport:
     """What :meth:`PASession.apply_edge_updates` did with one update batch.
 
-    ``repaired`` distinguishes the tree-preserving rebind (the BFS tree
-    and every cached shortcut survived verbatim) from a full rebuild
-    (tree re-election charged to ``ledger`` under the ``rebuild:``
-    prefix).  ``evicted_setups`` counts cached setups the update
-    invalidated — partitions disconnected by a deletion, sub-part
-    forests that lost a spanning edge, or (on rebuild) everything.
+    ``repaired``: the tree survived and the cache was carried over, else
+    the tree was re-elected (charged to ``ledger`` under ``rebuild:``).
+    ``evicted_setups``: cached setups the update invalidated (a part
+    disconnected, a sub-part tree cut — or, on rebuild, everything).
     """
 
     added: int
@@ -191,28 +247,20 @@ class PASession:
     batch:
         Enable single-wave multi-aggregate solves in :meth:`solve_many`.
     max_entries:
-        Bound the setup cache (``None`` = unbounded, the historical
-        behavior).  When the bound is exceeded the least-recently-used
-        entry is evicted — coarsened entries first; *pinned* entries
-        (setups built by a full ``prepare``, the loop-entry partitions
-        that phase loops revisit) survive as long as any unpinned entry
-        can be evicted instead, and only fall to LRU among themselves
-        once the cache is all pinned.
+        Bound the setup cache (``None`` = unbounded).  Over the bound the
+        least-recently-used projected entry is evicted; a fresh prepare's
+        entry (a loop entry point phase loops revisit) is *pinned* and
+        goes only once every entry left is pinned.
     backend / workers / shard_min_n:
-        ``backend="sharded"`` runs eligible wave passes on the
-        multiprocess worker pool (:mod:`repro.shard`): the setup is split
-        into conflict components, each shard solves its phases in a forked
-        worker, and the per-shard ledgers merge deterministically —
-        rounds/messages bit-for-bit identical to the in-process engines
-        (gated in CI).  ``workers`` sizes the pool
+        ``backend="sharded"`` runs eligible wave passes on the forked
+        worker pool of :mod:`repro.shard` (one shard per conflict
+        component, per-shard ledgers merged bit for bit with the
+        in-process engines).  ``workers`` sizes the pool
         (:func:`repro.procpool.resolve_workers`; ``"auto"`` = the cpus
-        the scheduler actually grants this process — the affinity mask
-        under cgroup limits, not the machine's raw core count);
-        ``shard_min_n`` keeps networks below the threshold in-process
-        (fork + pickle overhead dominates small instances).  Requests the
-        backend cannot serve — async/pre-scheduled engines, aggregations
-        outside the stock registry, missing ``fork`` — fall back to the
-        in-process solver, counted in ``stats.sharded_fallbacks``.
+        this process is granted); ``shard_min_n`` keeps smaller networks
+        in-process.  What the backend cannot serve — async engines,
+        aggregations outside the stock registry, no ``fork`` — runs
+        in-process, counted in ``stats.sharded_fallbacks``.
     solver:
         Adopt an existing solver (its engine, tree, mode and rng state)
         instead of constructing one; the solver-construction arguments
@@ -243,20 +291,16 @@ class PASession:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1 (or None for unbounded)")
         if solver is not None:
-            if solver.net is not net:
-                theirs, mine = solver.net, net
-                their_csr = theirs.adjacency_csr()
-                my_csr = mine.adjacency_csr()
-                if (
-                    theirs.n != mine.n
-                    or their_csr[0] != my_csr[0]
-                    or their_csr[1] != my_csr[1]
-                    or theirs.uid != mine.uid
-                ):
-                    raise ValueError(
-                        "solver is bound to an incompatible network "
-                        "(topology or uid permutation differs)"
-                    )
+            theirs = solver.net
+            if theirs is not net and (
+                theirs.n != net.n
+                or theirs.adjacency_csr() != net.adjacency_csr()
+                or theirs.uid != net.uid
+            ):
+                raise ValueError(
+                    "solver is bound to an incompatible network "
+                    "(topology or uid permutation differs)"
+                )
             self.solver = solver
         else:
             self.solver = PASolver(
@@ -280,13 +324,10 @@ class PASession:
         self.stats = SessionStats()
         # Recency-ordered memo (oldest first); bounded by ``max_entries``.
         self._cache: "OrderedDict[Fingerprint, PASetup]" = OrderedDict()
-        # Keys whose entries came from coarsening.  Partitions only ever
-        # coarsen forward inside a phase loop, so once a coarsened setup
-        # is superseded by the next coarsening it can never be requested
-        # again and is evicted; full-prepare entries (loop entry points
-        # like the singleton partition, revisited across min-cut packing
-        # trees) are *pinned*: under the LRU bound they are evicted only
-        # when no coarsened entry is left to evict instead.
+        # Keys of projected entries.  A coarsening supersedes the previous
+        # one (partitions only coarsen forward in a phase loop); entries
+        # of a fresh prepare (loop entry points) are *pinned*: the LRU
+        # bound evicts them only when no projected entry is left.
         self._coarsened_keys: set = set()
 
     # -- conveniences the algorithms lean on ---------------------------
@@ -322,20 +363,13 @@ class PASession:
 
     def clear_cache(self) -> None:
         """Drop all memoized setups (e.g. between unrelated workloads)."""
-        if self._orchestrator is not None:
-            for setup in self._cache.values():
-                self._orchestrator.release(setup)
-        self._cache.clear()
+        for key in list(self._cache):
+            self._drop(key)
         self._coarsened_keys.clear()
 
     def close(self) -> None:
-        """Release backend resources (the sharded worker pool); idempotent.
-
-        Safe to call any number of times, from ``__exit__``, from pool
-        eviction, or after a mid-solve failure; a closed session can keep
-        serving — the orchestrator is lazily rebuilt on the next sharded
-        solve.
-        """
+        """Release the sharded worker pool; idempotent.  A closed session
+        keeps serving — the pool is rebuilt on the next sharded solve."""
         self._closed = True
         if self._orchestrator is not None:
             self._orchestrator.close()
@@ -353,12 +387,9 @@ class PASession:
         """Scaling diagnostics of the last solve *iff it ran sharded*.
 
         Keys: ``workers``, ``shards``, ``shard_wall_seconds`` (per shard),
-        ``barrier_seconds``, ``merge_seconds``, ``ship_seconds`` — what
-        the ``shard.*`` layer metrics of ``benchmarks/perf`` are read from.
-
-        ``None`` whenever the most recent solve was served in-process
-        (local backend, or a sharded request that fell back) — a stale
-        report from an earlier sharded solve is never returned.
+        ``barrier_seconds``, ``merge_seconds``, ``ship_seconds``.  ``None``
+        whenever the most recent solve ran in-process — never a stale
+        report from an earlier sharded solve.
         """
         if self._orchestrator is None or not self._last_ran_sharded:
             return None
@@ -396,110 +427,59 @@ class PASession:
                 setup, plan, values, agg, ledger, phase_prefix=phase_prefix,
             )
         except BaseException:
-            # A worker died or pickling blew up mid-wave: the pool's state
-            # is suspect, so reap it now rather than leaking forked
-            # processes behind the exception (a fresh orchestrator is
-            # lazily rebuilt if the caller retries).
+            # A worker died or pickling failed mid-wave: reap the suspect
+            # pool now (a retry lazily builds a fresh one).
             self.close()
             raise
         self._last_ran_sharded = True
         return outcome
 
     # -- cache mechanics (LRU bound + loop-entry pinning) ---------------
-    def _cache_lookup(self, key: Fingerprint) -> Optional[PASetup]:
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._cache.move_to_end(key)
-        return cached
-
     def _cache_store(self, key: Fingerprint, setup: PASetup) -> None:
         self._cache[key] = setup
         self._cache.move_to_end(key)
         if self.max_entries is None:
             return
         while len(self._cache) > self.max_entries:
-            # Evict the least-recently-used *unpinned* (coarsened) entry;
-            # pinned loop-entry setups go only when nothing else is left.
-            # The entry just stored is never its own victim.
-            victim = None
-            for k in self._cache:
-                if k != key and k in self._coarsened_keys:
-                    victim = k
-                    break
+            # The least-recently-used unpinned entry, else the least
+            # recently used; never the entry just stored.
+            victim = next((
+                k for k in self._cache
+                if k != key and k in self._coarsened_keys
+            ), None)
             if victim is None:
                 victim = next((k for k in self._cache if k != key), None)
             if victim is None:
                 break
-            evicted = self._cache.pop(victim)
-            self._coarsened_keys.discard(victim)
+            self._drop(victim)
             self.stats.evictions += 1
-            if self._orchestrator is not None:
-                # The workers pinned the shipped setup by identity; an
-                # evicted entry would otherwise stay resident in every
-                # worker until 16 further ships aged it out.
-                self._orchestrator.release(evicted)
 
-    def _traced_build(self, outcome: str, build):
-        """Run ``build`` under a ``session.prepare`` span (traced only).
-
-        ``outcome`` is what the caller expects ("full", "coarsened" or
-        "refined"); a projection that fell out of budget reports itself as
-        "rebuild", and every projection says whether its verification
-        "ran" or was "implied" by its parent's block counts (both detected
-        via the stats counters).  The span carries the built setup's
-        ledger totals, the largest per-part block bound it holds, its
-        achieved (b, c) and its sub-part count, so a trace shows what each
-        construction cost and what it built without walking ledger events.
-        """
-        tracer = current_tracer()
-        if not tracer.enabled:
-            return build()
-        rebuilds_before = self.stats.rebuilds
-        implied_before = self.stats.implied
-        with tracer.span("session.prepare", "session") as args:
-            setup = build()
-            args["outcome"] = (
-                "rebuild" if self.stats.rebuilds > rebuilds_before else outcome
-            )
-            if outcome != "full":
-                args["verified"] = (
-                    "implied" if self.stats.implied > implied_before else "ran"
-                )
-            args["rounds"] = setup.setup_ledger.rounds
-            args["messages"] = setup.setup_ledger.messages
-            args["bound"] = max(setup.block_bound)
-            args["b"], args["c"] = setup.quality()
-            args["subparts"] = setup.division.num_subparts()
-        return setup
+    def _drop(self, key: Fingerprint) -> None:
+        """Remove one cache entry — every removal comes through here, so
+        the shard workers' pin on a shipped setup goes with it."""
+        setup = self._cache.pop(key)
+        self._coarsened_keys.discard(key)
+        if self._orchestrator is not None:
+            self._orchestrator.release(setup)
 
     # ------------------------------------------------------------------
     def block_budget(self) -> int:
-        """Max verified block parameter a projected shortcut may keep.
-
-        The target the constructions freeze parts at
-        (:func:`~repro.core.corefast.block_target_for`), so a projection
-        is held to the standard the from-scratch pipeline holds itself to.
-        """
+        """Max block parameter a carried shortcut may keep: the target the
+        constructions freeze parts at
+        (:func:`~repro.core.corefast.block_target_for`)."""
         return block_target_for(self.net.n)
 
     def _cache_hit(self, key: Fingerprint) -> Optional[PASetup]:
         """The memoized setup for ``key`` with an empty ledger, counted."""
-        cached = self._cache_lookup(key)
+        cached = self._cache.get(key)
         if cached is None:
             return None
+        self._cache.move_to_end(key)
         self.stats.cache_hits += 1
         tracer = current_tracer()
         if tracer.enabled:
             tracer.instant("session.cache_hit", "session")
         return replace(cached, setup_ledger=CostLedger())
-
-    def _full_prepare(self, partition: Partition, leaders) -> PASetup:
-        """One full pipeline construction on the solver, counted."""
-        self.stats.prepares += 1
-        return self.solver.prepare(
-            partition, leaders=leaders,
-            shortcut_provider=self.shortcut_provider,
-        )
 
     def prepare(
         self,
@@ -519,9 +499,7 @@ class PASession:
             cached = self._cache_hit(key)
             if cached is not None:
                 return cached
-        setup = self._traced_build(
-            "full", lambda: self._full_prepare(partition, leaders)
-        )
+        setup = self._prepare(partition, leaders)
         if key is not None:
             self._cache_store(key, setup)
         return setup
@@ -532,17 +510,14 @@ class PASession:
         partition: Partition,
         leaders: Optional[Sequence[int]] = None,
     ) -> PASetup:
-        """``prepare`` that may project ``previous`` instead of rebuilding.
+        """``prepare`` that may carry ``previous`` over instead of rebuilding.
 
-        The contract phase loops rely on: with ``reuse`` off (or no usable
-        ``previous``) this is exactly :meth:`prepare`; with ``reuse`` on
-        and ``partition`` a merge-only coarsening of ``previous``'s
-        (Boruvka fragments merging) or a split-only refinement of it
-        (parts breaking apart — the service layer's regrouping updates),
-        the previous machinery is projected and, where its parent's
-        block counts do not already imply the budget, re-verified (see
-        :meth:`_project`).  Either way the returned setup is correct for
-        PA over ``partition`` — only its construction cost differs.
+        With ``reuse`` off (or no usable ``previous``) this is exactly
+        :meth:`prepare`; with ``reuse`` on and ``partition`` a merge-only
+        coarsening or a split-only refinement of ``previous``'s, the
+        previous machinery is carried over (:meth:`_prepare`).  Either way
+        the setup is correct for PA over ``partition``; only its cost
+        differs.
         """
         if not self.reuse or previous is None:
             return self.prepare(partition, leaders=leaders)
@@ -553,169 +528,105 @@ class PASession:
         image = _partition_image(previous.partition, partition)
         if image is None:
             return self.prepare(partition, leaders=leaders)
-        merging = all(len(new_pids) == 1 for new_pids in image)
-        kind, outcome = (
-            ("coarsen", "coarsened") if merging else ("refine", "refined")
-        )
-        setup = self._traced_build(
-            outcome,
-            lambda: self._project(previous, partition, image, kind, leaders),
-        )
-        # Projected entries are unpinned (first in line under the LRU
-        # bound), whichever direction they were projected in.
-        self._coarsened_keys.add(key)
+        setup = self._prepare(partition, leaders, previous, image)
+        self._coarsened_keys.add(key)  # unpinned, either direction
         self._cache_store(key, setup)
-        if not merging:
-            # A refinement does *not* supersede the previous entry:
-            # unlike a phase loop's forward-only merges, split partitions
-            # can re-merge (a service tenant re-presenting yesterday's
-            # grouping), so the parent entry stays until the LRU bound
-            # says otherwise.
+        if _kind(image) == "refine":
+            # Split partitions can re-merge (a service tenant re-presenting
+            # yesterday's grouping): the parent entry stays.
             return setup
-        # The previous link of a coarsening chain is superseded: comp
-        # labels only merge forward, so its partition cannot recur (the
-        # no-merge retry re-presents the *latest* partition, which is the
-        # entry just stored).  Full-prepare entries are never evicted.
+        # The previous link of a coarsening chain cannot recur (labels
+        # only merge forward; a no-merge retry re-presents the entry just
+        # stored).  A fresh prepare's entry is never superseded.
         for prev_key in (
             partition_fingerprint(previous.partition, previous.leaders),
             partition_fingerprint(previous.partition, None),
         ):
             if prev_key != key and prev_key in self._coarsened_keys:
-                self._coarsened_keys.discard(prev_key)
-                self._cache.pop(prev_key, None)
+                self._drop(prev_key)
         return setup
 
-    def _project(
+    def _prepare(
         self,
-        previous: PASetup,
         partition: Partition,
-        image: Sequence[Sequence[int]],
-        kind: str,
         leaders: Optional[Sequence[int]],
+        previous: Optional[PASetup] = None,
+        image: Optional[Sequence[Sequence[int]]] = None,
+        dirty: Collection[int] = (),
     ) -> PASetup:
-        """Project ``previous``'s machinery onto a merged or split partition.
+        """The session's one construction, traced and counted.
 
-        ``image`` is :func:`_partition_image` of the two partitions and
-        ``kind`` (``"coarsen"`` / ``"refine"``) names its shape in the
-        phase log.  Steps, each metered into the returned setup's ledger:
+        The dirty parts — those ``PASolver._build`` builds anew — are
+        decided here:
 
-        1. relabel the shortcut (:func:`relabel_shortcut`: a merged part
-           takes the union of its constituents' edge sets, every fragment
-           its ancestor's) — free of communication, the merge / split
-           broadcast already carried the new ids;
-        2. cut the sub-part forest at the new part borders: a parent edge
-           whose endpoints landed in different parts is severed, the
-           orphaned child becoming the representative of its subtree.
-           Under merges nothing is severed (old sub-parts still refine the
-           merged parts) and forest and ``rep_of`` are reused;
-        3. one round (``{kind}_boundary_exchange``) in which the members
-           of merged or split parts exchange new part ids with their
-           neighbors, so each learns which incident edges joined or left
-           its part — what the division's wave boundary is read from;
-        4. re-annotate blocks distributively (roots and depths change as
-           blocks fuse or forests are cut), and re-verify the block
-           parameter *with PA itself* (Algorithm 2 / Lemma 4.5, phases
-           ``{kind}_verify_*``) — unless what the parts already hold
-           certifies the budget.  The lemma: a merged part's ``H`` is the
-           union of its constituents' edge sets, and a union of edge sets
-           has at most as many connected components as its terms have in
-           total, so ``#blocks(merged) <= sum #blocks(constituent)``; a
-           fragment inherits its ancestor's ``H`` whole, so
-           ``#blocks(fragment) <= #blocks(ancestor)``.  Every setup
-           carries a per-part bound (:attr:`PASetup.block_bound`: the
-           counts PA last summed, or what the parent's bound implies by
-           the lemma), and when the largest implied bound is within
-           :meth:`block_budget` no verification runs and no delay is
-           drawn: the caller's first query is then the solve that learns
-           the setup's route.  Otherwise the verification runs as the
-           projected setup's first solve — its two wire passes are the
-           ones that learn the route — and the setup's bound is the count
-           it paid for.
+        * no ``previous``: every part, a fresh construction;
+        * ``previous`` and its ``image`` onto ``partition``: the
+          :func:`_carry` with no part dirty (or the ``dirty`` parts given;
+          all of them, or any under a family provider, is fresh).  The
+          carried bound is verified with PA (Algorithm 2, phases
+          ``{coarsen,refine}_verify_*``, the setup's first solve) only
+          when it exceeds :meth:`block_budget`;
+        * a verified count over :meth:`block_budget`, or a congestion over
+          ``max(previous c, general-graph envelope)``: every part again,
+          charged under ``rebuild:`` after the carry's own phases.
 
-        One budget rule: the block count — bounded by the lemma, or
-        verified — must stay within :meth:`block_budget` and the
-        congestion within ``max(previous c, general-graph envelope)`` —
-        the latter can only bind under splits (fragments pile onto shared
-        tree edges; relabeling merged parts only dedupes).  A projection
-        over budget is discarded for a fresh full prepare charged to the
-        same ledger under ``rebuild:``, the verification it paid for
-        included: quality degradation can cost a rebuild, but never
-        silently compounds.
+        One ``session.prepare`` span reports the outcome (``full``,
+        ``coarsened``, ``refined`` or ``rebuild``; ``verified``
+        ``implied`` or ``ran``; ledger totals, largest bound, (b, c),
+        sub-parts), and the counters are read off it.
         """
         solver = self.solver
-        net = solver.net
-        leaders = solver.checked_leaders(partition, leaders)
-        ledger = CostLedger()
-        shortcut = relabel_shortcut(previous.shortcut, partition, image)
-
-        forest, rep_of = previous.division.forest, previous.division.rep_of
-        part = np.asarray(partition.part_of, dtype=np.int64)
-        fparent = np.asarray(forest.parent, dtype=np.int64)
-        severed = (fparent >= 0) & (part[fparent] != part)
-        if severed.any():
-            fparent[severed] = ROOT
-            forest = RootedForest(net, fparent.tolist())
-            rep_of = tuple(forest.plan.root_of.tolist())
-        division = SubPartDivision(
-            partition=partition,
-            forest=forest,
-            rep_of=rep_of,
-            part_leader=leaders,
+        fresh = previous is None or len(dirty) == partition.num_parts or (
+            bool(dirty) and self.shortcut_provider is not None
         )
-
-        fan_in = Counter(new_pid for new_pids in image for new_pid in new_pids)
-        touched = sum(
-            previous.partition.size_of(old_pid)
-            for old_pid, new_pids in enumerate(image)
-            if len(new_pids) > 1 or fan_in[new_pids[0]] > 1
-        )
-        ledger.charge_local(
-            f"{kind}_boundary_exchange", rounds=1, messages=2 * touched
-        )
-        if kind == "coarsen":
-            self.stats.coarsenings += 1
-        else:
-            self.stats.refinements += 1
-
-        annotations = annotate_blocks(solver.engine, shortcut, ledger)
-        # What the parent's bound implies: a sum over the constituents of
-        # a merged part, the ancestor's own for a fragment.
-        bound = [0] * partition.num_parts
-        for old_pid, new_pids in enumerate(image):
-            for new_pid in new_pids:
-                bound[new_pid] += previous.block_bound[old_pid]
-        implied = max(bound) <= self.block_budget()
-        # The setup exists before it is verified: a verification is its
-        # first solve, so it — not the caller's first query — learns the
-        # setup's route, and its bound is the count it summed.
-        setup = PASetup(
-            partition=partition,
-            leaders=leaders,
-            division=division,
-            shortcut=shortcut,
-            annotations=annotations,
-            setup_ledger=ledger,
-            block_bound=tuple(bound) if implied else None,
-        )
-        if implied:
-            self.stats.implied += 1
-            over = False
-        else:
-            counts = verify_block_parameters(
-                solver.engine, net, partition, division, shortcut,
-                annotations, ledger, randomized=(solver.mode == RANDOMIZED),
-                rng=solver.rng, phase_prefix=f"{kind}_verify",
-                route=setup.route,
+        kind = None if fresh else _kind(image)
+        with current_tracer().span("session.prepare", "session") as args:
+            args["outcome"] = _OUTCOMES[kind]
+            base = None if fresh else _carry(
+                solver, previous, partition, image,
+                solver.checked_leaders(partition, leaders),
             )
-            over = max(counts) > self.block_budget()
-        envelope = TABLE1["general"].congestion(net.n, solver.diameter, 1)
-        if over or shortcut.congestion() > max(
-            previous.shortcut.congestion(), math.ceil(envelope)
-        ):
-            self.stats.rebuilds += 1
-            rebuilt = self._full_prepare(partition, leaders)
-            ledger.merge(rebuilt.setup_ledger, prefix="rebuild:")
-            return replace(rebuilt, setup_ledger=ledger)
+            setup = solver._build(
+                partition, leaders, self.shortcut_provider, base, dirty
+            )
+            if base is not None:
+                budget, counts = self.block_budget(), setup.block_bound
+                implied = max(counts) <= budget
+                args["verified"] = "implied" if implied else "ran"
+                if not implied:
+                    counts = verify_block_parameters(
+                        solver.engine, solver.net, partition, setup.division,
+                        setup.shortcut, setup.annotations, setup.setup_ledger,
+                        randomized=(solver.mode == RANDOMIZED),
+                        rng=solver.rng, phase_prefix=f"{kind}_verify",
+                        route=setup.route,
+                    )
+                    setup.block_bound = tuple(
+                        setup.annotations.block_counts(partition.num_parts)
+                    )
+                envelope = TABLE1["general"].congestion(
+                    solver.net.n, solver.diameter, 1
+                )
+                cap = max(previous.shortcut.congestion(), math.ceil(envelope))
+                if max(counts) > budget or setup.shortcut.congestion() > cap:
+                    args["outcome"] = "rebuild"
+                    ledger = setup.setup_ledger
+                    setup = solver._build(
+                        partition, setup.leaders, self.shortcut_provider
+                    )
+                    ledger.merge(setup.setup_ledger, prefix="rebuild:")
+                    setup = replace(setup, setup_ledger=ledger)
+            args["rounds"] = setup.setup_ledger.rounds
+            args["messages"] = setup.setup_ledger.messages
+            args["bound"] = max(setup.block_bound)
+            args["b"], args["c"] = setup.quality()
+            args["subparts"] = setup.division.num_subparts()
+        stats = self.stats
+        stats.prepares += args["outcome"] in ("full", "rebuild")
+        stats.coarsenings += kind == "coarsen"
+        stats.refinements += kind == "refine"
+        stats.implied += args.get("verified") == "implied"
+        stats.rebuilds += args["outcome"] == "rebuild"
         return setup
 
     # -- evolving graphs ------------------------------------------------
@@ -727,30 +638,20 @@ class PASession:
     ) -> EdgeUpdateReport:
         """Adopt an edge insert/delete batch, repairing instead of rebuilding.
 
-        Networks are immutable, so the update builds a new
-        :class:`Network` with the same node count and uid seed — uids are
-        a pure function of both, so every node keeps its identity.  Two
-        paths:
+        The new :class:`Network` keeps the node count and uid seed, so
+        every node keeps its uid.  When no removed edge is a spanning-tree
+        edge the tree survives, and with it every ``T``-restricted
+        shortcut: the solver is rebound
+        (:meth:`~repro.core.pa.PASolver.rebind`) and the cache carried
+        over (:meth:`_repair_cached_setups`).  A removed tree edge, or an
+        engine that cannot be rebound (asynchronous), elects a fresh tree
+        with the same mode and seed — charged under ``rebuild:`` — and
+        drops the cache.
 
-        * **repair** — when no removed edge is a spanning-tree edge, the
-          BFS tree survives verbatim and with it every tree-restricted
-          shortcut (their edges live in ``E[T]``, by Definition 2.2 the
-          update cannot touch them).  The solver is rebound
-          (:meth:`~repro.core.pa.PASolver.rebind`), and every cached
-          setup whose partition stays connected and whose sub-part
-          forest lost no edge is rebound too.  Setups the update
-          invalidated are evicted, never served stale.
-        * **rebuild** — a removed tree edge (or an engine that cannot be
-          rebound, e.g. asynchronous) forces a fresh solver: new leader
-          election + BFS tree with the same mode/seed, charged to the
-          report's ledger under the ``rebuild:`` prefix, and the whole
-          setup cache dropped.
-
-        ``weights`` supplies weights for added edges on a weighted
-        network (required there, rejected on unweighted ones).  Returns
-        an :class:`EdgeUpdateReport`; costs are *not* folded into any
-        setup ledger — the caller owns the update's cost, mirroring how
-        ``prepare`` owns construction costs.
+        ``weights`` gives the added edges' weights on a weighted network
+        (required there, rejected on unweighted ones and for any edge not
+        being added).  The report's ledger is the caller's to merge, as a
+        setup ledger is.
         """
         solver = self.solver
         net = solver.net
@@ -767,8 +668,16 @@ class PASession:
         for e in sorted(add_set):
             if net.has_edge(*e):
                 raise ValueError(f"cannot add existing edge {e}")
-        if weights is not None and net.weights is None:
-            raise ValueError("weights given for an unweighted network")
+        if weights is not None:
+            if net.weights is None:
+                raise ValueError("weights given for an unweighted network")
+            stray = sorted(
+                {canonical_edge(u, v) for u, v in weights} - add_set
+            )
+            if stray:
+                raise ValueError(
+                    f"weights given for edges not being added: {stray[:5]}"
+                )
 
         ledger = CostLedger()
         if not add_set and not remove_set:
@@ -782,13 +691,10 @@ class PASession:
             new_weights = {
                 e: w for e, w in net.weights.items() if e not in remove_set
             }
-            given = (
-                {}
-                if weights is None
-                else {
-                    canonical_edge(u, v): w for (u, v), w in weights.items()
-                }
-            )
+            given = {
+                canonical_edge(u, v): w
+                for (u, v), w in (weights or {}).items()
+            }
             for e in sorted(add_set):
                 if e not in given:
                     raise ValueError(
@@ -808,8 +714,7 @@ class PASession:
         )
 
         tree_edges = {
-            canonical_edge(v, p)
-            for v, p in enumerate(solver.tree.parent)
+            canonical_edge(v, p) for v, p in enumerate(solver.tree.parent)
             if p >= 0
         }
         repaired = False
@@ -848,65 +753,42 @@ class PASession:
                 },
             )
         return EdgeUpdateReport(
-            added=len(add_set),
-            removed=len(remove_set),
-            repaired=repaired,
-            evicted_setups=evicted,
-            ledger=ledger,
+            len(add_set), len(remove_set), repaired, evicted, ledger
         )
 
     def _repair_cached_setups(
         self, new_net: Network, removed: set
     ) -> int:
-        """Rebind surviving cached setups to the updated network.
+        """Carry the cached setups onto the updated network.
 
-        A cached setup survives when its partition still induces
-        connected parts and its sub-part forest lost no spanning edge;
-        its structures are then rebuilt *structure-identically* on the
-        new network (same parent arrays, same ``up_parts``, same block
-        annotations; the rebound division reads its wave boundary off
-        the new adjacency on first use) and start without a route.
-        Everything else is evicted; returns the eviction count.
+        Each goes through :func:`_carry` with the identity image and no
+        part dirty: same parts, edge sets, annotations and bound, its
+        sub-part forest on the new adjacency (the division reads its wave
+        boundary off it on first use), and no route — a removed chord may
+        have carried it and an added one changes the wave.  A setup whose
+        part a deletion disconnected, or whose sub-part forest lost an
+        edge, is evicted instead, never served stale; returns how many.
         """
         evicted = 0
-        for key in list(self._cache):
-            setup = self._cache[key]
-            if self._orchestrator is not None:
-                # The old setup object is dead either way (survivors are
-                # replaced by rebound copies); drop the workers' pins.
-                self._orchestrator.release(setup)
-            forest_parent = setup.division.forest.parent
-            ok = not any(
-                p >= 0 and canonical_edge(v, p) in removed
-                for v, p in enumerate(forest_parent)
-            )
-            if ok and removed:
-                # Deletions can disconnect a part (insertions cannot).
-                try:
+        for key, setup in list(self._cache.items()):
+            identity = [[pid] for pid in range(setup.partition.num_parts)]
+            try:
+                if removed:  # deletions can disconnect a part
                     validate_partition(new_net, setup.partition)
-                except InvalidPartitionError:
-                    ok = False
-            if not ok:
-                self._cache.pop(key)
-                self._coarsened_keys.discard(key)
+                carried = _carry(
+                    self.solver, setup, setup.partition, identity,
+                    setup.leaders,
+                )
+            except (InvalidPartitionError, ValueError):
+                # A part lost its connectivity, or the carried forest a
+                # parent edge (RootedForest checks each on the new net).
+                self._drop(key)
                 evicted += 1
                 continue
-            forest = RootedForest(new_net, forest_parent)
-            division = SubPartDivision(
-                partition=setup.partition,
-                forest=forest,
-                rep_of=setup.division.rep_of,
-                part_leader=setup.division.part_leader,
-            )
-            shortcut = Shortcut(
-                self.solver.tree, setup.partition, setup.shortcut.up_parts
-            )
-            # A removed chord may have been a route edge and an added one
-            # changes the wave: the rebound copy learns its route afresh.
-            self._cache[key] = replace(
-                setup, division=division, shortcut=shortcut,
-                route=RouteMemo(),
-            )
+            if self._orchestrator is not None:
+                # The old object is dead: drop the workers' pins.
+                self._orchestrator.release(setup)
+            self._cache[key] = carried
         return evicted
 
     # ------------------------------------------------------------------
@@ -922,15 +804,13 @@ class PASession:
 
         The first solve on a setup learns its wave route, every later one
         reuses it (``stats.routed_solves``; see :mod:`repro.core.wave`).
-        ``backend="local"`` delegates verbatim.  ``backend="sharded"``
-        runs the wave pass on the worker pool when eligible (same plan,
-        same rng advance, rounds/messages bit-for-bit) and falls back
-        in-process otherwise (``stats.sharded_fallbacks``; traced as a
-        ``session.sharded_fallback`` instant whose ``reason`` is
-        ``"aggregation"`` or ``"ineligible"``).  A product
-        aggregation (:meth:`solve_many`'s batched pass) is one pass like
-        any other; it ships by component names and counts its factors
-        as ``stats.batched_solves``.
+        ``backend="sharded"`` runs the pass on the worker pool when
+        eligible (same plan, same rng advance, same ledger) and in-process
+        otherwise (``stats.sharded_fallbacks``; a
+        ``session.sharded_fallback`` instant with ``reason``
+        ``"aggregation"`` or ``"ineligible"``).  A product aggregation
+        (:meth:`solve_many`'s batched pass) is one pass that counts its
+        factors as ``stats.batched_solves``.
         """
         folded = len(agg.factors)
         self.stats.batched_solves += folded
@@ -975,14 +855,9 @@ class PASession:
         """k aggregations over one setup; one wave pass when ``batch``.
 
         With ``batch`` off the aggregations run sequentially under
-        ``phase_prefixes`` — the exact solves (order, names, randomness)
-        the caller would have issued by hand, so ledgers stay bit-for-bit
-        identical to the pre-session code.  Merge the returned
-        ``.ledger`` exactly once; never the per-result ledgers.
-
-        Every pass — the batched product or each sequential item — goes
-        through :meth:`solve`, so the sharded backend serves it when
-        eligible and the counters read the same either way.
+        ``phase_prefixes`` — the exact solves a caller would issue by
+        hand.  Merge the returned ``.ledger`` exactly once, never the
+        per-result ledgers.  Every pass goes through :meth:`solve`.
         """
         return solve_many_via(
             # PASession.solve, not self.solve: a subclass wrapping both
@@ -1002,11 +877,9 @@ def ensure_session(
 ) -> PASession:
     """The algorithms' session acquisition: adopt one, or construct one.
 
-    With no ``session`` this is ``PASession(net, mode=mode, seed=seed)`` —
-    ``PASolver(net, mode, seed)`` behind a default session, exactly the
-    pipeline the algorithms always built.  A given session is used as is;
-    its mode must be the ``mode`` the algorithm was called with, because
-    the algorithm picks its own rules (Boruvka's merging discipline, the
+    With no ``session`` this is ``PASession(net, mode=mode, seed=seed)``.
+    A given session is used as is; its mode must be ``mode``, because the
+    algorithm picks its own rules (Boruvka's merging discipline, the
     reported ``meta``) from that argument while PA runs in the session's.
     """
     if session is None:

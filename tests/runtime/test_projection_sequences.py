@@ -23,6 +23,7 @@ alive: implied (no ``*_verify_*`` phase, the first query learns the
 route) and verified (today's path, rebuild included).
 """
 
+import math
 import random
 
 import numpy as np
@@ -30,7 +31,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import MIN, SUM, PASession, solve_pa
+from repro import MIN, SUM, PASession, PASolver, solve_pa
+from repro.analysis.theory import TABLE1
 from repro.congest import CostLedger
 from repro.core.corefast import verify_block_parameters
 from repro.core.subparts import SubPartDivision
@@ -44,6 +46,7 @@ from repro.graphs.partitions import (
     boundary_edges,
     partition_from_component_labels,
 )
+from repro.runtime.session import _partition_image
 
 #: Merges and splits twice as likely as the rest: a split-back is only a
 #: projection (not a cache hit) two merges deep.
@@ -356,6 +359,98 @@ def test_one_merge_under_three_budgets(mode):
         elif budget == 1:
             assert sorted(projected.block_bound) == [0, 1, 1]
     assert branches == {None: "implied", 1: "verified", 0: "rebuilt"}
+
+
+def _phases(ledger):
+    return [(p.name, p.rounds, p.messages) for p in ledger.phases()]
+
+
+def _merge_or_peel(net, partition, op, pick):
+    """A merge along a border edge, or a peel; ``None`` if there is none."""
+    if op == "peel":
+        return _peel(net, partition, pick)
+    borders = boundary_edges(net, partition)
+    if not borders:
+        return None
+    u, v = borders[pick % len(borders)]
+    keep, gone = partition.part_of[u], partition.part_of[v]
+    return partition_from_component_labels(
+        [keep if p == gone else p for p in partition.part_of]
+    )
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    mode=st.sampled_from(("randomized", "deterministic")),
+    budget=st.sampled_from((0, 1, None)),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(("merge", "peel")),
+            st.integers(0, 1 << 16),
+            st.integers(0, (1 << 8) - 1),
+        ),
+        min_size=1, max_size=4,
+    ),
+)
+def test_random_dirty_sets_through_the_one_body(mode, budget, steps):
+    """The session's one construction with any subset of the parts dirty
+    on a carried base: the clean parts keep their trees, edge sets and
+    bound, the dirty ones are divided and claimed afresh — and the setup
+    answers like a from-scratch ``solve_pa``, keeps Definition 4.1 with
+    trees of depth at most 2D, keeps the bound chain, and is served
+    within the budget (the real one, or one small enough to force the
+    verifying and rebuilding branches) unless the step was a counted
+    rebuild."""
+    net, start = _shortcut_instance()
+    values = [(v * 7) % 11 for v in range(net.n)]
+    session = _Budget(net, mode=mode, seed=3, reuse=True, batch=True)
+    session.budget = budget
+    setup = session.prepare(start)
+    diameter = session.solver.diameter
+    envelope = TABLE1["general"].congestion(net.n, diameter, 1)
+    for op, pick, mask in steps:
+        target = _merge_or_peel(net, setup.partition, op, pick)
+        if target is None:
+            continue
+        image = _partition_image(setup.partition, target)
+        dirty = {pid for pid in range(target.num_parts) if mask >> pid & 1}
+        rebuilds = session.stats.rebuilds
+        served = session._prepare(target, None, setup, image, dirty)
+
+        want = solve_pa(net, target, values, SUM, mode=mode, seed=1)
+        got = session.solve(served, values, SUM, charge_setup=False)
+        assert got.aggregates == want.aggregates
+        assert got.value_at_node == want.value_at_node
+        served.division.validate(2 * diameter)
+        _check_bound_chain(session, served)
+        if len(dirty) < target.num_parts:  # a carried base, held to budget
+            cap = max(setup.shortcut.congestion(), math.ceil(envelope))
+            assert session.stats.rebuilds > rebuilds or (
+                max(served.block_bound) <= session.block_budget()
+                and served.shortcut.congestion() <= cap
+            )
+        setup = served
+
+
+@pytest.mark.parametrize("mode", ["randomized", "deterministic"])
+def test_every_part_dirty_is_a_fresh_prepare(mode):
+    """With every part dirty the carried base is dropped whole: the setup
+    ledger is, phase for phase, a fresh solver's ``prepare`` on the same
+    seed."""
+    net, start = _shortcut_instance()
+    previous = PASession(net, mode=mode, seed=3).prepare(start)
+    merged = partition_from_component_labels(
+        [0 if p == 1 else p for p in start.part_of]
+    )
+    image = _partition_image(start, merged)
+    session = PASession(net, mode=mode, seed=3, reuse=True)
+    got = session._prepare(
+        merged, None, previous, image, range(merged.num_parts)
+    )
+    want = PASolver(net, mode=mode, seed=3).prepare(merged)
+    assert _phases(got.setup_ledger) == _phases(want.setup_ledger)
+    assert got.block_bound == want.block_bound
+    assert (session.stats.prepares, session.stats.coarsenings) == (1, 0)
 
 
 def _forest_edges(setup):

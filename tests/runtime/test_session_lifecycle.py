@@ -16,6 +16,10 @@ from repro import PASession
 from repro.core import SUM
 from repro.core.aggregation import Aggregation
 from repro.graphs import random_connected, random_connected_partition
+from repro.graphs.partitions import (
+    boundary_edges,
+    partition_from_component_labels,
+)
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -161,6 +165,40 @@ def test_clear_cache_releases_all_shipped_setups():
         assert orch._shipped
         session.clear_cache()
         assert not orch._shipped
+    finally:
+        session.close()
+
+
+@needs_fork
+def test_a_superseded_coarsening_is_released():
+    """Each link of a coarsening chain supersedes the one before it; the
+    dropped entry's shipped copy must leave the workers with it, so after
+    any number of merges the workers hold exactly the live cache."""
+    session, partition = _fixture(
+        backend="sharded", workers=2, shard_min_n=1, reuse=True
+    )
+    try:
+        values = list(range(session.net.n))
+        setup = session.prepare(partition)
+        session.solve(setup, values, SUM)
+        for step in range(4):
+            part_of = setup.partition.part_of
+            u, v = boundary_edges(session.net, setup.partition)[step]
+            keep, gone = part_of[u], part_of[v]
+            setup = session.prepare_incremental(
+                setup, partition_from_component_labels(
+                    [keep if p == gone else p for p in part_of]
+                ),
+            )
+            session.solve(setup, values, SUM)
+        assert session.stats.coarsenings == 4
+        assert session.stats.sharded_solves == 5
+        assert session.stats.evictions == 0  # superseded, not LRU-evicted
+        shipped = {
+            id(s) for s, _id, _h in session._orchestrator._shipped.values()
+        }
+        assert shipped == {id(s) for s in session._cache.values()}
+        assert len(shipped) == 2  # the pinned entry and the last link
     finally:
         session.close()
 

@@ -12,12 +12,15 @@ for bit.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro import PASession
 from repro.core import MIN, SUM
 from repro.graphs import random_connected, random_connected_partition
 from repro.graphs.partitions import Partition
+from repro.graphs.weights import with_random_weights
 from repro.runtime.session import _partition_image
 
 
@@ -357,3 +360,13 @@ def test_edge_update_validation():
         session.apply_edge_updates(add=[e], remove=[e])
     with pytest.raises(ValueError):
         session.apply_edge_updates(add=[e], weights={e: 3})  # unweighted
+
+    # On a weighted network a weight may only name an edge being added:
+    # re-weighting an existing edge (or any other) is refused by name.
+    weighted = PASession(with_random_weights(net, seed=4), seed=3)
+    existing = weighted.net.edges[0]
+    with pytest.raises(ValueError, match=re.escape(str(existing))):
+        weighted.apply_edge_updates(add=[e], weights={e: 3, existing: 5})
+    assert weighted.stats.edge_updates == 0
+    assert weighted.apply_edge_updates(add=[e], weights={e[::-1]: 3}).added
+    assert weighted.net.weights[e] == 3
