@@ -90,10 +90,6 @@ def test_pa_schedules():
                     control_messages_delay0=control,
                 )
             data["max_skew"] = max(data.get("max_skew", 0), skew)
-            data["fast_forward_jumps"] = (
-                data.get("fast_forward_jumps", 0)
-                + session.solver.engine.fast_forward_jumps
-            )
             rows.append(
                 (label, res.rounds, res.messages, time_units, control, skew)
             )
@@ -112,7 +108,6 @@ def test_pa_schedules():
         time_units_delay0=data["time_units_delay0"],
         control_messages_delay0=data["control_messages_delay0"],
         max_skew=data["max_skew"],
-        fast_forward_jumps=data["fast_forward_jumps"],
     )
 
 
@@ -146,10 +141,6 @@ def test_mst_schedules():
                     control_messages_delay0=control,
                 )
             data["max_skew"] = max(data.get("max_skew", 0), skew)
-            data["fast_forward_jumps"] = (
-                data.get("fast_forward_jumps", 0)
-                + session.solver.engine.fast_forward_jumps
-            )
             rows.append(
                 (label, res.rounds, res.messages, time_units, control, skew)
             )
@@ -168,5 +159,4 @@ def test_mst_schedules():
         time_units_delay0=data["time_units_delay0"],
         control_messages_delay0=data["control_messages_delay0"],
         max_skew=data["max_skew"],
-        fast_forward_jumps=data["fast_forward_jumps"],
     )

@@ -82,7 +82,6 @@ def test_pa_crash_recovery():
                     reelections=driver.stats.reelections,
                     recovery_rounds=rec_rounds,
                     recovery_messages=rec_msgs,
-                    fast_forward_jumps=driver.engine.fast_forward_jumps,
                 )
             rows.append((
                 f"k={k}", driver.stats.attempts,
@@ -106,7 +105,6 @@ def test_pa_crash_recovery():
         reelections=data["reelections"],
         recovery_rounds=data["recovery_rounds"],
         recovery_messages=data["recovery_messages"],
-        fast_forward_jumps=data["fast_forward_jumps"],
     )
 
 
@@ -143,7 +141,6 @@ def test_mst_crash_recovery():
                     reelections=driver.stats.reelections,
                     recovery_rounds=rec_rounds,
                     recovery_messages=rec_msgs,
-                    fast_forward_jumps=driver.engine.fast_forward_jumps,
                 )
             rows.append((
                 f"k={k}", driver.stats.attempts,
@@ -167,5 +164,4 @@ def test_mst_crash_recovery():
         reelections=data["reelections"],
         recovery_rounds=data["recovery_rounds"],
         recovery_messages=data["recovery_messages"],
-        fast_forward_jumps=data["fast_forward_jumps"],
     )

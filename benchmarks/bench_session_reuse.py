@@ -69,7 +69,6 @@ def test_mst_session_reuse():
         cache_hits=stats.cache_hits,
         coarsenings=stats.coarsenings,
         rebuilds=stats.rebuilds,
-        evictions=stats.evictions,
         rounds=on.rounds,
         messages=on.messages,
     )
@@ -156,7 +155,6 @@ def test_mincut_session_sharing():
         prepares=sess.stats.prepares,
         cache_hits=sess.stats.cache_hits,
         coarsenings=sess.stats.coarsenings,
-        evictions=sess.stats.evictions,
         rounds=on.rounds,
         messages=on.messages,
     )

@@ -28,8 +28,7 @@ Public API tour:
 * ``repro.service`` — PA-as-a-service: :class:`PAService` serves
   multi-tenant aggregation query streams over evolving graphs
   (micro-batched waves, incremental partition/edge updates, per-tenant
-  ledger attribution); :class:`SessionPool` bounds session fleets with
-  close-on-eviction lifecycle.
+  ledger attribution).
 * ``repro.fuzz`` — the schedule-and-graph differential fuzzer that pins
   sync/async equivalence (``python -m repro.fuzz``).
 """
@@ -58,7 +57,7 @@ from .core import (
 from .families import ShortcutProvider, provider_for
 from .graphs import Partition
 from .runtime import PASession, RecoveryDriver
-from .service import PAService, SessionPool
+from .service import PAService
 
 __version__ = "1.0.0"
 
@@ -80,7 +79,6 @@ __all__ = [
     "PhaseStats",
     "RecoveryDriver",
     "Schedule",
-    "SessionPool",
     "ShortcutProvider",
     "SUM",
     "Shortcut",

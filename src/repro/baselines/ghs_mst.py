@@ -17,58 +17,17 @@ fragment communication via fragment trees vs. via Part-Wise Aggregation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..congest.engine import Context, Engine, Inbox, Program
+from ..congest.engine import Engine
 from ..congest.ledger import CostLedger, RunResult
 from ..congest.message import ceil_log2
 from ..congest.network import Network, canonical_edge
 from ..core.aggregation import MIN_TUPLE
 from ..core.spanning_tree import elect_leader_and_bfs_tree
 from ..core.star_joining import SuperEdge, note_merge_round, rank_joins, spread_seed
-from ..core.treeops import BroadcastProgram, ConvergecastProgram
+from ..core.treeops import BroadcastProgram, ConvergecastProgram, MergeFloodProgram
 from ..core.trees import ROOT, RootedForest
-
-
-class _FragmentMergeProgram(Program):
-    """Flood-merge joining fragments into their targets (re-root + relabel)."""
-
-    name = "ghs_merge"
-
-    def __init__(
-        self,
-        net: Network,
-        tree_neighbors: Sequence[Sequence[int]],
-        joins: Dict[int, Tuple[int, int, int]],
-    ) -> None:
-        """``joins``: fragment sid -> (u, v, new_comp_uid)."""
-        self.net = net
-        self.tree_neighbors = tree_neighbors
-        self.joins = joins
-        self.new_parent: Dict[int, int] = {}
-        self.new_comp_uid: Dict[int, int] = {}
-        self._visited: Set[int] = set()
-
-    def _flood(self, ctx: Context, node: int, sender: int, comp_uid: int) -> None:
-        if node in self._visited:
-            return
-        self._visited.add(node)
-        self.new_parent[node] = sender
-        self.new_comp_uid[node] = comp_uid
-        for nb in self.tree_neighbors[node]:
-            if nb != sender:
-                ctx.send(node, nb, ("mg", comp_uid))
-
-    def on_start(self, ctx: Context) -> None:
-        for _sid, (u, v, comp_uid) in self.joins.items():
-            ctx.send(u, v, ("att",))
-            self._flood(ctx, u, v, comp_uid)
-
-    def on_node(self, ctx: Context, node: int, inbox: Inbox) -> None:
-        for sender, payload in inbox:
-            if payload[0] == "att":
-                continue
-            self._flood(ctx, node, sender, payload[1])
 
 
 def ghs_mst(net: Network, seed: int = 0) -> RunResult:
@@ -131,7 +90,7 @@ def ghs_mst(net: Network, seed: int = 0) -> RunResult:
                 chosen[root] = (net.node_of_uid(moe[1]), v_nb, comp[v_nb])
         heard = [down.received[v][1] for v in range(n)]
         joins = {
-            root: (u, v_nb, net.uid[target_root])
+            root: (u, v_nb, (net.uid[target_root],))
             for root, (u, v_nb, target_root) in rank_joins(
                 engine, ledger, "ghs", phase, seed_at, announced, heard, chosen
             ).items()
@@ -139,17 +98,11 @@ def ghs_mst(net: Network, seed: int = 0) -> RunResult:
         note_merge_round("ghs", phase, len(forest.roots), len(chosen), len(joins))
         mst_edges.update(canonical_edge(u, v_nb) for u, v_nb, _ in joins.values())
 
-        tree_neighbors: List[List[int]] = [
-            list(forest.children[v]) for v in range(n)
-        ]
-        for v in range(n):
-            if forest.parent[v] >= 0:
-                tree_neighbors[v].append(forest.parent[v])
-        merger = _FragmentMergeProgram(net, tree_neighbors, joins)
+        merger = MergeFloodProgram(forest, joins, name="ghs_merge")
         ledger.charge(engine.run(merger, max_ticks=n + 4))
         for node, new_parent in merger.new_parent.items():
             parent[node] = new_parent
-        for node, comp_uid in merger.new_comp_uid.items():
+        for node, (comp_uid,) in merger.new_label.items():
             comp[node] = net.node_of_uid(comp_uid)
 
     if len(set(comp)) != 1:

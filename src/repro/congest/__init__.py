@@ -47,7 +47,7 @@ from .message import (
     payload_bits,
     payload_bits_cached,
 )
-from .network import Network, canonical_edge, network_from_networkx
+from .network import Network, canonical_edge
 from .schedule import (
     FIFORandomSchedule,
     RandomDelaySchedule,
@@ -94,7 +94,6 @@ __all__ = [
     "int_bits",
     "make_schedule",
     "message_bit_limit",
-    "network_from_networkx",
     "payload_bits",
     "payload_bits_cached",
     "validate_schedule",

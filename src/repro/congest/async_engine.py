@@ -46,13 +46,10 @@ wakeup or timer pending — the simulator detects quiescence globally
 instead of running a distributed termination-detection layer, and idle
 nodes charge one "frame" (payload + ack slots) per pulse so the virtual
 clock stays uniform when delays are.  Both affect only the overhead
-accounting, never the main ledger.  Long idle gaps (a ``wake_at`` far in
-the future) are *fast-forwarded* whenever the schedule promises a
-uniform delay (``Schedule.uniform_delay``): a gap of ``g`` pulses is
-charged its exact walked cost — ``g * (3 + d)`` time units and ``g``
-safe waves — in one jump, leaving every ledger and overhead record
-bit-for-bit identical to the pulse-by-pulse walk (pinned by
-``tests/congest/test_async_fast_forward.py``).
+accounting, never the main ledger.  An idle gap (a ``wake_at`` far in
+the future) is walked pulse by pulse: under a uniform delay ``d`` each
+idle pulse costs ``3 + d`` time units and one safe wave (pinned by
+``tests/congest/test_async_engine.py``).
 
 Event queue and delay draws (docs/architecture.md has the argument): the
 virtual clock is an integer, so pending events sit in a calendar — one
@@ -155,7 +152,6 @@ class AsyncEngine:
         strict_bits: bool = True,
         strict_edges: bool = True,
         faults: Optional[FaultPlan] = None,
-        fast_forward: bool = True,
     ) -> None:
         if not strict_edges and strict_bits:
             raise ValueError(
@@ -171,11 +167,7 @@ class AsyncEngine:
         #: all — the no-fault path must be bit-for-bit the fault-free
         #: engine, with zero extra branches taken.
         self.faults = faults if faults is not None and not faults.empty else None
-        self.fast_forward = fast_forward
         self._edge_slots = _EdgeSlots(network)
-        #: Idle-gap jumps taken (diagnostic; the jump is cost-exact so
-        #: this never shows in any ledger).
-        self.fast_forward_jumps = 0
         #: Global pulse offset: phase-local pulse t of the next phase is
         #: global pulse ``global_pulse + t``.  Fault plans are written in
         #: global coordinates so crash windows span phase boundaries.
@@ -227,7 +219,6 @@ class AsyncEngine:
             self.network, self.schedule, self._edge_slots, program, ctx,
             max_ticks, capacity,
             phase_name, faults=self.faults, pulse_base=self.global_pulse,
-            fast_forward=self.fast_forward,
         )
         # Observability: one fetch + one ``enabled`` check per phase; the
         # phase sees ``tracer=None`` on the disabled path and emits
@@ -240,7 +231,6 @@ class AsyncEngine:
         try:
             stats, overhead = run.execute(rounds_per_tick)
         finally:
-            self.fast_forward_jumps += run.jumps
             # Advance global time even when the phase dies mid-flight (a
             # fault-aborted attempt must not freeze the fault clock, or a
             # crash window could never pass): the horizon reached is the
@@ -319,7 +309,6 @@ class _AsyncPhase:
         phase_name: str,
         faults: Optional[FaultPlan] = None,
         pulse_base: int = 0,
-        fast_forward: bool = True,
     ) -> None:
         self.net = net
         self.schedule = schedule
@@ -335,9 +324,7 @@ class _AsyncPhase:
         self.phase_name = phase_name
         self.faults = faults
         self.pulse_base = pulse_base
-        self.fast_forward = fast_forward
         self.fault_report = FaultReport(phase=phase_name, base_pulse=pulse_base)
-        self.jumps = 0
         #: Recording tracer or None (set by AsyncEngine.run; None keeps
         #: every hook below to a single identity check).
         self.tracer = None
@@ -378,11 +365,6 @@ class _AsyncPhase:
         #: FIFO clamp: edge slot (or the ``(src, dst)`` pair of a send
         #: along a non-edge) -> last payload arrival time.
         self.fifo_last: Dict[object, int] = {}
-        #: Undelivered-work counters (fast-forward preconditions): total
-        #: buffered mailbox entries and distinct pending wake pulses.
-        self.mail_total = 0
-        self.wake_total = 0
-        self.two_m = sum(self.deg)
 
         #: The event queue, as a calendar: timestamp -> its events in
         #: push order, plus a heap of the distinct pending timestamps.
@@ -595,10 +577,7 @@ class _AsyncPhase:
                         f"after the node already passed it (cross-node wakes "
                         "are only legal in on_start)"
                     )
-                bucket = self.wake_pending[w]
-                if target not in bucket:
-                    bucket.add(target)
-                    self.wake_total += 1
+                self.wake_pending[w].add(target)
             ctx._wakeups.clear()
             self._raise_horizon(target, now)
         if ctx._timers:
@@ -622,7 +601,6 @@ class _AsyncPhase:
         mail = self.mailbox[v].pop(t, None)
         if not mail:
             return ()
-        self.mail_total -= len(mail)
         # Canonical resequencing: the synchronous engine delivers each
         # inbox sorted (stably) by sender, which preserves each sender's
         # emission order — exactly (sender, emit_seq) order here, no
@@ -678,7 +656,6 @@ class _AsyncPhase:
         woken = t in self.wake_pending[v]
         if woken:
             self.wake_pending[v].discard(t)
-            self.wake_total -= 1
         inbox = self._build_inbox(v, t)
 
         sent = 0
@@ -716,76 +693,6 @@ class _AsyncPhase:
             self._push(now + 2, (_EV_SELF_SAFE, v, t))
         self._try_queue(v)
 
-    def _maybe_fast_forward(self) -> None:
-        """Jump over an all-idle pulse gap to the next timer, cost-exactly.
-
-        Preconditions (checked here; the caller guarantees there is no
-        pending timestamp): every node is gate-open for the same next
-        pulse ``t``, nothing is buffered or pending anywhere (no mail, no wakes, no
-        stalled safes, no horizon waiters), the only future work is a
-        ``wake_at`` timer at ``T > t``, and the schedule promises one
-        uniform delay ``d``.  Walking that gap would execute ``T - t``
-        identical idle frames: each enters a pulse, self-safes at +2 and
-        fans safes arriving at +3+d — so the walk costs exactly
-        ``(T - t) * (3 + d)`` time units and ``(T - t)`` full safe waves
-        (``2m`` messages each), and leaves every node about to enter
-        ``T``.  The jump applies that closed form and reproduces the
-        walk's state verbatim: stats, overhead records and skew are
-        bit-for-bit identical (pinned by the fast-forward parity tests).
-
-        With a fault plan installed, crashes and message loss are inert
-        across idle frames (no activations, no payloads; zombie pulses
-        walk identically), but a partition drops safe waves — which
-        *stalls* rather than walks — so any plan with partitions
-        disables the jump.
-        """
-        ready = self.ready
-        n = self.net.n
-        if len(ready) != n or not self.timers:
-            return
-        if self.mail_total or self.wake_total:
-            return
-        if self.stalled_safe or self.li_waiters:
-            return
-        if self.faults is not None and self.faults.partitions:
-            return
-        t = ready[0][0]
-        for entry in ready:
-            if entry[0] != t:
-                return
-        next_timer = min(self.timers)
-        if next_timer <= t:
-            return
-        d = self.schedule.uniform_delay()
-        if d is None:
-            return
-        gap = next_timer - t
-        self.clock += gap * (3 + d)
-        self.safe_msgs += gap * self.two_m
-        deg = self.deg
-        at = next_timer - 1
-        for v in range(n):
-            self.pulse[v] = at
-            self.safe_cnt[v] = {at: deg[v]}
-        self.pulse_pop = {at: n}
-        self.min_pulse = at
-        self.max_pulse = at
-        self.rows.clear()
-        self.ready = [(next_timer, v) for v in range(n)]
-        self.ready_set = set(range(n))
-        self.jumps += 1
-        if self.tracer is not None:
-            self.tracer.instant(
-                "fast_forward",
-                "engine.ff",
-                {
-                    "phase": self.phase_name,
-                    "from_pulse": t,
-                    "to_pulse": next_timer,
-                    "skipped": gap,
-                },
-            )
-
     # -- main loop -------------------------------------------------------
     def execute(
         self, rounds_per_tick: int
@@ -809,8 +716,6 @@ class _AsyncPhase:
             # clock; executing may open further gates at the same
             # timestamp (horizon raises, banked safes), so drain fully.
             if self.ready:
-                if self.fast_forward and not times:
-                    self._maybe_fast_forward()
                 batch = self.ready
                 self.ready = []
                 batch.sort()
@@ -862,7 +767,6 @@ class _AsyncPhase:
                     self.mailbox[dst].setdefault(tpulse, []).append(
                         (src, eseq, payload)
                     )
-                    self.mail_total += 1
                     self.in_flight[tpulse] = self.in_flight.get(tpulse, 0) + 1
                     self.ack_msgs += 1
                     self._push(

@@ -132,30 +132,6 @@ class CostLedger:
                 out[stats.name] = stats
         return out
 
-    def summary(self) -> str:
-        """Human-readable per-phase cost breakdown with aligned columns."""
-        by_name = self.by_name()
-        total_bits = sum(s.bits for s in self._phases)
-        lines = [
-            f"total: rounds={self.rounds} messages={self.messages}"
-            + (f" bits={total_bits}" if total_bits else "")
-        ]
-        if not by_name:
-            return lines[0]
-        name_w = max(len(name) for name in by_name)
-        rounds_w = max(len(str(s.rounds)) for s in by_name.values())
-        msgs_w = max(len(str(s.messages)) for s in by_name.values())
-        bits_w = max(len(str(s.bits)) for s in by_name.values())
-        for name, stats in sorted(by_name.items()):
-            line = (
-                f"  {name.ljust(name_w)}  rounds={str(stats.rounds).rjust(rounds_w)}"
-                f"  messages={str(stats.messages).rjust(msgs_w)}"
-            )
-            if total_bits:
-                line += f"  bits={str(stats.bits).rjust(bits_w)}"
-            lines.append(line)
-        return "\n".join(lines)
-
     def __iter__(self) -> Iterator[PhaseStats]:
         return iter(self._phases)
 

@@ -295,12 +295,6 @@ class Network:
         """Inverse of ``self.uid`` (orchestrator convenience, not node-local)."""
         return self._uid_to_node[uid]
 
-    def total_weight(self) -> int:
-        """Sum of all edge weights."""
-        if self.weights is None:
-            return self.m
-        return sum(self.weights.values())
-
     # ------------------------------------------------------------------
     # Global structure (orchestrator-side helpers; used for validation,
     # test oracles, and workload setup -- never inside node programs)
@@ -395,22 +389,3 @@ class NetworkArrays:
         self.src_of_slot = src_of_slot
         self.edge_keys = edge_keys
         self.uid = uid
-
-
-def network_from_networkx(graph, uid_seed: int = 0x5EED) -> Network:
-    """Build a :class:`Network` from a networkx graph.
-
-    Node labels must be ``0..n-1``.  If every edge carries an integer
-    ``weight`` attribute it becomes the network's weight function.
-    """
-    n = graph.number_of_nodes()
-    if set(graph.nodes()) != set(range(n)):
-        raise ValueError("networkx graph must be labeled 0..n-1")
-    edges = [canonical_edge(u, v) for u, v in graph.edges()]
-    weights = None
-    if all("weight" in data for _, _, data in graph.edges(data=True)) and n > 0 and graph.number_of_edges() > 0:
-        weights = {
-            canonical_edge(u, v): int(data["weight"])
-            for u, v, data in graph.edges(data=True)
-        }
-    return Network(edges, n=n, weights=weights, uid_seed=uid_seed)

@@ -157,21 +157,6 @@ class Schedule:
         delay = self.delay
         return [delay(s, d, pulse, kind) for s, d in zip(srcs, dsts)]
 
-    def uniform_delay(self) -> "int | None":
-        """The single constant this schedule assigns to *every* message,
-        or ``None`` if delays vary by coordinate.
-
-        This is a promise, not a measurement: a subclass may only return
-        an int here if ``delay`` returns that value for all
-        ``(src, dst, pulse, kind)``.  The async engine uses it to
-        fast-forward long idle gaps (``wake_at`` far in the future)
-        without walking each pulse frame — under a uniform delay ``d``
-        every idle pulse costs exactly ``3 + d`` time units and one safe
-        wave, so the jump is exact.  The conservative default ``None``
-        disables the shortcut.
-        """
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -195,9 +180,6 @@ class SynchronousSchedule(Schedule):
 
     def delays(self, srcs, dsts, pulse: int, kind: int) -> List[int]:
         return [0] * len(srcs)
-
-    def uniform_delay(self) -> int:
-        return 0
 
 
 class RandomDelaySchedule(Schedule):
@@ -233,9 +215,6 @@ class RandomDelaySchedule(Schedule):
 
     def _edge_states(self, srcs, dsts) -> np.ndarray:
         return _mix_pairs(self.seed, srcs, dsts)
-
-    def uniform_delay(self) -> "int | None":
-        return 0 if self.max_delay == 0 else None
 
 
 class SlowEdgeSchedule(Schedule):
@@ -281,13 +260,6 @@ class SlowEdgeSchedule(Schedule):
         h = _mix_pairs(self.seed, np.minimum(srcs, dsts), np.maximum(srcs, dsts))
         slow = (h >> np.uint64(16)) % np.uint64(1 << 32) < np.uint64(self._threshold)
         return np.where(slow, self.slow_delay, 0).tolist()
-
-    def uniform_delay(self) -> "int | None":
-        if self.slow_delay == 0 or self.slow_fraction == 0.0:
-            return 0
-        if self.slow_fraction == 1.0:
-            return self.slow_delay
-        return None
 
 
 class FIFORandomSchedule(RandomDelaySchedule):

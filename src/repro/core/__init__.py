@@ -46,7 +46,6 @@ from .shortcuts import (
 from .spanning_tree import (
     SpanningTreeResult,
     bfs_tree,
-    diameter_upper_bound,
     elect_leader_and_bfs_tree,
 )
 from .subparts import (
@@ -95,7 +94,6 @@ __all__ = [
     "build_shortcut_randomized",
     "build_subpart_division_randomized",
     "claim_bfs",
-    "diameter_upper_bound",
     "division_from_groups",
     "elect_leader_and_bfs_tree",
     "empty_shortcut",

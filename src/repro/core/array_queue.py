@@ -269,24 +269,6 @@ class EdgePool:
         return emitted, wake
 
 
-def csr_from_pairs(
-    keys: np.ndarray, values: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Group ``values`` by key: (unique keys, starts, counts, sorted values).
-
-    Values within a group come out ascending (they are the secondary sort
-    key), matching the scalar programs' ascending-children iteration.
-    """
-    if keys.size == 0:
-        return _EMPTY, _EMPTY, _EMPTY, _EMPTY
-    order = np.lexsort((values, keys))
-    skeys = keys[order]
-    svals = values[order]
-    ukeys, starts = np.unique(skeys, return_index=True)
-    counts = np.diff(np.append(starts, skeys.size))
-    return ukeys, starts, counts, svals
-
-
 def csr_slots(
     starts: np.ndarray, counts: np.ndarray, idx: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

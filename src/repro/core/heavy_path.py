@@ -67,11 +67,6 @@ class HeavyPathDecomposition:
                 out.setdefault(self.rank[v], []).append(v)
         return out
 
-    def max_rank(self) -> int:
-        return max(
-            (self.rank[v] for v, t in enumerate(self.path_top) if t), default=0
-        )
-
 
 class _PerChildConvergecast(Program):
     """Convergecast where each parent records every child's reported value.

@@ -89,13 +89,3 @@ def elect_leader_and_bfs_tree(
     return SpanningTreeResult(
         tree=tree, root=net.node_of_uid(leader_uid), depth=tree.height()
     )
-
-
-def diameter_upper_bound(tree: SpanningTreeResult) -> int:
-    """The 2-approximation of D every algorithm uses as its ``D``.
-
-    A BFS tree of depth ``h`` certifies D in [h, 2h]; all the paper's
-    thresholds (|P_i| < D, sub-part radius D, ...) tolerate a constant
-    factor, so algorithms use ``2 * depth`` as their globally known D.
-    """
-    return max(1, 2 * tree.depth)

@@ -253,13 +253,11 @@ class SuperOps:
 
     * :meth:`push_up` — each source sends a value over its chosen edge; the
       *target* super-node's leader receives the aggregate of incoming
-      values (used for in-degree counting);
+      values (used for in-degree counting and for predecessor colors in
+      the shift-down steps);
     * :meth:`push_down` — each target super-node publishes a value; each
       *source* super-node's leader learns its target's value (used for
-      receiver notification and successor colors in Cole-Vishkin);
-    * :meth:`push_pred` — symmetric to push_down: each source publishes,
-      each target's leader learns the aggregate of its predecessors'
-      values (used for predecessor colors in the shift-down steps).
+      receiver notification and successor colors in Cole-Vishkin).
 
     Whatever a super-node is, a push is the same three metered steps: the
     publishing leaders' values *spread* to their members, one round across
@@ -345,9 +343,6 @@ class SuperOps:
 
     def push_down(self, value_of: Dict[int, object]) -> Dict[int, object]:
         return self._push(value_of, "down", MIN)
-
-    def push_pred(self, value_of: Dict[int, object], agg: Aggregation) -> Dict[int, object]:
-        return self.push_up(value_of, agg)
 
 
 def compute_star_joining(

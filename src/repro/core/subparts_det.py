@@ -38,12 +38,12 @@ fails loudly rather than silently looping.
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..congest.arrays import PayloadColumns
-from ..congest.engine import Context, Engine, Inbox, Program
+from ..congest.engine import Engine
 from ..congest.ledger import CostLedger
 from ..congest.message import ceil_log2
 from ..congest.network import Network
@@ -51,58 +51,10 @@ from ..graphs.partitions import Partition
 from .aggregation import MIN_TUPLE, SUM
 from .star_joining import SuperEdge, TreeSuperOps, compute_star_joining
 from .subparts import SubPartDivision
-from .treeops import cross_round, run_broadcast, run_convergecast
+from .treeops import (
+    MergeFloodProgram, cross_round, run_broadcast, run_convergecast,
+)
 from .trees import ABSENT, ROOT, RootedForest
-
-
-class _MergeProgram(Program):
-    """Joiners re-root at their chosen endpoint and adopt receiver identity.
-
-    A single flooded message per joiner tree does all three jobs: the flood
-    predecessor becomes the node's new parent (re-rooting), the payload
-    carries the receiver's (rep uid, completeness) for relabeling, and the
-    initial hop attaches the endpoint under the receiver-side endpoint.
-    """
-
-    name = "det_merge"
-
-    def __init__(
-        self,
-        net: Network,
-        tree_neighbors: Sequence[Sequence[int]],
-        joins: Dict[int, Tuple[int, int, int, bool]],
-    ) -> None:
-        """``joins``: joiner sid -> (u, v, new_rep_uid, new_complete)."""
-        self.net = net
-        self.tree_neighbors = tree_neighbors
-        self.joins = joins
-        self.new_parent: Dict[int, int] = {}
-        self.new_label: Dict[int, Tuple[int, bool]] = {}
-        self._visited: Set[int] = set()
-
-    def _flood(self, ctx: Context, node: int, sender: int,
-               rep_uid: int, complete: bool) -> None:
-        if node in self._visited:
-            return
-        self._visited.add(node)
-        self.new_parent[node] = sender
-        self.new_label[node] = (rep_uid, complete)
-        for nb in self.tree_neighbors[node]:
-            if nb != sender:
-                ctx.send(node, nb, ("mg", rep_uid, complete))
-
-    def on_start(self, ctx: Context) -> None:
-        for _sid, (u, v, rep_uid, complete) in self.joins.items():
-            # The receiver-side endpoint must learn it gained a child.
-            ctx.send(u, v, ("att",))
-            self._flood(ctx, u, v, rep_uid, complete)
-
-    def on_node(self, ctx: Context, node: int, inbox: Inbox) -> None:
-        for sender, payload in inbox:
-            if payload[0] == "att":
-                continue  # receipt itself establishes the child link
-            _tag, rep_uid, complete = payload
-            self._flood(ctx, node, sender, rep_uid, complete)
 
 
 def build_subpart_division_deterministic(
@@ -272,19 +224,13 @@ def _divide_deterministic(
             ops, set(participants_edges)
         )
 
-        # 5. Merge joiners into receivers.
-        tree_neighbors: List[List[int]] = [list(forest.children[v]) for v in range(n)]
-        for v in range(n):
-            if forest.parent[v] >= 0:
-                tree_neighbors[v].append(forest.parent[v])
-        merge_input = {}
-        for sid, (u, v_nb, target_sid) in joins.items():
-            merge_input[sid] = (
-                u, v_nb, net.uid[rep_of[v_nb]], complete[v_nb]
-            )
-        merger = _MergeProgram(net, tree_neighbors, merge_input)
-        stats = engine.run(merger, max_ticks=4 * threshold + 8)
-        ledger.charge(stats)
+        # 5. Merge joiners into receivers: each adopts the receiver's
+        # (rep uid, completeness).
+        merger = MergeFloodProgram(forest, {
+            sid: (u, v_nb, (net.uid[rep_of[v_nb]], complete[v_nb]))
+            for sid, (u, v_nb, _target) in joins.items()
+        }, name="det_merge")
+        ledger.charge(engine.run(merger, max_ticks=4 * threshold + 8))
         for node, new_parent in merger.new_parent.items():
             parent[node] = new_parent
         for node, (rep_uid, cflag) in merger.new_label.items():

@@ -260,6 +260,52 @@ class FloodMinProgram(Program):
             self._announce(ctx, node)
 
 
+class MergeFloodProgram(Program):
+    """Joining trees re-root at their chosen endpoint and adopt a label.
+
+    ``joins`` maps a joining tree to ``(u, v, label)``: ``u`` is its
+    endpoint of the chosen edge, ``v`` the far endpoint in the tree it
+    joins, ``label`` the tuple every member adopts.  ``u`` sends
+    ``("att",)`` to ``v`` (the receipt itself tells ``v`` it gained a
+    child) and floods ``("mg", *label)`` over its own tree; each node's
+    flood predecessor becomes its new parent, so one message per node
+    re-roots, attaches and relabels.  After the phase ``new_parent`` and
+    ``new_label`` hold what changed.
+    """
+
+    def __init__(
+        self,
+        forest: RootedForest,
+        joins: Dict[int, Tuple[int, int, tuple]],
+        name: str,
+    ) -> None:
+        self.forest = forest
+        self.joins = joins
+        self.name = name
+        self.new_parent: Dict[int, int] = {}
+        self.new_label: Dict[int, tuple] = {}
+
+    def _flood(self, ctx: Context, node: int, sender: int, label: tuple) -> None:
+        if node in self.new_parent:
+            return
+        self.new_parent[node] = sender
+        self.new_label[node] = label
+        parent = self.forest.parent[node]
+        for nb in self.forest.children[node] + ((parent,) if parent >= 0 else ()):
+            if nb != sender:
+                ctx.send(node, nb, ("mg", *label))
+
+    def on_start(self, ctx: Context) -> None:
+        for u, v, label in self.joins.values():
+            ctx.send(u, v, ("att",))
+            self._flood(ctx, u, v, label)
+
+    def on_node(self, ctx: Context, node: int, inbox: Inbox) -> None:
+        for sender, payload in inbox:
+            if payload[0] == "mg":
+                self._flood(ctx, node, sender, payload[1:])
+
+
 class CrossRoundProgram(Program):
     """One round: send a payload across each given directed graph edge.
 

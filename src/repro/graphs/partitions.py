@@ -219,25 +219,3 @@ def boundary_edges(net: Network, partition: Partition) -> List[Tuple[int, int]]:
         if partition.part_of[u] != partition.part_of[v]:
             out.append((u, v))
     return out
-
-
-def part_diameters(net: Network, partition: Partition) -> List[int]:
-    """Hop diameter of each part's induced subgraph (test oracle)."""
-    diameters = []
-    for members in partition.members:
-        member_set = set(members)
-        best = 0
-        for src in members:
-            dist = {src: 0}
-            frontier = [src]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for v in net.neighbors[u]:
-                        if v in member_set and v not in dist:
-                            dist[v] = dist[u] + 1
-                            nxt.append(v)
-                frontier = nxt
-            best = max(best, max(dist.values()))
-        diameters.append(best)
-    return diameters

@@ -31,12 +31,6 @@ def with_random_weights(
     return Network(net.edges, n=net.n, weights=weights, uid_seed=_uid_seed(net))
 
 
-def with_unit_weights(net: Network) -> Network:
-    """Copy of ``net`` where every edge has weight 1."""
-    weights = {e: 1 for e in net.edges}
-    return Network(net.edges, n=net.n, weights=weights, uid_seed=_uid_seed(net))
-
-
 def with_distinct_weights(net: Network, seed: int = 7) -> Network:
     """Copy of ``net`` with a random permutation of 1..m as weights.
 

@@ -37,7 +37,8 @@ docs/architecture.md, "Observability"):
   implementation in ``args``.
 * ``"engine.tick"`` — per-tick counters (messages delivered, payload
   bits, activations) while a phase runs.
-* ``"engine.ff"`` — timer-wheel fast-forward jumps (all three engines).
+* ``"engine.ff"`` — timer-wheel fast-forward jumps (the two synchronous
+  engines).
 * ``"fault"`` — fault-plan injections observed by the async engine.
 * ``"session"`` / ``"recovery"`` — runtime-layer spans and instants.
 

@@ -37,7 +37,7 @@ bit for bit — pinned by tests/runtime/test_session.py.
 from __future__ import annotations
 
 import math
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
@@ -75,7 +75,6 @@ class SessionStats:
     solves: int = 0            # single-aggregate solves
     routed_solves: int = 0     # wave passes that reused their setup's route
     batched_solves: int = 0    # aggregations folded into shared wave passes
-    evictions: int = 0         # cache entries dropped by the LRU bound
     sharded_solves: int = 0    # wave passes run on the multiprocess backend
     sharded_fallbacks: int = 0  # sharded requests served in-process instead
     edge_updates: int = 0      # apply_edge_updates calls absorbed
@@ -246,11 +245,6 @@ class PASession:
         Enable setup caching and incremental projection.
     batch:
         Enable single-wave multi-aggregate solves in :meth:`solve_many`.
-    max_entries:
-        Bound the setup cache (``None`` = unbounded).  Over the bound the
-        least-recently-used projected entry is evicted; a fresh prepare's
-        entry (a loop entry point phase loops revisit) is *pinned* and
-        goes only once every entry left is pinned.
     backend / workers / shard_min_n:
         ``backend="sharded"`` runs eligible wave passes on the forked
         worker pool of :mod:`repro.shard` (one shard per conflict
@@ -279,7 +273,6 @@ class PASession:
         shortcut_provider: Optional[object] = None,
         reuse: bool = False,
         batch: bool = False,
-        max_entries: Optional[int] = None,
         solver: Optional[PASolver] = None,
         backend: str = "local",
         workers: object = "auto",
@@ -288,8 +281,6 @@ class PASession:
         if backend not in ("local", "sharded"):
             raise ValueError(f"unknown backend {backend!r}")
         self.shortcut_provider = shortcut_provider
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 (or None for unbounded)")
         if solver is not None:
             theirs = solver.net
             if theirs is not net and (
@@ -309,7 +300,6 @@ class PASession:
             )
         self.reuse = reuse
         self.batch = batch
-        self.max_entries = max_entries
         self.backend = backend
         self.shard_min_n = shard_min_n
         if backend == "sharded":
@@ -322,12 +312,11 @@ class PASession:
         self._last_ran_sharded = False
         self._closed = False
         self.stats = SessionStats()
-        # Recency-ordered memo (oldest first); bounded by ``max_entries``.
-        self._cache: "OrderedDict[Fingerprint, PASetup]" = OrderedDict()
-        # Keys of projected entries.  A coarsening supersedes the previous
-        # one (partitions only coarsen forward in a phase loop); entries
-        # of a fresh prepare (loop entry points) are *pinned*: the LRU
-        # bound evicts them only when no projected entry is left.
+        # The setup memo, fingerprint -> setup.
+        self._cache: Dict[Fingerprint, PASetup] = {}
+        # Keys of projected entries: the one kind a later coarsening may
+        # supersede (partitions only coarsen forward in a phase loop).  A
+        # fresh prepare's entry, a loop entry point, is never superseded.
         self._coarsened_keys: set = set()
 
     # -- conveniences the algorithms lean on ---------------------------
@@ -434,26 +423,7 @@ class PASession:
         self._last_ran_sharded = True
         return outcome
 
-    # -- cache mechanics (LRU bound + loop-entry pinning) ---------------
-    def _cache_store(self, key: Fingerprint, setup: PASetup) -> None:
-        self._cache[key] = setup
-        self._cache.move_to_end(key)
-        if self.max_entries is None:
-            return
-        while len(self._cache) > self.max_entries:
-            # The least-recently-used unpinned entry, else the least
-            # recently used; never the entry just stored.
-            victim = next((
-                k for k in self._cache
-                if k != key and k in self._coarsened_keys
-            ), None)
-            if victim is None:
-                victim = next((k for k in self._cache if k != key), None)
-            if victim is None:
-                break
-            self._drop(victim)
-            self.stats.evictions += 1
-
+    # -- cache mechanics ------------------------------------------------
     def _drop(self, key: Fingerprint) -> None:
         """Remove one cache entry — every removal comes through here, so
         the shard workers' pin on a shipped setup goes with it."""
@@ -474,7 +444,6 @@ class PASession:
         cached = self._cache.get(key)
         if cached is None:
             return None
-        self._cache.move_to_end(key)
         self.stats.cache_hits += 1
         tracer = current_tracer()
         if tracer.enabled:
@@ -501,7 +470,7 @@ class PASession:
                 return cached
         setup = self._prepare(partition, leaders)
         if key is not None:
-            self._cache_store(key, setup)
+            self._cache[key] = setup
         return setup
 
     def prepare_incremental(
@@ -529,8 +498,8 @@ class PASession:
         if image is None:
             return self.prepare(partition, leaders=leaders)
         setup = self._prepare(partition, leaders, previous, image)
-        self._coarsened_keys.add(key)  # unpinned, either direction
-        self._cache_store(key, setup)
+        self._coarsened_keys.add(key)  # either direction
+        self._cache[key] = setup
         if _kind(image) == "refine":
             # Split partitions can re-merge (a service tenant re-presenting
             # yesterday's grouping): the parent entry stays.

@@ -1,4 +1,4 @@
-"""PA-as-a-service: query serving, multi-tenant batching, session pooling.
+"""PA-as-a-service: query serving and multi-tenant batching.
 
 The layer above :mod:`repro.runtime`: a :class:`PAService` owns one
 session over an evolving graph and serves per-part aggregation query
@@ -6,11 +6,9 @@ streams from multiple tenants — micro-batching concurrent queries into
 shared ``solve_many`` waves, absorbing partition changes by incremental
 coarsening/refinement and edge changes by tree-preserving repair, with
 shared-cost per-tenant ledger attribution on ``tenant:<name>`` obs
-streams.  :class:`SessionPool` bounds a fleet of sessions with
-close-on-eviction lifecycle.  See docs/architecture.md, "Service layer".
+streams.  See docs/architecture.md, "Service layer".
 """
 
-from .pool import PoolStats, SessionPool
 from .queries import (
     AggregateQuery,
     KINDS,
@@ -26,10 +24,8 @@ __all__ = [
     "AggregateQuery",
     "KINDS",
     "PAService",
-    "PoolStats",
     "QueryResult",
     "ServiceStats",
-    "SessionPool",
     "max_query",
     "min_query",
     "sum_query",

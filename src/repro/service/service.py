@@ -92,7 +92,7 @@ class PAService:
     session:
         Adopt an existing session instead (must have ``reuse`` and
         ``batch`` enabled) — the one place to choose anything else about
-        execution: mode, ``backend="sharded"``, ``max_entries``, engine.
+        execution: mode, ``backend="sharded"``, engine.
     max_batch:
         Admission-queue depth that triggers an automatic flush.  1
         disables micro-batching (every submit solves immediately);

@@ -65,6 +65,28 @@ def test_sssp_amortized_tree(weighted_random):
     assert all(isinstance(d, int) for d in run.output)
 
 
+@pytest.mark.parametrize("flags", [{}, {"reuse": True, "batch": True}],
+                         ids=["bare", "reuse+batch"])
+def test_sssp_charges_its_tree_once(flags):
+    """The MST approx_sssp builds runs on its session: the BFS tree is in
+    the ledger once, under ``tree:``, and never again under ``mst:``."""
+    from repro import PASession
+
+    net = with_random_weights(grid_2d(5, 8), max_weight=20, seed=3)
+    session = PASession(net, seed=1, **flags)
+    run = approx_sssp(net, 0, beta=0.25, seed=1, session=session)
+    assert [
+        (p.name, p.rounds, p.messages) for p in run.ledger.phases()
+        if "tree:" in p.name
+    ] == [
+        (f"tree:{p.name}", p.rounds, p.messages)
+        for p in session.tree_ledger.phases()
+    ]
+    assert any(p.name.startswith("mst:") for p in run.ledger.phases())
+    if not flags:
+        assert (run.rounds, run.messages) == (283, 3085)
+
+
 def test_mincut_finds_planted_cut():
     base = grid_2d(3, 8)
     side = {r * 8 + c for r in range(3) for c in range(4)}

@@ -30,7 +30,6 @@ from repro.core.array_queue import (
     EdgePool,
     KeySet,
     csr_expand,
-    csr_from_pairs,
     first_occurrence_mask,
     group_ranks,
     in_sorted,
@@ -189,16 +188,11 @@ def test_group_ranks_and_first_occurrence():
 
 
 def test_csr_round_trip_groups_and_expands_in_scalar_order():
-    keys = np.array([5, 2, 5, 2, 8], dtype=np.int64)
-    vals = np.array([30, 11, 10, 12, 40], dtype=np.int64)
-    ukeys, starts, counts, flat = csr_from_pairs(keys, vals)
-    assert ukeys.tolist() == [2, 5, 8]
-    groups = {
-        int(k): flat[s:s + c].tolist()
-        for k, s, c in zip(ukeys, starts, counts)
-    }
-    # Values ascending within a group: the scalar sorted-children order.
-    assert groups == {2: [11, 12], 5: [10, 30], 8: [40]}
+    # Groups 2 -> [11, 12], 5 -> [10, 30], 8 -> [40], values ascending
+    # within a group: the scalar sorted-children order.
+    starts = np.array([0, 2, 4], dtype=np.int64)
+    counts = np.array([2, 2, 1], dtype=np.int64)
+    flat = np.array([11, 12, 10, 30, 40], dtype=np.int64)
     origin, members, within = csr_expand(
         starts, counts, flat, np.array([2, 0], dtype=np.int64)
     )

@@ -214,6 +214,46 @@ def test_overhead_ledger_is_separate_and_consistent():
     assert stats.messages < entry.messages
 
 
+@pytest.mark.parametrize(
+    "schedule, d",
+    [
+        (SynchronousSchedule(), 0),
+        (RandomDelaySchedule(seed=1, max_delay=0), 0),
+        (SlowEdgeSchedule(seed=2, slow_fraction=1.0, slow_delay=4), 4),
+    ],
+    ids=("sync", "random-d0", "slow-all-d4"),
+)
+def test_an_idle_gap_costs_its_walk_in_closed_form(schedule, d):
+    # A lone timer and no messages: every pulse is an idle frame, which
+    # under a uniform delay d costs 3 + d time units (enter, self-safe at
+    # +2, safes arriving at +3+d) and one full safe wave of 2m messages.
+    net = path_graph(3)
+    two_m = sum(len(net.neighbors[v]) for v in range(net.n))
+    records = []
+    for timer in (10, 17):
+        fired = []
+
+        def start(ctx, timer=timer):
+            ctx.wake_at(2, timer)
+
+        def step(ctx, node, inbox):
+            fired.append((node, ctx.tick))
+
+        engine = AsyncEngine(net, schedule)
+        engine.run(FunctionProgram("lone-timer", start, step), max_ticks=20)
+        assert fired == [(2, timer)]
+        records.append(engine.overhead_log[-1])
+    short, long = records
+    gap = long.pulses - short.pulses
+    assert gap == 7
+    assert long.time_units - short.time_units == gap * (3 + d)
+    assert long.safe_messages - short.safe_messages == gap * two_m
+    for rec in records:
+        assert rec.safe_messages == rec.pulses * two_m
+        assert rec.time_units == rec.pulses * (3 + d) + 2  # + the quiescence tail
+        assert rec.payload_messages == rec.ack_messages == rec.max_skew == 0
+
+
 def test_session_exposes_async_overhead():
     net = grid_2d(3, 4)
     session = PASession(

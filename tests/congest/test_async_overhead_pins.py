@@ -3,9 +3,9 @@
 ``time_units`` / ``max_skew`` / safe and ack counts are a function of
 every event's time *and* order, so they are the witness that a change to
 how the async engine draws delays or orders its queue moved nothing.
-The uniform-delay case is pinned by ``test_async_fast_forward.py``; this
-file pins random, FIFO and slow-edge delays, with and without a fault
-plan.  Every literal below was captured on the per-message, binary-heap
+The uniform-delay idle frame is pinned in closed form by
+``test_async_engine.py``; this file pins random, FIFO and slow-edge
+delays, with and without a fault plan.  Every literal below was captured on the per-message, binary-heap
 engine (the commit before delay rows and the calendar queue), and moved
 once since, on purpose: a learning solve replays on the forest it just
 learned (PR 21), so the last record of each log — the one solve's

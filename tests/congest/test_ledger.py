@@ -37,14 +37,6 @@ def test_by_name_aggregates_repeated_phases():
     assert grouped["wave"].messages == 30
 
 
-def test_summary_mentions_totals():
-    ledger = CostLedger()
-    ledger.charge(PhaseStats("x", rounds=1, messages=2))
-    text = ledger.summary()
-    assert "rounds=1" in text
-    assert "x" in text
-
-
 def test_merge_prefix_collision_keeps_both_phase_logs():
     # ``setup:wave`` charged directly and ``wave`` merged under the same
     # prefix must stay distinct log entries but aggregate under one name.
@@ -90,30 +82,6 @@ def test_record_skips_trace_emission_but_counts():
         ledger.charge(PhaseStats("loud", rounds=3, messages=4))
     assert (ledger.rounds, ledger.messages) == (4, 6)
     assert [e["name"] for e in tracer.ledger_events()] == ["loud"]
-
-
-def test_summary_aligns_columns_and_shows_bits():
-    ledger = CostLedger()
-    ledger.charge(PhaseStats("short", rounds=1, messages=2, bits=16))
-    ledger.charge(PhaseStats("a-much-longer-phase", rounds=123, messages=45678, bits=9))
-    lines = ledger.summary().splitlines()
-    assert lines[0] == "total: rounds=124 messages=45680 bits=25"
-    body = lines[1:]
-    # one line per phase, sorted, all columns starting at the same offset
-    assert [ln.split()[0] for ln in body] == ["a-much-longer-phase", "short"]
-    assert len({ln.index("rounds=") for ln in body}) == 1
-    assert len({ln.index("messages=") for ln in body}) == 1
-    assert len({ln.index("bits=") for ln in body}) == 1
-
-
-def test_summary_omits_bits_column_when_untracked():
-    ledger = CostLedger()
-    ledger.charge(PhaseStats("x", rounds=1, messages=2))
-    assert "bits" not in ledger.summary()
-
-
-def test_summary_empty_ledger():
-    assert CostLedger().summary() == "total: rounds=0 messages=0"
 
 
 def test_repr_is_stable_and_informative():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.congest import Network, canonical_edge, network_from_networkx
+from repro.congest import Network, canonical_edge
 from repro.graphs import grid_2d, path_graph
 
 
@@ -43,13 +43,11 @@ def test_weights_validation():
         Network([(0, 1), (1, 2)], weights={(0, 1): 5})  # missing edge weight
     net = Network([(0, 1)], weights={(1, 0): 7})  # canonicalized
     assert net.weight(0, 1) == 7
-    assert net.total_weight() == 7
 
 
 def test_unweighted_weight_defaults_to_one():
     net = path_graph(3)
     assert net.weight(0, 1) == 1
-    assert net.total_weight() == net.m
 
 
 def test_connectivity_and_bfs():
@@ -66,19 +64,6 @@ def test_diameter_estimate_is_2_approx():
     exact = net.exact_diameter()
     estimate = net.diameter_estimate()
     assert exact <= estimate <= 2 * exact
-
-
-def test_network_from_networkx_roundtrip():
-    import networkx as nx
-
-    g = nx.Graph()
-    g.add_nodes_from(range(4))
-    g.add_edge(0, 1, weight=3)
-    g.add_edge(1, 2, weight=4)
-    g.add_edge(2, 3, weight=5)
-    net = network_from_networkx(g)
-    assert net.n == 4
-    assert net.weight(1, 2) == 4
 
 
 def test_canonical_edge():

@@ -5,8 +5,11 @@ same pure function over an edge list.  The built-in schedules compute it
 with numpy, so this file holds them to the scalar loop (the reference),
 runs a ``delay``-only user schedule through a whole PA against literals
 captured on the per-message engine, and pins that the engine rejects a
-negative or non-int delay of *any* kind on *any* used edge.
+negative or non-int delay of *any* kind on *any* used edge — and that a
+broken schedule fails loudly, up front, at engine construction.
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +20,8 @@ from repro.congest import (
     RandomDelaySchedule,
     Schedule,
     ScheduleValidationError,
+    SlowEdgeSchedule,
+    SynchronousSchedule,
     make_schedule,
     validate_schedule,
 )
@@ -225,3 +230,95 @@ def test_off_edge_draw_is_checked_too():
     with pytest.raises(ScheduleValidationError) as err:
         _off_edge_run(_NegativeOffEdge())
     assert (err.value.src, err.value.dst, err.value.kind) == (0, 4, PAYLOAD)
+
+
+# ---------------------------------------------------------------------------
+# Schedule validation: broken schedules fail loudly, up front
+# ---------------------------------------------------------------------------
+
+class _NegativeSchedule(Schedule):
+    name = "negative"
+    fifo = False
+
+    def delay(self, src, dst, pulse, kind):
+        return -1
+
+
+class _FloatSchedule(Schedule):
+    name = "float"
+    fifo = False
+
+    def delay(self, src, dst, pulse, kind):
+        return 0.5
+
+
+class _StatefulSchedule(Schedule):
+    """Illegally draws from a stream: same coordinate, changing answer."""
+
+    name = "stateful"
+    fifo = False
+
+    def __init__(self):
+        self._counter = itertools.count()
+
+    def delay(self, src, dst, pulse, kind):
+        return next(self._counter) % 2
+
+
+class _LateNegativeSchedule(Schedule):
+    """Passes the construction probe, turns negative at runtime."""
+
+    name = "late-negative"
+    fifo = False
+
+    def delay(self, src, dst, pulse, kind):
+        return -3 if pulse == 3 else 0
+
+
+@pytest.mark.parametrize(
+    "schedule", [_NegativeSchedule(), _FloatSchedule(), _StatefulSchedule()],
+    ids=lambda s: s.name,
+)
+def test_broken_schedules_rejected_at_engine_construction(schedule):
+    net = grid_2d(3, 3)
+    with pytest.raises(ScheduleValidationError):
+        AsyncEngine(net, schedule)
+
+
+def test_validation_error_names_the_offending_coordinate():
+    net = path_graph(4)
+    with pytest.raises(ScheduleValidationError) as err:
+        validate_schedule(_NegativeSchedule(), net)
+    assert err.value.src is not None and err.value.dst is not None
+    assert "negative" in str(err.value)
+
+
+def test_runtime_guard_catches_late_negative_delays():
+    net = path_graph(6)
+    engine = AsyncEngine(net, _LateNegativeSchedule())  # probe passes
+
+    def start(ctx):
+        for nb in net.neighbors[0]:
+            ctx.send(0, nb, ("tok",))
+
+    seen = set()
+
+    def step(ctx, node, inbox):
+        if node not in seen:
+            seen.add(node)
+            for nb in net.neighbors[node]:
+                ctx.send(node, nb, ("tok",))
+
+    with pytest.raises(ScheduleValidationError):
+        engine.run(FunctionProgram("flood", start, step), max_ticks=50)
+
+
+def test_good_schedules_validate_clean():
+    net = grid_2d(3, 3)
+    for schedule in (
+        SynchronousSchedule(),
+        RandomDelaySchedule(seed=1, max_delay=0),
+        SlowEdgeSchedule(seed=2, slow_fraction=1.0, slow_delay=4),
+        RandomDelaySchedule(seed=5, max_delay=4),
+    ):
+        validate_schedule(schedule, net)  # must not raise

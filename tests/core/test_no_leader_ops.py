@@ -38,9 +38,9 @@ def test_push_down_delivers_target_value():
     assert got[2] == 200
 
 
-def test_push_pred_delivers_source_values():
+def test_push_up_delivers_source_values():
     net, part, ops = make_ops([(0, 1)])
-    got = ops.push_pred({0: 77}, MIN)
+    got = ops.push_up({0: 77}, MIN)
     assert got[1] == 77
 
 

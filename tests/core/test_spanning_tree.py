@@ -3,7 +3,7 @@
 import pytest
 
 from repro.congest import CostLedger, Engine
-from repro.core import bfs_tree, diameter_upper_bound, elect_leader_and_bfs_tree
+from repro.core import bfs_tree, elect_leader_and_bfs_tree
 from repro.graphs import grid_2d, path_graph, random_connected
 
 
@@ -39,10 +39,3 @@ def test_election_picks_min_uid(small_random, ledger):
     assert result.tree.size() == small_random.n
     # Election tree depth is at most the eccentricity of the leader.
     assert result.depth <= small_random.eccentricity(expected)
-
-
-def test_diameter_upper_bound(grid4x6, ledger):
-    engine = Engine(grid4x6)
-    result = bfs_tree(engine, grid4x6, 0, ledger)
-    d = diameter_upper_bound(result)
-    assert grid4x6.exact_diameter() <= d <= 2 * grid4x6.exact_diameter() + 1

@@ -454,7 +454,7 @@ def _placeholder_star_joining(ops, participants):
             after = succ()
             colors = {s: cv_step(c, after[s]) for s, c in colors.items()}
         for high in (5, 4, 3):
-            after, before = succ(), ops.push_pred(colors, MIN)
+            after, before = succ(), ops.push_up(colors, MIN)
             colors = {
                 s: shift_down_step(c, before.get(s), after[s], high)
                 for s, c in colors.items()

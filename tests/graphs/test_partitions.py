@@ -8,7 +8,6 @@ from repro.graphs import (
     bfs_ball_partition,
     boundary_edges,
     grid_2d,
-    part_diameters,
     partition_from_component_labels,
     path_graph,
     random_connected,
@@ -88,8 +87,7 @@ def test_partition_from_component_labels_compresses():
     assert part.part_of == (0, 0, 1, 1, 0)
 
 
-def test_boundary_edges_and_diameters():
+def test_boundary_edges():
     net = path_graph(6)
     part = Partition([0, 0, 0, 1, 1, 1])
     assert boundary_edges(net, part) == [(2, 3)]
-    assert part_diameters(net, part) == [2, 2]

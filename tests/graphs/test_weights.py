@@ -6,18 +6,12 @@ from repro.graphs import (
     with_light_edges,
     with_planted_cut,
     with_random_weights,
-    with_unit_weights,
 )
 
 
 def test_random_weights_in_range():
     net = with_random_weights(grid_2d(3, 4), max_weight=50, seed=1)
     assert all(1 <= net.weight(u, v) <= 50 for u, v in net.edges)
-
-
-def test_unit_weights():
-    net = with_unit_weights(grid_2d(3, 4))
-    assert net.total_weight() == net.m
 
 
 def test_distinct_weights_are_permutation():

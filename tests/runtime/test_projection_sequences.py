@@ -2,10 +2,10 @@
 
 Merge two adjacent parts / split the last merge back / peel a node off a
 part (a split that severs sub-part tree edges) / add a chord / remove an
-added chord / re-present an old partition, in both modes, with and
-without an LRU bound.  After every step the setup the session serves
-must answer a tuple-batched and an int solve — the second always on the
-setup's learned route, no token wave — exactly as a from-scratch
+added chord / re-present an old partition, in both modes.  After every
+step the setup the session serves must answer a tuple-batched and an int
+solve — the second always on the setup's learned route, no token wave —
+exactly as a from-scratch
 ``solve_pa`` on the *current* graph and partition does, and its
 division's wave boundary must be the one a freshly built
 ``SubPartDivision`` over the current network computes — the invariant
@@ -147,21 +147,17 @@ def _check(session, setup, mode, values, other):
 @settings(max_examples=25, deadline=None)
 @given(
     mode=st.sampled_from(("randomized", "deterministic")),
-    max_entries=st.sampled_from((None, 2)),
     steps=st.lists(
         st.tuples(st.sampled_from(OPS), st.integers(0, 1 << 16)),
         min_size=4, max_size=8,
     ),
 )
-def test_every_step_matches_a_from_scratch_solve(mode, max_entries, steps):
+def test_every_step_matches_a_from_scratch_solve(mode, steps):
     base = grid_2d(5, 5)
     start = random_connected_partition(base, 7, seed=2)
     values = [(v * 7) % 11 for v in range(base.n)]
     other = [(v * 5) % 13 for v in range(base.n)]
-    session = PASession(
-        base, mode=mode, seed=3, reuse=True, batch=True,
-        max_entries=max_entries,
-    )
+    session = PASession(base, mode=mode, seed=3, reuse=True, batch=True)
     setup = session.prepare(start)
     merges = [start]      # the current chain of merges, for split_back
     presented = [start]   # everything ever served, for re_present

@@ -1,21 +1,15 @@
-"""The bounded session cache: LRU eviction order, loop-entry pinning.
+"""The session memo: every distinct partition stays until superseded.
 
-``PASession(max_entries=...)`` bounds the setup memo for long-lived
-sessions (the ROADMAP item).  The policy under test: least-recently-used
-eviction, with *coarsened* entries evicted before *pinned* full-prepare
-entries (the loop-entry partitions phase loops return to), hits
-refreshing recency, and ``max_entries=None`` preserving the historical
-unbounded behavior bit for bit.
+The memo has no size bound.  Its one removal rule, supersession (a
+coarsening drops the link before it), is pinned in ``test_session.py``
+and, with the shard workers' copies, in ``test_session_lifecycle.py``.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro import PASession
 from repro.graphs import grid_2d
 from repro.graphs.partitions import Partition
-from repro.runtime import partition_fingerprint
 
 
 def _net():
@@ -37,129 +31,9 @@ def _distinct_partitions(net):
     return parts + [rows, halves]
 
 
-def _key(partition):
-    return partition_fingerprint(partition, None)
-
-
-def test_max_entries_validation():
-    with pytest.raises(ValueError):
-        PASession(_net(), max_entries=0)
-    PASession(_net(), max_entries=1)  # smallest legal bound
-
-
 def test_unbounded_cache_is_the_default():
     net = _net()
     sess = PASession(net, reuse=True)
     for p in _distinct_partitions(net):
         sess.prepare(p)
     assert len(sess._cache) == 6
-    assert sess.stats.evictions == 0
-
-
-def test_lru_eviction_order_over_the_bound():
-    net = _net()
-    sess = PASession(net, reuse=True, max_entries=3)
-    partitions = _distinct_partitions(net)[:5]
-    # Mark every full prepare as coarsened so pure LRU order is visible.
-    for p in partitions[:3]:
-        sess.prepare(p)
-        sess._coarsened_keys.add(_key(p))
-    # Touch p0 (a hit) so p1 becomes the LRU entry.
-    sess.prepare(partitions[0])
-    assert sess.stats.cache_hits == 1
-
-    sess.prepare(partitions[3])
-    sess._coarsened_keys.add(_key(partitions[3]))
-    assert _key(partitions[1]) not in sess._cache      # LRU went first
-    assert _key(partitions[0]) in sess._cache          # refreshed by the hit
-    assert sess.stats.evictions == 1
-
-    sess.prepare(partitions[4])
-    assert _key(partitions[2]) not in sess._cache      # next LRU
-    assert {_key(partitions[0]), _key(partitions[3]), _key(partitions[4])} <= set(
-        sess._cache
-    )
-    assert sess.stats.evictions == 2
-
-
-def test_pinned_entries_survive_while_unpinned_exist():
-    net = _net()
-    sess = PASession(net, reuse=True, max_entries=2)
-    partitions = _distinct_partitions(net)
-    pinned = partitions[0]
-    sess.prepare(pinned)                                # full prepare: pinned
-    coarse_key = _key(partitions[1])
-    sess.prepare(partitions[1])
-    sess._coarsened_keys.add(coarse_key)                # mark as coarsened
-
-    # Inserting a third entry must evict the *older coarsened* entry, not
-    # the even older pinned one.
-    sess.prepare(partitions[2])
-    assert _key(pinned) in sess._cache
-    assert coarse_key not in sess._cache
-    assert coarse_key not in sess._coarsened_keys       # bookkeeping follows
-    assert sess.stats.evictions == 1
-
-    # A pinned-entry hit is still free after the churn.
-    before = sess.stats.cache_hits
-    sess.prepare(pinned)
-    assert sess.stats.cache_hits == before + 1
-
-
-def test_all_pinned_falls_back_to_lru_among_pinned():
-    net = _net()
-    sess = PASession(net, reuse=True, max_entries=2)
-    partitions = _distinct_partitions(net)
-    for p in partitions[:3]:                            # all full prepares
-        sess.prepare(p)
-    assert len(sess._cache) == 2
-    assert _key(partitions[0]) not in sess._cache       # oldest pinned went
-    assert _key(partitions[1]) in sess._cache
-    assert _key(partitions[2]) in sess._cache
-    assert sess.stats.evictions == 1
-
-
-def test_bound_of_one_keeps_only_the_newest():
-    net = _net()
-    sess = PASession(net, reuse=True, max_entries=1)
-    partitions = _distinct_partitions(net)
-    for p in partitions[:3]:
-        sess.prepare(p)
-        assert list(sess._cache) == [_key(p)]
-    # Re-preparing the survivor is a hit; an older one is a rebuild.
-    hits = sess.stats.cache_hits
-    sess.prepare(partitions[2])
-    assert sess.stats.cache_hits == hits + 1
-    prepares = sess.stats.prepares
-    sess.prepare(partitions[0])
-    assert sess.stats.prepares == prepares + 1
-
-
-def test_coarsening_chain_respects_bound_and_keeps_loop_entry():
-    """A Boruvka-like coarsening chain under a tight bound: the pinned
-    loop-entry setup survives; superseded coarsenings are dropped (by
-    supersession or by the bound) without breaking the chain."""
-    net = _net()
-    sess = PASession(net, reuse=True, max_entries=2)
-    entry = _partition(net, 1)        # 6 strips — the loop entry
-    mid = _partition(net, 2)          # 3 strips (merge-only coarsening)
-    top = _partition(net, 3)          # 2 strips (coarsens mid)
-
-    setup = sess.prepare(entry)
-    setup_mid = sess.prepare_incremental(setup, mid)
-    assert sess.stats.coarsenings >= 1
-    setup_top = sess.prepare_incremental(setup_mid, top)
-    assert _key(entry) in sess._cache                   # loop entry pinned
-    assert len(sess._cache) <= 2
-    # The chain still solves: the top setup is usable machinery.
-    from repro.core import SUM
-
-    res = sess.solve(setup_top, [1] * net.n, SUM, charge_setup=False)
-    assert all(
-        res.aggregates[top.part_of[v]] == len(top.members[top.part_of[v]])
-        for v in range(net.n)
-    )
-    # Returning to the loop entry is construction-free.
-    hits = sess.stats.cache_hits
-    sess.prepare(entry)
-    assert sess.stats.cache_hits == hits + 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import PAService, PASession, SessionPool
+from repro import PAService, PASession
 from repro.graphs import random_connected, random_connected_partition
 from repro.graphs.partitions import Partition
 from repro.service import (
@@ -289,45 +289,3 @@ def test_constructor_validation():
     # Execution is configured on the session, nowhere else.
     with pytest.raises(TypeError):
         PAService(net, partition, backend="sharded")
-
-
-# -- the session pool ---------------------------------------------------
-
-def test_session_pool_lru_closes_evicted_sessions():
-    nets = {
-        key: random_connected(20 + 4 * i, 0.15, seed=i)
-        for i, key in enumerate(("east", "west", "north"))
-    }
-    pool = SessionPool(
-        lambda key: PASession(nets[key], seed=1, reuse=True),
-        max_sessions=2,
-    )
-    east = pool.get("east")
-    pool.get("west")
-    pool.get("east")  # refresh: east is now most-recent
-    assert pool.stats.hits == 1
-    pool.get("north")  # evicts WEST (least recent), not east
-    assert pool.stats.evictions == 1
-    assert "west" not in pool and "east" in pool
-    assert not east._closed
-    pool.close()
-    assert east._closed
-    assert len(pool) == 0
-
-
-def test_session_pool_discard_and_context_manager():
-    net = random_connected(20, 0.15, seed=2)
-    with SessionPool(lambda key: PASession(net, seed=1)) as pool:
-        session = pool.get("only")
-        pool.discard("only")
-        assert session._closed
-        pool.discard("unknown")  # no-op
-        again = pool.get("only")
-        assert again is not session
-        assert pool.stats.misses == 2
-    assert again._closed
-
-
-def test_session_pool_rejects_zero_capacity():
-    with pytest.raises(ValueError):
-        SessionPool(lambda key: None, max_sessions=0)
