@@ -10,19 +10,20 @@ exist to fix (Section 2.2).  Benchmarks use it as the "no shortcuts" arm.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Sequence
 
 from ..congest.engine import Engine
 from ..congest.ledger import CostLedger, RunResult
 from ..congest.network import Network
 from ..graphs.partitions import Partition
 from ..core.aggregation import Aggregation
+from ..core.spanning_tree import ack_parents
 from ..core.treeops import (
     BroadcastProgram,
     ConvergecastProgram,
     FloodMinProgram,
 )
-from ..core.trees import ABSENT, ROOT, RootedForest
+from ..core.trees import RootedForest
 
 
 def flood_pa(
@@ -46,16 +47,9 @@ def flood_pa(
     flood.name = "flood_pa_election"
     ledger.charge(engine.run(flood, max_ticks=net.n + 2))
 
-    parent = [ABSENT] * net.n
-    leader_of_part: Dict[int, int] = {}
-    for v in range(net.n):
-        parent[v] = flood.parent_of[v]
-        pid = part_of[v]
-        if parent[v] == ROOT:
-            leader_of_part[pid] = v
     # One ack round so parents know their children (as in leader election).
-    ledger.charge_local("flood_pa_child_ack", rounds=1, messages=net.n - len(leader_of_part))
-    forest = RootedForest(net, parent)
+    ack_parents(engine, flood.parent_of, ledger, "flood_pa_child_ack")
+    forest = RootedForest(net, flood.parent_of)
 
     up = ConvergecastProgram(forest, agg, values)
     up.name = "flood_pa_convergecast"

@@ -98,6 +98,22 @@ def masked_neighbors(arrays, edge_mask: np.ndarray) -> List[Tuple[int, ...]]:
     return [tuple(kept[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def drop_heard(
+    src: np.ndarray, dst: np.ndarray, heard: np.ndarray, n: int
+) -> np.ndarray:
+    """Rows of a fan-out ``src -> dst`` whose receiver was not heard.
+
+    ``heard`` holds the sorted keys ``node * n + sender`` of this tick's
+    deliveries that told ``node`` what it now re-announces; the row
+    ``node -> sender`` would hand the sender back what it sent.
+    """
+    keys = src * n + dst
+    pos = np.searchsorted(heard, keys)
+    hit = pos < heard.size
+    hit[hit] = heard[pos[hit]] == keys[hit]
+    return ~hit
+
+
 def _check_magnitudes(col: np.ndarray) -> None:
     """Decline (``overflow``) a column reaching ``COLUMN_LIMIT``."""
     if col.size and (col.max() >= COLUMN_LIMIT or col.min() <= -COLUMN_LIMIT):
@@ -135,7 +151,8 @@ class FloodMinArrayKernel(ArrayProgram):
     Adoption is strict improvement; the parent is the smallest sender
     among those carrying the tick's minimal token — which is what the
     scalar inbox scan (sender-ascending, update on strict improvement)
-    converges to.
+    converges to.  The re-announcement skips every sender of the adopted
+    token, keyed from this tick's rows alone.
     """
 
     name = "flood_min"
@@ -146,8 +163,14 @@ class FloodMinArrayKernel(ArrayProgram):
         self.best_array = np.full(net.n, _NO_TOKEN, dtype=np.int64)
         self.parent_array = np.full(net.n, ABSENT, dtype=np.int64)
 
-    def _announce(self, actx: ArrayContext, nodes: np.ndarray) -> None:
+    def _announce(
+        self, actx: ArrayContext, nodes: np.ndarray,
+        heard: Optional[np.ndarray] = None,
+    ) -> None:
         src, dst, _ = expand_neighbors(actx.arrays, nodes)
+        if heard is not None:
+            keep = drop_heard(src, dst, heard, self.net.n)
+            src, dst = src[keep], dst[keep]
         if src.size == 0:
             return
         tok = self.best_array[src]
@@ -177,9 +200,13 @@ class FloodMinArrayKernel(ArrayProgram):
         w_dst = w_dst[improved]
         self.best_array[w_dst] = w_tok[improved]
         self.parent_array[w_dst] = d.src[win][improved]
+        # Rows carrying what their receiver now holds; (dst, src)-sorted,
+        # so their keys are too.
+        carried = tok == self.best_array[d.dst]
+        heard = d.dst[carried] * self.net.n + d.src[carried]
         # w_dst is ascending (head rows of a dst-sorted order), matching
         # the scalar activation order of the re-announcing nodes.
-        self._announce(actx, w_dst)
+        self._announce(actx, w_dst, heard)
 
     @property
     def best(self) -> List[Optional[int]]:
@@ -229,15 +256,17 @@ class ClaimBfsArrayKernel(ArrayProgram):
         self._depth_list: Optional[List[int]] = None
 
     # -- emission helpers ------------------------------------------------
-    def _spread(self, actx: ArrayContext, nodes: np.ndarray) -> None:
-        """Claims from ``nodes`` (in order) to allowed non-parent neighbors."""
+    def _spread(
+        self, actx: ArrayContext, nodes: np.ndarray,
+        heard: Optional[np.ndarray] = None,
+    ) -> None:
+        """Claims from ``nodes`` (in order) to allowed neighbors not heard."""
         if self.max_depth is not None:
             nodes = nodes[self.depth_array[nodes] < self.max_depth]
         src, dst, _ = expand_neighbors(actx.arrays, nodes, self._mask)
-        if src.size == 0:
-            return
-        keep = dst != self.parent_array[src]
-        src, dst = src[keep], dst[keep]
+        if heard is not None:
+            keep = drop_heard(src, dst, heard, self.net.n)
+            src, dst = src[keep], dst[keep]
         if src.size == 0:
             return
         tok = self.token_array[src]
@@ -290,7 +319,8 @@ class ClaimBfsArrayKernel(ArrayProgram):
         self.parent_array[nodes] = parents
         self.depth_array[nodes] = c_dep[win]
         self._token_list = self._parent_list = self._depth_list = None
-        # Ack the chosen parent (("child", token)), then spread claims.
+        # Ack the chosen parent (("child", token)), then spread claims to
+        # all but this tick's claimants ((dst, src)-sorted keys).
         bits = None
         if actx.strict_bits:
             bits = (
@@ -300,7 +330,7 @@ class ClaimBfsArrayKernel(ArrayProgram):
             nodes, parents, cols={"kind": 1, "tok": c_tok[win], "dep": 0},
             bits=bits,
         )
-        self._spread(actx, nodes)
+        self._spread(actx, nodes, c_dst * self.net.n + c_src)
 
     # -- scalar-compatible outputs --------------------------------------
     @property

@@ -20,6 +20,7 @@ Two entry points:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -61,6 +62,16 @@ def bfs_tree(
     return SpanningTreeResult(tree=tree, root=root, depth=tree.height())
 
 
+def ack_parents(
+    engine: Engine, parent_of: Sequence[int], ledger: CostLedger, name: str
+) -> None:
+    """One round in which every node with a parent tells it "child"."""
+    parent = np.asarray(parent_of, dtype=np.int64)
+    child = np.flatnonzero(parent >= 0)
+    acks = PayloadColumns([], tag="child", size=child.size)
+    cross_round(engine, (child, parent[child], acks), ledger, name=name)
+
+
 def elect_leader_and_bfs_tree(
     engine: Engine,
     net: Network,
@@ -79,11 +90,7 @@ def elect_leader_and_bfs_tree(
     if set(flood.best) != {leader_uid}:
         raise ValueError("network is disconnected; election did not span it")
     parent_of = flood.parent_of
-
-    parent = np.asarray(parent_of, dtype=np.int64)
-    child = np.flatnonzero(parent >= 0)
-    acks = PayloadColumns([], tag="child", size=child.size)
-    cross_round(engine, (child, parent[child], acks), ledger, name="child_ack")
+    ack_parents(engine, parent_of, ledger, "child_ack")
 
     tree = RootedForest(net, parent_of)
     return SpanningTreeResult(

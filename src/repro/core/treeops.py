@@ -22,8 +22,8 @@ Costs (metered, but also the design targets):
 * :func:`run_convergecast` — rounds = max tree height + 1, messages =
   #non-root nodes.
 * :func:`claim_bfs` — rounds <= depth limit + 2, messages <= 2m + n
-  (each node announces its claim once per incident edge, plus one
-  parent-ack).
+  (each node announces its claim once per incident edge, less the
+  neighbors whose claims reached it, plus one parent-ack).
 * :func:`cross_round` — 1 round, one message per send.
 * :func:`flood_min` — O(D) rounds to quiescence; messages metered.
 """
@@ -166,12 +166,14 @@ class ClaimBfsProgram(Program):
         self.depth_of: List[int] = [-1] * net.n
         self.children_of: List[List[int]] = [[] for _ in range(net.n)]
 
-    def _spread(self, ctx: Context, node: int, depth: int, exclude: int = -1) -> None:
+    def _spread(self, ctx: Context, node: int, depth: int, heard=()) -> None:
         if self.max_depth is not None and depth >= self.max_depth:
             return
         payload = ("claim", self.token_of[node], depth + 1)
         for nb in self._neighbors[node]:
-            if nb != exclude:  # the parent gets the token inside the child ack
+            # A neighbor whose claim reached us this tick is claimed already
+            # (the parent among them gets the token inside the child ack).
+            if nb not in heard:
                 ctx.send(node, nb, payload)
 
     def on_start(self, ctx: Context) -> None:
@@ -184,10 +186,12 @@ class ClaimBfsProgram(Program):
 
     def on_node(self, ctx: Context, node: int, inbox: Inbox) -> None:
         best: Optional[Tuple[object, int, int]] = None
+        heard = set()
         for sender, payload in inbox:
             kind = payload[0]
             if kind == "claim":
                 _tag, token, depth = payload
+                heard.add(sender)
                 candidate = (token, depth, sender)
                 if best is None or candidate < best:
                     best = candidate
@@ -200,7 +204,7 @@ class ClaimBfsProgram(Program):
         self.parent_of[node] = sender
         self.depth_of[node] = depth
         ctx.send(node, sender, ("child", token))
-        self._spread(ctx, node, depth, exclude=sender)
+        self._spread(ctx, node, depth, heard)
 
     def forest(self) -> RootedForest:
         """The claimed BFS forest (roots = sources that claimed anyone)."""
@@ -212,9 +216,14 @@ class FloodMinProgram(Program):
 
     Every participating node starts with its own token; whenever a node
     hears a smaller token it adopts it, re-points its parent at the sender,
-    and re-announces.  At quiescence every connected region agrees on its
-    minimum token and the parent pointers form a BFS-like tree rooted at
-    the minimum's holder.
+    and re-announces it to every neighbor except those whose message this
+    tick carried that very token: they hold it already, and a token sent
+    back to its holder carries no news.  (This tick's mail is all a node
+    knows of its neighbors: a token at most the adopted one delivered
+    earlier would have been adopted then.)  At quiescence every connected
+    region agrees on its minimum token and the parent pointers form a
+    BFS-like tree rooted at the minimum's holder; skipping the echoes
+    changes neither, only the message count.
 
     This is the substitute for Kutten et al.'s leader election (see
     docs/architecture.md, "Deviations from the paper"): same O(D) rounds;
@@ -236,10 +245,10 @@ class FloodMinProgram(Program):
         self.best: List[Optional[object]] = [None] * net.n
         self.parent_of: List[int] = [ABSENT] * net.n
 
-    def _announce(self, ctx: Context, node: int) -> None:
+    def _announce(self, ctx: Context, node: int, heard=()) -> None:
         token = self.best[node]
         for nb in self.net.neighbors[node]:
-            if self.allowed is None or self.allowed(node, nb):
+            if nb not in heard and (self.allowed is None or self.allowed(node, nb)):
                 ctx.send(node, nb, token)
 
     def on_start(self, ctx: Context) -> None:
@@ -257,7 +266,8 @@ class FloodMinProgram(Program):
                 self.parent_of[node] = sender
                 improved = True
         if improved:
-            self._announce(ctx, node)
+            token = self.best[node]
+            self._announce(ctx, node, {s for s, t in inbox if t == token})
 
 
 class MergeFloodProgram(Program):

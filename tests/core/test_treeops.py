@@ -25,14 +25,25 @@ from repro.core.array_kernels import (
     ClaimBfsArrayKernel,
     ConvergecastArrayKernel,
     CrossRoundArrayKernel,
+    FloodMinArrayKernel,
 )
 from repro.core.treeops import (
+    ClaimBfsProgram,
     FloodMinProgram,
     cross_round,
+    flood_min,
     run_broadcast,
     run_convergecast,
 )
-from repro.graphs import complete_graph, grid_2d, path_graph, star_graph
+from repro.graphs import (
+    complete_graph,
+    grid_2d,
+    path_graph,
+    random_connected,
+    random_connected_partition,
+    random_regular,
+    star_graph,
+)
 
 
 def line_forest(net):
@@ -340,6 +351,264 @@ def test_masked_claim_bfs_kernel_matches_the_scalar_program(data):
             assert edge_mask[slot_of[parent_of[v] * n + v]]
             assert depth_of[v] == depth_of[parent_of[v]] + 1
             assert token_of[v] == token_of[parent_of[v]]
+
+
+# ----------------------------------------------------------------------
+# The token floods tell a token only to neighbors that might not hold it.
+# The rules they ran before are kept here as the oracle: flood-min
+# re-announcing to every neighbor, claim BFS sparing only the chosen
+# parent.  Every send the new rule skips reached a node that ignores it,
+# so the outputs are the oracle's, at no more messages, and in the same
+# rounds or one fewer (when the last layer's echoes vanish).
+# ----------------------------------------------------------------------
+class _EveryNeighborFloodMin(FloodMinProgram):
+    """Flood-min re-announcing to every (allowed) neighbor."""
+
+    def on_node(self, ctx, node, inbox):
+        improved = False
+        for sender, token in inbox:
+            if self.best[node] is None or token < self.best[node]:
+                self.best[node] = token
+                self.parent_of[node] = sender
+                improved = True
+        if improved:
+            self._announce(ctx, node)
+
+
+class _SpareTheParentClaimBfs(ClaimBfsProgram):
+    """Claim BFS spreading to every allowed neighbor but the parent."""
+
+    def on_node(self, ctx, node, inbox):
+        best = None
+        for sender, payload in inbox:
+            if payload[0] == "claim":
+                candidate = (payload[1], payload[2], sender)
+                if best is None or candidate < best:
+                    best = candidate
+            else:
+                self.children_of[node].append(sender)
+        if best is None or self.token_of[node] is not None:
+            return
+        token, depth, sender = best
+        self.token_of[node] = token
+        self.parent_of[node] = sender
+        self.depth_of[node] = depth
+        ctx.send(node, sender, ("child", token))
+        self._spread(ctx, node, depth, (sender,))
+
+
+@st.composite
+def _connected(draw):
+    """A random connected graph: a spanning tree plus random chords."""
+    return random_connected(
+        draw(st.integers(2, 40)), draw(st.sampled_from([0.0, 0.08, 0.3])),
+        seed=draw(st.integers(0, 10**6)), uid_seed=draw(st.integers(0, 50)),
+    )
+
+
+def _oracle(net, program, max_ticks):
+    """The oracle program run on a scalar engine, and its one phase."""
+    ledger = CostLedger()
+    ledger.charge(Engine(net).run(program, max_ticks=max_ticks))
+    return program, ledger.phases()[0]
+
+
+def _twins(net, run):
+    """``run`` on both engines, strict bits on: (outputs, phase) of one;
+    the two agree in outputs and in every ledger field, bits included."""
+    out = []
+    for use_arrays in (False, True):
+        ledger = CostLedger()
+        engine = Engine(net, use_arrays=use_arrays, strict_bits=True)
+        outputs = run(engine, ledger)
+        (phase,) = ledger.phases()
+        out.append((outputs, phase))
+    (scalar, s_phase), (array, a_phase) = out
+    assert array == scalar
+    assert (a_phase.rounds, a_phase.messages, a_phase.ticks, a_phase.bits) == (
+        s_phase.rounds, s_phase.messages, s_phase.ticks, s_phase.bits
+    )
+    return scalar, s_phase
+
+
+def _no_worse(phase, oracle):
+    assert phase.messages <= oracle.messages
+    assert oracle.rounds - 1 <= phase.rounds <= oracle.rounds
+
+
+@settings(max_examples=100, deadline=None)
+@given(_connected(), st.data())
+def test_flood_min_skips_who_told_it_and_keeps_the_oracles_outputs(net, data):
+    # Some nodes start with a token, ties included; the rest only relay.
+    holders = data.draw(st.lists(
+        st.integers(0, net.n - 1), unique=True, min_size=1, max_size=net.n
+    ))
+    tokens = {v: data.draw(st.integers(0, 9)) for v in holders}
+
+    def run(engine, ledger):
+        flood = flood_min(engine, net, tokens, ledger)
+        assert isinstance(flood, FloodMinArrayKernel) == engine.use_arrays
+        return list(flood.best), list(flood.parent_of)
+
+    outputs, phase = _twins(net, run)
+    oracle, oracle_phase = _oracle(
+        net, _EveryNeighborFloodMin(net, tokens), net.n + 2
+    )
+    assert outputs == (oracle.best, oracle.parent_of)
+    assert set(outputs[0]) == {min(tokens.values())}
+    _no_worse(phase, oracle_phase)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_connected(), st.data())
+def test_flood_pa_election_skips_who_told_it_and_keeps_the_oracles_outputs(
+    net, data
+):
+    part_of = random_connected_partition(
+        net, data.draw(st.integers(1, max(1, net.n // 3))),
+        seed=data.draw(st.integers(0, 99)),
+    ).part_of
+    tokens = dict(enumerate(net.uid))
+
+    def same_part(u, v):
+        return part_of[u] == part_of[v]
+
+    results = []
+    for program in (FloodMinProgram, _EveryNeighborFloodMin):
+        results.append(_oracle(
+            net, program(net, tokens, allowed=same_part), net.n + 2
+        ))
+    (flood, phase), (oracle, oracle_phase) = results
+    assert (flood.best, flood.parent_of) == (oracle.best, oracle.parent_of)
+    _no_worse(phase, oracle_phase)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_connected(), st.data())
+def test_claim_bfs_skips_its_claimants_and_keeps_the_oracles_outputs(
+    net, data
+):
+    arrays = net.array_views
+    sources = data.draw(st.lists(
+        st.integers(0, net.n - 1), unique=True, min_size=1, max_size=5
+    ))
+    tokens = {v: net.uid[v] for v in sources}
+    edge_mask = None
+    if data.draw(st.booleans()):  # per directed slot, so possibly lopsided
+        edge_mask = np.array(data.draw(st.lists(
+            st.booleans(), min_size=arrays.adj.size, max_size=arrays.adj.size
+        )), dtype=bool)
+    max_depth = data.draw(st.none() | st.integers(1, 5))
+
+    def outputs(program):
+        return (
+            list(program.token_of), list(program.parent_of),
+            list(program.depth_of), [list(c) for c in program.children_of],
+        )
+
+    def run(engine, ledger):
+        program = claim_bfs(
+            engine, net, tokens, ledger, edge_mask=edge_mask,
+            max_depth=max_depth,
+        )
+        assert isinstance(program, ClaimBfsArrayKernel) == engine.use_arrays
+        return outputs(program)
+
+    got, phase = _twins(net, run)
+    oracle, oracle_phase = _oracle(
+        net, _SpareTheParentClaimBfs(net, tokens, edge_mask, max_depth),
+        (max_depth or net.n) + 3,
+    )
+    assert got == outputs(oracle)
+    _no_worse(phase, oracle_phase)
+
+
+class _Sends:
+    """A scalar context that notes every send before passing it on."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.sent = []
+
+    def send(self, src, dst, payload):
+        self.sent.append((dst, payload))
+        self.ctx.send(src, dst, payload)
+
+
+class _Emits:
+    """An array context that notes every emitted row before passing it on."""
+
+    def __init__(self, actx):
+        self.actx = actx
+        self.rows = []
+
+    def __getattr__(self, name):
+        return getattr(self.actx, name)
+
+    def emit(self, src, dst, cols, bits=None):
+        kind = np.broadcast_to(cols.get("kind", 0), src.shape)
+        self.rows += zip(
+            src.tolist(), dst.tolist(), kind.tolist(), cols["tok"].tolist()
+        )
+        self.actx.emit(src, dst, cols=cols, bits=bits)
+
+
+def _token(payload):
+    """What a payload hands over: a flood token, or a (tag, token) pair."""
+    return payload[:2] if isinstance(payload, tuple) else payload
+
+
+def _echo_counting(program_class):
+    """``program_class`` counting the sends that hand a token back, in the
+    same tick, to a neighbor that delivered that token."""
+
+    if issubclass(program_class, (FloodMinArrayKernel, ClaimBfsArrayKernel)):
+        class Spied(program_class):
+            echoes = 0
+
+            def array_tick(self, actx, d):
+                emits = _Emits(actx)
+                super().array_tick(emits, d)
+                kind = d.cols.get("kind", np.zeros(len(d), dtype=np.int64))
+                heard = set(zip(
+                    d.dst.tolist(), d.src.tolist(), kind.tolist(),
+                    d.cols["tok"].tolist(),
+                ))
+                self.echoes += sum(row in heard for row in emits.rows)
+    else:
+        class Spied(program_class):
+            echoes = 0
+
+            def on_node(self, ctx, node, inbox):
+                sends = _Sends(ctx)
+                super().on_node(sends, node, inbox)
+                heard = {(sender, _token(p)) for sender, p in inbox}
+                self.echoes += sum(
+                    (dst, _token(p)) in heard for dst, p in sends.sent
+                )
+    return Spied
+
+
+def test_no_node_hands_a_token_back_to_who_just_delivered_it():
+    """A spy on every send of both twins: no node sends a token to a
+    neighbor whose message carried that token to it in the same tick —
+    while the oracle rules, on the same graphs, do."""
+    kernels = (FloodMinArrayKernel, ClaimBfsArrayKernel)
+    for net in (grid_2d(9, 11), random_regular(60, 4, seed=5)):
+        tokens = dict(enumerate(net.uid))
+        claims = {v: net.uid[v] for v in (0, net.n // 2, net.n - 1)}
+        for cls, args, echoes in [
+            (FloodMinProgram, (net, tokens), False),
+            (FloodMinArrayKernel, (net, tokens), False),
+            (ClaimBfsProgram, (net, claims), False),
+            (ClaimBfsArrayKernel, (net, claims), False),
+            (_EveryNeighborFloodMin, (net, tokens), True),
+            (_SpareTheParentClaimBfs, (net, claims), True),
+        ]:
+            program = _echo_counting(cls)(*args)
+            engine = Engine(net, use_arrays=cls in kernels)
+            engine.run(program, max_ticks=net.n + 3)
+            assert bool(program.echoes) == echoes, cls.__name__
 
 
 def test_one_dispatch_seam():

@@ -269,7 +269,9 @@ def test_provider_certificates_attached():
 # classes became rows of one table (PR 22's parent), unchanged by it.
 # The deterministic digests were recaptured when Algorithm 6 began to
 # speak only on news: its ``det_*`` phases fell, every other phase and
-# every solve is the pinned one.
+# every solve is the pinned one.  The randomized digests were recaptured
+# when flood-min and claim BFS stopped handing a token back to the
+# neighbors that had just delivered it: only ``subpart_*`` phases fell.
 # ----------------------------------------------------------------------
 #: case -> (family, param, claim_small values, graph, BFS-ball radius or
 #: None for the planar tests' 2 (D + 1)) — the fixtures used above.
@@ -288,27 +290,27 @@ _PIN_CASES = {
 
 _PARENT_PHASE_LOGS = {
     ("planar", "randomized"):
-        "a35de6b7d81cef28c585fb2c6297323db94d3f5c1a32a99bc1f94b47cb8ac56f",
+        "090e33215f0674595acd68690e9342ead93161267b08e45bc443da6f274a0dd1",
     ("planar", "deterministic"):
         "7e87c070b329ad8567afad853bcaeca2cdd4ea717c84876fe6a48132d040e256",
     ("genus1", "randomized"):
-        "2b49557c305bcb289f8a5bad0cbc5b7f87627cd10f49eddc22ed4fcbc25bd6f7",
+        "21d1123044316a5aeabd2d2dc2bc84fd2c8b134feb5189b5b97e6e44dcfeb76f",
     ("genus1", "deterministic"):
         "3c198a1d2140a0acca83f5c5bb798a858099a3fa1805fbbfd452ce0a293bce30",
     ("genus4", "randomized"):
-        "79b317c5e055a0cc81812914329db4ed61cc5e4460414eefe567918f61584dfa",
+        "d13e4cca6a276a01f253ecbde9838d820858d168620754c9681b0e4afb3fc845",
     ("genus4", "deterministic"):
         "61cd2d9707ac07b84fd3cbc6f6d3fea8e484648dcc5be57c565373bbabd5f727",
     ("treewidth3", "randomized"):
-        "13f90df5c7fce495c517a6648743fe7cf929317161fbea79be90853b1715dd78",
+        "70f7ac4ccc01609d1973b5cfbb840697e3976e0aecf6c75ba3c0c014ff6b7db6",
     ("treewidth3", "deterministic"):
         "b511f54201fd2ee7e25ac26d53acc09789c419667e7699dc3c65ace58e1dadb7",
     ("pathwidth2", "randomized"):
-        "9bf144a4508574c0d904daf13e992a3e00b514d48a94628a12cbccd99f3d1ed8",
+        "d9fc4968959f83a3cd0fc1d953ceea863e99f066df8009fbf07b03cc4cf11635",
     ("pathwidth2", "deterministic"):
         "f1b49fe9cf673e44273c45023eaa072083722c421d47fc6a12d545ab09c2d2a0",
     ("general", "randomized"):
-        "b68aba72157ac9178b6554138884edbc5ffc2c384e01947606a4684edb434a90",
+        "03ab2c2bfe3a18c1baff0bd4a712d24f92f513f1c6e82eeae780c5692091b6ad",
     ("general", "deterministic"):
         "1f76314b40e672b1ebf4e75d40fc31116ad3c826699d7b0e30367e77c229cffe",
 }

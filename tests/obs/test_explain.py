@@ -237,10 +237,10 @@ def test_envelopes_come_from_the_pa_net_instant(mst_trace):
     assert f"net: n={net.n} m={net.m} tree depth={depth}" in text
     owner, totals = report.owner("rounds")
     assert totals.rounds == max(t.rounds for t in report.families.values())
-    # the figures the two-report parent printed for this run
+    # the figures this run prints
     assert "round slack 18.23: owned by moe_wave (15.6% of rounds)" in text
     assert (
-        "message slack 43.92: owned by leader_election (16.6% of messages)"
+        "message slack 42.32: owned by mst_neighbor_exchange (15.4% of messages)"
     ) in text
     assert owner == "moe_wave"
 

@@ -185,12 +185,12 @@ def test_tainted_mst_attempt_charges_its_tree_election_once():
         for p in recovery.phases() if ":tree:" in p.name
     ]
     assert tree == [
-        ("attempt1:tree:leader_election", 4, 236),
+        ("attempt1:tree:leader_election", 4, 193),
         ("attempt1:tree:child_ack", 1, 19),
     ]
-    assert (recovery.rounds, recovery.messages) == (317, 4475)
+    assert (recovery.rounds, recovery.messages) == (317, 4377)
     main = res.ledger
-    assert (len(main.phases()), main.rounds, main.messages) == (132, 387, 3612)
+    assert (len(main.phases()), main.rounds, main.messages) == (132, 387, 3549)
 
 
 @pytest.mark.parametrize("opt_ins", [{}, {"reuse": True}])
