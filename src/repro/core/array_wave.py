@@ -1,14 +1,17 @@
 """Array-native PA wave kernels: broadcast, reversal, replay.
 
 The scalar :mod:`repro.core.wave` programs are event-driven: every message
-arrival mutates per-node flags and may emit flag-gated follow-up sends.
-Because *all* wave state is per-node (token/flag bytes) or per-``(node,
-part)`` (the ``ku``/``kd`` dedup sets), a tick decomposes into independent
-per-node event sequences, which makes the whole tick resolvable with array
-passes: each potential action becomes a *request* carrying the position of
-the event that raised it, and for every flag (or dedup key) the request
-with the smallest position wins — exactly the outcome of processing the
-events sequentially.
+arrival may gain a node its part's token or settle a block climb, and
+either emits its follow-up sends at once.  Because *all* wave state is
+per-node (the token byte) or per-``(node, part)`` (the ``ku``/``kd`` dedup
+sets, and who has sent the node the part's token), a tick decomposes into
+independent per-node event sequences, which makes the whole tick
+resolvable with array passes: each potential action becomes a *request*
+carrying the position of the event that raised it, and for every flag (or
+dedup key) the request with the smallest position wins — exactly the
+outcome of processing the events sequentially.  A send to a neighbor that
+has sent the node the same part's token is dropped, as the scalar
+handlers skip it.
 
 Event positions interleave the two scalar activation hooks: a leader start
 (``on_activate``, which runs before the node's inbox) gets position
@@ -302,15 +305,13 @@ class WaveArrayKernel(ArrayProgram):
         self.pbits = self.pid_bits + int_bits_array(self.token)
 
         self.has_token = np.zeros(n, dtype=bool)
-        #: ``sent_su`` and ``sent_bd`` in one: the scalar program sets the
-        #: two together, wherever it sets either.
-        self.sent_down = np.zeros(n, dtype=bool)
-        self.sent_ru = np.zeros(n, dtype=bool)
-        self.injected = np.zeros(n, dtype=bool)
         self.started = np.zeros(self.num_parts, dtype=bool)
         self._unstarted = self.num_parts
         self._kup = KeySet()
         self._kdown = KeySet()
+        #: ``(node * stride + part) * n + sender``: who has sent a node a
+        #: part's token, over every tick so far.
+        self._told = KeySet()
         self._pool = EdgePool(n, ("tag", "pid"), capacity=capacity)
         self.in_arena = ColumnArena(("key", "src"))
         self.out_arena = ColumnArena(("key", "dst"))
@@ -324,7 +325,7 @@ class WaveArrayKernel(ArrayProgram):
             actx.wake_at(self.leaders[timed & (self.delay == tick)], tick)
         actx.wake(self.leaders[~timed])
 
-    def _start_leaders(self, actx, d, em, down, inject) -> None:
+    def _start_leaders(self, actx, d, gain, inject) -> None:
         """``on_activate``: a leader whose delay has run out starts its part."""
         pend = np.flatnonzero(~self.started)
         lead = self.leaders[pend]
@@ -342,23 +343,9 @@ class WaveArrayKernel(ArrayProgram):
         # on_activate runs before the inbox: position 2 * (first inbox row).
         pos = 2 * np.searchsorted(d.dst, lead)
         self.has_token[lead] = True
-        is_rep = self.rep_of[lead] == lead
-        if not is_rep.all():
-            # A non-rep leader sends ru unconditionally (no flag check in
-            # the scalar _leader_start) and sets the flag.
-            nr = ~is_rep
-            self.sent_ru[lead[nr]] = True
-            em.append(_sends(
-                lead[nr], self.fparent[lead[nr]], pos[nr], RU, pend[nr]
-            ))
-            pend, lead, pos = pend[is_rep], lead[is_rep], pos[is_rep]
-        if pend.size:
-            down.append((lead, pend, pos))
-            if self._blocks:
-                # via_block is False at a leader start: inject.
-                fresh = ~self.injected[lead]
-                self.injected[lead[fresh]] = True
-                inject.append((lead[fresh], pend[fresh], pos[fresh]))
+        gain.append((lead, pend, pos))
+        rep = self.rep_of[lead] == lead
+        inject.append((lead[rep], pend[rep], pos[rep]))
 
     def array_tick(self, actx, d) -> None:
         P = self.stride
@@ -369,32 +356,31 @@ class WaveArrayKernel(ArrayProgram):
             pid = d.cols["pid"]
             key = dst * P + pid
             self.in_arena.append(key=key, src=d.src)
+            self._told.add(key * self.n + d.src)
             # Which kinds arrived at all: absent ones cost nothing below.
             kinds = np.bincount(tag, minlength=5).tolist()
         else:
+            pid = _EMPTY
             kinds = _NO_KINDS
 
         # Emission groups, (src, dst, pos, rank, idx, tag, pid, p0, p1)
-        # columns each, and the requests that raise them: to hand a token
-        # on down the sub-part tree and across boundary edges, and to
-        # enter a block — (node, pid, pos) columns each.
+        # columns each, and the requests that raise them: the members
+        # that gain their token, and the representatives among them that
+        # enter their block — (node, pid, pos) columns each.
         em: List[Tuple[np.ndarray, ...]] = []
-        down: List[Tuple[np.ndarray, ...]] = []
+        gain: List[Tuple[np.ndarray, ...]] = []
         inject: List[Tuple[np.ndarray, ...]] = []
         ku_rows = kd_rows = _EMPTY
 
         if self._unstarted:
-            self._start_leaders(actx, d, em, down, inject)
+            self._start_leaders(actx, d, gain, inject)
 
         if m:
             # Token grant: the first grant-capable arrival per node wins.
             cand = ~self.has_token[dst]
             if kinds[KU] or kinds[KD]:
                 # ru / su / bd always carry the grant; a kd, and a ku that
-                # is fresh for its (node, part), only to a part member.  A
-                # fresh ku that will lose its kup claim to an inject this
-                # tick is never reachable here: the inject's trigger
-                # already set has_token at an earlier position.
+                # is fresh for its (node, part), only to a part member.
                 ku_rows = np.flatnonzero(tag == KU)
                 kk = key[ku_rows]
                 ku_rows = ku_rows[
@@ -409,66 +395,47 @@ class WaveArrayKernel(ArrayProgram):
             w = ci[first_occurrence_mask(dst[ci])]
             if w.size:
                 wn = dst[w]
-                wp = pid[w]
-                wt = tag[w]
                 wpos = 2 * w + 1
                 self.has_token[wn] = True
-                wrep = self.rep_of[wn] == wn
-                not_su = wt != SU
-                ra = np.flatnonzero(wrep & not_su)
-                if ra.size:
-                    rn = wn[ra]
-                    down.append((rn, wp[ra], wpos[ra]))
-                    if self._blocks:
-                        # Inject unless the token came through the block.
-                        fresh = ~self.injected[rn]
-                        self.injected[rn[fresh]] = True
-                        ra = ra[fresh & (wt[ra] < KU)]
-                        inject.append((wn[ra], wp[ra], wpos[ra]))
-                # Non-rep winners of ru/bd/ku/kd route the token up.
-                rr = np.flatnonzero(~wrep & not_su)
-                if rr.size:
-                    rn = wn[rr]
-                    keep = ~self.sent_ru[rn]
-                    if not keep.all():
-                        rr, rn = rr[keep], rn[keep]
-                    self.sent_ru[rn] = True
-                    em.append(_sends(
-                        rn, self.fparent[rn], wpos[rr], RU, wp[rr]
-                    ))
-            if kinds[SU]:
-                # su arrivals always hand on, gated on the flag alone.
-                si = np.flatnonzero(tag == SU)
-                down.append((dst[si], pid[si], 2 * si + 1))
+                gain.append((wn, pid[w], wpos))
+                # A representative enters its block unless the token came
+                # through it.
+                ra = (self.rep_of[wn] == wn) & (tag[w] < KU)
+                inject.append((wn[ra], pid[w][ra], wpos[ra]))
 
-        # -- su to the children, then bd across the boundary ------------
-        # No two requests of a tick name one node: a node hears su once in
-        # a wave (from its tree parent, which sends it once), a rep never
-        # does, and a leader that started this tick holds the token before
-        # any arrival could win it.  So only the flag gates a request.
-        if down:
-            rn, rp, rpos = _gather(down)
-            keep = ~self.sent_down[rn]
-            if not keep.all():
-                rn, rp, rpos = rn[keep], rp[keep], rpos[keep]
-            self.sent_down[rn] = True
+        # -- a gain hands the token on: su to the children, bd across the
+        # boundary, and a non-rep's ru toward its representative --------
+        if gain:
+            gn, gp, gpos = _gather(gain)
             starts, counts, flat, crosses = self._fan
-            origin, slots, within = csr_slots(starts, counts, rn)
+            origin, slots, within = csr_slots(starts, counts, gn)
             if slots.size:
                 crosses = crosses[slots]
                 zero = np.zeros(slots.size, dtype=np.int64)
                 em.append((
-                    rn[origin], flat[slots], rpos[origin], crosses, within,
-                    crosses + SU, rp[origin], zero, zero,
+                    gn[origin], flat[slots], gpos[origin], crosses, within,
+                    crosses + SU, gp[origin], zero, zero,
                 ))
+            nr = self.rep_of[gn] != gn
+            em.append(_sends(
+                gn[nr], self.fparent[gn[nr]], gpos[nr], RU, gp[nr]
+            ))
 
         if self._blocks:
-            self._route_blocks(dst, pid if m else _EMPTY, ku_rows, kd_rows,
-                               inject, em)
+            self._route_blocks(dst, pid, ku_rows, kd_rows, inject, em)
 
-        # -- assemble, order, and flush --------------------------------
+        # -- assemble, skip the senders, order, and flush ----------------
         if em:
             src, to, pos, rank, idx, tcol, pcol, p0, p1 = _gather(em)
+            if self._told:
+                # No send goes to a neighbor that has sent this node the
+                # same part's token.
+                keep = ~self._told.contains((src * P + pcol) * self.n + to)
+                if not keep.all():
+                    src, to, pos, rank, idx, tcol, pcol, p0, p1 = (
+                        col[keep] for col in
+                        (src, to, pos, rank, idx, tcol, pcol, p0, p1)
+                    )
             # The pool reads enqueue order source by source, so ordering
             # the rows by source first spares it a sort of its own.
             order = np.lexsort((idx, rank, pos, src))
@@ -496,40 +463,26 @@ class WaveArrayKernel(ArrayProgram):
 
         ``ku_rows`` are the fresh ku arrivals, ``kd_rows`` the kd
         arrivals, ``inject`` the representatives entering their block.
+        Per ``(node, part)`` the earliest of them wins the climb: ku up
+        unless the node is the block root, and kd down, both at once.
         """
         P = self.stride
         kd_req: List[Tuple[np.ndarray, ...]] = []
-        # -- kup resolution: fresh ku arrivals vs injects ---------------
+        # -- kup resolution --------------------------------------------
         cparts: List[Tuple[np.ndarray, ...]] = []
         if ku_rows.size:
-            cparts.append((
-                dst[ku_rows], pid[ku_rows], 2 * ku_rows + 1,
-                np.zeros(ku_rows.size, dtype=bool),
-            ))
+            cparts.append((dst[ku_rows], pid[ku_rows], 2 * ku_rows + 1))
         if inject:
-            inode, ipid, ipos = _gather(inject)
-            ikey = inode * P + ipid
-            # pid not in up_parts, or already claimed: block_down instead.
-            live = in_sorted(self._up_keys, ikey) & ~self._kup.contains(ikey)
-            kd_req.append((inode[~live], ipid[~live], ipos[~live]))
-            cparts.append((
-                inode[live], ipid[live], ipos[live],
-                np.ones(int(live.sum()), dtype=bool),
-            ))
+            cparts.append(_gather(inject))
         if cparts:
-            cn, cp, cpos, cinj = _gather(cparts)
+            cn, cp, cpos = _gather(cparts)
             ckey = cn * P + cp
             order = np.lexsort((cpos, ckey))
-            win = np.zeros(cn.size, dtype=bool)
-            win[order[first_occurrence_mask(ckey[order])]] = True
-            self._kup.add(ckey[win])
-            # Losing injects fall through to block_down; losing ku
-            # arrivals are skipped entirely (the whole handler branch is
-            # guarded by the kup_done test).
-            lose = ~win & cinj
-            kd_req.append((cn[lose], cp[lose], cpos[lose]))
-            # Winners: climb if the part still goes up, else turn around.
-            wk = np.flatnonzero(win)
+            wk = order[first_occurrence_mask(ckey[order])]
+            self._kup.add(ckey[wk])
+            # An inject never loses: a ku of its key ahead of the token's
+            # arrival would have brought the token.  Losing ku arrivals
+            # are skipped entirely.
             up = in_sorted(self._up_keys, ckey[wk])
             climb = wk[up]
             if climb.size:
@@ -537,8 +490,7 @@ class WaveArrayKernel(ArrayProgram):
                     cn[climb], self.tparent[cn[climb]], cpos[climb], KU,
                     cp[climb], self._prio.get(ckey[climb]), cp[climb],
                 ))
-            root = wk[~up]
-            kd_req.append((cn[root], cp[root], cpos[root]))
+            kd_req.append((cn[wk], cp[wk], cpos[wk]))
 
         # -- kdown resolution ------------------------------------------
         if kd_rows.size:

@@ -8,25 +8,37 @@ phases, each a single engine program over *all parts concurrently*:
 
 1. :class:`WaveProgram` — the token broadcast.  Five message kinds:
 
-   * ``ru`` — route up a sub-part tree toward its representative
-     (Algorithm 1 lines 8 and 18);
-   * ``su`` — broadcast down a sub-part tree (line 14);
-   * ``bd`` — cross sub-part boundary edges inside the part (line 15);
+   * ``su`` — down a sub-part tree (Algorithm 1 line 14);
+   * ``bd`` — across sub-part boundary edges inside the part (line 15);
+   * ``ru`` — up a sub-part tree toward its representative (lines 8
+     and 18);
    * ``ku`` — climb shortcut-block edges toward the block root;
-   * ``kd`` — flood down all block edges (``ku`` + ``kd`` = the
-     BlockRoute of Lemma 4.2, with packets prioritized by
-     (block-root depth, part id) and queued per directed tree edge).
+   * ``kd`` — flood down block edges (``ku`` + ``kd`` = the BlockRoute
+     of Lemma 4.2, with packets prioritized by (block-root depth, part
+     id) and queued per directed tree edge).
 
-   Only representatives inject into blocks (Observation 4.3's message
-   bound); every node forwards each kind at most once per part, so the
-   wave uses O(n) sub-part messages, O(2 m) boundary messages and
-   O(sum_i |H_i|) block messages.  Unlike the paper's phrasing there is no
-   global barrier between the ``b`` iterations: each block/sub-part
-   activates once, when the token first reaches it, which is the same
-   schedule without idle waiting.  The randomized variant (Section 4.2)
-   delays each part's start uniformly in [0, c) and runs with per-edge
-   capacity Theta(log n), each engine tick costing that many CONGEST
-   rounds — exactly the paper's meta-round accounting.
+   One rule: *a node hands a token on in the tick it gains it, and never
+   back to a neighbor that sent it.*  A part member that first receives its
+   part's token — by any kind, or as the leader at its start — sends ``su``
+   to its sub-part children and ``bd`` across its boundary at once; a
+   non-representative also sends ``ru`` to its sub-part parent, and a
+   representative that did not get the token through its block injects it
+   there (Observation 4.3: only representatives inject).  A block node that
+   wins part pid's climb — its first ``ku`` for pid, or the inject — sends
+   ``ku`` up unless it is the block root and floods ``kd`` down its H_pid
+   children, both at once; a ``kd`` arrival floods down (a ``ku`` that
+   arrives later climbs to no one: the tree parent it would go to sent the
+   ``kd``).  Every send skips the neighbors that have sent the node pid's
+   token (its recorded in-edges).  So a token crosses a sub-part tree edge
+   or a block edge once, or twice only where both ends gained it in the
+   same tick, and the wave uses O(n) sub-part messages, O(2 m) boundary
+   messages and O(sum_i |H_i|) block messages.  Unlike the paper's phrasing
+   there is no global barrier between the ``b`` iterations: each
+   block/sub-part activates once, when the token first reaches it, which is
+   the same schedule without idle waiting.  The randomized variant (Section
+   4.2) delays each part's start uniformly in [0, c) and runs with per-edge
+   capacity Theta(log n), each engine tick costing that many CONGEST rounds
+   — exactly the paper's meta-round accounting.
 
 2. :class:`ReverseProgram` — the aggregation.  The broadcast recorded, per
    (node, part), every wave message sent and received and the *wave
@@ -194,12 +206,8 @@ class WaveProgram(QueuedProgram):
         self.rep_of = division.rep_of
         self.down = shortcut.down_parts()
 
-        n = net.n
-        self.has_token = bytearray(n)
-        self.sent_su = bytearray(n)
-        self.sent_bd = bytearray(n)
-        self.sent_ru = bytearray(n)
-        self.injected = bytearray(n)
+        self.has_token = bytearray(net.n)
+        #: Keys ``(node, pid)`` whose climb is won: by a ku or an inject.
         self.kup_done: Set[Tuple[int, int]] = set()
         self.kdown_done: Set[Tuple[int, int]] = set()
 
@@ -217,19 +225,8 @@ class WaveProgram(QueuedProgram):
         # The candidate boundary edges of line 15.
         self._boundary: List[Tuple[int, ...]] = division.wave_boundary
 
-    # ------------------------------------------------------------------
-    # Recording helpers
-    # ------------------------------------------------------------------
-    def _record_out(self, src: int, pid: int, dst: int, tag: str) -> None:
-        self.record.out_edges.setdefault((src, pid), []).append((dst, tag))
-
-    def _record_in(self, dst: int, pid: int, src: int, tag: str) -> None:
-        self.record.in_edges.setdefault((dst, pid), []).append((src, tag))
-        if (dst, pid) not in self.record.parent:
-            self.record.parent[(dst, pid)] = src
-
     def on_dequeue(self, src: int, dst: int, payload: object) -> None:
-        # Inlined _record_out: this runs once per physically sent packet.
+        # Once per physically sent packet: record the wave edge.
         out_edges = self.record.out_edges
         key = (src, payload[1])
         lst = out_edges.get(key)
@@ -238,16 +235,16 @@ class WaveProgram(QueuedProgram):
         else:
             lst.append((dst, payload[0]))
 
-    def _send(self, ctx: Context, src: int, dst: int, tag: str, pid: int,
-              token: object, priority: Tuple = (0, 0)) -> None:
+    def _send(self, src: int, dst: int, tag: str, pid: int, token: object,
+              priority: Tuple = (0, 0)) -> None:
         key = (tag, pid)
         payload = self._payload_memo.get(key)
         if payload is None:
             payload = self._payload_memo[key] = (tag, pid, token)
         # Every _send happens while ``src`` is the node being activated
-        # (handlers, rep actions, and the leader start all run inside
-        # src's own activation), so the enqueue fast path is inlined: the
-        # packet goes straight to the activation batch.
+        # (handlers and the leader start both run inside src's own
+        # activation), so the enqueue fast path is inlined: the packet
+        # goes straight to the activation batch.
         self._seq += 1
         self._batch.append((dst, priority, self._seq, payload))
 
@@ -259,64 +256,52 @@ class WaveProgram(QueuedProgram):
         return prio
 
     # ------------------------------------------------------------------
-    # Protocol actions
+    # Protocol actions.  ``heard`` is every neighbor that has sent the
+    # node pid's token: none of them is sent it back.
     # ------------------------------------------------------------------
-    def _gain_token(self, ctx: Context, v: int, pid: int, token: object) -> None:
-        """First token receipt at part member ``v``."""
+    def _gain_token(self, v: int, pid: int, token: object, heard,
+                    via_block: bool) -> None:
+        """First token receipt at part member ``v``: hand it on at once.
+
+        Down the sub-part tree and across the boundary; a non-rep also up
+        toward its representative, a representative into its block unless
+        the token came through the block (Observation 4.3: reps only).
+        """
         self.has_token[v] = 1
         self.record.reached[pid].add(v)
-
-    def _rep_actions(self, ctx: Context, v: int, pid: int, token: object,
-                     via_block: bool) -> None:
-        """A representative holding the token activates its sub-part."""
-        if not self.sent_su[v]:
-            self.sent_su[v] = 1
-            for child in self.forest.children[v]:
-                self._send(ctx, v, child, "su", pid, token)
-        if not self.sent_bd[v]:
-            self.sent_bd[v] = 1
-            for nb in self._boundary[v]:
-                self._send(ctx, v, nb, "bd", pid, token)
-        if not self.injected[v]:
-            self.injected[v] = 1
-            if not via_block:
-                self._inject_block(ctx, v, pid, token)
-
-    def _inject_block(self, ctx: Context, v: int, pid: int, token: object) -> None:
-        """Send the token into v's shortcut block (Observation 4.3: reps only)."""
-        if pid in self.shortcut.up_parts[v] and (v, pid) not in self.kup_done:
+        for child in self.forest.children[v]:
+            if child not in heard:
+                self._send(v, child, "su", pid, token)
+        for nb in self._boundary[v]:
+            if nb not in heard:
+                self._send(v, nb, "bd", pid, token)
+        if self.rep_of[v] != v:
+            parent = self.forest.parent[v]
+            if parent not in heard:
+                self._send(v, parent, "ru", pid, token)
+        elif not via_block:
             self.kup_done.add((v, pid))
-            parent = self.shortcut.tree.parent[v]
-            prio = self._prio(v, pid)
-            self._send(ctx, v, parent, "ku", pid, token, priority=prio)
-        else:
-            self._block_down(ctx, v, pid, token)
+            self._climb(v, pid, token, heard)
 
-    def _block_down(self, ctx: Context, v: int, pid: int, token: object) -> None:
-        """Flood the token down all of v's H_pid child edges."""
-        if (v, pid) in self.kdown_done:
+    def _climb(self, v: int, pid: int, token: object, heard) -> None:
+        """``v`` won pid's climb: ku up unless v is the block root, and kd
+        down its H_pid children, both now."""
+        if pid in self.shortcut.up_parts[v]:
+            parent = self.shortcut.tree.parent[v]
+            if parent not in heard:
+                self._send(v, parent, "ku", pid, token, self._prio(v, pid))
+        self._block_down(v, pid, token, heard)
+
+    def _block_down(self, v: int, pid: int, token: object, heard) -> None:
+        """Flood the token down v's H_pid child edges (once per key)."""
+        key = (v, pid)
+        if key in self.kdown_done:
             return
-        self.kdown_done.add((v, pid))
+        self.kdown_done.add(key)
         prio = self._prio(v, pid)
         for child, parts in self.down[v].items():
-            if pid in parts:
-                self._send(ctx, v, child, "kd", pid, token, priority=prio)
-
-    def _member_receive(self, ctx: Context, v: int, pid: int, token: object,
-                        via: str) -> None:
-        """Token delivery logic for a part member."""
-        if self.has_token[v]:
-            return
-        self._gain_token(ctx, v, pid, token)
-        if self.rep_of[v] == v:
-            self._rep_actions(ctx, v, pid, token, via_block=via in ("ku", "kd"))
-        elif via == "su":
-            pass  # fall through: forwarding handled by caller
-        elif via in ("bd", "ku", "kd"):
-            # Route the token up to the representative (lines 16-18).
-            if not self.sent_ru[v]:
-                self.sent_ru[v] = 1
-                self._send(ctx, v, self.forest.parent[v], "ru", pid, token)
+            if pid in parts and child not in heard:
+                self._send(v, child, "kd", pid, token, prio)
 
     # ------------------------------------------------------------------
     # Engine hooks
@@ -334,78 +319,55 @@ class WaveProgram(QueuedProgram):
 
     def _leader_start(self, ctx: Context, leader: int) -> None:
         pid = self.part_of[leader]
-        delay = self.delays.get(pid, 0)
-        if ctx.tick < delay:
+        if ctx.tick < self.delays.get(pid, 0):
             # Defensive: with wake_at-based scheduling the leader is first
             # activated at its delay tick, so this cannot trigger unless a
             # message reaches it earlier (in which case it re-arms).
             ctx.wake(leader)
             return
         self._started.add(pid)
-        token = self.leader_tokens[pid]
         self.record.parent[(leader, pid)] = None
-        self._gain_token(ctx, leader, pid, token)
-        if self.rep_of[leader] == leader:
-            self._rep_actions(ctx, leader, pid, token, via_block=False)
-        else:
-            self.sent_ru[leader] = 1
-            self._send(ctx, leader, self.forest.parent[leader], "ru", pid, token)
+        # pid's token exists nowhere before this: nobody has sent it.
+        self._gain_token(leader, pid, self.leader_tokens[pid], (), False)
 
     def handle(self, ctx: Context, node: int, inbox: Inbox) -> None:
         in_edges = self.record.in_edges
         wave_parent = self.record.parent
         for sender, payload in inbox:
-            tag, pid, token = payload
-            # Inlined _record_in: once per received packet.
-            key = (node, pid)
+            key = (node, payload[1])
             lst = in_edges.get(key)
             if lst is None:
-                in_edges[key] = [(sender, tag)]
+                in_edges[key] = [(sender, payload[0])]
             else:
-                lst.append((sender, tag))
+                lst.append((sender, payload[0]))
             if key not in wave_parent:
                 wave_parent[key] = sender
-            if tag == "ru":
-                if self.has_token[node]:
+        member = self.part_of[node]
+        told: Dict[int, Set[int]] = {}
+        for _sender, payload in inbox:
+            tag, pid, token = payload
+            heard = told.get(pid)
+            if heard is None:
+                # Every neighbor that has sent this node pid's token: the
+                # recorded in-edges, this tick's included.
+                heard = told[pid] = {
+                    src for src, _tag in in_edges[(node, pid)]
+                }
+            if tag == "ku":
+                key = (node, pid)
+                if key in self.kup_done:
                     continue
-                self._gain_token(ctx, node, pid, token)
-                if self.rep_of[node] == node:
-                    self._rep_actions(ctx, node, pid, token, via_block=False)
-                elif not self.sent_ru[node]:
-                    self.sent_ru[node] = 1
-                    self._send(
-                        ctx, node, self.forest.parent[node], "ru", pid, token
-                    )
-            elif tag == "su":
-                if not self.has_token[node]:
-                    self._gain_token(ctx, node, pid, token)
-                if not self.sent_su[node]:
-                    self.sent_su[node] = 1
-                    for child in self.forest.children[node]:
-                        self._send(ctx, node, child, "su", pid, token)
-                if not self.sent_bd[node]:
-                    self.sent_bd[node] = 1
-                    for nb in self._boundary[node]:
-                        self._send(ctx, node, nb, "bd", pid, token)
-            elif tag == "bd":
-                self._member_receive(ctx, node, pid, token, via="bd")
-            elif tag == "ku":
-                if (node, pid) not in self.kup_done:
-                    self.kup_done.add((node, pid))
-                    if self.part_of[node] == pid:
-                        self._member_receive(ctx, node, pid, token, via="ku")
-                    if pid in self.shortcut.up_parts[node]:
-                        parent = self.shortcut.tree.parent[node]
-                        prio = self._prio(node, pid)
-                        self._send(ctx, node, parent, "ku", pid, token,
-                                   priority=prio)
-                    else:
-                        # node is the block root: turn around and flood down.
-                        self._block_down(ctx, node, pid, token)
+                self.kup_done.add(key)
+                if member == pid and not self.has_token[node]:
+                    self._gain_token(node, pid, token, heard, True)
+                self._climb(node, pid, token, heard)
             elif tag == "kd":
-                if self.part_of[node] == pid:
-                    self._member_receive(ctx, node, pid, token, via="kd")
-                self._block_down(ctx, node, pid, token)
+                if member == pid and not self.has_token[node]:
+                    self._gain_token(node, pid, token, heard, True)
+                self._block_down(node, pid, token, heard)
+            elif not self.has_token[node]:
+                # ru, su, bd: the node's own part.
+                self._gain_token(node, pid, token, heard, False)
 
     def on_activate(self, ctx: Context, node: int) -> None:
         pid = self.part_of[node]

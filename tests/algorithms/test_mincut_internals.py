@@ -111,17 +111,20 @@ def test_one_respecting_cut_value_is_real_cut(weighted_random):
 #: session, tree and leader election per packing) and when flood-min and
 #: claim BFS stopped handing a token back to the neighbors that had just
 #: delivered it (only ``leader_election`` and the ``subpart_*`` claim
-#: phases fell); cut values equal, CHANGES lists old -> new.
+#: phases fell) and when the token wave began to hand a token on in the
+#: tick a node gains it and never back to a neighbor that sent it (only
+#: ``*_wave`` / ``*_reverse`` / ``*_replay`` moved); cut values equal,
+#: CHANGES lists old -> new.
 MINCUT_PINS = {
     "grid6x7": (
         lambda: with_distinct_weights(grid_2d(6, 7), seed=4),
-        (32, 313, 1631, 13976,
-         "59732ce9491796ae2cb1836e99f551e81d91778daddd25939eb64f2f717ab892"),
+        (32, 313, 1495, 11990,
+         "9bec65e44991e3926feb12c798d80696ea53caf70f46aa5857dad002b04dda3e"),
     ),
     "reg48": (
         lambda: with_distinct_weights(random_regular(48, 4, seed=7), seed=4),
-        (75, 279, 1361, 16893,
-         "3dcd39262137b214292782a58452e98e3c25ed988d1b37e80375921e4e75c69c"),
+        (75, 279, 1239, 14681,
+         "bf1ba28bd43c3dd88759d575deca3b97fc86def625c6007b44c67ed4467c0122"),
     ),
 }
 

@@ -84,7 +84,7 @@ def test_sssp_charges_its_tree_once(flags):
     ]
     assert any(p.name.startswith("mst:") for p in run.ledger.phases())
     if not flags:
-        assert (run.rounds, run.messages) == (282, 2884)
+        assert (run.rounds, run.messages) == (274, 2578)
 
 
 def test_mincut_finds_planted_cut():

@@ -10,7 +10,11 @@ build that iterated returns its last verified candidate instead of
 annotating a copy of it — one trailing ``annotate_blocks`` fewer — and
 each one-off verification replays on the forest it just learned
 (``*_replay`` at ``#keys - #parts`` messages); every other phase and
-every result field equal, CHANGES lists old -> new.
+every result field equal, CHANGES lists old -> new.  Recaptured again
+when the token wave began to hand a token on in the tick a node gains
+it and never back to a neighbor that sent it: only the verifications'
+``*_wave`` / ``*_reverse`` / ``*_replay`` moved (fewer messages, no more
+rounds), every other phase and every result field equal.
 """
 
 import hashlib
@@ -89,8 +93,8 @@ def _build(graph, mode, run):
 
 EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 9, 102),
                                                 ('annotate_blocks', 14, 102),
-                                                ('verify_1_wave', 57, 468),
-                                                ('verify_1_reverse', 45, 468),
+                                                ('verify_1_wave', 42, 230),
+                                                ('verify_1_reverse', 42, 230),
                                                 ('verify_1_replay', 42, 129)],
                                      'iterations': 1,
                                      'block_counts': [1, 1, 1, 0],
@@ -99,13 +103,13 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                      'up_parts_sha': '94536d2e56303094'},
  ('grid', 'randomized', 'doubling'): {'phases': [('corefast_claim_1', 8, 98),
                                                  ('annotate_blocks', 11, 98),
-                                                 ('verify_1_wave', 50, 460),
-                                                 ('verify_1_reverse', 38, 460),
+                                                 ('verify_1_wave', 36, 226),
+                                                 ('verify_1_reverse', 36, 226),
                                                  ('verify_1_replay', 36, 127),
                                                  ('corefast_claim_2', 9, 45),
                                                  ('annotate_blocks', 14, 102),
-                                                 ('verify_2_wave', 57, 468),
-                                                 ('verify_2_reverse', 45, 468),
+                                                 ('verify_2_wave', 42, 230),
+                                                 ('verify_2_reverse', 42, 230),
                                                  ('verify_2_replay', 42, 129)],
                                       'iterations': 2,
                                       'block_counts': [1, 1, 1, 0],
@@ -114,13 +118,13 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                       'up_parts_sha': '94536d2e56303094'},
  ('grid', 'randomized', 'capped'): {'phases': [('corefast_claim_1', 8, 98),
                                                ('annotate_blocks', 11, 98),
-                                               ('verify_1_wave', 50, 460),
-                                               ('verify_1_reverse', 38, 460),
+                                               ('verify_1_wave', 36, 226),
+                                               ('verify_1_reverse', 36, 226),
                                                ('verify_1_replay', 36, 127),
                                                ('corefast_claim_2', 9, 102),
                                                ('annotate_blocks', 14, 102),
-                                               ('verify_2_wave', 57, 468),
-                                               ('verify_2_reverse', 45, 468),
+                                               ('verify_2_wave', 42, 230),
+                                               ('verify_2_reverse', 42, 230),
                                                ('verify_2_replay', 42, 129)],
                                     'iterations': 2,
                                     'block_counts': [1, 1, 1, 0],
@@ -145,10 +149,10 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                    ('alg8_1_rank2_cross', 0,
                                                     0),
                                                    ('annotate_blocks', 8, 11),
-                                                   ('det_verify_1_wave', 18,
-                                                    261),
-                                                   ('det_verify_1_reverse', 14,
-                                                    261),
+                                                   ('det_verify_1_wave', 13,
+                                                    155),
+                                                   ('det_verify_1_reverse', 13,
+                                                    155),
                                                    ('det_verify_1_replay', 13,
                                                     103)],
                                         'iterations': 1,
@@ -174,10 +178,10 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                     ('alg8_1_rank2_cross', 0,
                                                      0),
                                                     ('annotate_blocks', 8, 11),
-                                                    ('det_verify_1_wave', 18,
-                                                     261),
+                                                    ('det_verify_1_wave', 13,
+                                                     155),
                                                     ('det_verify_1_reverse',
-                                                     14, 261),
+                                                     13, 155),
                                                     ('det_verify_1_replay', 13,
                                                      103)],
                                          'iterations': 1,
@@ -200,10 +204,10 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                    0),
                                                   ('alg8_1_rank2_cross', 0, 0),
                                                   ('annotate_blocks', 8, 11),
-                                                  ('det_verify_1_wave', 18,
-                                                   261),
-                                                  ('det_verify_1_reverse', 14,
-                                                   261),
+                                                  ('det_verify_1_wave', 13,
+                                                   155),
+                                                  ('det_verify_1_reverse', 13,
+                                                   155),
                                                   ('det_verify_1_replay', 13,
                                                    103),
                                                   ('alg8_2_rank0_doubling', 24,
@@ -216,10 +220,10 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                    0),
                                                   ('alg8_2_rank2_cross', 0, 0),
                                                   ('annotate_blocks', 8, 11),
-                                                  ('det_verify_2_wave', 18,
-                                                   261),
-                                                  ('det_verify_2_reverse', 14,
-                                                   261),
+                                                  ('det_verify_2_wave', 13,
+                                                   155),
+                                                  ('det_verify_2_reverse', 13,
+                                                   155),
                                                   ('det_verify_2_replay', 13,
                                                    103)],
                                        'iterations': 2,
@@ -230,9 +234,9 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
  ('regular', 'randomized', 'default'): {'phases': [('corefast_claim_1', 6,
                                                     135),
                                                    ('annotate_blocks', 9, 135),
-                                                   ('verify_1_wave', 44, 465),
-                                                   ('verify_1_reverse', 32,
-                                                    465),
+                                                   ('verify_1_wave', 28, 267),
+                                                   ('verify_1_reverse', 28,
+                                                    267),
                                                    ('verify_1_replay', 28,
                                                     139)],
                                         'iterations': 1,
@@ -244,18 +248,18 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                      121),
                                                     ('annotate_blocks', 7,
                                                      121),
-                                                    ('verify_1_wave', 24, 445),
-                                                    ('verify_1_reverse', 18,
-                                                     445),
+                                                    ('verify_1_wave', 16, 249),
+                                                    ('verify_1_reverse', 16,
+                                                     249),
                                                     ('verify_1_replay', 16,
                                                      137),
                                                     ('corefast_claim_2', 7,
                                                      135),
                                                     ('annotate_blocks', 9,
                                                      135),
-                                                    ('verify_2_wave', 44, 465),
-                                                    ('verify_2_reverse', 32,
-                                                     465),
+                                                    ('verify_2_wave', 28, 267),
+                                                    ('verify_2_reverse', 28,
+                                                     267),
                                                     ('verify_2_replay', 28,
                                                      139)],
                                          'iterations': 2,
@@ -265,15 +269,15 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                          'up_parts_sha': '8981f7c7a134d029'},
  ('regular', 'randomized', 'capped'): {'phases': [('corefast_claim_1', 5, 121),
                                                   ('annotate_blocks', 7, 121),
-                                                  ('verify_1_wave', 24, 445),
-                                                  ('verify_1_reverse', 18,
-                                                   445),
+                                                  ('verify_1_wave', 16, 249),
+                                                  ('verify_1_reverse', 16,
+                                                   249),
                                                   ('verify_1_replay', 16, 137),
                                                   ('corefast_claim_2', 7, 135),
                                                   ('annotate_blocks', 9, 135),
-                                                  ('verify_2_wave', 44, 465),
-                                                  ('verify_2_reverse', 32,
-                                                   465),
+                                                  ('verify_2_wave', 28, 267),
+                                                  ('verify_2_reverse', 28,
+                                                   267),
                                                   ('verify_2_replay', 28,
                                                    139)],
                                        'iterations': 2,
@@ -304,12 +308,12 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                        0),
                                                       ('annotate_blocks', 7,
                                                        23),
-                                                      ('det_verify_1_wave', 14,
-                                                       193),
+                                                      ('det_verify_1_wave', 13,
+                                                       132),
                                                       ('det_verify_1_reverse',
-                                                       11, 193),
+                                                       9, 132),
                                                       ('det_verify_1_replay',
-                                                       11, 100)],
+                                                       9, 99)],
                                            'iterations': 1,
                                            'block_counts': [1, 1, 1, 1, 0],
                                            'quality': (1, 2),
@@ -339,11 +343,11 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                        ('annotate_blocks', 6,
                                                         21),
                                                        ('det_verify_1_wave',
-                                                        14, 189),
+                                                        9, 126),
                                                        ('det_verify_1_reverse',
-                                                        11, 189),
+                                                        9, 126),
                                                        ('det_verify_1_replay',
-                                                        11, 99),
+                                                        9, 98),
                                                        ('alg8_2_rank0_doubling',
                                                         15, 0),
                                                        ('alg8_2_rank0_cross',
@@ -363,11 +367,11 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                        ('annotate_blocks', 6,
                                                         22),
                                                        ('det_verify_2_wave',
-                                                        14, 191),
+                                                        13, 131),
                                                        ('det_verify_2_reverse',
-                                                        11, 191),
+                                                        9, 131),
                                                        ('det_verify_2_replay',
-                                                        11, 99)],
+                                                        9, 98)],
                                             'iterations': 2,
                                             'block_counts': [1, 1, 1, 1, 0],
                                             'quality': (1, 2),
@@ -396,12 +400,12 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                       0),
                                                      ('annotate_blocks', 6,
                                                       21),
-                                                     ('det_verify_1_wave', 14,
-                                                      189),
+                                                     ('det_verify_1_wave', 9,
+                                                      126),
                                                      ('det_verify_1_reverse',
-                                                      11, 189),
+                                                      9, 126),
                                                      ('det_verify_1_replay',
-                                                      11, 99),
+                                                      9, 98),
                                                      ('alg8_2_rank0_doubling',
                                                       15, 1),
                                                      ('alg8_2_rank0_cross', 2,
@@ -420,12 +424,12 @@ EXPECTED = {('grid', 'randomized', 'default'): {'phases': [('corefast_claim_1', 
                                                       0),
                                                      ('annotate_blocks', 7,
                                                       23),
-                                                     ('det_verify_2_wave', 14,
-                                                      193),
+                                                     ('det_verify_2_wave', 13,
+                                                      132),
                                                      ('det_verify_2_reverse',
-                                                      11, 193),
+                                                      9, 132),
                                                      ('det_verify_2_replay',
-                                                      11, 100)],
+                                                      9, 99)],
                                           'iterations': 2,
                                           'block_counts': [1, 1, 1, 1, 0],
                                           'quality': (1, 2),

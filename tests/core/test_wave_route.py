@@ -15,6 +15,7 @@ its count of members reached.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import numpy as np
@@ -25,7 +26,14 @@ from repro import PASolver, SUM
 from repro.core import wave as wave_module
 from repro.core.array_wave import WaveIndex
 from repro.core.pa import DETERMINISTIC, RANDOMIZED
-from repro.graphs import grid_2d, random_connected, random_connected_partition
+from repro.graphs import (
+    Partition,
+    bfs_ball_partition,
+    grid_2d,
+    random_connected,
+    random_connected_partition,
+    random_regular,
+)
 
 from test_wave_values import ENGINES, _items
 
@@ -231,3 +239,60 @@ def test_a_replay_that_reaches_fewer_members_than_the_part_has_raises(
         solver.solve(setup, values, SUM, charge_setup=False)
     if solve == "learning":
         assert setup.route.delays is None
+
+
+def _forest_digest(forest) -> str:
+    """SHA-256 over the sorted ``(node, part, wave parent)`` of a forest of
+    either twin (-1: a leader key)."""
+    if isinstance(forest, wave_module.WaveRecord):
+        rows = sorted(
+            (v, pid, -1 if parent is None else parent)
+            for (v, pid), parent in forest.parent.items()
+        )
+    else:
+        rows = sorted(zip(
+            forest.node.tolist(), forest.part.tolist(), forest.parent.tolist()
+        ))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def _rows_as_parts(rows, cols):
+    net = grid_2d(rows, cols)
+    return net, Partition([r for r in range(rows) for _ in range(cols)])
+
+
+def _balls(n, seed):
+    net = random_regular(n, 4, seed=seed)
+    return net, bfs_ball_partition(net, 55, seed=seed)
+
+
+def _random(n, parts, seed):
+    net = random_connected(n, 0.1, seed=seed, uid_seed=seed)
+    return net, random_connected_partition(net, parts, seed=seed)
+
+
+#: ``(instance, mode, keys, digest)``: the forest a setup's first solve
+#: learns, pinned from the wave that hands a token on in the tick it gains
+#: it and never back to a neighbor that sent it.
+FOREST_PINS = [
+    (lambda: _rows_as_parts(8, 12), RANDOMIZED, 96,
+     "71e0bdbcfe022663ef67c4953692b1af251e91800ab3fb00c78bc61dd159558f"),
+    (lambda: _balls(256, 11), RANDOMIZED, 422,
+     "797a0d5e6907223e04c95946acc3e97d6529368ba48de264fed3bc2ec4f7a79a"),
+    (lambda: _balls(256, 5), DETERMINISTIC, 275,
+     "f5d737d796f6564b9a4979120a8fe1d990e7b44a72d7fce981cdfe3ba38fb746"),
+    (lambda: _random(48, 5, 7), DETERMINISTIC, 53,
+     "f7488d6b8f60e513d74824da829cfb7de7023a121de4a9fa8b3eeda431120cb1"),
+]
+
+
+@pytest.mark.parametrize("impl", ["scalar", "array"])
+@pytest.mark.parametrize("case", range(len(FOREST_PINS)))
+def test_the_learned_forest_is_pinned_on_both_twins(case, impl):
+    make, mode, keys, digest = FOREST_PINS[case]
+    net, partition = make()
+    solver = PASolver(net, mode=mode, seed=5, engine_impl=impl)
+    setup = solver.prepare(partition)
+    solver.solve(setup, list(range(net.n)), SUM, charge_setup=False)
+    forest = setup.route.forests[impl == "array"]
+    assert (_keys(forest), _forest_digest(forest)) == (keys, digest)

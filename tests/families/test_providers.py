@@ -272,6 +272,9 @@ def test_provider_certificates_attached():
 # every solve is the pinned one.  The randomized digests were recaptured
 # when flood-min and claim BFS stopped handing a token back to the
 # neighbors that had just delivered it: only ``subpart_*`` phases fell.
+# All twelve were recaptured when the token wave began to hand a token on
+# in the tick a node gains it and never back to a neighbor that sent it:
+# only ``*_wave`` / ``*_reverse`` / ``*_replay`` phases moved.
 # ----------------------------------------------------------------------
 #: case -> (family, param, claim_small values, graph, BFS-ball radius or
 #: None for the planar tests' 2 (D + 1)) — the fixtures used above.
@@ -290,29 +293,29 @@ _PIN_CASES = {
 
 _PARENT_PHASE_LOGS = {
     ("planar", "randomized"):
-        "090e33215f0674595acd68690e9342ead93161267b08e45bc443da6f274a0dd1",
+        "73a1d65f10cd533c72f5a13f665d695a63dc06cf33ff67cddab2be40ba57ed62",
     ("planar", "deterministic"):
-        "7e87c070b329ad8567afad853bcaeca2cdd4ea717c84876fe6a48132d040e256",
+        "03ef93940a6333225c09e2d2c873ba01dd5393a0b23bcd9e2f3843e5213a4073",
     ("genus1", "randomized"):
-        "21d1123044316a5aeabd2d2dc2bc84fd2c8b134feb5189b5b97e6e44dcfeb76f",
+        "5b27346e12e6eb715a82635c2456eeabe3c94462d9fd2cfebcca9d73f8707d30",
     ("genus1", "deterministic"):
-        "3c198a1d2140a0acca83f5c5bb798a858099a3fa1805fbbfd452ce0a293bce30",
+        "c962385ea3499c84408ef4248ef7f5222f49da35c643a10ed5ea1b6d74c660e6",
     ("genus4", "randomized"):
-        "d13e4cca6a276a01f253ecbde9838d820858d168620754c9681b0e4afb3fc845",
+        "b93fe14bf9058e39b146b67a464b32acb91a7bc3f1bca7f40b9dd4dcda3b7800",
     ("genus4", "deterministic"):
-        "61cd2d9707ac07b84fd3cbc6f6d3fea8e484648dcc5be57c565373bbabd5f727",
+        "a89daa83927c863aa2c51d913f7b38a5d9cbcd8d7a390e7f7dd7f7e89fad0c86",
     ("treewidth3", "randomized"):
-        "70f7ac4ccc01609d1973b5cfbb840697e3976e0aecf6c75ba3c0c014ff6b7db6",
+        "56330d07ead76e46590dcf4a4fe86e6ef4ed590f97f854c185be71b86bb59054",
     ("treewidth3", "deterministic"):
-        "b511f54201fd2ee7e25ac26d53acc09789c419667e7699dc3c65ace58e1dadb7",
+        "a32690833e4cf89dca906432292a107bce5f964c47334ef07a5bdab197a03187",
     ("pathwidth2", "randomized"):
-        "d9fc4968959f83a3cd0fc1d953ceea863e99f066df8009fbf07b03cc4cf11635",
+        "2a50716ad17dd184399a82f716f47ab96732f911e367d4880d36d8f399e84fcf",
     ("pathwidth2", "deterministic"):
-        "f1b49fe9cf673e44273c45023eaa072083722c421d47fc6a12d545ab09c2d2a0",
+        "8e99702944a2de1843689cc11c2f2022f8664f0cf7c25ede578696a12fdf2622",
     ("general", "randomized"):
-        "03ab2c2bfe3a18c1baff0bd4a712d24f92f513f1c6e82eeae780c5692091b6ad",
+        "01d2f5b67bb214cc903de90928354fad26cc18cabd0756a19835cc7d1b9a4474",
     ("general", "deterministic"):
-        "1f76314b40e672b1ebf4e75d40fc31116ad3c826699d7b0e30367e77c229cffe",
+        "9b36d04cc9ec9ffdbba553aec6703875eb83c46d772f80e2bd1f5c89a332f4be",
 }
 
 

@@ -238,11 +238,11 @@ def test_envelopes_come_from_the_pa_net_instant(mst_trace):
     owner, totals = report.owner("rounds")
     assert totals.rounds == max(t.rounds for t in report.families.values())
     # the figures this run prints
-    assert "round slack 18.23: owned by moe_wave (15.6% of rounds)" in text
+    assert "round slack 17.77: owned by mst_termination (15.2% of rounds)" in text
     assert (
-        "message slack 42.32: owned by mst_neighbor_exchange (15.4% of messages)"
+        "message slack 36.90: owned by mst_neighbor_exchange (17.6% of messages)"
     ) in text
-    assert owner == "moe_wave"
+    assert owner == "mst_termination"
 
 
 def test_setups_and_projections_come_from_the_prepare_spans(mst_trace):

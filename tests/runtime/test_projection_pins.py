@@ -14,8 +14,11 @@ deterministic mode's two full prepares fell once since, in their
 Algorithm 6 phases only, when the division began to speak only on news;
 and the rebuild's ``leader_election`` (with the randomized rebuild's
 ``subpart_*`` claims) fell when the token floods stopped handing a token
-back to the neighbors that had just delivered it.  Every projection,
-report and solve literal is the captured one.
+back to the neighbors that had just delivered it.  The solves' ``_wave``
+/ ``_reverse`` / ``_replay`` literals fell when the token wave began to
+hand a token on in the tick a node gains it and never back to a neighbor
+that sent it (CHANGES lists old -> new).  Every projection and report
+literal is the captured one.
 """
 
 import pytest
@@ -90,34 +93,34 @@ def _run_sequence(mode):
 EXPECTED = {'randomized': {'prepare': (4, 11, 90),
                 'merge': [('coarsen_boundary_exchange', 1, 24),
                           ('annotate_blocks', 0, 0)],
-                'merge:batch': [('pa_batch_wave', 10, 47),
-                                ('pa_batch_reverse', 7, 47),
+                'merge:batch': [('pa_batch_wave', 6, 36),
+                                ('pa_batch_reverse', 6, 36),
                                 ('pa_batch_replay', 6, 31)],
                 'merge:int': [('pa_reverse', 6, 31), ('pa_replay', 6, 31)],
                 'split': [('refine_boundary_exchange', 1, 24),
                           ('annotate_blocks', 0, 0)],
-                'split:batch': [('pa_batch_wave', 6, 44),
-                                ('pa_batch_reverse', 6, 44),
+                'split:batch': [('pa_batch_wave', 6, 34),
+                                ('pa_batch_reverse', 6, 34),
                                 ('pa_batch_replay', 6, 30)],
                 'split:int': [('pa_reverse', 6, 30), ('pa_replay', 6, 30)],
                 'add': [('edge_update_notify', 1, 2)],
                 'add:hit': [],
-                'add:batch': [('pa_batch_wave', 6, 46),
-                              ('pa_batch_reverse', 6, 46),
+                'add:batch': [('pa_batch_wave', 6, 37),
+                              ('pa_batch_reverse', 6, 37),
                               ('pa_batch_replay', 6, 30)],
                 'add:int': [('pa_reverse', 6, 30), ('pa_replay', 6, 30)],
                 'remerge': [('coarsen_boundary_exchange', 1, 24),
                             ('annotate_blocks', 0, 0)],
-                'remerge:batch': [('pa_batch_wave', 13, 63),
-                                  ('pa_batch_reverse', 8, 63),
+                'remerge:batch': [('pa_batch_wave', 7, 43),
+                                  ('pa_batch_reverse', 7, 43),
                                   ('pa_batch_replay', 7, 31)],
                 'remerge:int': [('pa_reverse', 7, 31), ('pa_replay', 7, 31)],
                 'remove': [('edge_update_notify', 1, 2),
                            ('rebuild:leader_election', 8, 273),
                            ('rebuild:child_ack', 1, 35)],
                 'remove:prepare': (4, 13, 105),
-                'remove:batch': [('pa_batch_wave', 8, 51),
-                                 ('pa_batch_reverse', 8, 51),
+                'remove:batch': [('pa_batch_wave', 7, 43),
+                                 ('pa_batch_reverse', 7, 43),
                                  ('pa_batch_replay', 7, 31)],
                 'remove:int': [('pa_reverse', 7, 31), ('pa_replay', 7, 31)],
                 'stats': {'prepares': 2,
@@ -135,26 +138,26 @@ EXPECTED = {'randomized': {'prepare': (4, 11, 90),
  'deterministic': {'prepare': (166, 203, 1282),
                    'merge': [('coarsen_boundary_exchange', 1, 24),
                              ('annotate_blocks', 0, 0)],
-                   'merge:batch': [('pa_batch_wave', 9, 59),
-                                   ('pa_batch_reverse', 7, 59),
+                   'merge:batch': [('pa_batch_wave', 6, 36),
+                                   ('pa_batch_reverse', 6, 36),
                                    ('pa_batch_replay', 6, 31)],
                    'merge:int': [('pa_reverse', 6, 31), ('pa_replay', 6, 31)],
                    'split': [('refine_boundary_exchange', 1, 24),
                              ('annotate_blocks', 0, 0)],
-                   'split:batch': [('pa_batch_wave', 9, 55),
-                                   ('pa_batch_reverse', 6, 55),
+                   'split:batch': [('pa_batch_wave', 6, 34),
+                                   ('pa_batch_reverse', 6, 34),
                                    ('pa_batch_replay', 6, 30)],
                    'split:int': [('pa_reverse', 6, 30), ('pa_replay', 6, 30)],
                    'add': [('edge_update_notify', 1, 2)],
                    'add:hit': [],
-                   'add:batch': [('pa_batch_wave', 9, 58),
-                                 ('pa_batch_reverse', 6, 58),
+                   'add:batch': [('pa_batch_wave', 6, 37),
+                                 ('pa_batch_reverse', 6, 37),
                                  ('pa_batch_replay', 6, 30)],
                    'add:int': [('pa_reverse', 6, 30), ('pa_replay', 6, 30)],
                    'remerge': [('coarsen_boundary_exchange', 1, 24),
                                ('annotate_blocks', 0, 0)],
-                   'remerge:batch': [('pa_batch_wave', 12, 72),
-                                     ('pa_batch_reverse', 8, 72),
+                   'remerge:batch': [('pa_batch_wave', 7, 43),
+                                     ('pa_batch_reverse', 7, 43),
                                      ('pa_batch_replay', 7, 31)],
                    'remerge:int': [('pa_reverse', 7, 31),
                                    ('pa_replay', 7, 31)],
@@ -162,10 +165,10 @@ EXPECTED = {'randomized': {'prepare': (4, 11, 90),
                               ('rebuild:leader_election', 8, 273),
                               ('rebuild:child_ack', 1, 35)],
                    'remove:prepare': (166, 243, 1583),
-                   'remove:batch': [('pa_batch_wave', 15, 68),
-                                    ('pa_batch_reverse', 10, 68),
-                                    ('pa_batch_replay', 9, 31)],
-                   'remove:int': [('pa_reverse', 9, 31), ('pa_replay', 9, 31)],
+                   'remove:batch': [('pa_batch_wave', 7, 43),
+                                    ('pa_batch_reverse', 7, 43),
+                                    ('pa_batch_replay', 7, 31)],
+                   'remove:int': [('pa_reverse', 7, 31), ('pa_replay', 7, 31)],
                    'stats': {'prepares': 2,
                              'cache_hits': 1,
                              'coarsenings': 2,

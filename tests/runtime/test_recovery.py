@@ -161,10 +161,13 @@ def test_mst_recovers_from_two_crashes(workload):
 def _died_tainted_clean():
     """A network and plan under which attempt 0 dies, attempt 1 completes
     tainted and attempt 2 is clean — for MST (randomized) and for PA
-    (deterministic) alike."""
+    (deterministic) alike.  The plan's seed was re-chosen (1009 before)
+    when the token wave began to hand a token on in the tick a node gains
+    it: its shorter waves moved MST's attempt 1 against the plan's global
+    pulses, and it died instead of completing tainted."""
     net = with_distinct_weights(random_connected(20, 0.15, seed=1), seed=6)
     plan = FaultPlan.seeded(
-        1009, 20, crashes=1, recover=True, crash_window=(1, 400),
+        1002, 20, crashes=1, recover=True, crash_window=(1, 400),
         outage=(2, 6), partition=True, partition_window=(3, 9),
     )
     return net, plan
@@ -188,9 +191,9 @@ def test_tainted_mst_attempt_charges_its_tree_election_once():
         ("attempt1:tree:leader_election", 4, 193),
         ("attempt1:tree:child_ack", 1, 19),
     ]
-    assert (recovery.rounds, recovery.messages) == (317, 4377)
+    assert (recovery.rounds, recovery.messages) == (302, 3873)
     main = res.ledger
-    assert (len(main.phases()), main.rounds, main.messages) == (132, 387, 3549)
+    assert (len(main.phases()), main.rounds, main.messages) == (132, 351, 3017)
 
 
 @pytest.mark.parametrize("opt_ins", [{}, {"reuse": True}])
