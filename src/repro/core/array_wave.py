@@ -1,4 +1,4 @@
-"""Array-native PA wave kernels: broadcast, reversal, replay.
+"""Array-native PA wave kernels: broadcast, reversal, replay, all-reduce.
 
 The scalar :mod:`repro.core.wave` programs are event-driven: every message
 arrival may gain a node its part's token or settle a block climb, and
@@ -46,8 +46,10 @@ reversal over the wire record — two wire passes; what a node remembers of
 them is its wave parent and which of its wave edges were answered under
 the child tag, i.e. the wave forest (:meth:`WaveIndex.forest`, ``#keys -
 #parts`` edges), and the replay of that same solve already runs on it —
-one forest pass; every later solve on that setup runs reversal and replay
-on the forest — two forest passes, no broadcast.  Both passes take a
+one forest pass; every later solve on that setup runs one all-reduce on
+the forest (:class:`AllReduceArrayKernel`): one message each way on every
+forest edge, in diam(T) ticks of the forest T where a reversal and a
+replay took 2 height(T), and no broadcast.  Reversal and replay take a
 :class:`WaveIndex`, wire or forest, and run the same body on either: on a
 forest a key expects one answer per wave child and there is no
 non-parent in-edge to answer ``None`` at the start.  The answer tag
@@ -136,18 +138,19 @@ class WaveIndex:
     messages key ``k`` sends, in send order; ``fan_kid`` / ``fan_src`` are
     the non-parent in-edges reversal answers ``None`` at once (receiving
     key id and sender node, in key order, arrival order within a key).
-    Beside the edges, the few columns the two passes need of the setup:
+    Beside the edges, the few columns the passes need of the setup:
     ``part_of``, the ``reached`` mask, ``leaders``, ``pid_bits``.
 
     Built from a finished broadcast it is the *wire* record;
     :meth:`forest` filters it to the wave forest — the same object with
-    fewer edges, and the passes run unchanged on either.
+    fewer edges, and reversal and replay run unchanged on either; the
+    all-reduce reads a forest's :meth:`neighbors`, derived once per route.
     """
 
     __slots__ = (
         "n", "stride", "part_of", "reached", "leaders", "pid_bits",
         "keys", "node", "part", "parent", "out_starts", "out_counts",
-        "out_dst", "fan_kid", "fan_src",
+        "out_dst", "fan_kid", "fan_src", "_neighbors",
     )
 
     def __init__(self, wave: "WaveArrayKernel") -> None:
@@ -188,6 +191,37 @@ class WaveIndex:
         self.out_counts = np.bincount(sender, minlength=self.keys.size)
         self.out_starts = np.cumsum(self.out_counts) - self.out_counts
         self.out_dst = dst[np.argsort(sender, kind="stable")]
+        self._neighbors = None
+
+    def neighbors(self) -> Tuple[np.ndarray, ...]:
+        """Each key's route neighbors as key ids, its parent's first and
+        then its out-edges': ``(counts, starts, flat)`` of a CSR, and per
+        key the sum of its neighbors' ids.  Derived once per route."""
+        if self._neighbors is None:
+            K = self.keys.size
+            up = np.flatnonzero(self.parent >= 0)
+            counts = self.out_counts.copy()
+            counts[up] += 1
+            starts = np.cumsum(counts) - counts
+            child_of = np.repeat(np.arange(K, dtype=np.int64), self.out_counts)
+            parent = self.ids(self.parent[up] * self.stride + self.part[up])
+            child = self.ids(self.out_dst * self.stride + self.part[child_of])
+            flat = np.empty(int(counts.sum()), dtype=np.int64)
+            flat[starts[up]] = parent
+            # A child's slot: its out-edge slot, shifted past the parent
+            # slots opened ahead of it.
+            flat[
+                np.arange(child_of.size)
+                + (starts + counts - self.out_counts - self.out_starts)[
+                    child_of
+                ]
+            ] = child
+            total = np.bincount(
+                child_of, weights=child, minlength=K
+            ).astype(np.int64)
+            total[up] += parent
+            self._neighbors = (counts, starts, flat, total)
+        return self._neighbors
 
     def ids(self, keys: np.ndarray) -> np.ndarray:
         """Key ids of recorded ``keys``."""
@@ -547,12 +581,112 @@ def _flush(actx, pool: EdgePool, names: Tuple[str, ...], bits_of) -> None:
     actx.wake(wake)
 
 
+def _values_at(index: WaveIndex, results: Dict[int, object],
+               reached: np.ndarray) -> List[object]:
+    """Per node, its part's entry in ``results`` where it is ``reached``."""
+    out: List[object] = [None] * index.n
+    for v, pid in zip(reached.tolist(), index.part_of[reached].tolist()):
+        out[v] = results[pid]
+    return out
+
+
+class _Accumulators:
+    """One value slot per key of a route, plus ``extra`` slots after them.
+
+    ``fold`` names the :data:`~repro.core.array_kernels.FOLDS` op that
+    folds the values as one int64 column (:func:`reverse_fold` chose it):
+    ``acc`` is that column, the op's identity where ``has`` is off.
+    ``None`` keeps a Python list folded with ``agg.merge``.  A key starts
+    from its node's value if the node is a member the token reached; the
+    rest (relays, extra slots) start from ``None``.
+    """
+
+    def __init__(
+        self,
+        index: WaveIndex,
+        agg: Aggregation,
+        values: Sequence[object],
+        fold: Optional[str],
+        extra: int = 0,
+    ) -> None:
+        live = (index.part_of[index.node] == index.part) & index.reached[
+            index.node
+        ]
+        if fold is None:
+            self._ufunc = None
+            self._merge = agg.merge
+            self.acc = [
+                values[v] if ok else None
+                for v, ok in zip(index.node.tolist(), live.tolist())
+            ] + [None] * extra
+            self.has = np.fromiter(
+                (a is not None for a in self.acc), dtype=bool,
+                count=len(self.acc),
+            )
+        else:
+            self._ufunc, identity = FOLDS[fold]
+            columns = PayloadColumns.pack(values)
+            if columns.present is not None:
+                live &= columns.present[index.node]
+            self.has = np.concatenate((live, np.zeros(extra, dtype=bool)))
+            self.acc = np.full(self.has.size, identity, dtype=np.int64)
+            self.acc[:live.size][live] = columns.cols[0][index.node[live]]
+
+    def absorb(self, into: np.ndarray, sender: np.ndarray) -> None:
+        """Fold the ``sender`` slots into ``into``, row by row.
+
+        No row's sender may be another row's receiver: a sender's value
+        is final.
+        """
+        carried = self.has[sender]
+        if self._ufunc is not None:
+            self._ufunc.at(self.acc, into, self.acc[sender])
+        else:
+            acc, merge = self.acc, self._merge
+            for k, j in zip(into[carried].tolist(), sender[carried].tolist()):
+                acc[k] = merge(acc[k], acc[j])
+        self.has[into[carried]] = True
+
+    def copy(self, into: np.ndarray, source: np.ndarray) -> None:
+        """Set the ``into`` slots to the values in ``source``."""
+        if self._ufunc is not None:
+            self.acc[into] = self.acc[source]
+        else:
+            acc = self.acc
+            for k, j in zip(into.tolist(), source.tolist()):
+                acc[k] = acc[j]
+        self.has[into] = self.has[source]
+
+    def bits(self, slots: np.ndarray) -> np.ndarray:
+        """``payload_bits`` of the values in ``slots`` (1 for ``None``)."""
+        out = np.ones(slots.size, dtype=np.int64)
+        has = self.has[slots]
+        present = slots[has]
+        if self._ufunc is not None:
+            out[has] = int_bits_array(self.acc[present])
+        else:
+            acc = self.acc
+            out[has] = np.fromiter(
+                (payload_bits(acc[k]) for k in present.tolist()),
+                dtype=np.int64, count=present.size,
+            )
+        return out
+
+    def objects(self, slots: np.ndarray) -> List[object]:
+        """The values in ``slots`` as Python objects (``None`` for none)."""
+        if self._ufunc is None:
+            return [self.acc[k] for k in slots.tolist()]
+        return [
+            value if ok else None for value, ok in zip(
+                self.acc[slots].tolist(), self.has[slots].tolist()
+            )
+        ]
+
+
 class ReverseArrayKernel(ArrayProgram):
     """Array twin of :class:`~repro.core.wave.ReverseProgram`.
 
-    ``fold`` names the :data:`~repro.core.array_kernels.FOLDS` op that
-    folds the values as one int64 column (:func:`reverse_fold` chose it);
-    ``None`` keeps them in a list under ``agg.merge``.  Either way an
+    ``fold`` picks the value store (:class:`_Accumulators`).  Either way an
     answer is ``("a", pid, value)`` on the ledger and ``(pid, sender key
     id or -1, value bits)`` in the pool: see the module docstring.
     """
@@ -570,59 +704,12 @@ class ReverseArrayKernel(ArrayProgram):
         index = self.index = route
         #: Answers a key still waits for: one per message it sent.
         self.expected = index.out_counts.copy()
-        # A key starts from its node's value if the node is a member the
-        # token reached; the rest (relays) start from None.
-        live = (index.part_of[index.node] == index.part) & index.reached[
-            index.node
-        ]
-        if fold is None:
-            self._ufunc = None
-            self._merge = agg.merge
-            self.acc = [
-                values[v] if ok else None
-                for v, ok in zip(index.node.tolist(), live.tolist())
-            ]
-            self.acc_has = np.fromiter(
-                (a is not None for a in self.acc), dtype=bool,
-                count=len(self.acc),
-            )
-        else:
-            self._ufunc, identity = FOLDS[fold]
-            columns = PayloadColumns.pack(values)
-            if columns.present is not None:
-                live &= columns.present[index.node]
-            self.acc_has = live
-            self.acc = np.full(index.keys.size, identity, dtype=np.int64)
-            self.acc[live] = columns.cols[0][index.node[live]]
+        self.store = _Accumulators(index, agg, values, fold)
         self._pool = EdgePool(
             index.n, ("pid", "kid", "bits"), capacity=capacity
         )
         #: Part aggregates, in the scalar dict's chronological order.
         self.results: Dict[int, object] = {}
-
-    def _absorb(self, into: np.ndarray, sender: np.ndarray) -> None:
-        """Fold the ``sender`` keys' accumulators into ``into``, row by row.
-
-        A sender has fired, so its accumulator is final; a receiver has
-        not, so no row's sender is another row's receiver.
-        """
-        if self._ufunc is not None:
-            self._ufunc.at(self.acc, into, self.acc[sender])
-        else:
-            acc, merge = self.acc, self._merge
-            for k, j in zip(into.tolist(), sender.tolist()):
-                acc[k] = merge(acc[k], acc[j])
-        self.acc_has[into] = True
-
-    def _value_bits(self, kids: np.ndarray) -> np.ndarray:
-        """``payload_bits`` of the (present) accumulators of ``kids``."""
-        if self._ufunc is not None:
-            return int_bits_array(self.acc[kids])
-        acc = self.acc
-        return np.fromiter(
-            (payload_bits(acc[k]) for k in kids.tolist()), dtype=np.int64,
-            count=kids.size,
-        )
 
     def _fire(self, kids: np.ndarray, strict_bits: bool) -> None:
         """Keys with every answer in: report to the wave parent, in order."""
@@ -631,26 +718,17 @@ class ReverseArrayKernel(ArrayProgram):
         root = parent < 0
         if root.any():
             done = kids[root]
-            if self._ufunc is not None:
-                values = [
-                    value if ok else None for value, ok in zip(
-                        self.acc[done].tolist(), self.acc_has[done].tolist()
-                    )
-                ]
-            else:
-                values = [self.acc[k] for k in done.tolist()]
-            self.results.update(zip(index.part[done].tolist(), values))
+            self.results.update(zip(
+                index.part[done].tolist(), self.store.objects(done)
+            ))
             kids, parent = kids[~root], parent[~root]
         if not kids.size:
             return
-        has = self.acc_has[kids]
-        bits = 1
-        if strict_bits:
-            bits = np.ones(kids.size, dtype=np.int64)
-            bits[has] = self._value_bits(kids[has])
+        has = self.store.has[kids]
         self._pool.push(
             index.node[kids], parent, 0, 0,
-            pid=index.part[kids], kid=np.where(has, kids, -1), bits=bits,
+            pid=index.part[kids], kid=np.where(has, kids, -1),
+            bits=self.store.bits(kids) if strict_bits else 1,
         )
 
     def _answer_bits(self, emitted) -> np.ndarray:
@@ -675,7 +753,7 @@ class ReverseArrayKernel(ArrayProgram):
             sender = d.cols["kid"]
             carried = np.flatnonzero(sender >= 0)
             if carried.size:
-                self._absorb(into[carried], sender[carried])
+                self.store.absorb(into[carried], sender[carried])
             np.subtract.at(self.expected, into, 1)
             # A key fires at its last answer: in the order of those rows.
             done = np.flatnonzero(self.expected[into] == 0)
@@ -683,6 +761,186 @@ class ReverseArrayKernel(ArrayProgram):
                 done = done[first_occurrence_mask(into[done][::-1])[::-1]]
                 self._fire(into[done], actx.strict_bits)
         _flush(actx, self._pool, ("pid", "kid"), self._answer_bits)
+
+
+class AllReduceArrayKernel(ArrayProgram):
+    """Array twin of :class:`~repro.core.wave.AllReduceProgram`.
+
+    A key's forest neighbors are a CSR of key ids, parent first; a key
+    counts the neighbors it has still to hear from and sums their key ids,
+    so when one is left the sum names it.  A packet carries its receiver's
+    key id and its sender's, or -1 for a total: a ``"u"`` partial's value
+    is its sender's accumulator, final from the send on (the one message a
+    key gets after it is the total or the other half of the part, and
+    neither is folded in); a ``"d"`` total's is its part's.  The store
+    (:class:`_Accumulators`) has a slot per key and one per part for its
+    total, formed once: where a key hears from every neighbor, or on the
+    edge where two partials cross, merged parent side first.
+    """
+
+    name = "pa_allreduce"
+
+    def __init__(
+        self,
+        route: WaveIndex,
+        agg: Aggregation,
+        values: Sequence[object],
+        capacity: int = 1,
+        fold: Optional[str] = None,
+    ) -> None:
+        index = self.index = route
+        K = self._K = index.keys.size
+        self.deg, self.starts, self.nbr, unheard = index.neighbors()
+        #: Neighbors still to hear from, and the sum of their key ids.
+        self.left = self.deg.copy()
+        self.unheard = unheard.copy()
+        #: The key each key sent its partial to (-1: none yet).
+        self.sent_to = np.full(K, -1, dtype=np.int64)
+        #: Keys holding their part's total.
+        self.holds = np.zeros(K, dtype=bool)
+        self.store = _Accumulators(
+            index, agg, values, fold, extra=index.leaders.size
+        )
+        self.formed = np.zeros(index.leaders.size, dtype=bool)
+        self._total_bits = np.zeros(index.leaders.size, dtype=np.int64)
+        self._pool = EdgePool(index.n, ("into", "kid"), capacity=capacity)
+
+    @property
+    def results(self) -> Dict[int, object]:
+        """The totals of the parts that formed one, in part order (built
+        on each read: read it once)."""
+        pids = np.flatnonzero(self.formed)
+        return dict(zip(pids.tolist(), self.store.objects(self._K + pids)))
+
+    def _form(self, pids: np.ndarray, first: np.ndarray,
+              second: Optional[np.ndarray], strict_bits: bool) -> None:
+        """Parts ``pids`` (each once, none formed) total ``first``, merged
+        with ``second`` where given."""
+        self.formed[pids] = True
+        slot = self._K + pids
+        self.store.copy(slot, first)
+        if second is not None:
+            self.store.absorb(slot, second)
+        if strict_bits:
+            self._total_bits[pids] = self.store.bits(slot)
+
+    def _finish(self, kids: np.ndarray, pos: np.ndarray, em: list) -> None:
+        """Keys ``kids`` hold the total: hand it to every neighbor but the
+        one each sent its partial to."""
+        self.holds[kids] = True
+        origin, into, _within = csr_expand(
+            self.starts, self.deg, self.nbr, kids
+        )
+        keep = into != self.sent_to[kids][origin]
+        origin = origin[keep]
+        em.append((
+            self.index.node[kids[origin]], into[keep], pos[origin],
+            np.full(origin.size, -1, dtype=np.int64),
+        ))
+
+    def _partial(self, kids: np.ndarray, into: np.ndarray, pos: np.ndarray,
+                 em: list) -> None:
+        self.sent_to[kids] = into
+        em.append((self.index.node[kids], into, pos, kids))
+
+    def _push(self, em: list) -> None:
+        """A node's sends in the order of its keys' first arrival, each
+        key's in neighbor order: the scalar enqueue sequence.  Each group
+        is in position order, keys have distinct positions and a key's
+        rows are one run of one group, so a stable sort by position
+        merges two groups into that order."""
+        if not em:
+            return
+        src, into, pos, kid = _gather(em)
+        if len(em) > 1:
+            order = np.argsort(pos, kind="stable")
+            src, into, kid = src[order], into[order], kid[order]
+        self._pool.push(src, self.index.node[into], 0, 0, into=into, kid=kid)
+
+    def _packet_bits(self, emitted) -> np.ndarray:
+        """A partial's bits are its sender's accumulator's — final since
+        the send — a total's its part's."""
+        index = self.index
+        kid = emitted["kid"]
+        pid = index.part[emitted["into"]]
+        bits = index.pid_bits[pid]
+        total = kid < 0
+        bits[total] += self._total_bits[pid[total]]
+        bits[~total] += self.store.bits(kid[~total])
+        return bits
+
+    def array_start(self, actx) -> None:
+        em: list = []
+        lone = np.flatnonzero(self.deg == 1)
+        self._partial(lone, self.nbr[self.starts[lone]], lone, em)
+        alone = np.flatnonzero(self.deg == 0)
+        if alone.size:
+            self._form(self.index.part[alone], alone, None, actx.strict_bits)
+            self._finish(alone, alone, em)
+        self._push(em)
+        actx.wake(self._pool.pending_sources())
+
+    def array_tick(self, actx, d) -> None:
+        if len(d):
+            strict = actx.strict_bits
+            index = self.index
+            into, kid = d.cols["into"], d.cols["kid"]
+            # A total (kid -1) only reaches a key that has sent its
+            # partial, so a match is the other half of the part.
+            meet = self.sent_to[into] == kid
+            folds = (kid >= 0) ^ meet
+            done = ~folds  # rows whose key now holds its part's total
+            em: list = []
+            if meet.any():
+                # Merged parent side first, once per part.
+                m = np.flatnonzero(meet)
+                pids = index.part[into[m]]
+                fresh = first_occurrence_mask(pids) & ~self.formed[pids]
+                m, pids = m[fresh], pids[fresh]
+                if m.size:
+                    up = index.parent[into[m]] == d.src[m]
+                    self._form(
+                        pids, np.where(up, kid[m], into[m]),
+                        np.where(up, into[m], kid[m]), strict,
+                    )
+            # Keys that folded: a total where none is left, a partial to
+            # the last neighbor where one is.
+            fold = np.flatnonzero(folds)
+            if fold.size:
+                receivers, senders = into[fold], kid[fold]
+                self.store.absorb(receivers, senders)
+                np.subtract.at(self.left, receivers, 1)
+                np.subtract.at(self.unheard, receivers, senders)
+                first = fold[first_occurrence_mask(receivers)]
+                keys = into[first]
+                left = self.left[keys]
+                center = left == 0
+                if center.any():
+                    c = keys[center]
+                    self._form(index.part[c], c, None, strict)
+                    done[first[center]] = True
+                last = left == 1
+                if last.any():
+                    k = keys[last]
+                    self._partial(k, self.unheard[k], first[last], em)
+            rows = np.flatnonzero(done)
+            if rows.size:
+                self._finish(into[rows], rows, em)
+            self._push(em)
+        _flush(actx, self._pool, ("into", "kid"), self._packet_bits)
+
+    def reached(self) -> int:
+        """How many part members ended holding their part's total."""
+        return int(self._members().size)
+
+    def _members(self) -> np.ndarray:
+        index = self.index
+        return index.node[
+            self.holds & (index.part_of[index.node] == index.part)
+        ]
+
+    def value_at_node(self) -> List[object]:
+        return _values_at(self.index, self.results, self._members())
 
 
 class ReplayArrayKernel(ArrayProgram):
@@ -730,12 +988,9 @@ class ReplayArrayKernel(ArrayProgram):
         return int(np.count_nonzero(self.delivered))
 
     def value_at_node(self) -> List[object]:
-        out: List[object] = [None] * self.index.n
-        results = self.results
-        reached = np.flatnonzero(self.delivered)
-        for v, pid in zip(reached.tolist(), self.index.part_of[reached].tolist()):
-            out[v] = results[pid]
-        return out
+        return _values_at(
+            self.index, self.results, np.flatnonzero(self.delivered)
+        )
 
     def array_start(self, actx) -> None:
         pids = np.fromiter(
@@ -758,11 +1013,11 @@ class ReplayArrayKernel(ArrayProgram):
 
 
 def wave_kernels(fold: Optional[str]):
-    """The (broadcast, reversal, replay) kernels, in the order a solve runs
-    them; ``fold`` is the plan's :func:`reverse_fold` choice."""
+    """The (broadcast, reversal, replay, all-reduce) kernels; ``fold`` is
+    the plan's :func:`reverse_fold` choice, for both passes that fold."""
     return (
         WaveArrayKernel, partial(ReverseArrayKernel, fold=fold),
-        ReplayArrayKernel,
+        ReplayArrayKernel, partial(AllReduceArrayKernel, fold=fold),
     )
 
 

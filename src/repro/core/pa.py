@@ -472,7 +472,8 @@ class PASolver:
         ``self.rng`` exactly once per solve — and ``run(setup, plan,
         values, agg, ledger, phase_prefix)`` executes the wave phases
         under it on ``setup.route`` (two wire passes and a forest pass on
-        a setup's first solve, two forest passes after), charging
+        a setup's first solve, one all-reduce on the forest after, in
+        diam(T) ticks of the forest T), charging
         ``ledger`` and returning a
         :class:`~repro.core.wave.PAWaveResult`: in-process for
         :meth:`solve`, the shard orchestrator's for a sharded session.

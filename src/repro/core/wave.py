@@ -3,8 +3,10 @@
 Algorithm 1 broadcasts a token ``m_i`` from each part leader to every node
 of the part, alternating BlockRoute steps over shortcut blocks with
 intra-sub-part broadcasts and boundary crossings, then computes ``f(P_i)``
-"symmetrically" and broadcasts the result.  We implement it as three
-phases, each a single engine program over *all parts concurrently*:
+"symmetrically" and broadcasts the result.  We implement it as four
+programs, each a single engine phase over *all parts concurrently*; a
+solve runs three of them (the wave, the reversal and the replay) or one
+(the all-reduce):
 
 1. :class:`WaveProgram` — the token broadcast.  Five message kinds:
 
@@ -58,6 +60,12 @@ phases, each a single engine program over *all parts concurrently*:
 3. :class:`ReplayProgram` — the result broadcast: the leader's aggregate
    retraces the wave forest (below), one message per non-leader key.
 
+4. :class:`AllReduceProgram` — aggregation and result in one pass on the
+   wave forest, for a solve on a route learned earlier.  f is commutative
+   and associative (Definition 1.1), so no node needs the leader's
+   answer: each key sends each forest neighbor one message, once it has
+   heard from all the others, and every key ends holding the total.
+
 **The cost rule: a setup learns its route once.**  Who sends to whom in a
 wave is a function of the setup and the delay draw, not of the values
 (Lemma 4.4's "symmetrically"), and a CONGEST node keeps what it learned.
@@ -75,17 +83,19 @@ passes and one forest pass (one wire broadcast and one wire reversal is
 what a setup's first solve must keep paying; Lemma 4.4's third pass only
 ever needed the tree the first two built) — and when it has returned the
 setup keeps the forest (:class:`RouteMemo`); every later solve on that
-setup runs no token wave — reversal and replay on the forest, two passes
-of ``#keys - #parts`` messages each.  A one-off solve (a candidate
-verification inside a build) is a first solve that keeps nothing.  The
-one place that decides is :func:`run_planned_waves`.
+setup runs no token wave — one all-reduce on the forest: ``2 (#keys -
+#parts)`` messages, the reversal's and the replay's together, in diam(T)
+ticks of the forest T instead of the 2 height(T) of a convergecast to the
+leader and a broadcast back.  A one-off solve (a candidate verification
+inside a build) is a first solve that keeps nothing.  The one place that
+decides is :func:`run_planned_waves`.
 
 Each pass has its completeness check there: the broadcast its coverage
-scan (every member holds the token), the reversal its unanswered parts,
-the replay — which runs on an edge set the scan never validated — the
-count of members it delivered to against the members there are.  All
-three raise ``RuntimeError``; under the recovery driver that is an
-attempt that died.
+scan (every member holds the token), the reversal and the all-reduce
+their parts left without a result, and the replay and the all-reduce —
+which run on an edge set the scan never validated — the count of members
+left holding the aggregate against the members there are.  All raise
+``RuntimeError``; under the recovery driver that is an attempt that died.
 """
 
 from __future__ import annotations
@@ -110,7 +120,7 @@ from .trees import ROOT
 
 @dataclass
 class WaveRecord:
-    """A setup's route: what the broadcast learned, for reversal and replay.
+    """A setup's route: what the broadcast learned, for the passes after it.
 
     ``out_edges[(v, pid)]`` — (dst, tag) wave messages v physically sent
     for part pid; ``in_edges[(v, pid)]`` — (src, tag) received;
@@ -120,7 +130,8 @@ class WaveRecord:
 
     The broadcast fills in the *wire* record (every message);
     :meth:`forest` filters it to the wave forest, the same object with
-    fewer edges — reversal and replay run on either.
+    fewer edges — reversal and replay run on either, the all-reduce on
+    the forest.
     """
 
     part_of: Sequence[int]
@@ -527,6 +538,123 @@ class ReplayProgram(QueuedProgram):
         return [self.delivered.get(v) for v in range(len(self.record.part_of))]
 
 
+class AllReduceProgram(QueuedProgram):
+    """Every key of a part ends holding its aggregate: one pass, a forest.
+
+    A key's forest neighbors are its wave parent and its wave children.  It
+    sends each of them exactly one message.  Once it has heard from all but
+    one, it sends that one a ``"u"`` partial: its own value merged with
+    everything the others sent.  Once it has heard from all, it holds the
+    part's total and hands it on as ``"d"`` to every neighbor it has not
+    sent to.  A ``"d"`` is the total; a ``"u"`` from the very neighbor a key
+    sent its own partial to is the other half of the part, and the two
+    halves merge parent side first, so both ends hold the same value even
+    under an order-sensitive merge.  Decisions are taken after a node's
+    whole inbox, key by key in order of first arrival.  The ``#keys -
+    #parts`` forest edges carry one message each way, in diam(T) ticks
+    where no two parts queue on one edge.
+    """
+
+    name = "pa_allreduce"
+
+    def __init__(
+        self,
+        route: WaveRecord,
+        agg: Aggregation,
+        values: Sequence[object],
+        capacity: int = 1,
+    ) -> None:
+        super().__init__(capacity=capacity)
+        self.record = route
+        self.agg = agg
+        self.values = values
+        #: Per key: its forest neighbors, parent first, children in send
+        #: order; those it has not heard from; the one its partial went to.
+        self.neighbors: Dict[Tuple[int, int], List[int]] = {}
+        self.waiting: Dict[Tuple[int, int], Set[int]] = {}
+        self.sent_to: Dict[Tuple[int, int], int] = {}
+        self.acc: Dict[Tuple[int, int], object] = {}
+        #: Part totals, the first key of each part to hold one.
+        self.results: Dict[int, object] = {}
+        self.delivered: Dict[int, object] = {}
+
+    def _partial(self, ctx: Context, key: Tuple[int, int], dst: int) -> None:
+        self.sent_to[key] = dst
+        self.enqueue(ctx, key[0], dst, (0,), ("u", key[1], self.acc[key]))
+
+    def _finish(self, ctx: Context, key: Tuple[int, int], payload) -> None:
+        """``key`` holds its part's total (``payload[2]``): pass it on."""
+        v, pid = key
+        self.results.setdefault(pid, payload[2])
+        if self.record.part_of[v] == pid:
+            self.delivered[v] = payload[2]
+        skip = self.sent_to.get(key)
+        for dst in self.neighbors[key]:
+            if dst != skip:
+                self.enqueue(ctx, v, dst, (0,), payload)
+
+    def on_start(self, ctx: Context) -> None:
+        record = self.record
+        part_of, reached, values = record.part_of, record.reached, self.values
+        # Canonical sorted (node, pid) order, restriction-stable as the
+        # reversal's.
+        for key in sorted(record.parent):
+            v, pid = key
+            parent = record.parent[key]
+            nbrs = [] if parent is None else [parent]
+            nbrs.extend(dst for dst, _tag in record.out_edges.get(key, ()))
+            self.neighbors[key] = nbrs
+            self.waiting[key] = set(nbrs)
+            own = part_of[v] == pid and v in reached[pid]
+            self.acc[key] = values[v] if own else None
+            if len(nbrs) == 1:
+                self._partial(ctx, key, nbrs[0])
+            elif not nbrs:
+                self._finish(ctx, key, ("d", pid, self.acc[key]))
+
+    def handle(self, ctx: Context, node: int, inbox: Inbox) -> None:
+        merge = self.agg.merge
+        # pid -> the total payload this tick brought the key, or None
+        # where it only brought partials to fold.
+        got: Dict[int, Optional[tuple]] = {}
+        for sender, payload in inbox:
+            tag, pid, value = payload
+            key = (node, pid)
+            if tag == "d":
+                got[pid] = payload
+            elif self.sent_to.get(key) == sender:
+                # The meeting edge: both ends merge parent side first.
+                acc = self.acc[key]
+                if self.record.parent[key] == sender:
+                    total = merge(value, acc)
+                else:
+                    total = merge(acc, value)
+                got[pid] = ("d", pid, total)
+            else:
+                self.acc[key] = merge(self.acc[key], value)
+                self.waiting[key].discard(sender)
+                got.setdefault(pid, None)
+        for pid, payload in got.items():
+            key = (node, pid)
+            if payload is not None:
+                self._finish(ctx, key, payload)
+                continue
+            waiting = self.waiting[key]
+            if not waiting:
+                self._finish(ctx, key, ("d", pid, self.acc[key]))
+            elif len(waiting) == 1:
+                (dst,) = waiting
+                self._partial(ctx, key, dst)
+
+    def reached(self) -> int:
+        """How many part members ended holding their part's total."""
+        return len(self.delivered)
+
+    def value_at_node(self) -> List[object]:
+        """Per node, the total its part's pass left it holding."""
+        return [self.delivered.get(v) for v in range(len(self.record.part_of))]
+
+
 @dataclass
 class PAWaveResult:
     """Outcome of one full PA solve over a given shortcut and division.
@@ -703,11 +831,12 @@ def run_planned_waves(
     reversal over the wire record, under ``plan.delays``, then the replay
     on the record's forest — the object it commits once all three have
     returned; a later solve runs no token wave and no coverage scan —
-    reversal and replay on the remembered forest (re-derived off the
-    ledger, under the paid delay draw, where this process does not hold
-    it).  ``plan.delays`` goes unused then; it was still drawn, so every
-    later draw on the solver's rng is the one it always was.  Either way
-    the replay must reach every part member, or the solve raises.
+    one all-reduce on the remembered forest (re-derived off the ledger,
+    under the paid delay draw, where this process does not hold it).
+    ``plan.delays`` goes unused then; it was still drawn, so every later
+    draw on the solver's rng is the one it always was.  Either way every
+    part must have a result and the last pass must reach every part
+    member, or the solve raises.
 
     The plan's parameters (including the array-dispatch decision) are
     honored as given: this is the entry point sharded workers use, with a
@@ -716,9 +845,9 @@ def run_planned_waves(
     """
     from .array_wave import wave_kernels
 
-    broadcast, reversal, replay = (
+    broadcast, reversal, replay, allreduce = (
         wave_kernels(plan.fold) if plan.use_array
-        else (WaveProgram, ReverseProgram, ReplayProgram)
+        else (WaveProgram, ReverseProgram, ReplayProgram, AllReduceProgram)
     )
 
     def run(program, name: str, max_ticks: int, charge: bool = True):
@@ -744,44 +873,52 @@ def run_planned_waves(
                 )
         return wave.route()
 
+    def check_results(results, name: str) -> None:
+        unanswered = [
+            pid for pid in range(partition.num_parts) if pid not in results
+        ]
+        if unanswered:
+            raise RuntimeError(
+                f"{name} left parts without a result: {unanswered[:5]}"
+            )
+
     learning = route is None or route.delays is None
     if learning:
         wire = token_wave(plan.delays, charge=True)
         forest = wire.forest()
+        reverse = run(
+            reversal(wire, agg, values, capacity=plan.capacity),
+            "reverse", 4 * plan.max_ticks,
+        )
+        check_results(reverse.results, "reversal")
+        results = reverse.results
+        final = run(
+            replay(forest, results, capacity=plan.capacity),
+            "replay", 4 * plan.max_ticks,
+        )
     else:
         forest = route.forests.get(plan.use_array)
         if forest is None:
             forest = route.forests[plan.use_array] = token_wave(
                 route.delays, charge=False
             ).forest()
-        wire = forest
-    reverse = run(
-        reversal(wire, agg, values, capacity=plan.capacity),
-        "reverse", 4 * plan.max_ticks,
-    )
-    unanswered = [
-        pid for pid in range(partition.num_parts)
-        if pid not in reverse.results
-    ]
-    if unanswered:
-        raise RuntimeError(
-            f"reversal left parts without a result: {unanswered[:5]}"
+        final = run(
+            allreduce(forest, agg, values, capacity=plan.capacity),
+            "allreduce", 4 * plan.max_ticks,
         )
-    replayed = run(
-        replay(forest, reverse.results, capacity=plan.capacity),
-        "replay", 4 * plan.max_ticks,
-    )
-    reached, members = replayed.reached(), sum(map(len, partition.members))
+        results = dict(sorted(final.results.items()))
+        check_results(results, "all-reduce")
+    reached, members = final.reached(), sum(map(len, partition.members))
     if reached != members:
         raise RuntimeError(
-            f"replay reached {reached} of {members} part members"
+            f"{final.name} reached {reached} of {members} part members"
         )
     if learning and route is not None:
         route.delays = plan.delays
         route.forests = {plan.use_array: forest}
     outcome = PAWaveResult(
-        aggregates=dict(reverse.results),
-        value_at_node=replayed.value_at_node(),
+        aggregates=dict(results),
+        value_at_node=final.value_at_node(),
         wire_edges=wire.edges if learning else None,
         forest_edges=forest.edges,
     )

@@ -19,15 +19,18 @@ slow-edge and FIFO schedules — and demands:
   scalar engine's phase log bit for bit too — the vectorized core is a
   pure implementation change, never a cost-model change.
 
-A phase log is ``(name, rounds, messages, ticks, bits)`` per phase.  So
-that the engine axis sees what the array reversal's two folds see, a PA
-case draws its aggregation (:data:`PA_AGGS`): ``SUM`` over ints (the
-column fold); ``MIN_TUPLE`` over ``(value, uid)`` pairs with every fifth
-node ``None``; a three-way ``solve_many`` product; and a deliberately
-*order-sensitive* tuple concatenation, audits off, which only an engine
-that folds in the scalar order — not merely an equivalent one — gets
-right.  An MST case draws the session's ``reuse`` opt-in and the merging
-rule (``rank`` / ``star``, whatever the mode), so projections and both
+A phase log is ``(name, rounds, messages, ticks, bits)`` per phase.  A
+PA case solves twice on one setup — the first solve learns the wave
+forest, the second runs the one all-reduce pass every reused solve runs —
+on every axis, the fault axis included.  So that the engine axis sees
+what the array kernels' two folds see, a PA case draws its aggregation
+(:data:`PA_AGGS`): ``SUM`` over ints (the column fold); ``MIN_TUPLE``
+over ``(value, uid)`` pairs with every fifth node ``None``; a three-way
+``solve_many`` product; and a deliberately *order-sensitive* tuple
+concatenation, audits off, which only an engine that folds in the scalar
+order — not merely an equivalent one — gets right.  An MST case draws
+the session's ``reuse`` opt-in and the merging rule (``rank`` /
+``star``, whatever the mode), so projections and both
 star joinings reach the same axes — the fault axis included, where most
 solves run on a route their setup learned earlier and a crash between two
 of them has no token wave to be caught by, and where a lost seed hop or
@@ -297,6 +300,10 @@ def pa_items(case: FuzzCase, net, values):
     }[case.pa_agg]
 
 
+def _answer(res) -> Tuple[Dict[int, object], List[object]]:
+    return dict(res.aggregates), list(res.value_at_node)
+
+
 def _run_workload(case: FuzzCase, net, partition, values,
                   schedule: Optional[Schedule] = None,
                   engine_impl: str = "scalar"):
@@ -313,18 +320,26 @@ def _run_workload(case: FuzzCase, net, partition, values,
         engine_impl=engine_impl, strict_bits=audits, strict_edges=audits,
     )
     if case.algorithm == "pa":
+        # Two solves on one setup: the first learns the wave forest, the
+        # second is the reused solve every later one is.
         items = pa_items(case, net, values)
         if len(items) == 1:
             res = solve_pa(
                 net, partition, *items[0], mode=case.mode, seed=seed,
                 solver=solver,
             )
-            return (dict(res.aggregates), list(res.value_at_node)), res.ledger
-        batch = solver.solve_many(solver.prepare(partition), items)
+            again = solver.solve(res.setup, *items[0], charge_setup=False)
+            res.ledger.merge(again.ledger)
+            return [_answer(r) for r in (res, again)], res.ledger
+        setup = solver.prepare(partition)
+        batches = [
+            solver.solve_many(setup, items, charge_setup=not k)
+            for k in range(2)
+        ]
+        batches[0].ledger.merge(batches[1].ledger)
         return [
-            (dict(res.aggregates), list(res.value_at_node))
-            for res in batch.per_agg
-        ], batch.ledger
+            [_answer(res) for res in batch.per_agg] for batch in batches
+        ], batches[0].ledger
     session = PASession(net, solver=solver, reuse=case.reuse)
     if case.algorithm == "mst":
         res = minimum_spanning_tree(
@@ -339,6 +354,53 @@ def _run_workload(case: FuzzCase, net, partition, values,
         )
         return list(res.output), res.ledger
     raise ValueError(f"unknown algorithm {case.algorithm!r}")
+
+
+def _recovered_pa(driver, case: FuzzCase, net, partition, values):
+    """A PA case's two solves under the fault plan, each attempt preparing
+    once: a batch runs as its product, unpacked per aggregation."""
+    columns, aggs = zip(*pa_items(case, net, values))
+    if len(aggs) == 1:
+        column, agg = columns[0], aggs[0]
+    else:
+        column, agg = list(zip(*columns)), product_aggregation(aggs)
+    seconds = []
+
+    def attempt(k, solver):
+        first = driver._pa_attempt(k, solver, partition, column, agg)
+        seconds.append(
+            solver.solve(first.setup, column, agg, charge_setup=False)
+        )
+        first.ledger.merge(seconds[-1].ledger)
+        return first
+
+    first = driver._attempts("pa", attempt)
+    # The clean attempt is the last; a retry's setup numbers the parts
+    # its own way.
+    pid_of = [
+        partition.part_of[members[0]]
+        for members in first.setup.partition.members
+    ]
+    again = seconds[-1]
+    answers = [
+        _answer(first),
+        (
+            {pid_of[sid]: value for sid, value in again.aggregates.items()},
+            list(again.value_at_node),
+        ),
+    ]
+    if len(aggs) == 1:
+        return answers
+    return [
+        [
+            (
+                {pid: value[k] for pid, value in aggregates.items()},
+                [value[k] for value in at_node],
+            )
+            for k in range(len(aggs))
+        ]
+        for aggregates, at_node in answers
+    ]
 
 
 def run_case(case: FuzzCase) -> Optional[str]:
@@ -405,23 +467,7 @@ def run_case(case: FuzzCase) -> Optional[str]:
                 max_attempts=12, max_wait_windows=160,
             )
             if case.algorithm == "pa":
-                # One recovered solve: a batch as its product, unpacked.
-                columns, aggs = zip(*pa_items(case, net, values))
-                if len(aggs) == 1:
-                    res = driver.solve_pa(partition, columns[0], aggs[0])
-                    fault_out = (dict(res.aggregates), list(res.value_at_node))
-                else:
-                    res = driver.solve_pa(
-                        partition, list(zip(*columns)),
-                        product_aggregation(aggs),
-                    )
-                    fault_out = [
-                        (
-                            {pid: agg[k] for pid, agg in res.aggregates.items()},
-                            [value[k] for value in res.value_at_node],
-                        )
-                        for k in range(len(aggs))
-                    ]
+                fault_out = _recovered_pa(driver, case, net, partition, values)
             else:
                 res = driver.minimum_spanning_tree(
                     reuse=case.reuse, merging=case.merging

@@ -365,19 +365,29 @@ class RecoveryDriver:
         leaders via Algorithm 9.  Returns the first trusted result, its
         ledger holding only the fault-free-equivalent cost.
         """
-        def run(attempt: int, solver: PASolver) -> PAResult:
-            if attempt == 0:
-                return solve_pa(
-                    self.net, partition, values, agg, solver=solver
-                )
-            result = solve_pa_without_leaders(
-                self.net, partition, values, agg, solver=solver
-            )
-            # solve_pa folds the tree ledger in; Algorithm 9 does not.
-            result.ledger.merge(solver.tree_ledger, prefix="tree:")
-            return result
+        return self._attempts(
+            "pa", lambda attempt, solver: self._pa_attempt(
+                attempt, solver, partition, values, agg
+            ),
+        )
 
-        return self._attempts("pa", run)
+    def _pa_attempt(
+        self,
+        attempt: int,
+        solver: PASolver,
+        partition: Partition,
+        values: Sequence[object],
+        agg: Aggregation,
+    ) -> PAResult:
+        """One PA attempt: the ordinary solve first, Algorithm 9 after."""
+        if attempt == 0:
+            return solve_pa(self.net, partition, values, agg, solver=solver)
+        result = solve_pa_without_leaders(
+            self.net, partition, values, agg, solver=solver
+        )
+        # solve_pa folds the tree ledger in; Algorithm 9 does not.
+        result.ledger.merge(solver.tree_ledger, prefix="tree:")
+        return result
 
     def minimum_spanning_tree(
         self, reuse: bool = False, **mst_kwargs

@@ -41,7 +41,12 @@ ticks and bits.  Nineteen literals were recaptured when the token wave
 began to hand a token on in the tick a node gains it and never back to
 a neighbor that sent it: only ``*_wave``, ``*_reverse`` and ``*_replay``
 phases moved, every other phase is equal with ticks and bits (CHANGES
-lists old -> new).
+lists old -> new).  Sixteen literals were recaptured when a reused solve
+became one all-reduce on its remembered forest: every ``*_reverse`` /
+``*_replay`` pair of a solve on a learned route became one
+``*_allreduce`` with the pair's messages and no more rounds, every
+other phase is equal with ticks and bits, and the four CDS literals,
+which run no reused solve, did not move (CHANGES lists old -> new).
 """
 
 import hashlib
@@ -98,29 +103,29 @@ def _alg9(net, session):
 #: (algorithm, mode, graph, session) -> (phases, rounds, messages, digest).
 EXPECTED = {
     ('mst-star', 'deterministic', 'grid7x8', 'plain'):
-        (661, 1290, 11999, 'c0c09dbb8057ae5c'),
+        (589, 1182, 11999, 'd9a6dbf8d8a6fddb'),
     ('mst-star', 'deterministic', 'grid7x8', 'reuse+batch'):
-        (226, 582, 6547, '2700fa5c15a49fbf'),
+        (154, 474, 6547, '78b99ddbca2b590d'),
     ('mst-star', 'deterministic', 'reg60', 'plain'):
-        (1014, 2356, 23566, '46d985b5a6b08d7e'),
+        (867, 2066, 23566, '6b113525c42c80b7'),
     ('mst-star', 'deterministic', 'reg60', 'reuse+batch'):
-        (422, 1407, 15436, '43faa1d6ba92ac80'),
+        (275, 1117, 15436, '877dffdf92d2f394'),
     ('kdom', 'randomized', 'grid7x8', 'plain'):
-        (114, 74, 1552, '006a2cc2c3bf795c'),
+        (78, 69, 1552, '5852eefcc17a8a24'),
     ('kdom', 'randomized', 'grid7x8', 'reuse+batch'):
-        (110, 68, 1479, '716d9ec64144c13a'),
+        (74, 63, 1479, 'a5e5b8590b05541e'),
     ('kdom', 'randomized', 'reg60', 'plain'):
-        (194, 220, 4300, 'a389175b8a211649'),
+        (129, 181, 4300, 'fec70fe6126ae34d'),
     ('kdom', 'randomized', 'reg60', 'reuse+batch'):
-        (188, 210, 4074, '62dedf25e229a97e'),
+        (123, 171, 4074, 'efb935ab7c1ee541'),
     ('kdom', 'deterministic', 'grid7x8', 'plain'):
-        (290, 299, 3533, 'dffe29045f424b73'),
+        (254, 294, 3533, '218fd7460c47fa76'),
     ('kdom', 'deterministic', 'grid7x8', 'reuse+batch'):
-        (118, 113, 1740, '72fe81102412f626'),
+        (82, 108, 1740, 'e0e5e45e3de207ff'),
     ('kdom', 'deterministic', 'reg60', 'plain'):
-        (481, 473, 7385, 'fa31fbc5f1a4ebc7'),
+        (416, 434, 7385, '8204892203f264b2'),
     ('kdom', 'deterministic', 'reg60', 'reuse+batch'):
-        (196, 231, 4313, '032194a02b92cf51'),
+        (131, 192, 4313, '411ca464e6ea77e0'),
     ('cds', 'randomized', 'grid7x8', 'plain'):
         (64, 379, 6781, 'a371db452200b431'),
     ('cds', 'randomized', 'grid7x8', 'reuse+batch'):
@@ -130,13 +135,13 @@ EXPECTED = {
     ('cds', 'randomized', 'reg60', 'reuse+batch'):
         (60, 157, 7539, 'd4bab93ba94295b5'),
     ('alg9', 'randomized', 'grid7x8', 'plain'):
-        (366, 1007, 10081, '7393ed43ff4a691f'),
+        (242, 795, 10081, 'b2736d44262a482b'),
     ('alg9', 'randomized', 'reg60', 'plain'):
-        (283, 855, 8657, '614dde2ad9f08c6a'),
+        (189, 703, 8657, '3b1a5787cc00ea3a'),
     ('alg9', 'deterministic', 'grid7x8', 'plain'):
-        (1140, 2484, 20837, '0f13010479682943'),
+        (1016, 2272, 20837, 'b524a4d6518604de'),
     ('alg9', 'deterministic', 'reg60', 'plain'):
-        (812, 1458, 13680, '59a4dd3b3d26895f'),
+        (718, 1306, 13680, '35cfd6f6afe50be0'),
 }
 
 RUNS = {"mst-star": _mst_star, "kdom": _kdom, "cds": _cds, "alg9": _alg9}

@@ -113,18 +113,21 @@ def test_one_respecting_cut_value_is_real_cut(weighted_random):
 #: delivered it (only ``leader_election`` and the ``subpart_*`` claim
 #: phases fell) and when the token wave began to hand a token on in the
 #: tick a node gains it and never back to a neighbor that sent it (only
-#: ``*_wave`` / ``*_reverse`` / ``*_replay`` moved); cut values equal,
-#: CHANGES lists old -> new.
+#: ``*_wave`` / ``*_reverse`` / ``*_replay`` moved) and when a reused
+#: solve became one all-reduce on its forest (each routed solve's
+#: ``*_reverse`` / ``*_replay`` pair became one ``*_allreduce``: the
+#: pair's messages, fewer rounds); cut values equal, CHANGES lists
+#: old -> new.
 MINCUT_PINS = {
     "grid6x7": (
         lambda: with_distinct_weights(grid_2d(6, 7), seed=4),
-        (32, 313, 1495, 11990,
-         "9bec65e44991e3926feb12c798d80696ea53caf70f46aa5857dad002b04dda3e"),
+        (32, 293, 1443, 11990,
+         "646f94680cdc876421a2da01db7be98fef6da0d2cc310e16ad8713bd952bd3ec"),
     ),
     "reg48": (
         lambda: with_distinct_weights(random_regular(48, 4, seed=7), seed=4),
-        (75, 279, 1239, 14681,
-         "bf1ba28bd43c3dd88759d575deca3b97fc86def625c6007b44c67ed4467c0122"),
+        (75, 262, 1205, 14681,
+         "108db3b9c7c33bbcedbe6b6865040f5b9fe0f56c947e19a4efcc26ba7ce03af9"),
     ),
 }
 

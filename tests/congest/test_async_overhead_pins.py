@@ -138,11 +138,14 @@ FAULTY_HEAD_REPORTS = [(24, 24, 8, 0, 0, 0), (25, 25, 8, 1, 1, 0), (119, 119, 0,
 #: joinings publish only news since: (2586, 5, 19296, 3807) -> (2567, 5,
 #: 19296, 3563), the head again unmoved.  The token wave's hand-on-at-once
 #: rule: (2550, 5, 19160, 3378) -> (2544, 5, 19160, 3362), the head
-#: unmoved.
-FAULTY_PHASES = 187
-FAULTY_TOTALS = (2544, 5, 19160, 3362)
+#: unmoved.  A routed solve's reversal and replay became one all-reduce:
+#: 187 -> 127 records, (2544, 5, 19160, 3362) -> (2244, 5, 16760, 3362) —
+#: each merged record the pair's acks and payloads in no more time
+#: units, every other record equal, the head unmoved.
+FAULTY_PHASES = 127
+FAULTY_TOTALS = (2244, 5, 16760, 3362)
 FAULTY_SHA256 = (
-    "7edfff57a3c6ea51e2a70cc240c251120fbbcd61d41479232be48d872ad3fd8a"
+    "d78538f7f994d0f78af2bac428e0de54b00efb45096a4629313fd816d2490d6c"
 )
 
 

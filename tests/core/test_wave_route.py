@@ -4,13 +4,13 @@ The first solve on a ``PASetup`` runs broadcast and reversal over the wire
 record and replays on the forest the reversal's answer tags just taught
 it — bit for bit what a solve on a fresh ``prepare`` runs — and when it
 has returned the setup keeps that forest; every later solve on that setup
-runs no ``*_wave`` phase, and its ``*_reverse`` and ``*_replay`` send
-``#keys - #parts`` messages each.  The answers are those of a per-part
-fold either way, and the sync-scalar engine, the sync-array engine and the
-async engine at delay 0 agree on every phase's ``(name, rounds, messages,
-ticks, bits)``, learned or routed.  Every pass has its completeness check:
-the wave its coverage scan, the reversal its unanswered parts, the replay
-its count of members reached.
+runs no ``*_wave`` phase, only one ``*_allreduce`` that sends ``2 (#keys -
+#parts)`` messages.  The answers are those of a per-part fold either way,
+and the sync-scalar engine, the sync-array engine and the async engine at
+delay 0 agree on every phase's ``(name, rounds, messages, ticks, bits)``,
+learned or routed.  Every pass has its completeness check: the wave its
+coverage scan, the reversal and the all-reduce their parts without a
+result, the replay and the all-reduce their count of members reached.
 """
 
 from __future__ import annotations
@@ -23,8 +23,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import PASolver, SUM
-from repro.core import wave as wave_module
-from repro.core.array_wave import WaveIndex
+from repro.core import array_wave, wave as wave_module
+from repro.core.array_wave import (
+    AllReduceArrayKernel,
+    WaveArrayKernel,
+    WaveIndex,
+)
 from repro.core.pa import DETERMINISTIC, RANDOMIZED
 from repro.graphs import (
     Partition,
@@ -109,7 +113,7 @@ def test_three_solves_on_one_setup_against_three_fresh_prepares(
         assert [name.rsplit("_", 1)[1] for name, *_ in logs[0]] == [
             "wave", "reverse", "replay",
         ] * (len(logs[0]) // 3)
-        # Solves 2 and 3 run two passes over the forest, nothing else.
+        # Solves 2 and 3 run one all-reduce over the forest, nothing else.
         keys = _keys(forest)
         assert forest.edges == keys - partition.num_parts
         # Solve 1: two wire passes, then the replay on that same forest.
@@ -118,9 +122,11 @@ def test_three_solves_on_one_setup_against_three_fresh_prepares(
             assert wave == reverse >= replay == forest.edges
         for log in logs[1:]:
             assert [name.rsplit("_", 1)[1] for name, *_ in log] == [
-                "reverse", "replay",
-            ] * (len(log) // 2)
-            assert {messages for _n, _r, messages, *_ in log} == {forest.edges}
+                "allreduce",
+            ] * len(log)
+            assert {messages for _n, _r, messages, *_ in log} == {
+                2 * forest.edges
+            }
 
     for label in ("array", "async"):
         assert runs[label] == runs["scalar"], label
@@ -174,28 +180,94 @@ def test_the_answer_tag_is_how_a_node_learns_its_forest_edges(
     }
 
 
+def _phantom_children(route, leader, pid, count):
+    """Give key ``(leader, pid)`` of a route of either twin ``count``
+    out-edges to nodes it never sent to: it waits for answers, or for
+    forest neighbors, that never come."""
+    if isinstance(route, wave_module.WaveRecord):
+        known = {dst for dst, _tag in route.out_edges.get((leader, pid), ())}
+        phantoms = [v for v in range(len(route.part_of)) if v not in known]
+        route.out_edges.setdefault((leader, pid), []).extend(
+            (v, "su") for v in phantoms[:count]
+        )
+        return route
+    key = int(route.ids(leader * route.stride + pid))
+    known = set(route.out_dst[route.out_starts[key]:][
+        :route.out_counts[key]
+    ].tolist())
+    phantoms = [v for v in range(route.n) if v not in known][:count]
+    sender = np.repeat(np.arange(route.keys.size), route.out_counts)
+    route._set_out(
+        np.concatenate((sender, [key] * count)),
+        np.concatenate((route.out_dst, phantoms)),
+    )
+    return route
+
+
 @pytest.mark.parametrize("impl", ["scalar", "array"])
-def test_a_reversal_that_leaves_a_part_without_a_result_raises(impl):
-    """No token wave, no coverage scan: a routed reversal that cannot
-    finish (here: a leader made to wait for a child that does not exist)
-    raises instead of returning a short ``aggregates`` dict."""
+def test_a_reversal_that_leaves_a_part_without_a_result_raises(
+    impl, monkeypatch
+):
+    """A pass that cannot finish leaves its part without a result, and the
+    solve raises instead of returning a short ``aggregates`` dict: the
+    learning solve's reversal (a leader made to wait for the answer to a
+    message it never sent), which then commits no route, and — with no
+    token wave and no coverage scan — the routed all-reduce (a leader
+    made to wait for two forest children that do not exist: it never
+    hears from all its neighbors but one, so no key of the part ever holds
+    the total)."""
     net = grid_2d(5, 5)
     partition = random_connected_partition(net, 3, seed=4)
     solver = PASolver(net, seed=2, engine_impl=impl)
     setup = solver.prepare(partition)
     values = list(range(net.n))
+    leader = setup.leaders[1]
+
+    program = wave_module.WaveProgram if impl == "scalar" else WaveArrayKernel
+    wire = program.route
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            program, "route",
+            lambda self: _phantom_children(wire(self), leader, 1, 1),
+        )
+        with pytest.raises(
+            RuntimeError, match=r"reversal left parts without a result: \[1\]"
+        ):
+            solver.solve(setup, values, SUM, charge_setup=False)
+    assert setup.route.delays is None
+
     first = solver.solve(setup, values, SUM, charge_setup=False)
     assert set(first.aggregates) == {0, 1, 2}
     (forest,) = setup.route.forests.values()
-    leader = setup.leaders[1]
-    if impl == "scalar":
-        forest.out_edges.setdefault((leader, 1), []).append((leader, "su"))
-    else:
-        key = int(forest.ids(leader * forest.stride + 1))
-        forest.out_counts = forest.out_counts.copy()
-        forest.out_counts[key] += 1
-    with pytest.raises(RuntimeError, match=r"without a result: \[1\]"):
+    _phantom_children(forest, leader, 1, 2)
+    with pytest.raises(
+        RuntimeError, match=r"all-reduce left parts without a result: \[1\]"
+    ):
         solver.solve(setup, values, SUM, charge_setup=False)
+
+
+class _LossyAllReduce(wave_module.AllReduceProgram):
+    """The scalar all-reduce with its first total packet lost."""
+
+    lost = False
+
+    def enqueue(self, ctx, src, dst, priority, payload):
+        if payload[0] == "d" and not self.lost:
+            self.lost = True
+            return
+        super().enqueue(ctx, src, dst, priority, payload)
+
+
+class _LossyAllReduceKernel(AllReduceArrayKernel):
+    """The array all-reduce with its first total packet lost."""
+
+    lost = False
+
+    def _finish(self, kids, pos, em):
+        super()._finish(kids, pos, em)
+        if not self.lost and em[-1][0].size:
+            self.lost = True
+            em[-1] = tuple(col[1:] for col in em[-1])
 
 
 @pytest.mark.parametrize("impl", ["scalar", "array"])
@@ -203,11 +275,13 @@ def test_a_reversal_that_leaves_a_part_without_a_result_raises(impl):
 def test_a_replay_that_reaches_fewer_members_than_the_part_has_raises(
     impl, solve, monkeypatch
 ):
-    """The replay runs on the forest, an edge set no coverage scan ever
-    validated: a forest that has lost an edge strands a subtree, and the
-    solve raises on the count instead of returning ``None`` for the
-    stranded members — the learning solve (which then commits no route)
-    and the routed one alike."""
+    """A solve's last pass must leave every member holding its part's
+    aggregate, or the solve raises on the count instead of returning
+    ``None`` for the stranded members.  The learning solve's replay runs
+    on the forest, an edge set no coverage scan ever validated: a forest
+    that has lost an edge strands a subtree, and the solve commits no
+    route.  A routed solve's all-reduce strands the subtree behind a lost
+    total packet."""
     net = grid_2d(5, 5)
     partition = random_connected_partition(net, 3, seed=4)
     solver = PASolver(net, seed=2, engine_impl=impl)
@@ -225,8 +299,15 @@ def test_a_replay_that_reaches_fewer_members_than_the_part_has_raises(
 
     if solve == "routed":
         solver.solve(setup, values, SUM, charge_setup=False)
-        (forest,) = setup.route.forests.values()
-        cut(forest)
+        if impl == "scalar":
+            monkeypatch.setattr(
+                wave_module, "AllReduceProgram", _LossyAllReduce
+            )
+        else:
+            monkeypatch.setattr(
+                array_wave, "AllReduceArrayKernel", _LossyAllReduceKernel
+            )
+        pattern = r"pa_allreduce reached \d+ of 25 part"
     else:
         route_type = (
             wave_module.WaveRecord if impl == "scalar" else WaveIndex
@@ -235,7 +316,8 @@ def test_a_replay_that_reaches_fewer_members_than_the_part_has_raises(
         monkeypatch.setattr(
             route_type, "forest", lambda self: cut(derive(self))
         )
-    with pytest.raises(RuntimeError, match=r"replay reached \d+ of 25 part"):
+        pattern = r"pa_replay reached \d+ of 25 part"
+    with pytest.raises(RuntimeError, match=pattern):
         solver.solve(setup, values, SUM, charge_setup=False)
     if solve == "learning":
         assert setup.route.delays is None

@@ -169,10 +169,16 @@ def test_a_fired_key_is_final():
             fired.extend(kids.tolist())
             super()._fire(kids, strict_bits)
 
-        def _absorb(self, into, sender):
-            touched_after_firing.extend(set(into.tolist()) & set(fired))
-            assert set(sender.tolist()) <= set(fired)
-            super()._absorb(into, sender)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            absorb = self.store.absorb
+
+            def watched(into, sender):
+                touched_after_firing.extend(set(into.tolist()) & set(fired))
+                assert set(sender.tolist()) <= set(fired)
+                absorb(into, sender)
+
+            self.store.absorb = watched
 
     from repro.core import array_wave
 

@@ -238,11 +238,13 @@ def test_envelopes_come_from_the_pa_net_instant(mst_trace):
     owner, totals = report.owner("rounds")
     assert totals.rounds == max(t.rounds for t in report.families.values())
     # the figures this run prints
-    assert "round slack 17.77: owned by mst_termination (15.2% of rounds)" in text
+    assert (
+        "round slack 16.85: owned by relabel_allreduce (21.9% of rounds)"
+    ) in text
     assert (
         "message slack 36.90: owned by mst_neighbor_exchange (17.6% of messages)"
     ) in text
-    assert owner == "mst_termination"
+    assert owner == "relabel_allreduce"
 
 
 def test_setups_and_projections_come_from_the_prepare_spans(mst_trace):

@@ -215,22 +215,25 @@ def test_trace_replays_mst_ledger():
     # one ``pa.route`` instant a solve: a learned one is a charged token
     # wave (its wire count the wave's messages) with a wire reversal and a
     # forest replay — 2 wire + forest; a reused one is a solve without a
-    # wave — two passes of the forest's size
+    # wave — one all-reduce, twice the forest's size
     charged = tracer.ledger_events("main")
     waves = [e for e in charged if e["name"].endswith("_wave")]
-    passes = [e for e in charged if e["name"].endswith(("_reverse", "_replay"))]
+    finals = [
+        e for e in charged if e["name"].endswith(("_replay", "_allreduce"))
+    ]
     learned, wire, forest, reused = report.routes
     assert learned == len(waves) > 0
     assert wire == sum(e["args"]["messages"] for e in waves)
-    assert learned + reused == len(passes) // 2
-    assert reused > 0
+    assert learned + reused == len(finals)
+    assert reused == sum(e["name"].endswith("_allreduce") for e in finals) > 0
     reused_forest = sum(
         e["args"]["forest"] for e in tracer.events
         if e["name"] == "pa.route" and e["args"]["outcome"] == "reused"
     )
+    reversals = [e for e in charged if e["name"].endswith("_reverse")]
     assert forest < wire
     assert 2 * wire + forest + 2 * reused_forest == sum(
-        e["args"]["messages"] for e in waves + passes
+        e["args"]["messages"] for e in waves + reversals + finals
     )
 
 

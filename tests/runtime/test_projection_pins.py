@@ -17,8 +17,11 @@ and the rebuild's ``leader_election`` (with the randomized rebuild's
 back to the neighbors that had just delivered it.  The solves' ``_wave``
 / ``_reverse`` / ``_replay`` literals fell when the token wave began to
 hand a token on in the tick a node gains it and never back to a neighbor
-that sent it (CHANGES lists old -> new).  Every projection and report
-literal is the captured one.
+that sent it (CHANGES lists old -> new).  The single solve after each
+batch runs on the route the batch learned, and its ``_reverse`` /
+``_replay`` pair became one ``_allreduce`` with the pair's messages and
+no more rounds when a reused solve became one all-reduce on the forest.
+Every projection and report literal is the captured one.
 """
 
 import pytest
@@ -96,25 +99,25 @@ EXPECTED = {'randomized': {'prepare': (4, 11, 90),
                 'merge:batch': [('pa_batch_wave', 6, 36),
                                 ('pa_batch_reverse', 6, 36),
                                 ('pa_batch_replay', 6, 31)],
-                'merge:int': [('pa_reverse', 6, 31), ('pa_replay', 6, 31)],
+                'merge:int': [('pa_allreduce', 8, 62)],
                 'split': [('refine_boundary_exchange', 1, 24),
                           ('annotate_blocks', 0, 0)],
                 'split:batch': [('pa_batch_wave', 6, 34),
                                 ('pa_batch_reverse', 6, 34),
                                 ('pa_batch_replay', 6, 30)],
-                'split:int': [('pa_reverse', 6, 30), ('pa_replay', 6, 30)],
+                'split:int': [('pa_allreduce', 6, 60)],
                 'add': [('edge_update_notify', 1, 2)],
                 'add:hit': [],
                 'add:batch': [('pa_batch_wave', 6, 37),
                               ('pa_batch_reverse', 6, 37),
                               ('pa_batch_replay', 6, 30)],
-                'add:int': [('pa_reverse', 6, 30), ('pa_replay', 6, 30)],
+                'add:int': [('pa_allreduce', 6, 60)],
                 'remerge': [('coarsen_boundary_exchange', 1, 24),
                             ('annotate_blocks', 0, 0)],
                 'remerge:batch': [('pa_batch_wave', 7, 43),
                                   ('pa_batch_reverse', 7, 43),
                                   ('pa_batch_replay', 7, 31)],
-                'remerge:int': [('pa_reverse', 7, 31), ('pa_replay', 7, 31)],
+                'remerge:int': [('pa_allreduce', 8, 62)],
                 'remove': [('edge_update_notify', 1, 2),
                            ('rebuild:leader_election', 8, 273),
                            ('rebuild:child_ack', 1, 35)],
@@ -122,7 +125,7 @@ EXPECTED = {'randomized': {'prepare': (4, 11, 90),
                 'remove:batch': [('pa_batch_wave', 7, 43),
                                  ('pa_batch_reverse', 7, 43),
                                  ('pa_batch_replay', 7, 31)],
-                'remove:int': [('pa_reverse', 7, 31), ('pa_replay', 7, 31)],
+                'remove:int': [('pa_allreduce', 8, 62)],
                 'stats': {'prepares': 2,
                           'cache_hits': 1,
                           'coarsenings': 2,
@@ -141,26 +144,25 @@ EXPECTED = {'randomized': {'prepare': (4, 11, 90),
                    'merge:batch': [('pa_batch_wave', 6, 36),
                                    ('pa_batch_reverse', 6, 36),
                                    ('pa_batch_replay', 6, 31)],
-                   'merge:int': [('pa_reverse', 6, 31), ('pa_replay', 6, 31)],
+                   'merge:int': [('pa_allreduce', 8, 62)],
                    'split': [('refine_boundary_exchange', 1, 24),
                              ('annotate_blocks', 0, 0)],
                    'split:batch': [('pa_batch_wave', 6, 34),
                                    ('pa_batch_reverse', 6, 34),
                                    ('pa_batch_replay', 6, 30)],
-                   'split:int': [('pa_reverse', 6, 30), ('pa_replay', 6, 30)],
+                   'split:int': [('pa_allreduce', 6, 60)],
                    'add': [('edge_update_notify', 1, 2)],
                    'add:hit': [],
                    'add:batch': [('pa_batch_wave', 6, 37),
                                  ('pa_batch_reverse', 6, 37),
                                  ('pa_batch_replay', 6, 30)],
-                   'add:int': [('pa_reverse', 6, 30), ('pa_replay', 6, 30)],
+                   'add:int': [('pa_allreduce', 6, 60)],
                    'remerge': [('coarsen_boundary_exchange', 1, 24),
                                ('annotate_blocks', 0, 0)],
                    'remerge:batch': [('pa_batch_wave', 7, 43),
                                      ('pa_batch_reverse', 7, 43),
                                      ('pa_batch_replay', 7, 31)],
-                   'remerge:int': [('pa_reverse', 7, 31),
-                                   ('pa_replay', 7, 31)],
+                   'remerge:int': [('pa_allreduce', 8, 62)],
                    'remove': [('edge_update_notify', 1, 2),
                               ('rebuild:leader_election', 8, 273),
                               ('rebuild:child_ack', 1, 35)],
@@ -168,7 +170,7 @@ EXPECTED = {'randomized': {'prepare': (4, 11, 90),
                    'remove:batch': [('pa_batch_wave', 7, 43),
                                     ('pa_batch_reverse', 7, 43),
                                     ('pa_batch_replay', 7, 31)],
-                   'remove:int': [('pa_reverse', 7, 31), ('pa_replay', 7, 31)],
+                   'remove:int': [('pa_allreduce', 8, 62)],
                    'stats': {'prepares': 2,
                              'cache_hits': 1,
                              'coarsenings': 2,

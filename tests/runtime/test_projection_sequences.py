@@ -120,9 +120,7 @@ def _check(session, setup, mode, values, other):
     routed = session.stats.routed_solves
     single = session.solve(setup, other, SUM, charge_setup=False)
     assert session.stats.routed_solves == routed + 1
-    assert [p.name for p in single.ledger.phases()] == [
-        "pa_reverse", "pa_replay",
-    ]
+    assert [p.name for p in single.ledger.phases()] == ["pa_allreduce"]
     assert single.aggregates == want_sum.aggregates
     assert single.value_at_node == want_sum.value_at_node
 
@@ -478,7 +476,7 @@ def test_a_removed_chord_that_carried_the_route_is_not_routed_over(mode):
             assert session.apply_edge_updates(remove=[chord]).repaired
             setup = session.prepare(rows)
             want = solve_pa(session.net, rows, values, SUM, mode=mode, seed=1)
-            for expected_phases in (3, 2):  # learns afresh, then routed
+            for expected_phases in (3, 1):  # learns afresh, then routed
                 got = session.solve(setup, values, SUM, charge_setup=False)
                 assert len(got.ledger.phases()) == expected_phases
                 assert got.aggregates == want.aggregates

@@ -164,10 +164,13 @@ def _died_tainted_clean():
     (deterministic) alike.  The plan's seed was re-chosen (1009 before)
     when the token wave began to hand a token on in the tick a node gains
     it: its shorter waves moved MST's attempt 1 against the plan's global
-    pulses, and it died instead of completing tainted."""
+    pulses, and it died instead of completing tainted.  It was re-chosen
+    again (1002 before) when a reused solve became one all-reduce: its
+    shorter solves moved MST's attempt 1 past the outage, and it came out
+    clean."""
     net = with_distinct_weights(random_connected(20, 0.15, seed=1), seed=6)
     plan = FaultPlan.seeded(
-        1002, 20, crashes=1, recover=True, crash_window=(1, 400),
+        1012, 20, crashes=1, recover=True, crash_window=(1, 400),
         outage=(2, 6), partition=True, partition_window=(3, 9),
     )
     return net, plan
@@ -191,29 +194,30 @@ def test_tainted_mst_attempt_charges_its_tree_election_once():
         ("attempt1:tree:leader_election", 4, 193),
         ("attempt1:tree:child_ack", 1, 19),
     ]
-    assert (recovery.rounds, recovery.messages) == (302, 3873)
+    assert (recovery.rounds, recovery.messages) == (293, 3870)
     main = res.ledger
-    assert (len(main.phases()), main.rounds, main.messages) == (132, 351, 3017)
+    assert (len(main.phases()), main.rounds, main.messages) == (124, 341, 3017)
 
 
 @pytest.mark.parametrize("opt_ins", [{}, {"reuse": True}])
 @pytest.mark.parametrize("victim", [0, 2, 12])
 def test_crash_between_two_solves_on_one_setup(victim, opt_ins):
     """Only a setup's first solve runs a token wave, so no coverage scan
-    meets a node that went down after the route was learned: the routed
-    reversal itself has to notice.  Crash a node at the first pulse of a
-    phase's second solve — the attempt dies on "a part without a result"
-    (or, where the victim had nothing to send, completes tainted), never
-    returns short aggregates, and the retry is Kruskal's tree."""
+    meets a node that went down after the route was learned: the
+    all-reduce itself has to notice.  Crash a node at the first pulse of
+    a phase's second solve — the attempt dies on a part without a result
+    or on members the pass never reached (or, where the victim had
+    nothing to send, completes tainted), never returns short aggregates,
+    and the retry is Kruskal's tree."""
     net, _plan = _died_tainted_clean()
     # The second solve of phase 3: fragments of several nodes by then.
-    routed = "phase3_relabel_reverse"
+    routed = "phase3_relabel_allreduce"
     clean = RecoveryDriver(net, faults=FaultPlan(), seed=7)
     clean.minimum_spanning_tree(**opt_ins)
     log = clean.engine.overhead_log
     names = [rec.name for rec in log]
     assert not any(
-        name.startswith(routed[: -len("reverse")]) and name.endswith("_wave")
+        name.startswith(routed[: -len("allreduce")]) and name.endswith("_wave")
         for name in names
     )
     base = sum(rec.pulses for rec in log[: names.index(routed)])

@@ -41,6 +41,10 @@ from repro.runtime import ensure_session, partition_fingerprint
 
 MODES = ["randomized", "deterministic"]
 
+#: The last pass of a solve: a learning one's replay, a reused one's
+#: all-reduce.
+FINAL_PASSES = ("_replay", "_allreduce")
+
 
 def _weighted_net():
     return with_distinct_weights(random_connected(40, 0.08, seed=11), seed=3)
@@ -218,10 +222,11 @@ def test_reuse_reduces_mst_ledger_rounds(mode):
 @pytest.mark.parametrize("workload", ["mst-star", "kdom"])
 @pytest.mark.parametrize("mode", ["randomized", "deterministic"])
 def test_every_pa_solve_of_an_algorithm_is_a_session_solve(mode, workload):
-    """The seam, as an invariant: a solve is exactly one ``*_reverse``
-    phase outside a ``setup:`` prefix (only a setup's first solve has a
-    ``*_wave``), and the session counted each of them — the star joining's
-    pushes (two PA solves a push) included."""
+    """The seam, as an invariant: a solve ends in exactly one final pass
+    outside a ``setup:`` prefix — a ``*_replay`` after a setup's first
+    solve learned its route (the only one with a ``*_wave``), a
+    ``*_allreduce`` on every later one — and the session counted each of
+    them, the star joining's pushes (two PA solves a push) included."""
     net = with_distinct_weights(grid_2d(7, 8), seed=3)
     session = PASession(net, mode=mode, seed=5)
     if workload == "mst-star":
@@ -231,19 +236,23 @@ def test_every_pa_solve_of_an_algorithm_is_a_session_solve(mode, workload):
     else:
         result = k_dominating_set(net, 12, mode=mode, seed=5, session=session)
     solves = sum(
-        p.name.endswith("_reverse") and "setup:" not in p.name
+        p.name.endswith(FINAL_PASSES) and "setup:" not in p.name
         for p in result.ledger.phases()
     )
     star_pushes = sum(
-        p.name.endswith("_reverse") and "_star_" in p.name
+        p.name.endswith(FINAL_PASSES) and "_star_" in p.name
         for p in result.ledger.phases()
     )
     learned = sum(
         p.name.endswith("_wave") and "setup:" not in p.name
         for p in result.ledger.phases()
     )
+    routed = sum(
+        p.name.endswith("_allreduce") and "setup:" not in p.name
+        for p in result.ledger.phases()
+    )
     assert session.stats.solves == solves
-    assert session.stats.routed_solves == solves - learned
+    assert session.stats.routed_solves == solves - learned == routed
     assert 0 < star_pushes < solves
 
 

@@ -155,10 +155,7 @@ def test_a_wave_that_failed_commits_no_route():
     assert len(prefixes) == svc.stats.waves >= 2
     first, *rest = prefixes
     assert served[:3] == [f"{first}_wave", f"{first}_reverse", f"{first}_replay"]
-    assert served[3:] == [
-        f"{prefix}_{phase}" for prefix in rest
-        for phase in ("reverse", "replay")
-    ]
+    assert served[3:] == [f"{prefix}_allreduce" for prefix in rest]
     # Every attempt after the one that learned — served, or halved once
     # more — ran on the route; none before it did.
     numbers = [int(prefix[len("serve"):-1]) for prefix in prefixes]

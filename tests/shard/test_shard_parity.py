@@ -240,8 +240,8 @@ def test_a_route_learned_on_one_side_serves_the_other(mode, first):
     solve, the other holds no forest for the route rank 0 says is paid —
     it re-derives it off the ledger, and every phase log stays the local
     one: one ``*_wave`` in all, in a learning solve of two wire passes and
-    a replay on the forest its shards just learned, then two forest passes
-    a solve."""
+    a replay on the forest its shards just learned, then one all-reduce
+    on the forest a solve, twice the forest's edges in messages."""
     net, partition = _net_and_partition()
     values = _values(net.n)
     custom = Aggregation("custom_sum", lambda a, b: a + b)
@@ -269,7 +269,7 @@ def test_a_route_learned_on_one_side_serves_the_other(mode, first):
                 assert sent[0] == sent[1] > sent[2]
                 forest = sent[2]
             else:
-                assert sent == [forest, forest]
+                assert sent == [2 * forest]
         assert waves == 1
         assert session.stats.sharded_solves == 2
         assert session.stats.sharded_fallbacks == 2
@@ -313,12 +313,18 @@ def test_mst_end_to_end_parity(mode, workers):
         result = minimum_spanning_tree(
             net, mode=mode, seed=5, session=session
         )
-        # The seam: a solve is exactly one ``*_reverse`` phase outside a
-        # ``setup:`` prefix, and every one of them — the star joining's
-        # pushes included — went through the session, hence to the shards.
+        # The seam: a solve ends in exactly one final pass outside a
+        # ``setup:`` prefix — a learning solve's ``*_replay`` or a reused
+        # one's ``*_allreduce``, which the workers run on their own — and
+        # every one of them, the star joining's pushes included, went
+        # through the session, hence to the shards.
         solves = sum(
-            p.name.endswith("_reverse") and "setup:" not in p.name
+            p.name.endswith(("_replay", "_allreduce"))
+            and "setup:" not in p.name
             for p in result.ledger.phases()
+        )
+        assert any(
+            p.name.endswith("_allreduce") for p in result.ledger.phases()
         )
         assert session.stats.sharded_solves == solves > 0
         assert session.stats.sharded_fallbacks == 0
