@@ -220,9 +220,10 @@ def test_repair_ledger_parity():
         net, partition = _scenario()
         values = [(v * 17) % 101 for v in range(net.n)]
 
-        # (a) Edge-delete repair: remove a non-tree edge, serve, and
-        # compare the serving ledger against a fresh full prepare on the
-        # updated graph — phase names, rounds and messages must all match.
+        # (a) Edge-delete repair: remove a non-tree edge between two
+        # parts (so it can never disconnect a part), serve, and compare
+        # the serving ledger against a fresh full prepare on the updated
+        # graph — phase names, rounds and messages must all match.
         session = PASession(net, seed=17, reuse=True)
         session.prepare(partition)
         tree_edges = {
@@ -230,7 +231,11 @@ def test_repair_ledger_parity():
             for v, p in enumerate(session.tree.parent)
             if p >= 0
         }
-        chord = next(e for e in net.edges if e not in tree_edges)
+        part_of = partition.part_of
+        chord = next(
+            (u, v) for u, v in net.edges
+            if (u, v) not in tree_edges and part_of[u] != part_of[v]
+        )
         report = session.apply_edge_updates(remove=[chord])
         assert report.repaired, "chord removal must be a repair"
         served = session.solve(

@@ -10,13 +10,15 @@ Corollary 1.3's algorithm dominates (experiment E5).
 
 Merging is the PA-based MST's own rule and function — a star joining by
 rank under one public seed (:func:`~repro.core.star_joining.rank_joins`),
-which costs the baseline what it costs us: one leader election and one
-broadcast per run — so the comparison isolates exactly one variable:
+which costs the baseline what it costs us: one leader election among
+candidates drawn from its seed and one broadcast per run — so the
+comparison isolates exactly one variable:
 fragment communication via fragment trees vs. via Part-Wise Aggregation.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..congest.engine import Engine
@@ -40,7 +42,10 @@ def ghs_mst(net: Network, seed: int = 0) -> RunResult:
     # The public seed needs a root to draw it: the one global structure
     # the baseline builds, and only for this.
     seed_at = spread_seed(
-        engine, elect_leader_and_bfs_tree(engine, net, ledger).tree,
+        engine,
+        elect_leader_and_bfs_tree(
+            engine, net, ledger, rng=random.Random(seed)
+        ).tree,
         ledger, "ghs", seed ^ 0x6E5,
     )
 

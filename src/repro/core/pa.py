@@ -202,10 +202,13 @@ class PASolver:
         ``"randomized"`` for the O~(bD + c)-round variant,
         ``"deterministic"`` for the O~(b(D + c)) variant.
     seed:
-        Seed for all randomness (node sampling, claim priorities, delays).
+        Seed for all randomness (election candidates, node sampling,
+        claim priorities, delays).
     root:
         Optional known root for the BFS tree; if omitted a leader is
-        elected distributively (flood-min).
+        elected distributively (flood-min among the candidates that
+        sample themselves in randomized mode, among every node in
+        deterministic mode).
     schedule:
         Opt into asynchronous execution: every engine phase of the
         pipeline (tree, division, shortcut, waves) runs on an
@@ -280,7 +283,8 @@ class PASolver:
         self.tree_ledger = CostLedger()
         if root is None:
             self.tree_result = elect_leader_and_bfs_tree(
-                self.engine, net, self.tree_ledger
+                self.engine, net, self.tree_ledger,
+                rng=self.rng if mode == RANDOMIZED else None,
             )
         else:
             self.tree_result = bfs_tree(self.engine, net, root, self.tree_ledger)

@@ -214,20 +214,22 @@ class ClaimBfsProgram(Program):
 class FloodMinProgram(Program):
     """Flood the minimum token through a (restricted) graph.
 
-    Every participating node starts with its own token; whenever a node
-    hears a smaller token it adopts it, re-points its parent at the sender,
-    and re-announces it to every neighbor except those whose message this
-    tick carried that very token: they hold it already, and a token sent
-    back to its holder carries no news.  (This tick's mail is all a node
-    knows of its neighbors: a token at most the adopted one delivered
-    earlier would have been adopted then.)  At quiescence every connected
-    region agrees on its minimum token and the parent pointers form a
-    BFS-like tree rooted at the minimum's holder; skipping the echoes
-    changes neither, only the message count.
+    Every node given a token starts with it (the rest hold none yet);
+    whenever a node hears a smaller token it adopts it, re-points its
+    parent at the sender, and re-announces it to every neighbor except
+    those whose message this tick carried that very token: they hold it
+    already, and a token sent back to its holder carries no news.  (This
+    tick's mail is all a node knows of its neighbors: a token at most the
+    adopted one delivered earlier would have been adopted then.)  At
+    quiescence every connected region agrees on its minimum token and the
+    parent pointers form a BFS-like tree rooted at the minimum's holder;
+    skipping the echoes changes neither, only the message count.
 
-    This is the substitute for Kutten et al.'s leader election (see
-    docs/architecture.md, "Deviations from the paper"): same O(D) rounds;
-    messages are metered.
+    This is the flood of the candidate election that substitutes for
+    Kutten et al.'s (see docs/architecture.md, "Deviations from the
+    paper"): only the self-sampled candidates hold a token at the start,
+    so a node adopts O(log log n) times in expectation instead of about
+    ln n; same O(D) rounds, and messages are metered.
     """
 
     name = "flood_min"

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 _READ = frozenset({
     "pa.net", "pa.route", "merge.round", "session.prepare",
     "session.edge_update", "session.sharded_fallback", "service.split_wave",
-    "recovery.attempt", "kernel_fallback",
+    "recovery.attempt", "kernel_fallback", "tree.redraw",
 })
 
 #: The synchronizer's counts on an async ``engine.phase`` span.
@@ -46,6 +46,7 @@ _DEGRADED = {
         else "edge update rebuilt the solver",
     "recovery.attempt": lambda a: f"recovery attempt {a['outcome']}"
         if a["outcome"] in ("tainted", "died") else None,
+    "tree.redraw": lambda a: "election redrawn, no candidate stood",
 }
 
 _ATTEMPT = re.compile(r"^(?:(?:attempt|reelect)\d+:)+")

@@ -28,8 +28,9 @@ log — and runs workloads on it optimistically:
    are re-elected from scratch by star-joining coarsening, so a crashed
    leader cannot poison the retry.  MST retries rebuild the global BFS
    tree and leader (the :class:`~repro.core.pa.PASolver` constructor's
-   flood-min election); Boruvka itself restarts from singleton parts,
-   whose leaders are trivially the nodes themselves.
+   candidate election, drawn from the attempt's seed); Boruvka itself
+   restarts from singleton parts, whose leaders are trivially the nodes
+   themselves.
 
 Accounting rule (the load-bearing one, mirroring the synchronizer-tax
 rule of PR 5): the **main ledger carries exactly what the fault-free
@@ -297,7 +298,7 @@ class RecoveryDriver:
         """The attempt / taint / await loop, once for every workload.
 
         ``run(attempt, solver)`` runs the workload on a solver built for
-        the attempt — a fresh BFS tree and flood-min leader on the shared
+        the attempt — a fresh BFS tree and elected leader on the shared
         engine, seed ``self.seed + attempt`` — and returns a result whose
         ``ledger`` carries that solver's tree ledger under ``tree:``, so a
         tainted attempt's whole cost is one merge under ``attempt{k}:``.

@@ -23,7 +23,16 @@ heartbeat windows' beacons moved with it, and the healed aggregates did
 not.  All of them moved once more when the token wave began to hand a
 token on in the tick a node gains it and never back to a neighbor that
 sent it: only ``pa_wave`` / ``pa_reverse`` / ``pa_replay`` records moved,
-each to fewer or equal time units and acks.  The schedule table
+each to fewer or equal time units and acks.  The randomized log and the
+fault-plan log moved again when only self-sampled candidates began to
+start the election's flood: the ``leader_election`` record carries
+fewer acks (179 -> 113) but more pulses (61 -> 72 time units, safes 480
+-> 560), because the least candidate's flood reaches the last node
+later than the least uid's did, and every other record of the
+randomized log is the captured one.  Under the fault plan the longer
+election moves every later phase against the plan's global pulses, so
+the head's drop counts, its acks and the re-election tail moved with
+it; the healed aggregates did not.  The schedule table
 repeats ``bench_async::test_pa_schedules`` as committed in
 ``BENCH_baseline.json``.
 """
@@ -56,15 +65,15 @@ def _tuples(log):
 # ---------------------------------------------------------------------------
 #: label -> (schedule, time-units, control messages, max skew).
 BENCH_ASYNC_ROWS = {
-    "sync": (lambda: make_schedule("sync"), 150, 10917, 0),
+    "sync": (lambda: make_schedule("sync"), 147, 10376, 0),
     "random d<=4": (
-        lambda: make_schedule("random", seed=5, max_delay=4), 517, 10917, 2),
+        lambda: make_schedule("random", seed=5, max_delay=4), 493, 10376, 2),
     "slow-edge 25%/d8": (
         lambda: make_schedule(
             "slow-edge", seed=9, slow_fraction=0.25, slow_delay=8),
-        854, 10917, 4),
+        803, 10376, 4),
     "fifo d<=4": (
-        lambda: make_schedule("fifo", seed=5, max_delay=4), 517, 10917, 2),
+        lambda: make_schedule("fifo", seed=5, max_delay=4), 493, 10376, 2),
 }
 
 
@@ -77,7 +86,7 @@ def test_bench_async_pa_table(label):
     session = PASession(net, solver=PASolver(net, seed=7, schedule=make()))
     res = session.solve(session.prepare(partition), values, SUM)
     res.ledger.merge(session.tree_ledger, prefix="tree:")
-    assert (res.rounds, res.messages) == (44, 1061)
+    assert (res.rounds, res.messages) == (43, 744)
     phases = session.async_overhead.phases()
     assert sum(p.rounds for p in phases) == time_units
     assert sum(p.messages for p in phases) == control
@@ -96,7 +105,7 @@ def _instance():
 
 #: ``(time_units, max_skew, safe_messages, ack_messages)`` per phase.
 AGGREGATES = {0: 63, 1: 98, 2: 105, 3: 82, 4: 30}
-RANDOMIZED = [(61, 2, 480, 179), (14, 1, 80, 24), (46, 2, 400, 44), (2, 0, 0, 0),
+RANDOMIZED = [(72, 2, 560, 113), (14, 1, 80, 24), (46, 2, 400, 44), (2, 0, 0, 0),
  (38, 1, 320, 20), (2, 0, 0, 0), (43, 2, 400, 24), (40, 1, 400, 24),
  (43, 2, 400, 20)]
 DETERMINISTIC = [(61, 2, 480, 179), (14, 1, 80, 24), (2, 0, 0, 0),
@@ -126,9 +135,9 @@ DETERMINISTIC = [(61, 2, 480, 179), (14, 1, 80, 24), (2, 0, 0, 0),
  (29, 1, 240, 20), (2, 0, 0, 0), (2, 0, 0, 0), (56, 2, 480, 24),
  (13, 1, 80, 24), (56, 2, 480, 24), (102, 2, 960, 40), (2, 0, 0, 0),
  (43, 2, 400, 24), (40, 1, 400, 24), (43, 2, 400, 20)]
-FAULTY_HEAD = [(64, 2, 480, 173), (55, 5, 200, 91), (84, 1, 640, 421), (86, 1, 640, 495)]
-FAULTY_HEAD_REPORTS = [(24, 24, 8, 0, 0, 0), (25, 25, 8, 1, 1, 0), (119, 119, 0, 5, 1, 4),
- (65, 65, 0, 0, 0, 0)]
+FAULTY_HEAD = [(73, 2, 536, 100), (55, 5, 200, 99), (84, 1, 640, 429), (86, 1, 640, 503)]
+FAULTY_HEAD_REPORTS = [(18, 18, 8, 0, 0, 0), (17, 17, 8, 1, 1, 0), (115, 115, 0, 4, 1, 3),
+ (57, 57, 0, 0, 0, 0)]
 #: The tail is the Algorithm 9 re-election: many solves a setup, routed
 #: after each setup's first since PR 20 (247 phases / (3396, 5, 26496,
 #: 4243) before), and each first solve's replay on the forest it just
@@ -141,11 +150,14 @@ FAULTY_HEAD_REPORTS = [(24, 24, 8, 0, 0, 0), (25, 25, 8, 1, 1, 0), (119, 119, 0,
 #: unmoved.  A routed solve's reversal and replay became one all-reduce:
 #: 187 -> 127 records, (2544, 5, 19160, 3362) -> (2244, 5, 16760, 3362) —
 #: each merged record the pair's acks and payloads in no more time
-#: units, every other record equal, the head unmoved.
+#: units, every other record equal, the head unmoved.  The candidate
+#: election: 127 records, (2244, 5, 16760, 3362) -> (2249, 5, 16816,
+#: 3231), the head's election record and drop counts moved with the
+#: longer election (see the module docstring).
 FAULTY_PHASES = 127
-FAULTY_TOTALS = (2244, 5, 16760, 3362)
+FAULTY_TOTALS = (2249, 5, 16816, 3231)
 FAULTY_SHA256 = (
-    "d78538f7f994d0f78af2bac428e0de54b00efb45096a4629313fd816d2490d6c"
+    "562b90dbcf49bcec1b16b2419e3916295cdae05f53ee1a0728e74ad8984a2ff2"
 )
 
 

@@ -119,19 +119,22 @@ def test_delay_only_user_schedule_matches_the_per_message_engine():
     the seventh and eighth — ``pa_wave`` and ``pa_reverse`` — when the
     token wave began to hand a token on in the tick a node gains it and
     never back to a neighbor that sent it ((38, 1, 192, 14) and (34, 1,
-    192, 14) before, 23 / 207 in all)."""
+    192, 14) before, 23 / 207 in all); the first and second —
+    ``leader_election`` and ``child_ack`` — when only self-sampled
+    candidates began to start the election's flood ((60, 1, 288, 115)
+    and (14, 1, 48, 15) before, 21 / 205 in all)."""
     net = grid_2d(4, 4)
     partition = bfs_ball_partition(net, target_size=5, seed=3)
     values = [(v * 5 + 1) % 31 for v in range(net.n)]
     solver = PASolver(net, seed=7, schedule=_EdgeParity())
     res = solve_pa(net, partition, values, SUM, seed=7, solver=solver)
     assert res.aggregates == {0: 64, 1: 80, 2: 58, 3: 11}
-    assert (res.rounds, res.messages) == (21, 205)
+    assert (res.rounds, res.messages) == (20, 153)
     assert [
         (o.time_units, o.max_skew, o.safe_messages, o.ack_messages)
         for o in solver.engine.overhead_log
     ] == [
-        (60, 1, 288, 115), (14, 1, 48, 15), (30, 2, 144, 25), (2, 0, 0, 0),
+        (52, 1, 240, 63), (10, 1, 48, 15), (30, 2, 144, 25), (2, 0, 0, 0),
         (19, 2, 96, 12), (2, 0, 0, 0), (29, 1, 144, 13), (24, 1, 144, 13),
         (29, 1, 144, 12),
     ]

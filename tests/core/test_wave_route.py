@@ -355,12 +355,15 @@ def _random(n, parts, seed):
 
 #: ``(instance, mode, keys, digest)``: the forest a setup's first solve
 #: learns, pinned from the wave that hands a token on in the tick it gains
-#: it and never back to a neighbor that sent it.
+#: it and never back to a neighbor that sent it.  The second instance
+#: was recaptured (422 keys before) when only self-sampled candidates
+#: began to start the election's flood: the candidate draw comes first
+#: off the solver's random stream, so its division and shortcut moved.
 FOREST_PINS = [
     (lambda: _rows_as_parts(8, 12), RANDOMIZED, 96,
      "71e0bdbcfe022663ef67c4953692b1af251e91800ab3fb00c78bc61dd159558f"),
-    (lambda: _balls(256, 11), RANDOMIZED, 422,
-     "797a0d5e6907223e04c95946acc3e97d6529368ba48de264fed3bc2ec4f7a79a"),
+    (lambda: _balls(256, 11), RANDOMIZED, 461,
+     "534f664d5d0365c3a9c2d602afc7975ca9b4c0e5eb5a7872c6ed13708c1b0a11"),
     (lambda: _balls(256, 5), DETERMINISTIC, 275,
      "f5d737d796f6564b9a4979120a8fe1d990e7b44a72d7fce981cdfe3ba38fb746"),
     (lambda: _random(48, 5, 7), DETERMINISTIC, 53,

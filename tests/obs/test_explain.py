@@ -239,10 +239,10 @@ def test_envelopes_come_from_the_pa_net_instant(mst_trace):
     assert totals.rounds == max(t.rounds for t in report.families.values())
     # the figures this run prints
     assert (
-        "round slack 16.85: owned by relabel_allreduce (21.9% of rounds)"
+        "round slack 16.77: owned by relabel_allreduce (22.0% of rounds)"
     ) in text
     assert (
-        "message slack 36.90: owned by mst_neighbor_exchange (17.6% of messages)"
+        "message slack 33.18: owned by mst_neighbor_exchange (19.6% of messages)"
     ) in text
     assert owner == "relabel_allreduce"
 

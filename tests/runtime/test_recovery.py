@@ -191,12 +191,12 @@ def test_tainted_mst_attempt_charges_its_tree_election_once():
         for p in recovery.phases() if ":tree:" in p.name
     ]
     assert tree == [
-        ("attempt1:tree:leader_election", 4, 193),
+        ("attempt1:tree:leader_election", 4, 94),
         ("attempt1:tree:child_ack", 1, 19),
     ]
-    assert (recovery.rounds, recovery.messages) == (293, 3870)
+    assert (recovery.rounds, recovery.messages) == (292, 3717)
     main = res.ledger
-    assert (len(main.phases()), main.rounds, main.messages) == (124, 341, 3017)
+    assert (len(main.phases()), main.rounds, main.messages) == (124, 341, 2936)
 
 
 @pytest.mark.parametrize("opt_ins", [{}, {"reuse": True}])
@@ -307,16 +307,22 @@ def test_a_lost_target_answer_is_a_fragment_that_stays_put(workload, rate):
     of the second phase's ``mst_target_exchange`` and the fragments that
     did not hear stay where they are for a round — the tree is still
     Kruskal's, never a wrong join — and under the driver the attempt is
-    tainted and recomputed."""
+    tainted and recomputed.  At a partial loss rate not every loss seed
+    hits an answer that carried a join (the premise): the test runs on
+    the first seed from 3 on whose losses do, and there is one."""
     net, _part, _values = workload
     reference = frozenset(kruskal_mst(net))
     _clean, clean_rounds, _engine = _mst_under(net, FaultPlan())
     base = _pulse_of(net, "mst_target_exchange", occurrence=1)
-    plan = FaultPlan(losses=(
-        MessageLoss(rate=rate, seed=3, start=base + 1, end=base + 2),
-    ))
-
-    result, rounds, engine = _mst_under(net, plan)
+    for seed in range(3, 35):
+        plan = FaultPlan(losses=(
+            MessageLoss(rate=rate, seed=seed, start=base + 1, end=base + 2),
+        ))
+        result, rounds, engine = _mst_under(net, plan)
+        if rounds[1]["joins"] < clean_rounds[1]["joins"]:
+            break
+    else:
+        pytest.fail(f"no loss seed at rate {rate} hit an answer with a join")
     assert result.output == reference
     hit = [r for r in engine.fault_log if r.affected]
     assert [r.phase for r in hit] == ["mst_target_exchange"]
