@@ -49,7 +49,7 @@ from ..core.star_joining import (
     rank_joins,
     spread_seed,
 )
-from ..core.treeops import cross_round, run_convergecast
+from ..core.treeops import announce_labels, cross_round, run_convergecast
 from ..runtime import PASession, ensure_session
 
 RANK = "rank"
@@ -94,25 +94,20 @@ def minimum_spanning_tree(
 
     max_phases = 4 * ceil_log2(n) + 8
 
+    # Every node knows which neighbors are outside its fragment (the PA
+    # input knowledge of Definition 1.1): one round on every edge to begin
+    # with; after that the session's part exchange tells each node of the
+    # neighbors a merge relabelled, as it prepares each phase's setup.
+    announce_labels(
+        solver.engine, net, net.array_views.uid, ledger,
+        "mst_neighbor_exchange",
+    )
     prev_setup = None
-    announce = 2 * net.m  # messages of the next phase's neighbor exchange
     for phase in range(1, max_phases + 1):
         partition = partition_from_component_labels(comp)
         if partition.num_parts == 1:
             break
         leaders = [leader_of[members[0]] for members in partition.members]
-
-        # Every node knows which neighbors are outside its fragment (the
-        # PA input knowledge of Definition 1.1): one announce round on
-        # every edge to begin with, and after that a node tells its
-        # neighbors its fragment id again only when the id has changed —
-        # nothing at all after a phase that merged nobody.
-        if announce:
-            ledger.charge_local(
-                "mst_neighbor_exchange", rounds=1, messages=announce
-            )
-        announce = 0
-
         setup = session.prepare_incremental(prev_setup, partition, leaders=leaders)
         ledger.merge(setup.setup_ledger, prefix=f"phase{phase}_setup:")
         prev_setup = setup
@@ -181,7 +176,6 @@ def minimum_spanning_tree(
             for v in partition.members[sid]:
                 comp[v] = new_rep
                 leader_of[v] = new_leader
-                announce += len(net.neighbors[v])
 
         # Termination detection: convergecast "any fragment still active"
         # over the global BFS tree (O(D) rounds, O(n) messages).

@@ -21,6 +21,8 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..congest.engine import Engine
 from ..congest.ledger import CostLedger, RunResult
 from ..congest.message import ceil_log2
@@ -28,7 +30,12 @@ from ..congest.network import Network, canonical_edge
 from ..core.aggregation import MIN_TUPLE
 from ..core.spanning_tree import elect_leader_and_bfs_tree
 from ..core.star_joining import SuperEdge, note_merge_round, rank_joins, spread_seed
-from ..core.treeops import BroadcastProgram, ConvergecastProgram, MergeFloodProgram
+from ..core.treeops import (
+    BroadcastProgram,
+    ConvergecastProgram,
+    MergeFloodProgram,
+    announce_labels,
+)
 from ..core.trees import ROOT, RootedForest
 
 
@@ -54,13 +61,22 @@ def ghs_mst(net: Network, seed: int = 0) -> RunResult:
     mst_edges: Set[Tuple[int, int]] = set()
 
     max_phases = 4 * ceil_log2(n) + 8
+    # Who relabelled in the last merge, and the fragments it merged.
+    relabelled: Optional[np.ndarray] = None
+    old_comp: Optional[np.ndarray] = None
     for phase in range(1, max_phases + 1):
         if len(set(comp)) == 1:
             break
         forest = RootedForest(net, parent)
 
-        # Node-local neighbor knowledge refresh.
-        ledger.charge_local("ghs_neighbor_exchange", rounds=1, messages=2 * net.m)
+        # Neighbor knowledge: every node tells every neighbor its fragment
+        # id once; after that only the relabelled nodes speak, and only to
+        # neighbors outside their old fragment (``ghs_merge`` told the
+        # rest) — the session's part-exchange rule.
+        announce_labels(
+            engine, net, net.array_views.uid[comp], ledger,
+            "ghs_neighbor_exchange", changed=relabelled, old_part=old_comp,
+        )
 
         # MOE search by convergecast over each fragment tree; a candidate
         # names the fragment (its root's uid) the far endpoint announced.
@@ -107,8 +123,10 @@ def ghs_mst(net: Network, seed: int = 0) -> RunResult:
         ledger.charge(engine.run(merger, max_ticks=n + 4))
         for node, new_parent in merger.new_parent.items():
             parent[node] = new_parent
+        old_comp = np.asarray(comp, dtype=np.int64)
         for node, (comp_uid,) in merger.new_label.items():
             comp[node] = net.node_of_uid(comp_uid)
+        relabelled = old_comp != np.asarray(comp, dtype=np.int64)
 
     if len(set(comp)) != 1:
         raise RuntimeError("GHS baseline did not converge")

@@ -25,6 +25,8 @@ Costs (metered, but also the design targets):
   (each node announces its claim once per incident edge, less the
   neighbors whose claims reached it, plus one parent-ack).
 * :func:`cross_round` — 1 round, one message per send.
+* :func:`announce_labels` — a :func:`cross_round`: one message per
+  (changed node, neighbor it has to tell); no round when nobody sends.
 * :func:`flood_min` — O(D) rounds to quiescence; messages metered.
 """
 
@@ -465,6 +467,38 @@ def cross_round(
         engine, ledger, name, CrossRoundArrayKernel, CrossRoundProgram,
         (sends,), 2,
     )
+
+
+def announce_labels(
+    engine: Engine,
+    net: Network,
+    labels: np.ndarray,
+    ledger: CostLedger,
+    name: str,
+    changed: Optional[np.ndarray] = None,
+    old_part: Optional[np.ndarray] = None,
+):
+    """One :func:`cross_round` in which nodes tell their neighbors a label.
+
+    ``labels`` is an int64 array, one per node (a part's leader uid, a
+    fragment's id).  The senders are the ``changed`` nodes (a bool per
+    node; ``None``: every node), each to every neighbor — or, given the
+    ``old_part`` of a merge-only relabelling, to its neighbors outside its
+    own old part only: those learned the same new label from the merge
+    that told the sender.  The send lists are cut from the CSR slot
+    arrays.  Returns the finished program, or ``None`` when nobody sends:
+    then no phase runs and no round is charged.
+    """
+    views = net.array_views
+    src, dst = views.src_of_slot, views.adj
+    keep = np.ones(src.size, dtype=bool) if changed is None else changed[src]
+    if old_part is not None:
+        keep &= old_part[src] != old_part[dst]
+    src, dst = src[keep], dst[keep]
+    if not src.size:
+        return None
+    payloads = PayloadColumns([labels[src]], bare=True)
+    return cross_round(engine, (src, dst, payloads), ledger, name=name)
 
 
 def flood_min(

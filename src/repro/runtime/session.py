@@ -29,15 +29,21 @@ provider) and adds four opt-in capabilities on top:
 A fresh prepare, a projection, its rebuild and an edge repair are one
 construction, ``PASolver._build``, over a carried base and a set of dirty
 parts the session computes (docs/architecture.md, "One prepare body").
-With both flags off (the default) every call delegates verbatim to the
-underlying solver: same code path, same randomness, same ledger entries,
-bit for bit — pinned by tests/runtime/test_session.py.
+Every setup ``prepare_incremental`` builds over a previous one — carried,
+rebuilt or fresh — opens with one engine-run ``part_exchange`` round, the
+only place a node learns its neighbors' new parts: the nodes whose part
+leader changed send the new leader's uid, after a merge only to neighbors
+outside their old part.  A cache hit sends nothing; every node held that
+partition before and remembers its neighbors' parts under it.
+
+With both flags off (the default) every call but that exchange delegates
+verbatim to the underlying solver: same code path, same randomness, same
+ledger entries, bit for bit — pinned by tests/runtime/test_session.py.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
@@ -56,6 +62,7 @@ from ..core.pa import (
 )
 from ..core.shortcuts import relabel_shortcut
 from ..core.subparts import SubPartDivision
+from ..core.treeops import announce_labels
 from ..core.trees import ROOT, RootedForest
 from ..graphs.partitions import Partition, validate_partition
 
@@ -144,6 +151,7 @@ def _carry(
     partition: Partition,
     image: Sequence[Sequence[int]],
     leaders: Tuple[int, ...],
+    ledger: CostLedger,
 ) -> PASetup:
     """What ``previous`` hands a setup for ``partition`` through
     ``image`` (:func:`_partition_image`), on the solver's current network
@@ -156,9 +164,9 @@ def _carry(
     2. The sub-part forest is cut where a parent edge now crosses parts,
        the orphaned child representing its subtree (nothing is cut under
        merges).
-    3. If some part merged or split, its members spend one round
-       (``{coarsen,refine}_boundary_exchange``) telling their neighbors
-       their new part id — what the division's wave boundary is read from.
+    3. Its ledger is ``ledger``: what the caller charged before the
+       carry — the part exchange (:func:`_part_exchange`) that told the
+       nodes their neighbors' new part ids, the division's wave boundary.
 
     Each part's bound is what the previous ones imply: a union of edge
     sets has at most as many components as its terms in total, and a
@@ -176,18 +184,6 @@ def _carry(
         forest = RootedForest(net, fparent.tolist())
         rep_of = tuple(forest.plan.root_of.tolist())
 
-    ledger = CostLedger()
-    fan_in = Counter(new_pid for new_pids in image for new_pid in new_pids)
-    touched = sum(
-        previous.partition.size_of(old_pid)
-        for old_pid, new_pids in enumerate(image)
-        if len(new_pids) > 1 or fan_in[new_pids[0]] > 1
-    )
-    if touched:
-        ledger.charge_local(
-            f"{_kind(image)}_boundary_exchange", rounds=1,
-            messages=2 * touched,
-        )
     bound = [0] * partition.num_parts
     for old_pid, new_pids in enumerate(image):
         for new_pid in new_pids:
@@ -207,6 +203,43 @@ def _carry(
         setup_ledger=ledger,
         block_bound=tuple(bound),
     )
+
+
+def _part_exchange(
+    solver: PASolver,
+    previous: PASetup,
+    partition: Partition,
+    image: Optional[Sequence[Sequence[int]]],
+    leaders: Optional[Sequence[int]],
+) -> CostLedger:
+    """The ``part_exchange`` a setup built over ``previous`` opens with.
+
+    A node *changed* when its new part's leader is not its old part's;
+    each changed node sends its new leader's uid, in one
+    :func:`~repro.core.treeops.announce_labels` round.  Under a
+    merge-only ``image`` it tells only the neighbors outside its old part
+    (its old part-mates heard the same id from the merge broadcast that
+    told it); under a split, or no image, every neighbor.  Nobody changed
+    means no phase.  A ``previous`` over another node set is no
+    predecessor: nothing is sent.
+    """
+    ledger = CostLedger()
+    net = solver.net
+    old, new = previous.partition.part_of, partition.part_of
+    if not len(old) == len(new) == net.n:
+        return ledger
+    leaders = solver.checked_leaders(partition, leaders)
+    old_part = np.asarray(old, dtype=np.int64)
+    new_leader = np.asarray(leaders, dtype=np.int64)[
+        np.asarray(new, dtype=np.int64)
+    ]
+    changed = new_leader != np.asarray(previous.leaders, dtype=np.int64)[old_part]
+    announce_labels(
+        solver.engine, net, net.array_views.uid[new_leader], ledger,
+        "part_exchange", changed=changed,
+        old_part=old_part if image and _kind(image) == "coarsen" else None,
+    )
+    return ledger
 
 
 @dataclass
@@ -481,23 +514,37 @@ class PASession:
     ) -> PASetup:
         """``prepare`` that may carry ``previous`` over instead of rebuilding.
 
-        With ``reuse`` off (or no usable ``previous``) this is exactly
-        :meth:`prepare`; with ``reuse`` on and ``partition`` a merge-only
-        coarsening or a split-only refinement of ``previous``'s, the
-        previous machinery is carried over (:meth:`_prepare`).  Either way
-        the setup is correct for PA over ``partition``; only its cost
-        differs.
+        With no ``previous`` this is exactly :meth:`prepare`.  Otherwise a
+        setup it builds opens with the part exchange
+        (:func:`_part_exchange`): the nodes whose part leader changed tell
+        their neighbors the new one.  With ``reuse`` on and ``partition``
+        a merge-only coarsening or a split-only refinement of
+        ``previous``'s, the previous machinery is carried over
+        (:meth:`_prepare`); with ``reuse`` off, or no such relation, the
+        build is a fresh one.  A cache hit sends nothing: every node held
+        that partition before and remembers its neighbors' parts under
+        it.  Either way the setup is correct for PA over ``partition``;
+        only its cost differs.
         """
-        if not self.reuse or previous is None:
+        if previous is None:
             return self.prepare(partition, leaders=leaders)
-        key = partition_fingerprint(partition, leaders)
-        cached = self._cache_hit(key)
-        if cached is not None:
-            return cached
+        key = partition_fingerprint(partition, leaders) if self.reuse else None
+        if key is not None:
+            cached = self._cache_hit(key)
+            if cached is not None:
+                return cached
         image = _partition_image(previous.partition, partition)
-        if image is None:
-            return self.prepare(partition, leaders=leaders)
-        setup = self._prepare(partition, leaders, previous, image)
+        exchange = _part_exchange(
+            self.solver, previous, partition, image, leaders
+        )
+        if key is None or image is None:
+            setup = self._prepare(partition, leaders, ledger=exchange)
+            if key is not None:
+                self._cache[key] = setup
+            return setup
+        setup = self._prepare(
+            partition, leaders, previous, image, ledger=exchange
+        )
         self._coarsened_keys.add(key)  # either direction
         self._cache[key] = setup
         if _kind(image) == "refine":
@@ -522,6 +569,7 @@ class PASession:
         previous: Optional[PASetup] = None,
         image: Optional[Sequence[Sequence[int]]] = None,
         dirty: Collection[int] = (),
+        ledger: Optional[CostLedger] = None,
     ) -> PASetup:
         """The session's one construction, traced and counted.
 
@@ -539,7 +587,9 @@ class PASession:
           ``max(previous c, general-graph envelope)``: every part again,
           charged under ``rebuild:`` after the carry's own phases.
 
-        One ``session.prepare`` span reports the outcome (``full``,
+        The setup ledger opens with ``ledger``'s phases, the part exchange
+        :meth:`prepare_incremental` ran (none when not given).  One
+        ``session.prepare`` span reports the outcome (``full``,
         ``coarsened``, ``refined`` or ``rebuild``; ``verified``
         ``implied`` or ``ran``; ledger totals, largest bound, (b, c),
         sub-parts), and the counters are read off it.
@@ -551,13 +601,17 @@ class PASession:
         kind = None if fresh else _kind(image)
         with current_tracer().span("session.prepare", "session") as args:
             args["outcome"] = _OUTCOMES[kind]
+            opening = CostLedger() if ledger is None else ledger
             base = None if fresh else _carry(
                 solver, previous, partition, image,
-                solver.checked_leaders(partition, leaders),
+                solver.checked_leaders(partition, leaders), opening,
             )
             setup = solver._build(
                 partition, leaders, self.shortcut_provider, base, dirty
             )
+            if base is None and opening.phases():
+                opening.merge(setup.setup_ledger)
+                setup.setup_ledger = opening
             if base is not None:
                 budget, counts = self.block_budget(), setup.block_bound
                 implied = max(counts) <= budget
@@ -746,7 +800,7 @@ class PASession:
                     validate_partition(new_net, setup.partition)
                 carried = _carry(
                     self.solver, setup, setup.partition, identity,
-                    setup.leaders,
+                    setup.leaders, CostLedger(),
                 )
             except (InvalidPartitionError, ValueError):
                 # A part lost its connectivity, or the carried forest a

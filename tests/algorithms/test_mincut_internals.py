@@ -100,7 +100,7 @@ def test_one_respecting_cut_value_is_real_cut(weighted_random):
 #: both engines — on the array engine that phase is now a kernel.
 #: Recaptured when a setup began to learn its route (PR 20: the packing's
 #: Boruvka phases make three solves a setup, two of them routed now, and
-#: ``mst_neighbor_exchange`` charges relabelled nodes only) and when a
+#: a later phase's neighbor exchange charges relabelled nodes only) and when a
 #: learning solve began to replay on its forest and a build to return its
 #: last verified candidate (PR 21: every phase's fresh prepare loses one
 #: ``annotate_blocks``, every first solve's ``_replay`` runs at the forest
@@ -120,17 +120,21 @@ def test_one_respecting_cut_value_is_real_cut(weighted_random):
 #: began to start the election's flood (``tree:leader_election`` fell;
 #: the candidate draw comes first off the solver's random stream and the
 #: tree's root moved, so every randomized draw and the diameter estimate
-#: after it moved too); cut values equal, CHANGES lists old -> new.
+#: after it moved too) and when the neighbor exchange of every phase after
+#: the first became the session's engine-run ``part_exchange`` (a
+#: relabelled node tells only its neighbors outside its old fragment: only
+#: that phase moved, in messages); cut values equal, CHANGES lists
+#: old -> new.
 MINCUT_PINS = {
     "grid6x7": (
         lambda: with_distinct_weights(grid_2d(6, 7), seed=4),
-        (32, 293, 1470, 11811,
-         "f2a84b36d046d6c9930dd0621080a87af8b5f226b0d257f4181efc7021332c04"),
+        (32, 293, 1470, 11217,
+         "33f28580bc27b9fd932069bdf86915629d60d3965608bf767822662b80c21559"),
     ),
     "reg48": (
         lambda: with_distinct_weights(random_regular(48, 4, seed=7), seed=4),
-        (75, 262, 1201, 14393,
-         "193cfc41010ba75ab5d27e707cd2106dc37fc489162cd332b4010e22dd0f8133"),
+        (75, 262, 1201, 14033,
+         "584f0b1714da00bb3350e7f7310f1e2862b44486053ece7ef1e9af05a7878843"),
     ),
 }
 

@@ -24,8 +24,16 @@ no more rounds when a reused solve became one all-reduce on the forest.
 The randomized rebuild's ``leader_election`` moved (8 / 273 -> 9 / 141)
 when only self-sampled candidates began to start the election's flood:
 the least candidate's flood takes a round longer to reach the last node
-than the least uid's did, with half the messages.  Every projection and
-report literal is the captured one.
+than the least uid's did, with half the messages.  Each projection's
+formula-charged ``{coarsen,refine}_boundary_exchange`` (1 round, two
+messages per member of a merged or split part: 24) became the engine-run
+``part_exchange``, where only the nodes whose part leader changed speak:
+after the merge the six nodes of the row that lost its leader tell their
+neighbors outside the old row (12), after the split the half that lost
+it tells every neighbor (19), and after the re-merge of the bottom
+rows each node of the one that lost its leader tells its one neighbor
+in the other row (6).
+Every other projection and report literal is the captured one.
 """
 
 import pytest
@@ -98,13 +106,13 @@ def _run_sequence(mode):
 
 
 EXPECTED = {'randomized': {'prepare': (4, 11, 90),
-                'merge': [('coarsen_boundary_exchange', 1, 24),
+                'merge': [('part_exchange', 1, 12),
                           ('annotate_blocks', 0, 0)],
                 'merge:batch': [('pa_batch_wave', 6, 36),
                                 ('pa_batch_reverse', 6, 36),
                                 ('pa_batch_replay', 6, 31)],
                 'merge:int': [('pa_allreduce', 8, 62)],
-                'split': [('refine_boundary_exchange', 1, 24),
+                'split': [('part_exchange', 1, 19),
                           ('annotate_blocks', 0, 0)],
                 'split:batch': [('pa_batch_wave', 6, 34),
                                 ('pa_batch_reverse', 6, 34),
@@ -116,7 +124,7 @@ EXPECTED = {'randomized': {'prepare': (4, 11, 90),
                               ('pa_batch_reverse', 6, 37),
                               ('pa_batch_replay', 6, 30)],
                 'add:int': [('pa_allreduce', 6, 60)],
-                'remerge': [('coarsen_boundary_exchange', 1, 24),
+                'remerge': [('part_exchange', 1, 6),
                             ('annotate_blocks', 0, 0)],
                 'remerge:batch': [('pa_batch_wave', 7, 43),
                                   ('pa_batch_reverse', 7, 43),
@@ -143,13 +151,13 @@ EXPECTED = {'randomized': {'prepare': (4, 11, 90),
                           'graph_rebuilds': 1,
                           'repair_evictions': 3}},
  'deterministic': {'prepare': (166, 203, 1282),
-                   'merge': [('coarsen_boundary_exchange', 1, 24),
+                   'merge': [('part_exchange', 1, 12),
                              ('annotate_blocks', 0, 0)],
                    'merge:batch': [('pa_batch_wave', 6, 36),
                                    ('pa_batch_reverse', 6, 36),
                                    ('pa_batch_replay', 6, 31)],
                    'merge:int': [('pa_allreduce', 8, 62)],
-                   'split': [('refine_boundary_exchange', 1, 24),
+                   'split': [('part_exchange', 1, 19),
                              ('annotate_blocks', 0, 0)],
                    'split:batch': [('pa_batch_wave', 6, 34),
                                    ('pa_batch_reverse', 6, 34),
@@ -161,7 +169,7 @@ EXPECTED = {'randomized': {'prepare': (4, 11, 90),
                                  ('pa_batch_reverse', 6, 37),
                                  ('pa_batch_replay', 6, 30)],
                    'add:int': [('pa_allreduce', 6, 60)],
-                   'remerge': [('coarsen_boundary_exchange', 1, 24),
+                   'remerge': [('part_exchange', 1, 6),
                                ('annotate_blocks', 0, 0)],
                    'remerge:batch': [('pa_batch_wave', 7, 43),
                                      ('pa_batch_reverse', 7, 43),

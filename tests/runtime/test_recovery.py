@@ -194,9 +194,12 @@ def test_tainted_mst_attempt_charges_its_tree_election_once():
         ("attempt1:tree:leader_election", 4, 94),
         ("attempt1:tree:child_ack", 1, 19),
     ]
-    assert (recovery.rounds, recovery.messages) == (292, 3717)
+    # (292, 3717) and (124, 341, 2936) before a later phase's neighbor
+    # exchange became the session's engine-run ``part_exchange``: a
+    # relabelled node now tells only its neighbors outside its old fragment.
+    assert (recovery.rounds, recovery.messages) == (292, 3642)
     main = res.ledger
-    assert (len(main.phases()), main.rounds, main.messages) == (124, 341, 2936)
+    assert (len(main.phases()), main.rounds, main.messages) == (124, 341, 2806)
 
 
 @pytest.mark.parametrize("opt_ins", [{}, {"reuse": True}])
