@@ -6,9 +6,9 @@ ratio and the packed-tree count (the poly(1/eps) driver).
 """
 
 from repro.algorithms import approx_min_cut
-from repro.analysis import stoer_wagner_min_cut
+from repro.analysis import cut_weight, stoer_wagner_min_cut
 from repro.bench import print_table, record
-from repro.graphs import cut_weight, grid_2d, with_planted_cut
+from repro.graphs import grid_2d, with_planted_cut
 
 
 def test_mincut_eps_sweep():

@@ -15,6 +15,7 @@ from repro.algorithms import (
     verify_cycle_containment,
     verify_spanning_tree,
     verify_st_connectivity,
+    verify_st_cut,
 )
 from repro.analysis import kruskal_mst
 from repro.bench import print_table, record
@@ -36,6 +37,10 @@ def test_verification_suite():
                 net, list(net.edges), seed=29
             ),
             "cut": verify_cut(net, tree[:2], seed=30),
+            # Every edge at s = 0: the one cut that must separate s from t.
+            "s-t cut": verify_st_cut(
+                net, [e for e in net.edges if 0 in e], 0, 1, seed=32
+            ),
             "bipartiteness(T)": verify_bipartiteness(net, tree, seed=31),
         }
         rows = [
@@ -54,6 +59,7 @@ def test_verification_suite():
     assert runs["connectivity(half)"].output is False
     assert runs["spanning tree"].output is True
     assert runs["cycle containment"].output is True
+    assert runs["s-t cut"].output is True
     assert runs["bipartiteness(T)"].output is True
     envelope = (net.diameter_estimate() + math.sqrt(net.n)) * math.log2(net.n) ** 2
     for name, run in runs.items():

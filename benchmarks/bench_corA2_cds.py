@@ -6,14 +6,13 @@ O(log n)-approximation anchor) across workloads.
 """
 
 from repro.algorithms import connected_dominating_set
-from repro.analysis import greedy_dominating_set_size
-from repro.bench import print_table, record
-from repro.graphs import (
-    grid_2d,
+from repro.analysis import (
+    greedy_dominating_set_size,
     induces_connected_subgraph,
     is_dominating_set,
-    random_connected,
 )
+from repro.bench import print_table, record
+from repro.graphs import grid_2d, random_connected
 
 
 def test_cds_quality():

@@ -6,8 +6,9 @@ realized radius.
 """
 
 from repro.algorithms import k_dominating_set
+from repro.analysis import is_k_dominating_set
 from repro.bench import print_table, record
-from repro.graphs import grid_2d, is_k_dominating_set
+from repro.graphs import grid_2d
 
 
 def test_kdominating_sweep():

@@ -437,8 +437,7 @@ class ArrayContext:
         "tick",
         "capacity",
         "rounds_per_tick",
-        "strict_bits",
-        "strict_edges",
+        "strict",
         "bit_limit",
         "_src_parts",
         "_dst_parts",
@@ -452,8 +451,7 @@ class ArrayContext:
     def __init__(
         self,
         network,
-        strict_bits: bool,
-        strict_edges: bool,
+        strict: bool,
         capacity: int,
         rounds_per_tick: int,
     ) -> None:
@@ -463,17 +461,18 @@ class ArrayContext:
         self.tick = 0
         self.capacity = capacity
         self.rounds_per_tick = rounds_per_tick
-        self.strict_bits = strict_bits
-        self.strict_edges = strict_edges
+        #: Both audits (edge membership and bit budget), one flag: the
+        #: engine's ``strict_bits`` and ``strict_edges`` are always equal.
+        self.strict = strict
         self.bit_limit = network.message_bits
         self._src_parts: List[np.ndarray] = []
         self._dst_parts: List[np.ndarray] = []
         self._col_parts: List[Dict[str, np.ndarray]] = []
         self._sent = 0
         # Cumulative payload bits of all emissions this phase; maintained
-        # only under ``strict_bits`` (the audit materializes the per-row
-        # bit column anyway), 0 when untracked — same rule as the scalar
-        # Context.
+        # only under ``strict`` (the audit materializes the per-row bit
+        # column anyway), 0 when untracked — same rule as the scalar
+        # contexts.
         self._bits = 0
         self._wake_parts: List[np.ndarray] = []
         self._timers: Dict[int, List[np.ndarray]] = {}
@@ -495,7 +494,7 @@ class ArrayContext:
         schema across a phase.  Emission order is the wire order: it must
         match the scalar program's ``ctx.send`` order, and it is what the
         audits report against.  ``bits`` (per-message payload bit counts)
-        is required when the engine runs with ``strict_bits``.
+        is required when the engine runs with its audits on.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -509,7 +508,7 @@ class ArrayContext:
         count = src.size
         if count == 0:
             return
-        if self.strict_edges:
+        if self.strict:
             table = self.arrays.edge_keys
             if table.size == 0:
                 raise NotAnEdgeError(int(src[0]), int(dst[0]))
@@ -524,10 +523,9 @@ class ArrayContext:
                 ok = (src >= 0) & (src < self.n) & (table[pos] == keys)
                 i = int(np.argmax(~ok))
                 raise NotAnEdgeError(int(src[i]), int(dst[i]))
-        if self.strict_bits:
             if bits is None:
                 raise ValueError(
-                    "strict_bits engines require per-message bit counts; "
+                    "audited engines require per-message bit counts; "
                     "the kernel must pass bits= to emit()"
                 )
             bits = _as_column(bits, src.shape)
@@ -606,7 +604,6 @@ def run_array_phase(
     actx = ArrayContext(
         engine.network,
         engine.strict_bits,
-        engine.strict_edges,
         capacity,
         rounds_per_tick,
     )

@@ -76,7 +76,7 @@ from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..obs.tracer import current_tracer
-from .engine import Context, FastContext, Program
+from .engine import Context, Program, context_class
 from .errors import ChannelCapacityError, RoundLimitExceededError
 from .faults import FaultPlan, FaultReport
 from .ledger import CostLedger, PhaseStats
@@ -153,11 +153,7 @@ class AsyncEngine:
         strict_edges: bool = True,
         faults: Optional[FaultPlan] = None,
     ) -> None:
-        if not strict_edges and strict_bits:
-            raise ValueError(
-                "strict_edges=False requires strict_bits=False: the "
-                "audit-free FastContext drops both checks together"
-            )
+        self._context = context_class(strict_bits, strict_edges)
         self.network = network
         self.schedule = schedule if schedule is not None else SynchronousSchedule()
         validate_schedule(self.schedule, network)
@@ -211,10 +207,7 @@ class AsyncEngine:
         :attr:`overhead` / :attr:`overhead_log` as a side effect.
         """
         phase_name = name or program.name
-        ctx_cls = (
-            Context if (self.strict_bits or self.strict_edges) else FastContext
-        )
-        ctx = ctx_cls(self.network, self.strict_bits)
+        ctx = self._context(self.network)
         run = _AsyncPhase(
             self.network, self.schedule, self._edge_slots, program, ctx,
             max_ticks, capacity,
@@ -447,7 +440,7 @@ class _AsyncPhase:
 
     def _off_edge_delay(self, src: int, dst: int, pulse: int, kind: int) -> int:
         """One checked scalar draw, for a send along a non-edge (legal
-        only under ``strict_edges=False``), which has no slot in a row."""
+        only with the audits off), which has no slot in a row."""
         d = self.schedule.delay(src, dst, pulse, kind)
         check_delay(self.schedule, d, src, dst, pulse, kind)
         return d

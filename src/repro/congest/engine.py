@@ -75,7 +75,6 @@ class Context:
         "_bits",
         "_wakeups",
         "_timers",
-        "_strict_bits",
         "_bit_limit",
         "_neighbor_sets",
     )
@@ -83,7 +82,6 @@ class Context:
     def __init__(
         self,
         network: Network,
-        strict_bits: bool,
         mail: Optional[List[List[Tuple[int, object]]]] = None,
     ) -> None:
         self.network = network
@@ -98,14 +96,13 @@ class Context:
         )
         self._touched: List[int] = []
         self._sent = 0
-        # Cumulative payload bits of all sends this phase.  Maintained only
-        # under ``strict_bits`` (the audit computes each message's cost
-        # anyway, so tracking the sum is one addition); 0 means untracked.
+        # Cumulative payload bits of all sends this phase (the audit
+        # computes each message's cost anyway, so tracking the sum is one
+        # addition); a FastContext leaves it 0, untracked.
         self._bits = 0
         self._wakeups: set = set()
         #: Timer wheel: absolute tick -> set of nodes to activate then.
         self._timers: Dict[int, Set[int]] = {}
-        self._strict_bits = strict_bits
         self._bit_limit = network.message_bits
         # Same single-hash-lookup check as Network.has_edge, with the
         # tuple-of-frozensets bound once for the hot loop.
@@ -122,18 +119,17 @@ class Context:
             valid = False
         if not valid:
             raise NotAnEdgeError(src, dst)
-        if self._strict_bits:
-            # Inlined fast path of payload_bits_cached: payloads that are
-            # forwarded (or interned by their program) are the same object
-            # at every hop, so the identity hit avoids even a function call.
-            entry = _ID_CACHE.get(id(payload))
-            if entry is not None and entry[0] is payload:
-                bits = entry[1]
-            else:
-                bits = payload_bits_cached(payload)
-            if bits > self._bit_limit:
-                raise BandwidthExceededError(src, dst, bits, self._bit_limit)
-            self._bits += bits
+        # Inlined fast path of payload_bits_cached: payloads that are
+        # forwarded (or interned by their program) are the same object at
+        # every hop, so the identity hit avoids even a function call.
+        entry = _ID_CACHE.get(id(payload))
+        if entry is not None and entry[0] is payload:
+            bits = entry[1]
+        else:
+            bits = payload_bits_cached(payload)
+        if bits > self._bit_limit:
+            raise BandwidthExceededError(src, dst, bits, self._bit_limit)
+        self._bits += bits
         box = self._mail[dst]
         if not box:
             self._touched.append(dst)
@@ -159,40 +155,28 @@ class Context:
         mail = self._mail
         touched = self._touched
         count = 0
-        if self._strict_bits:
-            limit = self._bit_limit
-            cache_get = _ID_CACHE.get
-            for entry in entries:
-                dst = entry[0]
-                payload = entry[-1]
-                if dst not in neighbors:
-                    self._sent += count
-                    raise NotAnEdgeError(src, dst)
-                hit = cache_get(id(payload))
-                if hit is not None and hit[0] is payload:
-                    bits = hit[1]
-                else:
-                    bits = payload_bits_cached(payload)
-                if bits > limit:
-                    self._sent += count
-                    raise BandwidthExceededError(src, dst, bits, limit)
-                self._bits += bits
-                box = mail[dst]
-                if not box:
-                    touched.append(dst)
-                box.append((src, payload))
-                count += 1
-        else:
-            for entry in entries:
-                dst = entry[0]
-                if dst not in neighbors:
-                    self._sent += count
-                    raise NotAnEdgeError(src, dst)
-                box = mail[dst]
-                if not box:
-                    touched.append(dst)
-                box.append((src, entry[-1]))
-                count += 1
+        limit = self._bit_limit
+        cache_get = _ID_CACHE.get
+        for entry in entries:
+            dst = entry[0]
+            payload = entry[-1]
+            if dst not in neighbors:
+                self._sent += count
+                raise NotAnEdgeError(src, dst)
+            hit = cache_get(id(payload))
+            if hit is not None and hit[0] is payload:
+                bits = hit[1]
+            else:
+                bits = payload_bits_cached(payload)
+            if bits > limit:
+                self._sent += count
+                raise BandwidthExceededError(src, dst, bits, limit)
+            self._bits += bits
+            box = mail[dst]
+            if not box:
+                touched.append(dst)
+            box.append((src, payload))
+            count += 1
         self._sent += count
 
     def wake(self, node: int) -> None:
@@ -220,8 +204,8 @@ class Context:
 class FastContext(Context):
     """A :class:`Context` with the per-message model audits compiled out.
 
-    Used by the engine when ``strict_bits=False`` *and*
-    ``strict_edges=False``: the per-send edge-membership check and the
+    Used by the engine when its audits are off (``strict_bits=False,
+    strict_edges=False``): the per-send edge-membership check and the
     bit-budget audit are skipped entirely.  Delivery schedule, per-edge
     capacity enforcement and all metered costs are unchanged (pinned by
     the parity tests); only a buggy program that sends to a non-neighbor
@@ -251,6 +235,18 @@ class FastContext(Context):
             box.append((src, entry[-1]))
             count += 1
         self._sent += count
+
+
+def context_class(strict_bits: bool, strict_edges: bool) -> type:
+    """The send context an engine's audit flags select: :class:`Context`
+    with both audits on, :class:`FastContext` with both off.  The audits
+    come on and off together, so a mismatched pair raises."""
+    if strict_bits != strict_edges:
+        raise ValueError(
+            "strict_bits and strict_edges must be equal: the audits come "
+            "on (Context) and off (FastContext) together"
+        )
+    return Context if strict_bits else FastContext
 
 
 class Program:
@@ -324,18 +320,15 @@ class Engine:
     ----------
     network:
         The communication graph.
-    strict_bits:
-        Validate every payload against the O(log n)-bit budget.  On by
-        default; benchmarks on large inputs may disable it for speed after
-        the test suite has pinned payload sizes.
-    strict_edges:
-        Validate that every send travels along a network edge.  On by
-        default; with both ``strict_bits`` and ``strict_edges`` off the
-        engine hands programs a :class:`FastContext` whose send path does
-        no per-message auditing at all (ledger values are identical either
-        way — pinned by tests).  The audits come off together:
-        ``strict_edges=False`` with ``strict_bits=True`` is rejected
-        rather than silently keeping the edge audit.
+    strict_bits, strict_edges:
+        The per-message audits, which come on and off together: every
+        send travels along a network edge and every payload fits the
+        O(log n)-bit budget.  On by default (:class:`Context`); with both
+        off the engine hands programs a :class:`FastContext` whose send
+        path does no per-message auditing at all, which benchmarks on
+        large inputs use once the test suite has pinned the programs
+        (ledger values are identical either way — pinned by tests).  A
+        mismatched pair is rejected rather than silently half-honoured.
     use_arrays:
         Advertise that phases on this engine should prefer array-native
         kernels.  The flag does not change how any given program runs —
@@ -353,11 +346,7 @@ class Engine:
         strict_edges: bool = True,
         use_arrays: bool = False,
     ) -> None:
-        if not strict_edges and strict_bits:
-            raise ValueError(
-                "strict_edges=False requires strict_bits=False: the "
-                "audit-free FastContext drops both checks together"
-            )
+        self._context = context_class(strict_bits, strict_edges)
         self.network = network
         self.strict_bits = strict_bits
         self.strict_edges = strict_edges
@@ -427,10 +416,7 @@ class Engine:
                 self._arena = arena
         else:
             arena = self._arena
-        ctx_cls = (
-            Context if (self.strict_bits or self.strict_edges) else FastContext
-        )
-        ctx = ctx_cls(self.network, self.strict_bits, mail=arena[0])
+        ctx = self._context(self.network, mail=arena[0])
         reentrant = self._arena_in_use
         self._arena_in_use = True
         # Observability: one current_tracer() fetch and one ``enabled``

@@ -125,7 +125,8 @@ class ScheduleValidationError(CongestError):
 class ShortcutValidationError(CongestError):
     """A claimed tree-restricted shortcut violates Definition 2.2.
 
-    Raised by :func:`repro.core.shortcuts.validate_shortcut` when a shortcut
-    edge set is not a subset of the spanning tree's edges, or the recorded
-    congestion/block structure is inconsistent with the edge assignment.
+    Raised by the :class:`~repro.core.shortcuts.Shortcut` constructor when
+    the tree is not a single spanning tree, the root holds a parent-edge
+    entry, a node without a parent edge lists parts, or a part id is
+    unknown.
     """

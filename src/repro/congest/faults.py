@@ -186,9 +186,6 @@ class FaultPlan:
                 return True
         return False
 
-    def crashed_nodes(self) -> FrozenSet[int]:
-        return frozenset(ev.node for ev in self.crashes)
-
     @property
     def clear_after(self) -> Optional[int]:
         """First global pulse from which the plan injects nothing, ever.

@@ -17,7 +17,6 @@ from .aggregation import (
     OR,
     SUM,
     XOR,
-    validate_aggregation,
 )
 from .blocks import BlockAnnotations, annotate_blocks
 from .corefast import (
@@ -36,31 +35,15 @@ from .pa import (
     product_aggregation,
     solve_pa,
 )
-from .shortcuts import (
-    Shortcut,
-    empty_shortcut,
-    full_tree_shortcut,
-    star_shortcut_for_parts,
-    validate_shortcut,
-)
+from .shortcuts import Shortcut, full_tree_shortcut
 from .spanning_tree import (
     SpanningTreeResult,
     bfs_tree,
     elect_leader_and_bfs_tree,
 )
-from .subparts import (
-    SubPartDivision,
-    build_subpart_division_randomized,
-    division_from_groups,
-)
+from .subparts import SubPartDivision, build_subpart_division_randomized
 from .treeops import claim_bfs
-from .trees import (
-    ABSENT,
-    ROOT,
-    RootedForest,
-    forest_from_parent_map,
-    spanning_forest_of_subsets,
-)
+from .trees import ABSENT, ROOT, RootedForest
 from .wave import PAWaveResult, run_pa_waves
 
 __all__ = [
@@ -94,17 +77,10 @@ __all__ = [
     "build_shortcut_randomized",
     "build_subpart_division_randomized",
     "claim_bfs",
-    "division_from_groups",
     "elect_leader_and_bfs_tree",
-    "empty_shortcut",
-    "forest_from_parent_map",
     "full_tree_shortcut",
     "product_aggregation",
     "run_pa_waves",
     "solve_pa",
-    "spanning_forest_of_subsets",
-    "star_shortcut_for_parts",
-    "validate_aggregation",
-    "validate_shortcut",
     "verify_block_parameters",
 ]

@@ -87,30 +87,3 @@ def merge_inboxes(
         for _sender, payload in inbox:
             values[node] = agg.merge(values[node], payload[1])
     return values
-
-
-def validate_aggregation(agg: Aggregation, samples) -> None:
-    """Spot-check commutativity and associativity on sample values.
-
-    Used by tests and by :func:`repro.core.pa.solve_pa` in paranoid mode to
-    catch user-supplied combine functions that are not actually
-    commutative/associative (a silent correctness hazard in PA).
-    """
-    samples = list(samples)
-    for a in samples:
-        for b in samples:
-            ab = agg.combine(a, b)
-            ba = agg.combine(b, a)
-            if ab != ba:
-                raise ValueError(
-                    f"{agg.name} is not commutative on ({a!r}, {b!r})"
-                )
-    for a in samples:
-        for b in samples:
-            for c in samples:
-                left = agg.combine(agg.combine(a, b), c)
-                right = agg.combine(a, agg.combine(b, c))
-                if left != right:
-                    raise ValueError(
-                        f"{agg.name} is not associative on ({a!r}, {b!r}, {c!r})"
-                    )

@@ -27,7 +27,6 @@ import numpy as np
 from ..congest.arrays import (
     COLUMN_LIMIT,
     ArrayContext,
-    ColumnArena,
     Delivered,
     KernelDecline,
     PayloadColumns,
@@ -174,7 +173,7 @@ class FloodMinArrayKernel(ArrayProgram):
         if src.size == 0:
             return
         tok = self.best_array[src]
-        bits = int_bits_array(tok) if actx.strict_bits else None
+        bits = int_bits_array(tok) if actx.strict else None
         actx.emit(src, dst, cols={"tok": tok}, bits=bits)
 
     def array_start(self, actx: ArrayContext) -> None:
@@ -246,8 +245,6 @@ class ClaimBfsArrayKernel(ArrayProgram):
         self.token_array = np.full(n, _NO_TOKEN, dtype=np.int64)
         self.parent_array = np.full(n, ABSENT, dtype=np.int64)
         self.depth_array = np.full(n, -1, dtype=np.int64)
-        self._child_rows = ColumnArena(("parent", "child"), capacity=256)
-        self._lists: Optional[List[List[int]]] = None
         # Scalar-compatible list views, memoized: consumers index them per
         # node (O(n) accesses), so rebuilding on every property read would
         # be quadratic.  Invalidated whenever a tick mutates claim state.
@@ -272,7 +269,7 @@ class ClaimBfsArrayKernel(ArrayProgram):
         tok = self.token_array[src]
         dep = self.depth_array[src] + 1
         bits = None
-        if actx.strict_bits:
+        if actx.strict:
             bits = (
                 TUPLE_OVERHEAD_BITS
                 + TAG_BITS
@@ -291,14 +288,9 @@ class ClaimBfsArrayKernel(ArrayProgram):
     def array_tick(self, actx: ArrayContext, d: Delivered) -> None:
         if len(d) == 0:
             return
-        kind = d.cols["kind"]
-        acks = kind == 1
-        if acks.any():
-            # Delivered order is (dst asc, src asc): exactly the order the
-            # scalar program appends to children_of.
-            self._child_rows.append(parent=d.dst[acks], child=d.src[acks])
-            self._lists = None
-        claims = np.flatnonzero((kind == 0) & ~self.claimed[d.dst])
+        # Child acks (kind 1) are wire cost only: the parent pointers
+        # already say who is whose child.
+        claims = np.flatnonzero((d.cols["kind"] == 0) & ~self.claimed[d.dst])
         if claims.size == 0:
             return
         c_src = d.src[claims]
@@ -322,7 +314,7 @@ class ClaimBfsArrayKernel(ArrayProgram):
         # Ack the chosen parent (("child", token)), then spread claims to
         # all but this tick's claimants ((dst, src)-sorted keys).
         bits = None
-        if actx.strict_bits:
+        if actx.strict:
             bits = (
                 TUPLE_OVERHEAD_BITS + TAG_BITS + int_bits_array(c_tok[win])
             )
@@ -354,17 +346,6 @@ class ClaimBfsArrayKernel(ArrayProgram):
         if self._depth_list is None:
             self._depth_list = self.depth_array.tolist()
         return self._depth_list
-
-    @property
-    def children_of(self) -> List[List[int]]:
-        if self._lists is None:
-            lists: List[List[int]] = [[] for _ in range(self.net.n)]
-            parents = self._child_rows.column("parent").tolist()
-            children = self._child_rows.column("child").tolist()
-            for p, c in zip(parents, children):
-                lists[p].append(c)
-            self._lists = lists
-        return self._lists
 
     def forest(self) -> RootedForest:
         """The claimed BFS forest (scalar-identical parent pointers)."""
@@ -525,7 +506,7 @@ class ConvergecastArrayKernel(ArrayProgram):
         cols = {f"v{i}": col[src] for i, col in enumerate(self._wire)}
         if self.folded.present is not None:
             cols["has"] = self.folded.present[src]
-        bits = self.folded.take(src).bits() if actx.strict_bits else None
+        bits = self.folded.take(src).bits() if actx.strict else None
         actx.emit(src, plan.sender_parents[lo:hi], cols=cols, bits=bits)
 
     def array_start(self, actx: ArrayContext) -> None:
@@ -590,7 +571,7 @@ class BroadcastArrayKernel(ArrayProgram):
         rows = slice(lo, hi)
         values = self._values
         cols = {f"v{i}": col[rows] for i, col in enumerate(values.cols)}
-        bits = values.take(rows).bits() if actx.strict_bits else None
+        bits = values.take(rows).bits() if actx.strict else None
         actx.emit(self._src[rows], self._reached[rows], cols=cols, bits=bits)
 
     def array_start(self, actx: ArrayContext) -> None:
@@ -653,7 +634,7 @@ class CrossRoundArrayKernel(ArrayProgram):
     def array_start(self, actx: ArrayContext) -> None:
         src, dst, payloads = self._sends
         cols = {f"v{i}": col for i, col in enumerate(payloads.cols)}
-        bits = payloads.bits() if actx.strict_bits else None
+        bits = payloads.bits() if actx.strict else None
         actx.emit(src, dst, cols=cols, bits=bits)
 
     def array_tick(self, actx: ArrayContext, d: Delivered) -> None:

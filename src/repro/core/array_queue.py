@@ -387,7 +387,7 @@ class ClaimArrayKernel(ArrayProgram):
         emitted, wake = self._pool.select()
         if emitted is not None:
             bits = None
-            if actx.strict_bits:
+            if actx.strict:
                 bits = tuple_bits(TAG_BITS, int_bits_array(emitted["pid"]))
             actx.emit(
                 emitted["src"],
@@ -575,7 +575,7 @@ class AnnotateArrayKernel(ArrayProgram):
         emitted, wake = self._pool.select()
         if emitted is not None:
             bits = None
-            if actx.strict_bits:
+            if actx.strict:
                 bits = tuple_bits(
                     TAG_BITS,
                     int_bits_array(emitted["pid"]),

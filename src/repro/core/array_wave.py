@@ -480,7 +480,7 @@ class WaveArrayKernel(ArrayProgram):
 
         emitted, wake = self._pool.select()
         if emitted is not None:
-            bits = self.pbits[emitted["pid"]] if actx.strict_bits else None
+            bits = self.pbits[emitted["pid"]] if actx.strict else None
             actx.emit(
                 emitted["src"],
                 emitted["dst"],
@@ -567,8 +567,8 @@ class WaveArrayKernel(ArrayProgram):
 def _flush(actx, pool: EdgePool, names: Tuple[str, ...], bits_of) -> None:
     """One tick of a value-free packet pool: emit its ``names`` columns.
 
-    ``bits_of(emitted)`` prices the emitted rows; it runs under
-    ``strict_bits`` only.
+    ``bits_of(emitted)`` prices the emitted rows; it runs on an audited
+    engine only.
     """
     emitted, wake = pool.select()
     if emitted is not None:
@@ -576,7 +576,7 @@ def _flush(actx, pool: EdgePool, names: Tuple[str, ...], bits_of) -> None:
             emitted["src"],
             emitted["dst"],
             cols={name: emitted[name] for name in names},
-            bits=bits_of(emitted) if actx.strict_bits else None,
+            bits=bits_of(emitted) if actx.strict else None,
         )
     actx.wake(wake)
 
@@ -744,7 +744,7 @@ class ReverseArrayKernel(ArrayProgram):
                 index.node[index.fan_kid], index.fan_src, 0, 0,
                 pid=index.part[index.fan_kid], kid=-1, bits=1,
             )
-        self._fire(np.flatnonzero(self.expected == 0), actx.strict_bits)
+        self._fire(np.flatnonzero(self.expected == 0), actx.strict)
         actx.wake(self._pool.pending_sources())
 
     def array_tick(self, actx, d) -> None:
@@ -759,7 +759,7 @@ class ReverseArrayKernel(ArrayProgram):
             done = np.flatnonzero(self.expected[into] == 0)
             if done.size:
                 done = done[first_occurrence_mask(into[done][::-1])[::-1]]
-                self._fire(into[done], actx.strict_bits)
+                self._fire(into[done], actx.strict)
         _flush(actx, self._pool, ("pid", "kid"), self._answer_bits)
 
 
@@ -875,14 +875,14 @@ class AllReduceArrayKernel(ArrayProgram):
         self._partial(lone, self.nbr[self.starts[lone]], lone, em)
         alone = np.flatnonzero(self.deg == 0)
         if alone.size:
-            self._form(self.index.part[alone], alone, None, actx.strict_bits)
+            self._form(self.index.part[alone], alone, None, actx.strict)
             self._finish(alone, alone, em)
         self._push(em)
         actx.wake(self._pool.pending_sources())
 
     def array_tick(self, actx, d) -> None:
         if len(d):
-            strict = actx.strict_bits
+            strict = actx.strict
             index = self.index
             into, kid = d.cols["into"], d.cols["kid"]
             # A total (kid -1) only reaches a key that has sent its
@@ -996,7 +996,7 @@ class ReplayArrayKernel(ArrayProgram):
         pids = np.fromiter(
             self.results, dtype=np.int64, count=len(self.results)
         )
-        if actx.strict_bits:
+        if actx.strict:
             self._bits = self.index.pid_bits.copy()
             self._bits[pids] += np.fromiter(
                 map(payload_bits, self.results.values()), dtype=np.int64,

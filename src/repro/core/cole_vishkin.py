@@ -17,7 +17,7 @@ colors 5, 4, 3, using knowledge of both neighbors' colors.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Optional
 
 
 def cv_step(own: int, successor: Optional[int]) -> int:
@@ -72,57 +72,3 @@ def shift_down_step(
         if candidate not in forbidden:
             return candidate
     raise AssertionError("two neighbors cannot forbid three colors")
-
-
-def three_color_chain(
-    successor_of: Dict[int, Optional[int]], initial_colors: Dict[int, int]
-) -> Dict[int, int]:
-    """Reference (sequential) Cole-Vishkin over a functional chain graph.
-
-    ``successor_of`` maps each node to its out-neighbor (or None); in-degree
-    must be at most 1.  Returns a proper 3-coloring with respect to the
-    chain edges.  This is the oracle the distributed implementations are
-    tested against, and the local computation each leader performs.
-    """
-    nodes = list(successor_of)
-    colors = dict(initial_colors)
-    predecessor_of: Dict[int, Optional[int]] = {v: None for v in nodes}
-    for v, s in successor_of.items():
-        if s is not None:
-            if predecessor_of.get(s) is not None:
-                raise ValueError("chain graph has in-degree > 1")
-            predecessor_of[s] = v
-
-    steps = cv_iterations_needed(max(colors.values(), default=1))
-    for _ in range(steps):
-        new_colors = {}
-        for v in nodes:
-            succ = successor_of[v]
-            new_colors[v] = cv_step(
-                colors[v], colors[succ] if succ is not None else None
-            )
-        colors = new_colors
-    for high in (5, 4, 3):
-        new_colors = {}
-        for v in nodes:
-            succ = successor_of[v]
-            pred = predecessor_of[v]
-            new_colors[v] = shift_down_step(
-                colors[v],
-                colors[pred] if pred is not None else None,
-                colors[succ] if succ is not None else None,
-                high,
-            )
-        colors = new_colors
-    return colors
-
-
-def validate_coloring(
-    successor_of: Dict[int, Optional[int]], colors: Dict[int, int]
-) -> None:
-    """Assert that ``colors`` is a proper coloring of the chain edges."""
-    for v, s in successor_of.items():
-        if s is not None and colors[v] == colors[s]:
-            raise AssertionError(f"edge ({v}, {s}) is monochromatic")
-        if colors[v] not in (0, 1, 2):
-            raise AssertionError(f"color {colors[v]} out of range at {v}")

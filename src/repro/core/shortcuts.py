@@ -30,8 +30,7 @@ a distributed annotation phase in :mod:`repro.core.blocks`.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -78,14 +77,13 @@ class Shortcut:
                     raise ShortcutValidationError(f"unknown part id {pid}")
 
     # ------------------------------------------------------------------
-    # Quality measures (orchestrator-side; the distributed counterparts
-    # are the verification phases in repro.core.verify)
+    # Quality measures (orchestrator-side; the distributed counterpart is
+    # Algorithm 2 run as PA, corefast.verify_block_parameters)
     #
     # ``up_parts`` is immutable after construction, so everything derived
-    # from it is computed once and cached: the per-part edge grouping is a
-    # single O(sum_i |H_i|) pass instead of an O(n) scan per part, which
-    # is the difference between O(m) and O(n * num_parts) for the quality
-    # queries issued by every PA wave.
+    # from it is computed once and cached.  Every per-part measure comes
+    # from one vectorized pass over the sorted up-edge keys
+    # (:meth:`up_key_array`).
     # ------------------------------------------------------------------
     def congestion(self) -> int:
         """Max number of parts sharing one tree edge (>= 1 by convention)."""
@@ -94,69 +92,6 @@ class Shortcut:
             cached = max((len(parts) for parts in self.up_parts), default=0) or 1
             self._congestion = cached
         return cached
-
-    def _edges_by_part(self) -> Dict[int, List[Tuple[int, int]]]:
-        """Cached {pid: [(child, parent), ...]} with edges in node order."""
-        cached = self.__dict__.get("_edges_by_part_cache")
-        if cached is None:
-            cached = {}
-            parent = self.tree.parent
-            for v, parts in enumerate(self.up_parts):
-                if parts:
-                    edge = (v, parent[v])
-                    for pid in parts:
-                        bucket = cached.get(pid)
-                        if bucket is None:
-                            cached[pid] = [edge]
-                        else:
-                            bucket.append(edge)
-            self._edges_by_part_cache = cached
-        return cached
-
-    def edges_of_part(self, pid: int) -> List[Tuple[int, int]]:
-        """The (child, parent) tree edges of ``H_pid`` (a fresh list)."""
-        return list(self._edges_by_part().get(pid, ()))
-
-    def total_shortcut_edges(self) -> int:
-        """Sum over parts of |H_i| (each edge counted with multiplicity)."""
-        return sum(len(parts) for parts in self.up_parts)
-
-    def blocks_of_part(self, pid: int) -> List[Set[int]]:
-        """Nontrivial blocks of part ``pid``: edge-bearing H_i components."""
-        edges = self._edges_by_part().get(pid, ())
-        if not edges:
-            return []
-        parent: Dict[int, int] = {}
-
-        def find(x: int) -> int:
-            root = x
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(x, x) != x:
-                parent[x], x = root, parent[x]
-            return root
-
-        def union(a: int, b: int) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        for u, v in edges:
-            parent.setdefault(u, u)
-            parent.setdefault(v, v)
-            union(u, v)
-        groups: Dict[int, Set[int]] = defaultdict(set)
-        for node in parent:
-            groups[find(node)].add(node)
-        return list(groups.values())
-
-    def block_parameter(self, pid: int) -> int:
-        """Number of nontrivial blocks of part ``pid`` (>= 1 by convention).
-
-        A part with no shortcut edges behaves like a single block in the
-        wave analysis (its nodes communicate through part edges only).
-        """
-        return max(1, len(self.blocks_of_part(pid)))
 
     def block_parameters(self) -> List[int]:
         """Block parameter of every part.
@@ -277,15 +212,6 @@ class Shortcut:
         return f"Shortcut(parts={self.partition.num_parts}, b={b}, c={c})"
 
 
-def empty_shortcut(tree: RootedForest, partition: Partition) -> Shortcut:
-    """The trivial shortcut H_i = {} for all parts.
-
-    PA remains correct with it (waves flood through part edges alone); it
-    is the degenerate baseline for ablations.
-    """
-    return Shortcut(tree, partition, [frozenset() for _ in range(tree.net.n)])
-
-
 def full_tree_shortcut(tree: RootedForest, partition: Partition) -> Shortcut:
     """H_i = all of E[T] for every part: block parameter 1, congestion N.
 
@@ -296,26 +222,6 @@ def full_tree_shortcut(tree: RootedForest, partition: Partition) -> Shortcut:
     n = tree.net.n
     all_parts = frozenset(range(partition.num_parts))
     up = [all_parts if tree.parent[v] >= 0 else frozenset() for v in range(n)]
-    return Shortcut(tree, partition, up)
-
-
-def star_shortcut_for_parts(
-    tree: RootedForest, partition: Partition, pids: Iterable[int]
-) -> Shortcut:
-    """H_i = union of root paths of all members, for the selected parts.
-
-    Gives each selected part a single block (rooted at the tree root) at
-    the price of high congestion; handy for constructing known-(b, c)
-    fixtures in tests.
-    """
-    n = tree.net.n
-    up: List[Set[int]] = [set() for _ in range(n)]
-    for pid in pids:
-        for v in partition.members[pid]:
-            node = v
-            while tree.parent[node] >= 0:
-                up[node].add(pid)
-                node = tree.parent[node]
     return Shortcut(tree, partition, up)
 
 
@@ -356,23 +262,3 @@ def relabel_shortcut(
         tree, new_partition, [relabeled[parts] for parts in shortcut.up_parts]
     )
 
-
-def validate_shortcut(shortcut: Shortcut) -> None:
-    """Check Definition 2.2 invariants; raise on violation.
-
-    Constructor checks already enforce H_i ⊆ E[T]; this validates the
-    derived structures used by routing: every nontrivial block is a
-    connected subtree of T, and block roots are unique per block.
-    """
-    tree = shortcut.tree
-    for pid in range(shortcut.partition.num_parts):
-        for block in shortcut.blocks_of_part(pid):
-            roots_in_block = [
-                v
-                for v in block
-                if tree.parent[v] < 0 or pid not in shortcut.up_parts[v]
-            ]
-            if len(roots_in_block) != 1:
-                raise ShortcutValidationError(
-                    f"part {pid} has a block with {len(roots_in_block)} roots"
-                )

@@ -320,28 +320,3 @@ def _divide_randomized(
     )
     division.validate(diameter_bound=2 * depth_limit)
     return division
-
-
-def division_from_groups(
-    net: Network,
-    partition: Partition,
-    leaders: Sequence[int],
-    groups: Sequence[Sequence[int]],
-) -> SubPartDivision:
-    """Oracle-side division from explicit sub-part member lists (tests)."""
-    from .trees import spanning_forest_of_subsets
-
-    forest = spanning_forest_of_subsets(net, groups)
-    rep_of = [-1] * net.n
-    for idx, group in enumerate(groups):
-        root = forest.root_of(group[0])
-        for v in group:
-            rep_of[v] = root
-    division = SubPartDivision(
-        partition=partition,
-        forest=forest,
-        rep_of=tuple(rep_of),
-        part_leader=tuple(leaders),
-    )
-    division.validate()
-    return division

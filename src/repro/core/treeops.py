@@ -143,8 +143,9 @@ class ClaimBfsProgram(Program):
     views (``None``: every edge), restricts which edges the BFS may cross
     — e.g. "stay inside part P_i".  ``max_depth`` bounds the claim radius.
 
-    Outputs: ``token_of[v]`` (claim token or None), ``parent_of[v]``,
-    ``depth_of[v]``, and ``children_of[v]`` (filled by explicit acks).
+    Outputs: ``token_of[v]`` (claim token or None), ``parent_of[v]`` and
+    ``depth_of[v]``.  A newly claimed node acks its parent; the ack is
+    wire cost only (the parent pointers already name every child).
     """
 
     name = "claim_bfs"
@@ -166,7 +167,6 @@ class ClaimBfsProgram(Program):
         self.token_of: List[Optional[object]] = [None] * net.n
         self.parent_of: List[int] = [ABSENT] * net.n
         self.depth_of: List[int] = [-1] * net.n
-        self.children_of: List[List[int]] = [[] for _ in range(net.n)]
 
     def _spread(self, ctx: Context, node: int, depth: int, heard=()) -> None:
         if self.max_depth is not None and depth >= self.max_depth:
@@ -190,15 +190,12 @@ class ClaimBfsProgram(Program):
         best: Optional[Tuple[object, int, int]] = None
         heard = set()
         for sender, payload in inbox:
-            kind = payload[0]
-            if kind == "claim":
+            if payload[0] == "claim":
                 _tag, token, depth = payload
                 heard.add(sender)
                 candidate = (token, depth, sender)
                 if best is None or candidate < best:
                     best = candidate
-            elif kind == "child":
-                self.children_of[node].append(sender)
         if best is None or self.token_of[node] is not None:
             return
         token, depth, sender = best
@@ -533,7 +530,7 @@ def claim_bfs(
     ``edge_mask`` states the edge restriction once, for both twins: a
     bool per CSR slot of ``net.array_views`` (``None``: all edges).  A
     :class:`ClaimBfsProgram` or its array twin: both offer ``token_of``,
-    ``parent_of``, ``depth_of``, ``children_of`` and ``forest()``.
+    ``parent_of``, ``depth_of`` and ``forest()``.
     """
     return run_phase(
         engine, ledger, name, ClaimBfsArrayKernel, ClaimBfsProgram,

@@ -14,7 +14,7 @@ establish — so engine programs may read ``forest.parent[v]`` inside
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -310,21 +310,6 @@ class RootedForest:
             self._root_list = self.plan.root_of.tolist()
         return self._root_list[v]
 
-    def path_to_root(self, v: int) -> List[int]:
-        """Nodes on the path v -> root, inclusive."""
-        path = [v]
-        while self.parent[v] >= 0:
-            v = self.parent[v]
-            path.append(v)
-        return path
-
-    def subtree_sizes(self) -> List[int]:
-        """Size of each node's subtree (oracle-side; O(n))."""
-        size = [0] * self.net.n
-        for v in reversed(self.order):
-            size[v] = 1 + sum(size[c] for c in self.children[v])
-        return size
-
     def subtree_nodes(self, v: int) -> List[int]:
         """All nodes in v's subtree (oracle-side)."""
         out = [v]
@@ -341,62 +326,8 @@ class RootedForest:
             (v, p) for v, p in enumerate(self.parent) if p >= 0
         ]
 
-    def restrict_roots(self) -> Dict[int, List[int]]:
-        """Map each root to the members of its tree (oracle-side)."""
-        by_root: Dict[int, List[int]] = {r: [] for r in self.roots}
-        root_of = [-1] * self.net.n
-        for v in self.order:
-            p = self.parent[v]
-            root_of[v] = v if p == ROOT else root_of[p]
-            by_root[root_of[v]].append(v)
-        return by_root
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RootedForest(trees={len(self.roots)}, nodes={self.size()},"
             f" height={self.height()})"
         )
-
-
-def forest_from_parent_map(
-    net: Network, parent_map: Dict[int, int], roots: Iterable[int]
-) -> RootedForest:
-    """Build a forest from a sparse child->parent map plus explicit roots."""
-    parent = [ABSENT] * net.n
-    for r in roots:
-        parent[r] = ROOT
-    for child, par in parent_map.items():
-        if parent[child] == ROOT:
-            raise ValueError(f"root {child} cannot also have a parent")
-        parent[child] = par
-    return RootedForest(net, parent)
-
-
-def spanning_forest_of_subsets(
-    net: Network, groups: Iterable[Iterable[int]]
-) -> RootedForest:
-    """Oracle-side spanning forest: one BFS tree per node group.
-
-    Used by tests to fabricate sub-part divisions with known structure; the
-    distributed constructions in :mod:`repro.core.subparts` produce the same
-    type of object via messages.
-    """
-    parent = [ABSENT] * net.n
-    for group in groups:
-        group_set = set(group)
-        root = min(group_set)
-        parent[root] = ROOT
-        frontier = [root]
-        seen = {root}
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in net.neighbors[u]:
-                    if v in group_set and v not in seen:
-                        seen.add(v)
-                        parent[v] = u
-                        nxt.append(v)
-            frontier = nxt
-        if seen != group_set:
-            raise ValueError("group does not induce a connected subgraph")
-    return RootedForest(net, parent)

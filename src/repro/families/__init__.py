@@ -23,7 +23,6 @@ from .decompose import (
     PathDecomposition,
     TreeDecomposition,
     bfs_layering,
-    euler_planar_bound,
     path_decomposition,
     tree_decomposition,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "TreeDecomposition",
     "bfs_layering",
     "build_steiner_shortcut",
-    "euler_planar_bound",
     "family_hint",
     "get_family",
     "path_decomposition",

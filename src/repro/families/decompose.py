@@ -55,10 +55,6 @@ class BFSLayering:
     root: int
     layer: Tuple[int, ...]
 
-    @property
-    def num_layers(self) -> int:
-        return max(self.layer) + 1
-
     def validate(self, net: Network) -> None:
         if len(self.layer) != net.n:
             raise DecompositionError("layering must cover all nodes")
@@ -287,16 +283,3 @@ def path_decomposition(
     width = max((len(b) for b in bags), default=1) - 1
     return PathDecomposition(order=tuple(order), bags=tuple(bags), width=width)
 
-
-# ----------------------------------------------------------------------
-# Planarity sanity
-# ----------------------------------------------------------------------
-def euler_planar_bound(net: Network) -> bool:
-    """Euler-formula sanity check: planar simple graphs have m <= 3n - 6.
-
-    Necessary, not sufficient — the cheap certificate the family tests use
-    on generated planar workloads (a full planarity test is out of scope).
-    """
-    if net.n < 3:
-        return True
-    return net.m <= 3 * net.n - 6

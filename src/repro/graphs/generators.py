@@ -14,8 +14,9 @@ Every generator returns a :class:`~repro.congest.network.Network` over nodes
 * :func:`ladder` / :func:`caterpillar` — pathwidth-bounded families
   (Table 1 "Pathwidth p" row).
 * :func:`random_connected` / :func:`random_regular_ish` — "General" row.
-* paths, cycles, stars, complete graphs and random trees as building blocks
-  and adversarial cases.
+* :func:`preferential_attachment` — heavy-tailed degrees, for hub-heavy
+  cases;
+* :func:`path_graph` — the simplest high-diameter case.
 """
 
 from __future__ import annotations
@@ -41,30 +42,6 @@ def path_graph(n: int, uid_seed: int = 0x5EED) -> Network:
     if n < 1:
         raise ValueError("path needs at least one node")
     return _finish([(i, i + 1) for i in range(n - 1)], n, uid_seed)
-
-
-def cycle_graph(n: int, uid_seed: int = 0x5EED) -> Network:
-    """A cycle on ``n >= 3`` nodes."""
-    if n < 3:
-        raise ValueError("cycle needs at least three nodes")
-    edges = [(i, i + 1) for i in range(n - 1)]
-    edges.append((0, n - 1))
-    return _finish(edges, n, uid_seed)
-
-
-def star_graph(n: int, uid_seed: int = 0x5EED) -> Network:
-    """A star: node 0 is the hub, 1..n-1 are leaves."""
-    if n < 2:
-        raise ValueError("star needs at least two nodes")
-    return _finish([(0, i) for i in range(1, n)], n, uid_seed)
-
-
-def complete_graph(n: int, uid_seed: int = 0x5EED) -> Network:
-    """The complete graph K_n."""
-    if n < 2:
-        raise ValueError("complete graph needs at least two nodes")
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return _finish(edges, n, uid_seed)
 
 
 def grid_2d(rows: int, cols: int, uid_seed: int = 0x5EED) -> Network:
@@ -228,22 +205,6 @@ def random_planar(
     return _finish(edges, n, uid_seed)
 
 
-def random_tree(n: int, seed: int = 7, uid_seed: int = 0x5EED) -> Network:
-    """A uniformly random labeled tree (via a random Pruefer-like attachment)."""
-    if n < 1:
-        raise ValueError("tree needs at least one node")
-    rng = random.Random(seed)
-    edges = [(rng.randrange(v), v) for v in range(1, n)]
-    return _finish(edges, n, uid_seed)
-
-
-def balanced_binary_tree(depth: int, uid_seed: int = 0x5EED) -> Network:
-    """A complete binary tree of the given depth (root = node 0)."""
-    n = 2 ** (depth + 1) - 1
-    edges = [((v - 1) // 2, v) for v in range(1, n)]
-    return _finish(edges, n, uid_seed)
-
-
 def random_connected(
     n: int, extra_edge_prob: float, seed: int = 7, uid_seed: int = 0x5EED
 ) -> Network:
@@ -384,26 +345,3 @@ def preferential_attachment(
             endpoints.extend((t, v))
     return _finish(edges, n, uid_seed)
 
-
-def barbell(clique_size: int, path_length: int, uid_seed: int = 0x5EED) -> Network:
-    """Two cliques joined by a path: a classic high-diameter stress case."""
-    if clique_size < 2:
-        raise ValueError("cliques need at least two nodes")
-    edges: List[Edge] = []
-    # First clique: 0..clique_size-1
-    for i in range(clique_size):
-        for j in range(i + 1, clique_size):
-            edges.append((i, j))
-    # Path: clique_size .. clique_size + path_length - 1
-    prev = clique_size - 1
-    for p in range(path_length):
-        v = clique_size + p
-        edges.append((prev, v))
-        prev = v
-    # Second clique
-    base = clique_size + path_length
-    for i in range(clique_size):
-        for j in range(i + 1, clique_size):
-            edges.append((base + i, base + j))
-    edges.append((prev, base))
-    return _finish(edges, base + clique_size, uid_seed)

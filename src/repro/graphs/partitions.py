@@ -7,14 +7,13 @@ partitions used throughout the tests and benchmarks:
 
 * :func:`row_partition` — each grid row is a part (the Figure 2a workload);
 * :func:`bfs_ball_partition` — random connected clusters of a target size;
-* :func:`random_connected_partition` — random forest-grown parts;
-* :func:`singleton_partition` / :func:`whole_graph_partition` — extremes.
+* :func:`random_connected_partition` — random forest-grown parts.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..congest.errors import InvalidPartitionError
 from ..congest.network import Network
@@ -43,22 +42,6 @@ class Partition:
         self.members: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(part) for part in members
         )
-
-    @classmethod
-    def from_groups(cls, groups: Iterable[Iterable[int]], n: int) -> "Partition":
-        """Build a partition from explicit member groups covering 0..n-1."""
-        part_of = [-1] * n
-        for pid, group in enumerate(groups):
-            for node in group:
-                if part_of[node] != -1:
-                    raise InvalidPartitionError(
-                        f"node {node} appears in two parts"
-                    )
-                part_of[node] = pid
-        if any(pid == -1 for pid in part_of):
-            missing = [v for v, pid in enumerate(part_of) if pid == -1]
-            raise InvalidPartitionError(f"nodes not covered: {missing[:5]}")
-        return cls(part_of)
 
     def size_of(self, pid: int) -> int:
         """Number of nodes in part ``pid``."""
@@ -97,16 +80,6 @@ def validate_partition(net: Network, partition: Partition) -> None:
             raise InvalidPartitionError(
                 f"part {pid} does not induce a connected subgraph"
             )
-
-
-def singleton_partition(net: Network) -> Partition:
-    """Every node is its own part."""
-    return Partition(list(range(net.n)))
-
-
-def whole_graph_partition(net: Network) -> Partition:
-    """All nodes in one part (requires a connected network)."""
-    return Partition([0] * net.n)
 
 
 def row_partition(rows: int, cols: int, include_apex: bool = False) -> Partition:

@@ -12,7 +12,6 @@ streams.  See docs/architecture.md, "Service layer".
 from .queries import (
     AggregateQuery,
     KINDS,
-    max_query,
     min_query,
     sum_query,
     top_k_aggregation,
@@ -26,7 +25,6 @@ __all__ = [
     "PAService",
     "QueryResult",
     "ServiceStats",
-    "max_query",
     "min_query",
     "sum_query",
     "top_k_aggregation",

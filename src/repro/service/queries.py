@@ -71,11 +71,6 @@ def min_query(values: Sequence[object]) -> AggregateQuery:
     return AggregateQuery("min", tuple(values))
 
 
-def max_query(values: Sequence[object]) -> AggregateQuery:
-    """Per-part maximum of ``values``."""
-    return AggregateQuery("max", tuple(values))
-
-
 def sum_query(values: Sequence[object]) -> AggregateQuery:
     """Per-part sum of ``values``."""
     return AggregateQuery("sum", tuple(values))

@@ -43,10 +43,6 @@ class ShardPlan:
     shard_parts: Tuple[Tuple[int, ...], ...]
     num_components: int
 
-    @property
-    def num_shards(self) -> int:
-        return len(self.shard_parts)
-
 
 class _UnionFind:
     __slots__ = ("parent",)

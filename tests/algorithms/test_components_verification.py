@@ -14,13 +14,12 @@ from repro.algorithms import (
 )
 from repro.analysis import kruskal_mst
 from repro.graphs import (
-    connected_components,
-    cycle_graph,
     grid_2d,
     path_graph,
     random_connected,
     with_distinct_weights,
 )
+from oracles import connected_components, cycle_graph
 
 
 def test_cc_labels_match_oracle(small_random):

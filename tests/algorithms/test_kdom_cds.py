@@ -3,15 +3,13 @@
 import pytest
 
 from repro.algorithms import connected_dominating_set, k_dominating_set
-from repro.analysis import greedy_dominating_set_size
-from repro.graphs import (
-    grid_2d,
+from repro.analysis import (
+    greedy_dominating_set_size,
     induces_connected_subgraph,
     is_dominating_set,
     is_k_dominating_set,
-    path_graph,
-    random_connected,
 )
+from repro.graphs import grid_2d, path_graph, random_connected
 
 
 @pytest.mark.parametrize("k", [4, 8, 16])

@@ -13,9 +13,8 @@ from repro.algorithms.mincut import (
     _LcaRouteProgram,
     _one_respecting_min_cut,
 )
-from repro.analysis import stoer_wagner_min_cut, kruskal_mst
+from repro.analysis import cut_weight, stoer_wagner_min_cut, kruskal_mst
 from repro.graphs import (
-    cut_weight,
     grid_2d,
     path_graph,
     random_regular,

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.algorithms import approx_min_cut, approx_sssp
-from repro.analysis import dijkstra, stoer_wagner_min_cut
+from repro.analysis import cut_weight, dijkstra, stoer_wagner_min_cut
 from repro.graphs import (
-    cut_weight,
     grid_2d,
     path_graph,
     random_connected,

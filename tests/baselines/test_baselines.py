@@ -1,13 +1,11 @@
 """Prior-work baselines: correctness plus their characteristic weaknesses."""
 
-from repro.baselines import block_aggregation_pa, flood_pa, ghs_mst
+from repro.baselines import block_aggregation_pa, ghs_mst
 from repro.analysis import kruskal_mst
 from repro.core import MIN, SUM, solve_pa
 from repro.graphs import (
-    Partition,
     grid_2d,
     grid_with_apex,
-    path_graph,
     random_connected,
     random_connected_partition,
     row_partition,
@@ -65,21 +63,6 @@ def test_naive_block_pa_beaten_by_subpart_pa_on_deep_grids():
         p.messages for p in ours.ledger.phases() if p.name.startswith("pa_")
     )
     assert wave_msgs < naive.messages
-
-
-def test_flood_pa_correct(small_random, small_random_parts):
-    values = [small_random.uid[v] for v in range(small_random.n)]
-    run = flood_pa(small_random, small_random_parts, values, MIN)
-    assert run.output == expected(small_random_parts, values, min)
-
-
-def test_flood_pa_rounds_track_part_diameter():
-    """A snake part of diameter ~n makes flooding round-bound ~n."""
-    net = path_graph(60)
-    part = Partition([0] * 60)
-    run = flood_pa(net, part, [1] * 60, SUM)
-    assert run.rounds >= 59  # must traverse the whole path
-    assert run.output == {0: 60}
 
 
 def test_ghs_mst_correct(weighted_random):

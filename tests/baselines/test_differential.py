@@ -1,6 +1,6 @@
 """Baselines vs. the optimized paths: differential pins on shared instances.
 
-The baselines (``flood_pa``, ``block_aggregation_pa``, ``ghs_mst``) and
+The baselines (``block_aggregation_pa``, ``ghs_mst``) and
 the paper's algorithms (``solve_pa``, ``minimum_spanning_tree``) claim to
 compute the *same functions* by different schedules.  These tests run
 both sides on identical seeded instances and pin output equality — plus
@@ -16,8 +16,8 @@ import pytest
 from repro.analysis import kruskal_mst
 from repro.analysis.reference import mst_weight
 from repro.algorithms import minimum_spanning_tree
-from repro.baselines import block_aggregation_pa, flood_pa, ghs_mst
-from repro.core import MIN, SUM, solve_pa
+from repro.baselines import block_aggregation_pa, ghs_mst
+from repro.core import MIN, solve_pa
 from repro.graphs import (
     grid_2d,
     preferential_attachment,
@@ -41,26 +41,6 @@ def _expected(partition, values, fold):
         pid: fold([values[v] for v in partition.members[pid]])
         for pid in range(partition.num_parts)
     }
-
-
-@pytest.mark.parametrize("name,make_net,k", PA_INSTANCES,
-                         ids=[i[0] for i in PA_INSTANCES])
-@pytest.mark.parametrize("agg,fold", [(SUM, sum), (MIN, min)],
-                         ids=["sum", "min"])
-def test_flood_pa_matches_solve_pa(name, make_net, k, agg, fold):
-    net = make_net()
-    partition = random_connected_partition(net, k, seed=13)
-    values = [(3 * v + 1) % 23 for v in range(net.n)]
-    oracle = _expected(partition, values, fold)
-
-    flood = flood_pa(net, partition, values, agg)
-    optimized = solve_pa(net, partition, values, agg, seed=2)
-    assert flood.output == oracle
-    assert optimized.aggregates == oracle
-    # Per-node delivery agrees everywhere too.
-    flood_at = flood.meta["value_at_node"]
-    for v in range(net.n):
-        assert flood_at[v] == optimized.value_at_node[v] == oracle[partition.part_of[v]]
 
 
 @pytest.mark.parametrize("name,make_net,k", PA_INSTANCES,

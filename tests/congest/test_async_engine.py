@@ -19,9 +19,10 @@ from repro.congest.engine import FunctionProgram
 from repro.congest.schedule import ACK, PAYLOAD, SAFE
 from repro.core.aggregation import SUM
 from repro.core.pa import PASolver, solve_pa
-from repro.graphs import grid_2d, path_graph, random_connected, star_graph
+from repro.graphs import grid_2d, path_graph, random_connected
 from repro.graphs.partitions import random_connected_partition
 from repro.runtime import PASession, ensure_session
+from oracles import star_graph
 
 ALL_SCHEDULES = [
     SynchronousSchedule(),
@@ -320,8 +321,9 @@ def test_edge_and_bit_audits_match_sync_engine():
         AsyncEngine(net, SynchronousSchedule()).run(
             FunctionProgram("bits", fat_payload, step), max_ticks=5
         )
-    with pytest.raises(ValueError):
-        AsyncEngine(net, strict_edges=False, strict_bits=True)
+    for strict_bits in (True, False):  # the audits come off together
+        with pytest.raises(ValueError):
+            AsyncEngine(net, strict_bits=strict_bits, strict_edges=not strict_bits)
 
 
 def test_round_limit_enforced():

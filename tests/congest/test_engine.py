@@ -15,7 +15,8 @@ from repro.congest import (
     Program,
     RoundLimitExceededError,
 )
-from repro.graphs import path_graph, star_graph
+from repro.graphs import path_graph
+from oracles import star_graph
 
 
 class EchoOnce(Program):

@@ -15,8 +15,9 @@ from repro.congest import (
     payload_bits,
     payload_bits_cached,
 )
-from repro.graphs import path_graph, star_graph
+from repro.graphs import path_graph
 from repro.obs import Tracer, use_tracer
+from oracles import star_graph
 
 
 # ----------------------------------------------------------------------
@@ -103,7 +104,9 @@ class PingPong(Program):
 
 def test_strict_bits_off_charges_identical_ledger(path10):
     strict = Engine(path10, strict_bits=True).run(PingPong(7), max_ticks=20)
-    loose = Engine(path10, strict_bits=False).run(PingPong(7), max_ticks=20)
+    loose = Engine(path10, strict_bits=False, strict_edges=False).run(
+        PingPong(7), max_ticks=20
+    )
     assert (strict.rounds, strict.messages, strict.ticks) == (
         loose.rounds, loose.messages, loose.ticks,
     )
@@ -121,7 +124,9 @@ def test_strict_bits_only_strict_mode_raises(path10):
     )
     with pytest.raises(BandwidthExceededError):
         Engine(path10, strict_bits=True).run(program, max_ticks=3)
-    stats = Engine(path10, strict_bits=False).run(program, max_ticks=3)
+    stats = Engine(path10, strict_bits=False, strict_edges=False).run(
+        program, max_ticks=3
+    )
     assert stats.messages == 1 and len(received) == 1
 
 
@@ -381,7 +386,7 @@ def test_send_batch_invalid_src_does_not_consume_entries(path10):
             yield (dst, ("x",))
 
     gen = entries()
-    ctx = Context(path10, strict_bits=True)
+    ctx = Context(path10)
     with pytest.raises(NotAnEdgeError) as info:
         ctx.send_batch(99, gen)
     assert consumed == []          # the generator was not touched
@@ -395,7 +400,7 @@ def test_send_batch_invalid_src_does_not_consume_entries(path10):
 def test_send_batch_invalid_src_with_empty_generator(path10):
     from repro.congest import Context, NotAnEdgeError
 
-    ctx = Context(path10, strict_bits=False)
+    ctx = Context(path10)
     with pytest.raises(NotAnEdgeError):
         ctx.send_batch(-3, iter(()))
 
@@ -403,7 +408,7 @@ def test_send_batch_invalid_src_with_empty_generator(path10):
 def test_send_batch_valid_src_accepts_generators(path10):
     from repro.congest import Context
 
-    ctx = Context(path10, strict_bits=True)
+    ctx = Context(path10)
     ctx.send_batch(1, ((dst, ("m", dst)) for dst in (0, 2)))
     assert ctx._sent == 2
 
@@ -455,13 +460,13 @@ def test_fast_context_selected_only_when_both_audits_off(path10):
     prog = FunctionProgram("probe", start, lambda c, n, i: None)
     Engine(path10, strict_bits=False, strict_edges=False).run(prog, max_ticks=2)
     assert seen["cls"] is FastContext
-    Engine(path10, strict_bits=False, strict_edges=True).run(prog, max_ticks=2)
+    Engine(path10).run(prog, max_ticks=2)
     assert seen["cls"] is StrictContext
-    # The audits come off together: dropping only the edge audit would
-    # silently keep it (Context has no strict_edges branch), so the
-    # combination is rejected outright.
-    with pytest.raises(ValueError):
-        Engine(path10, strict_bits=True, strict_edges=False)
+    # Two audit modes, not four: a context audits both or neither, so
+    # either half-way pair is rejected outright.
+    for strict_bits in (True, False):
+        with pytest.raises(ValueError):
+            Engine(path10, strict_bits=strict_bits, strict_edges=not strict_bits)
 
 
 def test_engine_arena_reuse_across_phases_is_clean(path10):

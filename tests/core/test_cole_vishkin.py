@@ -1,5 +1,7 @@
 """Cole-Vishkin logic: step properties and full chain coloring."""
 
+from typing import Dict, Optional
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,9 +9,49 @@ from repro.core.cole_vishkin import (
     cv_iterations_needed,
     cv_step,
     shift_down_step,
-    three_color_chain,
-    validate_coloring,
 )
+
+
+def three_color_chain(
+    successor_of: Dict[int, Optional[int]], initial_colors: Dict[int, int]
+) -> Dict[int, int]:
+    """Sequential Cole-Vishkin over a functional chain graph, from the
+    shipped transitions: ``cv_step`` to colors < 6, then the shift-downs.
+
+    ``successor_of`` maps each node to its out-neighbor (or None); in-degree
+    must be at most 1.
+    """
+    nodes = list(successor_of)
+    colors = dict(initial_colors)
+    predecessor_of: Dict[int, Optional[int]] = {v: None for v in nodes}
+    for v, s in successor_of.items():
+        if s is not None:
+            if predecessor_of.get(s) is not None:
+                raise ValueError("chain graph has in-degree > 1")
+            predecessor_of[s] = v
+    for _ in range(cv_iterations_needed(max(colors.values(), default=1))):
+        colors = {
+            v: cv_step(colors[v], colors.get(successor_of[v]))
+            for v in nodes
+        }
+    for high in (5, 4, 3):
+        colors = {
+            v: shift_down_step(
+                colors[v], colors.get(predecessor_of[v]),
+                colors.get(successor_of[v]), high,
+            )
+            for v in nodes
+        }
+    return colors
+
+
+def validate_coloring(
+    successor_of: Dict[int, Optional[int]], colors: Dict[int, int]
+) -> None:
+    """Assert that ``colors`` is a proper 3-coloring of the chain edges."""
+    for v, s in successor_of.items():
+        assert s is None or colors[v] != colors[s], f"edge ({v}, {s})"
+        assert colors[v] in (0, 1, 2), f"color {colors[v]} at {v}"
 
 
 def test_cv_step_produces_differing_colors():

@@ -8,7 +8,6 @@ from repro.core import (
     bfs_tree,
     build_shortcut_randomized,
     build_subpart_division_randomized,
-    validate_shortcut,
 )
 from repro.graphs import (
     Partition,
@@ -18,6 +17,7 @@ from repro.graphs import (
     random_connected_partition,
     row_partition,
 )
+from oracles import blocks_of_part, edges_of_part, validate_shortcut
 
 
 def construct(net, partition, seed=0, **kwargs):
@@ -49,7 +49,7 @@ def test_block_counts_match_structure():
     part = random_connected_partition(net, 5, seed=3)
     build, _, _ = construct(net, part, seed=4)
     for pid in range(part.num_parts):
-        oracle = len(build.shortcut.blocks_of_part(pid))
+        oracle = len(blocks_of_part(build.shortcut, pid))
         assert build.block_counts[pid] == oracle
 
 
@@ -59,7 +59,7 @@ def test_small_parts_get_no_shortcut_edges():
     build, _, diameter = construct(net, part)
     for pid in range(part.num_parts):
         if part.size_of(pid) <= diameter:
-            assert build.shortcut.edges_of_part(pid) == []
+            assert edges_of_part(build.shortcut, pid) == []
 
 
 def test_congestion_respects_budget_growth():
@@ -79,7 +79,7 @@ def test_shortcut_edges_are_climb_prefixes():
     sc = build.shortcut
     tree = sc.tree
     for pid in range(part.num_parts):
-        for block in sc.blocks_of_part(pid):
+        for block in blocks_of_part(sc, pid):
             bottoms = [
                 v for v in block
                 if not any(

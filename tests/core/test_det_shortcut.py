@@ -1,7 +1,7 @@
 """Deterministic shortcut construction (Algorithm 8)."""
 
 from repro.congest import CostLedger, Engine
-from repro.core import bfs_tree, validate_shortcut
+from repro.core import bfs_tree
 from repro.core.det_shortcut import build_shortcut_deterministic
 from repro.core.subparts_det import build_subpart_division_deterministic
 from repro.graphs import (
@@ -12,6 +12,7 @@ from repro.graphs import (
     random_connected_partition,
     row_partition,
 )
+from oracles import blocks_of_part, edges_of_part, validate_shortcut
 
 
 def construct(net, partition, **kwargs):
@@ -43,7 +44,7 @@ def test_block_counts_match_oracle():
     build, _ = construct(net, part)
     for pid in range(part.num_parts):
         assert build.block_counts[pid] == len(
-            build.shortcut.blocks_of_part(pid)
+            blocks_of_part(build.shortcut, pid)
         )
 
 
@@ -62,7 +63,7 @@ def test_small_parts_skip_construction():
     diameter = net.diameter_estimate()
     for pid in range(part.num_parts):
         if part.size_of(pid) <= diameter:
-            assert build.shortcut.edges_of_part(pid) == []
+            assert edges_of_part(build.shortcut, pid) == []
 
 
 def test_climb_prefix_invariant_holds():
@@ -72,7 +73,7 @@ def test_climb_prefix_invariant_holds():
     sc = build.shortcut
     tree = sc.tree
     for pid in range(part.num_parts):
-        for block in sc.blocks_of_part(pid):
+        for block in blocks_of_part(sc, pid):
             bottoms = [
                 v for v in block
                 if not any(

@@ -5,7 +5,8 @@ import math
 from repro.congest import CostLedger, Engine
 from repro.core import bfs_tree
 from repro.core.heavy_path import build_heavy_path_decomposition
-from repro.graphs import balanced_binary_tree, grid_2d, path_graph, random_tree
+from repro.graphs import grid_2d, path_graph
+from oracles import balanced_binary_tree, random_tree
 
 
 def decompose(net, root=0):

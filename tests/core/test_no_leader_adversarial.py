@@ -18,8 +18,8 @@ from repro.graphs import (
     path_graph,
     random_connected,
     random_connected_partition,
-    star_graph,
 )
+from oracles import star_graph
 
 
 def expected(partition, values, fold):

@@ -23,9 +23,8 @@ from repro.graphs import (
     random_connected,
     random_connected_partition,
     row_partition,
-    singleton_partition,
-    whole_graph_partition,
 )
+from oracles import singleton_partition, whole_graph_partition
 
 
 def expected_aggregates(partition, values, fold):

@@ -2,7 +2,8 @@
 
 from repro.congest import Context, Engine, Inbox
 from repro.core.queued import QueuedProgram
-from repro.graphs import path_graph, star_graph
+from repro.graphs import path_graph
+from oracles import star_graph
 
 
 class Funnel(QueuedProgram):

@@ -36,6 +36,7 @@ from repro.core.det_shortcut import build_shortcut_deterministic
 from repro.core.subparts import build_subpart_division_randomized
 from repro.core.subparts_det import build_subpart_division_deterministic
 from repro.graphs import bfs_ball_partition, grid_2d, random_regular
+from oracles import edges_of_part, total_shortcut_edges
 
 #: graph -> (network, BFS-ball size): parts larger than the 2-approximate
 #: diameter, so they claim (smaller parts never do).
@@ -89,7 +90,7 @@ def _build(graph, mode, run):
         "block_counts": build.block_counts,
         "quality": build.quality(),
         "edges_per_part": [
-            len(build.shortcut.edges_of_part(pid))
+            len(edges_of_part(build.shortcut, pid))
             for pid in range(partition.num_parts)
         ],
         "up_parts_sha": hashlib.sha256(repr(
@@ -503,5 +504,5 @@ def test_a_build_that_never_iterates_still_annotates_its_empty_shortcut():
     names = [p.name for p in setup.setup_ledger.phases()]
     assert names.count("annotate_blocks") == 1
     assert not any("verify" in name for name in names)
-    assert setup.shortcut.total_shortcut_edges() == 0
+    assert total_shortcut_edges(setup.shortcut) == 0
     assert setup.block_bound == (0,) * partition.num_parts

@@ -3,17 +3,17 @@
 import pytest
 
 from repro.congest import ShortcutValidationError
-from repro.core import (
-    ROOT,
-    RootedForest,
-    Shortcut,
-    empty_shortcut,
-    full_tree_shortcut,
-    star_shortcut_for_parts,
-    validate_shortcut,
-)
+from repro.core import ROOT, RootedForest, Shortcut, full_tree_shortcut
 from repro.families import family_hint
 from repro.graphs import Partition, grid_2d, path_graph
+from oracles import (
+    block_parameter,
+    blocks_of_part,
+    empty_shortcut,
+    star_shortcut_for_parts,
+    total_shortcut_edges,
+    validate_shortcut,
+)
 
 
 def line_tree(net):
@@ -39,11 +39,11 @@ def test_congestion_and_blocks_on_path(path10):
     up[7] = {0}
     sc = Shortcut(tree, part, up)
     assert sc.congestion() == 2
-    blocks0 = sc.blocks_of_part(0)
+    blocks0 = blocks_of_part(sc, 0)
     assert len(blocks0) == 1
     assert blocks0[0] == {5, 6, 7}
-    assert sc.block_parameter(0) == 1
-    assert sc.block_parameter(1) == 1
+    assert block_parameter(sc, 0) == 1
+    assert block_parameter(sc, 1) == 1
     validate_shortcut(sc)
 
 
@@ -54,7 +54,7 @@ def test_disjoint_blocks_counted(path10):
     up[2] = {0}
     up[7] = {0}  # two separate H_0 components
     sc = Shortcut(tree, part, up)
-    assert sc.block_parameter(0) == 2
+    assert block_parameter(sc, 0) == 2
     assert sc.max_block_parameter() == 2
 
 
@@ -63,7 +63,7 @@ def test_empty_shortcut_has_conventional_quality(path10):
     part = Partition([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
     sc = empty_shortcut(tree, part)
     assert sc.quality() == (1, 1)
-    assert sc.total_shortcut_edges() == 0
+    assert total_shortcut_edges(sc) == 0
 
 
 def test_full_tree_shortcut_quality(path10):
@@ -71,8 +71,8 @@ def test_full_tree_shortcut_quality(path10):
     part = Partition([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
     sc = full_tree_shortcut(tree, part)
     assert sc.congestion() == 2  # both parts on every edge
-    assert sc.block_parameter(0) == 1
-    assert sc.block_parameter(1) == 1
+    assert block_parameter(sc, 0) == 1
+    assert block_parameter(sc, 1) == 1
 
 
 def test_star_shortcut_single_block(grid4x6):
@@ -85,7 +85,7 @@ def test_star_shortcut_single_block(grid4x6):
     tree = bfs_tree(Engine(grid4x6), grid4x6, 0, CostLedger()).tree
     sc = star_shortcut_for_parts(tree, part, range(4))
     for pid in range(4):
-        assert sc.block_parameter(pid) == 1
+        assert block_parameter(sc, pid) == 1
     validate_shortcut(sc)
 
 
@@ -117,7 +117,7 @@ def test_figure1_style_instance():
     up[4] |= {3, 2}
     sc = Shortcut(tree, part, up)
     assert sc.congestion() == 3
-    assert sc.block_parameter(3) == 2
+    assert block_parameter(sc, 3) == 2
     assert sc.max_block_parameter() == 2
     assert sc.quality() == (2, 3)
 

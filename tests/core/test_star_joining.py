@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.algorithms import minimum_spanning_tree
 from repro.analysis import kruskal_mst
 from repro.congest import CostLedger, Engine, Network
-from repro.core import MIN, MIN_TUPLE, SUM, PASolver, spanning_forest_of_subsets
+from repro.core import MIN, MIN_TUPLE, SUM, PASolver
 from repro.core.cole_vishkin import cv_iterations_needed, cv_step, shift_down_step
 from repro.core.no_leader import PASuperOps
 from repro.core.star_joining import (
@@ -32,6 +32,7 @@ from repro.graphs import (
     with_distinct_weights,
     with_random_weights,
 )
+from oracles import spanning_forest_of_subsets
 
 
 def ring_of_subparts(n_groups, group_size):

@@ -3,7 +3,7 @@
 import random
 
 from repro.congest import CostLedger, Engine
-from repro.core import PASolver, build_subpart_division_randomized, division_from_groups
+from repro.core import PASolver, build_subpart_division_randomized
 from repro.graphs import (
     Partition,
     grid_2d,
@@ -12,6 +12,7 @@ from repro.graphs import (
     random_connected_partition,
     row_partition,
 )
+from oracles import division_from_groups
 
 
 def build(net, partition, diameter, seed=0):

@@ -16,6 +16,7 @@ from repro.graphs import (
     random_planar,
     random_regular,
 )
+from oracles import restrict_roots
 
 
 def build(net, partition, diameter):
@@ -40,7 +41,7 @@ def test_complete_subparts_reach_threshold():
     part = Partition([0] * net.n)
     threshold = 9
     division, _ = build(net, part, threshold)
-    by_root = division.forest.restrict_roots()
+    by_root = restrict_roots(division.forest)
     for root, members in by_root.items():
         # Every sub-part is complete: >= threshold nodes, or spans its part.
         assert len(members) >= threshold or len(members) == net.n

@@ -36,14 +36,13 @@ from repro.core.treeops import (
     run_convergecast,
 )
 from repro.graphs import (
-    complete_graph,
     grid_2d,
     path_graph,
     random_connected,
     random_connected_partition,
     random_regular,
-    star_graph,
 )
+from oracles import complete_graph, restrict_roots, star_graph
 
 
 def line_forest(net):
@@ -220,7 +219,7 @@ def test_convergecast_kernel_matches_the_scalar_program_and_fold(data):
     (scalar, scalar_log), (array, array_log) = _both_engines(net, run)
     assert array == scalar
     assert array_log == scalar_log
-    trees = forest.restrict_roots()
+    trees = restrict_roots(forest)
     assert dict(array[0]) == {
         root: agg.fold(values[v] for v in members)
         for root, members in trees.items()
@@ -338,13 +337,13 @@ def test_masked_claim_bfs_kernel_matches_the_scalar_program(data):
         assert isinstance(program, ClaimBfsArrayKernel) == engine.use_arrays
         return (
             list(program.token_of), list(program.parent_of),
-            list(program.depth_of), [list(c) for c in program.children_of],
+            list(program.depth_of),
         )
 
     (scalar, scalar_log), (array, array_log) = _both_engines(net, run)
     assert array == scalar
     assert array_log == scalar_log
-    token_of, parent_of, depth_of, _children = array
+    token_of, parent_of, depth_of = array
     slot_of = dict(zip(arrays.edge_keys.tolist(), range(arrays.adj.size)))
     for v in range(n):
         if parent_of[v] >= 0:  # claimed over an allowed edge, one hop deeper
@@ -385,8 +384,6 @@ class _SpareTheParentClaimBfs(ClaimBfsProgram):
                 candidate = (payload[1], payload[2], sender)
                 if best is None or candidate < best:
                     best = candidate
-            else:
-                self.children_of[node].append(sender)
         if best is None or self.token_of[node] is not None:
             return
         token, depth, sender = best
@@ -503,7 +500,7 @@ def test_claim_bfs_skips_its_claimants_and_keeps_the_oracles_outputs(
     def outputs(program):
         return (
             list(program.token_of), list(program.parent_of),
-            list(program.depth_of), [list(c) for c in program.children_of],
+            list(program.depth_of),
         )
 
     def run(engine, ledger):

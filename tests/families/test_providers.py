@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.core import SUM, PASolver, solve_pa, validate_shortcut
+from repro.core import SUM, PASolver, solve_pa
 from repro.families import (
     build_steiner_shortcut,
     get_family,
@@ -24,6 +24,7 @@ from repro.graphs import (
     torus_2d,
 )
 from repro.runtime import PASession
+from oracles import validate_shortcut
 
 
 def _oracle_sums(partition):

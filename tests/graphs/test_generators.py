@@ -3,11 +3,7 @@
 import pytest
 
 from repro.graphs import (
-    balanced_binary_tree,
-    barbell,
     caterpillar,
-    complete_graph,
-    cycle_graph,
     grid_2d,
     grid_node,
     grid_with_apex,
@@ -18,9 +14,15 @@ from repro.graphs import (
     random_connected,
     random_regular,
     random_regular_ish,
+    torus_2d,
+)
+from oracles import (
+    balanced_binary_tree,
+    complete_graph,
+    cycle_graph,
+    euler_planar_bound,
     random_tree,
     star_graph,
-    torus_2d,
 )
 
 
@@ -118,12 +120,6 @@ def test_random_regular_ish_degree():
     assert 3.0 <= avg <= 5.0
 
 
-def test_barbell_high_diameter():
-    net = barbell(5, 20)
-    assert net.is_connected()
-    assert net.exact_diameter() >= 20
-
-
 def test_generator_argument_validation():
     with pytest.raises(ValueError):
         path_graph(0)
@@ -197,7 +193,6 @@ def test_series_parallel_structure():
 
 
 def test_random_planar_structure():
-    from repro.families import euler_planar_bound
     from repro.graphs import random_planar
 
     net = random_planar(230, seed=5)

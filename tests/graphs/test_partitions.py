@@ -13,10 +13,9 @@ from repro.graphs import (
     random_connected,
     random_connected_partition,
     row_partition,
-    singleton_partition,
     validate_partition,
-    whole_graph_partition,
 )
+from oracles import singleton_partition, whole_graph_partition
 
 
 def test_partition_basics():
@@ -30,13 +29,6 @@ def test_partition_basics():
 def test_partition_requires_contiguous_ids():
     with pytest.raises(InvalidPartitionError):
         Partition([0, 2])
-
-
-def test_from_groups_detects_overlap_and_gaps():
-    with pytest.raises(InvalidPartitionError):
-        Partition.from_groups([[0, 1], [1, 2]], n=3)
-    with pytest.raises(InvalidPartitionError):
-        Partition.from_groups([[0, 1]], n=3)
 
 
 def test_validate_connected_parts():

@@ -1,19 +1,14 @@
-"""Structural oracles."""
+"""Structural oracles: the shipped checks the corollary experiments
+assert, and the component oracle the tests use."""
 
-from repro.graphs import (
-    connected_components,
+from repro.analysis import (
     cut_weight,
-    cycle_graph,
-    grid_2d,
     induces_connected_subgraph,
-    is_bipartite_subgraph,
     is_dominating_set,
     is_k_dominating_set,
-    is_spanning_tree,
-    path_graph,
-    subgraph_degrees,
-    with_planted_cut,
 )
+from repro.graphs import grid_2d, path_graph, with_planted_cut
+from oracles import connected_components
 
 
 def test_connected_components_full_graph():
@@ -27,21 +22,6 @@ def test_connected_components_subgraph():
     assert labels[0] == labels[1]
     assert labels[3] == labels[4]
     assert labels[0] != labels[2] != labels[3]
-
-
-def test_is_spanning_tree():
-    net = grid_2d(3, 3)
-    path_edges = [(i, i + 1) for i in range(8) if net.has_edge(i, i + 1)]
-    assert not is_spanning_tree(net, path_edges)
-    snake = [(0, 1), (1, 2), (2, 5), (5, 4), (4, 3), (3, 6), (6, 7), (7, 8)]
-    assert is_spanning_tree(net, snake)
-
-
-def test_bipartite_checks():
-    even = cycle_graph(6)
-    odd = cycle_graph(5)
-    assert is_bipartite_subgraph(even, list(even.edges))
-    assert not is_bipartite_subgraph(odd, list(odd.edges))
 
 
 def test_dominating_checks():
@@ -58,10 +38,8 @@ def test_induced_connectivity():
     assert not induces_connected_subgraph(net, {0, 2})
 
 
-def test_subgraph_degrees_and_cut_weight():
+def test_cut_weight_sums_the_crossing_edges():
     net = with_planted_cut(
         grid_2d(2, 4), side={0, 1, 4, 5}, cut_weight_each=1, bulk_weight=100
     )
-    degs = subgraph_degrees(net, [(0, 1), (1, 2)])
-    assert degs[1] == 2
     assert cut_weight(net, {0, 1, 4, 5}) == 2  # two crossing edges, weight 1

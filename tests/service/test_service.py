@@ -15,7 +15,6 @@ from repro.graphs import random_connected, random_connected_partition
 from repro.graphs.partitions import Partition
 from repro.service import (
     AggregateQuery,
-    max_query,
     min_query,
     sum_query,
     top_k_query,
@@ -43,7 +42,7 @@ def test_query_kinds_match_oracles():
     with PAService(net, partition, seed=3) as svc:
         ids = {
             "min": svc.submit("a", min_query(readings)),
-            "max": svc.submit("a", max_query(readings)),
+            "max": svc.submit("a", AggregateQuery("max", tuple(readings))),
             "sum": svc.submit("b", sum_query(readings)),
             "top2": svc.submit("b", top_k_query(readings, 2)),
         }
@@ -75,7 +74,7 @@ def test_auto_flush_at_max_batch():
         q1 = svc.submit("a", min_query(values))
         q2 = svc.submit("b", sum_query(values))
         assert svc.pending == 2
-        q3 = svc.submit("c", max_query(values))  # hits max_batch
+        q3 = svc.submit("c", AggregateQuery("max", tuple(values)))  # hits max_batch
         assert svc.pending == 0
         assert svc.stats.waves == 1
         assert svc.stats.batched_queries == 3
@@ -262,7 +261,7 @@ def test_close_drains_the_queue():
     net, partition = _fixture()
     values = list(range(net.n))
     svc = PAService(net, partition, seed=3, max_batch=8)
-    qid = svc.submit("a", max_query(values))
+    qid = svc.submit("a", AggregateQuery("max", tuple(values)))
     svc.close()
     assert svc.result(qid).aggregates == _oracle(partition, values, max)
     svc.close()  # idempotent

@@ -51,8 +51,8 @@ def test_plan_covers_every_part_once(workers):
     setup, partition = _setup()
     plan = build_shard_plan(setup, workers)
     assert isinstance(plan, ShardPlan)
-    assert plan.num_shards <= workers
-    assert plan.num_shards <= plan.num_components
+    assert len(plan.shard_parts) <= workers
+    assert len(plan.shard_parts) <= plan.num_components
     seen = sorted(pid for shard in plan.shard_parts for pid in shard)
     assert seen == list(range(partition.num_parts))
     for shard in plan.shard_parts:
@@ -75,7 +75,7 @@ def test_plan_rejects_bad_workers():
 def test_workers_one_is_a_single_shard():
     setup, partition = _setup()
     plan = build_shard_plan(setup, 1)
-    assert plan.num_shards == 1
+    assert len(plan.shard_parts) == 1
     assert plan.shard_parts[0] == tuple(range(partition.num_parts))
 
 

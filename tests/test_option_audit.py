@@ -27,8 +27,6 @@ ALLOWED = {
         "CLI entry point: tests pass the argument list positionally",
     ("congest/arrays.py", "PayloadColumns.__init__", "is_bool"):
         "passed positionally (arrays.py, heavy_path.py, array_kernels.py)",
-    ("graphs/properties.py", "connected_components", "edge_subset"):
-        "passed positionally (properties.py and the component tests)",
 }
 
 
