@@ -98,24 +98,29 @@ def test_mst_tradeoff():
             assert run.meta["phases"] <= 2 * ceil_log2(net.n), label
         # What the table shows today: the baseline is cheaper than both
         # sessions in messages on every row, and in rounds on every row
-        # but one ...
+        # but two ...
         assert ghs.messages < min(bare.messages, ours.messages), label
         if label == "4-regular 2048":
             # ... where reuse+batch, whose reused solves each run one
             # all-reduce on the remembered forest, is the first PA-MST
             # of the table to beat GHS in either currency ...
             assert ours.rounds < ghs.rounds < bare.rounds, label
+        elif label == "apex 4x256 †":
+            # ... and the dagger instance at the largest size, where the
+            # bare session, whose fresh builds' verifications are their
+            # setups' first solves, beats GHS in rounds; reuse+batch —
+            # which floods inside the fragment too (ROADMAP item 1(f)) and
+            # never verifies — does not ...
+            assert bare.rounds < ghs.rounds < ours.rounds, label
         else:
             assert ghs.rounds < min(bare.rounds, ours.rounds), label
     # ... though GHS pays rounds well above the diameter on deep
-    # fragments; and on the dagger instance at the largest size
-    # reuse+batch — which floods inside the fragment too (ROADMAP item
-    # 1(f)) — is slower in rounds than the bare session that rebuilds its
-    # shortcuts.
+    # fragments; and on that dagger row reuse+batch is slower in rounds
+    # than the bare session that rebuilds its shortcuts.
     net, bare, ours, ghs = data["grid 2x40"]
     assert ghs.rounds > 2 * net.exact_diameter()
     _net, dagger_bare, dagger_ours, dagger_ghs = data["apex 4x256 †"]
-    assert dagger_ghs.rounds < dagger_bare.rounds < dagger_ours.rounds
+    assert dagger_bare.rounds < dagger_ghs.rounds < dagger_ours.rounds
     record(ours_rounds=bare.rounds, ghs_rounds=ghs.rounds,
            ours_msgs=bare.messages, ghs_msgs=ghs.messages,
            rounds=bare.rounds, messages=bare.messages)

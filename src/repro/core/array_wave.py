@@ -41,7 +41,8 @@ list costs one Python merge per value-carrying answer (one per key with a
 wave parent), never one per message.
 
 **So a setup learns its route once** (the cost rule of
-:mod:`repro.core.wave`): the first solve on a setup runs broadcast and
+:mod:`repro.core.wave`): the first solve on a setup (the verification
+that accepted its shortcut, when its build ran one) runs broadcast and
 reversal over the wire record — two wire passes; what a node remembers of
 them is its wave parent and which of its wave edges were answered under
 the child tag, i.e. the wave forest (:meth:`WaveIndex.forest`, ``#keys -

@@ -45,11 +45,19 @@ class BlockAnnotations:
     ``block_id[(v, pid)]`` — the root's uid, identifying the block.
     ``count_tokens[v]`` — list of part ids for which v terminates a
     counting token (v contributes +1 to that part's block count).
+    ``verified`` — ``(division, shortcut, route)`` once PA has summed the
+    tokens (Algorithm 2, inside a shortcut build): the
+    :class:`~repro.core.wave.RouteMemo` that solve learned on that
+    division and shortcut, which a :class:`~repro.core.pa.PASetup` over
+    the same two objects adopts as its route.
     """
 
     root_depth: Dict[Tuple[int, int], int] = field(default_factory=dict)
     block_id: Dict[Tuple[int, int], int] = field(default_factory=dict)
     count_tokens: Dict[int, List[int]] = field(default_factory=dict)
+    verified: Optional[Tuple[object, object, object]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def priority_depth(self, node: int, pid: int) -> int:
         """Root depth used for BlockRoute priority; large if unknown."""

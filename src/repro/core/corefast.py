@@ -34,6 +34,7 @@ from ..congest.ledger import CostLedger
 from ..congest.message import ceil_log2
 from ..congest.network import Network
 from ..graphs.partitions import Partition
+from .aggregation import SUM
 from .array_queue import ClaimArrayKernel
 from .blocks import BlockAnnotations, annotate_blocks
 from .queued import QueuedProgram
@@ -41,6 +42,7 @@ from .shortcuts import Shortcut
 from .subparts import SubPartDivision
 from .treeops import run_phase
 from .trees import ROOT, RootedForest
+from .wave import RouteMemo, run_pa_waves
 
 
 class ClaimProgram(QueuedProgram):
@@ -137,7 +139,7 @@ def verify_block_parameters(
     randomized: bool,
     rng: Optional[random.Random],
     phase_prefix: str = "verify",
-    route: Optional[object] = None,
+    route: Optional[RouteMemo] = None,
 ) -> List[int]:
     """Algorithm 2: every part learns its block parameter, via PA itself.
 
@@ -145,14 +147,12 @@ def verify_block_parameters(
     member during annotation; summing the tokens part-wise with the PA
     waves gives every leader (and then every node) its part's block count.
     Costs the full PA price, as Lemma 4.5 charges.  ``route`` is the
-    :class:`~repro.core.wave.RouteMemo` of the setup being verified, when
-    the structures already are one (a session's projection): the
-    verification is then that setup's first solve, the one that learns
-    its route.
+    :class:`~repro.core.wave.RouteMemo` the verification learns into: a
+    session projection's (``setup.route``), or a fresh one per build
+    candidate that the accepted candidate's setup adopts
+    (:func:`build_shortcut_by_doubling`).  Either way the verification
+    is the first solve of the setup it accepts.
     """
-    from ..core.aggregation import SUM
-    from .wave import run_pa_waves
-
     values: List[Optional[int]] = [None] * net.n
     for node, pids in annotations.count_tokens.items():
         mine = sum(1 for pid in pids if partition.part_of[node] == pid)
@@ -215,7 +215,12 @@ def build_shortcut_by_doubling(
     measured, not assumed, quality.  Either way the loop ends with every
     still-active part frozen, so the last candidate *is* the shortcut,
     edge for edge: it is returned with the annotations its verification
-    ran on, not rebuilt and annotated a second time.
+    ran on, not rebuilt and annotated a second time — and each
+    verification learns into a fresh :class:`~repro.core.wave.RouteMemo`
+    that rides on its candidate's annotations (``verified``), so the
+    last one's route leaves with the build: the setup over ``division``
+    and the returned shortcut adopts it, and its first solve is one
+    all-reduce.
 
     ``carried = (shortcut, dirty)`` builds only the ``dirty`` parts: the
     others' edges in ``shortcut`` start out frozen.
@@ -255,11 +260,13 @@ def build_shortcut_by_doubling(
         candidate_up = _merge_up_parts(n, frozen_up, fresh, active)
         candidate = Shortcut(tree, partition, candidate_up)
         annotations = annotate_blocks(engine, candidate, ledger)
+        route = RouteMemo()
         counts = verify_block_parameters(
             engine, net, partition, division, candidate, annotations,
             ledger, randomized=rng is not None, rng=rng,
-            phase_prefix=f"{verify_prefix}_{iterations}",
+            phase_prefix=f"{verify_prefix}_{iterations}", route=route,
         )
+        annotations.verified = (division, candidate, route)
 
         newly_frozen = {
             pid for pid in active if counts[pid] <= block_target

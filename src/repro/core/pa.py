@@ -53,7 +53,12 @@ class PASetup:
     ``route`` is what the setup's first solve learned
     (:class:`~repro.core.wave.RouteMemo`): a function of ``division`` and
     ``shortcut``, so a copy that keeps both shares it and a copy that
-    replaces either must start a fresh one.
+    replaces either must start a fresh one.  Left out, it is the route of
+    the verification that accepted these annotations when that ran on
+    this very ``division`` and ``shortcut`` (``annotations.verified``, set
+    by a shortcut build), so that verification was the setup's first
+    solve; otherwise a fresh one.  Either way a setup pays at most one
+    token wave.
 
     ``block_bound`` is, per part, an upper bound on its number of
     nontrivial blocks that the part already holds.  Left out, it is the
@@ -70,10 +75,19 @@ class PASetup:
     shortcut: Shortcut
     annotations: BlockAnnotations
     setup_ledger: CostLedger
-    route: RouteMemo = field(default_factory=RouteMemo, repr=False)
+    route: Optional[RouteMemo] = field(default=None, repr=False)
     block_bound: Optional[Tuple[int, ...]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
+        if self.route is None:
+            # ``annotations`` is None on a carry that has yet to annotate.
+            division, shortcut, route = getattr(
+                self.annotations, "verified", None
+            ) or (None, None, None)
+            if division is self.division and shortcut is self.shortcut:
+                self.route = route
+            else:
+                self.route = RouteMemo()
         if self.block_bound is None:
             self.block_bound = tuple(
                 self.annotations.block_counts(self.partition.num_parts)

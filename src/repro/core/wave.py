@@ -86,8 +86,13 @@ setup keeps the forest (:class:`RouteMemo`); every later solve on that
 setup runs no token wave — one all-reduce on the forest: ``2 (#keys -
 #parts)`` messages, the reversal's and the replay's together, in diam(T)
 ticks of the forest T instead of the 2 height(T) of a convergecast to the
-leader and a broadcast back.  A one-off solve (a candidate verification
-inside a build) is a first solve that keeps nothing.  The one place that
+leader and a broadcast back.  A candidate verification inside a build
+(Algorithm 2) is such a first solve: it learns into a fresh memo that
+rides on the candidate's annotations, and the build returns its last
+candidate edge for edge, so the setup over that division and shortcut
+adopts the memo (:class:`~repro.core.pa.PASetup`) and its first solve is
+already the all-reduce.  A setup pays at most one token wave, in its
+build's last verification or in its first solve.  The one place that
 decides is :func:`run_planned_waves`.
 
 Each pass has its completeness check there: the broadcast its coverage
@@ -169,7 +174,8 @@ class WaveRecord:
 
 @dataclass
 class RouteMemo:
-    """What a setup's nodes remember of its first solve (one per setup).
+    """What a setup's nodes remember of its first solve (one per setup;
+    the verification that accepted a build's shortcut, when it ran one).
 
     ``delays`` is the fact the ledger knows: the delay draw under which
     the setup's token wave was paid for, ``None`` until a solve that ran

@@ -21,8 +21,9 @@ slow-edge and FIFO schedules — and demands:
 
 A phase log is ``(name, rounds, messages, ticks, bits)`` per phase.  A
 PA case solves twice on one setup — the first solve learns the wave
-forest, the second runs the one all-reduce pass every reused solve runs —
-on every axis, the fault axis included.  So that the engine axis sees
+forest (unless the verification that accepted the build already did),
+the second runs the one all-reduce pass every reused solve runs — on
+every axis, the fault axis included.  So that the engine axis sees
 what the array kernels' two folds see, a PA case draws its aggregation
 (:data:`PA_AGGS`): ``SUM`` over ints (the column fold); ``MIN_TUPLE``
 over ``(value, uid)`` pairs with every fifth node ``None``; a three-way

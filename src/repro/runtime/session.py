@@ -825,8 +825,10 @@ class PASession:
     ) -> PAResult:
         """One wave pass over a prepared setup — the session's only route.
 
-        The first solve on a setup learns its wave route, every later one
-        reuses it (``stats.routed_solves``; see :mod:`repro.core.wave`).
+        A setup learns its wave route once — in the verification that
+        accepted its build, or else in its first solve — and every other
+        solve reuses it (``stats.routed_solves``; see
+        :mod:`repro.core.wave`).
         ``backend="sharded"`` runs the pass on the worker pool when
         eligible (same plan, same rng advance, same ledger) and in-process
         otherwise (``stats.sharded_fallbacks``; a

@@ -122,18 +122,21 @@ def test_one_respecting_cut_value_is_real_cut(weighted_random):
 #: after it moved too) and when the neighbor exchange of every phase after
 #: the first became the session's engine-run ``part_exchange`` (a
 #: relabelled node tells only its neighbors outside its old fragment: only
-#: that phase moved, in messages); cut values equal, CHANGES lists
-#: old -> new.
+#: that phase moved, in messages) and when a fresh build's last
+#: verification became its setup's first solve (each first ``moe`` solve
+#: on a verified setup runs one ``*_allreduce`` at twice its old replay's
+#: messages instead of wave, reversal and replay; every other phase
+#: equal); cut values equal, CHANGES lists old -> new.
 MINCUT_PINS = {
     "grid6x7": (
         lambda: with_distinct_weights(grid_2d(6, 7), seed=4),
-        (32, 293, 1470, 11217,
-         "33f28580bc27b9fd932069bdf86915629d60d3965608bf767822662b80c21559"),
+        (32, 279, 1370, 10406,
+         "c158650401418146585285c62331b14838b80a4f33851737d40d26764ac23ec5"),
     ),
     "reg48": (
         lambda: with_distinct_weights(random_regular(48, 4, seed=7), seed=4),
-        (75, 262, 1201, 14033,
-         "584f0b1714da00bb3350e7f7310f1e2862b44486053ece7ef1e9af05a7878843"),
+        (75, 246, 1080, 12562,
+         "c3e0b42e9776a6b3c7cd9b12cca1abe81fbafb3777bf76c24c1b13403c9928bb"),
     ),
 }
 

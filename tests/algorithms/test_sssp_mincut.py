@@ -83,7 +83,9 @@ def test_sssp_charges_its_tree_once(flags):
     ]
     assert any(p.name.startswith("mst:") for p in run.ledger.phases())
     if not flags:
-        assert (run.rounds, run.messages) == (302, 2491)
+        # (302, 2491) before a fresh build's last verification became its
+        # setup's first solve: phase 5's first MOE solve is one all-reduce.
+        assert (run.rounds, run.messages) == (280, 2362)
 
 
 def test_mincut_finds_planted_cut():

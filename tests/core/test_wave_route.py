@@ -5,12 +5,15 @@ record and replays on the forest the reversal's answer tags just taught
 it — bit for bit what a solve on a fresh ``prepare`` runs — and when it
 has returned the setup keeps that forest; every later solve on that setup
 runs no ``*_wave`` phase, only one ``*_allreduce`` that sends ``2 (#keys -
-#parts)`` messages.  The answers are those of a per-part fold either way,
-and the sync-scalar engine, the sync-array engine and the async engine at
-delay 0 agree on every phase's ``(name, rounds, messages, ticks, bits)``,
-learned or routed.  Every pass has its completeness check: the wave its
-coverage scan, the reversal and the all-reduce their parts without a
-result, the replay and the all-reduce their count of members reached.
+#parts)`` messages.  When the build verified its shortcut (a ``*verify*``
+phase in the setup ledger), that verification was the first solve: the
+caller's first solve is already the all-reduce.  The answers are those of
+a per-part fold either way, and the sync-scalar engine, the sync-array
+engine and the async engine at delay 0 agree on every phase's ``(name,
+rounds, messages, ticks, bits)``, learned or routed.  Every pass has its
+completeness check: the wave its coverage scan, the reversal and the
+all-reduce their parts without a result, the replay and the all-reduce
+their count of members reached.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (
+    HealthCheck, example, given, settings, strategies as st,
+)
 
 from repro import PASolver, SUM
 from repro.core import array_wave, wave as wave_module
@@ -61,6 +66,11 @@ def _keys(forest) -> int:
     return len(forest.parent)
 
 
+def _verified(setup) -> bool:
+    """Whether the setup's build verified its shortcut with PA."""
+    return any("verify" in p.name for p in setup.setup_ledger.phases())
+
+
 @given(
     seed=st.integers(0, 2**20),
     n=st.integers(17, 30),
@@ -73,6 +83,9 @@ def _keys(forest) -> int:
     max_examples=20, deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# Parts no wider than D: no verification, so solve 1 learns.
+@example(seed=2, n=19, parts=5, mode=RANDOMIZED, kind="tuples", agg_pick=1)
+@example(seed=8, n=25, parts=5, mode=DETERMINISTIC, kind="ints", agg_pick=0)
 def test_three_solves_on_one_setup_against_three_fresh_prepares(
     seed, n, parts, mode, kind, agg_pick
 ):
@@ -110,17 +123,27 @@ def test_three_solves_on_one_setup_against_three_fresh_prepares(
 
         # Solve 1 is a fresh prepare's solve, bit for bit.
         assert logs[0] == fresh_logs[0]
-        assert [name.rsplit("_", 1)[1] for name, *_ in logs[0]] == [
-            "wave", "reverse", "replay",
-        ] * (len(logs[0]) // 3)
-        # Solves 2 and 3 run one all-reduce over the forest, nothing else.
         keys = _keys(forest)
         assert forest.edges == keys - partition.num_parts
-        # Solve 1: two wire passes, then the replay on that same forest.
-        sent = [messages for _n, _r, messages, *_ in logs[0]]
-        for wave, reverse, replay in zip(sent[0::3], sent[1::3], sent[2::3]):
-            assert wave == reverse >= replay == forest.edges
-        for log in logs[1:]:
+        routed = logs[1:]
+        if _verified(setup):
+            # The verification that accepted the shortcut learned the
+            # route: solve 1 is routed too.
+            routed = logs
+        else:
+            assert [name.rsplit("_", 1)[1] for name, *_ in logs[0]] == [
+                "wave", "reverse", "replay",
+            ] * (len(logs[0]) // 3)
+            # Solve 1: two wire passes, then the replay on that same
+            # forest.
+            sent = [messages for _n, _r, messages, *_ in logs[0]]
+            for wave, reverse, replay in zip(
+                sent[0::3], sent[1::3], sent[2::3]
+            ):
+                assert wave == reverse >= replay == forest.edges
+        # The routed solves run one all-reduce over the forest, nothing
+        # else.
+        for log in routed:
             assert [name.rsplit("_", 1)[1] for name, *_ in log] == [
                 "allreduce",
             ] * len(log)
@@ -152,7 +175,8 @@ def test_the_answer_tag_is_how_a_node_learns_its_forest_edges(
     tag are exactly the forest's edges — one per non-leader key — and every
     other answer is a ``None`` under the other tag."""
     net = grid_2d(6, 6, uid_seed=3)
-    partition = random_connected_partition(net, 4, seed=2)
+    # Parts small enough that no verification runs: the solve learns.
+    partition = random_connected_partition(net, 6, seed=2)
     answered = []
 
     class Watched(wave_module.ReverseProgram):
@@ -165,6 +189,7 @@ def test_the_answer_tag_is_how_a_node_learns_its_forest_edges(
 
     solver = PASolver(net, mode=mode, seed=5, engine_impl="scalar")
     setup = solver.prepare(partition)
+    assert setup.route.delays is None
     monkeypatch.setattr(wave_module, "ReverseProgram", Watched)
     solver.solve(setup, list(range(net.n)), SUM, charge_setup=False)
     forest = setup.route.forests[False]
@@ -217,9 +242,11 @@ def test_a_reversal_that_leaves_a_part_without_a_result_raises(
     hears from all its neighbors but one, so no key of the part ever holds
     the total)."""
     net = grid_2d(5, 5)
-    partition = random_connected_partition(net, 3, seed=4)
+    # Parts small enough that no verification runs: the first solve learns.
+    partition = random_connected_partition(net, 5, seed=4)
     solver = PASolver(net, seed=2, engine_impl=impl)
     setup = solver.prepare(partition)
+    assert setup.route.delays is None
     values = list(range(net.n))
     leader = setup.leaders[1]
 
@@ -237,7 +264,7 @@ def test_a_reversal_that_leaves_a_part_without_a_result_raises(
     assert setup.route.delays is None
 
     first = solver.solve(setup, values, SUM, charge_setup=False)
-    assert set(first.aggregates) == {0, 1, 2}
+    assert set(first.aggregates) == set(range(partition.num_parts))
     (forest,) = setup.route.forests.values()
     _phantom_children(forest, leader, 1, 2)
     with pytest.raises(
@@ -283,9 +310,11 @@ def test_a_replay_that_reaches_fewer_members_than_the_part_has_raises(
     route.  A routed solve's all-reduce strands the subtree behind a lost
     total packet."""
     net = grid_2d(5, 5)
-    partition = random_connected_partition(net, 3, seed=4)
+    # Parts small enough that no verification runs: the first solve learns.
+    partition = random_connected_partition(net, 5, seed=4)
     solver = PASolver(net, seed=2, engine_impl=impl)
     setup = solver.prepare(partition)
+    assert setup.route.delays is None
     values = list(range(net.n))
 
     def cut(forest):

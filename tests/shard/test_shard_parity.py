@@ -241,8 +241,11 @@ def test_a_route_learned_on_one_side_serves_the_other(mode, first):
     it re-derives it off the ledger, and every phase log stays the local
     one: one ``*_wave`` in all, in a learning solve of two wire passes and
     a replay on the forest its shards just learned, then one all-reduce
-    on the forest a solve, twice the forest's edges in messages."""
-    net, partition = _net_and_partition()
+    on the forest a solve, twice the forest's edges in messages.  The
+    parts are no wider than D, so no verification learns the route first
+    (``test_a_verified_setup_is_routed_on_both_sides`` is that case)."""
+    net = random_connected(48, 0.08, seed=11)
+    partition = random_connected_partition(net, 20, seed=5)
     values = _values(net.n)
     custom = Aggregation("custom_sum", lambda a, b: a + b)
     order = [custom, SUM] if first == "local" else [SUM, custom]
@@ -273,6 +276,51 @@ def test_a_route_learned_on_one_side_serves_the_other(mode, first):
         assert waves == 1
         assert session.stats.sharded_solves == 2
         assert session.stats.sharded_fallbacks == 2
+        assert session.stats.routed_solves == serial.stats.routed_solves == 3
+    finally:
+        session.close()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_verified_setup_is_routed_on_both_sides(mode):
+    """A fresh prepare whose build verified its shortcut holds the route
+    that verification learned, in-process on rank 0: no worker has its
+    forest, so both re-derive it off the paid delay draw on the first
+    sharded solve, and rank 0 — its cache of the forest dropped, as a
+    process that never held it — re-derives it for an in-process
+    fallback.  Every solve is one all-reduce and every phase log is the
+    local twin's; no solve runs a ``*_wave``."""
+    net, partition = _net_and_partition()
+    values = _values(net.n)
+    custom = Aggregation("custom_sum", lambda a, b: a + b)
+
+    serial = PASession(net, mode=mode, seed=3)
+    serial_setup = serial.prepare(partition)
+    session = PASession(
+        net, mode=mode, seed=3, backend="sharded", workers=2, shard_min_n=0,
+    )
+    try:
+        setup = session.prepare(partition)
+        assert any("verify" in p.name for p in setup.setup_ledger.phases())
+        assert setup.route.delays is not None
+        (forest,) = setup.route.forests.values()
+        edges = forest.edges
+        for k, agg in enumerate([SUM, custom, SUM]):
+            if agg is custom:
+                setup.route.forests.clear()
+            want = serial.solve(serial_setup, values, agg, charge_setup=False)
+            got = session.solve(setup, values, agg, charge_setup=False)
+            assert (session.shard_report is None) == (agg is custom)
+            if k == 0:
+                assert session.shard_report["shards"] == 2
+            assert got.aggregates == want.aggregates
+            assert got.value_at_node == want.value_at_node
+            assert _phase_sig(got.ledger) == _phase_sig(want.ledger)
+            assert [
+                (p.name, p.messages) for p in got.ledger.phases()
+            ] == [("pa_allreduce", 2 * edges)]
+        assert setup.route.forests[True].edges == edges
+        assert session.stats.sharded_solves == 2
         assert session.stats.routed_solves == serial.stats.routed_solves == 3
     finally:
         session.close()

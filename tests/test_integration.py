@@ -77,4 +77,10 @@ def test_full_pipeline_ledger_breakdown(small_random, small_random_parts):
     names = {p.name for p in res.ledger.phases()}
     assert any(n.startswith("tree:") for n in names)
     assert any("setup:" in n for n in names)
-    assert "pa_wave" in names and "pa_reverse" in names and "pa_replay" in names
+    # The build verified its shortcut with PA, and that verification was
+    # the setup's first solve: the caller's solve is one all-reduce on the
+    # route it learned.
+    assert any(n.startswith("setup:verify_") and n.endswith("_wave")
+               for n in names)
+    assert "pa_allreduce" in names
+    assert not names & {"pa_wave", "pa_reverse", "pa_replay"}
