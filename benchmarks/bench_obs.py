@@ -29,7 +29,7 @@ from repro.obs import NULL_TRACER, Tracer, use_tracer
 
 #: (label, PASolver kwargs) — one entry per engine implementation.
 ENGINES = [
-    ("scalar", {}),
+    ("scalar", {"engine_impl": "scalar"}),
     ("array", {"engine_impl": "array"}),
     ("async", {"schedule": SynchronousSchedule()}),
 ]

@@ -597,9 +597,13 @@ def run_array_phase(
     capacity: int,
     rounds_per_tick: int,
     phase_name: str,
+    tracer,
+    pulses,
 ) -> PhaseStats:
     """Execute an ``ArrayProgram`` to quiescence; the array twin of
-    ``Engine._run_loop`` with identical accounting.
+    ``Engine._run_loop`` with identical accounting.  ``tracer`` is the
+    recording tracer or None; ``pulses`` is the asynchronous engine's
+    synchronizer (it sees every tick's record first) or None.
     """
     actx = ArrayContext(
         engine.network,
@@ -611,14 +615,9 @@ def run_array_phase(
     timers = actx._timers
     total_messages = 0
     ticks = 0
-    # Observability: one fetch + one ``enabled`` check per phase; with
-    # tracing off ``tracer`` is None and the loop does no per-tick work.
-    _t = current_tracer()
-    tracer = _t if _t.enabled else None
     bits_mark = 0
 
     program.array_start(actx)
-    start_us = tracer.now_us() if tracer is not None else 0
 
     while actx._sent or actx._wake_parts or timers:
         if not actx._sent and not actx._wake_parts:
@@ -647,6 +646,8 @@ def run_array_phase(
         actx._sent = 0
         wake_parts = actx._wake_parts
         actx._wake_parts = []
+        if pulses is not None:
+            pulses.array_tick(ticks, src, dst, wake_parts, timers)
         due = timers.pop(ticks, None)
         if due is not None:
             wake_parts = wake_parts + due
@@ -708,24 +709,10 @@ def run_array_phase(
 
         program.array_tick(actx, Delivered(src, dst, cols, active))
 
-    stats = PhaseStats(
+    return PhaseStats(
         name=phase_name,
         rounds=ticks * rounds_per_tick,
         messages=total_messages,
         ticks=ticks,
         bits=actx._bits,
     )
-    if tracer is not None:
-        tracer.complete(
-            phase_name,
-            "engine.phase",
-            start_us,
-            {
-                "impl": "array",
-                "rounds": stats.rounds,
-                "messages": stats.messages,
-                "ticks": stats.ticks,
-                "bits": stats.bits,
-            },
-        )
-    return stats

@@ -337,6 +337,7 @@ class Engine:
         choice of program per phase) learn which implementation the
         caller selected.  Ledgers are identical either way; that is the
         parity contract the differential suite pins.
+        :class:`~repro.congest.AsyncEngine` inherits it.
     """
 
     def __init__(
@@ -395,6 +396,49 @@ class Engine:
         quiesce within ``max_ticks`` ticks.
         """
         phase_name = name or program.name
+        # Observability: one current_tracer() fetch and one ``enabled``
+        # check per *phase*; with tracing off the run loops see
+        # ``tracer=None`` and do no per-tick or per-event work at all.
+        tracer = current_tracer()
+        tracer = tracer if tracer.enabled else None
+        start_us = tracer.now_us() if tracer is not None else 0
+        stats = self._execute(
+            program, max_ticks, capacity, rounds_per_tick, phase_name,
+            tracer, None,
+        )
+        if tracer is not None:
+            tracer.complete(
+                phase_name,
+                "engine.phase",
+                start_us,
+                {
+                    "impl": (
+                        "array" if isinstance(program, ArrayProgram)
+                        else "scalar"
+                    ),
+                    "rounds": stats.rounds,
+                    "messages": stats.messages,
+                    "ticks": stats.ticks,
+                    "bits": stats.bits,
+                },
+            )
+        return stats
+
+    def _execute(
+        self,
+        program: Program,
+        max_ticks: int,
+        capacity: int,
+        rounds_per_tick: int,
+        phase_name: str,
+        tracer,
+        pulses,
+    ) -> PhaseStats:
+        """Run ``program`` on the loop its type selects.
+
+        ``pulses`` (the asynchronous engine's synchronizer, else None)
+        sees every tick's record before the tick's nodes run.
+        """
         if isinstance(program, ArrayProgram):
             # Array-native phases own their (numpy) state; the scalar
             # mailbox arenas are neither needed nor touched.
@@ -402,7 +446,7 @@ class Engine:
 
             return run_array_phase(
                 self, program, max_ticks, capacity,
-                rounds_per_tick, phase_name,
+                rounds_per_tick, phase_name, tracer, pulses,
             )
         n = self.network.n
         # Double-buffered mailbox arenas: programs (via the Context) fill
@@ -419,37 +463,12 @@ class Engine:
         ctx = self._context(self.network, mail=arena[0])
         reentrant = self._arena_in_use
         self._arena_in_use = True
-        # Observability: one current_tracer() fetch and one ``enabled``
-        # check per *phase*; with tracing off the run loop sees
-        # ``tracer=None`` and does no per-tick or per-event work at all.
-        tracer = current_tracer()
-        active_tracer = tracer if tracer.enabled else None
         try:
             program.on_start(ctx)
-            if active_tracer is None:
-                return self._run_loop(
-                    program, ctx, arena[1], max_ticks, capacity,
-                    rounds_per_tick, phase_name,
-                )
-            start_us = active_tracer.now_us()
-            stats = self._run_loop(
+            return self._run_loop(
                 program, ctx, arena[1], max_ticks, capacity,
-                rounds_per_tick, phase_name,
-                tracer=active_tracer,
+                rounds_per_tick, phase_name, tracer, pulses,
             )
-            active_tracer.complete(
-                phase_name,
-                "engine.phase",
-                start_us,
-                {
-                    "impl": "scalar",
-                    "rounds": stats.rounds,
-                    "messages": stats.messages,
-                    "ticks": stats.ticks,
-                    "bits": stats.bits,
-                },
-            )
-            return stats
         except BaseException:
             if not reentrant:
                 self._arena = None  # may hold undelivered mail; rebuild
@@ -466,7 +485,8 @@ class Engine:
         capacity: int,
         rounds_per_tick: int,
         phase_name: str,
-        tracer=None,
+        tracer,
+        pulses,
     ) -> PhaseStats:
         spare_touched: List[int] = []
         # Delivered-bits watermark for the per-tick counter series; only
@@ -520,6 +540,8 @@ class Engine:
             ctx._touched = spare_touched
             ctx._sent = 0
             ctx._wakeups = spare_wakeups
+            if pulses is not None:
+                pulses.scalar_tick(ticks, mailboxes, touched, wakeups, timers)
             if timers:
                 due = timers.pop(ticks, None)
                 if due:

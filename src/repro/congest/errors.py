@@ -95,8 +95,8 @@ class ScheduleValidationError(CongestError):
 
     Schedules must be pure functions of ``(src, dst, pulse, kind)``
     returning non-negative int delays; anything else would corrupt the
-    async engine's event queue (events in the past, irreproducible
-    orderings).  Raised by
+    async engine's synchronizer clock (events in the past,
+    irreproducible timings).  Raised by
     :func:`repro.congest.schedule.validate_schedule` — called at
     :class:`~repro.congest.AsyncEngine` construction — or by the
     engine when a delay row it draws (any message kind, any edge) holds

@@ -15,8 +15,10 @@ it makes every faulty run replayable from a ``(graph_seed,
 schedule_seed, fault_seed)`` triple alone (the fuzz harness's fault
 axis depends on it).
 
-What faults mean in the simulator (see docs/architecture.md, "Fault
-model"):
+The engine applies a plan as per-tick masks on its scalar loop (so a
+faulty engine runs the scalar twins, ``use_arrays=False``), and times
+what the masks leave with the synchronizer's recurrence.  What faults
+mean in the simulator (see docs/architecture.md, "Fault model"):
 
 * a **crashed** node stops activating — pending wakeups and timers at its
   dead pulses are dropped, payloads addressed to it are dropped, and
@@ -136,8 +138,10 @@ class FaultPlan:
     """A replayable set of fault events, queried in global pulse time.
 
     The plan is inert data: the async engine queries :meth:`alive`,
-    :meth:`lost` and :meth:`edge_down` at well-defined coordinates, and
-    equal plans always answer identically.  ``FaultPlan()`` (no events)
+    :meth:`lost` and :meth:`edge_down` at well-defined coordinates (a
+    delivery at its target pulse, a node at the pulse it would activate,
+    a safe wave at the pulse it releases), and equal plans always answer
+    identically.  ``FaultPlan()`` (no events)
     is indistinguishable from no plan at all — the engine normalizes it
     away so the no-fault path stays bit-for-bit the fault-free engine.
     """

@@ -14,11 +14,12 @@ failure replayable from a ``(graph_seed, schedule_seed)`` pair alone.
 
 :meth:`Schedule.delay` is the single definition of a schedule.
 :meth:`Schedule.delays` is the same function asked for a whole edge list
-at once — the async engine (:mod:`repro.congest.async_engine`) draws one
-*row* per ``(pulse, kind)`` over the network's directed edges instead of
-one hash per message.  The base class derives it from ``delay``, so a
-schedule that overrides only ``delay`` keeps working; the built-in
-schedules compute the row with numpy (the splitmix rounds of
+at once — the async engine's synchronizer
+(:mod:`repro.congest.async_engine`) draws one *row* per ``(pulse, kind)``
+over the network's directed edges, checked whole by :func:`delay_row`,
+instead of one hash per message.  The base class derives it from
+``delay``, so a schedule that overrides only ``delay`` keeps working; the
+built-in schedules compute the row with numpy (the splitmix rounds of
 :func:`_mix` over a ``uint64`` array, where the wrapping multiply *is*
 the ``& _MASK``), and ``delays == [delay ...]`` is pinned by a property
 test (``tests/congest/test_schedule_rows.py``).
@@ -165,11 +166,10 @@ class SynchronousSchedule(Schedule):
     """Delay 0 everywhere: the asynchronous engine in lockstep.
 
     Every message takes exactly the one-unit hop latency, so every node's
-    synchronizer gate resolves at the same virtual time each pulse and the
-    execution order collapses to the synchronous engine's.  Running a
-    program through the async engine under this schedule is the parity
-    anchor: the main ledger must be bit-for-bit identical to the default
-    engine's (pinned by tests and the fuzz harness).
+    synchronizer gate resolves at the same virtual time each pulse: the
+    clock is uniform (3 time units a pulse) and the skew 0.  The main
+    ledger is the default engine's under every schedule, this one
+    included (pinned by tests and the fuzz harness).
     """
 
     name = "sync"
@@ -187,8 +187,8 @@ class RandomDelaySchedule(Schedule):
 
     The draw is a pure hash of ``(seed, src, dst, pulse, kind)`` — no
     stream state — so delays do not depend on engine traversal order.
-    Payloads on one edge may overtake each other (non-FIFO): the engine's
-    resequencing layer is what keeps programs correct.
+    Payloads on one edge may overtake each other (non-FIFO): the
+    synchronizer's pulse numbers are what keep programs correct.
     """
 
     def __init__(self, seed: int = 0, max_delay: int = 3) -> None:
@@ -325,24 +325,61 @@ def check_delay(
         )
 
 
+def delay_row(
+    schedule: Schedule, srcs: Sequence[int], dsts: Sequence[int],
+    pulse: int, kind: int,
+) -> List[int]:
+    """``schedule.delays`` for one ``(pulse, kind)``, checked whole: one
+    entry per edge, each a non-negative int, whichever edges the row's
+    traffic uses (the asynchronous engine's guard on every row it draws)."""
+    row = schedule.delays(srcs, dsts, pulse, kind)
+    if len(row) != len(srcs):
+        raise ValueError(
+            f"schedule {schedule.name!r}: delays() returned "
+            f"{len(row)} entries for {len(srcs)} edges"
+        )
+    try:
+        # Two C-speed passes decide the common case: a sum of ints is an
+        # int (one float or numpy entry changes its type), and the
+        # minimum bounds every entry.
+        ok = not srcs or (type(sum(row)) is int and min(row) >= 0)
+    except TypeError:
+        ok = False
+    if not ok:
+        for d, src, dst in zip(row, srcs, dsts):
+            check_delay(schedule, d, src, dst, pulse, kind)
+    return row
+
+
+def draw_delay(
+    schedule: Schedule, src: int, dst: int, pulse: int, kind: int
+) -> int:
+    """One checked ``schedule.delay``: a send along a non-edge (legal only
+    with the audits off) has no slot in a row."""
+    d = schedule.delay(src, dst, pulse, kind)
+    check_delay(schedule, d, src, dst, pulse, kind)
+    return d
+
+
 def validate_schedule(
     schedule: Schedule,
     network,
     pulses: "tuple[int, ...]" = (0, 1, 7, 64),
 ) -> None:
     """Probe a schedule for the two contract violations that silently
-    corrupt the event queue: negative delays (events in the past) and
-    non-determinism (the same message coordinate answering differently
-    across calls, which breaks replayability and the FIFO clamp).
+    corrupt the synchronizer's clock: negative delays (events in the
+    past) and non-determinism (the same message coordinate answering
+    differently across calls, which breaks replayability and the FIFO
+    clamp).
 
     The probe samples real directed edges of ``network`` (its first
     eight, both directions) across a few pulses and all message kinds,
     calling ``delay`` twice per coordinate.
     It cannot prove a schedule correct — the async engine checks every
-    delay row it draws (all kinds, every edge) for negative and non-int
-    entries, which backstops the coordinates the probe missed — but it
-    catches the common bugs at construction, and it is the only check
-    for non-determinism.  Raises
+    delay row it draws (:func:`delay_row`: all kinds, every edge) for
+    negative and non-int entries, which backstops the coordinates the
+    probe missed — but it catches the common bugs at construction, and
+    it is the only check for non-determinism.  Raises
     :class:`~repro.congest.errors.ScheduleValidationError`.
     """
     from .errors import ScheduleValidationError

@@ -229,17 +229,17 @@ class PASolver:
         :class:`~repro.congest.AsyncEngine` under the given
         :class:`~repro.congest.Schedule`
         (:class:`~repro.congest.SynchronousSchedule` is the delay-0 one).
-        The ledgers stay those of the synchronous cost model (delay-0 is
-        bit-for-bit the default engine — pinned by the fuzz harness);
-        the asynchrony's own cost accrues separately on
+        The ledgers stay those of the synchronous cost model, under every
+        schedule; the alpha-synchronizer's own cost accrues separately on
         ``solver.engine.overhead``.  Default: off, the synchronous
         engine, same code path bit for bit.
     engine_impl:
-        ``"array"`` (default) runs the synchronous pipeline on the
-        vectorized engine core — per-phase array kernels over flat
-        payload columns, bit-for-bit the same ledger (pinned by the fuzz
-        harness's engine axis); ``"scalar"`` forces the per-message
-        reference loop.  Asynchronous execution is always scalar.
+        ``"array"`` (default) runs the pipeline on the vectorized engine
+        core — per-phase array kernels over flat payload columns,
+        bit-for-bit the same ledger (pinned by the fuzz harness's engine
+        axis); ``"scalar"`` forces the per-message reference loop.  An
+        asynchronous solver honours it too: the synchronizer's records
+        are the same either way.
     engine:
         A pre-built engine to run every phase on (mutually exclusive
         with ``schedule``; ``strict_bits``/``strict_edges``
@@ -285,6 +285,7 @@ class PASolver:
             self.engine = AsyncEngine(
                 net, schedule=schedule,
                 strict_bits=strict_bits, strict_edges=strict_edges,
+                use_arrays=(engine_impl == "array"),
             )
         else:
             self.schedule = schedule

@@ -44,22 +44,39 @@ def test_networks_and_schedules_replay_from_seeds():
 
 
 def test_run_case_detects_an_injected_divergence(monkeypatch):
-    # Break the async engine's resequencing and the differential harness
-    # must notice: delivered inboxes lose their canonical order.
+    # The async engine runs the synchronous execution, so a broken
+    # synchronizer moves no output and no main ledger: the check that
+    # holds it is the differential one against the event engine kept
+    # beside the tests.  Drop the transform's horizon release (a safe
+    # wave waits for the first trigger of a later pulse) and that check
+    # must notice on the case's own inputs under its FIFO schedule.
+    from event_engine import first_divergence
     from repro.congest import async_engine as ae
+    from repro.core import SUM, PASolver, solve_pa
+    from repro.graphs import random_connected_partition
 
     case = case_for_index(1, 0)
     assert run_case(case) is None
+    net = build_network(case)
+    partition = random_connected_partition(
+        net, max(2, min(6, net.n // 5)), seed=case.graph_seed
+    )
+    values = [(v * 7 + 3) % 101 for v in range(net.n)]
 
-    original = ae._AsyncPhase._build_inbox
+    def workload(engine):
+        solver = PASolver(net, mode=case.mode, seed=7, engine=engine)
+        res = solve_pa(
+            net, partition, values, SUM, mode=case.mode, seed=7, solver=solver
+        )
+        return res.aggregates, res.rounds, res.messages
 
-    def scrambled(self, v, t):
-        inbox = original(self, v, t)
-        return tuple(reversed(inbox))
+    def fifo():
+        return schedules_for(replace(case, schedule_kinds=("fifo",)))[0]
 
-    monkeypatch.setattr(ae._AsyncPhase, "_build_inbox", scrambled)
-    message = run_case(case)
-    assert message is not None
+    assert first_divergence(workload, net, fifo) is None
+    monkeypatch.setattr(ae._Alpha, "_release", lambda self, p: 0)
+    message = first_divergence(workload, net, fifo)
+    assert message is not None and message.startswith("overhead record")
 
 
 def test_engine_axis_detects_an_injected_array_divergence(monkeypatch):

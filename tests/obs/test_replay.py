@@ -129,12 +129,14 @@ def test_trace_replays_pa_ledger(workload, label, kwargs, mode, seed):
     else:
         assert _tick_series(tracer) == ticks
         assert _fast_forwards(tracer) == _fast_forwards(scalar)
-    _check_fallbacks(tracer, label)
+    # integer PA declines no kernel, on any engine
+    assert _check_fallbacks(tracer, label) == []
 
 
 def _check_fallbacks(tracer, label):
     """A declined kernel dispatch is an instant naming a phase that was
-    then charged, with a known reason; only array engines dispatch."""
+    then charged, with a known reason; the scalar engine never dispatches
+    (the async engine runs the array kernels, as ``engine_impl`` says)."""
     fallbacks = [
         e["args"] for e in tracer.events if e["name"] == "kernel_fallback"
     ]
@@ -142,17 +144,14 @@ def _check_fallbacks(tracer, label):
     for args in fallbacks:
         assert args["phase"] in charged
         assert args["reason"] in FALLBACK_REASONS
-    if label != "array":
+    if label == "scalar":
         assert fallbacks == []
     return fallbacks
 
 
-@pytest.mark.parametrize("label,kwargs", ENGINES, ids=[e[0] for e in ENGINES])
-def test_every_dispatch_declines_on_the_trace(workload, label, kwargs):
-    """Claim BFS, flood-min, CoreFast claim, annotation and the waves go
-    through the same seam as broadcast / convergecast: a verification run
-    on top of PA replays, and whatever it declines is on its trace."""
-    net = workload[0]
+def _dispatch_run(net, kwargs):
+    """A verification run on top of PA, plus a claim BFS whose token is no
+    int, on one traced solver; returns the run, the BFS and the tracer."""
     subgraph = [edge for i, edge in enumerate(net.edges) if i % 4]
     tracer = Tracer()
     with use_tracer(tracer):
@@ -164,6 +163,16 @@ def test_every_dispatch_declines_on_the_trace(workload, label, kwargs):
         bfs = claim_bfs(
             solver.engine, net, {0: ("tok", 7)}, res.ledger, name="odd_bfs"
         )
+    return res, bfs, tracer
+
+
+@pytest.mark.parametrize("label,kwargs", ENGINES, ids=[e[0] for e in ENGINES])
+def test_every_dispatch_declines_on_the_trace(workload, label, kwargs):
+    """Claim BFS, flood-min, CoreFast claim, annotation and the waves go
+    through the same seam as broadcast / convergecast: a verification run
+    on top of PA replays, and whatever it declines is on its trace."""
+    net = workload[0]
+    res, bfs, tracer = _dispatch_run(net, kwargs)
     assert res.output is True and bfs.token_of[net.n - 1] == ("tok", 7)
     assert _event_totals(tracer) == (res.rounds, res.messages)
     fallbacks = _check_fallbacks(tracer, label)
@@ -171,6 +180,12 @@ def test_every_dispatch_declines_on_the_trace(workload, label, kwargs):
     assert "bip_h_bfs" not in {args["phase"] for args in fallbacks}
     if label == "array":
         assert {"phase": "odd_bfs", "reason": "non_int"} in fallbacks
+    if label == "async":
+        # the async engine declines exactly where the array engine does
+        array_fallbacks = _check_fallbacks(
+            _dispatch_run(net, ENGINES[1][1])[2], "array"
+        )
+        assert fallbacks == array_fallbacks
 
 
 @pytest.mark.parametrize("label,kwargs", ENGINES, ids=[e[0] for e in ENGINES])
