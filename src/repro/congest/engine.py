@@ -20,10 +20,13 @@ and precompute static structure, but all *communication* happens here.
 Performance notes (the engine is the hot loop under every number in
 EXPERIMENTS.md):
 
-* per-node mailboxes are allocated once per phase and reused across ticks
-  instead of rebuilding a ``defaultdict`` of lists every tick;
-* the common ``capacity == 1`` check reuses one integer set across ticks
-  (edge keys are packed as ``src * n + dst``), so steady-state delivery
+* per-node mailbox arenas are owned by the :class:`Engine`, double
+  buffered and reused across ticks *and* phases, so a multi-phase
+  pipeline pays the O(n) arena allocation once per engine and a tick
+  rebuilds no per-node containers;
+* per-edge capacity is not tracked at send time: a directed edge's load
+  is the length of its sender's run in the destination's inbox, so the
+  inbox scan that orders senders enforces it, and steady-state delivery
   allocates nothing beyond the inbox tuples handed to programs;
 * inboxes are sorted by sender only when they arrive out of order (sends
   are usually emitted in activation order, which is already sorted);
@@ -31,10 +34,7 @@ EXPERIMENTS.md):
   :func:`~repro.congest.message.payload_bits_cached`;
 * ``wake_at`` is backed by a real timer wheel: idle stretches where only a
   future timer is pending are fast-forwarded in O(1) while still being
-  charged as rounds;
-* per-node mailbox arenas are owned by the :class:`Engine` and reused
-  across *phases*, not just across ticks, so a multi-phase pipeline pays
-  the O(n) arena allocation once per engine.
+  charged as rounds.
 """
 
 from __future__ import annotations
@@ -119,9 +119,9 @@ class Context:
             valid = False
         if not valid:
             raise NotAnEdgeError(src, dst)
-        # Inlined fast path of payload_bits_cached: payloads that are
-        # forwarded (or interned by their program) are the same object at
-        # every hop, so the identity hit avoids even a function call.
+        # Inlined fast path of payload_bits_cached: a forwarded payload
+        # is the same object at every hop, so the identity hit avoids even
+        # a function call.
         entry = _ID_CACHE.get(id(payload))
         if entry is not None and entry[0] is payload:
             bits = entry[1]
@@ -135,49 +135,6 @@ class Context:
             self._touched.append(dst)
         box.append((src, payload))
         self._sent += 1
-
-    def send_batch(self, src: int, entries) -> None:
-        """Bulk :meth:`send` from one source node.
-
-        ``entries`` is an iterable of sequences carrying the destination at
-        index 0 and the payload at index -1 — both plain ``(dst, payload)``
-        pairs and the richer internal queue entries qualify.  Semantics,
-        checks, errors and outbox ordering are exactly those of calling
-        ``send(src, dst, payload)`` per entry; only the per-message lookup
-        overhead is hoisted out of the loop.
-        """
-        if not 0 <= src < len(self._neighbor_sets):
-            # entries may be a one-shot generator; it must survive the
-            # error path untouched (the caller may want to report or
-            # re-send it), so the error names only the invalid source.
-            raise NotAnEdgeError(src, None)
-        neighbors = self._neighbor_sets[src]
-        mail = self._mail
-        touched = self._touched
-        count = 0
-        limit = self._bit_limit
-        cache_get = _ID_CACHE.get
-        for entry in entries:
-            dst = entry[0]
-            payload = entry[-1]
-            if dst not in neighbors:
-                self._sent += count
-                raise NotAnEdgeError(src, dst)
-            hit = cache_get(id(payload))
-            if hit is not None and hit[0] is payload:
-                bits = hit[1]
-            else:
-                bits = payload_bits_cached(payload)
-            if bits > limit:
-                self._sent += count
-                raise BandwidthExceededError(src, dst, bits, limit)
-            self._bits += bits
-            box = mail[dst]
-            if not box:
-                touched.append(dst)
-            box.append((src, payload))
-            count += 1
-        self._sent += count
 
     def wake(self, node: int) -> None:
         """Ensure ``node`` is activated next tick even without mail."""
@@ -222,19 +179,6 @@ class FastContext(Context):
             self._touched.append(dst)
         box.append((src, payload))
         self._sent += 1
-
-    def send_batch(self, src: int, entries) -> None:
-        mail = self._mail
-        touched = self._touched
-        count = 0
-        for entry in entries:
-            dst = entry[0]
-            box = mail[dst]
-            if not box:
-                touched.append(dst)
-            box.append((src, entry[-1]))
-            count += 1
-        self._sent += count
 
 
 def context_class(strict_bits: bool, strict_edges: bool) -> type:

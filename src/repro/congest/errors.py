@@ -15,17 +15,11 @@ class NotAnEdgeError(CongestError):
     """A node attempted to send a message to a non-neighbor.
 
     In the CONGEST model communication happens only along graph edges; a
-    send to any other node is a bug in the node program.  ``dst`` is
-    ``None`` when the *source* itself is not a node of the network (e.g. a
-    batch send from an out-of-range id, reported without consuming the
-    batch iterable).
+    send to any other node is a bug in the node program.
     """
 
-    def __init__(self, src: int, dst: "int | None") -> None:
-        if dst is None:
-            super().__init__(f"{src} is not a node of the network")
-        else:
-            super().__init__(f"({src}, {dst}) is not an edge of the network")
+    def __init__(self, src: int, dst: int) -> None:
+        super().__init__(f"({src}, {dst}) is not an edge of the network")
         self.src = src
         self.dst = dst
 

@@ -5,21 +5,21 @@
 enqueues are staged as flat int64 columns, and one :meth:`EdgePool.select`
 pass per tick picks, for every directed edge, the ``capacity`` packets of
 least ``(priority, seq)`` — the Lemma 4.2 discipline — as whole-array
-sorts.  Parity with the scalar flush is exact because both paths reduce to
-one rule: per tick, per source, edges drain in ascending *birth* order
-(the seq of the packet that created the edge's backlog entry), and within
-an edge packets drain in ``(priority, seq)`` order.  The scalar fast path
-(fresh distinct-destination batch) is the special case where every edge
-holds one packet and births coincide with seqs — and the pool has the
-same fast path, taken on the same observation (no backlog, no duplicate
-edge in the tick): rows stably sorted by source, nothing else.  The slow
-path's dict iteration *is* birth order, because ``dict`` preserves
-insertion and a drained destination's key is deleted (so a later re-add
-gets a fresh, larger birth).  Births must be tracked explicitly there:
-the minimum *remaining* seq of an edge can reorder arbitrarily relative
-to insertion once older packets drain.  Either way only the order of a
-*source's own* packets matters — no rule compares seqs across sources —
-so a kernel may push a tick's rows source by source.
+sorts.  Parity with the scalar flush is exact because both reduce to one
+rule: per tick, per source, edges drain in ascending *birth* order (the
+seq of the packet that created the edge's backlog entry), and within an
+edge packets drain in ``(priority, seq)`` order.  The scalar heaps' dict
+iteration *is* birth order, because ``dict`` preserves insertion and a
+drained destination's key is deleted (so a later re-add gets a fresh,
+larger birth).  The pool tracks births explicitly: the minimum
+*remaining* seq of an edge can reorder arbitrarily relative to insertion
+once older packets drain.  It also has a path of its own for the
+steady state, taken when a tick has no backlog and no duplicate edge:
+then every edge holds one packet, births coincide with seqs, and the
+rows stably sorted by source are the wire order, nothing else.  Either
+way only the order of a *source's own* packets matters — no rule
+compares seqs across sources — so a kernel may push a tick's rows source
+by source.
 
 On top of the pool live the array kernels for the queued programs of the
 shortcut pipeline — CoreFast claiming (:class:`ClaimArrayKernel`) and
@@ -217,10 +217,10 @@ class EdgePool:
         key = src * np.int64(self.n) + dst
 
         if backlog is None:
-            # The batch fast path of ``QueuedProgram._flush``: with no
-            # backlog and one packet per edge, every packet heads its own
-            # queue, birth == seq, and the wire order is (src, seq) — the
-            # rows, which are seq-ascending, stably sorted by source.
+            # The no-backlog path: with one packet per edge, every packet
+            # heads its own queue, birth == seq, and the wire order is
+            # (src, seq) — the rows, which are seq-ascending, stably
+            # sorted by source.
             edges = np.sort(key)
             if not (edges[1:] == edges[:-1]).any():
                 if (src[1:] < src[:-1]).any():

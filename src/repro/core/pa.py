@@ -278,10 +278,8 @@ class PASolver:
         if engine is not None:
             self.engine = engine
             self.schedule = getattr(engine, "schedule", None)
-            self.engine_impl = "array" if engine.use_arrays else "scalar"
         elif schedule is not None:
             self.schedule = schedule
-            self.engine_impl = engine_impl
             self.engine = AsyncEngine(
                 net, schedule=schedule,
                 strict_bits=strict_bits, strict_edges=strict_edges,
@@ -289,7 +287,6 @@ class PASolver:
             )
         else:
             self.schedule = schedule
-            self.engine_impl = engine_impl
             self.engine = Engine(
                 net, strict_bits=strict_bits, strict_edges=strict_edges,
                 use_arrays=(engine_impl == "array"),

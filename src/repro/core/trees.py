@@ -49,8 +49,7 @@ class ForestPlan:
     levels:
         ``(nodes, parents)`` per level ``1..height``, slices of the above.
     root_of:
-        Root of each member's tree; a non-member maps to itself, as
-        :meth:`RootedForest.root_of` always did.
+        Root of each member's tree; a non-member maps to itself.
     senders, sender_parents, send_groups:
         Convergecast schedule: non-root members sorted by ``(send tick,
         node)`` where a node's send tick is its subtree height; tick
@@ -221,7 +220,6 @@ class RootedForest:
             raise ValueError("parent pointers contain a cycle")
         self._columns = (parr, depth, order)
         self._plan: Optional[ForestPlan] = None
-        self._root_list: Optional[List[int]] = None
         # The forest is immutable, so its height is fixed at construction
         # (the BFS order visits deepest nodes last).
         self._height: int = level if order.size else 0
@@ -272,7 +270,6 @@ class RootedForest:
         forest._grouped = None
         forest._columns = (sub.parent, sub.depth, sub.order)
         forest._plan = sub
-        forest._root_list = None
         forest._height = len(sub.levels)
         return forest
 
@@ -304,12 +301,6 @@ class RootedForest:
             self._plan = ForestPlan(*self._columns)
         return self._plan
 
-    def root_of(self, v: int) -> int:
-        """Root of the tree containing ``v`` (``v`` itself outside the forest)."""
-        if self._root_list is None:
-            self._root_list = self.plan.root_of.tolist()
-        return self._root_list[v]
-
     def subtree_nodes(self, v: int) -> List[int]:
         """All nodes in v's subtree (oracle-side)."""
         out = [v]
@@ -319,12 +310,6 @@ class RootedForest:
             head += 1
             out.extend(self.children[u])
         return out
-
-    def tree_edges(self) -> List[Tuple[int, int]]:
-        """All (child, parent) edges of the forest."""
-        return [
-            (v, p) for v, p in enumerate(self.parent) if p >= 0
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -233,12 +233,6 @@ class WaveProgram(QueuedProgram):
             out_edges={}, in_edges={}, parent={},
             reached={pid: set() for pid in range(partition.num_parts)},
         )
-        # A part's token is fixed, so the (tag, pid, token) payload for a
-        # given (tag, pid) is one value: intern it.  Reusing one tuple per
-        # (tag, pid) avoids an allocation per send and lets the engine's
-        # identity-keyed bit-budget cache hit on every hop.
-        self._payload_memo: Dict[Tuple[str, int], Tuple[str, int, object]] = {}
-        self._prio_memo: Dict[Tuple[int, int], Tuple[int, int]] = {}
         # The candidate boundary edges of line 15.
         self._boundary: List[Tuple[int, ...]] = division.wave_boundary
 
@@ -252,32 +246,19 @@ class WaveProgram(QueuedProgram):
         else:
             lst.append((dst, payload[0]))
 
-    def _send(self, src: int, dst: int, tag: str, pid: int, token: object,
-              priority: Tuple = (0, 0)) -> None:
-        key = (tag, pid)
-        payload = self._payload_memo.get(key)
-        if payload is None:
-            payload = self._payload_memo[key] = (tag, pid, token)
-        # Every _send happens while ``src`` is the node being activated
-        # (handlers and the leader start both run inside src's own
-        # activation), so the enqueue fast path is inlined: the packet
-        # goes straight to the activation batch.
-        self._seq += 1
-        self._batch.append((dst, priority, self._seq, payload))
+    def _send(self, ctx: Context, src: int, dst: int, tag: str, pid: int,
+              token: object, priority: Tuple = (0, 0)) -> None:
+        self.enqueue(ctx, src, dst, priority, (tag, pid, token))
 
     def _prio(self, v: int, pid: int) -> Tuple[int, int]:
-        key = (v, pid)
-        prio = self._prio_memo.get(key)
-        if prio is None:
-            prio = self._prio_memo[key] = (self.ann.priority_depth(v, pid), pid)
-        return prio
+        return (self.ann.priority_depth(v, pid), pid)
 
     # ------------------------------------------------------------------
     # Protocol actions.  ``heard`` is every neighbor that has sent the
     # node pid's token: none of them is sent it back.
     # ------------------------------------------------------------------
-    def _gain_token(self, v: int, pid: int, token: object, heard,
-                    via_block: bool) -> None:
+    def _gain_token(self, ctx: Context, v: int, pid: int, token: object,
+                    heard, via_block: bool) -> None:
         """First token receipt at part member ``v``: hand it on at once.
 
         Down the sub-part tree and across the boundary; a non-rep also up
@@ -288,28 +269,32 @@ class WaveProgram(QueuedProgram):
         self.record.reached[pid].add(v)
         for child in self.forest.children[v]:
             if child not in heard:
-                self._send(v, child, "su", pid, token)
+                self._send(ctx, v, child, "su", pid, token)
         for nb in self._boundary[v]:
             if nb not in heard:
-                self._send(v, nb, "bd", pid, token)
+                self._send(ctx, v, nb, "bd", pid, token)
         if self.rep_of[v] != v:
             parent = self.forest.parent[v]
             if parent not in heard:
-                self._send(v, parent, "ru", pid, token)
+                self._send(ctx, v, parent, "ru", pid, token)
         elif not via_block:
             self.kup_done.add((v, pid))
-            self._climb(v, pid, token, heard)
+            self._climb(ctx, v, pid, token, heard)
 
-    def _climb(self, v: int, pid: int, token: object, heard) -> None:
+    def _climb(self, ctx: Context, v: int, pid: int, token: object,
+               heard) -> None:
         """``v`` won pid's climb: ku up unless v is the block root, and kd
         down its H_pid children, both now."""
         if pid in self.shortcut.up_parts[v]:
             parent = self.shortcut.tree.parent[v]
             if parent not in heard:
-                self._send(v, parent, "ku", pid, token, self._prio(v, pid))
-        self._block_down(v, pid, token, heard)
+                self._send(
+                    ctx, v, parent, "ku", pid, token, self._prio(v, pid)
+                )
+        self._block_down(ctx, v, pid, token, heard)
 
-    def _block_down(self, v: int, pid: int, token: object, heard) -> None:
+    def _block_down(self, ctx: Context, v: int, pid: int, token: object,
+                    heard) -> None:
         """Flood the token down v's H_pid child edges (once per key)."""
         key = (v, pid)
         if key in self.kdown_done:
@@ -318,7 +303,7 @@ class WaveProgram(QueuedProgram):
         prio = self._prio(v, pid)
         for child, parts in self.down[v].items():
             if pid in parts and child not in heard:
-                self._send(v, child, "kd", pid, token, prio)
+                self._send(ctx, v, child, "kd", pid, token, prio)
 
     # ------------------------------------------------------------------
     # Engine hooks
@@ -345,7 +330,7 @@ class WaveProgram(QueuedProgram):
         self._started.add(pid)
         self.record.parent[(leader, pid)] = None
         # pid's token exists nowhere before this: nobody has sent it.
-        self._gain_token(leader, pid, self.leader_tokens[pid], (), False)
+        self._gain_token(ctx, leader, pid, self.leader_tokens[pid], (), False)
 
     def handle(self, ctx: Context, node: int, inbox: Inbox) -> None:
         in_edges = self.record.in_edges
@@ -376,21 +361,21 @@ class WaveProgram(QueuedProgram):
                     continue
                 self.kup_done.add(key)
                 if member == pid and not self.has_token[node]:
-                    self._gain_token(node, pid, token, heard, True)
-                self._climb(node, pid, token, heard)
+                    self._gain_token(ctx, node, pid, token, heard, True)
+                self._climb(ctx, node, pid, token, heard)
             elif tag == "kd":
                 if member == pid and not self.has_token[node]:
-                    self._gain_token(node, pid, token, heard, True)
-                self._block_down(node, pid, token, heard)
+                    self._gain_token(ctx, node, pid, token, heard, True)
+                self._block_down(ctx, node, pid, token, heard)
             elif not self.has_token[node]:
                 # ru, su, bd: the node's own part.
-                self._gain_token(node, pid, token, heard, False)
+                self._gain_token(ctx, node, pid, token, heard, False)
 
     def on_activate(self, ctx: Context, node: int) -> None:
         pid = self.part_of[node]
         if node == self.division.part_leader[pid] and pid not in self._started:
-            # The leader's own sends go through the activation batch (the
-            # flush at the end of this activation ships them this tick).
+            # The leader's own sends are flushed at the end of this
+            # activation, so they ship this tick.
             self._leader_start(ctx, node)
 
     def route(self) -> WaveRecord:
@@ -417,9 +402,6 @@ class ReverseProgram(QueuedProgram):
         self.expected: Dict[Tuple[int, int], int] = {}
         self.acc: Dict[Tuple[int, int], object] = {}
         self.results: Dict[int, object] = {}
-        # The None answer for part pid is one value: intern it (identity
-        # bit-budget cache + no per-send allocation).
-        self._none_answer: Dict[int, Tuple[str, int, None]] = {}
 
     def _fire(self, ctx: Context, v: int, pid: int) -> None:
         parent = self.record.parent.get((v, pid))
@@ -459,7 +441,6 @@ class ReverseProgram(QueuedProgram):
         # Answer every non-parent in-edge immediately with None, under a
         # tag of its own: the tag is how a sender learns which of its
         # wave edges are forest edges (answered "a") and which are not.
-        none_answer = self._none_answer
         enqueue = self.enqueue
         for key in keys:
             edges = in_edges.get(key)
@@ -468,14 +449,11 @@ class ReverseProgram(QueuedProgram):
             v, pid = key
             parent = parent_of.get(key)
             answered_parent = False
-            payload = none_answer.get(pid)
-            if payload is None:
-                payload = none_answer[pid] = ("n", pid, None)
             for src, _tag in edges:
                 if src == parent and not answered_parent:
                     answered_parent = True  # reserved for the value answer
                     continue
-                enqueue(ctx, v, src, (0,), payload)
+                enqueue(ctx, v, src, (0,), ("n", pid, None))
         for key in keys:
             if expected[key] == 0:
                 v, pid = key
@@ -507,8 +485,6 @@ class ReplayProgram(QueuedProgram):
         self.results = results
         self.delivered: Dict[int, object] = {}
         self._done: Set[Tuple[int, int]] = set()
-        # One interned (tag, pid, result) payload per part, as in the wave.
-        self._payload_memo: Dict[int, Tuple[str, int, object]] = {}
 
     def _forward(self, ctx: Context, v: int, pid: int, value: object) -> None:
         key = (v, pid)
@@ -520,11 +496,8 @@ class ReplayProgram(QueuedProgram):
         out = self.record.out_edges.get(key)
         if not out:
             return
-        payload = self._payload_memo.get(pid)
-        if payload is None:
-            payload = self._payload_memo[pid] = ("r", pid, value)
         for dst, _tag in out:
-            self.enqueue(ctx, v, dst, (0,), payload)
+            self.enqueue(ctx, v, dst, (0,), ("r", pid, value))
 
     def on_start(self, ctx: Context) -> None:
         for pid, value in self.results.items():

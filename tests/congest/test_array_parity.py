@@ -91,9 +91,9 @@ def test_pa_bit_for_bit_across_engines(kind, net, mode):
 
 @pytest.mark.parametrize("agg", [SUM, MIN, MAX])
 def test_pa_parity_holds_for_every_identity_aggregation(agg):
-    # array_wave_supported gates on the aggregation: SUM/MIN/MAX over int
-    # tokens take the vectorized wave, anything else falls back per phase
-    # — either way the ledger must not move.
+    # array_wave_supported gates on the leader tokens only: every
+    # aggregation rides beside the same wire schedule, and only the
+    # reversal's value store depends on it — the ledger must not move.
     net = grid_2d(6, 6, uid_seed=9)
     partition = bfs_ball_partition(net, 7, seed=4)
     values = [(v * 3 + 1) % 97 for v in range(net.n)]
@@ -106,8 +106,9 @@ def test_pa_parity_holds_for_every_identity_aggregation(agg):
 
 
 def test_pa_parity_with_tuple_values_falls_back_identically():
-    # MIN over tuples is outside the array wave's supported domain; the
-    # dispatch must degrade to the scalar wave without any ledger drift.
+    # Tuple values ride beside the wire schedule like any other: only the
+    # reversal's value store differs (a list folded with the aggregation's
+    # merge instead of an int64 column), without any ledger drift.
     net = random_connected(30, 0.12, seed=21, uid_seed=21)
     partition = random_connected_partition(net, 4, seed=8)
     values = [(net.uid[v] % 7, net.uid[v]) for v in range(net.n)]

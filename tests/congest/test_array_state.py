@@ -14,6 +14,9 @@ Three families of invariants, per the contract in
 * **masked slots** — an arena's dead region (beyond the live prefix) is
   invisible: poisoning it and reusing the arena across phases never
   leaks a poisoned value into a view.
+
+The pool and the scalar ``QueuedProgram`` it mirrors are held to one
+model of Lemma 4.2's per-edge heaps, on the same random schedules.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.congest import Engine
 from repro.congest.arrays import ColumnArena, int_bits_array, tuple_bits
 from repro.congest.message import TUPLE_OVERHEAD_BITS, int_bits, payload_bits
 from repro.core.array_queue import (
@@ -34,6 +38,8 @@ from repro.core.array_queue import (
     group_ranks,
     in_sorted,
 )
+from repro.core.queued import QueuedProgram
+from oracles import complete_graph
 
 I64 = np.iinfo(np.int64)
 
@@ -275,10 +281,12 @@ def test_edge_pool_matches_scalar_flush_reference(seed, capacity):
 
 
 class _HeapModel:
-    """``QueuedProgram``'s per-edge heaps, verbatim: ``{src: {dst: heap of
-    (priority, seq, payload)}}``, a drained destination's key deleted, a
-    flush per backlogged source in node order and per destination in dict
-    (insertion) order, up to ``capacity`` pops each."""
+    """Lemma 4.2's per-edge heaps, as ``QueuedProgram`` keeps them — its one
+    representation: ``{src: {dst: heap of (priority, seq, payload)}}``, a
+    drained destination's key deleted, a flush per backlogged source in
+    node order and per destination in dict (insertion) order, up to
+    ``capacity`` pops each.  The pool's no-backlog path is the pool's own;
+    the model has none."""
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
@@ -309,6 +317,37 @@ class _HeapModel:
         return sent, wake
 
 
+def _enqueue_schedule(seed, n, ticks, duplicates):
+    """Random staged enqueue batches: per tick, a list of ``(src, dst, p0,
+    p1, tok)`` column lists, sources out of order.  Without
+    ``duplicates`` no directed edge repeats within a tick."""
+    rng = np.random.default_rng(seed)
+    schedule = []
+    for _tick in range(ticks):
+        taken = set()
+        batches = []
+        for _ in range(int(rng.integers(0, 4))):
+            src, dst = [], []
+            for _ in range(int(rng.integers(1, 6))):
+                u = int(rng.integers(0, n))
+                v = int((u + 1 + rng.integers(0, n - 1)) % n)
+                if duplicates or (u, v) not in taken:
+                    taken.add((u, v))
+                    src.append(u)
+                    dst.append(v)
+            p0 = rng.integers(0, 3, size=len(src)).tolist()
+            p1 = rng.integers(0, 2, size=len(src)).tolist()
+            tok = rng.integers(0, 100, size=len(src)).tolist()
+            batches.append((src, dst, p0, p1, tok))
+        schedule.append(batches)
+    return schedule
+
+
+def _push_rows(model, batch):
+    for u, v, a, b, t in zip(*batch):
+        model.push(u, v, (a, b), t)
+
+
 @pytest.mark.parametrize("by_source", [False, True])
 @pytest.mark.parametrize("duplicates", [False, True])
 @given(seed=st.integers(0, 2**32 - 1), capacity=st.integers(1, 3))
@@ -326,27 +365,15 @@ def test_edge_pool_matches_queued_program_heaps(
     while the model keeps the scalar enqueue order: only the order of a
     source's own packets may matter.
     """
-    rng = np.random.default_rng(seed)
     n = 7
     pool = EdgePool(n, ("tok",), capacity=capacity)
     model = _HeapModel(capacity)
-    for _tick in range(6):
-        taken = set()
-        for _ in range(int(rng.integers(0, 4))):  # staged batches
-            src, dst = [], []
-            for _ in range(int(rng.integers(1, 6))):
-                u = int(rng.integers(0, n))
-                v = int((u + 1 + rng.integers(0, n - 1)) % n)
-                if duplicates or (u, v) not in taken:
-                    taken.add((u, v))
-                    src.append(u)
-                    dst.append(v)
-            p0 = rng.integers(0, 3, size=len(src))
-            p1 = rng.integers(0, 2, size=len(src))
-            tok = rng.integers(0, 100, size=len(src))
-            for u, v, a, b, t in zip(src, dst, p0, p1, tok):
-                model.push(u, v, (int(a), int(b)), int(t))
-            src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+    for batches in _enqueue_schedule(seed, n, 6, duplicates):
+        for batch in batches:
+            _push_rows(model, batch)
+            src, dst, p0, p1, tok = (
+                np.array(col, dtype=np.int64) for col in batch
+            )
             if by_source:
                 order = np.argsort(src, kind="stable")
                 src, dst, p0, p1, tok = (
@@ -362,6 +389,71 @@ def test_edge_pool_matches_queued_program_heaps(
         assert wake.tolist() == model_wake
         if not duplicates:
             assert wake.size == 0 and len(pool) == 0
+
+
+class _ScheduledQueues(QueuedProgram):
+    """Replays an enqueue schedule on the engine: a timer activates each
+    source at every tick it has packets for, it enqueues them in schedule
+    order, and every dequeue is logged under the tick that sent it."""
+
+    name = "scheduled_queues"
+
+    def __init__(self, schedule, capacity: int) -> None:
+        super().__init__(capacity=capacity)
+        self.due = {}  # (tick, src) -> [(dst, priority, payload)]
+        for tick, batches in enumerate(schedule, start=1):
+            for batch in batches:
+                for u, v, a, b, t in zip(*batch):
+                    self.due.setdefault((tick, u), []).append(
+                        (v, (a, b), (a, b, t))
+                    )
+        self.tick = 0
+        self.log = {}
+
+    def on_start(self, ctx):
+        for tick, src in self.due:
+            ctx.wake_at(src, tick)
+
+    def on_activate(self, ctx, node):
+        self.tick = ctx.tick
+        for dst, priority, payload in self.due.pop((ctx.tick, node), ()):
+            self.enqueue(ctx, node, dst, priority, payload)
+
+    def handle(self, ctx, node, inbox):
+        pass
+
+    def on_dequeue(self, src, dst, payload):
+        self.log.setdefault(self.tick, []).append((src, dst, *payload))
+
+
+@pytest.mark.parametrize("duplicates", [False, True])
+@given(seed=st.integers(0, 2**32 - 1), capacity=st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_queued_program_matches_the_heap_model(duplicates, seed, capacity):
+    """``QueuedProgram`` on the scalar engine against the same model, on
+    the same schedules: what it dequeues at each tick, in order, until
+    every backlog has drained.  Without duplicate edges no source ever
+    backlogs and each flush sends its packets in enqueue order; with
+    them, edges queue across ticks and drain in birth order."""
+    n = 7
+    schedule = _enqueue_schedule(seed, n, 6, duplicates)
+    model = _HeapModel(capacity)
+    expected = []
+    for batches in schedule:
+        for batch in batches:
+            _push_rows(model, batch)
+        expected.append(model.flush()[0])
+    while model.queues:
+        expected.append(model.flush()[0])
+    program = _ScheduledQueues(schedule, capacity)
+    stats = Engine(complete_graph(n)).run(
+        program, max_ticks=100, capacity=capacity
+    )
+    assert max(program.log, default=0) <= len(expected)
+    assert [program.log.get(t, []) for t in range(1, len(expected) + 1)] == (
+        expected
+    )
+    assert stats.messages == sum(map(len, expected))
 
 
 def test_edge_pool_len_and_empty_select():

@@ -373,47 +373,6 @@ def test_fast_forward_from_rearm_cannot_overshoot_max_ticks(path10):
 
 
 # ----------------------------------------------------------------------
-# send_batch: generator safety of the invalid-source error path
-# ----------------------------------------------------------------------
-def test_send_batch_invalid_src_does_not_consume_entries(path10):
-    from repro.congest import Context, NotAnEdgeError
-
-    consumed = []
-
-    def entries():
-        for dst in (1, 2):
-            consumed.append(dst)
-            yield (dst, ("x",))
-
-    gen = entries()
-    ctx = Context(path10)
-    with pytest.raises(NotAnEdgeError) as info:
-        ctx.send_batch(99, gen)
-    assert consumed == []          # the generator was not touched
-    assert info.value.src == 99
-    assert info.value.dst is None
-    # The untouched generator is still usable by the caller afterwards.
-    assert [dst for dst, _payload in gen] == [1, 2]
-    assert consumed == [1, 2]
-
-
-def test_send_batch_invalid_src_with_empty_generator(path10):
-    from repro.congest import Context, NotAnEdgeError
-
-    ctx = Context(path10)
-    with pytest.raises(NotAnEdgeError):
-        ctx.send_batch(-3, iter(()))
-
-
-def test_send_batch_valid_src_accepts_generators(path10):
-    from repro.congest import Context
-
-    ctx = Context(path10)
-    ctx.send_batch(1, ((dst, ("m", dst)) for dst in (0, 2)))
-    assert ctx._sent == 2
-
-
-# ----------------------------------------------------------------------
 # FastContext: the audit-free send path is ledger-identical
 # ----------------------------------------------------------------------
 class _EchoRing(Program):

@@ -32,7 +32,7 @@ from repro.graphs import (
     with_distinct_weights,
     with_random_weights,
 )
-from oracles import spanning_forest_of_subsets
+from oracles import root_of, spanning_forest_of_subsets
 
 
 def ring_of_subparts(n_groups, group_size):
@@ -52,8 +52,8 @@ def chain_edges(net, groups, forest):
     for g in range(len(groups) - 1):
         u = groups[g][-1]
         v = groups[g + 1][0]
-        sid = forest.root_of(u)
-        target = forest.root_of(v)
+        sid = root_of(forest, u)
+        target = root_of(forest, v)
         chosen[sid] = (u, v, target)
     return chosen
 
@@ -98,7 +98,7 @@ def test_constant_fraction_merges():
 def test_in_degree_two_makes_receiver():
     # Groups 0 and 2 both point at group 1.
     net, groups, forest = ring_of_subparts(3, 3)
-    sid = [forest.root_of(g[0]) for g in groups]
+    sid = [root_of(forest, g[0]) for g in groups]
     chosen = {
         sid[0]: (groups[0][-1], groups[1][0], sid[1]),
         sid[2]: (groups[2][0], groups[1][-1], sid[1]),
@@ -113,7 +113,7 @@ def test_in_degree_two_makes_receiver():
 
 def test_nonparticipant_target_is_receiver():
     net, groups, forest = ring_of_subparts(2, 4)
-    sid = [forest.root_of(g[0]) for g in groups]
+    sid = [root_of(forest, g[0]) for g in groups]
     chosen = {sid[0]: (groups[0][-1], groups[1][0], sid[1])}
     engine = Engine(net)
     ops = TreeSuperOps(engine, net, forest, chosen, CostLedger())
@@ -126,7 +126,7 @@ def test_nonparticipant_target_is_receiver():
 def test_two_cycle_resolves():
     """Mutual pointers (the MOE 2-cycle case) resolve via Cole-Vishkin."""
     net, groups, forest = ring_of_subparts(2, 3)
-    sid = [forest.root_of(g[0]) for g in groups]
+    sid = [root_of(forest, g[0]) for g in groups]
     chosen = {
         sid[0]: (groups[0][-1], groups[1][0], sid[1]),
         sid[1]: (groups[1][0], groups[0][-1], sid[0]),

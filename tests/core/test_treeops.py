@@ -42,7 +42,7 @@ from repro.graphs import (
     random_connected_partition,
     random_regular,
 )
-from oracles import complete_graph, restrict_roots, star_graph
+from oracles import complete_graph, restrict_roots, root_of, star_graph
 
 
 def line_forest(net):
@@ -253,10 +253,9 @@ def test_broadcast_kernel_matches_the_scalar_program(data):
     (scalar, scalar_log), (array, array_log) = _both_engines(net, run)
     assert array == scalar
     assert array_log == scalar_log
-    root_of = forest.root_of
     assert dict(array[0]) == {
-        v: root_values[root_of(v)]
-        for v in forest.members() if root_of(v) in root_values
+        v: root_values[root_of(forest, v)]
+        for v in forest.members() if root_of(forest, v) in root_values
     }
 
 

@@ -313,10 +313,10 @@ class _Spy(WaveProgram):
             self.told.setdefault((node, pid), set()).add(sender)
         super().on_node(ctx, node, inbox)
 
-    def _send(self, src, dst, tag, pid, token, priority=(0, 0)):
+    def _send(self, ctx, src, dst, tag, pid, token, priority=(0, 0)):
         if dst in self.told.get((src, pid), ()):
             self.echoes.append((src, dst, tag, pid))
-        super()._send(src, dst, tag, pid, token, priority)
+        super()._send(ctx, src, dst, tag, pid, token, priority)
 
 
 SHORTCUTS = ("empty", "star", "corefast")

@@ -106,11 +106,16 @@ def whole_graph_partition(net: Network) -> Partition:
     return Partition([0] * net.n)
 
 
+def root_of(forest: RootedForest, v: int) -> int:
+    """Root of the tree containing ``v`` (``v`` itself outside the forest)."""
+    return int(forest.plan.root_of[v])
+
+
 def restrict_roots(forest: RootedForest) -> Dict[int, List[int]]:
     """Map each root of ``forest`` to the members of its tree."""
     by_root: Dict[int, List[int]] = {r: [] for r in forest.roots}
     for v in forest.order:
-        by_root[forest.root_of(v)].append(v)
+        by_root[root_of(forest, v)].append(v)
     return by_root
 
 
@@ -149,7 +154,7 @@ def division_from_groups(
     forest = spanning_forest_of_subsets(net, groups)
     rep_of = [-1] * net.n
     for group in groups:
-        root = forest.root_of(group[0])
+        root = root_of(forest, group[0])
         for v in group:
             rep_of[v] = root
     division = SubPartDivision(
