@@ -11,7 +11,6 @@ import math
 from repro.analysis import TABLE1
 from repro.bench import print_table, record
 from repro.core import PASolver
-from repro.families import family_hint, provider_for
 from repro.graphs import (
     grid_2d,
     k_tree,
@@ -60,43 +59,13 @@ def test_table1_shortcut_quality():
             out_rows,
         )
 
-        # Family-aware providers (repro.families) on the same instances:
-        # the constructions the Table 1 rows actually claim, via the
-        # registry.  claim_small drops the parts-below-D exemption so the
-        # construction is visible at these small reproduction sizes.
-        provider_rows = []
-        provider_measured = {}
-        for family, (make, param) in FAMILIES.items():
-            net = make()
-            part = random_connected_partition(net, max(2, net.n // 12), seed=5)
-            provider = provider_for(family, param=param, claim_small=True)
-            solver = PASolver(net, seed=16)
-            setup = solver.prepare(part, shortcut_provider=provider)
-            b, c = setup.quality()
-            hb, hc = family_hint(family, net.n, solver.diameter, param=param)
-            provider_measured[family] = (b, c, hb, hc)
-            provider_rows.append(
-                (family, provider.name, net.n, b, hb, c, hc)
-            )
-        print_table(
-            "Table 1 (family providers): measured (b, c) vs registry hints",
-            ["family", "provider", "n", "b meas", "b hint", "c meas",
-             "c hint"],
-            provider_rows,
-        )
-        return measured, setup_cost, provider_measured
+        return measured, setup_cost
 
-    measured, setup_cost, provider_measured = experiment()
+    measured, setup_cost = experiment()
     for family, (b, c, tb, tc) in measured.items():
         n = 128
         polylog = math.log2(n) ** 2
         assert b <= max(3, tb * polylog), family
         assert c <= max(3, tc * polylog), family
         record(**{f"{family}_b": b, f"{family}_c": c})
-    for family, (b, c, hb, hc) in provider_measured.items():
-        polylog = math.log2(128) ** 2
-        assert b <= max(3, hb * polylog), family
-        assert c <= max(3, hc * polylog), family
-        record(**{f"{family}_provider_b": b,
-                             f"{family}_provider_c": c})
     record(rounds=setup_cost[0], messages=setup_cost[1])

@@ -8,7 +8,6 @@ deterministic O~(b(D + c)).
 from repro.analysis import TABLE2_DETERMINISTIC, TABLE2_RANDOMIZED
 from repro.bench import print_table, record
 from repro.core import DETERMINISTIC, RANDOMIZED, SUM, PASolver
-from repro.families import provider_for
 from repro.graphs import (
     grid_2d,
     ladder,
@@ -24,14 +23,10 @@ FAMILIES = {
     "pathwidth": lambda: ladder(24),
 }
 
-#: Canonical family parameter of each workload above (genus of the torus,
-#: pathwidth of the ladder); the registry's defaults cover the rest.
-FAMILY_PARAMS = {"genus": 1, "pathwidth": 2}
 
-
-def _solve(net, part, mode, provider=None):
+def _solve(net, part, mode):
     solver = PASolver(net, mode=mode, seed=8)
-    setup = solver.prepare(part, shortcut_provider=provider)
+    setup = solver.prepare(part)
     result = solver.solve(setup, [1] * net.n, SUM, charge_setup=False)
     return result
 
@@ -45,34 +40,19 @@ def test_table2_round_complexity():
             part = random_connected_partition(net, max(2, net.n // 12), seed=9)
             det = _solve(net, part, DETERMINISTIC)
             rand = _solve(net, part, RANDOMIZED)
-            # The family-aware construction (repro.families registry) on
-            # the same instance, randomized mode — the provider Table 2's
-            # per-family bounds actually describe.  claim_small drops the
-            # parts-below-D exemption: at these reproduction sizes every
-            # part fits inside D, so without it the family column would
-            # silently measure an empty shortcut identical to the rand
-            # column.
-            fam = _solve(
-                net, part, RANDOMIZED,
-                provider=provider_for(
-                    family, param=FAMILY_PARAMS.get(family), claim_small=True
-                ),
-            )
             d = net.diameter_estimate()
-            data[family] = (det.rounds, rand.rounds, d, net.n,
-                            det.messages, fam.rounds)
+            data[family] = (det.rounds, rand.rounds, d, net.n, det.messages)
             rows.append(
                 (
                     family, net.n, d,
                     det.rounds, TABLE2_DETERMINISTIC[family],
                     rand.rounds, TABLE2_RANDOMIZED[family],
-                    fam.rounds,
                 )
             )
         print_table(
             "Table 2: PA solve rounds (excluding setup), det vs randomized",
             ["family", "n", "D", "det rounds", "det bound",
-             "rand rounds", "rand bound", "family-provider rounds"],
+             "rand rounds", "rand bound"],
             rows,
         )
         return data
@@ -80,12 +60,10 @@ def test_table2_round_complexity():
     data = experiment()
     import math
 
-    for family, (det_rounds, rand_rounds, d, n, _msgs, fam_rounds) in data.items():
+    for family, (det_rounds, rand_rounds, d, n, _msgs) in data.items():
         envelope = (d + math.sqrt(n)) * math.log2(n) ** 2
         assert det_rounds <= 40 * envelope, family
         assert rand_rounds <= 40 * envelope, family
-        assert fam_rounds <= 40 * envelope, family
         record(**{f"{family}_det": det_rounds,
-                             f"{family}_rand": rand_rounds,
-                             f"{family}_provider": fam_rounds})
+                             f"{family}_rand": rand_rounds})
     record(rounds=data["general"][0], messages=data["general"][4])

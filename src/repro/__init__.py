@@ -13,14 +13,11 @@ Public API tour:
   approximate SSSP, graph verification, CDS, k-dominating sets
   (Corollaries 1.3-1.5, A.1-A.3).
 * ``repro.baselines`` — prior-work comparators (block-aggregation PA,
-  flood PA, GHS-style MST).
+  GHS-style MST).
 * ``repro.analysis`` — sequential reference oracles and the paper's
-  Table 1/2 bounds.
-* ``repro.families`` — family-aware shortcut construction: the
-  ``ShortcutProvider`` strategy API with its one concrete class,
-  decomposition oracles with validity certificates, and the registry
-  whose rows realize the Tables 1-2 O~(D) bounds
-  (``PASolver.prepare(..., shortcut_provider=provider_for("planar"))``).
+  Table 1/2 bounds.  The Tables 1-2 families (planar, genus, treewidth,
+  pathwidth) run the same general construction as every other graph,
+  as the paper's own algorithms do.
 * ``repro.runtime`` — :class:`PASession`: the long-lived PA acquisition
   point every algorithm routes through, with opt-in setup caching,
   incremental coarsening across merge phases, and batched
@@ -54,7 +51,6 @@ from .core import (
     Shortcut,
     solve_pa,
 )
-from .families import ShortcutProvider, provider_for
 from .graphs import Partition
 from .runtime import PASession, RecoveryDriver
 from .service import PAService
@@ -79,11 +75,9 @@ __all__ = [
     "PhaseStats",
     "RecoveryDriver",
     "Schedule",
-    "ShortcutProvider",
     "SUM",
     "Shortcut",
     "make_schedule",
-    "provider_for",
     "solve_pa",
     "__version__",
 ]

@@ -45,7 +45,6 @@ from .message import (
     int_bits,
     message_bit_limit,
     payload_bits,
-    payload_bits_cached,
 )
 from .network import Network, canonical_edge
 from .schedule import (
@@ -95,6 +94,5 @@ __all__ = [
     "make_schedule",
     "message_bit_limit",
     "payload_bits",
-    "payload_bits_cached",
     "validate_schedule",
 ]

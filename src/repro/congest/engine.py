@@ -30,8 +30,6 @@ EXPERIMENTS.md):
   allocates nothing beyond the inbox tuples handed to programs;
 * inboxes are sorted by sender only when they arrive out of order (sends
   are usually emitted in activation order, which is already sorted);
-* payload bit budgets are checked through the memoized
-  :func:`~repro.congest.message.payload_bits_cached`;
 * ``wake_at`` is backed by a real timer wheel: idle stretches where only a
   future timer is pending are fast-forwarded in O(1) while still being
   charged as rounds.
@@ -49,7 +47,7 @@ from .errors import (
 )
 from ..obs.tracer import current_tracer
 from .ledger import PhaseStats
-from .message import _ID_CACHE, payload_bits_cached
+from .message import payload_bits
 from .network import Network
 
 #: (sender, payload) pairs as delivered to a node in one round.
@@ -119,14 +117,7 @@ class Context:
             valid = False
         if not valid:
             raise NotAnEdgeError(src, dst)
-        # Inlined fast path of payload_bits_cached: a forwarded payload
-        # is the same object at every hop, so the identity hit avoids even
-        # a function call.
-        entry = _ID_CACHE.get(id(payload))
-        if entry is not None and entry[0] is payload:
-            bits = entry[1]
-        else:
-            bits = payload_bits_cached(payload)
+        bits = payload_bits(payload)
         if bits > self._bit_limit:
             raise BandwidthExceededError(src, dst, bits, self._bit_limit)
         self._bits += bits
@@ -518,25 +509,6 @@ class Engine:
                 mail = mailboxes[node]
                 if not mail:
                     inbox: Inbox = ()
-                elif len(mail) == 1:
-                    inbox = (mail[0],)
-                    mail.clear()
-                elif len(mail) == 2:
-                    # Specialized two-message case: order stably by sender
-                    # and apply the same per-edge capacity rule as the
-                    # general scan below, without its loop machinery.
-                    first, second = mail
-                    s0 = first[0]
-                    s1 = second[0]
-                    if s0 < s1:
-                        inbox = (first, second)
-                    elif s0 > s1:
-                        inbox = (second, first)
-                    elif capacity < 2:
-                        raise ChannelCapacityError(s0, node, 2, capacity)
-                    else:
-                        inbox = (first, second)
-                    mail.clear()
                 else:
                     # Sends are usually emitted in activation order, which
                     # is already sorted by sender; sort only on disorder

@@ -14,7 +14,7 @@ the engine moves millions of them, and tuples keep that cheap.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any
 
 try:  # numpy is optional for the scalar engine, required by the array one
     import numpy as _np
@@ -96,68 +96,6 @@ def payload_bits(payload: Any) -> int:
     raise TypeError(
         f"unsupported message payload type: {type(payload).__name__}"
     )
-
-
-#: Memo for :func:`payload_bits_cached`, keyed by ``repr(payload)``.  The
-#: engine sends the same few payload shapes millions of times (tags, tokens,
-#: small id tuples); recomputing the recursive bit count per send dominated
-#: the hot path before this cache existed.
-_BITS_CACHE: Dict[str, int] = {}
-
-#: Cache size bound; on overflow the whole memo is dropped (payload variety
-#: this large means the workload is generating unbounded-distinct payloads,
-#: for which caching cannot help anyway).
-_BITS_CACHE_MAX = 1 << 16
-
-#: Types whose ``repr`` is a faithful type-and-shape fingerprint: it
-#: distinguishes ``1`` from ``1.0`` from ``True`` from ``"1"``, which plain
-#: equality (and hence a value-keyed dict) would conflate.  Only payloads
-#: whose top-level type is one of these take the cached path; everything
-#: else falls back to the exact recursive computation.
-_CACHEABLE_TYPES = (tuple, int, str, bool, float, type(None))
-
-
-#: Identity-keyed front cache: ``id(payload) -> (payload, bits)``.  Tokens
-#: forwarded hop-by-hop are the *same* tuple object at every hop, so this
-#: hits without even building the repr key.  Entries hold a strong
-#: reference to the payload, which guarantees the id cannot be recycled
-#: while the entry exists; the whole cache is dropped on overflow.
-_ID_CACHE: Dict[int, tuple] = {}
-_ID_CACHE_MAX = 1 << 15
-
-
-def payload_bits_cached(payload: Any) -> int:
-    """Memoized :func:`payload_bits` (same result, same errors).
-
-    Two layers, both exact:
-
-    1. an identity cache for payload objects the engine has already
-       measured (the forwarding-heavy common case);
-    2. a memo keyed by ``repr(payload)``: for the supported payload domain
-       (None, bool, int, float, str and nested tuples of these) the repr
-       round-trips the value *and* its types, so a hit is exact — never a
-       merely-equal approximation (it distinguishes ``1`` / ``1.0`` /
-       ``True`` / ``"1"``, which plain equality would conflate).
-
-    Unsupported payload types bypass both caches and raise ``TypeError``
-    from the exact computation, exactly as :func:`payload_bits` does.
-    """
-    entry = _ID_CACHE.get(id(payload))
-    if entry is not None and entry[0] is payload:
-        return entry[1]
-    if not isinstance(payload, _CACHEABLE_TYPES):
-        return payload_bits(payload)
-    key = repr(payload)
-    bits = _BITS_CACHE.get(key)
-    if bits is None:
-        bits = payload_bits(payload)
-        if len(_BITS_CACHE) >= _BITS_CACHE_MAX:
-            _BITS_CACHE.clear()
-        _BITS_CACHE[key] = bits
-    if len(_ID_CACHE) >= _ID_CACHE_MAX:
-        _ID_CACHE.clear()
-    _ID_CACHE[id(payload)] = (payload, bits)
-    return bits
 
 
 def ceil_log2(n: int) -> int:

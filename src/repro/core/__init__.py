@@ -35,7 +35,7 @@ from .pa import (
     product_aggregation,
     solve_pa,
 )
-from .shortcuts import Shortcut, full_tree_shortcut
+from .shortcuts import Shortcut
 from .spanning_tree import (
     SpanningTreeResult,
     bfs_tree,
@@ -78,7 +78,6 @@ __all__ = [
     "build_subpart_division_randomized",
     "claim_bfs",
     "elect_leader_and_bfs_tree",
-    "full_tree_shortcut",
     "product_aggregation",
     "run_pa_waves",
     "solve_pa",

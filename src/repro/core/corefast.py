@@ -98,19 +98,12 @@ class ClaimProgram(QueuedProgram):
 
 @dataclass
 class ShortcutBuildResult:
-    """A constructed shortcut plus its annotations and quality.
-
-    ``certificate`` is optional extra evidence attached by family-aware
-    providers (:mod:`repro.families`): the validated decomposition the
-    construction was derived from (BFS layering, tree or path
-    decomposition).  The general constructions leave it ``None``.
-    """
+    """A constructed shortcut plus its annotations and quality."""
 
     shortcut: Shortcut
     annotations: BlockAnnotations
     block_counts: List[int]
     iterations: int
-    certificate: Optional[object] = None
 
     def quality(self) -> Tuple[int, int]:
         return self.shortcut.quality()

@@ -163,36 +163,19 @@ def product_aggregation(aggs: Sequence[Aggregation]) -> Aggregation:
     return Aggregation(name, combine, factors=agg_tuple)
 
 
-def build_general_shortcut(
-    engine: Engine,
-    net: Network,
-    partition: Partition,
-    division: SubPartDivision,
-    tree: RootedForest,
-    diameter: int,
-    ledger: CostLedger,
-    rng: Optional[random.Random] = None,
-) -> ShortcutBuildResult:
-    """The general-graph shortcut construction (Table 1 row 1).
-
-    Randomized CoreFast (Algorithm 4) on the pipeline's random source
-    ``rng``; Algorithms 7-8 (heavy-path doubling) when there is none —
-    which is what a deterministic :meth:`PASolver.prepare` hands out.  The
-    one place the general construction follows the mode: ``prepare``'s
-    default and ``repro.families.provider_for("general").build`` are both
-    this function.
-    """
-    return _general_shortcut(
-        engine, net, partition, division, tree, diameter, ledger, rng, None
-    )
-
-
 def _general_shortcut(
     engine, net, partition, division, tree, diameter, ledger, rng, carried
 ) -> ShortcutBuildResult:
-    """:func:`build_general_shortcut`, claiming only for the dirty parts
-    when ``carried = (shortcut, dirty)`` (see
-    :func:`~repro.core.corefast.build_shortcut_by_doubling`)."""
+    """The general-graph shortcut construction (Table 1 row 1), which
+    :meth:`PASolver.prepare` runs on every graph, the Tables 1-2 families
+    included.
+
+    Randomized CoreFast (Algorithm 4) on the pipeline's random source
+    ``rng``; Algorithms 7-8 (heavy-path doubling) when there is none —
+    which is what a deterministic :meth:`PASolver.prepare` hands out.
+    With ``carried = (shortcut, dirty)`` it claims only for the dirty
+    parts (see :func:`~repro.core.corefast.build_shortcut_by_doubling`).
+    """
     if rng is not None:
         claim, prefix = _corefast_claim(engine, tree, ledger, rng), "verify"
     else:
@@ -369,7 +352,6 @@ class PASolver:
         self,
         partition: Partition,
         leaders: Optional[Sequence[int]] = None,
-        shortcut_provider: Optional[object] = None,
     ) -> PASetup:
         """Build division + shortcut + annotations for a partition.
 
@@ -378,21 +360,13 @@ class PASolver:
         ``setup.setup_ledger`` and is also folded into each solve's ledger
         exactly once by :meth:`solve` (pass ``charge_setup=False`` there to
         opt out when amortizing).
-
-        ``shortcut_provider`` swaps the shortcut-construction strategy: any
-        :class:`repro.families.ShortcutProvider` (e.g. the family-aware
-        constructions realizing the Tables 1-2 O~(D) bounds).  The default
-        ``None`` is the general construction,
-        :func:`build_general_shortcut`.  Either is handed ``self.rng`` in
-        randomized mode and no random source in deterministic mode.
         """
-        return self._build(partition, leaders, shortcut_provider)
+        return self._build(partition, leaders)
 
     def _build(
         self,
         partition: Partition,
         leaders: Optional[Sequence[int]],
-        shortcut_provider: Optional[object],
         base: Optional[PASetup] = None,
         dirty: Collection[int] = (),
     ) -> PASetup:
@@ -429,13 +403,10 @@ class PASolver:
                 division = _divide_deterministic(
                     *on, leaders, self.diameter, ledger, division, dirty
                 )
-            on = (*on, division, self.tree, self.diameter, ledger)
-            if base is None and shortcut_provider is not None:
-                build = shortcut_provider.build(*on, rng=rng)
-            else:
-                build = _general_shortcut(
-                    *on, rng, None if base is None else (shortcut, dirty)
-                )
+            build = _general_shortcut(
+                *on, division, self.tree, self.diameter, ledger, rng,
+                None if base is None else (shortcut, dirty),
+            )
             shortcut, annotations = build.shortcut, build.annotations
             for pid in dirty:
                 bound[pid] = build.block_counts[pid]
@@ -622,7 +593,6 @@ def solve_pa(
     seed: int = 0,
     leaders: Optional[Sequence[int]] = None,
     solver: Optional[PASolver] = None,
-    shortcut_provider: Optional[object] = None,
 ) -> PAResult:
     """One-call Part-Wise Aggregation (builds the whole pipeline).
 
@@ -631,16 +601,12 @@ def solve_pa(
     associative-commutative ``agg``, every node of every part learns
     ``f(P_i)``; the result's ledger meters every round and message of tree
     construction, sub-part division, shortcut construction, verification
-    and the PA waves.  ``shortcut_provider`` selects a family-aware
-    construction (see :mod:`repro.families`); ``None`` is the general
-    pipeline.  ``solver`` supplies a pre-built :class:`PASolver` — the
-    one place engine settings (asynchronous schedule, scalar engine,
+    and the PA waves.  ``solver`` supplies a pre-built :class:`PASolver` —
+    the one place engine settings (asynchronous schedule, scalar engine,
     audits) are chosen; the default is ``PASolver(net, mode, seed)``.
     """
     solver = solver or PASolver(net, mode=mode, seed=seed)
-    setup = solver.prepare(
-        partition, leaders=leaders, shortcut_provider=shortcut_provider
-    )
+    setup = solver.prepare(partition, leaders=leaders)
     result = solver.solve(setup, values, agg)
     result.ledger.merge(solver.tree_ledger, prefix="tree:")
     return result

@@ -212,19 +212,6 @@ class Shortcut:
         return f"Shortcut(parts={self.partition.num_parts}, b={b}, c={c})"
 
 
-def full_tree_shortcut(tree: RootedForest, partition: Partition) -> Shortcut:
-    """H_i = all of E[T] for every part: block parameter 1, congestion N.
-
-    The classic "just use the BFS tree for everyone" shortcut; round-poor
-    (congestion = number of parts) but structurally simple.  Used by tests
-    and by the naive baseline of Section 3.1.
-    """
-    n = tree.net.n
-    all_parts = frozenset(range(partition.num_parts))
-    up = [all_parts if tree.parent[v] >= 0 else frozenset() for v in range(n)]
-    return Shortcut(tree, partition, up)
-
-
 def relabel_shortcut(
     tree: RootedForest,
     shortcut: Shortcut,

@@ -282,10 +282,6 @@ class RootedForest:
         """All forest nodes, parents before children."""
         return self.order
 
-    def size(self) -> int:
-        """Number of nodes in the forest."""
-        return len(self.order)
-
     def height(self) -> int:
         """Maximum depth over all forest nodes (0 for a single root)."""
         return self._height
@@ -313,6 +309,6 @@ class RootedForest:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"RootedForest(trees={len(self.roots)}, nodes={self.size()},"
+            f"RootedForest(trees={len(self.roots)}, nodes={len(self.order)},"
             f" height={self.height()})"
         )

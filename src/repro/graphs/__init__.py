@@ -1,7 +1,6 @@
 """Workload graphs, their partitions and their edge weights."""
 
 from .generators import (
-    caterpillar,
     grid_2d,
     grid_node,
     grid_with_apex,
@@ -10,10 +9,8 @@ from .generators import (
     path_graph,
     preferential_attachment,
     random_connected,
-    random_planar,
     random_regular,
     random_regular_ish,
-    series_parallel,
     torus_2d,
 )
 from .partitions import (
@@ -36,7 +33,6 @@ __all__ = [
     "Partition",
     "bfs_ball_partition",
     "boundary_edges",
-    "caterpillar",
     "grid_2d",
     "grid_node",
     "grid_with_apex",
@@ -47,11 +43,9 @@ __all__ = [
     "preferential_attachment",
     "random_connected",
     "random_connected_partition",
-    "random_planar",
     "random_regular",
     "random_regular_ish",
     "row_partition",
-    "series_parallel",
     "torus_2d",
     "validate_partition",
     "with_distinct_weights",

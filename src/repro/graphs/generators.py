@@ -6,13 +6,10 @@ Every generator returns a :class:`~repro.congest.network.Network` over nodes
 * :func:`grid_with_apex` — the Figure 2a counterexample: a D x W grid plus
   an apex node adjacent to the whole top row.  Prior shortcut PA uses
   Theta(nD) messages here; the paper's sub-part PA uses O~(n).
-* :func:`grid_2d` / :func:`random_planar` — planar workhorses (Table 1
-  "Planar" row; the latter is a triangulated grid with random holes).
+* :func:`grid_2d` — the planar workhorse (Table 1 "Planar" row).
 * :func:`torus_2d` — genus-1 family (Table 1 "Genus g" row).
-* :func:`k_tree` / :func:`series_parallel` — treewidth-bounded families
-  (Table 1 "Treewidth t" row).
-* :func:`ladder` / :func:`caterpillar` — pathwidth-bounded families
-  (Table 1 "Pathwidth p" row).
+* :func:`k_tree` — treewidth-bounded family (Table 1 "Treewidth t" row).
+* :func:`ladder` — pathwidth-bounded family (Table 1 "Pathwidth p" row).
 * :func:`random_connected` / :func:`random_regular_ish` — "General" row.
 * :func:`preferential_attachment` — heavy-tailed degrees, for hub-heavy
   cases;
@@ -21,7 +18,6 @@ Every generator returns a :class:`~repro.congest.network.Network` over nodes
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Dict, List, Optional, Tuple
 
@@ -99,23 +95,6 @@ def ladder(length: int, uid_seed: int = 0x5EED) -> Network:
     return grid_2d(2, length, uid_seed)
 
 
-def caterpillar(spine: int, legs_per_node: int, uid_seed: int = 0x5EED) -> Network:
-    """A caterpillar tree: a spine path with ``legs_per_node`` pendant legs.
-
-    Caterpillars have pathwidth 1; they exercise the "Pathwidth p" row of
-    Table 1 at its extreme.
-    """
-    if spine < 1:
-        raise ValueError("caterpillar needs a spine")
-    edges: List[Edge] = [(i, i + 1) for i in range(spine - 1)]
-    nxt = spine
-    for s in range(spine):
-        for _ in range(legs_per_node):
-            edges.append((s, nxt))
-            nxt += 1
-    return _finish(edges, nxt, uid_seed)
-
-
 def k_tree(n: int, k: int, seed: int = 7, uid_seed: int = 0x5EED) -> Network:
     """A random k-tree on ``n`` nodes (treewidth exactly k for n > k).
 
@@ -142,67 +121,6 @@ def k_tree(n: int, k: int, seed: int = 7, uid_seed: int = 0x5EED) -> Network:
             new_clique = tuple(x for x in clique if x != clique[drop]) + (v,)
             cliques.append(tuple(sorted(new_clique)))
     return _finish(sorted(edges), n, uid_seed)
-
-
-def series_parallel(n: int, seed: int = 7, uid_seed: int = 0x5EED) -> Network:
-    """A random 2-tree on ``n`` nodes (treewidth exactly 2 for n >= 3).
-
-    Construction: start from the edge (0, 1); every later node attaches to
-    both endpoints of a uniformly random *existing edge*.  2-trees exclude
-    K4 minors, so the result is series-parallel — the canonical
-    treewidth-2 workload of Table 1 — and the build is O(n) (m = 2n - 3),
-    comfortably usable at n = 50k.
-    """
-    if n < 2:
-        raise ValueError("series-parallel graph needs at least two nodes")
-    rng = random.Random(seed)
-    edges: List[Edge] = [(0, 1)]
-    for v in range(2, n):
-        a, b = edges[rng.randrange(len(edges))]
-        edges.append((a, v))
-        edges.append((b, v))
-    return _finish(edges, n, uid_seed)
-
-
-def random_planar(
-    n: int, seed: int = 7, hole_prob: float = 0.25, uid_seed: int = 0x5EED
-) -> Network:
-    """A triangulated grid with random holes (planar, connected, exact n).
-
-    A near-square grid skeleton on exactly ``n`` nodes (last row possibly
-    partial) is kept intact — that guarantees connectivity — and every
-    complete grid cell is triangulated by one diagonal of random
-    orientation with probability ``1 - hole_prob``; cells left without a
-    diagonal are the holes.  O(m) and planar by construction
-    (m <= 3n - 6 for n >= 5 holds with room to spare), the irregular
-    planar workload next to the perfectly regular :func:`grid_2d`.
-    """
-    if n < 4:
-        raise ValueError("random planar graph needs at least four nodes")
-    if not 0.0 <= hole_prob <= 1.0:
-        raise ValueError("hole probability must be in [0, 1]")
-    rng = random.Random(seed)
-    cols = max(2, math.isqrt(n))
-    rows = (n + cols - 1) // cols
-    edges: List[Edge] = []
-    for v in range(n):
-        r, c = divmod(v, cols)
-        if c + 1 < cols and v + 1 < n:
-            edges.append((v, v + 1))
-        if v + cols < n:
-            edges.append((v, v + cols))
-    for r in range(rows - 1):
-        for c in range(cols - 1):
-            v = r * cols + c
-            if v + cols + 1 >= n:
-                continue  # incomplete cell in the partial last row
-            if rng.random() < hole_prob:
-                continue  # this cell is a hole
-            if rng.random() < 0.5:
-                edges.append((v, v + cols + 1))
-            else:
-                edges.append((v + 1, v + cols))
-    return _finish(edges, n, uid_seed)
 
 
 def random_connected(

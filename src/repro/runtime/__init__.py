@@ -2,8 +2,8 @@
 
 The paper's applications are *loops* of PA solves; this package gives
 them a long-lived acquisition point.  :class:`PASession` owns a network,
-mode/seed, optional family-aware shortcut provider, and (opt-in) a setup
-cache with incremental coarsening plus batched multi-aggregate solves.
+mode/seed and (opt-in) a setup cache with incremental coarsening plus
+batched multi-aggregate solves.
 All seven algorithm entry points route their PA through a session; with
 the opt-ins off the session is a transparent facade over
 :class:`~repro.core.pa.PASolver` — bit-for-bit, pinned by tests.

@@ -3,8 +3,8 @@
 Every application in the paper (Corollaries 1.3-1.5, A.1-A.3) is a loop of
 Part-Wise Aggregation solves, yet a bare :class:`~repro.core.pa.PASolver`
 treats each ``prepare`` as a one-shot.  :class:`PASession` owns a solver
-(network, mode, seed, ledger conventions, optional family-aware shortcut
-provider) and adds four opt-in capabilities on top:
+(network, mode, seed, ledger conventions) and adds four opt-in
+capabilities on top:
 
 * **Setup caching** (``reuse=True``): ``prepare`` memoizes on a partition
   fingerprint ``(part_of, leaders)``; a hit (the k-th min-cut packing
@@ -269,11 +269,6 @@ class PASession:
     chosen where the engine is built — on a ``PASolver``
     handed in through ``solver=``.  The session's own settings:
 
-    shortcut_provider:
-        Which shortcut construction ``prepare`` uses: a
-        :class:`repro.families.ShortcutProvider`, e.g.
-        ``provider_for("planar")``.  ``None`` (default) is the general
-        mode-selected pipeline, bit for bit.
     reuse:
         Enable setup caching and incremental projection.
     batch:
@@ -303,7 +298,6 @@ class PASession:
         root: Optional[int] = None,
         strict_bits: bool = True,
         strict_edges: bool = True,
-        shortcut_provider: Optional[object] = None,
         reuse: bool = False,
         batch: bool = False,
         solver: Optional[PASolver] = None,
@@ -313,7 +307,6 @@ class PASession:
     ) -> None:
         if backend not in ("local", "sharded"):
             raise ValueError(f"unknown backend {backend!r}")
-        self.shortcut_provider = shortcut_provider
         if solver is not None:
             theirs = solver.net
             if theirs is not net and (
@@ -491,7 +484,7 @@ class PASession:
         """Build (or fetch) the PA machinery for a partition.
 
         With ``reuse`` off this is exactly
-        ``solver.prepare(..., shortcut_provider=self.shortcut_provider)``.
+        ``solver.prepare(partition, leaders)``.
         With ``reuse`` on, a fingerprint hit returns the cached setup with
         an *empty* setup ledger (construction was already charged when it
         was first built); a miss builds, memoizes and returns as usual.
@@ -579,10 +572,9 @@ class PASession:
         * no ``previous``: every part, a fresh construction;
         * ``previous`` and its ``image`` onto ``partition``: the
           :func:`_carry` with no part dirty (or the ``dirty`` parts given;
-          all of them, or any under a family provider, is fresh).  The
-          carried bound is verified with PA (Algorithm 2, phases
-          ``{coarsen,refine}_verify_*``, the setup's first solve) only
-          when it exceeds :meth:`block_budget`;
+          all of them is fresh).  The carried bound is verified with PA
+          (Algorithm 2, phases ``{coarsen,refine}_verify_*``, the setup's
+          first solve) only when it exceeds :meth:`block_budget`;
         * a verified count over :meth:`block_budget`, or a congestion over
           ``max(previous c, general-graph envelope)``: every part again,
           charged under ``rebuild:`` after the carry's own phases.
@@ -595,9 +587,7 @@ class PASession:
         sub-parts), and the counters are read off it.
         """
         solver = self.solver
-        fresh = previous is None or len(dirty) == partition.num_parts or (
-            bool(dirty) and self.shortcut_provider is not None
-        )
+        fresh = previous is None or len(dirty) == partition.num_parts
         kind = None if fresh else _kind(image)
         with current_tracer().span("session.prepare", "session") as args:
             args["outcome"] = _OUTCOMES[kind]
@@ -606,9 +596,7 @@ class PASession:
                 solver, previous, partition, image,
                 solver.checked_leaders(partition, leaders), opening,
             )
-            setup = solver._build(
-                partition, leaders, self.shortcut_provider, base, dirty
-            )
+            setup = solver._build(partition, leaders, base, dirty)
             if base is None and opening.phases():
                 opening.merge(setup.setup_ledger)
                 setup.setup_ledger = opening
@@ -634,9 +622,7 @@ class PASession:
                 if max(counts) > budget or setup.shortcut.congestion() > cap:
                     args["outcome"] = "rebuild"
                     ledger = setup.setup_ledger
-                    setup = solver._build(
-                        partition, setup.leaders, self.shortcut_provider
-                    )
+                    setup = solver._build(partition, setup.leaders)
                     ledger.merge(setup.setup_ledger, prefix="rebuild:")
                     setup = replace(setup, setup_ledger=ledger)
             args["rounds"] = setup.setup_ledger.rounds

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.congest import ShortcutValidationError
-from repro.core import ROOT, RootedForest, Shortcut, full_tree_shortcut
-from repro.families import family_hint
+from repro.core import ROOT, RootedForest, Shortcut
 from repro.graphs import Partition, grid_2d, path_graph
 from oracles import (
     block_parameter,
@@ -66,15 +65,6 @@ def test_empty_shortcut_has_conventional_quality(path10):
     assert total_shortcut_edges(sc) == 0
 
 
-def test_full_tree_shortcut_quality(path10):
-    tree = line_tree(path10)
-    part = Partition([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
-    sc = full_tree_shortcut(tree, part)
-    assert sc.congestion() == 2  # both parts on every edge
-    assert block_parameter(sc, 0) == 1
-    assert block_parameter(sc, 1) == 1
-
-
 def test_star_shortcut_single_block(grid4x6):
     from repro.graphs import random_connected_partition
 
@@ -130,10 +120,3 @@ def test_down_parts_mirrors_up(path10):
     sc = Shortcut(tree, part, up)
     down = sc.down_parts()
     assert down[2] == {3: frozenset({0})}
-
-
-def test_family_hints():
-    b, c = family_hint("general", 100, 10)
-    assert b == 1 and c == 10
-    with pytest.raises(KeyError):
-        family_hint("hyperbolic", 100, 10)

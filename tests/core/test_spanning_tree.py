@@ -14,16 +14,16 @@ from repro.graphs import (
     grid_2d,
     path_graph,
     random_connected,
-    random_planar,
     random_regular,
 )
+from oracles import random_planar
 
 
 def test_bfs_tree_depth_is_eccentricity(grid4x6, ledger):
     engine = Engine(grid4x6)
     result = bfs_tree(engine, grid4x6, 0, ledger)
     assert result.depth == grid4x6.eccentricity(0)
-    assert result.tree.size() == grid4x6.n
+    assert len(result.tree.order) == grid4x6.n
     assert result.root == 0
 
 
@@ -48,7 +48,7 @@ def test_election_picks_min_uid(small_random, ledger):
     result = elect_leader_and_bfs_tree(engine, small_random, ledger)
     expected = small_random.node_of_uid(min(small_random.uid))
     assert result.root == expected
-    assert result.tree.size() == small_random.n
+    assert len(result.tree.order) == small_random.n
     # Election tree depth is at most the eccentricity of the leader.
     assert result.depth <= small_random.eccentricity(expected)
 

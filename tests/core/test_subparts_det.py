@@ -13,10 +13,9 @@ from repro.graphs import (
     path_graph,
     random_connected,
     random_connected_partition,
-    random_planar,
     random_regular,
 )
-from oracles import restrict_roots
+from oracles import random_planar, restrict_roots
 
 
 def build(net, partition, diameter):

@@ -103,7 +103,7 @@ def test_claim_bfs_builds_spanning_tree(grid4x6, ledger):
     engine = Engine(grid4x6)
     program = claim_bfs(engine, grid4x6, {0: grid4x6.uid[0]}, ledger)
     forest = program.forest()
-    assert forest.size() == grid4x6.n
+    assert len(forest.order) == grid4x6.n
     assert forest.height() == grid4x6.bfs_depths(0)[23] or forest.height() >= 1
     # BFS depths are exact hop distances.
     depths = grid4x6.bfs_depths(0)

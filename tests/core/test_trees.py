@@ -26,7 +26,7 @@ def test_forest_with_absent_nodes(path10):
     forest = RootedForest(path10, parent)
     assert forest.roots == (0, 5)
     assert not forest.member(3)
-    assert forest.size() == 6
+    assert len(forest.order) == 6
 
 
 def test_rejects_non_edge_parent(path10):
@@ -64,7 +64,7 @@ def test_spanning_forest_of_subsets(grid4x6):
     groups = [range(0, 12), range(12, 24)]
     forest = spanning_forest_of_subsets(grid4x6, groups)
     assert len(forest.roots) == 2
-    assert forest.size() == 24
+    assert len(forest.order) == 24
     with pytest.raises(ValueError):
         spanning_forest_of_subsets(grid4x6, [[0, 23]])  # not connected
 

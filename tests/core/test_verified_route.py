@@ -7,8 +7,8 @@ shortcut adopts the last memo.  So a fresh ``prepare`` whose build
 verified already holds its route: its first solve runs no token wave,
 only one ``pa_allreduce`` at twice the forest's edges, and answers what a
 learning solve on the same setup answers.  A setup over other objects —
-a session carry, a family provider's build (which never verifies) —
-starts from a fresh memo, as does a copy handed ``route`` explicitly.
+a session carry — starts from a fresh memo, as does a copy handed
+``route`` explicitly.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.core.corefast import build_shortcut_randomized
 from repro.core.pa import DETERMINISTIC, RANDOMIZED, PASetup
 from repro.core.subparts import build_subpart_division_randomized
 from repro.core.wave import RouteMemo
-from repro.families import provider_for
 from repro.graphs import bfs_ball_partition, grid_2d, random_regular
 from repro.graphs.partitions import partition_from_component_labels
 
@@ -127,11 +126,10 @@ def test_a_verified_setups_first_solve_is_one_allreduce(mode, engine):
     assert _names(learning.ledger) == ["pa_wave", "pa_reverse", "pa_replay"]
 
 
-def test_a_carry_and_a_family_build_start_a_fresh_memo():
+def test_a_carry_starts_a_fresh_memo():
     """Adoption needs the very division and shortcut the verification ran
     on: a session carry builds a new division and a relabelled shortcut,
-    a family provider's build verifies nothing, and ``replace`` hands the
-    copy its ``route`` explicitly."""
+    and ``replace`` hands the copy its ``route`` explicitly."""
     net, partition = _instance()
     session = PASession(net, seed=4, reuse=True)
     setup = session.prepare(partition)
@@ -156,14 +154,6 @@ def test_a_carry_and_a_family_build_start_a_fresh_memo():
     # caller's first query learns.
     assert coarse.route is not setup.route
     assert coarse.route.delays is None
-
-    grid = grid_2d(12, 12)
-    family = PASolver(grid, seed=4).prepare(
-        bfs_ball_partition(grid, 40, seed=2),
-        shortcut_provider=provider_for("planar"),
-    )
-    assert family.annotations.verified is None
-    assert family.route.delays is None
 
     fresh = replace(setup, route=RouteMemo())
     assert fresh.route.delays is None and setup.route.delays is not None

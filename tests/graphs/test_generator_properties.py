@@ -4,21 +4,17 @@ The fixed-seed structure tests in ``test_generators.py`` pin single
 instances; these sweep seeds (and sizes) and assert the *invariants*
 every instance must satisfy — exact degrees, exact edge counts,
 connectivity, simplicity, planarity bounds, and cross-seed determinism —
-for the four randomized workload generators the benchmarks scale on:
-``random_regular``, ``preferential_attachment``, ``series_parallel`` and
-``random_planar``.
+for the randomized workload generators ``random_regular`` and
+``preferential_attachment``, and for the ``random_planar`` fixture
+(``tests/oracles.py``) that the tree and division pins are taken on.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.graphs import (
-    preferential_attachment,
-    random_planar,
-    random_regular,
-    series_parallel,
-)
+from repro.graphs import preferential_attachment, random_regular
+from oracles import random_planar
 
 SEEDS = list(range(10))
 
@@ -92,35 +88,6 @@ def test_preferential_attachment_grows_hubs(seed):
 
 
 # ---------------------------------------------------------------------------
-# series_parallel: m = 2n-3, connectivity, treewidth-2 witness
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("n", [8, 21, 40])
-def test_series_parallel_invariants(n, seed):
-    net = series_parallel(n, seed=seed)
-    assert net.n == n
-    assert net.m == 2 * n - 3
-    assert net.is_connected()
-    _assert_simple(net)
-    # 2-tree witness: a degeneracy-2 elimination order exists (every
-    # 2-tree is 2-degenerate), which also certifies treewidth <= 2.
-    degrees = {v: net.degree(v) for v in range(n)}
-    adj = {v: set(net.neighbors[v]) for v in range(n)}
-    removed = set()
-    for _ in range(n):
-        v = min(
-            (x for x in degrees if x not in removed),
-            key=lambda x: (degrees[x], x),
-        )
-        assert degrees[v] <= 2, "not 2-degenerate: series-parallel broken"
-        removed.add(v)
-        for nb in adj[v]:
-            if nb not in removed:
-                degrees[nb] -= 1
-
-
-# ---------------------------------------------------------------------------
 # random_planar: exact n, connectivity, Euler planarity bound
 # ---------------------------------------------------------------------------
 
@@ -137,7 +104,6 @@ def test_random_planar_invariants(n, hole_prob, seed):
 
 @pytest.mark.parametrize("gen,kwargs", [
     (preferential_attachment, {"n": 25, "attach": 2}),
-    (series_parallel, {"n": 25}),
     (random_planar, {"n": 25}),
 ])
 def test_generators_are_deterministic_per_seed(gen, kwargs):
@@ -150,7 +116,6 @@ def test_generators_are_deterministic_per_seed(gen, kwargs):
 
 @pytest.mark.parametrize("gen,kwargs", [
     (preferential_attachment, {"n": 25, "attach": 2}),
-    (series_parallel, {"n": 25}),
     (random_planar, {"n": 25, "hole_prob": 0.4}),
 ])
 def test_generators_vary_across_seeds(gen, kwargs):

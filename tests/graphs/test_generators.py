@@ -3,7 +3,6 @@
 import pytest
 
 from repro.graphs import (
-    caterpillar,
     grid_2d,
     grid_node,
     grid_with_apex,
@@ -21,6 +20,7 @@ from oracles import (
     complete_graph,
     cycle_graph,
     euler_planar_bound,
+    random_planar,
     random_tree,
     star_graph,
 )
@@ -77,13 +77,10 @@ def test_torus_is_4_regular():
     assert net.is_connected()
 
 
-def test_ladder_and_caterpillar():
+def test_ladder_is_a_two_row_grid():
     lad = ladder(10)
     assert lad.n == 20
-    cat = caterpillar(6, 3)
-    assert cat.n == 6 + 18
-    assert cat.m == cat.n - 1  # a tree
-    assert cat.is_connected()
+    assert lad.m == 10 + 2 * 9  # rungs plus both rails
 
 
 def test_k_tree_properties():
@@ -171,30 +168,7 @@ def test_preferential_attachment_structure():
         preferential_attachment(10, 0)
 
 
-def test_series_parallel_structure():
-    from repro.graphs import series_parallel
-
-    net = series_parallel(50, seed=3)
-    assert net.n == 50
-    assert net.m == 2 * 50 - 3  # edge + two edges per attached node
-    assert net.is_connected()
-    # treewidth exactly 2: the decomposition oracle certifies it
-    from repro.families import tree_decomposition
-
-    td = tree_decomposition(net)
-    td.validate(net)
-    assert td.width == 2
-    # deterministic per seed
-    again = series_parallel(50, seed=3)
-    assert again.edges == net.edges
-    assert series_parallel(50, seed=4).edges != net.edges
-    with pytest.raises(ValueError):
-        series_parallel(1)
-
-
 def test_random_planar_structure():
-    from repro.graphs import random_planar
-
     net = random_planar(230, seed=5)
     assert net.n == 230
     assert net.is_connected()

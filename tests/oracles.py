@@ -9,6 +9,7 @@ of the suite's root conftest, on ``sys.path``.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import defaultdict
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
@@ -60,6 +61,45 @@ def balanced_binary_tree(depth: int, uid_seed: int = _UID_SEED) -> Network:
     """A complete binary tree of the given depth (root = node 0)."""
     n = 2 ** (depth + 1) - 1
     edges = [((v - 1) // 2, v) for v in range(1, n)]
+    return Network(edges, n=n, uid_seed=uid_seed)
+
+
+def random_planar(
+    n: int, seed: int = 7, hole_prob: float = 0.25, uid_seed: int = _UID_SEED
+) -> Network:
+    """A triangulated grid with random holes (planar, connected, exact n).
+
+    A near-square grid skeleton on exactly ``n`` nodes (last row possibly
+    partial) is kept intact — that guarantees connectivity — and every
+    complete grid cell is triangulated by one diagonal of random
+    orientation with probability ``1 - hole_prob``; cells left without a
+    diagonal are the holes.  Planar by construction (m <= 3n - 6), the
+    irregular planar fixture next to the regular ``grid_2d``.
+    """
+    if n < 4:
+        raise ValueError("random planar graph needs at least four nodes")
+    if not 0.0 <= hole_prob <= 1.0:
+        raise ValueError("hole probability must be in [0, 1]")
+    rng = random.Random(seed)
+    cols = max(2, math.isqrt(n))
+    rows = (n + cols - 1) // cols
+    edges = []
+    for v in range(n):
+        if v % cols + 1 < cols and v + 1 < n:
+            edges.append((v, v + 1))
+        if v + cols < n:
+            edges.append((v, v + cols))
+    for r in range(rows - 1):
+        for c in range(cols - 1):
+            v = r * cols + c
+            if v + cols + 1 >= n:
+                continue  # incomplete cell in the partial last row
+            if rng.random() < hole_prob:
+                continue  # this cell is a hole
+            if rng.random() < 0.5:
+                edges.append((v, v + cols + 1))
+            else:
+                edges.append((v + 1, v + cols))
     return Network(edges, n=n, uid_seed=uid_seed)
 
 

@@ -17,7 +17,6 @@ import pytest
 from repro import PASession
 from repro.analysis import kruskal_mst
 from repro.core import MIN, MIN_TUPLE, PASolver, SUM
-from repro.families import provider_for
 from repro.graphs import (
     grid_2d,
     random_connected,
@@ -417,44 +416,8 @@ def test_solve_many_rejects_bad_arguments():
 
 
 # ----------------------------------------------------------------------
-# Session construction and provider plumbing
+# Session construction
 # ----------------------------------------------------------------------
-def test_family_resolves_to_provider_and_flows_to_prepare():
-    net = grid_2d(8, 8)
-    sess = PASession(net, seed=5, shortcut_provider=provider_for("planar"))
-    assert sess.shortcut_provider.name == "tree_restricted"
-    part = Partition([v // 8 for v in range(net.n)])
-    setup = sess.prepare(part)
-    assert any(
-        p.name == "planar_claims" for p in setup.setup_ledger.phases()
-    )
-    result = sess.solve(setup, [1] * net.n, SUM, charge_setup=False)
-    assert result.aggregates == {pid: 8 for pid in range(8)}
-
-
-def test_ensure_session_rejects_provider_override():
-    net = grid_2d(4, 4)
-    # A provider lives on the session and nowhere else, so an override
-    # is not expressible at the acquisition point or above it.
-    sess = PASession(net, seed=5)
-    planar = provider_for("planar")
-    with pytest.raises(TypeError):
-        ensure_session(sess, net, shortcut_provider=planar)
-    with pytest.raises(TypeError):
-        cc_labeling(net, [], session=sess, shortcut_provider=planar)
-
-
-def test_algorithms_accept_family_argument():
-    net = with_distinct_weights(grid_2d(6, 6), seed=5)
-    run = minimum_spanning_tree(
-        net, seed=7,
-        session=PASession(
-            net, seed=7, shortcut_provider=provider_for("planar")
-        ),
-    )
-    assert set(run.output) == kruskal_mst(net)
-
-
 def test_entry_points_take_no_execution_kwargs():
     """Execution is configured on the session/solver, never re-threaded."""
     import inspect

@@ -31,10 +31,6 @@ SITES = {
         "the chosen side down the packed tree; a broadcast not yet run",
     ("algorithms/verification.py", "'bip_parity_exchange'"):
         "parity across every subgraph edge; read oracle-side",
-    ("families/provider.py", "row.phase"):
-        "the family certificate's structural phase",
-    ("families/steiner.py", "f'{name}_claims'"):
-        "the Steiner climbs of a family construction",
     ("runtime/recovery.py", "f'attempt{attempt}:{rec.name}'"):
         "replays the engine's own overhead records of an aborted attempt",
     ("runtime/session.py", "'edge_update_notify'"):
@@ -73,4 +69,4 @@ def test_every_charge_local_site_is_listed_once():
     assert set(SITES) - set(found) == set(), (
         "stale entry: the site is gone, delete it here too"
     )
-    assert len(found) == 10
+    assert len(found) == 8

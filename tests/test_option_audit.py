@@ -72,7 +72,7 @@ def _keywords_passed():
 
 def test_every_defaulted_option_is_set_by_someone():
     parameters = list(_public_defaulted_parameters())
-    assert len(parameters) > 300, "the walk lost the package"
+    assert len(parameters) > 250, "the walk lost the package"
     passed = _keywords_passed()
     unset = {p for p in parameters if p[2] not in passed}
     assert unset - set(ALLOWED) == set(), (
