@@ -145,8 +145,7 @@ def _token_columns(tokens: Dict[int, object]) -> Tuple[np.ndarray, np.ndarray]:
 class FloodMinArrayKernel(ArrayProgram):
     """Array twin of :class:`~repro.core.treeops.FloodMinProgram`.
 
-    Same arguments, less the edge predicate only the flood-PA baseline
-    passes its scalar program; tokens must be ints (else: a decline).
+    Same arguments; tokens must be ints (else: a decline).
     Adoption is strict improvement; the parent is the smallest sender
     among those carrying the tick's minimal token — which is what the
     scalar inbox scan (sender-ascending, update on strict improvement)

@@ -398,75 +398,15 @@ class ClaimArrayKernel(ArrayProgram):
         actx.wake(wake)
 
 
-class LazyBlockAnnotations(BlockAnnotations):
-    """:class:`BlockAnnotations` whose dicts materialize on first access.
-
-    The array PA wave reads root depths straight from the annotate
-    kernel's flat columns (:meth:`AnnotateArrayKernel.priority_entries`),
-    so the per-(node, part) Python dicts — one entry per shortcut edge —
-    are only built for callers that actually index them (the scalar wave,
-    block-count verification).
-    """
-
-    def __init__(self, kernel: "AnnotateArrayKernel") -> None:
-        # Deliberately no super().__init__: the dataclass fields are
-        # shadowed by the properties below.
-        object.__setattr__(self, "_kernel", kernel)
-        object.__setattr__(self, "_ann_dicts", None)
-        object.__setattr__(self, "_token_dict", None)
-
-    @property
-    def root_depth(self) -> Dict[Tuple[int, int], int]:
-        return self._materialize_ann()[0]
-
-    @property
-    def block_id(self) -> Dict[Tuple[int, int], int]:
-        return self._materialize_ann()[1]
-
-    @property
-    def count_tokens(self) -> Dict[int, List[int]]:
-        cached = self._token_dict
-        if cached is None:
-            kernel = self._kernel
-            cached = {}
-            tok_nodes = kernel._tokens.column("node").tolist()
-            tok_pids = kernel._tokens.column("pid").tolist()
-            for node, pid in zip(tok_nodes, tok_pids):
-                cached.setdefault(node, []).append(pid)
-            object.__setattr__(self, "_token_dict", cached)
-        return cached
-
-    def _materialize_ann(self):
-        cached = self._ann_dicts
-        if cached is None:
-            kernel = self._kernel
-            keys = kernel._ann.column("key").tolist()
-            depths = kernel._ann.column("depth").tolist()
-            uids = kernel._ann.column("uid").tolist()
-            P = kernel.P
-            root_depth: Dict[Tuple[int, int], int] = {}
-            block_id: Dict[Tuple[int, int], int] = {}
-            for key, depth, uid in zip(keys, depths, uids):
-                nk = (key // P, key % P)
-                root_depth[nk] = depth
-                block_id[nk] = uid
-            cached = (root_depth, block_id)
-            object.__setattr__(self, "_ann_dicts", cached)
-        return cached
-
-    def priority_entries(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Flat ``(node * P + pid, root_depth)`` columns, dict-free."""
-        return self._kernel.priority_entries()
-
-
 class AnnotateArrayKernel(ArrayProgram):
     """Array twin of :mod:`repro.core.blocks`'s ``_AnnotateProgram``.
 
     Floods ``(root_depth, root_uid)`` down every block over the shortcut's
     down-edges (a static CSR keyed by ``node * P + pid``) and routes one
-    counting token per block along the minimum-child chain.  Produces a
-    real :class:`~repro.core.blocks.BlockAnnotations` with dicts built in
-    the scalar program's chronological insertion order.
+    counting token per block along the minimum-child chain.  Its
+    :class:`~repro.core.blocks.BlockAnnotations` wraps the arena columns
+    the run filled: the scalar program's rows, in the order of the ticks
+    that learned them.
     """
 
     name = "annotate_blocks"
@@ -481,12 +421,11 @@ class AnnotateArrayKernel(ArrayProgram):
             shortcut.down_csr()
         )
         self._seen = KeySet()
-        self._ann = ColumnArena(("key", "depth", "uid"))
+        self._ann = ColumnArena(("node", "pid", "depth"))
         self._tokens = ColumnArena(("node", "pid"))
         self._pool = EdgePool(
             self.n, ("pid", "depth", "uid", "cnt"), capacity=capacity
         )
-        self._out: Optional[BlockAnnotations] = None
 
     def _emit(
         self,
@@ -508,8 +447,7 @@ class AnnotateArrayKernel(ArrayProgram):
         depths = depths[idx]
         uids = uids[idx]
         counting = counting[idx]
-        self._ann.append(key=keys, depth=depths, uid=uids)
-        self._out = None
+        self._ann.append(node=nodes, pid=pids, depth=depths)
 
         pos, has = find_sorted(self._keys, keys)
         terminal = np.flatnonzero(counting.astype(bool) & ~has)
@@ -533,15 +471,14 @@ class AnnotateArrayKernel(ArrayProgram):
             pid=pid, depth=depth, uid=uid, cnt=cnt.astype(np.int64),
         )
 
-    def priority_entries(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Flat ``(node * P + pid, root_depth)`` annotation columns."""
-        return self._ann.column("key"), self._ann.column("depth")
-
     @property
     def out(self) -> BlockAnnotations:
-        if self._out is None:
-            self._out = LazyBlockAnnotations(self)
-        return self._out
+        """The arena columns as annotations (read once the run is over)."""
+        ann, tokens = self._ann, self._tokens
+        return BlockAnnotations(
+            ann.column("node"), ann.column("pid"), ann.column("depth"),
+            tokens.column("node"), tokens.column("pid"),
+        )
 
     def array_start(self, actx) -> None:
         # Block roots: (v, pid) with an H_pid child edge but no H_pid

@@ -110,14 +110,13 @@ _NO_KINDS = (0,) * 5
 
 
 class _KeyTable:
-    """Sorted int64-key -> int64-value lookup with a default."""
+    """Int64-key -> int64-value lookup with a default (keys ascending)."""
 
     __slots__ = ("keys", "vals", "default")
 
     def __init__(self, keys: np.ndarray, vals: np.ndarray, default: int) -> None:
-        order = np.argsort(keys)
-        self.keys = keys[order]
-        self.vals = vals[order]
+        self.keys = keys
+        self.vals = vals
         self.default = default
 
     def get(self, query: np.ndarray) -> np.ndarray:
@@ -306,17 +305,7 @@ class WaveArrayKernel(ArrayProgram):
         #: climb and nothing to flood, and block routing is skipped whole.
         self._blocks = bool(self._dkeys.size or self._up_keys.size)
         if self._blocks:
-            entries = getattr(annotations, "priority_entries", None)
-            if entries is not None:
-                pk, pv = entries()
-            else:
-                rd = annotations.root_depth
-                pk = np.fromiter(
-                    (v * P + pid for (v, pid) in rd), dtype=np.int64,
-                    count=len(rd),
-                )
-                pv = np.fromiter(rd.values(), dtype=np.int64, count=len(rd))
-            self._prio = _KeyTable(pk, pv, 1 << 30)
+            self._prio = _KeyTable(*annotations.packed_depths(P), 1 << 30)
 
         self.num_parts = partition.num_parts
         self.leaders = np.asarray(

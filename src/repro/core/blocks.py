@@ -19,6 +19,11 @@ it reaches a node with no further ``H_i`` child edge; for shortcuts built
 by claiming (both our constructions), such terminal nodes are exactly the
 claim origins, i.e. part members.
 
+What is stored (:class:`BlockAnnotations`) is what is read afterwards:
+the root depth per annotated (node, part) and where each counting token
+ended.  The root's uid is only sent — every annotation message carries
+it and is metered for it — and never stored, since nothing reads it.
+
 Cost: one message in each direction... strictly, one annotation message per
 ``H_i`` edge plus one counting token per block-path, queued with the
 Lemma 4.2 discipline — O(D + c) rounds, O(sum_i |H_i|) messages.
@@ -26,8 +31,9 @@ Lemma 4.2 discipline — O(D + c) rounds, O(sum_i |H_i|) messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..congest.engine import Context, Engine, Inbox
 from ..congest.ledger import CostLedger
@@ -36,40 +42,64 @@ from .shortcuts import Shortcut
 from .treeops import run_phase
 
 
-@dataclass
+def _frozen(values) -> np.ndarray:
+    col = np.ascontiguousarray(values, dtype=np.int64).reshape(-1).view()
+    col.flags.writeable = False
+    return col
+
+
 class BlockAnnotations:
     """Node-local block knowledge produced by :func:`annotate_blocks`.
 
-    ``root_depth[(v, pid)]`` — depth (in T) of the root of v's part-``pid``
-    block, for every node v on that block.
-    ``block_id[(v, pid)]`` — the root's uid, identifying the block.
-    ``count_tokens[v]`` — list of part ids for which v terminates a
-    counting token (v contributes +1 to that part's block count).
+    Immutable int64 columns, one row per annotated ``(node, part)`` key
+    and one per counting token:
+
+    ``node``, ``pid``, ``depth`` — ``node`` lies on a block of part
+    ``pid`` whose root sits at tree depth ``depth``;
+    ``token_node``, ``token_pid`` — ``token_node`` holds the counting
+    token of one part-``token_pid`` block (it contributes +1 to that
+    part's block count).
+
+    The root's uid travels in every annotation message (and is metered
+    in its bits), but nothing reads it after the wave, so it is not
+    stored.
     ``verified`` — ``(division, shortcut, route)`` once PA has summed the
     tokens (Algorithm 2, inside a shortcut build): the
     :class:`~repro.core.wave.RouteMemo` that solve learned on that
     division and shortcut, which a :class:`~repro.core.pa.PASetup` over
     the same two objects adopts as its route.
+
+    The columns are read-only, as :class:`~repro.core.shortcuts.Shortcut`'s
+    ``up_parts`` are, so the per-key depth lookup is built once.
     """
 
-    root_depth: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    block_id: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    count_tokens: Dict[int, List[int]] = field(default_factory=dict)
-    verified: Optional[Tuple[object, object, object]] = field(
-        default=None, repr=False, compare=False
-    )
+    def __init__(self, node, pid, depth, token_node, token_pid) -> None:
+        self.node = _frozen(node)
+        self.pid = _frozen(pid)
+        self.depth = _frozen(depth)
+        self.token_node = _frozen(token_node)
+        self.token_pid = _frozen(token_pid)
+        self.verified: Optional[Tuple[object, object, object]] = None
 
     def priority_depth(self, node: int, pid: int) -> int:
         """Root depth used for BlockRoute priority; large if unknown."""
-        return self.root_depth.get((node, pid), 1 << 30)
+        depth_of = self.__dict__.get("_depth_of")
+        if depth_of is None:
+            depth_of = self._depth_of = dict(zip(
+                zip(self.node.tolist(), self.pid.tolist()),
+                self.depth.tolist(),
+            ))
+        return depth_of.get((node, pid), 1 << 30)
+
+    def packed_depths(self, stride: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(node * stride + pid, depth)`` columns, ascending by key."""
+        keys = self.node * np.int64(stride) + self.pid
+        order = np.argsort(keys)
+        return keys[order], self.depth[order]
 
     def block_counts(self, partition_size: int) -> List[int]:
         """Per-part number of counting tokens delivered (= nontrivial blocks)."""
-        counts = [0] * partition_size
-        for _node, pids in self.count_tokens.items():
-            for pid in pids:
-                counts[pid] += 1
-        return counts
+        return np.bincount(self.token_pid, minlength=partition_size).tolist()
 
 
 class _AnnotateProgram(QueuedProgram):
@@ -83,8 +113,20 @@ class _AnnotateProgram(QueuedProgram):
         self.tree = shortcut.tree
         self.net = shortcut.tree.net
         self.down = shortcut.down_parts()
-        self.out = BlockAnnotations()
-        self._seen: set = set()
+        #: Root depth per annotated ``(node, pid)``, and the ``(node,
+        #: pid)`` of each counting token, in the order they were learned.
+        self._depth_of: Dict[Tuple[int, int], int] = {}
+        self._tokens: List[Tuple[int, int]] = []
+
+    @property
+    def out(self) -> BlockAnnotations:
+        """The learned rows as columns (read once the run is over)."""
+        rows = np.array(
+            [key + (depth,) for key, depth in self._depth_of.items()],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        tokens = np.array(self._tokens, dtype=np.int64).reshape(-1, 2)
+        return BlockAnnotations(*rows.T, *tokens.T)
 
     def _children_for(self, node: int, pid: int) -> List[int]:
         return [c for c, parts in self.down[node].items() if pid in parts]
@@ -93,14 +135,12 @@ class _AnnotateProgram(QueuedProgram):
               counting: bool) -> None:
         """Record annotation at ``node`` and propagate downward."""
         key = (node, pid)
-        if key in self._seen:
+        if key in self._depth_of:
             return
-        self._seen.add(key)
-        self.out.root_depth[key] = depth
-        self.out.block_id[key] = uid
+        self._depth_of[key] = depth
         children = self._children_for(node, pid)
         if counting and not children:
-            self.out.count_tokens.setdefault(node, []).append(pid)
+            self._tokens.append(key)
         count_child = min(children) if (counting and children) else None
         for child in children:
             payload = ("ann", pid, depth, uid, child == count_child)

@@ -29,6 +29,8 @@ from typing import (
     Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple,
 )
 
+import numpy as np
+
 from ..congest.engine import Context, Engine, Inbox
 from ..congest.ledger import CostLedger
 from ..congest.message import ceil_log2
@@ -146,11 +148,15 @@ def verify_block_parameters(
     (:func:`build_shortcut_by_doubling`).  Either way the verification
     is the first solve of the setup it accepts.
     """
-    values: List[Optional[int]] = [None] * net.n
-    for node, pids in annotations.count_tokens.items():
-        mine = sum(1 for pid in pids if partition.part_of[node] == pid)
-        if mine:
-            values[node] = mine
+    # A node's value is the number of its own part's tokens it holds.
+    held = annotations.token_node
+    mine = held[
+        np.asarray(partition.part_of, dtype=np.int64)[held]
+        == annotations.token_pid
+    ]
+    values: List[Optional[int]] = [
+        count or None for count in np.bincount(mine, minlength=net.n).tolist()
+    ]
     outcome = run_pa_waves(
         engine, net, partition, division, shortcut, annotations,
         values, SUM, ledger, randomized=randomized, rng=rng,

@@ -23,9 +23,10 @@ Quality measures:
   analysis (Lemma 4.4: "b iterations suffice", one new block activated per
   wave) concerns edge-bearing blocks only.
 
-Block annotations (root id and root depth per (node, part)) are what the
-BlockRoute scheduling of Lemma 4.2 prioritizes on; they are established by
-a distributed annotation phase in :mod:`repro.core.blocks`.
+Block annotations (the block-root depth per (node, part), which the
+BlockRoute scheduling of Lemma 4.2 prioritizes on, and one counting token
+per block) are established by a distributed annotation phase in
+:mod:`repro.core.blocks`.
 """
 
 from __future__ import annotations

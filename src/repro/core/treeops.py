@@ -211,7 +211,7 @@ class ClaimBfsProgram(Program):
 
 
 class FloodMinProgram(Program):
-    """Flood the minimum token through a (restricted) graph.
+    """Flood the minimum token through the network.
 
     Every node given a token starts with it (the rest hold none yet);
     whenever a node hears a smaller token it adopts it, re-points its
@@ -220,7 +220,7 @@ class FloodMinProgram(Program):
     already, and a token sent back to its holder carries no news.  (This
     tick's mail is all a node knows of its neighbors: a token at most the
     adopted one delivered earlier would have been adopted then.)  At
-    quiescence every connected region agrees on its minimum token and the
+    quiescence every connected component agrees on its minimum token and the
     parent pointers form a BFS-like tree rooted at the minimum's holder;
     skipping the echoes changes neither, only the message count.
 
@@ -233,15 +233,9 @@ class FloodMinProgram(Program):
 
     name = "flood_min"
 
-    def __init__(
-        self,
-        net: Network,
-        tokens: Dict[int, object],
-        allowed: Optional[Callable[[int, int], bool]] = None,
-    ) -> None:
+    def __init__(self, net: Network, tokens: Dict[int, object]) -> None:
         self.net = net
         self.initial = tokens
-        self.allowed = allowed
         #: Per node: the least token heard (``None``: none) and who sent it.
         self.best: List[Optional[object]] = [None] * net.n
         self.parent_of: List[int] = [ABSENT] * net.n
@@ -249,7 +243,7 @@ class FloodMinProgram(Program):
     def _announce(self, ctx: Context, node: int, heard=()) -> None:
         token = self.best[node]
         for nb in self.net.neighbors[node]:
-            if nb not in heard and (self.allowed is None or self.allowed(node, nb)):
+            if nb not in heard:
                 ctx.send(node, nb, token)
 
     def on_start(self, ctx: Context) -> None:

@@ -1,8 +1,8 @@
 """Shard views: restrict a global PA setup to one shard, and rebuild it.
 
 The orchestrator side (:func:`build_shard_payload`) produces a picklable
-payload: flat int64 columns for the topology and structure arrays, plus
-the restricted annotation dicts.  The worker side
+payload: flat int64 columns for the topology, structure and annotation
+arrays.  The worker side
 (:func:`rebuild_shard`) turns a payload back into the live objects the
 wave phases consume — a real :class:`~repro.congest.network.Network`
 over the induced sub-graph and duck-typed partition/division/shortcut
@@ -21,8 +21,9 @@ Two fix-ups keep the restricted run on the global cost model:
 * ``message_bits`` is forced to the *global* budget (a sub-network would
   compute a smaller O(log n') limit and could reject messages the serial
   run accepts);
-* node ``uid``\\ s are the global ones (leader tokens and block ids are
-  global uids; a shard must compare against the same values).
+* node ``uid``\\ s are the global ones (leader tokens and the block-root
+  uids annotation messages carry are global uids; a shard must compare
+  against, and meter the bits of, the same values).
 
 Nodes that serve a shard only as interior points of used tree edges
 (*Steiner nodes*) are carried with sentinel part ids ``>= num_parts``
@@ -173,20 +174,18 @@ def build_shard_payload(
         for gpid in shard_pids.tolist()
     ]
 
+    # Annotation rows of the shard's parts, renumbered (their nodes are
+    # all on used edges, hence in the shard).
     ann = setup.annotations
-    root_depth: Dict[Tuple[int, int], int] = {}
-    block_id: Dict[Tuple[int, int], int] = {}
-    for (v, pid), depth in ann.root_depth.items():
-        lp = int(pid_local[pid])
-        if lp >= 0:
-            key = (int(node_local[v]), lp)
-            root_depth[key] = depth
-            block_id[key] = ann.block_id[(v, pid)]
-    count_tokens: Dict[int, List[int]] = {}
-    for v, pids in ann.count_tokens.items():
-        kept = [int(pid_local[pid]) for pid in pids if pid_local[pid] >= 0]
-        if kept:
-            count_tokens[int(node_local[v])] = kept
+    keys = pid_local[ann.pid] >= 0
+    tokens = pid_local[ann.token_pid] >= 0
+    annotations = {
+        "node": node_local[ann.node[keys]],
+        "pid": pid_local[ann.pid[keys]],
+        "depth": ann.depth[keys],
+        "token_node": node_local[ann.token_node[tokens]],
+        "token_pid": pid_local[ann.token_pid[tokens]],
+    }
 
     return {
         "nodes": nodes,
@@ -204,9 +203,7 @@ def build_shard_payload(
         "tparent": local_tparent,
         "up_parts": local_up,
         "part_leader": leaders,
-        "ann_root_depth": root_depth,
-        "ann_block_id": block_id,
-        "ann_count_tokens": count_tokens,
+        "annotations": annotations,
     }
 
 
@@ -296,11 +293,7 @@ def rebuild_shard(payload: Dict[str, object]) -> ShardSetup:
     )
     tree = RootedForest(subnet, payload["tparent"].tolist())
     shortcut = ShardShortcut(tree, partition, payload["up_parts"])
-    annotations = BlockAnnotations(
-        root_depth=payload["ann_root_depth"],
-        block_id=payload["ann_block_id"],
-        count_tokens=payload["ann_count_tokens"],
-    )
+    annotations = BlockAnnotations(**payload["annotations"])
     member_locals = np.flatnonzero(payload["is_member"])
     return ShardSetup(
         net=subnet,

@@ -1,5 +1,7 @@
 """Distributed block annotation vs. the structural oracle."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.congest import CostLedger, Engine
 from repro.core import (
     ROOT,
@@ -8,7 +10,13 @@ from repro.core import (
     annotate_blocks,
     bfs_tree,
 )
-from repro.graphs import Partition, grid_2d, path_graph
+from repro.graphs import (
+    Partition,
+    grid_2d,
+    path_graph,
+    random_connected,
+    random_connected_partition,
+)
 
 
 def test_annotation_matches_oracle_blocks(path10, ledger):
@@ -21,10 +29,12 @@ def test_annotation_matches_oracle_blocks(path10, ledger):
     sc = Shortcut(tree, part, up)
     engine = Engine(path10)
     ann = annotate_blocks(engine, sc, ledger)
-    # Part 0's block spans nodes 2,3,4 rooted at 2 (depth 2).
-    assert ann.root_depth[(3, 0)] == 2
-    assert ann.root_depth[(4, 0)] == 2
-    assert ann.block_id[(4, 0)] == path10.uid[2]
+    # Part 0's block spans nodes 2,3,4 rooted at 2 (depth 2); part 1's
+    # spans 6,7 rooted at 6.
+    rows = zip(ann.node.tolist(), ann.pid.tolist(), ann.depth.tolist())
+    assert set(rows) == {(2, 0, 2), (3, 0, 2), (4, 0, 2), (6, 1, 6), (7, 1, 6)}
+    assert ann.priority_depth(4, 0) == 2
+    assert ann.priority_depth(5, 0) == 1 << 30
     # Counting token lands at the deepest chain node (a part member).
     counts = ann.block_counts(2)
     assert counts == [1, 1]
@@ -62,3 +72,58 @@ def test_annotation_cost_bounds(grid4x6, ledger):
     # One message per H_i edge plus counting tokens.
     total_edges = sum(len(s) for s in up)
     assert stats.messages <= 2 * total_edges + grid4x6.n
+
+
+@st.composite
+def _claimed_shortcut(draw):
+    """A T-restricted shortcut over a random partition, built the way the
+    constructions build one: part members climb the BFS tree, each adding
+    its part to the parent edges it crosses."""
+    net = random_connected(
+        draw(st.integers(2, 40)), draw(st.sampled_from([0.0, 0.1, 0.3])),
+        seed=draw(st.integers(0, 10**6)), uid_seed=draw(st.integers(0, 50)),
+    )
+    partition = random_connected_partition(
+        net, draw(st.integers(1, max(1, net.n // 2))),
+        seed=draw(st.integers(0, 99)),
+    )
+    root = draw(st.integers(0, net.n - 1))
+    tree = bfs_tree(Engine(net), net, root, CostLedger()).tree
+    up = [set() for _ in range(net.n)]
+    climbers = draw(st.lists(st.integers(0, net.n - 1), max_size=net.n))
+    for v in climbers:
+        pid = partition.part_of[v]
+        for _ in range(draw(st.integers(0, 6))):
+            if tree.parent[v] < 0:
+                break
+            up[v].add(pid)
+            v = tree.parent[v]
+    return Shortcut(tree, partition, up)
+
+
+def _annotate(shortcut, use_arrays, capacity):
+    """Annotation rows, token multiset and phase stats on one twin."""
+    ledger = CostLedger()
+    engine = Engine(shortcut.tree.net, use_arrays=use_arrays, strict_bits=True)
+    ann = annotate_blocks(engine, shortcut, ledger, capacity=capacity)
+    rows = list(zip(ann.node.tolist(), ann.pid.tolist(), ann.depth.tolist()))
+    assert len(set((v, pid) for v, pid, _ in rows)) == len(rows)
+    tokens = sorted(zip(ann.token_node.tolist(), ann.token_pid.tolist()))
+    stats = [
+        (p.name, p.rounds, p.messages, p.ticks, p.bits)
+        for p in ledger.phases()
+    ]
+    return set(rows), tokens, stats, ann
+
+
+@settings(max_examples=100, deadline=None)
+@given(_claimed_shortcut(), st.sampled_from([1, 2]))
+def test_annotation_twins_store_the_same_columns(shortcut, capacity):
+    *scalar, ann = _annotate(shortcut, False, capacity)
+    *array, _ = _annotate(shortcut, True, capacity)
+    assert array == scalar
+    # One token per nontrivial block: the structural block count.
+    num_parts = shortcut.partition.num_parts
+    assert [
+        max(1, count) for count in ann.block_counts(num_parts)
+    ] == shortcut.block_parameters()

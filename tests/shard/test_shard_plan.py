@@ -8,6 +8,7 @@ from repro import PASession
 from repro.graphs import grid_2d, random_connected, random_connected_partition
 from repro.shard import ShardPlan, build_shard_plan
 from repro.shard.plan import conflict_components
+from repro.shard.views import build_shard_payload, rebuild_shard
 
 
 def _setup(mode="randomized", n_parts=8, seed=3):
@@ -88,3 +89,36 @@ def test_grid_partition_shards():
     plan = build_shard_plan(setup, 4)
     seen = sorted(pid for shard in plan.shard_parts for pid in shard)
     assert seen == list(range(partition.num_parts))
+
+
+def _columns(ann):
+    """Annotation rows and counting tokens as lists of tuples."""
+    return (
+        list(zip(ann.node.tolist(), ann.pid.tolist(), ann.depth.tolist())),
+        list(zip(ann.token_node.tolist(), ann.token_pid.tolist())),
+    )
+
+
+@pytest.mark.parametrize("mode", ["randomized", "deterministic"])
+def test_a_shard_gets_the_global_annotation_columns_of_its_parts(mode):
+    """A shard's annotations are the global rows of its parts, in their
+    global order, under local node and part ids."""
+    setup, _partition = _setup(mode=mode)
+    rows, tokens = _columns(setup.annotations)
+    assert rows and tokens
+    plan = build_shard_plan(setup, 3)
+    assert len(plan.shard_parts) > 1
+    for shard_pids in plan.shard_parts:
+        payload = build_shard_payload(setup, shard_pids)
+        node_local = {v: lv for lv, v in enumerate(payload["nodes"].tolist())}
+        pid_local = {pid: lp for lp, pid in enumerate(sorted(shard_pids))}
+        assert _columns(rebuild_shard(payload).annotations) == (
+            [
+                (node_local[v], pid_local[pid], depth)
+                for v, pid, depth in rows if pid in pid_local
+            ],
+            [
+                (node_local[v], pid_local[pid])
+                for v, pid in tokens if pid in pid_local
+            ],
+        )
