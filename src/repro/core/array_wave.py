@@ -26,7 +26,11 @@ turns those sequences into the same wire schedule.
 **The schedule does not depend on the values.**  Who sends to whom at
 which tick is fixed by partition, shortcut and delay draw: the reversal
 answers every recorded wave edge exactly once and the replay retraces
-them (Lemma 4.4's "symmetrically").  So no packet carries a value.  A
+them (Lemma 4.4's "symmetrically").  The route is a
+:class:`~repro.core.wave.WaveIndex`, the one type both twins write and
+read: the broadcast kernel hands its two arenas over as the index's rows
+(:meth:`WaveArrayKernel.route`), and a route the scalar programs learned
+serves these kernels as it is.  So no packet carries a value.  A
 reversal answer carries its sender's dense key id (-1 for ``None``) and
 the receiver folds the *sender's accumulator* into its own; the
 accumulator it reads is final, because a key fires once, after the last
@@ -70,7 +74,6 @@ on the serial wire schedule bit-for-bit.
 
 from __future__ import annotations
 
-import copy
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -83,7 +86,7 @@ from ..congest.arrays import (
     int_bits_array,
 )
 from ..congest.engine import ArrayProgram
-from ..congest.message import TAG_BITS, TUPLE_OVERHEAD_BITS, payload_bits
+from ..congest.message import payload_bits
 from .aggregation import Aggregation
 from .array_kernels import FOLDS, fold_op, int_column
 from .array_queue import (
@@ -94,9 +97,9 @@ from .array_queue import (
     find_sorted,
     first_occurrence_mask,
     in_sorted,
-    sorted_unique,
 )
 from .treeops import _kernel
+from .wave import WaveIndex, pid_bits
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -124,132 +127,6 @@ class _KeyTable:
         pos, hit = find_sorted(self.keys, query)
         out[hit] = self.vals[pos[hit]]
         return out
-
-
-class WaveIndex:
-    """A setup's route over dense ``(node, part)`` key ids.
-
-    The array form of :class:`~repro.core.wave.WaveRecord`, all reversal
-    and replay read.  Key id ``k`` is the rank of ``keys[k] == node[k] *
-    stride + part[k]`` among every key that sent, received or led — the
-    canonical sorted order.  ``parent[k]`` is the key's wave parent node
-    (-1: a leader key, the root of its part's wave tree);
-    ``out_dst[out_starts[k]:][:out_counts[k]]`` are the destinations of the
-    messages key ``k`` sends, in send order; ``fan_kid`` / ``fan_src`` are
-    the non-parent in-edges reversal answers ``None`` at once (receiving
-    key id and sender node, in key order, arrival order within a key).
-    Beside the edges, the few columns the passes need of the setup:
-    ``part_of``, the ``reached`` mask, ``leaders``, ``pid_bits``.
-
-    Built from a finished broadcast it is the *wire* record;
-    :meth:`forest` filters it to the wave forest — the same object with
-    fewer edges, and reversal and replay run unchanged on either; the
-    all-reduce reads a forest's :meth:`neighbors`, derived once per route.
-    """
-
-    __slots__ = (
-        "n", "stride", "part_of", "reached", "leaders", "pid_bits",
-        "keys", "node", "part", "parent", "out_starts", "out_counts",
-        "out_dst", "fan_kid", "fan_src", "_neighbors",
-    )
-
-    def __init__(self, wave: "WaveArrayKernel") -> None:
-        self.n = wave.n
-        P = self.stride = wave.stride
-        self.part_of = wave.part_of
-        self.reached = wave.has_token
-        self.leaders = wave.leaders
-        self.pid_bits = wave.pid_bits
-        out_key = wave.out_arena.column("key")
-        in_key = wave.in_arena.column("key")
-        leader_key = (
-            wave.leaders * P + np.arange(wave.num_parts, dtype=np.int64)
-        )[wave.started]
-        self.keys = sorted_unique(
-            np.concatenate((out_key, in_key, leader_key))
-        )
-        self.node = self.keys // P
-        self.part = self.keys % P
-        # The wave parent is the sender of a key's first arrival; a leader
-        # key has none, whatever reached it before its delayed start.
-        self.parent = np.full(self.keys.size, -1, dtype=np.int64)
-        first = first_occurrence_mask(in_key)
-        self.parent[self.ids(in_key[first])] = wave.in_arena.column("src")[first]
-        self.parent[self.ids(leader_key)] = -1
-        self._set_out(self.ids(out_key), wave.out_arena.column("dst"))
-        # Every in-edge but a key's parent edge — its first arrival,
-        # unless it is a leader key.
-        kid = self.ids(in_key)
-        order = np.argsort(kid, kind="stable")
-        kid = kid[order]
-        fan = ~(first_occurrence_mask(kid) & (self.parent[kid] >= 0))
-        self.fan_kid = kid[fan]
-        self.fan_src = wave.in_arena.column("src")[order[fan]]
-
-    def _set_out(self, sender: np.ndarray, dst: np.ndarray) -> None:
-        """The out-edge CSR of ``(sender key id, destination)`` rows."""
-        self.out_counts = np.bincount(sender, minlength=self.keys.size)
-        self.out_starts = np.cumsum(self.out_counts) - self.out_counts
-        self.out_dst = dst[np.argsort(sender, kind="stable")]
-        self._neighbors = None
-
-    def neighbors(self) -> Tuple[np.ndarray, ...]:
-        """Each key's route neighbors as key ids, its parent's first and
-        then its out-edges': ``(counts, starts, flat)`` of a CSR, and per
-        key the sum of its neighbors' ids.  Derived once per route."""
-        if self._neighbors is None:
-            K = self.keys.size
-            up = np.flatnonzero(self.parent >= 0)
-            counts = self.out_counts.copy()
-            counts[up] += 1
-            starts = np.cumsum(counts) - counts
-            child_of = np.repeat(np.arange(K, dtype=np.int64), self.out_counts)
-            parent = self.ids(self.parent[up] * self.stride + self.part[up])
-            child = self.ids(self.out_dst * self.stride + self.part[child_of])
-            flat = np.empty(int(counts.sum()), dtype=np.int64)
-            flat[starts[up]] = parent
-            # A child's slot: its out-edge slot, shifted past the parent
-            # slots opened ahead of it.
-            flat[
-                np.arange(child_of.size)
-                + (starts + counts - self.out_counts - self.out_starts)[
-                    child_of
-                ]
-            ] = child
-            total = np.bincount(
-                child_of, weights=child, minlength=K
-            ).astype(np.int64)
-            total[up] += parent
-            self._neighbors = (counts, starts, flat, total)
-        return self._neighbors
-
-    def ids(self, keys: np.ndarray) -> np.ndarray:
-        """Key ids of recorded ``keys``."""
-        return np.searchsorted(self.keys, keys)
-
-    @property
-    def edges(self) -> int:
-        """Messages one pass over this route sends."""
-        return int(self.out_dst.size)
-
-    def forest(self) -> "WaveIndex":
-        """The route filtered to the wave forest.
-
-        Of the messages a key sent, the first per destination whose
-        ``(destination, part)`` key has the sender as its wave parent
-        stays, in send order — one in-edge per non-leader key — and no
-        in-edge is left to answer ``None``.
-        """
-        kept = copy.copy(self)
-        sender = np.repeat(
-            np.arange(self.keys.size, dtype=np.int64), self.out_counts
-        )
-        child = self.ids(self.out_dst * self.stride + self.part[sender])
-        own = self.parent[child] == self.node[sender]
-        own[own] = first_occurrence_mask(child[own])
-        kept._set_out(sender[own], self.out_dst[own])
-        kept.fan_kid = kept.fan_src = _EMPTY
-        return kept
 
 
 def _sends(src, dst, pos, tagc, pids, p0=None, p1=None) -> Tuple[np.ndarray, ...]:
@@ -320,13 +197,8 @@ class WaveArrayKernel(ArrayProgram):
             [leader_tokens[pid] for pid in range(self.num_parts)],
             dtype=np.int64,
         ).reshape(-1)
-        #: Per part, the bits of a ``(tag, pid, ...)`` packet before its
-        #: last component, and of the whole token packet.
-        self.pid_bits = (
-            TUPLE_OVERHEAD_BITS + TAG_BITS
-            + int_bits_array(np.arange(self.num_parts, dtype=np.int64))
-        )
-        self.pbits = self.pid_bits + int_bits_array(self.token)
+        #: Per part, the bits of the whole token packet.
+        self.pbits = pid_bits(self.num_parts) + int_bits_array(self.token)
 
         self.has_token = np.zeros(n, dtype=bool)
         self.started = np.zeros(self.num_parts, dtype=bool)
@@ -551,7 +423,11 @@ class WaveArrayKernel(ArrayProgram):
     # ------------------------------------------------------------------
     def route(self) -> WaveIndex:
         """The finished broadcast's wire record."""
-        return WaveIndex(self)
+        return WaveIndex(
+            self.part_of, self.leaders, self.started, self.has_token,
+            self.out_arena.column("key"), self.out_arena.column("dst"),
+            self.in_arena.column("key"), self.in_arena.column("src"),
+        )
 
 
 def _flush(actx, pool: EdgePool, names: Tuple[str, ...], bits_of) -> None:
@@ -599,16 +475,10 @@ class _Accumulators:
         fold: Optional[str],
         extra: int = 0,
     ) -> None:
-        live = (index.part_of[index.node] == index.part) & index.reached[
-            index.node
-        ]
         if fold is None:
             self._ufunc = None
             self._merge = agg.merge
-            self.acc = [
-                values[v] if ok else None
-                for v, ok in zip(index.node.tolist(), live.tolist())
-            ] + [None] * extra
+            self.acc = index.start_values(values) + [None] * extra
             self.has = np.fromiter(
                 (a is not None for a in self.acc), dtype=bool,
                 count=len(self.acc),
@@ -616,6 +486,7 @@ class _Accumulators:
         else:
             self._ufunc, identity = FOLDS[fold]
             columns = PayloadColumns.pack(values)
+            live = index.live()
             if columns.present is not None:
                 live &= columns.present[index.node]
             self.has = np.concatenate((live, np.zeros(extra, dtype=bool)))

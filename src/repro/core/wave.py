@@ -44,7 +44,8 @@ solve runs three of them (the wave, the reversal and the replay) or one
 
 2. :class:`ReverseProgram` — the aggregation.  The broadcast recorded, per
    (node, part), every wave message sent and received and the *wave
-   parent* (first token source).  Reversal answers every recorded wave
+   parent* (first token source): its route, a :class:`WaveIndex`, the one
+   type both twins write and read.  Reversal answers every recorded wave
    edge with exactly one message: non-parent edges are answered ``None``
    immediately, under their own tag; the parent edge is answered with the
    node's contribution merged with all received answers (value or
@@ -82,7 +83,8 @@ reversal over the wire record and the replay on the forest — two wire
 passes and one forest pass (one wire broadcast and one wire reversal is
 what a setup's first solve must keep paying; Lemma 4.4's third pass only
 ever needed the tree the first two built) — and when it has returned the
-setup keeps the forest (:class:`RouteMemo`); every later solve on that
+setup keeps the forest (:class:`RouteMemo`, one :class:`WaveIndex`
+whichever twin learned it); every later solve on that
 setup runs no token wave — one all-reduce on the forest: ``2 (#keys -
 #parts)`` messages, the reversal's and the replay's together, in diam(T)
 ticks of the forest T instead of the 2 height(T) of a convergecast to the
@@ -105,71 +107,204 @@ left holding the aggregate against the members there are.  All raise
 
 from __future__ import annotations
 
+import copy
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
+from ..congest.arrays import int_bits_array
 from ..congest.engine import Context, Engine, Inbox
 from ..congest.ledger import CostLedger
-from ..congest.message import ceil_log2
+from ..congest.message import TAG_BITS, TUPLE_OVERHEAD_BITS, ceil_log2
 from ..congest.network import Network
 from ..graphs.partitions import Partition
 from ..obs.tracer import current_tracer
 from .aggregation import Aggregation
+from .array_queue import first_occurrence_mask, sorted_unique
 from .blocks import BlockAnnotations
 from .queued import QueuedProgram
 from .shortcuts import Shortcut
 from .subparts import SubPartDivision
-from .trees import ROOT
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
-@dataclass
-class WaveRecord:
+def pid_bits(num_parts: int) -> np.ndarray:
+    """Per part, the bits of a ``(tag, pid, ...)`` wave packet before its
+    last component."""
+    return TUPLE_OVERHEAD_BITS + TAG_BITS + int_bits_array(
+        np.arange(num_parts, dtype=np.int64)
+    )
+
+
+class WaveIndex:
     """A setup's route: what the broadcast learned, for the passes after it.
 
-    ``out_edges[(v, pid)]`` — (dst, tag) wave messages v physically sent
-    for part pid; ``in_edges[(v, pid)]`` — (src, tag) received;
-    ``parent[(v, pid)]`` — the first token source (None for the leader);
-    ``reached[pid]`` — part members that received the token;
-    ``part_of`` / ``leaders`` — the partition and its part leaders.
+    Both twins write it and both read it.  Key id ``k`` is the rank of
+    ``keys[k] == node[k] * stride + part[k]`` among every key that sent,
+    received or led — the canonical sorted ``(node, part)`` order.
+    ``parent[k]`` is the key's wave parent node, the sender of its first
+    arrival (-1: a leader key, the root of its part's wave tree);
+    ``out_dst[out_starts[k]:][:out_counts[k]]`` are the destinations of
+    the messages key ``k`` sent, in send order; ``fan_kid`` / ``fan_src``
+    are the non-parent in-edges reversal answers ``None`` at once
+    (receiving key id and sender node, in key order, arrival order within
+    a key).  Beside the edges, the few columns the passes need of the
+    setup: ``part_of``, the ``reached`` mask, ``leaders``, ``pid_bits``.
 
-    The broadcast fills in the *wire* record (every message);
-    :meth:`forest` filters it to the wave forest, the same object with
-    fewer edges — reversal and replay run on either, the all-reduce on
-    the forest.
+    A broadcast hands over its rows: ``(sender key, destination)`` per
+    message sent, ``(receiver key, sender)`` per message received, each in
+    the order it sent or received them, and the parts whose leader
+    started.  Built from them it is the *wire* record; :meth:`forest`
+    filters it to the wave forest — the same object with fewer edges, and
+    reversal and replay run unchanged on either; the all-reduce reads a
+    forest's :meth:`neighbors`, derived once per route.
     """
 
-    part_of: Sequence[int]
-    leaders: Sequence[int]
-    out_edges: Dict[Tuple[int, int], List[Tuple[int, str]]]
-    in_edges: Dict[Tuple[int, int], List[Tuple[int, str]]]
-    parent: Dict[Tuple[int, int], Optional[int]]
-    reached: Dict[int, Set[int]]
+    __slots__ = (
+        "n", "stride", "part_of", "reached", "leaders", "pid_bits",
+        "keys", "node", "part", "parent", "out_starts", "out_counts",
+        "out_dst", "fan_kid", "fan_src", "_neighbors",
+    )
+
+    def __init__(
+        self,
+        part_of: Sequence[int],
+        leaders: Sequence[int],
+        started: np.ndarray,
+        reached: np.ndarray,
+        out_key: Sequence[int],
+        out_dst: Sequence[int],
+        in_key: Sequence[int],
+        in_src: Sequence[int],
+    ) -> None:
+        part_of, leaders, out_key, out_dst, in_key, in_src = (
+            np.asarray(col, dtype=np.int64).reshape(-1) for col in
+            (part_of, leaders, out_key, out_dst, in_key, in_src)
+        )
+        self.n = part_of.size
+        P = self.stride = np.int64(max(1, leaders.size))
+        self.part_of = part_of
+        self.reached = reached
+        self.leaders = leaders
+        self.pid_bits = pid_bits(leaders.size)
+        leader_key = (
+            leaders * P + np.arange(leaders.size, dtype=np.int64)
+        )[started]
+        self.keys = sorted_unique(
+            np.concatenate((out_key, in_key, leader_key))
+        )
+        self.node = self.keys // P
+        self.part = self.keys % P
+        # The wave parent is the sender of a key's first arrival; a leader
+        # key has none, whatever reached it before its delayed start.
+        self.parent = np.full(self.keys.size, -1, dtype=np.int64)
+        first = first_occurrence_mask(in_key)
+        self.parent[self.ids(in_key[first])] = in_src[first]
+        self.parent[self.ids(leader_key)] = -1
+        self._set_out(self.ids(out_key), out_dst)
+        # Every in-edge but a key's parent edge — its first arrival,
+        # unless it is a leader key.
+        kid = self.ids(in_key)
+        order = np.argsort(kid, kind="stable")
+        kid = kid[order]
+        fan = ~(first_occurrence_mask(kid) & (self.parent[kid] >= 0))
+        self.fan_kid = kid[fan]
+        self.fan_src = in_src[order[fan]]
+
+    def _set_out(self, sender: np.ndarray, dst: np.ndarray) -> None:
+        """The out-edge CSR of ``(sender key id, destination)`` rows."""
+        self.out_counts = np.bincount(sender, minlength=self.keys.size)
+        self.out_starts = np.cumsum(self.out_counts) - self.out_counts
+        self.out_dst = dst[np.argsort(sender, kind="stable")]
+        self._neighbors = None
+
+    def neighbors(self) -> Tuple[np.ndarray, ...]:
+        """Each key's route neighbors as key ids, its parent's first and
+        then its out-edges': ``(counts, starts, flat)`` of a CSR, and per
+        key the sum of its neighbors' ids.  Derived once per route."""
+        if self._neighbors is None:
+            K = self.keys.size
+            up = np.flatnonzero(self.parent >= 0)
+            counts = self.out_counts.copy()
+            counts[up] += 1
+            starts = np.cumsum(counts) - counts
+            child_of = np.repeat(np.arange(K, dtype=np.int64), self.out_counts)
+            parent = self.ids(self.parent[up] * self.stride + self.part[up])
+            child = self.ids(self.out_dst * self.stride + self.part[child_of])
+            flat = np.empty(int(counts.sum()), dtype=np.int64)
+            flat[starts[up]] = parent
+            # A child's slot: its out-edge slot, shifted past the parent
+            # slots opened ahead of it.
+            flat[
+                np.arange(child_of.size)
+                + (starts + counts - self.out_counts - self.out_starts)[
+                    child_of
+                ]
+            ] = child
+            total = np.bincount(
+                child_of, weights=child, minlength=K
+            ).astype(np.int64)
+            total[up] += parent
+            self._neighbors = (counts, starts, flat, total)
+        return self._neighbors
+
+    def ids(self, keys: np.ndarray) -> np.ndarray:
+        """Key ids of recorded ``keys``."""
+        return np.searchsorted(self.keys, keys)
+
+    def live(self) -> np.ndarray:
+        """Per key, whether it is a part member's own key the token
+        reached: the keys that start from their node's value."""
+        return (self.part_of[self.node] == self.part) & self.reached[
+            self.node
+        ]
+
+    def start_values(self, values: Sequence[object]) -> List[object]:
+        """Per key id, its node's value if :meth:`live`, else ``None``."""
+        return [
+            values[v] if own else None
+            for v, own in zip(self.node.tolist(), self.live().tolist())
+        ]
+
+    def pairs(self) -> List[Tuple[int, int]]:
+        """The keys as ``(node, part)`` pairs, in key-id order."""
+        return list(zip(self.node.tolist(), self.part.tolist()))
+
+    def out_lists(self) -> List[List[int]]:
+        """Per key id, the destinations it sent to, in send order."""
+        dst = self.out_dst.tolist()
+        return [
+            dst[lo:lo + count] for lo, count in zip(
+                self.out_starts.tolist(), self.out_counts.tolist()
+            )
+        ]
 
     @property
     def edges(self) -> int:
         """Messages one pass over this route sends."""
-        return sum(len(out) for out in self.out_edges.values())
+        return int(self.out_dst.size)
 
-    def forest(self) -> "WaveRecord":
+    def forest(self) -> "WaveIndex":
         """The route filtered to the wave forest.
 
         Of the messages a key sent, the first per destination whose
         ``(destination, part)`` key has the sender as its wave parent
-        stays, in send order; the one in-edge a non-leader key keeps is
-        its ``parent``, so nothing is left for reversal to answer
-        ``None``.
+        stays, in send order — one in-edge per non-leader key — and no
+        in-edge is left to answer ``None``.
         """
-        parent = self.parent
-        out_edges: Dict[Tuple[int, int], List[Tuple[int, str]]] = {}
-        for (v, pid), sent in self.out_edges.items():
-            kept = {}
-            for dst, tag in sent:
-                if dst not in kept and parent.get((dst, pid)) == v:
-                    kept[dst] = tag
-            if kept:
-                out_edges[(v, pid)] = list(kept.items())
-        return replace(self, out_edges=out_edges, in_edges={})
+        kept = copy.copy(self)
+        sender = np.repeat(
+            np.arange(self.keys.size, dtype=np.int64), self.out_counts
+        )
+        child = self.ids(self.out_dst * self.stride + self.part[sender])
+        own = self.parent[child] == self.node[sender]
+        own[own] = first_occurrence_mask(child[own])
+        kept._set_out(sender[own], self.out_dst[own])
+        kept.fan_kid = kept.fan_src = _EMPTY
+        return kept
 
 
 @dataclass
@@ -180,16 +315,15 @@ class RouteMemo:
     ``delays`` is the fact the ledger knows: the delay draw under which
     the setup's token wave was paid for, ``None`` until a solve that ran
     it has *returned* (a solve that raised after its wave commits
-    nothing, so its retry pays the wave again).  ``forests`` is this
-    process's cache of that wave's forest, per wave twin (``True``: the
-    array kernels' :class:`~repro.core.array_wave.WaveIndex`, ``False``:
-    a :class:`WaveRecord`): whoever lacks it — a shard worker after a
-    local learn or a re-ship, rank 0 after a sharded learn — re-derives
-    it from the setup and ``delays`` off the ledger.
+    nothing, so its retry pays the wave again).  ``forest`` is this
+    process's cache of that wave's forest, which both wave twins read:
+    whoever lacks it — a shard worker after a local learn or a re-ship,
+    rank 0 after a sharded learn — re-derives it from the setup and
+    ``delays`` off the ledger.
     """
 
     delays: Optional[Dict[int, int]] = None
-    forests: Dict[bool, object] = field(default_factory=dict)
+    forest: Optional[WaveIndex] = None
 
 
 class WaveProgram(QueuedProgram):
@@ -227,24 +361,24 @@ class WaveProgram(QueuedProgram):
         #: Keys ``(node, pid)`` whose climb is won: by a ku or an inject.
         self.kup_done: Set[Tuple[int, int]] = set()
         self.kdown_done: Set[Tuple[int, int]] = set()
+        #: Per key ``(node, pid)``: every neighbor that has sent the node
+        #: pid's token.
+        self.heard: Dict[Tuple[int, int], Set[int]] = {}
 
-        self.record = WaveRecord(
-            part_of=partition.part_of, leaders=division.part_leader,
-            out_edges={}, in_edges={}, parent={},
-            reached={pid: set() for pid in range(partition.num_parts)},
-        )
+        #: The route's rows (:class:`WaveIndex`): ``(node * stride + pid,
+        #: dst)`` per packet sent, ``(node * stride + pid, src)`` per
+        #: packet received.
+        self.stride = max(1, partition.num_parts)
+        self.out_rows: Tuple[List[int], List[int]] = ([], [])
+        self.in_rows: Tuple[List[int], List[int]] = ([], [])
         # The candidate boundary edges of line 15.
         self._boundary: List[Tuple[int, ...]] = division.wave_boundary
 
     def on_dequeue(self, src: int, dst: int, payload: object) -> None:
         # Once per physically sent packet: record the wave edge.
-        out_edges = self.record.out_edges
-        key = (src, payload[1])
-        lst = out_edges.get(key)
-        if lst is None:
-            out_edges[key] = [(dst, payload[0])]
-        else:
-            lst.append((dst, payload[0]))
+        keys, dsts = self.out_rows
+        keys.append(src * self.stride + payload[1])
+        dsts.append(dst)
 
     def _send(self, ctx: Context, src: int, dst: int, tag: str, pid: int,
               token: object, priority: Tuple = (0, 0)) -> None:
@@ -266,7 +400,6 @@ class WaveProgram(QueuedProgram):
         the token came through the block (Observation 4.3: reps only).
         """
         self.has_token[v] = 1
-        self.record.reached[pid].add(v)
         for child in self.forest.children[v]:
             if child not in heard:
                 self._send(ctx, v, child, "su", pid, token)
@@ -328,35 +461,28 @@ class WaveProgram(QueuedProgram):
             ctx.wake(leader)
             return
         self._started.add(pid)
-        self.record.parent[(leader, pid)] = None
         # pid's token exists nowhere before this: nobody has sent it.
         self._gain_token(ctx, leader, pid, self.leader_tokens[pid], (), False)
 
     def handle(self, ctx: Context, node: int, inbox: Inbox) -> None:
-        in_edges = self.record.in_edges
-        wave_parent = self.record.parent
+        keys, srcs = self.in_rows
+        heard_of = self.heard
         for sender, payload in inbox:
-            key = (node, payload[1])
-            lst = in_edges.get(key)
-            if lst is None:
-                in_edges[key] = [(sender, payload[0])]
+            pid = payload[1]
+            keys.append(node * self.stride + pid)
+            srcs.append(sender)
+            heard = heard_of.get((node, pid))
+            if heard is None:
+                heard_of[(node, pid)] = {sender}
             else:
-                lst.append((sender, payload[0]))
-            if key not in wave_parent:
-                wave_parent[key] = sender
+                heard.add(sender)
         member = self.part_of[node]
-        told: Dict[int, Set[int]] = {}
         for _sender, payload in inbox:
             tag, pid, token = payload
-            heard = told.get(pid)
-            if heard is None:
-                # Every neighbor that has sent this node pid's token: the
-                # recorded in-edges, this tick's included.
-                heard = told[pid] = {
-                    src for src, _tag in in_edges[(node, pid)]
-                }
+            key = (node, pid)
+            # This tick's senders included.
+            heard = heard_of[key]
             if tag == "ku":
-                key = (node, pid)
                 if key in self.kup_done:
                     continue
                 self.kup_done.add(key)
@@ -378,9 +504,16 @@ class WaveProgram(QueuedProgram):
             # activation, so they ship this tick.
             self._leader_start(ctx, node)
 
-    def route(self) -> WaveRecord:
+    def route(self) -> WaveIndex:
         """The finished broadcast's wire record."""
-        return self.record
+        parts = range(self.partition.num_parts)
+        return WaveIndex(
+            self.part_of,
+            [self.division.part_leader[pid] for pid in parts],
+            np.isin(parts, list(self._started)),
+            np.frombuffer(self.has_token, dtype=np.uint8) != 0,
+            *self.out_rows, *self.in_rows,
+        )
 
 
 class ReverseProgram(QueuedProgram):
@@ -390,83 +523,55 @@ class ReverseProgram(QueuedProgram):
 
     def __init__(
         self,
-        route: WaveRecord,
+        route: WaveIndex,
         agg: Aggregation,
         values: Sequence[object],
         capacity: int = 1,
     ) -> None:
         super().__init__(capacity=capacity)
-        self.record = route
+        self.index = route
         self.agg = agg
-        self.values = values
-        self.expected: Dict[Tuple[int, int], int] = {}
-        self.acc: Dict[Tuple[int, int], object] = {}
+        # Per key id, in the canonical sorted (node, pid) order.  Sorting
+        # is restriction-stable (a shard sees the same relative order as
+        # the full run) and relabel-invariant under order-preserving
+        # node/part relabelings — the property the sharded backend's
+        # bit-for-bit parity rests on.
+        self.keys = route.pairs()
+        self.kid = {key: k for k, key in enumerate(self.keys)}
+        self.parent = route.parent.tolist()
+        #: Answers a key still waits for: one per message it sent.
+        self.expected = route.out_counts.tolist()
+        self.acc = route.start_values(values)
         self.results: Dict[int, object] = {}
 
-    def _fire(self, ctx: Context, v: int, pid: int) -> None:
-        parent = self.record.parent.get((v, pid))
-        if parent is None:
-            self.results[pid] = self.acc.get((v, pid))
+    def _fire(self, ctx: Context, k: int) -> None:
+        v, pid = self.keys[k]
+        parent = self.parent[k]
+        if parent < 0:
+            self.results[pid] = self.acc[k]
         else:
-            self.enqueue(
-                ctx, v, parent, (0,), ("a", pid, self.acc.get((v, pid)))
-            )
+            self.enqueue(ctx, v, parent, (0,), ("a", pid, self.acc[k]))
 
     def on_start(self, ctx: Context) -> None:
-        part_of = self.record.part_of
-        out_edges = self.record.out_edges
-        in_edges = self.record.in_edges
-        parent_of = self.record.parent
-        reached = self.record.reached
-        values = self.values
-        expected = self.expected
-        acc = self.acc
-        # Canonical iteration order: sorted (node, pid).  Sorting is
-        # restriction-stable (a shard sees the same relative order as the
-        # full run) and relabel-invariant under order-preserving node/part
-        # relabelings — the property the sharded backend's bit-for-bit
-        # parity rests on.
-        key_set = set(out_edges)
-        key_set.update(in_edges)
-        key_set.update(parent_of)
-        keys = sorted(key_set)
-        for key in keys:
-            v, pid = key
-            out = out_edges.get(key)
-            expected[key] = len(out) if out is not None else 0
-            if part_of[v] == pid and v in reached[pid]:
-                acc[key] = values[v]
-            else:
-                acc[key] = None
         # Answer every non-parent in-edge immediately with None, under a
         # tag of its own: the tag is how a sender learns which of its
         # wave edges are forest edges (answered "a") and which are not.
-        enqueue = self.enqueue
-        for key in keys:
-            edges = in_edges.get(key)
-            if not edges:
-                continue
-            v, pid = key
-            parent = parent_of.get(key)
-            answered_parent = False
-            for src, _tag in edges:
-                if src == parent and not answered_parent:
-                    answered_parent = True  # reserved for the value answer
-                    continue
-                enqueue(ctx, v, src, (0,), ("n", pid, None))
-        for key in keys:
-            if expected[key] == 0:
-                v, pid = key
-                self._fire(ctx, v, pid)
+        index, keys = self.index, self.keys
+        for k, src in zip(index.fan_kid.tolist(), index.fan_src.tolist()):
+            v, pid = keys[k]
+            self.enqueue(ctx, v, src, (0,), ("n", pid, None))
+        for k, left in enumerate(self.expected):
+            if left == 0:
+                self._fire(ctx, k)
 
     def handle(self, ctx: Context, node: int, inbox: Inbox) -> None:
         for _sender, payload in inbox:
             _tag, pid, value = payload
-            key = (node, pid)
-            self.acc[key] = self.agg.merge(self.acc.get(key), value)
-            self.expected[key] -= 1
-            if self.expected[key] == 0:
-                self._fire(ctx, node, pid)
+            k = self.kid[(node, pid)]
+            self.acc[k] = self.agg.merge(self.acc[k], value)
+            self.expected[k] -= 1
+            if self.expected[k] == 0:
+                self._fire(ctx, k)
 
 
 class ReplayProgram(QueuedProgram):
@@ -476,32 +581,33 @@ class ReplayProgram(QueuedProgram):
 
     def __init__(
         self,
-        route: WaveRecord,
+        route: WaveIndex,
         results: Dict[int, object],
         capacity: int = 1,
     ) -> None:
         super().__init__(capacity=capacity)
-        self.record = route
+        self.index = route
         self.results = results
+        self.kid = {key: k for k, key in enumerate(route.pairs())}
+        self.out = route.out_lists()
+        self.part_of = route.part_of.tolist()
         self.delivered: Dict[int, object] = {}
-        self._done: Set[Tuple[int, int]] = set()
+        self._done: Set[int] = set()
 
     def _forward(self, ctx: Context, v: int, pid: int, value: object) -> None:
-        key = (v, pid)
-        if key in self._done:
+        k = self.kid[(v, pid)]
+        if k in self._done:
             return
-        self._done.add(key)
-        if self.record.part_of[v] == pid:
+        self._done.add(k)
+        if self.part_of[v] == pid:
             self.delivered[v] = value
-        out = self.record.out_edges.get(key)
-        if not out:
-            return
-        for dst, _tag in out:
+        for dst in self.out[k]:
             self.enqueue(ctx, v, dst, (0,), ("r", pid, value))
 
     def on_start(self, ctx: Context) -> None:
+        leaders = self.index.leaders.tolist()
         for pid, value in self.results.items():
-            self._forward(ctx, self.record.leaders[pid], pid, value)
+            self._forward(ctx, leaders[pid], pid, value)
 
     def handle(self, ctx: Context, node: int, inbox: Inbox) -> None:
         for _sender, payload in inbox:
@@ -514,7 +620,7 @@ class ReplayProgram(QueuedProgram):
 
     def value_at_node(self) -> List[object]:
         """Per node, the aggregate its part's replay delivered to it."""
-        return [self.delivered.get(v) for v in range(len(self.record.part_of))]
+        return [self.delivered.get(v) for v in range(self.index.n)]
 
 
 class AllReduceProgram(QueuedProgram):
@@ -538,92 +644,89 @@ class AllReduceProgram(QueuedProgram):
 
     def __init__(
         self,
-        route: WaveRecord,
+        route: WaveIndex,
         agg: Aggregation,
         values: Sequence[object],
         capacity: int = 1,
     ) -> None:
         super().__init__(capacity=capacity)
-        self.record = route
+        self.index = route
         self.agg = agg
-        self.values = values
-        #: Per key: its forest neighbors, parent first, children in send
-        #: order; those it has not heard from; the one its partial went to.
-        self.neighbors: Dict[Tuple[int, int], List[int]] = {}
-        self.waiting: Dict[Tuple[int, int], Set[int]] = {}
-        self.sent_to: Dict[Tuple[int, int], int] = {}
-        self.acc: Dict[Tuple[int, int], object] = {}
+        self.keys = route.pairs()
+        self.kid = {key: k for k, key in enumerate(self.keys)}
+        self.parent = route.parent.tolist()
+        self.part_of = route.part_of.tolist()
+        #: Per key id: its forest neighbors, parent first, children in
+        #: send order; those it has not heard from; the one its partial
+        #: went to (-1: none yet).
+        self.neighbors = [
+            ([] if parent < 0 else [parent]) + out
+            for parent, out in zip(self.parent, route.out_lists())
+        ]
+        self.waiting = [set(nbrs) for nbrs in self.neighbors]
+        self.sent_to = [-1] * len(self.keys)
+        self.acc = route.start_values(values)
         #: Part totals, the first key of each part to hold one.
         self.results: Dict[int, object] = {}
         self.delivered: Dict[int, object] = {}
 
-    def _partial(self, ctx: Context, key: Tuple[int, int], dst: int) -> None:
-        self.sent_to[key] = dst
-        self.enqueue(ctx, key[0], dst, (0,), ("u", key[1], self.acc[key]))
+    def _partial(self, ctx: Context, k: int, dst: int) -> None:
+        v, pid = self.keys[k]
+        self.sent_to[k] = dst
+        self.enqueue(ctx, v, dst, (0,), ("u", pid, self.acc[k]))
 
-    def _finish(self, ctx: Context, key: Tuple[int, int], payload) -> None:
-        """``key`` holds its part's total (``payload[2]``): pass it on."""
-        v, pid = key
+    def _finish(self, ctx: Context, k: int, payload) -> None:
+        """Key ``k`` holds its part's total (``payload[2]``): pass it on."""
+        v, pid = self.keys[k]
         self.results.setdefault(pid, payload[2])
-        if self.record.part_of[v] == pid:
+        if self.part_of[v] == pid:
             self.delivered[v] = payload[2]
-        skip = self.sent_to.get(key)
-        for dst in self.neighbors[key]:
+        skip = self.sent_to[k]
+        for dst in self.neighbors[k]:
             if dst != skip:
                 self.enqueue(ctx, v, dst, (0,), payload)
 
     def on_start(self, ctx: Context) -> None:
-        record = self.record
-        part_of, reached, values = record.part_of, record.reached, self.values
         # Canonical sorted (node, pid) order, restriction-stable as the
         # reversal's.
-        for key in sorted(record.parent):
-            v, pid = key
-            parent = record.parent[key]
-            nbrs = [] if parent is None else [parent]
-            nbrs.extend(dst for dst, _tag in record.out_edges.get(key, ()))
-            self.neighbors[key] = nbrs
-            self.waiting[key] = set(nbrs)
-            own = part_of[v] == pid and v in reached[pid]
-            self.acc[key] = values[v] if own else None
+        for k, nbrs in enumerate(self.neighbors):
             if len(nbrs) == 1:
-                self._partial(ctx, key, nbrs[0])
+                self._partial(ctx, k, nbrs[0])
             elif not nbrs:
-                self._finish(ctx, key, ("d", pid, self.acc[key]))
+                self._finish(ctx, k, ("d", self.keys[k][1], self.acc[k]))
 
     def handle(self, ctx: Context, node: int, inbox: Inbox) -> None:
         merge = self.agg.merge
-        # pid -> the total payload this tick brought the key, or None
+        # key id -> the total payload this tick brought the key, or None
         # where it only brought partials to fold.
         got: Dict[int, Optional[tuple]] = {}
         for sender, payload in inbox:
             tag, pid, value = payload
-            key = (node, pid)
+            k = self.kid[(node, pid)]
             if tag == "d":
-                got[pid] = payload
-            elif self.sent_to.get(key) == sender:
+                got[k] = payload
+            elif self.sent_to[k] == sender:
                 # The meeting edge: both ends merge parent side first.
-                acc = self.acc[key]
-                if self.record.parent[key] == sender:
+                acc = self.acc[k]
+                if self.parent[k] == sender:
                     total = merge(value, acc)
                 else:
                     total = merge(acc, value)
-                got[pid] = ("d", pid, total)
+                got[k] = ("d", pid, total)
             else:
-                self.acc[key] = merge(self.acc[key], value)
-                self.waiting[key].discard(sender)
-                got.setdefault(pid, None)
-        for pid, payload in got.items():
-            key = (node, pid)
+                self.acc[k] = merge(self.acc[k], value)
+                self.waiting[k].discard(sender)
+                got.setdefault(k, None)
+        for k, payload in got.items():
             if payload is not None:
-                self._finish(ctx, key, payload)
+                self._finish(ctx, k, payload)
                 continue
-            waiting = self.waiting[key]
+            waiting = self.waiting[k]
             if not waiting:
-                self._finish(ctx, key, ("d", pid, self.acc[key]))
+                self._finish(ctx, k, ("d", self.keys[k][1], self.acc[k]))
             elif len(waiting) == 1:
                 (dst,) = waiting
-                self._partial(ctx, key, dst)
+                self._partial(ctx, k, dst)
 
     def reached(self) -> int:
         """How many part members ended holding their part's total."""
@@ -631,7 +734,7 @@ class AllReduceProgram(QueuedProgram):
 
     def value_at_node(self) -> List[object]:
         """Per node, the total its part's pass left it holding."""
-        return [self.delivered.get(v) for v in range(len(self.record.part_of))]
+        return [self.delivered.get(v) for v in range(self.index.n)]
 
 
 @dataclass
@@ -876,9 +979,9 @@ def run_planned_waves(
             "replay", 4 * plan.max_ticks,
         )
     else:
-        forest = route.forests.get(plan.use_array)
+        forest = route.forest
         if forest is None:
-            forest = route.forests[plan.use_array] = token_wave(
+            forest = route.forest = token_wave(
                 route.delays, charge=False
             ).forest()
         final = run(
@@ -894,7 +997,7 @@ def run_planned_waves(
         )
     if learning and route is not None:
         route.delays = plan.delays
-        route.forests = {plan.use_array: forest}
+        route.forest = forest
     outcome = PAWaveResult(
         aggregates=dict(results),
         value_at_node=final.value_at_node(),

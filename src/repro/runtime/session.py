@@ -402,7 +402,11 @@ class PASession:
         """Scaling diagnostics of the last solve *iff it ran sharded*.
 
         Keys: ``workers``, ``shards``, ``shard_wall_seconds`` (per shard),
-        ``barrier_seconds``, ``merge_seconds``, ``ship_seconds``.  ``None``
+        ``barrier_seconds``, ``merge_seconds``, ``ship_seconds``.
+        ``ship_seconds`` is the wall time of the orchestrator's most
+        recent ship, the solve's setup's unless another setup shipped
+        since: a warm solve ships nothing and reports the ship its setup
+        last paid for (the value ``shard.ship_s`` records).  ``None``
         whenever the most recent solve ran in-process — never a stale
         report from an earlier sharded solve.
         """

@@ -17,7 +17,10 @@ the registry is the session's cue to fall back in-process.
 
 The orchestrator keeps a :attr:`last_report` (worker count, per-shard
 wall seconds, ship/merge overhead) that benchmarks surface into the
-BENCH json scaling records.
+BENCH json scaling records.  Its ``ship_seconds`` is the wall time of
+the most recent ship — the solve's own setup's unless another setup
+shipped since: a warm solve ships nothing and reports the ship its
+setup last paid for, and that is the value ``shard.ship_s`` records.
 """
 
 from __future__ import annotations
@@ -114,6 +117,8 @@ class ShardOrchestrator:
         self._closed = False
         #: Scaling diagnostics of the most recent solve (for BENCH json).
         self.last_report: Optional[Dict[str, object]] = None
+        #: Wall seconds of the most recent ship (0.0 before the first).
+        self._ship_seconds = 0.0
 
     # ------------------------------------------------------------------
     def _ensure_workers(self) -> None:
@@ -248,7 +253,7 @@ class ShardOrchestrator:
             "shard_wall_seconds": [r["wall_seconds"] for r in replies],
             "barrier_seconds": barrier_seconds,
             "merge_seconds": merge_seconds,
-            "ship_seconds": getattr(self, "_ship_seconds", 0.0),
+            "ship_seconds": self._ship_seconds,
         }
         return outcome
 

@@ -15,8 +15,10 @@ Each worker owns one end of a pipe and loops over three requests:
 * ``("close",)`` — exit.
 
 Workers are forked, so they inherit the parent's loaded modules and
-never re-import; payloads travel pickled through the pipe (flat int64
-columns plus the annotation dicts).  Any exception is caught and
+never re-import; payloads travel pickled through the pipe: flat int64
+columns (the block annotations' among them), a few scalars, and two
+that are not columns — the per-node ``up_parts`` tuples and the
+``part_leader`` list.  Any exception is caught and
 shipped back as ``("error", traceback)`` — the orchestrator re-raises
 it rank-0 side instead of hanging on a dead barrier.
 """

@@ -80,7 +80,7 @@ def test_a_build_hands_its_setup_the_last_candidates_memo(monkeypatch):
         setup_ledger=ledger,
     )
     assert setup.route is memos[-1]
-    (forest,) = setup.route.forests.values()
+    forest = setup.route.forest
     result = solver.solve(setup, list(range(net.n)), SUM, charge_setup=False)
     assert [(p.name, p.messages) for p in result.ledger.phases()] == [
         ("pa_allreduce", 2 * forest.edges),
@@ -106,7 +106,7 @@ def test_a_verified_setups_first_solve_is_one_allreduce(mode, engine):
     solver = PASolver(net, mode=mode, seed=5, **ENGINES[engine]())
     setup = solver.prepare(partition)
     assert _verified(setup)
-    (forest,) = setup.route.forests.values()
+    forest = setup.route.forest
     assert forest.edges == len(forest.parent) - partition.num_parts
     rng = random.Random(1)
     values = [rng.randrange(1000) for _ in range(net.n)]

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -15,11 +16,12 @@ from repro.core import (
     run_pa_waves,
 )
 from repro.core import wave as wave_module
+from repro.core.array_wave import WaveArrayKernel
 from repro.core.queued import QueuedProgram
 from repro.core.wave import (
     RouteMemo,
+    WaveIndex,
     WaveProgram,
-    WaveRecord,
     plan_pa_waves,
     run_planned_waves,
 )
@@ -85,18 +87,21 @@ def test_wave_uses_blocks_when_present():
         [1] * net.n, SUM, ledger,
     )
     assert outcome.aggregates == {0: 8, 1: 8, 2: 8, 3: 8}
-    # Block traffic appears in the record the reversal consumes: some
-    # node relays ku/kd.
-    wave = WaveProgram(
+    # Block traffic appears in the record the reversal consumes (a route
+    # row per packet sent): some node relays ku/kd.
+    tags = set()
+
+    class Tagged(WaveProgram):
+        def on_dequeue(self, src, dst, payload):
+            tags.add(payload[0])
+            super().on_dequeue(src, dst, payload)
+
+    wave = Tagged(
         net, partition, division, shortcut, ann,
         {pid: net.uid[leader] for pid, leader in enumerate(division.part_leader)},
     )
     engine.run(wave, max_ticks=200)
-    tags = {
-        tag
-        for edges in wave.record.out_edges.values()
-        for (_dst, tag) in edges
-    }
+    assert wave.route().edges == len(wave.out_rows[0]) > 0
     assert "ku" in tags or "kd" in tags
 
 
@@ -178,16 +183,12 @@ class _RouteThenBroadcastWave(QueuedProgram):
         self.sent_su, self.sent_bd = bytearray(n), bytearray(n)
         self.sent_ru, self.injected = bytearray(n), bytearray(n)
         self.kup_done, self.kdown_done = set(), set()
-        self.record = WaveRecord(
-            part_of=partition.part_of, leaders=division.part_leader,
-            out_edges={}, in_edges={}, parent={},
-            reached={pid: set() for pid in range(partition.num_parts)},
-        )
+        self.stride = max(1, partition.num_parts)
+        self.out_rows, self.in_rows = ([], []), ([], [])
 
     def on_dequeue(self, src, dst, payload):
-        self.record.out_edges.setdefault((src, payload[1]), []).append(
-            (dst, payload[0])
-        )
+        self.out_rows[0].append(src * self.stride + payload[1])
+        self.out_rows[1].append(dst)
 
     def _send(self, ctx, src, dst, tag, pid, token, priority=(0, 0)):
         self.enqueue(ctx, src, dst, priority, (tag, pid, token))
@@ -197,7 +198,6 @@ class _RouteThenBroadcastWave(QueuedProgram):
 
     def _gain(self, v, pid):
         self.has_token[v] = 1
-        self.record.reached[pid].add(v)
 
     def _rep_actions(self, ctx, v, pid, token, via_block):
         if not self.sent_su[v]:
@@ -259,7 +259,6 @@ class _RouteThenBroadcastWave(QueuedProgram):
             return
         self._started.add(pid)
         token = self.leader_tokens[pid]
-        self.record.parent[(node, pid)] = None
         self._gain(node, pid)
         if self.rep_of[node] == node:
             self._rep_actions(ctx, node, pid, token, False)
@@ -269,10 +268,8 @@ class _RouteThenBroadcastWave(QueuedProgram):
 
     def handle(self, ctx, node, inbox):
         for sender, (tag, pid, token) in inbox:
-            self.record.in_edges.setdefault((node, pid), []).append(
-                (sender, tag)
-            )
-            self.record.parent.setdefault((node, pid), sender)
+            self.in_rows[0].append(node * self.stride + pid)
+            self.in_rows[1].append(sender)
             if tag in ("ru", "bd"):
                 self._member_receive(ctx, node, pid, token, tag)
             elif tag == "su":
@@ -296,7 +293,13 @@ class _RouteThenBroadcastWave(QueuedProgram):
                 self._block_down(ctx, node, pid, token)
 
     def route(self):
-        return self.record
+        parts = range(self.partition.num_parts)
+        return WaveIndex(
+            self.part_of, [self.division.part_leader[p] for p in parts],
+            np.isin(parts, list(self._started)),
+            np.asarray(self.has_token, dtype=bool),
+            *self.out_rows, *self.in_rows,
+        )
 
 
 class _Spy(WaveProgram):
@@ -346,12 +349,7 @@ def _engine(kind, net, seed):
 
 
 def _routes(forest):
-    """``{(node, part): (wave parent, forest children)}`` of either twin."""
-    if isinstance(forest, WaveRecord):
-        return {
-            key: (parent, [dst for dst, _tag in forest.out_edges.get(key, ())])
-            for key, parent in forest.parent.items()
-        }
+    """``{(node, part): (wave parent, forest children)}``."""
     ends = (forest.out_starts + forest.out_counts).tolist()
     return {
         (v, pid): (
@@ -380,7 +378,7 @@ def _solve(engine, instance, delayed, seed, program=None):
             engine, net, partition, division, shortcut, ann, values, SUM,
             ledger, plan, route=memo,
         )
-    (forest,) = memo.forests.values()
+    forest = memo.forest
     log = [
         (p.name, p.rounds, p.messages, p.ticks, p.bits)
         for p in ledger.phases()
@@ -458,3 +456,64 @@ def test_no_wave_packet_goes_back_to_a_neighbor_that_sent_the_token(
     _solve(Engine(instance[0]), instance, delayed, seed, program=spy)
     (wave,) = spies
     assert wave.echoes == []
+
+
+#: The :class:`WaveIndex` columns both twins write.
+_COLUMNS = (
+    "keys", "parent", "out_starts", "out_counts", "out_dst",
+    "fan_kid", "fan_src", "reached",
+)
+
+
+def _columns(index):
+    return {name: getattr(index, name).tolist() for name in _COLUMNS}
+
+
+@given(
+    seed=st.integers(0, 2**20),
+    n=st.integers(10, 36),
+    parts=st.integers(1, 5),
+    shortcut_kind=st.sampled_from(("empty", "star")),
+    mode=st.sampled_from(["randomized", "deterministic"]),
+    delayed=st.booleans(),
+)
+@settings(
+    max_examples=30, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_both_twins_write_the_same_wave_index(
+    seed, n, parts, shortcut_kind, mode, delayed
+):
+    """The scalar broadcast's rows and the array kernel's arenas build one
+    route: equal columns on the wire and on the forest, at equal cost."""
+    net = random_connected(n, 0.15, seed=seed, uid_seed=seed)
+    partition = random_connected_partition(net, parts, seed=seed)
+    setup = PASolver(net, mode=mode, seed=seed % 97).prepare(partition)
+    tree = setup.shortcut.tree
+    shortcut = (
+        empty_shortcut(tree, partition) if shortcut_kind == "empty"
+        else star_shortcut_for_parts(tree, partition, range(parts))
+    )
+    ann = annotate_blocks(Engine(net), shortcut, CostLedger())
+    values = [net.uid[v] % 97 for v in range(net.n)]
+    routes, stats = [], []
+    for program, use_arrays in ((WaveProgram, False), (WaveArrayKernel, True)):
+        engine = Engine(net, strict_bits=True, use_arrays=use_arrays)
+        plan = plan_pa_waves(
+            engine, net, partition, setup.division, shortcut, values, SUM,
+            randomized=delayed, rng=random.Random(seed),
+        )
+        wave = program(
+            net, partition, setup.division, shortcut, ann,
+            plan.leader_tokens, delays=plan.delays, capacity=plan.capacity,
+        )
+        ran = engine.run(
+            wave, max_ticks=plan.max_ticks, capacity=plan.capacity,
+            rounds_per_tick=plan.rounds_per_tick,
+        )
+        stats.append((ran.rounds, ran.messages, ran.ticks, ran.bits))
+        routes.append(wave.route())
+    scalar, array = routes
+    assert _columns(scalar) == _columns(array)
+    assert _columns(scalar.forest()) == _columns(array.forest())
+    assert stats[0] == stats[1]

@@ -60,7 +60,7 @@ def _two_passes(solver, setup, values, agg, impl):
         setup.shortcut, values, agg,
         randomized=solver.mode == RANDOMIZED, rng=random.Random(0),
     )
-    forest = setup.route.forests[impl == "array"]
+    forest = setup.route.forest
     _wave, reversal, replay, _allreduce = (
         wave_kernels(plan.fold) if impl == "array"
         else (None, ReverseProgram, ReplayProgram, None)
@@ -113,7 +113,7 @@ def test_one_pass_against_reversal_and_replay(seed, n, parts, mode, kind, delay)
         reused = solver.solve(setup, values, agg, charge_setup=False)
         ((name, _rounds, messages, ticks, _bits),) = log = _log(reused.ledger)
         assert name == "pa_allreduce"
-        forest = setup.route.forests[impl == "array"]
+        forest = setup.route.forest
         old, old_at_node, old_messages, old_ticks = _two_passes(
             solver, setup, values, agg, impl
         )

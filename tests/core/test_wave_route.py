@@ -29,12 +29,9 @@ from hypothesis import (
 
 from repro import PASolver, SUM
 from repro.core import array_wave, wave as wave_module
-from repro.core.array_wave import (
-    AllReduceArrayKernel,
-    WaveArrayKernel,
-    WaveIndex,
-)
+from repro.core.array_wave import AllReduceArrayKernel, WaveArrayKernel
 from repro.core.pa import DETERMINISTIC, RANDOMIZED
+from repro.core.wave import WaveIndex
 from repro.graphs import (
     Partition,
     bfs_ball_partition,
@@ -62,8 +59,8 @@ def _answers(batch):
 
 
 def _keys(forest) -> int:
-    """How many ``(node, part)`` keys a forest of either twin spans."""
-    return len(forest.parent)
+    """How many ``(node, part)`` keys a forest spans."""
+    return int(forest.keys.size)
 
 
 def _verified(setup) -> bool:
@@ -118,7 +115,7 @@ def test_three_solves_on_one_setup_against_three_fresh_prepares(
             ):
                 assert aggregates == exact(want)
                 assert at_node == exact(want_at_node)
-        (forest,) = setup.route.forests.values()
+        forest = setup.route.forest
         runs[label] = (logs, answers, _keys(forest), forest.edges)
 
         # Solve 1 is a fresh prepare's solve, bit for bit.
@@ -192,30 +189,24 @@ def test_the_answer_tag_is_how_a_node_learns_its_forest_edges(
     assert setup.route.delays is None
     monkeypatch.setattr(wave_module, "ReverseProgram", Watched)
     solver.solve(setup, list(range(net.n)), SUM, charge_setup=False)
-    forest = setup.route.forests[False]
+    forest = setup.route.forest
     edges = [
-        ((v, pid), dst)
-        for (v, pid), out in forest.out_edges.items() for dst, _tag in out
+        (key, dst)
+        for key, out in zip(forest.pairs(), forest.out_lists()) for dst in out
     ]
     assert sorted(answered) == sorted(edges)
     assert len(edges) == len(set(edges)) == forest.edges
     assert {((dst, pid), v) for (v, pid), dst in edges} == {
-        (key, parent) for key, parent in forest.parent.items()
-        if parent is not None
+        (key, parent)
+        for key, parent in zip(forest.pairs(), forest.parent.tolist())
+        if parent >= 0
     }
 
 
 def _phantom_children(route, leader, pid, count):
-    """Give key ``(leader, pid)`` of a route of either twin ``count``
-    out-edges to nodes it never sent to: it waits for answers, or for
-    forest neighbors, that never come."""
-    if isinstance(route, wave_module.WaveRecord):
-        known = {dst for dst, _tag in route.out_edges.get((leader, pid), ())}
-        phantoms = [v for v in range(len(route.part_of)) if v not in known]
-        route.out_edges.setdefault((leader, pid), []).extend(
-            (v, "su") for v in phantoms[:count]
-        )
-        return route
+    """Give key ``(leader, pid)`` of a route ``count`` out-edges to nodes
+    it never sent to: it waits for answers, or for forest neighbors, that
+    never come."""
     key = int(route.ids(leader * route.stride + pid))
     known = set(route.out_dst[route.out_starts[key]:][
         :route.out_counts[key]
@@ -265,7 +256,7 @@ def test_a_reversal_that_leaves_a_part_without_a_result_raises(
 
     first = solver.solve(setup, values, SUM, charge_setup=False)
     assert set(first.aggregates) == set(range(partition.num_parts))
-    (forest,) = setup.route.forests.values()
+    forest = setup.route.forest
     _phantom_children(forest, leader, 1, 2)
     with pytest.raises(
         RuntimeError, match=r"all-reduce left parts without a result: \[1\]"
@@ -318,12 +309,8 @@ def test_a_replay_that_reaches_fewer_members_than_the_part_has_raises(
     values = list(range(net.n))
 
     def cut(forest):
-        if impl == "scalar":
-            key = max(forest.out_edges)
-            forest.out_edges[key] = forest.out_edges[key][:-1]
-        else:
-            forest.out_counts = forest.out_counts.copy()
-            forest.out_counts[np.flatnonzero(forest.out_counts)[-1]] -= 1
+        forest.out_counts = forest.out_counts.copy()
+        forest.out_counts[np.flatnonzero(forest.out_counts)[-1]] -= 1
         return forest
 
     if solve == "routed":
@@ -338,12 +325,9 @@ def test_a_replay_that_reaches_fewer_members_than_the_part_has_raises(
             )
         pattern = r"pa_allreduce reached \d+ of 25 part"
     else:
-        route_type = (
-            wave_module.WaveRecord if impl == "scalar" else WaveIndex
-        )
-        derive = route_type.forest
+        derive = WaveIndex.forest
         monkeypatch.setattr(
-            route_type, "forest", lambda self: cut(derive(self))
+            WaveIndex, "forest", lambda self: cut(derive(self))
         )
         pattern = r"pa_replay reached \d+ of 25 part"
     with pytest.raises(RuntimeError, match=pattern):
@@ -353,17 +337,11 @@ def test_a_replay_that_reaches_fewer_members_than_the_part_has_raises(
 
 
 def _forest_digest(forest) -> str:
-    """SHA-256 over the sorted ``(node, part, wave parent)`` of a forest of
-    either twin (-1: a leader key)."""
-    if isinstance(forest, wave_module.WaveRecord):
-        rows = sorted(
-            (v, pid, -1 if parent is None else parent)
-            for (v, pid), parent in forest.parent.items()
-        )
-    else:
-        rows = sorted(zip(
-            forest.node.tolist(), forest.part.tolist(), forest.parent.tolist()
-        ))
+    """SHA-256 over the sorted ``(node, part, wave parent)`` of a forest
+    (-1: a leader key)."""
+    rows = sorted(zip(
+        forest.node.tolist(), forest.part.tolist(), forest.parent.tolist()
+    ))
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
@@ -408,5 +386,41 @@ def test_the_learned_forest_is_pinned_on_both_twins(case, impl):
     solver = PASolver(net, mode=mode, seed=5, engine_impl=impl)
     setup = solver.prepare(partition)
     solver.solve(setup, list(range(net.n)), SUM, charge_setup=False)
-    forest = setup.route.forests[impl == "array"]
+    forest = setup.route.forest
     assert (_keys(forest), _forest_digest(forest)) == (keys, digest)
+
+
+@pytest.mark.parametrize("mode", [RANDOMIZED, DETERMINISTIC])
+def test_a_route_the_array_twin_learned_serves_the_scalar_twin(
+    mode, monkeypatch
+):
+    """One route type: the forest the array kernels learned is the one the
+    scalar all-reduce runs on — one ``pa_allreduce``, no token wave (not
+    even an uncharged one), at the array twin's routed cost."""
+    net = grid_2d(6, 6, uid_seed=3)
+    # Parts small enough that no verification runs: the first solve learns.
+    partition = random_connected_partition(net, 6, seed=2)
+    array = PASolver(net, mode=mode, seed=5, strict_bits=True)
+    scalar = PASolver(
+        net, mode=mode, seed=5, engine_impl="scalar", strict_bits=True
+    )
+    setup = array.prepare(partition)
+    values = list(range(net.n))
+    array.solve(setup, values, SUM, charge_setup=False)
+    assert setup.route.delays is not None
+
+    ran = []
+    run = scalar.engine.run
+
+    def spy(program, *args, **kwargs):
+        ran.append(program.name)
+        return run(program, *args, **kwargs)
+
+    monkeypatch.setattr(scalar.engine, "run", spy)
+    got = scalar.solve(setup, values, SUM, charge_setup=False)
+    want = array.solve(setup, values, SUM, charge_setup=False)
+    assert ran == ["pa_allreduce"]
+    assert _log(got.ledger) == _log(want.ledger)
+    assert (got.aggregates, got.value_at_node) == (
+        want.aggregates, want.value_at_node
+    )

@@ -449,7 +449,7 @@ def test_every_part_dirty_is_a_fresh_prepare(mode):
 
 def _forest_edges(setup):
     """The directed (parent, child) node pairs of a setup's learned route."""
-    (forest,) = setup.route.forests.values()
+    forest = setup.route.forest
     senders = np.repeat(forest.node, forest.out_counts).tolist()
     return set(zip(senders, forest.out_dst.tolist()))
 

@@ -303,11 +303,11 @@ def test_a_verified_setup_is_routed_on_both_sides(mode):
         setup = session.prepare(partition)
         assert any("verify" in p.name for p in setup.setup_ledger.phases())
         assert setup.route.delays is not None
-        (forest,) = setup.route.forests.values()
+        forest = setup.route.forest
         edges = forest.edges
         for k, agg in enumerate([SUM, custom, SUM]):
             if agg is custom:
-                setup.route.forests.clear()
+                setup.route.forest = None
             want = serial.solve(serial_setup, values, agg, charge_setup=False)
             got = session.solve(setup, values, agg, charge_setup=False)
             assert (session.shard_report is None) == (agg is custom)
@@ -319,7 +319,7 @@ def test_a_verified_setup_is_routed_on_both_sides(mode):
             assert [
                 (p.name, p.messages) for p in got.ledger.phases()
             ] == [("pa_allreduce", 2 * edges)]
-        assert setup.route.forests[True].edges == edges
+        assert setup.route.forest.edges == edges
         assert session.stats.sharded_solves == 2
         assert session.stats.routed_solves == serial.stats.routed_solves == 3
     finally:
