@@ -8,11 +8,13 @@ ledger-is-ground-truth rule:
    ``.enabled`` check per *phase* (the per-tick paths receive
    ``tracer=None`` and skip all event work).  The ledger — phase names,
    rounds, messages, ticks, bits — is bit-for-bit identical with tracing
-   on or off, across all three engines.  Asserted here every run.
+   on or off, on the synchronous and the async engine.  Asserted here
+   every run.
 
 2. **Exact when on.**  A recorded trace *replays* the ledger: summing the
    main-stream "ledger" instants reproduces the run's total rounds and
-   messages exactly, for the scalar, array, and async engines.  This is
+   messages exactly, on both engines (the scalar twins' case is
+   ``tests/obs/test_replay.py``'s).  This is
    what makes ``python -m repro.obs diff`` a per-phase regression gate
    rather than a sampling profiler.
 
@@ -27,10 +29,9 @@ from repro.core import SUM, PASolver, solve_pa
 from repro.graphs import bfs_ball_partition, grid_2d
 from repro.obs import NULL_TRACER, Tracer, use_tracer
 
-#: (label, PASolver kwargs) — one entry per engine implementation.
+#: (label, PASolver kwargs) — one entry per engine.
 ENGINES = [
-    ("scalar", {"engine_impl": "scalar"}),
-    ("array", {"engine_impl": "array"}),
+    ("array", {}),
     ("async", {"schedule": SynchronousSchedule()}),
 ]
 
@@ -85,7 +86,7 @@ def test_tracing_identity_and_replay():
 
             n_events = len(tracer.events)
             n_spans = sum(1 for e in tracer.events if e.get("ph") == "X")
-            if label == "scalar":
+            if label == "array":
                 data.update(rounds=off.rounds, messages=off.messages)
             data[f"events_{label}"] = n_events
             rows.append(
@@ -104,7 +105,6 @@ def test_tracing_identity_and_replay():
     )
     record(
         rounds=data["rounds"], messages=data["messages"],
-        trace_events_scalar=data["events_scalar"],
         trace_events_array=data["events_array"],
         trace_events_async=data["events_async"],
     )

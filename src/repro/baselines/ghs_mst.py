@@ -31,10 +31,10 @@ from ..core.aggregation import MIN_TUPLE
 from ..core.spanning_tree import elect_leader_and_bfs_tree
 from ..core.star_joining import SuperEdge, note_merge_round, rank_joins, spread_seed
 from ..core.treeops import (
-    BroadcastProgram,
-    ConvergecastProgram,
     MergeFloodProgram,
     announce_labels,
+    run_broadcast,
+    run_convergecast,
 )
 from ..core.trees import ROOT, RootedForest
 
@@ -91,16 +91,16 @@ def ghs_mst(net: Network, seed: int = 0) -> RunResult:
                 if best is None or cand < best:
                     best = cand
             values[v] = best
-        up = ConvergecastProgram(forest, MIN_TUPLE, values)
-        up.name = "ghs_moe_convergecast"
-        ledger.charge(engine.run(up, max_ticks=forest.height() + 3))
+        up = run_convergecast(
+            engine, forest, MIN_TUPLE, values, ledger, "ghs_moe_convergecast"
+        )
 
         # MOE broadcast down each fragment tree.
-        down = BroadcastProgram(
-            forest, {root: ("ctl", up.at_root.get(root)) for root in forest.roots}
+        down = run_broadcast(
+            engine, forest,
+            {root: ("ctl", up.at_root.get(root)) for root in forest.roots},
+            ledger, "ghs_control_broadcast",
         )
-        down.name = "ghs_control_broadcast"
-        ledger.charge(engine.run(down, max_ticks=forest.height() + 3))
 
         # Star joining by rank over the MOE edges, on what the members heard.
         chosen: Dict[int, SuperEdge] = {}

@@ -105,8 +105,8 @@ class KernelDecline(Exception):
 
 
 def note_kernel_fallback(phase: str, reason: str) -> None:
-    """Record on the trace that ``phase`` left the column path of an
-    array engine (for its scalar twin, or a reversal's list fold).
+    """Record on the trace that a kernel declined ``phase``'s payload
+    (for its scalar twin, or a reversal's list fold).
 
     Called once per declined dispatch, so tracing costs one ``enabled``
     check per such phase and nothing on any ledger.

@@ -4,7 +4,7 @@ synchronous pulse record.
 An alpha-synchronizer hands every node, at pulse ``t``, exactly the inbox
 of synchronous round ``t``, so a program under it runs the synchronous
 execution: :class:`AsyncEngine` is an :class:`~repro.congest.engine.Engine`
-(scalar loop or array kernels, as ``use_arrays`` selects), and
+(array kernels, or the scalar twins while it holds a fault plan), and
 :class:`_Alpha` replays the synchronizer's clock under a
 :class:`~repro.congest.schedule.Schedule` over each tick's record (the
 directed edges that carried payload, the wakes and timers set, who
@@ -62,18 +62,16 @@ class AsyncPhaseOverhead:
 class AsyncEngine(Engine):
     """An :class:`Engine` whose every phase also pays an alpha-synchronizer
     (to :attr:`overhead` and :attr:`overhead_log`).  A fault plan masks
-    the scalar loop only, so it requires ``use_arrays=False``."""
+    the scalar loop only, so an engine holding one runs every phase on its
+    scalar twin (:attr:`runs_kernels`) and refuses an array-native program."""
 
     def __init__(self, network: Network, schedule: Optional[Schedule] = None,
                  strict_bits: bool = True, strict_edges: bool = True,
-                 use_arrays: bool = False,
                  faults: Optional[FaultPlan] = None) -> None:
-        super().__init__(network, strict_bits, strict_edges, use_arrays)
+        super().__init__(network, strict_bits, strict_edges)
         self.schedule = schedule or SynchronousSchedule()
         validate_schedule(self.schedule, network)
         self.faults = faults if faults and not faults.empty else None
-        if use_arrays and self.faults is not None:
-            raise ValueError("a fault plan masks the scalar loop only")
         self._views = views = network.array_views
         #: Reverse slots; slot endpoints as tuples ``Schedule.delays`` keys on.
         self._rev = np.searchsorted(
@@ -90,6 +88,11 @@ class AsyncEngine(Engine):
     def flags(self):
         """``Engine.flags`` and the schedule (not the run's fault clock)."""
         return {**super().flags, "schedule": self.schedule}
+
+    @property
+    def runs_kernels(self) -> bool:
+        """True exactly when the engine holds no fault plan."""
+        return self.faults is None
 
     def run(self, program: Program, max_ticks: int, capacity: int = 1,
             rounds_per_tick: int = 1, name: Optional[str] = None):

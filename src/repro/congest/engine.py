@@ -264,15 +264,12 @@ class Engine:
         large inputs use once the test suite has pinned the programs
         (ledger values are identical either way — pinned by tests).  A
         mismatched pair is rejected rather than silently half-honoured.
-    use_arrays:
-        Advertise that phases on this engine should prefer array-native
-        kernels.  The flag does not change how any given program runs —
-        an :class:`ArrayProgram` always takes the array loop, a scalar
-        program the scalar loop — it is how orchestrators (which own the
-        choice of program per phase) learn which implementation the
-        caller selected.  Ledgers are identical either way; that is the
-        parity contract the differential suite pins.
-        :class:`~repro.congest.AsyncEngine` inherits it.
+
+    A phase's program is its array kernel unless the kernel declines the
+    payload or :attr:`runs_kernels` is false (one choice, in
+    ``treeops._kernel``); either way an :class:`ArrayProgram` takes the
+    array loop and a scalar program the scalar loop, with the same ledger
+    (the parity contract the differential suite pins).
     """
 
     def __init__(
@@ -280,13 +277,11 @@ class Engine:
         network: Network,
         strict_bits: bool = True,
         strict_edges: bool = True,
-        use_arrays: bool = False,
     ) -> None:
         self._context = context_class(strict_bits, strict_edges)
         self.network = network
         self.strict_bits = strict_bits
         self.strict_edges = strict_edges
-        self.use_arrays = use_arrays
         #: Double-buffered per-node mailbox arenas, allocated lazily and
         #: reused across phases (every tick leaves all mailboxes empty, so
         #: reuse is free): one arena is being delivered while programs
@@ -302,15 +297,24 @@ class Engine:
     def flags(self) -> Dict[str, bool]:
         """This engine's construction flags, network aside.
 
-        ``Engine(net, **engine.flags)`` is the same engine on another
+        ``type(engine)(net, **engine.flags)`` is the same engine on another
         network — how a solver rebinds after an edge update and how shard
         workers build theirs — so the flag list is spelled here only.
         """
         return {
             "strict_bits": self.strict_bits,
             "strict_edges": self.strict_edges,
-            "use_arrays": self.use_arrays,
         }
+
+    @property
+    def runs_kernels(self) -> bool:
+        """Whether a phase on this engine may run its array kernel.
+
+        Always on the synchronous engine; an engine that can mask only
+        the scalar loop (:class:`~repro.congest.AsyncEngine` holding a
+        fault plan) says no, and its phases run their scalar twins.
+        """
+        return True
 
     def run(
         self,

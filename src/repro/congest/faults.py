@@ -15,10 +15,11 @@ it makes every faulty run replayable from a ``(graph_seed,
 schedule_seed, fault_seed)`` triple alone (the fuzz harness's fault
 axis depends on it).
 
-The engine applies a plan as per-tick masks on its scalar loop (so a
-faulty engine runs the scalar twins, ``use_arrays=False``), and times
-what the masks leave with the synchronizer's recurrence.  What faults
-mean in the simulator (see docs/architecture.md, "Fault model"):
+The engine applies a plan as per-tick masks on its scalar loop (so an
+engine holding a plan runs the scalar twins: its ``runs_kernels`` is
+false), and times what the masks leave with the synchronizer's
+recurrence.  What faults mean in the simulator (see
+docs/architecture.md, "Fault model"):
 
 * a **crashed** node stops activating — pending wakeups and timers at its
   dead pulses are dropped, payloads addressed to it are dropped, and

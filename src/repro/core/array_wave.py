@@ -887,12 +887,11 @@ def array_wave_supported(
 ) -> bool:
     """Whether the array wave kernels run this solve (else: scalar programs).
 
-    Requires the array engine and int leader tokens below 2**62 — the
-    token is all a wave packet carries.  The values are not looked at:
-    they ride beside the wire schedule, in whichever store
+    Requires an engine that runs kernels and int leader tokens below
+    2**62 — the token is all a wave packet carries.  The values are not
+    looked at: they ride beside the wire schedule, in whichever store
     :func:`reverse_fold` picks.  A decline is a ``kernel_fallback`` of
-    ``phase`` on the trace, and the scalar programs run unchanged under
-    the array engine.
+    ``phase`` on the trace, and the scalar programs run unchanged.
     """
     return _kernel(
         engine, phase, lambda: int_column(list(leader_tokens.values()))

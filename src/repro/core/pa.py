@@ -216,21 +216,18 @@ class PASolver:
         schedule; the alpha-synchronizer's own cost accrues separately on
         ``solver.engine.overhead``.  Default: off, the synchronous
         engine, same code path bit for bit.
-    engine_impl:
-        ``"array"`` (default) runs the pipeline on the vectorized engine
-        core — per-phase array kernels over flat payload columns,
-        bit-for-bit the same ledger (pinned by the fuzz harness's engine
-        axis); ``"scalar"`` forces the per-message reference loop.  An
-        asynchronous solver honours it too: the synchronizer's records
-        are the same either way.
     engine:
         A pre-built engine to run every phase on (mutually exclusive
-        with ``schedule``; ``strict_bits``/``strict_edges``
-        and ``engine_impl`` are then the engine's own).  This is how the
-        recovery runtime shares one fault-injecting
-        :class:`~repro.congest.AsyncEngine` — with its global pulse
-        clock, overhead ledger and fault log — across the fresh solvers
-        of successive recovery attempts.
+        with ``schedule``; ``strict_bits``/``strict_edges`` are then the
+        engine's own).  This is how the recovery runtime shares one
+        fault-injecting :class:`~repro.congest.AsyncEngine` — with its
+        global pulse clock, overhead ledger and fault log — across the
+        fresh solvers of successive recovery attempts.
+
+    Which loop computes a phase is not a setting: every phase runs its
+    array kernel unless the kernel declines the payload or the engine
+    holds a fault plan (``Engine.runs_kernels``), and then its scalar
+    twin, with the same ledger either way.
     """
 
     def __init__(
@@ -242,13 +239,10 @@ class PASolver:
         strict_bits: bool = True,
         strict_edges: bool = True,
         schedule: Optional[Schedule] = None,
-        engine_impl: str = "array",
         engine: Optional[object] = None,
     ) -> None:
         if mode not in (RANDOMIZED, DETERMINISTIC):
             raise ValueError(f"unknown mode {mode!r}")
-        if engine_impl not in ("scalar", "array"):
-            raise ValueError(f"unknown engine_impl {engine_impl!r}")
         if engine is not None and schedule is not None:
             raise ValueError(
                 "pass either engine or schedule, not both "
@@ -266,13 +260,11 @@ class PASolver:
             self.engine = AsyncEngine(
                 net, schedule=schedule,
                 strict_bits=strict_bits, strict_edges=strict_edges,
-                use_arrays=(engine_impl == "array"),
             )
         else:
             self.schedule = schedule
             self.engine = Engine(
-                net, strict_bits=strict_bits, strict_edges=strict_edges,
-                use_arrays=(engine_impl == "array"),
+                net, strict_bits=strict_bits, strict_edges=strict_edges
             )
 
         self.tree_ledger = CostLedger()
@@ -302,7 +294,8 @@ class PASolver:
         the same node count and uid seed (so every node keeps its uid) and
         every current tree edge, so the tree — its depth, hence the
         ``2 * depth`` diameter estimate, included — and every
-        tree-restricted shortcut survive; only network and engine change.
+        tree-restricted shortcut survive; only network and engine change
+        (the new engine has the old one's type and flags).
         An asynchronous schedule or adopted engine owns state (virtual
         clocks, fault plans) a fresh engine would drop: it cannot rebind.
         """
@@ -327,7 +320,7 @@ class PASolver:
             root=self.tree_result.root,
             depth=self.tree_result.depth,
         )
-        self.engine = Engine(net, **self.engine.flags)
+        self.engine = type(self.engine)(net, **self.engine.flags)
 
     def default_leaders(self, partition: Partition) -> Tuple[int, ...]:
         """Minimum-uid member of each part (the Section 4 assumption)."""
@@ -602,8 +595,8 @@ def solve_pa(
     ``f(P_i)``; the result's ledger meters every round and message of tree
     construction, sub-part division, shortcut construction, verification
     and the PA waves.  ``solver`` supplies a pre-built :class:`PASolver` —
-    the one place engine settings (asynchronous schedule, scalar engine,
-    audits) are chosen; the default is ``PASolver(net, mode, seed)``.
+    the one place engine settings (asynchronous schedule, a shared
+    engine, audits) are chosen; the default is ``PASolver(net, mode, seed)``.
     """
     solver = solver or PASolver(net, mode=mode, seed=seed)
     setup = solver.prepare(partition, leaders=leaders)

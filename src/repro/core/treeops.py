@@ -10,10 +10,11 @@ together (:func:`cross_round`) lives here too.
 Every phase of the pipeline — these and the queued programs of the
 shortcut and wave layers — runs through :func:`run_phase`, which takes the
 array kernel or its scalar twin from :func:`_kernel`: the one place that
-chooses, from ``engine.use_arrays`` and the kernel's own
-:class:`~repro.congest.arrays.KernelDecline` alone.  Twins share
-constructor arguments and result accessors, so outputs and ledger are the
-same either way.
+chooses, from two observables alone — the kernel's own
+:class:`~repro.congest.arrays.KernelDecline` of the payload, and the
+engine's ``runs_kernels`` (false only on an engine holding a fault plan,
+whose masks act on the scalar loop).  Twins share constructor arguments
+and result accessors, so outputs and ledger are the same either way.
 
 Costs (metered, but also the design targets):
 
@@ -358,16 +359,16 @@ class CrossRoundProgram(Program):
 
 
 def _kernel(engine: Engine, phase: str, build: Callable[[], object]):
-    """What ``build`` makes for ``phase`` on an array engine, or ``None``.
+    """What ``build`` makes for ``phase``, or ``None``.
 
     ``None`` means the caller's other implementation runs (the scalar
     twin; for a wave reversal's value store, the list fold): because the
-    engine is not an array engine, or because ``build`` declined the
-    payload — which is noted on the trace, with the reason, as
-    ``kernel_fallback``.  No other function reads ``engine.use_arrays``
-    to choose an implementation.
+    engine does not run kernels (it holds a fault plan), or because
+    ``build`` declined the payload — which is noted on the trace, with
+    the reason, as ``kernel_fallback``.  No other function reads
+    ``engine.runs_kernels`` to choose an implementation.
     """
-    if not engine.use_arrays:
+    if not engine.runs_kernels:
         return None
     try:
         return build()
@@ -388,10 +389,10 @@ def run_phase(
 ):
     """Run and charge phase ``name``; returns the finished program.
 
-    The program is ``kernel(*args)`` or, off an array engine or when the
-    kernel declines ``args``, ``twin(*args)`` — the two share constructor
-    arguments and result accessors.  ``budget`` is ``Engine.run``'s
-    ``capacity`` / ``rounds_per_tick``.
+    The program is ``kernel(*args)`` or, on an engine that does not run
+    kernels or when the kernel declines ``args``, ``twin(*args)`` — the
+    two share constructor arguments and result accessors.  ``budget`` is
+    ``Engine.run``'s ``capacity`` / ``rounds_per_tick``.
     """
     program = _kernel(engine, name, lambda: kernel(*args))
     if program is None:

@@ -20,7 +20,6 @@ from ..algorithms.mst import RANK, STAR
 from .harness import (
     ALGORITHMS,
     DELAYED_KINDS,
-    ENGINE_IMPLS,
     FAULT_KINDS,
     GRAPH_KINDS,
     PA_AGGS,
@@ -61,9 +60,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--schedules", default=",".join(DELAYED_KINDS),
                         help="comma-separated schedule kinds for --replay "
                              "(shrunk failures isolate a single kind)")
-    parser.add_argument("--engines", default=",".join(ENGINE_IMPLS),
-                        help="comma-separated sync engine implementations "
-                             "for --replay (scalar is the baseline)")
     parser.add_argument("--faults", default="",
                         help="comma-separated fault kinds for --replay "
                              "(empty = no fault axis)")
@@ -82,12 +78,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(
             f"unknown schedule kind(s) {unknown}; choose from {DELAYED_KINDS}"
         )
-    engine_impls = tuple(k for k in args.engines.split(",") if k)
-    unknown = [k for k in engine_impls if k not in ENGINE_IMPLS]
-    if unknown:
-        parser.error(
-            f"unknown engine impl(s) {unknown}; choose from {ENGINE_IMPLS}"
-        )
     fault_kinds = tuple(k for k in args.faults.split(",") if k)
     unknown = [k for k in fault_kinds if k not in FAULT_KINDS]
     if unknown:
@@ -105,7 +95,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             graph_seed=int(graph_seed), schedule_seed=int(schedule_seed or 0),
             n=args.n, algorithm=args.algorithm, mode=args.mode,
             graph_kind=args.graph, schedule_kinds=schedule_kinds,
-            engine_impls=engine_impls,
             fault_seed=int(fault_seed or 0), fault_kinds=fault_kinds,
             pa_agg=args.pa_agg, reuse=args.reuse, merging=args.merging,
         )

@@ -3,33 +3,31 @@
 Each :class:`FuzzCase` is fully determined by a ``(graph_seed,
 schedule_seed)`` pair plus its explicit parameters, so any failure is
 replayable from the one line the harness prints.  A case runs one
-workload (PA, MST or connected components) five ways — on the scalar
-synchronous engine, on the vectorized (array) synchronous engine, and
-on the async engine under the delay-0, seeded-random, adversarial
-slow-edge and FIFO schedules — and demands:
+workload (PA, MST or connected components) four ways — on the
+synchronous engine, and on the async engine under the delay-0,
+seeded-random, adversarial slow-edge and FIFO schedules — and demands:
 
 * **output equivalence** everywhere: identical per-part aggregates and
   per-node values (PA), identical MST edge sets (also cross-checked
   against Kruskal), identical component labels;
 * **delay-0 ledger parity**: the async engine under
   :class:`~repro.congest.schedule.SynchronousSchedule` must reproduce
-  the scalar synchronous engine's phase log bit for bit — names,
-  rounds, messages, ticks and payload bits per phase;
-* **scalar/array ledger parity**: the array engine must reproduce the
-  scalar engine's phase log bit for bit too — the vectorized core is a
-  pure implementation change, never a cost-model change.
+  the synchronous engine's phase log bit for bit — names, rounds,
+  messages, ticks and payload bits per phase.
 
 A phase log is ``(name, rounds, messages, ticks, bits)`` per phase.  A
 PA case solves twice on one setup — the first solve learns the wave
 forest (unless the verification that accepted the build already did),
 the second runs the one all-reduce pass every reused solve runs — on
-every axis, the fault axis included.  So that the engine axis sees
-what the array kernels' two folds see, a PA case draws its aggregation
+every axis, the fault axis included.  So that the cases reach what the
+array kernels' two folds see, a PA case draws its aggregation
 (:data:`PA_AGGS`): ``SUM`` over ints (the column fold); ``MIN_TUPLE``
 over ``(value, uid)`` pairs with every fifth node ``None``; a three-way
 ``solve_many`` product; and a deliberately *order-sensitive* tuple
 concatenation, audits off, which only an engine that folds in the scalar
-order — not merely an equivalent one — gets right.  An MST case draws
+order — not merely an equivalent one — gets right.  (Kernels against
+their scalar twins, on these same cases, is a test beside the suite:
+``tests/fuzz/test_engine_parity.py``.)  An MST case draws
 the session's ``reuse`` opt-in and the merging rule (``rank`` /
 ``star``, whatever the mode), so projections and both
 star joinings reach the same axes — the fault axis included, where most
@@ -37,7 +35,7 @@ solves run on a route their setup learned earlier and a crash between two
 of them has no token wave to be caught by, and where a lost seed hop or
 target answer must leave a fragment where it is.
 
-A third axis injects **faults**: every other PA/MST case derives a
+A second axis injects **faults**: every other PA/MST case derives a
 seeded, recoverable :class:`~repro.congest.FaultPlan` (crash/recover
 and/or bounded message loss) purely from a ``fault_seed``, runs the
 workload through the :class:`~repro.runtime.RecoveryDriver` (heartbeat
@@ -50,10 +48,9 @@ sizes (same seeds) while the failure persists, then the failing axis is
 isolated — the fault axis is dropped if the failure survives without
 it (or the other axes are stripped if it does not), the drawn
 aggregation, session opt-in and merging rule fall back to ``SUM`` on a
-plain session under the mode's own rule if the failure survives that, then either a single schedule kind or the
-scalar-vs-array engine pair with no delayed schedules at all — so the
-replay line names the smallest configuration the harness could still
-break.
+plain session under the mode's own rule if the failure survives that,
+then a single schedule kind is sought — so the replay line names the
+smallest configuration the harness could still break.
 """
 
 from __future__ import annotations
@@ -64,6 +61,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..algorithms.components import cc_labeling
 from ..algorithms.mst import RANK, STAR, minimum_spanning_tree
 from ..analysis.reference import kruskal_mst
+from ..congest.async_engine import AsyncEngine
+from ..congest.engine import Engine
 from ..congest.faults import FaultPlan
 from ..congest.schedule import (
     Schedule,
@@ -93,8 +92,6 @@ ALGORITHMS = ("pa", "mst", "components")
 GRAPH_KINDS = ("grid", "random", "regular", "pref-attach")
 #: Non-trivial schedules every case must survive (delay-0 runs always).
 DELAYED_KINDS = ("random", "slow-edge", "fifo")
-#: Synchronous engine implementations; "scalar" is the reference.
-ENGINE_IMPLS = ("scalar", "array")
 #: Recoverable fault mixes a case may inject (shrinking may drop them).
 FAULT_KINDS = ("crash", "loss", "crash-loss")
 #: What a PA case aggregates (see the module docstring); "sum" is the
@@ -119,9 +116,6 @@ class FuzzCase:
     graph_kind: str = "random"
     #: Schedule kinds to test beyond delay-0 (shrinking narrows this).
     schedule_kinds: Tuple[str, ...] = DELAYED_KINDS
-    #: Sync engine implementations to compare (first one is the baseline;
-    #: shrinking may drop the axis to ("scalar",) if it is not at fault).
-    engine_impls: Tuple[str, ...] = ENGINE_IMPLS
     #: Fault axis: which recoverable fault mixes to inject (empty = none)
     #: and the seed the FaultPlan is derived from.
     fault_seed: int = 0
@@ -140,8 +134,7 @@ class FuzzCase:
             f"--n {self.n} "
             f"--algorithm {self.algorithm} --mode {self.mode} "
             f"--graph {self.graph_kind} "
-            f"--schedules {','.join(self.schedule_kinds)} "
-            f"--engines {','.join(self.engine_impls)}"
+            f"--schedules {','.join(self.schedule_kinds)}"
         )
         if self.fault_kinds:
             cmd += f" --faults {','.join(self.fault_kinds)}"
@@ -170,7 +163,6 @@ class FuzzFailure:
             "mode": self.case.mode,
             "graph_kind": self.case.graph_kind,
             "schedule_kinds": list(self.case.schedule_kinds),
-            "engine_impls": list(self.case.engine_impls),
             "fault_seed": self.case.fault_seed,
             "fault_kinds": list(self.case.fault_kinds),
             "pa_agg": self.case.pa_agg,
@@ -305,21 +297,21 @@ def _answer(res) -> Tuple[Dict[int, object], List[object]]:
     return dict(res.aggregates), list(res.value_at_node)
 
 
-def _run_workload(case: FuzzCase, net, partition, values,
-                  schedule: Optional[Schedule] = None,
-                  engine_impl: str = "scalar"):
-    """Run the case's algorithm; return (output, ledger).
-
-    ``schedule`` selects the asynchronous engine (``None`` = the
-    synchronous one), ``engine_impl`` the synchronous loop — both are
-    settings of the one :class:`PASolver` every workload runs on.
-    """
-    seed = case.graph_seed % 997
+def _engine(case: FuzzCase, net, schedule: Optional[Schedule] = None):
+    """The case's synchronous engine, or its asynchronous one under
+    ``schedule``; both audit every message (``strict_*``) but for the
+    concatenation, whose values grow with the part."""
     audits = not (case.algorithm == "pa" and case.pa_agg == "concat")
-    solver = PASolver(
-        net, mode=case.mode, seed=seed, schedule=schedule,
-        engine_impl=engine_impl, strict_bits=audits, strict_edges=audits,
-    )
+    if schedule is None:
+        return Engine(net, strict_bits=audits, strict_edges=audits)
+    return AsyncEngine(net, schedule=schedule, strict_bits=audits,
+                       strict_edges=audits)
+
+
+def _run_workload(case: FuzzCase, net, partition, values, engine: Engine):
+    """Run the case's algorithm on ``engine``; return (output, ledger)."""
+    seed = case.graph_seed % 997
+    solver = PASolver(net, mode=case.mode, seed=seed, engine=engine)
     if case.algorithm == "pa":
         # Two solves on one setup: the first learns the wave forest, the
         # second is the reused solve every later one is.
@@ -404,42 +396,28 @@ def _recovered_pa(driver, case: FuzzCase, net, partition, values):
     ]
 
 
+def _inputs(case: FuzzCase):
+    """The case's network, partition and per-node values."""
+    net = build_network(case)
+    partition = random_connected_partition(
+        net, max(2, min(6, net.n // 5)), seed=case.graph_seed
+    )
+    return net, partition, [(v * 7 + 3) % 101 for v in range(net.n)]
+
+
 def run_case(case: FuzzCase) -> Optional[str]:
     """Run one differential check; None on success, else what failed."""
     try:
-        net = build_network(case)
-        partition = random_connected_partition(
-            net, max(2, min(6, net.n // 5)), seed=case.graph_seed
+        net, partition, values = _inputs(case)
+        base_out, base_ledger = _run_workload(
+            case, net, partition, values, _engine(case, net)
         )
-        values = [(v * 7 + 3) % 101 for v in range(net.n)]
-
-        base_out, base_ledger = _run_workload(case, net, partition, values)
         if case.algorithm == "mst" and base_out != frozenset(kruskal_mst(net)):
             return "sync MST does not match the Kruskal oracle"
 
-        for impl in case.engine_impls:
-            if impl == "scalar":
-                continue  # the baseline above
-            impl_out, impl_ledger = _run_workload(
-                case, net, partition, values, engine_impl=impl
-            )
-            if impl_out != base_out:
-                return f"{impl} engine output differs from the scalar engine"
-            if _phase_log(impl_ledger) != _phase_log(base_ledger):
-                scalar_log = _phase_log(base_ledger)
-                impl_log = _phase_log(impl_ledger)
-                diff = next(
-                    (p for p in zip(scalar_log, impl_log) if p[0] != p[1]),
-                    (("<length>", len(scalar_log)),
-                     ("<length>", len(impl_log))),
-                )
-                return (
-                    f"scalar-vs-{impl} ledger parity broken: "
-                    f"{diff[0]} != {diff[1]}"
-                )
-
         zero_out, zero_ledger = _run_workload(
-            case, net, partition, values, schedule=SynchronousSchedule()
+            case, net, partition, values,
+            _engine(case, net, SynchronousSchedule()),
         )
         if zero_out != base_out:
             return "delay-0 async output differs from the synchronous engine"
@@ -453,7 +431,7 @@ def run_case(case: FuzzCase) -> Optional[str]:
 
         for schedule in schedules_for(case):
             sched_out, _ = _run_workload(
-                case, net, partition, values, schedule=schedule
+                case, net, partition, values, _engine(case, net, schedule)
             )
             if sched_out != base_out:
                 return f"output diverged under schedule {schedule.name}"
@@ -492,15 +470,12 @@ def shrink_case(
 
     Five shrink axes, all preserving the replay seeds: the graph size
     is walked down while the failure persists; the fault axis is
-    dropped if the failure reproduces without it, else the other
-    optional axes are stripped so only the seed triple remains; the
-    drawn aggregation, session opt-in and merging rule are dropped if the
-    failure reproduces on SUM over a plain session; then —
-    if the case still fails with the engine axis dropped (scalar only)
-    the engine comparison was not at fault and a single failing
-    schedule kind is sought; otherwise the divergence is the
-    scalar-vs-array engine pair, and the delayed schedules are dropped
-    instead if the engine pair alone still reproduces it.
+    dropped if the failure reproduces without it, else the delayed
+    schedules are stripped so only the seed triple remains; the drawn
+    aggregation, session opt-in and merging rule are dropped if the
+    failure reproduces on SUM over a plain session; the delayed
+    schedules are dropped if the failure reproduces without them;
+    otherwise a single failing schedule kind is sought.
     """
     message = check(case)
     if message is None:
@@ -525,17 +500,15 @@ def shrink_case(
     # Axis 1.5: is the fault axis guilty?  If the failure survives with
     # the faults dropped they were innocent — shed them and let the
     # later axes isolate further.  If it does not, the faults are
-    # required: strip the *other* optional axes instead so the replay
-    # line is the bare (graph, schedule, fault) seed triple.
+    # required: strip the delayed schedules instead so the replay line
+    # is the bare (graph, schedule, fault) seed triple.
     if current.fault_kinds:
         candidate = replace(current, fault_kinds=())
         failed = check(candidate)
         if failed is not None:
             current, message = candidate, failed
         else:
-            candidate = replace(
-                current, engine_impls=("scalar",), schedule_kinds=()
-            )
+            candidate = replace(current, schedule_kinds=())
             failed = check(candidate)
             if failed is not None:
                 current, message = candidate, failed
@@ -546,19 +519,12 @@ def shrink_case(
         failed = check(plain)
         if failed is not None:
             current, message = plain, failed
-    # Axis 2: which engine diverged?  If the failure survives without the
-    # array engine, the engine axis is innocent; otherwise keep the
-    # engine pair and try dropping the delayed schedules entirely.
-    if len(current.engine_impls) > 1:
-        candidate = replace(current, engine_impls=("scalar",))
+    # Axis 2: does the failure need a delayed schedule at all?
+    if current.schedule_kinds:
+        candidate = replace(current, schedule_kinds=())
         failed = check(candidate)
         if failed is not None:
             current, message = candidate, failed
-        else:
-            candidate = replace(current, schedule_kinds=())
-            failed = check(candidate)
-            if failed is not None:
-                current, message = candidate, failed
     # Axis 3: isolate a single failing schedule kind.
     for kind in current.schedule_kinds:
         candidate = replace(current, schedule_kinds=(kind,))

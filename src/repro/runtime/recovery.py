@@ -199,7 +199,6 @@ class RecoveryDriver:
         self.engine = AsyncEngine(
             net, schedule=schedule, faults=faults,
             strict_bits=strict_bits, strict_edges=strict_edges,
-            use_arrays=faults is None or faults.empty,
         )
         #: Detection + re-election + recompute tax, separate from every
         #: workload ledger (mirrors ``AsyncEngine.overhead``).

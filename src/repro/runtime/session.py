@@ -265,9 +265,10 @@ class PASession:
     ``net``, ``mode``, ``seed``, ``root``, ``strict_bits`` and
     ``strict_edges`` construct the session's default
     :class:`~repro.core.pa.PASolver`; every other engine-level setting
-    (asynchronous ``schedule``, ``engine_impl``, a shared ``engine``) is
-    chosen where the engine is built — on a ``PASolver``
-    handed in through ``solver=``.  The session's own settings:
+    (asynchronous ``schedule``, a shared ``engine``) is chosen where the
+    engine is built — on a ``PASolver`` handed in through ``solver=``.
+    Which loop runs a phase is the engine's to decide, not a setting (see
+    :class:`~repro.core.pa.PASolver`).  The session's own settings:
 
     reuse:
         Enable setup caching and incremental projection.

@@ -22,6 +22,8 @@ from repro.graphs import (
     with_planted_cut,
 )
 
+from oracles import ENGINE_OF
+
 
 def test_interval_labels_are_preorder(grid4x6):
     from repro.core import bfs_tree
@@ -141,13 +143,13 @@ MINCUT_PINS = {
 }
 
 
-@pytest.mark.parametrize("engine_impl", ["scalar", "array"])
+@pytest.mark.parametrize("impl", ["scalar", "array"])
 @pytest.mark.parametrize("graph", MINCUT_PINS)
-def test_approx_min_cut_ledger_is_the_parents(graph, engine_impl):
+def test_approx_min_cut_ledger_is_the_parents(graph, impl):
     make, expected = MINCUT_PINS[graph]
     net = make()
     session = PASession(
-        net, solver=PASolver(net, seed=3, engine_impl=engine_impl)
+        net, solver=PASolver(net, seed=3, engine=ENGINE_OF[impl](net))
     )
     result = approx_min_cut(
         net, epsilon=1.0, seed=3, max_trees=3, session=session

@@ -7,8 +7,8 @@ implementation change, never a cost-model change: for every program pair
 ticks — and all program outputs must be bit-for-bit identical.  These
 tests pin that contract at the algorithm level over seeded graphs, both
 PA modes, several aggregations and all three fuzzed workloads; the
-schedule fuzzer's engine axis (``tests/fuzz/test_schedule_fuzz.py``)
-extends the same check to fresh random cases on every run.
+scalar twins run on ``oracles.TwinEngine``.  ``tests/fuzz/test_engine_parity.py``
+extends the same check to the fuzz harness's random cases.
 """
 
 from __future__ import annotations
@@ -44,10 +44,12 @@ from repro.graphs import (
 from repro.obs import Tracer, use_tracer
 from repro.runtime import PASession
 
+from oracles import ENGINE_OF, TwinEngine
+
 
 def _solver(net, impl, mode=RANDOMIZED, seed=0):
-    """The engine implementation is a PASolver setting (and only that)."""
-    return PASolver(net, mode=mode, seed=seed, engine_impl=impl)
+    """A PASolver on the scalar twins (``TwinEngine``) or the kernels."""
+    return PASolver(net, mode=mode, seed=seed, engine=ENGINE_OF[impl](net))
 
 
 def _session(net, impl, mode=RANDOMIZED, seed=0):
@@ -185,7 +187,7 @@ def _star_of_cliques(cliques=5, size=6, uid_seed=4):
 def _det_prepare(net, partition, impl):
     """Strict-bits deterministic prepare: (phase log with bits, division)."""
     solver = PASolver(
-        net, mode=DETERMINISTIC, seed=5, engine_impl=impl, strict_bits=True
+        net, mode=DETERMINISTIC, seed=5, engine=ENGINE_OF[impl](net)
     )
     setup = solver.prepare(partition)
     log = [
@@ -240,8 +242,8 @@ def test_whole_pipeline_bit_for_bit_on_three_engines(kind, net, partition, mode)
     engines charge the same (name, rounds, messages, ticks, bits), in the
     same order — the one-round phases that run as ``cross_round`` included.
     """
-    scalar = _pipeline(net, partition, mode, engine_impl="scalar")
-    assert _pipeline(net, partition, mode, engine_impl="array") == scalar
+    scalar = _pipeline(net, partition, mode, engine=TwinEngine(net))
+    assert _pipeline(net, partition, mode) == scalar
     assert _pipeline(
         net, partition, mode, schedule=SynchronousSchedule()
     ) == scalar
@@ -297,18 +299,17 @@ def test_mixed_shape_values_decline_to_the_scalar_convergecast():
     # Tuples of two lengths order fine under min(), but share no layout.
     values = [(v % 3, v) if v % 2 else (v % 3, v, 1) for v in range(net.n)]
     outcomes = []
-    for use_arrays in (False, True):
+    for engine in (TwinEngine(net), Engine(net)):
         ledger = CostLedger()
         tracer = Tracer()
         with use_tracer(tracer):
             program = run_convergecast(
-                Engine(net, use_arrays=use_arrays), forest, MIN_TUPLE, values,
-                ledger, name="mixed",
+                engine, forest, MIN_TUPLE, values, ledger, name="mixed",
             )
         outcomes.append((program.at_root, program.partial, _phase_log(ledger)))
         assert [
             e["args"] for e in tracer.events if e["name"] == "kernel_fallback"
-        ] == ([{"phase": "mixed", "reason": "mixed_shape"}] if use_arrays else [])
+        ] == ([{"phase": "mixed", "reason": "mixed_shape"}] if engine.runs_kernels else [])
     assert outcomes[0] == outcomes[1]
 
 
@@ -329,13 +330,12 @@ def test_or_and_fold_zero_one_ints_on_the_kernel(agg):
     )
     for values, reason in cases:
         outcomes = []
-        for use_arrays in (False, True):
+        for engine in (TwinEngine(net), Engine(net)):
             ledger = CostLedger()
             tracer = Tracer()
             with use_tracer(tracer):
                 program = run_convergecast(
-                    Engine(net, use_arrays=use_arrays), forest, agg, values,
-                    ledger, name="flag",
+                    engine, forest, agg, values, ledger, name="flag",
                 )
             partial = program.partial
             outcomes.append((
@@ -346,6 +346,6 @@ def test_or_and_fold_zero_one_ints_on_the_kernel(agg):
             assert [
                 e["args"]["reason"] for e in tracer.events
                 if e["name"] == "kernel_fallback"
-            ] == ([reason] if use_arrays and reason else [])
+            ] == ([reason] if engine.runs_kernels and reason else [])
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][3][0][4] > 0  # the audit counted the bits

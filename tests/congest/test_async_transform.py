@@ -14,9 +14,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from event_engine import first_divergence
+from oracles import TwinAsyncEngine
 from repro.algorithms import minimum_spanning_tree
 from repro.congest import (
     AsyncEngine,
+    CostLedger,
     CrashEvent,
     FaultPlan,
     MessageLoss,
@@ -24,7 +26,9 @@ from repro.congest import (
     make_schedule,
 )
 from repro.congest.engine import FunctionProgram
-from repro.core import SUM, PASolver, solve_pa
+from repro.core import ROOT, SUM, PASolver, RootedForest, solve_pa
+from repro.core.array_kernels import BroadcastArrayKernel
+from repro.core.treeops import BroadcastProgram, run_broadcast
 from repro.graphs import (
     path_graph,
     random_connected,
@@ -107,7 +111,7 @@ def test_transform_matches_the_event_engine(
             schedule, seed=seed, max_delay=1 + seed % 6, slow_delay=2 + seed % 8
         ),
         faults=plan,
-        use_arrays=arrays and plan is None,
+        engine_type=AsyncEngine if arrays else TwinAsyncEngine,
     )
     assert message is None, message
 
@@ -119,7 +123,7 @@ def test_the_array_kernels_keep_the_records():
     for kind in WORKLOADS:
         message = first_divergence(
             _workload(kind, net, 5), net,
-            lambda: make_schedule("random", seed=3), use_arrays=True,
+            lambda: make_schedule("random", seed=3),
         )
         assert message is None, (kind, message)
 
@@ -158,11 +162,35 @@ def test_the_fifo_clamp_binds_as_in_the_event_engine():
     assert records["fifo"] != records["random"]
 
 
+def _path_broadcast():
+    net = path_graph(4)
+    return net, RootedForest(net, [ROOT, 0, 1, 2]), {0: 7}
+
+
 def test_a_fault_plan_needs_the_scalar_loop():
+    """A fault plan masks the scalar loop only: an engine holding one runs
+    a phase on its scalar twin, and one without runs the kernel."""
     plan = FaultPlan(crashes=(CrashEvent(node=1, at=2),))
+    net, forest, values = _path_broadcast()
+    faulty = AsyncEngine(net, faults=plan)
+    assert not faulty.runs_kernels
+    assert AsyncEngine(net).runs_kernels
+    assert isinstance(
+        run_broadcast(faulty, forest, values, CostLedger()), BroadcastProgram
+    )
+    assert isinstance(
+        run_broadcast(AsyncEngine(net), forest, values, CostLedger()),
+        BroadcastArrayKernel,
+    )
+
+
+def test_a_fault_plan_refuses_an_array_program():
+    plan = FaultPlan(crashes=(CrashEvent(node=1, at=2),))
+    net, forest, values = _path_broadcast()
     with pytest.raises(ValueError, match="scalar loop"):
-        AsyncEngine(path_graph(4), use_arrays=True, faults=plan)
-    assert AsyncEngine(path_graph(4), use_arrays=True).use_arrays
+        AsyncEngine(net, faults=plan).run(
+            BroadcastArrayKernel(forest, values), max_ticks=8
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -210,9 +210,7 @@ def test_flags_rebuild_the_same_engine_on_another_network(path10):
     constructor flag, values intact."""
     import inspect
 
-    flags = {
-        "strict_bits": False, "strict_edges": False, "use_arrays": True,
-    }
+    flags = {"strict_bits": False, "strict_edges": False}
     engine = Engine(path10, **flags)
     assert engine.flags == flags
     assert set(flags) == set(inspect.signature(Engine).parameters) - {"network"}

@@ -18,6 +18,8 @@ from repro.graphs import (
     random_connected_partition,
 )
 
+from oracles import ENGINE_OF
+
 
 def test_annotation_matches_oracle_blocks(path10, ledger):
     tree = RootedForest(path10, [ROOT] + list(range(9)))
@@ -101,10 +103,10 @@ def _claimed_shortcut(draw):
     return Shortcut(tree, partition, up)
 
 
-def _annotate(shortcut, use_arrays, capacity):
+def _annotate(shortcut, impl, capacity):
     """Annotation rows, token multiset and phase stats on one twin."""
     ledger = CostLedger()
-    engine = Engine(shortcut.tree.net, use_arrays=use_arrays, strict_bits=True)
+    engine = ENGINE_OF[impl](shortcut.tree.net, strict_bits=True)
     ann = annotate_blocks(engine, shortcut, ledger, capacity=capacity)
     rows = list(zip(ann.node.tolist(), ann.pid.tolist(), ann.depth.tolist()))
     assert len(set((v, pid) for v, pid, _ in rows)) == len(rows)
@@ -119,8 +121,8 @@ def _annotate(shortcut, use_arrays, capacity):
 @settings(max_examples=100, deadline=None)
 @given(_claimed_shortcut(), st.sampled_from([1, 2]))
 def test_annotation_twins_store_the_same_columns(shortcut, capacity):
-    *scalar, ann = _annotate(shortcut, False, capacity)
-    *array, _ = _annotate(shortcut, True, capacity)
+    *scalar, ann = _annotate(shortcut, "scalar", capacity)
+    *array, _ = _annotate(shortcut, "array", capacity)
     assert array == scalar
     # One token per nontrivial block: the structural block count.
     num_parts = shortcut.partition.num_parts

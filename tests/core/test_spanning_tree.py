@@ -16,7 +16,7 @@ from repro.graphs import (
     random_connected,
     random_regular,
 )
-from oracles import random_planar
+from oracles import ENGINE_OF, random_planar
 
 
 def test_bfs_tree_depth_is_eccentricity(grid4x6, ledger):
@@ -78,13 +78,13 @@ TREE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("use_arrays", [False, True], ids=["scalar", "array"])
+@pytest.mark.parametrize("impl", ["scalar", "array"])
 @pytest.mark.parametrize("kind", TREE_DIGESTS)
-def test_election_tree_is_the_pinned_one(kind, use_arrays):
+def test_election_tree_is_the_pinned_one(kind, impl):
     make, digest = TREE_DIGESTS[kind]
     net = make()
     result = elect_leader_and_bfs_tree(
-        Engine(net, use_arrays=use_arrays), net, CostLedger()
+        ENGINE_OF[impl](net), net, CostLedger()
     )
     pinned = repr((result.root, list(result.tree.parent)))
     assert hashlib.sha256(pinned.encode()).hexdigest() == digest
@@ -114,10 +114,10 @@ def test_the_candidate_tree_is_a_bfs_tree_of_the_least_candidate(
     net = random_connected(n, extra, seed=graph_seed)
     trees = [
         elect_leader_and_bfs_tree(
-            Engine(net, use_arrays=use_arrays), net, CostLedger(),
+            ENGINE_OF[impl](net), net, CostLedger(),
             rng=random.Random(seed),
         )
-        for use_arrays in (False, True)
+        for impl in ("scalar", "array")
     ]
     scalar, array = trees
     assert (scalar.root, scalar.tree.parent) == (array.root, array.tree.parent)
@@ -173,13 +173,13 @@ CANDIDATE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("use_arrays", [False, True], ids=["scalar", "array"])
+@pytest.mark.parametrize("impl", ["scalar", "array"])
 @pytest.mark.parametrize("kind", CANDIDATE_DIGESTS)
-def test_candidate_tree_is_the_pinned_one(kind, use_arrays):
+def test_candidate_tree_is_the_pinned_one(kind, impl):
     make, _digest = TREE_DIGESTS[kind]
     net = make()
     result = elect_leader_and_bfs_tree(
-        Engine(net, use_arrays=use_arrays), net, CostLedger(),
+        ENGINE_OF[impl](net), net, CostLedger(),
         rng=random.Random(0),
     )
     pinned = repr((result.root, list(result.tree.parent)))

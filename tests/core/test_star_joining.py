@@ -32,7 +32,7 @@ from repro.graphs import (
     with_distinct_weights,
     with_random_weights,
 )
-from oracles import root_of, spanning_forest_of_subsets
+from oracles import ENGINE_OF, root_of, spanning_forest_of_subsets
 
 
 def ring_of_subparts(n_groups, group_size):
@@ -139,22 +139,20 @@ def test_two_cycle_resolves():
     assert len(joins) == 1
 
 
-def _forest_ops(use_arrays):
+def _forest_ops(impl):
     net, groups, forest = ring_of_subparts(6, 3)
     chosen = chain_edges(net, groups, forest)
     ledger = CostLedger()
-    engine = Engine(net, use_arrays=use_arrays)
+    engine = ENGINE_OF[impl](net)
     ops = TreeSuperOps(engine, net, forest, chosen, ledger)
     return forest.roots, chosen, ledger, ops
 
 
-def _pa_ops(use_arrays):
+def _pa_ops(impl):
     """The same chain of six groups, as PA parts with PA solves between."""
     net, groups, _forest = ring_of_subparts(6, 3)
     chosen = {g: (groups[g][-1], groups[g + 1][0], g + 1) for g in range(5)}
-    solver = PASolver(
-        net, seed=41, engine_impl="array" if use_arrays else "scalar"
-    )
+    solver = PASolver(net, seed=41, engine=ENGINE_OF[impl](net))
     setup = solver.prepare(Partition([v // 3 for v in range(net.n)]))
     ledger = CostLedger()
     ops = PASuperOps(solver.engine, solver.solve, setup, chosen, ledger)
@@ -165,15 +163,15 @@ def test_pushes_agree_across_engines_whatever_the_values():
     """Int values ride the kernels, anything else the scalar programs —
     over the forest transport and over the PA transport alike."""
     for make_ops in (_forest_ops, _pa_ops):
-        sids, chosen, _ledger, _ops = make_ops(False)
+        sids, chosen, _ledger, _ops = make_ops("scalar")
         for values in (
             {sid: 3 * sid + 1 for sid in sids},              # columns all the way
             {sid: sid / 2 for sid in sids},                  # floats: no layout
             {sid: (sid, -sid) for sid in list(chosen)[::2]},  # tuples, some sids
         ):
             outcomes = []
-            for use_arrays in (False, True):
-                _sids, _chosen, ledger, ops = make_ops(use_arrays)
+            for impl in ("scalar", "array"):
+                _sids, _chosen, ledger, ops = make_ops(impl)
                 outcomes.append((
                     ops.push_down(values), ops.push_up(values, MIN),
                     [(p.name, p.rounds, p.messages, p.bits)

@@ -15,7 +15,7 @@ from repro.graphs import (
     random_connected_partition,
     random_regular,
 )
-from oracles import random_planar, restrict_roots
+from oracles import ENGINE_OF, TwinEngine, random_planar, restrict_roots
 
 
 def build(net, partition, diameter):
@@ -126,14 +126,14 @@ DIVISION_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("use_arrays", [False, True], ids=["scalar", "array"])
+@pytest.mark.parametrize("impl", ["scalar", "array"])
 @pytest.mark.parametrize("case", DIVISION_DIGESTS, ids=lambda c: f"{c[0]}-{c[1]}")
-def test_division_is_the_pinned_one(case, use_arrays):
+def test_division_is_the_pinned_one(case, impl):
     kind, threshold = case
     net, partition = FIXTURES[kind]()
     leaders = [min(m, key=lambda v: net.uid[v]) for m in partition.members]
     division = build_subpart_division_deterministic(
-        Engine(net, use_arrays=use_arrays), net, partition, leaders,
+        ENGINE_OF[impl](net), net, partition, leaders,
         threshold, CostLedger(),
     )
     digest = hashlib.sha256(
@@ -142,8 +142,8 @@ def test_division_is_the_pinned_one(case, use_arrays):
     assert digest == DIVISION_DIGESTS[case]
 
 
-class _Spy(Engine):
-    """A scalar engine that keeps every program it ran, by phase name."""
+class _Spy(TwinEngine):
+    """A scalar-twin engine that keeps every program it ran, by phase name."""
 
     def __init__(self, net):
         super().__init__(net)

@@ -41,7 +41,7 @@ from repro.graphs import (
     random_connected,
     random_regular,
 )
-from oracles import complete_graph, restrict_roots, root_of, star_graph
+from oracles import TwinEngine, complete_graph, restrict_roots, root_of, star_graph
 
 
 def line_forest(net):
@@ -189,9 +189,9 @@ def _payloads(draw, count):
 def _both_engines(net, run):
     """``run`` on a scalar and an array engine: [(outputs, phase log)]."""
     out = []
-    for use_arrays in (False, True):
+    for engine in (TwinEngine(net), Engine(net)):
         ledger = CostLedger()
-        outputs = run(Engine(net, use_arrays=use_arrays), ledger)
+        outputs = run(engine, ledger)
         log = [
             (p.name, p.rounds, p.messages, p.ticks, p.bits)
             for p in ledger.phases()
@@ -212,7 +212,7 @@ def test_convergecast_kernel_matches_the_scalar_program_and_fold(data):
 
     def run(engine, ledger):
         program = run_convergecast(engine, forest, agg, values, ledger)
-        assert isinstance(program, ConvergecastArrayKernel) == engine.use_arrays
+        assert isinstance(program, ConvergecastArrayKernel) == engine.runs_kernels
         return list(program.at_root.items()), list(program.partial.items())
 
     (scalar, scalar_log), (array, array_log) = _both_engines(net, run)
@@ -246,7 +246,7 @@ def test_broadcast_kernel_matches_the_scalar_program(data):
 
     def run(engine, ledger):
         program = run_broadcast(engine, forest, root_values, ledger)
-        assert isinstance(program, BroadcastArrayKernel) == engine.use_arrays
+        assert isinstance(program, BroadcastArrayKernel) == engine.runs_kernels
         return list(program.received.items()), list(program.received_at(asked))
 
     (scalar, scalar_log), (array, array_log) = _both_engines(net, run)
@@ -282,7 +282,7 @@ def test_cross_round_kernel_matches_the_scalar_program(data):
 
     def run(engine, ledger):
         program = cross_round(engine, sends, ledger, name="x")
-        assert isinstance(program, CrossRoundArrayKernel) == engine.use_arrays
+        assert isinstance(program, CrossRoundArrayKernel) == engine.runs_kernels
         src, dst, payloads = program.delivered
         rows = list(zip(src.tolist(), dst.tolist(), payloads))
         merged = list(program.merged(agg, n)) if shape == "tagged" else None
@@ -332,7 +332,7 @@ def test_masked_claim_bfs_kernel_matches_the_scalar_program(data):
             engine, net, tokens, ledger, edge_mask=edge_mask,
             max_depth=max_depth, name="masked",
         )
-        assert isinstance(program, ClaimBfsArrayKernel) == engine.use_arrays
+        assert isinstance(program, ClaimBfsArrayKernel) == engine.runs_kernels
         return (
             list(program.token_of), list(program.parent_of),
             list(program.depth_of),
@@ -412,9 +412,8 @@ def _twins(net, run):
     """``run`` on both engines, strict bits on: (outputs, phase) of one;
     the two agree in outputs and in every ledger field, bits included."""
     out = []
-    for use_arrays in (False, True):
+    for engine in (TwinEngine(net, strict_bits=True), Engine(net, strict_bits=True)):
         ledger = CostLedger()
-        engine = Engine(net, use_arrays=use_arrays, strict_bits=True)
         outputs = run(engine, ledger)
         (phase,) = ledger.phases()
         out.append((outputs, phase))
@@ -442,7 +441,7 @@ def test_flood_min_skips_who_told_it_and_keeps_the_oracles_outputs(net, data):
 
     def run(engine, ledger):
         flood = flood_min(engine, net, tokens, ledger)
-        assert isinstance(flood, FloodMinArrayKernel) == engine.use_arrays
+        assert isinstance(flood, FloodMinArrayKernel) == engine.runs_kernels
         return list(flood.best), list(flood.parent_of)
 
     outputs, phase = _twins(net, run)
@@ -482,7 +481,7 @@ def test_claim_bfs_skips_its_claimants_and_keeps_the_oracles_outputs(
             engine, net, tokens, ledger, edge_mask=edge_mask,
             max_depth=max_depth,
         )
-        assert isinstance(program, ClaimBfsArrayKernel) == engine.use_arrays
+        assert isinstance(program, ClaimBfsArrayKernel) == engine.runs_kernels
         return outputs(program)
 
     got, phase = _twins(net, run)
@@ -564,7 +563,6 @@ def test_no_node_hands_a_token_back_to_who_just_delivered_it():
     """A spy on every send of both twins: no node sends a token to a
     neighbor whose message carried that token to it in the same tick —
     while the oracle rules, on the same graphs, do."""
-    kernels = (FloodMinArrayKernel, ClaimBfsArrayKernel)
     for net in (grid_2d(9, 11), random_regular(60, 4, seed=5)):
         tokens = dict(enumerate(net.uid))
         claims = {v: net.uid[v] for v in (0, net.n // 2, net.n - 1)}
@@ -577,35 +575,31 @@ def test_no_node_hands_a_token_back_to_who_just_delivered_it():
             (_SpareTheParentClaimBfs, (net, claims), True),
         ]:
             program = _echo_counting(cls)(*args)
-            engine = Engine(net, use_arrays=cls in kernels)
-            engine.run(program, max_ticks=net.n + 3)
+            Engine(net).run(program, max_ticks=net.n + 3)
             assert bool(program.echoes) == echoes, cls.__name__
 
 
 def test_one_dispatch_seam():
     """Kernel or scalar twin is chosen in one function.
 
-    ``use_arrays`` is read only by ``treeops._kernel``; every other
-    mention under ``src/repro`` is the constructor plumbing that carries
-    the setting from ``PASolver`` to an ``Engine`` (and to shard workers).
+    ``Engine.runs_kernels`` is read only by ``treeops._kernel``: no other
+    function under ``src/repro`` loads the attribute or spells its name
+    (the engines define it; nothing carries it).
     """
     root = Path(repro.__file__).parent
-    plumbing = ("congest/engine.py", "core/pa.py", "runtime/session.py", "shard/")
     readers = []
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root).as_posix()
-        if rel.startswith(plumbing):
-            continue
         tree = ast.parse(path.read_text())
         for func in ast.walk(tree):
             if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
                 continue
             for node in ast.walk(func):
                 attribute = (
-                    isinstance(node, ast.Attribute) and node.attr == "use_arrays"
+                    isinstance(node, ast.Attribute) and node.attr == "runs_kernels"
                     and isinstance(node.ctx, ast.Load)
                 )
-                spelled = isinstance(node, ast.Constant) and node.value == "use_arrays"
+                spelled = isinstance(node, ast.Constant) and node.value == "runs_kernels"
                 if attribute or spelled:
                     readers.append((rel, getattr(func, "name", "<lambda>")))
     assert readers == [("core/treeops.py", "_kernel")]

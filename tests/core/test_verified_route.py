@@ -28,6 +28,8 @@ from repro.core.wave import RouteMemo
 from repro.graphs import bfs_ball_partition, grid_2d, random_regular
 from repro.graphs.partitions import partition_from_component_labels
 
+from oracles import TwinEngine
+
 
 def _instance():
     """Parts wider than D: every build here claims and verifies."""
@@ -88,9 +90,9 @@ def test_a_build_hands_its_setup_the_last_candidates_memo(monkeypatch):
 
 
 ENGINES = {
-    "array": dict,
-    "scalar": lambda: {"engine_impl": "scalar"},
-    "async": lambda: {"schedule": make_schedule("random", seed=7)},
+    "array": lambda net: {},
+    "scalar": lambda net: {"engine": TwinEngine(net)},
+    "async": lambda net: {"schedule": make_schedule("random", seed=7)},
 }
 
 
@@ -103,7 +105,7 @@ def test_a_verified_setups_first_solve_is_one_allreduce(mode, engine):
     the wave, reversal and replay the verification already paid."""
     net = grid_2d(12, 12)
     partition = bfs_ball_partition(net, 40, seed=2)
-    solver = PASolver(net, mode=mode, seed=5, **ENGINES[engine]())
+    solver = PASolver(net, mode=mode, seed=5, **ENGINES[engine](net))
     setup = solver.prepare(partition)
     assert _verified(setup)
     forest = setup.route.forest

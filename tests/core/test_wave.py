@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.congest import AsyncEngine, CostLedger, Engine, RandomDelaySchedule
+from repro.congest import CostLedger, Engine, RandomDelaySchedule
 from repro.core import (
     MIN,
     SUM,
@@ -33,6 +33,9 @@ from repro.graphs import (
     random_connected_partition,
 )
 from oracles import (
+    ENGINE_OF,
+    TwinAsyncEngine,
+    TwinEngine,
     division_from_groups,
     empty_shortcut,
     star_shortcut_for_parts,
@@ -344,8 +347,8 @@ def _instance(seed, n, parts, shortcut_kind):
 
 def _engine(kind, net, seed):
     if kind == "async":
-        return AsyncEngine(net, schedule=RandomDelaySchedule(seed=seed))
-    return Engine(net, strict_bits=True, use_arrays=kind == "array")
+        return TwinAsyncEngine(net, schedule=RandomDelaySchedule(seed=seed))
+    return ENGINE_OF[kind](net, strict_bits=True)
 
 
 def _routes(forest):
@@ -392,7 +395,7 @@ def _solve(engine, instance, delayed, seed, program=None):
     parts=st.integers(1, 5),
     shortcut_kind=st.sampled_from(SHORTCUTS),
     delayed=st.booleans(),
-    engine_kind=st.sampled_from(["sync", "async"]),
+    engine_kind=st.sampled_from(["scalar", "async"]),
 )
 @settings(
     max_examples=40, deadline=None,
@@ -421,7 +424,7 @@ def test_hand_on_at_once_against_route_then_broadcast(
     assert members <= set(routes) <= set(oracle_routes)
     assert outcome.forest_edges == len(routes) - partition.num_parts
     assert outcome.forest_edges == sum(len(out) for _p, out in routes.values())
-    if engine_kind == "sync":
+    if engine_kind == "scalar":
         twin = _solve(_engine("array", net, seed), instance, delayed, seed)
         assert twin[1:] == (log, routes)
         assert twin[0].aggregates == outcome.aggregates
@@ -453,7 +456,7 @@ def test_no_wave_packet_goes_back_to_a_neighbor_that_sent_the_token(
         spies.append(_Spy(*args, **kwargs))
         return spies[-1]
 
-    _solve(Engine(instance[0]), instance, delayed, seed, program=spy)
+    _solve(TwinEngine(instance[0]), instance, delayed, seed, program=spy)
     (wave,) = spies
     assert wave.echoes == []
 
@@ -497,8 +500,8 @@ def test_both_twins_write_the_same_wave_index(
     ann = annotate_blocks(Engine(net), shortcut, CostLedger())
     values = [net.uid[v] % 97 for v in range(net.n)]
     routes, stats = [], []
-    for program, use_arrays in ((WaveProgram, False), (WaveArrayKernel, True)):
-        engine = Engine(net, strict_bits=True, use_arrays=use_arrays)
+    for program, kind in ((WaveProgram, "scalar"), (WaveArrayKernel, "array")):
+        engine = ENGINE_OF[kind](net, strict_bits=True)
         plan = plan_pa_waves(
             engine, net, partition, setup.division, shortcut, values, SUM,
             randomized=delayed, rng=random.Random(seed),

@@ -26,6 +26,8 @@ from repro.core.pa import DETERMINISTIC, RANDOMIZED
 from repro.core.wave import ReplayProgram, ReverseProgram, plan_pa_waves
 from repro.graphs import random_connected, random_connected_partition
 
+from oracles import ENGINE_OF
+
 #: Associative, not commutative: equal answers mean equal fold order.
 CONCAT = Aggregation("concat", lambda a, b: a + b)
 
@@ -105,8 +107,8 @@ def test_one_pass_against_reversal_and_replay(seed, n, parts, mode, kind, delay)
     runs = {}
     for impl in ("scalar", "array"):
         solver = PASolver(
-            net, mode=mode, seed=seed % 97, engine_impl=impl,
-            strict_bits=audits, strict_edges=audits,
+            net, mode=mode, seed=seed % 97,
+            engine=ENGINE_OF[impl](net, strict_bits=audits, strict_edges=audits),
         )
         setup = solver.prepare(partition)
         solver.solve(setup, values, agg, charge_setup=False)

@@ -41,6 +41,7 @@ from repro.graphs import (
     random_regular,
 )
 
+from oracles import ENGINE_OF, TwinEngine
 from test_wave_values import ENGINES, _items
 
 #: The four value shapes of ``test_wave_values`` ("big" is "ints" again as
@@ -94,7 +95,7 @@ def test_three_solves_on_one_setup_against_three_fresh_prepares(
 
     def solver(kwargs):
         return PASolver(
-            net, mode=mode, seed=seed % 97, strict_bits=True, **kwargs
+            net, mode=mode, seed=seed % 97, strict_bits=True, **kwargs(net)
         )
 
     runs = {}
@@ -184,7 +185,7 @@ def test_the_answer_tag_is_how_a_node_learns_its_forest_edges(
                     answered.append(((node, pid), sender))
             super().handle(ctx, node, inbox)
 
-    solver = PASolver(net, mode=mode, seed=5, engine_impl="scalar")
+    solver = PASolver(net, mode=mode, seed=5, engine=TwinEngine(net))
     setup = solver.prepare(partition)
     assert setup.route.delays is None
     monkeypatch.setattr(wave_module, "ReverseProgram", Watched)
@@ -235,7 +236,7 @@ def test_a_reversal_that_leaves_a_part_without_a_result_raises(
     net = grid_2d(5, 5)
     # Parts small enough that no verification runs: the first solve learns.
     partition = random_connected_partition(net, 5, seed=4)
-    solver = PASolver(net, seed=2, engine_impl=impl)
+    solver = PASolver(net, seed=2, engine=ENGINE_OF[impl](net))
     setup = solver.prepare(partition)
     assert setup.route.delays is None
     values = list(range(net.n))
@@ -303,7 +304,7 @@ def test_a_replay_that_reaches_fewer_members_than_the_part_has_raises(
     net = grid_2d(5, 5)
     # Parts small enough that no verification runs: the first solve learns.
     partition = random_connected_partition(net, 5, seed=4)
-    solver = PASolver(net, seed=2, engine_impl=impl)
+    solver = PASolver(net, seed=2, engine=ENGINE_OF[impl](net))
     setup = solver.prepare(partition)
     assert setup.route.delays is None
     values = list(range(net.n))
@@ -383,7 +384,7 @@ FOREST_PINS = [
 def test_the_learned_forest_is_pinned_on_both_twins(case, impl):
     make, mode, keys, digest = FOREST_PINS[case]
     net, partition = make()
-    solver = PASolver(net, mode=mode, seed=5, engine_impl=impl)
+    solver = PASolver(net, mode=mode, seed=5, engine=ENGINE_OF[impl](net))
     setup = solver.prepare(partition)
     solver.solve(setup, list(range(net.n)), SUM, charge_setup=False)
     forest = setup.route.forest
@@ -401,9 +402,7 @@ def test_a_route_the_array_twin_learned_serves_the_scalar_twin(
     # Parts small enough that no verification runs: the first solve learns.
     partition = random_connected_partition(net, 6, seed=2)
     array = PASolver(net, mode=mode, seed=5, strict_bits=True)
-    scalar = PASolver(
-        net, mode=mode, seed=5, engine_impl="scalar", strict_bits=True
-    )
+    scalar = PASolver(net, mode=mode, seed=5, engine=TwinEngine(net))
     setup = array.prepare(partition)
     values = list(range(net.n))
     array.solve(setup, values, SUM, charge_setup=False)

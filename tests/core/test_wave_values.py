@@ -34,10 +34,14 @@ from repro.graphs import (
 from repro.obs import Tracer, use_tracer
 from repro.service.queries import top_k_aggregation
 
+from oracles import ENGINE_OF, TwinEngine
+
+#: (label, net -> PASolver kwargs) per engine: the scalar twins, the
+#: kernels, the kernels under the delay-0 synchronizer.
 ENGINES = [
-    ("scalar", {"engine_impl": "scalar"}),
-    ("array", {"engine_impl": "array"}),
-    ("async", {"schedule": SynchronousSchedule()}),
+    ("scalar", lambda net: {"engine": TwinEngine(net)}),
+    ("array", lambda net: {}),
+    ("async", lambda net: {"schedule": SynchronousSchedule()}),
 ]
 
 #: The value shapes a case draws from; see ``_items``.
@@ -82,7 +86,7 @@ def _folds_as_a_column(values, agg) -> bool:
 
 
 def _run(net, partition, items, mode, seed, kwargs):
-    solver = PASolver(net, mode=mode, seed=seed, strict_bits=True, **kwargs)
+    solver = PASolver(net, mode=mode, seed=seed, strict_bits=True, **kwargs(net))
     setup = solver.prepare(partition)
     tracer = Tracer()
     with use_tracer(tracer):
@@ -213,8 +217,8 @@ def test_the_fold_order_is_the_scalar_one(mode):
         answers = []
         for impl in ("scalar", "array"):
             solver = PASolver(
-                net, mode=mode, seed=seed, engine_impl=impl,
-                strict_bits=False, strict_edges=False,
+                net, mode=mode, seed=seed,
+                engine=ENGINE_OF[impl](net, strict_bits=False, strict_edges=False),
             )
             res = solver.solve(solver.prepare(partition), values, CONCAT)
             answers.append((list(res.aggregates.items()), res.value_at_node))
@@ -227,7 +231,7 @@ def test_the_fold_order_is_the_scalar_one(mode):
 # Error parity: the audits name the same message on both engines
 # ----------------------------------------------------------------------
 def _error(net, partition, values, agg, impl):
-    solver = PASolver(net, seed=4, engine_impl=impl)
+    solver = PASolver(net, seed=4, engine=ENGINE_OF[impl](net))
     setup = solver.prepare(partition)
     with pytest.raises(BandwidthExceededError) as caught:
         solver.solve(setup, values, agg, charge_setup=False)
@@ -280,7 +284,7 @@ def test_same_edge_twice_at_capacity_one_raises_the_same_error():
     errors = []
     for engine, program in (
         (Engine(net), FunctionProgram("twice", start, lambda *a: None)),
-        (Engine(net, use_arrays=True), Twice()),
+        (Engine(net), Twice()),
     ):
         with pytest.raises(ChannelCapacityError) as caught:
             engine.run(program, max_ticks=3)

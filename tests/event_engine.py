@@ -60,7 +60,7 @@ class EventEngine:
 
     #: Programs are stepped one node at a time, out of pulse order: every
     #: phase runs as its scalar twin (see ``treeops._kernel``).
-    use_arrays = False
+    runs_kernels = False
 
     def __init__(
         self,
@@ -749,12 +749,14 @@ def _mail_key(entry: Tuple[int, int, object]) -> Tuple[int, int]:
     return (entry[0], entry[1])
 
 
-def first_divergence(workload, net, schedule, faults=None, use_arrays=False):
+def first_divergence(workload, net, schedule, faults=None, engine_type=None):
     """Run ``workload(engine)`` on an :class:`EventEngine` and on an
     :class:`~repro.congest.AsyncEngine` over ``net``; return None if both
     runs agree, else what differs first.
 
-    ``schedule`` builds a fresh schedule per engine.  The two runs must
+    ``schedule`` builds a fresh schedule per engine; ``engine_type`` is
+    the asynchronous engine's class (default ``AsyncEngine``, which runs
+    the kernels unless it holds a fault plan).  The two runs must
     agree on the workload's outcome (its return value, or the exception
     it died of), on every overhead record and on every fault report.
     The two cases the transform does not reproduce are exempt
@@ -770,7 +772,7 @@ def first_divergence(workload, net, schedule, faults=None, use_arrays=False):
     reference = EventEngine(net, schedule(), faults=faults)
     for engine in (
         reference,
-        AsyncEngine(net, schedule(), use_arrays=use_arrays, faults=faults),
+        (engine_type or AsyncEngine)(net, schedule(), faults=faults),
     ):
         try:
             outcome = workload(engine)

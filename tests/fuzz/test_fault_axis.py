@@ -38,7 +38,7 @@ def test_fault_case_passes_end_to_end():
     case = FuzzCase(
         graph_seed=32571731, schedule_seed=532557382, fault_seed=427484391,
         n=12, algorithm="pa", graph_kind="random",
-        schedule_kinds=(), engine_impls=("scalar",), fault_kinds=("crash",),
+        schedule_kinds=(), fault_kinds=("crash",),
     )
     assert run_case(case) is None
 
@@ -53,8 +53,7 @@ def test_shrinker_pins_a_fault_only_failure_to_the_triple():
     shrunk, message = shrink_case(base, check=check)
     assert message == "fault-only failure"
     assert shrunk.fault_kinds == ("crash",)  # the guilty axis survives
-    assert shrunk.engine_impls == ("scalar",)  # innocents stripped
-    assert shrunk.schedule_kinds == ()
+    assert shrunk.schedule_kinds == ()  # innocents stripped
     replay = shrunk.replay_command()
     assert "--replay 5:6:7" in replay
     assert "--faults crash" in replay
@@ -86,7 +85,7 @@ def test_cli_replays_a_fault_triple(capsys):
     rc = fuzz_main([
         "--replay", "32571731:532557382:427484391",
         "--n", "12", "--algorithm", "pa", "--graph", "random",
-        "--schedules", "", "--engines", "scalar", "--faults", "crash",
+        "--schedules", "", "--faults", "crash",
     ])
     assert rc == 0
     assert "replay passed" in capsys.readouterr().out

@@ -81,13 +81,16 @@ def test_run_case_detects_an_injected_divergence(monkeypatch):
 
 def test_engine_axis_detects_an_injected_array_divergence(monkeypatch):
     # Corrupt the array engine's metering (one extra message per phase)
-    # and the scalar-vs-array parity check must notice; the shrinker must
-    # then pin the blame on the engine axis — both implementations kept,
-    # every delayed schedule dropped.
+    # and the kernels-vs-twins check on the harness's cases
+    # (``test_engine_parity.py``) must notice: same outputs, and a phase
+    # log whose first differing phase is one message over its twin's.
     from repro.congest import arrays
+    from test_engine_parity import both_ways
 
     case = case_for_index(2, 0)
     assert run_case(case) is None
+    kernels, twins = both_ways(case)
+    assert kernels == twins
 
     original = arrays.run_array_phase
 
@@ -96,14 +99,13 @@ def test_engine_axis_detects_an_injected_array_divergence(monkeypatch):
         return replace(stats, messages=stats.messages + 1)
 
     monkeypatch.setattr(arrays, "run_array_phase", inflated)
-    message = run_case(case)
-    assert message is not None and "array" in message
-
-    shrunk, message = shrink_case(case)
-    assert shrunk.engine_impls == ("scalar", "array")
-    assert shrunk.schedule_kinds == ()
-    assert "ledger parity" in message
-    assert "--engines scalar,array" in shrunk.replay_command()
+    kernels, twins = both_ways(case)
+    assert kernels[0] == twins[0]
+    assert kernels[1] != twins[1]
+    ours, theirs = next(
+        pair for pair in zip(kernels[1], twins[1]) if pair[0] != pair[1]
+    )
+    assert ours[0] == theirs[0] and ours[2] == theirs[2] + 1
 
 
 def test_shrinker_minimizes_and_isolates_schedule():

@@ -31,21 +31,25 @@ from repro.graphs import (
 )
 from repro.obs import Tracer, diff, explain, use_tracer
 
+from oracles import TwinEngine
+
 FALLBACK_REASONS = {
     "none_value", "non_int", "overflow", "unsupported_agg", "mixed_shape",
 }
 
+#: (label, net -> PASolver kwargs): the scalar twins, the kernels, the
+#: kernels under the delay-0 synchronizer.
 ENGINES = [
-    ("scalar", {"engine_impl": "scalar"}),
-    ("array", {"engine_impl": "array"}),
-    ("async", {"schedule": SynchronousSchedule()}),
+    ("scalar", lambda net: {"engine": TwinEngine(net)}),
+    ("array", lambda net: {}),
+    ("async", lambda net: {"schedule": SynchronousSchedule()}),
 ]
 
 
 def _solve(workload, kwargs, mode="randomized", seed=7):
     """solve_pa on a solver built here, so its tree phases are traced."""
     net, partition, values = workload
-    solver = PASolver(net, mode=mode, seed=seed, **kwargs)
+    solver = PASolver(net, mode=mode, seed=seed, **kwargs(net))
     return solve_pa(
         net, partition, values, SUM, mode=mode, seed=seed, solver=solver
     )
@@ -136,7 +140,7 @@ def test_trace_replays_pa_ledger(workload, label, kwargs, mode, seed):
 def _check_fallbacks(tracer, label):
     """A declined kernel dispatch is an instant naming a phase that was
     then charged, with a known reason; the scalar engine never dispatches
-    (the async engine runs the array kernels, as ``engine_impl`` says)."""
+    (the async engine runs the kernels: it holds no fault plan)."""
     fallbacks = [
         e["args"] for e in tracer.events if e["name"] == "kernel_fallback"
     ]
@@ -155,7 +159,7 @@ def _dispatch_run(net, kwargs):
     subgraph = [edge for i, edge in enumerate(net.edges) if i % 4]
     tracer = Tracer()
     with use_tracer(tracer):
-        solver = PASolver(net, seed=3, **kwargs)
+        solver = PASolver(net, seed=3, **kwargs(net))
         res = verify_bipartiteness(
             net, subgraph, seed=3, session=PASession(net, solver=solver)
         )

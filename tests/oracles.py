@@ -14,12 +14,37 @@ import random
 from collections import defaultdict
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from repro.congest import Network
+from repro.congest import AsyncEngine, Engine, Network
 from repro.congest.errors import ShortcutValidationError
 from repro.core import ABSENT, ROOT, RootedForest, Shortcut, SubPartDivision
 from repro.graphs import Partition
 
 _UID_SEED = 0x5EED  # the shipped generators' default
+
+
+# ----------------------------------------------------------------------
+# The scalar twins end to end
+# ----------------------------------------------------------------------
+class TwinEngine(Engine):
+    """The synchronous engine with every phase on its scalar twin.
+
+    ``treeops._kernel`` asks ``runs_kernels`` before it builds a kernel;
+    this engine says no, as an engine holding a fault plan does, so the
+    tests that hold a kernel to its twin end to end run the twin.  Pass
+    it as the engine of a phase or as ``PASolver(net, engine=...)``; a
+    rebind keeps its type.
+    """
+
+    runs_kernels = False
+
+
+class TwinAsyncEngine(TwinEngine, AsyncEngine):
+    """:class:`TwinEngine` under the alpha-synchronizer: an
+    ``AsyncEngine`` on the scalar twins with or without a fault plan."""
+
+
+#: The engine class of each twin label the parity tests parametrize over.
+ENGINE_OF = {"scalar": TwinEngine, "array": Engine}
 
 
 # ----------------------------------------------------------------------

@@ -33,6 +33,9 @@ from repro.graphs import random_connected, random_connected_partition
 from repro.graphs.partitions import partition_from_component_labels
 from repro.runtime.session import _kind, _partition_image, partition_fingerprint
 
+from oracles import ENGINE_OF
+
+
 OPS = ("merge", "split", "regroup", "re_present")
 
 
@@ -99,11 +102,11 @@ def _steps(net, rng, k, ops):
     return steps
 
 
-def _replay(net, steps, reuse, engine_impl):
+def _replay(net, steps, reuse, impl):
     """Run ``steps`` on one session, holding the node views to the truth;
     returns every built setup's ledger, phase by phase."""
     session = PASession(
-        net, solver=PASolver(net, seed=1, engine_impl=engine_impl),
+        net, solver=PASolver(net, seed=1, engine=ENGINE_OF[impl](net)),
         reuse=reuse,
     )
     engine = session.engine

@@ -16,12 +16,15 @@ import re
 
 import pytest
 
-from repro import PASession
+from repro import PASession, PASolver
+from repro.congest import Engine
 from repro.core import MIN, SUM
 from repro.graphs import random_connected, random_connected_partition
 from repro.graphs.partitions import Partition
 from repro.graphs.weights import with_random_weights
 from repro.runtime.session import _partition_image
+
+from oracles import TwinEngine
 
 
 def _net_and_parts(n=44, seed=13):
@@ -267,6 +270,45 @@ def test_tree_edge_removal_forces_counted_rebuild():
         session.prepare(coarse), values, SUM, charge_setup=False
     )
     assert set(result.aggregates) == set(range(coarse.num_parts))
+
+
+def test_a_twin_engine_survives_an_edge_update():
+    """A rebind, and a rebuild, build an engine of the old one's type:
+    a session on the scalar twins stays on them, at the kernels' ledger."""
+    net, coarse, _fine = _net_and_parts()
+    values = [(v * 29) % 97 for v in range(net.n)]
+    runs = []
+    for engine in (TwinEngine(net), None):
+        session = PASession(
+            net, reuse=True, solver=PASolver(net, seed=3, engine=engine)
+        )
+        session.prepare(coarse)
+        report = session.apply_edge_updates(
+            add=[_missing_edge(net)], remove=[_non_tree_edge(session)]
+        )
+        assert report.repaired
+        assert type(session.solver.engine) is type(engine or Engine(net))
+        assert session.solver.engine.network is session.net
+        got = session.solve(session.prepare(coarse), values, SUM)
+        runs.append((got.aggregates, [
+            (p.name, p.rounds, p.messages, p.ticks, p.bits)
+            for p in got.ledger.phases()
+        ]))
+    assert runs[0] == runs[1]
+
+    session = PASession(
+        net, reuse=True, solver=PASolver(net, seed=3, engine=TwinEngine(net))
+    )
+    tree_edge = next(
+        (min(v, p), max(v, p))
+        for v, p in enumerate(session.tree.parent)
+        if p >= 0
+    )
+    report = session.apply_edge_updates(
+        add=[_missing_edge(net)], remove=[tree_edge]
+    )
+    assert not report.repaired
+    assert type(session.solver.engine) is TwinEngine
 
 
 def test_async_overhead_survives_an_edge_update():
