@@ -603,7 +603,8 @@ def run_array_phase(
     """Execute an ``ArrayProgram`` to quiescence; the array twin of
     ``Engine._run_loop`` with identical accounting.  ``tracer`` is the
     recording tracer or None; ``pulses`` is the asynchronous engine's
-    synchronizer (it sees every tick's record first) or None.
+    synchronizer (it sees every tick's record first, and the rows, wakes
+    and timers its fault plan drops never reach the kernel) or None.
     """
     actx = ArrayContext(
         engine.network,
@@ -647,7 +648,14 @@ def run_array_phase(
         wake_parts = actx._wake_parts
         actx._wake_parts = []
         if pulses is not None:
-            pulses.array_tick(ticks, src, dst, wake_parts, timers)
+            wakes = np.concatenate(wake_parts) if wake_parts else _EMPTY_I64
+            masked = pulses.tick(ticks, src, dst, wakes, timers)
+            if masked is not None:
+                keep, wakes, due = masked
+                src, dst = src[keep], dst[keep]
+                cols = {name: col[keep] for name, col in cols.items()}
+                wake_parts = [wakes, due]
+                timers.pop(ticks, None)
         due = timers.pop(ticks, None)
         if due is not None:
             wake_parts = wake_parts + due

@@ -4,8 +4,8 @@ synchronous pulse record.
 An alpha-synchronizer hands every node, at pulse ``t``, exactly the inbox
 of synchronous round ``t``, so a program under it runs the synchronous
 execution: :class:`AsyncEngine` is an :class:`~repro.congest.engine.Engine`
-(array kernels, or the scalar twins while it holds a fault plan), and
-:class:`_Alpha` replays the synchronizer's clock under a
+(array kernels, with or without a fault plan), and :class:`_Alpha`
+replays the synchronizer's clock under a
 :class:`~repro.congest.schedule.Schedule` over each tick's record (the
 directed edges that carried payload, the wakes and timers set, who
 activated).  docs/architecture.md, "Asynchronous execution", states the
@@ -13,20 +13,20 @@ recurrence and its one deviation.  The main ledger is the synchronous
 one; the synchronizer's cost goes to :attr:`AsyncEngine.overhead` and one
 :class:`AsyncPhaseOverhead` per phase.  Under a
 :class:`~repro.congest.faults.FaultPlan` (global pulses; an empty plan is
-no plan) the scalar loop drops what the plan kills, and each phase's
-:class:`~repro.congest.faults.FaultReport` lands on ``fault_log``.
+no plan) :meth:`_Alpha.tick` says what the plan drops, both run loops
+apply it, and each phase's :class:`~repro.congest.faults.FaultReport`
+lands on ``fault_log``.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import compress
 from typing import List, Optional
 
 import numpy as np
 
 from ..obs.tracer import current_tracer
-from .engine import ArrayProgram, Engine, Program
+from .engine import Engine, Program
 from .faults import FaultPlan, FaultReport
 from .ledger import CostLedger, PhaseStats
 from .network import Network
@@ -61,9 +61,8 @@ class AsyncPhaseOverhead:
 
 class AsyncEngine(Engine):
     """An :class:`Engine` whose every phase also pays an alpha-synchronizer
-    (to :attr:`overhead` and :attr:`overhead_log`).  A fault plan masks
-    the scalar loop only, so an engine holding one runs every phase on its
-    scalar twin (:attr:`runs_kernels`) and refuses an array-native program."""
+    (to :attr:`overhead` and :attr:`overhead_log`) and, under a fault
+    plan, loses what the plan drops (reported on :attr:`fault_log`)."""
 
     def __init__(self, network: Network, schedule: Optional[Schedule] = None,
                  strict_bits: bool = True, strict_edges: bool = True,
@@ -89,18 +88,10 @@ class AsyncEngine(Engine):
         """``Engine.flags`` and the schedule (not the run's fault clock)."""
         return {**super().flags, "schedule": self.schedule}
 
-    @property
-    def runs_kernels(self) -> bool:
-        """True exactly when the engine holds no fault plan."""
-        return self.faults is None
-
     def run(self, program: Program, max_ticks: int, capacity: int = 1,
             rounds_per_tick: int = 1, name: Optional[str] = None):
         """``Engine.run``, appending the phase's overhead (and faults)."""
         phase_name = name or program.name
-        if self.faults is not None and isinstance(program, ArrayProgram):
-            raise ValueError(f"a fault plan masks the scalar loop only: "
-                             f"{phase_name} is array-native")
         tracer = current_tracer()
         tracer = tracer if tracer.enabled else None
         start_us = tracer.now_us() if tracer is not None else 0
@@ -126,6 +117,14 @@ class AsyncEngine(Engine):
         return stats
 
 
+def _nodes(bucket) -> np.ndarray:
+    """A timer bucket's nodes: a set (the scalar wheel) or a list of
+    arrays (the array wheel)."""
+    if isinstance(bucket, list):
+        return np.concatenate(bucket)
+    return np.fromiter(bucket, dtype=np.int64, count=len(bucket))
+
+
 class _Alpha:
     """One phase's synchronizer clock, closed pulse by pulse: ``E`` holds
     each node's entry time into pulse ``pulse`` (``_NEVER``: not reached),
@@ -139,44 +138,53 @@ class _Alpha:
         self.lo, self.hi, self.active = [], [], None
         self.pulse = self.time = self.payloads = self.acks = self.safes = 0
 
-    def scalar_tick(self, tick, mailboxes, touched, wakeups, timers) -> None:
-        src = [s for v in touched for s, _ in mailboxes[v]]
-        dst = [v for v in touched for _ in mailboxes[v]]
-        faults, dropped, report = self.engine.faults, None, self.report
-        if faults is not None:
-            g = report.base_pulse + tick
-            dead = {e.node for e in faults.crashes
-                    if not faults.alive(e.node, g)}
-            dropped = [s in dead or d in dead or faults.edge_down(s, d, g)
-                       or faults.lost(s, d, g) for s, d in zip(src, dst)]
-            for s, d in compress(zip(src, dst), dropped):
-                self._fault("payload_dropped", src=s, dst=d, pulse=g)
-        self._advance(tick, np.array(src, np.int64), np.array(dst, np.int64),
-                      dropped, list(wakeups), timers, list)
-        due = timers.get(tick, set())
-        if faults is not None:  # a node that is dead or not there sits out
-            entered, drops = self.E < _NEVER, iter(dropped)
-            for v in touched:
-                kept = [m for m in mailboxes[v] if not next(drops)]
-                mailboxes[v][:] = kept if entered[v] else []
-            touched[:] = [v for v in touched if mailboxes[v]]
-            out = {v for v in wakeups | due if v in dead or not entered[v]}
-            for v in sorted(out & dead):
-                if entered[v]:
-                    report.suppressed_activations += 1
-                    report.dropped_wakeups += v in wakeups
-                    report.dropped_timers += v in due
-                    self._fault("activation_suppressed", node=v, pulse=g)
-            wakeups -= out
-            due -= out
-        self.active = np.zeros(self.n, dtype=bool)
-        self.active[touched + list(wakeups) + list(due)] = True
+    def tick(self, tick, src, dst, wakes, timers):
+        """Take pulse ``tick``'s record: the payload rows ``src -> dst``,
+        the wakes and the timer wheel, whose ``tick`` bucket is due.
 
-    def array_tick(self, tick, src, dst, wake_parts, timers) -> None:
-        wakes = np.concatenate(wake_parts) if wake_parts else _EMPTY
-        self._advance(tick, src, dst, None, wakes, timers, np.concatenate)
+        Returns ``None`` without a fault plan: every row arrives and every
+        wake and timer fires.  Under a plan it applies the drop rule and
+        returns ``(keep, wakes, due)``: the kept-row mask and the wakes and
+        due timers that survive.  A payload with a dead endpoint, over a
+        cut edge or lost is dropped (and counted); so is one to a node
+        that has not entered the pulse; a node that is dead or has not
+        entered sits out.
+        """
+        bucket = timers.get(tick)
+        due = _EMPTY if bucket is None else _nodes(bucket)
+        faults = self.engine.faults
+        if faults is None:
+            self._advance(tick, src, dst, None, wakes, timers)
+            self._activate(dst, wakes, due)
+            return None
+        report, g = self.report, self.report.base_pulse + tick
+        dead = np.zeros(self.n, dtype=bool)
+        dead[[e.node for e in faults.crashes
+              if not faults.alive(e.node, g)]] = True
+        dropped = dead[src] | dead[dst] | np.fromiter(
+            (faults.edge_down(s, d, g) or faults.lost(s, d, g)
+             for s, d in zip(src.tolist(), dst.tolist())),
+            dtype=bool, count=src.size)
+        for s, d in zip(src[dropped].tolist(), dst[dropped].tolist()):
+            self._fault("payload_dropped", src=s, dst=d, pulse=g)
+        self._advance(tick, src, dst, dropped, wakes, timers)
+        entered = self.E < _NEVER
+        woken, timed = set(wakes.tolist()), set(due.tolist())
+        for v in sorted(woken | timed):
+            if dead[v] and entered[v]:
+                report.suppressed_activations += 1
+                report.dropped_wakeups += v in woken
+                report.dropped_timers += v in timed
+                self._fault("activation_suppressed", node=v, pulse=g)
+        keep = ~dropped & entered[dst]
+        wakes = wakes[entered[wakes] & ~dead[wakes]]
+        due = due[entered[due] & ~dead[due]]
+        self._activate(dst[keep], wakes, due)
+        return keep, wakes, due
+
+    def _activate(self, *parts) -> None:
         self.active = np.zeros(self.n, dtype=bool)
-        for part in [dst, wakes] + timers.get(tick, []):
+        for part in parts:
             self.active[part] = True
 
     def _fault(self, name, **args) -> None:
@@ -189,7 +197,7 @@ class _Alpha:
         if at < self.trig.get(target, _NEVER):
             self.trig[target] = at
 
-    def _advance(self, tick, src, dst, dropped, wakes, timers, gather):
+    def _advance(self, tick, src, dst, dropped, wakes, timers):
         """Record the pulse's wakes and new timers (a bucket grows until its
         tick pops it), then close every pulse before ``tick``."""
         for q, bucket in timers.items():
@@ -199,7 +207,7 @@ class _Alpha:
                     raise RuntimeError(
                         f"async engine: a timer for pulse {q} was set at "
                         f"pulse {self.pulse}, which its target has passed")
-                self._trigger(q, gather(bucket))
+                self._trigger(q, _nodes(bucket))
         if len(wakes):
             self._trigger(self.pulse + 1, wakes)
         self._close(src, dst, dropped, True)
@@ -238,7 +246,7 @@ class _Alpha:
                     eng.schedule, int(dst[i]), int(src[i]), p, ACK)
             ready[src] = 0
             np.maximum.at(ready, src, back)
-            lost = sum(dropped) if dropped is not None else 0
+            lost = int(dropped.sum()) if dropped is not None else 0
             self.report.dropped_payloads += lost
             self.report.delivery_timeouts += lost
             self.payloads += src.size

@@ -39,6 +39,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from .errors import (
     BandwidthExceededError,
     ChannelCapacityError,
@@ -266,10 +268,10 @@ class Engine:
         mismatched pair is rejected rather than silently half-honoured.
 
     A phase's program is its array kernel unless the kernel declines the
-    payload or :attr:`runs_kernels` is false (one choice, in
-    ``treeops._kernel``); either way an :class:`ArrayProgram` takes the
-    array loop and a scalar program the scalar loop, with the same ledger
-    (the parity contract the differential suite pins).
+    payload (one choice, in ``treeops._kernel``); either way an
+    :class:`ArrayProgram` takes the array loop and a scalar program the
+    scalar loop, with the same ledger (the parity contract the
+    differential suite pins).
     """
 
     def __init__(
@@ -310,9 +312,9 @@ class Engine:
     def runs_kernels(self) -> bool:
         """Whether a phase on this engine may run its array kernel.
 
-        Always on the synchronous engine; an engine that can mask only
-        the scalar loop (:class:`~repro.congest.AsyncEngine` holding a
-        fault plan) says no, and its phases run their scalar twins.
+        True on every engine under ``src`` (no class there overrides it):
+        it is the seam through which the test oracle ``TwinEngine`` runs
+        every phase on its scalar twin.
         """
         return True
 
@@ -376,7 +378,8 @@ class Engine:
         """Run ``program`` on the loop its type selects.
 
         ``pulses`` (the asynchronous engine's synchronizer, else None)
-        sees every tick's record before the tick's nodes run.
+        sees every tick's record before the tick's nodes run, and either
+        loop drops what its fault plan says does not arrive.
         """
         if isinstance(program, ArrayProgram):
             # Array-native phases own their (numpy) state; the scalar
@@ -480,7 +483,7 @@ class Engine:
             ctx._sent = 0
             ctx._wakeups = spare_wakeups
             if pulses is not None:
-                pulses.scalar_tick(ticks, mailboxes, touched, wakeups, timers)
+                _pulse(pulses, ticks, mailboxes, touched, wakeups, timers)
             if timers:
                 due = timers.pop(ticks, None)
                 if due:
@@ -559,6 +562,27 @@ class Engine:
 
 def _sender_of(item: Tuple[int, object]) -> int:
     return item[0]
+
+
+def _pulse(pulses, tick, mailboxes, touched, wakeups, timers) -> None:
+    """Hand the synchronizer tick ``tick``'s record as columns, and apply
+    what its fault plan drops to the mailboxes, wakes and due timers."""
+    src = [s for v in touched for s, _ in mailboxes[v]]
+    dst = [v for v in touched for _ in mailboxes[v]]
+    masked = pulses.tick(
+        tick, np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+        np.fromiter(wakeups, dtype=np.int64, count=len(wakeups)), timers,
+    )
+    if masked is None:
+        return
+    keep, wakes, due = masked
+    kept = iter(keep.tolist())
+    for v in touched:
+        mailboxes[v][:] = [m for m in mailboxes[v] if next(kept)]
+    touched[:] = [v for v in touched if mailboxes[v]]
+    wakeups.intersection_update(wakes.tolist())
+    wakeups.update(due.tolist())
+    timers.pop(tick, None)
 
 
 class FunctionProgram(Program):

@@ -15,9 +15,10 @@ it makes every faulty run replayable from a ``(graph_seed,
 schedule_seed, fault_seed)`` triple alone (the fuzz harness's fault
 axis depends on it).
 
-The engine applies a plan as per-tick masks on its scalar loop (so an
-engine holding a plan runs the scalar twins: its ``runs_kernels`` is
-false), and times what the masks leave with the synchronizer's
+The engine applies a plan as one per-tick drop rule over the tick's
+``(src, dst)`` rows, wakes and due timers, which both of its run loops
+apply (so a faulty run executes the same array kernels as a fault-free
+one), and times what the rule leaves with the synchronizer's
 recurrence.  What faults mean in the simulator (see
 docs/architecture.md, "Fault model"):
 

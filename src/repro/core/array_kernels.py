@@ -446,11 +446,13 @@ class ConvergecastArrayKernel(ArrayProgram):
     across them.  ``None`` entries contribute nothing, exactly as in the
     scalar program.
 
-    The convergecast schedule is data-independent and lives in the
-    forest's :class:`~repro.core.trees.ForestPlan`: node ``v`` fires at
-    tick ``s(v)`` = height of its subtree (leaves at tick 0, i.e. inside
-    ``array_start``), carrying the already-folded subtree aggregate.  The
-    resulting wire traffic is message-for-message the scalar program's.
+    The send schedule lives in the forest's
+    :class:`~repro.core.trees.ForestPlan`: node ``v`` is due at tick
+    ``s(v)`` = height of its subtree (leaves at tick 0, i.e. inside
+    ``array_start``), and the last of its children's aggregates arrives
+    exactly then.  So a due node fires when no child is still awaited,
+    carrying its value folded with what arrived; a child whose packet
+    was lost holds its parent back, as in the scalar program.
     """
 
     name = "tree_convergecast"
@@ -461,64 +463,85 @@ class ConvergecastArrayKernel(ArrayProgram):
         self.forest = forest
         plan = self._plan = forest.plan
         op, values = fold_op(agg, values)
-        ufunc, identity = FOLDS[op]
-        has = None if values.present is None else values.present.copy()
+        self._ufunc, identity = FOLDS[op]
+        self._layout = values
+        has = self._has = (
+            None if values.present is None else values.present.copy()
+        )
         cols = values.cols
-        key = None
+        self._key = None
         if op != "sum" and len(cols) > 1:
             rows = plan.order if has is None else plan.order[has[plan.order]]
             if rows.size:
-                key = _LexKey(cols, rows)
-                cols = [key.pack(cols)]
-        acc = [np.array(col, dtype=np.int64, copy=True) for col in cols]
+                self._key = _LexKey(cols, rows)
+                cols = [self._key.pack(cols)]
+        self._acc = [np.array(col, dtype=np.int64, copy=True) for col in cols]
         if has is not None:
-            for col in acc:
+            for col in self._acc:
                 col[~has] = identity
-        # Fold values up the tree level by level, deepest first.
-        for nodes, parents in reversed(plan.levels):
-            for col in acc:
-                ufunc.at(col, parents, col[nodes])
-            if has is not None:
-                has[parents[has[nodes]]] = True
-        if has is not None:
-            for col in acc:
-                col[~has] = 0
-        self._wire = acc
-        #: Every node's folded subtree aggregate, in the values' layout.
-        self.folded = PayloadColumns(
-            acc if key is None else key.unpack(acc[0]),
-            values.is_bool, values.tag, values.bare, has,
+        #: Per member, the children whose aggregate has not arrived.
+        self._awaited = np.bincount(
+            plan.sender_parents, minlength=plan.parent.size
         )
-        self.at_root: Dict[int, object] = dict(zip(
-            plan.root_fire.tolist(), self.folded.take(plan.root_fire).tolist()
-        ))
+        self._at_root: Optional[Dict[int, object]] = None
+
+    def _folded(self, rows) -> PayloadColumns:
+        """The aggregates at ``rows`` so far, in the values' layout."""
+        acc = [col[rows] for col in self._acc]
+        layout = self._layout
+        return PayloadColumns(
+            acc if self._key is None else self._key.unpack(acc[0]),
+            layout.is_bool, layout.tag, layout.bare,
+            None if self._has is None else self._has[rows],
+        )
 
     def _emit_group(self, actx: ArrayContext, tick: int) -> None:
         plan = self._plan
         starts = plan.send_groups
         if tick + 1 >= starts.size:
             return
-        lo, hi = starts[tick], starts[tick + 1]
-        if lo == hi:
+        src = plan.senders[starts[tick]:starts[tick + 1]]
+        ready = self._awaited[src] == 0
+        if not ready.all():
+            src = src[ready]
+        if not src.size:
             return
-        src = plan.senders[lo:hi]
-        cols = {f"v{i}": col[src] for i, col in enumerate(self._wire)}
-        if self.folded.present is not None:
-            cols["has"] = self.folded.present[src]
-        bits = self.folded.take(src).bits() if actx.strict else None
-        actx.emit(src, plan.sender_parents[lo:hi], cols=cols, bits=bits)
+        cols = {f"v{i}": col[src] for i, col in enumerate(self._acc)}
+        if self._has is not None:
+            cols["has"] = self._has[src]
+        bits = self._folded(src).bits() if actx.strict else None
+        actx.emit(src, plan.parent[src], cols=cols, bits=bits)
 
     def array_start(self, actx: ArrayContext) -> None:
         self._emit_group(actx, 0)
 
     def array_tick(self, actx: ArrayContext, d: Delivered) -> None:
+        if len(d):
+            for i, col in enumerate(self._acc):
+                self._ufunc.at(col, d.dst, d.cols[f"v{i}"])
+            if self._has is not None:
+                self._has[d.dst[d.cols["has"] != 0]] = True
+            np.subtract.at(self._awaited, d.dst, 1)
+            self._at_root = None
         self._emit_group(actx, actx.tick)
+
+    @property
+    def at_root(self) -> Dict[int, object]:
+        """Per root whose every child reported, its tree's aggregate, in
+        the scalar ``at_root``'s completion order."""
+        if self._at_root is None:
+            fire = self._plan.root_fire
+            fire = fire[self._awaited[fire] == 0]
+            self._at_root = dict(zip(
+                fire.tolist(), self._folded(fire).tolist()
+            ))
+        return self._at_root
 
     @property
     def partial(self) -> Dict[int, object]:
         """Scalar-compatible per-member subtree aggregates."""
         return dict(zip(
-            self.forest.order, self.folded.take(self._plan.order).tolist()
+            self.forest.order, self._folded(self._plan.order).tolist()
         ))
 
 
@@ -526,9 +549,10 @@ class BroadcastArrayKernel(ArrayProgram):
     """Array twin of :class:`~repro.core.treeops.BroadcastProgram`.
 
     Same arguments; declines unless ``root_values``' payloads fit one
-    column layout.  The schedule is data-independent: a node at depth
-    ``d`` of a tree whose root holds a value hears it at tick ``d``, from
-    its parent.
+    column layout.  The schedule lives in the forest's plan: a node at
+    depth ``d`` of a tree whose root holds a value hears it at tick
+    ``d``, from its parent, and passes it on in that tick — only if it
+    did hear it.
     """
 
     name = "tree_broadcast"
@@ -559,6 +583,9 @@ class BroadcastArrayKernel(ArrayProgram):
         self._src = plan.parent[reached]
         self._starts = starts
         self._values = values.take(self._row[reached])
+        #: Who holds its tree's value: the roots, and whom it reached.
+        self._heard = np.zeros(plan.parent.size, dtype=bool)
+        self._heard[roots] = True
 
     def _emit_level(self, actx: ArrayContext, level: int) -> None:
         starts = self._starts
@@ -568,6 +595,9 @@ class BroadcastArrayKernel(ArrayProgram):
         if lo == hi:
             return
         rows = slice(lo, hi)
+        heard = self._heard[self._src[rows]]
+        if not heard.all():
+            rows = lo + np.flatnonzero(heard)
         values = self._values
         cols = {f"v{i}": col[rows] for i, col in enumerate(values.cols)}
         bits = values.take(rows).bits() if actx.strict else None
@@ -577,12 +607,14 @@ class BroadcastArrayKernel(ArrayProgram):
         self._emit_level(actx, 1)
 
     def array_tick(self, actx: ArrayContext, d: Delivered) -> None:
+        self._heard[d.dst] = True
         self._emit_level(actx, actx.tick + 1)
 
     def received_at(self, nodes: Sequence[int]) -> PayloadColumns:
         """What each of ``nodes`` received (``None`` if nothing reached it)."""
-        rows = self._row[np.asarray(nodes, dtype=np.int64)]
-        reached = rows >= 0
+        nodes = np.asarray(nodes, dtype=np.int64)
+        rows = self._row[nodes]
+        reached = (rows >= 0) & self._heard[nodes]
         heard = self._columns.take(rows[reached])
         return heard if reached.all() else heard.scatter(rows.size, reached)
 
@@ -590,11 +622,10 @@ class BroadcastArrayKernel(ArrayProgram):
     def received(self) -> Dict[int, object]:
         """Scalar-compatible ``received``: roots first, then tick by tick."""
         payloads = list(self._root_values.values())
-        rows = self._row[self._reached].tolist()
+        reached = self._reached[self._heard[self._reached]]
+        rows = self._row[reached].tolist()
         received = dict(self._root_values)
-        received.update(
-            zip(self._reached.tolist(), [payloads[row] for row in rows])
-        )
+        received.update(zip(reached.tolist(), [payloads[row] for row in rows]))
         return received
 
 
@@ -613,9 +644,9 @@ class CrossRoundArrayKernel(ArrayProgram):
     """Array twin of :class:`~repro.core.treeops.CrossRoundProgram`.
 
     One round: row ``i`` of ``sends`` goes over the directed edge
-    ``(src[i], dst[i])``.  ``delivered`` is the same rows as the engine
-    hands them over: stably sorted by ``(dst, src)``, the scalar inbox
-    order.
+    ``(src[i], dst[i])``.  ``received`` and ``merged`` read the rows as
+    the engine hands them over: stably sorted by ``(dst, src)``, the
+    scalar inbox order.
     """
 
     name = "cross_round"
@@ -626,9 +657,7 @@ class CrossRoundArrayKernel(ArrayProgram):
             raise KernelDecline("none_value")
         self._sends = (src, dst, payloads)
         empty = np.empty(0, dtype=np.int64)
-        self.delivered: Tuple[np.ndarray, np.ndarray, PayloadColumns] = (
-            empty, empty, payloads.take(empty)
-        )
+        self._arrived = (empty, empty, payloads.take(empty))
 
     def array_start(self, actx: ArrayContext) -> None:
         src, dst, payloads = self._sends
@@ -638,15 +667,26 @@ class CrossRoundArrayKernel(ArrayProgram):
 
     def array_tick(self, actx: ArrayContext, d: Delivered) -> None:
         layout = self._sends[2]
-        self.delivered = (d.src, d.dst, PayloadColumns(
+        self._arrived = (d.src, d.dst, PayloadColumns(
             [d.cols[f"v{i}"] for i in range(len(layout.cols))],
             layout.is_bool, layout.tag, layout.bare, None, len(d),
         ))
 
     @property
+    def delivered(self) -> Tuple[np.ndarray, np.ndarray, PayloadColumns]:
+        """The sends stably sorted by ``(dst, src)``, as the twin reports
+        them: the rows that arrived, or — where a fault plan dropped some
+        — every send."""
+        if self._arrived[0].size == self._sends[0].size:
+            return self._arrived
+        src, dst, payloads = self._sends
+        order = np.lexsort((src, dst))
+        return src[order], dst[order], payloads.take(order)
+
+    @property
     def received(self) -> Dict[int, List[Tuple[int, object]]]:
         """Scalar-compatible ``received``: inbox per node, sender-sorted."""
-        src, dst, payloads = self.delivered
+        src, dst, payloads = self._arrived
         out: Dict[int, List[Tuple[int, object]]] = {}
         for sender, node, payload in zip(
             src.tolist(), dst.tolist(), payloads.tolist()
@@ -656,7 +696,7 @@ class CrossRoundArrayKernel(ArrayProgram):
 
     def merged(self, agg, n: int) -> Sequence[object]:
         """See :meth:`~repro.core.treeops.CrossRoundProgram.merged`."""
-        _src, dst, payloads = self.delivered
+        _src, dst, payloads = self._arrived
         ufunc = None
         if len(payloads.cols) == 1:
             values = PayloadColumns(payloads.cols, payloads.is_bool, bare=True)

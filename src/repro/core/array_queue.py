@@ -143,12 +143,12 @@ class EdgePool:
     Packets are pushed in the scalar program's enqueue order, at least
     source by source (the pool's running ``seq`` counter mirrors
     ``QueuedProgram._seq``, whose values are only ever compared between
-    packets of one source); ``select``
-    then performs one tick's flush for *every* backlogged source at once —
-    sound because a scalar node with backlog is always re-woken, hence
-    always flushes every tick.  Priorities are two int64 columns
-    ``(p0, p1)`` compared lexicographically; 1-tuple scalar priorities map
-    to ``p1 = 0``.
+    packets of one source); ``select`` then performs one tick's flush
+    for every backlogged source the tick activated at once — a scalar
+    node with backlog re-wakes itself, so that is every one of them
+    unless a fault plan dropped the wake.  Priorities are two int64
+    columns ``(p0, p1)`` compared lexicographically; 1-tuple scalar
+    priorities map to ``p1 = 0``.
     """
 
     def __init__(
@@ -162,6 +162,9 @@ class EdgePool:
         self._edge_keys = _EMPTY
         self._edge_birth = _EMPTY
         self._seq_next = 0
+        #: Sources with packets that were pushed before they activated
+        #: (the start's, and a backlog's): each flushes only once it has.
+        self._waiting = _EMPTY
 
     def __len__(self) -> int:
         total = 0 if self._pending is None else self._pending["src"].size
@@ -193,10 +196,22 @@ class EdgePool:
         parts.extend(part["src"] for part in self._staged)
         if not parts:
             return _EMPTY
-        return sorted_unique(np.concatenate(parts))
+        self._waiting = sorted_unique(np.concatenate(parts))
+        return self._waiting
 
-    def select(self) -> Tuple[Optional[Dict[str, np.ndarray]], np.ndarray]:
-        """One tick's flush: (emitted columns in wire order, re-wake set)."""
+    def select(
+        self, active: np.ndarray
+    ) -> Tuple[Optional[Dict[str, np.ndarray]], np.ndarray]:
+        """One tick's flush: (emitted columns in wire order, re-wake set).
+
+        ``active`` is the tick's sorted activation set.  A source whose
+        wake did not activate it (a fault plan dropped it) keeps its
+        packets and is not re-woken: like a scalar node, it flushes when
+        it next activates.
+        """
+        asleep, self._waiting = self._waiting, _EMPTY
+        if asleep.size:
+            asleep = asleep[~in_sorted(active, asleep)]
         backlog = self._pending
         parts = self._staged
         if backlog is not None:
@@ -216,7 +231,7 @@ class EdgePool:
         seq = rows["seq"]
         key = src * np.int64(self.n) + dst
 
-        if backlog is None:
+        if backlog is None and not asleep.size:
             # The no-backlog path: with one packet per edge, every packet
             # heads its own queue, birth == seq, and the wire order is
             # (src, seq) — the rows, which are seq-ascending, stably
@@ -247,6 +262,8 @@ class EdgePool:
         rank = group_ranks(key[order])
         send = np.zeros(key.size, dtype=bool)
         send[order[rank < self.capacity]] = True
+        if asleep.size:
+            send &= ~in_sorted(asleep, src)
 
         sel = {name: col[send] for name, col in rows.items()}
         emit_order = np.lexsort(
@@ -258,10 +275,11 @@ class EdgePool:
         if keep.any():
             self._pending = {name: col[keep] for name, col in rows.items()}
             remaining_keys = sorted_unique(key[keep])
-            wake = sorted_unique(self._pending["src"])
+            self._waiting = wake = sorted_unique(self._pending["src"])
+            if asleep.size:
+                wake = wake[~in_sorted(asleep, wake)]
         else:
-            remaining_keys = _EMPTY
-            wake = _EMPTY
+            remaining_keys = wake = _EMPTY
         self._edge_birth = self._edge_birth[
             np.searchsorted(self._edge_keys, remaining_keys)
         ] if remaining_keys.size else _EMPTY
@@ -384,7 +402,7 @@ class ClaimArrayKernel(ArrayProgram):
     def array_tick(self, actx, d) -> None:
         if len(d):
             self._try_claim(d.dst, d.cols["pid"])
-        emitted, wake = self._pool.select()
+        emitted, wake = self._pool.select(d.active)
         if emitted is not None:
             bits = None
             if actx.strict:
@@ -509,7 +527,7 @@ class AnnotateArrayKernel(ArrayProgram):
                 d.cols["uid"],
                 d.cols["cnt"],
             )
-        emitted, wake = self._pool.select()
+        emitted, wake = self._pool.select(d.active)
         if emitted is not None:
             bits = None
             if actx.strict:

@@ -340,7 +340,7 @@ class WaveArrayKernel(ArrayProgram):
                 tag=tcol[order], pid=pcol[order],
             )
 
-        emitted, wake = self._pool.select()
+        emitted, wake = self._pool.select(d.active)
         if emitted is not None:
             bits = self.pbits[emitted["pid"]] if actx.strict else None
             actx.emit(
@@ -430,13 +430,14 @@ class WaveArrayKernel(ArrayProgram):
         )
 
 
-def _flush(actx, pool: EdgePool, names: Tuple[str, ...], bits_of) -> None:
-    """One tick of a value-free packet pool: emit its ``names`` columns.
+def _flush(actx, d, pool: EdgePool, names: Tuple[str, ...], bits_of) -> None:
+    """One tick of a value-free packet pool: emit its ``names`` columns
+    from the sources active in ``d``.
 
     ``bits_of(emitted)`` prices the emitted rows; it runs on an audited
     engine only.
     """
-    emitted, wake = pool.select()
+    emitted, wake = pool.select(d.active)
     if emitted is not None:
         actx.emit(
             emitted["src"],
@@ -621,7 +622,7 @@ class ReverseArrayKernel(ArrayProgram):
             if done.size:
                 done = done[first_occurrence_mask(into[done][::-1])[::-1]]
                 self._fire(into[done], actx.strict)
-        _flush(actx, self._pool, ("pid", "kid"), self._answer_bits)
+        _flush(actx, d, self._pool, ("pid", "kid"), self._answer_bits)
 
 
 class AllReduceArrayKernel(ArrayProgram):
@@ -788,7 +789,7 @@ class AllReduceArrayKernel(ArrayProgram):
             if rows.size:
                 self._finish(into[rows], rows, em)
             self._push(em)
-        _flush(actx, self._pool, ("into", "kid"), self._packet_bits)
+        _flush(actx, d, self._pool, ("into", "kid"), self._packet_bits)
 
     def reached(self) -> int:
         """How many part members ended holding their part's total."""
@@ -870,7 +871,7 @@ class ReplayArrayKernel(ArrayProgram):
     def array_tick(self, actx, d) -> None:
         if len(d):
             self._forward(d.dst, d.cols["pid"])
-        _flush(actx, self._pool, ("pid",), self._packet_bits)
+        _flush(actx, d, self._pool, ("pid",), self._packet_bits)
 
 
 def wave_kernels(fold: Optional[str]):

@@ -225,9 +225,9 @@ class PASolver:
         fresh solvers of successive recovery attempts.
 
     Which loop computes a phase is not a setting: every phase runs its
-    array kernel unless the kernel declines the payload or the engine
-    holds a fault plan (``Engine.runs_kernels``), and then its scalar
-    twin, with the same ledger either way.
+    array kernel unless the kernel declines the payload, and then its
+    scalar twin, with the same ledger either way — under a fault plan
+    too.
     """
 
     def __init__(

@@ -10,11 +10,12 @@ together (:func:`cross_round`) lives here too.
 Every phase of the pipeline — these and the queued programs of the
 shortcut and wave layers — runs through :func:`run_phase`, which takes the
 array kernel or its scalar twin from :func:`_kernel`: the one place that
-chooses, from two observables alone — the kernel's own
-:class:`~repro.congest.arrays.KernelDecline` of the payload, and the
-engine's ``runs_kernels`` (false only on an engine holding a fault plan,
-whose masks act on the scalar loop).  Twins share constructor arguments
-and result accessors, so outputs and ledger are the same either way.
+chooses, from the kernel's own
+:class:`~repro.congest.arrays.KernelDecline` of the payload (and the
+engine's ``runs_kernels``, false only on the tests' twin oracle).  A
+fault plan masks both loops alike, so it chooses nothing.  Twins share
+constructor arguments and result accessors, so outputs and ledger are
+the same either way.
 
 Costs (metered, but also the design targets):
 
@@ -362,10 +363,10 @@ def _kernel(engine: Engine, phase: str, build: Callable[[], object]):
     """What ``build`` makes for ``phase``, or ``None``.
 
     ``None`` means the caller's other implementation runs (the scalar
-    twin; for a wave reversal's value store, the list fold): because the
-    engine does not run kernels (it holds a fault plan), or because
+    twin; for a wave reversal's value store, the list fold): because
     ``build`` declined the payload — which is noted on the trace, with
-    the reason, as ``kernel_fallback``.  No other function reads
+    the reason, as ``kernel_fallback`` — or because the engine does not
+    run kernels (the tests' twin oracle).  No other function reads
     ``engine.runs_kernels`` to choose an implementation.
     """
     if not engine.runs_kernels:

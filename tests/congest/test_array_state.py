@@ -265,7 +265,7 @@ def test_edge_pool_matches_scalar_flush_reference(seed, capacity):
         assert pool.pending_sources().tolist() == sorted(
             {p[0] for p in ref.packets}
         )
-        emitted, wake = pool.select()
+        emitted, wake = pool.select(np.arange(n))
         sent, ref_wake = ref.select()
         if emitted is None:
             assert not sent
@@ -380,7 +380,7 @@ def test_edge_pool_matches_queued_program_heaps(
                     col[order] for col in (src, dst, p0, p1, tok)
                 )
             pool.push(src, dst, p0, p1, tok=tok)
-        emitted, wake = pool.select()
+        emitted, wake = pool.select(np.arange(n))
         sent, model_wake = model.flush()
         got = [] if emitted is None else list(zip(*(
             emitted[name].tolist() for name in ("src", "dst", "p0", "p1", "tok")
@@ -458,13 +458,33 @@ def test_queued_program_matches_the_heap_model(duplicates, seed, capacity):
 
 def test_edge_pool_len_and_empty_select():
     pool = EdgePool(4, ("tok",))
+    everyone = np.arange(4)
     assert len(pool) == 0
-    emitted, wake = pool.select()
+    emitted, wake = pool.select(everyone)
     assert emitted is None and wake.size == 0
     pool.push(0, 1, 0, 0, tok=np.array([1, 2], dtype=np.int64))
     assert len(pool) == 2
-    emitted, wake = pool.select()  # capacity 1: one sent, one kept
+    emitted, wake = pool.select(everyone)  # capacity 1: one sent, one kept
     assert emitted["tok"].tolist() == [1]
     assert len(pool) == 1 and wake.tolist() == [0]
-    emitted, wake = pool.select()
+    emitted, wake = pool.select(everyone)
+    assert emitted["tok"].tolist() == [2] and wake.size == 0
+
+
+def test_a_source_that_did_not_activate_keeps_its_packets():
+    """A woken source that the tick did not activate (a fault plan dropped
+    its wake) neither flushes nor is woken again; it flushes, in birth
+    order, the next tick it activates — a scalar node's rule."""
+    pool = EdgePool(4, ("tok",))
+    pool.push(0, 1, 0, 0, tok=np.array([1, 2], dtype=np.int64))
+    pool.push(2, 3, 0, 0, tok=3)
+    assert pool.pending_sources().tolist() == [0, 2]
+    emitted, wake = pool.select(np.array([2]))
+    assert emitted["tok"].tolist() == [3] and wake.size == 0
+    pool.push(0, 2, 0, 0, tok=4)
+    emitted, wake = pool.select(np.array([1]))
+    assert emitted["tok"].tolist() == [] and wake.size == 0 and len(pool) == 3
+    emitted, wake = pool.select(np.array([0]))
+    assert emitted["tok"].tolist() == [1, 4] and wake.tolist() == [0]
+    emitted, wake = pool.select(np.array([0]))
     assert emitted["tok"].tolist() == [2] and wake.size == 0

@@ -25,7 +25,7 @@ from repro.congest import (
     PartitionEvent,
     make_schedule,
 )
-from repro.congest.engine import FunctionProgram
+from repro.congest.engine import ArrayProgram, FunctionProgram
 from repro.core import ROOT, SUM, PASolver, RootedForest, solve_pa
 from repro.core.array_kernels import BroadcastArrayKernel
 from repro.core.treeops import BroadcastProgram, run_broadcast
@@ -167,30 +167,74 @@ def _path_broadcast():
     return net, RootedForest(net, [ROOT, 0, 1, 2]), {0: 7}
 
 
-def test_a_fault_plan_needs_the_scalar_loop():
-    """A fault plan masks the scalar loop only: an engine holding one runs
-    a phase on its scalar twin, and one without runs the kernel."""
+def test_a_faulty_engine_runs_the_kernels():
+    """A fault plan masks the array loop as it does the scalar one: an
+    engine holding one runs the broadcast kernel, and what the crash
+    drops never arrives — node 1 is down from pulse 2, so its packet to
+    node 2 is dropped (and counted), and nodes 2 and 3 hear nothing."""
     plan = FaultPlan(crashes=(CrashEvent(node=1, at=2),))
     net, forest, values = _path_broadcast()
     faulty = AsyncEngine(net, faults=plan)
-    assert not faulty.runs_kernels
+    assert faulty.runs_kernels
     assert AsyncEngine(net).runs_kernels
-    assert isinstance(
-        run_broadcast(faulty, forest, values, CostLedger()), BroadcastProgram
-    )
+    program = run_broadcast(faulty, forest, values, CostLedger())
+    assert isinstance(program, BroadcastArrayKernel)
+    assert program.received == {0: 7, 1: 7}
+    assert program.received_at([0, 1, 2, 3]).tolist() == [7, 7, None, None]
+    (report,) = faulty.fault_log
+    assert report.dropped_payloads == report.delivery_timeouts == 1
     assert isinstance(
         run_broadcast(AsyncEngine(net), forest, values, CostLedger()),
         BroadcastArrayKernel,
     )
 
 
-def test_a_fault_plan_refuses_an_array_program():
+def test_an_array_program_under_a_fault_plan_is_its_twin():
+    """An array program handed straight to a faulty engine: the ledger,
+    ``received`` and fault report of its scalar twin on a
+    ``TwinAsyncEngine`` under the same plan."""
     plan = FaultPlan(crashes=(CrashEvent(node=1, at=2),))
     net, forest, values = _path_broadcast()
-    with pytest.raises(ValueError, match="scalar loop"):
-        AsyncEngine(net, faults=plan).run(
-            BroadcastArrayKernel(forest, values), max_ticks=8
-        )
+    runs = []
+    for engine, program in (
+        (AsyncEngine(net, faults=plan), BroadcastArrayKernel(forest, values)),
+        (TwinAsyncEngine(net, faults=plan), BroadcastProgram(forest, values)),
+    ):
+        stats = engine.run(program, max_ticks=8)
+        runs.append((stats, program.received, engine.fault_log))
+    assert runs[0] == runs[1]
+    assert runs[0][2][0].dropped_payloads == 1
+
+
+def test_the_kernels_under_every_fault_kind_match_the_event_engine(
+    monkeypatch,
+):
+    """Every fault kind, both PA modes and MST, eight seeds each, on the
+    kernels: no divergence from the event engine, and array programs did
+    run under the plans."""
+    ran = []
+    run = AsyncEngine.run
+
+    def spy(self, program, *args, **kwargs):
+        if self.faults is not None and isinstance(program, ArrayProgram):
+            ran.append(program)
+        return run(self, program, *args, **kwargs)
+
+    monkeypatch.setattr(AsyncEngine, "run", spy)
+    for fault in FAULTS[1:]:
+        for workload in WORKLOADS:
+            for seed in range(8):
+                n = 10 + 7 * seed % 20
+                net = with_distinct_weights(
+                    random_connected(n, 0.15, seed=seed), seed=seed
+                )
+                message = first_divergence(
+                    _workload(workload, net, seed), net,
+                    lambda: make_schedule("random", seed=seed),
+                    faults=_plan(fault, n, seed), engine_type=AsyncEngine,
+                )
+                assert message is None, (fault, workload, seed, message)
+    assert ran
 
 
 # ---------------------------------------------------------------------------

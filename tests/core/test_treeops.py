@@ -584,13 +584,24 @@ def test_one_dispatch_seam():
 
     ``Engine.runs_kernels`` is read only by ``treeops._kernel``: no other
     function under ``src/repro`` loads the attribute or spells its name
-    (the engines define it; nothing carries it).
+    (``Engine`` defines it and no class under ``src/repro`` overrides it;
+    nothing carries it).
     """
     root = Path(repro.__file__).parent
-    readers = []
+    readers, definers = [], []
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root).as_posix()
         tree = ast.parse(path.read_text())
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for stmt in cls.body:
+                    names = (
+                        [stmt.name] if isinstance(stmt, ast.FunctionDef)
+                        else [t.id for t in getattr(stmt, "targets", [])
+                              if isinstance(t, ast.Name)]
+                    )
+                    if "runs_kernels" in names:
+                        definers.append((rel, cls.name))
         for func in ast.walk(tree):
             if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
                 continue
@@ -603,3 +614,4 @@ def test_one_dispatch_seam():
                 if attribute or spelled:
                     readers.append((rel, getattr(func, "name", "<lambda>")))
     assert readers == [("core/treeops.py", "_kernel")]
+    assert definers == [("congest/engine.py", "Engine")]

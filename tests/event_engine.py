@@ -756,7 +756,7 @@ def first_divergence(workload, net, schedule, faults=None, engine_type=None):
 
     ``schedule`` builds a fresh schedule per engine; ``engine_type`` is
     the asynchronous engine's class (default ``AsyncEngine``, which runs
-    the kernels unless it holds a fault plan).  The two runs must
+    the kernels, with or without a fault plan).  The two runs must
     agree on the workload's outcome (its return value, or the exception
     it died of), on every overhead record and on every fault report.
     The two cases the transform does not reproduce are exempt

@@ -1,8 +1,7 @@
 """The kernels against their scalar twins, end to end, on the fuzz cases.
 
-Every phase runs its array kernel unless the kernel declines the payload
-or the engine holds a fault plan; then its scalar twin runs
-(``treeops._kernel``).  ``oracles.TwinEngine`` runs every phase on its
+Every phase runs its array kernel unless the kernel declines the payload;
+then its scalar twin runs (``treeops._kernel``).  ``oracles.TwinEngine`` runs every phase on its
 twin.  A case drawn by the fuzz harness (:func:`repro.fuzz.case_for_index`)
 runs its workload on both engines, which must agree in outputs and in
 every phase's (name, rounds, messages, ticks, bits).  The draw covers PA

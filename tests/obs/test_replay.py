@@ -140,7 +140,7 @@ def test_trace_replays_pa_ledger(workload, label, kwargs, mode, seed):
 def _check_fallbacks(tracer, label):
     """A declined kernel dispatch is an instant naming a phase that was
     then charged, with a known reason; the scalar engine never dispatches
-    (the async engine runs the kernels: it holds no fault plan)."""
+    (the async engine runs the kernels)."""
     fallbacks = [
         e["args"] for e in tracer.events if e["name"] == "kernel_fallback"
     ]

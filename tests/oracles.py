@@ -29,7 +29,7 @@ class TwinEngine(Engine):
     """The synchronous engine with every phase on its scalar twin.
 
     ``treeops._kernel`` asks ``runs_kernels`` before it builds a kernel;
-    this engine says no, as an engine holding a fault plan does, so the
+    this engine says no (no engine under ``src`` does), so the
     tests that hold a kernel to its twin end to end run the twin.  Pass
     it as the engine of a phase or as ``PASolver(net, engine=...)``; a
     rebind keeps its type.
