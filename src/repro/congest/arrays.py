@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import repeat
+from operator import is_not
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -46,29 +47,26 @@ from .errors import (
 )
 from .ledger import PhaseStats
 
-_INT64_MIN = np.iinfo(np.int64).min
+#: ``2**i`` for i < 64: a magnitude's ``bit_length`` is how many it reaches.
+_POW2 = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 def int_bits_array(values) -> np.ndarray:
     """Vectorized :func:`~repro.congest.message.int_bits`, exact on int64.
 
-    ``bit_length`` is recovered from the float64 exponent (``np.frexp``),
-    which is exact below 2**53; above that the top 32 bits are measured
-    separately (always < 2**31, hence exact) so boundary values like
-    ``2**60 - 1`` are not rounded up by the float conversion.
+    ``bit_length`` is the float64 exponent (``np.frexp``), exact below
+    2**53; an array reaching 2**53 is counted in integer arithmetic
+    instead, as the number of powers of two at or below each magnitude.
+    The magnitude is read as ``uint64``, where ``abs`` of the int64
+    minimum is exactly 2**63.
     """
     v = np.asarray(values, dtype=np.int64)
-    mag = np.abs(v)
-    out = np.frexp(mag.astype(np.float64))[1].astype(np.int64)
-    hi = mag >> np.int64(32)
-    big = hi > 0
-    if big.any():
-        out[big] = np.frexp(hi[big].astype(np.float64))[1].astype(np.int64) + 32
-    out[mag == 0] = 1
-    if (v == _INT64_MIN).any():
-        # abs() wraps at the int64 minimum; its magnitude is exactly 2**63.
-        out[v == _INT64_MIN] = 64
-    return out + (v < 0)
+    mag = np.abs(v).view(np.uint64)
+    if mag.size and mag.max() >> 53:
+        bits = np.searchsorted(_POW2, mag, side="right")
+    else:
+        bits = np.frexp(mag.astype(np.float64))[1]
+    return np.maximum(bits, 1, dtype=np.int64) + (v < 0)
 
 
 def tuple_bits(*component_bits) -> np.ndarray:
@@ -88,7 +86,8 @@ def tuple_bits(*component_bits) -> np.ndarray:
 
 class KernelDecline(Exception):
     """A payload list that no column layout holds: the scalar program runs
-    (or, for a wave reversal, the same kernel folds a list).
+    (or, for one factor of a wave's values, the same kernel folds it as a
+    list).
 
     ``reason`` is one of the codes the ``kernel_fallback`` trace instant
     carries: ``none_value`` (a ``None`` where the kernel needs a value),
@@ -104,19 +103,22 @@ class KernelDecline(Exception):
         self.reason = reason
 
 
-def note_kernel_fallback(phase: str, reason: str) -> None:
+def note_kernel_fallback(
+    phase: str, reason: str, factor: Optional[str] = None
+) -> None:
     """Record on the trace that a kernel declined ``phase``'s payload
-    (for its scalar twin, or a reversal's list fold).
+    (for its scalar twin, or a wave value store's list fold — of one
+    ``factor`` of a product, named by its aggregation).
 
-    Called once per declined dispatch, so tracing costs one ``enabled``
-    check per such phase and nothing on any ledger.
+    Called once per declined dispatch (per declined factor), so tracing
+    costs one ``enabled`` check per such phase and nothing on any ledger.
     """
     tracer = current_tracer()
     if tracer.enabled:
-        tracer.instant(
-            "kernel_fallback", "engine.fallback",
-            {"phase": phase, "reason": reason},
-        )
+        args = {"phase": phase, "reason": reason}
+        if factor is not None:
+            args["factor"] = factor
+        tracer.instant("kernel_fallback", "engine.fallback", args)
 
 
 #: Magnitudes a fold keeps below, so that sums, min/max sentinels and
@@ -165,17 +167,18 @@ class PayloadColumns(Sequence):
         if isinstance(payloads, cls):
             return payloads
         size = len(payloads)
-        some = [p for p in payloads if p is not None]
-        present = None
-        if len(some) != size:
+        kinds = set(map(type, payloads))
+        some, present = payloads, None
+        if type(None) in kinds:
+            kinds.discard(type(None))
+            some = [p for p in payloads if p is not None]
             present = np.fromiter(
-                (p is not None for p in payloads), dtype=bool, count=size
+                map(is_not, payloads, repeat(None)), dtype=bool, count=size
             )
-        if not some:
+        if not kinds:
             return cls(
                 [np.zeros(size, dtype=np.int64)], bare=True, present=present
             )
-        kinds = set(map(type, some))
         tag = None
         bare = kinds == {int} or kinds == {bool}
         if bare:
@@ -194,7 +197,8 @@ class PayloadColumns(Sequence):
             raise KernelDecline("non_int")
         cols, is_bool = [], []
         for column in columns:
-            kinds = set(map(type, column))
+            if not bare:
+                kinds = set(map(type, column))
             if kinds != {int} and kinds != {bool}:
                 if kinds == {int, bool}:
                     raise KernelDecline("mixed_shape")

@@ -10,8 +10,8 @@ Edge weights, when present, are positive integers in [1, poly(n)] as the
 paper requires for MST / min-cut / SSSP instances.
 
 Storage layout (the 100k-node regime): adjacency is kept in CSR form — one
-flat ``array('i')`` of neighbors plus an offsets array — built in O(m)
-without a global sorted-edge pass.  Everything derived from it
+flat ``array('i')`` of neighbors plus an offsets array — built by one
+numpy sort of the directed edge keys.  Everything derived from it
 (``edges``, ``neighbors``, ``neighbor_sets``, ``_edge_set``, the uid
 tables) is materialized lazily on first use and then cached, so a network
 that is only ever walked through the CSR arrays never pays for the Python
@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from array import array
 from functools import cached_property
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .message import message_bit_limit
@@ -46,9 +47,9 @@ class Network:
     Parameters
     ----------
     edges:
-        Iterable of (u, v) pairs over nodes ``0..n-1``.  Self-loops and
-        duplicate edges are rejected: the CONGEST model is defined on simple
-        graphs.
+        Iterable of (u, v) pairs over nodes ``0..n-1``, or an int array of
+        such rows (shape ``(m, 2)``).  Self-loops and duplicate edges are
+        rejected: the CONGEST model is defined on simple graphs.
     n:
         Number of nodes.  If omitted, inferred as ``max node + 1``.
     weights:
@@ -67,23 +68,27 @@ class Network:
         weights: Optional[Dict[Edge, int]] = None,
         uid_seed: int = 0x5EED,
     ) -> None:
-        ends = array("i")
-        extend = ends.extend
-        max_node = -1
-        min_node = 0
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at node {u} is not allowed")
-            if u > v:
-                u, v = v, u
-            extend((u, v))
-            if v > max_node:
-                max_node = v
-            if u < min_node:
-                min_node = u
-        if min_node < 0:
-            raise ValueError(f"negative node id {min_node} in edge list")
-        m = len(ends) >> 1
+        import numpy as np
+
+        if isinstance(edges, np.ndarray):
+            ends = edges.astype(np.int64).reshape(-1)
+        else:
+            ends = np.frombuffer(
+                array("q", chain.from_iterable(edges)), dtype=np.int64
+            )
+        if ends.size % 2:
+            raise ValueError("an edge is a pair of node ids")
+        lo = np.minimum(ends[0::2], ends[1::2])
+        hi = np.maximum(ends[0::2], ends[1::2])
+        loops = np.flatnonzero(lo == hi)
+        if loops.size:
+            raise ValueError(
+                f"self-loop at node {int(lo[loops[0]])} is not allowed"
+            )
+        m = int(lo.size)
+        if m and int(lo.min()) < 0:
+            raise ValueError(f"negative node id {int(lo.min())} in edge list")
+        max_node = int(hi.max()) if m else -1
         if n is None:
             n = max_node + 1
         if n <= 0:
@@ -95,44 +100,22 @@ class Network:
         self.m: int = m
         self._uid_seed: int = uid_seed
 
-        # CSR construction: degree count, prefix offsets, bucket fill, then
-        # an in-place sort of each node's slice.  Per-slice sorting keeps
-        # the classic "neighbors in ascending order" contract (activation
-        # and send order all over the codebase depend on it) while avoiding
-        # any global O(m log m) pass over the edge list.
-        degree_count = [0] * n
-        for w in ends:
-            degree_count[w] += 1
-        itemsize = array("i").itemsize
-        offsets = array("i", bytes(itemsize * (n + 1)))
-        total = 0
-        for v in range(n):
-            offsets[v] = total
-            total += degree_count[v]
-        offsets[n] = total
-        adj = array("i", bytes(itemsize * total))
-        cursor = offsets[:n]  # running fill positions, one per node
-        it = iter(ends)
-        for u in it:
-            v = next(it)
-            cu = cursor[u]
-            adj[cu] = v
-            cursor[u] = cu + 1
-            cv = cursor[v]
-            adj[cv] = u
-            cursor[v] = cv + 1
-        for v in range(n):
-            start, end = offsets[v], offsets[v + 1]
-            if end - start > 1:
-                seg = sorted(adj[start:end])
-                prev = -1
-                for w in seg:
-                    if w == prev:
-                        raise ValueError(
-                            f"duplicate edge {canonical_edge(v, w)}"
-                        )
-                    prev = w
-                adj[start:end] = array("i", seg)
+        # CSR construction: one sort of the directed keys ``src * n + dst``
+        # orders the slots by source and each node's neighbors ascending —
+        # the "neighbors in ascending order" contract activation and send
+        # order all over the codebase depend on — and puts a duplicate
+        # edge's two slots side by side.
+        keys = np.sort(np.concatenate((lo * n + hi, hi * n + lo)))
+        dup = np.flatnonzero(keys[1:] == keys[:-1])
+        if dup.size:
+            v, w = divmod(int(keys[dup[0]]), n)
+            raise ValueError(f"duplicate edge {canonical_edge(v, w)}")
+        bounds = np.zeros(n + 1, dtype=np.intc)
+        np.cumsum(np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n),
+                  out=bounds[1:])
+        offsets, adj = array("i"), array("i")
+        offsets.frombytes(bounds.tobytes())
+        adj.frombytes((keys % n).astype(np.intc).tobytes())
         self._offsets: array = offsets
         self._adj: array = adj
 

@@ -402,7 +402,7 @@ def fold_op(
     return op, values
 
 
-class _LexKey:
+class LexKey:
     """Order-preserving packing of ``k`` int columns into one int64 key.
 
     Column ``i`` is shifted to start at 0 and given as many bits as its
@@ -411,11 +411,27 @@ class _LexKey:
     plain one.  Declines (``overflow``) when the widths exceed 62 bits.
     """
 
+    @classmethod
+    def fold_columns(
+        cls, op: str, cols: Sequence[np.ndarray], rows: np.ndarray
+    ) -> Tuple[Optional["LexKey"], List[np.ndarray]]:
+        """The key and the columns a ``FOLDS[op]`` fold of ``cols`` runs on.
+
+        A min / max over two or more columns folds one key, packed over
+        the ``rows`` whose values the fold will meet; a sum (componentwise),
+        a single column, or no row at all folds the columns as they are.
+        """
+        if op == "sum" or len(cols) < 2 or not rows.size:
+            return None, list(cols)
+        key = cls(cols, rows)
+        return key, [key.pack(cols)]
+
     def __init__(self, cols: Sequence[np.ndarray], rows) -> None:
-        self.lows = [int(col[rows].min()) for col in cols]
+        picked = [col[rows] for col in cols]
+        self.lows = [int(col.min()) for col in picked]
         widths = [
-            (int(col[rows].max()) - low).bit_length()
-            for col, low in zip(cols, self.lows)
+            (int(col.max()) - low).bit_length()
+            for col, low in zip(picked, self.lows)
         ]
         if sum(widths) > 62:
             raise KernelDecline("overflow")
@@ -468,13 +484,8 @@ class ConvergecastArrayKernel(ArrayProgram):
         has = self._has = (
             None if values.present is None else values.present.copy()
         )
-        cols = values.cols
-        self._key = None
-        if op != "sum" and len(cols) > 1:
-            rows = plan.order if has is None else plan.order[has[plan.order]]
-            if rows.size:
-                self._key = _LexKey(cols, rows)
-                cols = [self._key.pack(cols)]
+        rows = plan.order if has is None else plan.order[has[plan.order]]
+        self._key, cols = LexKey.fold_columns(op, values.cols, rows)
         self._acc = [np.array(col, dtype=np.int64, copy=True) for col in cols]
         if has is not None:
             for col in self._acc:

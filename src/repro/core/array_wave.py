@@ -36,13 +36,16 @@ the receiver folds the *sender's accumulator* into its own; the
 accumulator it reads is final, because a key fires once, after the last
 answer it expects, and nothing is folded into a fired key again.  A
 replay packet carries the part id; the value is the part's entry in the
-results table.  Values live beside the schedule in one of two stores,
-chosen once per solve where the plan is made (:func:`reverse_fold`): an
-int64 column folded with ``ufunc.at``, or a Python list folded with the
-aggregation's own ``merge`` in delivered-row order — the scalar fold
-order, so even an order-sensitive merge returns the scalar result.  The
-list costs one Python merge per value-carrying answer (one per key with a
-wave parent), never one per message.
+results table.  Values live beside the schedule in one store, held
+factor by factor under a layout chosen once per solve where the plan is
+made (:func:`reverse_fold`, :class:`FoldLayout`): a product aggregation is
+one factor per component, anything else one factor.  A factor that
+``fold_op`` folds is int64 columns folded with ``ufunc.at`` (a min / max
+as one column of ranks among its start values); any other is a Python
+list folded with the factor's own ``merge`` in delivered-row order — the
+scalar fold order, so even an order-sensitive merge returns the scalar
+result.  A list costs one Python merge per value-carrying answer (one per
+key with a wave parent), never one per message.
 
 **So a setup learns its route once** (the cost rule of
 :mod:`repro.core.wave`): the first solve on a setup (the verification
@@ -74,8 +77,12 @@ on the serial wire schedule bit-for-bit.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from operator import is_not
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -84,11 +91,12 @@ from ..congest.arrays import (
     KernelDecline,
     PayloadColumns,
     int_bits_array,
+    note_kernel_fallback,
 )
 from ..congest.engine import ArrayProgram
-from ..congest.message import payload_bits
+from ..congest.message import TAG_BITS, TUPLE_OVERHEAD_BITS, payload_bits
 from .aggregation import Aggregation
-from .array_kernels import FOLDS, fold_op, int_column
+from .array_kernels import FOLDS, LexKey, fold_op, int_column
 from .array_queue import (
     EdgePool,
     KeySet,
@@ -457,15 +465,298 @@ def _values_at(index: WaveIndex, results: Dict[int, object],
     return out
 
 
+@dataclass(frozen=True)
+class FoldLayout:
+    """How a wave's value store holds one solve's values.
+
+    A value is a product of ``len(ops)`` factors: a tuple of the factors'
+    values, folded componentwise by ``agg.factors`` (``product``), or —
+    for every other aggregation — the value itself, its one factor
+    ``agg``.  Per factor, ``ops`` names the
+    :data:`~repro.core.array_kernels.FOLDS` op that folds it on int64
+    columns, or is ``None`` for a Python list folded with the factor's
+    own ``merge``.  :func:`reverse_fold` decides it once per solve on the
+    global values; a sharded worker folds its restriction under the same
+    layout.
+    """
+
+    ops: Tuple[Optional[str], ...]
+    product: bool
+
+
+def pack_values(values: Sequence[object], agg: Aggregation) -> Sequence[object]:
+    """``values`` as the columns ``fold_op`` folds for ``agg``, or as given.
+
+    Read back, the columns are the list they stand for; handed to the
+    plan and the kernels, they are the value store's columns, packed once.
+    """
+    try:
+        return fold_op(agg, values)[1]
+    except KernelDecline:
+        return values
+
+
+class FactorValues(Sequence):
+    """The values of a batched solve: per node, the tuple of its value for
+    each ``(values, agg)`` item, held as one sequence per item.
+
+    An item's values that ``fold_op`` folds for its aggregation are kept as
+    the :class:`~repro.congest.arrays.PayloadColumns` it packed, so the
+    value store reads every factor as it is — :func:`reverse_fold` and the
+    kernels unzip nothing and pack nothing again.  The tuples are zipped
+    once, when first read (by a scalar program, or a shard's restriction).
+    """
+
+    __slots__ = ("columns", "_rows")
+
+    def __init__(
+        self, items: Sequence[Tuple[Sequence[object], Aggregation]]
+    ) -> None:
+        size = min(len(values) for values, _agg in items)
+        self.columns = tuple(
+            pack_values(values if len(values) == size else values[:size], agg)
+            for values, agg in items
+        )
+        self._rows: Optional[List[tuple]] = None
+
+    def _tuples(self) -> List[tuple]:
+        if self._rows is None:
+            self._rows = list(zip(*self.columns))
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        return self._tuples()[index]
+
+    def __iter__(self):
+        return iter(self._tuples())
+
+
+def _factor_values(
+    values: Sequence[object], k: int
+) -> Optional[Tuple[List[Sequence[object]], Optional[np.ndarray]]]:
+    """Per factor, its component of every value (``None`` where the whole
+    value is), and which values are not ``None`` (``None``: all are);
+    ``None`` unless every value is a ``k``-tuple or ``None``."""
+    if isinstance(values, FactorValues):
+        return (list(values.columns), None) if len(values.columns) == k else None
+    kinds = set(map(type, values))
+    if not kinds <= {tuple, type(None)}:
+        return None
+    present = None
+    if type(None) in kinds:
+        present = np.fromiter(
+            map(is_not, values, repeat(None)), dtype=bool, count=len(values)
+        )
+        nones = (None,) * k
+        values = [nones if v is None else v for v in values]
+    if values and set(map(len, values)) != {k}:
+        return None
+    return list(zip(*values)) or [()] * k, present
+
+
+def _present_rows(columns: PayloadColumns) -> np.ndarray:
+    """The entries of ``columns`` that are not ``None``."""
+    if columns.present is None:
+        return np.arange(len(columns))
+    return np.flatnonzero(columns.present)
+
+
+class _ColumnBlock:
+    """The factors that fold on int64 columns, held as one block.
+
+    ``ints`` has a row per stored column, the rows of one op side by side
+    so that one ``ufunc.at`` folds them all.  ``present`` has a row per
+    factor marking the slots that hold one of its values.
+
+    A sum is its columns, componentwise, 0 where it holds none.  A min /
+    max only ever selects one of the start values, so it is one row of
+    ranks among them (:class:`_Starts`): the rank of its key — the
+    value itself, or the :class:`~repro.core.array_kernels.LexKey` that
+    orders tuples lexicographically — among the start values' distinct
+    keys, whose order it keeps.  A slot's value and bits are looked up by
+    its rank; the op's identity is a rank past the last (``-1`` for a
+    max), which reads as ``None`` and 1 bit.
+    """
+
+    def __init__(self, specs, node: np.ndarray, live: np.ndarray,
+                 size: int) -> None:
+        K = live.size
+        self.present = np.zeros((len(specs), size), dtype=bool)
+        self.layouts: List[PayloadColumns] = []
+        #: Per factor, its :class:`_Starts` (``None``: a sum).
+        self.starts: List[Optional[_Starts]] = []
+        by_op: Dict[str, list] = {op: [] for op in FOLDS}
+        for f, (op, values) in enumerate(specs):
+            layout = PayloadColumns.pack(values)
+            rows = _present_rows(layout)
+            mask = live if layout.present is None else (
+                live & layout.present[node]
+            )
+            self.present[f, :K] = mask
+            starts = None
+            if op == "sum":
+                identity, cols = 0, layout.cols
+            else:
+                starts = _Starts(op, layout, rows)
+                identity = starts.bits.size - 1 if op == "min" else -1
+                cols = [starts.ranks]
+            for col in cols:
+                row = np.full(size, identity, dtype=np.int64)
+                row[:K][mask] = col[node[mask]]
+                by_op[op].append((f, row))
+            self.layouts.append(layout)
+            self.starts.append(starts)
+        #: Per op present, its ufunc and its rows ``[lo, hi)``.
+        self.blocks = []
+        rows, owner = [], []
+        for op, entries in by_op.items():
+            if entries:
+                self.blocks.append(
+                    (FOLDS[op][0], len(rows), len(rows) + len(entries))
+                )
+                owner += [f for f, _row in entries]
+                rows += [row for _f, row in entries]
+        self.ints = np.array(rows, dtype=np.int64).reshape(len(rows), size)
+        owner = np.asarray(owner, dtype=np.int64)
+        #: Per factor, its stored rows, in column order.
+        self.rows = [np.flatnonzero(owner == f) for f in range(len(specs))]
+        self._base = (np.arange(len(specs), dtype=np.int64) * size)[:, None]
+
+    def absorb(self, into: np.ndarray, sender: np.ndarray) -> None:
+        carried = self.present[:, sender]
+        ints = self.ints
+        for ufunc, lo, hi in self.blocks:
+            if hi - lo == 1:
+                ufunc.at(ints[lo], into, ints[lo, sender])
+            else:
+                ufunc.at(ints[lo:hi], (slice(None), into), ints[lo:hi, sender])
+        self.present.reshape(-1)[(self._base + into)[carried]] = True
+
+    def copy(self, into: np.ndarray, source: np.ndarray) -> None:
+        self.ints[:, into] = self.ints[:, source]
+        self.present[:, into] = self.present[:, source]
+
+    def bits(self, slots: np.ndarray) -> np.ndarray:
+        """Per slot, the sum over the factors of their value's
+        ``payload_bits`` (1 for ``None``)."""
+        ints = self.ints[:, slots]
+        total = 0
+        for f, starts in enumerate(self.starts):
+            rows = self.rows[f]
+            if starts is not None:
+                total = total + starts.bits[ints[rows[0]]]
+                continue
+            layout = self.layouts[f]
+            if layout.bare:  # 0 where it holds none, which is 1 bit
+                total = total + int_bits_array(ints[rows[0]])
+                continue
+            total = total + np.where(
+                self.present[f, slots],
+                int_bits_array(ints[rows]).sum(axis=0) + TUPLE_OVERHEAD_BITS
+                + (0 if layout.tag is None else TAG_BITS),
+                1,
+            )
+        return total
+
+    def objects(self, f: int, slots: np.ndarray) -> List[object]:
+        """Factor ``f``'s values in ``slots`` (``None`` for none)."""
+        rows = self.ints[self.rows[f]][:, slots]
+        present = self.present[f, slots]
+        starts = self.starts[f]
+        if starts is not None:
+            if starts.bits.size == 1:  # no start value: every slot is None
+                return [None] * slots.size
+            ranks = np.where(present, rows[0], 0)
+            rows = [col[ranks] for col in starts.values.cols]
+        layout = self.layouts[f]
+        return PayloadColumns(
+            list(rows), layout.is_bool, layout.tag, layout.bare, present,
+            slots.size,
+        ).tolist()
+
+
+class _Starts:
+    """A min / max factor's distinct start values (``values``), in key
+    order, and per entry of ``layout`` its value's rank among them
+    (``ranks``; 0 at a ``None``).  ``bits`` is indexed by rank and holds
+    one more entry, 1, for a rank past either end — the op's identity,
+    ``None``."""
+
+    __slots__ = ("ranks", "values", "bits")
+
+    def __init__(self, op: str, layout: PayloadColumns,
+                 rows: np.ndarray) -> None:
+        _key, cols = LexKey.fold_columns(op, layout.cols, rows)
+        keys = cols[0][rows] if cols else np.zeros(rows.size, dtype=np.int64)
+        distinct, rank = np.unique(keys, return_inverse=True)
+        self.ranks = np.zeros(len(layout), dtype=np.int64)
+        self.ranks[rows] = rank
+        # Equal keys are equal values: any entry of a rank stands for it.
+        first = np.empty(distinct.size, dtype=np.int64)
+        first[rank] = rows
+        self.values = layout.take(first)
+        self.bits = np.append(self.values.bits(), 1)
+
+
+class _ListGroup:
+    """One factor's slots as a Python list, folded with its ``merge`` in
+    delivered-row order — the scalar fold order, so even an
+    order-sensitive merge returns the scalar result."""
+
+    __slots__ = ("merge", "acc", "has")
+
+    def __init__(self, merge, values: Sequence[object], node: np.ndarray,
+                 live: np.ndarray, size: int) -> None:
+        self.merge = merge
+        column = np.fromiter(values, dtype=object, count=len(values))
+        present = np.fromiter(
+            map(is_not, column, repeat(None)), dtype=bool, count=column.size
+        )
+        live = live & present[node]
+        acc = np.full(size, None, dtype=object)
+        acc[:live.size][live] = column[node[live]]
+        self.acc = acc.tolist()
+        self.has = np.zeros(size, dtype=bool)
+        self.has[:live.size] = live
+
+    def absorb(self, into: np.ndarray, sender: np.ndarray) -> None:
+        carried = self.has[sender]
+        acc, merge = self.acc, self.merge
+        for k, j in zip(into[carried].tolist(), sender[carried].tolist()):
+            acc[k] = merge(acc[k], acc[j])
+        self.has[into[carried]] = True
+
+    def copy(self, into: np.ndarray, source: np.ndarray) -> None:
+        acc = self.acc
+        for k, j in zip(into.tolist(), source.tolist()):
+            acc[k] = acc[j]
+        self.has[into] = self.has[source]
+
+    def bits(self, slots: np.ndarray) -> np.ndarray:
+        return np.fromiter(
+            map(payload_bits, map(self.acc.__getitem__, slots.tolist())),
+            dtype=np.int64, count=slots.size,
+        )
+
+    def objects(self, slots: np.ndarray) -> List[object]:
+        return [self.acc[k] for k in slots.tolist()]
+
+
 class _Accumulators:
     """One value slot per key of a route, plus ``extra`` slots after them.
 
-    ``fold`` names the :data:`~repro.core.array_kernels.FOLDS` op that
-    folds the values as one int64 column (:func:`reverse_fold` chose it):
-    ``acc`` is that column, the op's identity where ``has`` is off.
-    ``None`` keeps a Python list folded with ``agg.merge``.  A key starts
-    from its node's value if the node is a member the token reached; the
-    rest (relays, extra slots) start from ``None``.
+    The slots hold each factor of the ``fold`` layout (:class:`FoldLayout`)
+    apart: the factors with a ``FOLDS`` op in one :class:`_ColumnBlock`,
+    each other one in a :class:`_ListGroup` folded with its ``merge``;
+    every factor has its own mask of the slots holding one of its values
+    (``None`` is the identity).  ``has`` marks the slots holding a value
+    at all: a product slot may hold a tuple of ``None``s, which is not a
+    ``None`` slot.  A key starts from its node's value if the node is a
+    member the token reached; the rest (relays, extra slots) start from
+    ``None``.
     """
 
     def __init__(
@@ -473,26 +764,41 @@ class _Accumulators:
         index: WaveIndex,
         agg: Aggregation,
         values: Sequence[object],
-        fold: Optional[str],
+        fold: FoldLayout,
         extra: int = 0,
     ) -> None:
-        if fold is None:
-            self._ufunc = None
-            self._merge = agg.merge
-            self.acc = index.start_values(values) + [None] * extra
-            self.has = np.fromiter(
-                (a is not None for a in self.acc), dtype=bool,
-                count=len(self.acc),
+        node, live = index.node, index.live()
+        size = live.size + extra
+        factors = agg.factors if fold.product else (agg,)
+        self.product = fold.product
+        columns, present = (
+            _factor_values(values, len(factors)) if fold.product
+            else ([values], None)
+        )
+        specs = [
+            (op, column) for op, column in zip(fold.ops, columns)
+            if op is not None
+        ]
+        self.block = _ColumnBlock(specs, node, live, size) if specs else None
+        #: Per factor, ``(block row, None)`` or ``(None, list group)``.
+        self.factors: List[tuple] = []
+        self.lists: List[_ListGroup] = []
+        for factor, op, column in zip(factors, fold.ops, columns):
+            if op is not None:
+                self.factors.append((len(self.factors) - len(self.lists), None))
+            else:
+                group = _ListGroup(factor.merge, column, node, live, size)
+                self.lists.append(group)
+                self.factors.append((None, group))
+        if fold.product:
+            self.has = np.zeros(size, dtype=bool)
+            self.has[:live.size] = (
+                live if present is None else live & present[node]
             )
+        elif self.block is not None:
+            self.has = self.block.present[0]
         else:
-            self._ufunc, identity = FOLDS[fold]
-            columns = PayloadColumns.pack(values)
-            live = index.live()
-            if columns.present is not None:
-                live &= columns.present[index.node]
-            self.has = np.concatenate((live, np.zeros(extra, dtype=bool)))
-            self.acc = np.full(self.has.size, identity, dtype=np.int64)
-            self.acc[:live.size][live] = columns.cols[0][index.node[live]]
+            self.has = self.lists[0].has
 
     def absorb(self, into: np.ndarray, sender: np.ndarray) -> None:
         """Fold the ``sender`` slots into ``into``, row by row.
@@ -501,46 +807,43 @@ class _Accumulators:
         is final.
         """
         carried = self.has[sender]
-        if self._ufunc is not None:
-            self._ufunc.at(self.acc, into, self.acc[sender])
-        else:
-            acc, merge = self.acc, self._merge
-            for k, j in zip(into[carried].tolist(), sender[carried].tolist()):
-                acc[k] = merge(acc[k], acc[j])
+        if self.block is not None:
+            self.block.absorb(into, sender)
+        for group in self.lists:
+            group.absorb(into, sender)
         self.has[into[carried]] = True
 
     def copy(self, into: np.ndarray, source: np.ndarray) -> None:
         """Set the ``into`` slots to the values in ``source``."""
-        if self._ufunc is not None:
-            self.acc[into] = self.acc[source]
-        else:
-            acc = self.acc
-            for k, j in zip(into.tolist(), source.tolist()):
-                acc[k] = acc[j]
+        if self.block is not None:
+            self.block.copy(into, source)
+        for group in self.lists:
+            group.copy(into, source)
         self.has[into] = self.has[source]
 
     def bits(self, slots: np.ndarray) -> np.ndarray:
-        """``payload_bits`` of the values in ``slots`` (1 for ``None``)."""
-        out = np.ones(slots.size, dtype=np.int64)
-        has = self.has[slots]
-        present = slots[has]
-        if self._ufunc is not None:
-            out[has] = int_bits_array(self.acc[present])
-        else:
-            acc = self.acc
-            out[has] = np.fromiter(
-                (payload_bits(acc[k]) for k in present.tolist()),
-                dtype=np.int64, count=present.size,
-            )
-        return out
+        """``payload_bits`` of the values in ``slots`` (1 for ``None``):
+        a product's ``TUPLE_OVERHEAD_BITS`` plus its factors'."""
+        parts = [group.bits(slots) for group in self.lists]
+        if self.block is not None:
+            parts.append(self.block.bits(slots))
+        total = parts[0] if len(parts) == 1 else sum(parts)
+        if not self.product:
+            return total
+        return np.where(self.has[slots], TUPLE_OVERHEAD_BITS + total, 1)
 
     def objects(self, slots: np.ndarray) -> List[object]:
         """The values in ``slots`` as Python objects (``None`` for none)."""
-        if self._ufunc is None:
-            return [self.acc[k] for k in slots.tolist()]
+        columns = [
+            group.objects(slots) if group is not None
+            else self.block.objects(row, slots)
+            for row, group in self.factors
+        ]
+        if not self.product:
+            return columns[0]
         return [
             value if ok else None for value, ok in zip(
-                self.acc[slots].tolist(), self.has[slots].tolist()
+                zip(*columns), self.has[slots].tolist()
             )
         ]
 
@@ -548,7 +851,7 @@ class _Accumulators:
 class ReverseArrayKernel(ArrayProgram):
     """Array twin of :class:`~repro.core.wave.ReverseProgram`.
 
-    ``fold`` picks the value store (:class:`_Accumulators`).  Either way an
+    ``fold`` lays out the value store (:class:`_Accumulators`).  An
     answer is ``("a", pid, value)`` on the ledger and ``(pid, sender key
     id or -1, value bits)`` in the pool: see the module docstring.
     """
@@ -560,8 +863,8 @@ class ReverseArrayKernel(ArrayProgram):
         route: WaveIndex,
         agg: Aggregation,
         values: Sequence[object],
+        fold: FoldLayout,
         capacity: int = 1,
-        fold: Optional[str] = None,
     ) -> None:
         index = self.index = route
         #: Answers a key still waits for: one per message it sent.
@@ -647,8 +950,8 @@ class AllReduceArrayKernel(ArrayProgram):
         route: WaveIndex,
         agg: Aggregation,
         values: Sequence[object],
+        fold: FoldLayout,
         capacity: int = 1,
-        fold: Optional[str] = None,
     ) -> None:
         index = self.index = route
         K = self._K = index.keys.size
@@ -664,7 +967,8 @@ class AllReduceArrayKernel(ArrayProgram):
             index, agg, values, fold, extra=index.leaders.size
         )
         self.formed = np.zeros(index.leaders.size, dtype=bool)
-        self._total_bits = np.zeros(index.leaders.size, dtype=np.int64)
+        #: Per part, its total's bits once a packet carried it (-1: none).
+        self._total_bits = np.full(index.leaders.size, -1, dtype=np.int64)
         self._pool = EdgePool(index.n, ("into", "kid"), capacity=capacity)
 
     @property
@@ -675,7 +979,7 @@ class AllReduceArrayKernel(ArrayProgram):
         return dict(zip(pids.tolist(), self.store.objects(self._K + pids)))
 
     def _form(self, pids: np.ndarray, first: np.ndarray,
-              second: Optional[np.ndarray], strict_bits: bool) -> None:
+              second: Optional[np.ndarray]) -> None:
         """Parts ``pids`` (each once, none formed) total ``first``, merged
         with ``second`` where given."""
         self.formed[pids] = True
@@ -683,8 +987,6 @@ class AllReduceArrayKernel(ArrayProgram):
         self.store.copy(slot, first)
         if second is not None:
             self.store.absorb(slot, second)
-        if strict_bits:
-            self._total_bits[pids] = self.store.bits(slot)
 
     def _finish(self, kids: np.ndarray, pos: np.ndarray, em: list) -> None:
         """Keys ``kids`` hold the total: hand it to every neighbor but the
@@ -721,15 +1023,21 @@ class AllReduceArrayKernel(ArrayProgram):
 
     def _packet_bits(self, emitted) -> np.ndarray:
         """A partial's bits are its sender's accumulator's — final since
-        the send — a total's its part's."""
-        index = self.index
+        the send — a total's its part's, final since it formed."""
         kid = emitted["kid"]
-        pid = index.part[emitted["into"]]
-        bits = index.pid_bits[pid]
+        pid = self.index.part[emitted["into"]]
         total = kid < 0
-        bits[total] += self._total_bits[pid[total]]
-        bits[~total] += self.store.bits(kid[~total])
-        return bits
+        # A total goes down every forest edge of its part: priced at its
+        # first packet, with this flush's partials.
+        fresh = pid[total]
+        fresh = fresh[self._total_bits[fresh] < 0]
+        partial = kid[~total]
+        bits = self.store.bits(np.concatenate((partial, self._K + fresh)))
+        self._total_bits[fresh] = bits[partial.size:]
+        out = self.index.pid_bits[pid]
+        out[~total] += bits[:partial.size]
+        out[total] += self._total_bits[pid[total]]
+        return out
 
     def array_start(self, actx) -> None:
         em: list = []
@@ -737,14 +1045,13 @@ class AllReduceArrayKernel(ArrayProgram):
         self._partial(lone, self.nbr[self.starts[lone]], lone, em)
         alone = np.flatnonzero(self.deg == 0)
         if alone.size:
-            self._form(self.index.part[alone], alone, None, actx.strict)
+            self._form(self.index.part[alone], alone, None)
             self._finish(alone, alone, em)
         self._push(em)
         actx.wake(self._pool.pending_sources())
 
     def array_tick(self, actx, d) -> None:
         if len(d):
-            strict = actx.strict
             index = self.index
             into, kid = d.cols["into"], d.cols["kid"]
             # A total (kid -1) only reaches a key that has sent its
@@ -763,7 +1070,7 @@ class AllReduceArrayKernel(ArrayProgram):
                     up = index.parent[into[m]] == d.src[m]
                     self._form(
                         pids, np.where(up, kid[m], into[m]),
-                        np.where(up, into[m], kid[m]), strict,
+                        np.where(up, into[m], kid[m]),
                     )
             # Keys that folded: a total where none is left, a partial to
             # the last neighbor where one is.
@@ -779,7 +1086,7 @@ class AllReduceArrayKernel(ArrayProgram):
                 center = left == 0
                 if center.any():
                     c = keys[center]
-                    self._form(index.part[c], c, None, strict)
+                    self._form(index.part[c], c, None)
                     done[first[center]] = True
                 last = left == 1
                 if last.any():
@@ -874,9 +1181,9 @@ class ReplayArrayKernel(ArrayProgram):
         _flush(actx, d, self._pool, ("pid",), self._packet_bits)
 
 
-def wave_kernels(fold: Optional[str]):
+def wave_kernels(fold: FoldLayout):
     """The (broadcast, reversal, replay, all-reduce) kernels; ``fold`` is
-    the plan's :func:`reverse_fold` choice, for both passes that fold."""
+    the plan's :func:`reverse_fold` layout, for both passes that fold."""
     return (
         WaveArrayKernel, partial(ReverseArrayKernel, fold=fold),
         ReplayArrayKernel, partial(AllReduceArrayKernel, fold=fold),
@@ -900,21 +1207,36 @@ def array_wave_supported(
 
 
 def reverse_fold(
-    engine, values: Sequence[object], agg: Aggregation,
-    phase: str = "pa_reverse",
-) -> Optional[str]:
-    """How an array reversal folds ``values``: a ``FOLDS`` op, or ``None``.
+    values: Sequence[object], agg: Aggregation, phase: str = "pa_reverse",
+) -> FoldLayout:
+    """The :class:`FoldLayout` an array reversal or all-reduce folds
+    ``values`` under.
 
-    An op when a ufunc folds ``agg`` over one bare int (or ``None``)
-    column with int64-safe magnitudes; ``None`` — the same kernel folding
-    a list with ``agg.merge`` — for everything else (tuple-packed batches,
-    MST composite keys, floats, custom merges), which the trace notes as a
-    ``kernel_fallback`` of ``phase`` with the column layout's reason.
+    A product (``agg.factors``) over tuples of one factor value each is
+    one group per factor; anything else is one group, ``agg`` itself.  A
+    factor folds on columns when :func:`~repro.core.array_kernels.fold_op`
+    folds its values and, for a lexicographic min / max, their packed key
+    fits (magnitudes, totals and key widths are checked on the *global*
+    values, so every restriction fits too).  Every other factor — top-k,
+    floats, custom merges, values at or past 2**62 — folds a list with its
+    own ``merge``, which the trace notes as a ``kernel_fallback`` of
+    ``phase`` with the column layout's reason (and, in a product, the
+    factor's name).
     """
-    def column() -> str:
-        op, columns = fold_op(agg, values)
-        if not columns.bare or columns.is_bool[0]:
-            raise KernelDecline("non_int")
-        return op
-
-    return _kernel(engine, phase, column)
+    split = _factor_values(values, len(agg.factors)) if agg.factors else None
+    product = split is not None
+    factors = agg.factors if product else (agg,)
+    columns = split[0] if product else [values]
+    ops = []
+    for factor, column in zip(factors, columns):
+        try:
+            op, packed = fold_op(factor, column)
+            LexKey.fold_columns(op, packed.cols, _present_rows(packed))
+        except KernelDecline as decline:
+            note_kernel_fallback(
+                phase, decline.reason,
+                factor=factor.name if product else None,
+            )
+            op = None
+        ops.append(op)
+    return FoldLayout(tuple(ops), product)

@@ -32,6 +32,7 @@ from ..congest.schedule import Schedule
 from ..graphs.partitions import Partition, validate_partition
 from ..obs.tracer import current_tracer
 from .aggregation import Aggregation
+from .array_wave import FactorValues, pack_values
 from .blocks import BlockAnnotations, annotate_blocks
 from .corefast import (
     ShortcutBuildResult, _corefast_claim, build_shortcut_by_doubling,
@@ -461,6 +462,7 @@ class PASolver:
         ledger = CostLedger()
         if charge_setup:
             ledger.merge(setup.setup_ledger, prefix="setup:")
+        values = pack_values(values, agg)
         plan = plan_pa_waves(
             self.engine, self.net, setup.partition, setup.division,
             setup.shortcut, values, agg,
@@ -547,22 +549,22 @@ def solve_many_via(
             per_agg=per_agg, ledger=ledger, setup=setup, batched=False
         )
 
-    aggs = [agg for _values, agg in items]
-    combined_values = list(zip(*(values for values, _agg in items)))
     combined = solve(
-        setup, combined_values, product_aggregation(aggs),
+        setup, FactorValues(items),
+        product_aggregation([agg for _values, agg in items]),
         charge_setup=charge_setup, phase_prefix=phase_prefix,
     )
+    nones = (None,) * len(items)
+    at_node = list(zip(*(
+        nones if value is None else value for value in combined.value_at_node
+    )))
     per_agg = []
     for idx in range(len(items)):
         aggregates = {
             pid: (value[idx] if value is not None else None)
             for pid, value in combined.aggregates.items()
         }
-        value_at_node = [
-            (value[idx] if value is not None else None)
-            for value in combined.value_at_node
-        ]
+        value_at_node = list(at_node[idx]) if at_node else []
         per_agg.append(
             PAResult(
                 aggregates=aggregates,

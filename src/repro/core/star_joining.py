@@ -62,7 +62,7 @@ def outgoing_picks(
     sources: Optional[Sequence[bool]] = None,
     within: Optional[Sequence[int]] = None,
     announced: Optional[Sequence[int]] = None,
-) -> List[Optional[Tuple[int, ...]]]:
+) -> PayloadColumns:
     """Per node, its least edge out of its cluster (``None``: no such edge).
 
     ``comp`` labels the clusters.  Node ``v`` offers the minimum over its
@@ -80,7 +80,9 @@ def outgoing_picks(
     (:func:`rank_joins`).
 
     One lexsort over the network's CSR slots, by node and then by the
-    candidate tuple itself: the head of each node's run wins.
+    candidate tuple itself: the head of each node's run wins.  The picks
+    stay the columns they were chosen from (reading back as the list of
+    tuples), which the PA value store folds as they are.
     """
     views = net.array_views
     labels = np.asarray(comp, dtype=np.int64)
@@ -100,12 +102,9 @@ def outgoing_picks(
         columns.append(np.asarray(announced, dtype=np.int64)[views.adj[slots]])
     order = np.lexsort((*columns[::-1], src))
     best = order[np.flatnonzero(np.diff(src[order], prepend=-1))]
-    picks: List[Optional[Tuple[int, ...]]] = [None] * net.n
-    for v, pick in zip(
-        src[best].tolist(), zip(*(col[best].tolist() for col in columns))
-    ):
-        picks[v] = pick
-    return picks
+    return PayloadColumns([col[best] for col in columns]).scatter(
+        net.n, src[best]
+    )
 
 
 def chosen_edges(

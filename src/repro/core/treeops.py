@@ -362,12 +362,11 @@ class CrossRoundProgram(Program):
 def _kernel(engine: Engine, phase: str, build: Callable[[], object]):
     """What ``build`` makes for ``phase``, or ``None``.
 
-    ``None`` means the caller's other implementation runs (the scalar
-    twin; for a wave reversal's value store, the list fold): because
-    ``build`` declined the payload — which is noted on the trace, with
-    the reason, as ``kernel_fallback`` — or because the engine does not
-    run kernels (the tests' twin oracle).  No other function reads
-    ``engine.runs_kernels`` to choose an implementation.
+    ``None`` means the caller's other implementation runs, the scalar
+    twin: because ``build`` declined the payload — which is noted on the
+    trace, with the reason, as ``kernel_fallback`` — or because the
+    engine does not run kernels (the tests' twin oracle).  No other
+    function reads ``engine.runs_kernels`` to choose an implementation.
     """
     if not engine.runs_kernels:
         return None

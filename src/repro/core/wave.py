@@ -110,7 +110,7 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -127,6 +127,9 @@ from .blocks import BlockAnnotations
 from .queued import QueuedProgram
 from .shortcuts import Shortcut
 from .subparts import SubPartDivision
+
+if TYPE_CHECKING:  # array_wave imports this module
+    from .array_wave import FoldLayout
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -761,11 +764,13 @@ class WavePlan:
     per-part delays (drawn from the solver rng in pid order, so planning
     advances the rng exactly as running used to), the round budget
     (computed from the *global* n/b/c/depth), the leader tokens, the
-    array-vs-scalar dispatch decision, and for an array reversal the
-    ``FOLDS`` op that folds the values as one int64 column (``fold``;
-    ``None``: the aggregation's own merge over a list) — evaluated on the
-    *global* values, because a restriction of the values could pass the
-    int64-overflow check where the full set does not.  The sharded
+    array-vs-scalar dispatch decision, and for the array kernels the
+    value store's :class:`~repro.core.array_wave.FoldLayout` (``fold``,
+    ``None`` for the scalar programs): per factor of the aggregation,
+    int64 columns or a list folded with the factor's own merge —
+    evaluated on the *global* values, because a restriction of the values
+    could pass the int64-overflow check where the full set does not.  The
+    sharded
     backend ships one plan to every worker, restricted per shard, so all
     shards run under the exact parameters the serial pass would have used.
     """
@@ -776,7 +781,7 @@ class WavePlan:
     max_ticks: int
     leader_tokens: Dict[int, object]
     use_array: bool
-    fold: Optional[str]
+    fold: Optional[FoldLayout]
 
 
 def plan_pa_waves(
@@ -843,7 +848,7 @@ def plan_pa_waves(
         leader_tokens=leader_tokens,
         use_array=use_array,
         fold=reverse_fold(
-            engine, values, agg, phase=f"{phase_prefix}_reverse"
+            values, agg, phase=f"{phase_prefix}_reverse"
         ) if use_array else None,
     )
 

@@ -36,7 +36,8 @@ _ASYNC = ("pulses", "time_units", "payload_messages", "ack_messages",
 
 #: Per event name, the degraded path one such event took (``None``: none).
 _DEGRADED = {
-    "kernel_fallback": lambda a: f"kernel fallback, {a['reason']}",
+    "kernel_fallback": lambda a: f"kernel fallback, {a['reason']}"
+        + (f", factor {a['factor']}" if "factor" in a else ""),
     "session.sharded_fallback":
         lambda a: f"sharded solve served in-process, {a['reason']}",
     "service.split_wave": lambda a: "service wave split in two",

@@ -269,7 +269,7 @@ def rebuild_shard(payload: Dict[str, object]) -> ShardSetup:
     """Worker-side: turn a payload back into live wave-phase structures."""
     local_n = int(payload["nodes"].size)
     subnet = Network(
-        zip(payload["edges_src"].tolist(), payload["edges_dst"].tolist()),
+        np.column_stack((payload["edges_src"], payload["edges_dst"])),
         n=local_n,
     )
     # Global identities: uids before any cached_property materializes

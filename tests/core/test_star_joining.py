@@ -231,7 +231,8 @@ def test_outgoing_picks_match_the_nested_loop(n, density, clusters, seed):
         {}, {"weighted": True}, {"sources": sources}, {"within": within},
         {"weighted": True, "sources": sources, "within": within},
     ):
-        assert outgoing_picks(net, comp, **form) == _reference_picks(
+        # the picks are columns that read back as the list of tuples
+        assert list(outgoing_picks(net, comp, **form)) == _reference_picks(
             net, comp, **form
         ), form
 

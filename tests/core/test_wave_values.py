@@ -5,27 +5,49 @@ product with a custom merge — the array wave kernels run it, and the
 sync-scalar engine, the sync-array engine and the async engine at delay
 0 agree on every phase's ``(name, rounds, messages, ticks, bits)``, on
 the aggregates (dict order included) and on every node's value.  The
-array run never leaves the kernels (no ``*_wave`` fallback); it notes a
-``*_reverse`` fallback exactly when the values do not fold as one int64
-column, in which case the same kernel folds them with the aggregation's
-own merge.
+array run never leaves the kernels (no ``*_wave`` fallback); its value
+store folds every factor of the values on int64 columns that
+``fold_op`` folds, and notes a ``*_reverse`` fallback for each other one
+— in a product, naming that factor — which the same kernel folds as a
+list with the factor's own merge.  The store itself is held to the
+whole-value list fold by ``test_the_column_store_is_the_list_fold``.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import PASolver
-from repro.congest import SynchronousSchedule
+from repro.congest import Engine, SynchronousSchedule
 from repro.congest.arrays import KernelDecline
 from repro.congest.errors import BandwidthExceededError, ChannelCapacityError
-from repro.core.aggregation import MAX, MIN, MIN_TUPLE, SUM, SUM_TUPLE, Aggregation
+from repro.congest.message import payload_bits
+from repro.core.aggregation import (
+    AND,
+    MAX,
+    MAX_TUPLE,
+    MIN,
+    MIN_TUPLE,
+    OR,
+    SUM,
+    SUM_TUPLE,
+    Aggregation,
+)
 from repro.core.array_kernels import fold_op
-from repro.core.array_wave import ReverseArrayKernel
-from repro.core.pa import DETERMINISTIC, RANDOMIZED
+from repro.core.array_wave import (
+    AllReduceArrayKernel,
+    FoldLayout,
+    ReplayArrayKernel,
+    ReverseArrayKernel,
+    WaveArrayKernel,
+    reverse_fold,
+)
+from repro.core.pa import DETERMINISTIC, RANDOMIZED, product_aggregation
+from repro.core.wave import plan_pa_waves
 from repro.graphs import (
     grid_2d,
     random_connected,
@@ -148,13 +170,160 @@ def test_values_ride_beside_one_wire_schedule(
     assert runs["async"][2] == runs["array"][2]
     fallbacks = runs["array"][2]
     assert not [f for f in fallbacks if f["phase"].endswith("_wave")]
-    declined = [f["phase"] for f in fallbacks if f["phase"].endswith("_reverse")]
-    if len(items) > 1:  # one packed product wave
-        assert declined == ["pa_batch_reverse"]
+    declined = [
+        (f["phase"], f["reason"], f.get("factor"))
+        for f in fallbacks if f["phase"].endswith("_reverse")
+    ]
+    if len(items) > 1:  # one packed product wave: only top-2 folds a list
+        assert declined == [("pa_batch_reverse", "unsupported_agg", "top2")]
+    elif kind in ("ints", "tuples"):
+        assert declined == []
     else:
-        column = _folds_as_a_column(*items[0])
-        assert declined == ([] if column else ["pa_batch0_reverse"])
-        assert column == (kind == "ints")
+        reason = "overflow" if kind == "big" else "non_int"
+        assert declined == [("pa_batch0_reverse", reason, None)]
+
+
+def _store_case(case, n, rng):
+    """One factor kind's ``(values, agg)`` on ``n`` nodes, and the names of
+    the factors the store should fold as a list."""
+    def ints(lo=-50, hi=500, none=0.2):
+        return [None if rng.random() < none else rng.randint(lo, hi)
+                for _ in range(n)]
+
+    def tuples(k, none=0.25):
+        return [None if rng.random() < none
+                else tuple(rng.randint(0, 40) for _ in range(k))
+                for _ in range(n)]
+
+    if case in ("min", "max", "sum"):
+        return ints(), {"min": MIN, "max": MAX, "sum": SUM}[case], []
+    if case in ("or", "and"):
+        return ints(0, 1), OR if case == "or" else AND, []
+    if case == "bool-max":  # bools fold on a column and read back as bools
+        return [None if rng.random() < 0.2 else rng.random() < 0.3
+                for _ in range(n)], MAX, []
+    if case in ("min-tuple", "max-tuple"):
+        # ties in the first component make the later ones decide
+        agg = MIN_TUPLE if case == "min-tuple" else MAX_TUPLE
+        return [None if v is None else (v[0] % 3,) + v[1:]
+                for v in tuples(3)], agg, []
+    if case == "sum-tuple":
+        return tuples(2), SUM_TUPLE, []
+    if case == "tagged-min":
+        return [None if v is None else ("e",) + v for v in tuples(2)], MIN, []
+    if case == "top-k":  # the service batch: min, sum, top-2, min
+        a, b = ints(0, 500), ints(0, 9)
+        values = [
+            (x, y, None if x is None else (x,), None if x is None else x + 1)
+            for x, y in zip(a, b)
+        ]
+        agg = product_aggregation([MIN, SUM, top_k_aggregation(2), MIN])
+        return values, agg, ["top2"]
+    if case == "none-slots":
+        # whole-None slots beside tuples of Nones: different payloads
+        a, b = ints(none=0.5), tuples(2, none=0.5)
+        values = [
+            None if rng.random() < 0.3 else (x, y) for x, y in zip(a, b)
+        ]
+        return values, product_aggregation([SUM, MIN_TUPLE]), []
+    assert case == "overflow"  # one factor past 2**62 folds as a list
+    big = ints(0, 500, none=0.1)
+    big[rng.randrange(n)] = (1 << 62) + rng.randint(0, 1 << 20)
+    values = list(zip(big, ints(0, 50)))
+    return values, product_aggregation([MIN, SUM]), ["min"]
+
+
+STORE_CASES = (
+    "min", "max", "sum", "or", "and", "bool-max", "min-tuple", "max-tuple",
+    "sum-tuple", "tagged-min", "top-k", "none-slots", "overflow",
+)
+
+
+@pytest.mark.parametrize("case", STORE_CASES)
+@given(
+    seed=st.integers(0, 2**20),
+    n=st.integers(33, 60),  # a 96-bit message budget
+    parts=st.integers(1, 5),
+    mode=st.sampled_from([RANDOMIZED, DETERMINISTIC]),
+)
+@settings(
+    max_examples=10, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_the_column_store_is_the_list_fold(case, seed, n, parts, mode):
+    """The value store's column groups against the whole-value list fold
+    (one list folded with ``agg.merge``, the store before it held
+    columns) on a random route: the reversal on the wire record and the
+    replay after it, and the all-reduce on the record's forest, report
+    the same results (dict order and value types included), the same
+    value at every node and the same ``(rounds, messages, ticks, bits)``
+    under the strict audit."""
+    net = random_connected(n, 0.1, seed=seed, uid_seed=seed)
+    partition = random_connected_partition(net, parts, seed=seed)
+    values, agg, listed = _store_case(case, net.n, random.Random(seed))
+    solver = PASolver(net, mode=mode, seed=seed % 97)
+    setup = solver.prepare(partition)
+    engine = Engine(net, strict_bits=True, strict_edges=True)
+    plan = plan_pa_waves(
+        engine, net, partition, setup.division, setup.shortcut, values, agg,
+        randomized=mode == RANDOMIZED, rng=random.Random(seed),
+    )
+
+    def run(program):
+        stats = engine.run(
+            program, max_ticks=4 * plan.max_ticks, capacity=plan.capacity,
+            rounds_per_tick=plan.rounds_per_tick,
+        )
+        return (stats.rounds, stats.messages, stats.ticks, stats.bits)
+
+    wave = WaveArrayKernel(
+        net, partition, setup.division, setup.shortcut, setup.annotations,
+        plan.leader_tokens, delays=plan.delays, capacity=plan.capacity,
+    )
+    run(wave)
+    wire = wave.route()
+    forest = wire.forest()
+
+    tracer = Tracer()
+    with use_tracer(tracer):
+        layout = reverse_fold(values, agg)
+    assert [
+        e["args"].get("factor", agg.name) for e in tracer.events
+    ] == listed
+    assert layout.ops.count(None) == len(listed)
+
+    def passes(fold):
+        reverse = ReverseArrayKernel(
+            wire, agg, values, fold=fold, capacity=plan.capacity
+        )
+        up = run(reverse)
+        replay = ReplayArrayKernel(
+            forest, reverse.results, capacity=plan.capacity
+        )
+        down = run(replay)
+        allreduce = AllReduceArrayKernel(
+            forest, agg, values, fold=fold, capacity=plan.capacity
+        )
+        once = run(allreduce)
+        for store in (reverse.store, allreduce.store):  # every final slot
+            slots = np.arange(store.has.size)
+            assert store.bits(slots).tolist() == [
+                payload_bits(v) for v in store.objects(slots)
+            ]
+        return (
+            list(reverse.results.items()), up, replay.value_at_node(), down,
+            list(allreduce.results.items()), allreduce.value_at_node(), once,
+        )
+
+    got = passes(layout)
+    # repr tells a bool from an int, even inside a tuple
+    assert repr(got) == repr(passes(FoldLayout((None,), False)))
+    want = {
+        pid: agg.fold(values[v] for v in members)
+        for pid, members in enumerate(partition.members)
+    }
+    assert dict(got[0]) == want == dict(got[4])
+    assert got[2] == got[5] == [want[pid] for pid in partition.part_of]
 
 
 def test_a_fired_key_is_final():

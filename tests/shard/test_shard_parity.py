@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro import PASession
-from repro.core import MIN, MIN_TUPLE, SUM
+from repro.core import MIN, MIN_TUPLE, SUM, XOR
 from repro.core.aggregation import Aggregation
 from repro.graphs import (
     grid_2d,
@@ -116,12 +116,13 @@ def test_batched_solve_many_parity():
 
 
 def test_product_batch_runs_under_the_shipped_fold_decision():
-    """A (SUM, MIN) product on two workers equals the local session's
-    aggregates and ledger; how its reversal folds is decided once, rank-0
-    side, on the global values, and shipped in the plan."""
+    """A (SUM, MIN, XOR) product on two workers equals the local session's
+    aggregates and ledger; how its reversal folds — SUM and MIN on
+    columns, XOR as a list — is decided once, rank-0 side, on the global
+    values, and shipped in the plan."""
     net, partition = _net_and_partition()
     values = _values(net.n)
-    items = [(values, SUM), (values, MIN)]
+    items = [(values, SUM), (values, MIN), (values, XOR)]
 
     serial = PASession(net, seed=3, batch=True)
     serial_setup = serial.prepare(partition)
@@ -142,11 +143,15 @@ def test_product_batch_runs_under_the_shipped_fold_decision():
             assert got.aggregates == want.aggregates
             assert got.value_at_node == want.value_at_node
         assert _phase_sig(result.ledger) == _phase_sig(expected.ledger)
-        # One decline of the column fold for the whole solve — not one per
-        # shard — and none of the waves themselves.
+        # One decline of the column fold for the whole solve, of the one
+        # factor no ufunc folds — not one per shard — and none of the
+        # waves themselves.
         assert [
             e["args"] for e in tracer.events if e["name"] == "kernel_fallback"
-        ] == [{"phase": "pa_batch_reverse", "reason": "unsupported_agg"}]
+        ] == [{
+            "phase": "pa_batch_reverse", "reason": "unsupported_agg",
+            "factor": "xor",
+        }]
 
         # The decision is global: one value past 2**62 makes every shard
         # fold a list, also those whose own values would fit a column.
