@@ -18,18 +18,17 @@ paper's.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..congest.engine import Engine
 from ..congest.ledger import CostLedger, RunResult
 from ..congest.network import Network, canonical_edge
-from ..core.aggregation import OR, SUM
+from ..core.aggregation import OR, SUM, SUM_TUPLE
 from ..core.pa import PASolver, RANDOMIZED
 from ..runtime import PASession, ensure_session
 from ..core.treeops import claim_bfs, run_broadcast, run_convergecast
-from .components import cc_labeling, components_partition
+from .components import cc_labeling
 
 
 def _global_sum(solver: PASolver, values: List[object], ledger: CostLedger,
@@ -85,57 +84,30 @@ def verify_st_connectivity(
 ) -> RunResult:
     """Are s and t in the same H-component?
 
-    s and t ship their labels up the BFS tree (a two-source convergecast);
-    the root compares and broadcasts the verdict.
+    s and t ship their labels up the BFS tree (a two-source convergecast
+    of ``SUM_TUPLE`` pairs: s's label in the first component, t's in the
+    second, each shifted by one so that 0 means "absent"); the root
+    compares and broadcasts the verdict.
     """
     labels, ledger, solver = _labels_and_ledger(
         net, subgraph_edges, mode, seed, session
     )
     values: List[object] = [None] * net.n
-    values[s] = ("s", labels[s])
-    values[t] = ("t", labels[t]) if t != s else None
+    values[s] = (labels[s] + 1, 0)
+    if t != s:
+        values[t] = (0, labels[t] + 1)
     at_root = run_convergecast(
-        solver.engine, solver.tree,
-        # Pair-collecting merge: keep up to two tagged labels.
-        _PairCollect, values, ledger, name="st_up",
+        solver.engine, solver.tree, SUM_TUPLE, values, ledger, name="st_up",
     ).at_root
     gathered = at_root.get(solver.tree.roots[0])
     verdict = s == t or (
-        gathered is not None
-        and _extract(gathered, "s") == _extract(gathered, "t")
-        and _extract(gathered, "s") is not None
+        gathered is not None and gathered[0] == gathered[1] != 0
     )
     run_broadcast(
         solver.engine, solver.tree, {solver.tree.roots[0]: verdict},
         ledger, name="st_down",
     )
     return RunResult(output=bool(verdict), ledger=ledger, meta={})
-
-
-from ..core.aggregation import Aggregation
-
-
-def _pair_merge(a, b):
-    """Merge tagged label tuples, keeping one 's' and one 't' entry."""
-    items = {}
-    for part in (a, b):
-        if isinstance(part[0], str):
-            part = (part,)
-        for tag, label in part:
-            items.setdefault(tag, label)
-    return tuple(sorted(items.items()))
-
-
-_PairCollect = Aggregation("pair_collect", _pair_merge)
-
-
-def _extract(gathered, tag):
-    if isinstance(gathered[0], str):
-        gathered = (gathered,)
-    for item_tag, label in gathered:
-        if item_tag == tag:
-            return label
-    return None
 
 
 def verify_cut(

@@ -98,7 +98,7 @@ def ghs_mst(net: Network, seed: int = 0) -> RunResult:
         # MOE broadcast down each fragment tree.
         down = run_broadcast(
             engine, forest,
-            {root: ("ctl", up.at_root.get(root)) for root in forest.roots},
+            {root: up.at_root.get(root) for root in forest.roots},
             ledger, "ghs_control_broadcast",
         )
 
@@ -109,7 +109,7 @@ def ghs_mst(net: Network, seed: int = 0) -> RunResult:
             if moe is not None:
                 v_nb = net.node_of_uid(moe[2])
                 chosen[root] = (net.node_of_uid(moe[1]), v_nb, comp[v_nb])
-        heard = [down.received[v][1] for v in range(n)]
+        heard = [down.received[v] for v in range(n)]
         joins = {
             root: (u, v_nb, (net.uid[target_root],))
             for root, (u, v_nb, target_root) in rank_joins(

@@ -85,33 +85,35 @@ def tuple_bits(*component_bits) -> np.ndarray:
 
 
 class KernelDecline(Exception):
-    """A payload list that no column layout holds: the scalar program runs
-    (or, for one factor of a wave's values, the same kernel folds it as a
-    list).
+    """A payload list that no column layout holds: a kernel's constructor
+    raises it and the phase does not run (``phase`` names it once
+    :func:`~repro.core.treeops.build_phase` has seen it).  The wave value
+    store and the cross round's ``merged`` choose on it instead: a factor
+    they cannot fold on columns is merged in Python.
 
-    ``reason`` is one of the codes the ``kernel_fallback`` trace instant
-    carries: ``none_value`` (a ``None`` where the kernel needs a value),
-    ``non_int`` (a component that is not an int or bool), ``overflow`` (a
-    value outside int64, or a fold over magnitudes, a total or a packed
-    key at or beyond 2**62), ``unsupported_agg`` (no ufunc computes the
-    aggregation), ``mixed_shape`` (entries that do not share one tuple
-    shape, tag and component types).
+    ``reason`` is one of ``none_value`` (a ``None`` where the kernel needs
+    a value), ``non_int`` (a component that is not an int or bool),
+    ``overflow`` (a value outside int64, or a fold over magnitudes, a
+    total or a packed key at or beyond 2**62), ``unsupported_agg`` (no
+    ufunc computes the aggregation), ``mixed_shape`` (entries that do not
+    share one tuple shape, tag and component types).
     """
 
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
+    def __init__(self, reason: str, phase: Optional[str] = None) -> None:
+        super().__init__(reason if phase is None else f"{phase}: {reason}")
         self.reason = reason
+        self.phase = phase
 
 
 def note_kernel_fallback(
     phase: str, reason: str, factor: Optional[str] = None
 ) -> None:
-    """Record on the trace that a kernel declined ``phase``'s payload
-    (for its scalar twin, or a wave value store's list fold — of one
-    ``factor`` of a product, named by its aggregation).
+    """Record on the trace that the wave value store folds a list for
+    ``phase``: the values (or, in a product, one ``factor``, named by its
+    aggregation) that no column layout holds, and why.
 
-    Called once per declined dispatch (per declined factor), so tracing
-    costs one ``enabled`` check per such phase and nothing on any ledger.
+    Called once per such solve and factor, so tracing costs one
+    ``enabled`` check and nothing on any ledger.
     """
     tracer = current_tracer()
     if tracer.enabled:

@@ -267,11 +267,10 @@ class Engine:
         (ledger values are identical either way — pinned by tests).  A
         mismatched pair is rejected rather than silently half-honoured.
 
-    A phase's program is its array kernel unless the kernel declines the
-    payload (one choice, in ``treeops._kernel``); either way an
-    :class:`ArrayProgram` takes the array loop and a scalar program the
-    scalar loop, with the same ledger (the parity contract the
-    differential suite pins).
+    An :class:`ArrayProgram` (every kernel phase of the pipeline) takes
+    the array loop and a scalar :class:`Program` (a phase with no kernel,
+    or a test's reference twin) the scalar loop, with the same ledger for
+    the same traffic (the parity contract the differential suite pins).
     """
 
     def __init__(
@@ -307,16 +306,6 @@ class Engine:
             "strict_bits": self.strict_bits,
             "strict_edges": self.strict_edges,
         }
-
-    @property
-    def runs_kernels(self) -> bool:
-        """Whether a phase on this engine may run its array kernel.
-
-        True on every engine under ``src`` (no class there overrides it):
-        it is the seam through which the test oracle ``TwinEngine`` runs
-        every phase on its scalar twin.
-        """
-        return True
 
     def run(
         self,

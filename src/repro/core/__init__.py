@@ -20,7 +20,6 @@ from .aggregation import (
 )
 from .blocks import BlockAnnotations, annotate_blocks
 from .corefast import (
-    ClaimProgram,
     ShortcutBuildResult,
     build_shortcut_randomized,
     verify_block_parameters,
@@ -51,7 +50,6 @@ __all__ = [
     "AND",
     "Aggregation",
     "BlockAnnotations",
-    "ClaimProgram",
     "DETERMINISTIC",
     "MAX",
     "MAX_TUPLE",

@@ -1,15 +1,15 @@
 """Array-native kernels for the tree workhorses of :mod:`repro.core.treeops`.
 
-Each kernel is the :class:`~repro.congest.engine.ArrayProgram` twin of one
-scalar program — same constructor arguments, same result accessors, same
-name, wire traffic and ledger — with the per-message Python loop replaced
-by whole-tick numpy passes; a kernel that cannot hold its payloads raises
+Each kernel is the one implementation of its phase: an
+:class:`~repro.congest.engine.ArrayProgram` whose ticks are whole-tick
+numpy passes.  A kernel that cannot hold its payloads raises
 :class:`~repro.congest.arrays.KernelDecline` from its constructor, and
-:func:`repro.core.treeops.run_phase` runs the twin instead.  The scalar
-programs remain the semantic reference; the differential parity suite
-runs both and diffs ledgers and outputs.
+the phase does not run.  Each was written against a scalar program with
+the same constructor arguments, result accessors, name, wire traffic and
+ledger; those programs are the tests' oracles (``tests/twins.py``), and
+the differential parity suite runs both and diffs ledgers and outputs.
 
-A note on emission order: the scalar programs interleave sends per node
+A note on emission order: the scalar twins interleave sends per node
 (e.g. a claim-BFS node acks its parent, then spreads).  All programs in
 this module send at most one message per directed edge per tick, and the
 engine's delivery sort is keyed on ``(dst, src)`` — so any batch emission
@@ -83,20 +83,6 @@ def expand_neighbors(
     return src, dst, slot
 
 
-def masked_neighbors(arrays, edge_mask: np.ndarray) -> List[Tuple[int, ...]]:
-    """Per node, its neighbors over the CSR slots ``edge_mask`` keeps.
-
-    Ascending within a node, as ``Network.neighbors`` is: what a scalar
-    program iterates where a kernel calls :func:`expand_neighbors`.
-    """
-    kept = arrays.adj[edge_mask].tolist()
-    counts = np.bincount(
-        arrays.src_of_slot[edge_mask], minlength=arrays.degrees.size
-    )
-    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-    return [tuple(kept[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-
-
 def drop_heard(
     src: np.ndarray, dst: np.ndarray, heard: np.ndarray, n: int
 ) -> np.ndarray:
@@ -143,9 +129,10 @@ def _token_columns(tokens: Dict[int, object]) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class FloodMinArrayKernel(ArrayProgram):
-    """Array twin of :class:`~repro.core.treeops.FloodMinProgram`.
+    """Flood-min: the minimum token over every edge.
 
-    Same arguments; tokens must be ints (else: a decline).
+    Its reference is the flood-min twin in ``tests/twins.py``.
+    Tokens must be ints (else: a decline).
     Adoption is strict improvement; the parent is the smallest sender
     among those carrying the tick's minimal token — which is what the
     scalar inbox scan (sender-ascending, update on strict improvement)
@@ -220,9 +207,10 @@ class FloodMinArrayKernel(ArrayProgram):
 
 
 class ClaimBfsArrayKernel(ArrayProgram):
-    """Array twin of :class:`~repro.core.treeops.ClaimBfsProgram`.
+    """Claim BFS: parallel claiming from many sources.
 
-    Same arguments: tokens must be ints (else: a decline), and the
+    Its reference is the claim-BFS twin in ``tests/twins.py``.
+    Tokens must be ints (else: a decline), and the
     per-CSR-slot ``edge_mask`` is applied by :func:`expand_neighbors`.
     """
 
@@ -452,9 +440,10 @@ class LexKey:
 
 
 class ConvergecastArrayKernel(ArrayProgram):
-    """Array twin of :class:`~repro.core.treeops.ConvergecastProgram`.
+    """Convergecast: per-node values folded up each tree.
 
-    Same arguments; declines unless ``values`` (one entry per network
+    Its reference is the convergecast twin in ``tests/twins.py``.
+    Declines unless ``values`` (one entry per network
     node, only forest members are read) fit one
     :class:`~repro.congest.arrays.PayloadColumns` layout that
     :func:`fold_op` folds: a sum is componentwise over the columns (the
@@ -557,9 +546,10 @@ class ConvergecastArrayKernel(ArrayProgram):
 
 
 class BroadcastArrayKernel(ArrayProgram):
-    """Array twin of :class:`~repro.core.treeops.BroadcastProgram`.
+    """Broadcast: each root's value down its tree.
 
-    Same arguments; declines unless ``root_values``' payloads fit one
+    Its reference is the broadcast twin in ``tests/twins.py``.
+    Declines unless ``root_values``' payloads fit one
     column layout.  The schedule lives in the forest's plan: a node at
     depth ``d`` of a tree whose root holds a value hears it at tick
     ``d``, from its parent, and passes it on in that tick — only if it
@@ -652,9 +642,10 @@ def send_columns(sends) -> Tuple[np.ndarray, np.ndarray, PayloadColumns]:
 
 
 class CrossRoundArrayKernel(ArrayProgram):
-    """Array twin of :class:`~repro.core.treeops.CrossRoundProgram`.
+    """One round over explicit directed edges.
 
-    One round: row ``i`` of ``sends`` goes over the directed edge
+    Its reference is the cross-round twin in ``tests/twins.py``.
+    Row ``i`` of ``sends`` goes over the directed edge
     ``(src[i], dst[i])``.  ``received`` and ``merged`` read the rows as
     the engine hands them over: stably sorted by ``(dst, src)``, the
     scalar inbox order.
@@ -685,14 +676,10 @@ class CrossRoundArrayKernel(ArrayProgram):
 
     @property
     def delivered(self) -> Tuple[np.ndarray, np.ndarray, PayloadColumns]:
-        """The sends stably sorted by ``(dst, src)``, as the twin reports
-        them: the rows that arrived, or — where a fault plan dropped some
-        — every send."""
-        if self._arrived[0].size == self._sends[0].size:
-            return self._arrived
-        src, dst, payloads = self._sends
-        order = np.lexsort((src, dst))
-        return src[order], dst[order], payloads.take(order)
+        """The rows that arrived, as ``(src, dst, payloads)`` columns,
+        stably sorted by ``(dst, src)`` (a row a fault plan dropped is not
+        among them)."""
+        return self._arrived
 
     @property
     def received(self) -> Dict[int, List[Tuple[int, object]]]:
@@ -706,7 +693,9 @@ class CrossRoundArrayKernel(ArrayProgram):
         return out
 
     def merged(self, agg, n: int) -> Sequence[object]:
-        """See :meth:`~repro.core.treeops.CrossRoundProgram.merged`."""
+        """Per node, the ``agg``-merge of the payloads it received
+        (:func:`~repro.core.aggregation.merge_inboxes`): one ``reduceat``
+        where ``agg`` folds the bare column, a Python merge otherwise."""
         _src, dst, payloads = self._arrived
         ufunc = None
         if len(payloads.cols) == 1:

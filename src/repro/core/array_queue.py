@@ -317,8 +317,9 @@ def csr_expand(
 
 
 class ClaimArrayKernel(ArrayProgram):
-    """Array twin of :class:`~repro.core.corefast.ClaimProgram`.
+    """CoreFast claiming (Algorithm 4's claim step).
 
+    Its reference is the CoreFast claim twin in ``tests/twins.py``.
     Representatives climb the BFS tree claiming parent edges; each node
     admits at most ``theta`` distinct parts.  The in-order saturation rule
     vectorizes exactly: within a tick the i-th fresh eligible claim at a
@@ -417,14 +418,14 @@ class ClaimArrayKernel(ArrayProgram):
 
 
 class AnnotateArrayKernel(ArrayProgram):
-    """Array twin of :mod:`repro.core.blocks`'s ``_AnnotateProgram``.
+    """Block annotation (:mod:`repro.core.blocks`).
 
+    Its reference is the block-annotation twin in ``tests/twins.py``.
     Floods ``(root_depth, root_uid)`` down every block over the shortcut's
     down-edges (a static CSR keyed by ``node * P + pid``) and routes one
     counting token per block along the minimum-child chain.  Its
     :class:`~repro.core.blocks.BlockAnnotations` wraps the arena columns
-    the run filled: the scalar program's rows, in the order of the ticks
-    that learned them.
+    the run filled, in the order of the ticks that learned them.
     """
 
     name = "annotate_blocks"

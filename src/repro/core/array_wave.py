@@ -1,51 +1,52 @@
 """Array-native PA wave kernels: broadcast, reversal, replay, all-reduce.
 
-The scalar :mod:`repro.core.wave` programs are event-driven: every message
-arrival may gain a node its part's token or settle a block climb, and
-either emits its follow-up sends at once.  Because *all* wave state is
-per-node (the token byte) or per-``(node, part)`` (the ``ku``/``kd`` dedup
-sets, and who has sent the node the part's token), a tick decomposes into
+These are the one implementation of the four passes of
+:mod:`repro.core.wave`.  They were written against event-driven programs
+(the tests' oracles, ``tests/twins.py``) in which every message arrival
+may gain a node its part's token or settle a block climb, and either
+emits its follow-up sends at once.  Because *all* wave state is per-node
+(the token byte) or per-``(node, part)`` (the ``ku``/``kd`` dedup sets,
+and who has sent the node the part's token), a tick decomposes into
 independent per-node event sequences, which makes the whole tick
 resolvable with array passes: each potential action becomes a *request*
 carrying the position of the event that raised it, and for every flag (or
 dedup key) the request with the smallest position wins — exactly the
 outcome of processing the events sequentially.  A send to a neighbor that
-has sent the node the same part's token is dropped, as the scalar
+has sent the node the same part's token is dropped, as the event-driven
 handlers skip it.
 
-Event positions interleave the two scalar activation hooks: a leader start
-(``on_activate``, which runs before the node's inbox) gets position
-``2 * i`` where ``i`` is the node's first inbox row, an arrival row ``i``
-gets ``2 * i + 1``.  Within one event, sends are ordered by a fixed rank —
-``su`` before ``bd`` before ``ru`` before ``ku`` before ``kd`` — which is
-the order the scalar handlers emit them; sorting a node's emission rows by
-``(position, rank, fan-out index)`` therefore reproduces the node's scalar
-enqueue sequence, and the shared :class:`~repro.core.array_queue.EdgePool`
-turns those sequences into the same wire schedule.
+Event positions interleave the two activation hooks of the event-driven
+form: a leader start (``on_activate``, which runs before the node's
+inbox) gets position ``2 * i`` where ``i`` is the node's first inbox row,
+an arrival row ``i`` gets ``2 * i + 1``.  Within one event, sends are
+ordered by a fixed rank — ``su`` before ``bd`` before ``ru`` before
+``ku`` before ``kd`` — which is the order the handlers emit them; sorting
+a node's emission rows by ``(position, rank, fan-out index)`` therefore
+reproduces the node's enqueue sequence, and the shared
+:class:`~repro.core.array_queue.EdgePool` turns those sequences into the
+same wire schedule.
 
 **The schedule does not depend on the values.**  Who sends to whom at
 which tick is fixed by partition, shortcut and delay draw: the reversal
-answers every recorded wave edge exactly once and the replay retraces
-them (Lemma 4.4's "symmetrically").  The route is a
-:class:`~repro.core.wave.WaveIndex`, the one type both twins write and
-read: the broadcast kernel hands its two arenas over as the index's rows
-(:meth:`WaveArrayKernel.route`), and a route the scalar programs learned
-serves these kernels as it is.  So no packet carries a value.  A
-reversal answer carries its sender's dense key id (-1 for ``None``) and
-the receiver folds the *sender's accumulator* into its own; the
-accumulator it reads is final, because a key fires once, after the last
-answer it expects, and nothing is folded into a fired key again.  A
-replay packet carries the part id; the value is the part's entry in the
-results table.  Values live beside the schedule in one store, held
+answers every recorded wave edge exactly once and the replay retraces them
+(Lemma 4.4's "symmetrically").  The route is a
+:class:`~repro.core.wave.WaveIndex`: the broadcast kernel hands its two
+arenas over as the index's rows (:meth:`WaveArrayKernel.route`).  So no
+packet carries a value.  A reversal answer carries its sender's dense key
+id (-1 for ``None``) and the receiver folds the *sender's accumulator*
+into its own; the accumulator it reads is final, because a key fires once,
+after the last answer it expects, and nothing is folded into a fired key
+again.  A replay packet carries the part id; the value is the part's entry
+in the results table.  Values live beside the schedule in one store, held
 factor by factor under a layout chosen once per solve where the plan is
 made (:func:`reverse_fold`, :class:`FoldLayout`): a product aggregation is
 one factor per component, anything else one factor.  A factor that
 ``fold_op`` folds is int64 columns folded with ``ufunc.at`` (a min / max
-as one column of ranks among its start values); any other is a Python
-list folded with the factor's own ``merge`` in delivered-row order — the
-scalar fold order, so even an order-sensitive merge returns the scalar
-result.  A list costs one Python merge per value-carrying answer (one per
-key with a wave parent), never one per message.
+as one column of ranks among its start values); any other is a Python list
+folded with the factor's own ``merge`` in delivered-row order — the
+event-driven fold order, so even an order-sensitive merge returns the
+reference result.  A list costs one Python merge per value-carrying answer
+(one per key with a wave parent), never one per message.
 
 **So a setup learns its route once** (the cost rule of
 :mod:`repro.core.wave`): the first solve on a setup (the verification
@@ -67,12 +68,12 @@ kernels read the same fact off the ``parent`` column directly: no answer
 packet carries its tag, as none carries its value.)
 
 The reversal iterates its recorded ``(node, part)`` keys in canonical
-sorted order — the same order the scalar ``ReverseProgram`` uses.  Sorted
-order is *restriction-stable*: a conflict-closed subset of parts (a
-shard) sees exactly the relative key order it would inside the full run,
-and the order survives any order-preserving relabeling of nodes and part
-ids, which is what makes the sharded backend's per-shard reversals land
-on the serial wire schedule bit-for-bit.
+sorted order.  Sorted order is *restriction-stable*: a conflict-closed
+subset of parts (a shard) sees exactly the relative key order it would
+inside the full run, and the order survives any order-preserving
+relabeling of nodes and part ids, which is what makes the sharded
+backend's per-shard reversals land on the serial wire schedule
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -106,7 +107,6 @@ from .array_queue import (
     first_occurrence_mask,
     in_sorted,
 )
-from .treeops import _kernel
 from .wave import WaveIndex, pid_bits
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -155,7 +155,9 @@ def _gather(parts: List[Tuple[np.ndarray, ...]]) -> Tuple[np.ndarray, ...]:
 
 
 class WaveArrayKernel(ArrayProgram):
-    """Array twin of :class:`~repro.core.wave.WaveProgram`."""
+    """Algorithm 1's token broadcast; its reference is the token-wave twin
+    in ``tests/twins.py``.  A leader token is an int below 2**62 (else: a
+    decline): the token is all a wave packet carries."""
 
     name = "pa_wave"
 
@@ -201,9 +203,8 @@ class WaveArrayKernel(ArrayProgram):
             [delays.get(pid, 0) for pid in range(self.num_parts)],
             dtype=np.int64,
         ).reshape(-1)
-        self.token = np.asarray(
-            [leader_tokens[pid] for pid in range(self.num_parts)],
-            dtype=np.int64,
+        self.token = int_column(
+            [leader_tokens[pid] for pid in range(self.num_parts)]
         ).reshape(-1)
         #: Per part, the bits of the whole token packet.
         self.pbits = pid_bits(self.num_parts) + int_bits_array(self.token)
@@ -504,7 +505,7 @@ class FactorValues(Sequence):
     the :class:`~repro.congest.arrays.PayloadColumns` it packed, so the
     value store reads every factor as it is — :func:`reverse_fold` and the
     kernels unzip nothing and pack nothing again.  The tuples are zipped
-    once, when first read (by a scalar program, or a shard's restriction).
+    once, when first read (by a shard's restriction, or a test's twin).
     """
 
     __slots__ = ("columns", "_rows")
@@ -849,8 +850,9 @@ class _Accumulators:
 
 
 class ReverseArrayKernel(ArrayProgram):
-    """Array twin of :class:`~repro.core.wave.ReverseProgram`.
+    """The reversal: a route's time-reversed convergecast (pass 2).
 
+    Its reference is the reversal twin in ``tests/twins.py``.
     ``fold`` lays out the value store (:class:`_Accumulators`).  An
     answer is ``("a", pid, value)`` on the ledger and ``(pid, sender key
     id or -1, value bits)`` in the pool: see the module docstring.
@@ -929,8 +931,9 @@ class ReverseArrayKernel(ArrayProgram):
 
 
 class AllReduceArrayKernel(ArrayProgram):
-    """Array twin of :class:`~repro.core.wave.AllReduceProgram`.
+    """The all-reduce on a learned wave forest (pass 4).
 
+    Its reference is the all-reduce twin in ``tests/twins.py``.
     A key's forest neighbors are a CSR of key ids, parent first; a key
     counts the neighbors it has still to hear from and sums their key ids,
     so when one is left the sum names it.  A packet carries its receiver's
@@ -1113,8 +1116,9 @@ class AllReduceArrayKernel(ArrayProgram):
 
 
 class ReplayArrayKernel(ArrayProgram):
-    """Array twin of :class:`~repro.core.wave.ReplayProgram`.
+    """The replay of each part's aggregate along a route (pass 3).
 
+    Its reference is the replay twin in ``tests/twins.py``.
     A packet is ``("r", pid, results[pid])`` on the ledger and the part id
     alone in the pool; a member's value is its part's entry in ``results``.
     """
@@ -1188,22 +1192,6 @@ def wave_kernels(fold: FoldLayout):
         WaveArrayKernel, partial(ReverseArrayKernel, fold=fold),
         ReplayArrayKernel, partial(AllReduceArrayKernel, fold=fold),
     )
-
-
-def array_wave_supported(
-    engine, leader_tokens: Dict[int, object], phase: str = "pa_wave"
-) -> bool:
-    """Whether the array wave kernels run this solve (else: scalar programs).
-
-    Requires an engine that runs kernels and int leader tokens below
-    2**62 — the token is all a wave packet carries.  The values are not
-    looked at: they ride beside the wire schedule, in whichever store
-    :func:`reverse_fold` picks.  A decline is a ``kernel_fallback`` of
-    ``phase`` on the trace, and the scalar programs run unchanged.
-    """
-    return _kernel(
-        engine, phase, lambda: int_column(list(leader_tokens.values()))
-    ) is not None
 
 
 def reverse_fold(

@@ -31,13 +31,12 @@ Lemma 4.2 discipline — O(D + c) rounds, O(sum_i |H_i|) messages.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..congest.engine import Context, Engine, Inbox
+from ..congest.engine import Engine
 from ..congest.ledger import CostLedger
-from .queued import QueuedProgram
 from .shortcuts import Shortcut
 from .treeops import run_phase
 
@@ -81,16 +80,6 @@ class BlockAnnotations:
         self.token_pid = _frozen(token_pid)
         self.verified: Optional[Tuple[object, object, object]] = None
 
-    def priority_depth(self, node: int, pid: int) -> int:
-        """Root depth used for BlockRoute priority; large if unknown."""
-        depth_of = self.__dict__.get("_depth_of")
-        if depth_of is None:
-            depth_of = self._depth_of = dict(zip(
-                zip(self.node.tolist(), self.pid.tolist()),
-                self.depth.tolist(),
-            ))
-        return depth_of.get((node, pid), 1 << 30)
-
     def packed_depths(self, stride: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(node * stride + pid, depth)`` columns, ascending by key."""
         keys = self.node * np.int64(stride) + self.pid
@@ -100,69 +89,6 @@ class BlockAnnotations:
     def block_counts(self, partition_size: int) -> List[int]:
         """Per-part number of counting tokens delivered (= nontrivial blocks)."""
         return np.bincount(self.token_pid, minlength=partition_size).tolist()
-
-
-class _AnnotateProgram(QueuedProgram):
-    """Flood (root_depth, root_uid) down every block; route count tokens."""
-
-    name = "annotate_blocks"
-
-    def __init__(self, shortcut: Shortcut, capacity: int = 1) -> None:
-        super().__init__(capacity=capacity)
-        self.shortcut = shortcut
-        self.tree = shortcut.tree
-        self.net = shortcut.tree.net
-        self.down = shortcut.down_parts()
-        #: Root depth per annotated ``(node, pid)``, and the ``(node,
-        #: pid)`` of each counting token, in the order they were learned.
-        self._depth_of: Dict[Tuple[int, int], int] = {}
-        self._tokens: List[Tuple[int, int]] = []
-
-    @property
-    def out(self) -> BlockAnnotations:
-        """The learned rows as columns (read once the run is over)."""
-        rows = np.array(
-            [key + (depth,) for key, depth in self._depth_of.items()],
-            dtype=np.int64,
-        ).reshape(-1, 3)
-        tokens = np.array(self._tokens, dtype=np.int64).reshape(-1, 2)
-        return BlockAnnotations(*rows.T, *tokens.T)
-
-    def _children_for(self, node: int, pid: int) -> List[int]:
-        return [c for c, parts in self.down[node].items() if pid in parts]
-
-    def _emit(self, ctx: Context, node: int, pid: int, depth: int, uid: int,
-              counting: bool) -> None:
-        """Record annotation at ``node`` and propagate downward."""
-        key = (node, pid)
-        if key in self._depth_of:
-            return
-        self._depth_of[key] = depth
-        children = self._children_for(node, pid)
-        if counting and not children:
-            self._tokens.append(key)
-        count_child = min(children) if (counting and children) else None
-        for child in children:
-            payload = ("ann", pid, depth, uid, child == count_child)
-            self.enqueue(ctx, node, child, (depth, pid), payload)
-
-    def on_start(self, ctx: Context) -> None:
-        for v in range(self.net.n):
-            down_parts = set()
-            for parts in self.down[v].values():
-                down_parts.update(parts)
-            for pid in sorted(down_parts):
-                if pid not in self.shortcut.up_parts[v]:
-                    # v is the root of its part-pid block: no H_i parent
-                    # edge but at least one H_i child edge.
-                    self._emit(
-                        ctx, v, pid, self.tree.depth[v], self.net.uid[v], True
-                    )
-
-    def handle(self, ctx: Context, node: int, inbox: Inbox) -> None:
-        for _sender, payload in inbox:
-            _tag, pid, depth, uid, counting = payload
-            self._emit(ctx, node, pid, depth, uid, counting)
 
 
 def annotate_blocks(
@@ -182,7 +108,7 @@ def annotate_blocks(
     depth = shortcut.tree.height()
     congestion = shortcut.congestion()
     return run_phase(
-        engine, ledger, _AnnotateProgram.name, AnnotateArrayKernel,
-        _AnnotateProgram, (shortcut, capacity), 16 + 4 * (depth + congestion),
+        engine, ledger, "annotate_blocks", AnnotateArrayKernel,
+        (shortcut, capacity), 16 + 4 * (depth + congestion),
         capacity=capacity, rounds_per_tick=rounds_per_tick,
     ).out

@@ -31,7 +31,7 @@ from typing import (
 
 import numpy as np
 
-from ..congest.engine import Context, Engine, Inbox
+from ..congest.engine import Engine
 from ..congest.ledger import CostLedger
 from ..congest.message import ceil_log2
 from ..congest.network import Network
@@ -39,63 +39,11 @@ from ..graphs.partitions import Partition
 from .aggregation import SUM
 from .array_queue import ClaimArrayKernel
 from .blocks import BlockAnnotations, annotate_blocks
-from .queued import QueuedProgram
 from .shortcuts import Shortcut
 from .subparts import SubPartDivision
 from .treeops import run_phase
-from .trees import ROOT, RootedForest
+from .trees import RootedForest
 from .wave import RouteMemo, run_pa_waves
-
-
-class ClaimProgram(QueuedProgram):
-    """One CoreFast run: representatives claim tree edges upward."""
-
-    name = "corefast_claim"
-
-    def __init__(
-        self,
-        tree: RootedForest,
-        claimants: Sequence[Tuple[int, int]],
-        theta: int,
-        priority_of: Dict[int, int],
-    ) -> None:
-        """``claimants``: (node, part) pairs; ``theta``: per-edge cap."""
-        super().__init__(capacity=1)
-        self.tree = tree
-        self.claimants = claimants
-        self.theta = theta
-        self.priority_of = priority_of
-        n = tree.net.n
-        #: parts admitted onto each node's parent edge this run
-        self.claimed_up: List[Set[int]] = [set() for _ in range(n)]
-        self._handled: Set[Tuple[int, int]] = set()
-
-    def _try_claim(self, ctx: Context, node: int, pid: int) -> None:
-        key = (node, pid)
-        if key in self._handled:
-            return
-        self._handled.add(key)
-        if self.tree.parent[node] < 0:
-            return  # reached the root of T
-        if len(self.claimed_up[node]) >= self.theta:
-            return  # saturated: the claim is truncated here
-        self.claimed_up[node].add(pid)
-        self.enqueue(
-            ctx,
-            node,
-            self.tree.parent[node],
-            (self.priority_of.get(pid, pid),),
-            ("c", pid),
-        )
-
-    def on_start(self, ctx: Context) -> None:
-        for node, pid in self.claimants:
-            self._try_claim(ctx, node, pid)
-
-    def handle(self, ctx: Context, node: int, inbox: Inbox) -> None:
-        for _sender, payload in inbox:
-            _tag, pid = payload
-            self._try_claim(ctx, node, pid)
 
 
 @dataclass
@@ -330,7 +278,7 @@ def _corefast_claim(
         theta = max(2, 2 * budget)
         return run_phase(
             engine, ledger, f"corefast_claim_{iteration}", ClaimArrayKernel,
-            ClaimProgram, (tree, claimants, theta, priorities),
+            (tree, claimants, theta, priorities),
             32 + 4 * (tree.height() + theta),
         ).claimed_up
 

@@ -225,10 +225,8 @@ class PASolver:
         global pulse clock, overhead ledger and fault log — across the
         fresh solvers of successive recovery attempts.
 
-    Which loop computes a phase is not a setting: every phase runs its
-    array kernel unless the kernel declines the payload, and then its
-    scalar twin, with the same ledger either way — under a fault plan
-    too.
+    Which loop computes a phase is not a setting: every kernel phase has
+    one implementation, its array kernel, under a fault plan too.
     """
 
     def __init__(
@@ -464,7 +462,7 @@ class PASolver:
             ledger.merge(setup.setup_ledger, prefix="setup:")
         values = pack_values(values, agg)
         plan = plan_pa_waves(
-            self.engine, self.net, setup.partition, setup.division,
+            self.net, setup.partition, setup.division,
             setup.shortcut, values, agg,
             randomized=(self.mode == RANDOMIZED), rng=self.rng,
             phase_prefix=phase_prefix,

@@ -31,14 +31,13 @@ per block) are established by a distributed annotation phase in
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from ..congest.errors import ShortcutValidationError
-from ..congest.network import Network
 from ..graphs.partitions import Partition
-from .trees import ROOT, RootedForest
+from .trees import RootedForest
 
 
 class Shortcut:
@@ -144,34 +143,16 @@ class Shortcut:
         return cached
 
     # ------------------------------------------------------------------
-    def down_parts(self) -> List[Dict[int, FrozenSet[int]]]:
-        """Per node: map child -> parts using the (child, node) edge.
-
-        This is the "which child edges belong to H_i" knowledge a node needs
-        to forward block messages downward; physically it was learned when
-        the claims crossed the edge during construction.  The returned
-        structure is cached (the shortcut is immutable) and shared between
-        callers — treat it as read-only.
-        """
-        cached = self.__dict__.get("_down_parts")
-        if cached is None:
-            down: List[Dict[int, FrozenSet[int]]] = [
-                dict() for _ in range(self.tree.net.n)
-            ]
-            for v, parts in enumerate(self.up_parts):
-                if parts:
-                    down[self.tree.parent[v]][v] = parts
-            cached = self._down_parts = down
-        return cached
-
     def down_csr(self) -> Tuple["np.ndarray", ...]:
         """Cached down-edge CSR for the array kernels.
 
         Returns ``(keys, starts, counts, children)``: unique sorted keys
         ``parent * P + pid`` (``P = num_parts``), and for each key the
         ascending child nodes whose parent edge belongs to ``H_pid`` —
-        the flat-array form of :meth:`down_parts`, shared by every array
-        kernel built on this (immutable) shortcut.
+        the "which child edges belong to H_i" knowledge a node needs to
+        forward block messages downward (learned when the claims crossed
+        the edge), shared by every array kernel built on this (immutable)
+        shortcut.
         """
         cached = self.__dict__.get("_down_csr")
         if cached is None:

@@ -330,6 +330,11 @@ class SuperOps:
         if not publishing.all():
             src, dst = src[publishing], dst[publishing]
         heard = self.spread(value_of, src)
+        if not isinstance(heard, PayloadColumns) or heard.present is not None:
+            # A source its leader's value did not reach (a fault plan
+            # dropped it on the way) has nothing to send.
+            kept = [i for i, value in enumerate(heard) if value is not None]
+            src, dst, heard = src[kept], dst[kept], [heard[i] for i in kept]
         cross = cross_round(
             self.engine, (src, dst, tag_payloads(tag, heard)),
             self.ledger, name=f"{self.prefix}_cross_{tag}",

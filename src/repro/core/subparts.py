@@ -108,12 +108,6 @@ class SubPartDivision:
             np.concatenate((children, b_flat))[order], crosses[order],
         )
 
-    @cached_property
-    def wave_boundary(self) -> List[Tuple[int, ...]]:
-        """:attr:`wave_boundary_csr` as per-node tuples (scalar programs)."""
-        starts, counts, flat = (col.tolist() for col in self.wave_boundary_csr)
-        return [tuple(flat[lo:lo + k]) for lo, k in zip(starts, counts)]
-
     def subparts_of_part(self, pid: int) -> List[int]:
         """Representatives of the sub-parts refining part ``pid``."""
         return sorted(

@@ -4,11 +4,13 @@ Algorithm 1 broadcasts a token ``m_i`` from each part leader to every node
 of the part, alternating BlockRoute steps over shortcut blocks with
 intra-sub-part broadcasts and boundary crossings, then computes ``f(P_i)``
 "symmetrically" and broadcasts the result.  We implement it as four
-programs, each a single engine phase over *all parts concurrently*; a
-solve runs three of them (the wave, the reversal and the replay) or one
-(the all-reduce):
+passes, each a single engine phase over *all parts concurrently*, run by
+the kernels of :mod:`repro.core.array_wave` (reference twins:
+``tests/twins.py``); a solve runs three of them (the wave, the reversal
+and the replay) or one (the all-reduce):
 
-1. :class:`WaveProgram` — the token broadcast.  Five message kinds:
+1. The wave (:class:`~repro.core.array_wave.WaveArrayKernel`) — the token
+   broadcast.  Five message kinds:
 
    * ``su`` — down a sub-part tree (Algorithm 1 line 14);
    * ``bd`` — across sub-part boundary edges inside the part (line 15);
@@ -42,10 +44,10 @@ solve runs three of them (the wave, the reversal and the replay) or one
    capacity Theta(log n), each engine tick costing that many CONGEST rounds
    — exactly the paper's meta-round accounting.
 
-2. :class:`ReverseProgram` — the aggregation.  The broadcast recorded, per
-   (node, part), every wave message sent and received and the *wave
-   parent* (first token source): its route, a :class:`WaveIndex`, the one
-   type both twins write and read.  Reversal answers every recorded wave
+2. The reversal (:class:`~repro.core.array_wave.ReverseArrayKernel`) —
+   the aggregation.  The broadcast recorded, per (node, part), every wave
+   message sent and received and the *wave parent* (first token source):
+   its route, a :class:`WaveIndex`.  Reversal answers every recorded wave
    edge with exactly one message: non-parent edges are answered ``None``
    immediately, under their own tag; the parent edge is answered with the
    node's contribution merged with all received answers (value or
@@ -58,14 +60,16 @@ solve runs three of them (the wave, the reversal and the replay) or one
    what lets the sharded backend replay shard-local reversals
    bit-for-bit.
 
-3. :class:`ReplayProgram` — the result broadcast: the leader's aggregate
-   retraces the wave forest (below), one message per non-leader key.
+3. The replay (:class:`~repro.core.array_wave.ReplayArrayKernel`) — the
+   result broadcast: the leader's aggregate retraces the wave forest
+   (below), one message per non-leader key.
 
-4. :class:`AllReduceProgram` — aggregation and result in one pass on the
-   wave forest, for a solve on a route learned earlier.  f is commutative
-   and associative (Definition 1.1), so no node needs the leader's
-   answer: each key sends each forest neighbor one message, once it has
-   heard from all the others, and every key ends holding the total.
+4. The all-reduce (:class:`~repro.core.array_wave.AllReduceArrayKernel`)
+   — aggregation and result in one pass on the wave forest, for a solve
+   on a route learned earlier.  f is commutative and associative
+   (Definition 1.1), so no node needs the leader's answer: each key sends
+   each forest neighbor one message, once it has heard from all the
+   others, and every key ends holding the total.
 
 **The cost rule: a setup learns its route once.**  Who sends to whom in a
 wave is a function of the setup and the delay draw, not of the values
@@ -73,24 +77,23 @@ wave is a function of the setup and the delay draw, not of the values
 What a node remembers of the first solve on a setup, per part it served:
 its wave parent, and which of the wave edges it sent on were answered
 under the child tag — those are the edges on which it *is* the wave
-parent, and the answer's tag is all it takes to tell them from the rest
-(a non-parent answer is ``None`` under the other tag; same
+parent, and the answer's tag is all it takes to tell them from the rest (a
+non-parent answer is ``None`` under the other tag; same
 ``TAG_BITS``).  Those edges are the *wave forest*: one in-edge per
-non-leader key, ``#keys - #parts`` edges in all.  A node holds that fact
-as soon as the reversal's answers are in, so nothing after the reversal
-pays for the wire again: the first solve on a setup runs broadcast and
-reversal over the wire record and the replay on the forest — two wire
-passes and one forest pass (one wire broadcast and one wire reversal is
-what a setup's first solve must keep paying; Lemma 4.4's third pass only
-ever needed the tree the first two built) — and when it has returned the
-setup keeps the forest (:class:`RouteMemo`, one :class:`WaveIndex`
-whichever twin learned it); every later solve on that
-setup runs no token wave — one all-reduce on the forest: ``2 (#keys -
-#parts)`` messages, the reversal's and the replay's together, in diam(T)
-ticks of the forest T instead of the 2 height(T) of a convergecast to the
-leader and a broadcast back.  A candidate verification inside a build
-(Algorithm 2) is such a first solve: it learns into a fresh memo that
-rides on the candidate's annotations, and the build returns its last
+non-leader key, ``#keys - #parts`` edges in all.  A node holds that fact as
+soon as the reversal's answers are in, so nothing after the reversal pays
+for the wire again: the first solve on a setup runs broadcast and reversal
+over the wire record and the replay on the forest — two wire passes and
+one forest pass (one wire broadcast and one wire reversal is what a
+setup's first solve must keep paying; Lemma 4.4's third pass only ever
+needed the tree the first two built) — and when it has returned the setup
+keeps the forest (:class:`RouteMemo`, one :class:`WaveIndex`); every later
+solve on that setup runs no token wave — one all-reduce on the forest: ``2
+(#keys - #parts)`` messages, the reversal's and the replay's together, in
+diam(T) ticks of the forest T instead of the 2 height(T) of a convergecast
+to the leader and a broadcast back.  A candidate verification inside a
+build (Algorithm 2) is such a first solve: it learns into a fresh memo
+that rides on the candidate's annotations, and the build returns its last
 candidate edge for edge, so the setup over that division and shortcut
 adopts the memo (:class:`~repro.core.pa.PASetup`) and its first solve is
 already the all-reduce.  A setup pays at most one token wave, in its
@@ -110,12 +113,12 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..congest.arrays import int_bits_array
-from ..congest.engine import Context, Engine, Inbox
+from ..congest.engine import Engine
 from ..congest.ledger import CostLedger
 from ..congest.message import TAG_BITS, TUPLE_OVERHEAD_BITS, ceil_log2
 from ..congest.network import Network
@@ -124,9 +127,9 @@ from ..obs.tracer import current_tracer
 from .aggregation import Aggregation
 from .array_queue import first_occurrence_mask, sorted_unique
 from .blocks import BlockAnnotations
-from .queued import QueuedProgram
 from .shortcuts import Shortcut
 from .subparts import SubPartDivision
+from .treeops import build_phase
 
 if TYPE_CHECKING:  # array_wave imports this module
     from .array_wave import FoldLayout
@@ -145,7 +148,7 @@ def pid_bits(num_parts: int) -> np.ndarray:
 class WaveIndex:
     """A setup's route: what the broadcast learned, for the passes after it.
 
-    Both twins write it and both read it.  Key id ``k`` is the rank of
+    Key id ``k`` is the rank of
     ``keys[k] == node[k] * stride + part[k]`` among every key that sent,
     received or led — the canonical sorted ``(node, part)`` order.
     ``parent[k]`` is the key's wave parent node, the sender of its first
@@ -265,26 +268,6 @@ class WaveIndex:
             self.node
         ]
 
-    def start_values(self, values: Sequence[object]) -> List[object]:
-        """Per key id, its node's value if :meth:`live`, else ``None``."""
-        return [
-            values[v] if own else None
-            for v, own in zip(self.node.tolist(), self.live().tolist())
-        ]
-
-    def pairs(self) -> List[Tuple[int, int]]:
-        """The keys as ``(node, part)`` pairs, in key-id order."""
-        return list(zip(self.node.tolist(), self.part.tolist()))
-
-    def out_lists(self) -> List[List[int]]:
-        """Per key id, the destinations it sent to, in send order."""
-        dst = self.out_dst.tolist()
-        return [
-            dst[lo:lo + count] for lo, count in zip(
-                self.out_starts.tolist(), self.out_counts.tolist()
-            )
-        ]
-
     @property
     def edges(self) -> int:
         """Messages one pass over this route sends."""
@@ -319,7 +302,7 @@ class RouteMemo:
     the setup's token wave was paid for, ``None`` until a solve that ran
     it has *returned* (a solve that raised after its wave commits
     nothing, so its retry pays the wave again).  ``forest`` is this
-    process's cache of that wave's forest, which both wave twins read:
+    process's cache of that wave's forest:
     whoever lacks it — a shard worker after a local learn or a re-ship,
     rank 0 after a sharded learn — re-derives it from the setup and
     ``delays`` off the ledger.
@@ -327,417 +310,6 @@ class RouteMemo:
 
     delays: Optional[Dict[int, int]] = None
     forest: Optional[WaveIndex] = None
-
-
-class WaveProgram(QueuedProgram):
-    """Token broadcast from every part leader (Algorithm 1 lines 1-20)."""
-
-    name = "pa_wave"
-
-    def __init__(
-        self,
-        net: Network,
-        partition: Partition,
-        division: SubPartDivision,
-        shortcut: Shortcut,
-        annotations: BlockAnnotations,
-        leader_tokens: Dict[int, object],
-        delays: Optional[Dict[int, int]] = None,
-        capacity: int = 1,
-    ) -> None:
-        super().__init__(capacity=capacity)
-        self.net = net
-        self.partition = partition
-        self.division = division
-        self.shortcut = shortcut
-        self.ann = annotations
-        self.leader_tokens = leader_tokens
-        self.delays = delays or {}
-        self._started: Set[int] = set()
-
-        self.forest = division.forest
-        self.part_of = partition.part_of
-        self.rep_of = division.rep_of
-        self.down = shortcut.down_parts()
-
-        self.has_token = bytearray(net.n)
-        #: Keys ``(node, pid)`` whose climb is won: by a ku or an inject.
-        self.kup_done: Set[Tuple[int, int]] = set()
-        self.kdown_done: Set[Tuple[int, int]] = set()
-        #: Per key ``(node, pid)``: every neighbor that has sent the node
-        #: pid's token.
-        self.heard: Dict[Tuple[int, int], Set[int]] = {}
-
-        #: The route's rows (:class:`WaveIndex`): ``(node * stride + pid,
-        #: dst)`` per packet sent, ``(node * stride + pid, src)`` per
-        #: packet received.
-        self.stride = max(1, partition.num_parts)
-        self.out_rows: Tuple[List[int], List[int]] = ([], [])
-        self.in_rows: Tuple[List[int], List[int]] = ([], [])
-        # The candidate boundary edges of line 15.
-        self._boundary: List[Tuple[int, ...]] = division.wave_boundary
-
-    def on_dequeue(self, src: int, dst: int, payload: object) -> None:
-        # Once per physically sent packet: record the wave edge.
-        keys, dsts = self.out_rows
-        keys.append(src * self.stride + payload[1])
-        dsts.append(dst)
-
-    def _send(self, ctx: Context, src: int, dst: int, tag: str, pid: int,
-              token: object, priority: Tuple = (0, 0)) -> None:
-        self.enqueue(ctx, src, dst, priority, (tag, pid, token))
-
-    def _prio(self, v: int, pid: int) -> Tuple[int, int]:
-        return (self.ann.priority_depth(v, pid), pid)
-
-    # ------------------------------------------------------------------
-    # Protocol actions.  ``heard`` is every neighbor that has sent the
-    # node pid's token: none of them is sent it back.
-    # ------------------------------------------------------------------
-    def _gain_token(self, ctx: Context, v: int, pid: int, token: object,
-                    heard, via_block: bool) -> None:
-        """First token receipt at part member ``v``: hand it on at once.
-
-        Down the sub-part tree and across the boundary; a non-rep also up
-        toward its representative, a representative into its block unless
-        the token came through the block (Observation 4.3: reps only).
-        """
-        self.has_token[v] = 1
-        for child in self.forest.children[v]:
-            if child not in heard:
-                self._send(ctx, v, child, "su", pid, token)
-        for nb in self._boundary[v]:
-            if nb not in heard:
-                self._send(ctx, v, nb, "bd", pid, token)
-        if self.rep_of[v] != v:
-            parent = self.forest.parent[v]
-            if parent not in heard:
-                self._send(ctx, v, parent, "ru", pid, token)
-        elif not via_block:
-            self.kup_done.add((v, pid))
-            self._climb(ctx, v, pid, token, heard)
-
-    def _climb(self, ctx: Context, v: int, pid: int, token: object,
-               heard) -> None:
-        """``v`` won pid's climb: ku up unless v is the block root, and kd
-        down its H_pid children, both now."""
-        if pid in self.shortcut.up_parts[v]:
-            parent = self.shortcut.tree.parent[v]
-            if parent not in heard:
-                self._send(
-                    ctx, v, parent, "ku", pid, token, self._prio(v, pid)
-                )
-        self._block_down(ctx, v, pid, token, heard)
-
-    def _block_down(self, ctx: Context, v: int, pid: int, token: object,
-                    heard) -> None:
-        """Flood the token down v's H_pid child edges (once per key)."""
-        key = (v, pid)
-        if key in self.kdown_done:
-            return
-        self.kdown_done.add(key)
-        prio = self._prio(v, pid)
-        for child, parts in self.down[v].items():
-            if pid in parts and child not in heard:
-                self._send(ctx, v, child, "kd", pid, token, prio)
-
-    # ------------------------------------------------------------------
-    # Engine hooks
-    # ------------------------------------------------------------------
-    def on_start(self, ctx: Context) -> None:
-        for pid in range(self.partition.num_parts):
-            leader = self.division.part_leader[pid]
-            delay = self.delays.get(pid, 0)
-            if delay > 1:
-                # Timer wheel: one activation exactly at the delay tick,
-                # instead of re-waking (and re-activating) every tick.
-                ctx.wake_at(leader, delay)
-            else:
-                ctx.wake(leader)
-
-    def _leader_start(self, ctx: Context, leader: int) -> None:
-        pid = self.part_of[leader]
-        if ctx.tick < self.delays.get(pid, 0):
-            # Defensive: with wake_at-based scheduling the leader is first
-            # activated at its delay tick, so this cannot trigger unless a
-            # message reaches it earlier (in which case it re-arms).
-            ctx.wake(leader)
-            return
-        self._started.add(pid)
-        # pid's token exists nowhere before this: nobody has sent it.
-        self._gain_token(ctx, leader, pid, self.leader_tokens[pid], (), False)
-
-    def handle(self, ctx: Context, node: int, inbox: Inbox) -> None:
-        keys, srcs = self.in_rows
-        heard_of = self.heard
-        for sender, payload in inbox:
-            pid = payload[1]
-            keys.append(node * self.stride + pid)
-            srcs.append(sender)
-            heard = heard_of.get((node, pid))
-            if heard is None:
-                heard_of[(node, pid)] = {sender}
-            else:
-                heard.add(sender)
-        member = self.part_of[node]
-        for _sender, payload in inbox:
-            tag, pid, token = payload
-            key = (node, pid)
-            # This tick's senders included.
-            heard = heard_of[key]
-            if tag == "ku":
-                if key in self.kup_done:
-                    continue
-                self.kup_done.add(key)
-                if member == pid and not self.has_token[node]:
-                    self._gain_token(ctx, node, pid, token, heard, True)
-                self._climb(ctx, node, pid, token, heard)
-            elif tag == "kd":
-                if member == pid and not self.has_token[node]:
-                    self._gain_token(ctx, node, pid, token, heard, True)
-                self._block_down(ctx, node, pid, token, heard)
-            elif not self.has_token[node]:
-                # ru, su, bd: the node's own part.
-                self._gain_token(ctx, node, pid, token, heard, False)
-
-    def on_activate(self, ctx: Context, node: int) -> None:
-        pid = self.part_of[node]
-        if node == self.division.part_leader[pid] and pid not in self._started:
-            # The leader's own sends are flushed at the end of this
-            # activation, so they ship this tick.
-            self._leader_start(ctx, node)
-
-    def route(self) -> WaveIndex:
-        """The finished broadcast's wire record."""
-        parts = range(self.partition.num_parts)
-        return WaveIndex(
-            self.part_of,
-            [self.division.part_leader[pid] for pid in parts],
-            np.isin(parts, list(self._started)),
-            np.frombuffer(self.has_token, dtype=np.uint8) != 0,
-            *self.out_rows, *self.in_rows,
-        )
-
-
-class ReverseProgram(QueuedProgram):
-    """Aggregation by exact time-reversal of a route (wire or forest)."""
-
-    name = "pa_reverse"
-
-    def __init__(
-        self,
-        route: WaveIndex,
-        agg: Aggregation,
-        values: Sequence[object],
-        capacity: int = 1,
-    ) -> None:
-        super().__init__(capacity=capacity)
-        self.index = route
-        self.agg = agg
-        # Per key id, in the canonical sorted (node, pid) order.  Sorting
-        # is restriction-stable (a shard sees the same relative order as
-        # the full run) and relabel-invariant under order-preserving
-        # node/part relabelings — the property the sharded backend's
-        # bit-for-bit parity rests on.
-        self.keys = route.pairs()
-        self.kid = {key: k for k, key in enumerate(self.keys)}
-        self.parent = route.parent.tolist()
-        #: Answers a key still waits for: one per message it sent.
-        self.expected = route.out_counts.tolist()
-        self.acc = route.start_values(values)
-        self.results: Dict[int, object] = {}
-
-    def _fire(self, ctx: Context, k: int) -> None:
-        v, pid = self.keys[k]
-        parent = self.parent[k]
-        if parent < 0:
-            self.results[pid] = self.acc[k]
-        else:
-            self.enqueue(ctx, v, parent, (0,), ("a", pid, self.acc[k]))
-
-    def on_start(self, ctx: Context) -> None:
-        # Answer every non-parent in-edge immediately with None, under a
-        # tag of its own: the tag is how a sender learns which of its
-        # wave edges are forest edges (answered "a") and which are not.
-        index, keys = self.index, self.keys
-        for k, src in zip(index.fan_kid.tolist(), index.fan_src.tolist()):
-            v, pid = keys[k]
-            self.enqueue(ctx, v, src, (0,), ("n", pid, None))
-        for k, left in enumerate(self.expected):
-            if left == 0:
-                self._fire(ctx, k)
-
-    def handle(self, ctx: Context, node: int, inbox: Inbox) -> None:
-        for _sender, payload in inbox:
-            _tag, pid, value = payload
-            k = self.kid[(node, pid)]
-            self.acc[k] = self.agg.merge(self.acc[k], value)
-            self.expected[k] -= 1
-            if self.expected[k] == 0:
-                self._fire(ctx, k)
-
-
-class ReplayProgram(QueuedProgram):
-    """Broadcast each part's aggregate along a route's edges."""
-
-    name = "pa_replay"
-
-    def __init__(
-        self,
-        route: WaveIndex,
-        results: Dict[int, object],
-        capacity: int = 1,
-    ) -> None:
-        super().__init__(capacity=capacity)
-        self.index = route
-        self.results = results
-        self.kid = {key: k for k, key in enumerate(route.pairs())}
-        self.out = route.out_lists()
-        self.part_of = route.part_of.tolist()
-        self.delivered: Dict[int, object] = {}
-        self._done: Set[int] = set()
-
-    def _forward(self, ctx: Context, v: int, pid: int, value: object) -> None:
-        k = self.kid[(v, pid)]
-        if k in self._done:
-            return
-        self._done.add(k)
-        if self.part_of[v] == pid:
-            self.delivered[v] = value
-        for dst in self.out[k]:
-            self.enqueue(ctx, v, dst, (0,), ("r", pid, value))
-
-    def on_start(self, ctx: Context) -> None:
-        leaders = self.index.leaders.tolist()
-        for pid, value in self.results.items():
-            self._forward(ctx, leaders[pid], pid, value)
-
-    def handle(self, ctx: Context, node: int, inbox: Inbox) -> None:
-        for _sender, payload in inbox:
-            _tag, pid, value = payload
-            self._forward(ctx, node, pid, value)
-
-    def reached(self) -> int:
-        """How many part members the replay delivered an aggregate to."""
-        return len(self.delivered)
-
-    def value_at_node(self) -> List[object]:
-        """Per node, the aggregate its part's replay delivered to it."""
-        return [self.delivered.get(v) for v in range(self.index.n)]
-
-
-class AllReduceProgram(QueuedProgram):
-    """Every key of a part ends holding its aggregate: one pass, a forest.
-
-    A key's forest neighbors are its wave parent and its wave children.  It
-    sends each of them exactly one message.  Once it has heard from all but
-    one, it sends that one a ``"u"`` partial: its own value merged with
-    everything the others sent.  Once it has heard from all, it holds the
-    part's total and hands it on as ``"d"`` to every neighbor it has not
-    sent to.  A ``"d"`` is the total; a ``"u"`` from the very neighbor a key
-    sent its own partial to is the other half of the part, and the two
-    halves merge parent side first, so both ends hold the same value even
-    under an order-sensitive merge.  Decisions are taken after a node's
-    whole inbox, key by key in order of first arrival.  The ``#keys -
-    #parts`` forest edges carry one message each way, in diam(T) ticks
-    where no two parts queue on one edge.
-    """
-
-    name = "pa_allreduce"
-
-    def __init__(
-        self,
-        route: WaveIndex,
-        agg: Aggregation,
-        values: Sequence[object],
-        capacity: int = 1,
-    ) -> None:
-        super().__init__(capacity=capacity)
-        self.index = route
-        self.agg = agg
-        self.keys = route.pairs()
-        self.kid = {key: k for k, key in enumerate(self.keys)}
-        self.parent = route.parent.tolist()
-        self.part_of = route.part_of.tolist()
-        #: Per key id: its forest neighbors, parent first, children in
-        #: send order; those it has not heard from; the one its partial
-        #: went to (-1: none yet).
-        self.neighbors = [
-            ([] if parent < 0 else [parent]) + out
-            for parent, out in zip(self.parent, route.out_lists())
-        ]
-        self.waiting = [set(nbrs) for nbrs in self.neighbors]
-        self.sent_to = [-1] * len(self.keys)
-        self.acc = route.start_values(values)
-        #: Part totals, the first key of each part to hold one.
-        self.results: Dict[int, object] = {}
-        self.delivered: Dict[int, object] = {}
-
-    def _partial(self, ctx: Context, k: int, dst: int) -> None:
-        v, pid = self.keys[k]
-        self.sent_to[k] = dst
-        self.enqueue(ctx, v, dst, (0,), ("u", pid, self.acc[k]))
-
-    def _finish(self, ctx: Context, k: int, payload) -> None:
-        """Key ``k`` holds its part's total (``payload[2]``): pass it on."""
-        v, pid = self.keys[k]
-        self.results.setdefault(pid, payload[2])
-        if self.part_of[v] == pid:
-            self.delivered[v] = payload[2]
-        skip = self.sent_to[k]
-        for dst in self.neighbors[k]:
-            if dst != skip:
-                self.enqueue(ctx, v, dst, (0,), payload)
-
-    def on_start(self, ctx: Context) -> None:
-        # Canonical sorted (node, pid) order, restriction-stable as the
-        # reversal's.
-        for k, nbrs in enumerate(self.neighbors):
-            if len(nbrs) == 1:
-                self._partial(ctx, k, nbrs[0])
-            elif not nbrs:
-                self._finish(ctx, k, ("d", self.keys[k][1], self.acc[k]))
-
-    def handle(self, ctx: Context, node: int, inbox: Inbox) -> None:
-        merge = self.agg.merge
-        # key id -> the total payload this tick brought the key, or None
-        # where it only brought partials to fold.
-        got: Dict[int, Optional[tuple]] = {}
-        for sender, payload in inbox:
-            tag, pid, value = payload
-            k = self.kid[(node, pid)]
-            if tag == "d":
-                got[k] = payload
-            elif self.sent_to[k] == sender:
-                # The meeting edge: both ends merge parent side first.
-                acc = self.acc[k]
-                if self.parent[k] == sender:
-                    total = merge(value, acc)
-                else:
-                    total = merge(acc, value)
-                got[k] = ("d", pid, total)
-            else:
-                self.acc[k] = merge(self.acc[k], value)
-                self.waiting[k].discard(sender)
-                got.setdefault(k, None)
-        for k, payload in got.items():
-            if payload is not None:
-                self._finish(ctx, k, payload)
-                continue
-            waiting = self.waiting[k]
-            if not waiting:
-                self._finish(ctx, k, ("d", self.keys[k][1], self.acc[k]))
-            elif len(waiting) == 1:
-                (dst,) = waiting
-                self._partial(ctx, k, dst)
-
-    def reached(self) -> int:
-        """How many part members ended holding their part's total."""
-        return len(self.delivered)
-
-    def value_at_node(self) -> List[object]:
-        """Per node, the total its part's pass left it holding."""
-        return [self.delivered.get(v) for v in range(self.index.n)]
 
 
 @dataclass
@@ -763,16 +335,14 @@ class WavePlan:
     *before* the first tick: capacity/meta-round accounting, the random
     per-part delays (drawn from the solver rng in pid order, so planning
     advances the rng exactly as running used to), the round budget
-    (computed from the *global* n/b/c/depth), the leader tokens, the
-    array-vs-scalar dispatch decision, and for the array kernels the
-    value store's :class:`~repro.core.array_wave.FoldLayout` (``fold``,
-    ``None`` for the scalar programs): per factor of the aggregation,
-    int64 columns or a list folded with the factor's own merge —
-    evaluated on the *global* values, because a restriction of the values
-    could pass the int64-overflow check where the full set does not.  The
-    sharded
-    backend ships one plan to every worker, restricted per shard, so all
-    shards run under the exact parameters the serial pass would have used.
+    (computed from the *global* n/b/c/depth), the leader tokens, and the
+    value store's :class:`~repro.core.array_wave.FoldLayout` (``fold``):
+    per factor of the aggregation, int64 columns or a list folded with the
+    factor's own merge — evaluated on the *global* values, because a
+    restriction of the values could pass the int64-overflow check where
+    the full set does not.  The sharded backend ships one plan to every
+    worker, restricted per shard, so all shards run under the exact
+    parameters the serial pass would have used.
     """
 
     capacity: int
@@ -780,12 +350,10 @@ class WavePlan:
     delays: Dict[int, int]
     max_ticks: int
     leader_tokens: Dict[int, object]
-    use_array: bool
-    fold: Optional[FoldLayout]
+    fold: FoldLayout
 
 
 def plan_pa_waves(
-    engine: Engine,
     net: Network,
     partition: Partition,
     division: SubPartDivision,
@@ -835,21 +403,15 @@ def plan_pa_waves(
         for pid in range(partition.num_parts)
     }
 
-    from .array_wave import array_wave_supported, reverse_fold
+    from .array_wave import reverse_fold
 
-    use_array = array_wave_supported(
-        engine, leader_tokens, phase=f"{phase_prefix}_wave"
-    )
     return WavePlan(
         capacity=capacity,
         rounds_per_tick=rounds_per_tick,
         delays=delays,
         max_ticks=max_ticks,
         leader_tokens=leader_tokens,
-        use_array=use_array,
-        fold=reverse_fold(
-            values, agg, phase=f"{phase_prefix}_reverse"
-        ) if use_array else None,
+        fold=reverse_fold(values, agg, phase=f"{phase_prefix}_reverse"),
     )
 
 
@@ -874,7 +436,7 @@ def run_pa_waves(
     Exactly ``plan_pa_waves`` followed by ``run_planned_waves``.
     """
     plan = plan_pa_waves(
-        engine, net, partition, division, shortcut, values, agg,
+        net, partition, division, shortcut, values, agg,
         randomized=randomized, rng=rng, max_ticks=max_ticks,
         phase_prefix=phase_prefix,
     )
@@ -925,20 +487,21 @@ def run_planned_waves(
     part must have a result and the last pass must reach every part
     member, or the solve raises.
 
-    The plan's parameters (including the array-dispatch decision) are
+    The plan's parameters (including the value store's layout) are
     honored as given: this is the entry point sharded workers use, with a
     plan computed once on the orchestrator from the global structures and
     restricted per shard.
     """
     from .array_wave import wave_kernels
 
-    broadcast, reversal, replay, allreduce = (
-        wave_kernels(plan.fold) if plan.use_array
-        else (WaveProgram, ReverseProgram, ReplayProgram, AllReduceProgram)
-    )
+    broadcast, reversal, replay, allreduce = wave_kernels(plan.fold)
 
-    def run(program, name: str, max_ticks: int, charge: bool = True):
-        program.name = f"{phase_prefix}_{name}"
+    def run(name: str, max_ticks: int, kernel, *args, charge: bool = True,
+            **kwargs):
+        program = build_phase(
+            f"{phase_prefix}_{name}", kernel, *args,
+            capacity=plan.capacity, **kwargs,
+        )
         stats = engine.run(
             program, max_ticks=max_ticks, capacity=plan.capacity,
             rounds_per_tick=plan.rounds_per_tick,
@@ -948,10 +511,11 @@ def run_planned_waves(
         return program
 
     def token_wave(delays: Dict[int, int], charge: bool):
-        wave = run(broadcast(
-            net, partition, division, shortcut, annotations,
-            plan.leader_tokens, delays=delays, capacity=plan.capacity,
-        ), "wave", plan.max_ticks, charge)
+        wave = run(
+            "wave", plan.max_ticks, broadcast, net, partition, division,
+            shortcut, annotations, plan.leader_tokens, delays=delays,
+            charge=charge,
+        )
         for pid, members in enumerate(partition.members):
             missing = [v for v in members if not wave.has_token[v]]
             if missing:
@@ -974,15 +538,11 @@ def run_planned_waves(
         wire = token_wave(plan.delays, charge=True)
         forest = wire.forest()
         reverse = run(
-            reversal(wire, agg, values, capacity=plan.capacity),
-            "reverse", 4 * plan.max_ticks,
+            "reverse", 4 * plan.max_ticks, reversal, wire, agg, values
         )
         check_results(reverse.results, "reversal")
         results = reverse.results
-        final = run(
-            replay(forest, results, capacity=plan.capacity),
-            "replay", 4 * plan.max_ticks,
-        )
+        final = run("replay", 4 * plan.max_ticks, replay, forest, results)
     else:
         forest = route.forest
         if forest is None:
@@ -990,8 +550,7 @@ def run_planned_waves(
                 route.delays, charge=False
             ).forest()
         final = run(
-            allreduce(forest, agg, values, capacity=plan.capacity),
-            "allreduce", 4 * plan.max_ticks,
+            "allreduce", 4 * plan.max_ticks, allreduce, forest, agg, values
         )
         results = dict(sorted(final.results.items()))
         check_results(results, "all-reduce")

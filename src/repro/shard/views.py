@@ -77,7 +77,7 @@ class ShardShortcut(Shortcut):
     """A shard-restricted shortcut view.
 
     Reuses every :class:`~repro.core.shortcuts.Shortcut` derivation
-    (``down_parts``/``down_csr``/``up_key_array``) but skips the
+    (``down_csr``/``up_key_array``) but skips the
     constructor's single-spanning-tree validation: a shard's restricted
     tree is a *forest* (one root per node whose parent edge the shard
     does not use).

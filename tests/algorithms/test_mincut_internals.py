@@ -22,7 +22,7 @@ from repro.graphs import (
     with_planted_cut,
 )
 
-from oracles import ENGINE_OF
+from twins import twin_phases
 
 
 def test_interval_labels_are_preorder(grid4x6):
@@ -148,12 +148,11 @@ MINCUT_PINS = {
 def test_approx_min_cut_ledger_is_the_parents(graph, impl):
     make, expected = MINCUT_PINS[graph]
     net = make()
-    session = PASession(
-        net, solver=PASolver(net, seed=3, engine=ENGINE_OF[impl](net))
-    )
-    result = approx_min_cut(
-        net, epsilon=1.0, seed=3, max_trees=3, session=session
-    )
+    session = PASession(net, solver=PASolver(net, seed=3))
+    with twin_phases(impl == "scalar"):
+        result = approx_min_cut(
+            net, epsilon=1.0, seed=3, max_trees=3, session=session
+        )
     phases = [
         (p.name, p.rounds, p.messages, p.ticks, p.bits)
         for p in result.ledger.phases()

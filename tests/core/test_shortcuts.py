@@ -5,6 +5,7 @@ import pytest
 from repro.congest import ShortcutValidationError
 from repro.core import ROOT, RootedForest, Shortcut
 from repro.graphs import Partition, grid_2d, path_graph
+from twins import down_parts
 from oracles import (
     block_parameter,
     blocks_of_part,
@@ -118,5 +119,5 @@ def test_down_parts_mirrors_up(path10):
     up = [set() for _ in range(10)]
     up[3] = {0}
     sc = Shortcut(tree, part, up)
-    down = sc.down_parts()
+    down = down_parts(sc)
     assert down[2] == {3: frozenset({0})}

@@ -16,7 +16,8 @@ from repro.graphs import (
     random_connected,
     random_regular,
 )
-from oracles import ENGINE_OF, random_planar
+from oracles import random_planar
+from twins import twin_phases
 
 
 def test_bfs_tree_depth_is_eccentricity(grid4x6, ledger):
@@ -83,9 +84,8 @@ TREE_DIGESTS = {
 def test_election_tree_is_the_pinned_one(kind, impl):
     make, digest = TREE_DIGESTS[kind]
     net = make()
-    result = elect_leader_and_bfs_tree(
-        ENGINE_OF[impl](net), net, CostLedger()
-    )
+    with twin_phases(impl == "scalar"):
+        result = elect_leader_and_bfs_tree(Engine(net), net, CostLedger())
     pinned = repr((result.root, list(result.tree.parent)))
     assert hashlib.sha256(pinned.encode()).hexdigest() == digest
 
@@ -112,13 +112,12 @@ def test_the_candidate_tree_is_a_bfs_tree_of_the_least_candidate(
     n, extra, graph_seed, seed
 ):
     net = random_connected(n, extra, seed=graph_seed)
-    trees = [
-        elect_leader_and_bfs_tree(
-            ENGINE_OF[impl](net), net, CostLedger(),
-            rng=random.Random(seed),
-        )
-        for impl in ("scalar", "array")
-    ]
+    trees = []
+    for twins in (True, False):
+        with twin_phases(twins):
+            trees.append(elect_leader_and_bfs_tree(
+                Engine(net), net, CostLedger(), rng=random.Random(seed),
+            ))
     scalar, array = trees
     assert (scalar.root, scalar.tree.parent) == (array.root, array.tree.parent)
     root = scalar.root
@@ -178,10 +177,10 @@ CANDIDATE_DIGESTS = {
 def test_candidate_tree_is_the_pinned_one(kind, impl):
     make, _digest = TREE_DIGESTS[kind]
     net = make()
-    result = elect_leader_and_bfs_tree(
-        ENGINE_OF[impl](net), net, CostLedger(),
-        rng=random.Random(0),
-    )
+    with twin_phases(impl == "scalar"):
+        result = elect_leader_and_bfs_tree(
+            Engine(net), net, CostLedger(), rng=random.Random(0),
+        )
     pinned = repr((result.root, list(result.tree.parent)))
     assert hashlib.sha256(pinned.encode()).hexdigest() == CANDIDATE_DIGESTS[kind]
 

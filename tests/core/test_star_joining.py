@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.algorithms import minimum_spanning_tree
 from repro.analysis import kruskal_mst
 from repro.congest import CostLedger, Engine, Network
+from repro.congest.arrays import KernelDecline
 from repro.core import MIN, MIN_TUPLE, SUM, PASolver
 from repro.core.cole_vishkin import cv_iterations_needed, cv_step, shift_down_step
 from repro.core.no_leader import PASuperOps
@@ -32,7 +33,8 @@ from repro.graphs import (
     with_distinct_weights,
     with_random_weights,
 )
-from oracles import ENGINE_OF, root_of, spanning_forest_of_subsets
+from oracles import root_of, spanning_forest_of_subsets
+from twins import twin_phases
 
 
 def ring_of_subparts(n_groups, group_size):
@@ -139,44 +141,44 @@ def test_two_cycle_resolves():
     assert len(joins) == 1
 
 
-def _forest_ops(impl):
+def _forest_ops():
     net, groups, forest = ring_of_subparts(6, 3)
     chosen = chain_edges(net, groups, forest)
     ledger = CostLedger()
-    engine = ENGINE_OF[impl](net)
+    engine = Engine(net)
     ops = TreeSuperOps(engine, net, forest, chosen, ledger)
     return forest.roots, chosen, ledger, ops
 
 
-def _pa_ops(impl):
+def _pa_ops():
     """The same chain of six groups, as PA parts with PA solves between."""
     net, groups, _forest = ring_of_subparts(6, 3)
     chosen = {g: (groups[g][-1], groups[g + 1][0], g + 1) for g in range(5)}
-    solver = PASolver(net, seed=41, engine=ENGINE_OF[impl](net))
+    solver = PASolver(net, seed=41)
     setup = solver.prepare(Partition([v // 3 for v in range(net.n)]))
     ledger = CostLedger()
     ops = PASuperOps(solver.engine, solver.solve, setup, chosen, ledger)
     return range(6), chosen, ledger, ops
 
 
-def test_pushes_agree_across_engines_whatever_the_values():
-    """Int values ride the kernels, anything else the scalar programs —
-    over the forest transport and over the PA transport alike."""
+def test_pushes_agree_with_the_twins():
+    """Column values push the same on the kernels and on the twins, over
+    the forest transport and over the PA transport alike."""
     for make_ops in (_forest_ops, _pa_ops):
-        sids, chosen, _ledger, _ops = make_ops("scalar")
+        sids, chosen, _ledger, _ops = make_ops()
         for values in (
-            {sid: 3 * sid + 1 for sid in sids},              # columns all the way
-            {sid: sid / 2 for sid in sids},                  # floats: no layout
-            {sid: (sid, -sid) for sid in list(chosen)[::2]},  # tuples, some sids
+            {sid: 3 * sid + 1 for sid in sids},
+            {sid: -sid * sid for sid in list(chosen)[::2]},
         ):
             outcomes = []
-            for impl in ("scalar", "array"):
-                _sids, _chosen, ledger, ops = make_ops(impl)
-                outcomes.append((
-                    ops.push_down(values), ops.push_up(values, MIN),
-                    [(p.name, p.rounds, p.messages, p.bits)
-                     for p in ledger.phases()],
-                ))
+            for twins in (True, False):
+                with twin_phases(twins):
+                    _sids, _chosen, ledger, ops = make_ops()
+                    outcomes.append((
+                        ops.push_down(values), ops.push_up(values, MIN),
+                        [(p.name, p.rounds, p.messages, p.bits)
+                         for p in ledger.phases()],
+                    ))
             assert outcomes[0] == outcomes[1]
             down, up, _log = outcomes[0]
             # A source hears its target's value; a target the least of its
@@ -189,6 +191,21 @@ def test_pushes_agree_across_engines_whatever_the_values():
                 t: values[sid]
                 for sid, (_u, _v, t) in chosen.items() if sid in values
             }
+
+
+@pytest.mark.parametrize("make_ops, prefix", [
+    (_forest_ops, "star"), (_pa_ops, "alg9"),
+])
+def test_a_push_no_column_holds_raises_naming_its_phase(make_ops, prefix):
+    """Floats, or tuples on some sources only: the push raises."""
+    sids, chosen, _ledger, ops = make_ops()
+    for values in ({sid: sid / 2 for sid in sids},
+                   {sid: (sid, -sid) for sid in list(chosen)[::2]}):
+        for push in (ops.push_down, lambda vals: ops.push_up(vals, MIN)):
+            with pytest.raises(KernelDecline) as declined:
+                push(values)
+            assert declined.value.reason == "non_int"
+            assert declined.value.phase.startswith(f"{prefix}_")
 
 
 def _reference_picks(net, comp, weighted=False, sources=None, within=None):

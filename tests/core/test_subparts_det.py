@@ -15,7 +15,8 @@ from repro.graphs import (
     random_connected_partition,
     random_regular,
 )
-from oracles import ENGINE_OF, TwinEngine, random_planar, restrict_roots
+from oracles import random_planar, restrict_roots
+from twins import twin_phases
 
 
 def build(net, partition, diameter):
@@ -132,18 +133,18 @@ def test_division_is_the_pinned_one(case, impl):
     kind, threshold = case
     net, partition = FIXTURES[kind]()
     leaders = [min(m, key=lambda v: net.uid[v]) for m in partition.members]
-    division = build_subpart_division_deterministic(
-        ENGINE_OF[impl](net), net, partition, leaders,
-        threshold, CostLedger(),
-    )
+    with twin_phases(impl == "scalar"):
+        division = build_subpart_division_deterministic(
+            Engine(net), net, partition, leaders, threshold, CostLedger(),
+        )
     digest = hashlib.sha256(
         repr((division.forest.parent, division.rep_of)).encode()
     ).hexdigest()
     assert digest == DIVISION_DIGESTS[case]
 
 
-class _Spy(TwinEngine):
-    """A scalar-twin engine that keeps every program it ran, by phase name."""
+class _Spy(Engine):
+    """An engine that keeps every program it ran, by phase name."""
 
     def __init__(self, net):
         super().__init__(net)
@@ -161,10 +162,11 @@ def test_nodes_speak_only_on_news():
     ``det_sizes`` or ``det_choose``."""
     net, partition = FIXTURES["regular"]()
     engine = _Spy(net)
-    build_subpart_division_deterministic(
-        engine, net, partition, list(range(partition.num_parts)), 14,
-        CostLedger(),
-    )
+    with twin_phases():
+        build_subpart_division_deterministic(
+            engine, net, partition, list(range(partition.num_parts)), 14,
+            CostLedger(),
+        )
     fan_out = {
         v: sum(partition.part_of[u] == partition.part_of[v]
                for u in net.neighbors[v])

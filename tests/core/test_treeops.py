@@ -28,8 +28,6 @@ from repro.core.array_kernels import (
     FloodMinArrayKernel,
 )
 from repro.core.treeops import (
-    ClaimBfsProgram,
-    FloodMinProgram,
     cross_round,
     flood_min,
     run_broadcast,
@@ -41,7 +39,8 @@ from repro.graphs import (
     random_connected,
     random_regular,
 )
-from oracles import TwinEngine, complete_graph, restrict_roots, root_of, star_graph
+from oracles import complete_graph, restrict_roots, root_of, star_graph
+from twins import ClaimBfsProgram, FloodMinProgram, twin_phases
 
 
 def line_forest(net):
@@ -51,8 +50,8 @@ def line_forest(net):
 def test_broadcast_reaches_everyone(path10, ledger):
     engine = Engine(path10)
     forest = line_forest(path10)
-    received = run_broadcast(engine, forest, {0: "hello"}, ledger).received
-    assert all(received[v] == "hello" for v in range(10))
+    received = run_broadcast(engine, forest, {0: 42}, ledger).received
+    assert all(received[v] == 42 for v in range(10))
     stats = ledger.phases()[0]
     assert stats.rounds == forest.height()
     assert stats.messages == 9
@@ -63,9 +62,9 @@ def test_broadcast_multiple_trees(path10, ledger):
     parent = [ROOT, 0, 1, ROOT, 3, 4, ROOT, 6, 7, 8]
     forest = RootedForest(path10, parent)
     received = run_broadcast(
-        engine, forest, {0: "a", 3: "b", 6: "c"}, ledger
+        engine, forest, {0: 10, 3: 20, 6: 30}, ledger
     ).received
-    assert received[2] == "a" and received[5] == "b" and received[9] == "c"
+    assert received[2] == 10 and received[5] == 20 and received[9] == 30
 
 
 def test_convergecast_sum(path10, ledger):
@@ -187,11 +186,13 @@ def _payloads(draw, count):
 
 
 def _both_engines(net, run):
-    """``run`` on a scalar and an array engine: [(outputs, phase log)]."""
+    """``run(engine, ledger, kernels)`` on the scalar twins, then on the
+    kernels: [(outputs, phase log)]."""
     out = []
-    for engine in (TwinEngine(net), Engine(net)):
+    for kernels in (False, True):
         ledger = CostLedger()
-        outputs = run(engine, ledger)
+        with twin_phases(not kernels):
+            outputs = run(Engine(net), ledger, kernels)
         log = [
             (p.name, p.rounds, p.messages, p.ticks, p.bits)
             for p in ledger.phases()
@@ -210,9 +211,9 @@ def test_convergecast_kernel_matches_the_scalar_program_and_fold(data):
         [MIN, MAX, MIN_TUPLE, MAX_TUPLE] + ([SUM] if bare else [])
     ))
 
-    def run(engine, ledger):
+    def run(engine, ledger, kernels):
         program = run_convergecast(engine, forest, agg, values, ledger)
-        assert isinstance(program, ConvergecastArrayKernel) == engine.runs_kernels
+        assert isinstance(program, ConvergecastArrayKernel) == kernels
         return list(program.at_root.items()), list(program.partial.items())
 
     (scalar, scalar_log), (array, array_log) = _both_engines(net, run)
@@ -244,9 +245,9 @@ def test_broadcast_kernel_matches_the_scalar_program(data):
         }
     asked = data.draw(st.lists(st.integers(0, net.n - 1), max_size=6))
 
-    def run(engine, ledger):
+    def run(engine, ledger, kernels):
         program = run_broadcast(engine, forest, root_values, ledger)
-        assert isinstance(program, BroadcastArrayKernel) == engine.runs_kernels
+        assert isinstance(program, BroadcastArrayKernel) == kernels
         return list(program.received.items()), list(program.received_at(asked))
 
     (scalar, scalar_log), (array, array_log) = _both_engines(net, run)
@@ -280,9 +281,9 @@ def test_cross_round_kernel_matches_the_scalar_program(data):
     sends = [(u, v, wrap(value)) for (u, v), value in zip(edges, values)]
     agg = data.draw(st.sampled_from([SUM, MIN, MAX]))
 
-    def run(engine, ledger):
+    def run(engine, ledger, kernels):
         program = cross_round(engine, sends, ledger, name="x")
-        assert isinstance(program, CrossRoundArrayKernel) == engine.runs_kernels
+        assert isinstance(program, CrossRoundArrayKernel) == kernels
         src, dst, payloads = program.delivered
         rows = list(zip(src.tolist(), dst.tolist(), payloads))
         merged = list(program.merged(agg, n)) if shape == "tagged" else None
@@ -327,12 +328,12 @@ def test_masked_claim_bfs_kernel_matches_the_scalar_program(data):
     tokens = {v: net.uid[v] for v in sources}
     max_depth = data.draw(st.none() | st.integers(1, 4))
 
-    def run(engine, ledger):
+    def run(engine, ledger, kernels):
         program = claim_bfs(
             engine, net, tokens, ledger, edge_mask=edge_mask,
             max_depth=max_depth, name="masked",
         )
-        assert isinstance(program, ClaimBfsArrayKernel) == engine.runs_kernels
+        assert isinstance(program, ClaimBfsArrayKernel) == kernels
         return (
             list(program.token_of), list(program.parent_of),
             list(program.depth_of),
@@ -409,12 +410,14 @@ def _oracle(net, program, max_ticks):
 
 
 def _twins(net, run):
-    """``run`` on both engines, strict bits on: (outputs, phase) of one;
-    the two agree in outputs and in every ledger field, bits included."""
+    """``run(engine, ledger, kernels)`` on the twins and on the kernels,
+    strict bits on: (outputs, phase) of one; the two agree in outputs and
+    in every ledger field, bits included."""
     out = []
-    for engine in (TwinEngine(net, strict_bits=True), Engine(net, strict_bits=True)):
+    for kernels in (False, True):
         ledger = CostLedger()
-        outputs = run(engine, ledger)
+        with twin_phases(not kernels):
+            outputs = run(Engine(net, strict_bits=True), ledger, kernels)
         (phase,) = ledger.phases()
         out.append((outputs, phase))
     (scalar, s_phase), (array, a_phase) = out
@@ -439,9 +442,9 @@ def test_flood_min_skips_who_told_it_and_keeps_the_oracles_outputs(net, data):
     ))
     tokens = {v: data.draw(st.integers(0, 9)) for v in holders}
 
-    def run(engine, ledger):
+    def run(engine, ledger, kernels):
         flood = flood_min(engine, net, tokens, ledger)
-        assert isinstance(flood, FloodMinArrayKernel) == engine.runs_kernels
+        assert isinstance(flood, FloodMinArrayKernel) == kernels
         return list(flood.best), list(flood.parent_of)
 
     outputs, phase = _twins(net, run)
@@ -476,12 +479,12 @@ def test_claim_bfs_skips_its_claimants_and_keeps_the_oracles_outputs(
             list(program.depth_of),
         )
 
-    def run(engine, ledger):
+    def run(engine, ledger, kernels):
         program = claim_bfs(
             engine, net, tokens, ledger, edge_mask=edge_mask,
             max_depth=max_depth,
         )
-        assert isinstance(program, ClaimBfsArrayKernel) == engine.runs_kernels
+        assert isinstance(program, ClaimBfsArrayKernel) == kernels
         return outputs(program)
 
     got, phase = _twins(net, run)
@@ -580,38 +583,36 @@ def test_no_node_hands_a_token_back_to_who_just_delivered_it():
 
 
 def test_one_dispatch_seam():
-    """Kernel or scalar twin is chosen in one function.
-
-    ``Engine.runs_kernels`` is read only by ``treeops._kernel``: no other
-    function under ``src/repro`` loads the attribute or spells its name
-    (``Engine`` defines it and no class under ``src/repro`` overrides it;
-    nothing carries it).
-    """
+    """Every kernel phase under ``src/repro`` has one implementation: no
+    class there is named like a twin in ``tests/twins.py``, nothing spells
+    ``runs_kernels``, and a ``KernelDecline`` is caught only where a fold
+    chooses on it — the wave value store (``reverse_fold`` and its packing
+    ``pack_values``) and the cross round's ``merged`` — or re-raised,
+    naming its phase, by ``treeops.build_phase``."""
     root = Path(repro.__file__).parent
-    readers, definers = [], []
+    twins = ast.parse((Path(__file__).parents[1] / "twins.py").read_text())
+    twin_classes = {n.name for n in twins.body if isinstance(n, ast.ClassDef)}
+    assert len(twin_classes) == 11
+    shadows, spelled, catchers = [], [], []
     for path in sorted(root.rglob("*.py")):
-        rel = path.relative_to(root).as_posix()
-        tree = ast.parse(path.read_text())
-        for cls in ast.walk(tree):
-            if isinstance(cls, ast.ClassDef):
-                for stmt in cls.body:
-                    names = (
-                        [stmt.name] if isinstance(stmt, ast.FunctionDef)
-                        else [t.id for t in getattr(stmt, "targets", [])
-                              if isinstance(t, ast.Name)]
-                    )
-                    if "runs_kernels" in names:
-                        definers.append((rel, cls.name))
-        for func in ast.walk(tree):
-            if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
+        rel, source = path.relative_to(root).as_posix(), path.read_text()
+        spelled += [rel] if "runs_kernels" in source else []
+        for func in ast.walk(ast.parse(source)):
+            if isinstance(func, ast.ClassDef) and func.name in twin_classes:
+                shadows.append((rel, func.name))
+            if not isinstance(func, ast.FunctionDef):
                 continue
             for node in ast.walk(func):
-                attribute = (
-                    isinstance(node, ast.Attribute) and node.attr == "runs_kernels"
-                    and isinstance(node.ctx, ast.Load)
-                )
-                spelled = isinstance(node, ast.Constant) and node.value == "runs_kernels"
-                if attribute or spelled:
-                    readers.append((rel, getattr(func, "name", "<lambda>")))
-    assert readers == [("core/treeops.py", "_kernel")]
-    assert definers == [("congest/engine.py", "Engine")]
+                if isinstance(node, ast.ExceptHandler) and "KernelDecline" in {
+                    name.id for name in ast.walk(node.type)
+                    if isinstance(name, ast.Name)
+                }:
+                    body = [type(stmt) for stmt in node.body]
+                    catchers.append((rel, func.name, body == [ast.Raise]))
+    assert shadows == spelled == []
+    assert sorted(catchers) == [
+        ("core/array_kernels.py", "merged", False),
+        ("core/array_wave.py", "pack_values", False),
+        ("core/array_wave.py", "reverse_fold", False),
+        ("core/treeops.py", "build_phase", True),
+    ]

@@ -6,7 +6,9 @@ columns — MST's composite ``(weight, uid, uid)`` keys, the relabel's
 notes a ``kernel_fallback`` for each other factor only.  Pinned on a
 traced reuse+batch MST (no fallback at all) and a small service stream of
 min / sum / top-2 / min waves with updates in between (only the top-2
-factor of each batch, ``unsupported_agg``).
+factor of each batch, ``unsupported_agg``).  The GHS comparator's MOE
+broadcast and the s-t verifiers' label convergecast are plain column
+payloads: traced, they note no fallback either.
 """
 
 from __future__ import annotations
@@ -14,7 +16,12 @@ from __future__ import annotations
 import random
 
 from repro import PAService, PASession
-from repro.algorithms import minimum_spanning_tree
+from repro.algorithms import (
+    minimum_spanning_tree,
+    verify_st_connectivity,
+    verify_st_cut,
+)
+from repro.baselines import ghs_mst
 from repro.graphs import (
     bfs_ball_partition,
     grid_2d,
@@ -70,3 +77,18 @@ def test_a_service_stream_lists_only_its_top_k_factor():
         }
         for wave in range(waves)
     ]
+
+
+def test_ghs_and_the_st_verifiers_ship_column_payloads():
+    """The GHS MOE broadcast and ``st_up``'s label pair fold on columns."""
+    net = with_distinct_weights(grid_2d(8, 8), seed=4)
+    half = [e for e in net.edges if max(e) < 32 or min(e) >= 32]
+    tracer = Tracer()
+    with use_tracer(tracer):
+        assert ghs_mst(net, seed=3).output
+        assert not verify_st_connectivity(net, half, 0, 63, seed=1).output
+        assert verify_st_connectivity(net, half, 0, 31, seed=1).output
+        assert verify_st_cut(net, set(net.edges) - set(half), 0, 63).output
+    names = [e["name"] for e in tracer.ledger_events("main")]
+    assert names.count("st_up") == 3 and "ghs_control_broadcast" in names
+    assert _fallbacks(tracer) == []

@@ -28,7 +28,7 @@ from repro.core.wave import RouteMemo
 from repro.graphs import bfs_ball_partition, grid_2d, random_regular
 from repro.graphs.partitions import partition_from_component_labels
 
-from oracles import TwinEngine
+from twins import twin_phases
 
 
 def _instance():
@@ -91,7 +91,7 @@ def test_a_build_hands_its_setup_the_last_candidates_memo(monkeypatch):
 
 ENGINES = {
     "array": lambda net: {},
-    "scalar": lambda net: {"engine": TwinEngine(net)},
+    "scalar": lambda net: {},  # under ``twin_phases``
     "async": lambda net: {"schedule": make_schedule("random", seed=7)},
 }
 
@@ -103,29 +103,30 @@ def test_a_verified_setups_first_solve_is_one_allreduce(mode, engine):
     learning solve on the same setup with a fresh memo answers, in one
     ``pa_allreduce`` of twice the forest's edges; the learning solve pays
     the wave, reversal and replay the verification already paid."""
-    net = grid_2d(12, 12)
-    partition = bfs_ball_partition(net, 40, seed=2)
-    solver = PASolver(net, mode=mode, seed=5, **ENGINES[engine](net))
-    setup = solver.prepare(partition)
-    assert _verified(setup)
-    forest = setup.route.forest
-    assert forest.edges == len(forest.parent) - partition.num_parts
-    rng = random.Random(1)
-    values = [rng.randrange(1000) for _ in range(net.n)]
+    with twin_phases(engine == "scalar"):
+        net = grid_2d(12, 12)
+        partition = bfs_ball_partition(net, 40, seed=2)
+        solver = PASolver(net, mode=mode, seed=5, **ENGINES[engine](net))
+        setup = solver.prepare(partition)
+        assert _verified(setup)
+        forest = setup.route.forest
+        assert forest.edges == len(forest.parent) - partition.num_parts
+        rng = random.Random(1)
+        values = [rng.randrange(1000) for _ in range(net.n)]
 
-    first = solver.solve(setup, values, MIN, charge_setup=False)
-    learning = solver.solve(
-        replace(setup, route=RouteMemo()), values, MIN, charge_setup=False
-    )
-    assert first.aggregates == learning.aggregates == {
-        pid: min(values[v] for v in members)
-        for pid, members in enumerate(partition.members)
-    }
-    assert first.value_at_node == learning.value_at_node
-    assert [(p.name, p.messages) for p in first.ledger.phases()] == [
-        ("pa_allreduce", 2 * forest.edges),
-    ]
-    assert _names(learning.ledger) == ["pa_wave", "pa_reverse", "pa_replay"]
+        first = solver.solve(setup, values, MIN, charge_setup=False)
+        learning = solver.solve(
+            replace(setup, route=RouteMemo()), values, MIN, charge_setup=False
+        )
+        assert first.aggregates == learning.aggregates == {
+            pid: min(values[v] for v in members)
+            for pid, members in enumerate(partition.members)
+        }
+        assert first.value_at_node == learning.value_at_node
+        assert [(p.name, p.messages) for p in first.ledger.phases()] == [
+            ("pa_allreduce", 2 * forest.edges),
+        ]
+        assert _names(learning.ledger) == ["pa_wave", "pa_reverse", "pa_replay"]
 
 
 def test_a_carry_starts_a_fresh_memo():

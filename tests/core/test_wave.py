@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.congest import CostLedger, Engine, RandomDelaySchedule
+from repro.congest import AsyncEngine, CostLedger, Engine, RandomDelaySchedule
 from repro.core import (
     MIN,
     SUM,
@@ -15,13 +15,11 @@ from repro.core import (
     bfs_tree,
     run_pa_waves,
 )
-from repro.core import wave as wave_module
 from repro.core.array_wave import WaveArrayKernel
 from repro.core.queued import QueuedProgram
 from repro.core.wave import (
     RouteMemo,
     WaveIndex,
-    WaveProgram,
     plan_pa_waves,
     run_planned_waves,
 )
@@ -33,12 +31,13 @@ from repro.graphs import (
     random_connected_partition,
 )
 from oracles import (
-    ENGINE_OF,
-    TwinAsyncEngine,
-    TwinEngine,
     division_from_groups,
     empty_shortcut,
     star_shortcut_for_parts,
+)
+import twins
+from twins import (
+    WaveProgram, down_parts, priority_depth, twin_phases, wave_boundary,
 )
 
 
@@ -179,8 +178,8 @@ class _RouteThenBroadcastWave(QueuedProgram):
         self.forest = division.forest
         self.part_of = partition.part_of
         self.rep_of = division.rep_of
-        self.down = shortcut.down_parts()
-        self.boundary = division.wave_boundary
+        self.down = down_parts(shortcut)
+        self.boundary = wave_boundary(division)
         n = net.n
         self.has_token = bytearray(n)
         self.sent_su, self.sent_bd = bytearray(n), bytearray(n)
@@ -197,7 +196,7 @@ class _RouteThenBroadcastWave(QueuedProgram):
         self.enqueue(ctx, src, dst, priority, (tag, pid, token))
 
     def _prio(self, v, pid):
-        return (self.ann.priority_depth(v, pid), pid)
+        return (priority_depth(self.ann, v, pid), pid)
 
     def _gain(self, v, pid):
         self.has_token[v] = 1
@@ -347,8 +346,8 @@ def _instance(seed, n, parts, shortcut_kind):
 
 def _engine(kind, net, seed):
     if kind == "async":
-        return TwinAsyncEngine(net, schedule=RandomDelaySchedule(seed=seed))
-    return ENGINE_OF[kind](net, strict_bits=True)
+        return AsyncEngine(net, schedule=RandomDelaySchedule(seed=seed))
+    return Engine(net, strict_bits=True)
 
 
 def _routes(forest):
@@ -365,18 +364,20 @@ def _routes(forest):
     }
 
 
-def _solve(engine, instance, delayed, seed, program=None):
-    """One learning solve; its outcome, ledger and forest."""
+def _solve(kind, instance, delayed, seed, program=None):
+    """One learning solve on engine ``kind``, on the twins but for
+    ``"array"``; its outcome, ledger and forest."""
     net, partition, division, shortcut, ann = instance
+    engine = _engine(kind, net, seed)
     values = [net.uid[v] % 97 for v in range(net.n)]
     plan = plan_pa_waves(
-        engine, net, partition, division, shortcut, values, SUM,
+        net, partition, division, shortcut, values, SUM,
         randomized=delayed, rng=random.Random(seed),
     )
     ledger, memo = CostLedger(), RouteMemo()
-    with pytest.MonkeyPatch.context() as patch:
+    with twin_phases(kind != "array"), pytest.MonkeyPatch.context() as patch:
         if program is not None:
-            patch.setattr(wave_module, "WaveProgram", program)
+            patch.setattr(twins, "WaveProgram", program)
         outcome = run_planned_waves(
             engine, net, partition, division, shortcut, ann, values, SUM,
             ledger, plan, route=memo,
@@ -410,12 +411,10 @@ def test_hand_on_at_once_against_route_then_broadcast(
     instance = _instance(seed, n, parts, shortcut_kind)
     net, partition = instance[0], instance[1]
     oracle, oracle_log, oracle_routes = _solve(
-        _engine(engine_kind, net, seed), instance, delayed, seed,
+        engine_kind, instance, delayed, seed,
         program=_RouteThenBroadcastWave,
     )
-    outcome, log, routes = _solve(
-        _engine(engine_kind, net, seed), instance, delayed, seed
-    )
+    outcome, log, routes = _solve(engine_kind, instance, delayed, seed)
     assert outcome.aggregates == oracle.aggregates
     assert outcome.value_at_node == oracle.value_at_node
     assert outcome.wire_edges <= oracle.wire_edges
@@ -425,7 +424,7 @@ def test_hand_on_at_once_against_route_then_broadcast(
     assert outcome.forest_edges == len(routes) - partition.num_parts
     assert outcome.forest_edges == sum(len(out) for _p, out in routes.values())
     if engine_kind == "scalar":
-        twin = _solve(_engine("array", net, seed), instance, delayed, seed)
+        twin = _solve("array", instance, delayed, seed)
         assert twin[1:] == (log, routes)
         assert twin[0].aggregates == outcome.aggregates
         assert twin[0].value_at_node == outcome.value_at_node
@@ -456,7 +455,7 @@ def test_no_wave_packet_goes_back_to_a_neighbor_that_sent_the_token(
         spies.append(_Spy(*args, **kwargs))
         return spies[-1]
 
-    _solve(TwinEngine(instance[0]), instance, delayed, seed, program=spy)
+    _solve("scalar", instance, delayed, seed, program=spy)
     (wave,) = spies
     assert wave.echoes == []
 
@@ -500,10 +499,10 @@ def test_both_twins_write_the_same_wave_index(
     ann = annotate_blocks(Engine(net), shortcut, CostLedger())
     values = [net.uid[v] % 97 for v in range(net.n)]
     routes, stats = [], []
-    for program, kind in ((WaveProgram, "scalar"), (WaveArrayKernel, "array")):
-        engine = ENGINE_OF[kind](net, strict_bits=True)
+    for program in (WaveProgram, WaveArrayKernel):
+        engine = Engine(net, strict_bits=True)
         plan = plan_pa_waves(
-            engine, net, partition, setup.division, shortcut, values, SUM,
+            net, partition, setup.division, shortcut, values, SUM,
             randomized=delayed, rng=random.Random(seed),
         )
         wave = program(

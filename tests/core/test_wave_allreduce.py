@@ -21,12 +21,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import PASolver
 from repro.congest import make_schedule
 from repro.core.aggregation import MIN_TUPLE, SUM, Aggregation
-from repro.core.array_wave import wave_kernels
+from repro.core import array_wave
 from repro.core.pa import DETERMINISTIC, RANDOMIZED
-from repro.core.wave import ReplayProgram, ReverseProgram, plan_pa_waves
+from repro.core.wave import plan_pa_waves
 from repro.graphs import random_connected, random_connected_partition
 
-from oracles import ENGINE_OF
+from twins import twin_phases
 
 #: Associative, not commutative: equal answers mean equal fold order.
 CONCAT = Aggregation("concat", lambda a, b: a + b)
@@ -53,20 +53,17 @@ def _values(kind, n):
     return [(v,) for v in range(n)], CONCAT
 
 
-def _two_passes(solver, setup, values, agg, impl):
+def _two_passes(solver, setup, values, agg):
     """Reversal then replay on the setup's remembered forest, as every
     reused solve ran them before the all-reduce: (aggregates, values at
     the nodes, messages, ticks)."""
     plan = plan_pa_waves(
-        solver.engine, solver.net, setup.partition, setup.division,
+        solver.net, setup.partition, setup.division,
         setup.shortcut, values, agg,
         randomized=solver.mode == RANDOMIZED, rng=random.Random(0),
     )
     forest = setup.route.forest
-    _wave, reversal, replay, _allreduce = (
-        wave_kernels(plan.fold) if impl == "array"
-        else (None, ReverseProgram, ReplayProgram, None)
-    )
+    _wave, reversal, replay, _allreduce = array_wave.wave_kernels(plan.fold)
 
     def run(program):
         return solver.engine.run(
@@ -106,19 +103,20 @@ def test_one_pass_against_reversal_and_replay(seed, n, parts, mode, kind, delay)
     audits = kind != "concat"
     runs = {}
     for impl in ("scalar", "array"):
-        solver = PASolver(
-            net, mode=mode, seed=seed % 97,
-            engine=ENGINE_OF[impl](net, strict_bits=audits, strict_edges=audits),
-        )
-        setup = solver.prepare(partition)
-        solver.solve(setup, values, agg, charge_setup=False)
-        reused = solver.solve(setup, values, agg, charge_setup=False)
+        with twin_phases(impl == "scalar"):
+            solver = PASolver(
+                net, mode=mode, seed=seed % 97,
+                strict_bits=audits, strict_edges=audits,
+            )
+            setup = solver.prepare(partition)
+            solver.solve(setup, values, agg, charge_setup=False)
+            reused = solver.solve(setup, values, agg, charge_setup=False)
+            old, old_at_node, old_messages, old_ticks = _two_passes(
+                solver, setup, values, agg
+            )
         ((name, _rounds, messages, ticks, _bits),) = log = _log(reused.ledger)
         assert name == "pa_allreduce"
         forest = setup.route.forest
-        old, old_at_node, old_messages, old_ticks = _two_passes(
-            solver, setup, values, agg, impl
-        )
         assert messages == old_messages == 2 * (
             _keys(forest) - partition.num_parts
         )
@@ -160,7 +158,7 @@ def test_the_instances_contend(mode, capacity):
     setup = solver.prepare(partition)
     values, agg = _values("sum", net.n)
     plan = plan_pa_waves(
-        solver.engine, net, partition, setup.division, setup.shortcut,
+        net, partition, setup.division, setup.shortcut,
         values, agg, randomized=mode == RANDOMIZED, rng=random.Random(0),
     )
     assert setup.shortcut.quality()[1] > 1

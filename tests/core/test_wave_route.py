@@ -28,7 +28,7 @@ from hypothesis import (
 )
 
 from repro import PASolver, SUM
-from repro.core import array_wave, wave as wave_module
+from repro.core import array_wave
 from repro.core.array_wave import AllReduceArrayKernel, WaveArrayKernel
 from repro.core.pa import DETERMINISTIC, RANDOMIZED
 from repro.core.wave import WaveIndex
@@ -41,7 +41,8 @@ from repro.graphs import (
     random_regular,
 )
 
-from oracles import ENGINE_OF, TwinEngine
+import twins
+from twins import out_lists, pairs, twin_phases
 from test_wave_values import ENGINES, _items
 
 #: The four value shapes of ``test_wave_values`` ("big" is "ints" again as
@@ -93,31 +94,33 @@ def test_three_solves_on_one_setup_against_three_fresh_prepares(
     solves = [_items(kind, agg_pick + k, net.n, rng) for k in range(3)]
     exact = (lambda want: want) if kind != "floats" else pytest.approx
 
-    def solver(kwargs):
+    def solver(label):
         return PASolver(
-            net, mode=mode, seed=seed % 97, strict_bits=True, **kwargs(net)
+            net, mode=mode, seed=seed % 97, strict_bits=True,
+            **ENGINES[label](net),
         )
 
     runs = {}
-    for label, kwargs in ENGINES:
-        reused, fresh = solver(kwargs), solver(kwargs)
-        setup = reused.prepare(partition)
-        logs, answers, fresh_logs = [], [], []
-        for items in solves:
-            batch = reused.solve_many(setup, items, charge_setup=False)
-            logs.append(_log(batch.ledger))
-            answers.append(_answers(batch))
-            again = fresh.solve_many(
-                fresh.prepare(partition), items, charge_setup=False
-            )
-            fresh_logs.append(_log(again.ledger))
-            for (aggregates, at_node), (want, want_at_node) in zip(
-                _answers(again), answers[-1]
-            ):
-                assert aggregates == exact(want)
-                assert at_node == exact(want_at_node)
-        forest = setup.route.forest
-        runs[label] = (logs, answers, _keys(forest), forest.edges)
+    for label in ENGINES:
+        with twin_phases(label == "scalar"):
+            reused, fresh = solver(label), solver(label)
+            setup = reused.prepare(partition)
+            logs, answers, fresh_logs = [], [], []
+            for items in solves:
+                batch = reused.solve_many(setup, items, charge_setup=False)
+                logs.append(_log(batch.ledger))
+                answers.append(_answers(batch))
+                again = fresh.solve_many(
+                    fresh.prepare(partition), items, charge_setup=False
+                )
+                fresh_logs.append(_log(again.ledger))
+                for (aggregates, at_node), (want, want_at_node) in zip(
+                    _answers(again), answers[-1]
+                ):
+                    assert aggregates == exact(want)
+                    assert at_node == exact(want_at_node)
+            forest = setup.route.forest
+            runs[label] = (logs, answers, _keys(forest), forest.edges)
 
         # Solve 1 is a fresh prepare's solve, bit for bit.
         assert logs[0] == fresh_logs[0]
@@ -177,7 +180,7 @@ def test_the_answer_tag_is_how_a_node_learns_its_forest_edges(
     partition = random_connected_partition(net, 6, seed=2)
     answered = []
 
-    class Watched(wave_module.ReverseProgram):
+    class Watched(twins.ReverseProgram):
         def handle(self, ctx, node, inbox):
             for sender, (tag, pid, value) in inbox:
                 assert tag == "a" or (tag, value) == ("n", None)
@@ -185,21 +188,22 @@ def test_the_answer_tag_is_how_a_node_learns_its_forest_edges(
                     answered.append(((node, pid), sender))
             super().handle(ctx, node, inbox)
 
-    solver = PASolver(net, mode=mode, seed=5, engine=TwinEngine(net))
-    setup = solver.prepare(partition)
-    assert setup.route.delays is None
-    monkeypatch.setattr(wave_module, "ReverseProgram", Watched)
-    solver.solve(setup, list(range(net.n)), SUM, charge_setup=False)
+    monkeypatch.setattr(twins, "ReverseProgram", Watched)
+    with twin_phases():
+        solver = PASolver(net, mode=mode, seed=5)
+        setup = solver.prepare(partition)
+        assert setup.route.delays is None
+        solver.solve(setup, list(range(net.n)), SUM, charge_setup=False)
     forest = setup.route.forest
     edges = [
         (key, dst)
-        for key, out in zip(forest.pairs(), forest.out_lists()) for dst in out
+        for key, out in zip(pairs(forest), out_lists(forest)) for dst in out
     ]
     assert sorted(answered) == sorted(edges)
     assert len(edges) == len(set(edges)) == forest.edges
     assert {((dst, pid), v) for (v, pid), dst in edges} == {
         (key, parent)
-        for key, parent in zip(forest.pairs(), forest.parent.tolist())
+        for key, parent in zip(pairs(forest), forest.parent.tolist())
         if parent >= 0
     }
 
@@ -233,39 +237,40 @@ def test_a_reversal_that_leaves_a_part_without_a_result_raises(
     made to wait for two forest children that do not exist: it never
     hears from all its neighbors but one, so no key of the part ever holds
     the total)."""
-    net = grid_2d(5, 5)
-    # Parts small enough that no verification runs: the first solve learns.
-    partition = random_connected_partition(net, 5, seed=4)
-    solver = PASolver(net, seed=2, engine=ENGINE_OF[impl](net))
-    setup = solver.prepare(partition)
-    assert setup.route.delays is None
-    values = list(range(net.n))
-    leader = setup.leaders[1]
+    with twin_phases(impl == "scalar"):
+        net = grid_2d(5, 5)
+        # Parts small enough that no verification runs: the first solve learns.
+        partition = random_connected_partition(net, 5, seed=4)
+        solver = PASolver(net, seed=2)
+        setup = solver.prepare(partition)
+        assert setup.route.delays is None
+        values = list(range(net.n))
+        leader = setup.leaders[1]
 
-    program = wave_module.WaveProgram if impl == "scalar" else WaveArrayKernel
-    wire = program.route
-    with monkeypatch.context() as patch:
-        patch.setattr(
-            program, "route",
-            lambda self: _phantom_children(wire(self), leader, 1, 1),
-        )
+        program = twins.WaveProgram if impl == "scalar" else WaveArrayKernel
+        wire = program.route
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                program, "route",
+                lambda self: _phantom_children(wire(self), leader, 1, 1),
+            )
+            with pytest.raises(
+                RuntimeError, match=r"reversal left parts without a result: \[1\]"
+            ):
+                solver.solve(setup, values, SUM, charge_setup=False)
+        assert setup.route.delays is None
+
+        first = solver.solve(setup, values, SUM, charge_setup=False)
+        assert set(first.aggregates) == set(range(partition.num_parts))
+        forest = setup.route.forest
+        _phantom_children(forest, leader, 1, 2)
         with pytest.raises(
-            RuntimeError, match=r"reversal left parts without a result: \[1\]"
+            RuntimeError, match=r"all-reduce left parts without a result: \[1\]"
         ):
             solver.solve(setup, values, SUM, charge_setup=False)
-    assert setup.route.delays is None
-
-    first = solver.solve(setup, values, SUM, charge_setup=False)
-    assert set(first.aggregates) == set(range(partition.num_parts))
-    forest = setup.route.forest
-    _phantom_children(forest, leader, 1, 2)
-    with pytest.raises(
-        RuntimeError, match=r"all-reduce left parts without a result: \[1\]"
-    ):
-        solver.solve(setup, values, SUM, charge_setup=False)
 
 
-class _LossyAllReduce(wave_module.AllReduceProgram):
+class _LossyAllReduce(twins.AllReduceProgram):
     """The scalar all-reduce with its first total packet lost."""
 
     lost = False
@@ -301,40 +306,39 @@ def test_a_replay_that_reaches_fewer_members_than_the_part_has_raises(
     that has lost an edge strands a subtree, and the solve commits no
     route.  A routed solve's all-reduce strands the subtree behind a lost
     total packet."""
-    net = grid_2d(5, 5)
-    # Parts small enough that no verification runs: the first solve learns.
-    partition = random_connected_partition(net, 5, seed=4)
-    solver = PASolver(net, seed=2, engine=ENGINE_OF[impl](net))
-    setup = solver.prepare(partition)
-    assert setup.route.delays is None
-    values = list(range(net.n))
-
-    def cut(forest):
-        forest.out_counts = forest.out_counts.copy()
-        forest.out_counts[np.flatnonzero(forest.out_counts)[-1]] -= 1
-        return forest
-
-    if solve == "routed":
-        solver.solve(setup, values, SUM, charge_setup=False)
-        if impl == "scalar":
-            monkeypatch.setattr(
-                wave_module, "AllReduceProgram", _LossyAllReduce
-            )
-        else:
-            monkeypatch.setattr(
-                array_wave, "AllReduceArrayKernel", _LossyAllReduceKernel
-            )
-        pattern = r"pa_allreduce reached \d+ of 25 part"
-    else:
-        derive = WaveIndex.forest
-        monkeypatch.setattr(
-            WaveIndex, "forest", lambda self: cut(derive(self))
-        )
-        pattern = r"pa_replay reached \d+ of 25 part"
-    with pytest.raises(RuntimeError, match=pattern):
-        solver.solve(setup, values, SUM, charge_setup=False)
-    if solve == "learning":
+    with twin_phases(impl == "scalar"):
+        net = grid_2d(5, 5)
+        # Parts small enough that no verification runs: the first solve learns.
+        partition = random_connected_partition(net, 5, seed=4)
+        solver = PASolver(net, seed=2)
+        setup = solver.prepare(partition)
         assert setup.route.delays is None
+        values = list(range(net.n))
+
+        def cut(forest):
+            forest.out_counts = forest.out_counts.copy()
+            forest.out_counts[np.flatnonzero(forest.out_counts)[-1]] -= 1
+            return forest
+
+        if solve == "routed":
+            solver.solve(setup, values, SUM, charge_setup=False)
+            if impl == "scalar":
+                monkeypatch.setattr(twins, "AllReduceProgram", _LossyAllReduce)
+            else:
+                monkeypatch.setattr(
+                    array_wave, "AllReduceArrayKernel", _LossyAllReduceKernel
+                )
+            pattern = r"pa_allreduce reached \d+ of 25 part"
+        else:
+            derive = WaveIndex.forest
+            monkeypatch.setattr(
+                WaveIndex, "forest", lambda self: cut(derive(self))
+            )
+            pattern = r"pa_replay reached \d+ of 25 part"
+        with pytest.raises(RuntimeError, match=pattern):
+            solver.solve(setup, values, SUM, charge_setup=False)
+        if solve == "learning":
+            assert setup.route.delays is None
 
 
 def _forest_digest(forest) -> str:
@@ -382,13 +386,14 @@ FOREST_PINS = [
 @pytest.mark.parametrize("impl", ["scalar", "array"])
 @pytest.mark.parametrize("case", range(len(FOREST_PINS)))
 def test_the_learned_forest_is_pinned_on_both_twins(case, impl):
-    make, mode, keys, digest = FOREST_PINS[case]
-    net, partition = make()
-    solver = PASolver(net, mode=mode, seed=5, engine=ENGINE_OF[impl](net))
-    setup = solver.prepare(partition)
-    solver.solve(setup, list(range(net.n)), SUM, charge_setup=False)
-    forest = setup.route.forest
-    assert (_keys(forest), _forest_digest(forest)) == (keys, digest)
+    with twin_phases(impl == "scalar"):
+        make, mode, keys, digest = FOREST_PINS[case]
+        net, partition = make()
+        solver = PASolver(net, mode=mode, seed=5)
+        setup = solver.prepare(partition)
+        solver.solve(setup, list(range(net.n)), SUM, charge_setup=False)
+        forest = setup.route.forest
+        assert (_keys(forest), _forest_digest(forest)) == (keys, digest)
 
 
 @pytest.mark.parametrize("mode", [RANDOMIZED, DETERMINISTIC])
@@ -402,7 +407,7 @@ def test_a_route_the_array_twin_learned_serves_the_scalar_twin(
     # Parts small enough that no verification runs: the first solve learns.
     partition = random_connected_partition(net, 6, seed=2)
     array = PASolver(net, mode=mode, seed=5, strict_bits=True)
-    scalar = PASolver(net, mode=mode, seed=5, engine=TwinEngine(net))
+    scalar = PASolver(net, mode=mode, seed=5)
     setup = array.prepare(partition)
     values = list(range(net.n))
     array.solve(setup, values, SUM, charge_setup=False)
@@ -416,7 +421,8 @@ def test_a_route_the_array_twin_learned_serves_the_scalar_twin(
         return run(program, *args, **kwargs)
 
     monkeypatch.setattr(scalar.engine, "run", spy)
-    got = scalar.solve(setup, values, SUM, charge_setup=False)
+    with twin_phases():
+        got = scalar.solve(setup, values, SUM, charge_setup=False)
     want = array.solve(setup, values, SUM, charge_setup=False)
     assert ran == ["pa_allreduce"]
     assert _log(got.ledger) == _log(want.ledger)

@@ -56,15 +56,16 @@ from repro.graphs import (
 from repro.obs import Tracer, use_tracer
 from repro.service.queries import top_k_aggregation
 
-from oracles import ENGINE_OF, TwinEngine
+from twins import twin_phases
 
-#: (label, net -> PASolver kwargs) per engine: the scalar twins, the
-#: kernels, the kernels under the delay-0 synchronizer.
-ENGINES = [
-    ("scalar", lambda net: {"engine": TwinEngine(net)}),
-    ("array", lambda net: {}),
-    ("async", lambda net: {"schedule": SynchronousSchedule()}),
-]
+#: label -> PASolver kwargs per engine: the scalar twins (under
+#: ``twin_phases``), the kernels, the kernels under the delay-0
+#: synchronizer.
+ENGINES = {
+    "scalar": lambda net: {},
+    "array": lambda net: {},
+    "async": lambda net: {"schedule": SynchronousSchedule()},
+}
 
 #: The value shapes a case draws from; see ``_items``.
 KINDS = ("ints", "tuples", "product", "big", "floats")
@@ -107,12 +108,15 @@ def _folds_as_a_column(values, agg) -> bool:
     return columns.bare and not columns.is_bool[0]
 
 
-def _run(net, partition, items, mode, seed, kwargs):
-    solver = PASolver(net, mode=mode, seed=seed, strict_bits=True, **kwargs(net))
-    setup = solver.prepare(partition)
+def _run(net, partition, items, mode, seed, label):
     tracer = Tracer()
-    with use_tracer(tracer):
-        batch = solver.solve_many(setup, items, charge_setup=False)
+    with twin_phases(label == "scalar"):
+        solver = PASolver(
+            net, mode=mode, seed=seed, strict_bits=True, **ENGINES[label](net)
+        )
+        setup = solver.prepare(partition)
+        with use_tracer(tracer):
+            batch = solver.solve_many(setup, items, charge_setup=False)
     log = [
         (p.name, p.rounds, p.messages, p.ticks, p.bits)
         for p in batch.ledger.phases()
@@ -147,8 +151,8 @@ def test_values_ride_beside_one_wire_schedule(
     items = _items(kind, agg_pick, net.n, random.Random(seed))
 
     runs = {
-        label: _run(net, partition, items, mode, seed % 97, kwargs)
-        for label, kwargs in ENGINES
+        label: _run(net, partition, items, mode, seed % 97, label)
+        for label in ENGINES
     }
     log, answers, _ = runs["scalar"]
     for label in ("array", "async"):
@@ -165,9 +169,8 @@ def test_values_ride_beside_one_wire_schedule(
         assert dict(aggregates) == exact(want)
         assert value_at_node == exact([want[pid] for pid in partition.part_of])
 
-    # the async engine runs the array kernels: it declines where they do
-    assert runs["scalar"][2] == []
-    assert runs["async"][2] == runs["array"][2]
+    # the plan chooses the value store's layout, whichever runs it
+    assert runs["scalar"][2] == runs["async"][2] == runs["array"][2]
     fallbacks = runs["array"][2]
     assert not [f for f in fallbacks if f["phase"].endswith("_wave")]
     declined = [
@@ -265,7 +268,7 @@ def test_the_column_store_is_the_list_fold(case, seed, n, parts, mode):
     setup = solver.prepare(partition)
     engine = Engine(net, strict_bits=True, strict_edges=True)
     plan = plan_pa_waves(
-        engine, net, partition, setup.division, setup.shortcut, values, agg,
+        net, partition, setup.division, setup.shortcut, values, agg,
         randomized=mode == RANDOMIZED, rng=random.Random(seed),
     )
 
@@ -384,12 +387,13 @@ def test_the_fold_order_is_the_scalar_one(mode):
         partition = random_connected_partition(net, 3, seed=seed)
         values = [(v,) for v in range(net.n)]
         answers = []
-        for impl in ("scalar", "array"):
-            solver = PASolver(
-                net, mode=mode, seed=seed,
-                engine=ENGINE_OF[impl](net, strict_bits=False, strict_edges=False),
-            )
-            res = solver.solve(solver.prepare(partition), values, CONCAT)
+        for twins in (True, False):
+            with twin_phases(twins):
+                solver = PASolver(
+                    net, mode=mode, seed=seed,
+                    strict_bits=False, strict_edges=False,
+                )
+                res = solver.solve(solver.prepare(partition), values, CONCAT)
             answers.append((list(res.aggregates.items()), res.value_at_node))
         assert answers[0] == answers[1]
         for pid, members in enumerate(partition.members):
@@ -400,10 +404,11 @@ def test_the_fold_order_is_the_scalar_one(mode):
 # Error parity: the audits name the same message on both engines
 # ----------------------------------------------------------------------
 def _error(net, partition, values, agg, impl):
-    solver = PASolver(net, seed=4, engine=ENGINE_OF[impl](net))
-    setup = solver.prepare(partition)
-    with pytest.raises(BandwidthExceededError) as caught:
-        solver.solve(setup, values, agg, charge_setup=False)
+    with twin_phases(impl == "scalar"):
+        solver = PASolver(net, seed=4)
+        setup = solver.prepare(partition)
+        with pytest.raises(BandwidthExceededError) as caught:
+            solver.solve(setup, values, agg, charge_setup=False)
     err = caught.value
     return (err.src, err.dst, err.bits, err.limit)
 

@@ -39,6 +39,8 @@ from repro.congest.schedule import (
     validate_schedule,
 )
 
+from twins import twin_phases
+
 # Event codes (first slot of every event tuple).
 _EV_PAYLOAD = 0
 _EV_ACK = 1
@@ -57,10 +59,6 @@ class EventEngine:
 
     Parameters mirror the synchronous engine plus ``schedule``.
     """
-
-    #: Programs are stepped one node at a time, out of pulse order: every
-    #: phase runs as its scalar twin (see ``treeops._kernel``).
-    runs_kernels = False
 
     def __init__(
         self,
@@ -749,14 +747,16 @@ def _mail_key(entry: Tuple[int, int, object]) -> Tuple[int, int]:
     return (entry[0], entry[1])
 
 
-def first_divergence(workload, net, schedule, faults=None, engine_type=None):
+def first_divergence(workload, net, schedule, faults=None, twins=False):
     """Run ``workload(engine)`` on an :class:`EventEngine` and on an
     :class:`~repro.congest.AsyncEngine` over ``net``; return None if both
     runs agree, else what differs first.
 
-    ``schedule`` builds a fresh schedule per engine; ``engine_type`` is
-    the asynchronous engine's class (default ``AsyncEngine``, which runs
-    the kernels, with or without a fault plan).  The two runs must
+    ``schedule`` builds a fresh schedule per engine.  This engine steps
+    programs one node at a time, out of pulse order, so its run is on the
+    scalar twins (``twins.twin_phases``); the ``AsyncEngine`` runs the
+    kernels, with or without a fault plan, or with ``twins`` the twins
+    too.  The two runs must
     agree on the workload's outcome (its return value, or the exception
     it died of), on every overhead record and on every fault report.
     The two cases the transform does not reproduce are exempt
@@ -770,12 +770,13 @@ def first_divergence(workload, net, schedule, faults=None, engine_type=None):
 
     runs = []
     reference = EventEngine(net, schedule(), faults=faults)
-    for engine in (
-        reference,
-        (engine_type or AsyncEngine)(net, schedule(), faults=faults),
+    for engine, on_twins in (
+        (reference, True),
+        (AsyncEngine(net, schedule(), faults=faults), twins),
     ):
         try:
-            outcome = workload(engine)
+            with twin_phases(on_twins):
+                outcome = workload(engine)
         except Exception as exc:  # a died run is compared by its error
             outcome = f"{type(exc).__name__}: {exc}"
         reports = list(engine.fault_log)

@@ -1,15 +1,14 @@
 """The kernels against their scalar twins, end to end, on the fuzz cases.
 
-Every phase runs its array kernel unless the kernel declines the payload;
-then its scalar twin runs (``treeops._kernel``).  ``oracles.TwinEngine`` runs every phase on its
-twin.  A case drawn by the fuzz harness (:func:`repro.fuzz.case_for_index`)
-runs its workload on both engines, which must agree in outputs and in
-every phase's (name, rounds, messages, ticks, bits).  The draw covers PA
-with every aggregation of :data:`~repro.fuzz.harness.PA_AGGS`, MST with
-and without reuse under both merging rules, and components, in both
-modes; one deterministic PA case of 160 nodes grows multi-level sub-part
-forests, so the broadcast / convergecast / cross-round kernels run their
-level schedules.
+Every kernel phase runs its array kernel; inside ``twins.twin_phases()``
+every such phase runs its scalar twin instead.  A case drawn by the fuzz
+harness (:func:`repro.fuzz.case_for_index`) runs its workload both ways,
+which must agree in outputs and in every phase's (name, rounds, messages,
+ticks, bits).  The draw covers PA with every aggregation of
+:data:`~repro.fuzz.harness.PA_AGGS`, MST with and without reuse under both
+merging rules, and components, in both modes; one deterministic PA case of
+160 nodes grows multi-level sub-part forests, so the broadcast /
+convergecast / cross-round kernels run their level schedules.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from repro.fuzz.harness import (
     _run_workload,
 )
 
-from oracles import TwinEngine
+from twins import twin_phases
 
 #: (algorithm, FuzzCase fields) of every workload shape a case can draw.
 SHAPES = (
@@ -47,10 +46,12 @@ SHAPES = (
 def both_ways(case):
     """``case`` on the kernels and on the twins: two (outputs, phase log)."""
     net, partition, values = _inputs(case)
-    kernels = _engine(case, net)
     runs = []
-    for engine in (kernels, TwinEngine(net, **kernels.flags)):
-        out, ledger = _run_workload(case, net, partition, values, engine)
+    for twins in (False, True):
+        with twin_phases(twins):
+            out, ledger = _run_workload(
+                case, net, partition, values, _engine(case, net)
+            )
         runs.append((out, _phase_log(ledger)))
     return runs
 

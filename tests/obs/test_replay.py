@@ -19,9 +19,10 @@ them, so a fault-injecting driver's main totals are re-attributions):
 import pytest
 
 from repro import PASession, PASolver
-from repro.congest import SynchronousSchedule
+from repro.congest import CostLedger, SynchronousSchedule
+from repro.congest.arrays import KernelDecline
 from repro.algorithms import minimum_spanning_tree, verify_bipartiteness
-from repro.core import SUM, claim_bfs, solve_pa
+from repro.core import SUM, XOR, claim_bfs, solve_pa
 from repro.graphs import (
     bfs_ball_partition,
     grid_2d,
@@ -31,28 +32,29 @@ from repro.graphs import (
 )
 from repro.obs import Tracer, diff, explain, use_tracer
 
-from oracles import TwinEngine
+from twins import twin_phases
 
 FALLBACK_REASONS = {
     "none_value", "non_int", "overflow", "unsupported_agg", "mixed_shape",
 }
 
-#: (label, net -> PASolver kwargs): the scalar twins, the kernels, the
-#: kernels under the delay-0 synchronizer.
-ENGINES = [
-    ("scalar", lambda net: {"engine": TwinEngine(net)}),
-    ("array", lambda net: {}),
-    ("async", lambda net: {"schedule": SynchronousSchedule()}),
-]
+#: label -> PASolver kwargs: the scalar twins (under ``twin_phases``),
+#: the kernels, the kernels under the delay-0 synchronizer.
+ENGINES = {
+    "scalar": lambda net: {},
+    "array": lambda net: {},
+    "async": lambda net: {"schedule": SynchronousSchedule()},
+}
 
 
-def _solve(workload, kwargs, mode="randomized", seed=7):
+def _solve(workload, label, mode="randomized", seed=7):
     """solve_pa on a solver built here, so its tree phases are traced."""
     net, partition, values = workload
-    solver = PASolver(net, mode=mode, seed=seed, **kwargs(net))
-    return solve_pa(
-        net, partition, values, SUM, mode=mode, seed=seed, solver=solver
-    )
+    with twin_phases(label == "scalar"):
+        solver = PASolver(net, mode=mode, seed=seed, **ENGINES[label](net))
+        return solve_pa(
+            net, partition, values, SUM, mode=mode, seed=seed, solver=solver
+        )
 
 
 def _phase_log(ledger):
@@ -99,15 +101,15 @@ def workload():
     return net, partition, values
 
 
-@pytest.mark.parametrize("label,kwargs", ENGINES, ids=[e[0] for e in ENGINES])
+@pytest.mark.parametrize("label", ENGINES)
 @pytest.mark.parametrize("mode", ["randomized", "deterministic"])
 @pytest.mark.parametrize("seed", [0, 7, 123])
-def test_trace_replays_pa_ledger(workload, label, kwargs, mode, seed):
-    off = _solve(workload, kwargs, mode=mode, seed=seed)
+def test_trace_replays_pa_ledger(workload, label, mode, seed):
+    off = _solve(workload, label, mode=mode, seed=seed)
 
     tracer = Tracer()
     with use_tracer(tracer):
-        on = _solve(workload, kwargs, mode=mode, seed=seed)
+        on = _solve(workload, label, mode=mode, seed=seed)
 
     # tracing never perturbs the run
     assert on.aggregates == off.aggregates
@@ -119,7 +121,7 @@ def test_trace_replays_pa_ledger(workload, label, kwargs, mode, seed):
     if label != "scalar":
         scalar = Tracer()
         with use_tracer(scalar):
-            _solve(workload, ENGINES[0][1], mode=mode, seed=seed)
+            _solve(workload, "scalar", mode=mode, seed=seed)
     ticks = _tick_series(scalar)
     assert len({name for name, *_ in ticks}) > 5
     if label == "async":
@@ -133,14 +135,13 @@ def test_trace_replays_pa_ledger(workload, label, kwargs, mode, seed):
     else:
         assert _tick_series(tracer) == ticks
         assert _fast_forwards(tracer) == _fast_forwards(scalar)
-    # integer PA declines no kernel, on any engine
-    assert _check_fallbacks(tracer, label) == []
+    # integer PA folds every value on columns, on any engine
+    assert _check_fallbacks(tracer) == []
 
 
-def _check_fallbacks(tracer, label):
-    """A declined kernel dispatch is an instant naming a phase that was
-    then charged, with a known reason; the scalar engine never dispatches
-    (the async engine runs the kernels)."""
+def _check_fallbacks(tracer):
+    """The value store's list folds: each an instant naming a phase that
+    was then charged, with a known reason."""
     fallbacks = [
         e["args"] for e in tracer.events if e["name"] == "kernel_fallback"
     ]
@@ -148,57 +149,62 @@ def _check_fallbacks(tracer, label):
     for args in fallbacks:
         assert args["phase"] in charged
         assert args["reason"] in FALLBACK_REASONS
-    if label == "scalar":
-        assert fallbacks == []
     return fallbacks
 
 
-def _dispatch_run(net, kwargs):
-    """A verification run on top of PA, plus a claim BFS whose token is no
-    int, on one traced solver; returns the run, the BFS and the tracer."""
+def _dispatch_run(workload, label):
+    """A verification run on top of PA and a batched ``(SUM, XOR)`` solve
+    on one traced session; returns both results and the tracer."""
+    net, partition, values = workload
     subgraph = [edge for i, edge in enumerate(net.edges) if i % 4]
     tracer = Tracer()
-    with use_tracer(tracer):
-        solver = PASolver(net, seed=3, **kwargs(net))
-        res = verify_bipartiteness(
-            net, subgraph, seed=3, session=PASession(net, solver=solver)
+    with use_tracer(tracer), twin_phases(label == "scalar"):
+        session = PASession(
+            net, batch=True,
+            solver=PASolver(net, seed=3, **ENGINES[label](net)),
         )
-        # a claim token that is no int: the BFS declines to its scalar twin
-        bfs = claim_bfs(
-            solver.engine, net, {0: ("tok", 7)}, res.ledger, name="odd_bfs"
+        res = verify_bipartiteness(net, subgraph, seed=3, session=session)
+        batch = session.solve_many(
+            session.prepare(partition), [(values, SUM), (values, XOR)],
+            phase_prefix="mixed",
         )
-    return res, bfs, tracer
+    return res, batch, tracer
 
 
-@pytest.mark.parametrize("label,kwargs", ENGINES, ids=[e[0] for e in ENGINES])
-def test_every_dispatch_declines_on_the_trace(workload, label, kwargs):
+@pytest.mark.parametrize("label", ENGINES)
+def test_every_dispatch_declines_on_the_trace(workload, label):
     """Claim BFS, flood-min, CoreFast claim, annotation and the waves go
     through the same seam as broadcast / convergecast: a verification run
-    on top of PA replays, and whatever it declines is on its trace."""
+    on top of PA and a batched solve replay, and the one list the value
+    store folds — the XOR factor — is the only fallback on the trace."""
+    res, batch, tracer = _dispatch_run(workload, label)
+    assert res.output is True
+    assert _event_totals(tracer) == (
+        res.rounds + batch.ledger.rounds,
+        res.messages + batch.ledger.messages,
+    )
+    assert _check_fallbacks(tracer) == [
+        {"phase": "mixed_reverse", "reason": "unsupported_agg",
+         "factor": "xor"},
+    ]
+
+
+@pytest.mark.parametrize("label", ["array", "async"])
+def test_a_token_no_column_holds_raises(workload, label):
+    """A claim BFS whose token is no int raises, naming its phase."""
     net = workload[0]
-    res, bfs, tracer = _dispatch_run(net, kwargs)
-    assert res.output is True and bfs.token_of[net.n - 1] == ("tok", 7)
-    assert _event_totals(tracer) == (res.rounds, res.messages)
-    fallbacks = _check_fallbacks(tracer, label)
-    # the H-restricted BFS states its edges as a mask: it runs on the kernel
-    assert "bip_h_bfs" not in {args["phase"] for args in fallbacks}
-    if label == "array":
-        assert {"phase": "odd_bfs", "reason": "non_int"} in fallbacks
-    if label == "async":
-        # the async engine declines exactly where the array engine does
-        array_fallbacks = _check_fallbacks(
-            _dispatch_run(net, ENGINES[1][1])[2], "array"
-        )
-        assert fallbacks == array_fallbacks
+    engine = PASolver(net, seed=3, **ENGINES[label](net)).engine
+    with pytest.raises(KernelDecline, match="^odd_bfs: non_int$"):
+        claim_bfs(engine, net, {0: ("tok", 7)}, CostLedger(), name="odd_bfs")
 
 
-@pytest.mark.parametrize("label,kwargs", ENGINES, ids=[e[0] for e in ENGINES])
-def test_identical_seed_traces_diff_to_zero(workload, label, kwargs):
+@pytest.mark.parametrize("label", ENGINES)
+def test_identical_seed_traces_diff_to_zero(workload, label):
     tracers = []
     for _ in range(2):
         tracer = Tracer()
         with use_tracer(tracer):
-            _solve(workload, kwargs)
+            _solve(workload, label)
         tracers.append(tracer)
     assert diff(explain(tracers[0].events), explain(tracers[1].events)) == []
 

@@ -33,7 +33,7 @@ from repro.graphs import random_connected, random_connected_partition
 from repro.graphs.partitions import partition_from_component_labels
 from repro.runtime.session import _kind, _partition_image, partition_fingerprint
 
-from oracles import ENGINE_OF
+from twins import twin_phases
 
 
 OPS = ("merge", "split", "regroup", "re_present")
@@ -102,13 +102,10 @@ def _steps(net, rng, k, ops):
     return steps
 
 
-def _replay(net, steps, reuse, impl):
+def _replay(net, steps, reuse):
     """Run ``steps`` on one session, holding the node views to the truth;
     returns every built setup's ledger, phase by phase."""
-    session = PASession(
-        net, solver=PASolver(net, seed=1, engine=ENGINE_OF[impl](net)),
-        reuse=reuse,
-    )
+    session = PASession(net, solver=PASolver(net, seed=1), reuse=reuse)
     engine = session.engine
     captured = []
     real_run = engine.run
@@ -183,8 +180,9 @@ def test_views_follow_the_part_exchange(graph_seed, n, k, ops, seed):
     net = random_connected(n, 0.15, seed=graph_seed)
     steps = _steps(net, random.Random(seed), min(k, n), ops)
     for reuse in (True, False):
-        scalar = _replay(net, steps, reuse, "scalar")
-        assert _replay(net, steps, reuse, "array") == scalar
+        with twin_phases():
+            scalar = _replay(net, steps, reuse)
+        assert _replay(net, steps, reuse) == scalar
 
 
 def test_a_previous_over_another_node_set_sends_nothing():

@@ -48,6 +48,8 @@ from repro.graphs.partitions import (
 )
 from repro.runtime.session import _partition_image
 
+from twins import wave_boundary
+
 #: Merges and splits twice as likely as the rest: a split-back is only a
 #: projection (not a cache hit) two merges deep.
 OPS = (
@@ -132,14 +134,9 @@ def _check(session, setup, mode, values, other):
         rep_of=division.rep_of,
         part_leader=division.part_leader,
     )
-    assert division.wave_boundary == fresh.wave_boundary
-    assert division.wave_boundary == _reference_boundary(
-        net, partition, division.forest
-    )
-    starts, counts, flat = (c.tolist() for c in division.wave_boundary_csr)
-    assert [
-        tuple(flat[lo:lo + k]) for lo, k in zip(starts, counts)
-    ] == division.wave_boundary
+    boundary = wave_boundary(division)
+    assert boundary == wave_boundary(fresh)
+    assert boundary == _reference_boundary(net, partition, division.forest)
 
 
 @settings(max_examples=25, deadline=None)

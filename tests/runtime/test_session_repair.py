@@ -24,7 +24,7 @@ from repro.graphs.partitions import Partition
 from repro.graphs.weights import with_random_weights
 from repro.runtime.session import _partition_image
 
-from oracles import TwinEngine
+from twins import twin_phases
 
 
 def _net_and_parts(n=44, seed=13):
@@ -272,24 +272,30 @@ def test_tree_edge_removal_forces_counted_rebuild():
     assert set(result.aggregates) == set(range(coarse.num_parts))
 
 
+class _OwnEngine(Engine):
+    """An engine of a type of its own, to see a rebind keep the type."""
+
+
 def test_a_twin_engine_survives_an_edge_update():
-    """A rebind, and a rebuild, build an engine of the old one's type:
-    a session on the scalar twins stays on them, at the kernels' ledger."""
+    """A rebind, and a rebuild, build an engine of the old one's type; a
+    session on the scalar twins runs at the kernels' ledger after both."""
     net, coarse, _fine = _net_and_parts()
     values = [(v * 29) % 97 for v in range(net.n)]
     runs = []
-    for engine in (TwinEngine(net), None):
-        session = PASession(
-            net, reuse=True, solver=PASolver(net, seed=3, engine=engine)
-        )
-        session.prepare(coarse)
-        report = session.apply_edge_updates(
-            add=[_missing_edge(net)], remove=[_non_tree_edge(session)]
-        )
-        assert report.repaired
-        assert type(session.solver.engine) is type(engine or Engine(net))
-        assert session.solver.engine.network is session.net
-        got = session.solve(session.prepare(coarse), values, SUM)
+    for twins in (True, False):
+        with twin_phases(twins):
+            session = PASession(
+                net, reuse=True,
+                solver=PASolver(net, seed=3, engine=_OwnEngine(net)),
+            )
+            session.prepare(coarse)
+            report = session.apply_edge_updates(
+                add=[_missing_edge(net)], remove=[_non_tree_edge(session)]
+            )
+            assert report.repaired
+            assert type(session.solver.engine) is _OwnEngine
+            assert session.solver.engine.network is session.net
+            got = session.solve(session.prepare(coarse), values, SUM)
         runs.append((got.aggregates, [
             (p.name, p.rounds, p.messages, p.ticks, p.bits)
             for p in got.ledger.phases()
@@ -297,7 +303,7 @@ def test_a_twin_engine_survives_an_edge_update():
     assert runs[0] == runs[1]
 
     session = PASession(
-        net, reuse=True, solver=PASolver(net, seed=3, engine=TwinEngine(net))
+        net, reuse=True, solver=PASolver(net, seed=3, engine=_OwnEngine(net))
     )
     tree_edge = next(
         (min(v, p), max(v, p))
@@ -308,7 +314,7 @@ def test_a_twin_engine_survives_an_edge_update():
         add=[_missing_edge(net)], remove=[tree_edge]
     )
     assert not report.repaired
-    assert type(session.solver.engine) is TwinEngine
+    assert type(session.solver.engine) is _OwnEngine
 
 
 def test_async_overhead_survives_an_edge_update():
